@@ -1,0 +1,385 @@
+//! The elastic controller: threshold-and-streak scaling decisions over
+//! the heat windows, drain and retire of a shard, and the background
+//! [`Autoscaler`] driver.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, PoisonError};
+use std::time::Duration;
+
+use ngm_telemetry::trace::TraceEventKind;
+use ngm_telemetry::window::HeatFrame;
+
+use super::lock;
+use super::tier::Ngm;
+use crate::heat::{pick_coolest, ShardHeat, ShardLifecycle};
+
+#[derive(Debug, Default)]
+pub(super) struct ControllerState {
+    pub(super) hot_streak: u32,
+    pub(super) cold_streak: u32,
+    pub(super) draining: Option<DrainState>,
+}
+
+#[derive(Debug)]
+pub(super) struct DrainState {
+    pub(super) shard: usize,
+    pub(super) evals: u32,
+}
+
+/// What one elastic-controller evaluation decided (see
+/// [`Ngm::scaling_tick`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScaleDecision {
+    /// No action: the tier is between the water marks, a streak has not
+    /// sustained yet, some serving shard's heat window is not settled
+    /// (the static-policy fallback), or the tier is not elastic.
+    Hold,
+    /// A dormant/retired slot was spawned and is now serving.
+    ScaleUp {
+        /// The spawned slot.
+        shard: usize,
+    },
+    /// The coolest retirable shard was gated and is draining toward a
+    /// zero alloc/free balance.
+    DrainBegun {
+        /// The draining shard.
+        shard: usize,
+    },
+    /// A draining shard reached zero balance; its thread was joined and
+    /// its service parked.
+    Retired {
+        /// The retired slot.
+        shard: usize,
+    },
+    /// A draining shard failed to reach zero balance within the policy's
+    /// `drain_patience` (e.g. it is wedged); it was returned to serving
+    /// rather than wedging the controller with it.
+    DrainAborted {
+        /// The shard returned to serving.
+        shard: usize,
+    },
+}
+
+impl Ngm {
+    /// Runs one controller evaluation against the heat frames already in
+    /// the windows (pushing none), and returns what it decided. The same
+    /// evaluation runs automatically at the end of every
+    /// [`Ngm::heat_report`] (hence every metrics scrape); this explicit
+    /// tick exists for background drivers ([`Ngm::autoscaler`]) and for
+    /// deterministic tests that inject frames via [`Ngm::inject_heat`].
+    ///
+    /// Always [`ScaleDecision::Hold`] for a non-elastic tier.
+    pub fn scaling_tick(&self) -> ScaleDecision {
+        let mut st = lock(&self.controller);
+        self.evaluate_scaling(&mut st)
+    }
+
+    pub(super) fn evaluate_scaling(&self, st: &mut ControllerState) -> ScaleDecision {
+        let Some(policy) = self.elastic else {
+            return ScaleDecision::Hold;
+        };
+        // A drain in progress owns the controller until it completes or
+        // runs out of patience; no other scaling happens meanwhile.
+        if let Some(drain) = &mut st.draining {
+            let shard = drain.shard;
+            if self.drain_complete(shard) {
+                st.draining = None;
+                self.finish_retire(shard);
+                return ScaleDecision::Retired { shard };
+            }
+            drain.evals += 1;
+            if drain.evals >= policy.drain_patience {
+                // Wedged mid-drain: reopen the shard rather than hang.
+                st.draining = None;
+                if let Some(rt) = self.shards[shard]
+                    .cell
+                    .runtime
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_ref()
+                {
+                    rt.end_retire();
+                }
+                self.obs.set_state(shard, ShardLifecycle::Serving);
+                self.push_scale_event(4, shard);
+                return ScaleDecision::DrainAborted { shard };
+            }
+            return ScaleDecision::Hold;
+        }
+        let serving = self.serving_shards();
+        if serving.is_empty() {
+            return ScaleDecision::Hold;
+        }
+        // Load metric: windowed heat score plus windowed calls, averaged
+        // per serving shard. Every serving shard's window must be settled
+        // (>= 2 frames) or the controller falls back to the static
+        // policy — a single cumulative-since-start frame reads as a
+        // garbage delta.
+        let mut loads = Vec::with_capacity(serving.len());
+        for &s in &serving {
+            match self.obs.settled_heat(s) {
+                Some(heat) => {
+                    let calls = heat.calls;
+                    let score = ShardHeat { shard: s, heat }.score();
+                    loads.push((s, score.saturating_add(calls)));
+                }
+                None => {
+                    st.hot_streak = 0;
+                    st.cold_streak = 0;
+                    return ScaleDecision::Hold;
+                }
+            }
+        }
+        let mean = loads.iter().map(|&(_, l)| l).sum::<u64>() / serving.len() as u64;
+        if mean > policy.high_water && serving.len() < policy.max {
+            st.hot_streak += 1;
+            st.cold_streak = 0;
+            if st.hot_streak >= policy.sustain {
+                st.hot_streak = 0;
+                if let Some(slot) = self.pick_spawn_slot(&serving) {
+                    if self.spawn_slot(slot).is_ok() {
+                        self.obs.record_scale_up();
+                        self.push_scale_event(1, slot);
+                        return ScaleDecision::ScaleUp { shard: slot };
+                    }
+                }
+            }
+        } else if mean < policy.low_water && serving.len() > policy.min {
+            st.cold_streak += 1;
+            st.hot_streak = 0;
+            if st.cold_streak >= policy.sustain {
+                st.cold_streak = 0;
+                // Retire the coolest shard outside the resident floor
+                // (slots `0..min` never retire: large layouts hash over
+                // them, so their frees must always find them open).
+                let candidates = loads
+                    .iter()
+                    .filter(|&&(s, _)| s >= policy.min)
+                    .map(|&(s, l)| (s, l, false));
+                if let Some(victim) = pick_coolest(candidates) {
+                    self.gate_for_drain(victim);
+                    st.draining = Some(DrainState {
+                        shard: victim,
+                        evals: 0,
+                    });
+                    self.push_scale_event(2, victim);
+                    return ScaleDecision::DrainBegun { shard: victim };
+                }
+            }
+        } else {
+            st.hot_streak = 0;
+            st.cold_streak = 0;
+        }
+        ScaleDecision::Hold
+    }
+
+    /// The dormant/retired slot to spawn next: least-loaded cluster
+    /// (fewest serving shards), ties to the lowest slot index — the same
+    /// tie-breaking as [`pick_coolest`], with "cool" meaning "empty".
+    fn pick_spawn_slot(&self, serving: &[usize]) -> Option<usize> {
+        let serving_in_cluster = |cluster: u8| {
+            serving
+                .iter()
+                .filter(|&&s| self.shards[s].cluster == cluster)
+                .count() as u64
+        };
+        let candidates = (0..self.shards.len()).filter_map(|s| {
+            let parked = matches!(
+                self.obs.state(s),
+                ShardLifecycle::Dormant | ShardLifecycle::Retired
+            ) && lock(&self.shards[s].cell.parked).is_some();
+            parked.then(|| (s, serving_in_cluster(self.shards[s].cluster), false))
+        });
+        pick_coolest(candidates)
+    }
+
+    /// Gates `shard` against new synchronous calls and marks it draining.
+    fn gate_for_drain(&self, shard: usize) {
+        if let Some(rt) = self.shards[shard]
+            .cell
+            .runtime
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            rt.begin_retire();
+        }
+        self.obs.set_state(shard, ShardLifecycle::Draining);
+    }
+
+    /// Starts draining `shard` toward retirement, as if the controller
+    /// had picked it: new allocations route elsewhere while address-
+    /// routed frees keep landing until its balance reaches zero, at which
+    /// point a later evaluation joins its thread. Returns `false` (and
+    /// does nothing) when the tier is not elastic, another drain is in
+    /// flight, `shard` is inside the resident floor or not serving, or
+    /// retiring it would leave fewer than `min` shards.
+    pub fn begin_retire(&self, shard: usize) -> bool {
+        let Some(policy) = self.elastic else {
+            return false;
+        };
+        let mut st = lock(&self.controller);
+        if st.draining.is_some()
+            || shard < policy.min
+            || shard >= self.shards.len()
+            || self.obs.state(shard) != ShardLifecycle::Serving
+            || self.serving_shards().len() <= policy.min
+        {
+            return false;
+        }
+        self.gate_for_drain(shard);
+        st.draining = Some(DrainState { shard, evals: 0 });
+        self.push_scale_event(2, shard);
+        true
+    }
+
+    /// Whether `shard` has handed every block back: the service heap
+    /// balances, nothing is left in its rings, no handle still stashes
+    /// its blocks in a magazine, and its orphan stack is drained.
+    fn drain_complete(&self, shard: usize) -> bool {
+        let slot = &self.shards[shard];
+        let heap = slot.heap_watch.load();
+        if heap.total_allocs != heap.total_frees {
+            return false;
+        }
+        if slot.orphans.pushed() != slot.orphans.drained() {
+            return false;
+        }
+        let stats = slot.handles.stats.snapshot();
+        stats.ring_occupancy == 0 && stats.magazine_occupancy == 0
+    }
+
+    /// Joins a drained shard's thread and parks its service for a later
+    /// respawn.
+    fn finish_retire(&self, shard: usize) {
+        let runtime = self.shards[shard]
+            .cell
+            .runtime
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(rt) = runtime {
+            match rt.try_shutdown() {
+                Ok((mut svc, _stats)) => {
+                    // The stop path drains rings but runs no further idle
+                    // rounds; reclaim any last-moment orphans now.
+                    svc.reclaim_orphans();
+                    *lock(&self.shards[shard].cell.parked) = Some(svc);
+                }
+                Err(failure) => {
+                    *lock(&self.shards[shard].cell.failure) = Some(failure.error);
+                }
+            }
+        }
+        self.obs.set_state(shard, ShardLifecycle::Retired);
+        self.obs.record_scale_down();
+        self.push_scale_event(3, shard);
+    }
+
+    fn push_scale_event(&self, code: u64, shard: usize) {
+        if let Some(ring) = &self.scale_trace {
+            ring.push(TraceEventKind::Scale, code, shard as u64);
+        }
+    }
+
+    /// The slots currently serving, in index order.
+    pub fn serving_shards(&self) -> Vec<usize> {
+        (0..self.shards.len())
+            .filter(|&s| self.obs.state(s) == ShardLifecycle::Serving)
+            .collect()
+    }
+
+    /// Every slot's lifecycle state, indexed by slot.
+    pub fn shard_states(&self) -> Vec<ShardLifecycle> {
+        (0..self.shards.len()).map(|s| self.obs.state(s)).collect()
+    }
+
+    /// Pushes a heat frame into `shard`'s window, exactly as a
+    /// [`Ngm::heat_report`] sample would — the deterministic way for
+    /// tests (and replay drivers) to steer the controller without real
+    /// load. Frames are cumulative: the window differentiates them.
+    pub fn inject_heat(&self, shard: usize, frame: HeatFrame) {
+        let _ = self.obs.push_frame(shard, frame);
+    }
+
+    /// Times the controller scales up / down so far (exported as
+    /// `ngm_scale_up_total` / `ngm_scale_down_total`).
+    pub fn scale_counts(&self) -> (u64, u64) {
+        (self.obs.scale_up_total(), self.obs.scale_down_total())
+    }
+
+    /// Whether an in-flight drain has already outlived the policy's
+    /// `drain_patience` (the controller will abort it on its next tick;
+    /// until then the tier reports degraded). `false` when the
+    /// controller is busy deciding — a held lock means ticks are live.
+    pub(crate) fn drain_overdue(&self) -> bool {
+        let Some(policy) = self.elastic else {
+            return false;
+        };
+        match self.controller.try_lock() {
+            Ok(st) => st
+                .draining
+                .as_ref()
+                .is_some_and(|d| d.evals >= policy.drain_patience),
+            Err(_) => false,
+        }
+    }
+
+    /// Spawns a background thread that drives [`Ngm::heat_report`] (and
+    /// with it the elastic controller) every `interval`, for deployments
+    /// without a metrics scraper to piggyback on. The thread holds only a
+    /// weak reference and exits on its own once the tier is dropped; stop
+    /// it explicitly (or drop the returned handle) before
+    /// [`Ngm::shutdown`] to avoid it briefly reviving the `Arc`.
+    pub fn autoscaler(self: &Arc<Self>, interval: Duration) -> Autoscaler {
+        let weak = Arc::downgrade(self);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("ngm-autoscaler".into())
+            .spawn(move || {
+                while !stop_flag.load(Ordering::Acquire) {
+                    std::thread::sleep(interval);
+                    if stop_flag.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let Some(ngm) = weak.upgrade() else { break };
+                    let _ = ngm.heat_report();
+                }
+            })
+            .expect("failed to spawn autoscaler thread");
+        Autoscaler {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+/// Guard for the background scaling driver spawned by
+/// [`Ngm::autoscaler`]: stops and joins the thread on [`Autoscaler::stop`]
+/// or drop.
+#[derive(Debug)]
+pub struct Autoscaler {
+    stop: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Autoscaler {
+    /// Stops the driver thread and waits for it to exit.
+    pub fn stop(mut self) {
+        self.halt();
+    }
+
+    fn halt(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Autoscaler {
+    fn drop(&mut self) {
+        self.halt();
+    }
+}

@@ -1,0 +1,971 @@
+//! The per-thread [`NgmHandle`]: its clients, magazines and free
+//! buffers, and the one request path — `try_alloc` / `try_dealloc`, with
+//! `alloc` / `dealloc` as the same bodies told to wait.
+
+use std::alloc::Layout;
+use std::ptr::NonNull;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, PoisonError};
+
+use ngm_heap::classes::{layout_to_class, SizeClass, NUM_CLASSES};
+use ngm_heap::{AllocError, FallbackHeap};
+use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, RuntimeTelemetry, ServiceError};
+use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
+use ngm_telemetry::clock::cycles_now;
+use ngm_telemetry::sites::SiteProfiler;
+use ngm_telemetry::trace::TraceEventKind;
+
+use super::routing::{Route, RouteOp};
+use super::tier::SlotCell;
+use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
+use crate::heat::{ObsState, ShardLifecycle};
+use crate::orphan::OrphanStack;
+use crate::service::{
+    AddrBatch, AllocBatchReq, AllocReq, FreeMsg, FreePost, MallocReq, MallocResp, MallocService,
+    MAX_BATCH,
+};
+
+/// A per-thread endpoint to the allocator tier.
+///
+/// With `batch_size > 1` the handle keeps a per-size-class **magazine** of
+/// pre-handed-out addresses: the common-case `alloc` is a pop from an
+/// inline array (no round trip, no atomics — the handle is `!Sync`, so
+/// this state is L1-resident and single-owner per §3.1.3), and one
+/// [`AllocBatchReq`] refill round trip is paid every `batch_size` allocs.
+/// Symmetrically, `flush_threshold > 1` buffers small-block frees
+/// per owning shard and flushes them as one batched post.
+///
+/// All routing state (class map, magazines, free buffers, pressure
+/// counters) is handle-local: no shared writes, no atomics on the fast
+/// path, and two handles may route the same class differently without
+/// coordinating — frees are address-pure, so it cannot matter.
+pub struct NgmHandle {
+    /// The request riding each shard's slot across calls (`None` when
+    /// the slot is free): one a non-blocking call submitted and left in
+    /// flight, kept so that whoever collects the response — the original
+    /// submitter or an unrelated call settling the slot for its own
+    /// request — can route it. At most one rides each slot; collecting or
+    /// retracting it clears the entry.
+    pub(super) nb_pending: Box<[Option<MallocReq>]>,
+    /// How many submissions have left their slot (see
+    /// [`NgmHandle::settled`]).
+    pub(super) settled: u64,
+    /// Backpressure ceiling for submission queues built over this handle
+    /// ([`NgmConfig::with_inflight_limit`]).
+    pub(super) inflight_limit: usize,
+    /// One client endpoint per slot, indexed by slot — `None` for slots
+    /// with no thread (dormant/retired) or whose thread this handle has
+    /// not yet registered with.
+    pub(super) clients: Box<[Option<ClientHandle<MallocService>>]>,
+    /// Each slot's thread cell, for lazy client (re-)registration as the
+    /// elastic controller spawns and retires shards.
+    pub(super) slots: Box<[Arc<SlotCell>]>,
+    /// The slot epoch each client in `clients` was registered against; a
+    /// mismatch with the cell's current epoch means the client belongs to
+    /// a joined thread and must be re-registered.
+    pub(super) client_epoch: Box<[u64]>,
+    /// The route generation this handle last synced at. One relaxed load
+    /// per operation compares it against [`ObsState::generation`]; a
+    /// mismatch triggers [`NgmHandle::resync_routes`].
+    pub(super) seen_generation: u64,
+    /// Cluster whose shards this handle prefers for allocations (see
+    /// [`Ngm::handle_on_cluster`]); `None` routes over all serving.
+    pub(super) preferred_cluster: Option<u8>,
+    /// Each slot's persistent runtime counters — valid even when the slot
+    /// has no thread (and thus no client to reach them through).
+    pub(super) shard_stats: Box<[Arc<RuntimeStats>]>,
+    /// Each slot's persistent telemetry hub, for blackbox snapshots.
+    pub(super) shard_telemetry: Box<[Arc<RuntimeTelemetry>]>,
+    /// How many slots large layouts hash over (see [`Ngm::large_span`]).
+    pub(super) large_span: usize,
+    /// Each shard's orphan stack, for [`NgmHandle::dealloc_orphan`].
+    pub(super) orphans: Box<[Arc<OrphanStack>]>,
+    pub(super) batch_size: u32,
+    pub(super) flush_threshold: u32,
+    /// One magazine per size class, inline so no allocation ever happens
+    /// on the fast path (crucial under the global-allocator adapter).
+    pub(super) magazines: [AddrBatch; NUM_CLASSES],
+    /// Which shard refilled each class's magazine. A magazine refills
+    /// only when empty, so every address in it shares this one source —
+    /// returns at drop go back where the blocks came from even if the
+    /// class has since been rebalanced elsewhere.
+    pub(super) mag_shard: [u16; NUM_CLASSES],
+    /// Where this handle's *allocation* traffic for each class goes.
+    /// Rebalancing rewrites this map; frees never consult it.
+    pub(super) class_shard: [u16; NUM_CLASSES],
+    /// Client-side buffers of small-block frees, one per owning shard,
+    /// each awaiting one batched post to that shard.
+    pub(super) free_bufs: Box<[AddrBatch]>,
+    /// Blocks currently stashed in magazines, per source shard (local
+    /// mirror; the shared gauge is updated at refill/drop boundaries).
+    pub(super) stash_by_shard: Box<[i64]>,
+    /// What this handle last published into each shard's magazine gauge.
+    pub(super) published_occupancy: Box<[i64]>,
+    /// Accumulated full-ring retries per shard — the saturation signal
+    /// that triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
+    pub(super) pressure: Box<[u32]>,
+    /// Shards this handle has observed dead (failover already recorded
+    /// and allocation traffic moved off).
+    pub(super) failed: Box<[bool]>,
+    /// The shared allocation-site profiler, when enabled.
+    pub(super) sites: Option<Arc<SiteProfiler>>,
+    /// The shared inline allocator of last resort (see [`Ngm`]).
+    pub(super) fallback: Arc<FallbackHeap>,
+    /// Shared heat windows + blackbox gate (see [`crate::heat`]).
+    pub(super) obs: Arc<ObsState>,
+}
+
+/// Polls `client`'s in-flight request or, when `wait`, blocks on it
+/// under the runtime's deadline: the one difference between the
+/// non-blocking entry points and their blocking wrappers.
+#[inline]
+fn await_response(
+    client: &mut ClientHandle<MallocService>,
+    wait: bool,
+) -> Result<MallocResp, ServiceError> {
+    if wait {
+        client.wait(client.deadline())
+    } else {
+        client.poll().ok_or(ServiceError::WouldBlock)
+    }
+}
+
+impl NgmHandle {
+    pub(super) fn nshards(&self) -> usize {
+        self.clients.len()
+    }
+
+    /// One relaxed load per operation: when the tier's route generation
+    /// moved (a shard spawned, began draining, or retired), resync this
+    /// handle's clients and class routes. Static tiers never bump the
+    /// generation after build, so this stays a compare-and-branch.
+    #[inline]
+    fn maybe_resync(&mut self) {
+        let generation = self.obs.generation();
+        if generation != self.seen_generation {
+            self.resync_routes(generation);
+        }
+    }
+
+    /// Reconciles this handle with the tier's current lifecycle states:
+    /// registers clients to newly-serving slots (or re-registers across a
+    /// respawn epoch), hands a draining shard everything this handle
+    /// still owes it (buffered frees, stashed magazines) so its balance
+    /// can reach zero, drops clients to slots with no thread, and
+    /// re-spreads the class map over the serving set.
+    fn resync_routes(&mut self, generation: u64) {
+        self.seen_generation = generation;
+        for s in 0..self.nshards() {
+            match self.obs.state(s) {
+                ShardLifecycle::Serving => {
+                    let _ = self.ensure_client(s);
+                }
+                ShardLifecycle::Draining => {
+                    self.settle_nb(s);
+                    let _ = self.flush_shard(s, true);
+                    self.return_magazines_from(s);
+                }
+                ShardLifecycle::Dormant | ShardLifecycle::Retired => {
+                    self.settle_nb(s);
+                    self.clients[s] = None;
+                }
+            }
+        }
+        self.recompute_class_routes();
+    }
+
+    /// Makes sure `clients[s]` is a client of the slot's *current*
+    /// thread; returns `false` when the slot has no thread.
+    pub(super) fn ensure_client(&mut self, s: usize) -> bool {
+        let epoch = self.slots[s].epoch.load(Ordering::Acquire);
+        if self.clients[s].is_some() && self.client_epoch[s] == epoch {
+            return true;
+        }
+        // The old client (if any) belongs to a joined thread: whatever
+        // non-blocking submission still rode its slot can never complete.
+        // Take it back unserved if possible; count the loss otherwise.
+        if self.nb_pending[s].is_some() {
+            let retracted = self.clients[s].as_mut().is_some_and(ClientHandle::retract);
+            self.release_slot(s);
+            if !retracted {
+                self.shard_stats[s].record_post_dropped();
+            }
+        }
+        let guard = self.slots[s]
+            .runtime
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        match guard.as_ref() {
+            Some(rt) => {
+                // Same PMU rule as handle construction: only the shard-0
+                // endpoint arms, so this thread is counted once.
+                self.clients[s] = Some(rt.register_client_with_pmu(s == 0));
+                self.client_epoch[s] = epoch;
+                // A respawned slot is a fresh thread: clear the grudges
+                // held against its predecessor.
+                self.failed[s] = false;
+                self.pressure[s] = 0;
+                true
+            }
+            None => {
+                self.clients[s] = None;
+                false
+            }
+        }
+    }
+
+    /// Returns every magazine refilled by `source` to it, so a draining
+    /// shard gets its stashed blocks back.
+    fn return_magazines_from(&mut self, source: usize) {
+        for ci in 0..NUM_CLASSES {
+            if self.mag_shard[ci] as usize == source && !self.magazines[ci].is_empty() {
+                let batch = std::mem::take(&mut self.magazines[ci]);
+                self.stash_by_shard[source] -= batch.len() as i64;
+                let _ = self.post_routed(source, FreePost::MagazineReturn(batch), true);
+            }
+        }
+        self.publish_occupancy(source);
+    }
+
+    /// Captures and emits a blackbox dump for a failure edge implicating
+    /// `shard`: that shard's last-K trace events, every shard's slot/ring
+    /// state, and the current heat picture. Gated on the config knob and
+    /// the tier's rate limiter, so the common suppressed case costs one
+    /// branch and one relaxed load — never an allocation. Emitted dumps
+    /// land on stderr, the `NGM_BLACKBOX_PATH` file, and the in-memory
+    /// ring behind [`Ngm::blackbox_dumps`] / the observer's `/blackbox`
+    /// endpoint.
+    pub(super) fn blackbox(&self, reason: &'static str, shard: usize) {
+        let Some(recorder) = self.obs.blackbox.as_ref() else {
+            return;
+        };
+        if !recorder.should_emit() {
+            return;
+        }
+        let shards = (0..self.nshards())
+            .map(|s| match &self.clients[s] {
+                Some(c) => ShardState {
+                    shard: s,
+                    slot_state: c.slot_state_label(),
+                    ring_occupancy: c.pending_posts() as u64,
+                    down: !c.is_open(),
+                },
+                None => ShardState {
+                    shard: s,
+                    slot_state: self.obs.state(s).label(),
+                    ring_occupancy: 0,
+                    down: true,
+                },
+            })
+            .collect();
+        recorder.emit(BlackboxDump {
+            reason: reason.into(),
+            shard,
+            tsc: cycles_now(),
+            events: self.shard_telemetry[shard].peek_trace(DEFAULT_LAST_K),
+            shards,
+            heat: self.obs.render_current(),
+        });
+    }
+
+    /// The shard that owns `ptr`, read from its segment header — a pure
+    /// function of the address, stable for the block's whole lifetime.
+    fn shard_of_small(&self, ptr: NonNull<u8>) -> usize {
+        if self.nshards() == 1 {
+            return 0;
+        }
+        // SAFETY: callers only pass live small-class blocks allocated by
+        // this tier's segregated heaps.
+        let owner = unsafe { ngm_heap::owner_of_small_ptr(ptr) };
+        let shard = owner.wrapping_sub(OWNER_BASE) as usize;
+        debug_assert!(shard < self.nshards(), "foreign owner id {owner:#x}");
+        if shard < self.nshards() {
+            shard
+        } else {
+            0
+        }
+    }
+
+    /// The shard serving a non-class (large) layout: a deterministic hash
+    /// of the layout, identical at alloc and free time (a large free
+    /// carries its layout), so it is address-stable the same way the
+    /// owner-id read is. Elastic tiers hash over the resident floor only
+    /// (`ElasticPolicy::min` slots, which never retire), so the shard a
+    /// large free hashes to is always still open.
+    fn shard_of_large(&self, layout: Layout) -> usize {
+        if self.large_span == 1 {
+            return 0;
+        }
+        let h =
+            (layout.size() ^ layout.align().rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 32) % self.large_span
+    }
+
+    /// Pushes one event onto `shard`'s client trace ring, when tracing
+    /// is on and the handle has a client there.
+    fn trace(&self, shard: usize, kind: TraceEventKind, a: u64, b: u64) {
+        if let Some(ring) = self.clients[shard]
+            .as_ref()
+            .and_then(ClientHandle::trace_ring)
+        {
+            ring.push(kind, a, b);
+        }
+    }
+
+    /// Allocates a block.
+    ///
+    /// Small layouts with batching enabled are served from the per-class
+    /// magazine (refilled in one batched round trip when empty); anything
+    /// else is a synchronous round trip to the class's current shard.
+    /// This is [`NgmHandle::try_alloc`] that waits out every round trip
+    /// instead of reporting [`NgmError::WouldBlock`].
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::OutOfMemory`] when the service reports failure (or
+    /// every shard is gone) and [`AllocError::ZeroSize`] for zero-sized
+    /// layouts.
+    #[track_caller]
+    pub fn alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
+        let caller = std::panic::Location::caller();
+        let ptr = self.alloc_inner(layout, true).map_err(|e| match e {
+            NgmError::Alloc(e) => e,
+            _ => AllocError::OutOfMemory,
+        })?;
+        if let Some(prof) = &self.sites {
+            // Label formatting is deferred into the closure: unsampled
+            // allocations never pay for it.
+            prof.record_alloc(ptr.as_ptr() as usize, layout.size(), || caller.to_string());
+        }
+        Ok(ptr)
+    }
+
+    /// Non-blocking [`NgmHandle::alloc`]: never waits on a service.
+    ///
+    /// The magazine pop is the same fast path. When a round trip is
+    /// needed it is *submitted* rather than awaited: the call returns
+    /// [`NgmError::WouldBlock`] and a later `try_alloc` (or a poll of an
+    /// [`crate::nonblocking::AllocFuture`]) collects the response from
+    /// the slot. Dead, draining, and deadlined shards are routed around
+    /// by the same step as in the blocking form — only the *wait* is
+    /// removed, so the `allocs == frees` ledger and every
+    /// reroute/fallback rule are shared.
+    ///
+    /// # Errors
+    ///
+    /// [`NgmError::WouldBlock`] when a submission is in flight and its
+    /// response has not landed yet (retry after pumping or a wake);
+    /// otherwise the same failures as [`NgmHandle::alloc`], lifted into
+    /// [`NgmError`].
+    pub fn try_alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, NgmError> {
+        self.alloc_inner(layout, false)
+    }
+
+    fn alloc_inner(&mut self, layout: Layout, wait: bool) -> Result<NonNull<u8>, NgmError> {
+        if layout.size() == 0 {
+            return Err(AllocError::ZeroSize.into());
+        }
+        self.maybe_resync();
+        match layout_to_class(layout.size(), layout.align()) {
+            Some(class) if self.batch_size > 1 => self.alloc_from_magazine(class, layout, wait),
+            Some(class) => {
+                self.alloc_one(self.class_shard[class.0 as usize] as usize, layout, wait)
+            }
+            None => self.alloc_one(self.shard_of_large(layout), layout, wait),
+        }
+    }
+
+    /// The magazine fast path: pop, refilling first when empty.
+    fn alloc_from_magazine(
+        &mut self,
+        class: SizeClass,
+        layout: Layout,
+        wait: bool,
+    ) -> Result<NonNull<u8>, NgmError> {
+        let ci = class.0 as usize;
+        if self.magazines[ci].is_empty() {
+            match self.top_up(class, wait) {
+                Ok(()) => {}
+                Err(NgmError::WouldBlock) => return Err(NgmError::WouldBlock),
+                Err(e) => {
+                    // No shard could refill (all deadlined, dead, or
+                    // empty): degrade this one allocation to the inline
+                    // fallback instead of failing it, keeping the app
+                    // alive through the outage.
+                    let shard = self.class_shard[ci] as usize;
+                    return self.fallback_alloc(layout, shard).map_err(|_| e);
+                }
+            }
+        }
+        let addr = self.magazines[ci]
+            .pop()
+            .expect("magazine nonempty after refill");
+        let source = self.mag_shard[ci] as usize;
+        self.stash_by_shard[source] -= 1;
+        self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
+        NonNull::new(addr as *mut u8).ok_or(NgmError::Alloc(AllocError::OutOfMemory))
+    }
+
+    /// One batched round trip to top up `class`'s magazine from its
+    /// current shard, routing around shards that cannot serve it.
+    fn top_up(&mut self, class: SizeClass, wait: bool) -> Result<(), NgmError> {
+        let ci = class.0 as usize;
+        let what = MallocReq::Batch(AllocBatchReq {
+            class,
+            count: self.batch_size,
+        });
+        for _ in 0..self.nshards() {
+            let shard = self.class_shard[ci] as usize;
+            let cause = if self.ensure_client(shard) {
+                match self.request(shard, what, wait) {
+                    // An empty batch is the service reporting exhaustion.
+                    Ok(_) if self.magazines[ci].is_empty() => break,
+                    Ok(_) => return Ok(()),
+                    Err(e) => Some(e),
+                }
+            } else {
+                None
+            };
+            match self.route(shard, cause, RouteOp::Refill(ci)) {
+                Route::Retry(_) => {}
+                Route::Busy => return Err(NgmError::WouldBlock),
+                Route::Exhausted => break,
+            }
+        }
+        Err(AllocError::OutOfMemory.into())
+    }
+
+    /// One single-block round trip, starting at `shard`. A *dead* target
+    /// fails over to survivors; a merely *slow* one (deadline fired) is
+    /// rerouted around without being written off — deadlines are
+    /// transient, so the shard stays eligible once it catches up. When
+    /// every shard has been tried and none answered, the request degrades
+    /// to the inline fallback heap rather than hanging or failing.
+    fn alloc_one(
+        &mut self,
+        mut shard: usize,
+        layout: Layout,
+        wait: bool,
+    ) -> Result<NonNull<u8>, NgmError> {
+        let what = MallocReq::One(AllocReq::from_layout(layout));
+        for _ in 0..self.nshards() {
+            let cause = if self.ensure_client(shard) {
+                let traced = self.clients[shard]
+                    .as_ref()
+                    .is_some_and(|c| c.trace_ring().is_some());
+                let t0 = traced.then(cycles_now);
+                match self.request(shard, what, wait) {
+                    Ok(addr) => {
+                        if let Some(t0) = t0 {
+                            let rtt = cycles_now().saturating_sub(t0);
+                            self.trace(shard, TraceEventKind::Alloc, layout.size() as u64, rtt);
+                        }
+                        return NonNull::new(addr.unwrap_or(0) as *mut u8)
+                            .ok_or(NgmError::Alloc(AllocError::OutOfMemory));
+                    }
+                    Err(e) => Some(e),
+                }
+            } else {
+                None
+            };
+            match self.route(shard, cause, RouteOp::Alloc) {
+                Route::Retry(next) => shard = next,
+                Route::Busy => return Err(NgmError::WouldBlock),
+                Route::Exhausted => break,
+            }
+        }
+        self.fallback_alloc(layout, shard).map_err(NgmError::from)
+    }
+
+    /// The degradation endpoint: every shard deadlined or died, so serve
+    /// the allocation inline from the shared [`FallbackHeap`] (small
+    /// classes only — its docs explain why large layouts cannot degrade).
+    /// `shard` is the last shard tried, implicated in the dump.
+    fn fallback_alloc(&mut self, layout: Layout, shard: usize) -> Result<NonNull<u8>, AllocError> {
+        self.blackbox("fallback", shard);
+        self.fallback.allocate(layout)
+    }
+
+    /// One request round on `shard` (whose client the caller just
+    /// ensured): settles whatever rides the slot — an identical request
+    /// is this caller's own, from an earlier `WouldBlock` — then submits
+    /// `what` and polls, or with `wait` blocks, for its response.
+    /// `Ok(Some(addr))` answers a [`MallocReq::One`]; `Ok(None)` means a
+    /// [`MallocReq::Batch`] was folded into its magazine.
+    /// [`ServiceError::WouldBlock`] leaves the request riding the slot
+    /// for a later call; any other error leaves the slot free.
+    fn request(
+        &mut self,
+        shard: usize,
+        what: MallocReq,
+        wait: bool,
+    ) -> Result<Option<usize>, ServiceError> {
+        if let Some(riding) = self.nb_pending[shard] {
+            let got = self.collect(shard, Some(what), wait)?;
+            if riding == what {
+                return Ok(got);
+            }
+        }
+        let kind = match what {
+            MallocReq::One(_) => CallKind::Single,
+            MallocReq::Batch(_) => CallKind::Batched,
+        };
+        let client = self.clients[shard].as_mut().expect("client just ensured");
+        client.submit(what, kind).map_err(|(_, e)| e)?;
+        match await_response(client, wait) {
+            Ok(resp) => {
+                self.settled += 1;
+                Ok(self.absorb(shard, what, &resp, Some(what)))
+            }
+            Err(ServiceError::WouldBlock) => {
+                self.nb_pending[shard] = Some(what);
+                self.shard_stats[shard].add_inflight(1);
+                Err(ServiceError::WouldBlock)
+            }
+            // Deadline: retracted or abandoned — nothing rides the slot.
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Collects the request riding `shard`'s slot: polls — or with `wait`
+    /// blocks — for its response and folds it into handle state
+    /// ([`NgmHandle::absorb`]). `Ok` means the slot is free again;
+    /// [`ServiceError::WouldBlock`] that the response has not landed.
+    fn collect(
+        &mut self,
+        shard: usize,
+        want: Option<MallocReq>,
+        wait: bool,
+    ) -> Result<Option<usize>, ServiceError> {
+        let Some(riding) = self.nb_pending[shard] else {
+            return Ok(None);
+        };
+        let Some(client) = self.clients[shard].as_mut() else {
+            // The client is gone (resync dropped it): the request can
+            // never complete. Clear it so the route is usable again.
+            self.release_slot(shard);
+            self.shard_stats[shard].record_post_dropped();
+            return Ok(None);
+        };
+        match await_response(client, wait) {
+            Err(ServiceError::WouldBlock) => Err(ServiceError::WouldBlock),
+            outcome => {
+                self.release_slot(shard);
+                outcome.map(|resp| self.absorb(shard, riding, &resp, want))
+            }
+        }
+    }
+
+    /// Forgets the request riding `shard`'s slot (collected, retracted
+    /// or lost).
+    fn release_slot(&mut self, shard: usize) {
+        self.nb_pending[shard] = None;
+        self.shard_stats[shard].add_inflight(-1);
+        self.settled += 1;
+    }
+
+    /// The one place a response enters handle state. A batch tops up its
+    /// class's magazine (or, if the class was refilled from elsewhere
+    /// meanwhile, diverts to the serving shard's orphan stack so the
+    /// ledger still balances without a blocking return post). A `One`
+    /// goes to the caller when it answers `want`; otherwise it has lost
+    /// its consumer and the block is immediately freed back along the
+    /// normal address-routed path.
+    fn absorb(
+        &mut self,
+        shard: usize,
+        request: MallocReq,
+        resp: &MallocResp,
+        want: Option<MallocReq>,
+    ) -> Option<usize> {
+        match (request, resp) {
+            (MallocReq::Batch(req), MallocResp::Batch(batch)) => {
+                let ci = req.class.0 as usize;
+                if batch.is_empty() {
+                    // The service reported failure; nothing to stash.
+                } else if self.magazines[ci].is_empty() {
+                    let got = batch.len();
+                    self.magazines[ci] = *batch;
+                    self.mag_shard[ci] = shard as u16;
+                    self.stash_by_shard[shard] += got as i64;
+                    // Publish occupancy only here (and at drop) — pops
+                    // since the last refill fold into this one delta,
+                    // keeping the alloc fast path free of shared-memory
+                    // traffic.
+                    self.publish_occupancy(shard);
+                    let class = u64::from(req.class.0);
+                    self.trace(shard, TraceEventKind::Refill, class, got as u64);
+                } else {
+                    for &addr in batch.as_slice() {
+                        if let Some(p) = NonNull::new(addr as *mut u8) {
+                            // SAFETY: fresh small-class blocks the service
+                            // just handed out; nothing else refers to them.
+                            unsafe { self.orphans[shard].push(p) };
+                        }
+                    }
+                }
+                None
+            }
+            (MallocReq::One(_), &MallocResp::One(addr)) if want == Some(request) => Some(addr),
+            (MallocReq::One(req), &MallocResp::One(addr)) => {
+                if let (Some(ptr), Some(layout)) = (NonNull::new(addr as *mut u8), req.layout()) {
+                    // SAFETY: a live block the service just produced whose
+                    // consumer abandoned it; freeing it here is the only
+                    // reference.
+                    unsafe { self.dealloc(ptr, layout) };
+                }
+                None
+            }
+            _ => unreachable!("response kind does not match request kind"),
+        }
+    }
+
+    /// Resolves `shard`'s riding request before its client goes away:
+    /// retract if the service has not claimed it, otherwise wait out the
+    /// (imminent) response so no allocated block leaks. Only the
+    /// shard-death edge — service gone mid-serve — abandons the request,
+    /// counted like a dropped post.
+    fn settle_nb(&mut self, shard: usize) {
+        if self.nb_pending[shard].is_none() {
+            return;
+        }
+        if self.clients[shard]
+            .as_mut()
+            .is_some_and(ClientHandle::retract)
+        {
+            self.release_slot(shard);
+        } else if self.collect(shard, None, true).is_err() {
+            self.shard_stats[shard].record_post_dropped();
+        }
+    }
+
+    /// Drives every in-flight refill one poll forward, folding landed
+    /// batches into their magazines. Returns how many completed. The pump
+    /// a submission queue (or any manual `try_alloc` retry loop) calls
+    /// between wakes. A riding single-block request is left for the
+    /// `try_alloc` that asked for it ([`NgmHandle::nb_single_riding`]):
+    /// its block has nowhere to wait but the slot.
+    pub fn nb_pump(&mut self) -> usize {
+        self.maybe_resync();
+        let mut completed = 0;
+        for shard in 0..self.nshards() {
+            if matches!(self.nb_pending[shard], Some(MallocReq::Batch(_)))
+                && self.collect(shard, None, false).is_ok()
+            {
+                completed += 1;
+            }
+        }
+        completed
+    }
+
+    /// Whether a single-block request rides some slot: only a retry of
+    /// the `try_alloc` that submitted it collects the block.
+    pub(crate) fn nb_single_riding(&self) -> bool {
+        self.nb_pending
+            .iter()
+            .any(|p| matches!(p, Some(MallocReq::One(_))))
+    }
+
+    /// How many non-blocking submissions this handle currently has in
+    /// flight across all shards.
+    pub fn nb_inflight(&self) -> usize {
+        self.nb_pending.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// How many submissions have left their slot so far (collected,
+    /// retracted or lost). Magazine stock and free slots only ever appear
+    /// when this moves, which is what tells a submission queue that its
+    /// parked tickets are worth rescanning.
+    pub(crate) fn settled(&self) -> u64 {
+        self.settled
+    }
+
+    /// The configured in-flight ceiling for submission queues built over
+    /// this handle ([`crate::NgmConfig::with_inflight_limit`]).
+    pub fn inflight_limit(&self) -> usize {
+        self.inflight_limit
+    }
+
+    /// Registers `waker` on every shard slot carrying an in-flight
+    /// submission, so the RESPONSE release edge of *any* of them wakes
+    /// the task. A response that already landed fires the waker from
+    /// this call (see [`ClientHandle::register_waker`]); spurious wakes
+    /// are possible and harmless under the `Future` contract.
+    pub fn register_waker(&self, waker: &std::task::Waker) {
+        for shard in 0..self.nshards() {
+            if self.nb_pending[shard].is_some() {
+                if let Some(client) = self.clients[shard].as_ref() {
+                    client.register_waker(waker);
+                }
+            }
+        }
+    }
+
+    /// Records the submission-queue depth observed at a pump boundary
+    /// into the tier's `ngm_submit_depth` histogram (slot 0's hub — the
+    /// resident floor always exists).
+    pub fn record_submit_depth(&self, depth: u64) {
+        self.shard_telemetry[0].submit_depth.record(depth);
+    }
+
+    /// Frees a block asynchronously; returns as soon as the message is in
+    /// the owning shard's ring (§3.1.2: free is off the critical path).
+    /// With `flush_threshold > 1`, small-block frees are buffered per
+    /// owning shard and flushed as one batched post. This is
+    /// [`NgmHandle::try_dealloc`] that waits out a full ring (for at
+    /// most the deadline, then diverts to the owning shard's orphan
+    /// stack) and so always accepts.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from [`NgmHandle::alloc`] on the same [`crate::Ngm`]
+    /// instance with the same `layout`, and must not be used afterwards.
+    pub unsafe fn dealloc(&mut self, ptr: NonNull<u8>, layout: Layout) {
+        // SAFETY: forwarded contract.
+        let accepted = unsafe { self.dealloc_inner(ptr, layout, true) };
+        debug_assert!(accepted.is_ok(), "a waiting free always accepts");
+    }
+
+    /// Non-blocking [`NgmHandle::dealloc`]: accepts the free (buffered
+    /// or posted) or hands it back.
+    ///
+    /// `Ok(())` means the block is now the tier's responsibility —
+    /// buffered client-side awaiting a flush, in the owning shard's ring,
+    /// freed inline (fallback blocks), or diverted to the owning shard's
+    /// orphan stack (dead shard) — so accounting stays exact in every
+    /// accepted case. [`NgmError::WouldBlock`] means the owning shard's
+    /// ring is full *and* the client-side buffer cannot absorb the free:
+    /// the caller still owns `ptr` and must retry after pumping.
+    ///
+    /// # Safety
+    ///
+    /// As [`NgmHandle::dealloc`]; on `Err` the block is *not* freed and
+    /// the caller retains ownership.
+    pub unsafe fn try_dealloc(&mut self, ptr: NonNull<u8>, layout: Layout) -> Result<(), NgmError> {
+        // SAFETY: forwarded contract.
+        unsafe { self.dealloc_inner(ptr, layout, false) }
+    }
+
+    unsafe fn dealloc_inner(
+        &mut self,
+        ptr: NonNull<u8>,
+        layout: Layout,
+        wait: bool,
+    ) -> Result<(), NgmError> {
+        self.maybe_resync();
+        if let Some(prof) = &self.sites {
+            prof.record_free(ptr.as_ptr() as usize);
+        }
+        let small = layout_to_class(layout.size(), layout.align()).is_some();
+        // The fallback gate comes before any shard shortcut (including
+        // the single-shard one inside `shard_of_small`): once the tier
+        // has ever degraded, any small block might be fallback-owned.
+        // SAFETY (owner read): small blocks from this tier are segment-
+        // backed, per this method's contract.
+        if small
+            && self.fallback.is_active()
+            && unsafe { ngm_heap::owner_of_small_ptr(ptr) } == FALLBACK_OWNER
+        {
+            // SAFETY: forwarded contract — a live fallback block the
+            // caller relinquished.
+            unsafe { self.fallback.deallocate(ptr) };
+            return Ok(());
+        }
+        let shard = if small {
+            self.shard_of_small(ptr)
+        } else {
+            self.shard_of_large(layout)
+        };
+        if self.flush_threshold > 1 && small {
+            if self.free_bufs[shard].len() >= MAX_BATCH {
+                // Buffer at capacity: it must drain into the ring before
+                // this free can be accepted.
+                self.flush_shard(shard, wait)?;
+            }
+            self.free_bufs[shard].push(ptr.as_ptr() as usize);
+            if self.free_bufs[shard].len() >= self.flush_threshold as usize {
+                // A full ring is not an error here — the free is already
+                // safely buffered.
+                let _ = self.flush_shard(shard, wait);
+            }
+        } else {
+            let msg = FreeMsg {
+                addr: ptr.as_ptr() as usize,
+                size: layout.size(),
+                align: layout.align(),
+            };
+            self.post_routed(shard, FreePost::One(msg), wait)?;
+        }
+        self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
+        Ok(())
+    }
+
+    /// Posts all buffered frees (if any), each shard's buffer as one
+    /// batched message to that shard. Called automatically when a buffer
+    /// reaches `flush_threshold` and at handle drop; callers needing
+    /// promptness bounds may flush manually.
+    pub fn flush_frees(&mut self) {
+        for shard in 0..self.nshards() {
+            let _ = self.flush_shard(shard, true);
+        }
+    }
+
+    /// Flushes one shard's buffered frees as a single post. Without
+    /// `wait` a full ring puts the batch straight back into the buffer
+    /// (nothing is lost) and the caller sees [`NgmError::WouldBlock`].
+    fn flush_shard(&mut self, shard: usize, wait: bool) -> Result<(), NgmError> {
+        if self.free_bufs[shard].is_empty() {
+            return Ok(());
+        }
+        let batch = std::mem::take(&mut self.free_bufs[shard]);
+        self.post_routed(shard, FreePost::Batch(batch), wait)
+    }
+
+    /// Posts to one shard, feeding ring pressure into the rebalance logic
+    /// and never losing a free: a shard with no thread, or whose ring
+    /// stayed full past the deadline, has the blocks diverted to its
+    /// orphan stack (reclaimed on its next idle round, at respawn, or at
+    /// shutdown) so accounting stays exact. A dead shard's message is
+    /// dropped and counted by the offload layer. Only without `wait` can
+    /// a *full ring* hand the message back — a batch returns to the
+    /// client-side buffer — as [`NgmError::WouldBlock`].
+    fn post_routed(&mut self, shard: usize, msg: FreePost, wait: bool) -> Result<(), NgmError> {
+        if !self.ensure_client(shard) {
+            self.reroute_frees_to_orphans(shard, msg);
+            return Ok(());
+        }
+        let patience = if wait {
+            PostWait::Deadline
+        } else {
+            PostWait::Never
+        };
+        let client = self.clients[shard].as_mut().expect("client just ensured");
+        let (cause, msg) = match client.try_post(msg, patience) {
+            Ok(full_retries) => {
+                self.note_pressure(shard, full_retries);
+                return Ok(());
+            }
+            Err(e) => e.into_parts(),
+        };
+        match (self.route(shard, Some(cause), RouteOp::Post), msg) {
+            (Route::Busy, msg) => {
+                if let Some(FreePost::Batch(batch)) = msg {
+                    // Back into the buffer it came from; capacity is
+                    // guaranteed (the buffer was just drained).
+                    self.free_bufs[shard] = batch;
+                }
+                Err(NgmError::WouldBlock)
+            }
+            (_, Some(msg)) => {
+                self.reroute_frees_to_orphans(shard, msg);
+                Ok(())
+            }
+            (_, None) => Ok(()),
+        }
+    }
+
+    fn publish_occupancy(&mut self, shard: usize) {
+        let delta = self.stash_by_shard[shard] - self.published_occupancy[shard];
+        if delta != 0 {
+            self.shard_stats[shard].add_magazine_occupancy(delta);
+            self.published_occupancy[shard] = self.stash_by_shard[shard];
+        }
+    }
+
+    /// Diverts the contents of an undeliverable free post to `shard`'s
+    /// orphan stack. Large frees cannot ride the orphan stack (their
+    /// layout is not recoverable from the address), so they are dropped
+    /// and counted like frees owed to a dead shard.
+    fn reroute_frees_to_orphans(&mut self, shard: usize, msg: FreePost) {
+        match msg {
+            FreePost::One(m) => {
+                if layout_to_class(m.size, m.align).is_some() {
+                    if let Some(p) = NonNull::new(m.addr as *mut u8) {
+                        // SAFETY: the free path relinquished this live
+                        // small block when it built the post.
+                        unsafe { self.orphans[shard].push(p) };
+                    }
+                } else {
+                    self.shard_stats[shard].record_post_dropped();
+                }
+            }
+            FreePost::Batch(b) | FreePost::MagazineReturn(b) => {
+                for &addr in b.as_slice() {
+                    if let Some(p) = NonNull::new(addr as *mut u8) {
+                        // SAFETY: as above — batched frees carry only
+                        // relinquished live small blocks.
+                        unsafe { self.orphans[shard].push(p) };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Frees a small block by pushing it onto its owning shard's orphan
+    /// stack (no handle state touched). Used by the global adapter in
+    /// contexts where the ring may not be used.
+    ///
+    /// # Safety
+    ///
+    /// As [`NgmHandle::dealloc`], and the block must be a small-class
+    /// block (under [`ngm_heap::SMALL_MAX`]).
+    pub unsafe fn dealloc_orphan(&self, ptr: NonNull<u8>) {
+        if let Some(prof) = &self.sites {
+            prof.record_free(ptr.as_ptr() as usize);
+        }
+        // SAFETY (owner read): callers only pass live small blocks from
+        // this tier's segment-backed heaps.
+        if self.fallback.is_active()
+            && unsafe { ngm_heap::owner_of_small_ptr(ptr) } == FALLBACK_OWNER
+        {
+            // SAFETY: forwarded contract — a relinquished fallback block.
+            unsafe { self.fallback.deallocate(ptr) };
+            return;
+        }
+        let shard = self.shard_of_small(ptr);
+        // SAFETY: forwarded contract.
+        unsafe { self.orphans[shard].push(ptr) };
+    }
+
+    /// Blocks currently stashed in `class`'s magazine.
+    pub fn magazine_len(&self, class: SizeClass) -> usize {
+        self.magazines[class.0 as usize].len()
+    }
+
+    /// Blocks currently stashed across all magazines.
+    pub fn magazine_occupancy(&self) -> usize {
+        self.stash_by_shard.iter().sum::<i64>() as usize
+    }
+
+    /// The addresses currently stashed in `class`'s magazine (test/
+    /// diagnostic use).
+    pub fn magazine_contents(&self, class: SizeClass) -> &[usize] {
+        self.magazines[class.0 as usize].as_slice()
+    }
+
+    /// Small-block frees buffered client-side, not yet posted.
+    pub fn buffered_frees(&self) -> usize {
+        self.free_bufs.iter().map(AddrBatch::len).sum()
+    }
+}
+
+impl Drop for NgmHandle {
+    /// Returns everything in flight to the services: buffered frees are
+    /// flushed to their owning shards, and every address still stashed in
+    /// a magazine goes back to the shard that *refilled* it via
+    /// [`FreePost::MagazineReturn`] — not the class's current route, which
+    /// a rebalance may have moved — so shutdown accounting stays exact
+    /// per shard (`allocs == frees`) with batching on.
+    fn drop(&mut self) {
+        // Settle in-flight non-blocking submissions first: a batch that
+        // lands after this point would have no magazine to live in, and
+        // its blocks would never be freed.
+        for shard in 0..self.nshards() {
+            self.settle_nb(shard);
+        }
+        self.flush_frees();
+        for shard in 0..self.nshards() {
+            self.return_magazines_from(shard);
+        }
+    }
+}

@@ -1,0 +1,39 @@
+//! The handle-based public API: [`Ngm`], built from an
+//! [`crate::NgmConfig`], serving every thread through routed [`NgmHandle`]s.
+//!
+//! With `shards > 1` the allocator becomes a *tier* of service cores,
+//! each owning a disjoint [`ngm_heap::SegregatedHeap`]. Routing keeps the
+//! zero-atomics-per-shard invariant (§3.1.3):
+//!
+//! * **Allocations** route by size class through a handle-local,
+//!   rebalanceable `class → shard` map (plus a pure hash for non-class
+//!   layouts). Moving the map only redirects *future* allocations.
+//! * **Frees** route by address: the owning shard is stamped into the
+//!   segment header at creation ([`ngm_heap::owner_of_small_ptr`]), so a
+//!   block always returns to the heap that made it — including after any
+//!   rebalance, and including blocks freed on a different thread than
+//!   allocated them.
+//! * **Saturation** surfaces as full-ring retries on the free path; a
+//!   handle that keeps hitting them moves its allocation traffic to the
+//!   least-pressured shard ([`NgmHandle::rebalance_away_from`]).
+//! * **Death** of one shard degrades gracefully: allocations fail over
+//!   to survivors, frees owed to the dead shard are dropped and counted
+//!   (`posts_dropped`), and the tier keeps serving.
+
+mod elastic;
+mod handle;
+mod routing;
+mod tier;
+
+pub use elastic::{Autoscaler, ScaleDecision};
+pub use handle::NgmHandle;
+pub use tier::{Ngm, NgmShutdown, ShardShutdown};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests;

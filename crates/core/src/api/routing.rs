@@ -1,0 +1,246 @@
+//! Allocation routing for an [`NgmHandle`]: the class → shard map, who
+//! is next in line, writing a shard off, rebalancing away from one, and
+//! the single [`NgmHandle::route`] step every refused operation goes
+//! through.
+
+use ngm_heap::classes::SizeClass;
+use ngm_offload::{ClientHandle, ServiceError};
+
+use super::handle::NgmHandle;
+use crate::heat::{pick_coolest, ShardLifecycle};
+
+/// What an operation that could not proceed on its shard does next, as
+/// decided by [`NgmHandle::route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Route {
+    /// Take the request to this shard.
+    Retry(usize),
+    /// No other shard is left to try: an allocation degrades to the
+    /// inline fallback heap, undeliverable frees go to the owning
+    /// shard's orphan stack.
+    Exhausted,
+    /// Transient backpressure (slot busy or ring full): hand the
+    /// operation back to the caller as [`NgmError::WouldBlock`].
+    Busy,
+}
+
+/// The kind of operation being routed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum RouteOp {
+    /// A single-block allocation.
+    Alloc,
+    /// A magazine refill for this class index, whose allocation route
+    /// follows the request.
+    Refill(usize),
+    /// A free post. Frees route by address, so only the shard's
+    /// *allocation* traffic moves.
+    Post,
+}
+
+impl NgmHandle {
+    /// Full-ring retries accumulated against one shard before this handle
+    /// moves its allocation traffic elsewhere.
+    const REBALANCE_PRESSURE: u32 = 64;
+
+    /// Recomputes the class → shard spread over the serving shards this
+    /// handle can route to, preferring its cluster's shards when it has a
+    /// preference and any of them serve.
+    pub(super) fn recompute_class_routes(&mut self) {
+        let serving: Vec<usize> = (0..self.nshards())
+            .filter(|&s| self.obs.state(s) == ShardLifecycle::Serving && !self.failed[s])
+            .collect();
+        if serving.is_empty() {
+            return;
+        }
+        let preferred: Vec<usize> = match self.preferred_cluster {
+            Some(cluster) => {
+                let same: Vec<usize> = serving
+                    .iter()
+                    .copied()
+                    .filter(|&s| self.obs.cluster(s) == cluster)
+                    .collect();
+                if same.is_empty() {
+                    serving
+                } else {
+                    same
+                }
+            }
+            None => serving,
+        };
+        for (c, slot) in self.class_shard.iter_mut().enumerate() {
+            *slot = preferred[c % preferred.len()] as u16;
+        }
+    }
+
+    /// The next slot after `from` this handle could route allocations to
+    /// (serving, not written off, client reachable and open); `from`
+    /// itself when none exists.
+    pub(super) fn next_route_candidate(&mut self, from: usize) -> usize {
+        let n = self.nshards();
+        for step in 1..n {
+            let cand = (from + step) % n;
+            if self.failed[cand] || self.obs.state(cand) != ShardLifecycle::Serving {
+                continue;
+            }
+            if self.ensure_client(cand)
+                && self.clients[cand]
+                    .as_ref()
+                    .is_some_and(ClientHandle::is_open)
+            {
+                return cand;
+            }
+        }
+        from
+    }
+
+    /// Where this handle currently sends allocation traffic for `class`.
+    pub fn class_route(&self, class: SizeClass) -> usize {
+        self.class_shard[class.0 as usize] as usize
+    }
+
+    /// Routes future allocations of `class` to `shard`, exactly as a
+    /// rebalance or controller-driven resync would — the deterministic
+    /// hook for tests that interleave explicit class→shard map migrations
+    /// with traffic. Frees are unaffected: they route by address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn route_class_to(&mut self, class: SizeClass, shard: usize) {
+        assert!(shard < self.nshards(), "shard {shard} out of range");
+        self.class_shard[class.0 as usize] = shard as u16;
+    }
+
+    /// Marks `dead` failed (once), moves its allocation traffic to the
+    /// next open shard, and returns that shard (or `dead` itself when no
+    /// shard survives).
+    pub(super) fn fail_over(&mut self, dead: usize) -> usize {
+        let next = self.next_route_candidate(dead);
+        if !self.failed[dead] {
+            self.failed[dead] = true;
+            self.blackbox("shard-death", dead);
+            self.shard_stats[dead].record_failover();
+            if next != dead {
+                for slot in self.class_shard.iter_mut() {
+                    if *slot as usize == dead {
+                        *slot = next as u16;
+                    }
+                }
+            }
+        }
+        next
+    }
+
+    /// Moves this handle's allocation traffic off `overloaded` onto the
+    /// coolest surviving shard, and resets the pressure signal.
+    ///
+    /// Called automatically when a shard's free ring keeps saturating;
+    /// public so operators can steer traffic by hand. The target is the
+    /// shard with the lowest combined score: its tier-wide windowed heat
+    /// ([`crate::heat::ShardHeat::score`] — recent deadlines, retries,
+    /// ring backlog, sampled by [`crate::Ngm::heat_report`]) plus this
+    /// handle's own accumulated ring-saturation pressure against it. Before any
+    /// heat frame exists the heat term is zero and the choice degrades to
+    /// the old pressure-only policy. Only *future allocations* move —
+    /// frees route by address, so blocks already handed out still drain
+    /// back to the shard that owns them, and the accounting stays exact
+    /// through any number of rebalances.
+    pub fn rebalance_away_from(&mut self, overloaded: usize) {
+        let n = self.nshards();
+        self.pressure[overloaded] = 0;
+        if n == 1 {
+            return;
+        }
+        let candidates: Vec<(usize, u64, bool)> = (0..n)
+            .filter(|&s| {
+                s != overloaded
+                    && !self.failed[s]
+                    && self.obs.state(s) == ShardLifecycle::Serving
+                    && self.clients[s].as_ref().is_none_or(ClientHandle::is_open)
+            })
+            .map(|s| {
+                let score = u64::from(self.pressure[s]).saturating_add(self.obs.heat_score(s));
+                let affinity = self.preferred_cluster == Some(self.obs.cluster(s));
+                (s, score, affinity)
+            })
+            .collect();
+        let Some(target) = pick_coolest(candidates) else {
+            return;
+        };
+        let mut moved = false;
+        for slot in self.class_shard.iter_mut() {
+            if *slot as usize == overloaded {
+                *slot = target as u16;
+                moved = true;
+            }
+        }
+        if moved {
+            self.shard_stats[overloaded].record_rebalance();
+        }
+    }
+
+    /// The single routing step: what to do after `shard` refused an
+    /// operation with `cause` (`None`: the slot has no service thread).
+    ///
+    /// * no thread — route on to the next candidate;
+    /// * [`ServiceError::WouldBlock`] — transient, [`Route::Busy`] (a full
+    ///   ring also feeds the shard's rebalance pressure);
+    /// * [`ServiceError::Deadline`] — slow, not dead: blackbox dump, move
+    ///   this handle's allocation traffic to the coolest shard, try the
+    ///   next candidate; the shard rejoins the rotation as soon as
+    ///   routing sends traffic back its way;
+    /// * [`ServiceError::ShardRetiring`] — draining, not dead: the same
+    ///   without the dump;
+    /// * anything else — the shard is gone: [`NgmHandle::fail_over`].
+    ///
+    /// [`Route::Exhausted`] when no other candidate exists.
+    pub(super) fn route(
+        &mut self,
+        shard: usize,
+        cause: Option<ServiceError>,
+        op: RouteOp,
+    ) -> Route {
+        let next = match cause {
+            None => self.next_route_candidate(shard),
+            Some(ServiceError::WouldBlock) => {
+                if op == RouteOp::Post {
+                    self.note_pressure(shard, 1);
+                }
+                return Route::Busy;
+            }
+            Some(slow @ (ServiceError::Deadline { .. } | ServiceError::ShardRetiring { .. })) => {
+                if matches!(slow, ServiceError::Deadline { .. }) {
+                    let reason = if op == RouteOp::Post {
+                        "post-deadline"
+                    } else {
+                        "deadline"
+                    };
+                    self.blackbox(reason, shard);
+                }
+                self.rebalance_away_from(shard);
+                self.next_route_candidate(shard)
+            }
+            Some(_) => self.fail_over(shard),
+        };
+        if let RouteOp::Refill(ci) = op {
+            self.class_shard[ci] = next as u16;
+        }
+        if next == shard {
+            Route::Exhausted
+        } else {
+            Route::Retry(next)
+        }
+    }
+
+    /// Accumulates full-ring retries against `shard`; at
+    /// [`NgmHandle::REBALANCE_PRESSURE`] this handle moves its allocation
+    /// traffic elsewhere.
+    pub(super) fn note_pressure(&mut self, shard: usize, retries: u32) {
+        if retries > 0 {
+            self.pressure[shard] = self.pressure[shard].saturating_add(retries);
+            if self.pressure[shard] >= Self::REBALANCE_PRESSURE {
+                self.rebalance_away_from(shard);
+            }
+        }
+    }
+}

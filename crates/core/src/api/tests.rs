@@ -1,0 +1,1105 @@
+//! Tests of the tier and its handles, across the `api` modules.
+
+use std::alloc::Layout;
+use std::ptr::NonNull;
+use std::sync::Arc;
+use std::time::Duration;
+
+use ngm_heap::classes::{SizeClass, NUM_CLASSES};
+use ngm_heap::AllocError;
+use ngm_offload::ServiceError;
+use ngm_telemetry::export::MetricsSnapshot;
+use ngm_telemetry::trace::TraceEventKind;
+use ngm_telemetry::window::HeatFrame;
+
+use super::routing::{Route, RouteOp};
+use super::{Ngm, NgmHandle};
+use crate::config::{CorePlacement, NgmConfig, NgmError};
+
+fn layout(n: usize) -> Layout {
+    Layout::from_size_align(n, 8).unwrap()
+}
+
+#[test]
+fn alloc_free_roundtrip() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(256)).unwrap();
+    // SAFETY: fresh 256-byte block.
+    unsafe {
+        std::ptr::write_bytes(p.as_ptr(), 0x42, 256);
+        assert_eq!(*p.as_ptr().add(255), 0x42);
+        h.dealloc(p, layout(256));
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean());
+    assert_eq!(down.service.allocs, 1);
+    assert_eq!(down.service.frees, 1);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn many_threads_allocate_concurrently() {
+    let ngm = Ngm::start();
+    let mut joins = Vec::new();
+    for t in 0..4u8 {
+        let mut h = ngm.handle();
+        joins.push(std::thread::spawn(move || {
+            let mut blocks = Vec::new();
+            for i in 0..200usize {
+                let l = layout(16 + (i * 13) % 1024);
+                let p = h.alloc(l).unwrap();
+                // SAFETY: fresh block of at least that size.
+                unsafe { std::ptr::write_bytes(p.as_ptr(), t, 16) };
+                blocks.push((p, l));
+            }
+            for (p, l) in blocks {
+                // SAFETY: blocks from this handle's allocator.
+                unsafe { h.dealloc(p, l) };
+            }
+        }));
+    }
+    for j in joins {
+        j.join().unwrap();
+    }
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, 800);
+    assert_eq!(down.service.frees, 800);
+    assert_eq!(down.heap.live_blocks, 0);
+    assert_eq!(down.runtime.clients_registered, 4);
+}
+
+#[test]
+fn zero_size_alloc_is_error() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    assert_eq!(
+        h.alloc(Layout::from_size_align(0, 1).unwrap()),
+        Err(AllocError::ZeroSize)
+    );
+}
+
+#[test]
+fn large_blocks_route_through_service() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let l = layout(1 << 20);
+    let p = h.alloc(l).unwrap();
+    // SAFETY: 1 MiB block.
+    unsafe {
+        *p.as_ptr().add((1 << 20) - 1) = 9;
+        h.dealloc(p, l);
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.heap.large_allocs, 0);
+}
+
+#[test]
+fn orphan_path_reclaims() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(64)).unwrap();
+    // SAFETY: small live block relinquished to the orphan stack.
+    unsafe { h.dealloc_orphan(p) };
+    // Orphans are drained by the service's idle hook.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while ngm.orphans_drained() == 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.orphans_reclaimed, 1);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn latency_histograms_capture_alloc_and_free() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    for _ in 0..32 {
+        let p = h.alloc(layout(64)).unwrap();
+        // SAFETY: block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    let calls = ngm.telemetry().call_cycles.snapshot();
+    let posts = ngm.telemetry().post_cycles.snapshot();
+    assert_eq!(calls.count(), 32);
+    assert_eq!(posts.count(), 32);
+    assert!(calls.p50() <= calls.p99());
+}
+
+#[test]
+fn tracing_records_allocs_and_frees_with_sizes() {
+    let ngm = NgmConfig::new().with_trace_capacity(256).build().unwrap();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(96)).unwrap();
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(96)) };
+    let drain = ngm.telemetry().drain_trace();
+    let allocs: Vec<_> = drain
+        .events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::Alloc)
+        .collect();
+    let frees: Vec<_> = drain
+        .events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::Free)
+        .collect();
+    assert_eq!(allocs.len(), 1);
+    assert_eq!(allocs[0].a, 96, "alloc event carries the size");
+    assert_eq!(frees.len(), 1);
+    assert_eq!(frees[0].a, 96, "free event carries the size");
+}
+
+#[test]
+fn metrics_include_heap_series_after_idle_publish() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(128)).unwrap();
+    // The watch refreshes on the service's idle rounds.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while ngm.live_heap_stats().live_blocks == 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let m = ngm.metrics();
+    assert_eq!(m.get_gauge("ngm_heap_live_blocks"), Some(1));
+    assert_eq!(m.get_counter("ngm_heap_allocs_total"), Some(1));
+    assert_eq!(m.get_gauge("ngm_service_shards"), Some(1));
+    assert!(m.get_histogram("ngm_call_cycles").is_some());
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(128)) };
+}
+
+fn batched(batch_size: usize, flush_threshold: usize) -> NgmConfig {
+    NgmConfig::new().with_batch(batch_size, flush_threshold)
+}
+
+#[test]
+fn batched_roundtrip_balances_at_shutdown() {
+    let ngm = batched(16, 8).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    for _ in 0..100 {
+        let p = h.alloc(layout(64)).unwrap();
+        // SAFETY: fresh 64-byte block.
+        unsafe { std::ptr::write_bytes(p.as_ptr(), 0x5A, 64) };
+        blocks.push(p);
+    }
+    for p in blocks {
+        // SAFETY: blocks from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(
+        down.service.batch_refills > 0,
+        "magazine path was exercised"
+    );
+    assert_eq!(
+        down.service.allocs, down.service.frees,
+        "every refilled block came back"
+    );
+    assert_eq!(
+        down.service.allocs - down.service.magazine_returned,
+        100,
+        "app-visible allocs separable from unused stash"
+    );
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+/// Spins a non-blocking alloc to completion the way a caller without
+/// an executor would: retry on `WouldBlock`, pumping in between.
+fn spin_try_alloc(h: &mut NgmHandle, l: Layout) -> NonNull<u8> {
+    loop {
+        match h.try_alloc(l) {
+            Ok(p) => return p,
+            Err(NgmError::WouldBlock) => {
+                h.nb_pump();
+                std::hint::spin_loop();
+            }
+            Err(e) => panic!("try_alloc failed: {e}"),
+        }
+    }
+}
+
+/// The same for a non-blocking free: on `WouldBlock` the caller still
+/// owns the block and retries.
+///
+/// # Safety
+///
+/// As [`NgmHandle::dealloc`].
+unsafe fn spin_try_dealloc(h: &mut NgmHandle, p: NonNull<u8>, l: Layout) {
+    // SAFETY: forwarded contract.
+    while let Err(e) = unsafe { h.try_dealloc(p, l) } {
+        assert_eq!(e, NgmError::WouldBlock, "try_dealloc failed");
+        std::hint::spin_loop();
+    }
+}
+
+#[test]
+fn try_alloc_roundtrip_balances_at_shutdown() {
+    let ngm = batched(16, 8).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    let mut saw_wouldblock = false;
+    for _ in 0..100 {
+        match h.try_alloc(layout(64)) {
+            Ok(p) => blocks.push(p),
+            Err(NgmError::WouldBlock) => {
+                saw_wouldblock = true;
+                blocks.push(spin_try_alloc(&mut h, layout(64)));
+            }
+            Err(e) => panic!("try_alloc failed: {e}"),
+        }
+    }
+    assert!(
+        saw_wouldblock,
+        "a dry magazine must surface at least one WouldBlock"
+    );
+    for p in blocks {
+        // SAFETY: block from this handle's tier, freed once.
+        unsafe { spin_try_dealloc(&mut h, p, layout(64)) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn try_alloc_unbatched_and_large_layouts_complete() {
+    let ngm = batched(1, 1).build().unwrap();
+    let mut h = ngm.handle();
+    // Small one-shot (no magazine) and a large (non-class) layout
+    // both ride the One submission path.
+    for l in [layout(64), Layout::from_size_align(1 << 20, 64).unwrap()] {
+        let p = spin_try_alloc(&mut h, l);
+        // SAFETY: block from this handle's tier, freed once.
+        unsafe { spin_try_dealloc(&mut h, p, l) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn try_alloc_zero_size_is_typed_not_wouldblock() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    assert_eq!(
+        h.try_alloc(Layout::from_size_align(0, 8).unwrap()),
+        Err(NgmError::Alloc(AllocError::ZeroSize))
+    );
+    drop(h);
+    ngm.shutdown();
+}
+
+#[test]
+fn blocking_and_nonblocking_paths_share_one_ledger() {
+    // Interleave the two front-ends on one handle: blocks allocated
+    // blocking may be freed non-blocking and vice versa, and the
+    // per-shard ledger still balances.
+    let ngm = batched(8, 4).with_shards(2).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    for i in 0..60 {
+        let p = if i % 2 == 0 {
+            h.alloc(layout(128)).unwrap()
+        } else {
+            spin_try_alloc(&mut h, layout(128))
+        };
+        blocks.push(p);
+    }
+    for (i, p) in blocks.into_iter().enumerate() {
+        if i % 3 == 0 {
+            // SAFETY: block from this handle's tier.
+            unsafe { h.dealloc(p, layout(128)) };
+        } else {
+            // SAFETY: block from this handle's tier.
+            unsafe { spin_try_dealloc(&mut h, p, layout(128)) };
+        }
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.balanced(), "{down:?}");
+    assert_eq!(down.heap.live_blocks, 0);
+
+    // One path also means one telemetry population: the same op
+    // sequence replayed through the blocking wrappers and through the
+    // completion primitives must count the same round trips and
+    // trace the same events.
+    let replay = |blocking: bool| {
+        let ngm = batched(8, 4)
+            .with_shards(2)
+            .with_placement(CorePlacement::Unpinned)
+            .with_trace_capacity(8192)
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        // Magazine classes, plus a large layout for the single-call path.
+        let layouts = [layout(128), layout(48), layout(1 << 20)];
+        let mut blocks = Vec::new();
+        for i in 0..90 {
+            let l = layouts[i % 3];
+            let p = if blocking {
+                h.alloc(l).unwrap()
+            } else {
+                spin_try_alloc(&mut h, l)
+            };
+            blocks.push((p, l));
+        }
+        for (p, l) in blocks {
+            // SAFETY: blocks from this handle's tier, freed once; a
+            // refused try_dealloc leaves ownership with us.
+            unsafe {
+                if blocking {
+                    h.dealloc(p, l);
+                } else {
+                    spin_try_dealloc(&mut h, p, l);
+                }
+            }
+        }
+        drop(h);
+        let m = ngm.metrics();
+        let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
+        let mut events = [0u64; 3];
+        for shard in 0..2 {
+            // Thread 0 is the service loop, whose drain events follow
+            // the schedule; the client rings follow the op sequence.
+            for e in ngm.shard_telemetry(shard).drain_trace().events {
+                match e.kind {
+                    TraceEventKind::Alloc => events[0] += 1,
+                    TraceEventKind::Free => events[1] += 1,
+                    TraceEventKind::Refill if e.thread != 0 => events[2] += 1,
+                    _ => {}
+                }
+            }
+        }
+        let batched_calls = ngm.runtime_stats().batched_calls_served;
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
+        (
+            count("ngm_call_cycles"),
+            count("ngm_refill_cycles"),
+            batched_calls,
+            events,
+            down.service.allocs,
+            down.service.magazine_returned,
+        )
+    };
+    let blocking = replay(true);
+    assert_eq!(blocking.0, 30, "one single call per large allocation");
+    assert_eq!(blocking.1, 8, "two classes x ceil(30 / 8) refills");
+    assert_eq!(blocking.3, [90, 90, 8], "alloc / free / refill events");
+    assert_eq!(blocking, replay(false), "blocking vs completion replay");
+}
+
+#[test]
+fn explicit_batch_size_one_degenerates_to_unbatched() {
+    let ngm = batched(1, 1).build().unwrap();
+    let mut h = ngm.handle();
+    for _ in 0..10 {
+        let p = h.alloc(layout(64)).unwrap();
+        // SAFETY: block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, 10);
+    assert_eq!(down.service.frees, 10);
+    assert_eq!(down.service.batch_refills, 0);
+    assert_eq!(down.service.magazine_returned, 0);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn frees_below_the_flush_threshold_stay_buffered_until_flushed() {
+    let ngm = batched(8, 8).build().unwrap();
+    let mut h = ngm.handle();
+    let a = h.alloc(layout(64)).unwrap();
+    let b = h.alloc(layout(64)).unwrap();
+    // SAFETY: blocks from this handle's allocator.
+    unsafe {
+        h.dealloc(a, layout(64));
+        h.dealloc(b, layout(64));
+    }
+    assert_eq!(h.buffered_frees(), 2, "below threshold: nothing posted");
+    assert_eq!(ngm.runtime_stats().posts_served, 0);
+    h.flush_frees();
+    assert_eq!(h.buffered_frees(), 0);
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(
+        down.runtime.posts_served, 2,
+        "one flush post, one magazine return"
+    );
+    assert!(down.balanced());
+}
+
+#[test]
+fn magazine_occupancy_gauge_tracks_refills_and_drop() {
+    let ngm = batched(16, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(64)).unwrap();
+    // The refill published its full batch before the pop.
+    assert_eq!(ngm.runtime_stats().magazine_occupancy, 16);
+    assert_eq!(h.magazine_occupancy(), 15, "one block went to the app");
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(64)) };
+    drop(h);
+    assert_eq!(
+        ngm.runtime_stats().magazine_occupancy,
+        0,
+        "drop returns the stash and zeroes the gauge"
+    );
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn refills_land_in_refill_histogram_not_call_histogram() {
+    let ngm = batched(8, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    for _ in 0..16 {
+        blocks.push(h.alloc(layout(64)).unwrap());
+    }
+    let refills = ngm.telemetry().refill_cycles.snapshot();
+    let calls = ngm.telemetry().call_cycles.snapshot();
+    assert_eq!(refills.count(), 2, "16 allocs at batch 8 = 2 refills");
+    assert_eq!(calls.count(), 0, "no per-op round trips happened");
+    for p in blocks {
+        // SAFETY: blocks from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+}
+
+#[test]
+fn profiled_runtime_produces_core_attributed_pmu_report() {
+    let ngm = NgmConfig::new().with_profile(true).build().unwrap();
+    let mut h = ngm.handle();
+    for _ in 0..32 {
+        let p = h.alloc(layout(64)).unwrap();
+        // SAFETY: block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    drop(h);
+    let telemetry = Arc::clone(ngm.telemetry());
+    ngm.shutdown();
+    let rep = telemetry.pmu_report().expect("profiling was on");
+    let rendered = rep.render();
+    assert!(rendered.contains("service/"), "{rendered}");
+    assert!(rendered.contains("clients(1)/"), "{rendered}");
+}
+
+#[test]
+fn site_profiler_attributes_allocs_and_reports_leaks() {
+    let ngm = NgmConfig::new().with_site_sample(1).build().unwrap();
+    let mut h = ngm.handle();
+    let freed = h.alloc(layout(64)).unwrap(); // both sites in this fn
+    let leaked = h.alloc(layout(128)).unwrap();
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(freed, layout(64)) };
+    let report = ngm.site_report().expect("site profiling was on");
+    assert_eq!(report.sites.len(), 2, "two distinct call sites");
+    let surviving = report.surviving();
+    assert_eq!(surviving.len(), 1, "only the unfreed site survives");
+    assert_eq!(surviving[0].live_bytes, 128);
+    assert!(
+        surviving[0].label.contains("api/tests.rs"),
+        "track_caller points into this file: {}",
+        surviving[0].label
+    );
+    // The report flows into the exporter as labeled series.
+    let m = ngm.metrics();
+    assert_eq!(m.labeled_gauge_count("ngm_site_live_bytes"), 2);
+    assert_eq!(m.get_gauge("ngm_site_surviving_count"), Some(1));
+    // Clean up so shutdown accounting stays exact.
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(leaked, layout(128)) };
+    assert!(ngm.site_report().unwrap().leak_free());
+}
+
+#[test]
+fn leak_free_batched_run_has_zero_surviving_sites() {
+    // Acceptance: round-trip through the exporter with a leak-free
+    // run showing zero surviving sites — batching on, so magazine
+    // pops and batched flushes are attributed correctly too.
+    let ngm = batched(8, 8).with_site_sample(1).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    for i in 0..64usize {
+        blocks.push((h.alloc(layout(16 + i % 128)).unwrap(), layout(16 + i % 128)));
+    }
+    for (p, l) in blocks {
+        // SAFETY: blocks from this handle's allocator.
+        unsafe { h.dealloc(p, l) };
+    }
+    let report = ngm.site_report().unwrap();
+    assert!(report.leak_free(), "leak report:\n{}", report.render());
+    let mut m = MetricsSnapshot::new();
+    report.publish(&mut m);
+    assert_eq!(m.get_gauge("ngm_site_surviving_count"), Some(0));
+    assert!(m.to_prometheus_text().contains("ngm_site_peak_bytes"));
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn profiling_disabled_reports_are_absent() {
+    let ngm = Ngm::start();
+    assert!(ngm.pmu_report().is_none());
+    assert!(ngm.site_report().is_none());
+}
+
+#[test]
+fn service_core_pin_recorded_when_possible() {
+    let ngm = NgmConfig::new()
+        .with_placement(CorePlacement::Base(0))
+        .build()
+        .unwrap();
+    // Give the service thread a moment to start and pin.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let stats = ngm.runtime_stats();
+    assert_eq!(stats.pinned_core, Some(0));
+}
+
+// ---- sharded-tier tests ----
+
+fn sharded(n: usize) -> NgmConfig {
+    // Unpinned: CI machines rarely have a spare core per shard, and
+    // pinning is orthogonal to what these tests check.
+    NgmConfig::new()
+        .with_shards(n)
+        .with_placement(CorePlacement::Unpinned)
+}
+
+#[test]
+fn shards_balance_individually_at_shutdown() {
+    let ngm = sharded(4).build().unwrap();
+    assert_eq!(ngm.num_shards(), 4);
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    // Sizes spanning many classes so every shard sees traffic.
+    for i in 0..400usize {
+        let l = layout(16 << (i % 5));
+        blocks.push((h.alloc(l).unwrap(), l));
+    }
+    for (p, l) in blocks {
+        // SAFETY: blocks from this handle's allocator.
+        unsafe { h.dealloc(p, l) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean());
+    assert!(down.balanced(), "per-shard alloc/free imbalance: {down:?}");
+    assert_eq!(down.service.allocs, 400);
+    assert_eq!(down.service.frees, 400);
+    assert_eq!(down.heap.live_blocks, 0);
+    // More than one shard actually served allocations.
+    let active = down.shards.iter().filter(|s| s.service.allocs > 0).count();
+    assert!(active > 1, "traffic never spread: {down:?}");
+}
+
+#[test]
+fn heat_report_windows_recent_activity() {
+    let ngm = sharded(2).build().unwrap();
+    let mut h = ngm.handle();
+    for _ in 0..16 {
+        let p = h.alloc(layout(64)).unwrap();
+        // SAFETY: block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    // The services count a call after publishing its response: let
+    // the counters catch up with the last round trip before sampling.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while ngm.runtime_stats().calls_served < 16 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let first = ngm.heat_report();
+    assert_eq!(first.shards.len(), 2);
+    let total: u64 = first.shards.iter().map(|s| s.heat.calls).sum();
+    assert_eq!(total, 16, "first report reads cumulative-since-start");
+    assert!(
+        first.shards.iter().any(|s| s.heat.phases[0].count() > 0),
+        "phase percentiles ride along for shards that served calls"
+    );
+    assert!(first.render().contains("shard 0:"));
+    // A second report with no traffic in between: the window is
+    // [first, second] and must read zero new calls.
+    let second = ngm.heat_report();
+    let recent: u64 = second.shards.iter().map(|s| s.heat.calls).sum();
+    assert_eq!(recent, 0, "windowed view excludes pre-window traffic");
+    drop(h);
+    ngm.shutdown();
+}
+
+#[test]
+fn metrics_export_heat_series_and_renamed_fallback_counter() {
+    let ngm = sharded(2).build().unwrap();
+    let mut h = ngm.handle();
+    let p = h.alloc(layout(64)).unwrap();
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(64)) };
+    let m = ngm.metrics();
+    assert_eq!(m.get_counter("ngm_fallback_allocs_total"), Some(0));
+    assert_eq!(m.get_counter("ngm_fallback_allocs"), None, "old name gone");
+    assert_eq!(m.labeled_gauge_count("ngm_shard_heat_score"), 2);
+    assert!(m.get_histogram("ngm_phase_queue_cycles").is_some());
+    drop(h);
+    ngm.shutdown();
+}
+
+#[test]
+fn rebalance_targets_the_coolest_shard_by_heat() {
+    let ngm = sharded(3).build().unwrap();
+    let mut h = ngm.handle();
+    // Manufacture heat: shard 1 recently blew deadlines, shard 2 is
+    // equally busy but healthy. Moving off shard 0 must skip 1.
+    ngm.inject_heat(
+        1,
+        HeatFrame {
+            tsc: 1,
+            calls: 50,
+            deadlines: 50,
+            ..HeatFrame::default()
+        },
+    );
+    ngm.inject_heat(
+        2,
+        HeatFrame {
+            tsc: 1,
+            calls: 50,
+            ..HeatFrame::default()
+        },
+    );
+    let victim = (0..NUM_CLASSES)
+        .find(|&c| h.class_route(SizeClass(c as u16)) == 0)
+        .expect("some class routes to shard 0");
+    h.rebalance_away_from(0);
+    assert_eq!(
+        h.class_route(SizeClass(victim as u16)),
+        2,
+        "the hot shard was skipped"
+    );
+    drop(h);
+    ngm.shutdown();
+}
+
+#[test]
+fn frees_route_home_after_rebalance() {
+    // The routing-purity regression: allocate, move the class's alloc
+    // route elsewhere, then free — the free must still reach the
+    // allocating shard (by address), not the new route.
+    let ngm = sharded(2).build().unwrap();
+    let mut h = ngm.handle();
+    let class = ngm_heap::size_to_class(64).unwrap();
+    let home = h.class_route(class);
+    let p = h.alloc(layout(64)).unwrap();
+    h.rebalance_away_from(home);
+    assert_ne!(h.class_route(class), home, "rebalance moved the route");
+    let q = h.alloc(layout(64)).unwrap();
+    // SAFETY: blocks from this handle's allocator.
+    unsafe {
+        h.dealloc(p, layout(64));
+        h.dealloc(q, layout(64));
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.balanced(), "a free went to the wrong shard: {down:?}");
+    assert_eq!(down.heap.live_blocks, 0);
+    assert!(down.runtime.rebalances >= 1, "rebalance was recorded");
+}
+
+#[test]
+fn magazine_returns_to_refilling_shard_after_rebalance() {
+    // Regression for cross-shard magazine accounting: refill a
+    // magazine from shard A, rebalance the class to shard B, then
+    // drop the handle. The unused stash must return to A (its
+    // refiller), keeping A's allocs == frees — returning it to the
+    // class's *current* route would corrupt both shards' accounting.
+    let ngm = sharded(2).with_batch(16, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let class = ngm_heap::size_to_class(64).unwrap();
+    let home = h.class_route(class);
+    let p = h.alloc(layout(64)).unwrap(); // refills 16 from `home`
+    assert!(h.magazine_len(class) > 0);
+    h.rebalance_away_from(home);
+    assert_ne!(h.class_route(class), home);
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(64)) };
+    drop(h); // returns the magazine — must go to `home`
+    let down = ngm.shutdown();
+    assert!(
+        down.balanced(),
+        "magazine returned to wrong shard: {down:?}"
+    );
+    assert_eq!(down.service.magazine_returned, 15);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn cross_thread_frees_route_by_address() {
+    // Blocks allocated on one thread, freed on another with its own
+    // handle (different rebalance state): address routing must send
+    // every free to the allocating shard.
+    let ngm = sharded(2).build().unwrap();
+    let mut producer = ngm.handle();
+    let mut consumer = ngm.handle();
+    // Skew the consumer's routing so its class map disagrees.
+    consumer.rebalance_away_from(0);
+    let blocks: Vec<usize> = (0..100)
+        .map(|i| {
+            let l = layout(16 << (i % 4));
+            producer.alloc(l).unwrap().as_ptr() as usize
+        })
+        .collect();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for (i, addr) in blocks.into_iter().enumerate() {
+                let l = layout(16 << (i % 4));
+                // SAFETY: live blocks relinquished by the producer.
+                unsafe { consumer.dealloc(NonNull::new(addr as *mut u8).unwrap(), l) };
+            }
+        });
+    });
+    drop(producer);
+    let down = ngm.shutdown();
+    assert!(down.balanced(), "cross-thread free misrouted: {down:?}");
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn dead_shard_fails_over_and_is_counted() {
+    let ngm = sharded(2).build().unwrap();
+    let mut h = ngm.handle();
+    // Blocks owned by each shard while both are alive.
+    let class64 = ngm_heap::size_to_class(64).unwrap();
+    let victim = h.class_route(class64);
+    let doomed = h.alloc(layout(64)).unwrap();
+    ngm.stop_shard(victim);
+    // Wait until the death is observable through the closed rings.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !ngm.shard_finished(victim) {
+        assert!(std::time::Instant::now() < deadline, "shard never stopped");
+        std::thread::yield_now();
+    }
+    // Allocation of the victim's class fails over to the survivor.
+    let p = h.alloc(layout(64)).unwrap();
+    assert_ne!(
+        h.class_route(class64),
+        victim,
+        "traffic moved off the dead shard"
+    );
+    // A free owed to the dead shard is dropped and counted, not lost
+    // silently and not misapplied to a survivor.
+    // SAFETY: blocks from this handle's allocator.
+    unsafe {
+        h.dealloc(doomed, layout(64));
+        h.dealloc(p, layout(64));
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean(), "request_stop is an orderly exit");
+    assert!(down.runtime.failovers >= 1, "failover recorded: {down:?}");
+    assert_eq!(
+        down.runtime.posts_dropped, 1,
+        "the orphaned free was counted"
+    );
+    // The survivor stays exact; the victim is short exactly the
+    // dropped free.
+    let victim_stats = &down.shards[victim];
+    assert_eq!(
+        victim_stats.service.allocs - victim_stats.service.frees,
+        1,
+        "imbalance exactly accounts for the dropped free: {down:?}"
+    );
+    for s in &down.shards {
+        if s.shard != victim {
+            assert_eq!(s.service.allocs, s.service.frees, "{down:?}");
+        }
+    }
+}
+
+#[test]
+fn routing_step_decision_table() {
+    use RouteOp::{Alloc, Post, Refill};
+    /// What a refusal does to the handle when another shard exists.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Effect {
+        /// Handed back to the caller; nothing moves.
+        Busy,
+        /// Routed on without a grudge.
+        Next,
+        /// Traffic rebalanced away (counted), with this dump reason.
+        Slow(Option<&'static str>),
+        /// Written off: `failed[]`, failover counted, "shard-death".
+        Dead,
+    }
+    use Effect::{Busy, Dead, Next, Slow};
+    let deadline = ServiceError::Deadline {
+        shard: 0,
+        waited: Duration::from_millis(1),
+    };
+    let retiring = ServiceError::ShardRetiring { shard: 0 };
+    let full = ServiceError::WouldBlock;
+    let class = ngm_heap::size_to_class(64).unwrap();
+    let ci = class.0 as usize;
+    let table = [
+        (None, Alloc, Next),
+        (None, Refill(ci), Next),
+        (Some(full), Alloc, Busy),
+        (Some(full), Post, Busy),
+        (Some(deadline), Alloc, Slow(Some("deadline"))),
+        (Some(deadline), Refill(ci), Slow(Some("deadline"))),
+        (Some(deadline), Post, Slow(Some("post-deadline"))),
+        (Some(retiring), Alloc, Slow(None)),
+        (Some(retiring), Refill(ci), Slow(None)),
+        (Some(ServiceError::ServiceStopped), Alloc, Dead),
+        (Some(ServiceError::ServiceStopped), Post, Dead),
+        (Some(ServiceError::ServicePanicked), Refill(ci), Dead),
+    ];
+    for (cause, op, effect) in table {
+        // With no alternative shard the decision is `Exhausted` (or
+        // still `Busy`) and no allocation route can move.
+        for shards in [2usize, 1] {
+            let ngm = sharded(shards).build().unwrap();
+            let mut h = ngm.handle();
+            let from = h.class_route(class);
+            let other = (from + 1) % shards;
+            let alone = shards == 1;
+            let row = format!("{cause:?} {op:?} on {shards} shard(s)");
+
+            let expected = match (effect, alone) {
+                (Busy, _) => Route::Busy,
+                (_, true) => Route::Exhausted,
+                (_, false) => Route::Retry(other),
+            };
+            assert_eq!(h.route(from, cause, op), expected, "{row}");
+            let moves = matches!(effect, Slow(_) | Dead) || (effect == Next && op != Alloc);
+            let routed = if moves { other } else { from };
+            assert_eq!(h.class_route(class), routed, "class_shard: {row}");
+            assert_eq!(h.failed[from], effect == Dead, "failed[]: {row}");
+            let dump = match effect {
+                Slow(reason) => reason,
+                Dead => Some("shard-death"),
+                Busy | Next => None,
+            };
+            let dumps = ngm.blackbox_dumps();
+            let reasons: Vec<_> = dumps.iter().map(|d| d.reason.as_str()).collect();
+            assert_eq!(reasons, Vec::from_iter(dump), "blackbox: {row}");
+            let stats = ngm.runtime_stats();
+            assert_eq!(stats.failovers, u64::from(effect == Dead), "{row}");
+            let rebalanced = matches!(effect, Slow(_)) && !alone;
+            assert_eq!(stats.rebalances, u64::from(rebalanced), "{row}");
+            let pressure = u32::from(effect == Busy && op == Post);
+            assert_eq!(h.pressure[from], pressure, "ring pressure: {row}");
+            drop(h);
+            let down = ngm.shutdown();
+            assert!(down.clean() && down.balanced(), "{row}");
+        }
+    }
+}
+
+#[test]
+fn dead_tier_degrades_to_inline_fallback() {
+    // Liveness floor: with every shard stopped, small allocations are
+    // served inline from the fallback heap instead of failing (or
+    // hanging), frees route back to it by address, and shutdown
+    // accounting still balances with the fallback folded in.
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    ngm.stop_shard(0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !ngm.shard_finished(0) {
+        assert!(std::time::Instant::now() < deadline, "shard never stopped");
+        std::thread::yield_now();
+    }
+    let p = h.alloc(layout(64)).expect("degraded alloc still serves");
+    // SAFETY: fresh 64-byte block from the fallback heap.
+    unsafe { std::ptr::write_bytes(p.as_ptr(), 0x66, 64) };
+    assert!(ngm.fallback_heap().is_active());
+    // Large layouts cannot degrade (no address-pure free route).
+    assert_eq!(h.alloc(layout(1 << 20)), Err(AllocError::OutOfMemory));
+    // SAFETY: block from this handle's allocator.
+    unsafe { h.dealloc(p, layout(64)) };
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.fallback_allocs, 1);
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn fallback_orphan_route_frees_inline() {
+    // dealloc_orphan and Ngm::orphan_push must recognize fallback-
+    // owned blocks and free them inline — no shard's orphan stack can
+    // ever reclaim them.
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    ngm.stop_shard(0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !ngm.shard_finished(0) {
+        assert!(std::time::Instant::now() < deadline, "shard never stopped");
+        std::thread::yield_now();
+    }
+    let a = h.alloc(layout(64)).unwrap();
+    let b = h.alloc(layout(64)).unwrap();
+    // SAFETY: live fallback blocks, relinquished.
+    unsafe {
+        h.dealloc_orphan(a);
+        ngm.orphan_push(b);
+    }
+    assert_eq!(ngm.fallback_heap().frees(), 2);
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.service.fallback_allocs, 2);
+    assert_eq!(down.service.allocs, down.service.frees);
+    assert_eq!(down.heap.live_blocks, 0);
+}
+
+#[test]
+fn handle_api_is_source_compatible_with_single_shard() {
+    // The whole single-shard test suite above runs through the same
+    // NgmHandle; this spot-checks the sharded accessors degrade
+    // sanely at n = 1.
+    let ngm = Ngm::start();
+    let h = ngm.handle();
+    assert_eq!(ngm.num_shards(), 1);
+    assert_eq!(h.class_route(ngm_heap::size_to_class(64).unwrap()), 0);
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.shards.len(), 1);
+    assert!(down.clean() && down.balanced());
+}
+
+// ---- fault-injection tests (deterministic, feature-gated) ----
+
+#[cfg(feature = "faultinject")]
+mod faults {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn wedged_shard_reroutes_allocs_within_deadline() {
+        // With one of two shards wedged (alive but not serving), a
+        // request routed at it must deadline, reroute to the
+        // survivor, and succeed — not hang and not write the shard
+        // off as dead.
+        let ngm = sharded(2)
+            .with_deadline(Some(Duration::from_millis(20)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        let class64 = ngm_heap::size_to_class(64).unwrap();
+        let victim = h.class_route(class64);
+        ngm.fault_state(victim).set_wedged(true);
+        let start = std::time::Instant::now();
+        let p = h.alloc(layout(64)).expect("rerouted around the wedge");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "bounded, not a hang"
+        );
+        assert_ne!(h.class_route(class64), victim, "traffic moved off");
+        // SAFETY: live block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+        ngm.fault_state(victim).set_wedged(false);
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(down.clean(), "wedge cleared: orderly exit: {down:?}");
+        assert!(down.runtime.deadlines >= 1, "expiry counted: {down:?}");
+        assert_eq!(down.service.allocs, down.service.frees);
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    #[test]
+    fn deadlined_frees_reroute_to_orphans_not_leak() {
+        // Fill the wedged shard's free ring, then keep freeing: the
+        // posts that deadline must land on the shard's orphan stack
+        // and be reclaimed once the shard recovers, so the books
+        // still balance at shutdown.
+        let ngm = sharded(1)
+            .with_free_ring_capacity(8)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        let blocks: Vec<_> = (0..64).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        ngm.fault_state(0).set_wedged(true);
+        for p in blocks {
+            // SAFETY: live blocks from this handle's allocator.
+            unsafe { h.dealloc(p, layout(64)) };
+        }
+        ngm.fault_state(0).set_wedged(false);
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(down.clean());
+        assert!(down.runtime.deadlines >= 1, "ring backpressure expired");
+        assert_eq!(down.runtime.posts_dropped, 0, "nothing was lost");
+        assert_eq!(down.service.allocs, down.service.frees, "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    #[test]
+    fn wedged_tier_degrades_to_fallback_and_recovers() {
+        // Every shard wedged: allocation exhausts reroutes and lands
+        // on the inline fallback. After the wedge clears the tier
+        // serves normally again and shutdown folds the fallback in.
+        let ngm = sharded(2)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        ngm.fault_state(0).set_wedged(true);
+        ngm.fault_state(1).set_wedged(true);
+        let p = h.alloc(layout(64)).expect("fallback keeps serving");
+        assert!(ngm.fallback_heap().is_active());
+        ngm.fault_state(0).set_wedged(false);
+        ngm.fault_state(1).set_wedged(false);
+        let q = h.alloc(layout(64)).expect("tier recovered");
+        // SAFETY: live blocks; p is fallback-owned, q shard-owned.
+        unsafe {
+            h.dealloc(p, layout(64));
+            h.dealloc(q, layout(64));
+        }
+        assert_eq!(ngm.fallback_heap().frees(), 1, "p routed home inline");
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(down.clean());
+        assert!(down.service.fallback_allocs >= 1);
+        assert_eq!(down.service.allocs, down.service.frees, "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    #[test]
+    fn killed_shard_mid_traffic_fails_over_cleanly() {
+        // A shard that dies *by panic* mid-serve: the caller gets a
+        // typed error path (failover to the survivor), the panic is
+        // reported at shutdown, and the survivor stays balanced.
+        let ngm = sharded(2)
+            .with_deadline(Some(Duration::from_millis(50)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        let class64 = ngm_heap::size_to_class(64).unwrap();
+        let victim = h.class_route(class64);
+        ngm.fault_state(victim).kill_next_call();
+        let p = h.alloc(layout(64)).expect("survivor serves");
+        assert_ne!(h.class_route(class64), victim);
+        // SAFETY: live block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(!down.clean(), "the kill is reported, not swallowed");
+        assert!(down.shards[victim].error.is_some());
+        assert!(down.runtime.service_down);
+        assert_eq!(down.heap.live_blocks, 0, "survivor + fallback exact");
+    }
+}

@@ -1,0 +1,839 @@
+//! The tier: [`Ngm`], its shard slots, and what [`Ngm::shutdown`] hands
+//! back.
+
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+
+use ngm_heap::classes::NUM_CLASSES;
+use ngm_heap::{FallbackHeap, HeapStats};
+use ngm_offload::{
+    OffloadRuntime, RuntimeConfig, RuntimeHandles, RuntimeTelemetry, ServiceError, StatsSnapshot,
+};
+use ngm_pmu::PmuReport;
+use ngm_telemetry::blackbox::BlackboxDump;
+use ngm_telemetry::clock::cycles_now;
+use ngm_telemetry::export::MetricsSnapshot;
+use ngm_telemetry::recorder::{RecordFrame, ShardSample};
+use ngm_telemetry::sites::{SiteProfiler, SiteReport};
+use ngm_telemetry::trace::TraceRing;
+use ngm_telemetry::window::HeatFrame;
+
+use super::elastic::ControllerState;
+use super::handle::NgmHandle;
+use super::lock;
+use crate::config::{
+    CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE,
+};
+use crate::heat::{HeatReport, ObsState, ShardHeat, ShardLifecycle};
+use crate::orphan::OrphanStack;
+use crate::service::{AddrBatch, MallocService, ServiceStats};
+use crate::watch::SharedHeapStats;
+
+/// Wall-clock seconds since the Unix epoch, captured once at the first
+/// metrics render (`process_start_time_seconds` is conventionally the
+/// scrape target's start, and the tier starts when something first asks
+/// it for metrics at the latest).
+fn process_start_secs() -> i64 {
+    static START: std::sync::OnceLock<i64> = std::sync::OnceLock::new();
+    *START.get_or_init(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs() as i64)
+    })
+}
+
+/// The compiled feature set, for the `ngm_build_info` label.
+fn build_features() -> &'static str {
+    if cfg!(feature = "faultinject") {
+        "faultinject"
+    } else {
+        "default"
+    }
+}
+
+/// The [`RecordFrame::states`] glyph for one lifecycle state.
+fn state_glyph(state: ShardLifecycle) -> char {
+    match state {
+        ShardLifecycle::Dormant => '.',
+        ShardLifecycle::Serving => 'S',
+        ShardLifecycle::Draining => 'D',
+        ShardLifecycle::Retired => 'R',
+    }
+}
+
+/// The per-slot state that changes as the elastic controller spawns and
+/// retires shards, shared between [`Ngm`] and every [`NgmHandle`].
+///
+/// A slot's *service* (heap, owner stamp, orphan stack) is created once
+/// and lives for the tier's whole life; what comes and goes is the
+/// *thread*. While a thread runs, `runtime` is `Some` and `parked` is
+/// `None`; while the slot is dormant or retired it is the other way
+/// around. `epoch` counts spawns so handles can tell a client registered
+/// against a previous thread from a current one.
+pub(super) struct SlotCell {
+    pub(super) runtime: RwLock<Option<OffloadRuntime<MallocService>>>,
+    pub(super) parked: Mutex<Option<MallocService>>,
+    pub(super) epoch: AtomicU64,
+    /// Set when a retirement's `try_shutdown` could not recover the
+    /// service (the thread panicked); reported at final shutdown.
+    pub(super) failure: Mutex<Option<ServiceError>>,
+}
+
+/// One service-shard slot: the swappable thread cell plus everything that
+/// persists across spawn/retire epochs — counters, telemetry, the
+/// heap-stats mirror, the orphan stack, and placement.
+pub(super) struct Shard {
+    pub(super) cell: Arc<SlotCell>,
+    pub(super) orphans: Arc<OrphanStack>,
+    pub(super) heap_watch: Arc<SharedHeapStats>,
+    /// Stats/telemetry/retiring-gate/fault knobs, shared by every epoch
+    /// of this slot (see [`RuntimeHandles`]).
+    pub(super) handles: RuntimeHandles,
+    pub(super) core: Option<usize>,
+    pub(super) cluster: u8,
+}
+
+/// The running allocator: one or more dedicated service threads plus
+/// registration of per-thread client handles.
+pub struct Ngm {
+    pub(super) shards: Box<[Shard]>,
+    pub(super) batch_size: u32,
+    pub(super) flush_threshold: u32,
+    pub(super) sites: Option<Arc<SiteProfiler>>,
+    /// The inline allocator of last resort, shared by every handle. Lazy:
+    /// maps nothing until the first time a handle exhausts every shard
+    /// (all deadlined or dead) and has to serve an allocation itself.
+    pub(super) fallback: Arc<FallbackHeap>,
+    /// Shared heat windows + blackbox gate (see [`crate::heat`]).
+    pub(super) obs: Arc<ObsState>,
+    /// The elastic policy, when the tier scales at runtime.
+    pub(super) elastic: Option<ElasticPolicy>,
+    /// Scaling-controller state, serialized so at most one spawn or
+    /// retirement is in flight at a time.
+    pub(super) controller: Mutex<ControllerState>,
+    /// Template for per-slot [`RuntimeConfig`]s (core/shard/cluster are
+    /// filled in per slot).
+    pub(super) runtime_cfg: RuntimeConfig,
+    /// Controller-decision trace ring (on slot 0's telemetry hub — the
+    /// resident floor always exists), when tracing is enabled.
+    pub(super) scale_trace: Option<Arc<TraceRing>>,
+    /// The live-observer config captured at build time
+    /// ([`NgmConfig::with_observer`]), consumed by
+    /// [`Ngm::start_observer`].
+    pub(super) observer_cfg: Mutex<Option<ObserverConfig>>,
+    /// How many slots non-size-class (large) layouts hash over. Elastic
+    /// tiers pin this to the resident floor (`ElasticPolicy::min`) so a
+    /// large free — which routes by layout hash, not by address — always
+    /// finds its allocating shard still open.
+    pub(super) large_span: usize,
+    /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
+    /// built over this tier's handles ([`NgmConfig::with_inflight_limit`]).
+    pub(super) inflight_limit: usize,
+}
+
+impl std::fmt::Debug for Ngm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ngm")
+            .field("shards", &self.shards.len())
+            .field("batch_size", &self.batch_size)
+            .field("flush_threshold", &self.flush_threshold)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Ngm {
+    /// Starts with default configuration (one shard, no batching).
+    pub fn start() -> Self {
+        NgmConfig::new().build().expect("default config is valid")
+    }
+
+    /// Builds the tier from a validated config (reached via
+    /// [`NgmConfig::build`]).
+    ///
+    /// Every slot up to the elastic maximum is built eagerly — service,
+    /// owner stamp, orphan stack, stats, telemetry — but only the initial
+    /// `cfg.shards` get threads; the rest park dormant until the
+    /// controller spawns them.
+    pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
+        let cores = ngm_offload::available_cores();
+        let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
+        let runtime_cfg = RuntimeConfig {
+            server_wait: cfg.server_wait,
+            client_wait: cfg.client_wait,
+            ring_capacity: cfg.free_ring_capacity,
+            trace_capacity: cfg.trace_capacity,
+            profile: cfg.profile,
+            deadline: cfg.deadline,
+            ..RuntimeConfig::new()
+        };
+        let mut shards = Vec::with_capacity(total);
+        let mut demand_watches = Vec::with_capacity(total);
+        let mut clusters = Vec::with_capacity(total);
+        for i in 0..total {
+            let orphans = Arc::new(OrphanStack::new());
+            let service = MallocService::for_shard(i as u16, Arc::clone(&orphans));
+            // Keep observing the heap (and refill demand) after the
+            // service thread takes the service away from us.
+            let heap_watch = Arc::clone(service.heap_watch());
+            demand_watches.push(Arc::clone(service.demand_watch()));
+            let core = match cfg.placement {
+                // Highest cores first, leaving the low cores — where most
+                // runtimes place app threads — alone; float when the
+                // machine cannot give every shard its own room.
+                CorePlacement::Auto => (cores > total).then(|| cores - 1 - i),
+                CorePlacement::Unpinned => None,
+                CorePlacement::Base(base) => Some(base + i),
+            };
+            let cluster = cfg.topology.clusters[i];
+            clusters.push(cluster);
+            shards.push(Shard {
+                cell: Arc::new(SlotCell {
+                    runtime: RwLock::new(None),
+                    parked: Mutex::new(Some(service)),
+                    epoch: AtomicU64::new(0),
+                    failure: Mutex::new(None),
+                }),
+                orphans,
+                heap_watch,
+                handles: RuntimeHandles::fresh(&runtime_cfg),
+                core,
+                cluster,
+            });
+        }
+        let mut ngm = Ngm {
+            shards: shards.into_boxed_slice(),
+            batch_size: cfg.batch_size as u32,
+            flush_threshold: cfg.flush_threshold as u32,
+            sites: (cfg.site_sample > 0).then(|| Arc::new(SiteProfiler::new(cfg.site_sample))),
+            fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
+            obs: Arc::new(ObsState::new(
+                cfg.blackbox,
+                cfg.heat_window,
+                demand_watches,
+                clusters,
+            )),
+            elastic: cfg.elastic,
+            controller: Mutex::new(ControllerState::default()),
+            runtime_cfg,
+            scale_trace: None,
+            observer_cfg: Mutex::new(cfg.observer),
+            large_span: cfg.elastic.map_or(cfg.shards, |p| p.min),
+            inflight_limit: cfg.inflight_limit,
+        };
+        for i in 0..cfg.shards {
+            ngm.spawn_slot(i).map_err(NgmError::Spawn)?;
+        }
+        // The controller's decision ring claims its thread id only after
+        // the initial spawns, so slot 0's service loop keeps id 0.
+        ngm.scale_trace = ngm.shards[0].handles.telemetry.new_ring();
+        Ok(ngm)
+    }
+
+    /// Per-slot runtime config: the shared template plus this slot's
+    /// placement.
+    fn slot_runtime_cfg(&self, slot: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            core: self.shards[slot].core,
+            shard: slot,
+            cluster: self.shards[slot].cluster as usize,
+            ..self.runtime_cfg
+        }
+    }
+
+    /// Takes the slot's parked service and gives it a (new) thread. The
+    /// slot's stats, telemetry, and fault knobs persist across epochs
+    /// (see [`RuntimeHandles`]); the epoch bump tells handles their old
+    /// clients are stale.
+    pub(super) fn spawn_slot(&self, slot: usize) -> Result<(), ServiceError> {
+        let shard = &self.shards[slot];
+        let mut rt_guard = shard
+            .cell
+            .runtime
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if rt_guard.is_some() {
+            return Ok(());
+        }
+        let service = lock(&shard.cell.parked)
+            .take()
+            .ok_or(ServiceError::SpawnFailed)?;
+        let runtime =
+            OffloadRuntime::try_start_shared(service, self.slot_runtime_cfg(slot), &shard.handles)?;
+        *rt_guard = Some(runtime);
+        shard.cell.epoch.fetch_add(1, Ordering::AcqRel);
+        drop(rt_guard);
+        self.obs.set_state(slot, ShardLifecycle::Serving);
+        Ok(())
+    }
+
+    /// Number of service-shard slots in this tier. For a static tier
+    /// this is the configured shard count; for an elastic tier it is the
+    /// policy's `max` (use [`Ngm::serving_shards`] for the currently
+    /// serving subset).
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Registers a handle for the calling (or any) thread. The handle
+    /// holds one client endpoint per serving shard and routes between
+    /// them, registering endpoints to later-spawned shards lazily.
+    pub fn handle(&self) -> NgmHandle {
+        self.handle_inner(None)
+    }
+
+    /// As [`Ngm::handle`], but preferring same-cluster shards when
+    /// routing allocations: the handle's class map spreads over the
+    /// serving shards on `cluster` when any exist, falling back to the
+    /// whole serving set otherwise. Frees are address-routed and ignore
+    /// the preference.
+    pub fn handle_on_cluster(&self, cluster: u8) -> NgmHandle {
+        self.handle_inner(Some(cluster))
+    }
+
+    fn handle_inner(&self, preferred_cluster: Option<u8>) -> NgmHandle {
+        let n = self.shards.len();
+        let mut clients = Vec::with_capacity(n);
+        let mut client_epoch = Vec::with_capacity(n);
+        for (i, s) in self.shards.iter().enumerate() {
+            let guard = s
+                .cell
+                .runtime
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            // A PMU session counts its whole thread; arming one handle
+            // per shard would re-count this thread once per shard, so
+            // only the shard-0 endpoint arms.
+            clients.push(guard.as_ref().map(|rt| rt.register_client_with_pmu(i == 0)));
+            client_epoch.push(s.cell.epoch.load(Ordering::Acquire));
+        }
+        let mut handle = NgmHandle {
+            clients: clients.into_boxed_slice(),
+            slots: self.shards.iter().map(|s| Arc::clone(&s.cell)).collect(),
+            client_epoch: client_epoch.into_boxed_slice(),
+            seen_generation: self.obs.generation(),
+            preferred_cluster,
+            shard_stats: self
+                .shards
+                .iter()
+                .map(|s| Arc::clone(&s.handles.stats))
+                .collect(),
+            shard_telemetry: self
+                .shards
+                .iter()
+                .map(|s| Arc::clone(&s.handles.telemetry))
+                .collect(),
+            large_span: self.large_span,
+            orphans: self.shards.iter().map(|s| Arc::clone(&s.orphans)).collect(),
+            batch_size: self.batch_size,
+            flush_threshold: self.flush_threshold,
+            magazines: [AddrBatch::empty(); NUM_CLASSES],
+            mag_shard: [0u16; NUM_CLASSES],
+            class_shard: [0u16; NUM_CLASSES],
+            free_bufs: vec![AddrBatch::empty(); n].into_boxed_slice(),
+            stash_by_shard: vec![0i64; n].into_boxed_slice(),
+            published_occupancy: vec![0i64; n].into_boxed_slice(),
+            pressure: vec![0u32; n].into_boxed_slice(),
+            failed: vec![false; n].into_boxed_slice(),
+            sites: self.sites.clone(),
+            fallback: Arc::clone(&self.fallback),
+            obs: Arc::clone(&self.obs),
+            nb_pending: vec![None; n].into_boxed_slice(),
+            settled: 0,
+            inflight_limit: self.inflight_limit,
+        };
+        handle.recompute_class_routes();
+        handle
+    }
+
+    /// Samples every shard into its heat window and returns the windowed
+    /// aggregates: recent calls, deadline/retry/fallback rates, ring
+    /// occupancy, windowed phase percentiles, and per-size-class refill
+    /// demand. Each call pushes one frame per shard, so the window depth
+    /// ([`NgmConfig::with_heat_window`]) spans the last N sampling
+    /// intervals at whatever cadence the caller reports.
+    pub fn heat_report(&self) -> HeatReport {
+        let fallbacks = self.fallback.allocs();
+        let shards = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                // Counters live in the slot's persistent handles, so a
+                // dormant slot samples as zeros and a respawned slot's
+                // window stays monotonic across epochs.
+                let stats = s.handles.stats.snapshot();
+                let frame = HeatFrame {
+                    tsc: cycles_now(),
+                    ring_occupancy: stats.ring_occupancy as u64,
+                    calls: stats.calls_served,
+                    deadlines: stats.deadlines,
+                    retries: stats.post_full_retries,
+                    fallbacks,
+                    phases: s
+                        .handles
+                        .telemetry
+                        .phase_cycles
+                        .iter()
+                        .map(|h| h.snapshot())
+                        .collect(),
+                    demand: self.obs.demand(i),
+                };
+                ShardHeat {
+                    shard: i,
+                    heat: self.obs.push_frame(i, frame),
+                }
+            })
+            .collect();
+        // The scrape path doubles as the controller's evaluation tick;
+        // contention (another scrape or an explicit tick mid-decision)
+        // just skips this evaluation rather than blocking a metrics
+        // scrape on a thread join.
+        if self.elastic.is_some() {
+            if let Ok(mut st) = self.controller.try_lock() {
+                let _ = self.evaluate_scaling(&mut st);
+            }
+        }
+        HeatReport { shards }
+    }
+
+    /// The most recent blackbox dumps, newest last (empty when the
+    /// blackbox is disabled or nothing has fired). Dumps also go to
+    /// stderr and the `NGM_BLACKBOX_PATH` file at emit time; this ring
+    /// is what the observer's `/blackbox` endpoint serves.
+    pub fn blackbox_dumps(&self) -> Vec<BlackboxDump> {
+        self.obs
+            .blackbox
+            .as_ref()
+            .map(|r| r.recent())
+            .unwrap_or_default()
+    }
+
+    /// Shared observability state, for the observer endpoints.
+    pub(crate) fn obs_state(&self) -> &ObsState {
+        &self.obs
+    }
+
+    /// Takes the observer config stashed by [`NgmConfig::with_observer`]
+    /// (at most once).
+    pub(crate) fn take_observer_cfg(&self) -> Option<ObserverConfig> {
+        lock(&self.observer_cfg).take()
+    }
+
+    /// One flight-recorder frame of tier state, assembled while holding
+    /// the controller mutex. Every scale transition stamps its trace
+    /// event under that same mutex, so a frame can never observe a
+    /// serving count that disagrees with the `Scale` events timestamped
+    /// before and after it — which is what lets the offline analyzer
+    /// cross-check a recording against the event stream *exactly*.
+    pub(crate) fn observer_frame(&self) -> RecordFrame {
+        let _st = lock(&self.controller);
+        let states: String = (0..self.shards.len())
+            .map(|s| state_glyph(self.obs.state(s)))
+            .collect();
+        let serving = states.chars().filter(|&c| c == 'S').count() as u64;
+        let stats = self.runtime_stats();
+        let shards = (0..self.shards.len())
+            .filter_map(|s| {
+                let heat = self.obs.settled_heat(s)?;
+                let sh = ShardHeat { shard: s, heat };
+                Some(ShardSample {
+                    shard: s as u64,
+                    score: sh.score(),
+                    calls: sh.heat.calls,
+                    deadlines: sh.heat.deadlines,
+                    retries: sh.heat.retries,
+                    ring: sh.heat.ring_occupancy,
+                })
+            })
+            .collect();
+        RecordFrame {
+            tsc: cycles_now(),
+            serving,
+            states,
+            deadlines: stats.deadlines,
+            fallbacks: self.fallback.allocs(),
+            scale_up: self.obs.scale_up_total(),
+            scale_down: self.obs.scale_down_total(),
+            obs_cycles: self.obs.obs_cycles_total(),
+            shards,
+        }
+    }
+
+    /// One shard's runtime-level health ([`ngm_offload::ShardHealth`]):
+    /// `None` for a slot with no thread (dormant/retired), otherwise
+    /// whether the thread is serving, gated for drain, or dead.
+    pub fn shard_health(&self, shard: usize) -> Option<ngm_offload::ShardHealth> {
+        self.shards[shard]
+            .cell
+            .runtime
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map(OffloadRuntime::health)
+    }
+
+    /// Serving slots whose service thread has exited without the
+    /// controller noticing yet — a wedged shard. Handles fail traffic
+    /// over on their own; this surfaces the condition to `/readyz`.
+    pub(crate) fn wedged_shards(&self) -> Vec<usize> {
+        (0..self.shards.len())
+            .filter(|&s| {
+                self.obs.state(s) == ShardLifecycle::Serving
+                    && self.shard_health(s) == Some(ngm_offload::ShardHealth::Down)
+            })
+            .collect()
+    }
+
+    /// The shared degradation heap (diagnostics: `allocs()` > 0 means
+    /// some request exhausted every shard and was served inline).
+    pub fn fallback_heap(&self) -> &Arc<FallbackHeap> {
+        &self.fallback
+    }
+
+    /// Shard `shard`'s live fault-injection knobs (`faultinject` builds
+    /// only): wedge the service loop, drop or delay responses, kill the
+    /// thread mid-serve — while the tier runs.
+    #[cfg(feature = "faultinject")]
+    pub fn fault_state(&self, shard: usize) -> &Arc<ngm_offload::FaultState> {
+        &self.shards[shard].handles.fault
+    }
+
+    /// Frees a small block via its owning shard's orphan stack, routing
+    /// by address. The right path for contexts that cannot hold a handle
+    /// (thread teardown, guarded global-allocator re-entry).
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a live small-class block allocated by this `Ngm`,
+    /// relinquished by the caller.
+    pub unsafe fn orphan_push(&self, ptr: NonNull<u8>) {
+        // SAFETY: forwarded contract — a live small block from one of our
+        // segregated heaps (shard or fallback).
+        let owner = unsafe { ngm_heap::owner_of_small_ptr(ptr) };
+        if self.fallback.is_active() && owner == FALLBACK_OWNER {
+            // Degraded-mode block: no shard ever owned it, so no orphan
+            // stack can reclaim it. Free it inline.
+            // SAFETY: forwarded contract.
+            unsafe { self.fallback.deallocate(ptr) };
+            return;
+        }
+        let shard = self.shard_of_owned(owner);
+        // SAFETY: forwarded contract.
+        unsafe { self.shards[shard].orphans.push(ptr) };
+    }
+
+    fn shard_of_owned(&self, owner: u64) -> usize {
+        let shard = owner.wrapping_sub(OWNER_BASE) as usize;
+        debug_assert!(shard < self.shards.len(), "foreign owner id {owner:#x}");
+        if shard < self.shards.len() {
+            shard
+        } else {
+            0
+        }
+    }
+
+    /// Total blocks ever pushed onto any shard's orphan stack.
+    pub fn orphans_pushed(&self) -> u64 {
+        self.shards.iter().map(|s| s.orphans.pushed()).sum()
+    }
+
+    /// Total orphaned blocks reclaimed by the service shards so far.
+    pub fn orphans_drained(&self) -> u64 {
+        self.shards.iter().map(|s| s.orphans.drained()).sum()
+    }
+
+    /// Offload-runtime counters, merged across every shard (counters and
+    /// occupancy gauges sum; `service_down` is true if *any* shard is
+    /// down).
+    pub fn runtime_stats(&self) -> StatsSnapshot {
+        let mut merged = self.shards[0].handles.stats.snapshot();
+        for s in &self.shards[1..] {
+            merged.absorb(&s.handles.stats.snapshot());
+        }
+        merged
+    }
+
+    /// Asks shard `shard`'s service thread to stop: it drains outstanding
+    /// frees, then exits. Handles observe the death and fail allocation
+    /// traffic over to the surviving shards; frees owed to the stopped
+    /// shard are dropped and counted. [`Ngm::shutdown`] later recovers
+    /// the shard's final stats normally. A no-op for a slot with no
+    /// thread.
+    pub fn stop_shard(&self, shard: usize) {
+        if let Some(rt) = self.shards[shard]
+            .cell
+            .runtime
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            rt.request_stop();
+        }
+    }
+
+    /// Whether shard `shard`'s service thread has exited (orderly or by
+    /// panic) — or never had one (a dormant/retired slot).
+    pub fn shard_finished(&self, shard: usize) -> bool {
+        self.shards[shard]
+            .cell
+            .runtime
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .is_none_or(OffloadRuntime::is_finished)
+    }
+
+    /// Shard 0's telemetry hub (histograms of a single-shard tier; for
+    /// the merged view use [`Ngm::metrics`]).
+    pub fn telemetry(&self) -> &Arc<RuntimeTelemetry> {
+        &self.shards[0].handles.telemetry
+    }
+
+    /// One shard's telemetry hub.
+    pub fn shard_telemetry(&self, shard: usize) -> &Arc<RuntimeTelemetry> {
+        &self.shards[shard].handles.telemetry
+    }
+
+    /// A near-current view of the service heaps (summed across shards),
+    /// published by each service thread during idle rounds. Fields may
+    /// lag a busy service by one publication; the stats returned by
+    /// [`Ngm::shutdown`] are exact.
+    pub fn live_heap_stats(&self) -> HeapStats {
+        let mut merged = HeapStats::default();
+        for s in self.shards.iter() {
+            merged.absorb(&s.heap_watch.load());
+        }
+        merged
+    }
+
+    /// The full exportable metrics snapshot, merged across shards:
+    /// offload-runtime counters, gauges, and latency histograms, plus
+    /// `ngm_heap_*` series mirrored from the service heaps.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let stats = self.runtime_stats();
+        let peers: Vec<&RuntimeTelemetry> = self.shards[1..]
+            .iter()
+            .map(|s| &*s.handles.telemetry)
+            .collect();
+        let mut m = self.shards[0]
+            .handles
+            .telemetry
+            .metrics_merged(&stats, &peers);
+        let heap = self.live_heap_stats();
+        m.counter("ngm_heap_allocs_total", heap.total_allocs)
+            .counter("ngm_heap_frees_total", heap.total_frees)
+            .counter("ngm_heap_large_allocs_total", heap.large_allocs)
+            .counter("ngm_fallback_allocs_total", self.fallback.allocs())
+            .counter("ngm_scale_up_total", self.obs.scale_up_total())
+            .counter("ngm_scale_down_total", self.obs.scale_down_total())
+            .gauge("ngm_service_shards", self.serving_shards().len() as i64)
+            .gauge("ngm_heap_live_blocks", heap.live_blocks as i64)
+            .gauge("ngm_heap_live_bytes", heap.live_bytes as i64)
+            .gauge("ngm_heap_segments", heap.segments as i64)
+            .gauge("ngm_heap_pages_in_use", heap.pages_in_use as i64)
+            .gauge("ngm_heap_peak_live_bytes", heap.peak_live_bytes as i64);
+        // Scrape-target conventions: liveness, build identity, process
+        // start, and the running cost of observability itself.
+        m.counter("ngm_obs_scrape_cycles_total", self.obs.obs_cycles_total())
+            .gauge("ngm_up", 1)
+            .gauge("process_start_time_seconds", process_start_secs())
+            .labeled_gauge(
+                "ngm_build_info",
+                &[
+                    ("version", env!("CARGO_PKG_VERSION")),
+                    ("features", build_features()),
+                ],
+                1,
+            );
+        // Metrics sampling doubles as heat sampling: every scrape pushes
+        // one frame per shard, so the heat window spans the last N
+        // scrape intervals.
+        self.heat_report().publish(&mut m);
+        if let Some(report) = self.site_report() {
+            report.publish(&mut m);
+        }
+        m
+    }
+
+    /// The service-cores-vs-app-cores PMU report, when
+    /// [`NgmConfig::profile`] was set and at least one measured thread
+    /// has retired. Each shard's service loop is its own column
+    /// (`shard<N>`); client columns merge, since only one endpoint per
+    /// thread arms. Grab [`Ngm::telemetry`] with `Arc::clone` before
+    /// [`Ngm::shutdown`] to read the service columns after it.
+    pub fn pmu_report(&self) -> Option<PmuReport> {
+        if self.shards.len() == 1 {
+            return self.shards[0].handles.telemetry.pmu_report();
+        }
+        let mut out = PmuReport::new("PMU: service shards vs app cores");
+        let mut any = false;
+        for (i, s) in self.shards.iter().enumerate() {
+            if let Some(rep) = s.handles.telemetry.pmu_report() {
+                for col in rep.cols {
+                    any = true;
+                    if col.name.starts_with("service") {
+                        out.push(format!("shard{i}"), col.reading);
+                    } else {
+                        out.push(col.name, col.reading);
+                    }
+                }
+            }
+        }
+        any.then_some(out)
+    }
+
+    /// The allocation-site attribution snapshot, when
+    /// [`NgmConfig::site_sample`] enabled the profiler. Rendered at
+    /// shutdown this is the leak report: surviving sites are leak
+    /// suspects.
+    pub fn site_report(&self) -> Option<SiteReport> {
+        self.sites.as_ref().map(|s| s.report())
+    }
+
+    /// Stops every service shard and returns final statistics, per shard
+    /// and merged.
+    ///
+    /// All handles must be dropped or idle; posted frees are drained
+    /// before each thread exits. A shard whose thread panicked comes back
+    /// with [`ShardShutdown::error`] set and its last-published heap view
+    /// instead of propagating the panic.
+    pub fn shutdown(self) -> NgmShutdown {
+        let mut shards = Vec::new();
+        let mut service = ServiceStats::default();
+        let mut heap = HeapStats::default();
+        let mut runtime: Option<StatsSnapshot> = None;
+        for (i, shard) in Vec::from(self.shards).into_iter().enumerate() {
+            let taken = shard
+                .cell
+                .runtime
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let out = match taken {
+                Some(rt) => match rt.try_shutdown() {
+                    Ok((mut svc, stats)) => {
+                        // The stop path drains rings but never runs
+                        // another idle round, so orphans pushed late
+                        // (deadline-rerouted frees, teardown races) are
+                        // still pending — reclaim them now that we own
+                        // the service again.
+                        svc.reclaim_orphans();
+                        ShardShutdown {
+                            shard: i,
+                            service: svc.service_stats(),
+                            heap: svc.heap_stats(),
+                            runtime: stats,
+                            error: None,
+                        }
+                    }
+                    Err(failure) => ShardShutdown {
+                        shard: i,
+                        service: ServiceStats::default(),
+                        // The service state died with its thread; the
+                        // idle-published mirror is the best remaining
+                        // estimate.
+                        heap: shard.heap_watch.load(),
+                        runtime: failure.stats,
+                        error: Some(failure.error),
+                    },
+                },
+                // No thread: the slot is dormant (never spawned) or
+                // retired (drained to zero balance and parked). The
+                // parked service reports its exact cumulative books; a
+                // slot whose retirement lost the service (it panicked
+                // mid-drain) reports the stored failure instead.
+                None => match lock(&shard.cell.parked).take() {
+                    Some(mut svc) => {
+                        svc.reclaim_orphans();
+                        ShardShutdown {
+                            shard: i,
+                            service: svc.service_stats(),
+                            heap: svc.heap_stats(),
+                            runtime: shard.handles.stats.snapshot(),
+                            error: lock(&shard.cell.failure).take(),
+                        }
+                    }
+                    None => ShardShutdown {
+                        shard: i,
+                        service: ServiceStats::default(),
+                        heap: shard.heap_watch.load(),
+                        runtime: shard.handles.stats.snapshot(),
+                        error: lock(&shard.cell.failure).take(),
+                    },
+                },
+            };
+            service.absorb(&out.service);
+            heap.absorb(&out.heap);
+            match &mut runtime {
+                Some(r) => r.absorb(&out.runtime),
+                None => runtime = Some(out.runtime),
+            }
+            shards.push(out);
+        }
+        // Fold the degradation heap into the merged totals: its blocks
+        // are real allocations the application received, so they must
+        // participate in the allocs == frees invariant.
+        service.fallback_allocs = self.fallback.allocs();
+        service.allocs += self.fallback.allocs();
+        service.frees += self.fallback.frees();
+        heap.absorb(&self.fallback.stats());
+        NgmShutdown {
+            shards,
+            service,
+            heap,
+            runtime: runtime.expect("a tier has at least one shard"),
+        }
+    }
+}
+
+/// Final statistics from [`Ngm::shutdown`]: exact per-shard results plus
+/// the merged totals.
+#[derive(Debug, Clone)]
+pub struct NgmShutdown {
+    /// Per-shard results, indexed by shard.
+    pub shards: Vec<ShardShutdown>,
+    /// Service counters summed across shards.
+    pub service: ServiceStats,
+    /// Heap statistics summed across shards (`peak_live_bytes` is the sum
+    /// of per-shard peaks — an upper bound on the true combined peak).
+    pub heap: HeapStats,
+    /// Offload-runtime counters merged across shards.
+    pub runtime: StatsSnapshot,
+}
+
+impl NgmShutdown {
+    /// Whether every shard shut down cleanly (no panics, no double
+    /// shutdowns).
+    pub fn clean(&self) -> bool {
+        self.shards.iter().all(|s| s.error.is_none())
+    }
+
+    /// Whether allocation/free accounting balances on every clean shard
+    /// — the invariant `allocs == frees` must hold *per shard*, not just
+    /// globally, or cross-shard frees went to the wrong heap.
+    pub fn balanced(&self) -> bool {
+        self.shards
+            .iter()
+            .filter(|s| s.error.is_none())
+            .all(|s| s.service.allocs == s.service.frees)
+    }
+}
+
+/// One shard's final statistics.
+#[derive(Debug, Clone)]
+pub struct ShardShutdown {
+    /// The shard index.
+    pub shard: usize,
+    /// The shard's service counters (zeroed when the service state died
+    /// with its thread — see `error`).
+    pub service: ServiceStats,
+    /// The shard's heap statistics (the last idle-published view when the
+    /// thread died).
+    pub heap: HeapStats,
+    /// The shard's offload-runtime counters.
+    pub runtime: StatsSnapshot,
+    /// Why the shard's service state could not be recovered, if it
+    /// couldn't.
+    pub error: Option<ServiceError>,
+}

@@ -1,8 +1,7 @@
 //! The one layered configuration for the whole allocator: [`NgmConfig`].
 //!
-//! This replaces the previous zoo of entry points (`NgmBuilder`,
-//! `RuntimeBuilder`, `NgmAllocator::new()`/`batched()`) with a single
-//! plain value: every knob is a public field, the whole thing is
+//! One plain value is the only way to configure a tier or the global
+//! adapter: every knob is a public field, the whole thing is
 //! `const`-constructible (so it can sit in a `#[global_allocator]`
 //! static), chainable through `with_*` setters, `Default`-able, and
 //! validated exactly once — [`NgmConfig::build`] returns a typed
@@ -601,8 +600,8 @@ impl NgmConfig {
 
     /// Clamps every field into its valid range, so `build` cannot fail
     /// validation. Contexts that cannot surface a `Result` — the
-    /// `#[global_allocator]` path, the deprecated builder shims — go
-    /// through this instead of aborting the process on a bad knob.
+    /// `#[global_allocator]` path — go through this instead of aborting
+    /// the process on a bad knob.
     pub const fn sanitized(mut self) -> Self {
         self.shards = clamp(self.shards, 1, MAX_SHARDS);
         self.batch_size = clamp(self.batch_size, 1, MAX_BATCH);

@@ -104,27 +104,6 @@ impl NgmAllocator {
         }
     }
 
-    /// The unbatched adapter: every small alloc is one synchronous round
-    /// trip, every free one post (the pre-magazine behavior).
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `NgmAllocator::with_config(NgmConfig::new())`"
-    )]
-    pub const fn new() -> Self {
-        Self::with_config(NgmConfig::new())
-    }
-
-    /// An adapter with the magazine front-end enabled: per-thread,
-    /// per-class stashes of `batch_size` addresses and free flushes of
-    /// `flush_threshold` (both clamped to `1..=`[`crate::MAX_BATCH`]).
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `NgmAllocator::with_config(NgmConfig::new().with_batch(...))`"
-    )]
-    pub const fn batched(batch_size: usize, flush_threshold: usize) -> Self {
-        Self::with_config(NgmConfig::new().with_batch(batch_size, flush_threshold))
-    }
-
     fn alloc_small(&self, layout: Layout) -> *mut u8 {
         // Re-entrant or service-thread context: bump arena. If the arena
         // ever fills, guarded requests that cannot recurse have no

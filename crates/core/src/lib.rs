@@ -51,7 +51,3 @@ pub use service::{
     ServiceStats, MAX_BATCH,
 };
 pub use watch::{SharedDemand, SharedHeapStats};
-
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use api::{NextGenMalloc, NgmBuilder};

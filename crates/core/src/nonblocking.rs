@@ -85,11 +85,12 @@ struct SqInner {
     active: usize,
     /// Frees the ring refused; retried every pump, flushed at drop.
     deferred_frees: VecDeque<(usize, Layout)>,
-    /// The last class scan completed nothing and no new submissions
-    /// arrived since: until a response lands (`nb_pump` collects
-    /// something), rescanning cannot complete anything either, so pump
-    /// skips it. Keeps the parked-task poll path at a few atomic loads.
-    scan_idle: bool,
+    /// [`NgmHandle::settled`] as of the last class scan. Magazine stock
+    /// and free slots only appear when a submission leaves its slot, so
+    /// until that count moves a rescan cannot complete or submit
+    /// anything and is skipped — which keeps the parked-task poll path at
+    /// a few atomic loads.
+    scanned_at: u64,
     /// Submissions since the last depth-histogram sample.
     depth_tick: u32,
     /// Tasks parked on [`SubmissionQueue::ready`], woken one per freed
@@ -105,15 +106,38 @@ impl SqInner {
     /// class), retries deferred frees, and wakes every task whose
     /// ticket completed. Returns how many tickets completed.
     fn pump(&mut self) -> usize {
-        let landed = self.handle.nb_pump();
-        if landed == 0 && self.scan_idle {
-            // Nothing arrived since the last fruitless scan: the class
-            // queues cannot progress. (The slot waker stays armed — it
-            // is only consumed when a response is served, which the next
-            // nb_pump observes as `landed > 0`.)
-            self.retry_deferred_frees();
-            return 0;
+        self.handle.nb_pump();
+        let completed = self.rescan();
+        self.retry_deferred_frees();
+        completed
+    }
+
+    /// Upholds the queue's liveness invariant: *a parked ticket implies
+    /// an in-flight submission or an armed waker*. Whenever a submission
+    /// has left its slot since the last scan — wherever the response was
+    /// absorbed: the pump, a `try_alloc` made for a new ticket, or a
+    /// scan step for another class — the parked classes are scanned
+    /// again, which completes those that now have stock and submits for
+    /// the first one that is dry now that the slot is free. Without this
+    /// a ticket whose refill was refused (slot busy) could be left with
+    /// nothing in flight once that slot's response had been absorbed on
+    /// behalf of a caller who did not need to pump again.
+    fn rescan(&mut self) -> usize {
+        let mut completed = 0;
+        // A riding single-block request is collected only by its own
+        // ticket's `try_alloc`, so its response has to be looked for.
+        let mut look = self.handle.nb_single_riding();
+        while look || self.scanned_at != self.handle.settled() {
+            look = false;
+            self.scanned_at = self.handle.settled();
+            completed += self.scan();
         }
+        completed
+    }
+
+    /// One pass over the parked classes; returns how many tickets
+    /// completed.
+    fn scan(&mut self) -> usize {
         let mut completed = 0;
         for queue in self.pending.values_mut() {
             while let Some(&id) = queue.front() {
@@ -162,8 +186,6 @@ impl SqInner {
         {
             self.handle.register_waker(&w);
         }
-        self.scan_idle = completed == 0;
-        self.retry_deferred_frees();
         completed
     }
 
@@ -238,7 +260,7 @@ impl SubmissionQueue {
                 pending: BTreeMap::new(),
                 active: 0,
                 deferred_frees: VecDeque::new(),
-                scan_idle: false,
+                scanned_at: 0,
                 depth_tick: 0,
                 capacity_waiters: VecDeque::new(),
                 limit,
@@ -280,10 +302,6 @@ impl SubmissionQueue {
             Err(NgmError::WouldBlock) => None,
             Err(e) => return Err(e),
         };
-        // This try may have absorbed a landed response for another class
-        // (the handle polls opportunistically), so a previously fruitless
-        // scan may find work now.
-        inner.scan_idle = false;
         let id = inner.take_id();
         match ticket {
             Some(result) => inner.tickets[id] = Ticket::Ready { result, layout },
@@ -300,6 +318,10 @@ impl SubmissionQueue {
             }
         }
         inner.active += 1;
+        // This try may have absorbed a landed response (the handle
+        // settles a busy slot before submitting): tickets parked behind
+        // it must not wait for a pump nobody owes them.
+        inner.rescan();
         drop(inner);
         Ok(AllocFuture {
             sq: self.clone(),
@@ -584,6 +606,25 @@ mod tests {
     }
 
     #[test]
+    fn single_block_tickets_collect_their_own_response() {
+        // Unbatched and large layouts ride the slot as single requests:
+        // the pump must leave the block for its ticket, not free it and
+        // ask again.
+        let ngm = NgmConfig::new().build().unwrap();
+        let sq = SubmissionQueue::new(ngm.handle());
+        for l in [layout(64), layout(1 << 20), layout(64)] {
+            let ptr = block_on(sq.alloc(l).unwrap()).unwrap();
+            // SAFETY: block from this queue's tier.
+            unsafe { sq.free(ptr, l).unwrap() };
+        }
+        drop(sq);
+        let down = ngm.shutdown();
+        assert_eq!(down.service.allocs, 3, "one round trip per ticket");
+        assert_eq!(down.service.allocs, down.service.frees);
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    #[test]
     fn many_inflight_futures_complete_out_of_order_polls() {
         let ngm = NgmConfig::new()
             .with_batch(8, 4)
@@ -725,6 +766,102 @@ mod tests {
         drop(sq);
         let down = ngm.shutdown();
         assert_eq!(down.service.allocs, down.service.frees);
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    /// Resumes a parked task as an executor would: polls `fut` only after
+    /// a wake newer than `seen`, and panics if none comes — a parked task
+    /// nobody wakes is the stall this guards against.
+    #[cfg(feature = "faultinject")]
+    fn resume_on_wakes<F: Future + Unpin>(
+        fut: &mut F,
+        flag: &Arc<Flag>,
+        mut seen: usize,
+    ) -> F::Output {
+        let waker = Waker::from(Arc::clone(flag));
+        let mut cx = Context::from_waker(&waker);
+        loop {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while flag.0.load(Ordering::SeqCst) == seen {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "parked with no wake for 5 s: nothing in flight and no waker armed"
+                );
+                std::thread::yield_now();
+            }
+            seen = flag.0.load(Ordering::SeqCst);
+            if let Poll::Ready(v) = Pin::new(&mut *fut).poll(&mut cx) {
+                return v;
+            }
+        }
+    }
+
+    /// The completion-path stall the benchmark met (`benchmark/README.md`,
+    /// "A stall in the completion path"), hand-stepped with the wedge
+    /// fault: class A's refill is refused because the slot carries class
+    /// C's; C's response is then absorbed by the `try_alloc` of a *new*
+    /// submission whose ticket is born ready, so its future's poll never
+    /// pumps — and the response's one wake is spent on that same task.
+    /// Whoever absorbs the response must submit for A — otherwise A's
+    /// ticket is parked with nothing in flight and no waker armed.
+    #[cfg(feature = "faultinject")]
+    #[test]
+    fn response_absorbed_at_submission_still_serves_the_refused_class() {
+        let ngm = NgmConfig::new()
+            .with_shards(1)
+            .with_batch(2, 1)
+            .build()
+            .unwrap();
+        let sq = SubmissionQueue::new(ngm.handle());
+        let wakes = Arc::new(Flag(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let inflight = || sq.with_handle(|h| h.nb_inflight());
+
+        ngm.fault_state(0).set_wedged(true);
+        let mut fc = sq.alloc(layout(64)).unwrap(); // C's refill takes the slot
+        let mut fa = sq.alloc(layout(32)).unwrap(); // A's is refused: slot busy
+        assert_eq!(inflight(), 1);
+        // Both tasks poll and park; the slot waker is armed.
+        assert!(Pin::new(&mut fc).poll(&mut cx).is_pending());
+        assert!(Pin::new(&mut fa).poll(&mut cx).is_pending());
+
+        // C's response lands (and fires the armed waker) ...
+        ngm.fault_state(0).set_wedged(false);
+        while ngm.runtime_stats().calls_served < 1 {
+            std::thread::yield_now();
+        }
+        ngm.fault_state(0).set_wedged(true);
+        // ... and is absorbed by a third submission, born ready.
+        let mut f2 = sq.alloc(layout(64)).unwrap();
+        let Poll::Ready(Ok(p2)) = Pin::new(&mut f2).poll(&mut cx) else {
+            panic!("the magazine was just refilled: the ticket is born ready");
+        };
+        assert_eq!(
+            inflight(),
+            1,
+            "A has a parked ticket: its refill is in flight"
+        );
+
+        // C's ticket was served from the absorbed batch on the spot.
+        let Poll::Ready(Ok(pc)) = Pin::new(&mut fc).poll(&mut cx) else {
+            panic!("C had stock and a parked ticket");
+        };
+        // The wake for C's response is spent: only a new one — the
+        // response to A's refill — may resume A's task.
+        let seen = wakes.0.load(Ordering::SeqCst);
+        ngm.fault_state(0).set_wedged(false);
+        let pa = resume_on_wakes(&mut fa, &wakes, seen).unwrap();
+        // SAFETY: blocks from this queue's tier.
+        unsafe {
+            sq.free(pa, layout(32)).unwrap();
+            sq.free(pc, layout(64)).unwrap();
+            sq.free(p2, layout(64)).unwrap();
+        }
+        assert_eq!(sq.in_flight(), 0);
+        drop((fa, fc, f2, sq)); // the futures hold the queue alive too
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
         assert_eq!(down.heap.live_blocks, 0);
     }
 

@@ -15,7 +15,7 @@ use crate::watch::{SharedDemand, SharedHeapStats};
 ///
 /// This bounds the size of the in-flight message (the request slot and
 /// free ring store payloads inline), so it is a compile-time constant
-/// rather than a builder knob; `NgmBuilder::batch_size` is clamped to it.
+/// rather than a config knob; `NgmConfig::with_batch` is validated against it.
 pub const MAX_BATCH: usize = 32;
 
 /// A synchronous allocation request (the contents of the paper's
@@ -37,7 +37,7 @@ impl AllocReq {
         }
     }
 
-    fn layout(self) -> Option<Layout> {
+    pub(crate) fn layout(self) -> Option<Layout> {
         // Requests cross a thread boundary; a malformed one (non-power-of-
         // two alignment, overflowing size) must degrade to a counted
         // failure on the service side, never a service panic — one bad

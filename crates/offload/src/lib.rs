@@ -41,14 +41,10 @@ pub use pad::CachePadded;
 pub use pin::{available_cores, pin_current_thread, pin_current_thread_verified, PinError};
 pub use ring::{spsc, Consumer, Producer};
 pub use service::{
-    ClientHandle, OffloadRuntime, PostError, PostOutcome, RuntimeConfig, RuntimeHandles, Service,
-    ShardFailure, ShardHealth, DEFAULT_DEADLINE,
+    CallKind, ClientHandle, OffloadRuntime, PostError, PostWait, RuntimeConfig, RuntimeHandles,
+    Service, ShardFailure, ShardHealth, DEFAULT_DEADLINE,
 };
-pub use slot::{CallDeadline, RequestSlot};
+pub use slot::RequestSlot;
 pub use stats::{RuntimeStats, StatsSnapshot};
 pub use telemetry::{RuntimeTelemetry, PHASES, PHASE_NAMES};
 pub use wait::{WaitPhase, WaitState, WaitStrategy};
-
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use service::RuntimeBuilder;

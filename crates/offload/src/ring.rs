@@ -11,8 +11,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
-use crate::wait::{WaitState, WaitStrategy};
-use std::time::Duration;
 
 struct Shared<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -38,7 +36,7 @@ unsafe impl<T: Send> Sync for Shared<T> {}
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
     /// The ring is at capacity; the value is handed back. A bounded retry
-    /// (see [`Producer::push_deadline`]) may succeed once the consumer
+    /// (see [`crate::service::ClientHandle::try_post`]) may succeed once the consumer
     /// drains — but only if the consumer is still alive, so retry loops
     /// must re-check for `Disconnected` on every attempt.
     Full(T),
@@ -133,39 +131,6 @@ impl<T> Producer<T> {
             .tail
             .store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
-    }
-
-    /// Enqueues `value`, retrying a full ring with `wait`'s escalation
-    /// until `budget` elapses. This is the hang-proof form of the
-    /// "push then yield forever" retry loop: a dead consumer surfaces as
-    /// [`PushError::Disconnected`] immediately, and a consumer that never
-    /// drains surfaces as [`PushError::Full`] once the budget is spent —
-    /// the caller gets the value back either way.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Disconnected`] as soon as the consumer is observed
-    /// gone; [`PushError::Full`] if the deadline expires first.
-    pub fn push_deadline(
-        &mut self,
-        value: T,
-        wait: WaitStrategy,
-        budget: Duration,
-    ) -> Result<(), PushError<T>> {
-        let mut state = WaitState::with_budget(wait, Some(budget));
-        let mut value = value;
-        loop {
-            match self.push(value) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Disconnected(v)) => return Err(PushError::Disconnected(v)),
-                Err(PushError::Full(v)) => {
-                    value = v;
-                    if !state.pause() {
-                        return Err(PushError::Full(value));
-                    }
-                }
-            }
-        }
     }
 
     /// Number of items currently queued (racy snapshot).
@@ -308,46 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn push_deadline_fails_fast_when_consumer_gone() {
-        // Regression: the old retry loop yielded forever when the ring
-        // stayed full because its consumer died. Disconnection must
-        // surface immediately — well inside the budget — even when the
-        // ring is also full.
+    fn full_ring_with_dead_consumer_reports_disconnected_not_full() {
+        // Regression: a retry loop keyed on `Full` yielded forever when
+        // the ring stayed full because its consumer died. Disconnection
+        // must win over fullness so bounded retries stop at once.
         let (mut tx, rx) = spsc::<u8>(2);
         tx.push(1).unwrap();
         tx.push(2).unwrap();
+        assert_eq!(tx.push(3), Err(PushError::Full(3)));
         drop(rx);
-        let start = std::time::Instant::now();
-        let r = tx.push_deadline(3, WaitStrategy::Backoff, Duration::from_secs(30));
-        assert_eq!(r, Err(PushError::Disconnected(3)));
-        assert!(start.elapsed() < Duration::from_secs(5), "no retry spin");
-    }
-
-    #[test]
-    fn push_deadline_times_out_on_stuck_consumer() {
-        let (mut tx, _rx) = spsc::<u8>(2);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        // Consumer alive but never draining: budget bounds the wait.
-        let r = tx.push_deadline(3, WaitStrategy::Spin, Duration::from_millis(5));
-        assert_eq!(r, Err(PushError::Full(3)));
-    }
-
-    #[test]
-    fn push_deadline_succeeds_once_consumer_drains() {
-        let (mut tx, mut rx) = spsc::<u32>(2);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            assert_eq!(rx.pop(), Some(1));
-            rx
-        });
-        tx.push_deadline(3, WaitStrategy::Backoff, Duration::from_secs(30))
-            .expect("slot frees up within budget");
-        let mut rx = h.join().unwrap();
-        assert_eq!(rx.pop(), Some(2));
-        assert_eq!(rx.pop(), Some(3));
+        assert_eq!(tx.push(3), Err(PushError::Disconnected(3)));
     }
 
     #[test]
@@ -400,11 +335,11 @@ mod tests {
             sum
         });
         let mut i = 0u64;
-        let wait = WaitStrategy::Backoff;
         while i < N {
-            match tx.push_deadline(i, wait, Duration::from_secs(60)) {
+            match tx.push(i) {
                 Ok(()) => i += 1,
-                Err(e) => panic!("bounded push failed: {e:?}"),
+                Err(PushError::Full(_)) => std::thread::yield_now(),
+                Err(e) => panic!("consumer is alive: {e:?}"),
             }
         }
         assert_eq!(h.join().unwrap(), N * (N - 1) / 2);

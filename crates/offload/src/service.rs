@@ -22,7 +22,7 @@ use crate::error::ServiceError;
 use crate::fault::{FaultAction, FaultState};
 use crate::pin::pin_current_thread_verified;
 use crate::ring::{spsc, Consumer, Producer, PushError};
-use crate::slot::{CallDeadline, RequestSlot};
+use crate::slot::RequestSlot;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::telemetry::RuntimeTelemetry;
 use crate::wait::{WaitState, WaitStrategy};
@@ -96,20 +96,41 @@ pub struct ClientHandle<S: Service> {
     /// publish sequence to mint from).
     post_seq: u64,
     pmu: ClientPmu,
-    /// Submission timestamp of the in-flight non-blocking call, if any
+    /// Submission timestamp and kind of the in-flight request, if any
     /// (one slot ⇒ at most one). Completion telemetry (histograms, span
-    /// events) is emitted when the response is collected or the call is
-    /// retracted.
-    nb_t0: Option<u64>,
-    /// Whether the in-flight non-blocking call is a batched refill
-    /// (routes its latency to the refill histogram).
-    nb_batched: bool,
+    /// events) is emitted when the response is collected or the request
+    /// is retracted or abandoned.
+    inflight: Option<(u64, CallKind)>,
 }
 
-/// Why a deadline-aware post could not be enqueued. Unlike
-/// [`ServiceError`] this hands the unsent message back on deadline so the
-/// caller can reroute it (the malloc front-end diverts such frees to the
-/// owning shard's orphan stack instead of leaking them).
+/// Which population a synchronous request's round trip belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallKind {
+    /// One unit of work per round trip: latency lands in the call
+    /// histogram and the five phase histograms.
+    Single,
+    /// A request carrying a *batch* of work (magazine refills in the
+    /// malloc deployment): latency lands in the separate refill
+    /// histogram, so the amortized batched cost stays distinguishable
+    /// from the per-call cost, and the batched-call counter is bumped.
+    Batched,
+}
+
+/// How long [`ClientHandle::try_post`] may wait on a full ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PostWait {
+    /// Pause by the handle's wait strategy until the ring has room or
+    /// the runtime's deadline budget runs out ([`PostError::Deadline`]).
+    Deadline,
+    /// One push attempt: a full ring hands the message straight back as
+    /// [`PostError::WouldBlock`].
+    Never,
+}
+
+/// Why a post could not be enqueued. Unlike [`ServiceError`] this hands
+/// the unsent message back so the caller can reroute it (the malloc
+/// front-end diverts such frees to the owning shard's orphan stack
+/// instead of leaking them) or buffer and retry it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PostError<T> {
     /// The service thread is gone; the message was dropped and counted in
@@ -125,7 +146,7 @@ pub enum PostError<T> {
         /// The message that could not be enqueued.
         msg: T,
     },
-    /// Non-blocking post: the ring is full *right now* and the caller
+    /// [`PostWait::Never`]: the ring is full *right now* and the caller
     /// asked not to wait at all. The message comes back for the caller to
     /// buffer and retry after completing in-flight work — transient,
     /// unlike [`PostError::Deadline`], which means the ring stayed full
@@ -136,13 +157,18 @@ pub enum PostError<T> {
     },
 }
 
-/// What a successful [`ClientHandle::try_post`] observed on the way in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PostOutcome {
-    /// Full-ring retries paid before the message fit. Zero means the ring
-    /// had room immediately; sustained nonzero values mean the service
-    /// shard is saturated and traffic should rebalance away from it.
-    pub full_retries: u32,
+impl<T> PostError<T> {
+    /// Splits into the equivalent [`ServiceError`] and the message, when
+    /// it was handed back.
+    pub fn into_parts(self) -> (ServiceError, Option<T>) {
+        match self {
+            PostError::Stopped => (ServiceError::ServiceStopped, None),
+            PostError::Deadline { shard, waited, msg } => {
+                (ServiceError::Deadline { shard, waited }, Some(msg))
+            }
+            PostError::WouldBlock { msg } => (ServiceError::WouldBlock, Some(msg)),
+        }
+    }
 }
 
 /// A client handle's PMU measurement state. The session is armed lazily
@@ -177,38 +203,15 @@ impl<S: Service> Drop for ClientHandle<S> {
 }
 
 impl<S: Service> ClientHandle<S> {
-    /// Completes the telemetry for one successful synchronous round trip:
-    /// phase histograms (unbatched calls only, so the five phase series
-    /// partition exactly the `call_cycles` population) and — when tracing
-    /// is on — the six span phase events, stamped with their true
-    /// boundary timestamps from the slot.
-    fn finish_call_span(&mut self, t0: u64, t5: u64, batched: bool) {
-        let stamps = self.slot.phase_stamps();
-        if !batched {
-            self.telemetry.record_phases(t0, stamps, t5);
-        }
-        if let Some(ring) = &self.trace {
-            let id = call_span_id(ring.thread(), self.slot.publish_seq());
-            let (t1, t2, t3, t4) = stamps;
-            for (tsc, phase) in [
-                (t0, SpanPhase::Enqueue),
-                (t1, SpanPhase::RingResident),
-                (t2, SpanPhase::Claimed),
-                (t3, SpanPhase::Served),
-                (t4, SpanPhase::Published),
-                (t5, SpanPhase::Observed),
-            ] {
-                ring.push_at(tsc.clamp(t0, t5), TraceEventKind::Span, id, phase.code());
-            }
-        }
-    }
-
-    /// Traces the terminal events of a call that never completed: the
-    /// span reached the ring (and, for an abandoned call, the server) but
-    /// ends in a terminal phase instead of `Observed`. The publish
+    /// Traces the terminal events of a request that never completed: the
+    /// span reached the ring (and, for an abandoned request, the server)
+    /// but ends in a terminal phase instead of `Observed`. The publish
     /// sequence in the span id guarantees the retry the caller issues
     /// next is a distinct span.
-    fn finish_failed_span(&mut self, t0: u64, terminal: SpanPhase) {
+    fn finish_failed_span(&mut self, terminal: SpanPhase) {
+        let Some((t0, _)) = self.inflight.take() else {
+            return;
+        };
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let now = cycles_now();
@@ -234,175 +237,206 @@ impl<S: Service> ClientHandle<S> {
         }
     }
 
-    /// Sends a synchronous request and blocks (by the handle's wait
-    /// strategy) until the service core responds.
+    /// Publishes `req` into the request slot and returns immediately.
+    /// The response is collected with [`ClientHandle::poll`], awaited
+    /// with [`ClientHandle::wait`] (or a waker, see
+    /// [`ClientHandle::register_waker`]), or the request cancelled with
+    /// [`ClientHandle::retract`]. Every synchronous request enters here.
     ///
-    /// The round trip is timestamped into the runtime's call-latency
-    /// histogram plus the five phase histograms derived from the slot's
-    /// boundary stamps — a handful of relaxed increments, still far below
-    /// the round trip being measured.
-    pub fn call(&mut self, req: S::Req) -> S::Resp {
-        self.pmu.arm();
-        let t0 = cycles_now();
-        let resp = self.slot.call(req, self.wait);
-        let t5 = cycles_now();
-        self.telemetry.call_cycles.record(t5.saturating_sub(t0));
-        self.finish_call_span(t0, t5, false);
-        resp
-    }
-
-    /// Like [`ClientHandle::call`], but for requests that carry a *batch*
-    /// of work (magazine refills in the malloc deployment). The round
-    /// trip is timestamped into the separate refill-latency histogram so
-    /// the amortized batched cost stays distinguishable from the per-call
-    /// cost, and the batched-call counter is bumped.
-    pub fn call_batched(&mut self, req: S::Req) -> S::Resp {
-        self.pmu.arm();
-        let t0 = cycles_now();
-        let resp = self.slot.call(req, self.wait);
-        let t5 = cycles_now();
-        self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
-        self.finish_call_span(t0, t5, true);
-        self.stats
-            .batched_calls_served
-            .fetch_add(1, Ordering::Relaxed);
-        resp
-    }
-
-    /// Like [`ClientHandle::call`], but hang-proof: refuses up front when
-    /// this runtime's service thread is known dead (its ring closed), and
-    /// — when the runtime has a deadline configured — bounds the wait for
-    /// the response, returning [`ServiceError::Deadline`] instead of
-    /// blocking on a wedged shard forever.
-    ///
-    /// A deadline that fires while the serve is in flight grants one
-    /// grace period for the response (a served allocation is never
-    /// discarded); if even that expires the slot is poisoned and every
-    /// later call on this handle fails fast with
-    /// [`ServiceError::ServiceStopped`].
-    pub fn try_call(&mut self, req: S::Req) -> Result<S::Resp, ServiceError> {
-        self.try_call_inner(req, false)
-    }
-
-    /// As [`ClientHandle::try_call`] for batched requests: latency lands
-    /// in the refill histogram and the batched-call counter is bumped.
-    pub fn try_call_batched(&mut self, req: S::Req) -> Result<S::Resp, ServiceError> {
-        self.try_call_inner(req, true)
-    }
-
-    fn try_call_inner(&mut self, req: S::Req, batched: bool) -> Result<S::Resp, ServiceError> {
+    /// Refusals hand the request back along with the reason:
+    /// [`ServiceError::ServiceStopped`] when the service thread is known
+    /// dead (its ring closed) or an earlier request was abandoned
+    /// mid-serve, [`ServiceError::ShardRetiring`] while the shard drains
+    /// toward retirement (the post path stays open so address-routed
+    /// frees can land and the shard can reach a zero balance), and
+    /// [`ServiceError::WouldBlock`] when a previous request is still in
+    /// flight (one slot ⇒ one in-flight request).
+    pub fn submit(&mut self, req: S::Req, kind: CallKind) -> Result<(), (S::Req, ServiceError)> {
         if self.poisoned {
-            return Err(ServiceError::ServiceStopped);
+            return Err((req, ServiceError::ServiceStopped));
         }
         if !self.is_open() {
             self.stats.mark_service_down();
-            return Err(ServiceError::ServiceStopped);
+            return Err((req, ServiceError::ServiceStopped));
         }
         if self.retiring.load(Ordering::Acquire) {
-            // The shard is draining toward retirement: refuse new
-            // allocations (callers route elsewhere) but keep the post
-            // path open so address-routed frees can land and the shard
-            // can reach a zero balance.
-            return Err(ServiceError::ShardRetiring { shard: self.shard });
+            return Err((req, ServiceError::ShardRetiring { shard: self.shard }));
         }
-        let Some(budget) = self.deadline else {
-            return Ok(if batched {
-                self.call_batched(req)
-            } else {
-                self.call(req)
-            });
-        };
         self.pmu.arm();
         let t0 = cycles_now();
-        match self.slot.call_deadline(req, self.wait, budget) {
-            CallDeadline::Ok(resp) => {
-                let t5 = cycles_now();
-                if batched {
-                    self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
-                    self.stats
-                        .batched_calls_served
-                        .fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.telemetry.call_cycles.record(t5.saturating_sub(t0));
-                }
-                self.finish_call_span(t0, t5, batched);
-                Ok(resp)
+        match self.slot.begin(req) {
+            Ok(()) => {
+                self.inflight = Some((t0, kind));
+                Ok(())
             }
-            CallDeadline::Retracted(waited) => {
-                self.finish_failed_span(t0, SpanPhase::Retracted);
-                self.stats.record_deadline();
-                Err(ServiceError::Deadline {
-                    shard: self.shard,
-                    waited,
-                })
-            }
-            CallDeadline::Abandoned(waited) => {
-                // The service consumed the request and never answered:
-                // it is wedged mid-serve or dead. The slot cannot be
-                // reused; retire this handle.
-                self.finish_failed_span(t0, SpanPhase::Abandoned);
-                self.poisoned = true;
-                self.stats.record_deadline();
-                self.stats.mark_service_down();
-                Err(ServiceError::Deadline {
-                    shard: self.shard,
-                    waited,
-                })
+            Err(req) => {
+                self.stats.record_wouldblock();
+                Err((req, ServiceError::WouldBlock))
             }
         }
     }
 
-    /// Posts an asynchronous message, spinning if the ring is momentarily
-    /// full. The enqueue latency (including full-ring retries) lands in
-    /// the runtime's post-latency histogram.
+    /// Collects the in-flight request's response if it has been
+    /// published; `None` while it is still pending (or none is in
+    /// flight). Every response leaves the slot here, so this is also the
+    /// one place completion telemetry is emitted (see
+    /// `record_completion`).
+    #[inline]
+    pub fn poll(&mut self) -> Option<S::Resp> {
+        let resp = self.slot.poll_response()?;
+        self.record_completion();
+        Some(resp)
+    }
+
+    /// Completion telemetry for the response just collected, stamped from
+    /// submission to collection: the latency histogram of the request's
+    /// [`CallKind`], the batched-call counter, the five phase histograms
+    /// (single calls only, so they partition exactly the call-latency
+    /// population) and — when tracing is on — the six span phase events
+    /// with their true boundary timestamps from the slot.
+    fn record_completion(&mut self) {
+        let t5 = cycles_now();
+        let (t0, kind) = self.inflight.take().unwrap_or((t5, CallKind::Single));
+        let stamps = self.slot.phase_stamps();
+        match kind {
+            CallKind::Single => {
+                self.telemetry.call_cycles.record(t5.saturating_sub(t0));
+                self.telemetry.record_phases(t0, stamps, t5);
+            }
+            CallKind::Batched => {
+                self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
+                self.stats
+                    .batched_calls_served
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if let Some(ring) = &self.trace {
+            let id = call_span_id(ring.thread(), self.slot.publish_seq());
+            let (t1, t2, t3, t4) = stamps;
+            for (tsc, phase) in [
+                (t0, SpanPhase::Enqueue),
+                (t1, SpanPhase::RingResident),
+                (t2, SpanPhase::Claimed),
+                (t3, SpanPhase::Served),
+                (t4, SpanPhase::Published),
+                (t5, SpanPhase::Observed),
+            ] {
+                ring.push_at(tsc.clamp(t0, t5), TraceEventKind::Span, id, phase.code());
+            }
+        }
+    }
+
+    /// Blocks (by the handle's wait strategy) until the in-flight
+    /// request's response arrives, for at most `budget` (`None` waits
+    /// forever).
     ///
-    /// If the service thread is gone the message is dropped and counted
-    /// in [`RuntimeStats::posts_dropped`] — use [`ClientHandle::try_post`]
-    /// to observe that (and ring pressure) explicitly.
+    /// On expiry the request is *retracted*: if the service never claimed
+    /// it, the slot is EMPTY and reusable and [`ServiceError::Deadline`]
+    /// comes back. If the service did claim it, one more `budget` of
+    /// grace is granted for the in-flight serve — a served response is
+    /// never discarded, which is what keeps alloc/free accounting exact.
+    /// Only if even that expires (service wedged mid-serve or dead) is
+    /// the request abandoned: the handle is poisoned, every later
+    /// [`ClientHandle::submit`] fails fast with
+    /// [`ServiceError::ServiceStopped`], and the expiry is reported as a
+    /// deadline.
+    pub fn wait(&mut self, budget: Option<Duration>) -> Result<S::Resp, ServiceError> {
+        let mut waited = Duration::ZERO;
+        for grace in [false, true] {
+            let mut state = WaitState::with_budget(self.wait, budget);
+            if state.wait_until(|| self.slot.has_response()) {
+                return Ok(self.poll().expect("only this client collects"));
+            }
+            waited += state.waited();
+            if !grace && self.retract() {
+                break;
+            }
+        }
+        if self.inflight.is_some() {
+            // Claimed and never answered: the slot cannot be reused.
+            self.finish_failed_span(SpanPhase::Abandoned);
+            self.poisoned = true;
+            self.stats.mark_service_down();
+        }
+        self.stats.record_deadline();
+        Err(ServiceError::Deadline {
+            shard: self.shard,
+            waited,
+        })
+    }
+
+    /// Cancels the in-flight request. `true` means it was retracted
+    /// before the service claimed it: the slot is reusable, the
+    /// registered waker (if any) will never fire, and the span ends in
+    /// its `Retracted` terminal phase — a later retry is a distinct span
+    /// by construction. `false` means the service already claimed it (or
+    /// nothing is in flight): the caller must keep polling, because a
+    /// served response is never discarded.
+    pub fn retract(&mut self) -> bool {
+        let retracted = self.slot.retract();
+        if retracted {
+            self.finish_failed_span(SpanPhase::Retracted);
+        }
+        retracted
+    }
+
+    /// Sends a synchronous request and blocks (by the handle's wait
+    /// strategy) until the service core responds, however long it takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the request is refused — service stopped, shard
+    /// retiring, handle poisoned, or a request already in flight — where
+    /// it used to hang: use [`ClientHandle::try_call`] for a typed error.
+    pub fn call(&mut self, req: S::Req) -> S::Resp {
+        if let Err((_, e)) = self.submit(req, CallKind::Single) {
+            panic!("ClientHandle::call refused ({e}); use try_call for a typed error");
+        }
+        self.wait(None).expect("an unbounded wait never expires")
+    }
+
+    /// [`ClientHandle::submit`] then [`ClientHandle::wait`] under the
+    /// runtime's configured deadline: hang-proof against a dead, retiring
+    /// or wedged shard.
+    pub fn try_call(&mut self, req: S::Req, kind: CallKind) -> Result<S::Resp, ServiceError> {
+        self.submit(req, kind).map_err(|(_, e)| e)?;
+        self.wait(self.deadline)
+    }
+
+    /// Posts an asynchronous message, pausing while the ring is
+    /// momentarily full. A message that cannot be delivered — the service
+    /// thread is gone, or the ring stayed full for the whole deadline
+    /// budget — is dropped and counted in
+    /// [`RuntimeStats::posts_dropped`]; use [`ClientHandle::try_post`] to
+    /// get it back instead.
     pub fn post(&mut self, msg: S::Post) {
-        let _ = self.try_post(msg);
+        if let Err(PostError::Deadline { .. }) = self.try_post(msg, PostWait::Deadline) {
+            self.stats.record_post_dropped();
+        }
     }
 
     /// Posts an asynchronous message, reporting ring pressure and service
     /// death instead of hiding them.
     ///
-    /// On success the returned [`PostOutcome`] says how many full-ring
-    /// retries the enqueue needed — the saturation signal the sharded
-    /// front-end's rebalance path keys off. If the service thread is gone
-    /// the message is dropped, counted in [`RuntimeStats::posts_dropped`],
-    /// the runtime's `service_down` flag is raised, and
-    /// [`ServiceError::ServiceStopped`] comes back. A ring that stays
-    /// full for the whole deadline budget also drops the message (counted
-    /// the same way) and reports [`ServiceError::Deadline`]; use
-    /// [`ClientHandle::try_post_deadline`] to get the message back and
-    /// reroute it instead.
-    pub fn try_post(&mut self, msg: S::Post) -> Result<PostOutcome, ServiceError> {
-        match self.try_post_deadline(msg) {
-            Ok(outcome) => Ok(outcome),
-            Err(PostError::Stopped) => Err(ServiceError::ServiceStopped),
-            Err(PostError::Deadline { shard, waited, msg }) => {
-                drop(msg);
-                self.stats.record_post_dropped();
-                Err(ServiceError::Deadline { shard, waited })
-            }
-            // try_post_deadline never refuses without waiting, but the
-            // hierarchy maps cleanly anyway.
-            Err(PostError::WouldBlock { msg }) => {
-                drop(msg);
-                self.stats.record_post_dropped();
-                Err(ServiceError::WouldBlock)
-            }
-        }
-    }
-
-    /// As [`ClientHandle::try_post`], but a deadline expiry hands the
-    /// message back ([`PostError::Deadline`]) instead of dropping it, so
-    /// the caller can reroute it (e.g. to an orphan stack) and keep
-    /// alloc/free accounting exact.
-    pub fn try_post_deadline(&mut self, msg: S::Post) -> Result<PostOutcome, PostError<S::Post>> {
+    /// `Ok` carries how many full-ring retries the enqueue needed (zero
+    /// means the ring had room immediately) — the saturation signal the
+    /// sharded front-end's rebalance path keys off — and the enqueue latency
+    /// (retries included) lands in the post-latency histogram. A full
+    /// ring hands the message back: at once under [`PostWait::Never`]
+    /// ([`PostError::WouldBlock`], counted in
+    /// [`RuntimeStats::wouldblocks`]), after the runtime's deadline
+    /// budget under [`PostWait::Deadline`] ([`PostError::Deadline`]), so
+    /// the caller can buffer or reroute it and keep alloc/free accounting
+    /// exact. If the service thread is gone the message is dropped,
+    /// counted in [`RuntimeStats::posts_dropped`], and the runtime's
+    /// `service_down` flag is raised ([`PostError::Stopped`]).
+    pub fn try_post(
+        &mut self,
+        mut msg: S::Post,
+        wait: PostWait,
+    ) -> Result<u32, PostError<S::Post>> {
         self.pmu.arm();
         let t0 = cycles_now();
-        let mut msg = msg;
         let mut state = WaitState::with_budget(self.wait, self.deadline);
         let mut retries = 0u32;
         loop {
@@ -410,6 +444,10 @@ impl<S: Service> ClientHandle<S> {
                 Ok(()) => break,
                 Err(PushError::Full(m)) => {
                     self.stats.post_full_retries.fetch_add(1, Ordering::Relaxed);
+                    if wait == PostWait::Never {
+                        self.stats.record_wouldblock();
+                        return Err(PostError::WouldBlock { msg: m });
+                    }
                     retries = retries.saturating_add(1);
                     msg = m;
                     if !state.pause() {
@@ -442,145 +480,27 @@ impl<S: Service> ClientHandle<S> {
             ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
             ring.push_at(t1, TraceEventKind::Span, id, SpanPhase::RingResident.code());
         }
-        Ok(PostOutcome {
-            full_retries: retries,
-        })
+        Ok(retries)
     }
 
-    /// Posts an asynchronous message without waiting at all: one push
-    /// attempt. A full ring hands the message straight back as
-    /// [`PostError::WouldBlock`] (counted in
-    /// [`RuntimeStats::wouldblocks`]) so the caller can buffer it and
-    /// retry after draining completions — the submission-queue front-end's
-    /// free path. Success telemetry matches [`ClientHandle::try_post`].
-    pub fn try_post_nonblocking(
-        &mut self,
-        msg: S::Post,
-    ) -> Result<PostOutcome, PostError<S::Post>> {
-        self.pmu.arm();
-        let t0 = cycles_now();
-        match self.posts.push(msg) {
-            Ok(()) => {}
-            Err(PushError::Full(m)) => {
-                self.stats.post_full_retries.fetch_add(1, Ordering::Relaxed);
-                self.stats.record_wouldblock();
-                return Err(PostError::WouldBlock { msg: m });
-            }
-            Err(PushError::Disconnected(_)) => {
-                self.stats.record_post_dropped();
-                self.stats.mark_service_down();
-                return Err(PostError::Stopped);
-            }
-        }
-        let t1 = cycles_now();
-        self.telemetry.post_cycles.record(t1.saturating_sub(t0));
-        if let Some(ring) = &self.trace {
-            ring.push(TraceEventKind::Post, self.posts.len() as u64, 0);
-            let id = post_span_id(ring.thread(), self.post_seq);
-            self.post_seq += 1;
-            ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
-            ring.push_at(t1, TraceEventKind::Span, id, SpanPhase::RingResident.code());
-        }
-        Ok(PostOutcome { full_retries: 0 })
+    /// Whether a request is currently in flight (submitted and neither
+    /// collected, retracted nor abandoned).
+    pub fn has_inflight(&self) -> bool {
+        self.inflight.is_some()
     }
 
-    /// Non-blocking submission: publishes `req` into the request slot and
-    /// returns immediately, without waiting for the response. Completion
-    /// is collected with [`ClientHandle::nb_poll`] (or awaited via
-    /// [`ClientHandle::register_waker`]); an unwanted submission is
-    /// cancelled with [`ClientHandle::nb_retract`].
-    ///
-    /// Errors hand the request back along with the reason:
-    /// [`ServiceError::WouldBlock`] when a previous submission is still in
-    /// flight (one slot ⇒ one in-flight call), plus the same
-    /// poisoned/stopped/retiring refusals as [`ClientHandle::try_call`].
-    pub fn nb_begin(&mut self, req: S::Req) -> Result<(), (S::Req, ServiceError)> {
-        self.nb_begin_inner(req, false)
+    /// The runtime's configured deadline budget — what
+    /// [`ClientHandle::try_call`] passes to [`ClientHandle::wait`].
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline
     }
 
-    /// As [`ClientHandle::nb_begin`] for batched requests (magazine
-    /// refills): completion latency lands in the refill histogram and the
-    /// batched-call counter is bumped when collected.
-    pub fn nb_begin_batched(&mut self, req: S::Req) -> Result<(), (S::Req, ServiceError)> {
-        self.nb_begin_inner(req, true)
-    }
-
-    fn nb_begin_inner(&mut self, req: S::Req, batched: bool) -> Result<(), (S::Req, ServiceError)> {
-        if self.poisoned {
-            return Err((req, ServiceError::ServiceStopped));
-        }
-        if !self.is_open() {
-            self.stats.mark_service_down();
-            return Err((req, ServiceError::ServiceStopped));
-        }
-        if self.retiring.load(Ordering::Acquire) {
-            return Err((req, ServiceError::ShardRetiring { shard: self.shard }));
-        }
-        self.pmu.arm();
-        let t0 = cycles_now();
-        match self.slot.begin(req) {
-            Ok(()) => {
-                self.nb_t0 = Some(t0);
-                self.nb_batched = batched;
-                Ok(())
-            }
-            Err(req) => {
-                self.stats.record_wouldblock();
-                Err((req, ServiceError::WouldBlock))
-            }
-        }
-    }
-
-    /// Collects the in-flight non-blocking call's response if it has been
-    /// published; `None` while it is still pending (or none is in
-    /// flight). Completion telemetry — latency histogram (call or refill)
-    /// and the six span phase events — is emitted exactly as for the
-    /// blocking paths, stamped from submission to collection.
-    pub fn nb_poll(&mut self) -> Option<S::Resp> {
-        let resp = self.slot.poll_response()?;
-        let t5 = cycles_now();
-        let t0 = self.nb_t0.take().unwrap_or(t5);
-        if self.nb_batched {
-            self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
-            self.stats
-                .batched_calls_served
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.telemetry.call_cycles.record(t5.saturating_sub(t0));
-        }
-        self.finish_call_span(t0, t5, self.nb_batched);
-        Some(resp)
-    }
-
-    /// Whether a non-blocking submission is currently in flight (begun
-    /// and neither collected nor successfully retracted).
-    pub fn nb_inflight(&self) -> bool {
-        self.nb_t0.is_some()
-    }
-
-    /// Registers `waker` to fire when the in-flight submission's response
+    /// Registers `waker` to fire when the in-flight request's response
     /// is published (the RESPONSE release edge). Wake-safe against the
     /// publish race: a response that already landed fires the waker from
     /// this call. See [`RequestSlot::register_waker`].
     pub fn register_waker(&self, waker: &std::task::Waker) {
         self.slot.register_waker(waker);
-    }
-
-    /// Cancels the in-flight non-blocking submission. `true` means the
-    /// request was retracted before the service claimed it: the slot is
-    /// reusable, the registered waker (if any) will never fire, and the
-    /// span ends in its `Retracted` terminal phase — a later retry is a
-    /// distinct span by construction. `false` means the service already
-    /// claimed it: the caller must keep polling (a served response is
-    /// never discarded, which keeps alloc/free accounting exact).
-    pub fn nb_retract(&mut self) -> bool {
-        if !self.slot.retract() {
-            return false;
-        }
-        if let Some(t0) = self.nb_t0.take() {
-            self.finish_failed_span(t0, SpanPhase::Retracted);
-        }
-        true
     }
 
     /// Whether this handle's service thread is still consuming: `false`
@@ -595,23 +515,11 @@ impl<S: Service> ClientHandle<S> {
         self.posts.len()
     }
 
-    /// The runtime's shared live counters. Client-side layers use this to
-    /// publish gauges (e.g. magazine occupancy) at batch boundaries.
-    pub fn runtime_stats(&self) -> &Arc<RuntimeStats> {
-        &self.stats
-    }
-
     /// This handle's event-trace ring, when tracing is enabled. Higher
     /// layers push domain events (alloc/free with sizes) here; the
     /// offload layer itself records post/refill/wait-transition events.
     pub fn trace_ring(&self) -> Option<&Arc<TraceRing>> {
         self.trace.as_ref()
-    }
-
-    /// The runtime's shared telemetry (histograms, trace rings). The
-    /// blackbox flight recorder and the heat reporter read through this.
-    pub fn telemetry(&self) -> &Arc<RuntimeTelemetry> {
-        &self.telemetry
     }
 
     /// Racy peek at this handle's request-slot protocol state
@@ -660,12 +568,11 @@ pub struct RuntimeConfig {
     /// thread (`ngm-service-<shard>`) and labels its telemetry. A
     /// standalone runtime is shard 0.
     pub shard: usize,
-    /// Deadline budget for client operations (`try_call`,
-    /// `try_call_batched`, `try_post`): how long a client waits on this
-    /// shard before giving up with [`ServiceError::Deadline`]. `None`
-    /// restores the pre-deadline unbounded behavior. The infallible
-    /// `call`/`call_batched` paths are never bounded — they have no error
-    /// channel.
+    /// Deadline budget for client operations (`try_call`, `try_post`):
+    /// how long a client waits on this shard before giving up with
+    /// [`ServiceError::Deadline`]. `None` restores the pre-deadline
+    /// unbounded behavior. The infallible `call` is never bounded — it
+    /// has no error channel.
     pub deadline: Option<Duration>,
     /// Socket/cluster this shard's core belongs to. The offload layer
     /// only records it ([`OffloadRuntime::cluster`]); the sharded tier's
@@ -712,7 +619,7 @@ pub struct RuntimeHandles {
     /// Histograms and trace rings, shared by every epoch of the slot.
     pub telemetry: Arc<RuntimeTelemetry>,
     /// Set while the slot is draining toward retirement; client
-    /// `try_call`s refuse with [`ServiceError::ShardRetiring`] so new
+    /// `submit`s refuse with [`ServiceError::ShardRetiring`] so new
     /// allocations route elsewhere while frees keep flowing in.
     retiring: Arc<AtomicBool>,
     /// The slot's fault knobs (persist across epochs so a sweep can wedge
@@ -737,89 +644,11 @@ impl RuntimeHandles {
             fault: Arc::new(FaultState::new()),
         }
     }
-
-    /// Whether the slot is currently gated against new synchronous calls.
-    #[must_use]
-    pub fn is_retiring(&self) -> bool {
-        self.retiring.load(Ordering::Acquire)
-    }
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Configuration for [`OffloadRuntime::start`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.4.0",
-    note = "use `RuntimeConfig` (plain fields) with `OffloadRuntime::try_start`"
-)]
-#[derive(Default)]
-pub struct RuntimeBuilder {
-    cfg: RuntimeConfig,
-}
-
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-impl RuntimeBuilder {
-    /// Creates a builder with defaults suited to the current machine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pin the service thread to `core`.
-    pub fn pin_to(mut self, core: usize) -> Self {
-        self.cfg.core = Some(core);
-        self
-    }
-
-    /// Wait strategy for the service thread's idle polling.
-    pub fn server_wait(mut self, wait: WaitStrategy) -> Self {
-        self.cfg.server_wait = Some(wait);
-        self
-    }
-
-    /// Wait strategy for clients blocked on synchronous calls.
-    pub fn client_wait(mut self, wait: WaitStrategy) -> Self {
-        self.cfg.client_wait = Some(wait);
-        self
-    }
-
-    /// Capacity of each client's asynchronous post ring.
-    pub fn ring_capacity(mut self, cap: usize) -> Self {
-        self.cfg.ring_capacity = cap;
-        self
-    }
-
-    /// Maximum posts drained from one client per polling round.
-    pub fn drain_batch(mut self, batch: usize) -> Self {
-        self.cfg.drain_batch = batch;
-        self
-    }
-
-    /// Enables event tracing with a per-thread ring of `capacity` events.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables PMU profiling (off by default).
-    pub fn profile(mut self, on: bool) -> Self {
-        self.cfg.profile = on;
-        self
-    }
-
-    /// Starts the service thread running `service`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to spawn the thread (the historical
-    /// behavior; [`OffloadRuntime::try_start`] reports it instead).
-    pub fn start<S: Service>(self, service: S) -> OffloadRuntime<S> {
-        OffloadRuntime::try_start(service, self.cfg).expect("failed to spawn service thread")
     }
 }
 
@@ -985,8 +814,7 @@ impl<S: Service> OffloadRuntime<S> {
             } else {
                 ClientPmu::Off
             },
-            nb_t0: None,
-            nb_batched: false,
+            inflight: None,
         }
     }
 
@@ -997,7 +825,7 @@ impl<S: Service> OffloadRuntime<S> {
     }
 
     /// Gates this shard against new synchronous calls: every registered
-    /// client's `try_call`/`try_call_batched` starts refusing with
+    /// client's `submit` starts refusing with
     /// [`ServiceError::ShardRetiring`], while posts (frees) keep flowing
     /// so the shard can drain its balance to zero. The service thread
     /// keeps running; call [`OffloadRuntime::try_shutdown`] once the
@@ -1195,9 +1023,12 @@ fn service_loop<S: Service>(
         for c in &mut clients {
             #[cfg(feature = "faultinject")]
             let serve_now = {
-                let mut serve_now = true;
+                // Only a request this look observed is served this round:
+                // one that arrives later waits for the next, so none
+                // slips past its fault decision.
+                let mut serve_now = c.slot.has_request();
                 if let Some(seq) = c.dropping {
-                    if c.slot.has_request() && c.slot.publish_seq() == seq {
+                    if serve_now && c.slot.publish_seq() == seq {
                         // Still ignoring this exact request; the client's
                         // deadline will retract it. A *new* request (the
                         // sequence moved on) gets a fresh fault decision.
@@ -1206,7 +1037,7 @@ fn service_loop<S: Service>(
                         c.dropping = None;
                     }
                 }
-                if serve_now && c.dropping.is_none() && c.slot.has_request() {
+                if serve_now {
                     match shared.fault.next_action() {
                         FaultAction::Serve => {}
                         FaultAction::Drop => {
@@ -1421,6 +1252,12 @@ mod tests {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
         c.call(1);
+        // The service bumps its counter after publishing the response, so
+        // the client can get here first: wait for it, do not race it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rt.stats().calls_served == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let s = rt.stats();
         assert_eq!(s.calls_served, 1);
         assert!(s.poll_rounds >= 1);
@@ -1545,7 +1382,7 @@ mod tests {
             c.call(i);
         }
         for i in 0..4 {
-            assert_eq!(c.call_batched(i), i * 2);
+            assert_eq!(c.try_call(i, CallKind::Batched), Ok(i * 2));
         }
         let m = rt.metrics();
         assert_eq!(
@@ -1654,17 +1491,6 @@ mod tests {
         assert_eq!(stats.ring_occupancy, 0);
     }
 
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builder_still_starts_a_runtime() {
-        let rt = RuntimeBuilder::new().drain_batch(8).start(doubler());
-        let mut c = rt.register_client();
-        assert_eq!(c.call(4), 8);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.calls_served, 1);
-    }
-
     #[test]
     fn post_after_shutdown_is_dropped_and_counted() {
         let rt = OffloadRuntime::start(doubler());
@@ -1674,7 +1500,7 @@ mod tests {
         let (_, _) = rt.shutdown();
         // The service (and every ring consumer) is gone: the post must
         // neither panic nor hang.
-        assert_eq!(c.try_post(2), Err(ServiceError::ServiceStopped));
+        assert_eq!(c.try_post(2, PostWait::Deadline), Err(PostError::Stopped));
         c.post(3); // infallible form also degrades silently
         assert!(!c.is_open());
         let snap = stats.snapshot();
@@ -1686,10 +1512,68 @@ mod tests {
     fn try_call_refuses_dead_service() {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21), Ok(42));
+        assert_eq!(c.try_call(21, CallKind::Single), Ok(42));
         let (_, _) = rt.shutdown();
-        assert_eq!(c.try_call(1), Err(ServiceError::ServiceStopped));
-        assert_eq!(c.try_call_batched(1), Err(ServiceError::ServiceStopped));
+        assert_eq!(
+            c.try_call(1, CallKind::Single),
+            Err(ServiceError::ServiceStopped)
+        );
+        assert_eq!(
+            c.try_call(1, CallKind::Batched),
+            Err(ServiceError::ServiceStopped)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "use try_call")]
+    fn call_on_a_stopped_service_panics_instead_of_hanging() {
+        let rt = OffloadRuntime::start(doubler());
+        let mut c = rt.register_client();
+        let (_, _) = rt.shutdown();
+        c.call(1);
+    }
+
+    #[test]
+    fn wait_abandons_and_poisons_when_the_service_dies_mid_serve() {
+        #[derive(Debug)]
+        struct DiesServing;
+        impl Service for DiesServing {
+            type Req = u32;
+            type Resp = u32;
+            type Post = ();
+            fn call(&mut self, _req: u32) -> u32 {
+                panic!("killed mid-serve");
+            }
+            fn post(&mut self, _msg: ()) {}
+        }
+        let rt = OffloadRuntime::try_start(
+            DiesServing,
+            RuntimeConfig {
+                deadline: Some(Duration::from_millis(10)),
+                ..RuntimeConfig::new()
+            },
+        )
+        .unwrap();
+        let mut c = rt.register_client();
+        // The request is claimed, then the thread dies: the retract
+        // loses, the grace period runs out, the request is abandoned.
+        let r = c.try_call(9, CallKind::Single);
+        assert!(
+            matches!(r, Err(ServiceError::Deadline { waited, .. }) if waited >= Duration::from_millis(20)),
+            "mid-serve death must surface as a deadline after budget + grace, got {r:?}"
+        );
+        assert!(!c.has_inflight(), "the abandoned request is written off");
+        assert_eq!(c.slot_state_label(), "serving", "the slot is never reused");
+        assert_eq!(
+            c.try_call(1, CallKind::Single),
+            Err(ServiceError::ServiceStopped),
+            "the poisoned handle fails fast"
+        );
+        drop(c);
+        let failure = rt.try_shutdown().expect_err("service thread panicked");
+        assert_eq!(failure.error, ServiceError::ServicePanicked);
+        assert_eq!(failure.stats.deadlines, 1);
+        assert!(failure.stats.service_down);
     }
 
     #[test]
@@ -1707,8 +1591,8 @@ mod tests {
         let mut c = rt.register_client();
         let mut saw_pressure = false;
         for i in 0..1000 {
-            let outcome = c.try_post(i).expect("service alive");
-            saw_pressure |= outcome.full_retries > 0;
+            let retries = c.try_post(i, PostWait::Deadline).expect("service alive");
+            saw_pressure |= retries > 0;
         }
         drop(c);
         let (_, stats) = rt.shutdown();
@@ -1719,21 +1603,21 @@ mod tests {
     }
 
     #[test]
-    fn nb_begin_poll_completes_against_live_service() {
+    fn submit_poll_completes_against_live_service() {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
-        assert!(!c.nb_inflight());
-        c.nb_begin(21).expect("slot empty");
-        assert!(c.nb_inflight());
+        assert!(!c.has_inflight());
+        c.submit(21, CallKind::Single).expect("slot empty");
+        assert!(c.has_inflight());
         // A second submission on the same slot refuses without blocking
         // and hands the request back.
-        match c.nb_begin(5) {
+        match c.submit(5, CallKind::Single) {
             Err((req, ServiceError::WouldBlock)) => assert_eq!(req, 5),
             other => panic!("expected WouldBlock, got {other:?}"),
         }
         let mut spins = 0u64;
         let resp = loop {
-            if let Some(r) = c.nb_poll() {
+            if let Some(r) = c.poll() {
                 break r;
             }
             std::hint::spin_loop();
@@ -1741,7 +1625,7 @@ mod tests {
             assert!(spins < 1_000_000_000, "service never answered");
         };
         assert_eq!(resp, 42);
-        assert!(!c.nb_inflight());
+        assert!(!c.has_inflight());
         drop(c);
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.calls_served, 1);
@@ -1749,8 +1633,8 @@ mod tests {
     }
 
     #[test]
-    fn nb_retract_race_has_one_owner_and_slot_reusable() {
-        // begin-then-retract against a live service: each submission is
+    fn retract_race_has_one_owner_and_slot_reusable() {
+        // submit-then-retract against a live service: each submission is
         // either retracted (server never saw it) or served (we must
         // collect it) — never both — and the slot stays reusable.
         let rt = OffloadRuntime::start(doubler());
@@ -1758,13 +1642,14 @@ mod tests {
         let mut served = 0u64;
         let mut retracted = 0u64;
         for i in 0..2_000u64 {
-            c.nb_begin(i).expect("slot reusable every round");
-            if c.nb_retract() {
+            c.submit(i, CallKind::Single)
+                .expect("slot reusable every round");
+            if c.retract() {
                 retracted += 1;
             } else {
                 let mut spins = 0u64;
                 loop {
-                    if let Some(r) = c.nb_poll() {
+                    if let Some(r) = c.poll() {
                         assert_eq!(r, i * 2);
                         break;
                     }
@@ -1782,7 +1667,7 @@ mod tests {
     }
 
     #[test]
-    fn try_post_nonblocking_hands_message_back_when_full() {
+    fn try_post_never_hands_message_back_when_full() {
         let rt = OffloadRuntime::try_start(
             doubler(),
             RuntimeConfig {
@@ -1795,7 +1680,7 @@ mod tests {
         let mut bounced = 0u32;
         let mut accepted = 0u64;
         for i in 0..1000u64 {
-            match c.try_post_nonblocking(i) {
+            match c.try_post(i, PostWait::Never) {
                 Ok(_) => accepted += 1,
                 Err(PostError::WouldBlock { msg }) => {
                     assert_eq!(msg, i, "full ring hands the message back");
@@ -1828,7 +1713,7 @@ mod tests {
         }
         // Work already in the ring was drained before the loop exited;
         // work posted after the stop is refused, not lost silently.
-        assert_eq!(c.try_post(11), Err(ServiceError::ServiceStopped));
+        assert_eq!(c.try_post(11, PostWait::Deadline), Err(PostError::Stopped));
         drop(c);
         let (svc, stats) = rt.try_shutdown().expect("clean exit joins normally");
         assert_eq!(svc.sum, 55);
@@ -1919,7 +1804,7 @@ mod tests {
         let mut stall_client = rt.register_client();
         let mut c = rt.register_client();
         let staller = std::thread::spawn(move || {
-            let r = stall_client.try_call(1);
+            let r = stall_client.try_call(1, CallKind::Single);
             (r, stall_client)
         });
         while !entered.load(Ordering::Acquire) {
@@ -1928,7 +1813,7 @@ mod tests {
         // The service thread is hostage inside another client's call: our
         // request is never claimed, so the deadline fires and retracts.
         let start = std::time::Instant::now();
-        let r = c.try_call(2);
+        let r = c.try_call(2, CallKind::Single);
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "expected deadline, got {r:?}"
@@ -1946,7 +1831,7 @@ mod tests {
             "unexpected stalled-call outcome {stalled_result:?}"
         );
         // The retracted slot is reusable: the same handle recovers.
-        assert_eq!(c.try_call(3), Ok(3));
+        assert_eq!(c.try_call(3, CallKind::Single), Ok(3));
         let stats = rt.stats();
         assert!(stats.deadlines >= 1, "deadline expiries counted");
         drop(c);
@@ -1954,12 +1839,12 @@ mod tests {
     }
 
     #[test]
-    fn try_post_deadline_hands_message_back_when_ring_stays_full() {
+    fn try_post_hands_message_back_when_ring_stays_full() {
         let (rt, entered, release) = stalled_runtime(Duration::from_millis(10), 2);
         let mut stall_client = rt.register_client();
         let mut c = rt.register_client();
         let staller = std::thread::spawn(move || {
-            let _ = stall_client.try_call(1);
+            let _ = stall_client.try_call(1, CallKind::Single);
             stall_client
         });
         while !entered.load(Ordering::Acquire) {
@@ -1967,9 +1852,9 @@ mod tests {
         }
         // The service is hostage: nothing drains. Fill the ring, then
         // prove the overflow post comes back instead of spinning forever.
-        c.try_post_deadline(10).expect("ring has room");
-        c.try_post_deadline(11).expect("ring has room");
-        match c.try_post_deadline(12) {
+        c.try_post(10, PostWait::Deadline).expect("ring has room");
+        c.try_post(11, PostWait::Deadline).expect("ring has room");
+        match c.try_post(12, PostWait::Deadline) {
             Err(PostError::Deadline { msg, waited, .. }) => {
                 assert_eq!(msg, 12, "unsent message handed back");
                 assert!(waited >= Duration::from_millis(10));
@@ -1996,37 +1881,10 @@ mod tests {
         )
         .unwrap();
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21), Ok(42));
-        assert_eq!(c.try_call_batched(3), Ok(6));
+        assert_eq!(c.try_call(21, CallKind::Single), Ok(42));
+        assert_eq!(c.try_call(3, CallKind::Batched), Ok(6));
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.deadlines, 0);
-    }
-
-    #[test]
-    fn deadline_calls_still_record_latency_histograms() {
-        // The deadline path must not lose the telemetry the ablations
-        // depend on: successful bounded calls land in the same
-        // histograms as unbounded ones.
-        let rt = OffloadRuntime::start(doubler());
-        let mut c = rt.register_client();
-        for i in 0..16 {
-            assert_eq!(c.try_call(i), Ok(i * 2));
-        }
-        for i in 0..4 {
-            assert_eq!(c.try_call_batched(i), Ok(i * 2));
-        }
-        let m = rt.metrics();
-        assert_eq!(
-            m.get_histogram("ngm_call_cycles").map(|h| h.count()),
-            Some(16)
-        );
-        assert_eq!(
-            m.get_histogram("ngm_refill_cycles").map(|h| h.count()),
-            Some(4)
-        );
-        drop(c);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.batched_calls_served, 4);
     }
 
     #[test]
@@ -2075,17 +1933,25 @@ mod tests {
         fn wedged_shard_returns_deadline_then_recovers() {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
-            assert_eq!(c.try_call(5), Ok(10), "healthy before the fault");
+            assert_eq!(
+                c.try_call(5, CallKind::Single),
+                Ok(10),
+                "healthy before the fault"
+            );
             rt.fault_state().set_wedged(true);
             let start = std::time::Instant::now();
-            let r = c.try_call(6);
+            let r = c.try_call(6, CallKind::Single);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { shard: 0, .. })),
                 "wedged shard must deadline, got {r:?}"
             );
             assert!(start.elapsed() < Duration::from_secs(10));
             rt.fault_state().set_wedged(false);
-            assert_eq!(c.try_call(7), Ok(14), "retracted slot reusable");
+            assert_eq!(
+                c.try_call(7, CallKind::Single),
+                Ok(14),
+                "retracted slot reusable"
+            );
             let (_, stats) = {
                 drop(c);
                 rt.shutdown()
@@ -2106,14 +1972,15 @@ mod tests {
             .unwrap();
             let mut c = rt.register_client();
             rt.fault_state().set_wedged(true);
-            c.try_post_deadline(1).expect("ring has room");
-            c.try_post_deadline(2).expect("ring has room");
-            match c.try_post_deadline(3) {
+            c.try_post(1, PostWait::Deadline).expect("ring has room");
+            c.try_post(2, PostWait::Deadline).expect("ring has room");
+            match c.try_post(3, PostWait::Deadline) {
                 Err(PostError::Deadline { msg: 3, .. }) => {}
                 other => panic!("expected bounded full-ring failure, got {other:?}"),
             }
             rt.fault_state().set_wedged(false);
-            c.try_post_deadline(3).expect("ring drains after unwedge");
+            c.try_post(3, PostWait::Deadline)
+                .expect("ring drains after unwedge");
             drop(c);
             let (svc, stats) = rt.shutdown();
             assert_eq!(svc.sum, 6, "all delivered posts drained");
@@ -2125,13 +1992,13 @@ mod tests {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             rt.fault_state().set_drop_every(1);
-            let r = c.try_call(1);
+            let r = c.try_call(1, CallKind::Single);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "dropped response must deadline, got {r:?}"
             );
             rt.fault_state().set_drop_every(0);
-            assert_eq!(c.try_call(2), Ok(4));
+            assert_eq!(c.try_call(2, CallKind::Single), Ok(4));
             drop(c);
             let (_, stats) = rt.shutdown();
             assert_eq!(stats.deadlines, 1);
@@ -2150,7 +2017,7 @@ mod tests {
             .unwrap();
             let mut c = rt.register_client();
             rt.fault_state().set_delay_cycles(10_000);
-            assert_eq!(c.try_call(4), Ok(8), "delayed but served");
+            assert_eq!(c.try_call(4, CallKind::Single), Ok(8), "delayed but served");
             rt.fault_state().set_delay_cycles(0);
             drop(c);
             let (_, stats) = rt.shutdown();
@@ -2164,7 +2031,7 @@ mod tests {
             let mut c = rt.register_client();
             rt.fault_state().kill_next_call();
             let start = std::time::Instant::now();
-            let r = c.try_call(1);
+            let r = c.try_call(1, CallKind::Single);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "killed mid-serve must surface as an abandoned deadline, got {r:?}"
@@ -2172,7 +2039,10 @@ mod tests {
             // Budget + grace, with generous slack for CI.
             assert!(start.elapsed() < Duration::from_secs(10));
             // The slot is unrecoverable: the handle fails fast forever.
-            assert_eq!(c.try_call(2), Err(ServiceError::ServiceStopped));
+            assert_eq!(
+                c.try_call(2, CallKind::Single),
+                Err(ServiceError::ServiceStopped)
+            );
             drop(c);
             let failure = rt.try_shutdown().expect_err("service thread panicked");
             assert_eq!(failure.error, ServiceError::ServicePanicked);

@@ -15,12 +15,10 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::task::Waker;
-use std::time::Duration;
 
 use ngm_telemetry::clock::cycles_now;
 
 use crate::pad::CachePadded;
-use crate::wait::{WaitState, WaitStrategy};
 
 /// Slot is idle; the client may publish a request.
 const EMPTY: u32 = 0;
@@ -35,22 +33,6 @@ const RESPONSE: u32 = 2;
 /// own `REQUEST → SERVING` CAS in [`RequestSlot::serve`] makes the two
 /// race winners unambiguous — exactly one side owns the request payload.
 const SERVING: u32 = 3;
-
-/// What a deadline-bounded [`RequestSlot::call_deadline`] produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallDeadline<R> {
-    /// The response arrived within budget.
-    Ok(R),
-    /// The deadline expired and the client won the retract race: the
-    /// request was never observed by the server and the slot is EMPTY
-    /// again, safe to reuse. Carries the time spent waiting.
-    Retracted(Duration),
-    /// The deadline (plus an equal grace period) expired *after* the
-    /// server claimed the request: the request payload is consumed, no
-    /// response ever arrived, and the slot is poisoned — the caller must
-    /// never issue another call on it. Carries the time spent waiting.
-    Abandoned(Duration),
-}
 
 /// A one-deep synchronous request/response mailbox between one client
 /// thread and the service core.
@@ -186,8 +168,8 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
     /// This is the submission half of the completion-based protocol; pair
     /// it with [`Self::poll_response`] to collect, [`Self::register_waker`]
     /// to be woken instead of polling, and [`Self::retract`] to cancel.
-    /// The blocking [`Self::call`]/[`Self::call_deadline`] are thin
-    /// wrappers over these same primitives.
+    /// Blocking callers wait by polling too: the one wait loop lives in
+    /// [`crate::service::ClientHandle::wait`].
     ///
     /// Callers must ensure only one client thread uses a given slot; this
     /// is enforced structurally by [`crate::service::ClientHandle`] owning
@@ -295,82 +277,6 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
         }
     }
 
-    /// Client side: publishes `request`, waits for the response with the
-    /// given strategy, and returns it.
-    ///
-    /// A thin wrapper over [`Self::begin`] + [`Self::poll_response`];
-    /// callers must ensure only one client thread uses a given slot, as
-    /// for `begin`.
-    pub fn call(&self, request: Q, wait: WaitStrategy) -> R {
-        // The slot must be EMPTY: the previous call consumed its RESPONSE.
-        let published = self.begin(request).is_ok();
-        debug_assert!(published, "call on a busy slot");
-
-        // Route through the shared WaitState machine so the configured
-        // strategy's spin phase actually runs before any yield/sleep.
-        let mut state = WaitState::new(wait);
-        state.wait_for_value(&self.state, RESPONSE);
-
-        match self.poll_response() {
-            Some(response) => response,
-            // Unbudgeted wait_for_value only returns once state is
-            // RESPONSE, and only this client can consume it.
-            None => unreachable!("RESPONSE observed but not collectable"),
-        }
-    }
-
-    /// Client side, hang-proof: publishes `request` and waits at most
-    /// `budget` for the response.
-    ///
-    /// On timeout the client tries to *retract* the request with a
-    /// `REQUEST → EMPTY` CAS. If the CAS wins, the server never saw the
-    /// request: the payload is reclaimed and [`CallDeadline::Retracted`]
-    /// is returned with the slot EMPTY and reusable. If the CAS loses,
-    /// the server has already claimed the request (state `SERVING` or
-    /// `RESPONSE`), so the client waits one more `budget` for the
-    /// in-flight response — a served response is never discarded, which
-    /// is what keeps alloc/free accounting exact. Only if even that grace
-    /// period expires (service thread killed mid-serve) does the call
-    /// give up with [`CallDeadline::Abandoned`], after which the slot
-    /// must not be used again.
-    pub fn call_deadline(
-        &self,
-        request: Q,
-        wait: WaitStrategy,
-        budget: Duration,
-    ) -> CallDeadline<R> {
-        let published = self.begin(request).is_ok();
-        debug_assert!(published, "call_deadline on a busy slot");
-
-        let mut state = WaitState::with_budget(wait, Some(budget));
-        if state.wait_for_value(&self.state, RESPONSE) {
-            if let Some(response) = self.poll_response() {
-                return CallDeadline::Ok(response);
-            }
-        }
-
-        // Deadline expired. Race the server for the request.
-        if self.retract() {
-            return CallDeadline::Retracted(state.waited());
-        }
-
-        // The server claimed the request (SERVING) or already answered
-        // (RESPONSE). Grant a grace period equal to the original budget
-        // for the in-flight serve to finish; a completed response must be
-        // collected, never dropped.
-        let mut grace = WaitState::with_budget(wait, Some(budget));
-        if grace.wait_for_value(&self.state, RESPONSE) {
-            if let Some(response) = self.poll_response() {
-                return CallDeadline::Ok(response);
-            }
-        }
-
-        // The server died mid-serve: the request payload is gone and no
-        // response will ever arrive. The slot stays in SERVING forever;
-        // the caller must retire it.
-        CallDeadline::Abandoned(state.waited() + grace.waited())
-    }
-
     /// Server side: if a request is pending, consumes it, computes the
     /// response with `f`, publishes it, and returns `true`.
     pub fn serve(&self, f: impl FnOnce(Q) -> R) -> bool {
@@ -409,6 +315,12 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
         true
     }
 
+    /// Returns `true` if a response is waiting to be collected.
+    #[inline]
+    pub(crate) fn has_response(&self) -> bool {
+        self.state.load(Ordering::Acquire) == RESPONSE
+    }
+
     /// Returns `true` if a request is waiting to be served.
     pub fn has_request(&self) -> bool {
         self.state.load(Ordering::Acquire) == REQUEST
@@ -440,6 +352,32 @@ impl<Q, R> Drop for RequestSlot<Q, R> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// `begin`, then poll until the response lands or `budget` runs out
+    /// (the request is then still in the slot) — the blocking round trip
+    /// as `ClientHandle::wait` builds it from the primitives.
+    fn call_within<Q: Send, R: Send>(
+        slot: &RequestSlot<Q, R>,
+        request: Q,
+        budget: Duration,
+    ) -> Option<R> {
+        assert!(slot.begin(request).is_ok(), "call on a busy slot");
+        let start = Instant::now();
+        loop {
+            if let Some(response) = slot.poll_response() {
+                return Some(response);
+            }
+            if start.elapsed() >= budget {
+                return None;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    fn call<Q: Send, R: Send>(slot: &RequestSlot<Q, R>, request: Q) -> R {
+        call_within(slot, request, Duration::from_secs(30)).expect("server answers")
+    }
 
     #[test]
     fn call_and_serve_roundtrip() {
@@ -455,9 +393,9 @@ mod tests {
                 }
             }
         });
-        assert_eq!(slot.call(10, WaitStrategy::Backoff), 20);
-        assert_eq!(slot.call(21, WaitStrategy::Backoff), 42);
-        assert_eq!(slot.call(0, WaitStrategy::Backoff), 0);
+        assert_eq!(call(&slot, 10), 20);
+        assert_eq!(call(&slot, 21), 42);
+        assert_eq!(call(&slot, 0), 0);
         h.join().unwrap();
     }
 
@@ -488,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn call_deadline_retracts_when_never_served() {
+    fn expired_wait_retracts_when_never_served() {
         static DROPS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         #[derive(Debug)]
         struct D;
@@ -498,13 +436,10 @@ mod tests {
             }
         }
         let slot: RequestSlot<D, u8> = RequestSlot::new();
-        // No server anywhere: the deadline must fire, retract, and drop
-        // the unserved request payload.
-        let r = slot.call_deadline(D, WaitStrategy::Backoff, Duration::from_millis(3));
-        assert!(
-            matches!(r, CallDeadline::Retracted(_)),
-            "expected retraction, got {r:?}"
-        );
+        // No server anywhere: the wait must run out, the retract must
+        // win, and the unserved request payload must be dropped.
+        assert_eq!(call_within(&slot, D, Duration::from_millis(3)), None);
+        assert!(slot.retract(), "nobody claimed the request");
         assert_eq!(DROPS.load(Ordering::SeqCst), 1, "retracted payload dropped");
         // Slot is EMPTY again: a later served call works.
         assert!(!slot.has_request());
@@ -513,8 +448,7 @@ mod tests {
             7u8
         };
         let client = std::thread::scope(|s| {
-            let h =
-                s.spawn(|| slot.call_deadline(D, WaitStrategy::Backoff, Duration::from_secs(30)));
+            let h = s.spawn(|| call(&slot, D));
             let mut served = false;
             while !served {
                 served = slot.serve(server);
@@ -522,7 +456,7 @@ mod tests {
             }
             h.join().unwrap()
         });
-        assert_eq!(client, CallDeadline::Ok(7));
+        assert_eq!(client, 7);
     }
 
     #[test]
@@ -547,14 +481,23 @@ mod tests {
         let mut retracted = 0usize;
         for i in 0..2_000u32 {
             // A tiny budget makes both race outcomes common.
-            match slot.call_deadline(i, WaitStrategy::Spin, Duration::from_nanos(50)) {
-                CallDeadline::Ok(r) => {
-                    assert_eq!(r, i + 1);
-                    ok += 1;
+            let r = match call_within(&slot, i, Duration::from_nanos(50)) {
+                Some(r) => r,
+                None if slot.retract() => {
+                    retracted += 1;
+                    continue;
                 }
-                CallDeadline::Retracted(_) => retracted += 1,
-                CallDeadline::Abandoned(_) => panic!("server is alive; nothing abandons"),
-            }
+                // The server claimed it first: a served response is
+                // never discarded, so collect it however late.
+                None => loop {
+                    if let Some(r) = slot.poll_response() {
+                        break r;
+                    }
+                    std::hint::spin_loop();
+                },
+            };
+            assert_eq!(r, i + 1);
+            ok += 1;
         }
         stop.store(true, Ordering::Release);
         h.join().unwrap();
@@ -567,31 +510,28 @@ mod tests {
     }
 
     #[test]
-    fn call_deadline_reports_abandoned_when_server_dies_mid_serve() {
+    fn request_claimed_by_a_dying_server_is_neither_retractable_nor_answered() {
         let slot: Arc<RequestSlot<u32, u32>> = Arc::new(RequestSlot::new());
         let srv = Arc::clone(&slot);
         // A server that claims the request and then dies without responding.
         let h = std::thread::spawn(move || loop {
-            let mut claimed = false;
             let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 srv.serve(|_q| -> u32 {
                     panic!("killed mid-serve");
                 })
             }));
             if dead.is_err() {
-                claimed = true;
-            }
-            if claimed {
                 break;
             }
             std::hint::spin_loop();
         });
-        let r = slot.call_deadline(9, WaitStrategy::Backoff, Duration::from_millis(10));
-        assert!(
-            matches!(r, CallDeadline::Abandoned(_)),
-            "mid-serve death must surface as Abandoned, got {r:?}"
-        );
+        assert_eq!(call_within(&slot, 9, Duration::from_millis(10)), None);
         h.join().unwrap();
+        // The abandon edge `ClientHandle::wait` poisons on: the payload is
+        // consumed, so the retract loses, and no response ever arrives.
+        assert!(!slot.retract(), "the server claimed the request");
+        assert_eq!(slot.poll_response(), None);
+        assert_eq!(slot.state_label(), "serving");
     }
 
     #[test]
@@ -610,14 +550,14 @@ mod tests {
         });
         assert_eq!(slot.state_label(), "empty");
         let t0 = cycles_now();
-        slot.call(1, WaitStrategy::Backoff);
+        call(&slot, 1);
         let t5 = cycles_now();
         let seq1 = slot.publish_seq();
         let (req, claim, served, publish) = slot.phase_stamps();
         assert!(t0 <= req, "request stamp after call start");
         assert!(req <= claim && claim <= served && served <= publish);
         assert!(publish <= t5, "publish stamp before the client observed");
-        slot.call(2, WaitStrategy::Backoff);
+        call(&slot, 2);
         assert_eq!(slot.publish_seq(), seq1 + 1, "seq bumps per publish");
         h.join().unwrap();
     }
@@ -637,7 +577,7 @@ mod tests {
             }
         });
         for i in 0..1000u32 {
-            assert_eq!(slot.call(i, WaitStrategy::Backoff), i + 1);
+            assert_eq!(call(&slot, i), i + 1);
         }
         h.join().unwrap();
     }

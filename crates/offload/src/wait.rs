@@ -7,7 +7,6 @@
 //! parking trade latency for efficiency. Ablation A in the reproduction
 //! sweeps these policies.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 /// The observable state of a wait loop: which escalation stage a thread
@@ -83,15 +82,6 @@ impl Default for WaitStrategy {
 }
 
 impl WaitStrategy {
-    /// Spins until `cond` returns `true`, using this policy between probes.
-    #[inline]
-    pub fn wait_until(self, mut cond: impl FnMut() -> bool) {
-        let mut iters: u32 = 0;
-        while !cond() {
-            self.pause(&mut iters);
-        }
-    }
-
     /// The escalation phase this strategy is in after `iters` fruitless
     /// probes. `pause` acts according to `phase(iters + 1)`; the split
     /// lets the service loop observe (and export) phase transitions
@@ -140,12 +130,6 @@ impl WaitStrategy {
             // Timeout; only `WaitState` (which owns a budget) does.
             WaitPhase::Timeout => unreachable!("WaitStrategy::phase never times out"),
         }
-    }
-
-    /// Waits until the atomic `flag` holds `value` (acquire ordering).
-    #[inline]
-    pub fn wait_for_value(self, flag: &AtomicU32, value: u32) {
-        self.wait_until(|| flag.load(Ordering::Acquire) == value);
     }
 }
 
@@ -255,39 +239,32 @@ impl WaitState {
             }
         }
     }
-
-    /// Waits until the atomic `flag` holds `value` (acquire ordering) or
-    /// the budget expires. Returns `true` if the value was observed.
-    #[inline]
-    pub fn wait_for_value(&mut self, flag: &AtomicU32, value: u32) -> bool {
-        self.wait_until(|| flag.load(Ordering::Acquire) == value)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn wait_until_returns_when_condition_true() {
         let mut n = 0;
-        WaitStrategy::Spin.wait_until(|| {
+        assert!(WaitState::new(WaitStrategy::Spin).wait_until(|| {
             n += 1;
             n == 10
-        });
+        }));
         assert_eq!(n, 10);
     }
 
     #[test]
-    fn wait_for_value_sees_cross_thread_store() {
+    fn wait_until_sees_cross_thread_store() {
         let flag = Arc::new(AtomicU32::new(0));
         let done = Arc::new(AtomicBool::new(false));
         let f2 = Arc::clone(&flag);
         let d2 = Arc::clone(&done);
         let h = std::thread::spawn(move || {
-            WaitStrategy::Backoff.wait_for_value(&f2, 7);
+            WaitState::new(WaitStrategy::Backoff).wait_until(|| f2.load(Ordering::Acquire) == 7);
             d2.store(true, Ordering::Release);
         });
         std::thread::sleep(Duration::from_millis(5));
@@ -377,16 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn wait_state_for_value_times_out_on_absent_store() {
+    fn wait_state_times_out_on_absent_store() {
         let flag = AtomicU32::new(0);
         let mut w = WaitState::with_budget(
             WaitStrategy::SpinYield { spins: 4 },
             Some(Duration::from_millis(2)),
         );
-        assert!(!w.wait_for_value(&flag, 1));
+        assert!(!w.wait_until(|| flag.load(Ordering::Acquire) == 1));
         flag.store(1, Ordering::Release);
         w.reset();
-        assert!(w.wait_for_value(&flag, 1));
+        assert!(w.wait_until(|| flag.load(Ordering::Acquire) == 1));
     }
 
     #[test]

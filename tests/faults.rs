@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig};
 use ngm_offload::ring::PushError;
-use ngm_offload::{OffloadRuntime, RuntimeConfig, Service, ServiceError};
+use ngm_offload::{CallKind, OffloadRuntime, RuntimeConfig, Service, ServiceError};
 
 /// Trivial service for the raw-runtime regressions.
 #[derive(Debug)]
@@ -48,11 +48,11 @@ fn wedged_service_returns_typed_error_within_deadline() {
     };
     let rt = OffloadRuntime::try_start(Echo, cfg).expect("runtime starts");
     let mut client = rt.register_client();
-    assert_eq!(client.try_call(1), Ok(1));
+    assert_eq!(client.try_call(1, CallKind::Single), Ok(1));
 
     rt.fault_state().set_wedged(true);
     let t0 = Instant::now();
-    match client.try_call(2) {
+    match client.try_call(2, CallKind::Single) {
         Err(ServiceError::Deadline { waited, .. }) => {
             assert!(waited >= Duration::from_millis(20), "budget honored");
         }
@@ -64,7 +64,11 @@ fn wedged_service_returns_typed_error_within_deadline() {
     );
 
     rt.fault_state().set_wedged(false);
-    assert_eq!(client.try_call(3), Ok(3), "shard recovered after unwedge");
+    assert_eq!(
+        client.try_call(3, CallKind::Single),
+        Ok(3),
+        "shard recovered after unwedge"
+    );
     drop(client);
     rt.try_shutdown().expect("clean shutdown");
 }

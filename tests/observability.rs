@@ -424,7 +424,7 @@ mod faultinject {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use ngm_offload::{OffloadRuntime, RuntimeConfig, Service, ServiceError};
+    use ngm_offload::{CallKind, OffloadRuntime, RuntimeConfig, Service, ServiceError};
 
     #[derive(Debug)]
     struct Echo;
@@ -458,13 +458,17 @@ mod faultinject {
         let mut c = rt.register_client();
 
         rt.fault_state().set_drop_every(1);
-        let r = c.try_call(7);
+        let r = c.try_call(7, CallKind::Single);
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "dropped response deadlines, got {r:?}"
         );
         rt.fault_state().set_drop_every(0);
-        assert_eq!(c.try_call(7), Ok(14), "same slot recovers");
+        assert_eq!(
+            c.try_call(7, CallKind::Single),
+            Ok(14),
+            "same slot recovers"
+        );
         drop(c);
 
         let drain = rt.telemetry().drain_trace();
@@ -537,7 +541,7 @@ mod faultinject {
             let polled = unsafe { Pin::new_unchecked(&mut fut) }.poll(&mut cx);
             assert!(polled.is_pending(), "wedged refill cannot complete");
             drop(fut); // cancel the ticket
-            drop(sq); // handle settles: nb_retract wins → Retracted span
+            drop(sq); // handle settles: retract wins → Retracted span
         }
         ngm.fault_state(0).set_wedged(false);
 

@@ -6,6 +6,7 @@
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
+use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig, MAX_BATCH};
 use ngm_heap::classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES};
@@ -253,6 +254,7 @@ proptest! {
         let mut live: Vec<(NonNull<u8>, Layout, u8)> = Vec::new();
         let mut stamp: u8 = 0;
         let mut app_allocs = 0u64;
+        let mut app_frees = 0u64;
         for op in &ops {
             match *op {
                 MagOp::Alloc { size } => {
@@ -277,14 +279,23 @@ proptest! {
                     }
                     // SAFETY: block from this handle, freed exactly once.
                     unsafe { h.dealloc(p, layout) };
+                    app_frees += 1;
                 }
                 MagOp::Flush => {
-                    let buffered = h.buffered_frees();
                     h.flush_frees();
                     prop_assert_eq!(h.buffered_frees(), 0);
-                    // A flush is one post carrying all buffered frees;
-                    // none may be dropped on the floor.
-                    prop_assert!(h.pending_frees() >= buffered || buffered == 0);
+                    // Conservation, under any schedule: an accepted free
+                    // is buffered, in the ring, or applied. The buffer is
+                    // empty and the ring only drains, so the service comes
+                    // to have applied exactly the frees issued so far. (How
+                    // many are in the ring *now* is the service thread's
+                    // business; asserting on it was host-shape dependent.)
+                    let applied = || ngm.live_heap_stats().total_frees;
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while applied() != app_frees && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    prop_assert_eq!(applied(), app_frees);
                 }
             }
         }
