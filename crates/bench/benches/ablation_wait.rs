@@ -1,5 +1,6 @@
 //! Criterion bench for ablation A: client wait strategy vs allocation
-//! round-trip latency on the real offload runtime.
+//! round-trip latency on the real offload runtime, under the paper's
+//! per-call handshake (`with_batch(1, 1)`) so every alloc waits once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ngm_core::NgmConfig;
@@ -20,6 +21,7 @@ fn ablation_wait(c: &mut Criterion) {
             continue;
         }
         let ngm = NgmConfig::new()
+            .with_batch(1, 1)
             .with_client_wait(wait)
             .build()
             .expect("valid config");

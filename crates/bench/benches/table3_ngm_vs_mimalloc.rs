@@ -17,9 +17,13 @@ fn table3(c: &mut Criterion) {
             replay_heap(&mut h, events.iter().copied()).checksum
         })
     });
-    g.bench_function("ngm_offloaded", |b| {
+    // The paper's per-call handshake, as `repro table3`'s live half.
+    g.bench_function("ngm_offloaded_batch_1_1", |b| {
         b.iter(|| {
-            let ngm = ngm_core::Ngm::start();
+            let ngm = ngm_core::NgmConfig::new()
+                .with_batch(1, 1)
+                .build()
+                .expect("valid config");
             let mut h = ngm.handle();
             let cs = replay_ngm(&mut h, events.iter().copied()).checksum;
             drop(h);

@@ -35,7 +35,8 @@ pub struct WaitRow {
 }
 
 /// Ablation A: client wait strategy vs. allocation round-trip throughput
-/// on the real runtime.
+/// on the real runtime, under the paper's per-call handshake
+/// (`with_batch(1, 1)`) so every alloc waits once.
 pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
     let strategies: [(&'static str, WaitStrategy); 3] = [
         ("spin", WaitStrategy::Spin),
@@ -48,6 +49,7 @@ pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
             // The server must always yield on this box or a spinning
             // client never runs; server policy is left at its default.
             let ngm = NgmConfig::new()
+                .with_batch(1, 1)
                 .with_client_wait(wait)
                 .build()
                 .expect("valid config");
@@ -222,11 +224,15 @@ pub struct MeasuredCommRow {
 }
 
 /// Ablation D, measured half: runs a real alloc/free loop on the live
-/// runtime and reports the *observed* T_comm distribution from the
-/// always-on latency histograms — the quantity §4.1 models with
+/// runtime under the paper's per-call handshake (`with_batch(1, 1)`) and
+/// reports the *observed* T_comm distribution from the always-on latency
+/// histograms — the quantity §4.1 models with
 /// `ATOMICS_PER_CALL x ATOMIC_CYCLES`.
 pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
-    let ngm = NgmConfig::new().build().expect("valid config");
+    let ngm = NgmConfig::new()
+        .with_batch(1, 1)
+        .build()
+        .expect("valid config");
     let mut h = ngm.handle();
     let layout = std::alloc::Layout::from_size_align(64, 8).expect("valid");
     for _ in 0..ops.max(1) {
@@ -296,10 +302,11 @@ pub fn handshake_batching_with(params: &XalancParams) -> Vec<BatchSimRow> {
 /// One measured batched-front-end configuration.
 #[derive(Debug, Clone)]
 pub struct MeasuredBatchRow {
-    /// Magazine batch size (1 = batching disabled: today's per-op path).
+    /// Magazine batch size (1 = the paper's per-call handshake: a refill
+    /// of one block per alloc).
     pub batch: usize,
     /// Mean round-trip cycles of one service call at this configuration —
-    /// the per-op call at batch 1, the magazine refill otherwise.
+    /// the single-block call at batch 1, the magazine refill otherwise.
     pub roundtrip_mean: f64,
     /// Service round-trip cycles charged per allocation once the refill
     /// is amortized over the batch it fetched.
@@ -311,8 +318,8 @@ pub struct MeasuredBatchRow {
 }
 
 /// Ablation F, the tentpole measurement: the *real* batched front-end
-/// (per-handle magazines + batched free flush) vs the unbatched per-call
-/// path, on the live runtime. The amortized column is total round-trip
+/// (per-handle magazines + batched free flush) vs the per-call handshake
+/// (`with_batch(1, 1)`, same code path), on the live runtime. The amortized column is total round-trip
 /// cycles divided by allocations served — the measured counterpart of the
 /// §4.1 `T_comm` amortization that [`handshake_batching`] predicts in sim.
 pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
@@ -330,8 +337,8 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
                 // SAFETY: block just allocated, freed once.
                 unsafe { h.dealloc(p, layout) };
             }
-            // At batch 1 every alloc is a per-op call; otherwise every
-            // service round trip on this path is a refill.
+            // A refill of one block is a call (`ngm_call_cycles`); only
+            // refills that amortise land in `ngm_refill_cycles`.
             let snap = if batch == 1 {
                 ngm.telemetry().call_cycles.snapshot()
             } else {
@@ -359,11 +366,15 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
         "batch",
         "round-trip mean (cyc)",
         "amortized cyc/alloc",
-        "vs unbatched",
+        "vs per-call",
     ]);
     for r in &rows {
         t.row(vec![
-            r.batch.to_string(),
+            if r.batch == 1 {
+                "1 (with_batch(1, 1))".into()
+            } else {
+                r.batch.to_string()
+            },
             format!("{:.0}", r.roundtrip_mean),
             format!("{:.0}", r.amortized_per_alloc),
             if r.batch == 1 {
@@ -410,7 +421,7 @@ pub fn render_all(scale: Scale, real_ops: u32) -> String {
         t.row(vec![r.label.into(), format!("{:.0}", r.allocs_per_sec)]);
     }
     out.push_str(&format!(
-        "Ablation A: wait strategy (real runtime)\n{}\n",
+        "Ablation A: wait strategy (real runtime, with_batch(1, 1): one round trip per alloc)\n{}\n",
         t.render()
     ));
 
@@ -454,7 +465,7 @@ pub fn render_all(scale: Scale, real_ops: u32) -> String {
     let rows: Vec<(&str, &HistogramSnapshot)> =
         measured.iter().map(|r| (r.op, &r.snapshot)).collect();
     out.push_str(&format!(
-        "Ablation D (measured): T_comm on this machine, {} per op\n{}\
+        "Ablation D (measured): T_comm on this machine under with_batch(1, 1), {} per op\n{}\
          §4.1 model: handshake = {} atomics -> ~{} cycles uncontended \
          ({}/atomic), ~{} contended worst case ({}/atomic)\n\n",
         ngm_telemetry::clock::source(),

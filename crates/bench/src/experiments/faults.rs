@@ -4,7 +4,9 @@
 //! fallback, see `DESIGN.md` "Liveness & degradation") is only credible
 //! under injected faults. This experiment sweeps fault rate × shard
 //! count on the live [`ngm_core::Ngm`] tier with the deterministic
-//! fault hooks armed (`--features faultinject`): every Nth response on
+//! fault hooks armed (`--features faultinject`) and the per-call
+//! handshake pinned (`with_batch(1, 1)`, so a response is an
+//! allocation and the drop rate is per allocation): every Nth response on
 //! every shard is dropped on the floor, so clients must detect the loss
 //! by deadline, retract the request, and reroute — or, when every shard
 //! misbehaves at once, degrade to the bounded inline fallback.
@@ -93,6 +95,7 @@ mod imp {
         let ngm = Arc::new(
             ngm_core::NgmConfig::new()
                 .with_shards(shards)
+                .with_batch(1, 1)
                 .with_placement(ngm_core::CorePlacement::Unpinned)
                 .with_deadline(Some(DEADLINE))
                 .build()
@@ -187,7 +190,7 @@ mod imp {
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "## Fault-injection sweep — drop every Nth response, all shards\n"
+                "## Fault-injection sweep — drop every Nth response, all shards, with_batch(1, 1)\n"
             );
             let _ = writeln!(
                 out,

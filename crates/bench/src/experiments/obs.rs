@@ -218,12 +218,14 @@ pub fn run(scale: Scale) -> ObsReport {
     let record_path = std::env::temp_dir().join(format!("ngm-obs-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&record_path);
 
-    // Unbatched on purpose: every allocation is one stamped synchronous
-    // round trip, so the `ngm_call_cycles` histogram — the overhead
-    // denominator — reflects the whole serving workload. (Batched tiers
-    // amortize into `ngm_refill_cycles` and leave the call series empty.)
+    // The per-call handshake on purpose: every allocation is one stamped
+    // synchronous round trip, so the `ngm_call_cycles` histogram — the
+    // overhead denominator — reflects the whole serving workload. (Tiers
+    // that amortize land in `ngm_refill_cycles` and leave the call series
+    // empty.)
     let ngm = Arc::new(
         NgmConfig::new()
+            .with_batch(1, 1)
             .with_shards(ELASTIC_MIN)
             .elastic(ELASTIC_MIN, ELASTIC_MAX)
             .with_topology(ShardTopology::per_shard())

@@ -1,10 +1,11 @@
 //! Span phase breakdown: where a request's round trip actually goes.
 //!
-//! Every unbatched `alloc` round trip is stamped at six lifecycle
+//! Every single-block `alloc` round trip is stamped at six lifecycle
 //! boundaries (enqueue → ring-resident → claimed → served → published →
 //! observed), and the five gaps land in the per-shard
 //! `ngm_phase_*_cycles` histograms. This experiment drives the live tier
-//! per shard count and renders the phase table: sum, share of the round
+//! under the paper's per-call handshake (`with_batch(1, 1)`) per shard
+//! count and renders the phase table: sum, share of the round
 //! trip, and windowed percentiles per phase, in cycles and nanoseconds.
 //!
 //! The load-bearing invariant — checked here and asserted by the smoke
@@ -34,7 +35,7 @@ pub const CLIENTS: usize = 2;
 pub struct SpanRow {
     /// Service shards in the tier.
     pub shards: usize,
-    /// Unbatched calls measured.
+    /// Single-block calls measured.
     pub calls: u64,
     /// Sum of `ngm_call_cycles` — the whole round trips.
     pub call_sum: u64,
@@ -66,8 +67,8 @@ pub struct SpansReport {
     pub rows: Vec<SpanRow>,
 }
 
-/// Drives an unbatched alloc/free churn (batch 1 so every alloc is one
-/// stamped round trip) and reads the merged phase histograms back
+/// Drives an alloc/free churn under `with_batch(1, 1)` (so every alloc
+/// is one stamped round trip) and reads the merged phase histograms back
 /// through the metrics exporter — the same series Prometheus would
 /// scrape.
 fn run_row(shards: usize, scale: Scale, profile: bool) -> (SpanRow, Option<String>) {
@@ -76,6 +77,7 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> (SpanRow, Option<Strin
     let ngm = Arc::new(
         ngm_core::NgmConfig::new()
             .with_shards(shards)
+            .with_batch(1, 1)
             .with_placement(ngm_core::CorePlacement::Unpinned)
             .with_profile(profile)
             .build()
@@ -147,7 +149,7 @@ impl SpansReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "## Spans — request-lifecycle phase breakdown ({CLIENTS} clients, unbatched)\n"
+            "## Spans — request-lifecycle phase breakdown ({CLIENTS} clients, with_batch(1, 1))\n"
         );
         for row in &self.rows {
             let _ = writeln!(

@@ -6,9 +6,10 @@
 //!
 //! * **Simulated** — both models on the A72-like machine; NGM's heap
 //!   metadata lives on the service core, so application-core misses drop.
-//! * **Prototype wall-clock** — the real `ngm-core` runtime against the
-//!   real mimalloc-style sharded heap on this machine (indicative only on
-//!   a 1-vCPU box; see DESIGN.md §5).
+//! * **Prototype wall-clock** — the real `ngm-core` runtime, pinned to
+//!   the paper's per-call handshake (`with_batch(1, 1)`, the protocol the
+//!   simulated columns model), against the real mimalloc-style sharded
+//!   heap on this machine.
 
 use ngm_sim::{Machine, PmuCounters};
 use ngm_simalloc::ngm::{NgmModel, Protocol};
@@ -102,7 +103,11 @@ pub fn run_with(params: &XalancParams, with_prototype: bool) -> Table3 {
         let mut handle = sharded.handle(0);
         let a = replay_heap(&mut handle, events.iter().copied());
 
-        let ngm = ngm_core::Ngm::start();
+        // The paper's synchronous protocol, as the simulated columns.
+        let ngm = ngm_core::NgmConfig::new()
+            .with_batch(1, 1)
+            .build()
+            .expect("valid config");
         let mut h = ngm.handle();
         let b = replay_ngm(&mut h, events.iter().copied());
         assert_eq!(a.checksum, b.checksum, "replays must compute identically");
@@ -173,7 +178,7 @@ impl Table3 {
         );
         if let Some((mi, ngm)) = self.prototype_secs {
             s.push_str(&format!(
-                "\nprototype wall-clock on this machine: sharded(mimalloc-style) {mi:.3}s, NGM offloaded {ngm:.3}s ({:+.2}%)\n(1-vCPU boxes timeshare the service core; treat as indicative)\n",
+                "\nprototype wall-clock on this machine: sharded(mimalloc-style) {mi:.3}s, NGM offloaded, with_batch(1, 1) {ngm:.3}s ({:+.2}%)\n(a host with fewer than two CPUs timeshares the service core; treat as indicative there)\n",
                 (mi / ngm - 1.0) * 100.0
             ));
         }

@@ -1,5 +1,7 @@
 //! Telemetry exporter demo: runs a short mixed workload on the real
-//! runtime with event tracing enabled, then renders everything the
+//! runtime under the paper's per-call handshake (`with_batch(1, 1)`, so
+//! the call and phase series carry every allocation) with event tracing
+//! enabled, then renders everything the
 //! telemetry layer can produce — the Prometheus text exposition, the
 //! JSON snapshot, and the drained event trace converted back into a
 //! replayable workload stream.
@@ -13,6 +15,7 @@ use crate::trace::convert;
 /// Runs the demo workload and renders all three export formats.
 pub fn run(ops: u32) -> String {
     let ngm = NgmConfig::new()
+        .with_batch(1, 1)
         .with_trace_capacity(8192)
         .build()
         .expect("valid config");
@@ -54,7 +57,7 @@ pub fn run(ops: u32) -> String {
     let conv = convert(&drain.events);
 
     format!(
-        "Telemetry: metrics export and event trace (clock: {})\n\
+        "Telemetry: metrics export and event trace (with_batch(1, 1), clock: {})\n\
          =====================================================\n\n\
          --- Prometheus text exposition ---\n{}\n\
          --- JSON snapshot ---\n{}\n\n\

@@ -219,7 +219,7 @@ mod tests {
         drop(h);
         let down = ngm.shutdown();
         assert_eq!(off.checksum, direct.checksum);
-        assert_eq!(down.service.allocs, off.mallocs);
+        assert_eq!(down.service.app_allocs(), off.mallocs);
         assert_eq!(down.heap.live_blocks, 0, "all frees drained at shutdown");
     }
 }

@@ -27,13 +27,17 @@ use crate::service::{
 
 /// A per-thread endpoint to the allocator tier.
 ///
-/// With `batch_size > 1` the handle keeps a per-size-class **magazine** of
-/// pre-handed-out addresses: the common-case `alloc` is a pop from an
-/// inline array (no round trip, no atomics — the handle is `!Sync`, so
-/// this state is L1-resident and single-owner per §3.1.3), and one
-/// [`AllocBatchReq`] refill round trip is paid every `batch_size` allocs.
-/// Symmetrically, `flush_threshold > 1` buffers small-block frees
-/// per owning shard and flushes them as one batched post.
+/// Small blocks have one path whatever the batch size. The handle keeps
+/// a per-size-class **magazine** of pre-handed-out addresses: every
+/// small `alloc` is a pop from an inline array (no round trip, no
+/// atomics — the handle is `!Sync`, so this state is L1-resident and
+/// single-owner per §3.1.3), and one [`AllocBatchReq`] refill round trip
+/// is paid every `batch_size` allocs. Symmetrically, every small free
+/// is pushed onto a per-owning-shard buffer that is flushed as one
+/// batched post every `flush_threshold` frees. `with_batch(1, 1)` is the
+/// paper's per-call handshake through this same code: a refill of one
+/// block per alloc, a flush of one block per free. Only large layouts
+/// travel as [`MallocReq::One`] / [`FreePost::One`].
 ///
 /// All routing state (class map, magazines, free buffers, pressure
 /// counters) is handle-local: no shared writes, no atomics on the fast
@@ -314,9 +318,9 @@ impl NgmHandle {
 
     /// Allocates a block.
     ///
-    /// Small layouts with batching enabled are served from the per-class
-    /// magazine (refilled in one batched round trip when empty); anything
-    /// else is a synchronous round trip to the class's current shard.
+    /// Small layouts are served from the per-class magazine (refilled in
+    /// one round trip of `batch_size` blocks when empty); large layouts
+    /// are a synchronous round trip to the shard their layout hashes to.
     /// This is [`NgmHandle::try_alloc`] that waits out every round trip
     /// instead of reporting [`NgmError::WouldBlock`].
     ///
@@ -367,15 +371,13 @@ impl NgmHandle {
         }
         self.maybe_resync();
         match layout_to_class(layout.size(), layout.align()) {
-            Some(class) if self.batch_size > 1 => self.alloc_from_magazine(class, layout, wait),
-            Some(class) => {
-                self.alloc_one(self.class_shard[class.0 as usize] as usize, layout, wait)
-            }
-            None => self.alloc_one(self.shard_of_large(layout), layout, wait),
+            Some(class) => self.alloc_from_magazine(class, layout, wait),
+            None => self.alloc_large(self.shard_of_large(layout), layout, wait),
         }
     }
 
-    /// The magazine fast path: pop, refilling first when empty.
+    /// The small-block path: pop the class magazine, refilling first
+    /// when empty.
     fn alloc_from_magazine(
         &mut self,
         class: SizeClass,
@@ -406,8 +408,8 @@ impl NgmHandle {
         NonNull::new(addr as *mut u8).ok_or(NgmError::Alloc(AllocError::OutOfMemory))
     }
 
-    /// One batched round trip to top up `class`'s magazine from its
-    /// current shard, routing around shards that cannot serve it.
+    /// One round trip of `batch_size` blocks to top up `class`'s magazine
+    /// from its current shard, routing around shards that cannot serve it.
     fn top_up(&mut self, class: SizeClass, wait: bool) -> Result<(), NgmError> {
         let ci = class.0 as usize;
         let what = MallocReq::Batch(AllocBatchReq {
@@ -435,13 +437,14 @@ impl NgmHandle {
         Err(AllocError::OutOfMemory.into())
     }
 
-    /// One single-block round trip, starting at `shard`. A *dead* target
+    /// One large-layout round trip, starting at `shard`. A *dead* target
     /// fails over to survivors; a merely *slow* one (deadline fired) is
     /// rerouted around without being written off — deadlines are
     /// transient, so the shard stays eligible once it catches up. When
-    /// every shard has been tried and none answered, the request degrades
-    /// to the inline fallback heap rather than hanging or failing.
-    fn alloc_one(
+    /// every shard has been tried and none answered, the blackbox fires
+    /// and the request fails (the fallback heap serves small classes
+    /// only).
+    fn alloc_large(
         &mut self,
         mut shard: usize,
         layout: Layout,
@@ -506,9 +509,13 @@ impl NgmHandle {
                 return Ok(got);
             }
         }
+        // A round trip for exactly one block is a call, whichever message
+        // carries it: the call histogram and its phase partition cover
+        // every single-block round trip, the refill histogram only those
+        // that amortise.
         let kind = match what {
-            MallocReq::One(_) => CallKind::Single,
-            MallocReq::Batch(_) => CallKind::Batched,
+            MallocReq::Batch(b) if b.count > 1 => CallKind::Batched,
+            _ => CallKind::Single,
         };
         let client = self.clients[shard].as_mut().expect("client just ensured");
         client.submit(what, kind).map_err(|(_, e)| e)?;
@@ -710,8 +717,9 @@ impl NgmHandle {
 
     /// Frees a block asynchronously; returns as soon as the message is in
     /// the owning shard's ring (§3.1.2: free is off the critical path).
-    /// With `flush_threshold > 1`, small-block frees are buffered per
-    /// owning shard and flushed as one batched post. This is
+    /// Small-block frees are buffered per owning shard and flushed as one
+    /// batched post every `flush_threshold` frees; large frees are posted
+    /// one by one with their layout. This is
     /// [`NgmHandle::try_dealloc`] that waits out a full ring (for at
     /// most the deadline, then diverts to the owning shard's orphan
     /// stack) and so always accepts.
@@ -776,7 +784,7 @@ impl NgmHandle {
         } else {
             self.shard_of_large(layout)
         };
-        if self.flush_threshold > 1 && small {
+        if small {
             if self.free_bufs[shard].len() >= MAX_BATCH {
                 // Buffer at capacity: it must drain into the ring before
                 // this free can be accepted.
@@ -873,22 +881,13 @@ impl NgmHandle {
     }
 
     /// Diverts the contents of an undeliverable free post to `shard`'s
-    /// orphan stack. Large frees cannot ride the orphan stack (their
-    /// layout is not recoverable from the address), so they are dropped
-    /// and counted like frees owed to a dead shard.
+    /// orphan stack. Large frees — the only [`FreePost::One`]s — cannot
+    /// ride the orphan stack (their layout is not recoverable from the
+    /// address), so they are dropped and counted like frees owed to a
+    /// dead shard.
     fn reroute_frees_to_orphans(&mut self, shard: usize, msg: FreePost) {
         match msg {
-            FreePost::One(m) => {
-                if layout_to_class(m.size, m.align).is_some() {
-                    if let Some(p) = NonNull::new(m.addr as *mut u8) {
-                        // SAFETY: the free path relinquished this live
-                        // small block when it built the post.
-                        unsafe { self.orphans[shard].push(p) };
-                    }
-                } else {
-                    self.shard_stats[shard].record_post_dropped();
-                }
-            }
+            FreePost::One(_) => self.shard_stats[shard].record_post_dropped(),
             FreePost::Batch(b) | FreePost::MagazineReturn(b) => {
                 for &addr in b.as_slice() {
                     if let Some(p) = NonNull::new(addr as *mut u8) {

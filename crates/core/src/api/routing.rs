@@ -27,7 +27,8 @@ pub(super) enum Route {
 /// The kind of operation being routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum RouteOp {
-    /// A single-block allocation.
+    /// A large-layout allocation (one block by
+    /// [`crate::service::MallocReq::One`]).
     Alloc,
     /// A magazine refill for this class index, whose allocation route
     /// follows the request.

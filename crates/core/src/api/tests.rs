@@ -13,8 +13,9 @@ use ngm_telemetry::trace::TraceEventKind;
 use ngm_telemetry::window::HeatFrame;
 
 use super::routing::{Route, RouteOp};
-use super::{Ngm, NgmHandle};
+use super::{Ngm, NgmHandle, NgmShutdown};
 use crate::config::{CorePlacement, NgmConfig, NgmError};
+use crate::service::MAX_BATCH;
 
 fn layout(n: usize) -> Layout {
     Layout::from_size_align(n, 8).unwrap()
@@ -34,8 +35,8 @@ fn alloc_free_roundtrip() {
     drop(h);
     let down = ngm.shutdown();
     assert!(down.clean());
-    assert_eq!(down.service.allocs, 1);
-    assert_eq!(down.service.frees, 1);
+    assert_eq!(down.service.app_allocs(), 1);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.live_blocks, 0);
 }
 
@@ -64,8 +65,8 @@ fn many_threads_allocate_concurrently() {
         j.join().unwrap();
     }
     let down = ngm.shutdown();
-    assert_eq!(down.service.allocs, 800);
-    assert_eq!(down.service.frees, 800);
+    assert_eq!(down.service.app_allocs(), 800);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.live_blocks, 0);
     assert_eq!(down.runtime.clients_registered, 4);
 }
@@ -116,7 +117,8 @@ fn orphan_path_reclaims() {
 
 #[test]
 fn latency_histograms_capture_alloc_and_free() {
-    let ngm = Ngm::start();
+    // The per-call protocol: every alloc a call, every free a post.
+    let ngm = batched(1, 1).build().unwrap();
     let mut h = ngm.handle();
     for _ in 0..32 {
         let p = h.alloc(layout(64)).unwrap();
@@ -165,8 +167,12 @@ fn metrics_include_heap_series_after_idle_publish() {
         std::thread::yield_now();
     }
     let m = ngm.metrics();
-    assert_eq!(m.get_gauge("ngm_heap_live_blocks"), Some(1));
-    assert_eq!(m.get_counter("ngm_heap_allocs_total"), Some(1));
+    // The heap sees the whole refill: stashed blocks are live to it.
+    assert_eq!(m.get_gauge("ngm_heap_live_blocks"), Some(MAX_BATCH as i64));
+    assert_eq!(
+        m.get_counter("ngm_heap_allocs_total"),
+        Some(MAX_BATCH as u64)
+    );
     assert_eq!(m.get_gauge("ngm_service_shards"), Some(1));
     assert!(m.get_histogram("ngm_call_cycles").is_some());
     // SAFETY: block from this handle's allocator.
@@ -203,7 +209,7 @@ fn batched_roundtrip_balances_at_shutdown() {
         "every refilled block came back"
     );
     assert_eq!(
-        down.service.allocs - down.service.magazine_returned,
+        down.service.app_allocs(),
         100,
         "app-visible allocs separable from unused stash"
     );
@@ -270,11 +276,11 @@ fn try_alloc_roundtrip_balances_at_shutdown() {
 }
 
 #[test]
-fn try_alloc_unbatched_and_large_layouts_complete() {
+fn try_alloc_batch_one_and_large_layouts_complete() {
     let ngm = batched(1, 1).build().unwrap();
     let mut h = ngm.handle();
-    // Small one-shot (no magazine) and a large (non-class) layout
-    // both ride the One submission path.
+    // A refill of one (through the magazine) and a large (non-class)
+    // layout (the One submission path).
     for l in [layout(64), Layout::from_size_align(1 << 20, 64).unwrap()] {
         let p = spin_try_alloc(&mut h, l);
         // SAFETY: block from this handle's tier, freed once.
@@ -398,22 +404,41 @@ fn blocking_and_nonblocking_paths_share_one_ledger() {
     assert_eq!(blocking, replay(false), "blocking vs completion replay");
 }
 
-#[test]
-fn explicit_batch_size_one_degenerates_to_unbatched() {
-    let ngm = batched(1, 1).build().unwrap();
+/// 10,000 same-class alloc/free pairs; returns the tier's books and its
+/// call-histogram count.
+fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64) {
+    const PAIRS: usize = 10_000;
+    let ngm = cfg.build().unwrap();
     let mut h = ngm.handle();
-    for _ in 0..10 {
+    for _ in 0..PAIRS {
         let p = h.alloc(layout(64)).unwrap();
         // SAFETY: block from this handle's allocator.
         unsafe { h.dealloc(p, layout(64)) };
     }
     drop(h);
+    let calls = ngm.telemetry().call_cycles.snapshot().count();
     let down = ngm.shutdown();
-    assert_eq!(down.service.allocs, 10);
-    assert_eq!(down.service.frees, 10);
-    assert_eq!(down.service.batch_refills, 0);
-    assert_eq!(down.service.magazine_returned, 0);
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.app_allocs(), PAIRS as u64);
     assert_eq!(down.heap.live_blocks, 0);
+    (down, calls)
+}
+
+#[test]
+fn default_tier_amortises() {
+    let (down, _) = same_class_pairs(NgmConfig::new());
+    assert!(down.runtime.calls_served <= 10_000 / 16, "{down:?}");
+    assert!(down.runtime.posts_served <= 10_000 / 16, "{down:?}");
+}
+
+#[test]
+fn batch_one_is_the_paper_handshake_through_the_magazine_path() {
+    let (down, calls) = same_class_pairs(batched(1, 1));
+    assert_eq!(down.runtime.calls_served, 10_000);
+    assert_eq!(down.service.batch_refills, 10_000);
+    assert_eq!(calls, 10_000, "single-block refills are calls");
+    assert_eq!(down.runtime.batched_calls_served, 0);
+    assert_eq!(down.service.magazine_returned, 0);
 }
 
 #[test]
@@ -571,6 +596,30 @@ fn service_core_pin_recorded_when_possible() {
     assert_eq!(stats.pinned_core, Some(0));
 }
 
+#[test]
+fn tier_built_from_a_pinned_thread_sees_the_whole_host() {
+    // The builder's own mask says one core; the process's says how many
+    // there are, and `Auto` gives the service the last of them.
+    let cores = ngm_offload::available_cores();
+    let expected = (cores >= 2).then(|| cores - 1);
+    // A pin that must land gets time to; one that must not, a moment to
+    // show up wrongly.
+    let patience = Duration::from_millis(if expected.is_some() { 5_000 } else { 50 });
+    // A thread of its own, so the pin stays out of the harness's.
+    let pinned_core = std::thread::spawn(move || {
+        ngm_offload::pin_current_thread(0).expect("core 0 exists");
+        let ngm = Ngm::start();
+        let deadline = std::time::Instant::now() + patience;
+        while ngm.runtime_stats().pinned_core.is_none() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        ngm.runtime_stats().pinned_core
+    })
+    .join()
+    .expect("builder thread");
+    assert_eq!(pinned_core, expected);
+}
+
 // ---- sharded-tier tests ----
 
 fn sharded(n: usize) -> NgmConfig {
@@ -600,8 +649,8 @@ fn shards_balance_individually_at_shutdown() {
     let down = ngm.shutdown();
     assert!(down.clean());
     assert!(down.balanced(), "per-shard alloc/free imbalance: {down:?}");
-    assert_eq!(down.service.allocs, 400);
-    assert_eq!(down.service.frees, 400);
+    assert_eq!(down.service.app_allocs(), 400);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.live_blocks, 0);
     // More than one shard actually served allocations.
     let active = down.shards.iter().filter(|s| s.service.allocs > 0).count();
@@ -610,7 +659,8 @@ fn shards_balance_individually_at_shutdown() {
 
 #[test]
 fn heat_report_windows_recent_activity() {
-    let ngm = sharded(2).build().unwrap();
+    // Per-call handshake, so the windowed call count is the op count.
+    let ngm = sharded(2).with_batch(1, 1).build().unwrap();
     let mut h = ngm.handle();
     for _ in 0..16 {
         let p = h.alloc(layout(64)).unwrap();
@@ -778,7 +828,9 @@ fn cross_thread_frees_route_by_address() {
 
 #[test]
 fn dead_shard_fails_over_and_is_counted() {
-    let ngm = sharded(2).build().unwrap();
+    // Per-call handshake: nothing stashed, so the allocation after the
+    // death has to go to a shard.
+    let ngm = sharded(2).with_batch(1, 1).build().unwrap();
     let mut h = ngm.handle();
     // Blocks owned by each shard while both are alive.
     let class64 = ngm_heap::size_to_class(64).unwrap();
@@ -1024,8 +1076,10 @@ mod faults {
         // Fill the wedged shard's free ring, then keep freeing: the
         // posts that deadline must land on the shard's orphan stack
         // and be reclaimed once the shard recovers, so the books
-        // still balance at shutdown.
+        // still balance at shutdown. One post per free, so 64 frees
+        // overrun the 8-deep ring.
         let ngm = sharded(1)
+            .with_batch(1, 1)
             .with_free_ring_capacity(8)
             .with_deadline(Some(Duration::from_millis(10)))
             .build()

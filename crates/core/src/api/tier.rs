@@ -143,7 +143,8 @@ impl std::fmt::Debug for Ngm {
 }
 
 impl Ngm {
-    /// Starts with default configuration (one shard, no batching).
+    /// Starts with the default configuration ([`NgmConfig::new`]: one
+    /// shard, full magazines and free buffers).
     pub fn start() -> Self {
         NgmConfig::new().build().expect("default config is valid")
     }

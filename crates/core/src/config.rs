@@ -361,14 +361,17 @@ pub struct NgmConfig {
     /// Per-thread event-trace ring capacity; `0` (the default) disables
     /// tracing entirely, leaving only the always-on latency histograms.
     pub trace_capacity: usize,
-    /// Blocks fetched per magazine refill (`1..=`[`MAX_BATCH`]). `1`
-    /// (the default) disables the magazine: every small alloc is its own
-    /// round trip. Values ≥ 8 amortize the §4.1 handshake comfortably
-    /// past break-even.
+    /// Blocks fetched per magazine refill (`1..=`[`MAX_BATCH`]; the
+    /// default is [`MAX_BATCH`]). Every small alloc pops its class
+    /// magazine, so one round trip is paid per `batch_size` allocs; `1`
+    /// is the paper's per-call handshake — a refill of one block per
+    /// alloc — through the same path. Values ≥ 8 amortize the §4.1
+    /// handshake comfortably past break-even.
     pub batch_size: usize,
     /// Small-block frees buffered client-side before one batched flush
-    /// post (`1..=`[`MAX_BATCH`]). `1` (the default) posts each free
-    /// individually.
+    /// post (`1..=`[`MAX_BATCH`]; the default is [`MAX_BATCH`]). Every
+    /// small free fills the buffer; `1` flushes each free as its own
+    /// post.
     pub flush_threshold: usize,
     /// Most entries a per-handle [`crate::SubmissionQueue`] keeps in
     /// flight at once (`>= 1`). Past the limit, `submit` refuses with
@@ -422,8 +425,9 @@ pub struct NgmConfig {
 }
 
 impl NgmConfig {
-    /// The `const` default configuration: one shard, auto placement, no
-    /// batching, no tracing or profiling.
+    /// The `const` default configuration: one shard, auto placement, the
+    /// handshake amortised over full magazines and free buffers
+    /// (`with_batch(MAX_BATCH, MAX_BATCH)`), no tracing or profiling.
     pub const fn new() -> Self {
         NgmConfig {
             shards: 1,
@@ -432,8 +436,8 @@ impl NgmConfig {
             server_wait: None,
             free_ring_capacity: 4096,
             trace_capacity: 0,
-            batch_size: 1,
-            flush_threshold: 1,
+            batch_size: MAX_BATCH,
+            flush_threshold: MAX_BATCH,
             inflight_limit: 256,
             profile: false,
             site_sample: 0,
@@ -515,7 +519,8 @@ impl NgmConfig {
     }
 
     /// Sets both batching knobs: magazine refill size and free-flush
-    /// threshold.
+    /// threshold. `with_batch(1, 1)` is the paper's synchronous protocol:
+    /// one round trip per small alloc, one post per small free.
     pub const fn with_batch(mut self, batch_size: usize, flush_threshold: usize) -> Self {
         self.batch_size = batch_size;
         self.flush_threshold = flush_threshold;

@@ -287,7 +287,8 @@ mod tests {
             }
         });
         let stats = global_stats().expect("runtime started");
-        assert!(stats.calls_served >= 1200);
+        // A round trip hands out at most one magazine.
+        assert!(stats.calls_served * crate::service::MAX_BATCH as u64 >= 1200);
     }
 
     #[test]

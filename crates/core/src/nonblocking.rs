@@ -607,10 +607,10 @@ mod tests {
 
     #[test]
     fn single_block_tickets_collect_their_own_response() {
-        // Unbatched and large layouts ride the slot as single requests:
-        // the pump must leave the block for its ticket, not free it and
-        // ask again.
-        let ngm = NgmConfig::new().build().unwrap();
+        // A large layout rides the slot as a single request — the pump
+        // must leave the block for its ticket, not free it and ask again
+        // — and a refill of one lands in the magazine for its ticket.
+        let ngm = NgmConfig::new().with_batch(1, 1).build().unwrap();
         let sq = SubmissionQueue::new(ngm.handle());
         for l in [layout(64), layout(1 << 20), layout(64)] {
             let ptr = block_on(sq.alloc(l).unwrap()).unwrap();
@@ -620,6 +620,7 @@ mod tests {
         drop(sq);
         let down = ngm.shutdown();
         assert_eq!(down.service.allocs, 3, "one round trip per ticket");
+        assert_eq!(down.service.magazine_returned, 0);
         assert_eq!(down.service.allocs, down.service.frees);
         assert_eq!(down.heap.live_blocks, 0);
     }

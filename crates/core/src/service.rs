@@ -131,9 +131,11 @@ impl AddrBatch {
 /// The malloc service's synchronous request protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MallocReq {
-    /// One allocation of an arbitrary layout (today's per-call path).
+    /// One allocation of an arbitrary layout. Handles send it for large
+    /// layouts only; small classes always ask by [`MallocReq::Batch`].
     One(AllocReq),
-    /// A magazine refill: many blocks of one class, one round trip.
+    /// A magazine refill: `count` blocks of one class, one round trip
+    /// (`count` 1 is the paper's per-call handshake).
     Batch(AllocBatchReq),
 }
 
@@ -156,9 +158,9 @@ pub enum MallocResp {
 /// The malloc service's asynchronous free protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreePost {
-    /// One free with its full layout (today's per-call path; the only
-    /// route for large blocks, whose layout cannot be recovered from the
-    /// address alone).
+    /// One free with its full layout: the route for large blocks, whose
+    /// layout cannot be recovered from the address alone. Handles free
+    /// small blocks by [`FreePost::Batch`], however few.
     One(FreeMsg),
     /// A flushed client free buffer: small-class addresses only — the
     /// service recovers each class from its page descriptor.
@@ -208,6 +210,13 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// Blocks the application actually received: what the service handed
+    /// out less what came back unused from magazines. Equals the
+    /// application's malloc count at every batch size.
+    pub fn app_allocs(&self) -> u64 {
+        self.allocs - self.magazine_returned
+    }
+
     /// Folds another shard's counters into this one, presenting a set of
     /// shard-owned services as one logical service. All fields sum.
     pub fn absorb(&mut self, other: &ServiceStats) {
@@ -581,7 +590,7 @@ mod tests {
         assert_eq!(st.allocs, 8);
         assert_eq!(st.frees, 8);
         assert_eq!(st.magazine_returned, 8);
-        assert_eq!(st.allocs - st.magazine_returned, 0, "app received nothing");
+        assert_eq!(st.app_allocs(), 0, "app received nothing");
         assert_eq!(s.heap_stats().live_blocks, 0);
     }
 

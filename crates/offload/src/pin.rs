@@ -2,10 +2,9 @@
 //!
 //! The paper's prototype pins the spawned allocator thread to a specific
 //! core so that all allocator metadata stays in that core's private caches.
-//! On machines with too few cores (this reproduction environment exposes a
-//! single vCPU) pinning still succeeds but provides no isolation; callers
-//! can consult [`available_cores`] and record the outcome in their stats
-//! rather than failing hard.
+//! On machines with too few cores pinning still succeeds but provides no
+//! isolation; callers can consult [`available_cores`] and record the
+//! outcome in their stats rather than failing hard.
 
 use std::fmt;
 use std::io;
@@ -52,7 +51,40 @@ impl std::error::Error for PinError {
 }
 
 /// Number of logical cores the calling process may run on.
+///
+/// Read from the affinity mask of the thread-group leader, not of the
+/// calling thread: a thread that pinned itself before building a tier
+/// must still see the whole host (or the service gets no core of its
+/// own and time-slices the caller's), while a process confined from
+/// outside (`taskset -c 0 …`) still sees only what it was given.
+#[cfg(target_os = "linux")]
 pub fn available_cores() -> usize {
+    // SAFETY: `cpu_set_t` is a plain bitmask; zeroed is a valid empty set.
+    let mut set: libc::cpu_set_t = unsafe { std::mem::zeroed() };
+    // SAFETY: `set` is a writable cpu_set_t of the size passed; the pid
+    // is this process's own.
+    let rc = unsafe {
+        libc::sched_getaffinity(
+            libc::getpid(),
+            std::mem::size_of::<libc::cpu_set_t>(),
+            &mut set,
+        )
+    };
+    if rc != 0 {
+        return parallelism();
+    }
+    // SAFETY: `set` is initialized (zeroed, then filled by the kernel).
+    let count = unsafe { libc::CPU_COUNT(&set) };
+    usize::try_from(count).unwrap_or(0).max(1)
+}
+
+/// Number of logical cores the calling process may run on.
+#[cfg(not(target_os = "linux"))]
+pub fn available_cores() -> usize {
+    parallelism()
+}
+
+fn parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -70,7 +102,13 @@ pub fn available_cores() -> usize {
 /// on non-Linux platforms.
 #[cfg(target_os = "linux")]
 pub fn pin_current_thread(core: usize) -> Result<(), PinError> {
-    let available = available_cores();
+    // Bounded by the machine, not by anyone's affinity mask: a service
+    // thread pins itself after its builder may have narrowed its own
+    // mask again. A core the process may not use is the kernel's to
+    // refuse.
+    // SAFETY: sysconf with a valid name has no preconditions.
+    let configured = unsafe { libc::sysconf(libc::_SC_NPROCESSORS_CONF) };
+    let available = usize::try_from(configured).unwrap_or(0).max(1);
     if core >= available {
         return Err(PinError::NoSuchCore {
             requested: core,

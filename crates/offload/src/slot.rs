@@ -686,16 +686,27 @@ mod tests {
         for i in 0..2_000u32 {
             let (wakes, waker) = counting_waker();
             assert!(slot.begin(i).is_ok());
-            slot.register_waker(&waker);
             // The response may race the registration in either order; the
-            // protocol guarantees the wake is never lost.
-            let mut spins = 0u64;
-            while wakes.0.load(Ordering::SeqCst) == 0 {
-                std::hint::spin_loop();
-                spins += 1;
-                assert!(spins < 1_000_000_000, "lost wakeup at round {i}");
-            }
-            assert_eq!(slot.poll_response(), Some(i));
+            // protocol guarantees the wake is never lost. A wake may be
+            // stale, though — the server's flag swap for the previous
+            // round's response can land on this round's registration — so
+            // a woken poll that finds nothing registers again, as the
+            // `Future` contract requires.
+            let mut seen = 0;
+            let response = loop {
+                slot.register_waker(&waker);
+                let mut spins = 0u64;
+                while wakes.0.load(Ordering::SeqCst) == seen {
+                    std::hint::spin_loop();
+                    spins += 1;
+                    assert!(spins < 1_000_000_000, "lost wakeup at round {i}");
+                }
+                seen = wakes.0.load(Ordering::SeqCst);
+                if let Some(response) = slot.poll_response() {
+                    break response;
+                }
+            };
+            assert_eq!(response, i);
         }
         stop.store(true, Ordering::Release);
         h.join().unwrap();

@@ -64,7 +64,7 @@ pub enum WaitStrategy {
         spins: u32,
     },
     /// Spin briefly, then sleep in escalating intervals. Highest latency,
-    /// friendliest to oversubscribed machines (like this 1-vCPU box).
+    /// friendliest to oversubscribed machines.
     Backoff,
 }
 

@@ -6,7 +6,7 @@
 //! ```
 
 use ngm_bench::replay::{replay_heap, replay_ngm};
-use ngm_core::Ngm;
+use ngm_core::NgmConfig;
 use ngm_heap::{AggregatedHeap, LockedHeap, SegregatedHeap, ShardedHeap};
 use ngm_simalloc::{run_kind_warm, ModelKind};
 use ngm_workloads::xalanc::{self, XalancParams};
@@ -28,7 +28,7 @@ fn main() {
             None => checksum = Some(cs),
             Some(c) => assert_eq!(c, cs, "{name}: checksum diverged"),
         }
-        println!("  {name:<28} {elapsed:?}");
+        println!("  {name:<34} {elapsed:?}");
     };
 
     let mut seg = SegregatedHeap::new(1);
@@ -72,13 +72,23 @@ fn main() {
     let r = replay_heap(&mut shard, events.iter().copied());
     check("sharded (mimalloc-ish)", r.checksum, r.elapsed);
 
-    let ngm = Ngm::start();
-    let mut h = ngm.handle();
-    let r = replay_ngm(&mut h, events.iter().copied());
-    check("NextGen-Malloc (offloaded)", r.checksum, r.elapsed);
-    drop(h);
-    let down = ngm.shutdown();
-    assert_eq!(down.heap.live_blocks, 0);
+    // The default tier amortises the handshake over a magazine; the
+    // paper's per-call protocol is the same code at `with_batch(1, 1)`.
+    for (name, cfg) in [
+        ("NGM offloaded (default)", NgmConfig::new()),
+        (
+            "NGM offloaded (with_batch(1, 1))",
+            NgmConfig::new().with_batch(1, 1),
+        ),
+    ] {
+        let ngm = cfg.build().expect("valid config");
+        let mut h = ngm.handle();
+        let r = replay_ngm(&mut h, events.iter().copied());
+        check(name, r.checksum, r.elapsed);
+        drop(h);
+        let down = ngm.shutdown();
+        assert_eq!(down.heap.live_blocks, 0);
+    }
 
     // -- Simulated PMU shape ----------------------------------------------
     println!("\nsimulated A72 (steady state, app cores):");

@@ -18,8 +18,9 @@ fn main() {
         ngm_offload::available_cores()
     );
 
-    // Each thread registers a handle; allocation is a synchronous round
-    // trip to the service core, free is fire-and-forget.
+    // Each thread registers a handle; an allocation pops the handle's
+    // magazine (one synchronous round trip to the service core refills
+    // it), a free fills a buffer that is posted fire-and-forget.
     let mut join = Vec::new();
     for t in 0..4u8 {
         let mut handle = ngm.handle();
@@ -53,7 +54,11 @@ fn main() {
 
     let down = ngm.shutdown();
     println!("\n-- service statistics --");
-    println!("allocations served : {}", down.service.allocs);
+    println!(
+        "allocations served : {} ({} of them magazine stash returned unused)",
+        down.service.allocs, down.service.magazine_returned
+    );
+    println!("service round trips: {}", down.runtime.calls_served);
     println!("frees applied      : {}", down.service.frees);
     println!("segments mapped    : {}", down.heap.segments);
     println!("peak live bytes    : {}", down.heap.peak_live_bytes);

@@ -49,7 +49,7 @@ fn main() {
         offloaded.elapsed, down.runtime.pinned_core
     );
     assert_eq!(direct.checksum, offloaded.checksum, "identical computation");
-    assert_eq!(down.service.allocs, offloaded.mallocs);
+    assert_eq!(down.service.app_allocs(), offloaded.mallocs);
     assert_eq!(down.heap.live_blocks, 0);
 
     // -- Simulated PMU view (the Table 1/3 machinery) ---------------------
@@ -65,6 +65,6 @@ fn main() {
             app.llc_load_mpki()
         );
     }
-    println!("\n(on a 1-vCPU machine the wall-clock comparison timeshares the");
+    println!("\n(with fewer than two CPUs the wall-clock comparison timeshares the");
     println!(" service core; the simulated counters carry the paper's story)");
 }

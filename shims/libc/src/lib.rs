@@ -43,6 +43,8 @@ pub const MAP_ANONYMOUS: c_int = 0x20;
 pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
 /// `sysconf` name for the VM page size.
 pub const _SC_PAGESIZE: c_int = 30;
+/// `sysconf` name for the number of processors configured.
+pub const _SC_NPROCESSORS_CONF: c_int = 83;
 
 /// Operation not permitted.
 pub const EPERM: c_int = 1;
@@ -110,6 +112,16 @@ pub unsafe fn CPU_ISSET(cpu: usize, cpuset: &cpu_set_t) -> bool {
     cpu < CPU_SET_WORDS * 64 && cpuset.bits[cpu / 64] & (1u64 << (cpu % 64)) != 0
 }
 
+/// Number of CPUs in the affinity mask.
+///
+/// # Safety
+///
+/// `cpuset` must point to a valid, initialized `cpu_set_t`.
+#[allow(clippy::missing_safety_doc)]
+pub unsafe fn CPU_COUNT(cpuset: &cpu_set_t) -> c_int {
+    cpuset.bits.iter().map(|w| w.count_ones()).sum::<u32>() as c_int
+}
+
 extern "C" {
     /// Maps pages of memory. See `mmap(2)`.
     pub fn mmap(
@@ -129,6 +141,13 @@ extern "C" {
 
     /// Sets the CPU affinity of a thread. See `sched_setaffinity(2)`.
     pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, cpuset: *const cpu_set_t) -> c_int;
+
+    /// Reads the CPU affinity of a thread. See `sched_getaffinity(2)`.
+    pub fn sched_getaffinity(pid: pid_t, cpusetsize: size_t, cpuset: *mut cpu_set_t) -> c_int;
+
+    /// Returns the calling process's id — as a `sched_*affinity` target,
+    /// its thread-group leader. See `getpid(2)`.
+    pub fn getpid() -> pid_t;
 
     /// Returns the CPU the calling thread runs on. See `sched_getcpu(3)`.
     pub fn sched_getcpu() -> c_int;

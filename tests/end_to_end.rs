@@ -36,8 +36,9 @@ fn all_real_allocators_compute_identically() {
     assert_eq!(a.checksum, b.checksum);
     assert_eq!(a.checksum, c.checksum);
     assert_eq!(a.checksum, d.checksum);
-    assert_eq!(down.service.allocs, a.mallocs);
-    assert_eq!(down.service.frees, a.frees);
+    assert_eq!(down.service.app_allocs(), a.mallocs);
+    assert_eq!(a.mallocs, a.frees);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.live_blocks, 0);
 }
 
@@ -65,8 +66,8 @@ fn ngm_accounts_for_every_operation_across_threads() {
     let total: u64 = joins.into_iter().map(|j| j.join().expect("worker")).sum();
     let down = ngm.shutdown();
     assert_eq!(total, threads as u64 * per_thread);
-    assert_eq!(down.service.allocs, total);
-    assert_eq!(down.service.frees, total);
+    assert_eq!(down.service.app_allocs(), total);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.live_blocks, 0);
     assert_eq!(down.runtime.clients_registered, threads as u64);
 }

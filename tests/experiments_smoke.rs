@@ -76,13 +76,14 @@ fn model41_reproduces_paper_numbers() {
 
 #[test]
 fn repro_batch_renders_and_crosses_breakeven() {
-    // The `repro batch` case: measured batched front-end vs unbatched,
+    // The `repro batch` case: measured batched front-end vs the per-call
+    // handshake (`with_batch(1, 1)`),
     // printed next to the §4.1 model and the ngm_batch sim prediction.
     let rows = ablations::measured_batched_frontend(2_000);
     assert_eq!(rows[0].batch, 1, "baseline row first");
     assert_eq!(
         rows[0].roundtrips_per_alloc, 1.0,
-        "unbatched: one per alloc"
+        "with_batch(1, 1): one per alloc"
     );
     // The break-even is crossed because a refill is paid once per batch.
     // Assert that cause exactly; whether it shows in cycles under a
@@ -97,7 +98,7 @@ fn repro_batch_renders_and_crosses_breakeven() {
     }
     let s = ablations::render_batched(Scale(1), 500);
     assert!(s.contains("Ablation F"));
-    assert!(s.contains("vs unbatched"));
+    assert!(s.contains("vs per-call"));
     assert!(s.contains("§4.1 model"));
     assert!(s.contains("Sim prediction"));
 }

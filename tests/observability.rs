@@ -186,7 +186,7 @@ fn live_trace_reconstructs_into_well_nested_spans() {
     let drain = ngm.telemetry().drain_trace();
     let spans = reconstruct(&drain.events);
     let calls: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT == 0).collect();
-    assert!(!calls.is_empty(), "unbatched allocs produce call spans");
+    assert!(!calls.is_empty(), "round trips produce call spans");
     let mut ids = HashSet::new();
     for s in &spans {
         assert!(s.well_nested(), "span {:#x}: {:?}", s.id, s.phases);
@@ -217,7 +217,9 @@ fn live_trace_reconstructs_into_well_nested_spans() {
 #[test]
 fn phase_histograms_cover_the_call_histogram() {
     const ROUNDS: usize = 4_000;
+    // The per-call handshake: every alloc is one stamped round trip.
     let ngm = NgmConfig::new()
+        .with_batch(1, 1)
         .with_placement(CorePlacement::Unpinned)
         .build()
         .expect("valid config");
@@ -601,9 +603,12 @@ mod faultinject {
         let _ = std::fs::remove_file(&path);
         std::env::set_var("NGM_BLACKBOX_PATH", &path);
 
+        // Per-call handshake: the warm-up leaves nothing stashed, so the
+        // allocation under the wedge has to ask the wedged shard.
         let ngm = Arc::new(
             NgmConfig::new()
                 .with_shards(2)
+                .with_batch(1, 1)
                 .with_placement(CorePlacement::Unpinned)
                 .with_deadline(Some(Duration::from_millis(10)))
                 .with_trace_capacity(4096)

@@ -313,7 +313,7 @@ proptest! {
         // stash: the books balance exactly.
         prop_assert_eq!(down.service.allocs, down.service.frees);
         prop_assert_eq!(down.service.magazine_returned, stash_at_drop);
-        prop_assert_eq!(down.service.allocs - down.service.magazine_returned, app_allocs);
+        prop_assert_eq!(down.service.app_allocs(), app_allocs);
         prop_assert_eq!(down.heap.live_blocks, 0);
         prop_assert_eq!(down.heap.live_bytes, 0);
         prop_assert_eq!(down.runtime.magazine_occupancy, 0);

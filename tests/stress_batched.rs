@@ -6,8 +6,9 @@
 //! every address is handed out at most once while live, every block is
 //! fully writable, and the service/heap accounting balances exactly at
 //! shutdown even though blocks sit in magazines and flush buffers along
-//! the way. The same scenario also runs with `batch_size = 1`, which must
-//! degenerate to the unbatched per-op protocol.
+//! the way. The same scenario also runs at `with_batch(1, 1)`, the paper's
+//! per-call handshake through the same magazine path: one refill of one
+//! block per alloc, nothing left stashed.
 //!
 //! Iteration count is bounded by `NGM_STRESS_ITERS` (per thread) so CI
 //! can run this in release mode in well under a minute.
@@ -168,7 +169,7 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
     // The books balance exactly, magazines and flush buffers included.
     assert_eq!(svc.allocs, svc.frees, "every block handed out came back");
     assert_eq!(
-        svc.allocs - svc.magazine_returned,
+        svc.app_allocs(),
         app_allocs,
         "service allocs minus unused stash equals app-visible allocs"
     );
@@ -179,11 +180,10 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
     assert_eq!(rt.clients_registered, THREADS as u64);
     assert_eq!(rt.magazine_occupancy, 0, "gauge settles at zero");
 
-    if batch_size > 1 {
-        assert!(svc.batch_refills > 0, "magazine path was exercised");
-    } else {
-        assert_eq!(svc.batch_refills, 0, "batch 1 degenerates to per-op");
-        assert_eq!(svc.magazine_returned, 0);
+    assert!(svc.batch_refills > 0, "magazine path was exercised");
+    if batch_size == 1 {
+        assert_eq!(svc.batch_refills, app_allocs, "one refill per alloc");
+        assert_eq!(svc.magazine_returned, 0, "a refill of one is never stashed");
     }
 }
 
@@ -198,6 +198,6 @@ fn stress_full_batch_and_flush() {
 }
 
 #[test]
-fn stress_degenerate_batch_size_one() {
+fn stress_batch_one_through_the_magazine_path() {
     run_scenario(1, 1);
 }

@@ -154,10 +154,7 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
 
     // Global accounting still holds across the tier.
     assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(
-        down.service.allocs - down.service.magazine_returned,
-        app_allocs
-    );
+    assert_eq!(down.service.app_allocs(), app_allocs);
     assert_eq!(down.service.failures, 0);
     assert_eq!(down.heap.live_blocks, 0, "heap fully reclaimed");
     assert_eq!(down.heap.live_bytes, 0);
