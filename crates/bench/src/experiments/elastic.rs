@@ -3,8 +3,8 @@
 //! The paper dedicates a fixed set of service cores; the elastic
 //! controller (PR 7) spawns and retires shards from live heat telemetry
 //! instead. This experiment drives the live runtime through a client
-//! ramp (1 → 4 → 16 → 4 → 1 churning threads), pumping the controller
-//! on a metrics-scrape cadence the whole way, and records the serving
+//! ramp (1 → 4 → 16 → 4 → 1 churning threads), ticking the tier
+//! ([`ngm_core::Ngm::tick`]) on a fixed cadence the whole way, and records the serving
 //! shard count per stage — the tier must widen under the 16-client
 //! stage and shrink back down the far side, with every per-shard
 //! `allocs == frees` balance exact at shutdown (scale events move only
@@ -70,9 +70,9 @@ pub struct ElasticReport {
     pub fixed_allocs_per_sec: f64,
 }
 
-/// How often the driver scrapes [`ngm_core::Ngm::heat_report`] while
-/// the churn runs — the controller's evaluation cadence.
-const SCRAPE_EVERY: std::time::Duration = std::time::Duration::from_millis(2);
+/// How often the driver calls [`ngm_core::Ngm::tick`] while the churn
+/// runs — the heat windows' time-base and the controller's cadence.
+const TICK_EVERY: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// The sim churn shape for one stage (mirrors the live worker loop).
 fn sim_workload(clients: usize, scale: Scale) -> Vec<ngm_workloads::Event> {
@@ -89,8 +89,7 @@ fn sim_workload(clients: usize, scale: Scale) -> Vec<ngm_workloads::Event> {
 }
 
 /// Churns `per_thread` alloc/free pairs on `clients` threads against
-/// `ngm`, scraping the controller every [`SCRAPE_EVERY`] while any
-/// worker runs. Returns (seconds, peak serving count during the stage).
+/// `ngm`, ticking the tier every [`TICK_EVERY`] while any worker runs. Returns (seconds, peak serving count during the stage).
 fn churn_stage(ngm: &Arc<ngm_core::Ngm>, clients: usize, per_thread: usize) -> (f64, usize) {
     use std::alloc::Layout;
     let start = std::time::Instant::now();
@@ -121,9 +120,9 @@ fn churn_stage(ngm: &Arc<ngm_core::Ngm>, clients: usize, per_thread: usize) -> (
         .collect();
     let mut peak = ngm.serving_shards().len();
     while !joins.iter().all(std::thread::JoinHandle::is_finished) {
-        let _ = ngm.heat_report();
+        ngm.tick();
         peak = peak.max(ngm.serving_shards().len());
-        std::thread::sleep(SCRAPE_EVERY);
+        std::thread::sleep(TICK_EVERY);
     }
     for j in joins {
         j.join().expect("worker");
@@ -131,14 +130,14 @@ fn churn_stage(ngm: &Arc<ngm_core::Ngm>, clients: usize, per_thread: usize) -> (
     (start.elapsed().as_secs_f64(), peak)
 }
 
-/// Pumps the controller with no client traffic until the serving count
+/// Ticks the tier with no client traffic until the serving count
 /// stops changing (bounded), letting drains run to completion.
 fn settle(ngm: &Arc<ngm_core::Ngm>) -> usize {
     let mut serving = ngm.serving_shards().len();
     let mut stable = 0u32;
     for _ in 0..400 {
-        let _ = ngm.heat_report();
-        std::thread::sleep(SCRAPE_EVERY);
+        ngm.tick();
+        std::thread::sleep(TICK_EVERY);
         let now = ngm.serving_shards().len();
         if now == serving {
             stable += 1;
@@ -183,7 +182,6 @@ pub fn run_with(scale: Scale, profile: bool) -> ElasticReport {
         ngm_core::NgmConfig::new()
             .with_shards(ELASTIC_MIN)
             .elastic(ELASTIC_MIN, ELASTIC_MAX)
-            .with_topology(ngm_core::ShardTopology::per_shard())
             .with_batch(16, 8)
             .with_placement(ngm_core::CorePlacement::Unpinned)
             .with_profile(profile)

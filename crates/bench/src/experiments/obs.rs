@@ -6,16 +6,17 @@
 //! text, (b) the continuous flight recording's shard-count timeline
 //! matches the controller's `Scale` trace events *exactly* (frames are
 //! assembled under the same mutex that stamps the events), and (c) the
-//! whole apparatus — scrape tick, recorder append, endpoint render —
+//! whole apparatus — frame assembly, recorder append, endpoint render —
 //! costs less than 1% of the cycles the tier spends serving
 //! synchronous calls (`ngm_call_cycles`).
 //!
 //! The experiment reruns the elastic client ramp (1 → 4 → 16 → 4 → 1
 //! churning threads) with the observer as the *only* controller ticker:
-//! no driver-side `heat_report()` pumping — the scrape thread does that
-//! job, exactly as a Prometheus deployment would. During each stage the
+//! no driver-side `tick()` calls — the observer's ticker does that job,
+//! exactly as a Prometheus deployment would. During each stage the
 //! driver curls `/metrics` like an external scraper and validates every
-//! response. Afterwards it replays the recording offline: reconstruct
+//! response; those scrapes are pure reads, so the run must end with one
+//! recorded frame per tick however often the driver curled. Afterwards it replays the recording offline: reconstruct
 //! the serving-count timeline from the `Scale` events, walk the frames
 //! in timestamp order, and require frame-vs-event agreement on every
 //! single frame. The observability tax is read from the tier's own
@@ -26,7 +27,7 @@ use std::alloc::Layout;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ngm_core::{CorePlacement, NgmConfig, ObserverConfig, ShardTopology};
+use ngm_core::{CorePlacement, NgmConfig, ObserverConfig};
 use ngm_simalloc::NgmElasticModel;
 use ngm_telemetry::export::validate_exposition;
 use ngm_telemetry::recorder::{read_recording, RecordFrame};
@@ -41,7 +42,7 @@ pub const STAGES: [usize; 5] = [1, 4, 16, 4, 1];
 pub const ELASTIC_MIN: usize = 1;
 /// The elastic tier's ceiling.
 pub const ELASTIC_MAX: usize = 8;
-/// The observer's scrape (and controller-tick) cadence.
+/// The observer's tick cadence.
 const SCRAPE_EVERY: Duration = Duration::from_millis(5);
 /// How often the driver curls `/metrics` during a stage, playing the
 /// external Prometheus scraper.
@@ -72,6 +73,10 @@ pub struct ObsReport {
     pub stages: Vec<ObsStageRow>,
     /// Frames in the flight recording.
     pub frames: usize,
+    /// [`ngm_core::Ngm::tick`]s over the run. Only the observer ticks
+    /// and it records one frame per tick, so this equals `frames` unless
+    /// something else (a scrape) moved the clock.
+    pub ticks: u64,
     /// `Scale` trace events the controller emitted over the run.
     pub scale_events: usize,
     /// Whether every frame's serving count matched the count
@@ -91,8 +96,8 @@ pub struct ObsReport {
 }
 
 /// Churns `per_thread` alloc/free rounds on `clients` threads. Unlike
-/// the `elastic` experiment there is no driver-side controller pumping:
-/// the observer's scrape thread is the only tick source.
+/// the `elastic` experiment there is no driver-side ticking: the
+/// observer's ticker is the only tick source.
 fn churn_stage(
     ngm: &Arc<ngm_core::Ngm>,
     clients: usize,
@@ -228,7 +233,6 @@ pub fn run(scale: Scale) -> ObsReport {
             .with_batch(1, 1)
             .with_shards(ELASTIC_MIN)
             .elastic(ELASTIC_MIN, ELASTIC_MAX)
-            .with_topology(ShardTopology::per_shard())
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(8192)
             .with_observer(
@@ -267,6 +271,7 @@ pub fn run(scale: Scale) -> ObsReport {
     // logged, and replay one against the other.
     observer.stop();
     let frames = read_recording(&record_path).expect("recording readable");
+    let ticks = ngm.ticks();
     let drain = ngm.telemetry().drain_trace();
     let scale_events = drain
         .events
@@ -288,6 +293,7 @@ pub fn run(scale: Scale) -> ObsReport {
     ObsReport {
         stages,
         frames: frames.len(),
+        ticks,
         scale_events,
         timeline_matches,
         timeline_detail,
@@ -299,10 +305,17 @@ pub fn run(scale: Scale) -> ObsReport {
 }
 
 impl ObsReport {
-    /// Whether every acceptance bar held: all scrapes valid, the
-    /// timeline replay exact, and the tax under budget.
+    /// Whether the observer's ticker was the run's only clock: every
+    /// tick recorded exactly one frame and the driver's curls added none.
+    pub fn one_frame_per_tick(&self) -> bool {
+        self.ticks == self.frames as u64
+    }
+
+    /// Whether every acceptance bar held: all scrapes valid, one frame
+    /// per tick, the timeline replay exact, and the tax under budget.
     pub fn accepted(&self) -> bool {
         self.stages.iter().all(|s| s.scrape_failures == 0)
+            && self.one_frame_per_tick()
             && self.timeline_matches
             && self.overhead_pct < OVERHEAD_BUDGET_PCT
             && self.balanced
@@ -336,6 +349,13 @@ impl ObsReport {
         if let Some(detail) = &self.timeline_detail {
             let _ = writeln!(out, "  first mismatch: {detail}");
         }
+        let _ = writeln!(
+            out,
+            "clock: {} tick(s) vs {} frame(s) — one frame per tick: {}",
+            self.ticks,
+            self.frames,
+            self.one_frame_per_tick()
+        );
         let _ = writeln!(
             out,
             "observability tax: {} obs cycles / {} call cycles = {:.4}% (budget {OVERHEAD_BUDGET_PCT}%)",

@@ -73,12 +73,18 @@ fn compute(amount: u32) {
     std::hint::black_box(acc);
 }
 
-/// Replays a single-threaded stream against a [`Heap`].
+/// The one replay loop: drives `events` through `target` with the given
+/// allocate and free operations (generic, so each caller's loop is
+/// monomorphised around its allocator's calls).
 ///
-/// # Panics
-///
-/// Panics on malformed streams or allocation failure.
-pub fn replay_heap<H: Heap>(heap: &mut H, events: impl Iterator<Item = Event>) -> ReplayOutcome {
+/// `free` is only ever handed a block `alloc` returned for this
+/// `target`, with the layout it was allocated under, exactly once.
+fn replay<T>(
+    target: &mut T,
+    alloc: impl Fn(&mut T, Layout) -> NonNull<u8>,
+    free: impl Fn(&mut T, NonNull<u8>, Layout),
+    events: impl Iterator<Item = Event>,
+) -> ReplayOutcome {
     let mut live: HashMap<u64, (NonNull<u8>, Layout)> = HashMap::new();
     let mut out = ReplayOutcome {
         elapsed: Duration::ZERO,
@@ -93,14 +99,12 @@ pub fn replay_heap<H: Heap>(heap: &mut H, events: impl Iterator<Item = Event>) -
         match e {
             Event::Malloc { id, size, .. } => {
                 let l = layout_for(size);
-                let p = heap.allocate(l).expect("allocation failed in replay");
-                live.insert(id, (p, l));
+                live.insert(id, (alloc(target, l), l));
                 out.mallocs += 1;
             }
             Event::Free { id, .. } => {
                 let (p, l) = live.remove(&id).expect("free of dead id");
-                // SAFETY: p came from this heap with layout l, freed once.
-                unsafe { heap.deallocate(p, l) };
+                free(target, p, l);
                 out.frees += 1;
             }
             Event::Touch {
@@ -131,6 +135,17 @@ pub fn replay_heap<H: Heap>(heap: &mut H, events: impl Iterator<Item = Event>) -
     out
 }
 
+/// Replays a single-threaded stream against a [`Heap`].
+///
+/// # Panics
+///
+/// Panics on malformed streams or allocation failure.
+pub fn replay_heap<H: Heap>(heap: &mut H, events: impl Iterator<Item = Event>) -> ReplayOutcome {
+    let alloc = |h: &mut H, l| h.allocate(l).expect("allocation failed in replay");
+    // SAFETY: `replay` frees each block once, to the heap that made it.
+    replay(heap, alloc, |h, p, l| unsafe { h.deallocate(p, l) }, events)
+}
+
 /// Replays a single-threaded stream through a NextGen-Malloc handle
 /// (synchronous alloc, asynchronous free — the offloaded prototype).
 ///
@@ -138,56 +153,9 @@ pub fn replay_heap<H: Heap>(heap: &mut H, events: impl Iterator<Item = Event>) -
 ///
 /// Panics on malformed streams or allocation failure.
 pub fn replay_ngm(handle: &mut NgmHandle, events: impl Iterator<Item = Event>) -> ReplayOutcome {
-    let mut live: HashMap<u64, (NonNull<u8>, Layout)> = HashMap::new();
-    let mut out = ReplayOutcome {
-        elapsed: Duration::ZERO,
-        mallocs: 0,
-        frees: 0,
-        bytes_touched: 0,
-        checksum: 0,
-    };
-    let start = Instant::now();
-    let mut round = 0u64;
-    for e in events {
-        match e {
-            Event::Malloc { id, size, .. } => {
-                let l = layout_for(size);
-                let p = handle.alloc(l).expect("NGM allocation failed");
-                live.insert(id, (p, l));
-                out.mallocs += 1;
-            }
-            Event::Free { id, .. } => {
-                let (p, l) = live.remove(&id).expect("free of dead id");
-                // SAFETY: p came from this handle's allocator with layout
-                // l; freed once, not used after.
-                unsafe { handle.dealloc(p, l) };
-                out.frees += 1;
-            }
-            Event::Touch {
-                id,
-                offset,
-                len,
-                write,
-                ..
-            } => {
-                let (p, _l) = live[&id];
-                round += 1;
-                // SAFETY: in-bounds per generator contract.
-                out.checksum = out
-                    .checksum
-                    .wrapping_add(unsafe { touch(p, offset, len, write, round) });
-                out.bytes_touched += u64::from(len);
-            }
-            Event::Compute { amount, .. } => compute(amount),
-        }
-    }
-    out.elapsed = start.elapsed();
-    assert!(
-        live.is_empty(),
-        "replayed stream leaked {} blocks",
-        live.len()
-    );
-    out
+    let alloc = |h: &mut NgmHandle, l| h.alloc(l).expect("NGM allocation failed");
+    // SAFETY: `replay` frees each block once, through the handle that made it.
+    replay(handle, alloc, |h, p, l| unsafe { h.dealloc(p, l) }, events)
 }
 
 #[cfg(test)]

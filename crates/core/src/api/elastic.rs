@@ -1,9 +1,10 @@
 //! The elastic controller: threshold-and-streak scaling decisions over
 //! the heat windows, drain and retire of a shard, and the background
-//! [`Autoscaler`] driver.
+//! [`Autoscaler`] ticker.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, PoisonError, Weak};
 use std::time::Duration;
 
 use ngm_telemetry::trace::TraceEventKind;
@@ -11,6 +12,7 @@ use ngm_telemetry::window::HeatFrame;
 
 use super::lock;
 use super::tier::Ngm;
+use crate::config::{HIGH_WATER, LOW_WATER, SUSTAIN};
 use crate::heat::{pick_coolest, ShardHeat, ShardLifecycle};
 
 #[derive(Debug, Default)]
@@ -62,11 +64,10 @@ pub enum ScaleDecision {
 
 impl Ngm {
     /// Runs one controller evaluation against the heat frames already in
-    /// the windows (pushing none), and returns what it decided. The same
-    /// evaluation runs automatically at the end of every
-    /// [`Ngm::heat_report`] (hence every metrics scrape); this explicit
-    /// tick exists for background drivers ([`Ngm::autoscaler`]) and for
-    /// deterministic tests that inject frames via [`Ngm::inject_heat`].
+    /// the windows (pushing none), and returns what it decided: the
+    /// second half of [`Ngm::tick`], which is its only caller in the
+    /// tier. Public for deterministic tests that inject frames via
+    /// [`Ngm::inject_heat`] instead of sampling real load.
     ///
     /// Always [`ScaleDecision::Hold`] for a non-elastic tier.
     pub fn scaling_tick(&self) -> ScaleDecision {
@@ -74,7 +75,7 @@ impl Ngm {
         self.evaluate_scaling(&mut st)
     }
 
-    pub(super) fn evaluate_scaling(&self, st: &mut ControllerState) -> ScaleDecision {
+    fn evaluate_scaling(&self, st: &mut ControllerState) -> ScaleDecision {
         let Some(policy) = self.elastic else {
             return ScaleDecision::Hold;
         };
@@ -131,12 +132,12 @@ impl Ngm {
             }
         }
         let mean = loads.iter().map(|&(_, l)| l).sum::<u64>() / serving.len() as u64;
-        if mean > policy.high_water && serving.len() < policy.max {
+        if mean > HIGH_WATER && serving.len() < policy.max {
             st.hot_streak += 1;
             st.cold_streak = 0;
-            if st.hot_streak >= policy.sustain {
+            if st.hot_streak >= SUSTAIN {
                 st.hot_streak = 0;
-                if let Some(slot) = self.pick_spawn_slot(&serving) {
+                if let Some(slot) = self.pick_spawn_slot() {
                     if self.spawn_slot(slot).is_ok() {
                         self.obs.record_scale_up();
                         self.push_scale_event(1, slot);
@@ -144,18 +145,15 @@ impl Ngm {
                     }
                 }
             }
-        } else if mean < policy.low_water && serving.len() > policy.min {
+        } else if mean < LOW_WATER && serving.len() > policy.min {
             st.cold_streak += 1;
             st.hot_streak = 0;
-            if st.cold_streak >= policy.sustain {
+            if st.cold_streak >= SUSTAIN {
                 st.cold_streak = 0;
                 // Retire the coolest shard outside the resident floor
                 // (slots `0..min` never retire: large layouts hash over
                 // them, so their frees must always find them open).
-                let candidates = loads
-                    .iter()
-                    .filter(|&&(s, _)| s >= policy.min)
-                    .map(|&(s, l)| (s, l, false));
+                let candidates = loads.iter().copied().filter(|&(s, _)| s >= policy.min);
                 if let Some(victim) = pick_coolest(candidates) {
                     self.gate_for_drain(victim);
                     st.draining = Some(DrainState {
@@ -173,24 +171,15 @@ impl Ngm {
         ScaleDecision::Hold
     }
 
-    /// The dormant/retired slot to spawn next: least-loaded cluster
-    /// (fewest serving shards), ties to the lowest slot index — the same
-    /// tie-breaking as [`pick_coolest`], with "cool" meaning "empty".
-    fn pick_spawn_slot(&self, serving: &[usize]) -> Option<usize> {
-        let serving_in_cluster = |cluster: u8| {
-            serving
-                .iter()
-                .filter(|&&s| self.shards[s].cluster == cluster)
-                .count() as u64
-        };
-        let candidates = (0..self.shards.len()).filter_map(|s| {
-            let parked = matches!(
+    /// The slot to spawn next: the lowest-indexed dormant/retired slot
+    /// whose service is parked.
+    fn pick_spawn_slot(&self) -> Option<usize> {
+        (0..self.shards.len()).find(|&s| {
+            matches!(
                 self.obs.state(s),
                 ShardLifecycle::Dormant | ShardLifecycle::Retired
-            ) && lock(&self.shards[s].cell.parked).is_some();
-            parked.then(|| (s, serving_in_cluster(self.shards[s].cluster), false))
-        });
-        pick_coolest(candidates)
+            ) && lock(&self.shards[s].cell.parked).is_some()
+        })
     }
 
     /// Gates `shard` against new synchronous calls and marks it draining.
@@ -295,11 +284,11 @@ impl Ngm {
     }
 
     /// Pushes a heat frame into `shard`'s window, exactly as a
-    /// [`Ngm::heat_report`] sample would — the deterministic way for
-    /// tests (and replay drivers) to steer the controller without real
-    /// load. Frames are cumulative: the window differentiates them.
+    /// [`Ngm::tick`] sample would — the deterministic way for tests (and
+    /// replay drivers) to steer the controller without real load. Frames
+    /// are cumulative: the window differentiates them.
     pub fn inject_heat(&self, shard: usize, frame: HeatFrame) {
-        let _ = self.obs.push_frame(shard, frame);
+        self.obs.push_frame(shard, frame);
     }
 
     /// Times the controller scales up / down so far (exported as
@@ -325,39 +314,31 @@ impl Ngm {
         }
     }
 
-    /// Spawns a background thread that drives [`Ngm::heat_report`] (and
-    /// with it the elastic controller) every `interval`, for deployments
-    /// without a metrics scraper to piggyback on. The thread holds only a
+    /// Spawns the background ticker: a thread that calls [`Ngm::tick`]
+    /// every `interval`, for deployments that run no observer (whose
+    /// ticker is this same thread — run one or the other, or the windows
+    /// span half the interval each was given). The thread holds only a
     /// weak reference and exits on its own once the tier is dropped; stop
     /// it explicitly (or drop the returned handle) before
     /// [`Ngm::shutdown`] to avoid it briefly reviving the `Arc`.
-    pub fn autoscaler(self: &Arc<Self>, interval: Duration) -> Autoscaler {
-        let weak = Arc::downgrade(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("ngm-autoscaler".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Some(ngm) = weak.upgrade() else { break };
-                    let _ = ngm.heat_report();
-                }
-            })
-            .expect("failed to spawn autoscaler thread");
-        Autoscaler {
-            stop,
-            thread: Some(thread),
-        }
+    ///
+    /// # Errors
+    ///
+    /// Fails when the OS refuses the thread.
+    pub fn autoscaler(self: &Arc<Self>, interval: Duration) -> io::Result<Autoscaler> {
+        Autoscaler::spawn(Arc::downgrade(self), interval, |_| {})
     }
 }
 
-/// Guard for the background scaling driver spawned by
-/// [`Ngm::autoscaler`]: stops and joins the thread on [`Autoscaler::stop`]
-/// or drop.
+/// How often the ticker re-checks its stop flag while sleeping between
+/// ticks, so [`Autoscaler::stop`] returns promptly even under a long
+/// interval.
+const STOP_POLL: Duration = Duration::from_millis(10);
+
+/// Guard for the tier's background ticker ([`Ngm::autoscaler`], or the
+/// one inside a running [`crate::Observer`]): the only thread in the
+/// crate that calls [`Ngm::tick`] on a cadence. Stops and joins the
+/// thread on [`Autoscaler::stop`] or drop.
 #[derive(Debug)]
 pub struct Autoscaler {
     stop: Arc<AtomicBool>,
@@ -365,7 +346,43 @@ pub struct Autoscaler {
 }
 
 impl Autoscaler {
-    /// Stops the driver thread and waits for it to exit.
+    /// The one place the crate spawns a ticking thread: every `interval`
+    /// (clamped to 1ms) it upgrades `weak`, runs [`Ngm::tick`], then
+    /// hands the tier to `after_tick` (the observer's recorder hook).
+    pub(crate) fn spawn(
+        weak: Weak<Ngm>,
+        interval: Duration,
+        mut after_tick: impl FnMut(&Ngm) + Send + 'static,
+    ) -> io::Result<Autoscaler> {
+        let interval = interval.max(Duration::from_millis(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("ngm-ticker".into())
+            .spawn(move || loop {
+                let mut slept = Duration::ZERO;
+                while slept < interval {
+                    if stop_flag.load(Ordering::Acquire) {
+                        return;
+                    }
+                    let step = STOP_POLL.min(interval - slept);
+                    std::thread::sleep(step);
+                    slept += step;
+                }
+                if stop_flag.load(Ordering::Acquire) {
+                    return;
+                }
+                let Some(ngm) = weak.upgrade() else { return };
+                ngm.tick();
+                after_tick(&ngm);
+            })?;
+        Ok(Autoscaler {
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// Stops the ticker thread and waits for it to exit.
     pub fn stop(mut self) {
         self.halt();
     }

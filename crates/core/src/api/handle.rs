@@ -72,9 +72,6 @@ pub struct NgmHandle {
     /// per operation compares it against [`ObsState::generation`]; a
     /// mismatch triggers [`NgmHandle::resync_routes`].
     pub(super) seen_generation: u64,
-    /// Cluster whose shards this handle prefers for allocations (see
-    /// [`Ngm::handle_on_cluster`]); `None` routes over all serving.
-    pub(super) preferred_cluster: Option<u8>,
     /// Each slot's persistent runtime counters — valid even when the slot
     /// has no thread (and thus no client to reach them through).
     pub(super) shard_stats: Box<[Arc<RuntimeStats>]>,
@@ -268,7 +265,7 @@ impl NgmHandle {
             tsc: cycles_now(),
             events: self.shard_telemetry[shard].peek_trace(DEFAULT_LAST_K),
             shards,
-            heat: self.obs.render_current(),
+            heat: self.obs.report().render(),
         });
     }
 

@@ -31,7 +31,7 @@ pub use tier::{Ngm, NgmShutdown, ShardShutdown};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -44,8 +44,7 @@ impl NgmHandle {
     const REBALANCE_PRESSURE: u32 = 64;
 
     /// Recomputes the class → shard spread over the serving shards this
-    /// handle can route to, preferring its cluster's shards when it has a
-    /// preference and any of them serve.
+    /// handle can route to.
     pub(super) fn recompute_class_routes(&mut self) {
         let serving: Vec<usize> = (0..self.nshards())
             .filter(|&s| self.obs.state(s) == ShardLifecycle::Serving && !self.failed[s])
@@ -53,23 +52,8 @@ impl NgmHandle {
         if serving.is_empty() {
             return;
         }
-        let preferred: Vec<usize> = match self.preferred_cluster {
-            Some(cluster) => {
-                let same: Vec<usize> = serving
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.obs.cluster(s) == cluster)
-                    .collect();
-                if same.is_empty() {
-                    serving
-                } else {
-                    same
-                }
-            }
-            None => serving,
-        };
         for (c, slot) in self.class_shard.iter_mut().enumerate() {
-            *slot = preferred[c % preferred.len()] as u16;
+            *slot = serving[c % serving.len()] as u16;
         }
     }
 
@@ -139,10 +123,10 @@ impl NgmHandle {
     /// public so operators can steer traffic by hand. The target is the
     /// shard with the lowest combined score: its tier-wide windowed heat
     /// ([`crate::heat::ShardHeat::score`] — recent deadlines, retries,
-    /// ring backlog, sampled by [`crate::Ngm::heat_report`]) plus this
-    /// handle's own accumulated ring-saturation pressure against it. Before any
-    /// heat frame exists the heat term is zero and the choice degrades to
-    /// the old pressure-only policy. Only *future allocations* move —
+    /// ring backlog, as of the last [`crate::Ngm::tick`]) plus this
+    /// handle's own accumulated ring-saturation pressure against it. Before
+    /// the first tick the heat term is zero and the choice degrades to the
+    /// old pressure-only policy. Only *future allocations* move —
     /// frees route by address, so blocks already handed out still drain
     /// back to the shard that owns them, and the accounting stays exact
     /// through any number of rebalances.
@@ -152,7 +136,7 @@ impl NgmHandle {
         if n == 1 {
             return;
         }
-        let candidates: Vec<(usize, u64, bool)> = (0..n)
+        let candidates = (0..n)
             .filter(|&s| {
                 s != overloaded
                     && !self.failed[s]
@@ -161,10 +145,8 @@ impl NgmHandle {
             })
             .map(|s| {
                 let score = u64::from(self.pressure[s]).saturating_add(self.obs.heat_score(s));
-                let affinity = self.preferred_cluster == Some(self.obs.cluster(s));
-                (s, score, affinity)
-            })
-            .collect();
+                (s, score)
+            });
         let Some(target) = pick_coolest(candidates) else {
             return;
         };

@@ -673,6 +673,17 @@ fn heat_report_windows_recent_activity() {
     while ngm.runtime_stats().calls_served < 16 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
+    let unticked = ngm.heat_report();
+    assert_eq!(
+        unticked.shards.len(),
+        2,
+        "every shard reports before any tick"
+    );
+    assert!(
+        unticked.shards.iter().all(|s| s.heat.calls == 0),
+        "reading the report samples nothing"
+    );
+    ngm.tick();
     let first = ngm.heat_report();
     assert_eq!(first.shards.len(), 2);
     let total: u64 = first.shards.iter().map(|s| s.heat.calls).sum();
@@ -682,13 +693,97 @@ fn heat_report_windows_recent_activity() {
         "phase percentiles ride along for shards that served calls"
     );
     assert!(first.render().contains("shard 0:"));
-    // A second report with no traffic in between: the window is
+    // A second tick with no traffic in between: the window is
     // [first, second] and must read zero new calls.
+    ngm.tick();
     let second = ngm.heat_report();
     let recent: u64 = second.shards.iter().map(|s| s.heat.calls).sum();
     assert_eq!(recent, 0, "windowed view excludes pre-window traffic");
     drop(h);
     ngm.shutdown();
+}
+
+/// The tier has one clock. Between two `tick()`s, any number of
+/// `metrics()` / `heat_report()` calls and HTTP scrapes of `/metrics`
+/// leave every heat window, the controller's streak, and the serving set
+/// exactly as the last tick wrote them — so the scale-up lands on the
+/// `SUSTAIN`-th hot *tick*, however often the tier was scraped.
+#[test]
+fn scrapes_between_ticks_move_neither_windows_nor_controller() {
+    use super::ScaleDecision;
+    use crate::config::{ObserverConfig, SUSTAIN};
+
+    // Per-call handshake on one elastic shard: every alloc is one served
+    // call, so an interval's load is an exact count.
+    let ngm = Arc::new(
+        NgmConfig::new()
+            .with_batch(1, 1)
+            .with_shards(1)
+            .elastic(1, 2)
+            .with_placement(CorePlacement::Unpinned)
+            .build()
+            .unwrap(),
+    );
+    // An observer whose own ticker never fires within the test: its
+    // endpoints are under test, and this thread is the only clock.
+    let observer = ngm
+        .serve_observer(
+            ObserverConfig::new("127.0.0.1:0").with_scrape_interval(Duration::from_secs(3600)),
+        )
+        .unwrap();
+    let mut h = ngm.handle();
+    let mut served = 0u64;
+    let mut hot_interval = |h: &mut NgmHandle| {
+        for _ in 0..200 {
+            let p = h.alloc(layout(64)).unwrap();
+            // SAFETY: block from this handle's allocator.
+            unsafe { h.dealloc(p, layout(64)) };
+        }
+        served += 200;
+        // A call is counted after its response is published.
+        while ngm.runtime_stats().calls_served < served {
+            std::thread::yield_now();
+        }
+    };
+    let clock = |ngm: &Ngm| {
+        let windows: Vec<usize> = (0..ngm.num_shards())
+            .map(|s| ngm.obs_state().frames(s).len())
+            .collect();
+        let hot_streak = super::lock(&ngm.controller).hot_streak;
+        (windows, hot_streak, ngm.serving_shards(), ngm.ticks())
+    };
+
+    hot_interval(&mut h);
+    assert_eq!(ngm.tick(), ScaleDecision::Hold, "one frame: unsettled");
+    hot_interval(&mut h);
+    // The window now spans a hot interval: 200 calls against a high
+    // water mark of 96. Each tick but the last only arms the streak.
+    for armed in 1..SUSTAIN {
+        assert_eq!(ngm.tick(), ScaleDecision::Hold, "streak arming");
+        assert_eq!(clock(&ngm).1, armed);
+
+        let before = clock(&ngm);
+        for _ in 0..8 {
+            let _ = ngm.metrics();
+            let _ = ngm.heat_report();
+            let (status, body) =
+                ngm_telemetry::server::http_get(observer.addr(), "/metrics").unwrap();
+            assert_eq!(status, 200);
+            ngm_telemetry::export::validate_exposition(&body).unwrap();
+        }
+        assert_eq!(clock(&ngm), before, "a scrape is a pure read");
+    }
+    assert_eq!(
+        ngm.tick(),
+        ScaleDecision::ScaleUp { shard: 1 },
+        "the scale-up lands on the SUSTAIN-th hot tick"
+    );
+    assert_eq!(ngm.ticks(), u64::from(SUSTAIN) + 1);
+
+    drop(h);
+    observer.stop();
+    let down = Arc::into_inner(ngm).unwrap().shutdown();
+    assert!(down.clean() && down.balanced());
 }
 
 #[test]

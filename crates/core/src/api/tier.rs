@@ -19,7 +19,7 @@ use ngm_telemetry::sites::{SiteProfiler, SiteReport};
 use ngm_telemetry::trace::TraceRing;
 use ngm_telemetry::window::HeatFrame;
 
-use super::elastic::ControllerState;
+use super::elastic::{ControllerState, ScaleDecision};
 use super::handle::NgmHandle;
 use super::lock;
 use crate::config::{
@@ -91,7 +91,6 @@ pub(super) struct Shard {
     /// of this slot (see [`RuntimeHandles`]).
     pub(super) handles: RuntimeHandles,
     pub(super) core: Option<usize>,
-    pub(super) cluster: u8,
 }
 
 /// The running allocator: one or more dedicated service threads plus
@@ -112,7 +111,7 @@ pub struct Ngm {
     /// Scaling-controller state, serialized so at most one spawn or
     /// retirement is in flight at a time.
     pub(super) controller: Mutex<ControllerState>,
-    /// Template for per-slot [`RuntimeConfig`]s (core/shard/cluster are
+    /// Template for per-slot [`RuntimeConfig`]s (core and shard are
     /// filled in per slot).
     pub(super) runtime_cfg: RuntimeConfig,
     /// Controller-decision trace ring (on slot 0's telemetry hub — the
@@ -160,7 +159,6 @@ impl Ngm {
         let cores = ngm_offload::available_cores();
         let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
         let runtime_cfg = RuntimeConfig {
-            server_wait: cfg.server_wait,
             client_wait: cfg.client_wait,
             ring_capacity: cfg.free_ring_capacity,
             trace_capacity: cfg.trace_capacity,
@@ -170,7 +168,6 @@ impl Ngm {
         };
         let mut shards = Vec::with_capacity(total);
         let mut demand_watches = Vec::with_capacity(total);
-        let mut clusters = Vec::with_capacity(total);
         for i in 0..total {
             let orphans = Arc::new(OrphanStack::new());
             let service = MallocService::for_shard(i as u16, Arc::clone(&orphans));
@@ -186,8 +183,6 @@ impl Ngm {
                 CorePlacement::Unpinned => None,
                 CorePlacement::Base(base) => Some(base + i),
             };
-            let cluster = cfg.topology.clusters[i];
-            clusters.push(cluster);
             shards.push(Shard {
                 cell: Arc::new(SlotCell {
                     runtime: RwLock::new(None),
@@ -199,7 +194,6 @@ impl Ngm {
                 heap_watch,
                 handles: RuntimeHandles::fresh(&runtime_cfg),
                 core,
-                cluster,
             });
         }
         let mut ngm = Ngm {
@@ -208,12 +202,7 @@ impl Ngm {
             flush_threshold: cfg.flush_threshold as u32,
             sites: (cfg.site_sample > 0).then(|| Arc::new(SiteProfiler::new(cfg.site_sample))),
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
-            obs: Arc::new(ObsState::new(
-                cfg.blackbox,
-                cfg.heat_window,
-                demand_watches,
-                clusters,
-            )),
+            obs: Arc::new(ObsState::new(cfg.blackbox, demand_watches)),
             elastic: cfg.elastic,
             controller: Mutex::new(ControllerState::default()),
             runtime_cfg,
@@ -237,7 +226,6 @@ impl Ngm {
         RuntimeConfig {
             core: self.shards[slot].core,
             shard: slot,
-            cluster: self.shards[slot].cluster as usize,
             ..self.runtime_cfg
         }
     }
@@ -280,19 +268,6 @@ impl Ngm {
     /// holds one client endpoint per serving shard and routes between
     /// them, registering endpoints to later-spawned shards lazily.
     pub fn handle(&self) -> NgmHandle {
-        self.handle_inner(None)
-    }
-
-    /// As [`Ngm::handle`], but preferring same-cluster shards when
-    /// routing allocations: the handle's class map spreads over the
-    /// serving shards on `cluster` when any exist, falling back to the
-    /// whole serving set otherwise. Frees are address-routed and ignore
-    /// the preference.
-    pub fn handle_on_cluster(&self, cluster: u8) -> NgmHandle {
-        self.handle_inner(Some(cluster))
-    }
-
-    fn handle_inner(&self, preferred_cluster: Option<u8>) -> NgmHandle {
         let n = self.shards.len();
         let mut clients = Vec::with_capacity(n);
         let mut client_epoch = Vec::with_capacity(n);
@@ -313,7 +288,6 @@ impl Ngm {
             slots: self.shards.iter().map(|s| Arc::clone(&s.cell)).collect(),
             client_epoch: client_epoch.into_boxed_slice(),
             seen_generation: self.obs.generation(),
-            preferred_cluster,
             shard_stats: self
                 .shards
                 .iter()
@@ -347,55 +321,58 @@ impl Ngm {
         handle
     }
 
-    /// Samples every shard into its heat window and returns the windowed
-    /// aggregates: recent calls, deadline/retry/fallback rates, ring
-    /// occupancy, windowed phase percentiles, and per-size-class refill
-    /// demand. Each call pushes one frame per shard, so the window depth
-    /// ([`NgmConfig::with_heat_window`]) spans the last N sampling
-    /// intervals at whatever cadence the caller reports.
-    pub fn heat_report(&self) -> HeatReport {
+    /// The tier's one clock: samples every shard into its heat window
+    /// (one cumulative frame per shard, so a window spans the last
+    /// [`ngm_telemetry::window::DEFAULT_HEAT_FRAMES`] tick intervals),
+    /// then runs one elastic-controller evaluation over the windows and
+    /// returns what it decided. Nothing else writes the windows or runs
+    /// the controller: [`Ngm::heat_report`], [`Ngm::metrics`], the
+    /// observer endpoints, blackbox dumps and rebalances only read what
+    /// the last tick wrote, so how often the tier is scraped never
+    /// shortens the window's time-base or arms a scaling streak. Call it
+    /// at the cadence the windows should span — by hand, or from the
+    /// background thread [`Ngm::autoscaler`] (and the observer) runs.
+    pub fn tick(&self) -> ScaleDecision {
         let fallbacks = self.fallback.allocs();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                // Counters live in the slot's persistent handles, so a
-                // dormant slot samples as zeros and a respawned slot's
-                // window stays monotonic across epochs.
-                let stats = s.handles.stats.snapshot();
-                let frame = HeatFrame {
-                    tsc: cycles_now(),
-                    ring_occupancy: stats.ring_occupancy as u64,
-                    calls: stats.calls_served,
-                    deadlines: stats.deadlines,
-                    retries: stats.post_full_retries,
-                    fallbacks,
-                    phases: s
-                        .handles
-                        .telemetry
-                        .phase_cycles
-                        .iter()
-                        .map(|h| h.snapshot())
-                        .collect(),
-                    demand: self.obs.demand(i),
-                };
-                ShardHeat {
-                    shard: i,
-                    heat: self.obs.push_frame(i, frame),
-                }
-            })
-            .collect();
-        // The scrape path doubles as the controller's evaluation tick;
-        // contention (another scrape or an explicit tick mid-decision)
-        // just skips this evaluation rather than blocking a metrics
-        // scrape on a thread join.
-        if self.elastic.is_some() {
-            if let Ok(mut st) = self.controller.try_lock() {
-                let _ = self.evaluate_scaling(&mut st);
-            }
+        for (i, s) in self.shards.iter().enumerate() {
+            // Counters live in the slot's persistent handles, so a
+            // dormant slot samples as zeros and a respawned slot's
+            // window stays monotonic across epochs.
+            let stats = s.handles.stats.snapshot();
+            let frame = HeatFrame {
+                tsc: cycles_now(),
+                ring_occupancy: stats.ring_occupancy as u64,
+                calls: stats.calls_served,
+                deadlines: stats.deadlines,
+                retries: stats.post_full_retries,
+                fallbacks,
+                phases: s
+                    .handles
+                    .telemetry
+                    .phase_cycles
+                    .iter()
+                    .map(|h| h.snapshot())
+                    .collect(),
+                demand: self.obs.demand(i),
+            };
+            self.obs.push_frame(i, frame);
         }
-        HeatReport { shards }
+        self.obs.record_tick();
+        self.scaling_tick()
+    }
+
+    /// [`Ngm::tick`]s so far: the number of frames every heat window has
+    /// been offered, whoever scraped in between.
+    pub fn ticks(&self) -> u64 {
+        self.obs.ticks_total()
+    }
+
+    /// The windowed aggregates as of the last [`Ngm::tick`], one entry
+    /// per shard: recent calls, deadline/retry/fallback rates, ring
+    /// occupancy, windowed phase percentiles, and per-size-class refill
+    /// demand. A pure read — all-zero entries before the first tick.
+    pub fn heat_report(&self) -> HeatReport {
+        self.obs.report()
     }
 
     /// The most recent blackbox dumps, newest last (empty when the
@@ -647,9 +624,8 @@ impl Ngm {
                 ],
                 1,
             );
-        // Metrics sampling doubles as heat sampling: every scrape pushes
-        // one frame per shard, so the heat window spans the last N
-        // scrape intervals.
+        // The heat series are whatever the last tick wrote: one sample
+        // per shard per family, ticked or not.
         self.heat_report().publish(&mut m);
         if let Some(report) = self.site_report() {
             report.publish(&mut m);

@@ -50,11 +50,23 @@ pub enum CorePlacement {
     Base(usize),
 }
 
+/// Scale up when the mean per-serving-shard load (heat score plus
+/// windowed calls) stays above this for [`SUSTAIN`] consecutive ticks.
+pub const HIGH_WATER: u64 = 96;
+/// Scale down when the mean per-serving-shard load stays below this for
+/// [`SUSTAIN`] consecutive ticks (and more than `min` shards serve).
+pub const LOW_WATER: u64 = 16;
+/// Consecutive ticks a water mark must stay crossed before the
+/// controller acts; debounces one-tick spikes.
+pub const SUSTAIN: u32 = 2;
+
 /// Control knobs for the elastic shard tier (see
-/// [`NgmConfig::elastic`]): the controller evaluated on every
-/// `heat_report()`/`scaling_tick()` spawns a shard when the tier is
-/// sustainedly hot and drains + retires the coolest shard when it is
-/// sustainedly cold, always keeping `min..=max` shards serving.
+/// [`NgmConfig::elastic`]): the controller evaluated once per
+/// [`crate::api::Ngm::tick`] spawns a shard when the tier is sustainedly
+/// hot and drains + retires the coolest shard when it is sustainedly
+/// cold, always keeping `min..=max` shards serving. The water marks and
+/// the debounce streak are constants of the controller
+/// ([`HIGH_WATER`], [`LOW_WATER`], [`SUSTAIN`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticPolicy {
     /// Fewest shards the controller keeps serving (`>= 1`). Shards
@@ -64,17 +76,6 @@ pub struct ElasticPolicy {
     pub min: usize,
     /// Most shards the controller will spawn (`<= MAX_SHARDS`).
     pub max: usize,
-    /// Scale up when the mean per-serving-shard load (heat score plus
-    /// windowed calls) stays above this for `sustain` consecutive
-    /// evaluations.
-    pub high_water: u64,
-    /// Scale down when the mean per-serving-shard load stays below this
-    /// for `sustain` consecutive evaluations (and more than `min` shards
-    /// are serving).
-    pub low_water: u64,
-    /// Consecutive evaluations a water mark must stay crossed before the
-    /// controller acts (`>= 1`); debounces one-scrape spikes.
-    pub sustain: u32,
     /// Evaluations a draining shard gets to reach a zero balance before
     /// the controller aborts the retirement and returns it to serving
     /// (`>= 1`) — a wedged shard must not wedge the controller with it.
@@ -82,15 +83,11 @@ pub struct ElasticPolicy {
 }
 
 impl ElasticPolicy {
-    /// Policy with the default water marks: high 96, low 16, sustain 2
-    /// evaluations, drain patience 8 evaluations.
+    /// Policy with the default drain patience (8 evaluations).
     pub const fn new(min: usize, max: usize) -> Self {
         ElasticPolicy {
             min,
             max,
-            high_water: 96,
-            low_water: 16,
-            sustain: 2,
             drain_patience: 8,
         }
     }
@@ -99,54 +96,7 @@ impl ElasticPolicy {
     /// relationship to `NgmConfig::shards` is checked by
     /// [`NgmConfig::validate`]).
     const fn is_valid(&self) -> bool {
-        self.min >= 1
-            && self.min <= self.max
-            && self.max <= MAX_SHARDS
-            && self.sustain >= 1
-            && self.drain_patience >= 1
-    }
-}
-
-/// Which socket/cluster each shard slot belongs to. The elastic
-/// controller places a spawning shard on the least-loaded cluster, and
-/// handles created with [`crate::api::Ngm::handle_on_cluster`] prefer
-/// same-cluster shards when routing allocations — the paper's placement
-/// concern (§2.3) extended across sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTopology {
-    /// Cluster id per shard slot, indexed by shard.
-    pub clusters: [u8; MAX_SHARDS],
-}
-
-impl ShardTopology {
-    /// Every slot on one cluster — a flat (single-socket) machine.
-    pub const fn flat() -> Self {
-        ShardTopology {
-            clusters: [0; MAX_SHARDS],
-        }
-    }
-
-    /// Every slot its own cluster — the sim's `asymmetric_many` shape,
-    /// where each service core sits in its own little cluster.
-    pub const fn per_shard() -> Self {
-        let mut clusters = [0u8; MAX_SHARDS];
-        let mut i = 0;
-        while i < MAX_SHARDS {
-            clusters[i] = i as u8;
-            i += 1;
-        }
-        ShardTopology { clusters }
-    }
-
-    /// An explicit per-slot cluster map.
-    pub const fn from_clusters(clusters: [u8; MAX_SHARDS]) -> Self {
-        ShardTopology { clusters }
-    }
-}
-
-impl Default for ShardTopology {
-    fn default() -> Self {
-        Self::flat()
+        self.min >= 1 && self.min <= self.max && self.max <= MAX_SHARDS && self.drain_patience >= 1
     }
 }
 
@@ -155,9 +105,11 @@ impl Default for ShardTopology {
 /// Passed to [`NgmConfig::with_observer`]; consumed by
 /// [`crate::api::Ngm::start_observer`], which binds the HTTP endpoint
 /// (`/metrics`, `/heat`, `/spans`, `/blackbox`, `/healthz`, `/readyz`),
-/// starts the scrape thread (which doubles as the elastic controller
-/// tick, exactly like [`crate::api::Ngm::autoscaler`]), and — when
-/// `record_path` is set — appends one flight-recorder frame per scrape.
+/// starts the tier's ticker (the same [`crate::api::Autoscaler`] thread
+/// [`crate::api::Ngm::autoscaler`] starts: one [`crate::api::Ngm::tick`]
+/// per interval), and — when `record_path` is set — appends one
+/// flight-recorder frame per tick. The endpoints only read what the
+/// ticker last wrote; scraping them never samples or scales.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserverConfig {
     /// Listen address for the HTTP endpoint (e.g. `"127.0.0.1:9464"`;
@@ -167,25 +119,21 @@ pub struct ObserverConfig {
     /// JSONL flight-recording path; `None` serves endpoints without
     /// recording.
     pub record_path: Option<std::path::PathBuf>,
-    /// Spacing between scrapes (each scrape publishes heat frames,
-    /// ticks the elastic controller, and appends one recording frame).
-    /// Sub-millisecond values are clamped to 1ms by the scrape thread.
+    /// Spacing between ticks (each tick pushes one heat frame per
+    /// shard, runs the elastic controller once, and appends one
+    /// recording frame) — the time-base of everything the endpoints
+    /// export. Sub-millisecond values are clamped to 1ms by the ticker.
     pub scrape_interval: Duration,
-    /// Size budget for the active recording file before it rotates to
-    /// `<record_path>.1`; 0 selects the recorder's default.
-    pub record_rotate_bytes: u64,
 }
 
 impl ObserverConfig {
-    /// An observer on `addr` with a 250ms scrape interval and no
-    /// recording.
+    /// An observer on `addr` ticking every 250ms, with no recording.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         ObserverConfig {
             addr: addr.into(),
             record_path: None,
             scrape_interval: Duration::from_millis(250),
-            record_rotate_bytes: 0,
         }
     }
 
@@ -196,17 +144,10 @@ impl ObserverConfig {
         self
     }
 
-    /// Sets the scrape interval.
+    /// Sets the tick interval.
     #[must_use]
     pub fn with_scrape_interval(mut self, interval: Duration) -> Self {
         self.scrape_interval = interval;
-        self
-    }
-
-    /// Sets the recording rotation budget in bytes (0 = default).
-    #[must_use]
-    pub fn with_rotate_bytes(mut self, bytes: u64) -> Self {
-        self.record_rotate_bytes = bytes;
         self
     }
 }
@@ -243,8 +184,8 @@ pub enum NgmError {
     /// in-flight entries can never complete anything.
     ZeroInflightLimit,
     /// The elastic policy was incoherent: the range must satisfy
-    /// `1 <= min <= shards <= max <= MAX_SHARDS` and both `sustain` and
-    /// `drain_patience` must be nonzero.
+    /// `1 <= min <= shards <= max <= MAX_SHARDS` and `drain_patience`
+    /// must be nonzero.
     InvalidElastic {
         /// The rejected minimum serving-shard count.
         min: usize,
@@ -307,7 +248,7 @@ impl std::fmt::Display for NgmError {
             NgmError::InvalidElastic { min, max, shards } => write!(
                 f,
                 "elastic range min={min} max={max} (initial shards={shards}) must satisfy \
-                 1 <= min <= shards <= max <= {MAX_SHARDS} with nonzero sustain and patience"
+                 1 <= min <= shards <= max <= {MAX_SHARDS} with nonzero drain patience"
             ),
             NgmError::Spawn(e) => write!(f, "failed to start a service shard: {e}"),
             NgmError::WouldBlock => write!(
@@ -353,9 +294,6 @@ pub struct NgmConfig {
     /// Wait policy for client threads blocked on `alloc`; `None` picks
     /// the machine-appropriate default when the runtime starts.
     pub client_wait: Option<WaitStrategy>,
-    /// Wait policy for the service threads' polling loops; `None` picks
-    /// the machine-appropriate default when the runtime starts.
-    pub server_wait: Option<WaitStrategy>,
     /// Capacity of each client's per-shard asynchronous free ring.
     pub free_ring_capacity: usize,
     /// Per-thread event-trace ring capacity; `0` (the default) disables
@@ -394,11 +332,6 @@ pub struct NgmConfig {
     /// hanging. Defaults to [`ngm_offload::DEFAULT_DEADLINE`]; `None`
     /// restores unbounded waits.
     pub deadline: Option<Duration>,
-    /// Frames retained per shard for the rolling heat window (min 2):
-    /// each `heat_report()` call pushes one cumulative frame, and the
-    /// windowed aggregate spans the last `heat_window` reports. Defaults
-    /// to [`ngm_telemetry::window::DEFAULT_HEAT_FRAMES`].
-    pub heat_window: usize,
     /// Enables the blackbox flight recorder (on by default): deadline
     /// expiries, shard failovers, and the first degradation to the
     /// inline fallback dump the implicated shard's recent trace, slot
@@ -412,10 +345,6 @@ pub struct NgmConfig {
     /// *initial* serving count and the controller moves it within
     /// `[policy.min, policy.max]` as the heat windows demand.
     pub elastic: Option<ElasticPolicy>,
-    /// Socket/cluster map for the shard slots (flat by default). Drives
-    /// elastic spawn placement (least-loaded cluster) and same-cluster
-    /// routing preference for [`crate::api::Ngm::handle_on_cluster`].
-    pub topology: ShardTopology,
     /// Live-observability endpoint + flight recorder; `None` (the
     /// default) keeps the tier observable only in-process. When set,
     /// [`crate::api::Ngm::start_observer`] serves it. This is the one
@@ -433,7 +362,6 @@ impl NgmConfig {
             shards: 1,
             placement: CorePlacement::Auto,
             client_wait: None,
-            server_wait: None,
             free_ring_capacity: 4096,
             trace_capacity: 0,
             batch_size: MAX_BATCH,
@@ -442,10 +370,8 @@ impl NgmConfig {
             profile: false,
             site_sample: 0,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
-            heat_window: ngm_telemetry::window::DEFAULT_HEAT_FRAMES,
             blackbox: true,
             elastic: None,
-            topology: ShardTopology::flat(),
             observer: None,
         }
     }
@@ -463,7 +389,7 @@ impl NgmConfig {
     }
 
     /// Makes the tier elastic between `min` and `max` serving shards with
-    /// the default [`ElasticPolicy`] water marks. The configured `shards`
+    /// the default [`ElasticPolicy`] drain patience. The configured `shards`
     /// count is the initial serving count and must lie in `[min, max]`.
     pub const fn elastic(mut self, min: usize, max: usize) -> Self {
         self.elastic = Some(ElasticPolicy::new(min, max));
@@ -473,12 +399,6 @@ impl NgmConfig {
     /// Sets the full elastic policy (`None` disables the controller).
     pub const fn with_elastic_policy(mut self, policy: Option<ElasticPolicy>) -> Self {
         self.elastic = policy;
-        self
-    }
-
-    /// Sets the shard-slot socket/cluster map.
-    pub const fn with_topology(mut self, topology: ShardTopology) -> Self {
-        self.topology = topology;
         self
     }
 
@@ -497,12 +417,6 @@ impl NgmConfig {
     /// Sets the client wait strategy.
     pub const fn with_client_wait(mut self, wait: WaitStrategy) -> Self {
         self.client_wait = Some(wait);
-        self
-    }
-
-    /// Sets the service-thread wait strategy.
-    pub const fn with_server_wait(mut self, wait: WaitStrategy) -> Self {
-        self.server_wait = Some(wait);
         self
     }
 
@@ -549,12 +463,6 @@ impl NgmConfig {
     /// Sets the per-request deadline (`None` restores unbounded waits).
     pub const fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the heat-window depth (frames retained per shard; min 2).
-    pub const fn with_heat_window(mut self, frames: usize) -> Self {
-        self.heat_window = frames;
         self
     }
 
@@ -615,18 +523,12 @@ impl NgmConfig {
             self.free_ring_capacity = 4096;
         }
         self.inflight_limit = clamp(self.inflight_limit, 1, usize::MAX);
-        // A window needs a baseline and a head; HeatWindow clamps the
-        // same way, this just keeps the config honest about it.
-        self.heat_window = clamp(self.heat_window, 2, usize::MAX);
         if let Some(p) = self.elastic {
             let min = clamp(p.min, 1, MAX_SHARDS);
             let max = clamp(p.max, min, MAX_SHARDS);
             self.elastic = Some(ElasticPolicy {
                 min,
                 max,
-                high_water: p.high_water,
-                low_water: p.low_water,
-                sustain: clamp(p.sustain as usize, 1, u32::MAX as usize) as u32,
                 drain_patience: clamp(p.drain_patience as usize, 1, u32::MAX as usize) as u32,
             });
             self.shards = clamp(self.shards, min, max);
@@ -685,15 +587,11 @@ mod tests {
             .with_profile(false)
             .with_site_sample(0)
             .with_deadline(Some(Duration::from_millis(100)))
-            .with_heat_window(4)
             .with_blackbox(false)
-            .elastic(2, 6)
-            .with_topology(ShardTopology::per_shard());
+            .elastic(2, 6);
         assert_eq!(CFG.shards, 4);
-        assert_eq!(CFG.batch_size, 16);
-        assert_eq!((CFG.heat_window, CFG.blackbox), (4, false));
+        assert_eq!((CFG.batch_size, CFG.blackbox), (16, false));
         assert_eq!(CFG.elastic, Some(ElasticPolicy::new(2, 6)));
-        assert_eq!(CFG.topology.clusters[3], 3);
         assert_eq!(CFG.validate(), Ok(()));
     }
 
@@ -776,15 +674,12 @@ mod tests {
             .with_elastic_policy(Some(ElasticPolicy {
                 min: 0,
                 max: 99,
-                high_water: 96,
-                low_water: 16,
-                sustain: 0,
                 drain_patience: 0,
             }))
             .sanitized();
         let p = cfg.elastic.unwrap();
         assert_eq!((p.min, p.max), (1, MAX_SHARDS));
-        assert_eq!((p.sustain, p.drain_patience), (1, 1));
+        assert_eq!(p.drain_patience, 1);
         assert_eq!(cfg.validate(), Ok(()));
         // Initial count outside the range is pulled inside it.
         let cfg = NgmConfig::new().with_shards(1).elastic(2, 4).sanitized();
@@ -797,8 +692,7 @@ mod tests {
         let cfg = NgmConfig::new().with_observer(
             ObserverConfig::new("127.0.0.1:0")
                 .with_recording("/tmp/ngm-flight.jsonl")
-                .with_scrape_interval(Duration::from_millis(5))
-                .with_rotate_bytes(1 << 20),
+                .with_scrape_interval(Duration::from_millis(5)),
         );
         let obs = cfg.observer.as_ref().expect("observer set");
         assert_eq!(obs.addr, "127.0.0.1:0");
@@ -807,7 +701,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/ngm-flight.jsonl"))
         );
         assert_eq!(obs.scrape_interval, Duration::from_millis(5));
-        assert_eq!(obs.record_rotate_bytes, 1 << 20);
         // The config is Clone (no longer Copy): both copies agree.
         let cloned = cfg.clone();
         assert_eq!(cloned.observer, cfg.observer);

@@ -1,21 +1,22 @@
 //! Per-shard heat reporting: rolling-window views of where the tier is
 //! hot and why.
 //!
-//! [`crate::api::Ngm::heat_report`] samples every shard into its
-//! [`HeatWindow`] and returns the windowed aggregates as a
-//! [`HeatReport`]: recent calls, deadline/retry/fallback rates, ring
-//! occupancy, windowed phase percentiles, and per-size-class refill
-//! demand. The same windows back two consumers that must agree on what
-//! "hot" means:
+//! [`crate::api::Ngm::tick`] — the tier's one clock — samples every
+//! shard into its [`HeatWindow`]; [`crate::api::Ngm::heat_report`] reads
+//! the windowed aggregates back as a [`HeatReport`]: recent calls,
+//! deadline/retry/fallback rates, ring occupancy, windowed phase
+//! percentiles, and per-size-class refill demand. Everything but the
+//! tick is a pure read, so a scrape never moves a window. The same
+//! windows back two more consumers that must agree on what "hot" means:
 //!
 //! * [`crate::api::NgmHandle::rebalance_away_from`] scores candidate
 //!   shards with [`ObsState::heat_score`] instead of raw handle-local
 //!   ring-saturation counts, so traffic moves to the shard that is
 //!   *recently* coolest, not merely the one this handle happened not to
 //!   hammer.
-//! * The blackbox flight recorder archives
-//!   [`ObsState::render_current`] into every dump, so a post-mortem
-//!   shows the heat picture at failure time.
+//! * The blackbox flight recorder archives the rendered
+//!   [`ObsState::report`] into every dump, so a post-mortem shows the
+//!   heat picture at failure time.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -25,6 +26,7 @@ use ngm_offload::PHASE_NAMES;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::window::{HeatDelta, HeatFrame, HeatWindow};
 
+use crate::api::lock;
 use crate::watch::SharedDemand;
 
 /// Where a shard slot is in its elastic lifecycle.
@@ -71,9 +73,8 @@ impl ShardLifecycle {
     }
 }
 
-/// Picks the coolest shard from `(shard, score, affinity)` candidates:
-/// lowest score wins, ties prefer `affinity == true` (e.g. a same-cluster
-/// shard), remaining ties go to the lowest index.
+/// Picks the coolest shard from `(shard, score)` candidates: lowest
+/// score wins, ties go to the lowest index.
 ///
 /// This is the *single* tie-breaking rule shared by
 /// [`crate::api::NgmHandle::rebalance_away_from`] (picking where to move
@@ -82,12 +83,12 @@ impl ShardLifecycle {
 #[must_use]
 pub fn pick_coolest<I>(candidates: I) -> Option<usize>
 where
-    I: IntoIterator<Item = (usize, u64, bool)>,
+    I: IntoIterator<Item = (usize, u64)>,
 {
     candidates
         .into_iter()
-        .min_by_key(|&(shard, score, affinity)| (score, !affinity, shard))
-        .map(|(shard, _, _)| shard)
+        .min_by_key(|&(shard, score)| (score, shard))
+        .map(|(shard, _)| shard)
 }
 
 /// One shard's windowed heat.
@@ -221,8 +222,8 @@ pub(crate) struct ObsState {
     /// their cached value with one relaxed load per operation and resync
     /// their routes when it moved.
     generation: AtomicU64,
-    /// Cluster id per slot (from `NgmConfig::topology`).
-    clusters: Box<[u8]>,
+    /// [`crate::api::Ngm::tick`]s so far — the windows' time-base.
+    ticks: AtomicU64,
     scale_up: AtomicU64,
     scale_down: AtomicU64,
     /// Cycles spent on observability work (metrics scrapes, recorder
@@ -232,24 +233,18 @@ pub(crate) struct ObsState {
 }
 
 impl ObsState {
-    pub(crate) fn new(
-        blackbox: bool,
-        frames: usize,
-        demand: Vec<Arc<SharedDemand>>,
-        clusters: Vec<u8>,
-    ) -> Self {
-        debug_assert_eq!(demand.len(), clusters.len());
+    pub(crate) fn new(blackbox: bool, demand: Vec<Arc<SharedDemand>>) -> Self {
         ObsState {
             blackbox: blackbox.then(ngm_telemetry::blackbox::BlackboxRecorder::new),
             heat: (0..demand.len())
-                .map(|_| Mutex::new(HeatWindow::new(frames)))
+                .map(|_| Mutex::new(HeatWindow::default()))
                 .collect(),
             states: (0..demand.len())
                 .map(|_| AtomicU8::new(ShardLifecycle::Dormant as u8))
                 .collect(),
             demand: demand.into_boxed_slice(),
             generation: AtomicU64::new(0),
-            clusters: clusters.into_boxed_slice(),
+            ticks: AtomicU64::new(0),
             scale_up: AtomicU64::new(0),
             scale_down: AtomicU64::new(0),
             obs_cycles: AtomicU64::new(0),
@@ -285,9 +280,12 @@ impl ObsState {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// The slot's cluster id.
-    pub(crate) fn cluster(&self, shard: usize) -> u8 {
-        self.clusters[shard]
+    pub(crate) fn record_tick(&self) {
+        self.ticks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn ticks_total(&self) -> u64 {
+        self.ticks.load(Ordering::Relaxed)
     }
 
     pub(crate) fn record_scale_up(&self) {
@@ -312,7 +310,7 @@ impl ObsState {
     /// elastic controller only acts on settled windows; anything less
     /// falls back to the static (no-op) policy.
     pub(crate) fn settled_heat(&self, shard: usize) -> Option<HeatDelta> {
-        let w = self.heat[shard].lock().unwrap();
+        let w = lock(&self.heat[shard]);
         if w.len() < 2 {
             return None;
         }
@@ -324,47 +322,42 @@ impl ObsState {
         self.demand[shard].load()
     }
 
-    /// Appends a cumulative sample and returns the updated windowed
-    /// aggregate.
-    pub(crate) fn push_frame(&self, shard: usize, frame: HeatFrame) -> HeatDelta {
-        let mut w = self.heat[shard].lock().unwrap();
-        w.push(frame);
-        w.windowed().expect("window non-empty after push")
+    /// Appends a cumulative sample. The windows' only writer: called by
+    /// [`crate::api::Ngm::tick`] (and the `inject_heat` test hook).
+    pub(crate) fn push_frame(&self, shard: usize, frame: HeatFrame) {
+        lock(&self.heat[shard]).push(frame);
+    }
+
+    /// The shard's windowed heat as of the last tick; all-zero before
+    /// the first one, so readers see every shard whatever the tick
+    /// history.
+    fn windowed(&self, shard: usize) -> ShardHeat {
+        let heat = lock(&self.heat[shard]).windowed().unwrap_or_default();
+        ShardHeat { shard, heat }
     }
 
     /// The shard's current hotness from already-pushed frames (0 before
-    /// any [`crate::api::Ngm::heat_report`] call — scoring then falls
-    /// back to the caller's own pressure signal).
+    /// the first tick — scoring then falls back to the caller's own
+    /// pressure signal). On the allocation path (`route` →
+    /// `rebalance_away_from`), hence the poison-tolerant lock.
     pub(crate) fn heat_score(&self, shard: usize) -> u64 {
-        self.heat[shard]
-            .lock()
-            .unwrap()
-            .windowed()
-            .map_or(0, |heat| ShardHeat { shard, heat }.score())
+        self.windowed(shard).score()
     }
 
     /// The shard's retained heat frames, oldest first (the raw time
     /// series behind the `/heat` endpoint). Cloned out so the caller
     /// renders without holding the window lock.
     pub(crate) fn frames(&self, shard: usize) -> Vec<HeatFrame> {
-        self.heat[shard].lock().unwrap().frames().cloned().collect()
+        lock(&self.heat[shard]).frames().cloned().collect()
     }
 
-    /// Renders the current windowed view without pushing new frames
-    /// (blackbox dumps must not perturb the window they archive).
-    pub(crate) fn render_current(&self) -> String {
-        let shards = self
-            .heat
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, w)| {
-                w.lock()
-                    .unwrap()
-                    .windowed()
-                    .map(|heat| ShardHeat { shard, heat })
-            })
-            .collect();
-        HeatReport { shards }.render()
+    /// The windowed view of every shard as of the last tick: a pure
+    /// read (scrapes and blackbox dumps must not perturb the windows
+    /// they export).
+    pub(crate) fn report(&self) -> HeatReport {
+        HeatReport {
+            shards: (0..self.heat.len()).map(|s| self.windowed(s)).collect(),
+        }
     }
 }
 
@@ -440,44 +433,35 @@ mod tests {
     }
 
     #[test]
-    fn pick_coolest_orders_by_score_then_affinity_then_index() {
+    fn pick_coolest_orders_by_score_then_index() {
         assert_eq!(pick_coolest(std::iter::empty()), None);
         // Lowest score wins outright.
-        assert_eq!(pick_coolest([(0, 9, false), (1, 2, false)]), Some(1));
-        // Score tie: the affine (same-cluster) candidate wins even at a
-        // higher index.
-        assert_eq!(pick_coolest([(0, 5, false), (2, 5, true)]), Some(2));
-        // Full tie: lowest index wins — the invariant
-        // `rebalance_away_from` has always had.
-        assert_eq!(
-            pick_coolest([(3, 5, true), (1, 5, true), (2, 5, false)]),
-            Some(1)
-        );
+        assert_eq!(pick_coolest([(0, 9), (1, 2)]), Some(1));
+        // Tie: lowest index wins — the invariant `rebalance_away_from`
+        // has always had.
+        assert_eq!(pick_coolest([(3, 5), (1, 5), (2, 5)]), Some(1));
     }
 
     #[test]
     fn lifecycle_labels_and_transitions_bump_generation() {
         let obs = ObsState::new(
             true,
-            4,
             vec![
                 Arc::new(SharedDemand::new(2)),
                 Arc::new(SharedDemand::new(2)),
             ],
-            vec![0, 1],
         );
         assert_eq!(obs.state(1), ShardLifecycle::Dormant);
         let g0 = obs.generation();
         obs.set_state(1, ShardLifecycle::Serving);
         assert_eq!(obs.state(1), ShardLifecycle::Serving);
         assert!(obs.generation() > g0);
-        assert_eq!(obs.cluster(1), 1);
         assert_eq!(ShardLifecycle::Draining.label(), "draining");
     }
 
     #[test]
     fn settled_heat_needs_two_frames() {
-        let obs = ObsState::new(true, 4, vec![Arc::new(SharedDemand::new(2))], vec![0]);
+        let obs = ObsState::new(true, vec![Arc::new(SharedDemand::new(2))]);
         assert!(obs.settled_heat(0).is_none(), "zero frames: unsettled");
         obs.push_frame(
             0,
@@ -501,11 +485,16 @@ mod tests {
     }
 
     #[test]
-    fn obs_state_scores_zero_until_frames_arrive() {
-        let obs = ObsState::new(true, 4, vec![Arc::new(SharedDemand::new(2))], vec![0]);
+    fn obs_state_reads_all_zero_until_frames_arrive() {
+        let obs = ObsState::new(true, vec![Arc::new(SharedDemand::new(2))]);
         assert_eq!(obs.heat_score(0), 0);
-        assert_eq!(obs.render_current(), "");
-        let d = obs.push_frame(
+        let empty = obs.report();
+        assert_eq!(empty.shards.len(), 1, "an un-ticked shard still reports");
+        assert_eq!(
+            (empty.shards[0].heat.calls, empty.shards[0].score()),
+            (0, 0)
+        );
+        obs.push_frame(
             0,
             HeatFrame {
                 tsc: 10,
@@ -515,8 +504,28 @@ mod tests {
                 ..HeatFrame::default()
             },
         );
-        assert_eq!(d.calls, 5);
+        assert_eq!(obs.report().shards[0].heat.calls, 5);
         assert_eq!(obs.heat_score(0), 2 + 4);
-        assert!(obs.render_current().contains("shard 0:"));
+        assert!(obs.report().render().contains("shard 0:"));
+    }
+
+    #[test]
+    fn a_poisoned_window_still_scores() {
+        // `heat_score` sits on the allocation path: a panic in some
+        // scrape thread holding a window lock must not turn every later
+        // reroute into a panic inside `alloc`.
+        let obs = Arc::new(ObsState::new(true, vec![Arc::new(SharedDemand::new(2))]));
+        let poisoner = Arc::clone(&obs);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.heat[0].lock().unwrap();
+            panic!("poison the window");
+        })
+        .join();
+        assert!(obs.heat[0].is_poisoned());
+        assert_eq!(obs.heat_score(0), 0);
+        obs.push_frame(0, HeatFrame::default());
+        assert_eq!(obs.frames(0).len(), 1);
+        assert!(obs.settled_heat(0).is_none());
+        assert_eq!(obs.report().shards.len(), 1);
     }
 }

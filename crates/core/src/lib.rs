@@ -39,8 +39,8 @@ pub mod watch;
 
 pub use api::{Autoscaler, Ngm, NgmHandle, NgmShutdown, ScaleDecision, ShardShutdown};
 pub use config::{
-    CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, ShardTopology,
-    FALLBACK_OWNER, MAX_SHARDS, OWNER_BASE,
+    CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS,
+    OWNER_BASE,
 };
 pub use global::NgmAllocator;
 pub use heat::{pick_coolest, HeatReport, ShardHeat, ShardLifecycle};

@@ -1,15 +1,16 @@
-//! The live observer: an HTTP endpoint plus a continuous flight
-//! recorder, both riding the metrics-scrape tick.
+//! The live observer: the tier's ticker plus an HTTP endpoint and a
+//! continuous flight recorder.
 //!
 //! [`Ngm::serve_observer`] starts two background pieces:
 //!
 //! * an [`HttpServer`] (dependency-free, [`ngm_telemetry::server`])
 //!   answering `GET /metrics`, `/heat`, `/spans`, `/blackbox`,
-//!   `/healthz`, and `/readyz`;
-//! * a scrape thread that drives [`Ngm::heat_report`] every
-//!   `scrape_interval` (doubling as the elastic controller's tick, like
-//!   [`Ngm::autoscaler`]) and, when a `record_path` is configured,
-//!   appends one [`ngm_telemetry::recorder::RecordFrame`] per scrape to
+//!   `/healthz`, and `/readyz` — every one a pure read of what the last
+//!   tick wrote, so scraping never samples heat or runs the controller;
+//! * the tier's [`Autoscaler`] ticker — the same thread
+//!   [`Ngm::autoscaler`] starts — calling [`Ngm::tick`] every
+//!   `scrape_interval` and, when a `record_path` is configured,
+//!   appending one [`ngm_telemetry::recorder::RecordFrame`] per tick to
 //!   a size-rotated JSONL recording ([`FlightRecorder`]).
 //!
 //! Neither piece touches the allocation hot path: all sampling happens
@@ -25,24 +26,17 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::json_str;
-use ngm_telemetry::recorder::FlightRecorder;
+use ngm_telemetry::recorder::{FlightRecorder, DEFAULT_ROTATE_BYTES};
 use ngm_telemetry::server::{HttpServer, Response, Router};
 use ngm_telemetry::span::{reconstruct, SpanRecord};
 
-use crate::api::Ngm;
+use crate::api::{Autoscaler, Ngm};
 use crate::config::ObserverConfig;
 use crate::heat::ShardLifecycle;
-
-/// How often the scrape thread re-checks its stop flag while sleeping
-/// between scrapes, so [`Observer::stop`] returns promptly even under a
-/// long `scrape_interval`.
-const STOP_POLL: Duration = Duration::from_millis(10);
 
 /// What `/readyz` reports about the tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,52 +80,35 @@ pub fn derive_readiness(
     Readiness::Ready
 }
 
-/// Guard for the live observer: the HTTP server plus the scrape/record
-/// thread. Both stop on [`Observer::stop`] or drop. Holds only a weak
-/// reference to the tier, so dropping the `Ngm` (or calling
+/// Guard for the live observer: the ticker/recorder thread plus the HTTP
+/// server. Both stop on [`Observer::stop`] or drop, ticker first. Holds
+/// only a weak reference to the tier, so dropping the `Ngm` (or calling
 /// [`Ngm::shutdown`] after stopping the observer) is never blocked by
 /// it; endpoints answer 503 once the tier is gone.
 #[derive(Debug)]
 pub struct Observer {
-    server: Option<HttpServer>,
-    stop: Arc<AtomicBool>,
-    scraper: Option<std::thread::JoinHandle<()>>,
+    // Field order is drop order: no tick outlives the server's last
+    // answer about it.
+    ticker: Autoscaler,
+    server: HttpServer,
 }
 
 impl Observer {
     /// The bound address (resolves port 0 to the ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.server
-            .as_ref()
-            .map(HttpServer::addr)
-            .expect("server present until stop")
+        self.server.addr()
     }
 
-    /// Stops the scrape thread and the HTTP server, joining both.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.scraper.take() {
-            let _ = t.join();
-        }
-        if let Some(s) = self.server.take() {
-            s.stop();
-        }
-    }
-}
-
-impl Drop for Observer {
-    fn drop(&mut self) {
-        self.halt();
+    /// Stops the ticker and the HTTP server, joining both.
+    pub fn stop(self) {
+        self.ticker.stop();
+        self.server.stop();
     }
 }
 
 impl Ngm {
-    /// Starts the observer configured via [`NgmConfig::with_observer`],
+    /// Starts the observer configured via [`crate::NgmConfig::with_observer`],
     /// if one was configured and not already started. Returns `Ok(None)`
     /// when the config carries no observer (or it was already taken).
     ///
@@ -145,73 +122,34 @@ impl Ngm {
         }
     }
 
-    /// Binds the observer endpoint and starts the scrape/record thread
-    /// with an explicit config (use [`Ngm::start_observer`] for the one
-    /// stashed in [`crate::NgmConfig`]).
+    /// Binds the observer endpoint and starts the ticker with an
+    /// explicit config (use [`Ngm::start_observer`] for the one stashed
+    /// in [`crate::NgmConfig`]). After each [`Ngm::tick`] the ticker
+    /// appends one recorded frame when a recording is configured,
+    /// metering the frame assembly and the append into
+    /// `ngm_obs_scrape_cycles_total` (the tick itself is regular tier
+    /// duty — an un-observed elastic tier pays it too).
     ///
     /// # Errors
     ///
-    /// Fails when the address cannot be bound or the recording file
-    /// cannot be created.
+    /// Fails when the address cannot be bound, the recording file cannot
+    /// be created, or the OS refuses the ticker thread.
     pub fn serve_observer(self: &Arc<Self>, cfg: ObserverConfig) -> io::Result<Observer> {
-        let recorder = match &cfg.record_path {
-            Some(path) => Some(FlightRecorder::create(path, cfg.record_rotate_bytes)?),
+        let mut recorder = match &cfg.record_path {
+            Some(path) => Some(FlightRecorder::create(path, DEFAULT_ROTATE_BYTES)?),
             None => None,
         };
-        let router = build_router(Arc::downgrade(self));
-        let server = HttpServer::start(cfg.addr.as_str(), router)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let scraper = spawn_scraper(
-            Arc::downgrade(self),
-            Arc::clone(&stop),
-            cfg.scrape_interval.max(Duration::from_millis(1)),
-            recorder,
-        )?;
-        Ok(Observer {
-            server: Some(server),
-            stop,
-            scraper: Some(scraper),
-        })
-    }
-}
-
-/// The scrape thread: one [`Ngm::heat_report`] (heat frames + controller
-/// tick) and optionally one recorded frame per interval, metering the
-/// frame-assembly and record cycles into `ngm_obs_scrape_cycles_total`.
-fn spawn_scraper(
-    weak: Weak<Ngm>,
-    stop: Arc<AtomicBool>,
-    interval: Duration,
-    mut recorder: Option<FlightRecorder>,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("ngm-observer".into())
-        .spawn(move || loop {
-            let mut slept = Duration::ZERO;
-            while slept < interval {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let step = STOP_POLL.min(interval - slept);
-                std::thread::sleep(step);
-                slept += step;
-            }
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let Some(ngm) = weak.upgrade() else { return };
-            // The controller tick is regular tier duty (an autoscaler
-            // would run it regardless); only the frame assembly and the
-            // recorder append are metered as observability tax.
-            let _ = ngm.heat_report();
-            let t0 = cycles_now();
-            let frame = ngm.observer_frame();
+        let server = HttpServer::start(cfg.addr.as_str(), build_router(Arc::downgrade(self)))?;
+        let ticker = Autoscaler::spawn(Arc::downgrade(self), cfg.scrape_interval, move |ngm| {
             if let Some(rec) = recorder.as_mut() {
-                let _ = rec.append(&frame);
+                let t0 = cycles_now();
+                let _ = rec.append(&ngm.observer_frame());
+                ngm.obs_state()
+                    .record_obs_cycles(cycles_now().saturating_sub(t0));
             }
-            ngm.obs_state()
-                .record_obs_cycles(cycles_now().saturating_sub(t0));
-        })
+        })?;
+        Ok(Observer { ticker, server })
+    }
 }
 
 /// Routes every endpoint over a weak tier reference: each handler
@@ -271,10 +209,10 @@ fn with_tier(weak: &Weak<Ngm>, f: impl FnOnce(&Ngm) -> Response) -> Response {
     }
 }
 
-/// `/heat`: the raw per-shard heat-window time series (scalar fields;
-/// phase histograms stay on `/metrics`).
+/// `/heat`: the tick count plus the raw per-shard heat-window time
+/// series (scalar fields; phase histograms stay on `/metrics`).
 fn heat_json(ngm: &Ngm) -> String {
-    let mut out = String::from("{\"shards\":[");
+    let mut out = format!("{{\"ticks\":{},\"shards\":[", ngm.ticks());
     for s in 0..ngm.num_shards() {
         if s > 0 {
             out.push(',');

@@ -574,12 +574,6 @@ pub struct RuntimeConfig {
     /// unbounded behavior. The infallible `call` is never bounded — it
     /// has no error channel.
     pub deadline: Option<Duration>,
-    /// Socket/cluster this shard's core belongs to. The offload layer
-    /// only records it ([`OffloadRuntime::cluster`]); the sharded tier's
-    /// elastic controller uses it to place new shards on the least-loaded
-    /// cluster and to prefer same-cluster routing. A flat machine is all
-    /// cluster 0.
-    pub cluster: usize,
 }
 
 impl RuntimeConfig {
@@ -596,7 +590,6 @@ impl RuntimeConfig {
             profile: false,
             shard: 0,
             deadline: Some(DEFAULT_DEADLINE),
-            cluster: 0,
         }
     }
 }
@@ -686,7 +679,6 @@ pub struct OffloadRuntime<S: Service> {
     ring_capacity: usize,
     deadline: Option<Duration>,
     shard: usize,
-    cluster: usize,
     retiring: Arc<AtomicBool>,
 }
 
@@ -757,7 +749,6 @@ impl<S: Service> OffloadRuntime<S> {
             ring_capacity: cfg.ring_capacity,
             deadline: cfg.deadline,
             shard: cfg.shard,
-            cluster: cfg.cluster,
             retiring: Arc::clone(&handles.retiring),
         })
     }
@@ -816,12 +807,6 @@ impl<S: Service> OffloadRuntime<S> {
             },
             inflight: None,
         }
-    }
-
-    /// Socket/cluster this shard was placed on (from
-    /// [`RuntimeConfig::cluster`]).
-    pub fn cluster(&self) -> usize {
-        self.cluster
     }
 
     /// Gates this shard against new synchronous calls: every registered

@@ -1,8 +1,8 @@
-//! Continuous flight recorder: per-scrape tier state as JSONL.
+//! Continuous flight recorder: per-tick tier state as JSONL.
 //!
 //! The blackbox ([`crate::blackbox`]) answers "what just failed"; the
 //! flight recorder answers "what was the tier doing for the last ten
-//! minutes". Every observer scrape appends one [`RecordFrame`] — the
+//! minutes". Every observer tick appends one [`RecordFrame`] — the
 //! serving-shard count, each slot's lifecycle state, windowed per-shard
 //! heat, and the tier-wide deadline/fallback/scale counters — as one
 //! JSON line. An offline analyzer (`repro obs`) replays the file into a
@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Default rotation budget for the active recording file.
+/// Rotation budget the observer gives the active recording file.
 pub const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Lifecycle glyphs used in [`RecordFrame::states`]: one per shard
@@ -174,8 +174,9 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates (truncating) the recording at `path`. `rotate_bytes` of
-    /// 0 selects [`DEFAULT_ROTATE_BYTES`].
+    /// Creates (truncating) the recording at `path`, rotating once the
+    /// active file would pass `rotate_bytes` (the observer passes
+    /// [`DEFAULT_ROTATE_BYTES`]).
     pub fn create(path: impl Into<PathBuf>, rotate_bytes: u64) -> std::io::Result<FlightRecorder> {
         let path = path.into();
         let out = BufWriter::new(File::create(&path)?);
@@ -183,11 +184,7 @@ impl FlightRecorder {
             path,
             out,
             written: 0,
-            rotate_bytes: if rotate_bytes == 0 {
-                DEFAULT_ROTATE_BYTES
-            } else {
-                rotate_bytes
-            },
+            rotate_bytes,
             frames: 0,
         })
     }
@@ -312,7 +309,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ngm-rec-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmpdir");
         let path = dir.join("flight.jsonl");
-        let mut rec = FlightRecorder::create(&path, 0).expect("create");
+        let mut rec = FlightRecorder::create(&path, DEFAULT_ROTATE_BYTES).expect("create");
         for i in 0..5 {
             rec.append(&frame(i, 2)).expect("append");
         }

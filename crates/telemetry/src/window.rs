@@ -38,7 +38,9 @@ pub struct HeatFrame {
 }
 
 /// The windowed aggregate: newest frame minus the window's baseline.
-#[derive(Debug, Clone)]
+/// The default is the all-zero aggregate of a window nothing has been
+/// pushed into yet.
+#[derive(Debug, Clone, Default)]
 pub struct HeatDelta {
     /// Cycles spanned by the window (0 when only one frame exists).
     pub span_tsc: u64,
@@ -94,8 +96,8 @@ pub struct HeatWindow {
     capacity: usize,
 }
 
-/// Default window depth: with one frame per `heat_report()` call this
-/// covers the last 8 sampling intervals.
+/// Window depth: with one frame per tier tick this covers the last 8
+/// tick intervals.
 pub const DEFAULT_HEAT_FRAMES: usize = 8;
 
 impl Default for HeatWindow {

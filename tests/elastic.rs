@@ -1,12 +1,13 @@
 //! Deterministic scaling contract for the elastic shard tier.
 //!
 //! Every test here steers the controller with injected heat frames
-//! ([`ngm_core::api::Ngm::inject_heat`]) and explicit evaluation ticks
-//! ([`ngm_core::api::Ngm::scaling_tick`]) instead of real load, so the
-//! decisions asserted are exact — no timing, no scrape cadence:
+//! ([`ngm_core::api::Ngm::inject_heat`]) and explicit controller
+//! evaluations ([`ngm_core::api::Ngm::scaling_tick`], the half of
+//! `tick()` that decides) instead of real load, so the decisions
+//! asserted are exact — no timing, no tick cadence:
 //!
 //! * **Scale-up** is a pure function of the windowed load: two settled
-//!   hot frames plus `sustain` ticks produce exactly one `ScaleUp` into
+//!   hot frames plus `SUSTAIN` ticks produce exactly one `ScaleUp` into
 //!   the lowest dormant slot, and the fresh shard's unsettled window
 //!   drops the controller back to the static policy until it has
 //!   reported twice.
@@ -55,6 +56,39 @@ fn free_all(h: &mut ngm_core::NgmHandle, blocks: Vec<(NonNull<u8>, Layout)>) {
     }
 }
 
+/// The background ticker is the tier's clock when nobody ticks by hand:
+/// it advances `ticks()` (one heat frame per shard each) until stopped,
+/// and stopping it releases the tier.
+#[test]
+fn autoscaler_ticks_until_stopped() {
+    let ngm = std::sync::Arc::new(
+        NgmConfig::new()
+            .with_shards(1)
+            .elastic(1, 2)
+            .with_placement(CorePlacement::Unpinned)
+            .build()
+            .expect("valid config"),
+    );
+    let ticker = ngm
+        .autoscaler(Duration::from_millis(1))
+        .expect("ticker thread spawns");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ngm.ticks() < 3 {
+        assert!(Instant::now() < deadline, "ticker never ticked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // `stop` joins the thread, so the weak reference it held is gone
+    // and the tier can be taken back by value below.
+    ticker.stop();
+    assert_eq!(
+        ngm.serving_shards(),
+        vec![0],
+        "an idle tier holds its floor"
+    );
+    let ngm = std::sync::Arc::into_inner(ngm).expect("ticker released its reference");
+    assert!(ngm.shutdown().clean());
+}
+
 /// A non-elastic tier never scales: ticks hold, retirement is refused.
 #[test]
 fn static_tier_never_scales() {
@@ -75,7 +109,7 @@ fn static_tier_never_scales() {
     assert!(ngm.shutdown().clean());
 }
 
-/// Scale-up under an injected ramp is exact: `sustain` hot ticks spawn
+/// Scale-up under an injected ramp is exact: `SUSTAIN` hot ticks spawn
 /// one shard into the lowest dormant slot; the fresh shard's unsettled
 /// window then forces the static fallback (`Hold`) until it has two
 /// frames, after which the still-hot mean spawns the next slot.
@@ -90,11 +124,11 @@ fn scale_up_is_deterministic_under_injected_ramp() {
         .expect("valid config");
     assert_eq!(ngm.serving_shards(), vec![0]);
 
-    // Two cumulative frames → windowed calls = 200 > high_water (96).
+    // Two cumulative frames → windowed calls = 200 > HIGH_WATER (96).
     ngm.inject_heat(0, frame(1, 0));
     ngm.inject_heat(0, frame(2, 200));
 
-    // sustain = 2: first tick arms the streak, second fires.
+    // SUSTAIN = 2: first tick arms the streak, second fires.
     assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold);
     assert_eq!(ngm.scaling_tick(), ScaleDecision::ScaleUp { shard: 1 });
     assert_eq!(ngm.serving_shards(), vec![0, 1]);
@@ -114,7 +148,7 @@ fn scale_up_is_deterministic_under_injected_ramp() {
     assert_eq!(ngm.scale_counts(), (1, 0), "fallback ticks spawned nothing");
 
     // Settle shard 1 cold; the mean (200 + 0) / 2 = 100 still clears
-    // high_water, so two more ticks spawn the next-lowest slot.
+    // HIGH_WATER, so two more ticks spawn the next-lowest slot.
     ngm.inject_heat(1, frame(10, 0));
     ngm.inject_heat(1, frame(11, 0));
     assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold);
@@ -163,7 +197,7 @@ fn scale_down_drain_preserves_per_shard_balance() {
     free_all(&mut h, blocks);
     drop(h);
 
-    // Both shards settled and cold (windowed calls = 0 < low_water).
+    // Both shards settled and cold (windowed calls = 0 < LOW_WATER).
     for shard in 0..2 {
         ngm.inject_heat(shard, frame(1, 0));
         ngm.inject_heat(shard, frame(2, 0));

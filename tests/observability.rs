@@ -628,7 +628,7 @@ mod faultinject {
             // SAFETY: block just allocated, freed once.
             unsafe { h.dealloc(p, l) };
         }
-        let _ = ngm.heat_report();
+        ngm.tick();
 
         // No rate-limiter reset needed: the limiter is per-tier now, and
         // a fresh tier's first dump always passes it.

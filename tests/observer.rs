@@ -1,5 +1,5 @@
 //! Live-observer contract tests: the HTTP endpoints against a running
-//! tier, the flight recorder against real scrapes, and readiness
+//! tier, the flight recorder against real ticks, and readiness
 //! against lifecycle edges.
 //!
 //! The endpoint/parsing mechanics (partial requests, oversized request
@@ -61,7 +61,8 @@ fn endpoints_answer_on_a_live_tier() {
 
     let (status, body) = http_get(addr, "/heat").expect("heat reachable");
     assert_eq!(status, 200);
-    assert!(body.starts_with("{\"shards\":["), "heat envelope: {body}");
+    assert!(body.starts_with("{\"ticks\":"), "heat envelope: {body}");
+    assert!(body.contains("\"shards\":["), "heat envelope: {body}");
     assert!(body.contains("\"state\":\"serving\""), "{body}");
 
     let (status, body) = http_get(addr, "/spans").expect("spans reachable");
@@ -136,8 +137,8 @@ fn endpoints_answer_503_after_the_tier_is_gone() {
     );
     let obs = ngm
         .serve_observer(ObserverConfig::new("127.0.0.1:0").with_scrape_interval(
-            // Long interval: the scrape thread must not be the thing
-            // keeping the tier alive or dead — endpoints are.
+            // Long interval: the ticker must not be the thing keeping
+            // the tier alive or dead — endpoints are.
             Duration::from_secs(60),
         ))
         .expect("observer binds");
@@ -202,7 +203,12 @@ fn configured_observer_records_parseable_frames() {
     obs.stop();
 
     let frames = read_recording(&path).expect("recording readable");
-    assert!(frames.len() >= 5, "scrapes recorded: {}", frames.len());
+    assert!(frames.len() >= 5, "ticks recorded: {}", frames.len());
+    assert_eq!(
+        frames.len() as u64,
+        ngm.ticks(),
+        "one frame per tick, the observer's ticker being the only clock"
+    );
     for f in &frames {
         assert_eq!(f.serving, 2, "static 2-shard tier");
         assert_eq!(f.states, "SS", "one glyph per slot");
@@ -218,6 +224,58 @@ fn configured_observer_records_parseable_frames() {
     );
 
     let _ = std::fs::remove_file(&path);
+    let ngm = Arc::into_inner(ngm).expect("observer released its references");
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced());
+}
+
+/// The exposition's series set does not depend on tick history: a tier
+/// nothing has ticked yet exports the same sample names and labels —
+/// the per-shard heat families included, all-zero — as the same tier
+/// after its windows have settled, and both pass the validator.
+#[test]
+fn a_never_ticked_tier_exports_the_same_series_as_a_ticked_one() {
+    fn series(body: &str) -> Vec<&str> {
+        body.lines()
+            .filter(|l| !l.starts_with('#') && !l.is_empty())
+            .map(|l| l.rsplit_once(' ').expect("sample line").0)
+            .collect()
+    }
+    let ngm = Arc::new(
+        NgmConfig::new()
+            .with_shards(1)
+            .elastic(1, 3)
+            .with_placement(CorePlacement::Unpinned)
+            .build()
+            .expect("valid config"),
+    );
+    // The observer's ticker sleeps through the test: only the explicit
+    // ticks below move the clock.
+    let obs = ngm
+        .serve_observer(
+            ObserverConfig::new("127.0.0.1:0").with_scrape_interval(Duration::from_secs(3600)),
+        )
+        .expect("observer binds");
+
+    let (status, unticked) = http_get(obs.addr(), "/metrics").expect("metrics reachable");
+    assert_eq!(status, 200);
+    validate_exposition(&unticked).expect("never-ticked /metrics is valid exposition");
+    assert_eq!(ngm.ticks(), 0, "scraping did not tick");
+    for shard in 0..3 {
+        assert!(
+            unticked.contains(&format!("ngm_shard_window_calls{{shard=\"{shard}\"}} 0")),
+            "un-ticked shard {shard} exports an all-zero window:\n{unticked}"
+        );
+    }
+
+    ngm.tick();
+    ngm.tick();
+    let (status, ticked) = http_get(obs.addr(), "/metrics").expect("metrics reachable");
+    assert_eq!(status, 200);
+    validate_exposition(&ticked).expect("ticked /metrics is valid exposition");
+    assert_eq!(series(&unticked), series(&ticked));
+
+    obs.stop();
     let ngm = Arc::into_inner(ngm).expect("observer released its references");
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced());
