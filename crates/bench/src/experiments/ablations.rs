@@ -97,24 +97,14 @@ pub fn free_batching(ops: u32) -> Vec<BatchRow> {
             )
             .expect("spawn service thread");
             let mut client = rt.register_client();
-            let layout_free = |addr: usize| {
-                ngm_core::FreePost::One(ngm_core::FreeMsg {
-                    addr,
-                    size: 64,
-                    align: 8,
-                })
-            };
+            // The per-call protocol on 64-byte blocks: a refill of one,
+            // a free batch of one.
+            let class = ngm_heap::size_to_class(64).expect("64 is a small class");
             let start = Instant::now();
             for _ in 0..ops {
-                let addr = match client.call(ngm_core::MallocReq::One(ngm_core::AllocReq {
-                    size: 64,
-                    align: 8,
-                })) {
-                    ngm_core::MallocResp::One(addr) => addr,
-                    resp => panic!("One request answered with {resp:?}"),
-                };
-                assert_ne!(addr, 0);
-                client.post(layout_free(addr));
+                let block = client.call(ngm_core::AllocBatchReq { class, count: 1 });
+                assert_eq!(block.len(), 1);
+                client.post(ngm_core::FreePost::Batch(block));
             }
             drop(client);
             let (svc, _stats) = rt.shutdown();

@@ -151,8 +151,7 @@ impl Ngm {
             if st.cold_streak >= SUSTAIN {
                 st.cold_streak = 0;
                 // Retire the coolest shard outside the resident floor
-                // (slots `0..min` never retire: large layouts hash over
-                // them, so their frees must always find them open).
+                // (slots `0..min` never retire).
                 let candidates = loads.iter().copied().filter(|&(s, _)| s >= policy.min);
                 if let Some(victim) = pick_coolest(candidates) {
                     self.gate_for_drain(victim);

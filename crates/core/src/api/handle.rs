@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 use ngm_heap::classes::{layout_to_class, SizeClass, NUM_CLASSES};
-use ngm_heap::{AllocError, FallbackHeap};
+use ngm_heap::{AllocError, FallbackHeap, LargeBlocks};
 use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, RuntimeTelemetry, ServiceError};
 use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
 use ngm_telemetry::clock::cycles_now;
@@ -20,10 +20,7 @@ use super::tier::SlotCell;
 use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
 use crate::heat::{ObsState, ShardLifecycle};
 use crate::orphan::OrphanStack;
-use crate::service::{
-    AddrBatch, AllocBatchReq, AllocReq, FreeMsg, FreePost, MallocReq, MallocResp, MallocService,
-    MAX_BATCH,
-};
+use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
 
 /// A per-thread endpoint to the allocator tier.
 ///
@@ -36,21 +33,25 @@ use crate::service::{
 /// is pushed onto a per-owning-shard buffer that is flushed as one
 /// batched post every `flush_threshold` frees. `with_batch(1, 1)` is the
 /// paper's per-call handshake through this same code: a refill of one
-/// block per alloc, a flush of one block per free. Only large layouts
-/// travel as [`MallocReq::One`] / [`FreePost::One`].
+/// block per alloc, a flush of one block per free.
+///
+/// Large (non-class) layouts never enter the room: each is a dedicated
+/// mapping made and released on the calling thread — the kernel already
+/// serializes them and one block can never amortise a round trip — with
+/// the tier's shared [`LargeBlocks`] ledger keeping the books.
 ///
 /// All routing state (class map, magazines, free buffers, pressure
 /// counters) is handle-local: no shared writes, no atomics on the fast
 /// path, and two handles may route the same class differently without
 /// coordinating — frees are address-pure, so it cannot matter.
 pub struct NgmHandle {
-    /// The request riding each shard's slot across calls (`None` when
+    /// The refill riding each shard's slot across calls (`None` when
     /// the slot is free): one a non-blocking call submitted and left in
     /// flight, kept so that whoever collects the response — the original
     /// submitter or an unrelated call settling the slot for its own
     /// request — can route it. At most one rides each slot; collecting or
     /// retracting it clears the entry.
-    pub(super) nb_pending: Box<[Option<MallocReq>]>,
+    pub(super) nb_pending: Box<[Option<AllocBatchReq>]>,
     /// How many submissions have left their slot (see
     /// [`NgmHandle::settled`]).
     pub(super) settled: u64,
@@ -77,9 +78,7 @@ pub struct NgmHandle {
     pub(super) shard_stats: Box<[Arc<RuntimeStats>]>,
     /// Each slot's persistent telemetry hub, for blackbox snapshots.
     pub(super) shard_telemetry: Box<[Arc<RuntimeTelemetry>]>,
-    /// How many slots large layouts hash over (see [`Ngm::large_span`]).
-    pub(super) large_span: usize,
-    /// Each shard's orphan stack, for [`NgmHandle::dealloc_orphan`].
+    /// Each shard's orphan stack, where undeliverable frees are diverted.
     pub(super) orphans: Box<[Arc<OrphanStack>]>,
     pub(super) batch_size: u32,
     pub(super) flush_threshold: u32,
@@ -112,6 +111,8 @@ pub struct NgmHandle {
     pub(super) sites: Option<Arc<SiteProfiler>>,
     /// The shared inline allocator of last resort (see [`Ngm`]).
     pub(super) fallback: Arc<FallbackHeap>,
+    /// The tier-wide ledger every large block is mapped through.
+    pub(super) large: Arc<LargeBlocks>,
     /// Shared heat windows + blackbox gate (see [`crate::heat`]).
     pub(super) obs: Arc<ObsState>,
 }
@@ -123,7 +124,7 @@ pub struct NgmHandle {
 fn await_response(
     client: &mut ClientHandle<MallocService>,
     wait: bool,
-) -> Result<MallocResp, ServiceError> {
+) -> Result<AddrBatch, ServiceError> {
     if wait {
         client.wait(client.deadline())
     } else {
@@ -287,21 +288,6 @@ impl NgmHandle {
         }
     }
 
-    /// The shard serving a non-class (large) layout: a deterministic hash
-    /// of the layout, identical at alloc and free time (a large free
-    /// carries its layout), so it is address-stable the same way the
-    /// owner-id read is. Elastic tiers hash over the resident floor only
-    /// (`ElasticPolicy::min` slots, which never retire), so the shard a
-    /// large free hashes to is always still open.
-    fn shard_of_large(&self, layout: Layout) -> usize {
-        if self.large_span == 1 {
-            return 0;
-        }
-        let h =
-            (layout.size() ^ layout.align().rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) % self.large_span
-    }
-
     /// Pushes one event onto `shard`'s client trace ring, when tracing
     /// is on and the handle has a client there.
     fn trace(&self, shard: usize, kind: TraceEventKind, a: u64, b: u64) {
@@ -317,14 +303,15 @@ impl NgmHandle {
     ///
     /// Small layouts are served from the per-class magazine (refilled in
     /// one round trip of `batch_size` blocks when empty); large layouts
-    /// are a synchronous round trip to the shard their layout hashes to.
+    /// are mapped on the calling thread, whatever state the tier is in.
     /// This is [`NgmHandle::try_alloc`] that waits out every round trip
     /// instead of reporting [`NgmError::WouldBlock`].
     ///
     /// # Errors
     ///
-    /// [`AllocError::OutOfMemory`] when the service reports failure (or
-    /// every shard is gone) and [`AllocError::ZeroSize`] for zero-sized
+    /// [`AllocError::OutOfMemory`] when the service reports failure and
+    /// the fallback heap cannot serve either (or the kernel refuses a
+    /// large mapping) and [`AllocError::ZeroSize`] for zero-sized
     /// layouts.
     #[track_caller]
     pub fn alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
@@ -343,8 +330,9 @@ impl NgmHandle {
 
     /// Non-blocking [`NgmHandle::alloc`]: never waits on a service.
     ///
-    /// The magazine pop is the same fast path. When a round trip is
-    /// needed it is *submitted* rather than awaited: the call returns
+    /// The magazine pop is the same fast path, and a large layout is
+    /// mapped inline and so never reports `WouldBlock`. When a round trip
+    /// is needed it is *submitted* rather than awaited: the call returns
     /// [`NgmError::WouldBlock`] and a later `try_alloc` (or a poll of an
     /// [`crate::nonblocking::AllocFuture`]) collects the response from
     /// the slot. Dead, draining, and deadlined shards are routed around
@@ -369,7 +357,13 @@ impl NgmHandle {
         self.maybe_resync();
         match layout_to_class(layout.size(), layout.align()) {
             Some(class) => self.alloc_from_magazine(class, layout, wait),
-            None => self.alloc_large(self.shard_of_large(layout), layout, wait),
+            None => {
+                let ptr = self.large.allocate(layout)?;
+                // Slot 0 is on the resident floor: its client ring exists
+                // whatever the elastic controller has done since.
+                self.trace(0, TraceEventKind::Alloc, layout.size() as u64, 0);
+                Ok(ptr)
+            }
         }
     }
 
@@ -409,17 +403,17 @@ impl NgmHandle {
     /// from its current shard, routing around shards that cannot serve it.
     fn top_up(&mut self, class: SizeClass, wait: bool) -> Result<(), NgmError> {
         let ci = class.0 as usize;
-        let what = MallocReq::Batch(AllocBatchReq {
+        let what = AllocBatchReq {
             class,
             count: self.batch_size,
-        });
+        };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;
             let cause = if self.ensure_client(shard) {
                 match self.request(shard, what, wait) {
                     // An empty batch is the service reporting exhaustion.
-                    Ok(_) if self.magazines[ci].is_empty() => break,
-                    Ok(_) => return Ok(()),
+                    Ok(()) if self.magazines[ci].is_empty() => break,
+                    Ok(()) => return Ok(()),
                     Err(e) => Some(e),
                 }
             } else {
@@ -434,92 +428,49 @@ impl NgmHandle {
         Err(AllocError::OutOfMemory.into())
     }
 
-    /// One large-layout round trip, starting at `shard`. A *dead* target
-    /// fails over to survivors; a merely *slow* one (deadline fired) is
-    /// rerouted around without being written off — deadlines are
-    /// transient, so the shard stays eligible once it catches up. When
-    /// every shard has been tried and none answered, the blackbox fires
-    /// and the request fails (the fallback heap serves small classes
-    /// only).
-    fn alloc_large(
-        &mut self,
-        mut shard: usize,
-        layout: Layout,
-        wait: bool,
-    ) -> Result<NonNull<u8>, NgmError> {
-        let what = MallocReq::One(AllocReq::from_layout(layout));
-        for _ in 0..self.nshards() {
-            let cause = if self.ensure_client(shard) {
-                let traced = self.clients[shard]
-                    .as_ref()
-                    .is_some_and(|c| c.trace_ring().is_some());
-                let t0 = traced.then(cycles_now);
-                match self.request(shard, what, wait) {
-                    Ok(addr) => {
-                        if let Some(t0) = t0 {
-                            let rtt = cycles_now().saturating_sub(t0);
-                            self.trace(shard, TraceEventKind::Alloc, layout.size() as u64, rtt);
-                        }
-                        return NonNull::new(addr.unwrap_or(0) as *mut u8)
-                            .ok_or(NgmError::Alloc(AllocError::OutOfMemory));
-                    }
-                    Err(e) => Some(e),
-                }
-            } else {
-                None
-            };
-            match self.route(shard, cause, RouteOp::Alloc) {
-                Route::Retry(next) => shard = next,
-                Route::Busy => return Err(NgmError::WouldBlock),
-                Route::Exhausted => break,
-            }
-        }
-        self.fallback_alloc(layout, shard).map_err(NgmError::from)
-    }
-
     /// The degradation endpoint: every shard deadlined or died, so serve
-    /// the allocation inline from the shared [`FallbackHeap`] (small
-    /// classes only — its docs explain why large layouts cannot degrade).
-    /// `shard` is the last shard tried, implicated in the dump.
+    /// the small-class allocation inline from the shared
+    /// [`FallbackHeap`]. `shard` is the last shard tried, implicated in
+    /// the dump.
     fn fallback_alloc(&mut self, layout: Layout, shard: usize) -> Result<NonNull<u8>, AllocError> {
         self.blackbox("fallback", shard);
         self.fallback.allocate(layout)
     }
 
-    /// One request round on `shard` (whose client the caller just
-    /// ensured): settles whatever rides the slot — an identical request
-    /// is this caller's own, from an earlier `WouldBlock` — then submits
-    /// `what` and polls, or with `wait` blocks, for its response.
-    /// `Ok(Some(addr))` answers a [`MallocReq::One`]; `Ok(None)` means a
-    /// [`MallocReq::Batch`] was folded into its magazine.
-    /// [`ServiceError::WouldBlock`] leaves the request riding the slot
-    /// for a later call; any other error leaves the slot free.
+    /// One refill round on `shard` (whose client the caller just
+    /// ensured) for a class whose magazine is empty: settles whatever
+    /// rides the slot — which may be this class's own refill, from an
+    /// earlier `WouldBlock`, and then the magazine is stocked and nothing
+    /// more is sent — then submits `what` and polls, or with `wait`
+    /// blocks, for its response. `Ok` means a response was folded into
+    /// handle state. [`ServiceError::WouldBlock`] leaves the request
+    /// riding the slot for a later call; any other error leaves the slot
+    /// free.
     fn request(
         &mut self,
         shard: usize,
-        what: MallocReq,
+        what: AllocBatchReq,
         wait: bool,
-    ) -> Result<Option<usize>, ServiceError> {
-        if let Some(riding) = self.nb_pending[shard] {
-            let got = self.collect(shard, Some(what), wait)?;
-            if riding == what {
-                return Ok(got);
-            }
+    ) -> Result<(), ServiceError> {
+        self.collect(shard, wait)?;
+        if !self.magazines[what.class.0 as usize].is_empty() {
+            return Ok(());
         }
-        // A round trip for exactly one block is a call, whichever message
-        // carries it: the call histogram and its phase partition cover
-        // every single-block round trip, the refill histogram only those
-        // that amortise.
-        let kind = match what {
-            MallocReq::Batch(b) if b.count > 1 => CallKind::Batched,
-            _ => CallKind::Single,
+        // A round trip for exactly one block is a call: the call
+        // histogram and its phase partition cover every single-block
+        // round trip, the refill histogram only those that amortise.
+        let kind = if what.count > 1 {
+            CallKind::Batched
+        } else {
+            CallKind::Single
         };
         let client = self.clients[shard].as_mut().expect("client just ensured");
         client.submit(what, kind).map_err(|(_, e)| e)?;
         match await_response(client, wait) {
-            Ok(resp) => {
+            Ok(batch) => {
                 self.settled += 1;
-                Ok(self.absorb(shard, what, &resp, Some(what)))
+                self.absorb(shard, what, &batch);
+                Ok(())
             }
             Err(ServiceError::WouldBlock) => {
                 self.nb_pending[shard] = Some(what);
@@ -531,31 +482,26 @@ impl NgmHandle {
         }
     }
 
-    /// Collects the request riding `shard`'s slot: polls — or with `wait`
-    /// blocks — for its response and folds it into handle state
-    /// ([`NgmHandle::absorb`]). `Ok` means the slot is free again;
+    /// Collects the refill riding `shard`'s slot, if any: polls — or with
+    /// `wait` blocks — for its response and folds it into handle state
+    /// ([`NgmHandle::absorb`]). `Ok` means the slot is free;
     /// [`ServiceError::WouldBlock`] that the response has not landed.
-    fn collect(
-        &mut self,
-        shard: usize,
-        want: Option<MallocReq>,
-        wait: bool,
-    ) -> Result<Option<usize>, ServiceError> {
+    fn collect(&mut self, shard: usize, wait: bool) -> Result<(), ServiceError> {
         let Some(riding) = self.nb_pending[shard] else {
-            return Ok(None);
+            return Ok(());
         };
         let Some(client) = self.clients[shard].as_mut() else {
             // The client is gone (resync dropped it): the request can
             // never complete. Clear it so the route is usable again.
             self.release_slot(shard);
             self.shard_stats[shard].record_post_dropped();
-            return Ok(None);
+            return Ok(());
         };
         match await_response(client, wait) {
             Err(ServiceError::WouldBlock) => Err(ServiceError::WouldBlock),
             outcome => {
                 self.release_slot(shard);
-                outcome.map(|resp| self.absorb(shard, riding, &resp, want))
+                outcome.map(|batch| self.absorb(shard, riding, &batch))
             }
         }
     }
@@ -568,59 +514,28 @@ impl NgmHandle {
         self.settled += 1;
     }
 
-    /// The one place a response enters handle state. A batch tops up its
-    /// class's magazine (or, if the class was refilled from elsewhere
+    /// The one place a response enters handle state: the batch tops up
+    /// its class's magazine or, if the class was refilled from elsewhere
     /// meanwhile, diverts to the serving shard's orphan stack so the
-    /// ledger still balances without a blocking return post). A `One`
-    /// goes to the caller when it answers `want`; otherwise it has lost
-    /// its consumer and the block is immediately freed back along the
-    /// normal address-routed path.
-    fn absorb(
-        &mut self,
-        shard: usize,
-        request: MallocReq,
-        resp: &MallocResp,
-        want: Option<MallocReq>,
-    ) -> Option<usize> {
-        match (request, resp) {
-            (MallocReq::Batch(req), MallocResp::Batch(batch)) => {
-                let ci = req.class.0 as usize;
-                if batch.is_empty() {
-                    // The service reported failure; nothing to stash.
-                } else if self.magazines[ci].is_empty() {
-                    let got = batch.len();
-                    self.magazines[ci] = *batch;
-                    self.mag_shard[ci] = shard as u16;
-                    self.stash_by_shard[shard] += got as i64;
-                    // Publish occupancy only here (and at drop) — pops
-                    // since the last refill fold into this one delta,
-                    // keeping the alloc fast path free of shared-memory
-                    // traffic.
-                    self.publish_occupancy(shard);
-                    let class = u64::from(req.class.0);
-                    self.trace(shard, TraceEventKind::Refill, class, got as u64);
-                } else {
-                    for &addr in batch.as_slice() {
-                        if let Some(p) = NonNull::new(addr as *mut u8) {
-                            // SAFETY: fresh small-class blocks the service
-                            // just handed out; nothing else refers to them.
-                            unsafe { self.orphans[shard].push(p) };
-                        }
-                    }
-                }
-                None
-            }
-            (MallocReq::One(_), &MallocResp::One(addr)) if want == Some(request) => Some(addr),
-            (MallocReq::One(req), &MallocResp::One(addr)) => {
-                if let (Some(ptr), Some(layout)) = (NonNull::new(addr as *mut u8), req.layout()) {
-                    // SAFETY: a live block the service just produced whose
-                    // consumer abandoned it; freeing it here is the only
-                    // reference.
-                    unsafe { self.dealloc(ptr, layout) };
-                }
-                None
-            }
-            _ => unreachable!("response kind does not match request kind"),
+    /// ledger still balances without a blocking return post.
+    fn absorb(&mut self, shard: usize, request: AllocBatchReq, batch: &AddrBatch) {
+        let ci = request.class.0 as usize;
+        if batch.is_empty() {
+            // The service reported failure; nothing to stash.
+        } else if self.magazines[ci].is_empty() {
+            let got = batch.len();
+            self.magazines[ci] = *batch;
+            self.mag_shard[ci] = shard as u16;
+            self.stash_by_shard[shard] += got as i64;
+            // Publish occupancy only here (and at drop) — pops since the
+            // last refill fold into this one delta, keeping the alloc
+            // fast path free of shared-memory traffic.
+            self.publish_occupancy(shard);
+            let class = u64::from(request.class.0);
+            self.trace(shard, TraceEventKind::Refill, class, got as u64);
+        } else {
+            // Fresh blocks nobody will use are frees owed to `shard`.
+            self.reroute_frees_to_orphans(shard, FreePost::Batch(*batch));
         }
     }
 
@@ -638,7 +553,7 @@ impl NgmHandle {
             .is_some_and(ClientHandle::retract)
         {
             self.release_slot(shard);
-        } else if self.collect(shard, None, true).is_err() {
+        } else if self.collect(shard, true).is_err() {
             self.shard_stats[shard].record_post_dropped();
         }
     }
@@ -646,28 +561,16 @@ impl NgmHandle {
     /// Drives every in-flight refill one poll forward, folding landed
     /// batches into their magazines. Returns how many completed. The pump
     /// a submission queue (or any manual `try_alloc` retry loop) calls
-    /// between wakes. A riding single-block request is left for the
-    /// `try_alloc` that asked for it ([`NgmHandle::nb_single_riding`]):
-    /// its block has nowhere to wait but the slot.
+    /// between wakes.
     pub fn nb_pump(&mut self) -> usize {
         self.maybe_resync();
         let mut completed = 0;
         for shard in 0..self.nshards() {
-            if matches!(self.nb_pending[shard], Some(MallocReq::Batch(_)))
-                && self.collect(shard, None, false).is_ok()
-            {
+            if self.nb_pending[shard].is_some() && self.collect(shard, false).is_ok() {
                 completed += 1;
             }
         }
         completed
-    }
-
-    /// Whether a single-block request rides some slot: only a retry of
-    /// the `try_alloc` that submitted it collects the block.
-    pub(crate) fn nb_single_riding(&self) -> bool {
-        self.nb_pending
-            .iter()
-            .any(|p| matches!(p, Some(MallocReq::One(_))))
     }
 
     /// How many non-blocking submissions this handle currently has in
@@ -715,8 +618,8 @@ impl NgmHandle {
     /// Frees a block asynchronously; returns as soon as the message is in
     /// the owning shard's ring (§3.1.2: free is off the critical path).
     /// Small-block frees are buffered per owning shard and flushed as one
-    /// batched post every `flush_threshold` frees; large frees are posted
-    /// one by one with their layout. This is
+    /// batched post every `flush_threshold` frees; a large free is a
+    /// synchronous `munmap` on the calling thread. This is
     /// [`NgmHandle::try_dealloc`] that waits out a full ring (for at
     /// most the deadline, then diverts to the owning shard's orphan
     /// stack) and so always accepts.
@@ -736,11 +639,11 @@ impl NgmHandle {
     ///
     /// `Ok(())` means the block is now the tier's responsibility —
     /// buffered client-side awaiting a flush, in the owning shard's ring,
-    /// freed inline (fallback blocks), or diverted to the owning shard's
-    /// orphan stack (dead shard) — so accounting stays exact in every
-    /// accepted case. [`NgmError::WouldBlock`] means the owning shard's
-    /// ring is full *and* the client-side buffer cannot absorb the free:
-    /// the caller still owns `ptr` and must retry after pumping.
+    /// freed inline (fallback and large blocks), or diverted to the owning
+    /// shard's orphan stack (dead shard) — so accounting stays exact in
+    /// every accepted case. [`NgmError::WouldBlock`] means the owning
+    /// shard's ring is full *and* the client-side buffer cannot absorb the
+    /// free: the caller still owns `ptr` and must retry after pumping.
     ///
     /// # Safety
     ///
@@ -761,14 +664,19 @@ impl NgmHandle {
         if let Some(prof) = &self.sites {
             prof.record_free(ptr.as_ptr() as usize);
         }
-        let small = layout_to_class(layout.size(), layout.align()).is_some();
+        if layout_to_class(layout.size(), layout.align()).is_none() {
+            // SAFETY: forwarded contract — a live large block this tier's
+            // ledger mapped for `layout`, relinquished by the caller.
+            unsafe { self.large.deallocate(ptr, layout) };
+            self.trace(0, TraceEventKind::Free, layout.size() as u64, 0);
+            return Ok(());
+        }
         // The fallback gate comes before any shard shortcut (including
         // the single-shard one inside `shard_of_small`): once the tier
         // has ever degraded, any small block might be fallback-owned.
         // SAFETY (owner read): small blocks from this tier are segment-
         // backed, per this method's contract.
-        if small
-            && self.fallback.is_active()
+        if self.fallback.is_active()
             && unsafe { ngm_heap::owner_of_small_ptr(ptr) } == FALLBACK_OWNER
         {
             // SAFETY: forwarded contract — a live fallback block the
@@ -776,30 +684,17 @@ impl NgmHandle {
             unsafe { self.fallback.deallocate(ptr) };
             return Ok(());
         }
-        let shard = if small {
-            self.shard_of_small(ptr)
-        } else {
-            self.shard_of_large(layout)
-        };
-        if small {
-            if self.free_bufs[shard].len() >= MAX_BATCH {
-                // Buffer at capacity: it must drain into the ring before
-                // this free can be accepted.
-                self.flush_shard(shard, wait)?;
-            }
-            self.free_bufs[shard].push(ptr.as_ptr() as usize);
-            if self.free_bufs[shard].len() >= self.flush_threshold as usize {
-                // A full ring is not an error here — the free is already
-                // safely buffered.
-                let _ = self.flush_shard(shard, wait);
-            }
-        } else {
-            let msg = FreeMsg {
-                addr: ptr.as_ptr() as usize,
-                size: layout.size(),
-                align: layout.align(),
-            };
-            self.post_routed(shard, FreePost::One(msg), wait)?;
+        let shard = self.shard_of_small(ptr);
+        if self.free_bufs[shard].len() >= MAX_BATCH {
+            // Buffer at capacity: it must drain into the ring before
+            // this free can be accepted.
+            self.flush_shard(shard, wait)?;
+        }
+        self.free_bufs[shard].push(ptr.as_ptr() as usize);
+        if self.free_bufs[shard].len() >= self.flush_threshold as usize {
+            // A full ring is not an error here — the free is already
+            // safely buffered.
+            let _ = self.flush_shard(shard, wait);
         }
         self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
         Ok(())
@@ -878,49 +773,16 @@ impl NgmHandle {
     }
 
     /// Diverts the contents of an undeliverable free post to `shard`'s
-    /// orphan stack. Large frees — the only [`FreePost::One`]s — cannot
-    /// ride the orphan stack (their layout is not recoverable from the
-    /// address), so they are dropped and counted like frees owed to a
-    /// dead shard.
+    /// orphan stack.
     fn reroute_frees_to_orphans(&mut self, shard: usize, msg: FreePost) {
-        match msg {
-            FreePost::One(_) => self.shard_stats[shard].record_post_dropped(),
-            FreePost::Batch(b) | FreePost::MagazineReturn(b) => {
-                for &addr in b.as_slice() {
-                    if let Some(p) = NonNull::new(addr as *mut u8) {
-                        // SAFETY: as above — batched frees carry only
-                        // relinquished live small blocks.
-                        unsafe { self.orphans[shard].push(p) };
-                    }
-                }
+        let (FreePost::Batch(b) | FreePost::MagazineReturn(b)) = msg;
+        for &addr in b.as_slice() {
+            if let Some(p) = NonNull::new(addr as *mut u8) {
+                // SAFETY: free posts carry only live small blocks of
+                // `shard`'s heap that nothing else refers to any more.
+                unsafe { self.orphans[shard].push(p) };
             }
         }
-    }
-
-    /// Frees a small block by pushing it onto its owning shard's orphan
-    /// stack (no handle state touched). Used by the global adapter in
-    /// contexts where the ring may not be used.
-    ///
-    /// # Safety
-    ///
-    /// As [`NgmHandle::dealloc`], and the block must be a small-class
-    /// block (under [`ngm_heap::SMALL_MAX`]).
-    pub unsafe fn dealloc_orphan(&self, ptr: NonNull<u8>) {
-        if let Some(prof) = &self.sites {
-            prof.record_free(ptr.as_ptr() as usize);
-        }
-        // SAFETY (owner read): callers only pass live small blocks from
-        // this tier's segment-backed heaps.
-        if self.fallback.is_active()
-            && unsafe { ngm_heap::owner_of_small_ptr(ptr) } == FALLBACK_OWNER
-        {
-            // SAFETY: forwarded contract — a relinquished fallback block.
-            unsafe { self.fallback.deallocate(ptr) };
-            return;
-        }
-        let shard = self.shard_of_small(ptr);
-        // SAFETY: forwarded contract.
-        unsafe { self.orphans[shard].push(ptr) };
     }
 
     /// Blocks currently stashed in `class`'s magazine.

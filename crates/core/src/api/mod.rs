@@ -6,8 +6,9 @@
 //! zero-atomics-per-shard invariant (§3.1.3):
 //!
 //! * **Allocations** route by size class through a handle-local,
-//!   rebalanceable `class → shard` map (plus a pure hash for non-class
-//!   layouts). Moving the map only redirects *future* allocations.
+//!   rebalanceable `class → shard` map. Moving the map only redirects
+//!   *future* allocations. Non-class (large) layouts route nowhere: the
+//!   calling thread maps and unmaps them itself.
 //! * **Frees** route by address: the owning shard is stamped into the
 //!   segment header at creation ([`ngm_heap::owner_of_small_ptr`]), so a
 //!   block always returns to the heap that made it — including after any

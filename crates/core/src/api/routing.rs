@@ -24,12 +24,10 @@ pub(super) enum Route {
     Busy,
 }
 
-/// The kind of operation being routed.
+/// The kind of operation being routed. Large blocks are never routed:
+/// the calling thread maps and unmaps them itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum RouteOp {
-    /// A large-layout allocation (one block by
-    /// [`crate::service::MallocReq::One`]).
-    Alloc,
     /// A magazine refill for this class index, whose allocation route
     /// follows the request.
     Refill(usize),

@@ -82,7 +82,7 @@ fn zero_size_alloc_is_error() {
 }
 
 #[test]
-fn large_blocks_route_through_service() {
+fn large_blocks_never_enter_the_room() {
     let ngm = Ngm::start();
     let mut h = ngm.handle();
     let l = layout(1 << 20);
@@ -94,7 +94,55 @@ fn large_blocks_route_through_service() {
     }
     drop(h);
     let down = ngm.shutdown();
+    // Mapped and unmapped on this thread: no call, no post, nothing in
+    // the shard's books — and the tier's merged books still count it.
+    assert_eq!(down.runtime.calls_served, 0);
+    assert_eq!(down.runtime.posts_served, 0);
+    assert_eq!(down.shards[0].service.allocs, 0);
+    assert_eq!(down.service.app_allocs(), 1);
+    assert_eq!(down.service.allocs, down.service.frees);
     assert_eq!(down.heap.large_allocs, 0);
+}
+
+#[test]
+fn live_heap_stats_carries_large_blocks() {
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    // Off the page grid, like the xalanc trace's output strings.
+    let sizes = [8_193usize, 10_227, (1 << 20) + 1];
+    let blocks: Vec<_> = sizes
+        .iter()
+        .map(|&n| (h.alloc(layout(n)).unwrap(), layout(n)))
+        .collect();
+    let small = h.alloc(layout(64)).unwrap();
+    let live = ngm.live_heap_stats();
+    let rounded: usize = sizes
+        .iter()
+        .map(|&n| ngm_heap::sys::round_to_os_page(n))
+        .sum();
+    assert_eq!(live.large_allocs, 3);
+    assert_eq!(live.large_bytes, rounded as u64, "page-rounded bytes");
+    // SAFETY: blocks from this handle's allocator, freed once.
+    unsafe {
+        for (p, l) in blocks {
+            h.dealloc(p, l);
+        }
+        h.dealloc(small, layout(64));
+    }
+    h.flush_frees();
+    // Large frees are applied before `dealloc` returns; the small one
+    // shows once the service publishes on an idle round.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while ngm.live_heap_stats().total_frees != 4 {
+        assert!(std::time::Instant::now() < deadline, "frees never applied");
+        std::thread::yield_now();
+    }
+    let live = ngm.live_heap_stats();
+    assert_eq!((live.large_allocs, live.large_bytes), (0, 0));
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.app_allocs(), 4);
 }
 
 #[test]
@@ -103,7 +151,7 @@ fn orphan_path_reclaims() {
     let mut h = ngm.handle();
     let p = h.alloc(layout(64)).unwrap();
     // SAFETY: small live block relinquished to the orphan stack.
-    unsafe { h.dealloc_orphan(p) };
+    unsafe { ngm.orphan_push(p) };
     // Orphans are drained by the service's idle hook.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while ngm.orphans_drained() == 0 && std::time::Instant::now() < deadline {
@@ -279,17 +327,22 @@ fn try_alloc_roundtrip_balances_at_shutdown() {
 fn try_alloc_batch_one_and_large_layouts_complete() {
     let ngm = batched(1, 1).build().unwrap();
     let mut h = ngm.handle();
-    // A refill of one (through the magazine) and a large (non-class)
-    // layout (the One submission path).
-    for l in [layout(64), Layout::from_size_align(1 << 20, 64).unwrap()] {
-        let p = spin_try_alloc(&mut h, l);
-        // SAFETY: block from this handle's tier, freed once.
-        unsafe { spin_try_dealloc(&mut h, p, l) };
-    }
+    // A refill of one goes through the magazine (one call) ...
+    let p = spin_try_alloc(&mut h, layout(64));
+    // SAFETY: block from this handle's tier, freed once.
+    unsafe { spin_try_dealloc(&mut h, p, layout(64)) };
+    // ... and a large (non-class) layout is mapped inline: it never
+    // reports `WouldBlock` and makes no call.
+    let l = Layout::from_size_align(1 << 20, 64).unwrap();
+    let p = h.try_alloc(l).expect("a large try_alloc completes at once");
+    // SAFETY: block from this handle's tier, freed once.
+    unsafe { h.try_dealloc(p, l).expect("a large try_dealloc too") };
     drop(h);
     let down = ngm.shutdown();
+    assert_eq!(down.runtime.calls_served, 1, "zero calls for the large");
+    assert_eq!(down.service.app_allocs(), 2, "the ledger counts both");
     assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(down.heap.live_blocks, 0);
+    assert_eq!(down.heap.live_total(), 0);
 }
 
 #[test]
@@ -346,7 +399,7 @@ fn blocking_and_nonblocking_paths_share_one_ledger() {
             .build()
             .unwrap();
         let mut h = ngm.handle();
-        // Magazine classes, plus a large layout for the single-call path.
+        // Magazine classes, plus a large layout mapped inline.
         let layouts = [layout(128), layout(48), layout(1 << 20)];
         let mut blocks = Vec::new();
         for i in 0..90 {
@@ -388,6 +441,7 @@ fn blocking_and_nonblocking_paths_share_one_ledger() {
         let batched_calls = ngm.runtime_stats().batched_calls_served;
         let down = ngm.shutdown();
         assert!(down.clean() && down.balanced(), "{down:?}");
+        assert_eq!(down.service.app_allocs(), 90, "ledger == mallocs");
         (
             count("ngm_call_cycles"),
             count("ngm_refill_cycles"),
@@ -398,7 +452,7 @@ fn blocking_and_nonblocking_paths_share_one_ledger() {
         )
     };
     let blocking = replay(true);
-    assert_eq!(blocking.0, 30, "one single call per large allocation");
+    assert_eq!(blocking.0, 0, "large allocations make no call");
     assert_eq!(blocking.1, 8, "two classes x ceil(30 / 8) refills");
     assert_eq!(blocking.3, [90, 90, 8], "alloc / free / refill events");
     assert_eq!(blocking, replay(false), "blocking vs completion replay");
@@ -544,9 +598,10 @@ fn site_profiler_attributes_allocs_and_reports_leaks() {
     let m = ngm.metrics();
     assert_eq!(m.labeled_gauge_count("ngm_site_live_bytes"), 2);
     assert_eq!(m.get_gauge("ngm_site_surviving_count"), Some(1));
-    // Clean up so shutdown accounting stays exact.
+    // Clean up so shutdown accounting stays exact — by the orphan
+    // route, which must tell the profiler too.
     // SAFETY: block from this handle's allocator.
-    unsafe { h.dealloc(leaked, layout(128)) };
+    unsafe { ngm.orphan_push(leaked) };
     assert!(ngm.site_report().unwrap().leak_free());
 }
 
@@ -976,8 +1031,38 @@ fn dead_shard_fails_over_and_is_counted() {
 }
 
 #[test]
+fn stopped_shard_cannot_lose_large_blocks() {
+    // Large blocks used to hash to a shard by layout: an allocation
+    // failed over to the survivor while its free still hashed to the
+    // stopped shard, leaking the mapping and unbalancing the survivor.
+    let ngm = sharded(2).build().unwrap();
+    let mut h = ngm.handle();
+    ngm.stop_shard(1);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !ngm.shard_finished(1) {
+        assert!(std::time::Instant::now() < deadline, "shard never stopped");
+        std::thread::yield_now();
+    }
+    for i in 0..16usize {
+        let l = layout((1 << 16) + 4096 * i);
+        let p = h.alloc(l).expect("large blocks need no shard");
+        // SAFETY: fresh block of that size, freed once.
+        unsafe {
+            *p.as_ptr().add(l.size() - 1) = i as u8;
+            h.dealloc(p, l);
+        }
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.balanced(), "{down:?}");
+    assert_eq!(down.runtime.posts_dropped, 0, "{down:?}");
+    assert_eq!(down.heap.large_allocs, 0, "{down:?}");
+    assert_eq!(down.service.app_allocs(), 16);
+}
+
+#[test]
 fn routing_step_decision_table() {
-    use RouteOp::{Alloc, Post, Refill};
+    use RouteOp::{Post, Refill};
     /// What a refusal does to the handle when another shard exists.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Effect {
@@ -1000,16 +1085,13 @@ fn routing_step_decision_table() {
     let class = ngm_heap::size_to_class(64).unwrap();
     let ci = class.0 as usize;
     let table = [
-        (None, Alloc, Next),
         (None, Refill(ci), Next),
-        (Some(full), Alloc, Busy),
+        (Some(full), Refill(ci), Busy),
         (Some(full), Post, Busy),
-        (Some(deadline), Alloc, Slow(Some("deadline"))),
         (Some(deadline), Refill(ci), Slow(Some("deadline"))),
         (Some(deadline), Post, Slow(Some("post-deadline"))),
-        (Some(retiring), Alloc, Slow(None)),
         (Some(retiring), Refill(ci), Slow(None)),
-        (Some(ServiceError::ServiceStopped), Alloc, Dead),
+        (Some(ServiceError::ServiceStopped), Refill(ci), Dead),
         (Some(ServiceError::ServiceStopped), Post, Dead),
         (Some(ServiceError::ServicePanicked), Refill(ci), Dead),
     ];
@@ -1030,8 +1112,7 @@ fn routing_step_decision_table() {
                 (_, false) => Route::Retry(other),
             };
             assert_eq!(h.route(from, cause, op), expected, "{row}");
-            let moves = matches!(effect, Slow(_) | Dead) || (effect == Next && op != Alloc);
-            let routed = if moves { other } else { from };
+            let routed = if effect == Busy { from } else { other };
             assert_eq!(h.class_route(class), routed, "class_shard: {row}");
             assert_eq!(h.failed[from], effect == Dead, "failed[]: {row}");
             let dump = match effect {
@@ -1073,22 +1154,31 @@ fn dead_tier_degrades_to_inline_fallback() {
     // SAFETY: fresh 64-byte block from the fallback heap.
     unsafe { std::ptr::write_bytes(p.as_ptr(), 0x66, 64) };
     assert!(ngm.fallback_heap().is_active());
-    // Large layouts cannot degrade (no address-pure free route).
-    assert_eq!(h.alloc(layout(1 << 20)), Err(AllocError::OutOfMemory));
-    // SAFETY: block from this handle's allocator.
-    unsafe { h.dealloc(p, layout(64)) };
+    // Large layouts need no shard at all: the calling thread maps them.
+    let big = h.alloc(layout(1 << 20)).expect("needs no shard");
+    // The live view folds the same off-shard blocks the final books do.
+    let live = ngm.live_heap_stats();
+    assert_eq!((live.live_blocks, live.large_allocs), (1, 1), "{live:?}");
+    // SAFETY: blocks from this handle's allocator.
+    unsafe {
+        h.dealloc(p, layout(64));
+        h.dealloc(big, layout(1 << 20));
+    }
+    let live = ngm.live_heap_stats();
+    assert_eq!((live.total_allocs, live.total_frees), (2, 2), "{live:?}");
     drop(h);
     let down = ngm.shutdown();
+    assert_eq!(down.heap, live, "live view and final books agree");
     assert_eq!(down.service.fallback_allocs, 1);
+    assert_eq!(down.service.app_allocs(), 2);
     assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(down.heap.live_blocks, 0);
+    assert_eq!(down.heap.live_total(), 0);
 }
 
 #[test]
 fn fallback_orphan_route_frees_inline() {
-    // dealloc_orphan and Ngm::orphan_push must recognize fallback-
-    // owned blocks and free them inline — no shard's orphan stack can
-    // ever reclaim them.
+    // Ngm::orphan_push must recognize fallback-owned blocks and free
+    // them inline — no shard's orphan stack can ever reclaim them.
     let ngm = Ngm::start();
     let mut h = ngm.handle();
     ngm.stop_shard(0);
@@ -1101,7 +1191,7 @@ fn fallback_orphan_route_frees_inline() {
     let b = h.alloc(layout(64)).unwrap();
     // SAFETY: live fallback blocks, relinquished.
     unsafe {
-        h.dealloc_orphan(a);
+        ngm.orphan_push(a);
         ngm.orphan_push(b);
     }
     assert_eq!(ngm.fallback_heap().frees(), 2);

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use ngm_heap::classes::NUM_CLASSES;
-use ngm_heap::{FallbackHeap, HeapStats};
+use ngm_heap::{FallbackHeap, HeapStats, LargeBlocks};
 use ngm_offload::{
     OffloadRuntime, RuntimeConfig, RuntimeHandles, RuntimeTelemetry, ServiceError, StatsSnapshot,
 };
@@ -104,6 +104,9 @@ pub struct Ngm {
     /// maps nothing until the first time a handle exhausts every shard
     /// (all deadlined or dead) and has to serve an allocation itself.
     pub(super) fallback: Arc<FallbackHeap>,
+    /// The ledger every handle maps and unmaps large (non-class) blocks
+    /// through, on its own thread: they never enter a shard.
+    pub(super) large: Arc<LargeBlocks>,
     /// Shared heat windows + blackbox gate (see [`crate::heat`]).
     pub(super) obs: Arc<ObsState>,
     /// The elastic policy, when the tier scales at runtime.
@@ -121,11 +124,6 @@ pub struct Ngm {
     /// ([`NgmConfig::with_observer`]), consumed by
     /// [`Ngm::start_observer`].
     pub(super) observer_cfg: Mutex<Option<ObserverConfig>>,
-    /// How many slots non-size-class (large) layouts hash over. Elastic
-    /// tiers pin this to the resident floor (`ElasticPolicy::min`) so a
-    /// large free — which routes by layout hash, not by address — always
-    /// finds its allocating shard still open.
-    pub(super) large_span: usize,
     /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
     /// built over this tier's handles ([`NgmConfig::with_inflight_limit`]).
     pub(super) inflight_limit: usize,
@@ -202,13 +200,13 @@ impl Ngm {
             flush_threshold: cfg.flush_threshold as u32,
             sites: (cfg.site_sample > 0).then(|| Arc::new(SiteProfiler::new(cfg.site_sample))),
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
+            large: Arc::default(),
             obs: Arc::new(ObsState::new(cfg.blackbox, demand_watches)),
             elastic: cfg.elastic,
             controller: Mutex::new(ControllerState::default()),
             runtime_cfg,
             scale_trace: None,
             observer_cfg: Mutex::new(cfg.observer),
-            large_span: cfg.elastic.map_or(cfg.shards, |p| p.min),
             inflight_limit: cfg.inflight_limit,
         };
         for i in 0..cfg.shards {
@@ -298,7 +296,6 @@ impl Ngm {
                 .iter()
                 .map(|s| Arc::clone(&s.handles.telemetry))
                 .collect(),
-            large_span: self.large_span,
             orphans: self.shards.iter().map(|s| Arc::clone(&s.orphans)).collect(),
             batch_size: self.batch_size,
             flush_threshold: self.flush_threshold,
@@ -312,6 +309,7 @@ impl Ngm {
             failed: vec![false; n].into_boxed_slice(),
             sites: self.sites.clone(),
             fallback: Arc::clone(&self.fallback),
+            large: Arc::clone(&self.large),
             obs: Arc::clone(&self.obs),
             nb_pending: vec![None; n].into_boxed_slice(),
             settled: 0,
@@ -486,6 +484,9 @@ impl Ngm {
     /// `ptr` must be a live small-class block allocated by this `Ngm`,
     /// relinquished by the caller.
     pub unsafe fn orphan_push(&self, ptr: NonNull<u8>) {
+        if let Some(prof) = &self.sites {
+            prof.record_free(ptr.as_ptr() as usize);
+        }
         // SAFETY: forwarded contract — a live small block from one of our
         // segregated heaps (shard or fallback).
         let owner = unsafe { ngm_heap::owner_of_small_ptr(ptr) };
@@ -573,12 +574,14 @@ impl Ngm {
         &self.shards[shard].handles.telemetry
     }
 
-    /// A near-current view of the service heaps (summed across shards),
-    /// published by each service thread during idle rounds. Fields may
-    /// lag a busy service by one publication; the stats returned by
-    /// [`Ngm::shutdown`] are exact.
+    /// A near-current view of the tier's heaps: the service heaps
+    /// (summed across shards) as published by each service thread during
+    /// idle rounds, plus the fallback heap and the large-block ledger,
+    /// which clients touch inline and which are therefore current. The
+    /// shard fields may lag a busy service by one publication; the stats
+    /// returned by [`Ngm::shutdown`] are exact.
     pub fn live_heap_stats(&self) -> HeapStats {
-        let mut merged = HeapStats::default();
+        let mut merged = off_shard_stats(&self.fallback, &self.large);
         for s in self.shards.iter() {
             merged.absorb(&s.heap_watch.load());
         }
@@ -601,7 +604,10 @@ impl Ngm {
         let heap = self.live_heap_stats();
         m.counter("ngm_heap_allocs_total", heap.total_allocs)
             .counter("ngm_heap_frees_total", heap.total_frees)
-            .counter("ngm_heap_large_allocs_total", heap.large_allocs)
+            .counter(
+                "ngm_heap_large_allocs_total",
+                self.large.stats().total_allocs,
+            )
             .counter("ngm_fallback_allocs_total", self.fallback.allocs())
             .counter("ngm_scale_up_total", self.obs.scale_up_total())
             .counter("ngm_scale_down_total", self.obs.scale_down_total())
@@ -748,13 +754,15 @@ impl Ngm {
             }
             shards.push(out);
         }
-        // Fold the degradation heap into the merged totals: its blocks
-        // are real allocations the application received, so they must
-        // participate in the allocs == frees invariant.
+        // Fold the degradation heap and the large-block ledger into the
+        // merged totals: their blocks are real allocations the
+        // application received, so they must participate in the
+        // allocs == frees invariant.
+        let off_shard = off_shard_stats(&self.fallback, &self.large);
         service.fallback_allocs = self.fallback.allocs();
-        service.allocs += self.fallback.allocs();
-        service.frees += self.fallback.frees();
-        heap.absorb(&self.fallback.stats());
+        service.allocs += off_shard.total_allocs;
+        service.frees += off_shard.total_frees;
+        heap.absorb(&off_shard);
         NgmShutdown {
             shards,
             service,
@@ -764,16 +772,29 @@ impl Ngm {
     }
 }
 
+/// The blocks no shard ever sees — fallback blocks and large blocks,
+/// both allocated and freed inline by clients — as one [`HeapStats`], so
+/// the live view ([`Ngm::live_heap_stats`]) and the final books
+/// ([`Ngm::shutdown`]) fold them identically.
+fn off_shard_stats(fallback: &FallbackHeap, large: &LargeBlocks) -> HeapStats {
+    let mut stats = fallback.stats();
+    stats.absorb(&large.stats());
+    stats
+}
+
 /// Final statistics from [`Ngm::shutdown`]: exact per-shard results plus
 /// the merged totals.
 #[derive(Debug, Clone)]
 pub struct NgmShutdown {
     /// Per-shard results, indexed by shard.
     pub shards: Vec<ShardShutdown>,
-    /// Service counters summed across shards.
+    /// Service counters summed across shards, with the fallback heap's
+    /// and the large-block ledger's blocks folded into `allocs`/`frees`
+    /// (no shard serves either, so no [`ShardShutdown`] counts them).
     pub service: ServiceStats,
-    /// Heap statistics summed across shards (`peak_live_bytes` is the sum
-    /// of per-shard peaks — an upper bound on the true combined peak).
+    /// Heap statistics summed across shards, the fallback heap and the
+    /// large-block ledger (`peak_live_bytes` is the sum of the parts'
+    /// peaks — an upper bound on the true combined peak).
     pub heap: HeapStats,
     /// Offload-runtime counters merged across shards.
     pub runtime: StatsSnapshot,

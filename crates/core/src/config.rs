@@ -71,8 +71,8 @@ pub const SUSTAIN: u32 = 2;
 pub struct ElasticPolicy {
     /// Fewest shards the controller keeps serving (`>= 1`). Shards
     /// `0..min` are the tier's *resident floor*: they are never retired,
-    /// and non-size-class (large) allocations hash over them alone so an
-    /// address-less large free always finds its allocating shard open.
+    /// so slot 0's telemetry hub and client rings — where tier-wide
+    /// series and large-block trace events land — always exist.
     pub min: usize,
     /// Most shards the controller will spawn (`<= MAX_SHARDS`).
     pub max: usize,

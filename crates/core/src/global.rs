@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use ngm_heap::classes::layout_to_class;
-use ngm_heap::sys::{round_to_os_page, Mapping};
+use ngm_heap::sys::{map_large, unmap_large};
 
 use crate::api::{Ngm, NgmHandle};
 use crate::bootstrap::{bootstrap_alloc, is_bootstrap_ptr};
@@ -189,16 +189,7 @@ unsafe impl GlobalAlloc for NgmAllocator {
             self.alloc_small(layout)
         } else {
             // Large: dedicated mapping on the calling thread.
-            let len = round_to_os_page(layout.size());
-            let m = if layout.align() > ngm_heap::sys::os_page_size() {
-                Mapping::new_aligned(len, layout.align())
-            } else {
-                Mapping::new(len)
-            };
-            match m {
-                Ok(m) => m.into_raw().0.as_ptr(),
-                Err(_) => std::ptr::null_mut(),
-            }
+            map_large(layout).map_or(std::ptr::null_mut(), |(p, _)| p.as_ptr())
         }
     }
 
@@ -210,10 +201,9 @@ unsafe impl GlobalAlloc for NgmAllocator {
             // SAFETY: forwarded caller contract.
             unsafe { Self::dealloc_small(ptr, layout) };
         } else {
-            let len = round_to_os_page(layout.size());
-            // SAFETY: large blocks are dedicated mappings of exactly `len`
-            // bytes (see `alloc`).
-            drop(unsafe { Mapping::from_raw(ptr, len) });
+            // SAFETY: large blocks are dedicated mappings made in `alloc`
+            // for this same layout.
+            unsafe { unmap_large(ptr, layout) };
         }
     }
 }
@@ -251,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_alloc_dealloc_large() {
+    fn direct_large_alloc_dealloc() {
         let a = NgmAllocator::default();
         let l = layout(1 << 20);
         // SAFETY: standard GlobalAlloc usage.

@@ -14,6 +14,9 @@
 //! * Deallocation is asynchronous: `free` posts to an SPSC ring on the
 //!   *owning* shard (routed by address) and returns immediately (§3.1.2:
 //!   the free phase is off the critical path).
+//! * Large (non-class) blocks never enter the room: each is a dedicated
+//!   mapping made and released on the calling thread, as in the paper's
+//!   prototype — the kernel already serializes them.
 //!
 //! Three ways to use it:
 //!
@@ -46,8 +49,5 @@ pub use global::NgmAllocator;
 pub use heat::{pick_coolest, HeatReport, ShardHeat, ShardLifecycle};
 pub use nonblocking::{AllocFuture, ReadyFuture, SubmissionQueue};
 pub use observer::{derive_readiness, Observer, Readiness};
-pub use service::{
-    AddrBatch, AllocBatchReq, AllocReq, FreeMsg, FreePost, MallocReq, MallocResp, MallocService,
-    ServiceStats, MAX_BATCH,
-};
+pub use service::{AddrBatch, AllocBatchReq, FreePost, MallocService, ServiceStats, MAX_BATCH};
 pub use watch::{SharedDemand, SharedHeapStats};

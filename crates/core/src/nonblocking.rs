@@ -5,7 +5,8 @@
 //! The design is io_uring-shaped. Callers *submit* allocation tickets
 //! (bounded by [`crate::NgmConfig::with_inflight_limit`]) and *complete*
 //! them later. Submission itself attempts the allocation: a magazine
-//! hit completes the ticket on the spot, so only genuinely-blocked
+//! hit completes the ticket on the spot — as does a large layout, which
+//! the handle maps on the calling thread — so only genuinely-blocked
 //! requests (class magazine dry, refill in flight) park. Parked tickets
 //! wait in per-size-class queues and complete *out of order* across
 //! classes — a refill landing for one class never holds up tickets
@@ -102,7 +103,7 @@ struct SqInner {
 
 impl SqInner {
     /// Drives everything drivable without blocking: collects landed
-    /// refill/alloc responses, satisfies parked tickets (FIFO per
+    /// refill responses, satisfies parked tickets (FIFO per
     /// class), retries deferred frees, and wakes every task whose
     /// ticket completed. Returns how many tickets completed.
     fn pump(&mut self) -> usize {
@@ -124,11 +125,7 @@ impl SqInner {
     /// behalf of a caller who did not need to pump again.
     fn rescan(&mut self) -> usize {
         let mut completed = 0;
-        // A riding single-block request is collected only by its own
-        // ticket's `try_alloc`, so its response has to be looked for.
-        let mut look = self.handle.nb_single_riding();
-        while look || self.scanned_at != self.handle.settled() {
-            look = false;
+        while self.scanned_at != self.handle.settled() {
             self.scanned_at = self.handle.settled();
             completed += self.scan();
         }
@@ -606,23 +603,28 @@ mod tests {
     }
 
     #[test]
-    fn single_block_tickets_collect_their_own_response() {
-        // A large layout rides the slot as a single request — the pump
-        // must leave the block for its ticket, not free it and ask again
-        // — and a refill of one lands in the magazine for its ticket.
+    fn large_tickets_are_born_ready_and_single_refills_find_theirs() {
+        // A large layout is mapped at submission, so nothing rides the
+        // slot for it; a refill of one lands in the magazine for the
+        // ticket that asked.
         let ngm = NgmConfig::new().with_batch(1, 1).build().unwrap();
         let sq = SubmissionQueue::new(ngm.handle());
         for l in [layout(64), layout(1 << 20), layout(64)] {
-            let ptr = block_on(sq.alloc(l).unwrap()).unwrap();
+            let fut = sq.alloc(l).unwrap();
+            if l.size() == 1 << 20 {
+                assert_eq!(sq.with_handle(|h| h.nb_inflight()), 0, "born ready");
+            }
+            let ptr = block_on(fut).unwrap();
             // SAFETY: block from this queue's tier.
             unsafe { sq.free(ptr, l).unwrap() };
         }
         drop(sq);
         let down = ngm.shutdown();
-        assert_eq!(down.service.allocs, 3, "one round trip per ticket");
+        assert_eq!(down.runtime.calls_served, 2, "zero calls for the large");
+        assert_eq!(down.service.app_allocs(), 3, "one block per ticket");
         assert_eq!(down.service.magazine_returned, 0);
         assert_eq!(down.service.allocs, down.service.frees);
-        assert_eq!(down.heap.live_blocks, 0);
+        assert_eq!(down.heap.live_total(), 0);
     }
 
     #[test]

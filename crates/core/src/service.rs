@@ -1,10 +1,9 @@
 //! The malloc service: the code that runs in the allocator's own room.
 
-use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
-use ngm_heap::classes::{layout_to_class, SizeClass, NUM_CLASSES};
+use ngm_heap::classes::{SizeClass, NUM_CLASSES};
 use ngm_heap::{Heap, HeapStats, SegregatedHeap};
 use ngm_offload::Service;
 
@@ -18,48 +17,11 @@ use crate::watch::{SharedDemand, SharedHeapStats};
 /// rather than a config knob; `NgmConfig::with_batch` is validated against it.
 pub const MAX_BATCH: usize = 32;
 
-/// A synchronous allocation request (the contents of the paper's
-/// `requested_size` transfer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocReq {
-    /// Requested size in bytes.
-    pub size: usize,
-    /// Required alignment (power of two).
-    pub align: usize,
-}
-
-impl AllocReq {
-    /// Builds a request from a `Layout`.
-    pub fn from_layout(layout: Layout) -> Self {
-        AllocReq {
-            size: layout.size(),
-            align: layout.align(),
-        }
-    }
-
-    pub(crate) fn layout(self) -> Option<Layout> {
-        // Requests cross a thread boundary; a malformed one (non-power-of-
-        // two alignment, overflowing size) must degrade to a counted
-        // failure on the service side, never a service panic — one bad
-        // client must not take the shard down for everyone else.
-        Layout::from_size_align(self.size, self.align).ok()
-    }
-}
-
-/// An asynchronous free message. Addresses travel as `usize` because raw
-/// pointers are deliberately not `Send`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FreeMsg {
-    /// Address of the dead block.
-    pub addr: usize,
-    /// Its original allocation size.
-    pub size: usize,
-    /// Its original alignment.
-    pub align: usize,
-}
-
-/// A request for a magazine refill: up to [`MAX_BATCH`] blocks of one
-/// size class in a single round trip, amortizing the §4.1 handshake.
+/// The malloc service's one synchronous request: a magazine refill of up
+/// to [`MAX_BATCH`] blocks of one size class in a single round trip,
+/// amortizing the §4.1 handshake (`count` 1 is the paper's per-call
+/// handshake). Large (non-class) blocks never enter the room: handles
+/// map them on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocBatchReq {
     /// The size class to refill from.
@@ -69,8 +31,11 @@ pub struct AllocBatchReq {
 }
 
 /// A fixed-capacity batch of block addresses, stored inline so the whole
-/// message fits in a request slot or ring cell without heap allocation.
-/// Used both for refill replies and for batched frees.
+/// message fits in a request slot or ring cell without heap allocation
+/// (addresses travel as `usize` because raw pointers are deliberately not
+/// `Send`). The service's one response — the refilled addresses, shorter
+/// than requested or empty under memory pressure — and the payload of
+/// every free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddrBatch {
     addrs: [usize; MAX_BATCH],
@@ -128,42 +93,12 @@ impl AddrBatch {
     }
 }
 
-/// The malloc service's synchronous request protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MallocReq {
-    /// One allocation of an arbitrary layout. Handles send it for large
-    /// layouts only; small classes always ask by [`MallocReq::Batch`].
-    One(AllocReq),
-    /// A magazine refill: `count` blocks of one class, one round trip
-    /// (`count` 1 is the paper's per-call handshake).
-    Batch(AllocBatchReq),
-}
-
-/// The malloc service's synchronous response protocol.
-///
-/// The variants differ widely in size, but responses travel by value
-/// through the fixed-size [`RequestSlot`](ngm_offload::RequestSlot)
-/// mailbox — boxing the batch would allocate through the very allocator
-/// being implemented.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MallocResp {
-    /// Block address, or 0 on failure.
-    One(usize),
-    /// The refilled addresses; may be shorter than requested (or empty)
-    /// under memory pressure.
-    Batch(AddrBatch),
-}
-
 /// The malloc service's asynchronous free protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreePost {
-    /// One free with its full layout: the route for large blocks, whose
-    /// layout cannot be recovered from the address alone. Handles free
-    /// small blocks by [`FreePost::Batch`], however few.
-    One(FreeMsg),
-    /// A flushed client free buffer: small-class addresses only — the
-    /// service recovers each class from its page descriptor.
+    /// A flushed client free buffer, however few blocks it holds:
+    /// small-class addresses only — the service recovers each class from
+    /// its page descriptor.
     Batch(AddrBatch),
     /// Unused addresses returned from a magazine at handle drop. Frees
     /// the blocks like [`FreePost::Batch`] but is additionally counted in
@@ -180,7 +115,7 @@ pub struct ServiceStats {
     pub allocs: u64,
     /// Frees applied (posted + orphaned).
     pub frees: u64,
-    /// Allocation requests that failed (OOM or layout).
+    /// Allocation requests that failed (OOM or a malformed refill).
     pub failures: u64,
     /// Orphan blocks reclaimed from the global stack.
     pub orphans_reclaimed: u64,
@@ -197,9 +132,8 @@ pub struct ServiceStats {
     /// Pages prepared ahead of demand during idle time (§3.3.2's
     /// predictive preallocation).
     pub pages_preallocated: u64,
-    /// Malformed requests refused (null free addresses, impossible
-    /// layouts). Each is also counted in `failures` where it displaced an
-    /// allocation; a free with a protocol error is skipped, not applied.
+    /// Null addresses refused in free batches; each is skipped, not
+    /// applied.
     pub protocol_errors: u64,
     /// Blocks allocated inline by clients from the degradation heap while
     /// the tier was unreachable (deadlined or dead). Zero on individual
@@ -318,28 +252,6 @@ impl MallocService {
         self.heap.stats()
     }
 
-    fn alloc_one(&mut self, req: AllocReq) -> usize {
-        let Some(layout) = req.layout() else {
-            self.stats.protocol_errors += 1;
-            self.stats.failures += 1;
-            return 0;
-        };
-        if let Some(class) = layout_to_class(req.size, req.align) {
-            self.demand[class.0 as usize] = self.demand[class.0 as usize].saturating_add(1);
-            self.demand_total[class.0 as usize] += 1;
-        }
-        match self.heap.allocate(layout) {
-            Ok(p) => {
-                self.stats.allocs += 1;
-                p.as_ptr() as usize
-            }
-            Err(_) => {
-                self.stats.failures += 1;
-                0
-            }
-        }
-    }
-
     fn alloc_batch(&mut self, req: AllocBatchReq) -> AddrBatch {
         let mut out = AddrBatch::empty();
         let count = (req.count as usize).min(MAX_BATCH);
@@ -412,8 +324,8 @@ impl MallocService {
 }
 
 impl Service for MallocService {
-    type Req = MallocReq;
-    type Resp = MallocResp;
+    type Req = AllocBatchReq;
+    type Resp = AddrBatch;
     type Post = FreePost;
 
     fn on_start(&mut self) {
@@ -422,34 +334,14 @@ impl Service for MallocService {
         crate::global::mark_allocator_thread();
     }
 
-    fn call(&mut self, req: MallocReq) -> MallocResp {
+    fn call(&mut self, req: AllocBatchReq) -> AddrBatch {
         self.idle_ticks = 0;
-        match req {
-            MallocReq::One(r) => MallocResp::One(self.alloc_one(r)),
-            MallocReq::Batch(b) => MallocResp::Batch(self.alloc_batch(b)),
-        }
+        self.alloc_batch(req)
     }
 
     fn post(&mut self, msg: FreePost) {
         self.idle_ticks = 0;
         match msg {
-            FreePost::One(m) => {
-                let (Some(ptr), Ok(layout)) = (
-                    NonNull::new(m.addr as *mut u8),
-                    Layout::from_size_align(m.size, m.align),
-                ) else {
-                    // Refusing a malformed free leaks one block at worst;
-                    // panicking here would kill the shard for every
-                    // client. Count it and move on.
-                    self.stats.protocol_errors += 1;
-                    return;
-                };
-                // SAFETY: the client posting the message owned the live
-                // block and relinquished it; layout is the one it was
-                // allocated with.
-                unsafe { self.heap.deallocate(ptr, layout) };
-                self.stats.frees += 1;
-            }
             FreePost::Batch(b) => self.free_batch(&b),
             FreePost::MagazineReturn(b) => {
                 self.free_batch(&b);
@@ -497,42 +389,41 @@ mod tests {
         MallocService::new(Arc::new(OrphanStack::new()))
     }
 
-    fn alloc_one(s: &mut MallocService, size: usize, align: usize) -> usize {
-        match s.call(MallocReq::One(AllocReq { size, align })) {
-            MallocResp::One(addr) => addr,
-            other => panic!("One request answered with {other:?}"),
-        }
+    /// The paper's per-call handshake: a refill of one block.
+    fn alloc_one(s: &mut MallocService, size: usize) -> usize {
+        let class = ngm_heap::classes::size_to_class(size).expect("small class");
+        refill(s, class, 1).pop().unwrap_or(0)
     }
 
-    fn free_one(s: &mut MallocService, addr: usize, size: usize, align: usize) {
-        s.post(FreePost::One(FreeMsg { addr, size, align }));
+    /// A free buffer flushed at one block.
+    fn free_one(s: &mut MallocService, addr: usize) {
+        let mut b = AddrBatch::empty();
+        b.push(addr);
+        s.post(FreePost::Batch(b));
     }
 
     fn refill(s: &mut MallocService, class: SizeClass, count: u32) -> AddrBatch {
-        match s.call(MallocReq::Batch(AllocBatchReq { class, count })) {
-            MallocResp::Batch(b) => b,
-            other => panic!("Batch request answered with {other:?}"),
-        }
+        s.call(AllocBatchReq { class, count })
     }
 
     #[test]
     fn call_allocates_and_post_frees() {
         let mut s = svc();
-        let addr = alloc_one(&mut s, 128, 8);
+        let addr = alloc_one(&mut s, 128);
         assert_ne!(addr, 0);
         // SAFETY: we own the fresh block.
         unsafe { std::ptr::write_bytes(addr as *mut u8, 0x77, 128) };
-        free_one(&mut s, addr, 128, 8);
+        free_one(&mut s, addr);
         assert_eq!(s.service_stats().allocs, 1);
         assert_eq!(s.service_stats().frees, 1);
         assert_eq!(s.heap_stats().live_blocks, 0);
     }
 
     #[test]
-    fn zero_size_request_fails_cleanly() {
+    fn zero_count_refill_fails_cleanly() {
         let mut s = svc();
-        let addr = alloc_one(&mut s, 0, 1);
-        assert_eq!(addr, 0);
+        let class = ngm_heap::classes::size_to_class(64).expect("small class");
+        assert!(refill(&mut s, class, 0).is_empty());
         assert_eq!(s.service_stats().failures, 1);
     }
 
@@ -595,34 +486,16 @@ mod tests {
     }
 
     #[test]
-    fn malformed_requests_are_counted_not_fatal() {
+    fn null_frees_are_counted_not_fatal() {
         let mut s = svc();
-        // Non-power-of-two alignment: an impossible layout.
-        let addr = alloc_one(&mut s, 64, 3);
-        assert_eq!(addr, 0);
-        assert_eq!(s.service_stats().failures, 1);
-        assert_eq!(s.service_stats().protocol_errors, 1);
-        // Null free and impossible-layout free: skipped, counted.
-        s.post(FreePost::One(FreeMsg {
-            addr: 0,
-            size: 64,
-            align: 8,
-        }));
-        let real = alloc_one(&mut s, 64, 8);
-        s.post(FreePost::One(FreeMsg {
-            addr: real,
-            size: 64,
-            align: 7,
-        }));
-        assert_eq!(s.service_stats().frees, 0);
-        assert_eq!(s.service_stats().protocol_errors, 3);
+        let real = alloc_one(&mut s, 64);
         // A batch with a null entry frees the rest.
         let mut b = AddrBatch::empty();
         b.push(real);
         b.push(0);
         s.post(FreePost::Batch(b));
         assert_eq!(s.service_stats().frees, 1);
-        assert_eq!(s.service_stats().protocol_errors, 4);
+        assert_eq!(s.service_stats().protocol_errors, 1);
         assert_eq!(s.heap_stats().live_blocks, 0);
     }
 
@@ -631,8 +504,8 @@ mod tests {
         let mut a = MallocService::for_shard(0, Arc::new(OrphanStack::new()));
         let mut b = MallocService::for_shard(3, Arc::new(OrphanStack::new()));
         assert_eq!(b.shard(), 3);
-        let pa = alloc_one(&mut a, 64, 8);
-        let pb = alloc_one(&mut b, 64, 8);
+        let pa = alloc_one(&mut a, 64);
+        let pb = alloc_one(&mut b, 64);
         // SAFETY: both are live small blocks from segregated heaps.
         unsafe {
             let oa = ngm_heap::owner_of_small_ptr(NonNull::new(pa as *mut u8).unwrap());
@@ -640,8 +513,8 @@ mod tests {
             assert_eq!(oa, crate::config::OWNER_BASE);
             assert_eq!(ob, crate::config::OWNER_BASE | 3);
         }
-        free_one(&mut a, pa, 64, 8);
-        free_one(&mut b, pb, 64, 8);
+        free_one(&mut a, pa);
+        free_one(&mut b, pb);
     }
 
     #[test]
@@ -675,7 +548,7 @@ mod tests {
     #[test]
     fn orphans_reclaimed_on_idle() {
         let mut s = svc();
-        let addr = alloc_one(&mut s, 64, 8);
+        let addr = alloc_one(&mut s, 64);
         let orphans = Arc::clone(&s.orphans);
         // SAFETY: the block is live, we relinquish it to the stack.
         unsafe { orphans.push(NonNull::new(addr as *mut u8).unwrap()) };
@@ -689,8 +562,8 @@ mod tests {
         let mut s = svc();
         // Create demand in one class, then drain its pages empty so the
         // bin has no ready page.
-        let addr = alloc_one(&mut s, 64, 8);
-        free_one(&mut s, addr, 64, 8);
+        let addr = alloc_one(&mut s, 64);
+        free_one(&mut s, addr);
         s.heap.release_empty();
         assert_eq!(s.heap_stats().pages_in_use, 0);
         for _ in 0..MallocService::PREPARE_IDLE {
@@ -705,7 +578,7 @@ mod tests {
         let mut s = svc();
         let watch = Arc::clone(s.heap_watch());
         assert_eq!(watch.load().live_blocks, 0);
-        let _addr = alloc_one(&mut s, 64, 8);
+        let _addr = alloc_one(&mut s, 64);
         s.idle();
         assert_eq!(watch.load().live_blocks, 1);
         assert_eq!(watch.load(), s.heap_stats());
@@ -716,8 +589,8 @@ mod tests {
         let mut s = svc();
         let demand = Arc::clone(s.demand_watch());
         assert_eq!(demand.load().iter().sum::<u64>(), 0);
-        let _a = alloc_one(&mut s, 64, 8);
-        let _b = alloc_one(&mut s, 64, 8);
+        let _a = alloc_one(&mut s, 64);
+        let _b = alloc_one(&mut s, 64);
         s.idle();
         let published = demand.load();
         assert_eq!(published.iter().sum::<u64>(), 2);
@@ -733,8 +606,8 @@ mod tests {
     fn housekeeping_fires_after_long_idle() {
         let mut s = svc();
         // Allocate and free so a segment exists but is empty.
-        let addr = alloc_one(&mut s, 64, 8);
-        free_one(&mut s, addr, 64, 8);
+        let addr = alloc_one(&mut s, 64);
+        free_one(&mut s, addr);
         assert_eq!(s.heap_stats().segments, 1);
         for _ in 0..MallocService::HOUSEKEEPING_IDLE {
             s.idle();

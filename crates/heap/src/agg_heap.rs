@@ -19,7 +19,7 @@ use crate::classes::{class_to_size, layout_to_class, NUM_CLASSES};
 use crate::error::AllocError;
 use crate::segment::{PageDesc, SegmentRef, NO_BLOCK, PAGE_SIZE};
 use crate::stats::HeapStats;
-use crate::sys::{round_to_os_page, Mapping};
+use crate::sys::{map_large, unmap_large};
 use crate::Heap;
 
 /// A single-owner heap whose free lists live inside the free blocks.
@@ -187,13 +187,7 @@ unsafe impl Heap for AggregatedHeap {
                 Ok(p)
             }
             None => {
-                let len = round_to_os_page(layout.size());
-                let m = if layout.align() > crate::sys::os_page_size() {
-                    Mapping::new_aligned(len, layout.align())?
-                } else {
-                    Mapping::new(len)?
-                };
-                let (ptr, _) = m.into_raw();
+                let (ptr, len) = map_large(layout)?;
                 self.stats.large_allocs += 1;
                 self.stats.large_bytes += len as u64;
                 self.stats.total_allocs += 1;
@@ -234,9 +228,9 @@ unsafe impl Heap for AggregatedHeap {
                 self.stats.total_frees += 1;
             }
             None => {
-                let len = round_to_os_page(layout.size());
-                // SAFETY: large blocks are standalone mappings of `len`.
-                drop(unsafe { Mapping::from_raw(ptr, len) });
+                // SAFETY: large blocks are standalone mappings made in
+                // `allocate` for this same layout.
+                let len = unsafe { unmap_large(ptr, layout) };
                 self.stats.large_allocs -= 1;
                 self.stats.large_bytes -= len as u64;
                 self.stats.total_frees += 1;

@@ -28,10 +28,11 @@ use crate::stats::HeapStats;
 
 /// A shared, lazily-activated inline allocator of last resort.
 ///
-/// Small-class layouts only: large allocations carry their layout through
-/// the free path and never consult the owner id, so degrading them here
-/// would leave no address-pure way to route their frees home. A tier that
-/// cannot serve a large allocation reports `OutOfMemory` instead.
+/// Small-class layouts only: frees route here by the owner id in the
+/// block's segment header, which a large block does not have. The tier
+/// never needs to degrade one — its handles map large blocks on the
+/// calling thread whatever state the shards are in
+/// ([`crate::LargeBlocks`]).
 pub struct FallbackHeap {
     inner: LockedHeap<SegregatedHeap>,
     /// Sticky flag: set on the first fallback allocation, never cleared.

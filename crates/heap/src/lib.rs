@@ -30,6 +30,7 @@ pub mod agg_heap;
 pub mod classes;
 pub mod error;
 pub mod fallback;
+pub mod large;
 pub mod locked;
 pub mod seg_heap;
 pub mod segment;
@@ -41,6 +42,7 @@ pub use agg_heap::AggregatedHeap;
 pub use classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES, SMALL_MAX};
 pub use error::AllocError;
 pub use fallback::FallbackHeap;
+pub use large::LargeBlocks;
 pub use locked::LockedHeap;
 pub use seg_heap::SegregatedHeap;
 pub use sharded::ShardedHeap;

@@ -15,7 +15,7 @@ use crate::classes::{class_to_size, layout_to_class, NUM_CLASSES};
 use crate::error::AllocError;
 use crate::segment::{PageDesc, SegmentRef, NO_BLOCK, NO_CLASS, PAGE_SIZE};
 use crate::stats::HeapStats;
-use crate::sys::{round_to_os_page, Mapping};
+use crate::sys::{map_large, unmap_large};
 use crate::Heap;
 
 /// A single-owner heap with segregated metadata.
@@ -209,13 +209,7 @@ impl SegregatedHeap {
     }
 
     fn alloc_large(&mut self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
-        let len = round_to_os_page(layout.size());
-        let m = if layout.align() > crate::sys::os_page_size() {
-            Mapping::new_aligned(len, layout.align())?
-        } else {
-            Mapping::new(len)?
-        };
-        let (ptr, _) = m.into_raw();
+        let (ptr, len) = map_large(layout)?;
         self.stats.large_allocs += 1;
         self.stats.large_bytes += len as u64;
         self.stats.total_allocs += 1;
@@ -424,10 +418,9 @@ unsafe impl Heap for SegregatedHeap {
                 self.stats.total_frees += 1;
             }
             None => {
-                let len = round_to_os_page(layout.size());
-                // SAFETY: large blocks are whole mappings of exactly `len`
-                // bytes created in `alloc_large`.
-                drop(unsafe { Mapping::from_raw(ptr, len) });
+                // SAFETY: large blocks are whole mappings created in
+                // `alloc_large` for this same layout.
+                let len = unsafe { unmap_large(ptr, layout) };
                 self.stats.large_allocs -= 1;
                 self.stats.large_bytes -= len as u64;
                 self.stats.total_frees += 1;

@@ -24,7 +24,7 @@ use crate::error::AllocError;
 use crate::seg_heap::SegregatedHeap;
 use crate::segment::SegmentRef;
 use crate::stats::HeapStats;
-use crate::sys::{round_to_os_page, Mapping};
+use crate::sys::{map_large, unmap_large};
 use crate::Heap;
 
 /// How many local operations between remote-queue drains.
@@ -212,13 +212,7 @@ unsafe impl Heap for ShardHandle {
             // Large blocks are shard-independent dedicated mappings: any
             // handle may free them, so they are served (and later freed)
             // outside shard accounting entirely.
-            let len = round_to_os_page(layout.size());
-            let m = if layout.align() > crate::sys::os_page_size() {
-                Mapping::new_aligned(len, layout.align())?
-            } else {
-                Mapping::new(len)?
-            };
-            return Ok(m.into_raw().0);
+            return Ok(map_large(layout)?.0);
         }
         self.maybe_drain();
         self.heap.allocate(layout)
@@ -227,10 +221,9 @@ unsafe impl Heap for ShardHandle {
     unsafe fn deallocate(&mut self, ptr: NonNull<u8>, layout: Layout) {
         if layout_to_class(layout.size(), layout.align()).is_none() {
             // Large blocks are standalone mappings; free directly.
-            let len = round_to_os_page(layout.size());
-            // SAFETY: allocated as a dedicated mapping of `len` bytes by
+            // SAFETY: allocated as a dedicated mapping for this layout by
             // whichever shard served it; ownership travels with the pointer.
-            drop(unsafe { Mapping::from_raw(ptr, len) });
+            unsafe { unmap_large(ptr, layout) };
             return;
         }
         // SAFETY: small blocks come from some shard's segment.

@@ -4,10 +4,36 @@
 //! grab whole pages from the kernel with `mmap()` and carve them up to
 //! avoid per-`malloc` mode switches. This module is that bottom level.
 
+use std::alloc::Layout;
 use std::io;
 use std::ptr::NonNull;
 
 use crate::error::AllocError;
+
+/// Maps a dedicated block for `layout`: the large-object path every heap
+/// and adapter shares. Returns the block and its length, `layout.size()`
+/// rounded up to whole OS pages.
+///
+/// # Errors
+///
+/// As [`Mapping::new_aligned`].
+pub fn map_large(layout: Layout) -> Result<(NonNull<u8>, usize), AllocError> {
+    Mapping::new_aligned(round_to_os_page(layout.size()), layout.align()).map(Mapping::into_raw)
+}
+
+/// Unmaps a block made by [`map_large`]; returns the length released.
+///
+/// # Safety
+///
+/// `ptr` must come from `map_large(layout)` with this same `layout` and
+/// must not have been unmapped since.
+pub unsafe fn unmap_large(ptr: NonNull<u8>, layout: Layout) -> usize {
+    let len = round_to_os_page(layout.size());
+    // SAFETY: `map_large` made a mapping of exactly `len` bytes at `ptr`,
+    // and the caller relinquishes it.
+    drop(unsafe { Mapping::from_raw(ptr, len) });
+    len
+}
 
 /// Rounds `n` up to a multiple of the OS page size.
 pub fn round_to_os_page(n: usize) -> usize {
@@ -230,6 +256,23 @@ mod tests {
         // SAFETY: fresh from into_raw.
         let m2 = unsafe { Mapping::from_raw(p, l) };
         drop(m2);
+    }
+
+    #[test]
+    fn large_pair_honours_size_and_alignment() {
+        let page = os_page_size();
+        for (size, align) in [(page + 1, 8), (3 * page, 4 * page), (64, 2 * page)] {
+            let layout = Layout::from_size_align(size, align).unwrap();
+            let (p, len) = map_large(layout).unwrap();
+            assert_eq!(len, round_to_os_page(size));
+            assert_eq!(p.as_ptr() as usize % align, 0);
+            // SAFETY: fresh mapping of `len >= size` bytes, unmapped once
+            // with the layout that made it.
+            unsafe {
+                *p.as_ptr().add(size - 1) = 7;
+                assert_eq!(unmap_large(p, layout), len);
+            }
+        }
     }
 
     #[test]

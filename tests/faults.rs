@@ -127,6 +127,36 @@ fn mid_refill_kill_fails_over_to_survivor() {
     assert_eq!(down.heap.live_blocks, 0, "nothing stranded");
 }
 
+/// Regression: large blocks used to hash to a shard by layout. While
+/// that shard was wedged their allocations deadlined over to the
+/// survivor, but every free still hashed home — and once the wedge
+/// cleared, the first rerouted free reached a heap that had never made
+/// the block and killed its shard. Large blocks now never enter the room.
+#[test]
+fn wedged_shard_never_sees_a_large_block() {
+    let ngm = NgmConfig::new()
+        .with_shards(2)
+        .with_placement(CorePlacement::Unpinned)
+        .with_deadline(Some(Duration::from_millis(20)))
+        .build()
+        .expect("valid config");
+    let mut h = ngm.handle();
+    ngm.fault_state(1).set_wedged(true);
+    for i in 0..8usize {
+        let l = Layout::from_size_align((1 << 16) + 4096 * i, 8).unwrap();
+        let p = h.alloc(l).expect("large blocks need no shard");
+        // SAFETY: live block from this handle's allocator, freed once.
+        unsafe { h.dealloc(p, l) };
+    }
+    ngm.fault_state(1).set_wedged(false);
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean(), "a shard met a foreign block: {down:?}");
+    assert!(down.balanced(), "{down:?}");
+    assert_eq!(down.runtime.deadlines, 0, "nothing waited on the wedge");
+    assert_eq!(down.heap.large_allocs, 0);
+}
+
 /// Acceptance: with 1 of 4 shards wedged the whole time, an 8-client
 /// churn completes (no hung threads — the joins are the proof), every
 /// allocation succeeds (reroute or inline fallback), and shutdown

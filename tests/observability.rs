@@ -323,6 +323,36 @@ fn live_metrics_render_valid_exposition_text() {
     assert!(down.clean() && down.balanced());
 }
 
+/// `ngm_heap_large_allocs_total` is announced as a counter, so it may
+/// never fall: it used to be fed from the heap's *live* large-block
+/// count and went down on every large free.
+#[test]
+fn large_allocs_counter_is_monotone_across_frees() {
+    let ngm = NgmConfig::new()
+        .with_placement(CorePlacement::Unpinned)
+        .build()
+        .expect("valid config");
+    let mut h = ngm.handle();
+    let l = Layout::from_size_align(1 << 16, 8).expect("valid");
+    let scrape = || {
+        ngm.metrics()
+            .get_counter("ngm_heap_large_allocs_total")
+            .expect("exported")
+    };
+    let mut seen = vec![scrape()];
+    for _ in 0..3 {
+        let p = h.alloc(l).expect("alloc");
+        seen.push(scrape());
+        // SAFETY: block just allocated, freed once.
+        unsafe { h.dealloc(p, l) };
+        seen.push(scrape());
+    }
+    assert_eq!(seen, [0, 1, 1, 2, 2, 3, 3], "allocations ever, not live");
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced());
+}
+
 #[test]
 fn exposition_validator_rejects_malformed_text() {
     let ok = "# HELP ngm_x_total Cumulative count of x events.\n# TYPE ngm_x_total counter\nngm_x_total 3\n";

@@ -126,7 +126,7 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
                     assert!(live.lock().expect("live set").remove(&addr));
                     let p = NonNull::new(addr as *mut u8).expect("nonnull");
                     // SAFETY: live small block relinquished to the stack.
-                    unsafe { h.dealloc_orphan(p) };
+                    unsafe { ngm.orphan_push(p) };
                     totals.orphaned += 1;
                 }
                 drop(h); // Flushes buffered frees, returns magazine stash.

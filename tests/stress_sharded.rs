@@ -108,7 +108,7 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
                     assert!(live.lock().expect("live set").remove(&addr));
                     let p = NonNull::new(addr as *mut u8).expect("nonnull");
                     // SAFETY: live small block relinquished cross-thread.
-                    unsafe { h.dealloc_orphan(p) };
+                    unsafe { ngm.orphan_push(p) };
                 }
                 drop(h); // Flushes buffered frees, returns magazine stash.
                 allocs
