@@ -17,11 +17,13 @@ use std::time::Instant;
 use ngm_core::{MallocService, NgmConfig};
 use ngm_offload::WaitStrategy;
 use ngm_sim::{CoreConfig, Machine, MachineConfig};
-use ngm_simalloc::{run, ModelKind, NgmBatchModel, NgmModel};
+use ngm_simalloc::ngm::Protocol;
+use ngm_simalloc::{run, ModelKind, NgmModel};
 use ngm_workloads::xalanc::{self, XalancParams};
 
 use ngm_telemetry::hist::HistogramSnapshot;
 
+use crate::experiments::table3;
 use crate::report::{latency_table, Table};
 use crate::Scale;
 
@@ -251,15 +253,19 @@ pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
 pub struct BatchSimRow {
     /// Refill batch size.
     pub batch: usize,
-    /// NGM-batch wall cycles.
+    /// NGM wall cycles at that batch.
     pub ngm_wall: u64,
     /// Speedup over Mimalloc (>1 means the offloaded allocator wins).
     pub speedup_vs_mimalloc: f64,
 }
 
-/// Ablation E: refill batch size vs Mimalloc (simulated). This is the
-/// "aggressive preallocation" MMT needed; it moves the comparison across
-/// the §4.1 break-even.
+/// Refill batches Ablation E sweeps: 1 is Table 3's paper column,
+/// [`table3::SHIPPED_BATCH`] its shipped-default column.
+pub const SIM_BATCHES: [usize; 5] = [1, 4, 16, table3::SHIPPED_BATCH, 64];
+
+/// Ablation E: refill batch size vs Mimalloc (simulated, detailed sync
+/// accounting). This is the "aggressive preallocation" MMT needed; it
+/// moves the comparison towards the §4.1 break-even.
 pub fn handshake_batching(scale: Scale) -> Vec<BatchSimRow> {
     handshake_batching_with(&XalancParams::default().scaled(scale.0.max(1)))
 }
@@ -273,11 +279,11 @@ pub fn handshake_batching_with(params: &XalancParams) -> Vec<BatchSimRow> {
         ngm_simalloc::run_warm(&mut machine, model.as_mut(), events.iter().copied(), warmup)
             .wall_cycles
     };
-    [1usize, 4, 16, 64]
+    SIM_BATCHES
         .into_iter()
         .map(|batch| {
-            let mut machine = Machine::new(ModelKind::Ngm.machine(1));
-            let mut model = NgmBatchModel::new(1, batch);
+            let mut machine = Machine::new(NgmModel::machine(1, 1));
+            let mut model = NgmModel::with_tier(1, 1, batch, Protocol::Detailed);
             let r =
                 ngm_simalloc::run_warm(&mut machine, &mut model, events.iter().copied(), warmup);
             BatchSimRow {
@@ -287,6 +293,19 @@ pub fn handshake_batching_with(params: &XalancParams) -> Vec<BatchSimRow> {
             }
         })
         .collect()
+}
+
+/// Renders Ablation E's sweep.
+fn render_sim_batching(scale: Scale) -> String {
+    let mut t = Table::new(&["refill batch", "NGM wall", "speedup vs Mimalloc"]);
+    for r in handshake_batching(scale) {
+        t.row(vec![
+            r.batch.to_string(),
+            r.ngm_wall.to_string(),
+            format!("{:+.2}%", (r.speedup_vs_mimalloc - 1.0) * 100.0),
+        ]);
+    }
+    t.render()
 }
 
 /// One measured batched-front-end configuration.
@@ -347,7 +366,7 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
 }
 
 /// Renders [`measured_batched_frontend`] next to the §4.1 model constants
-/// and the `ngm_batch` sim prediction, so measurement, analytical model,
+/// and Ablation E's simulated sweep, so measurement, analytical model,
 /// and simulator can be read side by side.
 pub fn render_batched(scale: Scale, real_ops: u32) -> String {
     let rows = measured_batched_frontend(real_ops);
@@ -387,17 +406,9 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
         ngm_model::ATOMICS_PER_CALL * ngm_model::ATOMIC_CYCLES,
         ngm_model::ATOMICS_PER_CALL * ngm_model::ATOMIC_CYCLES,
     );
-    let mut t = Table::new(&["refill batch", "NGM-batch wall", "speedup vs Mimalloc"]);
-    for r in handshake_batching(scale) {
-        t.row(vec![
-            r.batch.to_string(),
-            r.ngm_wall.to_string(),
-            format!("{:+.2}%", (r.speedup_vs_mimalloc - 1.0) * 100.0),
-        ]);
-    }
     out.push_str(&format!(
-        "Sim prediction (ngm_batch model, same sweep direction)\n{}",
-        t.render()
+        "Sim prediction (NgmModel at each refill batch, same sweep direction)\n{}",
+        render_sim_batching(scale)
     ));
     out
 }
@@ -467,17 +478,9 @@ pub fn render_all(scale: Scale, real_ops: u32) -> String {
         ngm_model::ATOMIC_CYCLES_WORST,
     ));
 
-    let mut t = Table::new(&["refill batch", "NGM-batch wall", "speedup vs Mimalloc"]);
-    for r in handshake_batching(scale) {
-        t.row(vec![
-            r.batch.to_string(),
-            r.ngm_wall.to_string(),
-            format!("{:+.2}%", (r.speedup_vs_mimalloc - 1.0) * 100.0),
-        ]);
-    }
     out.push_str(&format!(
         "Ablation E: handshake batching (simulated; MMT's preallocation lesson)\n{}\n",
-        t.render()
+        render_sim_batching(scale)
     ));
 
     out.push_str(&render_batched(scale, real_ops));

@@ -11,7 +11,7 @@
 //! the alloc routes; frees travel by address).
 //!
 //! The simulated half sizes each stage with
-//! [`ngm_simalloc::NgmElasticModel`] — the width the controller should
+//! [`NgmModel::predicted_shards`] — the width the controller should
 //! converge to — so the table separates "the controller converged to
 //! the wrong width" from "the width itself is wrong". The throughput
 //! check reruns the 16-client stage against a *fixed* 4-shard tier: the
@@ -20,7 +20,8 @@
 use std::sync::Arc;
 
 use ngm_sim::Machine;
-use ngm_simalloc::{run_warm, NgmElasticModel};
+use ngm_simalloc::ngm::{NgmModel, Protocol};
+use ngm_simalloc::run_warm;
 use ngm_workloads::churn::{self, ChurnParams};
 
 use crate::Scale;
@@ -39,7 +40,7 @@ pub const FIXED_SHARDS: usize = 4;
 pub struct StageRow {
     /// Churning client threads this stage.
     pub clients: usize,
-    /// Width [`NgmElasticModel`] predicts the controller converges to.
+    /// Width [`NgmModel::predicted_shards`] says the controller converges to.
     pub predicted_shards: usize,
     /// Simulated allocations per million wall cycles at that width.
     pub sim_allocs_per_mcycle: f64,
@@ -196,13 +197,9 @@ pub fn run_with(scale: Scale, profile: bool) -> ElasticReport {
             .iter()
             .filter(|e| matches!(e, ngm_workloads::Event::Malloc { .. }))
             .count() as f64;
-        let predicted = NgmElasticModel::predicted_shards(clients, ELASTIC_MIN, ELASTIC_MAX);
-        let mut svc = ngm_sim::CoreConfig::big();
-        svc.l2 = ngm_sim::CacheConfig::kib(1024, 16);
-        let mut machine = Machine::new(ngm_sim::MachineConfig::asymmetric_many(
-            clients, predicted, svc,
-        ));
-        let mut model = NgmElasticModel::new(clients, ELASTIC_MIN, ELASTIC_MAX);
+        let predicted = NgmModel::predicted_shards(clients, ELASTIC_MIN, ELASTIC_MAX);
+        let mut machine = Machine::new(NgmModel::machine(clients, predicted));
+        let mut model = NgmModel::with_tier(clients, predicted, 1, Protocol::Detailed);
         let r = run_warm(&mut machine, &mut model, events.into_iter(), 0);
         stages.push(StageRow {
             clients,

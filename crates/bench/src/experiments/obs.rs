@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig, ObserverConfig};
-use ngm_simalloc::NgmElasticModel;
+use ngm_simalloc::NgmModel;
 use ngm_telemetry::export::validate_exposition;
 use ngm_telemetry::recorder::{read_recording, RecordFrame};
 use ngm_telemetry::server::http_get;
@@ -56,7 +56,7 @@ pub const OVERHEAD_BUDGET_PCT: f64 = 1.0;
 pub struct ObsStageRow {
     /// Churning client threads this stage.
     pub clients: usize,
-    /// Width [`NgmElasticModel`] predicts the controller converges to.
+    /// Width [`NgmModel::predicted_shards`] says the controller converges to.
     pub predicted_shards: usize,
     /// Serving shards when the stage's churn ended.
     pub live_serving: usize,
@@ -258,7 +258,7 @@ pub fn run(scale: Scale) -> ObsReport {
         }
         stages.push(ObsStageRow {
             clients,
-            predicted_shards: NgmElasticModel::predicted_shards(clients, ELASTIC_MIN, ELASTIC_MAX),
+            predicted_shards: NgmModel::predicted_shards(clients, ELASTIC_MIN, ELASTIC_MAX),
             live_serving: ngm.serving_shards().len(),
             scrapes,
             scrape_failures,

@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use ngm_sim::Machine;
-use ngm_simalloc::{run_warm, NgmShardedModel};
+use ngm_simalloc::ngm::{NgmModel, Protocol};
+use ngm_simalloc::run_warm;
 use ngm_workloads::churn::{self, ChurnParams};
 
 use crate::Scale;
@@ -91,12 +92,8 @@ pub fn run(scale: Scale) -> ShardsReport {
                 .iter()
                 .filter(|e| matches!(e, ngm_workloads::Event::Malloc { .. }))
                 .count() as f64;
-            let mut svc = ngm_sim::CoreConfig::big();
-            svc.l2 = ngm_sim::CacheConfig::kib(1024, 16);
-            let mut machine = Machine::new(ngm_sim::MachineConfig::asymmetric_many(
-                clients, shards, svc,
-            ));
-            let mut model = NgmShardedModel::new(clients, shards);
+            let mut machine = Machine::new(NgmModel::machine(clients, shards));
+            let mut model = NgmModel::with_tier(clients, shards, 1, Protocol::Detailed);
             let r = run_warm(&mut machine, &mut model, events.into_iter(), 0);
             assert_eq!(r.leaked, 0, "balanced stream");
             cells.push(ShardCell {

@@ -9,16 +9,16 @@
 /// dedicated mappings.
 pub const SMALL_MAX: usize = 8192;
 
-/// Block sizes, smallest to largest. All are multiples of 16, so any block
-/// is at least 16-byte aligned.
-pub const CLASS_SIZES: [usize; 30] = [
+/// Block sizes, smallest to largest: 16-byte steps up to 128, then four
+/// classes per doubling. All are multiples of 16, so any block is at
+/// least 16-byte aligned.
+pub const CLASS_SIZES: [usize; 32] = [
     16, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
-    1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096, 5120, 6144,
+    1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096, 5120, 6144, 7168, 8192,
 ];
 
-/// Number of size classes (the last two slots are 7168 and 8192, appended
-/// below).
-pub const NUM_CLASSES: usize = CLASS_SIZES.len() + 2;
+/// Number of size classes.
+pub const NUM_CLASSES: usize = CLASS_SIZES.len();
 
 /// A size-class index, `0..NUM_CLASSES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,32 +30,28 @@ pub struct SizeClass(pub u16);
 ///
 /// Panics if `c` is out of range.
 pub fn class_to_size(c: SizeClass) -> usize {
-    let i = c.0 as usize;
-    if i < CLASS_SIZES.len() {
-        CLASS_SIZES[i]
-    } else if i == CLASS_SIZES.len() {
-        7168
-    } else if i == CLASS_SIZES.len() + 1 {
-        8192
-    } else {
-        panic!("size class {i} out of range")
-    }
+    CLASS_SIZES[c.0 as usize]
 }
 
 /// Maps a request of `size` bytes to the smallest class that fits, or
 /// `None` when the request must go to the large-allocation path.
+///
+/// Constant time — every alloc and free calls this — from the table's
+/// shape: below 128 the class is the 16-byte step, above it the doubling
+/// `size - 1` falls in (its highest set bit) picks a group of four and
+/// the next two bits pick the class within it.
 pub fn size_to_class(size: usize) -> Option<SizeClass> {
     if size > SMALL_MAX {
         return None;
     }
-    // Linear scan over 32 entries; callers on hot paths cache the result.
-    for i in 0..NUM_CLASSES {
-        let c = SizeClass(i as u16);
-        if class_to_size(c) >= size {
-            return Some(c);
-        }
-    }
-    unreachable!("SMALL_MAX is covered by the last class")
+    let s = size.saturating_sub(1);
+    let class = if s < 128 {
+        s >> 4
+    } else {
+        let doubling = (usize::BITS - 1 - s.leading_zeros()) as usize;
+        8 + 4 * (doubling - 7) + ((s >> (doubling - 2)) & 3)
+    };
+    Some(SizeClass(class as u16))
 }
 
 /// Maps an (size, align) pair to a class whose blocks satisfy the
@@ -99,6 +95,7 @@ mod tests {
 
     #[test]
     fn size_to_class_fits() {
+        assert_eq!(size_to_class(0), Some(SizeClass(0)));
         for size in 1..=SMALL_MAX {
             let c = size_to_class(size).expect("small size must have a class");
             assert!(class_to_size(c) >= size);

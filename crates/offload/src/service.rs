@@ -104,10 +104,11 @@ pub struct ClientHandle<S: Service> {
 }
 
 /// Which population a synchronous request's round trip belongs to.
+/// Either way its five phases land in the phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallKind {
     /// One unit of work per round trip: latency lands in the call
-    /// histogram and the five phase histograms.
+    /// histogram.
     Single,
     /// A request carrying a *batch* of work (magazine refills in the
     /// malloc deployment): latency lands in the separate refill
@@ -291,18 +292,16 @@ impl<S: Service> ClientHandle<S> {
     /// Completion telemetry for the response just collected, stamped from
     /// submission to collection: the latency histogram of the request's
     /// [`CallKind`], the batched-call counter, the five phase histograms
-    /// (single calls only, so they partition exactly the call-latency
-    /// population) and — when tracing is on — the six span phase events
-    /// with their true boundary timestamps from the slot.
+    /// (every round trip of either kind, so together they partition the
+    /// call and refill populations exactly) and — when tracing is on —
+    /// the six span phase events with their true boundary timestamps
+    /// from the slot.
     fn record_completion(&mut self) {
         let t5 = cycles_now();
         let (t0, kind) = self.inflight.take().unwrap_or((t5, CallKind::Single));
         let stamps = self.slot.phase_stamps();
         match kind {
-            CallKind::Single => {
-                self.telemetry.call_cycles.record(t5.saturating_sub(t0));
-                self.telemetry.record_phases(t0, stamps, t5);
-            }
+            CallKind::Single => self.telemetry.call_cycles.record(t5.saturating_sub(t0)),
             CallKind::Batched => {
                 self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
                 self.stats
@@ -310,6 +309,7 @@ impl<S: Service> ClientHandle<S> {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
+        self.telemetry.record_phases(t0, stamps, t5);
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let (t1, t2, t3, t4) = stamps;
@@ -1378,6 +1378,25 @@ mod tests {
         assert_eq!(
             m.get_histogram("ngm_refill_cycles").map(|h| h.count()),
             Some(4)
+        );
+        // The phases partition every round trip, whichever kind.
+        let sum_of = |name: &str| m.get_histogram(name).expect(name).sum();
+        let mut phase_sum = 0;
+        for n in crate::telemetry::PHASE_NAMES {
+            let h = m
+                .get_histogram(&format!("ngm_phase_{n}_cycles"))
+                .expect("phase series");
+            assert_eq!(
+                h.count(),
+                8 + 4,
+                "phase {n}: one sample per call and refill"
+            );
+            phase_sum += h.sum();
+        }
+        assert_eq!(
+            phase_sum,
+            sum_of("ngm_call_cycles") + sum_of("ngm_refill_cycles"),
+            "same endpoint stamps as the two latency histograms"
         );
         drop(c);
         let (_, stats) = rt.shutdown();

@@ -50,12 +50,14 @@ pub struct RuntimeTelemetry {
     /// per-item cost of the batched handshake can be compared against the
     /// per-call round trip without mixing the two populations.
     pub refill_cycles: LatencyHistogram,
-    /// Per-phase breakdowns of the synchronous round trip, in lifecycle
-    /// order: queue (enqueue → ring-resident), claim (ring-resident →
-    /// claimed), serve (claimed → served), publish (served → response
-    /// published), observe (published → client observed). The five are
-    /// derived from the same two endpoint timestamps as `call_cycles`,
-    /// so per-request they sum to exactly the recorded round trip.
+    /// Per-phase breakdowns of every synchronous round trip — single
+    /// calls and batched refills alike — in lifecycle order: queue
+    /// (enqueue → ring-resident), claim (ring-resident → claimed), serve
+    /// (claimed → served), publish (served → response published),
+    /// observe (published → client observed). The five are derived from
+    /// the same two endpoint timestamps as the request's `call_cycles`
+    /// or `refill_cycles` record, so per-request they sum to exactly the
+    /// recorded round trip, and in total to the two histograms' sums.
     pub phase_cycles: [LatencyHistogram; PHASES],
     /// Submission-queue depth (in-flight entries) sampled at each pump of
     /// the non-blocking front-end — the "how many completions ride one
@@ -225,9 +227,9 @@ impl RuntimeTelemetry {
         events
     }
 
-    /// Records one call's phase breakdown. `stamps` are the slot's
+    /// Records one round trip's phase breakdown. `stamps` are the slot's
     /// `(request, claim, served, publish)` timestamps; `t0`/`t5` are the
-    /// *same* endpoint readings used for the `call_cycles` record, so
+    /// *same* endpoint readings used for its latency record, so
     /// the five phases sum to exactly the recorded round trip. All
     /// differences saturate: a stale stamp (e.g. from a request that was
     /// never claimed) records as zero rather than a garbage bucket.

@@ -13,6 +13,13 @@
 //! | [`JemallocModel`] | Jemalloc | run headers + tcache | per-arena lock |
 //! | [`NgmModel`] | NextGen-Malloc | segregated, service-core-private | two flag atomics per call, zero heap atomics |
 //!
+//! There is one NextGen-Malloc type: [`NgmModel::with_tier`] takes the
+//! application threads, the service shards, the addresses one handshake
+//! fetches and the sync accounting ([`ngm::Protocol`]);
+//! [`NgmModel::new`] is the paper's column (one shard, one handshake per
+//! malloc). [`CompletionModel`] is a closed-form overlap model of the
+//! completion front-end, not an allocator model.
+//!
 //! The [`driver`] replays an `ngm-workloads` event stream against any
 //! model, attributing user `Touch` traffic to the addresses the model
 //! chose — which is how placement policy becomes LLC/TLB behaviour.
@@ -27,7 +34,6 @@ pub mod layout;
 pub mod mimalloc;
 pub mod model;
 pub mod ngm;
-pub mod ngm_batch;
 pub mod ptmalloc;
 pub mod slab;
 pub mod tcmalloc;
@@ -37,7 +43,6 @@ pub use driver::{run, run_kind, run_kind_warm, run_warm, RunResult};
 pub use jemalloc::JemallocModel;
 pub use mimalloc::MimallocModel;
 pub use model::{AllocModel, ModelKind};
-pub use ngm::{NgmElasticModel, NgmModel, NgmShardedModel};
-pub use ngm_batch::NgmBatchModel;
+pub use ngm::NgmModel;
 pub use ptmalloc::PtMalloc2Model;
 pub use tcmalloc::TcMallocModel;

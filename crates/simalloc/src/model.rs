@@ -77,27 +77,20 @@ impl ModelKind {
     }
 
     /// The machine an experiment should run this model on: `app_threads`
-    /// application cores, plus a dedicated service core for NextGen-Malloc.
-    ///
-    /// The service core is pinned in its own cluster (as the paper's
-    /// prototype does on the 16-core, 4-cluster AWS A1): it gets that
-    /// cluster's 1 MiB L2 to itself and stays out of the application
-    /// cluster's shared cache.
+    /// application cores, plus a dedicated service core for NextGen-Malloc
+    /// (see [`crate::ngm::NgmModel::machine`]).
     pub fn machine(self, app_threads: usize) -> MachineConfig {
         match self {
-            ModelKind::Ngm => {
-                let mut svc = ngm_sim::CoreConfig::big();
-                svc.l2 = ngm_sim::CacheConfig::kib(1024, 16);
-                MachineConfig::asymmetric(app_threads, svc)
-            }
+            ModelKind::Ngm => crate::ngm::NgmModel::machine(app_threads, 1),
             _ => MachineConfig::a72(app_threads),
         }
     }
 }
 
 /// Size classes shared by the slab-style models (TCMalloc, Mimalloc,
-/// Jemalloc, NGM). Kept identical to `ngm-heap`'s table so simulated and
-/// real placement agree.
+/// Jemalloc, NGM): `ngm-heap`'s table, so simulated and real placement
+/// agree (`crates/bench/tests/sim_matches_runtime.rs` compares the two
+/// entry for entry).
 pub const CLASS_SIZES: [u32; 32] = [
     16, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
     1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096, 5120, 6144, 7168, 8192,

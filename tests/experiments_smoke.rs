@@ -59,7 +59,7 @@ fn fig2_trade_off_is_visible() {
 #[test]
 fn table3_mechanism_reproduces() {
     let t = table3::run_with(&XalancParams::tiny(), false);
-    assert_eq!(t.cols.len(), 3);
+    assert_eq!(t.cols.len(), 1 + table3::NGM_COLUMNS.len());
     // The pollution-reduction mechanism: NGM's app core sees fewer dTLB
     // misses than Mimalloc's.
     assert!(t.cols[1].app.dtlb_load_misses < t.cols[0].app.dtlb_load_misses);
@@ -78,7 +78,7 @@ fn model41_reproduces_paper_numbers() {
 fn repro_batch_renders_and_crosses_breakeven() {
     // The `repro batch` case: measured batched front-end vs the per-call
     // handshake (`with_batch(1, 1)`),
-    // printed next to the §4.1 model and the ngm_batch sim prediction.
+    // printed next to the §4.1 model and the simulated sweep.
     let rows = ablations::measured_batched_frontend(2_000);
     assert_eq!(rows[0].batch, 1, "baseline row first");
     assert_eq!(
