@@ -14,16 +14,33 @@
 //! --scale N: multiply workload sizes by N (default 1; paper-style
 //!            stability from ~4)
 //! --no-prototype: skip the real-runtime wall-clock part of table3
-//! --hw: additionally measure table1/table2 on the host PMU while the
-//!       replay runs, printing sim and hardware (or labeled software-
-//!       fallback) columns side by side
+//! --hw: table1 and table2 additionally replay on the host PMU and
+//!       print sim and hardware columns side by side; shards, elastic,
+//!       spans, obs and conns arm PMU sessions on the run they already
+//!       make and print its service-shard and client columns under the
+//!       table (columns are labeled /hw, or /sw where the host has no
+//!       PMU and the software fallback counted)
 //! ```
+//!
+//! An unknown experiment name prints the usage line and exits 2.
 
 use ngm_bench::experiments::{
     ablations, conns, elastic, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1,
     table2, table3, telemetry,
 };
 use ngm_bench::Scale;
+
+/// Every name the command line accepts, as the usage line spells them
+/// (`batch` re-renders one ablation; `all` leaves it to `ablations`).
+const EXPERIMENTS: &str = "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|telemetry|pmu|shards|elastic|spans|obs|conns|faults";
+
+fn usage() -> String {
+    format!(
+        "usage: repro [{EXPERIMENTS}]... [--scale N] [--no-prototype] [--hw]\n\
+         --hw: PMU columns (/hw, or /sw without a PMU) for table1, table2, \
+         shards, elastic, spans, obs, conns"
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,12 +65,14 @@ fn main() {
             "--no-prototype" => with_prototype = false,
             "--hw" => with_hw = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [all|fig1|table1|table2|fig2|table3|model41|ablations|batch|telemetry|pmu|shards|elastic|spans|obs|conns|faults]... [--scale N] [--no-prototype] [--hw]"
-                );
+                println!("{}", usage());
                 return;
             }
-            other => experiments.push(other.to_string()),
+            name if EXPERIMENTS.split('|').any(|e| e == name) => experiments.push(name.to_string()),
+            unknown => {
+                eprintln!("unknown experiment or option: {unknown}\n{}", usage());
+                std::process::exit(2);
+            }
         }
         i += 1;
     }
@@ -106,34 +125,19 @@ fn main() {
         println!("{}", pmu::run(scale, real_ops));
     }
     if want("shards") {
-        println!("{}", shards::run(scale).render());
-        if with_hw {
-            println!("{}", shards::run_hw(scale));
-        }
+        println!("{}", shards::run(scale, with_hw).render());
     }
     if want("elastic") {
-        println!("{}", elastic::run(scale).render());
-        if with_hw {
-            println!("{}", elastic::run_hw(scale));
-        }
+        println!("{}", elastic::run(scale, with_hw).render());
     }
     if want("spans") {
-        println!("{}", spans::run(scale).render());
-        if with_hw {
-            println!("{}", spans::run_hw(scale));
-        }
+        println!("{}", spans::run(scale, with_hw).render());
     }
     if want("obs") {
-        println!("{}", obs::run(scale).render());
-        if with_hw {
-            println!("{}", obs::run_hw(scale));
-        }
+        println!("{}", obs::run(scale, with_hw).render());
     }
     if want("conns") {
-        println!("{}", conns::run(scale).render());
-        if with_hw {
-            println!("{}", conns::run_hw(scale));
-        }
+        println!("{}", conns::run(scale, with_hw).render());
     }
     if want("faults") {
         println!("{}", faults::run(scale));

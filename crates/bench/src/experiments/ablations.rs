@@ -24,6 +24,7 @@ use ngm_workloads::xalanc::{self, XalancParams};
 use ngm_telemetry::hist::HistogramSnapshot;
 
 use crate::experiments::table3;
+use crate::live::{self, Load};
 use crate::report::{latency_table, Table};
 use crate::Scale;
 
@@ -34,6 +35,18 @@ pub struct WaitRow {
     pub label: &'static str,
     /// Synchronous allocations per second achieved.
     pub allocs_per_sec: f64,
+}
+
+/// One client thread ping-pongs `ops` 64-byte blocks (each freed before
+/// the next is requested) against `ngm`; returns the seconds it took.
+fn ping_pong(ngm: &ngm_core::Ngm, ops: u32) -> f64 {
+    let load = Load {
+        clients: 1,
+        per_thread: ops as usize,
+        live_cap: 0,
+        size: |_, _| 64,
+    };
+    live::drive(ngm, load, live::must_alloc, live::JOIN_POLL, || ())
 }
 
 /// Ablation A: client wait strategy vs. allocation round-trip throughput
@@ -55,17 +68,7 @@ pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
                 .with_client_wait(wait)
                 .build()
                 .expect("valid config");
-            let mut h = ngm.handle();
-            let layout = std::alloc::Layout::from_size_align(64, 8).expect("valid");
-            let start = Instant::now();
-            for _ in 0..ops {
-                let p = h.alloc(layout).expect("alloc");
-                // SAFETY: block just allocated, freed once.
-                unsafe { h.dealloc(p, layout) };
-            }
-            let secs = start.elapsed().as_secs_f64();
-            drop(h);
-            drop(ngm);
+            let secs = ping_pong(&ngm, ops);
             WaitRow {
                 label,
                 allocs_per_sec: f64::from(ops) / secs,
@@ -225,17 +228,9 @@ pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
         .with_batch(1, 1)
         .build()
         .expect("valid config");
-    let mut h = ngm.handle();
-    let layout = std::alloc::Layout::from_size_align(64, 8).expect("valid");
-    for _ in 0..ops.max(1) {
-        let p = h.alloc(layout).expect("alloc");
-        // SAFETY: block just allocated, freed once.
-        unsafe { h.dealloc(p, layout) };
-    }
+    ping_pong(&ngm, ops.max(1));
     let calls = ngm.telemetry().call_cycles.snapshot();
     let posts = ngm.telemetry().post_cycles.snapshot();
-    drop(h);
-    drop(ngm);
     vec![
         MeasuredCommRow {
             op: "malloc call (sync round trip)",
@@ -339,13 +334,7 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
                 .with_batch(batch, batch)
                 .build()
                 .expect("valid config");
-            let mut h = ngm.handle();
-            let layout = std::alloc::Layout::from_size_align(64, 8).expect("valid");
-            for _ in 0..ops.max(1) {
-                let p = h.alloc(layout).expect("alloc");
-                // SAFETY: block just allocated, freed once.
-                unsafe { h.dealloc(p, layout) };
-            }
+            ping_pong(&ngm, ops.max(1));
             // A refill of one block is a call (`ngm_call_cycles`); only
             // refills that amortise land in `ngm_refill_cycles`.
             let snap = if batch == 1 {
@@ -353,8 +342,6 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
             } else {
                 ngm.telemetry().refill_cycles.snapshot()
             };
-            drop(h);
-            drop(ngm);
             MeasuredBatchRow {
                 batch,
                 roundtrip_mean: snap.mean(),

@@ -26,6 +26,7 @@ use ngm_core::{Ngm, NgmConfig, NgmError, SubmissionQueue};
 use ngm_simalloc::CompletionModel;
 
 use crate::executor::MiniExecutor;
+use crate::live;
 use crate::Scale;
 
 /// Simulated connections per client core (the experiment's headline
@@ -191,6 +192,8 @@ pub struct ConnsReport {
     pub blocking_balanced: bool,
     /// [`CompletionModel`] predicted non-blocking/blocking speedup.
     pub model_speedup: f64,
+    /// The non-blocking tier's PMU report, when the run was profiled.
+    pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
 impl ConnsReport {
@@ -252,19 +255,23 @@ impl ConnsReport {
             self.connections >= 10_000
         );
         let _ = writeln!(out, "conns accepted: {}", self.accepted());
+        out.push_str(&live::render_pmu(
+            "### Hardware counters of the non-blocking row above",
+            self.pmu.as_ref(),
+        ));
         out
     }
 }
 
-/// Runs both front-ends and assembles the report.
-pub fn run_with(scale: Scale, profile: bool) -> (ConnsReport, Option<ngm_pmu::PmuReport>) {
+/// Runs both front-ends and assembles the report; with `profile` the
+/// non-blocking tier arms PMU sessions and the report carries their
+/// readings (`--hw`).
+pub fn run(scale: Scale, profile: bool) -> ConnsReport {
     let events = 4usize * scale.0.max(1) as usize;
 
     let blocking_tier = tier(false);
     let blocking_secs = run_blocking(&blocking_tier, events);
-    let blocking_down = Arc::into_inner(blocking_tier)
-        .expect("all clones dropped")
-        .shutdown();
+    let blocking_down = live::finish(blocking_tier);
 
     let nb_tier = tier(profile);
     let nb_secs = run_nonblocking(&nb_tier, events);
@@ -273,10 +280,7 @@ pub fn run_with(scale: Scale, profile: bool) -> (ConnsReport, Option<ngm_pmu::Pm
     let submit_depth_samples = metrics
         .get_histogram("ngm_submit_depth")
         .map_or(0, |h| h.count());
-    let pmu = nb_tier.pmu_report();
-    let nb_down = Arc::into_inner(nb_tier)
-        .expect("all clones dropped")
-        .shutdown();
+    let nb_down = live::finish(nb_tier);
 
     let total_events = (CLIENTS * CONNECTIONS * events) as f64;
     let model = CompletionModel {
@@ -284,49 +288,19 @@ pub fn run_with(scale: Scale, profile: bool) -> (ConnsReport, Option<ngm_pmu::Pm
         inflight_limit: 1024,
         ..CompletionModel::default()
     };
-    (
-        ConnsReport {
-            connections: CONNECTIONS,
-            events_per_conn: events,
-            clients: CLIENTS,
-            nonblocking_events_per_sec: total_events / nb_secs,
-            blocking_events_per_sec: total_events / blocking_secs,
-            wouldblocks,
-            submit_depth_samples,
-            nonblocking_balanced: nb_down.clean() && nb_down.balanced(),
-            blocking_balanced: blocking_down.clean() && blocking_down.balanced(),
-            model_speedup: model.predicted_speedup(),
-        },
-        pmu,
-    )
-}
-
-/// The `repro conns` entry point (no PMU).
-pub fn run(scale: Scale) -> ConnsReport {
-    run_with(scale, false).0
-}
-
-/// The `--hw` variant: reruns the non-blocking side with PMU profiling
-/// armed and appends the hardware-counter report.
-pub fn run_hw(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "## Connection server — hardware counters\n");
-    let (report, pmu) = run_with(scale, true);
-    let _ = writeln!(
-        out,
-        "non-blocking {:.0} events/s, balanced: {}",
-        report.nonblocking_events_per_sec, report.nonblocking_balanced
-    );
-    match pmu {
-        Some(r) => {
-            let _ = writeln!(out, "{}", r.render());
-        }
-        None => {
-            let _ = writeln!(out, "(no PMU readings deposited — perf events unavailable)");
-        }
+    ConnsReport {
+        connections: CONNECTIONS,
+        events_per_conn: events,
+        clients: CLIENTS,
+        nonblocking_events_per_sec: total_events / nb_secs,
+        blocking_events_per_sec: total_events / blocking_secs,
+        wouldblocks,
+        submit_depth_samples,
+        nonblocking_balanced: nb_down.clean() && nb_down.balanced(),
+        blocking_balanced: blocking_down.clean() && blocking_down.balanced(),
+        model_speedup: model.predicted_speedup(),
+        pmu: nb_down.pmu,
     }
-    out
 }
 
 #[cfg(test)]
@@ -351,13 +325,13 @@ mod tests {
             assert_eq!(sq.in_flight(), 0);
         });
         j.join().expect("client");
-        let down = Arc::into_inner(nb).expect("sole owner").shutdown();
+        let down = live::finish(nb);
         assert!(down.balanced(), "{down:?}");
 
         let blocking = tier(false);
         let secs = run_blocking(&blocking, events);
         assert!(secs >= 0.0);
-        let down = Arc::into_inner(blocking).expect("sole owner").shutdown();
+        let down = live::finish(blocking);
         assert!(down.balanced(), "{down:?}");
     }
 }

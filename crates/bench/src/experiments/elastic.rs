@@ -17,13 +17,12 @@
 //! check reruns the 16-client stage against a *fixed* 4-shard tier: the
 //! elastic tier, free to grow past four rooms, should beat it.
 
-use std::sync::Arc;
-
 use ngm_sim::Machine;
 use ngm_simalloc::ngm::{NgmModel, Protocol};
 use ngm_simalloc::run_warm;
 use ngm_workloads::churn::{self, ChurnParams};
 
+use crate::live::{self, Load};
 use crate::Scale;
 
 /// Client counts per ramp stage: up, peak, and back down.
@@ -69,6 +68,10 @@ pub struct ElasticReport {
     pub elastic_peak_allocs_per_sec: f64,
     /// 16-client throughput on the fixed 4-shard tier, same churn.
     pub fixed_allocs_per_sec: f64,
+    /// The elastic tier's PMU report over the whole ramp — one service
+    /// column per slot that ever ran, every epoch of it — when the run
+    /// was profiled.
+    pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
 /// How often the driver calls [`ngm_core::Ngm::tick`] while the churn
@@ -89,106 +92,53 @@ fn sim_workload(clients: usize, scale: Scale) -> Vec<ngm_workloads::Event> {
     })
 }
 
-/// Churns `per_thread` alloc/free pairs on `clients` threads against
-/// `ngm`, ticking the tier every [`TICK_EVERY`] while any worker runs. Returns (seconds, peak serving count during the stage).
-fn churn_stage(ngm: &Arc<ngm_core::Ngm>, clients: usize, per_thread: usize) -> (f64, usize) {
-    use std::alloc::Layout;
-    let start = std::time::Instant::now();
-    let joins: Vec<_> = (0..clients)
-        .map(|t| {
-            let ngm = Arc::clone(ngm);
-            std::thread::spawn(move || {
-                let mut h = ngm.handle();
-                let mut live: Vec<(std::ptr::NonNull<u8>, Layout)> = Vec::new();
-                for i in 0..per_thread {
-                    // Sizes sweep eight consecutive classes so the
-                    // class → shard map spreads over the whole tier.
-                    let size = 16 * (1 + (i + t) % 8);
-                    let l = Layout::from_size_align(size, 8).expect("valid");
-                    live.push((h.alloc(l).expect("alloc"), l));
-                    if live.len() > 64 {
-                        let (p, l) = live.swap_remove((i * 31) % live.len());
-                        // SAFETY: live block from this allocator.
-                        unsafe { h.dealloc(p, l) };
-                    }
-                }
-                for (p, l) in live {
-                    // SAFETY: live block from this allocator.
-                    unsafe { h.dealloc(p, l) };
-                }
-            })
-        })
-        .collect();
+/// One ramp stage: `clients` threads churn `per_thread` allocations
+/// each while the driver ticks the tier every [`TICK_EVERY`]. Returns
+/// (seconds, peak serving count during the stage).
+fn churn_stage(ngm: &ngm_core::Ngm, clients: usize, per_thread: usize) -> (f64, usize) {
+    let load = Load {
+        clients,
+        per_thread,
+        live_cap: 64,
+        size: live::class_sweep,
+    };
     let mut peak = ngm.serving_shards().len();
-    while !joins.iter().all(std::thread::JoinHandle::is_finished) {
+    let secs = live::drive(ngm, load, live::must_alloc, TICK_EVERY, || {
         ngm.tick();
         peak = peak.max(ngm.serving_shards().len());
-        std::thread::sleep(TICK_EVERY);
-    }
-    for j in joins {
-        j.join().expect("worker");
-    }
-    (start.elapsed().as_secs_f64(), peak)
-}
-
-/// Ticks the tier with no client traffic until the serving count
-/// stops changing (bounded), letting drains run to completion.
-fn settle(ngm: &Arc<ngm_core::Ngm>) -> usize {
-    let mut serving = ngm.serving_shards().len();
-    let mut stable = 0u32;
-    for _ in 0..400 {
-        ngm.tick();
-        std::thread::sleep(TICK_EVERY);
-        let now = ngm.serving_shards().len();
-        if now == serving {
-            stable += 1;
-            // Several quiet evaluations past any sustain/drain window.
-            if stable > 24 {
-                break;
-            }
-        } else {
-            serving = now;
-            stable = 0;
-        }
-    }
-    serving
+    });
+    (secs, peak)
 }
 
 /// Runs the ramp on the live elastic tier plus the simulated
-/// predicted-width column, with `profile` arming PMU sessions.
-pub fn run_with(scale: Scale, profile: bool) -> ElasticReport {
+/// predicted-width column; with `profile` the elastic tier arms PMU
+/// sessions and the report carries their readings (`--hw`).
+pub fn run(scale: Scale, profile: bool) -> ElasticReport {
     let per_thread = 10_000usize * scale.0.max(1) as usize;
 
     // Fixed-width reference first: 16 clients on exactly four rooms.
-    let fixed = Arc::new(
-        ngm_core::NgmConfig::new()
-            .with_shards(FIXED_SHARDS)
-            .with_batch(16, 8)
-            .with_placement(ngm_core::CorePlacement::Unpinned)
-            .build()
-            .expect("valid config"),
-    );
+    let fixed = ngm_core::NgmConfig::new()
+        .with_shards(FIXED_SHARDS)
+        .with_batch(16, 8)
+        .with_placement(ngm_core::CorePlacement::Unpinned)
+        .build()
+        .expect("valid config");
     let (fixed_secs, _) = churn_stage(&fixed, 16, per_thread);
     let fixed_allocs_per_sec = (16 * per_thread) as f64 / fixed_secs;
     assert!(
-        Arc::into_inner(fixed)
-            .expect("all clones dropped")
-            .shutdown()
-            .balanced(),
+        fixed.shutdown().balanced(),
         "fixed reference tier unbalanced"
     );
 
     // The elastic tier under the ramp.
-    let ngm = Arc::new(
-        ngm_core::NgmConfig::new()
-            .with_shards(ELASTIC_MIN)
-            .elastic(ELASTIC_MIN, ELASTIC_MAX)
-            .with_batch(16, 8)
-            .with_placement(ngm_core::CorePlacement::Unpinned)
-            .with_profile(profile)
-            .build()
-            .expect("valid config"),
-    );
+    let ngm = ngm_core::NgmConfig::new()
+        .with_shards(ELASTIC_MIN)
+        .elastic(ELASTIC_MIN, ELASTIC_MAX)
+        .with_batch(16, 8)
+        .with_placement(ngm_core::CorePlacement::Unpinned)
+        .with_profile(profile)
+        .build()
+        .expect("valid config");
     let mut stages = Vec::new();
     for &clients in &STAGES {
         let (secs, peak) = churn_stage(&ngm, clients, per_thread);
@@ -217,9 +167,10 @@ pub fn run_with(scale: Scale, profile: bool) -> ElasticReport {
     let (burst_secs, _) = churn_stage(&ngm, 16, per_thread);
     let elastic_peak_allocs_per_sec = (16 * per_thread) as f64 / burst_secs;
 
-    let settled_serving = settle(&ngm);
+    let settled_serving = live::settle(&ngm, TICK_EVERY, || {
+        ngm.tick();
+    });
     let scale_events = ngm.scale_counts();
-    let ngm = Arc::into_inner(ngm).expect("all clones dropped");
     let down = ngm.shutdown();
     ElasticReport {
         stages,
@@ -228,12 +179,8 @@ pub fn run_with(scale: Scale, profile: bool) -> ElasticReport {
         balanced: down.clean() && down.balanced(),
         elastic_peak_allocs_per_sec,
         fixed_allocs_per_sec,
+        pmu: down.pmu,
     }
-}
-
-/// Runs the ramp without PMU profiling (the `repro elastic` default).
-pub fn run(scale: Scale) -> ElasticReport {
-    run_with(scale, false)
 }
 
 impl ElasticReport {
@@ -301,43 +248,10 @@ impl ElasticReport {
                  reflects scheduler pressure, not tier width)"
             );
         }
+        out.push_str(&live::render_pmu(
+            "### Hardware counters of the ramp above",
+            self.pmu.as_ref(),
+        ));
         out
     }
-}
-
-/// The `--hw` variant: reruns the ramp with PMU profiling armed and
-/// appends the per-shard hardware-counter report.
-pub fn run_hw(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "## Elastic tier — hardware counters\n");
-    let per_thread = 5_000usize * scale.0.max(1) as usize;
-    let ngm = Arc::new(
-        ngm_core::NgmConfig::new()
-            .with_shards(ELASTIC_MIN)
-            .elastic(ELASTIC_MIN, ELASTIC_MAX)
-            .with_batch(16, 8)
-            .with_placement(ngm_core::CorePlacement::Unpinned)
-            .with_profile(true)
-            .build()
-            .expect("valid config"),
-    );
-    let (_, peak) = churn_stage(&ngm, 16, per_thread);
-    let report = ngm.pmu_report();
-    let ngm = Arc::into_inner(ngm).expect("all clones dropped");
-    let down = ngm.shutdown();
-    let _ = writeln!(
-        out,
-        "### 16 clients, peak {peak} shard(s) — balanced: {}",
-        down.clean() && down.balanced()
-    );
-    match report {
-        Some(r) => {
-            let _ = writeln!(out, "{}", r.render());
-        }
-        None => {
-            let _ = writeln!(out, "(no PMU readings deposited — perf events unavailable)");
-        }
-    }
-    out
 }

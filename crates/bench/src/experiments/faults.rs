@@ -42,11 +42,11 @@ pub fn run(_scale: crate::Scale) -> String {
 
 #[cfg(feature = "faultinject")]
 mod imp {
-    use std::alloc::Layout;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
+    use crate::live::{self, Load};
     use crate::Scale;
 
     /// Shard counts crossed by the sweep.
@@ -92,65 +92,52 @@ mod imp {
     /// Runs one cell: `CLIENTS` threads churn small allocations against
     /// a `shards`-wide tier whose every shard drops every Nth response.
     fn run_cell(shards: usize, drop_every: u64, scale: Scale) -> FaultCell {
-        let ngm = Arc::new(
-            ngm_core::NgmConfig::new()
-                .with_shards(shards)
-                .with_batch(1, 1)
-                .with_placement(ngm_core::CorePlacement::Unpinned)
-                .with_deadline(Some(DEADLINE))
-                .build()
-                .expect("valid config"),
-        );
+        let ngm = ngm_core::NgmConfig::new()
+            .with_shards(shards)
+            .with_batch(1, 1)
+            .with_placement(ngm_core::CorePlacement::Unpinned)
+            .with_deadline(Some(DEADLINE))
+            .build()
+            .expect("valid config");
         for s in 0..shards {
             ngm.fault_state(s).set_drop_every(drop_every);
         }
-        let per_thread = 1_000usize * scale.0.max(1) as usize;
-        let failed = Arc::new(AtomicU64::new(0));
-        let mut joins = Vec::new();
-        for t in 0..CLIENTS {
-            let ngm = Arc::clone(&ngm);
-            let failed = Arc::clone(&failed);
-            joins.push(std::thread::spawn(move || {
-                let mut h = ngm.handle();
-                let mut lat = Vec::with_capacity(per_thread);
-                let mut live: Vec<(std::ptr::NonNull<u8>, Layout)> = Vec::new();
-                for i in 0..per_thread {
-                    let size = 16 * (1 + (i + t) % 8);
-                    let l = Layout::from_size_align(size, 8).expect("valid");
-                    let t0 = Instant::now();
-                    match h.alloc(l) {
-                        Ok(p) => {
-                            lat.push(t0.elapsed().as_nanos() as u64);
-                            live.push((p, l));
-                        }
-                        Err(_) => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if live.len() > 32 {
-                        let (p, l) = live.swap_remove((i * 31) % live.len());
-                        // SAFETY: live block from this allocator.
-                        unsafe { h.dealloc(p, l) };
-                    }
+        let load = Load {
+            clients: CLIENTS,
+            per_thread: 1_000 * scale.0.max(1) as usize,
+            live_cap: 32,
+            size: live::class_sweep,
+        };
+        // Each client's latencies behind its own (uncontended) lock.
+        let lat: Vec<Mutex<Vec<u64>>> = (0..CLIENTS)
+            .map(|_| Mutex::new(Vec::with_capacity(load.per_thread)))
+            .collect();
+        let failed = AtomicU64::new(0);
+        let timed_alloc = |t: usize, h: &mut ngm_core::NgmHandle, l| {
+            let t0 = Instant::now();
+            match h.alloc(l) {
+                Ok(p) => {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    lat[t].lock().expect("latency log poisoned").push(ns);
+                    Some(p)
                 }
-                for (p, l) in live {
-                    // SAFETY: live block from this allocator.
-                    unsafe { h.dealloc(p, l) };
+                Err(_) => {
+                    failed.fetch_add(1, Ordering::Relaxed);
+                    None
                 }
-                lat
-            }));
-        }
-        let mut lat: Vec<u64> = Vec::new();
-        for j in joins {
-            lat.extend(j.join().expect("client thread"));
-        }
+            }
+        };
+        live::drive(&ngm, load, timed_alloc, live::JOIN_POLL, || ());
         // Disarm before shutdown so the stop handshake itself cannot be
         // dropped — the sweep measures the request path, not shutdown.
         for s in 0..shards {
             ngm.fault_state(s).set_drop_every(0);
         }
-        let ngm = Arc::into_inner(ngm).expect("all clones dropped");
         let down = ngm.shutdown();
+        let mut lat: Vec<u64> = lat
+            .into_iter()
+            .flat_map(|l| l.into_inner().expect("latency log poisoned"))
+            .collect();
         lat.sort_unstable();
         let p99 = if lat.is_empty() {
             0.0
@@ -163,7 +150,7 @@ mod imp {
             allocs: lat.len() as u64,
             recovered: down.runtime.deadlines,
             degraded: down.service.fallback_allocs,
-            failed: failed.load(Ordering::Relaxed),
+            failed: failed.into_inner(),
             retries: down.runtime.retry_total,
             p99_us: p99,
             balanced: down.clean()
@@ -247,6 +234,11 @@ mod imp {
         fn faultfree_cell_is_clean() {
             let c = run_cell(2, 0, Scale(1));
             assert_eq!(c.failed, 0);
+            assert_eq!(
+                c.allocs + c.failed,
+                (CLIENTS * 1_000) as u64,
+                "the per-alloc hook saw every allocation exactly once"
+            );
             assert_eq!(c.degraded, 0, "no faults, no degradation");
             assert!(c.balanced, "{c:?}");
         }

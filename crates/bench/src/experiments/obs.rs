@@ -23,9 +23,8 @@
 //! `ngm_obs_scrape_cycles_total` meter against the merged
 //! `ngm_call_cycles` sum.
 
-use std::alloc::Layout;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ngm_core::{CorePlacement, NgmConfig, ObserverConfig};
 use ngm_simalloc::NgmModel;
@@ -34,14 +33,11 @@ use ngm_telemetry::recorder::{read_recording, RecordFrame};
 use ngm_telemetry::server::http_get;
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
 
+use crate::live::{self, Load};
 use crate::Scale;
 
-/// Client counts per ramp stage (same ramp as `repro elastic`).
-pub const STAGES: [usize; 5] = [1, 4, 16, 4, 1];
-/// The elastic tier's resident floor.
-pub const ELASTIC_MIN: usize = 1;
-/// The elastic tier's ceiling.
-pub const ELASTIC_MAX: usize = 8;
+/// The ramp and the tier bounds are `repro elastic`'s.
+use super::elastic::{ELASTIC_MAX, ELASTIC_MIN, STAGES};
 /// The observer's tick cadence.
 const SCRAPE_EVERY: Duration = Duration::from_millis(5);
 /// How often the driver curls `/metrics` during a stage, playing the
@@ -93,84 +89,14 @@ pub struct ObsReport {
     pub overhead_pct: f64,
     /// Whether every shard balanced `allocs == frees` at shutdown.
     pub balanced: bool,
+    /// The observed tier's PMU report, when the run was profiled.
+    pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
-/// Churns `per_thread` alloc/free rounds on `clients` threads. Unlike
-/// the `elastic` experiment there is no driver-side ticking: the
-/// observer's ticker is the only tick source.
-fn churn_stage(
-    ngm: &Arc<ngm_core::Ngm>,
-    clients: usize,
-    per_thread: usize,
-) -> Vec<std::thread::JoinHandle<()>> {
-    let joins: Vec<_> = (0..clients)
-        .map(|t| {
-            let ngm = Arc::clone(ngm);
-            std::thread::spawn(move || {
-                let mut h = ngm.handle();
-                let mut live: Vec<(std::ptr::NonNull<u8>, Layout)> = Vec::new();
-                for i in 0..per_thread {
-                    let size = 16 * (1 + (i + t) % 8);
-                    let l = Layout::from_size_align(size, 8).expect("valid");
-                    live.push((h.alloc(l).expect("alloc"), l));
-                    if live.len() > 64 {
-                        let (p, l) = live.swap_remove((i * 31) % live.len());
-                        // SAFETY: live block from this allocator.
-                        unsafe { h.dealloc(p, l) };
-                    }
-                }
-                for (p, l) in live {
-                    // SAFETY: live block from this allocator.
-                    unsafe { h.dealloc(p, l) };
-                }
-            })
-        })
-        .collect();
-    joins
-}
-
-/// Plays the external scraper against `/metrics` until every worker in
-/// `joins` finishes: returns (scrapes, failures).
-fn scrape_until_done(
-    addr: std::net::SocketAddr,
-    joins: &[std::thread::JoinHandle<()>],
-) -> (usize, usize) {
-    let mut scrapes = 0usize;
-    let mut failures = 0usize;
-    while !joins.iter().all(std::thread::JoinHandle::is_finished) {
-        match http_get(addr, "/metrics") {
-            Ok((200, body)) => {
-                if validate_exposition(&body).is_err() {
-                    failures += 1;
-                }
-            }
-            Ok(_) | Err(_) => failures += 1,
-        }
-        scrapes += 1;
-        std::thread::sleep(CURL_EVERY);
-    }
-    (scrapes, failures)
-}
-
-/// Waits (idle) until the observer-driven controller stops moving the
-/// serving count, bounded.
-fn settle(ngm: &Arc<ngm_core::Ngm>) -> usize {
-    let mut serving = ngm.serving_shards().len();
-    let mut stable = 0u32;
-    for _ in 0..400 {
-        std::thread::sleep(SCRAPE_EVERY);
-        let now = ngm.serving_shards().len();
-        if now == serving {
-            stable += 1;
-            if stable > 24 {
-                break;
-            }
-        } else {
-            serving = now;
-            stable = 0;
-        }
-    }
-    serving
+/// One `/metrics` curl, as an external Prometheus scraper would issue
+/// it; whether the response was a 200 carrying validator-clean text.
+fn scrape_ok(addr: std::net::SocketAddr) -> bool {
+    matches!(http_get(addr, "/metrics"), Ok((200, body)) if validate_exposition(&body).is_ok())
 }
 
 /// The serving-count delta a `Scale` event code implies: spawn and
@@ -217,8 +143,9 @@ pub fn cross_check_timeline(
     (true, None)
 }
 
-/// Runs the observed ramp and the offline replay.
-pub fn run(scale: Scale) -> ObsReport {
+/// Runs the observed ramp and the offline replay; with `profile` the
+/// tier arms PMU sessions and the report carries their readings (`--hw`).
+pub fn run(scale: Scale, profile: bool) -> ObsReport {
     let per_thread = 20_000usize * scale.0.max(1) as usize;
     let record_path = std::env::temp_dir().join(format!("ngm-obs-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&record_path);
@@ -234,6 +161,7 @@ pub fn run(scale: Scale) -> ObsReport {
             .with_shards(ELASTIC_MIN)
             .elastic(ELASTIC_MIN, ELASTIC_MAX)
             .with_placement(CorePlacement::Unpinned)
+            .with_profile(profile)
             .with_trace_capacity(8192)
             .with_observer(
                 ObserverConfig::new("127.0.0.1:0")
@@ -249,13 +177,21 @@ pub fn run(scale: Scale) -> ObsReport {
         .expect("config carries an observer");
     let addr = observer.addr();
 
+    // No driver-side ticking: the observer's ticker is the only tick
+    // source, and the driver only curls.
     let mut stages = Vec::new();
     for &clients in &STAGES {
-        let joins = churn_stage(&ngm, clients, per_thread);
-        let (scrapes, scrape_failures) = scrape_until_done(addr, &joins);
-        for j in joins {
-            j.join().expect("worker");
-        }
+        let load = Load {
+            clients,
+            per_thread,
+            live_cap: 64,
+            size: live::class_sweep,
+        };
+        let (mut scrapes, mut scrape_failures) = (0usize, 0usize);
+        live::drive(&ngm, load, live::must_alloc, CURL_EVERY, || {
+            scrapes += 1;
+            scrape_failures += usize::from(!scrape_ok(addr));
+        });
         stages.push(ObsStageRow {
             clients,
             predicted_shards: NgmModel::predicted_shards(clients, ELASTIC_MIN, ELASTIC_MAX),
@@ -264,7 +200,7 @@ pub fn run(scale: Scale) -> ObsReport {
             scrape_failures,
         });
     }
-    settle(&ngm);
+    live::settle(&ngm, SCRAPE_EVERY, || ());
 
     // Freeze the run: stop the observer (no more ticks, no more
     // frames), then read back what it recorded and what the controller
@@ -288,8 +224,7 @@ pub fn run(scale: Scale) -> ObsReport {
     let overhead_pct = obs_cycles as f64 / call_cycles.max(1) as f64 * 100.0;
 
     let _ = std::fs::remove_file(&record_path);
-    let ngm = Arc::into_inner(ngm).expect("observer released its references");
-    let down = ngm.shutdown();
+    let down = live::finish(ngm);
     ObsReport {
         stages,
         frames: frames.len(),
@@ -301,6 +236,7 @@ pub fn run(scale: Scale) -> ObsReport {
         call_cycles,
         overhead_pct,
         balanced: down.clean() && down.balanced(),
+        pmu: down.pmu,
     }
 }
 
@@ -363,69 +299,12 @@ impl ObsReport {
         );
         let _ = writeln!(out, "balanced at shutdown: {}", self.balanced);
         let _ = writeln!(out, "accepted: {}", self.accepted());
+        out.push_str(&live::render_pmu(
+            "### Hardware counters of the ramp above",
+            self.pmu.as_ref(),
+        ));
         out
     }
-}
-
-/// The `--hw` variant: one observed 16-client stage with PMU profiling
-/// armed, reporting the hardware counters next to the same scrape
-/// validity and overhead readings.
-pub fn run_hw(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let per_thread = 5_000usize * scale.0.max(1) as usize;
-    let record_path = std::env::temp_dir().join(format!("ngm-obs-hw-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&record_path);
-    let mut out = String::new();
-    let _ = writeln!(out, "## Live observability — hardware counters\n");
-
-    let ngm = Arc::new(
-        NgmConfig::new()
-            .with_shards(ELASTIC_MIN)
-            .elastic(ELASTIC_MIN, ELASTIC_MAX)
-            .with_placement(CorePlacement::Unpinned)
-            .with_profile(true)
-            .with_trace_capacity(8192)
-            .build()
-            .expect("valid config"),
-    );
-    let observer = ngm
-        .serve_observer(
-            ObserverConfig::new("127.0.0.1:0")
-                .with_recording(&record_path)
-                .with_scrape_interval(SCRAPE_EVERY),
-        )
-        .expect("observer binds");
-    let addr = observer.addr();
-    let start = Instant::now();
-    let joins = churn_stage(&ngm, 16, per_thread);
-    let (scrapes, failures) = scrape_until_done(addr, &joins);
-    for j in joins {
-        j.join().expect("worker");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    observer.stop();
-    let frames = read_recording(&record_path).map_or(0, |f| f.len());
-    let report = ngm.pmu_report();
-    let m = ngm.metrics();
-    let obs_cycles = m.get_counter("ngm_obs_scrape_cycles_total").unwrap_or(0);
-    let _ = std::fs::remove_file(&record_path);
-    let ngm = Arc::into_inner(ngm).expect("observer released its references");
-    let down = ngm.shutdown();
-    let _ = writeln!(
-        out,
-        "### 16 clients for {secs:.2}s — {scrapes} scrape(s), {failures} invalid, \
-         {frames} frame(s), {obs_cycles} obs cycles — balanced: {}",
-        down.clean() && down.balanced()
-    );
-    match report {
-        Some(r) => {
-            let _ = writeln!(out, "{}", r.render());
-        }
-        None => {
-            let _ = writeln!(out, "(no PMU readings deposited — perf events unavailable)");
-        }
-    }
-    out
 }
 
 #[cfg(test)]

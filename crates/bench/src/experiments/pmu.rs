@@ -13,14 +13,12 @@
 //! Works everywhere: where `perf_event_open` is unavailable the readings
 //! degrade to the labeled software backend.
 
-use std::alloc::Layout;
-use std::sync::Arc;
-
 use ngm_core::NgmConfig;
 use ngm_simalloc::{run_kind_warm, ModelKind};
 use ngm_workloads::xalanc;
 
 use crate::hw;
+use crate::live::{self, Load};
 use crate::Scale;
 
 /// How sparsely the site profiler samples in this experiment. Low enough
@@ -42,37 +40,15 @@ pub fn run(scale: Scale, ops: u32) -> String {
         .with_batch(16, 8)
         .build()
         .expect("valid config");
-    let ops = ops.max(1);
-    let mut joins = Vec::new();
-    for t in 0..2u32 {
-        let mut h = ngm.handle();
-        joins.push(std::thread::spawn(move || {
-            let mut live = Vec::new();
-            for i in 0..ops {
-                let size = 16 + ((i as usize * 37 + t as usize * 101) % 1024);
-                let l = Layout::from_size_align(size, 8).expect("valid");
-                live.push((h.alloc(l).expect("alloc"), l));
-                if live.len() > 32 {
-                    let (p, l) = live.remove(0);
-                    // SAFETY: block from this handle's allocator.
-                    unsafe { h.dealloc(p, l) };
-                }
-            }
-            for (p, l) in live {
-                // SAFETY: block from this handle's allocator.
-                unsafe { h.dealloc(p, l) };
-            }
-        }));
-    }
-    for j in joins {
-        j.join().expect("worker");
-    }
+    let load = Load {
+        clients: 2,
+        per_thread: ops.max(1) as usize,
+        live_cap: 32,
+        size: live::scattered,
+    };
+    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
     let site_report = ngm.site_report().expect("site profiling on");
-    let telemetry = Arc::clone(ngm.telemetry());
-    ngm.shutdown();
-    let pmu_report = telemetry
-        .pmu_report()
-        .expect("profiling on: service and client readings deposited");
+    let down = ngm.shutdown();
 
     // --- 3. Sim-vs-measured bridge on one replay kernel --------------
     let (events, warmup) =
@@ -92,8 +68,11 @@ pub fn run(scale: Scale, ops: u32) -> String {
          --- Simulator vs host PMU (NGM model replay) ---\n{}",
         scale.0,
         perf,
-        ops,
-        pmu_report.render(),
+        load.per_thread,
+        down.pmu.as_ref().map_or_else(
+            || "(no PMU readings deposited)\n".into(),
+            ngm_pmu::PmuReport::render
+        ),
         site_report.sample_interval,
         site_report.render(),
         hw::render_deltas(&deltas),

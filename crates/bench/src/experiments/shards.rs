@@ -11,13 +11,12 @@
 //! every shard balances `allocs == frees` exactly, even though clients
 //! free blocks cross-thread.
 
-use std::sync::Arc;
-
 use ngm_sim::Machine;
 use ngm_simalloc::ngm::{NgmModel, Protocol};
 use ngm_simalloc::run_warm;
 use ngm_workloads::churn::{self, ChurnParams};
 
+use crate::live::{self, Load};
 use crate::Scale;
 
 /// Shard counts crossed by the ablation.
@@ -63,6 +62,9 @@ pub struct RealShardRow {
     pub balanced: bool,
     /// Per-shard allocation counts (the tier's load spread).
     pub per_shard_allocs: Vec<u64>,
+    /// This row's service-shards-vs-clients PMU report, when it ran
+    /// profiled.
+    pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
 /// A malloc-heavy multi-class churn: sizes span several size classes so
@@ -82,8 +84,9 @@ fn workload(clients: usize, scale: Scale) -> Vec<ngm_workloads::Event> {
     })
 }
 
-/// Runs the simulated grid.
-pub fn run(scale: Scale) -> ShardsReport {
+/// Runs the simulated grid and the real-runtime rows; with `profile` the
+/// real rows run with PMU sessions armed (`--hw`).
+pub fn run(scale: Scale, profile: bool) -> ShardsReport {
     let mut cells = Vec::new();
     for &shards in &SHARD_COUNTS {
         for &clients in &CLIENT_COUNTS {
@@ -113,67 +116,39 @@ pub fn run(scale: Scale) -> ShardsReport {
             .flat_map(|&clients| {
                 SHARD_COUNTS
                     .iter()
-                    .map(move |&shards| run_real(shards, clients, scale, false))
+                    .map(move |&shards| run_real(shards, clients, scale, profile))
             })
             .collect(),
     }
 }
 
 /// Runs the churn shape on the live runtime with `shards` service
-/// threads and `clients` client threads. With `profile` the runtime also
-/// arms PMU sessions (the `--hw` path).
+/// threads and `clients` client threads. With `profile` the tier also
+/// arms PMU sessions and the row carries their report (`--hw`).
 pub fn run_real(shards: usize, clients: usize, scale: Scale, profile: bool) -> RealShardRow {
-    use std::alloc::Layout;
-
-    let ngm = Arc::new(
-        ngm_core::NgmConfig::new()
-            .with_shards(shards)
-            .with_batch(16, 8)
-            .with_placement(ngm_core::CorePlacement::Unpinned)
-            .with_profile(profile)
-            .build()
-            .expect("valid config"),
-    );
-    let per_thread = 20_000usize * scale.0.max(1) as usize;
-    let start = std::time::Instant::now();
-    let joins: Vec<_> = (0..clients)
-        .map(|t| {
-            let ngm = Arc::clone(&ngm);
-            std::thread::spawn(move || {
-                let mut h = ngm.handle();
-                let mut live: Vec<(std::ptr::NonNull<u8>, Layout)> = Vec::new();
-                for i in 0..per_thread {
-                    // Sizes sweep eight consecutive classes so `class % n`
-                    // spreads traffic across the whole tier.
-                    let size = 16 * (1 + (i + t) % 8);
-                    let l = Layout::from_size_align(size, 8).expect("valid");
-                    live.push((h.alloc(l).expect("alloc"), l));
-                    if live.len() > 64 {
-                        let (p, l) = live.swap_remove((i * 31) % live.len());
-                        // SAFETY: live block from this allocator.
-                        unsafe { h.dealloc(p, l) };
-                    }
-                }
-                for (p, l) in live {
-                    // SAFETY: live block from this allocator.
-                    unsafe { h.dealloc(p, l) };
-                }
-            })
-        })
-        .collect();
-    for j in joins {
-        j.join().expect("worker");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let ngm = Arc::into_inner(ngm).expect("all clones dropped");
+    let ngm = ngm_core::NgmConfig::new()
+        .with_shards(shards)
+        .with_batch(16, 8)
+        .with_placement(ngm_core::CorePlacement::Unpinned)
+        .with_profile(profile)
+        .build()
+        .expect("valid config");
+    let load = Load {
+        clients,
+        per_thread: 20_000 * scale.0.max(1) as usize,
+        live_cap: 64,
+        size: live::class_sweep,
+    };
+    let secs = live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
     let down = ngm.shutdown();
     RealShardRow {
         shards,
         clients,
         secs,
-        allocs_per_sec: (clients * per_thread) as f64 / secs,
+        allocs_per_sec: (clients * load.per_thread) as f64 / secs,
         balanced: down.clean() && down.balanced(),
         per_shard_allocs: down.shards.iter().map(|s| s.service.allocs).collect(),
+        pmu: down.pmu,
     }
 }
 
@@ -230,62 +205,54 @@ impl ShardsReport {
                     r.shards, r.clients, r.secs, r.allocs_per_sec, r.balanced, r.per_shard_allocs
                 );
             }
+            for r in &self.real {
+                let heading = format!(
+                    "#### {} shard(s), {} clients — PMU counters of this row",
+                    r.shards, r.clients
+                );
+                out.push_str(&live::render_pmu(&heading, r.pmu.as_ref()));
+            }
         }
         out
     }
 }
 
-/// The `--hw` variant: reruns the saturated real-runtime case with PMU
-/// profiling armed and renders the per-shard report.
-pub fn run_hw(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "## Shards ablation — hardware counters\n");
-    let clients = *CLIENT_COUNTS.last().expect("non-empty");
-    for &shards in &SHARD_COUNTS {
-        use std::alloc::Layout;
-        let ngm = Arc::new(
-            ngm_core::NgmConfig::new()
-                .with_shards(shards)
-                .with_placement(ngm_core::CorePlacement::Unpinned)
-                .with_profile(true)
-                .build()
-                .expect("valid config"),
-        );
-        let joins: Vec<_> = (0..clients)
-            .map(|t| {
-                let ngm = Arc::clone(&ngm);
-                std::thread::spawn(move || {
-                    let mut h = ngm.handle();
-                    for i in 0..8_000usize * scale.0.max(1) as usize {
-                        let size = 16 * (1 + (i + t) % 8);
-                        let l = Layout::from_size_align(size, 8).expect("valid");
-                        let p = h.alloc(l).expect("alloc");
-                        // SAFETY: block just allocated, freed once.
-                        unsafe { h.dealloc(p, l) };
-                    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profiled_row_carries_its_own_service_and_client_columns() {
+        let row = run_real(2, 2, Scale(1), true);
+        assert!(row.balanced, "{row:?}");
+        let pmu = row.pmu.as_ref().expect("profiled row carries its report");
+        let names: Vec<&str> = pmu.cols.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["shard0", "shard1", "clients(2)"]);
+
+        // Under the real-runtime table, headed by the row it measured.
+        let text = ShardsReport {
+            // The speedup lines want the widest client count's cells.
+            cells: SHARD_COUNTS
+                .iter()
+                .map(|&shards| ShardCell {
+                    shards,
+                    clients: *CLIENT_COUNTS.last().expect("non-empty"),
+                    wall_cycles: 1,
+                    allocs_per_mcycle: 1.0,
                 })
-            })
-            .collect();
-        for j in joins {
-            j.join().expect("worker");
+                .collect(),
+            real: vec![run_real(1, 2, Scale(1), false), row],
         }
-        let ngm = Arc::into_inner(ngm).expect("all clones dropped");
-        let report = ngm.pmu_report();
-        let down = ngm.shutdown();
-        let _ = writeln!(
-            out,
-            "### {shards} shard(s), {clients} clients — balanced: {}",
-            down.clean() && down.balanced()
+        .render();
+        let table = text.find("per-shard allocs").expect("real-runtime table");
+        let head = text
+            .find("#### 2 shard(s), 2 clients")
+            .expect("PMU heading");
+        let cols = text.find("shard0/").expect("service column");
+        assert!(table < head && head < cols, "{text}");
+        assert!(
+            !text.contains("#### 1 shard(s)"),
+            "an unprofiled row prints no PMU section:\n{text}"
         );
-        match report {
-            Some(r) => {
-                let _ = writeln!(out, "{}", r.render());
-            }
-            None => {
-                let _ = writeln!(out, "(no PMU readings deposited — perf events unavailable)");
-            }
-        }
     }
-    out
 }

@@ -12,16 +12,15 @@
 //! test — is **coverage**: the five phase sums partition the round trip,
 //! so their total must equal the `ngm_call_cycles` sum (the stamps are
 //! clamped into each call's `[t0, t5]`, so the identity is exact by
-//! construction; the acceptance bar is ±10%). The `--hw` variant reruns
-//! the same shape with PMU sessions armed, confirming the four extra
-//! `rdtsc` stamps don't distort the round trip they measure.
-
-use std::sync::Arc;
+//! construction; the acceptance bar is ±10%). With `--hw` the same run
+//! arms PMU sessions, so the phase table and the service-vs-client
+//! counter report under it come from one run.
 
 use ngm_offload::{PHASES, PHASE_NAMES};
 use ngm_telemetry::clock::cycles_to_ns;
 use ngm_telemetry::hist::HistogramSnapshot;
 
+use crate::live::{self, Load};
 use crate::report::Table;
 use crate::Scale;
 
@@ -41,6 +40,9 @@ pub struct SpanRow {
     pub call_sum: u64,
     /// Windowed snapshot per phase, [`PHASE_NAMES`] order.
     pub phases: Vec<HistogramSnapshot>,
+    /// This row's service-shards-vs-clients PMU report, when it ran
+    /// profiled.
+    pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
 impl SpanRow {
@@ -67,41 +69,25 @@ pub struct SpansReport {
     pub rows: Vec<SpanRow>,
 }
 
-/// Drives an alloc/free churn under `with_batch(1, 1)` (so every alloc
-/// is one stamped round trip) and reads the merged phase histograms back
-/// through the metrics exporter — the same series Prometheus would
-/// scrape.
-fn run_row(shards: usize, scale: Scale, profile: bool) -> (SpanRow, Option<String>) {
-    use std::alloc::Layout;
-
-    let ngm = Arc::new(
-        ngm_core::NgmConfig::new()
-            .with_shards(shards)
-            .with_batch(1, 1)
-            .with_placement(ngm_core::CorePlacement::Unpinned)
-            .with_profile(profile)
-            .build()
-            .expect("valid config"),
-    );
-    let per_thread = 10_000usize * scale.0.max(1) as usize;
-    let joins: Vec<_> = (0..CLIENTS)
-        .map(|t| {
-            let ngm = Arc::clone(&ngm);
-            std::thread::spawn(move || {
-                let mut h = ngm.handle();
-                for i in 0..per_thread {
-                    let size = 16 * (1 + (i + t) % 8);
-                    let l = Layout::from_size_align(size, 8).expect("valid");
-                    let p = h.alloc(l).expect("alloc");
-                    // SAFETY: block just allocated, freed once.
-                    unsafe { h.dealloc(p, l) };
-                }
-            })
-        })
-        .collect();
-    for j in joins {
-        j.join().expect("worker");
-    }
+/// Drives an alloc/free ping-pong under `with_batch(1, 1)` (so every
+/// alloc is one stamped round trip) and reads the merged phase
+/// histograms back through the metrics exporter — the same series
+/// Prometheus would scrape.
+fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
+    let ngm = ngm_core::NgmConfig::new()
+        .with_shards(shards)
+        .with_batch(1, 1)
+        .with_placement(ngm_core::CorePlacement::Unpinned)
+        .with_profile(profile)
+        .build()
+        .expect("valid config");
+    let load = Load {
+        clients: CLIENTS,
+        per_thread: 10_000 * scale.0.max(1) as usize,
+        live_cap: 0,
+        size: live::class_sweep,
+    };
+    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
     let m = ngm.metrics();
     let calls = m
         .get_histogram("ngm_call_cycles")
@@ -114,30 +100,24 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> (SpanRow, Option<Strin
                 .clone()
         })
         .collect();
-    let ngm = Arc::into_inner(ngm).expect("all clones dropped");
-    let pmu = profile.then(|| {
-        ngm.pmu_report()
-            .map_or_else(|| "(no PMU readings deposited)".into(), |r| r.render())
-    });
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced(), "spans run stayed exact");
-    (
-        SpanRow {
-            shards,
-            calls: calls.count(),
-            call_sum: calls.sum(),
-            phases,
-        },
-        pmu,
-    )
+    SpanRow {
+        shards,
+        calls: calls.count(),
+        call_sum: calls.sum(),
+        phases,
+        pmu: down.pmu,
+    }
 }
 
-/// Runs the phase breakdown across [`SHARD_COUNTS`].
-pub fn run(scale: Scale) -> SpansReport {
+/// Runs the phase breakdown across [`SHARD_COUNTS`]; with `profile`
+/// every row runs with PMU sessions armed (`--hw`).
+pub fn run(scale: Scale, profile: bool) -> SpansReport {
     SpansReport {
         rows: SHARD_COUNTS
             .iter()
-            .map(|&shards| run_row(shards, scale, false).0)
+            .map(|&shards| run_row(shards, scale, profile))
             .collect(),
     }
 }
@@ -174,34 +154,17 @@ impl SpansReport {
             let _ = writeln!(out, "{}", t.render());
             let _ = writeln!(
                 out,
-                "phase-sum coverage of call sum: {:.4} (1.0 = exact partition)\n",
+                "phase-sum coverage of call sum: {:.4} (1.0 = exact partition)",
                 row.coverage()
             );
+            out.push_str(&live::render_pmu(
+                "#### PMU counters of this row",
+                row.pmu.as_ref(),
+            ));
+            out.push('\n');
         }
         out
     }
-}
-
-/// The `--hw` variant: the same breakdown with PMU sessions armed, so
-/// the phase table and the service-vs-client counter report come from
-/// one run.
-pub fn run_hw(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "## Spans — phase breakdown under PMU\n");
-    for &shards in &SHARD_COUNTS {
-        let (row, pmu) = run_row(shards, scale, true);
-        let _ = writeln!(
-            out,
-            "### {shards} shard(s): {} calls, coverage {:.4}",
-            row.calls,
-            row.coverage()
-        );
-        if let Some(pmu) = pmu {
-            let _ = writeln!(out, "{pmu}");
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -210,14 +173,36 @@ mod tests {
 
     #[test]
     fn phase_sums_partition_the_round_trip() {
-        let (row, pmu) = run_row(2, Scale(1), false);
-        assert!(pmu.is_none());
+        let row = run_row(2, Scale(1), false);
+        assert!(row.pmu.is_none(), "not profiled, no report");
         assert_eq!(row.calls, (CLIENTS * 10_000) as u64);
         let cov = row.coverage();
         assert!(
             (cov - 1.0).abs() < 0.10,
             "phase sum within 10% of call sum (got {cov}): exact partition expected"
         );
+    }
+
+    #[test]
+    fn profiled_row_prints_its_counters_under_its_own_phase_table() {
+        let report = SpansReport {
+            rows: vec![run_row(1, Scale(1), false), run_row(2, Scale(1), true)],
+        };
+        let pmu = report.rows[1].pmu.as_ref().expect("profiled row");
+        let names: Vec<&str> = pmu.cols.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["shard0", "shard1", "clients(2)"]);
+        let text = report.render();
+        let section = text.find("### 2 shard(s)").expect("the profiled row");
+        let coverage = section
+            + text[section..]
+                .find("phase-sum coverage")
+                .expect("coverage");
+        let cols = text.find("shard0/").expect("service column");
+        assert!(
+            coverage < cols,
+            "PMU table follows its row's coverage:\n{text}"
+        );
+        assert_eq!(text.matches("clients(2)/").count(), 1, "{text}");
     }
 
     #[test]
@@ -234,6 +219,7 @@ mod tests {
                         h.snapshot()
                     })
                     .collect(),
+                pmu: None,
             }],
         };
         let text = report.render();

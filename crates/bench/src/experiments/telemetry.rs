@@ -6,10 +6,9 @@
 //! JSON snapshot, and the drained event trace converted back into a
 //! replayable workload stream.
 
-use std::alloc::Layout;
-
 use ngm_core::NgmConfig;
 
+use crate::live::{self, Load};
 use crate::trace::convert;
 
 /// Runs the demo workload and renders all three export formats.
@@ -20,31 +19,13 @@ pub fn run(ops: u32) -> String {
         .build()
         .expect("valid config");
 
-    let mut joins = Vec::new();
-    for t in 0..2u32 {
-        let mut h = ngm.handle();
-        let ops = ops.max(1);
-        joins.push(std::thread::spawn(move || {
-            let mut live = Vec::new();
-            for i in 0..ops {
-                let size = 16 + ((i as usize * 37 + t as usize * 101) % 1024);
-                let l = Layout::from_size_align(size, 8).expect("valid");
-                live.push((h.alloc(l).expect("alloc"), l));
-                if live.len() > 32 {
-                    let (p, l) = live.remove(0);
-                    // SAFETY: block from this handle's allocator.
-                    unsafe { h.dealloc(p, l) };
-                }
-            }
-            for (p, l) in live {
-                // SAFETY: block from this handle's allocator.
-                unsafe { h.dealloc(p, l) };
-            }
-        }));
-    }
-    for j in joins {
-        j.join().expect("worker");
-    }
+    let load = Load {
+        clients: 2,
+        per_thread: ops.max(1) as usize,
+        live_cap: 32,
+        size: live::scattered,
+    };
+    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
 
     // Let the service publish its heap stats (idle-round refresh).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);

@@ -1,14 +1,20 @@
 //! Reproduction harness: one module per table/figure of the paper.
 //!
-//! The `repro` binary drives these; the Criterion benches reuse the same
-//! kernels at reduced scale. See `EXPERIMENTS.md` at the repository root
-//! for the paper-vs-measured record each function regenerates.
+//! The `repro` binary drives [`experiments`]; see `EXPERIMENTS.md` at the
+//! repository root for the paper-vs-measured record each function
+//! regenerates. Beside them: [`live`] is the one driver every experiment
+//! on the live runtime runs its client threads through, [`replay`] and
+//! [`trace`] move workload streams onto real heaps and back out of event
+//! traces, [`hw`] bridges simulator counters to the host PMU,
+//! [`executor`] is the dependency-free future executor of `repro conns`,
+//! and [`report`] aligns tables.
 
 #![warn(missing_docs)]
 
 pub mod executor;
 pub mod experiments;
 pub mod hw;
+pub mod live;
 pub mod replay;
 pub mod report;
 pub mod trace;

@@ -568,12 +568,39 @@ fn profiled_runtime_produces_core_attributed_pmu_report() {
         unsafe { h.dealloc(p, layout(64)) };
     }
     drop(h);
-    let telemetry = Arc::clone(ngm.telemetry());
-    ngm.shutdown();
-    let rep = telemetry.pmu_report().expect("profiling was on");
+    let rep = ngm.shutdown().pmu.expect("profiling was on");
     let rendered = rep.render();
     assert!(rendered.contains("service/"), "{rendered}");
     assert!(rendered.contains("clients(1)/"), "{rendered}");
+}
+
+#[test]
+fn shutdown_report_has_one_service_column_per_shard_then_the_clients() {
+    let ngm = NgmConfig::new()
+        .with_shards(2)
+        .with_profile(true)
+        .build()
+        .unwrap();
+    let mut h = ngm.handle();
+    // Consecutive classes land on different shards; the handle's PMU
+    // session arms on its first request to shard 0.
+    for size in [16, 32, 48, 64] {
+        let p = h.alloc(layout(size)).unwrap();
+        // SAFETY: block from this handle's allocator.
+        unsafe { h.dealloc(p, layout(size)) };
+    }
+    drop(h);
+    assert!(
+        !ngm.pmu_report()
+            .expect("the client deposited")
+            .cols
+            .iter()
+            .any(|c| c.name.starts_with("shard")),
+        "service loops deposit only when they exit"
+    );
+    let rep = ngm.shutdown().pmu.expect("profiling was on");
+    let names: Vec<&str> = rep.cols.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["shard0", "shard1", "clients(1)"]);
 }
 
 #[test]

@@ -643,27 +643,28 @@ impl Ngm {
     /// [`NgmConfig::profile`] was set and at least one measured thread
     /// has retired. Each shard's service loop is its own column
     /// (`shard<N>`); client columns merge, since only one endpoint per
-    /// thread arms. Grab [`Ngm::telemetry`] with `Arc::clone` before
-    /// [`Ngm::shutdown`] to read the service columns after it.
+    /// thread arms. A service column is deposited when its loop exits,
+    /// so the complete report is [`NgmShutdown::pmu`].
     pub fn pmu_report(&self) -> Option<PmuReport> {
         if self.shards.len() == 1 {
             return self.shards[0].handles.telemetry.pmu_report();
         }
         let mut out = PmuReport::new("PMU: service shards vs app cores");
-        let mut any = false;
+        let mut clients = Vec::new();
         for (i, s) in self.shards.iter().enumerate() {
             if let Some(rep) = s.handles.telemetry.pmu_report() {
                 for col in rep.cols {
-                    any = true;
                     if col.name.starts_with("service") {
                         out.push(format!("shard{i}"), col.reading);
                     } else {
-                        out.push(col.name, col.reading);
+                        clients.push(col);
                     }
                 }
             }
         }
-        any.then_some(out)
+        // Service columns first, in shard order, then the app cores.
+        out.cols.extend(clients);
+        (!out.cols.is_empty()).then_some(out)
     }
 
     /// The allocation-site attribution snapshot, when
@@ -686,7 +687,7 @@ impl Ngm {
         let mut service = ServiceStats::default();
         let mut heap = HeapStats::default();
         let mut runtime: Option<StatsSnapshot> = None;
-        for (i, shard) in Vec::from(self.shards).into_iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             let taken = shard
                 .cell
                 .runtime
@@ -768,6 +769,8 @@ impl Ngm {
             service,
             heap,
             runtime: runtime.expect("a tier has at least one shard"),
+            // Every service loop has exited and deposited its reading.
+            pmu: self.pmu_report(),
         }
     }
 }
@@ -798,6 +801,10 @@ pub struct NgmShutdown {
     pub heap: HeapStats,
     /// Offload-runtime counters merged across shards.
     pub runtime: StatsSnapshot,
+    /// The service-vs-clients PMU report ([`Ngm::pmu_report`]) with every
+    /// shard's service column in it; `None` unless
+    /// [`NgmConfig::profile`] was set.
+    pub pmu: Option<PmuReport>,
 }
 
 impl NgmShutdown {

@@ -18,7 +18,6 @@ use crate::Heap;
 /// A heap behind one mutex, usable from any thread by shared reference.
 pub struct LockedHeap<H: Heap> {
     inner: Mutex<H>,
-    contended: std::sync::atomic::AtomicU64,
 }
 
 impl<H: Heap> LockedHeap<H> {
@@ -26,7 +25,6 @@ impl<H: Heap> LockedHeap<H> {
     pub fn new(heap: H) -> Self {
         LockedHeap {
             inner: Mutex::new(heap),
-            contended: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -36,15 +34,7 @@ impl<H: Heap> LockedHeap<H> {
     ///
     /// Propagates the inner heap's errors.
     pub fn allocate(&self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
-        let mut guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner.lock()
-            }
-        };
-        guard.allocate(layout)
+        self.inner.lock().allocate(layout)
     }
 
     /// Deallocates under the lock.
@@ -54,26 +44,13 @@ impl<H: Heap> LockedHeap<H> {
     /// Same contract as [`Heap::deallocate`]: `ptr` must come from
     /// `allocate(layout)` on this wrapper.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
-        let mut guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner.lock()
-            }
-        };
         // SAFETY: forwarded caller contract.
-        unsafe { guard.deallocate(ptr, layout) }
+        unsafe { self.inner.lock().deallocate(ptr, layout) }
     }
 
     /// Inner heap statistics (taken under the lock).
     pub fn stats(&self) -> HeapStats {
         self.inner.lock().stats()
-    }
-
-    /// How many lock acquisitions found the lock already held.
-    pub fn contention_events(&self) -> u64 {
-        self.contended.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Runs `f` with exclusive access to the inner heap (housekeeping).

@@ -545,9 +545,6 @@ pub struct RuntimeConfig {
     /// failures are recorded in the runtime stats, not fatal (this box
     /// may expose a single vCPU).
     pub core: Option<usize>,
-    /// Wait strategy for the service thread's idle polling; `None` picks
-    /// the machine-appropriate default at start time.
-    pub server_wait: Option<WaitStrategy>,
     /// Wait strategy for clients blocked on synchronous calls; `None`
     /// picks the machine-appropriate default at start time.
     pub client_wait: Option<WaitStrategy>,
@@ -577,12 +574,12 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The `const` default configuration (wait strategies resolve to the
-    /// machine-appropriate default when the runtime starts).
+    /// The `const` default configuration (the client wait strategy
+    /// resolves to the machine-appropriate default when the runtime
+    /// starts).
     pub const fn new() -> Self {
         RuntimeConfig {
             core: None,
-            server_wait: None,
             client_wait: None,
             ring_capacity: 1024,
             drain_batch: 64,
@@ -728,7 +725,10 @@ impl<S: Service> OffloadRuntime<S> {
             fault: Arc::clone(&handles.fault),
         });
         let thread_shared = Arc::clone(&shared);
-        let server_wait = cfg.server_wait.unwrap_or_default();
+        // Resolved here, on the starting thread: the default reads the
+        // process's affinity mask, which a caller may narrow right after
+        // the tier is up.
+        let server_wait = WaitStrategy::default();
         let thread = std::thread::Builder::new()
             .name(format!("ngm-service-{}", cfg.shard))
             .spawn(move || {
@@ -1274,7 +1274,6 @@ mod tests {
             doubler(),
             RuntimeConfig {
                 trace_capacity: 256,
-                server_wait: Some(WaitStrategy::Backoff),
                 ..RuntimeConfig::new()
             },
         )
@@ -1451,6 +1450,47 @@ mod tests {
         // And the report flows into the exportable metrics.
         let m = telemetry.metrics(&crate::stats::RuntimeStats::new().snapshot());
         assert!(m.labeled_gauge_count("ngm_pmu_count") > 0);
+    }
+
+    #[test]
+    fn respawned_slot_merges_its_epochs_service_readings() {
+        // An elastic slot's epochs share one `RuntimeHandles`; the
+        // service column must cover every epoch, not only the last. A
+        // long first epoch and a short second one: had the second
+        // deposit replaced the first, the column would shrink.
+        let cfg = RuntimeConfig {
+            profile: true,
+            ..RuntimeConfig::new()
+        };
+        let handles = RuntimeHandles::fresh(&cfg);
+        let service = |h: &RuntimeHandles| {
+            let rep = h.telemetry.pmu_report().expect("service reading deposited");
+            assert_eq!(rep.cols.len(), 1, "no client ever armed: {rep:?}");
+            assert_eq!(rep.cols[0].name, "service");
+            rep.cols[0].reading
+        };
+
+        let rt = OffloadRuntime::try_start_shared(doubler(), cfg, &handles).unwrap();
+        // A served call proves the loop (and its session) is running
+        // before the 30 ms it must then cover.
+        rt.register_client_with_pmu(false).call(1);
+        std::thread::sleep(Duration::from_millis(30));
+        let (svc, _) = rt.shutdown();
+        let first = service(&handles);
+
+        let rt = OffloadRuntime::try_start_shared(svc, cfg, &handles).unwrap();
+        let (_, _) = rt.shutdown();
+        let both = service(&handles);
+        assert!(
+            both.time_enabled_ns > first.time_enabled_ns,
+            "second epoch added to the first: {first:?} then {both:?}"
+        );
+        if let (Some(a), Some(b)) = (
+            first.get(ngm_pmu::PmuEvent::Cycles),
+            both.get(ngm_pmu::PmuEvent::Cycles),
+        ) {
+            assert!(b > a, "cycles cover both epochs: {a} then {b}");
+        }
     }
 
     #[test]

@@ -30,11 +30,20 @@ pub const PHASE_NAMES: [&str; PHASES] = ["queue", "claim", "serve", "publish", "
 /// the allocator's misses so the app cores don't).
 #[derive(Debug, Default)]
 struct PmuStore {
-    /// The service loop's whole-lifetime reading.
+    /// The service loop's whole-lifetime readings, merged across the
+    /// epochs of a slot that retired and respawned.
     service: Option<PmuReading>,
     /// All retired client handles' readings, merged.
     clients: Option<PmuReading>,
     client_count: u32,
+}
+
+/// Folds `reading` into a column's accumulated reading.
+fn merge_into(acc: &mut Option<PmuReading>, reading: PmuReading) {
+    *acc = Some(match acc {
+        Some(acc) => acc.merge(&reading),
+        None => reading,
+    });
 }
 
 /// Telemetry shared by one offload runtime and all its clients.
@@ -114,31 +123,24 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// Whether event tracing is enabled.
-    #[must_use]
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace_capacity > 0
-    }
-
     /// Whether PMU profiling is enabled.
     #[must_use]
     pub fn profiling_enabled(&self) -> bool {
         self.profile
     }
 
-    /// Deposits the service loop's whole-lifetime PMU reading.
+    /// Deposits one service loop's whole-lifetime PMU reading. An
+    /// elastic slot's epochs share one telemetry hub, so the readings of
+    /// a shard that retired and respawned merge into one service column.
     pub fn record_service_pmu(&self, reading: PmuReading) {
-        self.lock_pmu().service = Some(reading);
+        merge_into(&mut self.lock_pmu().service, reading);
     }
 
     /// Deposits one client handle's whole-lifetime PMU reading; readings
     /// from all clients are merged into a single app-core column.
     pub fn record_client_pmu(&self, reading: PmuReading) {
         let mut pmu = self.lock_pmu();
-        pmu.clients = Some(match &pmu.clients {
-            Some(acc) => acc.merge(&reading),
-            None => reading,
-        });
+        merge_into(&mut pmu.clients, reading);
         pmu.client_count += 1;
     }
 
@@ -347,7 +349,6 @@ mod tests {
     #[test]
     fn disabled_tracing_yields_no_rings() {
         let t = RuntimeTelemetry::new(0);
-        assert!(!t.tracing_enabled());
         assert!(t.new_ring().is_none());
         assert!(t.drain_trace().events.is_empty());
     }

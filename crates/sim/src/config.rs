@@ -273,28 +273,6 @@ impl MachineConfig {
     pub fn num_cores(&self) -> usize {
         self.cores.len()
     }
-
-    /// The machine's cluster map: one cluster id per core, in core-id
-    /// order. Cores that share the LLC all land in cluster 0; each
-    /// `own_cluster` core (a service core with "its own room" at the
-    /// cache level) gets the next fresh id. The elastic tier feeds this
-    /// straight into `ngm_core::ShardTopology::from_clusters` so shard
-    /// placement follows the simulated cache topology.
-    pub fn cluster_map(&self) -> Vec<u8> {
-        let mut next = 1u8;
-        self.cores
-            .iter()
-            .map(|c| {
-                if c.own_cluster {
-                    let id = next;
-                    next = next.saturating_add(1);
-                    id
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -353,14 +331,6 @@ mod tests {
             MachineConfig::asymmetric_many(2, 1, CoreConfig::near_memory()),
             MachineConfig::asymmetric(2, CoreConfig::near_memory())
         );
-    }
-
-    #[test]
-    fn cluster_map_gives_service_cores_fresh_ids() {
-        let m = MachineConfig::asymmetric_many(4, 3, CoreConfig::near_memory());
-        assert_eq!(m.cluster_map(), vec![0, 0, 0, 0, 1, 2, 3]);
-        // A symmetric machine is one big cluster.
-        assert!(MachineConfig::a72(8).cluster_map().iter().all(|&c| c == 0));
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn shards_ablation_divides_the_bottleneck() {
     // The `repro shards` case: at 8 clients the single service core is
     // saturated, and a 4-shard tier must simulate at least 1.5x faster —
     // with every live-runtime shard balancing allocs == frees exactly.
-    let report = shards::run(Scale(1));
+    let report = shards::run(Scale(1), false);
     assert_eq!(
         report.cells.len(),
         shards::SHARD_COUNTS.len() * shards::CLIENT_COUNTS.len()
