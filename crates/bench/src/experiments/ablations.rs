@@ -91,7 +91,7 @@ pub fn free_batching(ops: u32) -> Vec<BatchRow> {
     [1usize, 4, 16, 64, 256]
         .into_iter()
         .map(|batch| {
-            let orphans = std::sync::Arc::new(ngm_core::orphan::OrphanStack::new());
+            let orphans = std::sync::Arc::new(ngm_heap::DeadBlockStack::new());
             let service = MallocService::new(std::sync::Arc::clone(&orphans));
             let rt = ngm_offload::OffloadRuntime::try_start(
                 service,

@@ -3,8 +3,7 @@
 //! The paper presents the layouts as a diagram and argues the trade-off
 //! in prose; this experiment *measures* it, holding placement fixed and
 //! varying only where free-list links live (`ngm-simalloc`'s
-//! [`ngm_simalloc::layout::LayoutModel`]), plus a real-heap side that
-//! compares `ngm-heap`'s two implementations for metadata footprint.
+//! [`ngm_simalloc::layout::LayoutModel`]).
 
 use ngm_sim::{Machine, MachineConfig};
 use ngm_simalloc::layout::LayoutModel;

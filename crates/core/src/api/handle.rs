@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 use ngm_heap::classes::{layout_to_class, SizeClass, NUM_CLASSES};
-use ngm_heap::{AllocError, FallbackHeap, LargeBlocks};
+use ngm_heap::{AllocError, DeadBlockStack, FallbackHeap, LargeBlocks};
 use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, RuntimeTelemetry, ServiceError};
 use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
 use ngm_telemetry::clock::cycles_now;
@@ -19,7 +19,6 @@ use super::routing::{Route, RouteOp};
 use super::tier::SlotCell;
 use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
 use crate::heat::{ObsState, ShardLifecycle};
-use crate::orphan::OrphanStack;
 use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
 
 /// A per-thread endpoint to the allocator tier.
@@ -79,7 +78,7 @@ pub struct NgmHandle {
     /// Each slot's persistent telemetry hub, for blackbox snapshots.
     pub(super) shard_telemetry: Box<[Arc<RuntimeTelemetry>]>,
     /// Each shard's orphan stack, where undeliverable frees are diverted.
-    pub(super) orphans: Box<[Arc<OrphanStack>]>,
+    pub(super) orphans: Box<[Arc<DeadBlockStack>]>,
     pub(super) batch_size: u32,
     pub(super) flush_threshold: u32,
     /// One magazine per size class, inline so no allocation ever happens
@@ -534,8 +533,9 @@ impl NgmHandle {
             let class = u64::from(request.class.0);
             self.trace(shard, TraceEventKind::Refill, class, got as u64);
         } else {
-            // Fresh blocks nobody will use are frees owed to `shard`.
-            self.reroute_frees_to_orphans(shard, FreePost::Batch(*batch));
+            // Fresh blocks nobody will use go home to `shard` tagged as
+            // never handed out, like a magazine returned at drop.
+            self.reroute_frees_to_orphans(shard, FreePost::MagazineReturn(*batch));
         }
     }
 
@@ -773,14 +773,27 @@ impl NgmHandle {
     }
 
     /// Diverts the contents of an undeliverable free post to `shard`'s
-    /// orphan stack.
+    /// orphan stack, keeping a [`FreePost::MagazineReturn`]'s tag so
+    /// [`crate::ServiceStats::app_allocs`] stays exact.
     fn reroute_frees_to_orphans(&mut self, shard: usize, msg: FreePost) {
-        let (FreePost::Batch(b) | FreePost::MagazineReturn(b)) = msg;
-        for &addr in b.as_slice() {
-            if let Some(p) = NonNull::new(addr as *mut u8) {
-                // SAFETY: free posts carry only live small blocks of
-                // `shard`'s heap that nothing else refers to any more.
-                unsafe { self.orphans[shard].push(p) };
+        let (batch, unused) = match msg {
+            FreePost::Batch(b) => (b, false),
+            FreePost::MagazineReturn(b) => (b, true),
+        };
+        let orphans = &self.orphans[shard];
+        for p in batch
+            .as_slice()
+            .iter()
+            .filter_map(|&a| NonNull::new(a as *mut u8))
+        {
+            // SAFETY: free posts carry only live small blocks of
+            // `shard`'s heap that nothing else refers to any more.
+            unsafe {
+                if unused {
+                    orphans.push_unused(p);
+                } else {
+                    orphans.push(p);
+                }
             }
         }
     }

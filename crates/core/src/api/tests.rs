@@ -1314,6 +1314,36 @@ mod faults {
     }
 
     #[test]
+    fn magazine_return_through_orphans_keeps_its_tag() {
+        // 65 allocs at batch 8 are nine refills: 72 blocks handed out,
+        // 7 still stashed when the handle drops. With the shard wedged
+        // and its ring full, that magazine return deadlines and goes
+        // home through the orphan stack — where it must still read as
+        // "never handed out", or `app_allocs()` counts blocks the
+        // application never saw.
+        let ngm = sharded(1)
+            .with_batch(8, 1)
+            .with_free_ring_capacity(8)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        let blocks: Vec<_> = (0..65).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        ngm.fault_state(0).set_wedged(true);
+        for p in blocks {
+            // SAFETY: live blocks from this handle's allocator.
+            unsafe { h.dealloc(p, layout(64)) };
+        }
+        drop(h);
+        ngm.fault_state(0).set_wedged(false);
+        let down = ngm.shutdown();
+        assert!(down.clean());
+        assert_eq!(down.service.allocs, down.service.frees, "{down:?}");
+        assert_eq!(down.service.app_allocs(), 65, "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    #[test]
     fn wedged_tier_degrades_to_fallback_and_recovers() {
         // Every shard wedged: allocation exhausts reroutes and lands
         // on the inline fallback. After the wedge clears the tier

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use ngm_heap::classes::NUM_CLASSES;
-use ngm_heap::{FallbackHeap, HeapStats, LargeBlocks};
+use ngm_heap::{DeadBlockStack, FallbackHeap, HeapStats, LargeBlocks};
 use ngm_offload::{
     OffloadRuntime, RuntimeConfig, RuntimeHandles, RuntimeTelemetry, ServiceError, StatsSnapshot,
 };
@@ -26,7 +26,6 @@ use crate::config::{
     CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE,
 };
 use crate::heat::{HeatReport, ObsState, ShardHeat, ShardLifecycle};
-use crate::orphan::OrphanStack;
 use crate::service::{AddrBatch, MallocService, ServiceStats};
 use crate::watch::SharedHeapStats;
 
@@ -85,7 +84,7 @@ pub(super) struct SlotCell {
 /// heap-stats mirror, the orphan stack, and placement.
 pub(super) struct Shard {
     pub(super) cell: Arc<SlotCell>,
-    pub(super) orphans: Arc<OrphanStack>,
+    pub(super) orphans: Arc<DeadBlockStack>,
     pub(super) heap_watch: Arc<SharedHeapStats>,
     /// Stats/telemetry/retiring-gate/fault knobs, shared by every epoch
     /// of this slot (see [`RuntimeHandles`]).
@@ -167,7 +166,7 @@ impl Ngm {
         let mut shards = Vec::with_capacity(total);
         let mut demand_watches = Vec::with_capacity(total);
         for i in 0..total {
-            let orphans = Arc::new(OrphanStack::new());
+            let orphans = Arc::new(DeadBlockStack::new());
             let service = MallocService::for_shard(i as u16, Arc::clone(&orphans));
             // Keep observing the heap (and refill demand) after the
             // service thread takes the service away from us.

@@ -36,7 +36,6 @@ pub mod global;
 pub mod heat;
 pub mod nonblocking;
 pub mod observer;
-pub mod orphan;
 pub mod service;
 pub mod watch;
 

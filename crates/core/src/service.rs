@@ -4,10 +4,9 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 
 use ngm_heap::classes::{SizeClass, NUM_CLASSES};
-use ngm_heap::{Heap, HeapStats, SegregatedHeap};
+use ngm_heap::{DeadBlockStack, Heap, HeapStats, SegregatedHeap};
 use ngm_offload::Service;
 
-use crate::orphan::OrphanStack;
 use crate::watch::{SharedDemand, SharedHeapStats};
 
 /// Maximum number of addresses carried by one batched request or reply.
@@ -122,10 +121,12 @@ pub struct ServiceStats {
     /// Batched refill requests served (each hands out up to
     /// [`MAX_BATCH`] blocks, all counted in `allocs`).
     pub batch_refills: u64,
-    /// Blocks returned unused from client magazines at handle drop.
-    /// These are counted in both `allocs` (when refilled) and `frees`
-    /// (when returned), so `allocs - magazine_returned` is the number of
-    /// blocks the application actually received.
+    /// Blocks that came back never handed out: client magazines returned
+    /// at handle drop and refills that landed with nowhere to go, whether
+    /// they arrived by post or through the orphan stack. These are counted
+    /// in both `allocs` (when refilled) and `frees` (when returned), so
+    /// `allocs - magazine_returned` is the number of blocks the
+    /// application actually received.
     pub magazine_returned: u64,
     /// Housekeeping sweeps executed while idle.
     pub housekeeping_runs: u64,
@@ -172,7 +173,7 @@ impl ServiceStats {
 pub struct MallocService {
     heap: SegregatedHeap,
     shard: u16,
-    orphans: Arc<OrphanStack>,
+    orphans: Arc<DeadBlockStack>,
     stats: ServiceStats,
     idle_ticks: u32,
     /// Allocations per size class since the last idle sweep — the demand
@@ -200,7 +201,7 @@ impl MallocService {
     const PREPARE_IDLE: u32 = 64;
 
     /// Creates the service around a fresh segregated heap (shard 0).
-    pub fn new(orphans: Arc<OrphanStack>) -> Self {
+    pub fn new(orphans: Arc<DeadBlockStack>) -> Self {
         Self::for_shard(0, orphans)
     }
 
@@ -209,7 +210,7 @@ impl MallocService {
     /// creates, so any small-block address routes back to this shard via
     /// [`ngm_heap::owner_of_small_ptr`] — no shared map, no atomics, and
     /// the answer cannot change while the block is live.
-    pub fn for_shard(shard: u16, orphans: Arc<OrphanStack>) -> Self {
+    pub fn for_shard(shard: u16, orphans: Arc<DeadBlockStack>) -> Self {
         MallocService {
             heap: SegregatedHeap::new(crate::config::OWNER_BASE | u64::from(shard)),
             shard,
@@ -320,6 +321,10 @@ impl MallocService {
         });
         self.stats.orphans_reclaimed += n as u64;
         self.stats.frees += n as u64;
+        // Diverted magazine returns keep their tag as a count beside the
+        // stack; it may trail the blocks by a round while pushers are
+        // live and is exact once they are gone (shutdown).
+        self.stats.magazine_returned += self.orphans.take_unused();
     }
 }
 
@@ -386,7 +391,7 @@ mod tests {
     use super::*;
 
     fn svc() -> MallocService {
-        MallocService::new(Arc::new(OrphanStack::new()))
+        MallocService::new(Arc::new(DeadBlockStack::new()))
     }
 
     /// The paper's per-call handshake: a refill of one block.
@@ -501,8 +506,8 @@ mod tests {
 
     #[test]
     fn shard_service_stamps_routable_owner_ids() {
-        let mut a = MallocService::for_shard(0, Arc::new(OrphanStack::new()));
-        let mut b = MallocService::for_shard(3, Arc::new(OrphanStack::new()));
+        let mut a = MallocService::for_shard(0, Arc::new(DeadBlockStack::new()));
+        let mut b = MallocService::for_shard(3, Arc::new(DeadBlockStack::new()));
         assert_eq!(b.shard(), 3);
         let pa = alloc_one(&mut a, 64);
         let pb = alloc_one(&mut b, 64);

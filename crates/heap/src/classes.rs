@@ -29,6 +29,7 @@ pub struct SizeClass(pub u16);
 /// # Panics
 ///
 /// Panics if `c` is out of range.
+#[inline]
 pub fn class_to_size(c: SizeClass) -> usize {
     CLASS_SIZES[c.0 as usize]
 }
@@ -40,6 +41,7 @@ pub fn class_to_size(c: SizeClass) -> usize {
 /// shape: below 128 the class is the 16-byte step, above it the doubling
 /// `size - 1` falls in (its highest set bit) picks a group of four and
 /// the next two bits pick the class within it.
+#[inline]
 pub fn size_to_class(size: usize) -> Option<SizeClass> {
     if size > SMALL_MAX {
         return None;
@@ -61,6 +63,7 @@ pub fn size_to_class(size: usize) -> Option<SizeClass> {
 /// 64 KiB page, so a block is aligned to the largest power of two dividing
 /// its size. Alignments ≤ 16 are always satisfied; larger alignments route
 /// to the next power-of-two class ≥ `max(size, align)`.
+#[inline]
 pub fn layout_to_class(size: usize, align: usize) -> Option<SizeClass> {
     debug_assert!(align.is_power_of_two());
     if align <= 16 {

@@ -1,29 +1,39 @@
-//! Orphan-free stack: small blocks freed when no client handle exists.
+//! The dead-block stack: a lock-free multi-producer stack threaded
+//! through the freed blocks it holds.
 //!
-//! A `GlobalAlloc` must accept `dealloc` from contexts where establishing a
-//! client handle is impossible — thread-local destructors, allocator
-//! bootstrap, the service thread itself. Such frees are pushed onto this
-//! lock-free stack (threading the list through the dead blocks, which are
-//! at least 16 bytes) and the service core drains them in its idle hook.
+//! A small block is at least 16 bytes, and once freed nobody reads it, so
+//! its first word can carry the link (Mimalloc's thread-delayed free).
+//! Any thread pushes with one CAS; the single owner takes the whole list
+//! with one swap and walks it. Two things in the tree are this stack:
+//!
+//! * [`crate::ShardedHeap`]'s remote-free queue — the per-free atomic RMW
+//!   a conventional UMA pays on cross-thread frees, and (because the list
+//!   runs through user blocks) the remote-line traffic of Table 2.
+//! * `ngm-core`'s orphan stack — frees that cannot reach their shard's
+//!   ring (no client handle in a thread-local destructor, a dead or
+//!   deadlined shard) wait here for the service core's next idle round.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// A multi-producer intrusive stack of dead small blocks.
 #[derive(Debug, Default)]
-pub struct OrphanStack {
+pub struct DeadBlockStack {
     head: AtomicPtr<u8>,
     pushed: AtomicU64,
     drained: AtomicU64,
+    /// Pushes of blocks the application never received, not yet taken by
+    /// [`DeadBlockStack::take_unused`].
+    unused: AtomicU64,
 }
 
-impl OrphanStack {
+impl DeadBlockStack {
     /// Creates an empty stack.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pushes a dead block.
+    /// Pushes a dead block, storing the old head in its first word.
     ///
     /// # Safety
     ///
@@ -35,6 +45,8 @@ impl OrphanStack {
         loop {
             // SAFETY: we own the dead block; its first word is scratch.
             unsafe { ptr.as_ptr().cast::<*mut u8>().write(old) };
+            // Release pairs with the Acquire swap in `drain`, which must
+            // see the link written above.
             match self.head.compare_exchange_weak(
                 old,
                 ptr.as_ptr(),
@@ -48,13 +60,27 @@ impl OrphanStack {
         self.pushed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// [`DeadBlockStack::push`] for a block that was handed out by the
+    /// heap but never reached the application (an unused magazine slot
+    /// going home), counted so the drainer can tell it from an
+    /// application free.
+    ///
+    /// # Safety
+    ///
+    /// As [`DeadBlockStack::push`].
+    pub unsafe fn push_unused(&self, ptr: NonNull<u8>) {
+        // SAFETY: forwarded contract.
+        unsafe { self.push(ptr) };
+        self.unused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Pops the whole list and feeds each block to `f`.
     ///
-    /// Intended for the single consumer (the service core); concurrent
-    /// calls are safe but split the list arbitrarily.
+    /// Intended for the single consumer (the owning heap's thread);
+    /// concurrent calls are safe but split the list arbitrarily.
     pub fn drain(&self, mut f: impl FnMut(NonNull<u8>)) -> usize {
         let mut cur = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
-        let mut n = 0;
+        let mut n = 0usize;
         while let Some(p) = NonNull::new(cur) {
             // SAFETY: nodes were pushed via `push`, which stored the next
             // pointer in the first word; blocks stay mapped per contract.
@@ -63,7 +89,7 @@ impl OrphanStack {
             n += 1;
         }
         self.drained.fetch_add(n as u64, Ordering::Relaxed);
-        n as usize
+        n
     }
 
     /// Blocks ever pushed.
@@ -74,6 +100,14 @@ impl OrphanStack {
     /// Blocks ever drained.
     pub fn drained(&self) -> u64 {
         self.drained.load(Ordering::Relaxed)
+    }
+
+    /// How many [`DeadBlockStack::push_unused`] pushes completed since
+    /// the last call. A pusher counts after its CAS, so a drain that races
+    /// it may see the block one call before its count: sums over calls
+    /// are monotone, and exact once the pushers are done.
+    pub fn take_unused(&self) -> u64 {
+        self.unused.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -93,7 +127,7 @@ mod tests {
 
     #[test]
     fn push_drain_roundtrip() {
-        let s = OrphanStack::new();
+        let s = DeadBlockStack::new();
         let a = block();
         let b = block();
         // SAFETY: blocks owned, stay mapped.
@@ -114,14 +148,35 @@ mod tests {
 
     #[test]
     fn drain_empty_is_zero() {
-        let s = OrphanStack::new();
+        let s = DeadBlockStack::new();
         assert_eq!(s.drain(|_| panic!("no blocks")), 0);
+    }
+
+    #[test]
+    fn unused_pushes_are_ordinary_pushes_counted_apart() {
+        let s = DeadBlockStack::new();
+        // SAFETY: blocks owned, stay mapped.
+        unsafe {
+            s.push(block());
+            s.push_unused(block());
+            s.push_unused(block());
+        }
+        assert_eq!(s.pushed(), 3);
+        let mut n = 0;
+        s.drain(|p| {
+            n += 1;
+            // SAFETY: sole consumer reclaims each block once.
+            unsafe { free_block(p) };
+        });
+        assert_eq!((n, s.drained()), (3, 3));
+        assert_eq!(s.take_unused(), 2);
+        assert_eq!(s.take_unused(), 0, "taken once");
     }
 
     #[test]
     fn concurrent_pushes_all_arrive() {
         use std::sync::Arc;
-        let s = Arc::new(OrphanStack::new());
+        let s = Arc::new(DeadBlockStack::new());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let s = Arc::clone(&s);

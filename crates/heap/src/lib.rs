@@ -5,29 +5,42 @@
 //! global allocator — so the heaps here can back a `GlobalAlloc`
 //! implementation (see the `ngm-core` crate).
 //!
-//! Two metadata layouts from the paper's Figure 2 are implemented:
+//! There is one heap, [`PagedHeap`] — segments, 64 KiB pages,
+//! one size class per page, page-local LIFO free lists — and the two
+//! metadata layouts of the paper's Figure 2 are its two link stores
+//! ([`FreeLinks`]: [`IndexArray`], [`InBlock`]), so block placement is identical across
+//! them by construction:
 //!
-//! * [`SegregatedHeap`] — free-block bookkeeping lives in a per-segment
-//!   metadata region as 16-bit block indices ("instead of an 8-byte
+//! * [`SegregatedHeap`] — a free block's link lives in a per-segment
+//!   metadata region as a 16-bit block index ("instead of an 8-byte
 //!   pointer, a smaller index (16-bit for example) can be used"),
 //!   decoupled from user data. This is the layout NextGen-Malloc needs so
 //!   the service core's metadata never shares lines with user data.
-//! * [`AggregatedHeap`] — the free list is threaded through the first
-//!   8 bytes of each free block (PTMalloc2/Mimalloc style), interspersed
-//!   with user data.
+//! * [`AggregatedHeap`] — the link lives in the first 8 bytes of the
+//!   free block itself (PTMalloc2/Mimalloc style), interspersed with
+//!   user data. Kept as the reference Figure 2, the shootout and the
+//!   property tests compare against.
 //!
-//! On top of those single-owner heaps sit two multi-threaded compositions
+//! On top of that single-owner heap sit the multi-threaded compositions
 //! representing "current UMAs":
 //!
 //! * [`LockedHeap`] — one global lock (Glibc/PTMalloc2's arena discipline).
 //! * [`ShardedHeap`] — per-thread heaps plus atomic remote-free queues
 //!   (TCMalloc/Mimalloc's thread-local caching with cross-thread frees),
 //!   i.e. exactly the atomics §3.1.3 proposes to remove.
+//!
+//! Modules: [`classes`] (the size-class table), [`segment`] (the 4 MiB
+//! segment, its header, page descriptors and index arrays), [`seg_heap`]
+//! (the paged heap and its link stores), [`dead_stack`] (the Treiber
+//! stack threaded through dead blocks: `ShardedHeap`'s remote-free queue
+//! and `ngm-core`'s orphan stack), [`sharded`], [`locked`], [`fallback`]
+//! (the degradation heap), [`large`] (the large-block ledger), [`sys`]
+//! (`mmap`), [`stats`], [`error`].
 
 #![warn(missing_docs)]
 
-pub mod agg_heap;
 pub mod classes;
+pub mod dead_stack;
 pub mod error;
 pub mod fallback;
 pub mod large;
@@ -38,13 +51,13 @@ pub mod sharded;
 pub mod stats;
 pub mod sys;
 
-pub use agg_heap::AggregatedHeap;
 pub use classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES, SMALL_MAX};
+pub use dead_stack::DeadBlockStack;
 pub use error::AllocError;
 pub use fallback::FallbackHeap;
 pub use large::LargeBlocks;
 pub use locked::LockedHeap;
-pub use seg_heap::SegregatedHeap;
+pub use seg_heap::{AggregatedHeap, FreeLinks, InBlock, IndexArray, PagedHeap, SegregatedHeap};
 pub use sharded::ShardedHeap;
 pub use stats::HeapStats;
 

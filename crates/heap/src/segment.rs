@@ -114,6 +114,7 @@ impl PageDesc {
     }
 
     /// Whether allocation from this page can succeed.
+    #[inline]
     pub fn has_space(&self) -> bool {
         self.free_head != NO_BLOCK || self.bump < self.nblocks
     }
@@ -191,6 +192,7 @@ impl SegmentRef {
     /// # Safety
     ///
     /// `ptr` must point into a live segment created by [`SegmentRef::create`].
+    #[inline]
     pub unsafe fn of_ptr(ptr: NonNull<u8>) -> Self {
         let base = (ptr.as_ptr() as usize) & !(SEGMENT_SIZE - 1);
         let hdr = base as *mut SegmentHeader;
@@ -226,6 +228,7 @@ impl SegmentRef {
         unsafe { &mut *self.0.as_ptr() }
     }
 
+    #[inline]
     fn desc_ptr(self, page: usize) -> *mut PageDesc {
         debug_assert!(page < PAGES_PER_SEGMENT);
         // Descriptor array begins DESC_OFFSET bytes into the segment.
@@ -240,12 +243,14 @@ impl SegmentRef {
     /// Segment must be alive and the caller must have exclusive access to
     /// this page's metadata.
     #[allow(clippy::mut_from_ref)]
+    #[inline]
     pub unsafe fn desc<'a>(self, page: usize) -> &'a mut PageDesc {
         // SAFETY: in-bounds descriptor in a live segment per contract.
         unsafe { &mut *self.desc_ptr(page) }
     }
 
     /// Base address of page `page`'s data area.
+    #[inline]
     pub fn page_base(self, page: usize) -> NonNull<u8> {
         debug_assert!((FIRST_PAGE..PAGES_PER_SEGMENT).contains(&page));
         let addr = self.0.as_ptr() as usize + page * PAGE_SIZE;
@@ -259,6 +264,7 @@ impl SegmentRef {
     ///
     /// Segment must be alive; caller must have exclusive access to this
     /// page's metadata.
+    #[inline]
     pub unsafe fn index_array(self, page: usize) -> *mut u16 {
         debug_assert!(page < PAGES_PER_SEGMENT);
         let base = self.0.as_ptr() as usize + INDEX_OFFSET;
@@ -318,6 +324,7 @@ impl SegmentRef {
     /// # Safety
     ///
     /// `ptr` must point to the start of a block inside this segment.
+    #[inline]
     pub unsafe fn locate(self, ptr: NonNull<u8>) -> (usize, usize) {
         let off = ptr.as_ptr() as usize - self.0.as_ptr() as usize;
         let page = off / PAGE_SIZE;

@@ -16,10 +16,11 @@
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crate::classes::layout_to_class;
+use crate::dead_stack::DeadBlockStack;
 use crate::error::AllocError;
 use crate::seg_heap::SegregatedHeap;
 use crate::segment::SegmentRef;
@@ -30,54 +31,10 @@ use crate::Heap;
 /// How many local operations between remote-queue drains.
 const DRAIN_INTERVAL: u64 = 64;
 
-/// A lock-free multi-producer free queue, drained wholesale by the owner.
-struct RemoteQueue {
-    head: AtomicPtr<u8>,
-    pushes: AtomicU64,
-}
-
-impl RemoteQueue {
-    fn new() -> Self {
-        RemoteQueue {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            pushes: AtomicU64::new(0),
-        }
-    }
-
-    /// Pushes a dead block, storing the old head in its first 8 bytes.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be a small block (≥ 16 bytes) that the caller owns (it
-    /// was just freed) and whose memory stays mapped until drained or the
-    /// registry is dropped.
-    unsafe fn push(&self, ptr: NonNull<u8>) {
-        let mut old = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: we own the dead block; its first word is scratch.
-            unsafe { ptr.as_ptr().cast::<*mut u8>().write(old) };
-            // This CAS is the per-free atomic RMW of a conventional UMA.
-            match self.head.compare_exchange_weak(
-                old,
-                ptr.as_ptr(),
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(cur) => old = cur,
-            }
-        }
-        self.pushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes the entire list (single atomic swap).
-    fn take_all(&self) -> *mut u8 {
-        self.head.swap(std::ptr::null_mut(), Ordering::Acquire)
-    }
-}
-
 struct ShardInner {
-    remote: RemoteQueue,
+    /// Cross-thread frees waiting for the owner: one CAS per push is the
+    /// per-free atomic RMW of a conventional UMA.
+    remote: DeadBlockStack,
     index: usize,
 }
 
@@ -105,7 +62,7 @@ impl ShardedHeap {
         let shards: Box<[Arc<ShardInner>]> = (0..n)
             .map(|index| {
                 Arc::new(ShardInner {
-                    remote: RemoteQueue::new(),
+                    remote: DeadBlockStack::new(),
                     index,
                 })
             })
@@ -148,11 +105,7 @@ impl ShardedHeap {
 
     /// Total cross-thread frees pushed through remote queues so far.
     pub fn remote_frees(&self) -> u64 {
-        self.registry
-            .shards
-            .iter()
-            .map(|s| s.remote.pushes.load(Ordering::Relaxed))
-            .sum()
+        self.registry.shards.iter().map(|s| s.remote.pushed()).sum()
     }
 }
 
@@ -174,21 +127,13 @@ impl ShardHandle {
     ///
     /// Returns the number of blocks reclaimed.
     pub fn drain_remote(&mut self) -> usize {
-        let mut cur = self.inner.remote.take_all();
-        let mut n = 0;
-        while !cur.is_null() {
-            // SAFETY: blocks on the queue were pushed by `push`, which
-            // wrote the next pointer into the first word; the block stays
-            // mapped because its owning heap is alive (it is `self.heap`).
-            let next = unsafe { cur.cast::<*mut u8>().read() };
-            let p = NonNull::new(cur).expect("queue nodes are non-null");
-            // SAFETY: the block was live when pushed and belongs to this
-            // shard's heap (routing checked owner_ctx before pushing).
-            unsafe { self.heap.deallocate_by_ptr(p) };
-            cur = next;
-            n += 1;
-        }
-        n
+        let heap = &mut self.heap;
+        // SAFETY: every queued block was live when pushed, belongs to this
+        // shard's heap (routing checked owner_ctx before pushing) and
+        // stays mapped because that heap is alive.
+        self.inner
+            .remote
+            .drain(|p| unsafe { heap.deallocate_by_ptr(p) })
     }
 
     fn maybe_drain(&mut self) {

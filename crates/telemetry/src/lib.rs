@@ -4,7 +4,7 @@
 //! round-trip to the service core (`T_comm`, §4.1) undercuts the cache
 //! misses it avoids. Validating that model needs measurement machinery
 //! whose own overhead does not distort the quantity being measured. This
-//! crate provides three pieces, all dependency-free:
+//! crate provides these pieces, all dependency-free:
 //!
 //! * [`hist::LatencyHistogram`] — a lock-free log-linear histogram.
 //!   Recording is one relaxed bucket increment plus one relaxed sum

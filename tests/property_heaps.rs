@@ -10,7 +10,10 @@ use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig, MAX_BATCH};
 use ngm_heap::classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES};
-use ngm_heap::{AggregatedHeap, AllocError, Heap, LockedHeap, SegregatedHeap, ShardedHeap};
+use ngm_heap::{
+    AggregatedHeap, AllocError, FreeLinks, Heap, InBlock, IndexArray, LockedHeap, PagedHeap,
+    SegregatedHeap, ShardedHeap,
+};
 use proptest::prelude::*;
 
 /// A scripted heap operation.
@@ -93,6 +96,37 @@ fn check_script<H: Heap>(heap: &mut H, ops: &[Op]) {
     assert_eq!(heap.stats().large_allocs, 0, "large blocks leaked");
 }
 
+/// Frees half the live blocks part-way through, runs housekeeping, and
+/// requires every survivor intact — on either link store.
+fn check_release_empty<L: FreeLinks>(sizes: &[usize], release_at: usize) {
+    let mut heap = PagedHeap::<L>::new(4);
+    let mut live = Vec::new();
+    for (i, &size) in sizes.iter().enumerate() {
+        let layout = Layout::from_size_align(size, 8).expect("valid");
+        let p = heap.allocate(layout).expect("alloc");
+        // SAFETY: fresh block.
+        unsafe { std::ptr::write_bytes(p.as_ptr(), (i % 251) as u8, size) };
+        live.push((p, layout, (i % 251) as u8));
+        if i == release_at {
+            // Free half, run housekeeping, and verify survivors.
+            let half = live.len() / 2;
+            for (p, l, _) in live.drain(..half) {
+                // SAFETY: live block.
+                unsafe { heap.deallocate(p, l) };
+            }
+            heap.release_empty();
+        }
+    }
+    for (p, l, tag) in live {
+        // SAFETY: survivors are still live.
+        unsafe {
+            assert_eq!(*p.as_ptr(), tag, "housekeeping corrupted a block");
+            heap.deallocate(p, l);
+        }
+    }
+    assert_eq!(heap.stats().live_blocks, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -141,32 +175,8 @@ proptest! {
         sizes in prop::collection::vec(1usize..4096, 1..60),
         release_at in 0usize..60,
     ) {
-        let mut heap = SegregatedHeap::new(4);
-        let mut live = Vec::new();
-        for (i, &size) in sizes.iter().enumerate() {
-            let layout = Layout::from_size_align(size, 8).expect("valid");
-            let p = heap.allocate(layout).expect("alloc");
-            // SAFETY: fresh block.
-            unsafe { std::ptr::write_bytes(p.as_ptr(), (i % 251) as u8, size) };
-            live.push((p, layout, (i % 251) as u8));
-            if i == release_at {
-                // Free half, run housekeeping, and verify survivors.
-                let half = live.len() / 2;
-                for (p, l, _) in live.drain(..half) {
-                    // SAFETY: live block.
-                    unsafe { heap.deallocate(p, l) };
-                }
-                heap.release_empty();
-            }
-        }
-        for (p, l, tag) in live {
-            // SAFETY: survivors are still live.
-            unsafe {
-                assert_eq!(*p.as_ptr(), tag, "housekeeping corrupted a block");
-                heap.deallocate(p, l);
-            }
-        }
-        prop_assert_eq!(heap.stats().live_blocks, 0);
+        check_release_empty::<IndexArray>(&sizes, release_at);
+        check_release_empty::<InBlock>(&sizes, release_at);
     }
 }
 
