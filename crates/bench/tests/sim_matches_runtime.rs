@@ -10,17 +10,19 @@ use ngm_workloads::churn::{self, ChurnParams};
 use ngm_workloads::xalanc::{self, XalancParams};
 use ngm_workloads::Event;
 
+/// The sim's table is frozen at 8 KiB (see its doc comment: `table3_sim`
+/// pins the cycle counts), so it is a prefix of the heap's, not its equal.
 #[test]
-fn sim_class_table_is_the_heaps() {
+fn sim_class_table_is_a_prefix_of_the_heaps() {
     let heap = ngm_heap::classes::CLASS_SIZES;
     let sim = ngm_simalloc::model::CLASS_SIZES;
-    assert_eq!(sim.len(), heap.len());
+    assert!(sim.len() <= heap.len());
     for (class, (&s, &h)) in sim.iter().zip(&heap).enumerate() {
         assert_eq!(s as usize, h, "class {class}");
     }
     assert_eq!(
-        ngm_simalloc::model::LARGE_CUTOFF as usize,
-        ngm_heap::SMALL_MAX
+        ngm_simalloc::model::LARGE_CUTOFF,
+        u64::from(*sim.last().expect("non-empty table"))
     );
 }
 

@@ -7,7 +7,8 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
-use ngm_heap::classes::{layout_to_class, SizeClass, NUM_CLASSES};
+use ngm_heap::classes::{class_to_size, layout_to_class, SizeClass, NUM_CLASSES};
+use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::{AllocError, DeadBlockStack, FallbackHeap, LargeBlocks};
 use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, RuntimeTelemetry, ServiceError};
 use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
@@ -28,16 +29,23 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATC
 /// small `alloc` is a pop from an inline array (no round trip, no
 /// atomics — the handle is `!Sync`, so this state is L1-resident and
 /// single-owner per §3.1.3), and one [`AllocBatchReq`] refill round trip
-/// is paid every `batch_size` allocs. Symmetrically, every small free
-/// is pushed onto a per-owning-shard buffer that is flushed as one
-/// batched post every `flush_threshold` frees. `with_batch(1, 1)` is the
-/// paper's per-call handshake through this same code: a refill of one
-/// block per alloc, a flush of one block per free.
+/// is paid every `batch_size` allocs — or, for the classes where that
+/// many blocks would outgrow a 64 KiB heap page, every page's worth
+/// (8 blocks at 8 KiB, 4 at 16 KiB), so a refill is sized by bytes as
+/// well as by count and no class stashes more than one page per handle.
+/// Symmetrically, every small free is pushed onto a per-owning-shard
+/// buffer that is flushed as one batched post every `flush_threshold`
+/// frees. `with_batch(1, 1)` is the paper's per-call handshake through
+/// this same code: a refill of one block per alloc, a flush of one
+/// block per free.
 ///
-/// Large (non-class) layouts never enter the room: each is a dedicated
-/// mapping made and released on the calling thread — the kernel already
-/// serializes them and one block can never amortise a round trip — with
-/// the tier's shared [`LargeBlocks`] ledger keeping the books.
+/// Large layouts — above the class table's 16 KiB ceiling, or aligned
+/// beyond it — never enter the room: each is a dedicated mapping made
+/// and released on the calling thread — the kernel already serializes
+/// them and one block can never amortise a round trip — with the tier's
+/// shared [`LargeBlocks`] ledger keeping the books. There is no cache of
+/// mappings in front of it: the blocks a trace allocates often enough to
+/// want one (xalanc's 8–10 KB strings) are class blocks.
 ///
 /// All routing state (class map, magazines, free buffers, pressure
 /// counters) is handle-local: no shared writes, no atomics on the fast
@@ -301,8 +309,8 @@ impl NgmHandle {
     /// Allocates a block.
     ///
     /// Small layouts are served from the per-class magazine (refilled in
-    /// one round trip of `batch_size` blocks when empty); large layouts
-    /// are mapped on the calling thread, whatever state the tier is in.
+    /// one round trip when empty); large layouts are mapped on the
+    /// calling thread, whatever state the tier is in.
     /// This is [`NgmHandle::try_alloc`] that waits out every round trip
     /// instead of reporting [`NgmError::WouldBlock`].
     ///
@@ -398,13 +406,18 @@ impl NgmHandle {
         NonNull::new(addr as *mut u8).ok_or(NgmError::Alloc(AllocError::OutOfMemory))
     }
 
-    /// One round trip of `batch_size` blocks to top up `class`'s magazine
-    /// from its current shard, routing around shards that cannot serve it.
+    /// One round trip to top up `class`'s magazine from its current
+    /// shard, routing around shards that cannot serve it. It asks for
+    /// `batch_size` blocks but never for more than one heap page holds
+    /// (at least four — the class table ends at a quarter page), which
+    /// bounds what a handle stashes per class at `PAGE_SIZE` bytes
+    /// instead of `batch_size` × 16 KiB.
     fn top_up(&mut self, class: SizeClass, wait: bool) -> Result<(), NgmError> {
         let ci = class.0 as usize;
+        let per_page = (PAGE_SIZE / class_to_size(class)) as u32;
         let what = AllocBatchReq {
             class,
-            count: self.batch_size,
+            count: self.batch_size.min(per_page),
         };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;

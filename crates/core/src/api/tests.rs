@@ -5,7 +5,8 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ngm_heap::classes::{SizeClass, NUM_CLASSES};
+use ngm_heap::classes::{class_to_size, SizeClass, NUM_CLASSES, SMALL_MAX};
+use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
 use ngm_offload::ServiceError;
 use ngm_telemetry::export::MetricsSnapshot;
@@ -108,8 +109,8 @@ fn large_blocks_never_enter_the_room() {
 fn live_heap_stats_carries_large_blocks() {
     let ngm = Ngm::start();
     let mut h = ngm.handle();
-    // Off the page grid, like the xalanc trace's output strings.
-    let sizes = [8_193usize, 10_227, (1 << 20) + 1];
+    // The first size past the class table, and all off the page grid.
+    let sizes = [SMALL_MAX + 1, 2 * SMALL_MAX - 157, (1 << 20) + 1];
     let blocks: Vec<_> = sizes
         .iter()
         .map(|&n| (h.alloc(layout(n)).unwrap(), layout(n)))
@@ -491,6 +492,55 @@ fn batch_one_is_the_paper_handshake_through_the_magazine_path() {
     assert_eq!(down.runtime.calls_served, 10_000);
     assert_eq!(down.service.batch_refills, 10_000);
     assert_eq!(calls, 10_000, "single-block refills are calls");
+    assert_eq!(down.runtime.batched_calls_served, 0);
+    assert_eq!(down.service.magazine_returned, 0);
+}
+
+/// One block of every class through `cfg`; `stashed(size, left)`
+/// sees what the first alloc's refill left in the magazine. Returns the
+/// tier's books.
+fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> NgmShutdown {
+    let ngm = cfg.build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    for c in 0..NUM_CLASSES {
+        let class = SizeClass(c as u16);
+        let size = class_to_size(class);
+        blocks.push((h.alloc(layout(size)).unwrap(), layout(size)));
+        stashed(size, h.magazine_len(class));
+    }
+    for (p, l) in blocks {
+        // SAFETY: block from this handle's allocator, freed once.
+        unsafe { h.dealloc(p, l) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.app_allocs(), NUM_CLASSES as u64);
+    assert_eq!(down.service.batch_refills, NUM_CLASSES as u64);
+    down
+}
+
+#[test]
+fn a_refill_is_at_most_one_page_of_bytes() {
+    let down = one_block_of_every_class(NgmConfig::new(), |size, left| {
+        // The first alloc refilled and popped one.
+        let refill = left + 1;
+        assert_eq!(refill, MAX_BATCH.min(PAGE_SIZE / size), "class {size}");
+        assert!(refill * size <= PAGE_SIZE, "class {size} stashes {refill}");
+        if size == 10_240 {
+            assert_eq!(left, 5, "one page's worth minus the pop");
+        }
+    });
+    assert_eq!(down.runtime.batched_calls_served, NUM_CLASSES as u64);
+}
+
+#[test]
+fn batch_one_pays_one_round_trip_in_every_class() {
+    let down = one_block_of_every_class(batched(1, 1), |size, left| {
+        assert_eq!(left, 0, "class {size}");
+    });
+    assert_eq!(down.runtime.calls_served, NUM_CLASSES as u64);
     assert_eq!(down.runtime.batched_calls_served, 0);
     assert_eq!(down.service.magazine_returned, 0);
 }

@@ -19,9 +19,14 @@
 //!   ([`crate::bootstrap`]); frees into that arena are ignored.
 //! * **The service thread itself** — must never round-trip to itself, so
 //!   its own (rare) allocations also use the arena.
-//! * **Large blocks** — served as dedicated `mmap`s directly on the
-//!   calling thread: the kernel already serializes them, offloading adds
-//!   nothing (and it keeps `dealloc` layout-driven and symmetric).
+//! * **Large blocks** (above the class table's 16 KiB ceiling) — served
+//!   as dedicated `mmap`s directly on the calling thread: the kernel
+//!   already serializes them, offloading adds nothing (and it keeps
+//!   `dealloc` layout-driven and symmetric).
+//!
+//! `realloc` stays in place while the old and new sizes share a size
+//! class — a growing `String` or `Vec` moves only when it crosses into the
+//! next class — and is otherwise the default alloc + copy + free.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::{Cell, RefCell};
@@ -206,6 +211,36 @@ unsafe impl GlobalAlloc for NgmAllocator {
             unsafe { unmap_large(ptr, layout) };
         }
     }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A class block is as big as its class: while the request stays
+        // inside the class the block already fits it, and the later
+        // `dealloc(ptr, new_layout)` routes by that same class. Arena
+        // blocks are exact-sized, so they always move.
+        let class = layout_to_class(layout.size(), layout.align());
+        if class.is_some()
+            && class == layout_to_class(new_size, layout.align())
+            && !is_bootstrap_ptr(ptr)
+        {
+            return ptr;
+        }
+        // SAFETY: the caller guarantees `new_size`, rounded up to
+        // `layout.align()`, does not overflow `isize`.
+        let new_layout = unsafe { Layout::from_size_align_unchecked(new_size, layout.align()) };
+        // SAFETY: `new_layout` is valid and non-zero-sized per the
+        // caller's contract.
+        let new_ptr = unsafe { self.alloc(new_layout) };
+        if !new_ptr.is_null() {
+            // SAFETY: `ptr` is live for `layout.size()` bytes, the fresh
+            // block for `new_size`, and the two cannot overlap; the old
+            // block is released with the layout it was allocated with.
+            unsafe {
+                std::ptr::copy_nonoverlapping(ptr, new_ptr, layout.size().min(new_size));
+                self.dealloc(ptr, layout);
+            }
+        }
+        new_ptr
+    }
 }
 
 /// Runtime statistics of the global allocator, if it has started.
@@ -279,6 +314,52 @@ mod tests {
         let stats = global_stats().expect("runtime started");
         // A round trip hands out at most one magazine.
         assert!(stats.calls_served * crate::service::MAX_BATCH as u64 >= 1200);
+    }
+
+    #[test]
+    fn realloc_within_a_class_stays_in_place() {
+        let a = NgmAllocator::default();
+        let class = ngm_heap::size_to_class(9_000).expect("a class block");
+        assert_eq!(ngm_heap::size_to_class(10_000), Some(class));
+        let stashed = || HANDLE.with(|h| h.borrow().as_ref().expect("handle").magazine_len(class));
+        // SAFETY: standard GlobalAlloc usage; the block is released with
+        // the layout it last had.
+        unsafe {
+            let p = a.alloc(layout(9_000));
+            assert!(!p.is_null());
+            *p.add(8_000) = 0x5A;
+            let before = stashed();
+            // Growing and shrinking inside the class: the same block, and
+            // nothing popped — so no refill either.
+            assert_eq!(a.realloc(p, layout(9_000), 10_000), p);
+            assert_eq!(a.realloc(p, layout(10_000), 8_500), p);
+            assert_eq!(stashed(), before);
+            // Crossing into the next class moves the block and its bytes.
+            let q = a.realloc(p, layout(8_500), 10_241);
+            assert_ne!(q, p);
+            assert_eq!(*q.add(8_000), 0x5A);
+            a.dealloc(q, layout(10_241));
+        }
+    }
+
+    #[test]
+    fn realloc_moves_an_arena_block() {
+        GUARD.with(|g| g.set(true));
+        let a = NgmAllocator::default();
+        // SAFETY: standard usage; arena blocks may be freed (ignored).
+        unsafe {
+            let p = a.alloc(layout(50));
+            assert!(is_bootstrap_ptr(p));
+            *p = 0x33;
+            // 50 and 60 bytes share the 64-byte class, but an arena
+            // block is exactly as big as it was asked to be.
+            let q = a.realloc(p, layout(50), 60);
+            assert!(is_bootstrap_ptr(q));
+            assert_ne!(q, p);
+            assert_eq!(*q, 0x33);
+            a.dealloc(q, layout(60));
+        }
+        GUARD.with(|g| g.set(false));
     }
 
     #[test]

@@ -83,22 +83,24 @@ impl LargeBlocks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classes::SMALL_MAX;
     use crate::sys::round_to_os_page;
 
     #[test]
     fn books_follow_the_mappings() {
         let ledger = LargeBlocks::default();
-        let a = Layout::from_size_align(10_000, 8).unwrap();
+        // The smallest block the ledger ever sees, off the page grid.
+        let a = Layout::from_size_align(SMALL_MAX + 1, 8).unwrap();
         let b = Layout::from_size_align(1 << 20, 64).unwrap();
         let pa = ledger.allocate(a).unwrap();
         let pb = ledger.allocate(b).unwrap();
-        let both = (round_to_os_page(10_000) + (1 << 20)) as u64;
+        let both = (round_to_os_page(SMALL_MAX + 1) + (1 << 20)) as u64;
         let s = ledger.stats();
         assert_eq!((s.large_allocs, s.large_bytes), (2, both));
         assert_eq!((s.total_allocs, s.total_frees), (2, 0));
         // SAFETY: live blocks from this ledger, freed once each.
         unsafe {
-            *pa.as_ptr().add(9_999) = 1;
+            *pa.as_ptr().add(SMALL_MAX) = 1;
             ledger.deallocate(pa, a);
             ledger.deallocate(pb, b);
         }
@@ -117,7 +119,7 @@ mod tests {
                 let ledger = &ledger;
                 s.spawn(move || {
                     for i in 0..50usize {
-                        let l = Layout::from_size_align(9_000 + 512 * t + i, 8).unwrap();
+                        let l = Layout::from_size_align(SMALL_MAX + 1 + 512 * t + i, 8).unwrap();
                         let p = ledger.allocate(l).unwrap();
                         // SAFETY: fresh block, freed once.
                         unsafe { ledger.deallocate(p, l) };

@@ -540,6 +540,7 @@ impl<L: FreeLinks> Drop for PagedHeap<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classes::{size_to_class, SMALL_MAX};
     use crate::segment::SEGMENT_SIZE;
 
     fn heap() -> SegregatedHeap {
@@ -603,7 +604,16 @@ mod tests {
     #[test]
     fn blocks_are_aligned() {
         let mut h = heap();
-        for &(size, align) in &[(1usize, 1usize), (24, 8), (100, 16), (100, 64), (5000, 256)] {
+        for &(size, align) in &[
+            (1usize, 1usize),
+            (24, 8),
+            (100, 16),
+            (100, 64),
+            (5000, 256),
+            (9000, 64),
+            (9000, 4096),
+            (SMALL_MAX, SMALL_MAX),
+        ] {
             let l = Layout::from_size_align(size, align).unwrap();
             let p = h.allocate(l).unwrap();
             assert_eq!(
@@ -638,7 +648,8 @@ mod tests {
         let mut h = heap();
         let mut live: Vec<(NonNull<u8>, Layout)> = Vec::new();
         for i in 0..5000usize {
-            let size = 1 + (i * 37) % 9000;
+            // Every class, and a tenth of the range on the large path.
+            let size = 1 + (i * 37) % (SMALL_MAX + SMALL_MAX / 10);
             let l = layout(size);
             let p = h.allocate(l).unwrap();
             // SAFETY: fresh block of at least `size` bytes.
@@ -715,6 +726,41 @@ mod tests {
             // SAFETY: live blocks.
             unsafe { h.deallocate(p, layout(8192)) };
         }
+    }
+
+    /// The table's last doubling (10–16 KiB): `PAGE_SIZE / size` blocks
+    /// share one page, the next one opens a second, and freeing them all
+    /// gives both pages — and the segment — back.
+    fn last_doubling_packs_whole_pages_on<L: FreeLinks>() {
+        for &size in &crate::classes::CLASS_SIZES[NUM_CLASSES - 4..] {
+            assert!(size > SMALL_MAX / 2);
+            let mut h = PagedHeap::<L>::new(1);
+            let l = layout(size - 100);
+            assert_eq!(size_to_class(l.size()).map(class_to_size), Some(size));
+            let per_page = PAGE_SIZE / size;
+            let mut blocks: Vec<_> = (0..per_page).map(|_| h.allocate(l).unwrap()).collect();
+            assert_eq!(h.stats().pages_in_use, 1, "{per_page} x {size} fit a page");
+            let page = blocks[0].as_ptr() as usize & !(PAGE_SIZE - 1);
+            for (i, p) in blocks.iter().enumerate() {
+                assert_eq!(p.as_ptr() as usize, page + i * size);
+                // SAFETY: live block of `size` bytes.
+                unsafe { *p.as_ptr().add(size - 1) = i as u8 };
+            }
+            blocks.push(h.allocate(l).unwrap());
+            assert_eq!(h.stats().pages_in_use, 2, "block {per_page} spills");
+            assert_eq!(h.stats().live_bytes, ((per_page + 1) * size) as u64);
+            // SAFETY: live blocks, freed once.
+            unsafe { h.deallocate_batch(blocks) };
+            assert!(h.is_quiescent());
+            h.release_empty();
+            assert_eq!((h.stats().pages_in_use, h.stats().segments), (0, 0));
+        }
+    }
+
+    #[test]
+    fn last_doubling_packs_whole_pages() {
+        last_doubling_packs_whole_pages_on::<IndexArray>();
+        last_doubling_packs_whole_pages_on::<InBlock>();
     }
 
     // ---- the batch surface, once per link store ----
@@ -830,7 +876,7 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = (x >> 33) as usize;
             if r % 5 < 3 || live.is_empty() {
-                let l = layout(1 + (r >> 3) % 8192);
+                let l = layout(1 + (r >> 3) % SMALL_MAX);
                 let p = h.allocate(l).unwrap();
                 let base = p.as_ptr() as usize & !(SEGMENT_SIZE - 1);
                 let seg = segments.iter().position(|&b| b == base).unwrap_or_else(|| {

@@ -43,6 +43,44 @@ fn all_real_allocators_compute_identically() {
 }
 
 #[test]
+fn the_xalanc_trace_is_all_class_blocks() {
+    let events = xalanc::collect(&XalancParams::small());
+    let biggest = events
+        .iter()
+        .filter_map(|e| match *e {
+            ngm_workloads::Event::Malloc { size, .. } => Some(size as usize),
+            _ => None,
+        })
+        .max()
+        .expect("the trace allocates");
+    // Its output strings are past 8 KiB and inside the class table.
+    assert!(
+        biggest > 8192 && biggest <= ngm_heap::SMALL_MAX,
+        "{biggest}"
+    );
+
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let ledger = || ngm.metrics().get_counter("ngm_heap_large_allocs_total");
+    let out = replay_ngm(&mut h, events.into_iter());
+    assert_eq!(ledger(), Some(0), "no block of the trace was a mapping");
+    // One block past the table, beside it, still lands in the ledger.
+    let l = std::alloc::Layout::from_size_align(ngm_heap::SMALL_MAX + 1, 8).expect("valid");
+    let p = h.alloc(l).expect("large alloc");
+    // SAFETY: block from this handle's allocator, freed once.
+    unsafe { h.dealloc(p, l) };
+    assert_eq!(ledger(), Some(1));
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(
+        down.service.allocs - down.service.magazine_returned,
+        out.mallocs + 1
+    );
+    assert_eq!(down.service.allocs, down.service.frees);
+}
+
+#[test]
 fn ngm_accounts_for_every_operation_across_threads() {
     let ngm = NgmConfig::new()
         .with_client_wait(WaitStrategy::Backoff)

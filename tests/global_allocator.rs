@@ -66,6 +66,23 @@ fn large_allocations_roundtrip() {
 }
 
 #[test]
+fn a_string_growing_inside_its_class_keeps_its_address() {
+    // 9,000 and 10,000 bytes share the 10,240-byte class: `realloc`
+    // hands the block back as it is.
+    let mut s = String::with_capacity(9_000);
+    s.push_str("<output>");
+    let at = s.as_ptr();
+    s.reserve_exact(10_000 - s.len());
+    assert!(s.capacity() >= 10_000);
+    assert_eq!(s.as_ptr(), at);
+    assert_eq!(s, "<output>");
+    // The next class is another block.
+    s.reserve_exact(12_000 - s.len());
+    assert_ne!(s.as_ptr(), at);
+    assert_eq!(s, "<output>");
+}
+
+#[test]
 fn boxed_values_move_across_threads() {
     let b = Box::new([7u64; 1024]);
     let h = std::thread::spawn(move || b.iter().sum::<u64>());
@@ -83,8 +100,9 @@ fn zero_sized_types_are_fine() {
 
 #[test]
 fn runtime_stats_show_real_traffic() {
-    // Force some traffic first so the runtime surely exists.
-    let v: Vec<u8> = vec![1; 10_000];
+    // Force some traffic first so the runtime surely exists: a 10,000-byte
+    // vector is a class block (10,240), so it is the service's to hand out.
+    let v: Vec<u8> = std::hint::black_box(vec![1; 10_000]);
     drop(v);
     let stats = ngm_core::global::global_stats().expect("runtime started");
     assert!(stats.calls_served > 0, "service must have served calls");

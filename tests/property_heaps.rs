@@ -9,7 +9,8 @@ use std::ptr::NonNull;
 use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig, MAX_BATCH};
-use ngm_heap::classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES};
+use ngm_heap::classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES, SMALL_MAX};
+use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::{
     AggregatedHeap, AllocError, FreeLinks, Heap, InBlock, IndexArray, LockedHeap, PagedHeap,
     SegregatedHeap, ShardedHeap,
@@ -26,7 +27,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (1usize..20_000, 0u8..7).prop_map(|(size, align_pow)| Op::Alloc { size, align_pow }),
+        3 => (1usize..2 * SMALL_MAX, 0u8..7).prop_map(|(size, align_pow)| Op::Alloc { size, align_pow }),
         2 => any::<usize>().prop_map(|index| Op::Free { index }),
         2 => any::<usize>().prop_map(|index| Op::Write { index }),
     ]
@@ -190,7 +191,7 @@ enum MagOp {
 
 fn mag_op_strategy() -> impl Strategy<Value = MagOp> {
     prop_oneof![
-        4 => (1usize..8192).prop_map(|size| MagOp::Alloc { size }),
+        4 => (1usize..=SMALL_MAX).prop_map(|size| MagOp::Alloc { size }),
         3 => any::<usize>().prop_map(|index| MagOp::Free { index }),
         1 => Just(MagOp::Flush),
     ]
@@ -205,7 +206,7 @@ proptest! {
     fn magazine_refill_bounded_unique_and_aligned(
         batch in 1usize..=2 * MAX_BATCH, // past MAX_BATCH: must clamp
         flush in 1usize..=MAX_BATCH,
-        size in 1usize..8192,
+        size in 1usize..=SMALL_MAX,
     ) {
         // `sanitized()` clamps the deliberately out-of-range batch the
         // way the old builder did; `build()` alone would reject it.
@@ -228,6 +229,8 @@ proptest! {
             effective
         );
         prop_assert!(h.magazine_occupancy() <= effective);
+        // Nor one heap page's worth of bytes, whatever the batch.
+        prop_assert!((h.magazine_len(class) + 1) * class_to_size(class) <= PAGE_SIZE);
 
         // Stashed addresses are unique, distinct from the block just
         // handed out, and aligned like every block of their class.
@@ -342,7 +345,7 @@ enum MigOp {
 
 fn mig_op_strategy() -> impl Strategy<Value = MigOp> {
     prop_oneof![
-        4 => (1usize..8192).prop_map(|size| MigOp::Alloc { size }),
+        4 => (1usize..=SMALL_MAX).prop_map(|size| MigOp::Alloc { size }),
         3 => any::<usize>().prop_map(|index| MigOp::Free { index }),
         2 => (any::<usize>(), any::<usize>())
             .prop_map(|(class_sel, shard_sel)| MigOp::Migrate { class_sel, shard_sel }),
