@@ -102,6 +102,7 @@ fn main() {
     }
     if want("fig2") {
         println!("{}", fig2::run_fig2(scale).render());
+        println!("{}", fig2::run_who_pays(scale).render());
     }
     if want("table3") {
         println!("{}", table3::run(scale, with_prototype).render());

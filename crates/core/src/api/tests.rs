@@ -42,6 +42,36 @@ fn alloc_free_roundtrip() {
 }
 
 #[test]
+fn the_room_returns_its_empty_segments_itself() {
+    // Everything freed: the service thread unmapped every segment on its
+    // way out, so the heap `shutdown()` hands back holds none and dropping
+    // it is not a `munmap` on this thread.
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let blocks: Vec<_> = (0..64).map(|_| h.alloc(layout(1024)).unwrap()).collect();
+    assert!(ngm.live_heap_stats().segments >= 1);
+    for p in blocks {
+        // SAFETY: blocks of this handle, freed once each.
+        unsafe { h.dealloc(p, layout(1024)) };
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!((down.heap.segments, down.heap.pages_in_use), (0, 0));
+
+    // A block the application never freed keeps its segment out of that
+    // sweep: it is the heap's `Drop` that unmaps it. (The rest of the
+    // handle's magazine goes back when the handle drops.)
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    let _leaked = h.alloc(layout(1024)).unwrap();
+    drop(h);
+    let down = ngm.shutdown();
+    assert_eq!(down.heap.live_blocks, 1);
+    assert_eq!((down.heap.segments, down.heap.pages_in_use), (1, 1));
+}
+
+#[test]
 fn many_threads_allocate_concurrently() {
     let ngm = Ngm::start();
     let mut joins = Vec::new();

@@ -339,6 +339,20 @@ impl Service for MallocService {
         crate::global::mark_allocator_thread();
     }
 
+    fn on_stop(&mut self) {
+        // The room gives its own memory back: `munmap` is a kernel trip
+        // and §3.3.2 keeps those off the application core, which is where
+        // dropping the heap after `shutdown()` would put it. It also keeps
+        // a segment's huge pages on this CPU's free lists, where the next
+        // room pinned here finds them still backed: mapped on this core
+        // and freed on the caller's, every tier start paid ~10 ms per
+        // huge page for never-touched guest memory on a lazily backed VM.
+        // Segments that still hold a block stay, for the heap's `Drop`.
+        self.drain_orphans();
+        self.heap.release_empty();
+        self.watch.publish(&self.heap.stats());
+    }
+
     fn call(&mut self, req: AllocBatchReq) -> AddrBatch {
         self.idle_ticks = 0;
         self.alloc_batch(req)

@@ -35,7 +35,9 @@
 //! stack threaded through dead blocks: `ShardedHeap`'s remote-free queue
 //! and `ngm-core`'s orphan stack), [`sharded`], [`locked`], [`fallback`]
 //! (the degradation heap), [`large`] (the large-block ledger), [`sys`]
-//! (`mmap`), [`stats`], [`error`].
+//! (`mmap`: huge-page-advised segment mappings, plain large-block ones,
+//! and the per-thread fault reader the tests count with), [`stats`],
+//! [`error`].
 
 #![warn(missing_docs)]
 

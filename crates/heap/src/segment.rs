@@ -10,12 +10,21 @@
 //! Address arithmetic relies on the 4 MiB alignment: `ptr & !(SEGMENT_SIZE
 //! - 1)` recovers the segment header from any interior pointer, which is
 //! how `free(ptr)` finds its bookkeeping without touching the block.
+//!
+//! It also makes a segment exactly two aligned 2 MiB huge pages, and the
+//! mapping is advised so ([`crate::sys::map_segment`]): a fully used
+//! segment costs two faults instead of 1,024. Both are taken by the
+//! heap's owner, never by whoever is handed a block — the lower half
+//! when [`SegmentRef::create`] writes the header, the upper half when
+//! [`SegmentRef::first_touch`] is run on the first page that lies in it.
+//! The price is the resident floor: a heap with one live block holds
+//! 2 MiB resident, not a few 4 KiB pages.
 
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicPtr;
 
 use crate::error::AllocError;
-use crate::sys::Mapping;
+use crate::sys::{map_segment, Mapping};
 
 /// Segment size and alignment (4 MiB).
 pub const SEGMENT_SIZE: usize = 4 * 1024 * 1024;
@@ -35,6 +44,10 @@ pub const NO_BLOCK: u16 = u16::MAX;
 
 /// Sentinel for "no class assigned" in page descriptors.
 pub const NO_CLASS: u16 = u16::MAX;
+
+/// What the kernel backs an advised segment with (2 MiB on x86-64 and
+/// aarch64 with 4 KiB base pages).
+const HUGE_PAGE: usize = 2 * 1024 * 1024;
 
 const MAGIC: u64 = 0x4e47_4d5f_5345_4721; // "NGM_SEG!"
 
@@ -101,6 +114,9 @@ pub struct PageDesc {
 const _: () = assert!(std::mem::size_of::<PageDesc>() <= 64);
 const _: () = assert!(std::mem::size_of::<SegmentHeader>() <= DESC_OFFSET);
 const _: () = assert!(FIRST_PAGE < PAGES_PER_SEGMENT);
+// `create` faults in the lower huge page and nothing but user blocks
+// lies above it: `first_touch` relies on both.
+const _: () = assert!(META_BYTES <= HUGE_PAGE && SEGMENT_SIZE.is_multiple_of(HUGE_PAGE));
 
 impl PageDesc {
     /// Blocks currently available without touching a new page.
@@ -136,11 +152,11 @@ impl SegmentRef {
     ///
     /// Propagates mapping failures from the OS.
     pub fn create(owner_id: u64) -> Result<Self, AllocError> {
-        let mapping = Mapping::new_aligned(SEGMENT_SIZE, SEGMENT_SIZE)?;
-        let (base, _len) = mapping.into_raw();
+        let (base, _len) = map_segment(SEGMENT_SIZE)?.into_raw();
         let hdr = base.as_ptr().cast::<SegmentHeader>();
         // SAFETY: `base` points to SEGMENT_SIZE zeroed writable bytes with
-        // suitable alignment; we initialize the header in place.
+        // suitable alignment; we initialize the header in place. This
+        // write is the fault that brings in the lower huge page.
         unsafe {
             hdr.write(SegmentHeader {
                 magic: MAGIC,
@@ -182,7 +198,7 @@ impl SegmentRef {
     /// afterwards, and `self` must not be used again.
     pub unsafe fn destroy(self) {
         let base = NonNull::new(self.0.as_ptr().cast::<u8>()).expect("segment base non-null");
-        // SAFETY: created via Mapping::new_aligned(SEGMENT_SIZE, ...) and
+        // SAFETY: created via map_segment(SEGMENT_SIZE) and
         // ownership was transferred to this SegmentRef at creation.
         drop(unsafe { Mapping::from_raw(base, SEGMENT_SIZE) });
     }
@@ -255,6 +271,27 @@ impl SegmentRef {
         debug_assert!((FIRST_PAGE..PAGES_PER_SEGMENT).contains(&page));
         let addr = self.0.as_ptr() as usize + page * PAGE_SIZE;
         NonNull::new(addr as *mut u8).expect("page base non-null")
+    }
+
+    /// Takes the page fault for `page`'s memory on the calling thread if
+    /// `page` is the first of a huge page, so that the thread later
+    /// handed a block of it does not: run by the heap when it assigns a
+    /// page, which in a tier is the service core. (All metadata sits in
+    /// the lower huge page, so nothing else ever touches the upper one
+    /// before a user does.)
+    ///
+    /// # Safety
+    ///
+    /// Segment must be alive and `page` must hold no live block.
+    #[inline]
+    pub unsafe fn first_touch(self, page: usize) {
+        if (page * PAGE_SIZE).is_multiple_of(HUGE_PAGE) {
+            // A write, not a read: a read fault would map the shared zero
+            // page and leave the real fault to the first store.
+            // SAFETY: in bounds of a live segment; the page has no live
+            // block, and an unassigned page's bytes mean nothing.
+            unsafe { self.page_base(page).as_ptr().write_volatile(0) };
+        }
     }
 
     /// The 16-bit next-index array for page `page` (the segregated free
@@ -349,6 +386,12 @@ mod tests {
         // Metadata must fit below the first usable page.
         assert!(META_BYTES <= FIRST_PAGE * PAGE_SIZE);
         assert!(USABLE_PAGES >= 50, "metadata overhead too high");
+        // The upper huge page begins on a usable page: the one
+        // `first_touch` writes.
+        let firsts: Vec<usize> = (FIRST_PAGE..PAGES_PER_SEGMENT)
+            .filter(|p| (p * PAGE_SIZE).is_multiple_of(HUGE_PAGE))
+            .collect();
+        assert_eq!(firsts, [PAGES_PER_SEGMENT / 2]);
     }
 
     #[test]

@@ -3,16 +3,85 @@
 //! The paper's §2.1 describes the two-level split: user-level allocators
 //! grab whole pages from the kernel with `mmap()` and carve them up to
 //! avoid per-`malloc` mode switches. This module is that bottom level.
+//!
+//! Two kinds of mapping leave here. Heap segments ([`map_segment`]) are
+//! advised `MADV_HUGEPAGE`: a segment is touched densely and lives long,
+//! so two 2 MiB faults replace up to 1,024 4 KiB ones and the kernel
+//! trips stay off whoever touches a block first. Large blocks
+//! ([`map_large`]) are not: they are touched once and unmapped, and keep
+//! the 4 KiB commit granularity.
 
 use std::alloc::Layout;
 use std::io;
 use std::ptr::NonNull;
+use std::time::Duration;
 
 use crate::error::AllocError;
 
+/// Maps a heap segment: `size` bytes aligned to `size`, backed by
+/// transparent huge pages where the kernel offers them.
+///
+/// The advice is the only difference from [`Mapping::new_aligned`], and
+/// its result is ignored on purpose: a kernel without THP, or with
+/// `enabled=never`, leaves an ordinary 4 KiB-paged mapping that behaves
+/// identically. This is the one place the tree asks for huge pages.
+///
+/// # Errors
+///
+/// As [`Mapping::new_aligned`].
+pub fn map_segment(size: usize) -> Result<Mapping, AllocError> {
+    let mapping = Mapping::new_aligned(size, size)?;
+    // SAFETY: the range is the mapping just made; advice never changes
+    // its contents or validity.
+    unsafe {
+        libc::madvise(
+            mapping.ptr.as_ptr().cast(),
+            mapping.len,
+            libc::MADV_HUGEPAGE,
+        )
+    };
+    Ok(mapping)
+}
+
+/// Kernel-side cost the calling thread has paid so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadUsage {
+    /// Page faults served without I/O (`ru_minflt`).
+    pub minor_faults: u64,
+    /// CPU time spent in the kernel (`ru_stime`).
+    pub system_time: Duration,
+}
+
+/// `getrusage(RUSAGE_THREAD)` for the calling thread: who paid for a
+/// mapping's first touches, as a number.
+pub fn thread_usage() -> ThreadUsage {
+    let mut ru = libc::rusage::default();
+    // SAFETY: `ru` is a valid out-parameter and RUSAGE_THREAD a valid
+    // target; the call cannot fail with those.
+    let rc = unsafe { libc::getrusage(libc::RUSAGE_THREAD, &mut ru) };
+    debug_assert_eq!(rc, 0, "getrusage failed: {}", io::Error::last_os_error());
+    ThreadUsage {
+        minor_faults: ru.ru_minflt as u64,
+        system_time: Duration::new(ru.ru_stime.tv_sec as u64, ru.ru_stime.tv_usec as u32 * 1000),
+    }
+}
+
+/// Minor faults the calling thread has taken so far.
+pub fn thread_minor_faults() -> u64 {
+    thread_usage().minor_faults
+}
+
+/// Whether this kernel honours `MADV_HUGEPAGE` (THP `enabled` is
+/// `always` or `madvise`). For tests and reports that state a fault
+/// bound; the heap never reads it.
+pub fn thp_available() -> bool {
+    std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+        .is_ok_and(|s| s.contains("[always]") || s.contains("[madvise]"))
+}
+
 /// Maps a dedicated block for `layout`: the large-object path every heap
 /// and adapter shares. Returns the block and its length, `layout.size()`
-/// rounded up to whole OS pages.
+/// rounded up to whole OS pages. Never huge-page advised.
 ///
 /// # Errors
 ///

@@ -45,6 +45,12 @@ pub trait Service: Send + 'static {
     /// allocator can detect re-entrant allocation from the service itself.
     fn on_start(&mut self) {}
 
+    /// Called once on the service thread after the polling loop has
+    /// ended — stop was requested and every ring is drained — before the
+    /// service is handed back to whoever stopped the runtime. The place
+    /// to give resources back from the core that acquired them.
+    fn on_stop(&mut self) {}
+
     /// Handles one synchronous request.
     fn call(&mut self, req: Self::Req) -> Self::Resp;
 
@@ -1105,6 +1111,7 @@ fn service_loop<S: Service>(
             phase = now;
         }
     }
+    service.on_stop();
     if let Some(session) = &mut pmu {
         shared.telemetry.record_service_pmu(session.finish());
     }
@@ -1220,6 +1227,45 @@ mod tests {
         let (svc, stats) = rt.shutdown();
         assert!(svc.idles > 0);
         assert!(stats.idle_fraction() > 0.0);
+    }
+
+    #[test]
+    fn stop_hook_runs_once_on_the_service_thread_after_the_last_post() {
+        use std::thread::ThreadId;
+
+        #[derive(Default)]
+        struct Recorder {
+            posts: u64,
+            started_on: Option<ThreadId>,
+            /// (thread, posts seen so far) per `on_stop` call.
+            stops: Vec<(ThreadId, u64)>,
+        }
+        impl Service for Recorder {
+            type Req = ();
+            type Resp = ();
+            type Post = u64;
+            fn on_start(&mut self) {
+                self.started_on = Some(std::thread::current().id());
+            }
+            fn on_stop(&mut self) {
+                self.stops.push((std::thread::current().id(), self.posts));
+            }
+            fn call(&mut self, (): ()) {}
+            fn post(&mut self, _: u64) {
+                self.posts += 1;
+            }
+        }
+
+        let rt = OffloadRuntime::start(Recorder::default());
+        let mut c = rt.register_client();
+        for i in 0..100 {
+            c.post(i);
+        }
+        drop(c);
+        let (svc, _) = rt.shutdown();
+        let service_thread = svc.started_on.expect("on_start ran");
+        assert_ne!(service_thread, std::thread::current().id());
+        assert_eq!(svc.stops, [(service_thread, 100)]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn main() {
     );
     println!("service round trips: {}", down.runtime.calls_served);
     println!("frees applied      : {}", down.service.frees);
-    println!("segments mapped    : {}", down.heap.segments);
+    println!("segments not empty : {}", down.heap.segments);
     println!("peak live bytes    : {}", down.heap.peak_live_bytes);
     println!("pinned core        : {:?}", down.runtime.pinned_core);
     println!("idle poll fraction : {:.3}", down.runtime.idle_fraction());

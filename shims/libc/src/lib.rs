@@ -3,7 +3,8 @@
 //! This workspace builds in hermetic environments with no access to
 //! crates.io, so instead of the full `libc` crate we declare exactly the
 //! glibc surface the heap, offload, and pmu crates use: anonymous memory
-//! mapping, the page-size sysconf, thread affinity, and the raw
+//! mapping and advice, the page-size sysconf, per-thread resource usage,
+//! thread affinity, and the raw
 //! syscall/ioctl/read/close quartet that `perf_event_open(2)` requires
 //! (glibc has no wrapper for that syscall). Constants are the Linux ABI
 //! values; everything is gated on `target_os = "linux"`, which is the
@@ -41,6 +42,13 @@ pub const MAP_PRIVATE: c_int = 0x02;
 pub const MAP_ANONYMOUS: c_int = 0x20;
 /// `mmap` error return.
 pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+/// `madvise` advice: back the range with transparent huge pages.
+pub const MADV_HUGEPAGE: c_int = 14;
+/// `prctl` option: keep transparent huge pages out of this process,
+/// advised ranges included (what `enabled=never` does host-wide).
+pub const PR_SET_THP_DISABLE: c_int = 41;
+/// `getrusage` target: the calling thread only (Linux-specific).
+pub const RUSAGE_THREAD: c_int = 1;
 /// `sysconf` name for the VM page size.
 pub const _SC_PAGESIZE: c_int = 30;
 /// `sysconf` name for the number of processors configured.
@@ -68,6 +76,56 @@ pub const SYS_perf_event_open: c_long = 298;
 /// Syscall number of `perf_event_open(2)`.
 #[cfg(target_arch = "aarch64")]
 pub const SYS_perf_event_open: c_long = 241;
+
+/// Seconds and microseconds (LP64 layout).
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct timeval {
+    /// Whole seconds.
+    pub tv_sec: c_long,
+    /// Microseconds, `0..1_000_000`.
+    pub tv_usec: c_long,
+}
+
+/// Resource usage as `getrusage(2)` fills it (LP64 layout: two
+/// `timeval`s and fourteen `long`s). Linux maintains only some fields;
+/// the rest read 0.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct rusage {
+    /// User CPU time.
+    pub ru_utime: timeval,
+    /// System CPU time.
+    pub ru_stime: timeval,
+    /// Maximum resident set size, KiB.
+    pub ru_maxrss: c_long,
+    /// Unmaintained on Linux.
+    pub ru_ixrss: c_long,
+    /// Unmaintained on Linux.
+    pub ru_idrss: c_long,
+    /// Unmaintained on Linux.
+    pub ru_isrss: c_long,
+    /// Page faults served without I/O.
+    pub ru_minflt: c_long,
+    /// Page faults that needed I/O.
+    pub ru_majflt: c_long,
+    /// Unmaintained on Linux.
+    pub ru_nswap: c_long,
+    /// Block input operations.
+    pub ru_inblock: c_long,
+    /// Block output operations.
+    pub ru_oublock: c_long,
+    /// Unmaintained on Linux.
+    pub ru_msgsnd: c_long,
+    /// Unmaintained on Linux.
+    pub ru_msgrcv: c_long,
+    /// Unmaintained on Linux.
+    pub ru_nsignals: c_long,
+    /// Voluntary context switches.
+    pub ru_nvcsw: c_long,
+    /// Involuntary context switches.
+    pub ru_nivcsw: c_long,
+}
 
 /// Number of `u64` words in a `cpu_set_t` (1024 CPUs).
 const CPU_SET_WORDS: usize = 16;
@@ -135,6 +193,16 @@ extern "C" {
 
     /// Unmaps pages of memory. See `munmap(2)`.
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
+
+    /// Advises the kernel about a mapped range. See `madvise(2)`.
+    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+
+    /// Reads resource usage of the process, its children or (with
+    /// [`RUSAGE_THREAD`]) the calling thread. See `getrusage(2)`.
+    pub fn getrusage(who: c_int, usage: *mut rusage) -> c_int;
+
+    /// Operations on the calling process. See `prctl(2)`.
+    pub fn prctl(option: c_int, ...) -> c_int;
 
     /// Queries a system configuration value. See `sysconf(3)`.
     pub fn sysconf(name: c_int) -> c_long;
@@ -211,6 +279,46 @@ mod tests {
             *(p as *mut u8) = 0xA5;
             assert_eq!(*(p as *mut u8), 0xA5);
             assert_eq!(munmap(p, 4096), 0);
+        }
+    }
+
+    #[test]
+    fn advised_mapping_faults_are_counted_per_thread() {
+        const LEN: usize = 4 << 20;
+        let minflt = || {
+            let mut ru = rusage::default();
+            // SAFETY: valid out-parameter, valid target.
+            assert_eq!(unsafe { getrusage(RUSAGE_THREAD, &mut ru) }, 0);
+            ru.ru_minflt
+        };
+        // SAFETY: fresh anonymous private mapping; the advised and touched
+        // range is the LEN-aligned LEN bytes inside it; unmapped once.
+        unsafe {
+            let raw = mmap(
+                core::ptr::null_mut(),
+                2 * LEN,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            assert_ne!(raw, MAP_FAILED);
+            let base = ((raw as usize + LEN - 1) & !(LEN - 1)) as *mut u8;
+            // EINVAL only where the kernel was built without THP.
+            let rc = madvise(base.cast(), LEN, MADV_HUGEPAGE);
+            assert!(rc == 0 || errno() == EINVAL, "madvise: errno {}", errno());
+            let before = minflt();
+            for off in (0..LEN).step_by(4096) {
+                base.add(off).write_volatile(1);
+            }
+            let taken = minflt() - before;
+            // Two with huge pages, one per 4 KiB page without; a few more
+            // if the kernel splits or retries, never none.
+            assert!(
+                (1..=LEN as c_long / 4096 + 8).contains(&taken),
+                "{taken} faults for {LEN} touched bytes"
+            );
+            assert_eq!(munmap(raw, 2 * LEN), 0);
         }
     }
 

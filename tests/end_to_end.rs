@@ -2,12 +2,16 @@
 //! through every real allocator must compute identical results, and the
 //! offloaded runtime must account for every byte.
 
+use std::alloc::Layout;
+use std::ptr::NonNull;
+
 use ngm_bench::replay::{replay_heap, replay_ngm};
 use ngm_core::{Ngm, NgmConfig};
+use ngm_heap::sys::thread_minor_faults;
 use ngm_heap::{AggregatedHeap, Heap, SegregatedHeap, ShardedHeap};
 use ngm_offload::WaitStrategy;
 use ngm_workloads::xalanc::{self, XalancParams};
-use ngm_workloads::{churn, larson};
+use ngm_workloads::{churn, larson, Event};
 
 fn xalanc_events() -> Vec<ngm_workloads::Event> {
     xalanc::collect(&XalancParams::tiny())
@@ -189,4 +193,80 @@ fn simulated_and_real_placement_agree_on_density() {
         real.deallocate(a, l);
         real.deallocate(b, l);
     }
+}
+
+/// One pass of `events` through `h`, counting the minor faults the
+/// calling thread takes: `.0` on block memory (inside an allocation or a
+/// touch), `.1` anywhere in the pass. `live` is indexed by object id and
+/// was written in full when it was made, so the harness takes none.
+fn client_faults_over_a_pass(
+    h: &mut ngm_core::NgmHandle,
+    events: &[Event],
+    live: &mut [Option<(NonNull<u8>, Layout)>],
+) -> (u64, u64) {
+    let start = thread_minor_faults();
+    let (mut at, mut on_blocks) = (start, 0);
+    for e in events {
+        match *e {
+            Event::Malloc { id, size, .. } => {
+                let l = Layout::from_size_align(size as usize, 8).expect("valid layout");
+                live[id as usize] = Some((h.alloc(l).expect("alloc"), l));
+            }
+            Event::Free { id, .. } => {
+                let (p, l) = live[id as usize].take().expect("free of a live id");
+                // SAFETY: block from this handle, freed once.
+                unsafe { h.dealloc(p, l) };
+            }
+            Event::Touch {
+                id, offset, len, ..
+            } => {
+                let (p, _) = live[id as usize].expect("touch of a live id");
+                // SAFETY: the generator keeps touches inside the block.
+                unsafe {
+                    p.as_ptr()
+                        .add(offset as usize)
+                        .write_bytes(id as u8, len as usize)
+                };
+            }
+            Event::Compute { .. } => continue,
+        }
+        let now = thread_minor_faults();
+        if !matches!(e, Event::Free { .. }) {
+            on_blocks += now - at;
+        }
+        at = now;
+    }
+    (on_blocks, at - start)
+}
+
+#[test]
+fn the_client_of_a_tier_never_faults_on_a_block() {
+    let events = xalanc::collect(&XalancParams::small());
+    let ids = events.iter().filter_map(|e| match *e {
+        Event::Malloc { id, .. } => Some(id as usize + 1),
+        _ => None,
+    });
+    let mut live = vec![None; ids.max().expect("the trace allocates")];
+    let ngm = Ngm::start();
+    let mut h = ngm.handle();
+    // Segments are mapped, and both of their huge pages first written, by
+    // the service thread (`SegmentRef::create` / `first_touch`), so the
+    // client's first store into a block finds the page present — on the
+    // cold pass as on every later one. What the client does pay for,
+    // once, is the pages of its own free ring (4,096 slots, ~1.1 MB;
+    // 1,760 posts a pass, so the third pass wraps it).
+    let passes: Vec<_> = (0..4)
+        .map(|_| client_faults_over_a_pass(&mut h, &events, &mut live))
+        .collect();
+    println!("client minor faults per pass (on blocks, in all): {passes:?}");
+    if ngm_heap::sys::thp_available() {
+        assert!(passes.iter().all(|p| p.0 == 0), "{passes:?}");
+        assert_eq!(passes[3].1, 0, "a warm pass takes none at all: {passes:?}");
+    } else {
+        println!("transparent huge pages are off on this host: bounds skipped");
+    }
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.allocs, down.service.frees);
 }
