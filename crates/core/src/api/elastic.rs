@@ -4,16 +4,17 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+use ngm_offload::OffloadRuntime;
 use ngm_telemetry::trace::TraceEventKind;
 use ngm_telemetry::window::HeatFrame;
 
 use super::lock;
 use super::tier::Ngm;
 use crate::config::{HIGH_WATER, LOW_WATER, SUSTAIN};
-use crate::heat::{pick_coolest, ShardHeat, ShardLifecycle};
+use crate::heat::{pick_coolest, ShardLifecycle};
 
 #[derive(Debug, Default)]
 pub(super) struct ControllerState {
@@ -83,7 +84,7 @@ impl Ngm {
         // runs out of patience; no other scaling happens meanwhile.
         if let Some(drain) = &mut st.draining {
             let shard = drain.shard;
-            if self.drain_complete(shard) {
+            if self.tier.slots[shard].is_drained() {
                 st.draining = None;
                 self.finish_retire(shard);
                 return ScaleDecision::Retired { shard };
@@ -92,16 +93,8 @@ impl Ngm {
             if drain.evals >= policy.drain_patience {
                 // Wedged mid-drain: reopen the shard rather than hang.
                 st.draining = None;
-                if let Some(rt) = self.shards[shard]
-                    .cell
-                    .runtime
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_ref()
-                {
-                    rt.end_retire();
-                }
-                self.obs.set_state(shard, ShardLifecycle::Serving);
+                self.tier.slots[shard].with_runtime(OffloadRuntime::end_retire);
+                self.tier.set_state(shard, ShardLifecycle::Serving);
                 self.push_scale_event(4, shard);
                 return ScaleDecision::DrainAborted { shard };
             }
@@ -118,12 +111,8 @@ impl Ngm {
         // garbage delta.
         let mut loads = Vec::with_capacity(serving.len());
         for &s in &serving {
-            match self.obs.settled_heat(s) {
-                Some(heat) => {
-                    let calls = heat.calls;
-                    let score = ShardHeat { shard: s, heat }.score();
-                    loads.push((s, score.saturating_add(calls)));
-                }
+            match self.tier.slots[s].settled_heat() {
+                Some(sh) => loads.push((s, sh.score().saturating_add(sh.heat.calls))),
                 None => {
                     st.hot_streak = 0;
                     st.cold_streak = 0;
@@ -139,7 +128,7 @@ impl Ngm {
                 st.hot_streak = 0;
                 if let Some(slot) = self.pick_spawn_slot() {
                     if self.spawn_slot(slot).is_ok() {
-                        self.obs.record_scale_up();
+                        self.tier.scale_up.fetch_add(1, Ordering::Relaxed);
                         self.push_scale_event(1, slot);
                         return ScaleDecision::ScaleUp { shard: slot };
                     }
@@ -173,26 +162,18 @@ impl Ngm {
     /// The slot to spawn next: the lowest-indexed dormant/retired slot
     /// whose service is parked.
     fn pick_spawn_slot(&self) -> Option<usize> {
-        (0..self.shards.len()).find(|&s| {
+        self.tier.slots.iter().position(|slot| {
             matches!(
-                self.obs.state(s),
+                slot.state(),
                 ShardLifecycle::Dormant | ShardLifecycle::Retired
-            ) && lock(&self.shards[s].cell.parked).is_some()
+            ) && slot.is_parked()
         })
     }
 
     /// Gates `shard` against new synchronous calls and marks it draining.
     fn gate_for_drain(&self, shard: usize) {
-        if let Some(rt) = self.shards[shard]
-            .cell
-            .runtime
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            rt.begin_retire();
-        }
-        self.obs.set_state(shard, ShardLifecycle::Draining);
+        self.tier.slots[shard].with_runtime(OffloadRuntime::begin_retire);
+        self.tier.set_state(shard, ShardLifecycle::Draining);
     }
 
     /// Starts draining `shard` toward retirement, as if the controller
@@ -209,8 +190,8 @@ impl Ngm {
         let mut st = lock(&self.controller);
         if st.draining.is_some()
             || shard < policy.min
-            || shard >= self.shards.len()
-            || self.obs.state(shard) != ShardLifecycle::Serving
+            || shard >= self.num_shards()
+            || self.tier.state(shard) != ShardLifecycle::Serving
             || self.serving_shards().len() <= policy.min
         {
             return false;
@@ -221,46 +202,12 @@ impl Ngm {
         true
     }
 
-    /// Whether `shard` has handed every block back: the service heap
-    /// balances, nothing is left in its rings, no handle still stashes
-    /// its blocks in a magazine, and its orphan stack is drained.
-    fn drain_complete(&self, shard: usize) -> bool {
-        let slot = &self.shards[shard];
-        let heap = slot.heap_watch.load();
-        if heap.total_allocs != heap.total_frees {
-            return false;
-        }
-        if slot.orphans.pushed() != slot.orphans.drained() {
-            return false;
-        }
-        let stats = slot.handles.stats.snapshot();
-        stats.ring_occupancy == 0 && stats.magazine_occupancy == 0
-    }
-
     /// Joins a drained shard's thread and parks its service for a later
     /// respawn.
     fn finish_retire(&self, shard: usize) {
-        let runtime = self.shards[shard]
-            .cell
-            .runtime
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(rt) = runtime {
-            match rt.try_shutdown() {
-                Ok((mut svc, _stats)) => {
-                    // The stop path drains rings but runs no further idle
-                    // rounds; reclaim any last-moment orphans now.
-                    svc.reclaim_orphans();
-                    *lock(&self.shards[shard].cell.parked) = Some(svc);
-                }
-                Err(failure) => {
-                    *lock(&self.shards[shard].cell.failure) = Some(failure.error);
-                }
-            }
-        }
-        self.obs.set_state(shard, ShardLifecycle::Retired);
-        self.obs.record_scale_down();
+        self.tier.slots[shard].stop();
+        self.tier.set_state(shard, ShardLifecycle::Retired);
+        self.tier.scale_down.fetch_add(1, Ordering::Relaxed);
         self.push_scale_event(3, shard);
     }
 
@@ -272,14 +219,14 @@ impl Ngm {
 
     /// The slots currently serving, in index order.
     pub fn serving_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&s| self.obs.state(s) == ShardLifecycle::Serving)
+        (0..self.num_shards())
+            .filter(|&s| self.tier.state(s) == ShardLifecycle::Serving)
             .collect()
     }
 
     /// Every slot's lifecycle state, indexed by slot.
     pub fn shard_states(&self) -> Vec<ShardLifecycle> {
-        (0..self.shards.len()).map(|s| self.obs.state(s)).collect()
+        self.tier.slots.iter().map(|slot| slot.state()).collect()
     }
 
     /// Pushes a heat frame into `shard`'s window, exactly as a
@@ -287,13 +234,16 @@ impl Ngm {
     /// replay drivers) to steer the controller without real load. Frames
     /// are cumulative: the window differentiates them.
     pub fn inject_heat(&self, shard: usize, frame: HeatFrame) {
-        self.obs.push_frame(shard, frame);
+        self.tier.slots[shard].push_frame(frame);
     }
 
     /// Times the controller scales up / down so far (exported as
     /// `ngm_scale_up_total` / `ngm_scale_down_total`).
     pub fn scale_counts(&self) -> (u64, u64) {
-        (self.obs.scale_up_total(), self.obs.scale_down_total())
+        (
+            self.tier.scale_up.load(Ordering::Relaxed),
+            self.tier.scale_down.load(Ordering::Relaxed),
+        )
     }
 
     /// Whether an in-flight drain has already outlived the policy's

@@ -4,22 +4,20 @@
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 
 use ngm_heap::classes::{class_to_size, layout_to_class, SizeClass, NUM_CLASSES};
 use ngm_heap::segment::PAGE_SIZE;
-use ngm_heap::{AllocError, DeadBlockStack, FallbackHeap, LargeBlocks};
-use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, RuntimeTelemetry, ServiceError};
+use ngm_heap::AllocError;
+use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, ServiceError};
 use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
 use ngm_telemetry::clock::cycles_now;
-use ngm_telemetry::sites::SiteProfiler;
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::{Route, RouteOp};
-use super::tier::SlotCell;
+use super::slot::Tier;
 use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
-use crate::heat::{ObsState, ShardLifecycle};
+use crate::heat::ShardLifecycle;
 use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
 
 /// A per-thread endpoint to the allocator tier.
@@ -43,85 +41,75 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATC
 /// beyond it — never enter the room: each is a dedicated mapping made
 /// and released on the calling thread — the kernel already serializes
 /// them and one block can never amortise a round trip — with the tier's
-/// shared [`LargeBlocks`] ledger keeping the books. There is no cache of
-/// mappings in front of it: the blocks a trace allocates often enough to
-/// want one (xalanc's 8–10 KB strings) are class blocks.
+/// shared [`ngm_heap::LargeBlocks`] ledger keeping the books. There is
+/// no cache of mappings in front of it: the blocks a trace allocates
+/// often enough to want one (xalanc's 8–10 KB strings) are class blocks.
 ///
 /// All routing state (class map, magazines, free buffers, pressure
 /// counters) is handle-local: no shared writes, no atomics on the fast
 /// path, and two handles may route the same class differently without
 /// coordinating — frees are address-pure, so it cannot matter.
 pub struct NgmHandle {
-    /// The refill riding each shard's slot across calls (`None` when
-    /// the slot is free): one a non-blocking call submitted and left in
-    /// flight, kept so that whoever collects the response — the original
-    /// submitter or an unrelated call settling the slot for its own
-    /// request — can route it. At most one rides each slot; collecting or
-    /// retracting it clears the entry.
-    pub(super) nb_pending: Box<[Option<AllocBatchReq>]>,
+    /// The tier: its slots (stats, telemetry, orphan stacks, thread
+    /// cells — for lazy client (re-)registration as the elastic
+    /// controller spawns and retires shards) and the tier-wide state
+    /// (route generation, batch sizes, fallback heap, large-block ledger,
+    /// site profiler, blackbox). The handle's one reference into it.
+    pub(super) tier: Arc<Tier>,
+    /// This handle's half of every shard, indexed by slot.
+    pub(super) ends: Box<[End]>,
+    /// The route generation this handle last synced at. One relaxed load
+    /// per operation compares it against the tier's; a mismatch triggers
+    /// [`NgmHandle::resync_routes`].
+    seen_generation: u64,
     /// How many submissions have left their slot (see
     /// [`NgmHandle::settled`]).
-    pub(super) settled: u64,
-    /// Backpressure ceiling for submission queues built over this handle
-    /// ([`NgmConfig::with_inflight_limit`]).
-    pub(super) inflight_limit: usize,
-    /// One client endpoint per slot, indexed by slot — `None` for slots
-    /// with no thread (dormant/retired) or whose thread this handle has
-    /// not yet registered with.
-    pub(super) clients: Box<[Option<ClientHandle<MallocService>>]>,
-    /// Each slot's thread cell, for lazy client (re-)registration as the
-    /// elastic controller spawns and retires shards.
-    pub(super) slots: Box<[Arc<SlotCell>]>,
-    /// The slot epoch each client in `clients` was registered against; a
-    /// mismatch with the cell's current epoch means the client belongs to
-    /// a joined thread and must be re-registered.
-    pub(super) client_epoch: Box<[u64]>,
-    /// The route generation this handle last synced at. One relaxed load
-    /// per operation compares it against [`ObsState::generation`]; a
-    /// mismatch triggers [`NgmHandle::resync_routes`].
-    pub(super) seen_generation: u64,
-    /// Each slot's persistent runtime counters — valid even when the slot
-    /// has no thread (and thus no client to reach them through).
-    pub(super) shard_stats: Box<[Arc<RuntimeStats>]>,
-    /// Each slot's persistent telemetry hub, for blackbox snapshots.
-    pub(super) shard_telemetry: Box<[Arc<RuntimeTelemetry>]>,
-    /// Each shard's orphan stack, where undeliverable frees are diverted.
-    pub(super) orphans: Box<[Arc<DeadBlockStack>]>,
-    pub(super) batch_size: u32,
-    pub(super) flush_threshold: u32,
+    settled: u64,
     /// One magazine per size class, inline so no allocation ever happens
     /// on the fast path (crucial under the global-allocator adapter).
-    pub(super) magazines: [AddrBatch; NUM_CLASSES],
+    magazines: [AddrBatch; NUM_CLASSES],
     /// Which shard refilled each class's magazine. A magazine refills
     /// only when empty, so every address in it shares this one source —
     /// returns at drop go back where the blocks came from even if the
     /// class has since been rebalanced elsewhere.
-    pub(super) mag_shard: [u16; NUM_CLASSES],
+    mag_shard: [u16; NUM_CLASSES],
     /// Where this handle's *allocation* traffic for each class goes.
     /// Rebalancing rewrites this map; frees never consult it.
     pub(super) class_shard: [u16; NUM_CLASSES],
-    /// Client-side buffers of small-block frees, one per owning shard,
-    /// each awaiting one batched post to that shard.
-    pub(super) free_bufs: Box<[AddrBatch]>,
-    /// Blocks currently stashed in magazines, per source shard (local
+}
+
+/// A handle's own half of one shard: everything it keeps per slot, in
+/// one place (the slot's shared half is [`super::slot::Slot`]).
+#[derive(Default)]
+pub(super) struct End {
+    /// The client endpoint — `None` for a slot with no thread
+    /// (dormant/retired) or whose thread this handle has not yet
+    /// registered with.
+    pub(super) client: Option<ClientHandle<MallocService>>,
+    /// The slot epoch `client` was registered against; a mismatch with
+    /// the slot's current epoch means the client belongs to a joined
+    /// thread and must be re-registered.
+    epoch: u64,
+    /// Small-block frees of this shard's blocks, awaiting one batched
+    /// post to it.
+    free_buf: AddrBatch,
+    /// Blocks currently stashed in magazines this shard refilled (local
     /// mirror; the shared gauge is updated at refill/drop boundaries).
-    pub(super) stash_by_shard: Box<[i64]>,
-    /// What this handle last published into each shard's magazine gauge.
-    pub(super) published_occupancy: Box<[i64]>,
-    /// Accumulated full-ring retries per shard — the saturation signal
-    /// that triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
-    pub(super) pressure: Box<[u32]>,
-    /// Shards this handle has observed dead (failover already recorded
-    /// and allocation traffic moved off).
-    pub(super) failed: Box<[bool]>,
-    /// The shared allocation-site profiler, when enabled.
-    pub(super) sites: Option<Arc<SiteProfiler>>,
-    /// The shared inline allocator of last resort (see [`Ngm`]).
-    pub(super) fallback: Arc<FallbackHeap>,
-    /// The tier-wide ledger every large block is mapped through.
-    pub(super) large: Arc<LargeBlocks>,
-    /// Shared heat windows + blackbox gate (see [`crate::heat`]).
-    pub(super) obs: Arc<ObsState>,
+    stash: i64,
+    /// What this handle last published into the shard's magazine gauge.
+    published: i64,
+    /// Accumulated full-ring retries — the saturation signal that
+    /// triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
+    pub(super) pressure: u32,
+    /// The handle has observed this shard dead (failover already
+    /// recorded and allocation traffic moved off).
+    pub(super) failed: bool,
+    /// The refill riding the shard's slot across calls (`None` when the
+    /// slot is free): one a non-blocking call submitted and left in
+    /// flight, kept so that whoever collects the response — the original
+    /// submitter or an unrelated call settling the slot for its own
+    /// request — can route it. Collecting or retracting it clears it.
+    riding: Option<AllocBatchReq>,
 }
 
 /// Polls `client`'s in-flight request or, when `wait`, blocks on it
@@ -140,8 +128,40 @@ fn await_response(
 }
 
 impl NgmHandle {
+    /// A handle on `tier`, registered with every slot that has a thread.
+    pub(super) fn new(tier: Arc<Tier>) -> Self {
+        let ends = tier.slots.iter().enumerate().map(|(i, slot)| {
+            // A PMU session counts its whole thread; arming one handle
+            // per shard would re-count this thread once per shard, so
+            // only the shard-0 endpoint arms.
+            let (client, epoch) = slot.register(i == 0);
+            End {
+                client,
+                epoch,
+                ..End::default()
+            }
+        });
+        let mut handle = NgmHandle {
+            ends: ends.collect(),
+            seen_generation: tier.generation(),
+            tier,
+            settled: 0,
+            magazines: [AddrBatch::empty(); NUM_CLASSES],
+            mag_shard: [0u16; NUM_CLASSES],
+            class_shard: [0u16; NUM_CLASSES],
+        };
+        handle.recompute_class_routes();
+        handle
+    }
+
     pub(super) fn nshards(&self) -> usize {
-        self.clients.len()
+        self.ends.len()
+    }
+
+    /// `shard`'s persistent runtime counters — valid even when the slot
+    /// has no thread (and thus no client to reach them through).
+    pub(super) fn stats(&self, shard: usize) -> &RuntimeStats {
+        &self.tier.slots[shard].handles.stats
     }
 
     /// One relaxed load per operation: when the tier's route generation
@@ -150,7 +170,7 @@ impl NgmHandle {
     /// generation after build, so this stays a compare-and-branch.
     #[inline]
     fn maybe_resync(&mut self) {
-        let generation = self.obs.generation();
+        let generation = self.tier.generation();
         if generation != self.seen_generation {
             self.resync_routes(generation);
         }
@@ -165,7 +185,7 @@ impl NgmHandle {
     fn resync_routes(&mut self, generation: u64) {
         self.seen_generation = generation;
         for s in 0..self.nshards() {
-            match self.obs.state(s) {
+            match self.tier.state(s) {
                 ShardLifecycle::Serving => {
                     let _ = self.ensure_client(s);
                 }
@@ -176,51 +196,45 @@ impl NgmHandle {
                 }
                 ShardLifecycle::Dormant | ShardLifecycle::Retired => {
                     self.settle_nb(s);
-                    self.clients[s] = None;
+                    self.ends[s].client = None;
                 }
             }
         }
         self.recompute_class_routes();
     }
 
-    /// Makes sure `clients[s]` is a client of the slot's *current*
+    /// Makes sure `ends[s].client` is a client of the slot's *current*
     /// thread; returns `false` when the slot has no thread.
     pub(super) fn ensure_client(&mut self, s: usize) -> bool {
-        let epoch = self.slots[s].epoch.load(Ordering::Acquire);
-        if self.clients[s].is_some() && self.client_epoch[s] == epoch {
+        if self.ends[s].client.is_some() && self.ends[s].epoch == self.tier.slots[s].epoch() {
             return true;
         }
         // The old client (if any) belongs to a joined thread: whatever
         // non-blocking submission still rode its slot can never complete.
         // Take it back unserved if possible; count the loss otherwise.
-        if self.nb_pending[s].is_some() {
-            let retracted = self.clients[s].as_mut().is_some_and(ClientHandle::retract);
+        if self.ends[s].riding.is_some() {
+            let retracted = self.ends[s]
+                .client
+                .as_mut()
+                .is_some_and(ClientHandle::retract);
             self.release_slot(s);
             if !retracted {
-                self.shard_stats[s].record_post_dropped();
+                self.stats(s).record_post_dropped();
             }
         }
-        let guard = self.slots[s]
-            .runtime
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        match guard.as_ref() {
-            Some(rt) => {
-                // Same PMU rule as handle construction: only the shard-0
-                // endpoint arms, so this thread is counted once.
-                self.clients[s] = Some(rt.register_client_with_pmu(s == 0));
-                self.client_epoch[s] = epoch;
-                // A respawned slot is a fresh thread: clear the grudges
-                // held against its predecessor.
-                self.failed[s] = false;
-                self.pressure[s] = 0;
-                true
-            }
-            None => {
-                self.clients[s] = None;
-                false
-            }
+        // Same PMU rule as handle construction: only the shard-0
+        // endpoint arms, so this thread is counted once.
+        let (client, epoch) = self.tier.slots[s].register(s == 0);
+        let end = &mut self.ends[s];
+        end.client = client;
+        if end.client.is_some() {
+            end.epoch = epoch;
+            // A respawned slot is a fresh thread: clear the grudges held
+            // against its predecessor.
+            end.failed = false;
+            end.pressure = 0;
         }
+        end.client.is_some()
     }
 
     /// Returns every magazine refilled by `source` to it, so a draining
@@ -229,7 +243,7 @@ impl NgmHandle {
         for ci in 0..NUM_CLASSES {
             if self.mag_shard[ci] as usize == source && !self.magazines[ci].is_empty() {
                 let batch = std::mem::take(&mut self.magazines[ci]);
-                self.stash_by_shard[source] -= batch.len() as i64;
+                self.ends[source].stash -= batch.len() as i64;
                 let _ = self.post_routed(source, FreePost::MagazineReturn(batch), true);
             }
         }
@@ -245,14 +259,14 @@ impl NgmHandle {
     /// ring behind [`Ngm::blackbox_dumps`] / the observer's `/blackbox`
     /// endpoint.
     pub(super) fn blackbox(&self, reason: &'static str, shard: usize) {
-        let Some(recorder) = self.obs.blackbox.as_ref() else {
+        let Some(recorder) = self.tier.blackbox.as_ref() else {
             return;
         };
         if !recorder.should_emit() {
             return;
         }
         let shards = (0..self.nshards())
-            .map(|s| match &self.clients[s] {
+            .map(|s| match &self.ends[s].client {
                 Some(c) => ShardState {
                     shard: s,
                     slot_state: c.slot_state_label(),
@@ -261,7 +275,7 @@ impl NgmHandle {
                 },
                 None => ShardState {
                     shard: s,
-                    slot_state: self.obs.state(s).label(),
+                    slot_state: self.tier.state(s).label(),
                     ring_occupancy: 0,
                     down: true,
                 },
@@ -271,9 +285,12 @@ impl NgmHandle {
             reason: reason.into(),
             shard,
             tsc: cycles_now(),
-            events: self.shard_telemetry[shard].peek_trace(DEFAULT_LAST_K),
+            events: self.tier.slots[shard]
+                .handles
+                .telemetry
+                .peek_trace(DEFAULT_LAST_K),
             shards,
-            heat: self.obs.report().render(),
+            heat: self.tier.report().render(),
         });
     }
 
@@ -298,7 +315,8 @@ impl NgmHandle {
     /// Pushes one event onto `shard`'s client trace ring, when tracing
     /// is on and the handle has a client there.
     fn trace(&self, shard: usize, kind: TraceEventKind, a: u64, b: u64) {
-        if let Some(ring) = self.clients[shard]
+        if let Some(ring) = self.ends[shard]
+            .client
             .as_ref()
             .and_then(ClientHandle::trace_ring)
         {
@@ -327,7 +345,7 @@ impl NgmHandle {
             NgmError::Alloc(e) => e,
             _ => AllocError::OutOfMemory,
         })?;
-        if let Some(prof) = &self.sites {
+        if let Some(prof) = &self.tier.sites {
             // Label formatting is deferred into the closure: unsampled
             // allocations never pay for it.
             prof.record_alloc(ptr.as_ptr() as usize, layout.size(), || caller.to_string());
@@ -365,7 +383,7 @@ impl NgmHandle {
         match layout_to_class(layout.size(), layout.align()) {
             Some(class) => self.alloc_from_magazine(class, layout, wait),
             None => {
-                let ptr = self.large.allocate(layout)?;
+                let ptr = self.tier.large.allocate(layout)?;
                 // Slot 0 is on the resident floor: its client ring exists
                 // whatever the elastic controller has done since.
                 self.trace(0, TraceEventKind::Alloc, layout.size() as u64, 0);
@@ -401,7 +419,7 @@ impl NgmHandle {
             .pop()
             .expect("magazine nonempty after refill");
         let source = self.mag_shard[ci] as usize;
-        self.stash_by_shard[source] -= 1;
+        self.ends[source].stash -= 1;
         self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
         NonNull::new(addr as *mut u8).ok_or(NgmError::Alloc(AllocError::OutOfMemory))
     }
@@ -417,7 +435,7 @@ impl NgmHandle {
         let per_page = (PAGE_SIZE / class_to_size(class)) as u32;
         let what = AllocBatchReq {
             class,
-            count: self.batch_size.min(per_page),
+            count: self.tier.batch_size.min(per_page),
         };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;
@@ -446,7 +464,7 @@ impl NgmHandle {
     /// the dump.
     fn fallback_alloc(&mut self, layout: Layout, shard: usize) -> Result<NonNull<u8>, AllocError> {
         self.blackbox("fallback", shard);
-        self.fallback.allocate(layout)
+        self.tier.fallback.allocate(layout)
     }
 
     /// One refill round on `shard` (whose client the caller just
@@ -476,7 +494,10 @@ impl NgmHandle {
         } else {
             CallKind::Single
         };
-        let client = self.clients[shard].as_mut().expect("client just ensured");
+        let client = self.ends[shard]
+            .client
+            .as_mut()
+            .expect("client just ensured");
         client.submit(what, kind).map_err(|(_, e)| e)?;
         match await_response(client, wait) {
             Ok(batch) => {
@@ -485,8 +506,8 @@ impl NgmHandle {
                 Ok(())
             }
             Err(ServiceError::WouldBlock) => {
-                self.nb_pending[shard] = Some(what);
-                self.shard_stats[shard].add_inflight(1);
+                self.ends[shard].riding = Some(what);
+                self.stats(shard).add_inflight(1);
                 Err(ServiceError::WouldBlock)
             }
             // Deadline: retracted or abandoned — nothing rides the slot.
@@ -499,14 +520,14 @@ impl NgmHandle {
     /// ([`NgmHandle::absorb`]). `Ok` means the slot is free;
     /// [`ServiceError::WouldBlock`] that the response has not landed.
     fn collect(&mut self, shard: usize, wait: bool) -> Result<(), ServiceError> {
-        let Some(riding) = self.nb_pending[shard] else {
+        let Some(riding) = self.ends[shard].riding else {
             return Ok(());
         };
-        let Some(client) = self.clients[shard].as_mut() else {
+        let Some(client) = self.ends[shard].client.as_mut() else {
             // The client is gone (resync dropped it): the request can
             // never complete. Clear it so the route is usable again.
             self.release_slot(shard);
-            self.shard_stats[shard].record_post_dropped();
+            self.stats(shard).record_post_dropped();
             return Ok(());
         };
         match await_response(client, wait) {
@@ -521,8 +542,8 @@ impl NgmHandle {
     /// Forgets the request riding `shard`'s slot (collected, retracted
     /// or lost).
     fn release_slot(&mut self, shard: usize) {
-        self.nb_pending[shard] = None;
-        self.shard_stats[shard].add_inflight(-1);
+        self.ends[shard].riding = None;
+        self.stats(shard).add_inflight(-1);
         self.settled += 1;
     }
 
@@ -538,7 +559,7 @@ impl NgmHandle {
             let got = batch.len();
             self.magazines[ci] = *batch;
             self.mag_shard[ci] = shard as u16;
-            self.stash_by_shard[shard] += got as i64;
+            self.ends[shard].stash += got as i64;
             // Publish occupancy only here (and at drop) — pops since the
             // last refill fold into this one delta, keeping the alloc
             // fast path free of shared-memory traffic.
@@ -558,16 +579,14 @@ impl NgmHandle {
     /// shard-death edge — service gone mid-serve — abandons the request,
     /// counted like a dropped post.
     fn settle_nb(&mut self, shard: usize) {
-        if self.nb_pending[shard].is_none() {
+        let end = &mut self.ends[shard];
+        if end.riding.is_none() {
             return;
         }
-        if self.clients[shard]
-            .as_mut()
-            .is_some_and(ClientHandle::retract)
-        {
+        if end.client.as_mut().is_some_and(ClientHandle::retract) {
             self.release_slot(shard);
         } else if self.collect(shard, true).is_err() {
-            self.shard_stats[shard].record_post_dropped();
+            self.stats(shard).record_post_dropped();
         }
     }
 
@@ -579,7 +598,7 @@ impl NgmHandle {
         self.maybe_resync();
         let mut completed = 0;
         for shard in 0..self.nshards() {
-            if self.nb_pending[shard].is_some() && self.collect(shard, false).is_ok() {
+            if self.ends[shard].riding.is_some() && self.collect(shard, false).is_ok() {
                 completed += 1;
             }
         }
@@ -589,7 +608,7 @@ impl NgmHandle {
     /// How many non-blocking submissions this handle currently has in
     /// flight across all shards.
     pub fn nb_inflight(&self) -> usize {
-        self.nb_pending.iter().filter(|p| p.is_some()).count()
+        self.ends.iter().filter(|e| e.riding.is_some()).count()
     }
 
     /// How many submissions have left their slot so far (collected,
@@ -603,7 +622,7 @@ impl NgmHandle {
     /// The configured in-flight ceiling for submission queues built over
     /// this handle ([`crate::NgmConfig::with_inflight_limit`]).
     pub fn inflight_limit(&self) -> usize {
-        self.inflight_limit
+        self.tier.inflight_limit
     }
 
     /// Registers `waker` on every shard slot carrying an in-flight
@@ -612,11 +631,9 @@ impl NgmHandle {
     /// this call (see [`ClientHandle::register_waker`]); spurious wakes
     /// are possible and harmless under the `Future` contract.
     pub fn register_waker(&self, waker: &std::task::Waker) {
-        for shard in 0..self.nshards() {
-            if self.nb_pending[shard].is_some() {
-                if let Some(client) = self.clients[shard].as_ref() {
-                    client.register_waker(waker);
-                }
+        for end in self.ends.iter().filter(|e| e.riding.is_some()) {
+            if let Some(client) = end.client.as_ref() {
+                client.register_waker(waker);
             }
         }
     }
@@ -625,7 +642,8 @@ impl NgmHandle {
     /// into the tier's `ngm_submit_depth` histogram (slot 0's hub — the
     /// resident floor always exists).
     pub fn record_submit_depth(&self, depth: u64) {
-        self.shard_telemetry[0].submit_depth.record(depth);
+        let hub = &self.tier.slots[0].handles.telemetry;
+        hub.submit_depth.record(depth);
     }
 
     /// Frees a block asynchronously; returns as soon as the message is in
@@ -674,13 +692,13 @@ impl NgmHandle {
         wait: bool,
     ) -> Result<(), NgmError> {
         self.maybe_resync();
-        if let Some(prof) = &self.sites {
+        if let Some(prof) = &self.tier.sites {
             prof.record_free(ptr.as_ptr() as usize);
         }
         if layout_to_class(layout.size(), layout.align()).is_none() {
             // SAFETY: forwarded contract — a live large block this tier's
             // ledger mapped for `layout`, relinquished by the caller.
-            unsafe { self.large.deallocate(ptr, layout) };
+            unsafe { self.tier.large.deallocate(ptr, layout) };
             self.trace(0, TraceEventKind::Free, layout.size() as u64, 0);
             return Ok(());
         }
@@ -689,22 +707,22 @@ impl NgmHandle {
         // has ever degraded, any small block might be fallback-owned.
         // SAFETY (owner read): small blocks from this tier are segment-
         // backed, per this method's contract.
-        if self.fallback.is_active()
+        if self.tier.fallback.is_active()
             && unsafe { ngm_heap::owner_of_small_ptr(ptr) } == FALLBACK_OWNER
         {
             // SAFETY: forwarded contract — a live fallback block the
             // caller relinquished.
-            unsafe { self.fallback.deallocate(ptr) };
+            unsafe { self.tier.fallback.deallocate(ptr) };
             return Ok(());
         }
         let shard = self.shard_of_small(ptr);
-        if self.free_bufs[shard].len() >= MAX_BATCH {
+        if self.ends[shard].free_buf.len() >= MAX_BATCH {
             // Buffer at capacity: it must drain into the ring before
             // this free can be accepted.
             self.flush_shard(shard, wait)?;
         }
-        self.free_bufs[shard].push(ptr.as_ptr() as usize);
-        if self.free_bufs[shard].len() >= self.flush_threshold as usize {
+        self.ends[shard].free_buf.push(ptr.as_ptr() as usize);
+        if self.ends[shard].free_buf.len() >= self.tier.flush_threshold as usize {
             // A full ring is not an error here — the free is already
             // safely buffered.
             let _ = self.flush_shard(shard, wait);
@@ -727,10 +745,10 @@ impl NgmHandle {
     /// `wait` a full ring puts the batch straight back into the buffer
     /// (nothing is lost) and the caller sees [`NgmError::WouldBlock`].
     fn flush_shard(&mut self, shard: usize, wait: bool) -> Result<(), NgmError> {
-        if self.free_bufs[shard].is_empty() {
+        if self.ends[shard].free_buf.is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut self.free_bufs[shard]);
+        let batch = std::mem::take(&mut self.ends[shard].free_buf);
         self.post_routed(shard, FreePost::Batch(batch), wait)
     }
 
@@ -752,7 +770,10 @@ impl NgmHandle {
         } else {
             PostWait::Never
         };
-        let client = self.clients[shard].as_mut().expect("client just ensured");
+        let client = self.ends[shard]
+            .client
+            .as_mut()
+            .expect("client just ensured");
         let (cause, msg) = match client.try_post(msg, patience) {
             Ok(full_retries) => {
                 self.note_pressure(shard, full_retries);
@@ -765,7 +786,7 @@ impl NgmHandle {
                 if let Some(FreePost::Batch(batch)) = msg {
                     // Back into the buffer it came from; capacity is
                     // guaranteed (the buffer was just drained).
-                    self.free_bufs[shard] = batch;
+                    self.ends[shard].free_buf = batch;
                 }
                 Err(NgmError::WouldBlock)
             }
@@ -778,10 +799,11 @@ impl NgmHandle {
     }
 
     fn publish_occupancy(&mut self, shard: usize) {
-        let delta = self.stash_by_shard[shard] - self.published_occupancy[shard];
+        let end = &mut self.ends[shard];
+        let delta = end.stash - end.published;
         if delta != 0 {
-            self.shard_stats[shard].add_magazine_occupancy(delta);
-            self.published_occupancy[shard] = self.stash_by_shard[shard];
+            end.published = end.stash;
+            self.stats(shard).add_magazine_occupancy(delta);
         }
     }
 
@@ -793,7 +815,7 @@ impl NgmHandle {
             FreePost::Batch(b) => (b, false),
             FreePost::MagazineReturn(b) => (b, true),
         };
-        let orphans = &self.orphans[shard];
+        let orphans = &self.tier.slots[shard].orphans;
         for p in batch
             .as_slice()
             .iter()
@@ -818,7 +840,7 @@ impl NgmHandle {
 
     /// Blocks currently stashed across all magazines.
     pub fn magazine_occupancy(&self) -> usize {
-        self.stash_by_shard.iter().sum::<i64>() as usize
+        self.ends.iter().map(|e| e.stash).sum::<i64>() as usize
     }
 
     /// The addresses currently stashed in `class`'s magazine (test/
@@ -829,18 +851,21 @@ impl NgmHandle {
 
     /// Small-block frees buffered client-side, not yet posted.
     pub fn buffered_frees(&self) -> usize {
-        self.free_bufs.iter().map(AddrBatch::len).sum()
+        self.ends.iter().map(|e| e.free_buf.len()).sum()
     }
 }
 
-impl Drop for NgmHandle {
+impl NgmHandle {
     /// Returns everything in flight to the services: buffered frees are
     /// flushed to their owning shards, and every address still stashed in
     /// a magazine goes back to the shard that *refilled* it via
     /// [`FreePost::MagazineReturn`] — not the class's current route, which
     /// a rebalance may have moved — so shutdown accounting stays exact
-    /// per shard (`allocs == frees`) with batching on.
-    fn drop(&mut self) {
+    /// per shard (`allocs == frees`) with batching on. What [`Drop`]
+    /// does, and what the global hook does to an exiting thread's handle
+    /// before parking it for the next thread: an emptied handle holds no
+    /// block of any shard, so it never keeps a draining one waiting.
+    pub(crate) fn empty(&mut self) {
         // Settle in-flight non-blocking submissions first: a batch that
         // lands after this point would have no magazine to live in, and
         // its blocks would never be freed.
@@ -851,5 +876,11 @@ impl Drop for NgmHandle {
         for shard in 0..self.nshards() {
             self.return_magazines_from(shard);
         }
+    }
+}
+
+impl Drop for NgmHandle {
+    fn drop(&mut self) {
+        self.empty();
     }
 }

@@ -24,6 +24,7 @@
 mod elastic;
 mod handle;
 mod routing;
+mod slot;
 mod tier;
 
 pub use elastic::{Autoscaler, ScaleDecision};

@@ -44,14 +44,13 @@ impl NgmHandle {
     /// Recomputes the class → shard spread over the serving shards this
     /// handle can route to.
     pub(super) fn recompute_class_routes(&mut self) {
-        let serving: Vec<usize> = (0..self.nshards())
-            .filter(|&s| self.obs.state(s) == ShardLifecycle::Serving && !self.failed[s])
-            .collect();
-        if serving.is_empty() {
-            return;
-        }
-        for (c, slot) in self.class_shard.iter_mut().enumerate() {
-            *slot = serving[c % serving.len()] as u16;
+        let (tier, ends) = (&self.tier, &self.ends);
+        let serving = (0..ends.len())
+            .filter(|&s| tier.state(s) == ShardLifecycle::Serving && !ends[s].failed);
+        // Round-robin over the serving set; nothing moves when it is
+        // empty (`zip` stops at once).
+        for (slot, shard) in self.class_shard.iter_mut().zip(serving.cycle()) {
+            *slot = shard as u16;
         }
     }
 
@@ -62,11 +61,12 @@ impl NgmHandle {
         let n = self.nshards();
         for step in 1..n {
             let cand = (from + step) % n;
-            if self.failed[cand] || self.obs.state(cand) != ShardLifecycle::Serving {
+            if self.ends[cand].failed || self.tier.state(cand) != ShardLifecycle::Serving {
                 continue;
             }
             if self.ensure_client(cand)
-                && self.clients[cand]
+                && self.ends[cand]
+                    .client
                     .as_ref()
                     .is_some_and(ClientHandle::is_open)
             {
@@ -99,10 +99,10 @@ impl NgmHandle {
     /// shard survives).
     pub(super) fn fail_over(&mut self, dead: usize) -> usize {
         let next = self.next_route_candidate(dead);
-        if !self.failed[dead] {
-            self.failed[dead] = true;
+        if !self.ends[dead].failed {
+            self.ends[dead].failed = true;
             self.blackbox("shard-death", dead);
-            self.shard_stats[dead].record_failover();
+            self.stats(dead).record_failover();
             if next != dead {
                 for slot in self.class_shard.iter_mut() {
                     if *slot as usize == dead {
@@ -130,20 +130,21 @@ impl NgmHandle {
     /// through any number of rebalances.
     pub fn rebalance_away_from(&mut self, overloaded: usize) {
         let n = self.nshards();
-        self.pressure[overloaded] = 0;
+        self.ends[overloaded].pressure = 0;
         if n == 1 {
             return;
         }
         let candidates = (0..n)
             .filter(|&s| {
+                let end = &self.ends[s];
                 s != overloaded
-                    && !self.failed[s]
-                    && self.obs.state(s) == ShardLifecycle::Serving
-                    && self.clients[s].as_ref().is_none_or(ClientHandle::is_open)
+                    && !end.failed
+                    && self.tier.state(s) == ShardLifecycle::Serving
+                    && end.client.as_ref().is_none_or(ClientHandle::is_open)
             })
             .map(|s| {
-                let score = u64::from(self.pressure[s]).saturating_add(self.obs.heat_score(s));
-                (s, score)
+                let heat = self.tier.slots[s].windowed().score();
+                (s, u64::from(self.ends[s].pressure).saturating_add(heat))
             });
         let Some(target) = pick_coolest(candidates) else {
             return;
@@ -156,7 +157,7 @@ impl NgmHandle {
             }
         }
         if moved {
-            self.shard_stats[overloaded].record_rebalance();
+            self.stats(overloaded).record_rebalance();
         }
     }
 
@@ -218,8 +219,9 @@ impl NgmHandle {
     /// traffic elsewhere.
     pub(super) fn note_pressure(&mut self, shard: usize, retries: u32) {
         if retries > 0 {
-            self.pressure[shard] = self.pressure[shard].saturating_add(retries);
-            if self.pressure[shard] >= Self::REBALANCE_PRESSURE {
+            let pressure = &mut self.ends[shard].pressure;
+            *pressure = pressure.saturating_add(retries);
+            if *pressure >= Self::REBALANCE_PRESSURE {
                 self.rebalance_away_from(shard);
             }
         }

@@ -1221,7 +1221,7 @@ fn routing_step_decision_table() {
             assert_eq!(h.route(from, cause, op), expected, "{row}");
             let routed = if effect == Busy { from } else { other };
             assert_eq!(h.class_route(class), routed, "class_shard: {row}");
-            assert_eq!(h.failed[from], effect == Dead, "failed[]: {row}");
+            assert_eq!(h.ends[from].failed, effect == Dead, "failed[]: {row}");
             let dump = match effect {
                 Slow(reason) => reason,
                 Dead => Some("shard-death"),
@@ -1235,7 +1235,7 @@ fn routing_step_decision_table() {
             let rebalanced = matches!(effect, Slow(_)) && !alone;
             assert_eq!(stats.rebalances, u64::from(rebalanced), "{row}");
             let pressure = u32::from(effect == Busy && op == Post);
-            assert_eq!(h.pressure[from], pressure, "ring pressure: {row}");
+            assert_eq!(h.ends[from].pressure, pressure, "ring pressure: {row}");
             drop(h);
             let down = ngm.shutdown();
             assert!(down.clean() && down.balanced(), "{row}");

@@ -1,33 +1,29 @@
-//! The tier: [`Ngm`], its shard slots, and what [`Ngm::shutdown`] hands
-//! back.
+//! The tier: [`Ngm`], the control plane over its shard slots, and what
+//! [`Ngm::shutdown`] hands back.
 
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
-use ngm_heap::classes::NUM_CLASSES;
-use ngm_heap::{DeadBlockStack, FallbackHeap, HeapStats, LargeBlocks};
-use ngm_offload::{
-    OffloadRuntime, RuntimeConfig, RuntimeHandles, RuntimeTelemetry, ServiceError, StatsSnapshot,
-};
+use ngm_heap::{FallbackHeap, HeapStats};
+use ngm_offload::{OffloadRuntime, RuntimeConfig, RuntimeTelemetry, ServiceError, StatsSnapshot};
 use ngm_pmu::PmuReport;
 use ngm_telemetry::blackbox::BlackboxDump;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::recorder::{RecordFrame, ShardSample};
-use ngm_telemetry::sites::{SiteProfiler, SiteReport};
+use ngm_telemetry::sites::SiteReport;
 use ngm_telemetry::trace::TraceRing;
-use ngm_telemetry::window::HeatFrame;
 
 use super::elastic::{ControllerState, ScaleDecision};
 use super::handle::NgmHandle;
 use super::lock;
+use super::slot::Tier;
 use crate::config::{
-    CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE,
+    ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE,
 };
-use crate::heat::{HeatReport, ObsState, ShardHeat, ShardLifecycle};
-use crate::service::{AddrBatch, MallocService, ServiceStats};
-use crate::watch::SharedHeapStats;
+use crate::heat::{HeatReport, ShardLifecycle};
+use crate::service::ServiceStats;
 
 /// Wall-clock seconds since the Unix epoch, captured once at the first
 /// metrics render (`process_start_time_seconds` is conventionally the
@@ -61,53 +57,11 @@ fn state_glyph(state: ShardLifecycle) -> char {
     }
 }
 
-/// The per-slot state that changes as the elastic controller spawns and
-/// retires shards, shared between [`Ngm`] and every [`NgmHandle`].
-///
-/// A slot's *service* (heap, owner stamp, orphan stack) is created once
-/// and lives for the tier's whole life; what comes and goes is the
-/// *thread*. While a thread runs, `runtime` is `Some` and `parked` is
-/// `None`; while the slot is dormant or retired it is the other way
-/// around. `epoch` counts spawns so handles can tell a client registered
-/// against a previous thread from a current one.
-pub(super) struct SlotCell {
-    pub(super) runtime: RwLock<Option<OffloadRuntime<MallocService>>>,
-    pub(super) parked: Mutex<Option<MallocService>>,
-    pub(super) epoch: AtomicU64,
-    /// Set when a retirement's `try_shutdown` could not recover the
-    /// service (the thread panicked); reported at final shutdown.
-    pub(super) failure: Mutex<Option<ServiceError>>,
-}
-
-/// One service-shard slot: the swappable thread cell plus everything that
-/// persists across spawn/retire epochs — counters, telemetry, the
-/// heap-stats mirror, the orphan stack, and placement.
-pub(super) struct Shard {
-    pub(super) cell: Arc<SlotCell>,
-    pub(super) orphans: Arc<DeadBlockStack>,
-    pub(super) heap_watch: Arc<SharedHeapStats>,
-    /// Stats/telemetry/retiring-gate/fault knobs, shared by every epoch
-    /// of this slot (see [`RuntimeHandles`]).
-    pub(super) handles: RuntimeHandles,
-    pub(super) core: Option<usize>,
-}
-
 /// The running allocator: one or more dedicated service threads plus
 /// registration of per-thread client handles.
 pub struct Ngm {
-    pub(super) shards: Box<[Shard]>,
-    pub(super) batch_size: u32,
-    pub(super) flush_threshold: u32,
-    pub(super) sites: Option<Arc<SiteProfiler>>,
-    /// The inline allocator of last resort, shared by every handle. Lazy:
-    /// maps nothing until the first time a handle exhausts every shard
-    /// (all deadlined or dead) and has to serve an allocation itself.
-    pub(super) fallback: Arc<FallbackHeap>,
-    /// The ledger every handle maps and unmaps large (non-class) blocks
-    /// through, on its own thread: they never enter a shard.
-    pub(super) large: Arc<LargeBlocks>,
-    /// Shared heat windows + blackbox gate (see [`crate::heat`]).
-    pub(super) obs: Arc<ObsState>,
+    /// The slots and the tier-wide state, shared with every handle.
+    pub(super) tier: Arc<Tier>,
     /// The elastic policy, when the tier scales at runtime.
     pub(super) elastic: Option<ElasticPolicy>,
     /// Scaling-controller state, serialized so at most one spawn or
@@ -123,17 +77,14 @@ pub struct Ngm {
     /// ([`NgmConfig::with_observer`]), consumed by
     /// [`Ngm::start_observer`].
     pub(super) observer_cfg: Mutex<Option<ObserverConfig>>,
-    /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
-    /// built over this tier's handles ([`NgmConfig::with_inflight_limit`]).
-    pub(super) inflight_limit: usize,
 }
 
 impl std::fmt::Debug for Ngm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ngm")
-            .field("shards", &self.shards.len())
-            .field("batch_size", &self.batch_size)
-            .field("flush_threshold", &self.flush_threshold)
+            .field("shards", &self.tier.slots.len())
+            .field("batch_size", &self.tier.batch_size)
+            .field("flush_threshold", &self.tier.flush_threshold)
             .finish_non_exhaustive()
     }
 }
@@ -148,13 +99,10 @@ impl Ngm {
     /// Builds the tier from a validated config (reached via
     /// [`NgmConfig::build`]).
     ///
-    /// Every slot up to the elastic maximum is built eagerly — service,
-    /// owner stamp, orphan stack, stats, telemetry — but only the initial
-    /// `cfg.shards` get threads; the rest park dormant until the
-    /// controller spawns them.
+    /// Every slot up to the elastic maximum is built eagerly, but only
+    /// the initial `cfg.shards` get threads; the rest park dormant until
+    /// the controller spawns them.
     pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
-        let cores = ngm_offload::available_cores();
-        let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
         let runtime_cfg = RuntimeConfig {
             client_wait: cfg.client_wait,
             ring_capacity: cfg.free_ring_capacity,
@@ -163,93 +111,28 @@ impl Ngm {
             deadline: cfg.deadline,
             ..RuntimeConfig::new()
         };
-        let mut shards = Vec::with_capacity(total);
-        let mut demand_watches = Vec::with_capacity(total);
-        for i in 0..total {
-            let orphans = Arc::new(DeadBlockStack::new());
-            let service = MallocService::for_shard(i as u16, Arc::clone(&orphans));
-            // Keep observing the heap (and refill demand) after the
-            // service thread takes the service away from us.
-            let heap_watch = Arc::clone(service.heap_watch());
-            demand_watches.push(Arc::clone(service.demand_watch()));
-            let core = match cfg.placement {
-                // Highest cores first, leaving the low cores — where most
-                // runtimes place app threads — alone; float when the
-                // machine cannot give every shard its own room.
-                CorePlacement::Auto => (cores > total).then(|| cores - 1 - i),
-                CorePlacement::Unpinned => None,
-                CorePlacement::Base(base) => Some(base + i),
-            };
-            shards.push(Shard {
-                cell: Arc::new(SlotCell {
-                    runtime: RwLock::new(None),
-                    parked: Mutex::new(Some(service)),
-                    epoch: AtomicU64::new(0),
-                    failure: Mutex::new(None),
-                }),
-                orphans,
-                heap_watch,
-                handles: RuntimeHandles::fresh(&runtime_cfg),
-                core,
-            });
-        }
         let mut ngm = Ngm {
-            shards: shards.into_boxed_slice(),
-            batch_size: cfg.batch_size as u32,
-            flush_threshold: cfg.flush_threshold as u32,
-            sites: (cfg.site_sample > 0).then(|| Arc::new(SiteProfiler::new(cfg.site_sample))),
-            fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
-            large: Arc::default(),
-            obs: Arc::new(ObsState::new(cfg.blackbox, demand_watches)),
+            tier: Arc::new(Tier::new(&cfg, &runtime_cfg)),
             elastic: cfg.elastic,
             controller: Mutex::new(ControllerState::default()),
             runtime_cfg,
             scale_trace: None,
             observer_cfg: Mutex::new(cfg.observer),
-            inflight_limit: cfg.inflight_limit,
         };
         for i in 0..cfg.shards {
             ngm.spawn_slot(i).map_err(NgmError::Spawn)?;
         }
         // The controller's decision ring claims its thread id only after
         // the initial spawns, so slot 0's service loop keeps id 0.
-        ngm.scale_trace = ngm.shards[0].handles.telemetry.new_ring();
+        ngm.scale_trace = ngm.telemetry().new_ring();
         Ok(ngm)
     }
 
-    /// Per-slot runtime config: the shared template plus this slot's
-    /// placement.
-    fn slot_runtime_cfg(&self, slot: usize) -> RuntimeConfig {
-        RuntimeConfig {
-            core: self.shards[slot].core,
-            shard: slot,
-            ..self.runtime_cfg
-        }
-    }
-
-    /// Takes the slot's parked service and gives it a (new) thread. The
-    /// slot's stats, telemetry, and fault knobs persist across epochs
-    /// (see [`RuntimeHandles`]); the epoch bump tells handles their old
-    /// clients are stale.
+    /// Gives `slot` a thread ([`Slot::spawn`](super::slot::Slot::spawn))
+    /// and routes handles to it.
     pub(super) fn spawn_slot(&self, slot: usize) -> Result<(), ServiceError> {
-        let shard = &self.shards[slot];
-        let mut rt_guard = shard
-            .cell
-            .runtime
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if rt_guard.is_some() {
-            return Ok(());
-        }
-        let service = lock(&shard.cell.parked)
-            .take()
-            .ok_or(ServiceError::SpawnFailed)?;
-        let runtime =
-            OffloadRuntime::try_start_shared(service, self.slot_runtime_cfg(slot), &shard.handles)?;
-        *rt_guard = Some(runtime);
-        shard.cell.epoch.fetch_add(1, Ordering::AcqRel);
-        drop(rt_guard);
-        self.obs.set_state(slot, ShardLifecycle::Serving);
+        self.tier.slots[slot].spawn(self.runtime_cfg)?;
+        self.tier.set_state(slot, ShardLifecycle::Serving);
         Ok(())
     }
 
@@ -258,64 +141,14 @@ impl Ngm {
     /// policy's `max` (use [`Ngm::serving_shards`] for the currently
     /// serving subset).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.tier.slots.len()
     }
 
     /// Registers a handle for the calling (or any) thread. The handle
     /// holds one client endpoint per serving shard and routes between
     /// them, registering endpoints to later-spawned shards lazily.
     pub fn handle(&self) -> NgmHandle {
-        let n = self.shards.len();
-        let mut clients = Vec::with_capacity(n);
-        let mut client_epoch = Vec::with_capacity(n);
-        for (i, s) in self.shards.iter().enumerate() {
-            let guard = s
-                .cell
-                .runtime
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            // A PMU session counts its whole thread; arming one handle
-            // per shard would re-count this thread once per shard, so
-            // only the shard-0 endpoint arms.
-            clients.push(guard.as_ref().map(|rt| rt.register_client_with_pmu(i == 0)));
-            client_epoch.push(s.cell.epoch.load(Ordering::Acquire));
-        }
-        let mut handle = NgmHandle {
-            clients: clients.into_boxed_slice(),
-            slots: self.shards.iter().map(|s| Arc::clone(&s.cell)).collect(),
-            client_epoch: client_epoch.into_boxed_slice(),
-            seen_generation: self.obs.generation(),
-            shard_stats: self
-                .shards
-                .iter()
-                .map(|s| Arc::clone(&s.handles.stats))
-                .collect(),
-            shard_telemetry: self
-                .shards
-                .iter()
-                .map(|s| Arc::clone(&s.handles.telemetry))
-                .collect(),
-            orphans: self.shards.iter().map(|s| Arc::clone(&s.orphans)).collect(),
-            batch_size: self.batch_size,
-            flush_threshold: self.flush_threshold,
-            magazines: [AddrBatch::empty(); NUM_CLASSES],
-            mag_shard: [0u16; NUM_CLASSES],
-            class_shard: [0u16; NUM_CLASSES],
-            free_bufs: vec![AddrBatch::empty(); n].into_boxed_slice(),
-            stash_by_shard: vec![0i64; n].into_boxed_slice(),
-            published_occupancy: vec![0i64; n].into_boxed_slice(),
-            pressure: vec![0u32; n].into_boxed_slice(),
-            failed: vec![false; n].into_boxed_slice(),
-            sites: self.sites.clone(),
-            fallback: Arc::clone(&self.fallback),
-            large: Arc::clone(&self.large),
-            obs: Arc::clone(&self.obs),
-            nb_pending: vec![None; n].into_boxed_slice(),
-            settled: 0,
-            inflight_limit: self.inflight_limit,
-        };
-        handle.recompute_class_routes();
-        handle
+        NgmHandle::new(Arc::clone(&self.tier))
     }
 
     /// The tier's one clock: samples every shard into its heat window
@@ -330,38 +163,18 @@ impl Ngm {
     /// at the cadence the windows should span — by hand, or from the
     /// background thread [`Ngm::autoscaler`] (and the observer) runs.
     pub fn tick(&self) -> ScaleDecision {
-        let fallbacks = self.fallback.allocs();
-        for (i, s) in self.shards.iter().enumerate() {
-            // Counters live in the slot's persistent handles, so a
-            // dormant slot samples as zeros and a respawned slot's
-            // window stays monotonic across epochs.
-            let stats = s.handles.stats.snapshot();
-            let frame = HeatFrame {
-                tsc: cycles_now(),
-                ring_occupancy: stats.ring_occupancy as u64,
-                calls: stats.calls_served,
-                deadlines: stats.deadlines,
-                retries: stats.post_full_retries,
-                fallbacks,
-                phases: s
-                    .handles
-                    .telemetry
-                    .phase_cycles
-                    .iter()
-                    .map(|h| h.snapshot())
-                    .collect(),
-                demand: self.obs.demand(i),
-            };
-            self.obs.push_frame(i, frame);
+        let fallbacks = self.tier.fallback.allocs();
+        for slot in self.tier.slots.iter() {
+            slot.sample(fallbacks);
         }
-        self.obs.record_tick();
+        self.tier.ticks.fetch_add(1, Ordering::Relaxed);
         self.scaling_tick()
     }
 
     /// [`Ngm::tick`]s so far: the number of frames every heat window has
     /// been offered, whoever scraped in between.
     pub fn ticks(&self) -> u64 {
-        self.obs.ticks_total()
+        self.tier.ticks.load(Ordering::Relaxed)
     }
 
     /// The windowed aggregates as of the last [`Ngm::tick`], one entry
@@ -369,7 +182,7 @@ impl Ngm {
     /// occupancy, windowed phase percentiles, and per-size-class refill
     /// demand. A pure read — all-zero entries before the first tick.
     pub fn heat_report(&self) -> HeatReport {
-        self.obs.report()
+        self.tier.report()
     }
 
     /// The most recent blackbox dumps, newest last (empty when the
@@ -377,16 +190,17 @@ impl Ngm {
     /// stderr and the `NGM_BLACKBOX_PATH` file at emit time; this ring
     /// is what the observer's `/blackbox` endpoint serves.
     pub fn blackbox_dumps(&self) -> Vec<BlackboxDump> {
-        self.obs
+        self.tier
             .blackbox
             .as_ref()
             .map(|r| r.recent())
             .unwrap_or_default()
     }
 
-    /// Shared observability state, for the observer endpoints.
-    pub(crate) fn obs_state(&self) -> &ObsState {
-        &self.obs
+    /// The shared tier state, as the observer endpoints read it (slot
+    /// lifecycle, heat frames) and meter themselves into it.
+    pub(crate) fn obs_state(&self) -> &Tier {
+        &self.tier
     }
 
     /// Takes the observer config stashed by [`NgmConfig::with_observer`]
@@ -403,17 +217,17 @@ impl Ngm {
     /// cross-check a recording against the event stream *exactly*.
     pub(crate) fn observer_frame(&self) -> RecordFrame {
         let _st = lock(&self.controller);
-        let states: String = (0..self.shards.len())
-            .map(|s| state_glyph(self.obs.state(s)))
-            .collect();
+        let slots = &self.tier.slots;
+        let states: String = slots.iter().map(|s| state_glyph(s.state())).collect();
         let serving = states.chars().filter(|&c| c == 'S').count() as u64;
         let stats = self.runtime_stats();
-        let shards = (0..self.shards.len())
-            .filter_map(|s| {
-                let heat = self.obs.settled_heat(s)?;
-                let sh = ShardHeat { shard: s, heat };
+        let (scale_up, scale_down) = self.scale_counts();
+        let shards = slots
+            .iter()
+            .filter_map(|slot| {
+                let sh = slot.settled_heat()?;
                 Some(ShardSample {
-                    shard: s as u64,
+                    shard: sh.shard as u64,
                     score: sh.score(),
                     calls: sh.heat.calls,
                     deadlines: sh.heat.deadlines,
@@ -427,10 +241,10 @@ impl Ngm {
             serving,
             states,
             deadlines: stats.deadlines,
-            fallbacks: self.fallback.allocs(),
-            scale_up: self.obs.scale_up_total(),
-            scale_down: self.obs.scale_down_total(),
-            obs_cycles: self.obs.obs_cycles_total(),
+            fallbacks: self.tier.fallback.allocs(),
+            scale_up,
+            scale_down,
+            obs_cycles: self.tier.obs_cycles_total(),
             shards,
         }
     }
@@ -439,22 +253,16 @@ impl Ngm {
     /// `None` for a slot with no thread (dormant/retired), otherwise
     /// whether the thread is serving, gated for drain, or dead.
     pub fn shard_health(&self, shard: usize) -> Option<ngm_offload::ShardHealth> {
-        self.shards[shard]
-            .cell
-            .runtime
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(OffloadRuntime::health)
+        self.tier.slots[shard].with_runtime(OffloadRuntime::health)
     }
 
     /// Serving slots whose service thread has exited without the
     /// controller noticing yet — a wedged shard. Handles fail traffic
     /// over on their own; this surfaces the condition to `/readyz`.
     pub(crate) fn wedged_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
+        (0..self.num_shards())
             .filter(|&s| {
-                self.obs.state(s) == ShardLifecycle::Serving
+                self.tier.state(s) == ShardLifecycle::Serving
                     && self.shard_health(s) == Some(ngm_offload::ShardHealth::Down)
             })
             .collect()
@@ -463,7 +271,7 @@ impl Ngm {
     /// The shared degradation heap (diagnostics: `allocs()` > 0 means
     /// some request exhausted every shard and was served inline).
     pub fn fallback_heap(&self) -> &Arc<FallbackHeap> {
-        &self.fallback
+        &self.tier.fallback
     }
 
     /// Shard `shard`'s live fault-injection knobs (`faultinject` builds
@@ -471,7 +279,7 @@ impl Ngm {
     /// thread mid-serve — while the tier runs.
     #[cfg(feature = "faultinject")]
     pub fn fault_state(&self, shard: usize) -> &Arc<ngm_offload::FaultState> {
-        &self.shards[shard].handles.fault
+        &self.tier.slots[shard].handles.fault
     }
 
     /// Frees a small block via its owning shard's orphan stack, routing
@@ -483,28 +291,28 @@ impl Ngm {
     /// `ptr` must be a live small-class block allocated by this `Ngm`,
     /// relinquished by the caller.
     pub unsafe fn orphan_push(&self, ptr: NonNull<u8>) {
-        if let Some(prof) = &self.sites {
+        if let Some(prof) = &self.tier.sites {
             prof.record_free(ptr.as_ptr() as usize);
         }
         // SAFETY: forwarded contract — a live small block from one of our
         // segregated heaps (shard or fallback).
         let owner = unsafe { ngm_heap::owner_of_small_ptr(ptr) };
-        if self.fallback.is_active() && owner == FALLBACK_OWNER {
+        if self.tier.fallback.is_active() && owner == FALLBACK_OWNER {
             // Degraded-mode block: no shard ever owned it, so no orphan
             // stack can reclaim it. Free it inline.
             // SAFETY: forwarded contract.
-            unsafe { self.fallback.deallocate(ptr) };
+            unsafe { self.tier.fallback.deallocate(ptr) };
             return;
         }
         let shard = self.shard_of_owned(owner);
         // SAFETY: forwarded contract.
-        unsafe { self.shards[shard].orphans.push(ptr) };
+        unsafe { self.tier.slots[shard].orphans.push(ptr) };
     }
 
     fn shard_of_owned(&self, owner: u64) -> usize {
         let shard = owner.wrapping_sub(OWNER_BASE) as usize;
-        debug_assert!(shard < self.shards.len(), "foreign owner id {owner:#x}");
-        if shard < self.shards.len() {
+        debug_assert!(shard < self.num_shards(), "foreign owner id {owner:#x}");
+        if shard < self.num_shards() {
             shard
         } else {
             0
@@ -513,20 +321,20 @@ impl Ngm {
 
     /// Total blocks ever pushed onto any shard's orphan stack.
     pub fn orphans_pushed(&self) -> u64 {
-        self.shards.iter().map(|s| s.orphans.pushed()).sum()
+        self.tier.slots.iter().map(|s| s.orphans.pushed()).sum()
     }
 
     /// Total orphaned blocks reclaimed by the service shards so far.
     pub fn orphans_drained(&self) -> u64 {
-        self.shards.iter().map(|s| s.orphans.drained()).sum()
+        self.tier.slots.iter().map(|s| s.orphans.drained()).sum()
     }
 
     /// Offload-runtime counters, merged across every shard (counters and
     /// occupancy gauges sum; `service_down` is true if *any* shard is
     /// down).
     pub fn runtime_stats(&self) -> StatsSnapshot {
-        let mut merged = self.shards[0].handles.stats.snapshot();
-        for s in &self.shards[1..] {
+        let mut merged = self.tier.slots[0].handles.stats.snapshot();
+        for s in &self.tier.slots[1..] {
             merged.absorb(&s.handles.stats.snapshot());
         }
         merged
@@ -539,38 +347,26 @@ impl Ngm {
     /// the shard's final stats normally. A no-op for a slot with no
     /// thread.
     pub fn stop_shard(&self, shard: usize) {
-        if let Some(rt) = self.shards[shard]
-            .cell
-            .runtime
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            rt.request_stop();
-        }
+        self.tier.slots[shard].with_runtime(OffloadRuntime::request_stop);
     }
 
     /// Whether shard `shard`'s service thread has exited (orderly or by
     /// panic) — or never had one (a dormant/retired slot).
     pub fn shard_finished(&self, shard: usize) -> bool {
-        self.shards[shard]
-            .cell
-            .runtime
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .is_none_or(OffloadRuntime::is_finished)
+        self.tier.slots[shard]
+            .with_runtime(OffloadRuntime::is_finished)
+            .unwrap_or(true)
     }
 
     /// Shard 0's telemetry hub (histograms of a single-shard tier; for
     /// the merged view use [`Ngm::metrics`]).
     pub fn telemetry(&self) -> &Arc<RuntimeTelemetry> {
-        &self.shards[0].handles.telemetry
+        self.shard_telemetry(0)
     }
 
     /// One shard's telemetry hub.
     pub fn shard_telemetry(&self, shard: usize) -> &Arc<RuntimeTelemetry> {
-        &self.shards[shard].handles.telemetry
+        &self.tier.slots[shard].handles.telemetry
     }
 
     /// A near-current view of the tier's heaps: the service heaps
@@ -580,9 +376,9 @@ impl Ngm {
     /// shard fields may lag a busy service by one publication; the stats
     /// returned by [`Ngm::shutdown`] are exact.
     pub fn live_heap_stats(&self) -> HeapStats {
-        let mut merged = off_shard_stats(&self.fallback, &self.large);
-        for s in self.shards.iter() {
-            merged.absorb(&s.heap_watch.load());
+        let mut merged = self.off_shard_stats();
+        for s in self.tier.slots.iter() {
+            merged.absorb(&s.heap_mirror());
         }
         merged
     }
@@ -592,24 +388,22 @@ impl Ngm {
     /// `ngm_heap_*` series mirrored from the service heaps.
     pub fn metrics(&self) -> MetricsSnapshot {
         let stats = self.runtime_stats();
-        let peers: Vec<&RuntimeTelemetry> = self.shards[1..]
+        let peers: Vec<&RuntimeTelemetry> = self.tier.slots[1..]
             .iter()
             .map(|s| &*s.handles.telemetry)
             .collect();
-        let mut m = self.shards[0]
-            .handles
-            .telemetry
-            .metrics_merged(&stats, &peers);
+        let mut m = self.telemetry().metrics_merged(&stats, &peers);
         let heap = self.live_heap_stats();
+        let (scale_up, scale_down) = self.scale_counts();
         m.counter("ngm_heap_allocs_total", heap.total_allocs)
             .counter("ngm_heap_frees_total", heap.total_frees)
             .counter(
                 "ngm_heap_large_allocs_total",
-                self.large.stats().total_allocs,
+                self.tier.large.stats().total_allocs,
             )
-            .counter("ngm_fallback_allocs_total", self.fallback.allocs())
-            .counter("ngm_scale_up_total", self.obs.scale_up_total())
-            .counter("ngm_scale_down_total", self.obs.scale_down_total())
+            .counter("ngm_fallback_allocs_total", self.tier.fallback.allocs())
+            .counter("ngm_scale_up_total", scale_up)
+            .counter("ngm_scale_down_total", scale_down)
             .gauge("ngm_service_shards", self.serving_shards().len() as i64)
             .gauge("ngm_heap_live_blocks", heap.live_blocks as i64)
             .gauge("ngm_heap_live_bytes", heap.live_bytes as i64)
@@ -618,7 +412,7 @@ impl Ngm {
             .gauge("ngm_heap_peak_live_bytes", heap.peak_live_bytes as i64);
         // Scrape-target conventions: liveness, build identity, process
         // start, and the running cost of observability itself.
-        m.counter("ngm_obs_scrape_cycles_total", self.obs.obs_cycles_total())
+        m.counter("ngm_obs_scrape_cycles_total", self.tier.obs_cycles_total())
             .gauge("ngm_up", 1)
             .gauge("process_start_time_seconds", process_start_secs())
             .labeled_gauge(
@@ -645,12 +439,12 @@ impl Ngm {
     /// thread arms. A service column is deposited when its loop exits,
     /// so the complete report is [`NgmShutdown::pmu`].
     pub fn pmu_report(&self) -> Option<PmuReport> {
-        if self.shards.len() == 1 {
-            return self.shards[0].handles.telemetry.pmu_report();
+        if self.num_shards() == 1 {
+            return self.telemetry().pmu_report();
         }
         let mut out = PmuReport::new("PMU: service shards vs app cores");
         let mut clients = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
+        for (i, s) in self.tier.slots.iter().enumerate() {
             if let Some(rep) = s.handles.telemetry.pmu_report() {
                 for col in rep.cols {
                     if col.name.starts_with("service") {
@@ -671,7 +465,7 @@ impl Ngm {
     /// shutdown this is the leak report: surviving sites are leak
     /// suspects.
     pub fn site_report(&self) -> Option<SiteReport> {
-        self.sites.as_ref().map(|s| s.report())
+        self.tier.sites.as_ref().map(|s| s.report())
     }
 
     /// Stops every service shard and returns final statistics, per shard
@@ -686,65 +480,26 @@ impl Ngm {
         let mut service = ServiceStats::default();
         let mut heap = HeapStats::default();
         let mut runtime: Option<StatsSnapshot> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let taken = shard
-                .cell
-                .runtime
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let out = match taken {
-                Some(rt) => match rt.try_shutdown() {
-                    Ok((mut svc, stats)) => {
-                        // The stop path drains rings but never runs
-                        // another idle round, so orphans pushed late
-                        // (deadline-rerouted frees, teardown races) are
-                        // still pending — reclaim them now that we own
-                        // the service again.
-                        svc.reclaim_orphans();
-                        ShardShutdown {
-                            shard: i,
-                            service: svc.service_stats(),
-                            heap: svc.heap_stats(),
-                            runtime: stats,
-                            error: None,
-                        }
-                    }
-                    Err(failure) => ShardShutdown {
-                        shard: i,
-                        service: ServiceStats::default(),
-                        // The service state died with its thread; the
-                        // idle-published mirror is the best remaining
-                        // estimate.
-                        heap: shard.heap_watch.load(),
-                        runtime: failure.stats,
-                        error: Some(failure.error),
-                    },
-                },
-                // No thread: the slot is dormant (never spawned) or
-                // retired (drained to zero balance and parked). The
-                // parked service reports its exact cumulative books; a
-                // slot whose retirement lost the service (it panicked
-                // mid-drain) reports the stored failure instead.
-                None => match lock(&shard.cell.parked).take() {
-                    Some(mut svc) => {
-                        svc.reclaim_orphans();
-                        ShardShutdown {
-                            shard: i,
-                            service: svc.service_stats(),
-                            heap: svc.heap_stats(),
-                            runtime: shard.handles.stats.snapshot(),
-                            error: lock(&shard.cell.failure).take(),
-                        }
-                    }
-                    None => ShardShutdown {
-                        shard: i,
-                        service: ServiceStats::default(),
-                        heap: shard.heap_watch.load(),
-                        runtime: shard.handles.stats.snapshot(),
-                        error: lock(&shard.cell.failure).take(),
-                    },
-                },
+        for (i, slot) in self.tier.slots.iter().enumerate() {
+            slot.stop();
+            let (parked, error) = slot.take_parked();
+            let (service_stats, heap_stats) = match parked {
+                // Stopped just now, retired earlier or never spawned: the
+                // parked service reports its exact cumulative books.
+                Some(svc) => (svc.service_stats(), svc.heap_stats()),
+                // The service state died with its thread (now, or
+                // mid-drain at a retirement); the idle-published mirror
+                // is the best remaining estimate.
+                None => (ServiceStats::default(), slot.heap_mirror()),
+            };
+            let out = ShardShutdown {
+                shard: i,
+                service: service_stats,
+                heap: heap_stats,
+                // The counters live outside the service thread and
+                // survive its death.
+                runtime: slot.handles.stats.snapshot(),
+                error,
             };
             service.absorb(&out.service);
             heap.absorb(&out.heap);
@@ -758,8 +513,8 @@ impl Ngm {
         // merged totals: their blocks are real allocations the
         // application received, so they must participate in the
         // allocs == frees invariant.
-        let off_shard = off_shard_stats(&self.fallback, &self.large);
-        service.fallback_allocs = self.fallback.allocs();
+        let off_shard = self.off_shard_stats();
+        service.fallback_allocs = self.tier.fallback.allocs();
         service.allocs += off_shard.total_allocs;
         service.frees += off_shard.total_frees;
         heap.absorb(&off_shard);
@@ -772,16 +527,16 @@ impl Ngm {
             pmu: self.pmu_report(),
         }
     }
-}
 
-/// The blocks no shard ever sees — fallback blocks and large blocks,
-/// both allocated and freed inline by clients — as one [`HeapStats`], so
-/// the live view ([`Ngm::live_heap_stats`]) and the final books
-/// ([`Ngm::shutdown`]) fold them identically.
-fn off_shard_stats(fallback: &FallbackHeap, large: &LargeBlocks) -> HeapStats {
-    let mut stats = fallback.stats();
-    stats.absorb(&large.stats());
-    stats
+    /// The blocks no shard ever sees — fallback blocks and large blocks,
+    /// both allocated and freed inline by clients — as one [`HeapStats`],
+    /// so the live view ([`Ngm::live_heap_stats`]) and the final books
+    /// ([`Ngm::shutdown`]) fold them identically.
+    fn off_shard_stats(&self) -> HeapStats {
+        let mut stats = self.tier.fallback.stats();
+        stats.absorb(&self.tier.large.stats());
+        stats
+    }
 }
 
 /// Final statistics from [`Ngm::shutdown`]: exact per-shard results plus

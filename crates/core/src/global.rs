@@ -16,7 +16,11 @@
 //!
 //! * **Bootstrap** — allocations made while the runtime or a per-thread
 //!   handle is being constructed come from a static bump arena
-//!   ([`crate::bootstrap`]); frees into that arena are ignored.
+//!   ([`crate::bootstrap`]); frees into that arena are ignored. Since
+//!   the arena never gives anything back, an exiting thread's handle is
+//!   not dropped but emptied and parked for the next thread to adopt
+//!   (`SPARES`): the arena burns per *peak* live thread, not per thread
+//!   ever spawned.
 //! * **The service thread itself** — must never round-trip to itself, so
 //!   its own (rare) allocations also use the arena.
 //! * **Large blocks** (above the class table's 16 KiB ceiling) — served
@@ -32,12 +36,12 @@ use std::alloc::{GlobalAlloc, Layout};
 use std::cell::{Cell, RefCell};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use ngm_heap::classes::layout_to_class;
 use ngm_heap::sys::{map_large, unmap_large};
 
-use crate::api::{Ngm, NgmHandle};
+use crate::api::{lock, Ngm, NgmHandle};
 use crate::bootstrap::{bootstrap_alloc, is_bootstrap_ptr};
 use crate::config::NgmConfig;
 
@@ -49,11 +53,47 @@ static RUNTIME: OnceLock<Ngm> = OnceLock::new();
 /// to themselves — comes from the bootstrap arena.
 static SERVICE_READY: AtomicBool = AtomicBool::new(false);
 
+/// Handles whose threads have exited, emptied ([`NgmHandle::empty`]:
+/// in-flight refills settled, frees flushed, magazines returned — a
+/// spare holds no block of any shard) and waiting for the next thread
+/// that needs one. A handle's boxed state and its clients' slots come
+/// from the bootstrap arena, so reusing them is what bounds the arena.
+static SPARES: Mutex<Vec<NgmHandle>> = Mutex::new(Vec::new());
+
+/// A thread's handle slot; its destructor, run at thread exit, parks the
+/// handle instead of dropping it.
+struct ThreadHandle(RefCell<Option<NgmHandle>>);
+
+impl std::ops::Deref for ThreadHandle {
+    type Target = RefCell<Option<NgmHandle>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for ThreadHandle {
+    fn drop(&mut self) {
+        let (Some(mut handle), Some(rt)) = (self.0.get_mut().take(), RUNTIME.get()) else {
+            return;
+        };
+        // The spare list may grow: that, like everything else from here
+        // to the thread's end, comes from the arena.
+        let _ = GUARD.try_with(|g| g.set(true));
+        // A profiled client deposits its thread's PMU reading when it
+        // drops, and a session cannot move to another thread.
+        if !rt.telemetry().profiling_enabled() {
+            handle.empty();
+            lock(&SPARES).push(handle);
+        }
+    }
+}
+
 std::thread_local! {
     /// True while this thread must not re-enter the offload path.
     static GUARD: Cell<bool> = const { Cell::new(false) };
-    /// This thread's client handle, created lazily.
-    static HANDLE: RefCell<Option<NgmHandle>> = const { RefCell::new(None) };
+    /// This thread's client handle, adopted or created lazily.
+    static HANDLE: ThreadHandle = const { ThreadHandle(RefCell::new(None)) };
 }
 
 /// Marks the calling thread as the allocator service thread: all its
@@ -134,7 +174,8 @@ impl NgmAllocator {
                 };
                 if slot.is_none() {
                     let was = GUARD.with(|g| g.replace(true));
-                    *slot = Some(rt.handle());
+                    let spare = lock(&SPARES).pop();
+                    *slot = Some(spare.unwrap_or_else(|| rt.handle()));
                     GUARD.with(|g| g.set(was));
                 }
                 let handle = slot.as_mut().expect("handle initialized above");

@@ -32,8 +32,9 @@ pub struct HeatFrame {
     /// Cumulative phase histograms, caller-defined order (the runtime
     /// uses queue/claim/serve/publish/observe).
     pub phases: Vec<HistogramSnapshot>,
-    /// Per-size-class refill demand at sample time (instantaneous,
-    /// published by the shard's idle hook).
+    /// Per-size-class refill demand, cumulative (blocks handed out per
+    /// class since shard start, as last published by the shard's idle
+    /// hook).
     pub demand: Vec<u64>,
 }
 
@@ -56,7 +57,7 @@ pub struct HeatDelta {
     pub ring_occupancy: u64,
     /// Windowed phase distributions, same order as the frames'.
     pub phases: Vec<HistogramSnapshot>,
-    /// Latest per-size-class refill demand (instantaneous).
+    /// Per-size-class refill demand within the window.
     pub demand: Vec<u64>,
 }
 
@@ -172,6 +173,12 @@ impl HeatWindow {
                 None => now.clone(),
             })
             .collect();
+        let demand = newest
+            .demand
+            .iter()
+            .enumerate()
+            .map(|(i, now)| now.saturating_sub(oldest.demand.get(i).copied().unwrap_or(0)))
+            .collect();
         Some(HeatDelta {
             span_tsc: newest.tsc.saturating_sub(oldest.tsc),
             calls: newest.calls.saturating_sub(oldest.calls),
@@ -180,7 +187,7 @@ impl HeatWindow {
             fallbacks: newest.fallbacks.saturating_sub(oldest.fallbacks),
             ring_occupancy: newest.ring_occupancy,
             phases,
-            demand: newest.demand.clone(),
+            demand,
         })
     }
 }
@@ -216,18 +223,30 @@ mod tests {
 
     #[test]
     fn window_subtracts_the_baseline() {
+        // Refill demand rides along: class 0 refills only before the
+        // second frame, class 1 in every interval.
+        let with_demand = |f: HeatFrame, demand: [u64; 2]| HeatFrame {
+            demand: demand.to_vec(),
+            ..f
+        };
         let mut w = HeatWindow::new(3);
-        w.push(frame(100, 10, 2));
-        w.push(frame(200, 50, 2));
-        w.push(frame(300, 100, 12));
+        w.push(with_demand(frame(100, 10, 2), [40, 5]));
+        w.push(with_demand(frame(200, 50, 2), [64, 9]));
+        w.push(with_demand(frame(300, 100, 12), [64, 12]));
         let d = w.windowed().expect("frames pushed");
         assert_eq!(d.span_tsc, 200);
         assert_eq!(d.calls, 90, "newest minus oldest");
         assert_eq!(d.deadlines, 10);
+        assert_eq!(d.demand, [24, 7], "demand is differenced like calls");
         // A fourth frame evicts the first: the baseline slides.
-        w.push(frame(400, 120, 12));
+        w.push(with_demand(frame(400, 120, 12), [64, 13]));
         let d = w.windowed().expect("frames pushed");
         assert_eq!(d.calls, 70, "window slid past the first frame");
+        assert_eq!(
+            d.demand,
+            [0, 4],
+            "a class refilled only before the window slid reads 0"
+        );
         assert_eq!(w.len(), 3);
     }
 

@@ -249,6 +249,72 @@ fn scale_down_drain_preserves_per_shard_balance() {
     );
 }
 
+/// A shard stops one way (`Slot::stop`), whoever stops it: for
+/// identical traffic, a shard the controller retired and `shutdown`
+/// then reported shows the same books as the same shard stopped by
+/// `shutdown` alone.
+#[test]
+fn a_retired_shard_reports_the_books_of_one_stopped_at_shutdown() {
+    let tier_after_traffic = || {
+        let ngm = NgmConfig::new()
+            .with_shards(2)
+            .elastic(1, 2)
+            .with_batch(1, 1)
+            .with_placement(CorePlacement::Unpinned)
+            .build()
+            .expect("valid config");
+        let mut h = ngm.handle();
+        let blocks = alloc_some(&mut h, 256);
+        free_all(&mut h, blocks);
+        drop(h);
+        ngm
+    };
+    // Every count that traffic alone decides (idle-round housekeeping
+    // and preallocation depend on how long the thread sat idle).
+    let books = |s: &ngm_core::ShardShutdown| {
+        assert!(s.error.is_none(), "shard {} lost its service", s.shard);
+        let (svc, heap) = (&s.service, &s.heap);
+        [
+            svc.allocs,
+            svc.frees,
+            svc.failures,
+            svc.batch_refills,
+            svc.magazine_returned,
+            svc.orphans_reclaimed,
+            svc.protocol_errors,
+            heap.total_allocs,
+            heap.total_frees,
+            heap.live_blocks,
+            heap.live_bytes,
+            heap.peak_live_bytes,
+            s.runtime.calls_served,
+        ]
+    };
+
+    let retired = tier_after_traffic();
+    assert!(retired.begin_retire(1), "slot 1 is outside the floor");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while retired.scaling_tick() != (ScaleDecision::Retired { shard: 1 }) {
+        assert!(Instant::now() < deadline, "drain never completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(retired.shard_health(1), None, "the thread is joined");
+    let retired = retired.shutdown();
+
+    let stopped = tier_after_traffic().shutdown();
+
+    assert!(retired.clean() && retired.balanced());
+    assert!(stopped.clean() && stopped.balanced());
+    assert!(books(&stopped.shards[1])[0] > 0, "shard 1 saw traffic");
+    for shard in 0..2 {
+        assert_eq!(
+            books(&retired.shards[shard]),
+            books(&stopped.shards[shard]),
+            "shard {shard}"
+        );
+    }
+}
+
 #[cfg(feature = "faultinject")]
 mod faultinject {
     use super::*;

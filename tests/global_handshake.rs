@@ -1,16 +1,18 @@
-//! End-to-end test of the `GlobalAlloc` hook with the batched magazine
-//! front-end enabled: this entire test binary runs on NextGen-Malloc with
-//! per-thread magazines and batched free flushes. A separate binary from
-//! `global_allocator.rs` because the process-global runtime adopts the
-//! configuration of whichever `NgmAllocator` allocates first.
+//! End-to-end test of the `GlobalAlloc` hook at the paper's per-call
+//! handshake: this entire test binary runs on NextGen-Malloc at
+//! `with_batch(1, 1)` — one round trip per small `malloc`, one ring post
+//! per small `free`, through the same magazine and free-buffer code that
+//! `global_allocator.rs` runs at the amortising default (32/32). The two
+//! binaries are the two ends of the one request path. A separate binary
+//! because the process-global runtime adopts the configuration of
+//! whichever `NgmAllocator` allocates first.
 
 use std::collections::HashMap;
 
 use ngm_core::NgmAllocator;
 
 #[global_allocator]
-static ALLOC: NgmAllocator =
-    NgmAllocator::with_config(ngm_core::NgmConfig::new().with_batch(16, 8));
+static ALLOC: NgmAllocator = NgmAllocator::with_config(ngm_core::NgmConfig::new().with_batch(1, 1));
 
 #[test]
 fn collections_churn_through_magazines() {
@@ -34,7 +36,7 @@ fn collections_churn_through_magazines() {
 }
 
 #[test]
-fn many_threads_allocate_through_batched_magazines() {
+fn many_threads_allocate_through_the_handshake() {
     let handles: Vec<_> = (0..8)
         .map(|t| {
             std::thread::spawn(move || {
@@ -64,22 +66,23 @@ fn large_allocations_still_roundtrip() {
 }
 
 #[test]
-fn metrics_show_the_batched_path_is_live() {
+fn metrics_show_the_handshake_path_is_live() {
     // Force plenty of small-block traffic first.
     for _ in 0..64 {
         let v: Vec<u8> = vec![7; 640];
         drop(v);
     }
     let stats = ngm_core::global::global_stats().expect("runtime started");
-    assert!(
-        stats.batched_calls_served > 0,
-        "magazine refills must have happened"
+    assert!(stats.calls_served >= 64, "every malloc is a round trip");
+    assert_eq!(
+        stats.batched_calls_served, 0,
+        "a one-block round trip is a call, not a refill"
     );
     let m = ngm_core::global::global_metrics().expect("runtime started");
-    let refills = m
-        .get_histogram("ngm_refill_cycles")
-        .expect("refill histogram exported");
-    assert!(refills.count() > 0, "refill RTTs recorded");
+    let calls = m
+        .get_histogram("ngm_call_cycles")
+        .expect("call histogram exported");
+    assert!(calls.count() > 0, "call RTTs recorded");
     assert!(
         m.get_gauge("ngm_magazine_occupancy").unwrap_or(0) >= 0,
         "occupancy gauge exported and never negative"
