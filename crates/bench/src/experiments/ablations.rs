@@ -105,11 +105,23 @@ pub fn free_batching(ops: u32) -> Vec<BatchRow> {
             // The per-call protocol on 64-byte blocks: a refill of one,
             // a free batch of one.
             let class = ngm_heap::size_to_class(64).expect("64 is a small class");
+            let one = ngm_core::AllocBatchReq { class, count: 1 };
+            // Messages the way a handle moves them: the address is copied
+            // out of the slot into the post, the post sent from where it
+            // lies.
+            let mut block = ngm_core::FreePost::default();
             let start = Instant::now();
             for _ in 0..ops {
-                let block = client.call(ngm_core::AllocBatchReq { class, count: 1 });
-                assert_eq!(block.len(), 1);
-                client.post(ngm_core::FreePost::Batch(block));
+                client
+                    .submit(one, ngm_offload::CallKind::Single)
+                    .expect("the slot is free and the service up");
+                client
+                    .wait(None, |resp| block.addrs_mut().copy_from(resp))
+                    .expect("an unbounded wait never expires");
+                assert_eq!(block.addrs().len(), 1);
+                client
+                    .try_post(&block, ngm_offload::PostWait::Deadline)
+                    .expect("the service drains its ring");
             }
             drop(client);
             let (svc, _stats) = rt.shutdown();
@@ -256,7 +268,7 @@ pub struct BatchSimRow {
 
 /// Refill batches Ablation E sweeps: 1 is Table 3's paper column,
 /// [`table3::SHIPPED_BATCH`] its shipped-default column.
-pub const SIM_BATCHES: [usize; 5] = [1, 4, 16, table3::SHIPPED_BATCH, 64];
+pub const SIM_BATCHES: [usize; 6] = [1, 4, 16, 32, 64, table3::SHIPPED_BATCH];
 
 /// Ablation E: refill batch size vs Mimalloc (simulated, detailed sync
 /// accounting). This is the "aggressive preallocation" MMT needed; it
@@ -327,7 +339,7 @@ pub struct MeasuredBatchRow {
 /// cycles divided by allocations served — the measured counterpart of the
 /// §4.1 `T_comm` amortization that [`handshake_batching`] predicts in sim.
 pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
-    [1usize, 8, 16, 32]
+    [1, 8, 32, ngm_core::MAX_BATCH]
         .into_iter()
         .map(|batch| {
             let ngm = NgmConfig::new()

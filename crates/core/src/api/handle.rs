@@ -27,15 +27,20 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATC
 /// small `alloc` is a pop from an inline array (no round trip, no
 /// atomics — the handle is `!Sync`, so this state is L1-resident and
 /// single-owner per §3.1.3), and one [`AllocBatchReq`] refill round trip
-/// is paid every `batch_size` allocs — or, for the classes where that
-/// many blocks would outgrow a 64 KiB heap page, every page's worth
-/// (8 blocks at 8 KiB, 4 at 16 KiB), so a refill is sized by bytes as
-/// well as by count and no class stashes more than one page per handle.
-/// Symmetrically, every small free is pushed onto a per-owning-shard
-/// buffer that is flushed as one batched post every `flush_threshold`
-/// frees. `with_batch(1, 1)` is the paper's per-call handshake through
-/// this same code: a refill of one block per alloc, a flush of one
-/// block per free.
+/// is paid every `batch_size` allocs (128 by default) — or, for the
+/// classes where that many blocks would outgrow a 64 KiB heap page, every
+/// page's worth (64 blocks at 1 KiB, 8 at 8 KiB, 4 at 16 KiB), so a
+/// refill is sized by bytes as well as by count and no class stashes
+/// more than one page per handle. A trip to the room costs the same
+/// whatever it carries, so it carries a page's worth; what it carries
+/// costs its length — the service writes the addresses into the slot,
+/// this handle copies them from there into the magazine, and nothing
+/// moves a whole [`AddrBatch`]. Symmetrically, every small free is
+/// pushed onto a per-owning-shard buffer that is flushed as one batched
+/// post every `flush_threshold` frees, straight from the buffer into
+/// the ring. `with_batch(1, 1)` is the paper's per-call handshake
+/// through this same code: a refill of one block per alloc, a flush of
+/// one block per free.
 ///
 /// Large layouts — above the class table's 16 KiB ceiling, or aligned
 /// beyond it — never enter the room: each is a dedicated mapping made
@@ -66,7 +71,9 @@ pub struct NgmHandle {
     /// [`NgmHandle::settled`]).
     settled: u64,
     /// One magazine per size class, inline so no allocation ever happens
-    /// on the fast path (crucial under the global-allocator adapter).
+    /// on the fast path (crucial under the global-allocator adapter):
+    /// 36 × 1 KiB, which makes a handle ≈ 37 KiB. Only what is stashed is
+    /// ever touched.
     magazines: [AddrBatch; NUM_CLASSES],
     /// Which shard refilled each class's magazine. A magazine refills
     /// only when empty, so every address in it shares this one source —
@@ -91,8 +98,9 @@ pub(super) struct End {
     /// thread and must be re-registered.
     epoch: u64,
     /// Small-block frees of this shard's blocks, awaiting one batched
-    /// post to it.
-    free_buf: AddrBatch,
+    /// post to it — kept as the [`FreePost::Batch`] it will be posted as,
+    /// so a flush sends it from here without moving it.
+    pub(super) free_buf: FreePost,
     /// Blocks currently stashed in magazines this shard refilled (local
     /// mirror; the shared gauge is updated at refill/drop boundaries).
     stash: i64,
@@ -110,21 +118,6 @@ pub(super) struct End {
     /// submitter or an unrelated call settling the slot for its own
     /// request — can route it. Collecting or retracting it clears it.
     riding: Option<AllocBatchReq>,
-}
-
-/// Polls `client`'s in-flight request or, when `wait`, blocks on it
-/// under the runtime's deadline: the one difference between the
-/// non-blocking entry points and their blocking wrappers.
-#[inline]
-fn await_response(
-    client: &mut ClientHandle<MallocService>,
-    wait: bool,
-) -> Result<AddrBatch, ServiceError> {
-    if wait {
-        client.wait(client.deadline())
-    } else {
-        client.poll().ok_or(ServiceError::WouldBlock)
-    }
 }
 
 impl NgmHandle {
@@ -242,9 +235,9 @@ impl NgmHandle {
     fn return_magazines_from(&mut self, source: usize) {
         for ci in 0..NUM_CLASSES {
             if self.mag_shard[ci] as usize == source && !self.magazines[ci].is_empty() {
-                let batch = std::mem::take(&mut self.magazines[ci]);
-                self.ends[source].stash -= batch.len() as i64;
-                let _ = self.post_routed(source, FreePost::MagazineReturn(batch), true);
+                let unused = FreePost::MagazineReturn(std::mem::take(&mut self.magazines[ci]));
+                self.ends[source].stash -= unused.addrs().len() as i64;
+                let _ = self.post_routed(source, Some(&unused), true);
             }
         }
         self.publish_occupancy(source);
@@ -471,8 +464,8 @@ impl NgmHandle {
     /// ensured) for a class whose magazine is empty: settles whatever
     /// rides the slot — which may be this class's own refill, from an
     /// earlier `WouldBlock`, and then the magazine is stocked and nothing
-    /// more is sent — then submits `what` and polls, or with `wait`
-    /// blocks, for its response. `Ok` means a response was folded into
+    /// more is sent — then submits `what` and collects its response
+    /// ([`NgmHandle::absorb`]). `Ok` means a response was folded into
     /// handle state. [`ServiceError::WouldBlock`] leaves the request
     /// riding the slot for a later call; any other error leaves the slot
     /// free.
@@ -499,10 +492,9 @@ impl NgmHandle {
             .as_mut()
             .expect("client just ensured");
         client.submit(what, kind).map_err(|(_, e)| e)?;
-        match await_response(client, wait) {
-            Ok(batch) => {
+        match self.absorb(shard, what, wait) {
+            Ok(()) => {
                 self.settled += 1;
-                self.absorb(shard, what, &batch);
                 Ok(())
             }
             Err(ServiceError::WouldBlock) => {
@@ -515,26 +507,25 @@ impl NgmHandle {
         }
     }
 
-    /// Collects the refill riding `shard`'s slot, if any: polls — or with
-    /// `wait` blocks — for its response and folds it into handle state
+    /// Collects the refill riding `shard`'s slot, if any
     /// ([`NgmHandle::absorb`]). `Ok` means the slot is free;
     /// [`ServiceError::WouldBlock`] that the response has not landed.
     fn collect(&mut self, shard: usize, wait: bool) -> Result<(), ServiceError> {
         let Some(riding) = self.ends[shard].riding else {
             return Ok(());
         };
-        let Some(client) = self.ends[shard].client.as_mut() else {
+        if self.ends[shard].client.is_none() {
             // The client is gone (resync dropped it): the request can
             // never complete. Clear it so the route is usable again.
             self.release_slot(shard);
             self.stats(shard).record_post_dropped();
             return Ok(());
-        };
-        match await_response(client, wait) {
+        }
+        match self.absorb(shard, riding, wait) {
             Err(ServiceError::WouldBlock) => Err(ServiceError::WouldBlock),
             outcome => {
                 self.release_slot(shard);
-                outcome.map(|batch| self.absorb(shard, riding, &batch))
+                outcome
             }
         }
     }
@@ -547,17 +538,42 @@ impl NgmHandle {
         self.settled += 1;
     }
 
-    /// The one place a response enters handle state: the batch tops up
-    /// its class's magazine or, if the class was refilled from elsewhere
-    /// meanwhile, diverts to the serving shard's orphan stack so the
-    /// ledger still balances without a blocking return post.
-    fn absorb(&mut self, shard: usize, request: AllocBatchReq, batch: &AddrBatch) {
+    /// The one place a response enters handle state. Polls — or with
+    /// `wait` blocks, under the runtime's deadline, on — `shard`'s slot
+    /// for the response to `request` and reads it where it lies: its
+    /// addresses top up their class's magazine, the one copy this side
+    /// makes, or, if the class was refilled from elsewhere meanwhile, go
+    /// home through `shard`'s orphan stack tagged as never handed out,
+    /// like a magazine returned at drop, so the ledger still balances
+    /// without a blocking return post. An empty response is the service
+    /// reporting failure: nothing to stash.
+    fn absorb(
+        &mut self,
+        shard: usize,
+        request: AllocBatchReq,
+        wait: bool,
+    ) -> Result<(), ServiceError> {
         let ci = request.class.0 as usize;
-        if batch.is_empty() {
-            // The service reported failure; nothing to stash.
-        } else if self.magazines[ci].is_empty() {
-            let got = batch.len();
-            self.magazines[ci] = *batch;
+        let (tier, magazine) = (&self.tier, &mut self.magazines[ci]);
+        let stock = |batch: &mut AddrBatch| {
+            if magazine.is_empty() {
+                magazine.copy_from(batch);
+                batch.len()
+            } else {
+                Self::orphan(tier, shard, batch, true);
+                0
+            }
+        };
+        let client = self.ends[shard]
+            .client
+            .as_mut()
+            .expect("a request is in flight on this client");
+        let got = if wait {
+            client.wait(client.deadline(), stock)?
+        } else {
+            client.poll(stock).ok_or(ServiceError::WouldBlock)?
+        };
+        if got > 0 {
             self.mag_shard[ci] = shard as u16;
             self.ends[shard].stash += got as i64;
             // Publish occupancy only here (and at drop) — pops since the
@@ -566,11 +582,8 @@ impl NgmHandle {
             self.publish_occupancy(shard);
             let class = u64::from(request.class.0);
             self.trace(shard, TraceEventKind::Refill, class, got as u64);
-        } else {
-            // Fresh blocks nobody will use go home to `shard` tagged as
-            // never handed out, like a magazine returned at drop.
-            self.reroute_frees_to_orphans(shard, FreePost::MagazineReturn(*batch));
         }
+        Ok(())
     }
 
     /// Resolves `shard`'s riding request before its client goes away:
@@ -716,13 +729,14 @@ impl NgmHandle {
             return Ok(());
         }
         let shard = self.shard_of_small(ptr);
-        if self.ends[shard].free_buf.len() >= MAX_BATCH {
+        if self.ends[shard].free_buf.addrs().len() >= MAX_BATCH {
             // Buffer at capacity: it must drain into the ring before
             // this free can be accepted.
             self.flush_shard(shard, wait)?;
         }
-        self.ends[shard].free_buf.push(ptr.as_ptr() as usize);
-        if self.ends[shard].free_buf.len() >= self.tier.flush_threshold as usize {
+        let free_buf = self.ends[shard].free_buf.addrs_mut();
+        free_buf.push(ptr.as_ptr() as usize);
+        if free_buf.len() >= self.tier.flush_threshold as usize {
             // A full ring is not an error here — the free is already
             // safely buffered.
             let _ = self.flush_shard(shard, wait);
@@ -741,61 +755,59 @@ impl NgmHandle {
         }
     }
 
-    /// Flushes one shard's buffered frees as a single post. Without
-    /// `wait` a full ring puts the batch straight back into the buffer
+    /// Flushes one shard's buffered frees as a single post, sent from the
+    /// buffer itself. Without `wait` a full ring leaves them there
     /// (nothing is lost) and the caller sees [`NgmError::WouldBlock`].
     fn flush_shard(&mut self, shard: usize, wait: bool) -> Result<(), NgmError> {
-        if self.ends[shard].free_buf.is_empty() {
+        if self.ends[shard].free_buf.addrs().is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut self.ends[shard].free_buf);
-        self.post_routed(shard, FreePost::Batch(batch), wait)
+        self.post_routed(shard, None, wait)?;
+        self.ends[shard].free_buf.addrs_mut().clear();
+        Ok(())
     }
 
-    /// Posts to one shard, feeding ring pressure into the rebalance logic
-    /// and never losing a free: a shard with no thread, or whose ring
-    /// stayed full past the deadline, has the blocks diverted to its
-    /// orphan stack (reclaimed on its next idle round, at respawn, or at
-    /// shutdown) so accounting stays exact. A dead shard's message is
-    /// dropped and counted by the offload layer. Only without `wait` can
-    /// a *full ring* hand the message back — a batch returns to the
-    /// client-side buffer — as [`NgmError::WouldBlock`].
-    fn post_routed(&mut self, shard: usize, msg: FreePost, wait: bool) -> Result<(), NgmError> {
-        if !self.ensure_client(shard) {
-            self.reroute_frees_to_orphans(shard, msg);
-            return Ok(());
-        }
-        let patience = if wait {
-            PostWait::Deadline
-        } else {
-            PostWait::Never
-        };
-        let client = self.ends[shard]
-            .client
-            .as_mut()
-            .expect("client just ensured");
-        let (cause, msg) = match client.try_post(msg, patience) {
-            Ok(full_retries) => {
-                self.note_pressure(shard, full_retries);
-                return Ok(());
-            }
-            Err(e) => e.into_parts(),
-        };
-        match (self.route(shard, Some(cause), RouteOp::Post), msg) {
-            (Route::Busy, msg) => {
-                if let Some(FreePost::Batch(batch)) = msg {
-                    // Back into the buffer it came from; capacity is
-                    // guaranteed (the buffer was just drained).
-                    self.ends[shard].free_buf = batch;
+    /// Posts to one shard — `unused` blocks going home from a magazine,
+    /// or else the shard's own free buffer — feeding ring pressure into
+    /// the rebalance logic and never losing a free: `Ok` means the blocks
+    /// are the tier's now. A shard with no thread, or whose ring stayed
+    /// full past the deadline, has them diverted to its orphan stack
+    /// (reclaimed on its next idle round, at respawn, or at shutdown) so
+    /// accounting stays exact; a dead shard's are written off and counted
+    /// by the offload layer. Only without `wait` can a *full ring* refuse
+    /// — the message never left the caller — as [`NgmError::WouldBlock`].
+    fn post_routed(
+        &mut self,
+        shard: usize,
+        unused: Option<&FreePost>,
+        wait: bool,
+    ) -> Result<(), NgmError> {
+        let cause = if self.ensure_client(shard) {
+            let patience = if wait {
+                PostWait::Deadline
+            } else {
+                PostWait::Never
+            };
+            let end = &mut self.ends[shard];
+            let client = end.client.as_mut().expect("client just ensured");
+            match client.try_post(unused.unwrap_or(&end.free_buf), patience) {
+                Ok(full_retries) => {
+                    self.note_pressure(shard, full_retries);
+                    return Ok(());
                 }
-                Err(NgmError::WouldBlock)
+                Err(cause) => Some(cause),
             }
-            (_, Some(msg)) => {
-                self.reroute_frees_to_orphans(shard, msg);
-                Ok(())
-            }
-            (_, None) => Ok(()),
+        } else {
+            None
+        };
+        if cause.is_some() && self.route(shard, cause, RouteOp::Post) == Route::Busy {
+            return Err(NgmError::WouldBlock);
         }
+        if cause != Some(ServiceError::ServiceStopped) {
+            let msg = unused.unwrap_or(&self.ends[shard].free_buf);
+            Self::orphan(&self.tier, shard, msg.addrs(), msg.is_unused());
+        }
+        Ok(())
     }
 
     fn publish_occupancy(&mut self, shard: usize) {
@@ -807,22 +819,19 @@ impl NgmHandle {
         }
     }
 
-    /// Diverts the contents of an undeliverable free post to `shard`'s
-    /// orphan stack, keeping a [`FreePost::MagazineReturn`]'s tag so
+    /// Diverts undeliverable frees to `shard`'s orphan stack; `unused`
+    /// keeps a [`FreePost::MagazineReturn`]'s tag so
     /// [`crate::ServiceStats::app_allocs`] stays exact.
-    fn reroute_frees_to_orphans(&mut self, shard: usize, msg: FreePost) {
-        let (batch, unused) = match msg {
-            FreePost::Batch(b) => (b, false),
-            FreePost::MagazineReturn(b) => (b, true),
-        };
-        let orphans = &self.tier.slots[shard].orphans;
-        for p in batch
+    fn orphan(tier: &Tier, shard: usize, addrs: &AddrBatch, unused: bool) {
+        let orphans = &tier.slots[shard].orphans;
+        for p in addrs
             .as_slice()
             .iter()
             .filter_map(|&a| NonNull::new(a as *mut u8))
         {
-            // SAFETY: free posts carry only live small blocks of
-            // `shard`'s heap that nothing else refers to any more.
+            // SAFETY: free posts and refill responses carry only live
+            // small blocks of `shard`'s heap that nothing else refers to
+            // any more.
             unsafe {
                 if unused {
                     orphans.push_unused(p);
@@ -851,7 +860,7 @@ impl NgmHandle {
 
     /// Small-block frees buffered client-side, not yet posted.
     pub fn buffered_frees(&self) -> usize {
-        self.ends.iter().map(|e| e.free_buf.len()).sum()
+        self.ends.iter().map(|e| e.free_buf.addrs().len()).sum()
     }
 }
 

@@ -5,16 +5,21 @@ use std::sync::Arc;
 
 use ngm_heap::classes::{SizeClass, NUM_CLASSES};
 use ngm_heap::{DeadBlockStack, Heap, HeapStats, SegregatedHeap};
-use ngm_offload::Service;
+use ngm_offload::{Record, Service};
 
 use crate::watch::{SharedDemand, SharedHeapStats};
 
-/// Maximum number of addresses carried by one batched request or reply.
+/// Maximum number of addresses carried by one batched request or reply:
+/// the wire's capacity, and so the ceiling of `NgmConfig::with_batch`.
 ///
-/// This bounds the size of the in-flight message (the request slot and
-/// free ring store payloads inline), so it is a compile-time constant
-/// rather than a config knob; `NgmConfig::with_batch` is validated against it.
-pub const MAX_BATCH: usize = 32;
+/// 128 is one 64 KiB heap page of 512-byte blocks — a trip to the room
+/// moves at most a page's worth — and four times what it was before the
+/// wire learned to cost its length: the hand-off is paid per trip, not
+/// per byte (§4.1), so the number of blocks that ride each one is what
+/// sets the amortised cost. It is a compile-time constant rather than a
+/// config knob because it sizes the inline magazines and free buffers;
+/// what a *message* costs no longer depends on it (see [`AddrBatch`]).
+pub const MAX_BATCH: usize = 128;
 
 /// The malloc service's one synchronous request: a magazine refill of up
 /// to [`MAX_BATCH`] blocks of one size class in a single round trip,
@@ -29,16 +34,26 @@ pub struct AllocBatchReq {
     pub count: u32,
 }
 
-/// A fixed-capacity batch of block addresses, stored inline so the whole
-/// message fits in a request slot or ring cell without heap allocation
-/// (addresses travel as `usize` because raw pointers are deliberately not
-/// `Send`). The service's one response — the refilled addresses, shorter
-/// than requested or empty under memory pressure — and the payload of
-/// every free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Up to [`MAX_BATCH`] block addresses, stored inline so no message ever
+/// needs the heap (addresses travel as `usize` because raw pointers are
+/// deliberately not `Send`). The service's one response — the refilled
+/// addresses, shorter than requested or empty under memory pressure —
+/// the payload of every free, and the storage of a handle's magazines
+/// and free buffers.
+///
+/// The capacity is 1 KiB; a batch costs its length. The length comes
+/// first (`repr(C)`), sharing a cache line with the first seven
+/// addresses, and nothing past `len` is ever read, written, compared or
+/// sent: the service fills a response in the client's slot, the client
+/// copies `len` addresses out of it ([`AddrBatch::copy_from`]), and the
+/// free ring carries `len + 1` words ([`FreePost`]'s `Record` impl).
+/// Moving a whole `AddrBatch` by value is the one thing that does cost
+/// the capacity, so the request path never does it.
+#[repr(C)]
+#[derive(Clone, Copy)]
 pub struct AddrBatch {
+    len: usize,
     addrs: [usize; MAX_BATCH],
-    len: u32,
 }
 
 impl Default for AddrBatch {
@@ -47,12 +62,26 @@ impl Default for AddrBatch {
     }
 }
 
+impl PartialEq for AddrBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for AddrBatch {}
+
+impl std::fmt::Debug for AddrBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 impl AddrBatch {
     /// An empty batch.
     pub const fn empty() -> Self {
         AddrBatch {
-            addrs: [0; MAX_BATCH],
             len: 0,
+            addrs: [0; MAX_BATCH],
         }
     }
 
@@ -62,7 +91,7 @@ impl AddrBatch {
     ///
     /// Panics if the batch already holds [`MAX_BATCH`] addresses.
     pub fn push(&mut self, addr: usize) {
-        self.addrs[self.len as usize] = addr;
+        self.addrs[self.len] = addr;
         self.len += 1;
     }
 
@@ -73,17 +102,39 @@ impl AddrBatch {
             return None;
         }
         self.len -= 1;
-        Some(self.addrs[self.len as usize])
+        Some(self.addrs[self.len])
+    }
+
+    /// Forgets the addresses held. One store: the slots keep their old
+    /// contents, which nothing reads.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Makes this batch a copy of `other` by copying the addresses
+    /// `other` holds — `8 * (len + 1)` bytes, not the capacity.
+    pub fn copy_from(&mut self, other: &AddrBatch) {
+        self.resize(other.len).copy_from_slice(other.as_slice());
+    }
+
+    /// Sets the length and returns the addresses to be overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_BATCH`].
+    fn resize(&mut self, len: usize) -> &mut [usize] {
+        self.len = len;
+        &mut self.addrs[..len]
     }
 
     /// The addresses held.
     pub fn as_slice(&self) -> &[usize] {
-        &self.addrs[..self.len as usize]
+        &self.addrs[..self.len]
     }
 
     /// Number of addresses held.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.len
     }
 
     /// Whether the batch holds no addresses.
@@ -93,6 +144,10 @@ impl AddrBatch {
 }
 
 /// The malloc service's asynchronous free protocol.
+///
+/// On the free ring a post is one header word — the variant and the
+/// length — followed by its addresses: a one-free post is one 64-byte
+/// cell, a full batch seventeen ([`ngm_offload::ring`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreePost {
     /// A flushed client free buffer, however few blocks it holds:
@@ -104,6 +159,56 @@ pub enum FreePost {
     /// [`ServiceStats::magazine_returned`], so shutdown accounting can
     /// separate application frees from never-handed-out stash.
     MagazineReturn(AddrBatch),
+}
+
+impl Default for FreePost {
+    fn default() -> Self {
+        FreePost::Batch(AddrBatch::empty())
+    }
+}
+
+impl FreePost {
+    /// The addresses this post frees.
+    pub fn addrs(&self) -> &AddrBatch {
+        let (FreePost::Batch(addrs) | FreePost::MagazineReturn(addrs)) = self;
+        addrs
+    }
+
+    /// The addresses this post frees, for filling them in.
+    pub fn addrs_mut(&mut self) -> &mut AddrBatch {
+        let (FreePost::Batch(addrs) | FreePost::MagazineReturn(addrs)) = self;
+        addrs
+    }
+
+    /// Whether the blocks were never handed out
+    /// ([`FreePost::MagazineReturn`]) — the bit that rides the record's
+    /// header as its tag.
+    pub fn is_unused(&self) -> bool {
+        matches!(self, FreePost::MagazineReturn(_))
+    }
+}
+
+impl Record for FreePost {
+    const MAX_WORDS: usize = MAX_BATCH;
+
+    fn store<R>(&self, put: impl FnOnce(u16, &[usize]) -> R) -> R {
+        put(u16::from(self.is_unused()), self.addrs().as_slice())
+    }
+
+    fn load(&mut self, tag: u16, len: usize, fill: impl FnOnce(&mut [usize])) {
+        let unused = tag != 0;
+        if unused != self.is_unused() {
+            // The one whole-message write on the free path, and a rare
+            // one: a variant cannot change under the addresses it owns,
+            // and magazine returns come at handle drop and shard drain.
+            *self = if unused {
+                FreePost::MagazineReturn(AddrBatch::empty())
+            } else {
+                FreePost::default()
+            };
+        }
+        fill(self.addrs_mut().resize(len));
+    }
 }
 
 /// Counters maintained by the service (no atomics — only the service core
@@ -253,12 +358,13 @@ impl MallocService {
         self.heap.stats()
     }
 
-    fn alloc_batch(&mut self, req: AllocBatchReq) -> AddrBatch {
-        let mut out = AddrBatch::empty();
+    /// Refills into `out`, overwriting whatever batch it held.
+    fn alloc_batch(&mut self, req: AllocBatchReq, out: &mut AddrBatch) {
+        out.clear();
         let count = (req.count as usize).min(MAX_BATCH);
         if (req.class.0 as usize) >= NUM_CLASSES || count == 0 {
             self.stats.failures += count.max(1) as u64;
-            return out;
+            return;
         }
         self.demand[req.class.0 as usize] =
             self.demand[req.class.0 as usize].saturating_add(count as u32);
@@ -276,7 +382,6 @@ impl MallocService {
             }
             Err(_) => self.stats.failures += 1,
         }
-        out
     }
 
     fn free_batch(&mut self, batch: &AddrBatch) {
@@ -354,18 +459,25 @@ impl Service for MallocService {
     }
 
     fn call(&mut self, req: AllocBatchReq) -> AddrBatch {
-        self.idle_ticks = 0;
-        self.alloc_batch(req)
+        let mut out = AddrBatch::empty();
+        self.call_into(req, &mut out);
+        out
     }
 
     fn post(&mut self, msg: FreePost) {
+        self.post_ref(&msg);
+    }
+
+    fn call_into(&mut self, req: AllocBatchReq, out: &mut AddrBatch) {
         self.idle_ticks = 0;
-        match msg {
-            FreePost::Batch(b) => self.free_batch(&b),
-            FreePost::MagazineReturn(b) => {
-                self.free_batch(&b);
-                self.stats.magazine_returned += b.len() as u64;
-            }
+        self.alloc_batch(req, out);
+    }
+
+    fn post_ref(&mut self, msg: &FreePost) {
+        self.idle_ticks = 0;
+        self.free_batch(msg.addrs());
+        if msg.is_unused() {
+            self.stats.magazine_returned += msg.addrs().len() as u64;
         }
     }
 
@@ -423,6 +535,146 @@ mod tests {
 
     fn refill(s: &mut MallocService, class: SizeClass, count: u32) -> AddrBatch {
         s.call(AllocBatchReq { class, count })
+    }
+
+    /// `len` addresses counting up from `seed`.
+    fn run(len: usize, seed: usize) -> AddrBatch {
+        let mut b = AddrBatch::empty();
+        (0..len).for_each(|i| b.push(seed + i));
+        b
+    }
+
+    /// Those addresses as a post of either kind.
+    fn post(unused: bool, addrs: AddrBatch) -> FreePost {
+        if unused {
+            FreePost::MagazineReturn(addrs)
+        } else {
+            FreePost::Batch(addrs)
+        }
+    }
+
+    /// Every length twice over, short and long side by side: 0, 128, 1,
+    /// 127, … so each message lands over the remains of one of very
+    /// different length.
+    fn interleaved_lengths() -> impl Iterator<Item = usize> {
+        (0..=MAX_BATCH).flat_map(|i| [i, MAX_BATCH - i])
+    }
+
+    #[test]
+    fn every_length_survives_the_slot() {
+        use ngm_offload::RequestSlot;
+        let slot: RequestSlot<usize, AddrBatch> = RequestSlot::new();
+        let mut magazine = AddrBatch::empty();
+        for (round, len) in interleaved_lengths().enumerate() {
+            let sent = run(len, round * 1000 + 1);
+            assert!(slot.begin(len).is_ok());
+            assert!(slot.serve(|len, out| {
+                // As `alloc_batch` fills a response: over the last one.
+                out.clear();
+                assert_eq!(len, sent.len());
+                sent.as_slice().iter().for_each(|&a| out.push(a));
+            }));
+            slot.poll_response(|resp| magazine.copy_from(resp))
+                .expect("served");
+            assert_eq!(magazine.as_slice(), sent.as_slice(), "length {len}");
+        }
+    }
+
+    #[test]
+    fn every_length_and_tag_survives_the_ring() {
+        // A ring of two largest posts, so it wraps every other message
+        // and a post of any length is split at the wrap sooner or later.
+        let (mut tx, mut rx) = ngm_offload::spsc::<FreePost>(1);
+        assert_eq!(tx.capacity(), 32);
+        for (round, len) in interleaved_lengths().enumerate() {
+            let sent = post(round % 3 == 0, run(len, round * 1000 + 1));
+            tx.push_ref(&sent).expect("room for one");
+            assert_eq!(tx.len(), (len + 1).div_ceil(8), "cells for {len} addresses");
+            assert_eq!(rx.pop_ref(), Some(&sent), "length {len}, round {round}");
+        }
+    }
+
+    #[test]
+    fn a_backlog_of_mixed_posts_keeps_order_tag_and_addresses() {
+        // 128 KiB would never fill; 64 cells back up after a few posts,
+        // so short and long ones queue next to each other across the
+        // wrap and every refusal is checked too.
+        let (mut tx, mut rx) = ngm_offload::spsc::<FreePost>(64);
+        let mut queued = std::collections::VecDeque::new();
+        for (round, len) in interleaved_lengths().enumerate() {
+            let sent = post(round % 2 == 0, run(len, round * 1000 + 1));
+            while let Err(refused) = tx.push(sent) {
+                let ngm_offload::ring::PushError::Full(back) = refused else {
+                    panic!("the consumer is alive: {refused:?}");
+                };
+                assert_eq!(back, sent, "refused: same variant, same addresses");
+                assert_eq!(rx.pop(), queued.pop_front(), "oldest first");
+            }
+            queued.push_back(sent);
+        }
+        while let Some(got) = rx.pop() {
+            assert_eq!(Some(got), queued.pop_front());
+        }
+        assert!(queued.is_empty());
+    }
+
+    #[test]
+    fn a_post_costs_its_length_in_cells() {
+        let (mut tx, mut rx) = ngm_offload::spsc::<FreePost>(ngm_offload::DEFAULT_RING_CELLS);
+        assert_eq!(tx.capacity() * ngm_offload::CELL_BYTES, 128 * 1024);
+        for (addrs, cells) in [(1, 1), (7, 1), (8, 2), (32, 5), (MAX_BATCH, 17)] {
+            tx.push_ref(&FreePost::Batch(run(addrs, 1))).unwrap();
+            assert_eq!(tx.len(), cells, "{addrs} addresses");
+            assert_eq!(rx.pop_ref().map(|p| p.addrs().len()), Some(addrs));
+        }
+    }
+
+    #[test]
+    fn a_short_batch_leaves_the_rest_of_the_capacity_alone() {
+        // What makes a message cost its length: nothing past `len` is
+        // written — not by a refill into a response, not by the copy
+        // into a magazine, not by a decode off the ring.
+        let stale = run(MAX_BATCH, 0xAAAA_0000);
+        let mut s = svc();
+        let class = ngm_heap::classes::size_to_class(64).expect("small class");
+
+        let mut response = stale;
+        s.call_into(AllocBatchReq { class, count: 3 }, &mut response);
+        assert_eq!(response.len(), 3);
+        assert_eq!(response.addrs[3..], stale.addrs[3..], "refill");
+
+        let mut magazine = stale;
+        magazine.copy_from(&response);
+        assert_eq!(magazine, response);
+        assert_eq!(magazine.addrs[3..], stale.addrs[3..], "copy");
+
+        let mut decoded = FreePost::Batch(stale);
+        FreePost::Batch(response).store(|tag, words| {
+            decoded.load(tag, words.len(), |dst| dst.copy_from_slice(words));
+        });
+        assert_eq!(decoded, FreePost::Batch(response));
+        assert_eq!(decoded.addrs().addrs[3..], stale.addrs[3..], "decode");
+
+        s.post_ref(&decoded);
+        assert_eq!(s.service_stats().frees, 3);
+        assert_eq!(s.heap_stats().live_blocks, 0);
+    }
+
+    #[test]
+    fn a_decode_follows_the_tag_over_either_variant() {
+        // PR 18's bug was a magazine return losing its tag on a detour;
+        // on the wire the tag is a header bit decoded over whatever the
+        // consumer last held.
+        let mut decoded = FreePost::default();
+        for (unused, len) in [(true, 5), (true, 2), (false, 9), (true, 0), (false, 1)] {
+            let sent = post(unused, run(len, 77));
+            sent.store(|tag, words| {
+                assert_eq!(tag, u16::from(unused));
+                decoded.load(tag, words.len(), |dst| dst.copy_from_slice(words));
+            });
+            assert_eq!(decoded, sent);
+            assert_eq!(decoded.is_unused(), unused);
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * [`slot::RequestSlot`] — the paper's two-flag synchronous mailbox, one
 //!   per client thread.
-//! * [`ring::spsc`] — a bounded single-producer/single-consumer ring for
-//!   fire-and-forget messages (asynchronous `free()`, §3.1.2: "the entire
-//!   free phase is not on the critical path").
+//! * [`ring::spsc`] — a bounded single-producer/single-consumer ring of
+//!   variable-length records in 64-byte cells, for fire-and-forget
+//!   messages (asynchronous `free()`, §3.1.2: "the entire free phase is
+//!   not on the critical path").
 //! * [`pin`] — `sched_setaffinity`-based core pinning with graceful
 //!   fallback when the machine has too few cores.
 //! * [`wait::WaitStrategy`] — spin / spin-then-yield / park policies for
@@ -39,10 +40,10 @@ pub use error::ServiceError;
 pub use fault::{FaultAction, FaultState};
 pub use pad::CachePadded;
 pub use pin::{available_cores, pin_current_thread, pin_current_thread_verified, PinError};
-pub use ring::{spsc, Consumer, Producer};
+pub use ring::{spsc, Consumer, Producer, Record, CELL_BYTES, DEFAULT_RING_CELLS};
 pub use service::{
-    CallKind, ClientHandle, OffloadRuntime, PostError, PostWait, RuntimeConfig, RuntimeHandles,
-    Service, ShardFailure, ShardHealth, DEFAULT_DEADLINE,
+    CallKind, ClientHandle, OffloadRuntime, PostWait, RuntimeConfig, RuntimeHandles, Service,
+    ShardFailure, ShardHealth, DEFAULT_DEADLINE,
 };
 pub use slot::RequestSlot;
 pub use stats::{RuntimeStats, StatsSnapshot};

@@ -1,42 +1,205 @@
-//! Bounded single-producer/single-consumer ring buffer.
+//! Bounded single-producer/single-consumer ring of variable-length
+//! records.
 //!
 //! This is the asynchronous half of the offload channel: `free()` requests
 //! are posted here and the service core drains them off the critical path
 //! (§3.1.2: "the entire free phase is not on the critical path and can be
 //! executed asynchronously in the dedicated core").
+//!
+//! The ring is an array of 64-byte **cells**. A message is stored as a
+//! header word (its tag and payload length) followed by its payload words,
+//! in as many consecutive cells as that takes — `⌈(n + 1) / 8⌉` for `n`
+//! words — and all of them are published by one store of `tail`. A
+//! message therefore costs its length: a one-word post writes one cache
+//! line, a 128-address batch seventeen, and the ring's footprint is what
+//! was sent, not capacity × the largest message. What a message's words
+//! are is the message type's business ([`Record`]); a record that reaches
+//! the end of the buffer continues at its start.
 
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
 
-struct Shared<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
+/// Words in one ring cell: a header word and seven payload words in a
+/// record's first cell, eight payload words in each one after.
+pub const CELL_WORDS: usize = 8;
+
+/// Bytes in one ring cell — one cache line.
+pub const CELL_BYTES: usize = CELL_WORDS * std::mem::size_of::<usize>();
+
+/// Default capacity, in cells, of a client's post ring: 128 KiB, which
+/// holds 120 full 128-address batches. The one default for a standalone
+/// runtime ([`crate::RuntimeConfig::ring_capacity`]) and for an allocator
+/// tier's per-shard free rings.
+pub const DEFAULT_RING_CELLS: usize = 2048;
+
+const _: () = assert!(
+    CELL_BYTES == 64,
+    "a cell is one 64-byte cache line of eight 8-byte words"
+);
+
+/// The payload length occupies the low bits of a record's header word,
+/// the tag the 16 bits above them.
+const LEN_BITS: u32 = 16;
+
+/// A message the ring can carry: plain data that flattens to a small tag
+/// and at most [`Record::MAX_WORDS`] words, which is all the ring stores.
+///
+/// `Default` supplies the value a consumer decodes over; after
+/// [`Record::load`] nothing of it may remain visible.
+pub trait Record: Copy + Default + Send + 'static {
+    /// Most payload words one value flattens to. Sizes the largest
+    /// record, which a ring always has room for.
+    const MAX_WORDS: usize;
+
+    /// Hands `put` this value as a tag and its payload words — at most
+    /// `MAX_WORDS` of them, borrowed from wherever the value keeps them.
+    fn store<R>(&self, put: impl FnOnce(u16, &[usize]) -> R) -> R;
+
+    /// Overwrites `self` with the value whose [`Record::store`] produced
+    /// `tag` and `len` words: calls `fill` once with the `len`-word slice
+    /// the payload is to be copied into.
+    fn load(&mut self, tag: u16, len: usize, fill: impl FnOnce(&mut [usize]));
+}
+
+impl Record for () {
+    const MAX_WORDS: usize = 0;
+
+    fn store<R>(&self, put: impl FnOnce(u16, &[usize]) -> R) -> R {
+        put(0, &[])
+    }
+
+    fn load(&mut self, _tag: u16, _len: usize, fill: impl FnOnce(&mut [usize])) {
+        fill(&mut []);
+    }
+}
+
+/// A one-word record: the integer is the payload.
+impl Record for u64 {
+    const MAX_WORDS: usize = 1;
+
+    fn store<R>(&self, put: impl FnOnce(u16, &[usize]) -> R) -> R {
+        put(0, &[*self as usize])
+    }
+
+    fn load(&mut self, _tag: u16, _len: usize, fill: impl FnOnce(&mut [usize])) {
+        let mut word = [0usize];
+        fill(&mut word);
+        *self = word[0] as u64;
+    }
+}
+
+/// Cells a record of `words` payload words occupies.
+#[inline]
+const fn span(words: usize) -> usize {
+    (words + 1).div_ceil(CELL_WORDS)
+}
+
+#[repr(C, align(64))]
+struct Cell(UnsafeCell<[MaybeUninit<usize>; CELL_WORDS]>);
+
+struct Shared {
+    buf: Box<[Cell]>,
+    /// Cell index mask (`buf.len()` is a power of two).
     mask: usize,
-    /// Next slot the producer will write. Only the producer stores it.
+    /// Next cell the producer will write, counted without wrapping. Only
+    /// the producer stores it.
     tail: CachePadded<AtomicUsize>,
-    /// Next slot the consumer will read. Only the consumer stores it.
+    /// Next cell the consumer will read. Only the consumer stores it.
     head: CachePadded<AtomicUsize>,
     /// Set when either endpoint is dropped.
     closed: AtomicBool,
 }
 
-// SAFETY: the ring hands each slot to exactly one side at a time — the
-// producer owns slots in `[tail, head + cap)` and the consumer owns
-// `[head, tail)` — with Release stores on the indices publishing slot
-// contents before the other side's Acquire loads can observe them. `T: Send`
-// is required because values cross threads.
-unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: the ring hands each cell to exactly one side at a time — the
+// producer owns cells in `[tail, head + cap)` and the consumer owns
+// `[head, tail)` — with Release stores on the indices publishing cell
+// contents before the other side's Acquire loads can observe them. The
+// cells hold plain words, which may cross threads.
+unsafe impl Send for Shared {}
 // SAFETY: see `Send`; all shared mutation goes through the atomics.
-unsafe impl<T: Send> Sync for Shared<T> {}
+unsafe impl Sync for Shared {}
+
+impl Shared {
+    /// The buffer as one run of `buf.len() * CELL_WORDS` words.
+    #[inline]
+    fn words(&self) -> *mut usize {
+        // `Cell` is `repr(C)` around an `UnsafeCell` (itself transparent)
+        // of a word array, so the slice of cells *is* a slice of words;
+        // going through `raw_get` keeps the write permission.
+        UnsafeCell::raw_get(self.buf.as_ptr().cast::<UnsafeCell<usize>>())
+    }
+
+    /// Where the `len` payload words of the record at cell `cell` lie:
+    /// the word offset they start at (right after the header word) and
+    /// how many of them fit before the buffer's end — the rest continue
+    /// at offset 0.
+    #[inline]
+    fn payload(&self, cell: usize, len: usize) -> (usize, usize) {
+        let start = (cell & self.mask) * CELL_WORDS + 1;
+        (start, len.min(self.buf.len() * CELL_WORDS - start))
+    }
+
+    /// Writes a record at cell `cell`.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the `span(words.len())` cells from `cell` on (the
+    /// producer, after its fullness check).
+    #[inline]
+    unsafe fn write(&self, cell: usize, header: usize, words: &[usize]) {
+        let base = self.words();
+        let (start, first) = self.payload(cell, words.len());
+        // SAFETY: every offset is below `buf.len() * CELL_WORDS`, the
+        // cells are the caller's, and `words` is not part of the ring.
+        unsafe {
+            base.add((cell & self.mask) * CELL_WORDS).write(header);
+            std::ptr::copy_nonoverlapping(words.as_ptr(), base.add(start), first);
+            std::ptr::copy_nonoverlapping(words.as_ptr().add(first), base, words.len() - first);
+        }
+    }
+
+    /// The header word of the record at cell `cell`.
+    ///
+    /// # Safety
+    ///
+    /// A record was published at `cell` and not yet released (the
+    /// consumer, after its emptiness check).
+    #[inline]
+    unsafe fn header(&self, cell: usize) -> usize {
+        // SAFETY: in bounds, and the producer's Release store of `tail`
+        // made the write of this word visible.
+        unsafe { self.words().add((cell & self.mask) * CELL_WORDS).read() }
+    }
+
+    /// Copies the payload of the record at cell `cell` into `dst`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Shared::header`], and `dst.len()` is that record's length.
+    #[inline]
+    unsafe fn read(&self, cell: usize, dst: &mut [usize]) {
+        let base = self.words();
+        let (start, first) = self.payload(cell, dst.len());
+        // SAFETY: in bounds, published (see `header`), and `dst` is not
+        // part of the ring.
+        unsafe {
+            std::ptr::copy_nonoverlapping(base.add(start), dst.as_mut_ptr(), first);
+            std::ptr::copy_nonoverlapping(base, dst.as_mut_ptr().add(first), dst.len() - first);
+        }
+    }
+}
 
 /// Error returned by [`Producer::push`] when the ring is full or closed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The ring is at capacity; the value is handed back. A bounded retry
-    /// (see [`crate::service::ClientHandle::try_post`]) may succeed once the consumer
+    /// The ring has too few free cells for this record; the value is
+    /// handed back and nothing was written. A bounded retry (see
+    /// [`crate::service::ClientHandle::try_post`]) may succeed once the consumer
     /// drains — but only if the consumer is still alive, so retry loops
     /// must re-check for `Disconnected` on every attempt.
     Full(T),
@@ -47,34 +210,46 @@ pub enum PushError<T> {
 
 /// The sending endpoint. `!Clone`: exactly one producer exists.
 pub struct Producer<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared>,
     /// Cached copy of `head` to avoid reading the consumer's line on every
     /// push.
     head_cache: usize,
+    _records: PhantomData<fn(T)>,
 }
 
 /// The receiving endpoint. `!Clone`: exactly one consumer exists.
 pub struct Consumer<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared>,
     /// Cached copy of `tail` to avoid reading the producer's line on every
     /// pop.
     tail_cache: usize,
+    /// The value every record is decoded over, so popping a short record
+    /// out of a type with a large capacity writes only that record.
+    decoded: T,
 }
 
-/// Creates a ring with capacity `cap` (rounded up to a power of two).
+/// Creates a ring of `cells` 64-byte cells, rounded up to a power of two
+/// and to at least one largest record of `T`, so no message is
+/// unsendable.
 ///
 /// # Panics
 ///
-/// Panics if `cap` is zero.
-pub fn spsc<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
-    assert!(cap > 0, "ring capacity must be non-zero");
-    let cap = cap.next_power_of_two();
-    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+/// Panics if `cells` is zero.
+pub fn spsc<T: Record>(cells: usize) -> (Producer<T>, Consumer<T>) {
+    assert!(cells > 0, "ring capacity must be non-zero");
+    assert!(
+        T::MAX_WORDS < 1 << LEN_BITS,
+        "a record's length must fit its header"
+    );
+    let cells = cells.max(span(T::MAX_WORDS)).next_power_of_two();
+    // Nothing is written here: the cells are first touched by whoever
+    // pushes into them.
+    let buf: Box<[Cell]> = (0..cells)
+        .map(|_| Cell(UnsafeCell::new([MaybeUninit::uninit(); CELL_WORDS])))
         .collect();
     let shared = Arc::new(Shared {
         buf,
-        mask: cap - 1,
+        mask: cells - 1,
         tail: CachePadded::new(AtomicUsize::new(0)),
         head: CachePadded::new(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
@@ -83,16 +258,18 @@ pub fn spsc<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
         Producer {
             shared: Arc::clone(&shared),
             head_cache: 0,
+            _records: PhantomData,
         },
         Consumer {
             shared,
             tail_cache: 0,
+            decoded: T::default(),
         },
     )
 }
 
-impl<T> Producer<T> {
-    /// Capacity of the ring.
+impl<T: Record> Producer<T> {
+    /// Capacity of the ring, in cells.
     pub fn capacity(&self) -> usize {
         self.shared.mask + 1
     }
@@ -106,34 +283,53 @@ impl<T> Producer<T> {
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] when the ring has no free slot and
+    /// [`PushError::Full`] when the ring has too few free cells and
     /// [`PushError::Disconnected`] when the consumer is gone; both return
     /// the value to the caller.
     pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
-        if self.is_closed() {
-            return Err(PushError::Disconnected(value));
-        }
-        let tail = self.shared.tail.load(Ordering::Relaxed);
-        if tail.wrapping_sub(self.head_cache) > self.shared.mask {
-            // Ring looks full through the cache; refresh from the consumer.
-            self.head_cache = self.shared.head.load(Ordering::Acquire);
-            if tail.wrapping_sub(self.head_cache) > self.shared.mask {
-                return Err(PushError::Full(value));
-            }
-        }
-        let slot = &self.shared.buf[tail & self.shared.mask];
-        // SAFETY: slot index `tail` is not yet published to the consumer
-        // (its Acquire load of `tail` cannot observe the new value until the
-        // Release store below), and the fullness check above proves the
-        // consumer has finished with this slot, so we have exclusive access.
-        unsafe { (*slot.get()).write(value) };
-        self.shared
-            .tail
-            .store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
+        self.push_ref(&value).map_err(|refused| match refused {
+            PushError::Full(()) => PushError::Full(value),
+            PushError::Disconnected(()) => PushError::Disconnected(value),
+        })
     }
 
-    /// Number of items currently queued (racy snapshot).
+    /// [`Producer::push`] of a borrowed value: only its words are copied,
+    /// so a refusal has nothing to hand back — the caller never let go of
+    /// it, and nothing was written.
+    ///
+    /// # Errors
+    ///
+    /// As [`Producer::push`], without the value.
+    pub fn push_ref(&mut self, value: &T) -> Result<(), PushError<()>> {
+        if self.is_closed() {
+            return Err(PushError::Disconnected(()));
+        }
+        value.store(|tag, words| {
+            assert!(words.len() <= T::MAX_WORDS, "record longer than declared");
+            let cells = span(words.len());
+            let tail = self.shared.tail.load(Ordering::Relaxed);
+            if self.capacity() - tail.wrapping_sub(self.head_cache) < cells {
+                // Looks full through the cache; refresh from the consumer.
+                self.head_cache = self.shared.head.load(Ordering::Acquire);
+                if self.capacity() - tail.wrapping_sub(self.head_cache) < cells {
+                    return Err(PushError::Full(()));
+                }
+            }
+            let header = (usize::from(tag) << LEN_BITS) | words.len();
+            // SAFETY: cells `[tail, tail + cells)` are not yet published
+            // to the consumer (its Acquire load of `tail` cannot observe
+            // the new value until the Release store below), and the
+            // fullness check above proves the consumer has released them,
+            // so we have exclusive access.
+            unsafe { self.shared.write(tail, header, words) };
+            self.shared
+                .tail
+                .store(tail.wrapping_add(cells), Ordering::Release);
+            Ok(())
+        })
+    }
+
+    /// Cells currently occupied by queued records (racy snapshot).
     pub fn len(&self) -> usize {
         let tail = self.shared.tail.load(Ordering::Relaxed);
         let head = self.shared.head.load(Ordering::Acquire);
@@ -146,9 +342,11 @@ impl<T> Producer<T> {
     }
 }
 
-impl<T> Consumer<T> {
-    /// Attempts to dequeue one item.
-    pub fn pop(&mut self) -> Option<T> {
+impl<T: Record> Consumer<T> {
+    /// Attempts to dequeue one record, decoded in place: the reference is
+    /// to this consumer's own copy, and the record's cells are already
+    /// the producer's again.
+    pub fn pop_ref(&mut self) -> Option<&T> {
         let head = self.shared.head.load(Ordering::Relaxed);
         if head == self.tail_cache {
             self.tail_cache = self.shared.tail.load(Ordering::Acquire);
@@ -156,23 +354,35 @@ impl<T> Consumer<T> {
                 return None;
             }
         }
-        let slot = &self.shared.buf[head & self.shared.mask];
+        let shared = &*self.shared;
         // SAFETY: `head < tail` (checked above with an Acquire load that
-        // synchronizes with the producer's Release store), so this slot
-        // holds an initialized value the producer has published and will not
-        // touch again until we advance `head`.
-        let value = unsafe { (*slot.get()).assume_init_read() };
-        self.shared
+        // synchronizes with the producer's Release store), so a record
+        // the producer published and will not touch again until we
+        // advance `head` starts at this cell.
+        let header = unsafe { shared.header(head) };
+        let (tag, len) = ((header >> LEN_BITS) as u16, header & ((1 << LEN_BITS) - 1));
+        self.decoded.load(tag, len, |dst| {
+            assert_eq!(dst.len(), len, "a record is read whole");
+            // SAFETY: as above; `len` is this record's length.
+            unsafe { shared.read(head, dst) };
+        });
+        shared
             .head
-            .store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
+            .store(head.wrapping_add(span(len)), Ordering::Release);
+        Some(&self.decoded)
     }
 
-    /// Drains up to `max` items into `f`; returns how many were consumed.
-    pub fn drain(&mut self, max: usize, mut f: impl FnMut(T)) -> usize {
+    /// Attempts to dequeue one record.
+    pub fn pop(&mut self) -> Option<T> {
+        self.pop_ref().copied()
+    }
+
+    /// Drains up to `max` records into `f`; returns how many were
+    /// consumed.
+    pub fn drain(&mut self, max: usize, mut f: impl FnMut(&T)) -> usize {
         let mut n = 0;
         while n < max {
-            match self.pop() {
+            match self.pop_ref() {
                 Some(v) => {
                     f(v);
                     n += 1;
@@ -188,7 +398,7 @@ impl<T> Consumer<T> {
         self.shared.closed.load(Ordering::Acquire)
     }
 
-    /// Number of items currently queued (racy snapshot).
+    /// Cells currently occupied by queued records (racy snapshot).
     pub fn len(&self) -> usize {
         let tail = self.shared.tail.load(Ordering::Acquire);
         let head = self.shared.head.load(Ordering::Relaxed);
@@ -209,27 +419,9 @@ impl<T> Drop for Producer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
+        // Records are plain words: whatever is still queued needs no
+        // destructor.
         self.shared.closed.store(true, Ordering::Release);
-        // Drain anything the producer already published so it is dropped.
-        while self.pop().is_some() {}
-    }
-}
-
-impl<T> Drop for Shared<T> {
-    fn drop(&mut self) {
-        // Drop any items still in the ring (producer pushed after the
-        // consumer vanished, before observing `closed`).
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
-        let mut i = head;
-        while i != tail {
-            let slot = &self.buf[i & self.mask];
-            // SAFETY: slots in `[head, tail)` hold initialized values and no
-            // other thread exists by the time Shared drops (both endpoints
-            // are gone — Arc refcount reached zero).
-            unsafe { (*slot.get()).assume_init_drop() };
-            i = i.wrapping_add(1);
-        }
     }
 }
 
@@ -237,9 +429,52 @@ impl<T> Drop for Shared<T> {
 mod tests {
     use super::*;
 
+    /// A record of any length up to 20 words with a tag, for exercising
+    /// every span and the wrap point without the allocator's types.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct Run {
+        tag: u16,
+        len: usize,
+        words: [usize; 20],
+    }
+
+    impl Run {
+        /// `len` words counting up from `seed`.
+        fn of(tag: u16, len: usize, seed: usize) -> Self {
+            let mut run = Run {
+                tag,
+                len,
+                ..Run::default()
+            };
+            for (i, w) in run.words[..len].iter_mut().enumerate() {
+                *w = seed + i;
+            }
+            run
+        }
+    }
+
+    impl Record for Run {
+        const MAX_WORDS: usize = 20;
+
+        fn store<R>(&self, put: impl FnOnce(u16, &[usize]) -> R) -> R {
+            put(self.tag, &self.words[..self.len])
+        }
+
+        fn load(&mut self, tag: u16, len: usize, fill: impl FnOnce(&mut [usize])) {
+            // Only `len` words are written; `eq` below must not read the
+            // stale ones, so clear them the slow way — this is a test.
+            *self = Run {
+                tag,
+                len,
+                ..Run::default()
+            };
+            fill(&mut self.words[..len]);
+        }
+    }
+
     #[test]
     fn fifo_order_preserved() {
-        let (mut tx, mut rx) = spsc::<u32>(8);
+        let (mut tx, mut rx) = spsc::<u64>(8);
         for i in 0..8 {
             tx.push(i).unwrap();
         }
@@ -251,13 +486,86 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        let (tx, _rx) = spsc::<u8>(5);
+        let (tx, _rx) = spsc::<u64>(5);
         assert_eq!(tx.capacity(), 8);
     }
 
     #[test]
+    fn capacity_holds_at_least_one_largest_record() {
+        // 20 words and a header are three cells; a one-cell ring could
+        // never send it.
+        let (mut tx, mut rx) = spsc::<Run>(1);
+        assert_eq!(tx.capacity(), 4);
+        let big = Run::of(1, 20, 100);
+        tx.push(big).unwrap();
+        assert_eq!(tx.len(), 3);
+        assert_eq!(rx.pop(), Some(big));
+    }
+
+    #[test]
+    fn a_record_takes_the_cells_its_length_needs() {
+        let (mut tx, rx) = spsc::<Run>(64);
+        for (len, cells) in [(0, 1), (1, 1), (7, 1), (8, 2), (15, 2), (16, 3), (20, 3)] {
+            let before = tx.len();
+            tx.push(Run::of(0, len, 0)).unwrap();
+            assert_eq!(tx.len() - before, cells, "{len} words");
+        }
+        assert_eq!(rx.len(), 13);
+        // One-word integers: a cell each, and popping gives it back.
+        let (mut tx, mut rx) = spsc::<u64>(8);
+        tx.push(7).unwrap();
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.pop(), Some(7));
+        assert_eq!(tx.len(), 0);
+    }
+
+    #[test]
+    fn every_length_survives_at_every_offset_including_the_wrap() {
+        // An 8-cell ring and records of 1 to 3 cells: pushing one and
+        // popping it walks the start cell round the ring, so each length
+        // is stored contiguous, ending flush with the buffer, and split
+        // at every cell boundary the wrap can fall on.
+        let (mut tx, mut rx) = spsc::<Run>(8);
+        let mut seed = 0;
+        for round in 0..40 {
+            for len in 0..=Run::MAX_WORDS {
+                let sent = Run::of((round % 3) as u16, len, seed);
+                seed += 1000;
+                tx.push(sent).unwrap();
+                assert_eq!(rx.pop(), Some(sent), "round {round}, {len} words");
+            }
+        }
+        assert!(rx.pop().is_none());
+    }
+
+    #[test]
+    fn interleaved_sizes_keep_order_tag_and_contents() {
+        // 1, 20, 2, 19, … queued together, so short and long records sit
+        // next to each other and the ring wraps under a backlog.
+        let (mut tx, mut rx) = spsc::<Run>(16);
+        let sizes: Vec<usize> = (1..=10).flat_map(|i| [i, 21 - i]).collect();
+        let mut sent = std::collections::VecDeque::new();
+        let mut seed = 0;
+        for _ in 0..50 {
+            for (i, &len) in sizes.iter().enumerate() {
+                let run = Run::of((i % 2) as u16, len, seed);
+                seed += 100;
+                while let Err(PushError::Full(back)) = tx.push(run) {
+                    assert_eq!(back, run, "a refused record comes back intact");
+                    assert_eq!(rx.pop(), sent.pop_front(), "oldest first");
+                }
+                sent.push_back(run);
+            }
+        }
+        while let Some(got) = rx.pop() {
+            assert_eq!(Some(got), sent.pop_front());
+        }
+        assert!(sent.is_empty());
+    }
+
+    #[test]
     fn push_to_full_ring_fails() {
-        let (mut tx, mut rx) = spsc::<u8>(2);
+        let (mut tx, mut rx) = spsc::<u64>(2);
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         assert_eq!(tx.push(3), Err(PushError::Full(3)));
@@ -266,8 +574,28 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_record_writes_nothing() {
+        // Three free cells, a three-cell record, then a refusal of
+        // another: what is queued is untouched and the refused one can
+        // go in once there is room.
+        let (mut tx, mut rx) = spsc::<Run>(4);
+        let (small, big) = (Run::of(1, 3, 10), Run::of(0, 20, 50));
+        tx.push(small).unwrap();
+        tx.push(big).unwrap();
+        let late = Run::of(1, 9, 90);
+        assert_eq!(tx.push_ref(&late), Err(PushError::Full(())));
+        assert_eq!(tx.push(late), Err(PushError::Full(late)));
+        assert_eq!(tx.len(), 4);
+        assert_eq!(rx.pop(), Some(small));
+        assert_eq!(tx.push(late), Err(PushError::Full(late)), "one cell free");
+        assert_eq!(rx.pop(), Some(big));
+        tx.push(late).unwrap();
+        assert_eq!(rx.pop(), Some(late));
+    }
+
+    #[test]
     fn push_after_consumer_drop_fails_disconnected() {
-        let (mut tx, rx) = spsc::<u8>(2);
+        let (mut tx, rx) = spsc::<u64>(2);
         drop(rx);
         assert_eq!(tx.push(1), Err(PushError::Disconnected(1)));
     }
@@ -277,7 +605,7 @@ mod tests {
         // Regression: a retry loop keyed on `Full` yielded forever when
         // the ring stayed full because its consumer died. Disconnection
         // must win over fullness so bounded retries stop at once.
-        let (mut tx, rx) = spsc::<u8>(2);
+        let (mut tx, rx) = spsc::<u64>(2);
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         assert_eq!(tx.push(3), Err(PushError::Full(3)));
@@ -287,46 +615,30 @@ mod tests {
 
     #[test]
     fn drain_limits_batch() {
-        let (mut tx, mut rx) = spsc::<u32>(8);
+        let (mut tx, mut rx) = spsc::<u64>(8);
         for i in 0..6 {
             tx.push(i).unwrap();
         }
         let mut got = Vec::new();
-        let n = rx.drain(4, |v| got.push(v));
+        let n = rx.drain(4, |&v| got.push(v));
         assert_eq!(n, 4);
         assert_eq!(got, vec![0, 1, 2, 3]);
         assert_eq!(rx.len(), 2);
     }
 
     #[test]
-    fn values_dropped_when_ring_dropped() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let (mut tx, rx) = spsc::<D>(4);
-        tx.push(D).unwrap();
-        tx.push(D).unwrap();
-        drop(rx);
-        drop(tx);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
     fn cross_thread_stream_is_lossless() {
-        const N: u64 = 100_000;
-        let (mut tx, mut rx) = spsc::<u64>(64);
+        // Mixed lengths, so the consumer's decode and the producer's
+        // two-piece copy race across the wrap point too.
+        const N: usize = 100_000;
+        let (mut tx, mut rx) = spsc::<Run>(64);
         let h = std::thread::spawn(move || {
-            let mut sum = 0u64;
-            let mut seen = 0u64;
+            let mut sum = 0usize;
+            let mut seen = 0;
             while seen < N {
-                if let Some(v) = rx.pop() {
-                    sum += v;
+                if let Some(v) = rx.pop_ref() {
+                    assert_eq!(v.len, seen % 21);
+                    sum += v.words[..v.len].iter().sum::<usize>();
                     seen += 1;
                 } else {
                     std::thread::yield_now();
@@ -334,20 +646,24 @@ mod tests {
             }
             sum
         });
-        let mut i = 0u64;
-        while i < N {
-            match tx.push(i) {
-                Ok(()) => i += 1,
-                Err(PushError::Full(_)) => std::thread::yield_now(),
-                Err(e) => panic!("consumer is alive: {e:?}"),
+        let mut expected = 0usize;
+        for i in 0..N {
+            let run = Run::of(0, i % 21, i);
+            expected += run.words[..run.len].iter().sum::<usize>();
+            loop {
+                match tx.push_ref(&run) {
+                    Ok(()) => break,
+                    Err(PushError::Full(())) => std::thread::yield_now(),
+                    Err(e) => panic!("consumer is alive: {e:?}"),
+                }
             }
         }
-        assert_eq!(h.join().unwrap(), N * (N - 1) / 2);
+        assert_eq!(h.join().unwrap(), expected);
     }
 
     #[test]
     fn len_tracks_pushes_and_pops() {
-        let (mut tx, mut rx) = spsc::<u8>(4);
+        let (mut tx, mut rx) = spsc::<u64>(4);
         assert!(tx.is_empty() && rx.is_empty());
         tx.push(1).unwrap();
         tx.push(2).unwrap();

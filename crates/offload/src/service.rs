@@ -21,7 +21,7 @@ use crate::error::ServiceError;
 #[cfg(feature = "faultinject")]
 use crate::fault::{FaultAction, FaultState};
 use crate::pin::pin_current_thread_verified;
-use crate::ring::{spsc, Consumer, Producer, PushError};
+use crate::ring::{spsc, Consumer, Producer, PushError, Record, CELL_BYTES, DEFAULT_RING_CELLS};
 use crate::slot::RequestSlot;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::telemetry::RuntimeTelemetry;
@@ -32,13 +32,22 @@ use crate::wait::{WaitState, WaitStrategy};
 /// `call` handles synchronous requests (the paper's `malloc`), `post`
 /// handles asynchronous ones (`free`). Neither takes `&self` — exclusive
 /// access is structural, so implementations need no locks or atomics.
+///
+/// Messages cost their length, not their type's capacity: a response is
+/// written into the client's slot and read there, a post crosses as its
+/// [`Record`] words. The service loop therefore calls
+/// [`Service::call_into`] and [`Service::post_ref`]; their defaults go
+/// through the by-value `call` and `post`, which is all a service with
+/// word-sized messages needs to write. One whose messages have room for
+/// many addresses overrides them and never moves a whole message.
 pub trait Service: Send + 'static {
     /// Synchronous request payload.
     type Req: Send + 'static;
-    /// Synchronous response payload.
-    type Resp: Send + 'static;
+    /// Synchronous response payload. `Default` is what a client's slot
+    /// holds before its first response.
+    type Resp: Default + Send + 'static;
     /// Fire-and-forget message payload.
-    type Post: Send + 'static;
+    type Post: Record;
 
     /// Called once on the service thread before the polling loop starts
     /// (after pinning). Lets services mark the thread, e.g. so a global
@@ -56,6 +65,17 @@ pub trait Service: Send + 'static {
 
     /// Handles one asynchronous message.
     fn post(&mut self, msg: Self::Post);
+
+    /// Handles one synchronous request, writing the response over `out` —
+    /// the client's slot, still holding that client's previous response.
+    fn call_into(&mut self, req: Self::Req, out: &mut Self::Resp) {
+        *out = self.call(req);
+    }
+
+    /// Handles one asynchronous message where the ring decoded it.
+    fn post_ref(&mut self, msg: &Self::Post) {
+        self.post(*msg);
+    }
 
     /// Called when a polling round found no work; a place for deferred
     /// housekeeping (e.g. returning free pages to the OS).
@@ -127,55 +147,12 @@ pub enum CallKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PostWait {
     /// Pause by the handle's wait strategy until the ring has room or
-    /// the runtime's deadline budget runs out ([`PostError::Deadline`]).
+    /// the runtime's deadline budget runs out
+    /// ([`ServiceError::Deadline`]).
     Deadline,
-    /// One push attempt: a full ring hands the message straight back as
-    /// [`PostError::WouldBlock`].
+    /// One push attempt: a full ring refuses at once with
+    /// [`ServiceError::WouldBlock`].
     Never,
-}
-
-/// Why a post could not be enqueued. Unlike [`ServiceError`] this hands
-/// the unsent message back so the caller can reroute it (the malloc
-/// front-end diverts such frees to the owning shard's orphan stack
-/// instead of leaking them) or buffer and retry it.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PostError<T> {
-    /// The service thread is gone; the message was dropped and counted in
-    /// [`RuntimeStats::posts_dropped`].
-    Stopped,
-    /// The ring stayed full for the whole deadline budget; the message
-    /// comes back to the caller.
-    Deadline {
-        /// The shard the post was addressed to.
-        shard: usize,
-        /// How long the caller waited before giving up.
-        waited: Duration,
-        /// The message that could not be enqueued.
-        msg: T,
-    },
-    /// [`PostWait::Never`]: the ring is full *right now* and the caller
-    /// asked not to wait at all. The message comes back for the caller to
-    /// buffer and retry after completing in-flight work — transient,
-    /// unlike [`PostError::Deadline`], which means the ring stayed full
-    /// for a whole deadline budget.
-    WouldBlock {
-        /// The message that could not be enqueued.
-        msg: T,
-    },
-}
-
-impl<T> PostError<T> {
-    /// Splits into the equivalent [`ServiceError`] and the message, when
-    /// it was handed back.
-    pub fn into_parts(self) -> (ServiceError, Option<T>) {
-        match self {
-            PostError::Stopped => (ServiceError::ServiceStopped, None),
-            PostError::Deadline { shard, waited, msg } => {
-                (ServiceError::Deadline { shard, waited }, Some(msg))
-            }
-            PostError::WouldBlock { msg } => (ServiceError::WouldBlock, Some(msg)),
-        }
-    }
 }
 
 /// A client handle's PMU measurement state. The session is armed lazily
@@ -284,15 +261,16 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Collects the in-flight request's response if it has been
-    /// published; `None` while it is still pending (or none is in
-    /// flight). Every response leaves the slot here, so this is also the
-    /// one place completion telemetry is emitted (see
+    /// published — `collect` reads it where it lies in the slot and what
+    /// it returns is handed on — or `None` while it is still pending (or
+    /// none is in flight). Every response leaves the slot here, so this
+    /// is also the one place completion telemetry is emitted (see
     /// `record_completion`).
     #[inline]
-    pub fn poll(&mut self) -> Option<S::Resp> {
-        let resp = self.slot.poll_response()?;
+    pub fn poll<T>(&mut self, collect: impl FnOnce(&mut S::Resp) -> T) -> Option<T> {
+        let collected = self.slot.poll_response(collect)?;
         self.record_completion();
-        Some(resp)
+        Some(collected)
     }
 
     /// Completion telemetry for the response just collected, stamped from
@@ -333,7 +311,8 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Blocks (by the handle's wait strategy) until the in-flight
-    /// request's response arrives, for at most `budget` (`None` waits
+    /// request's response arrives and `collect` has read it
+    /// ([`ClientHandle::poll`]), for at most `budget` (`None` waits
     /// forever).
     ///
     /// On expiry the request is *retracted*: if the service never claimed
@@ -346,12 +325,16 @@ impl<S: Service> ClientHandle<S> {
     /// [`ClientHandle::submit`] fails fast with
     /// [`ServiceError::ServiceStopped`], and the expiry is reported as a
     /// deadline.
-    pub fn wait(&mut self, budget: Option<Duration>) -> Result<S::Resp, ServiceError> {
+    pub fn wait<T>(
+        &mut self,
+        budget: Option<Duration>,
+        collect: impl FnOnce(&mut S::Resp) -> T,
+    ) -> Result<T, ServiceError> {
         let mut waited = Duration::ZERO;
         for grace in [false, true] {
             let mut state = WaitState::with_budget(self.wait, budget);
             if state.wait_until(|| self.slot.has_response()) {
-                return Ok(self.poll().expect("only this client collects"));
+                return Ok(self.poll(collect).expect("only this client collects"));
             }
             waited += state.waited();
             if !grace && self.retract() {
@@ -388,6 +371,9 @@ impl<S: Service> ClientHandle<S> {
 
     /// Sends a synchronous request and blocks (by the handle's wait
     /// strategy) until the service core responds, however long it takes.
+    /// The response is taken out of the slot by value, which suits the
+    /// word-sized ones; collect a large one in place with
+    /// [`ClientHandle::wait`].
     ///
     /// # Panics
     ///
@@ -398,7 +384,8 @@ impl<S: Service> ClientHandle<S> {
         if let Err((_, e)) = self.submit(req, CallKind::Single) {
             panic!("ClientHandle::call refused ({e}); use try_call for a typed error");
         }
-        self.wait(None).expect("an unbounded wait never expires")
+        self.wait(None, std::mem::take)
+            .expect("an unbounded wait never expires")
     }
 
     /// [`ClientHandle::submit`] then [`ClientHandle::wait`] under the
@@ -406,7 +393,7 @@ impl<S: Service> ClientHandle<S> {
     /// or wedged shard.
     pub fn try_call(&mut self, req: S::Req, kind: CallKind) -> Result<S::Resp, ServiceError> {
         self.submit(req, kind).map_err(|(_, e)| e)?;
-        self.wait(self.deadline)
+        self.wait(self.deadline, std::mem::take)
     }
 
     /// Posts an asynchronous message, pausing while the ring is
@@ -414,9 +401,9 @@ impl<S: Service> ClientHandle<S> {
     /// thread is gone, or the ring stayed full for the whole deadline
     /// budget — is dropped and counted in
     /// [`RuntimeStats::posts_dropped`]; use [`ClientHandle::try_post`] to
-    /// get it back instead.
+    /// keep it instead.
     pub fn post(&mut self, msg: S::Post) {
-        if let Err(PostError::Deadline { .. }) = self.try_post(msg, PostWait::Deadline) {
+        if let Err(ServiceError::Deadline { .. }) = self.try_post(&msg, PostWait::Deadline) {
             self.stats.record_post_dropped();
         }
     }
@@ -424,52 +411,50 @@ impl<S: Service> ClientHandle<S> {
     /// Posts an asynchronous message, reporting ring pressure and service
     /// death instead of hiding them.
     ///
+    /// The message is borrowed: only the words it holds are copied into
+    /// the ring, and a refusal leaves it — untouched, and nothing of it
+    /// written — with the caller, who can buffer or reroute it and keep
+    /// alloc/free accounting exact.
+    ///
     /// `Ok` carries how many full-ring retries the enqueue needed (zero
     /// means the ring had room immediately) — the saturation signal the
     /// sharded front-end's rebalance path keys off — and the enqueue latency
     /// (retries included) lands in the post-latency histogram. A full
-    /// ring hands the message back: at once under [`PostWait::Never`]
-    /// ([`PostError::WouldBlock`], counted in
-    /// [`RuntimeStats::wouldblocks`]), after the runtime's deadline
-    /// budget under [`PostWait::Deadline`] ([`PostError::Deadline`]), so
-    /// the caller can buffer or reroute it and keep alloc/free accounting
-    /// exact. If the service thread is gone the message is dropped,
-    /// counted in [`RuntimeStats::posts_dropped`], and the runtime's
-    /// `service_down` flag is raised ([`PostError::Stopped`]).
-    pub fn try_post(
-        &mut self,
-        mut msg: S::Post,
-        wait: PostWait,
-    ) -> Result<u32, PostError<S::Post>> {
+    /// ring refuses at once under [`PostWait::Never`]
+    /// ([`ServiceError::WouldBlock`], counted in
+    /// [`RuntimeStats::wouldblocks`]) and after the runtime's deadline
+    /// budget under [`PostWait::Deadline`] ([`ServiceError::Deadline`]).
+    /// If the service thread is gone the message counts as dropped
+    /// ([`RuntimeStats::posts_dropped`]) and the runtime's `service_down`
+    /// flag is raised ([`ServiceError::ServiceStopped`]).
+    pub fn try_post(&mut self, msg: &S::Post, wait: PostWait) -> Result<u32, ServiceError> {
         self.pmu.arm();
         let t0 = cycles_now();
         let mut state = WaitState::with_budget(self.wait, self.deadline);
         let mut retries = 0u32;
         loop {
-            match self.posts.push(msg) {
+            match self.posts.push_ref(msg) {
                 Ok(()) => break,
-                Err(PushError::Full(m)) => {
+                Err(PushError::Full(())) => {
                     self.stats.post_full_retries.fetch_add(1, Ordering::Relaxed);
                     if wait == PostWait::Never {
                         self.stats.record_wouldblock();
-                        return Err(PostError::WouldBlock { msg: m });
+                        return Err(ServiceError::WouldBlock);
                     }
                     retries = retries.saturating_add(1);
-                    msg = m;
                     if !state.pause() {
                         self.stats.record_deadline();
                         self.stats.add_retries(u64::from(retries));
-                        return Err(PostError::Deadline {
+                        return Err(ServiceError::Deadline {
                             shard: self.shard,
                             waited: state.waited(),
-                            msg,
                         });
                     }
                 }
-                Err(PushError::Disconnected(_)) => {
+                Err(PushError::Disconnected(())) => {
                     self.stats.record_post_dropped();
                     self.stats.mark_service_down();
-                    return Err(PostError::Stopped);
+                    return Err(ServiceError::ServiceStopped);
                 }
             }
         }
@@ -516,9 +501,15 @@ impl<S: Service> ClientHandle<S> {
         !self.posts.is_closed()
     }
 
-    /// Number of posted messages not yet drained (racy snapshot).
+    /// Ring cells (64 bytes each) holding posted messages not yet drained
+    /// (racy snapshot).
     pub fn pending_posts(&self) -> usize {
         self.posts.len()
+    }
+
+    /// Bytes of post ring this handle mapped.
+    pub fn ring_bytes(&self) -> usize {
+        self.posts.capacity() * CELL_BYTES
     }
 
     /// This handle's event-trace ring, when tracing is enabled. Higher
@@ -554,7 +545,10 @@ pub struct RuntimeConfig {
     /// Wait strategy for clients blocked on synchronous calls; `None`
     /// picks the machine-appropriate default at start time.
     pub client_wait: Option<WaitStrategy>,
-    /// Capacity of each client's asynchronous post ring.
+    /// Capacity of each client's asynchronous post ring, in 64-byte
+    /// cells ([`crate::ring`]): a message takes one cell per eight words,
+    /// header included. Rounded up to a power of two that holds at least
+    /// one largest message.
     pub ring_capacity: usize,
     /// Maximum posts drained from one client per polling round.
     pub drain_batch: usize,
@@ -587,7 +581,7 @@ impl RuntimeConfig {
         RuntimeConfig {
             core: None,
             client_wait: None,
-            ring_capacity: 1024,
+            ring_capacity: DEFAULT_RING_CELLS,
             drain_batch: 64,
             trace_capacity: 0,
             profile: false,
@@ -1047,7 +1041,7 @@ fn service_loop<S: Service>(
                             // observes as an abandoned request.
                             let killed = c
                                 .slot
-                                .serve(|_q| panic!("faultinject: shard killed mid-serve"));
+                                .serve(|_q, _out| panic!("faultinject: shard killed mid-serve"));
                             if !killed {
                                 // The client retracted first; keep the
                                 // kill armed for the next request.
@@ -1061,12 +1055,12 @@ fn service_loop<S: Service>(
             };
             #[cfg(not(feature = "faultinject"))]
             let serve_now = true;
-            if serve_now && c.slot.serve(|q| service.call(q)) {
+            if serve_now && c.slot.serve(|q, out| service.call_into(q, out)) {
                 work += 1;
                 shared.stats.calls_served.fetch_add(1, Ordering::Relaxed);
             }
             occupancy += c.posts.len();
-            let drained = c.posts.drain(drain_batch, |m| service.post(m));
+            let drained = c.posts.drain(drain_batch, |m| service.post_ref(m));
             if drained > 0 {
                 work += drained;
                 shared
@@ -1078,7 +1072,7 @@ fn service_loop<S: Service>(
                 }
             }
         }
-        // Gauge: total posts that were pending when this round looked.
+        // Gauge: ring cells that held pending posts when this round looked.
         shared
             .stats
             .ring_occupancy
@@ -1590,7 +1584,10 @@ mod tests {
         let (_, _) = rt.shutdown();
         // The service (and every ring consumer) is gone: the post must
         // neither panic nor hang.
-        assert_eq!(c.try_post(2, PostWait::Deadline), Err(PostError::Stopped));
+        assert_eq!(
+            c.try_post(&2, PostWait::Deadline),
+            Err(ServiceError::ServiceStopped)
+        );
         c.post(3); // infallible form also degrades silently
         assert!(!c.is_open());
         let snap = stats.snapshot();
@@ -1681,7 +1678,7 @@ mod tests {
         let mut c = rt.register_client();
         let mut saw_pressure = false;
         for i in 0..1000 {
-            let retries = c.try_post(i, PostWait::Deadline).expect("service alive");
+            let retries = c.try_post(&i, PostWait::Deadline).expect("service alive");
             saw_pressure |= retries > 0;
         }
         drop(c);
@@ -1707,7 +1704,7 @@ mod tests {
         }
         let mut spins = 0u64;
         let resp = loop {
-            if let Some(r) = c.poll() {
+            if let Some(r) = c.poll(std::mem::take) {
                 break r;
             }
             std::hint::spin_loop();
@@ -1739,7 +1736,7 @@ mod tests {
             } else {
                 let mut spins = 0u64;
                 loop {
-                    if let Some(r) = c.poll() {
+                    if let Some(r) = c.poll(std::mem::take) {
                         assert_eq!(r, i * 2);
                         break;
                     }
@@ -1757,7 +1754,7 @@ mod tests {
     }
 
     #[test]
-    fn try_post_never_hands_message_back_when_full() {
+    fn a_post_refused_by_a_full_ring_never_reaches_the_service() {
         let rt = OffloadRuntime::try_start(
             doubler(),
             RuntimeConfig {
@@ -1767,22 +1764,23 @@ mod tests {
         )
         .unwrap();
         let mut c = rt.register_client();
-        let mut bounced = 0u32;
-        let mut accepted = 0u64;
+        let mut bounced = 0u64;
+        let (mut accepted, mut accepted_sum) = (0u64, 0u64);
         for i in 0..1000u64 {
-            match c.try_post(i, PostWait::Never) {
-                Ok(_) => accepted += 1,
-                Err(PostError::WouldBlock { msg }) => {
-                    assert_eq!(msg, i, "full ring hands the message back");
-                    bounced += 1;
+            match c.try_post(&i, PostWait::Never) {
+                Ok(_) => {
+                    accepted += 1;
+                    accepted_sum += i;
                 }
+                Err(ServiceError::WouldBlock) => bounced += 1,
                 Err(e) => panic!("unexpected {e:?}"),
             }
         }
         drop(c);
-        let (_, stats) = rt.shutdown();
+        let (svc, stats) = rt.shutdown();
         assert_eq!(stats.posts_served, accepted, "accepted posts all drained");
-        assert_eq!(u64::from(bounced), stats.wouldblocks);
+        assert_eq!(svc.sum, accepted_sum, "a refusal wrote nothing");
+        assert_eq!(bounced, stats.wouldblocks);
     }
 
     #[test]
@@ -1803,7 +1801,10 @@ mod tests {
         }
         // Work already in the ring was drained before the loop exited;
         // work posted after the stop is refused, not lost silently.
-        assert_eq!(c.try_post(11, PostWait::Deadline), Err(PostError::Stopped));
+        assert_eq!(
+            c.try_post(&11, PostWait::Deadline),
+            Err(ServiceError::ServiceStopped)
+        );
         drop(c);
         let (svc, stats) = rt.try_shutdown().expect("clean exit joins normally");
         assert_eq!(svc.sum, 55);
@@ -1929,7 +1930,7 @@ mod tests {
     }
 
     #[test]
-    fn try_post_hands_message_back_when_ring_stays_full() {
+    fn try_post_gives_up_when_ring_stays_full() {
         let (rt, entered, release) = stalled_runtime(Duration::from_millis(10), 2);
         let mut stall_client = rt.register_client();
         let mut c = rt.register_client();
@@ -1942,14 +1943,13 @@ mod tests {
         }
         // The service is hostage: nothing drains. Fill the ring, then
         // prove the overflow post comes back instead of spinning forever.
-        c.try_post(10, PostWait::Deadline).expect("ring has room");
-        c.try_post(11, PostWait::Deadline).expect("ring has room");
-        match c.try_post(12, PostWait::Deadline) {
-            Err(PostError::Deadline { msg, waited, .. }) => {
-                assert_eq!(msg, 12, "unsent message handed back");
+        c.try_post(&10, PostWait::Deadline).expect("ring has room");
+        c.try_post(&11, PostWait::Deadline).expect("ring has room");
+        match c.try_post(&12, PostWait::Deadline) {
+            Err(ServiceError::Deadline { waited, .. }) => {
                 assert!(waited >= Duration::from_millis(10));
             }
-            other => panic!("expected deadline with message, got {other:?}"),
+            other => panic!("expected deadline, got {other:?}"),
         }
         let stats = rt.stats();
         assert!(stats.deadlines >= 1);
@@ -2062,14 +2062,14 @@ mod tests {
             .unwrap();
             let mut c = rt.register_client();
             rt.fault_state().set_wedged(true);
-            c.try_post(1, PostWait::Deadline).expect("ring has room");
-            c.try_post(2, PostWait::Deadline).expect("ring has room");
-            match c.try_post(3, PostWait::Deadline) {
-                Err(PostError::Deadline { msg: 3, .. }) => {}
+            c.try_post(&1, PostWait::Deadline).expect("ring has room");
+            c.try_post(&2, PostWait::Deadline).expect("ring has room");
+            match c.try_post(&3, PostWait::Deadline) {
+                Err(ServiceError::Deadline { .. }) => {}
                 other => panic!("expected bounded full-ring failure, got {other:?}"),
             }
             rt.fault_state().set_wedged(false);
-            c.try_post(3, PostWait::Deadline)
+            c.try_post(&3, PostWait::Deadline)
                 .expect("ring drains after unwedge");
             drop(c);
             let (svc, stats) = rt.shutdown();

@@ -37,13 +37,18 @@ const SERVING: u32 = 3;
 /// A one-deep synchronous request/response mailbox between one client
 /// thread and the service core.
 ///
-/// The state word lives on its own cache line; request and response payloads
-/// share a second line, mirroring how little data actually crosses cores in
-/// the paper's design (a size in, a pointer out).
+/// The state word lives on its own cache line; the request crosses by
+/// value (in the paper's design a size), the response is written and read
+/// **where it lies**: the server fills `resp` in place and the client
+/// reads it in place, so a response type with room for many addresses
+/// costs what a given response holds, one copy per side, never
+/// `size_of::<R>()`.
 pub struct RequestSlot<Q, R> {
     state: CachePadded<AtomicU32>,
     req: UnsafeCell<MaybeUninit<Q>>,
-    resp: UnsafeCell<MaybeUninit<R>>,
+    /// Always a valid `R`: `R::default()` until the first response, then
+    /// whatever the server last wrote over it.
+    resp: UnsafeCell<R>,
     /// Publish counter, bumped immediately before every REQUEST store. Two
     /// consumers: fault injection uses it so the service loop's "drop
     /// response" fault ignores one *specific* request rather than whatever
@@ -77,26 +82,27 @@ pub struct RequestSlot<Q, R> {
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
 // the client writes `req` only while state is EMPTY (which it owns after
-// consuming a RESPONSE), the server reads `req` and writes `resp` only while
-// state is REQUEST, and the client reads `resp` only while state is
-// RESPONSE. Each transition is a Release store observed by an Acquire load,
-// so payload writes happen-before the reads on the other side. Q and R must
-// be Send because they cross threads by value.
+// consuming a RESPONSE), the server reads `req` and borrows `resp` only
+// after claiming a REQUEST (state SERVING), and the client borrows `resp`
+// only while state is RESPONSE. Each transition is a Release store observed
+// by an Acquire load, so payload writes happen-before the reads on the
+// other side. Q must be Send because it crosses threads by value, R
+// because both threads take `&mut R` in turn.
 unsafe impl<Q: Send, R: Send> Sync for RequestSlot<Q, R> {}
 
-impl<Q: Send, R: Send> Default for RequestSlot<Q, R> {
+impl<Q: Send, R: Send + Default> Default for RequestSlot<Q, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<Q: Send, R: Send> RequestSlot<Q, R> {
+impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     /// Creates an empty slot.
     pub fn new() -> Self {
         RequestSlot {
             state: CachePadded::new(AtomicU32::new(EMPTY)),
             req: UnsafeCell::new(MaybeUninit::uninit()),
-            resp: UnsafeCell::new(MaybeUninit::uninit()),
+            resp: UnsafeCell::new(R::default()),
             publish_seq: AtomicU64::new(0),
             request_tsc: AtomicU64::new(0),
             claim_tsc: AtomicU64::new(0),
@@ -109,10 +115,12 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
 
     /// Bumps the publish counter; called immediately before each REQUEST
     /// store so a server that observes REQUEST (Acquire) also observes the
-    /// matching sequence number.
+    /// matching sequence number. Only the client writes the counter, so
+    /// this is a load and a store, not a locked read-modify-write.
     #[inline]
     fn bump_publish_seq(&self) {
-        self.publish_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.publish_seq.load(Ordering::Relaxed);
+        self.publish_seq.store(seq + 1, Ordering::Relaxed);
     }
 
     /// The sequence number of the most recently published request. To the
@@ -189,19 +197,22 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
         Ok(())
     }
 
-    /// Client side, non-blocking: consumes and returns the response if one
-    /// has been published, leaving the slot EMPTY; `None` while the
-    /// request is still pending (or none is in flight).
-    pub fn poll_response(&self) -> Option<R> {
+    /// Client side, non-blocking: if a response has been published,
+    /// hands it to `collect` where it lies, leaves the slot EMPTY and
+    /// returns what `collect` made of it; `None` while the request is
+    /// still pending (or none is in flight). `collect` takes what it
+    /// needs — copies out the addresses, `mem::take`s a small value — and
+    /// whatever it leaves behind the next response overwrites.
+    pub fn poll_response<T>(&self, collect: impl FnOnce(&mut R) -> T) -> Option<T> {
         if self.state.load(Ordering::Acquire) != RESPONSE {
             return None;
         }
-        // SAFETY: state is RESPONSE (Acquire), so the server's write of
-        // `resp` happens-before this read, and the server will not touch
+        // SAFETY: state is RESPONSE (Acquire), so the server's writes to
+        // `resp` happen-before this borrow, and the server will not touch
         // the slot again until we publish EMPTY.
-        let response = unsafe { (*self.resp.get()).assume_init_read() };
+        let collected = collect(unsafe { &mut *self.resp.get() });
         self.state.store(EMPTY, Ordering::Release);
-        Some(response)
+        Some(collected)
     }
 
     /// Client side: registers `waker` to be fired when the in-flight
@@ -277,9 +288,11 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
         }
     }
 
-    /// Server side: if a request is pending, consumes it, computes the
-    /// response with `f`, publishes it, and returns `true`.
-    pub fn serve(&self, f: impl FnOnce(Q) -> R) -> bool {
+    /// Server side: if a request is pending, consumes it, has `f` write
+    /// the response over the slot's previous one, publishes it, and
+    /// returns `true`. `f` must leave a complete response: what it does
+    /// not overwrite is the last response's.
+    pub fn serve(&self, f: impl FnOnce(Q, &mut R)) -> bool {
         // Claim the request with a CAS rather than a plain load: a
         // deadline-expired client may race us with a `REQUEST → EMPTY`
         // retraction, and exactly one side must own the payload. The CAS
@@ -298,12 +311,15 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
         // write of `req` happens-before this read, and a retracting client
         // observes SERVING and leaves the payload cells alone.
         let request = unsafe { (*self.req.get()).assume_init_read() };
-        let response = f(request);
-        self.served_tsc.store(cycles_now(), Ordering::Relaxed);
-        // SAFETY: as above — the client cannot access `resp` until it
-        // observes the RESPONSE store below.
-        unsafe { (*self.resp.get()).write(response) };
-        self.publish_tsc.store(cycles_now(), Ordering::Relaxed);
+        // SAFETY: as above — the client last touched `resp` before it
+        // published EMPTY, and cannot again until it observes the
+        // RESPONSE store below.
+        f(request, unsafe { &mut *self.resp.get() });
+        // The response was written where the client reads it, so served
+        // and published are one instant: there is no copy between them.
+        let served = cycles_now();
+        self.served_tsc.store(served, Ordering::Relaxed);
+        self.publish_tsc.store(served, Ordering::Relaxed);
         self.state.store(RESPONSE, Ordering::Release);
         // Paired with the fence in `register_waker` (see there); the flag
         // keeps the blocking path — which never registers a waker — away
@@ -329,21 +345,13 @@ impl<Q: Send, R: Send> RequestSlot<Q, R> {
 
 impl<Q, R> Drop for RequestSlot<Q, R> {
     fn drop(&mut self) {
-        // A request published but never served must still be dropped.
-        match *self.state.0.get_mut() {
-            REQUEST => {
-                // SAFETY: exclusive access in drop; state says `req` holds a
-                // value that was never consumed.
-                unsafe { (*self.req.get()).assume_init_drop() };
-            }
-            RESPONSE => {
-                // SAFETY: exclusive access in drop; state says `resp` holds
-                // a value the client never collected.
-                unsafe { (*self.resp.get()).assume_init_drop() };
-            }
-            // SERVING: the server consumed `req` but never wrote `resp`
-            // (killed mid-serve) — neither cell holds a live value.
-            _ => {}
+        // A request published but never served must still be dropped
+        // (`resp` is always a valid `R` and drops as a field). SERVING:
+        // the server consumed `req` before it died mid-serve.
+        if *self.state.0.get_mut() == REQUEST {
+            // SAFETY: exclusive access in drop; state says `req` holds a
+            // value that was never consumed.
+            unsafe { (*self.req.get()).assume_init_drop() };
         }
     }
 }
@@ -357,7 +365,7 @@ mod tests {
     /// `begin`, then poll until the response lands or `budget` runs out
     /// (the request is then still in the slot) — the blocking round trip
     /// as `ClientHandle::wait` builds it from the primitives.
-    fn call_within<Q: Send, R: Send>(
+    fn call_within<Q: Send, R: Send + Default>(
         slot: &RequestSlot<Q, R>,
         request: Q,
         budget: Duration,
@@ -365,7 +373,7 @@ mod tests {
         assert!(slot.begin(request).is_ok(), "call on a busy slot");
         let start = Instant::now();
         loop {
-            if let Some(response) = slot.poll_response() {
+            if let Some(response) = slot.poll_response(std::mem::take) {
                 return Some(response);
             }
             if start.elapsed() >= budget {
@@ -375,7 +383,7 @@ mod tests {
         }
     }
 
-    fn call<Q: Send, R: Send>(slot: &RequestSlot<Q, R>, request: Q) -> R {
+    fn call<Q: Send, R: Send + Default>(slot: &RequestSlot<Q, R>, request: Q) -> R {
         call_within(slot, request, Duration::from_secs(30)).expect("server answers")
     }
 
@@ -386,7 +394,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0;
             while served < 3 {
-                if server.serve(|q| q * 2) {
+                if server.serve(|q, r| *r = q * 2) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -402,7 +410,7 @@ mod tests {
     #[test]
     fn serve_returns_false_when_idle() {
         let slot: RequestSlot<u8, u8> = RequestSlot::new();
-        assert!(!slot.serve(|q| q));
+        assert!(!slot.serve(|q, r| *r = q));
         assert!(!slot.has_request());
     }
 
@@ -443,9 +451,9 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 1, "retracted payload dropped");
         // Slot is EMPTY again: a later served call works.
         assert!(!slot.has_request());
-        let server = |q: D| {
+        let server = |q: D, r: &mut u8| {
             drop(q);
-            7u8
+            *r = 7;
         };
         let client = std::thread::scope(|s| {
             let h = s.spawn(|| call(&slot, D));
@@ -471,7 +479,7 @@ mod tests {
             (Arc::clone(&slot), Arc::clone(&stop), Arc::clone(&served));
         let h = std::thread::spawn(move || {
             while !srv_stop.load(Ordering::Acquire) {
-                if srv_slot.serve(|q| q + 1) {
+                if srv_slot.serve(|q, r| *r = q + 1) {
                     srv_count.fetch_add(1, Ordering::Relaxed);
                 }
                 std::hint::spin_loop();
@@ -490,7 +498,7 @@ mod tests {
                 // The server claimed it first: a served response is
                 // never discarded, so collect it however late.
                 None => loop {
-                    if let Some(r) = slot.poll_response() {
+                    if let Some(r) = slot.poll_response(std::mem::take) {
                         break r;
                     }
                     std::hint::spin_loop();
@@ -516,9 +524,7 @@ mod tests {
         // A server that claims the request and then dies without responding.
         let h = std::thread::spawn(move || loop {
             let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                srv.serve(|_q| -> u32 {
-                    panic!("killed mid-serve");
-                })
+                srv.serve(|_q, _r| panic!("killed mid-serve"))
             }));
             if dead.is_err() {
                 break;
@@ -530,7 +536,7 @@ mod tests {
         // The abandon edge `ClientHandle::wait` poisons on: the payload is
         // consumed, so the retract loses, and no response ever arrives.
         assert!(!slot.retract(), "the server claimed the request");
-        assert_eq!(slot.poll_response(), None);
+        assert_eq!(slot.poll_response(std::mem::take), None);
         assert_eq!(slot.state_label(), "serving");
     }
 
@@ -541,7 +547,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0;
             while served < 2 {
-                if server.serve(|q| q) {
+                if server.serve(|q, r| *r = q) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -569,7 +575,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0u32;
             while served < 1000 {
-                if server.serve(|q| q + 1) {
+                if server.serve(|q, r| *r = q + 1) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -580,6 +586,70 @@ mod tests {
             assert_eq!(call(&slot, i), i + 1);
         }
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_response_is_written_and_read_where_it_lies() {
+        // A response type with room for 128 words. The server writes the
+        // three it has into the slot's own cell and the client reads them
+        // there: both closures see one address, and the 125 words nobody
+        // sent keep what the previous response left — so a round trip
+        // moves what the response holds, never `size_of::<Wide>()`.
+        struct Wide {
+            len: usize,
+            words: [usize; 128],
+        }
+        impl Default for Wide {
+            fn default() -> Self {
+                Wide {
+                    len: 0,
+                    words: [0; 128],
+                }
+            }
+        }
+        let slot: RequestSlot<usize, Wide> = RequestSlot::new();
+        let mut cells = Vec::new();
+        for (n, mark) in [(128, 0xAA), (3, 0xBB)] {
+            assert!(slot.begin(n).is_ok());
+            assert!(slot.serve(|n, wide| {
+                cells.push(std::ptr::from_mut(wide) as usize);
+                wide.len = n;
+                wide.words[..n].fill(mark);
+            }));
+            let seen = slot.poll_response(|wide| {
+                assert_eq!(wide.len, n);
+                assert!(wide.words[..n].iter().all(|&w| w == mark));
+                std::ptr::from_mut(wide) as usize
+            });
+            cells.push(seen.expect("served"));
+        }
+        assert!(cells.iter().all(|&c| c == cells[0]), "one cell: {cells:x?}");
+        // SAFETY: no request is in flight; this thread is both sides.
+        let wide = unsafe { &*slot.resp.get() };
+        assert_eq!(wide.len, 3);
+        assert!(
+            wide.words[3..].iter().all(|&w| w == 0xAA),
+            "the short response left the long one's tail alone"
+        );
+    }
+
+    #[test]
+    fn an_uncollected_response_is_dropped_with_the_slot() {
+        static DROPS: AtomicU32 = AtomicU32::new(0);
+        #[derive(Default)]
+        struct D;
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let slot: RequestSlot<(), D> = RequestSlot::new();
+        assert!(slot.begin(()).is_ok());
+        // Writing a response over the slot's previous one drops that one.
+        assert!(slot.serve(|(), r| *r = D));
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
+        drop(slot);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 2, "the response nobody read");
     }
 
     /// A waker that counts its wakes.
@@ -603,10 +673,14 @@ mod tests {
         assert!(slot.begin(5).is_ok());
         // Busy slot hands the payload back instead of publishing.
         assert_eq!(slot.begin(6), Err(6));
-        assert_eq!(slot.poll_response(), None, "not served yet");
-        assert!(slot.serve(|q| q * 3));
-        assert_eq!(slot.poll_response(), Some(15));
-        assert_eq!(slot.poll_response(), None, "response consumed");
+        assert_eq!(slot.poll_response(std::mem::take), None, "not served yet");
+        assert!(slot.serve(|q, r| *r = q * 3));
+        assert_eq!(slot.poll_response(std::mem::take), Some(15));
+        assert_eq!(
+            slot.poll_response(std::mem::take),
+            None,
+            "response consumed"
+        );
         assert!(slot.begin(7).is_ok(), "slot reusable after completion");
         assert!(slot.retract());
     }
@@ -618,14 +692,14 @@ mod tests {
         assert!(slot.begin(1).is_ok());
         slot.register_waker(&waker);
         assert_eq!(wakes.0.load(Ordering::SeqCst), 0, "no response yet");
-        assert!(slot.serve(|q| q + 1));
+        assert!(slot.serve(|q, r| *r = q + 1));
         assert_eq!(wakes.0.load(Ordering::SeqCst), 1, "woken on RESPONSE");
-        assert_eq!(slot.poll_response(), Some(2));
+        assert_eq!(slot.poll_response(std::mem::take), Some(2));
         // The waker was consumed: a second serve cycle does not re-fire it.
         assert!(slot.begin(2).is_ok());
-        assert!(slot.serve(|q| q + 1));
+        assert!(slot.serve(|q, r| *r = q + 1));
         assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-        assert_eq!(slot.poll_response(), Some(3));
+        assert_eq!(slot.poll_response(std::mem::take), Some(3));
     }
 
     #[test]
@@ -633,11 +707,11 @@ mod tests {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         let (wakes, waker) = counting_waker();
         assert!(slot.begin(1).is_ok());
-        assert!(slot.serve(|q| q + 1));
+        assert!(slot.serve(|q, r| *r = q + 1));
         // Response already published: registration must not lose the wake.
         slot.register_waker(&waker);
         assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-        assert_eq!(slot.poll_response(), Some(2));
+        assert_eq!(slot.poll_response(std::mem::take), Some(2));
     }
 
     #[test]
@@ -649,8 +723,8 @@ mod tests {
         assert!(slot.retract());
         // Even a full later serve cycle must not fire the retracted waker.
         assert!(slot.begin(2).is_ok());
-        assert!(slot.serve(|q| q + 1));
-        assert_eq!(slot.poll_response(), Some(3));
+        assert!(slot.serve(|q, r| *r = q + 1));
+        assert_eq!(slot.poll_response(std::mem::take), Some(3));
         assert_eq!(
             wakes.0.load(Ordering::SeqCst),
             0,
@@ -662,9 +736,9 @@ mod tests {
     fn retract_loses_once_served_and_response_collectable() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert!(slot.begin(4).is_ok());
-        assert!(slot.serve(|q| q * 10));
+        assert!(slot.serve(|q, r| *r = q * 10));
         assert!(!slot.retract(), "served request cannot be retracted");
-        assert_eq!(slot.poll_response(), Some(40));
+        assert_eq!(slot.poll_response(std::mem::take), Some(40));
     }
 
     #[test]
@@ -679,7 +753,7 @@ mod tests {
         let srv_stop = Arc::clone(&stop);
         let h = std::thread::spawn(move || {
             while !srv_stop.load(Ordering::Acquire) {
-                srv.serve(|q| q);
+                srv.serve(|q, r| *r = q);
                 std::hint::spin_loop();
             }
         });
@@ -702,7 +776,7 @@ mod tests {
                     assert!(spins < 1_000_000_000, "lost wakeup at round {i}");
                 }
                 seen = wakes.0.load(Ordering::SeqCst);
-                if let Some(response) = slot.poll_response() {
+                if let Some(response) = slot.poll_response(std::mem::take) {
                     break response;
                 }
             };

@@ -58,8 +58,8 @@ pub struct RuntimeStats {
     /// (begun, neither completed nor retracted), published by submission
     /// queues as their depth changes.
     pub inflight: AtomicI64,
-    /// Gauge: posts pending across all client rings, as of the service
-    /// loop's last poll round.
+    /// Gauge: 64-byte ring cells holding pending posts across all client
+    /// rings, as of the service loop's last poll round.
     pub ring_occupancy: AtomicUsize,
     /// Gauge: pre-handed-out items stashed in client magazines, published
     /// by handles at refill/drop boundaries (never on the pop fast path —
@@ -111,7 +111,8 @@ pub struct StatsSnapshot {
     pub wouldblocks: u64,
     /// Submissions in flight through the non-blocking front-end.
     pub inflight: i64,
-    /// Posts pending across all client rings at the last poll round.
+    /// Ring cells (64 bytes each) holding pending posts across all
+    /// client rings at the last poll round.
     pub ring_occupancy: usize,
     /// Items stashed in client magazines as of the last refill/drop
     /// publication.

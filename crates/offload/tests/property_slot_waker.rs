@@ -119,7 +119,7 @@ proptest! {
                     }
                 }
                 Op::Serve => {
-                    let served = slot.serve(|q| q + 1);
+                    let served = slot.serve(|q, r| *r = q + 1);
                     prop_assert_eq!(served, state == State::Requested);
                     if served {
                         state = State::Response;
@@ -144,7 +144,7 @@ proptest! {
                     }
                 }
                 Op::Poll => {
-                    let got = slot.poll_response();
+                    let got = slot.poll_response(std::mem::take);
                     if state == State::Response {
                         prop_assert_eq!(got, Some(inflight + 1));
                         state = State::Empty;
@@ -177,7 +177,7 @@ fn retract_and_serve_race_is_mutually_exclusive() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             while stop.load(Ordering::Acquire) == 0 {
-                slot.serve(|q| q + 1);
+                slot.serve(|q, r| *r = q + 1);
             }
         })
     };
@@ -205,7 +205,7 @@ fn retract_and_serve_race_is_mutually_exclusive() {
             // The server claimed it: the response must land and the
             // waker must fire exactly once for this round.
             let resp = loop {
-                if let Some(r) = slot.poll_response() {
+                if let Some(r) = slot.poll_response(std::mem::take) {
                     break r;
                 }
                 std::hint::spin_loop();

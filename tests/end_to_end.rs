@@ -253,15 +253,20 @@ fn the_client_of_a_tier_never_faults_on_a_block() {
     // the service thread (`SegmentRef::create` / `first_touch`), so the
     // client's first store into a block finds the page present — on the
     // cold pass as on every later one. What the client does pay for,
-    // once, is the pages of its own free ring (4,096 slots, ~1.1 MB;
-    // 1,760 posts a pass, so the third pass wraps it).
+    // once, is the pages of its own free ring: 2,048 cells of 64 bytes,
+    // 128 KiB, 32 pages. A pass posts some 440 full batches of 17 cells,
+    // so the cold pass has been round the ring three times before it
+    // ends and no later pass finds a page of it untouched.
     let passes: Vec<_> = (0..4)
         .map(|_| client_faults_over_a_pass(&mut h, &events, &mut live))
         .collect();
     println!("client minor faults per pass (on blocks, in all): {passes:?}");
     if ngm_heap::sys::thp_available() {
         assert!(passes.iter().all(|p| p.0 == 0), "{passes:?}");
-        assert_eq!(passes[3].1, 0, "a warm pass takes none at all: {passes:?}");
+        assert!(
+            passes[1..].iter().all(|p| p.1 == 0),
+            "a warm pass takes none at all: {passes:?}"
+        );
     } else {
         println!("transparent huge pages are off on this host: bounds skipped");
     }

@@ -95,36 +95,44 @@ fn full_ring_with_dead_consumer_disconnects() {
 /// Regression: a shard killed mid-serve while refilling a magazine used
 /// to strand the refill caller. The kill must poison that channel,
 /// surface at shutdown as the shard's panic, and the allocation must
-/// complete on a survivor.
+/// complete on a survivor — at a partial batch and with the wire's full
+/// 128 blocks riding the request.
 #[test]
 fn mid_refill_kill_fails_over_to_survivor() {
-    let ngm = NgmConfig::new()
-        .with_shards(2)
-        .with_batch(16, 8)
-        .with_placement(CorePlacement::Unpinned)
-        .with_deadline(Some(Duration::from_millis(50)))
-        .build()
-        .expect("valid config");
-    let mut h = ngm.handle();
-    let class64 = ngm_heap::size_to_class(64).unwrap();
-    let victim = h.class_route(class64);
-    ngm.fault_state(victim).kill_next_call();
+    for (batch, flush) in [(16, 8), (ngm_core::MAX_BATCH, ngm_core::MAX_BATCH)] {
+        let ngm = NgmConfig::new()
+            .with_shards(2)
+            .with_batch(batch, flush)
+            .with_placement(CorePlacement::Unpinned)
+            .with_deadline(Some(Duration::from_millis(50)))
+            .build()
+            .expect("valid config");
+        let mut h = ngm.handle();
+        let class64 = ngm_heap::size_to_class(64).unwrap();
+        let victim = h.class_route(class64);
+        ngm.fault_state(victim).kill_next_call();
 
-    // This alloc triggers the magazine refill batch that the kill lands
-    // in; it must still succeed (rerouted), bounded by the deadline.
-    let t0 = Instant::now();
-    let p = h
-        .alloc(Layout::from_size_align(64, 8).unwrap())
-        .expect("survivor serves the refill");
-    assert!(t0.elapsed() < Duration::from_secs(10), "bounded, not hung");
-    // SAFETY: live block from this handle's allocator.
-    unsafe { h.dealloc(p, Layout::from_size_align(64, 8).unwrap()) };
-    drop(h);
+        // This alloc triggers the magazine refill batch that the kill
+        // lands in; it must still succeed (rerouted), bounded by the
+        // deadline.
+        let t0 = Instant::now();
+        let p = h
+            .alloc(Layout::from_size_align(64, 8).unwrap())
+            .expect("survivor serves the refill");
+        assert!(t0.elapsed() < Duration::from_secs(10), "bounded, not hung");
+        assert_eq!(h.magazine_len(class64), batch - 1, "a whole refill landed");
+        // SAFETY: live block from this handle's allocator.
+        unsafe { h.dealloc(p, Layout::from_size_align(64, 8).unwrap()) };
+        drop(h);
 
-    let down = ngm.shutdown();
-    assert!(!down.clean(), "the mid-refill panic is reported");
-    assert!(down.shards[victim].error.is_some());
-    assert_eq!(down.heap.live_blocks, 0, "nothing stranded");
+        let down = ngm.shutdown();
+        assert!(!down.clean(), "the mid-refill panic is reported");
+        assert!(down.shards[victim].error.is_some());
+        let survivor = &down.shards[1 - victim];
+        assert_eq!(survivor.service.allocs, batch as u64, "{down:?}");
+        assert_eq!(survivor.service.allocs, survivor.service.frees);
+        assert_eq!(down.heap.live_blocks, 0, "nothing stranded");
+    }
 }
 
 /// Regression: large blocks used to hash to a shard by layout. While
