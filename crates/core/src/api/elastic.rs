@@ -13,7 +13,7 @@ use ngm_telemetry::window::HeatFrame;
 
 use super::lock;
 use super::tier::Ngm;
-use crate::config::{HIGH_WATER, LOW_WATER, SUSTAIN};
+use crate::config::{DRAIN_PATIENCE, HIGH_WATER, LOW_WATER, SUSTAIN};
 use crate::heat::{pick_coolest, ShardLifecycle};
 
 #[derive(Debug, Default)]
@@ -54,9 +54,9 @@ pub enum ScaleDecision {
         /// The retired slot.
         shard: usize,
     },
-    /// A draining shard failed to reach zero balance within the policy's
-    /// `drain_patience` (e.g. it is wedged); it was returned to serving
-    /// rather than wedging the controller with it.
+    /// A draining shard failed to reach zero balance within
+    /// [`DRAIN_PATIENCE`] evaluations (e.g. it is wedged); it was
+    /// returned to serving rather than wedging the controller with it.
     DrainAborted {
         /// The shard returned to serving.
         shard: usize,
@@ -90,7 +90,7 @@ impl Ngm {
                 return ScaleDecision::Retired { shard };
             }
             drain.evals += 1;
-            if drain.evals >= policy.drain_patience {
+            if drain.evals >= DRAIN_PATIENCE {
                 // Wedged mid-drain: reopen the shard rather than hang.
                 st.draining = None;
                 self.tier.slots[shard].with_runtime(OffloadRuntime::end_retire);
@@ -246,19 +246,16 @@ impl Ngm {
         )
     }
 
-    /// Whether an in-flight drain has already outlived the policy's
-    /// `drain_patience` (the controller will abort it on its next tick;
+    /// Whether an in-flight drain has already outlived
+    /// [`DRAIN_PATIENCE`] (the controller will abort it on its next tick;
     /// until then the tier reports degraded). `false` when the
     /// controller is busy deciding — a held lock means ticks are live.
     pub(crate) fn drain_overdue(&self) -> bool {
-        let Some(policy) = self.elastic else {
-            return false;
-        };
         match self.controller.try_lock() {
             Ok(st) => st
                 .draining
                 .as_ref()
-                .is_some_and(|d| d.evals >= policy.drain_patience),
+                .is_some_and(|d| d.evals >= DRAIN_PATIENCE),
             Err(_) => false,
         }
     }

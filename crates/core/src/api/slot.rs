@@ -259,11 +259,11 @@ pub(crate) struct Tier {
     /// The ledger every handle maps and unmaps large (non-class) blocks
     /// through, on its own thread: they never enter a shard.
     pub(super) large: LargeBlocks,
-    /// Dump sink for failure edges; `None` when the blackbox is disabled
-    /// (forced off under the global-allocator adapter — dump assembly
-    /// allocates). Per-tier, so two tiers in one process have
-    /// independent rate limiters and dump rings.
-    pub(super) blackbox: Option<BlackboxRecorder>,
+    /// Dump sink for failure edges; `None` only on the tier the global
+    /// hook builds (dump assembly allocates, and re-entering a failing
+    /// allocator mid-failure is not survivable). Per-tier, so two tiers
+    /// in one process have independent rate limiters and dump rings.
+    pub(crate) blackbox: Option<BlackboxRecorder>,
     /// [`Ngm::tick`](super::Ngm::tick)s so far — the windows' time-base.
     pub(super) ticks: AtomicU64,
     pub(super) scale_up: AtomicU64,
@@ -277,7 +277,7 @@ pub(crate) struct Tier {
 impl Tier {
     /// Every slot up to the elastic maximum, built eagerly — service,
     /// owner stamp, orphan stack, stats, telemetry — and all dormant.
-    pub(super) fn new(cfg: &NgmConfig, runtime_cfg: &RuntimeConfig) -> Self {
+    pub(super) fn new(cfg: &NgmConfig, runtime_cfg: &RuntimeConfig, blackbox: bool) -> Self {
         let cores = ngm_offload::available_cores();
         let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
         let slots = (0..total).map(|i| {
@@ -300,7 +300,7 @@ impl Tier {
             sites: (cfg.site_sample > 0).then(|| SiteProfiler::new(cfg.site_sample)),
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
             large: LargeBlocks::default(),
-            blackbox: cfg.blackbox.then(BlackboxRecorder::new),
+            blackbox: blackbox.then(BlackboxRecorder::new),
             ticks: AtomicU64::new(0),
             scale_up: AtomicU64::new(0),
             scale_down: AtomicU64::new(0),
@@ -363,7 +363,7 @@ mod tests {
         let cfg = NgmConfig::new()
             .with_shards(shards)
             .with_placement(CorePlacement::Unpinned);
-        Tier::new(&cfg, &RuntimeConfig::new())
+        Tier::new(&cfg, &RuntimeConfig::new(), true)
     }
 
     #[test]

@@ -1344,7 +1344,13 @@ fn handle_api_is_source_compatible_with_single_shard() {
 #[cfg(feature = "faultinject")]
 mod faults {
     use super::*;
+    use ngm_offload::DEFAULT_RING_CELLS;
     use std::time::Duration;
+
+    /// Frees that overrun a wedged shard's ring at `with_batch(1, 1)`,
+    /// where one free is one post of one cell: the ring's cells, a full
+    /// client-side buffer behind them, and one more.
+    const OVERRUN: usize = DEFAULT_RING_CELLS + MAX_BATCH + 1;
 
     #[test]
     fn wedged_shard_reroutes_allocs_within_deadline() {
@@ -1383,17 +1389,14 @@ mod faults {
         // Fill the wedged shard's free ring, then keep freeing: the
         // posts that deadline must land on the shard's orphan stack
         // and be reclaimed once the shard recovers, so the books
-        // still balance at shutdown. One post, one cell, per free, so 64
-        // frees overrun the ring (8 asked for, rounded up to the 32
-        // cells that hold one largest post).
+        // still balance at shutdown.
         let ngm = sharded(1)
             .with_batch(1, 1)
-            .with_free_ring_capacity(8)
             .with_deadline(Some(Duration::from_millis(10)))
             .build()
             .unwrap();
         let mut h = ngm.handle();
-        let blocks: Vec<_> = (0..64).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        let blocks: Vec<_> = (0..OVERRUN).map(|_| h.alloc(layout(64)).unwrap()).collect();
         ngm.fault_state(0).set_wedged(true);
         for p in blocks {
             // SAFETY: live blocks from this handle's allocator.
@@ -1411,26 +1414,23 @@ mod faults {
 
     #[test]
     fn a_refused_flush_leaves_the_buffer_as_it_was() {
-        // Wedged shard, one post per free: the ring (rounded up to one
-        // largest post, 32 cells) fills, then the client-side buffer
-        // does, then a free is refused. Every refused flush on the way
-        // must leave the buffer a `Batch` of exactly the frees accepted
-        // since the ring filled, in order — nothing lost to a half-sent
-        // message, nothing duplicated.
-        let ngm = sharded(1)
-            .with_batch(1, 1)
-            .with_free_ring_capacity(8)
-            .build()
-            .unwrap();
+        // Wedged shard, one post per free: the ring fills, then the
+        // client-side buffer does, then a free is refused. Every refused
+        // flush on the way must leave the buffer a `Batch` of exactly
+        // the frees accepted since the ring filled, in order — nothing
+        // lost to a half-sent message, nothing duplicated.
+        let ngm = sharded(1).with_batch(1, 1).build().unwrap();
         let mut h = ngm.handle();
-        let blocks: Vec<_> = (0..256).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        let blocks: Vec<_> = (0..OVERRUN + MAX_BATCH)
+            .map(|_| h.alloc(layout(64)).unwrap())
+            .collect();
         ngm.fault_state(0).set_wedged(true);
         let mut blocks = blocks.into_iter();
         let mut accepted = Vec::new();
         let refused = loop {
             let p = blocks
                 .next()
-                .expect("ring and buffer fill within 256 frees");
+                .expect("ring and buffer fill before the blocks run out");
             // SAFETY: live block from this handle, freed once it is
             // accepted.
             match unsafe { h.try_dealloc(p, layout(64)) } {
@@ -1490,20 +1490,20 @@ mod faults {
 
     #[test]
     fn magazine_return_through_orphans_keeps_its_tag() {
-        // 65 allocs at batch 8 are nine refills: 72 blocks handed out,
-        // 7 still stashed when the handle drops. With the shard wedged
-        // and its ring full, that magazine return deadlines and goes
-        // home through the orphan stack — where it must still read as
-        // "never handed out", or `app_allocs()` counts blocks the
-        // application never saw.
+        // `OVERRUN` allocs at batch 8 leave 7 blocks stashed when the
+        // handle drops. With the shard wedged and its ring full of the
+        // frees, that magazine return deadlines and goes home through
+        // the orphan stack — where it must still read as "never handed
+        // out", or `app_allocs()` counts blocks the application never
+        // saw.
+        const { assert!(OVERRUN % 8 == 1) }
         let ngm = sharded(1)
             .with_batch(8, 1)
-            .with_free_ring_capacity(8)
             .with_deadline(Some(Duration::from_millis(10)))
             .build()
             .unwrap();
         let mut h = ngm.handle();
-        let blocks: Vec<_> = (0..65).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        let blocks: Vec<_> = (0..OVERRUN).map(|_| h.alloc(layout(64)).unwrap()).collect();
         ngm.fault_state(0).set_wedged(true);
         for p in blocks {
             // SAFETY: live blocks from this handle's allocator.
@@ -1514,7 +1514,9 @@ mod faults {
         let down = ngm.shutdown();
         assert!(down.clean());
         assert_eq!(down.service.allocs, down.service.frees, "{down:?}");
-        assert_eq!(down.service.app_allocs(), 65, "{down:?}");
+        assert_eq!(down.service.app_allocs(), OVERRUN as u64, "{down:?}");
+        assert_eq!(down.service.magazine_returned, 7, "{down:?}");
+        assert!(down.service.orphans_reclaimed > 7, "went home as orphans");
         assert_eq!(down.heap.live_blocks, 0);
     }
 

@@ -97,22 +97,22 @@ impl Ngm {
     }
 
     /// Builds the tier from a validated config (reached via
-    /// [`NgmConfig::build`]).
+    /// [`NgmConfig::build`], and by the global hook, whose tier is the
+    /// one built without a blackbox recorder).
     ///
     /// Every slot up to the elastic maximum is built eagerly, but only
     /// the initial `cfg.shards` get threads; the rest park dormant until
     /// the controller spawns them.
-    pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
+    pub(crate) fn from_config(cfg: NgmConfig, blackbox: bool) -> Result<Self, NgmError> {
         let runtime_cfg = RuntimeConfig {
             client_wait: cfg.client_wait,
-            ring_capacity: cfg.free_ring_capacity,
             trace_capacity: cfg.trace_capacity,
             profile: cfg.profile,
             deadline: cfg.deadline,
             ..RuntimeConfig::new()
         };
         let mut ngm = Ngm {
-            tier: Arc::new(Tier::new(&cfg, &runtime_cfg)),
+            tier: Arc::new(Tier::new(&cfg, &runtime_cfg, blackbox)),
             elastic: cfg.elastic,
             controller: Mutex::new(ControllerState::default()),
             runtime_cfg,
@@ -185,10 +185,10 @@ impl Ngm {
         self.tier.report()
     }
 
-    /// The most recent blackbox dumps, newest last (empty when the
-    /// blackbox is disabled or nothing has fired). Dumps also go to
-    /// stderr and the `NGM_BLACKBOX_PATH` file at emit time; this ring
-    /// is what the observer's `/blackbox` endpoint serves.
+    /// The most recent blackbox dumps, newest last (empty on the global
+    /// hook's tier, which keeps no recorder, or while nothing has fired).
+    /// Dumps also go to stderr and the `NGM_BLACKBOX_PATH` file at emit
+    /// time; this ring is what the observer's `/blackbox` endpoint serves.
     pub fn blackbox_dumps(&self) -> Vec<BlackboxDump> {
         self.tier
             .blackbox

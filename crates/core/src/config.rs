@@ -59,14 +59,19 @@ pub const LOW_WATER: u64 = 16;
 /// Consecutive ticks a water mark must stay crossed before the
 /// controller acts; debounces one-tick spikes.
 pub const SUSTAIN: u32 = 2;
+/// Evaluations a draining shard gets to reach a zero balance before the
+/// controller aborts the retirement and returns it to serving — a wedged
+/// shard must not wedge the controller with it.
+pub const DRAIN_PATIENCE: u32 = 8;
 
 /// Control knobs for the elastic shard tier (see
 /// [`NgmConfig::elastic`]): the controller evaluated once per
 /// [`crate::api::Ngm::tick`] spawns a shard when the tier is sustainedly
 /// hot and drains + retires the coolest shard when it is sustainedly
-/// cold, always keeping `min..=max` shards serving. The water marks and
-/// the debounce streak are constants of the controller
-/// ([`HIGH_WATER`], [`LOW_WATER`], [`SUSTAIN`]).
+/// cold, always keeping `min..=max` shards serving. The range is all
+/// that is settable: the water marks, the debounce streak and the drain
+/// patience are constants of the controller ([`HIGH_WATER`],
+/// [`LOW_WATER`], [`SUSTAIN`], [`DRAIN_PATIENCE`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticPolicy {
     /// Fewest shards the controller keeps serving (`>= 1`). Shards
@@ -76,27 +81,14 @@ pub struct ElasticPolicy {
     pub min: usize,
     /// Most shards the controller will spawn (`<= MAX_SHARDS`).
     pub max: usize,
-    /// Evaluations a draining shard gets to reach a zero balance before
-    /// the controller aborts the retirement and returns it to serving
-    /// (`>= 1`) — a wedged shard must not wedge the controller with it.
-    pub drain_patience: u32,
 }
 
 impl ElasticPolicy {
-    /// Policy with the default drain patience (8 evaluations).
-    pub const fn new(min: usize, max: usize) -> Self {
-        ElasticPolicy {
-            min,
-            max,
-            drain_patience: 8,
-        }
-    }
-
     /// Whether the policy's own fields are coherent (the shard-count
     /// relationship to `NgmConfig::shards` is checked by
     /// [`NgmConfig::validate`]).
     const fn is_valid(&self) -> bool {
-        self.min >= 1 && self.min <= self.max && self.max <= MAX_SHARDS && self.drain_patience >= 1
+        self.min >= 1 && self.min <= self.max && self.max <= MAX_SHARDS
     }
 }
 
@@ -178,14 +170,11 @@ pub enum NgmError {
         /// The rejected flush threshold.
         requested: usize,
     },
-    /// `free_ring_capacity` was `0`.
-    ZeroRingCapacity,
     /// `inflight_limit` was `0`: a submission queue that can hold no
     /// in-flight entries can never complete anything.
     ZeroInflightLimit,
-    /// The elastic policy was incoherent: the range must satisfy
-    /// `1 <= min <= shards <= max <= MAX_SHARDS` and `drain_patience`
-    /// must be nonzero.
+    /// The elastic range was incoherent: it must satisfy
+    /// `1 <= min <= shards <= max <= MAX_SHARDS`.
     InvalidElastic {
         /// The rejected minimum serving-shard count.
         min: usize,
@@ -243,12 +232,11 @@ impl std::fmt::Display for NgmError {
             NgmError::InvalidFlush { requested } => {
                 write!(f, "flush threshold {requested} not in 1..={MAX_BATCH}")
             }
-            NgmError::ZeroRingCapacity => write!(f, "free ring capacity must be nonzero"),
             NgmError::ZeroInflightLimit => write!(f, "in-flight submission limit must be nonzero"),
             NgmError::InvalidElastic { min, max, shards } => write!(
                 f,
                 "elastic range min={min} max={max} (initial shards={shards}) must satisfy \
-                 1 <= min <= shards <= max <= {MAX_SHARDS} with nonzero drain patience"
+                 1 <= min <= shards <= max <= {MAX_SHARDS}"
             ),
             NgmError::Spawn(e) => write!(f, "failed to start a service shard: {e}"),
             NgmError::WouldBlock => write!(
@@ -273,6 +261,15 @@ impl std::error::Error for NgmError {
 
 /// Configuration for the whole allocator, shards included.
 ///
+/// What is not here is not settable. Every client's free ring to a
+/// shard is [`ngm_offload::DEFAULT_RING_CELLS`] cells (128 KiB), a drain
+/// gets [`DRAIN_PATIENCE`] controller evaluations, and every tier keeps
+/// a blackbox flight recorder — deadline expiries, shard failovers and
+/// the first degradation to the inline fallback dump the implicated
+/// shard's recent trace, slot states and heat snapshot to stderr (and to
+/// the file named by `NGM_BLACKBOX_PATH`) — except the one the
+/// `#[global_allocator]` hook starts ([`crate::NgmAllocator`]).
+///
 /// ```
 /// use ngm_core::{CorePlacement, NgmConfig};
 ///
@@ -294,13 +291,6 @@ pub struct NgmConfig {
     /// Wait policy for client threads blocked on `alloc`; `None` picks
     /// the machine-appropriate default when the runtime starts.
     pub client_wait: Option<WaitStrategy>,
-    /// Capacity of each client's per-shard asynchronous free ring, in
-    /// 64-byte cells (a free post takes one cell per eight words: its
-    /// header and up to seven addresses in the first, eight in each one
-    /// after, seventeen for a full batch). The default,
-    /// [`ngm_offload::DEFAULT_RING_CELLS`], is 128 KiB per shard per
-    /// handle; the ring rounds a smaller value up to one largest post.
-    pub free_ring_capacity: usize,
     /// Per-thread event-trace ring capacity; `0` (the default) disables
     /// tracing entirely, leaving only the always-on latency histograms.
     pub trace_capacity: usize,
@@ -340,14 +330,6 @@ pub struct NgmConfig {
     /// hanging. Defaults to [`ngm_offload::DEFAULT_DEADLINE`]; `None`
     /// restores unbounded waits.
     pub deadline: Option<Duration>,
-    /// Enables the blackbox flight recorder (on by default): deadline
-    /// expiries, shard failovers, and the first degradation to the
-    /// inline fallback dump the implicated shard's recent trace, slot
-    /// states, and heat snapshot to stderr (and to the file named by the
-    /// `NGM_BLACKBOX_PATH` environment variable). The global-allocator
-    /// adapter forces this off: assembling a dump allocates, and
-    /// re-entering a failing allocator mid-failure is not survivable.
-    pub blackbox: bool,
     /// Elastic-tier policy; `None` (the default) keeps the tier fixed at
     /// `shards` shards with no controller. When set, `shards` is the
     /// *initial* serving count and the controller moves it within
@@ -370,7 +352,6 @@ impl NgmConfig {
             shards: 1,
             placement: CorePlacement::Auto,
             client_wait: None,
-            free_ring_capacity: ngm_offload::DEFAULT_RING_CELLS,
             trace_capacity: 0,
             batch_size: MAX_BATCH,
             flush_threshold: MAX_BATCH,
@@ -378,7 +359,6 @@ impl NgmConfig {
             profile: false,
             site_sample: 0,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
-            blackbox: true,
             elastic: None,
             observer: None,
         }
@@ -396,17 +376,11 @@ impl NgmConfig {
         self
     }
 
-    /// Makes the tier elastic between `min` and `max` serving shards with
-    /// the default [`ElasticPolicy`] drain patience. The configured `shards`
-    /// count is the initial serving count and must lie in `[min, max]`.
+    /// Makes the tier elastic between `min` and `max` serving shards.
+    /// The configured `shards` count is the initial serving count and
+    /// must lie in `[min, max]`.
     pub const fn elastic(mut self, min: usize, max: usize) -> Self {
-        self.elastic = Some(ElasticPolicy::new(min, max));
-        self
-    }
-
-    /// Sets the full elastic policy (`None` disables the controller).
-    pub const fn with_elastic_policy(mut self, policy: Option<ElasticPolicy>) -> Self {
-        self.elastic = policy;
+        self.elastic = Some(ElasticPolicy { min, max });
         self
     }
 
@@ -425,12 +399,6 @@ impl NgmConfig {
     /// Sets the client wait strategy.
     pub const fn with_client_wait(mut self, wait: WaitStrategy) -> Self {
         self.client_wait = Some(wait);
-        self
-    }
-
-    /// Sets the per-shard free-ring capacity, in 64-byte cells.
-    pub const fn with_free_ring_capacity(mut self, capacity: usize) -> Self {
-        self.free_ring_capacity = capacity;
         self
     }
 
@@ -474,12 +442,6 @@ impl NgmConfig {
         self
     }
 
-    /// Enables or disables the blackbox flight recorder.
-    pub const fn with_blackbox(mut self, on: bool) -> Self {
-        self.blackbox = on;
-        self
-    }
-
     /// Checks every field without building anything.
     ///
     /// # Errors
@@ -500,9 +462,6 @@ impl NgmConfig {
             return Err(NgmError::InvalidFlush {
                 requested: self.flush_threshold,
             });
-        }
-        if self.free_ring_capacity == 0 {
-            return Err(NgmError::ZeroRingCapacity);
         }
         if self.inflight_limit == 0 {
             return Err(NgmError::ZeroInflightLimit);
@@ -527,18 +486,11 @@ impl NgmConfig {
         self.shards = clamp(self.shards, 1, MAX_SHARDS);
         self.batch_size = clamp(self.batch_size, 1, MAX_BATCH);
         self.flush_threshold = clamp(self.flush_threshold, 1, MAX_BATCH);
-        if self.free_ring_capacity == 0 {
-            self.free_ring_capacity = ngm_offload::DEFAULT_RING_CELLS;
-        }
         self.inflight_limit = clamp(self.inflight_limit, 1, usize::MAX);
         if let Some(p) = self.elastic {
             let min = clamp(p.min, 1, MAX_SHARDS);
             let max = clamp(p.max, min, MAX_SHARDS);
-            self.elastic = Some(ElasticPolicy {
-                min,
-                max,
-                drain_patience: clamp(p.drain_patience as usize, 1, u32::MAX as usize) as u32,
-            });
+            self.elastic = Some(ElasticPolicy { min, max });
             self.shards = clamp(self.shards, min, max);
         }
         self
@@ -553,7 +505,7 @@ impl NgmConfig {
     /// refuses a service thread.
     pub fn build(self) -> Result<crate::api::Ngm, NgmError> {
         self.validate()?;
-        crate::api::Ngm::from_config(self)
+        crate::api::Ngm::from_config(self, true)
     }
 }
 
@@ -590,16 +542,14 @@ mod tests {
             .with_shards(4)
             .with_batch(16, 8)
             .with_placement(CorePlacement::Unpinned)
-            .with_free_ring_capacity(1 << 12)
             .with_trace_capacity(0)
             .with_profile(false)
             .with_site_sample(0)
             .with_deadline(Some(Duration::from_millis(100)))
-            .with_blackbox(false)
             .elastic(2, 6);
         assert_eq!(CFG.shards, 4);
-        assert_eq!((CFG.batch_size, CFG.blackbox), (16, false));
-        assert_eq!(CFG.elastic, Some(ElasticPolicy::new(2, 6)));
+        assert_eq!(CFG.batch_size, 16);
+        assert_eq!(CFG.elastic, Some(ElasticPolicy { min: 2, max: 6 }));
         assert_eq!(CFG.validate(), Ok(()));
     }
 
@@ -624,10 +574,6 @@ mod tests {
             Err(NgmError::InvalidFlush {
                 requested: MAX_BATCH + 1
             })
-        );
-        assert_eq!(
-            NgmConfig::new().with_free_ring_capacity(0).validate(),
-            Err(NgmError::ZeroRingCapacity)
         );
         assert_eq!(
             NgmConfig::new().with_inflight_limit(0).validate(),
@@ -677,17 +623,9 @@ mod tests {
 
     #[test]
     fn sanitized_clamps_elastic_range_and_initial_count() {
-        let cfg = NgmConfig::new()
-            .with_shards(1)
-            .with_elastic_policy(Some(ElasticPolicy {
-                min: 0,
-                max: 99,
-                drain_patience: 0,
-            }))
-            .sanitized();
+        let cfg = NgmConfig::new().with_shards(1).elastic(0, 99).sanitized();
         let p = cfg.elastic.unwrap();
         assert_eq!((p.min, p.max), (1, MAX_SHARDS));
-        assert_eq!(p.drain_patience, 1);
         assert_eq!(cfg.validate(), Ok(()));
         // Initial count outside the range is pulled inside it.
         let cfg = NgmConfig::new().with_shards(1).elastic(2, 4).sanitized();
@@ -730,12 +668,10 @@ mod tests {
         let cfg = NgmConfig::new()
             .with_shards(99)
             .with_batch(0, 1000)
-            .with_free_ring_capacity(0)
             .sanitized();
         assert_eq!(cfg.shards, MAX_SHARDS);
         assert_eq!(cfg.batch_size, 1);
         assert_eq!(cfg.flush_threshold, MAX_BATCH);
-        assert_eq!(cfg.free_ring_capacity, ngm_offload::DEFAULT_RING_CELLS);
         assert_eq!(cfg.validate(), Ok(()));
     }
 

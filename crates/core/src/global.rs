@@ -109,7 +109,12 @@ fn runtime(cfg: &NgmConfig) -> &'static Ngm {
         // Everything allocated while spawning the runtime comes from the
         // bootstrap arena.
         let was = GUARD.with(|g| g.replace(true));
-        let ngm = cfg.clone().build().expect("sanitized config is valid");
+        // The one tier without a blackbox recorder: assembling a dump
+        // allocates, and an allocation from inside the global
+        // allocator's own failure path would re-enter the hook (at best
+        // burning the bootstrap arena, at worst deadlocking on the very
+        // shard being dumped). `cfg` is sanitized, hence valid.
+        let ngm = Ngm::from_config(cfg.clone(), false).expect("a service thread spawns");
         GUARD.with(|g| g.set(was));
         ngm
     })
@@ -138,14 +143,12 @@ impl NgmAllocator {
     /// reported: a `#[global_allocator]` static has nowhere to surface a
     /// build error.
     ///
-    /// The blackbox flight recorder is forced off regardless of the
-    /// config: assembling a dump allocates, and an allocation from
-    /// inside the global allocator's own failure path would re-enter the
-    /// adapter (at best burning the bootstrap arena, at worst
-    /// deadlocking on the very shard being dumped).
+    /// The tier it starts is the only one with no blackbox flight
+    /// recorder: a failure edge (deadline, failover, fallback) is counted
+    /// but dumps nothing, since assembling a dump allocates.
     pub const fn with_config(cfg: NgmConfig) -> Self {
         NgmAllocator {
-            cfg: cfg.sanitized().with_blackbox(false),
+            cfg: cfg.sanitized(),
         }
     }
 
@@ -355,6 +358,18 @@ mod tests {
         let stats = global_stats().expect("runtime started");
         // A round trip hands out at most one magazine.
         assert!(stats.calls_served * crate::service::MAX_BATCH as u64 >= 1200);
+    }
+
+    #[test]
+    fn only_the_hooks_tier_goes_without_a_blackbox() {
+        let built = NgmConfig::new()
+            .with_placement(crate::CorePlacement::Unpinned)
+            .build()
+            .expect("valid config");
+        assert!(built.obs_state().blackbox.is_some());
+        built.shutdown();
+        let hooked = runtime(&NgmAllocator::default().cfg);
+        assert!(hooked.obs_state().blackbox.is_none());
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum Readiness {
     /// No shard is serving (e.g. every slot is still dormant).
     NotReady(String),
     /// Serving, but impaired: a serving shard's thread has exited
-    /// (wedged), or a drain has outlived `drain_patience`.
+    /// (wedged), or a drain has outlived
+    /// [`crate::config::DRAIN_PATIENCE`].
     Degraded(String),
 }
 
@@ -75,7 +76,7 @@ pub fn derive_readiness(
         return Readiness::Degraded(format!("wedged serving shards: {}", list.join(",")));
     }
     if drain_overdue {
-        return Readiness::Degraded("drain past drain_patience".into());
+        return Readiness::Degraded("drain past DRAIN_PATIENCE".into());
     }
     Readiness::Ready
 }

@@ -31,10 +31,10 @@ pub const CELL_WORDS: usize = 8;
 /// Bytes in one ring cell — one cache line.
 pub const CELL_BYTES: usize = CELL_WORDS * std::mem::size_of::<usize>();
 
-/// Default capacity, in cells, of a client's post ring: 128 KiB, which
-/// holds 120 full 128-address batches. The one default for a standalone
-/// runtime ([`crate::RuntimeConfig::ring_capacity`]) and for an allocator
-/// tier's per-shard free rings.
+/// Capacity, in cells, of every client's post ring: 128 KiB, which holds
+/// 2,048 one-word posts or 120 full 128-address batches. Not a setting:
+/// [`crate::OffloadRuntime::register_client`] maps exactly this much for
+/// each client, of a standalone runtime and of every allocator shard.
 pub const DEFAULT_RING_CELLS: usize = 2048;
 
 const _: () = assert!(
@@ -234,14 +234,19 @@ pub struct Consumer<T> {
 ///
 /// # Panics
 ///
-/// Panics if `cells` is zero.
+/// Panics if `cells` is zero, or so large that its power-of-two round-up
+/// overflows `usize` ("ring capacity overflows"): such a ring would have
+/// no cells, and every push into it would wait forever.
 pub fn spsc<T: Record>(cells: usize) -> (Producer<T>, Consumer<T>) {
     assert!(cells > 0, "ring capacity must be non-zero");
     assert!(
         T::MAX_WORDS < 1 << LEN_BITS,
         "a record's length must fit its header"
     );
-    let cells = cells.max(span(T::MAX_WORDS)).next_power_of_two();
+    let cells = cells
+        .max(span(T::MAX_WORDS))
+        .checked_next_power_of_two()
+        .unwrap_or_else(|| panic!("ring capacity overflows: {cells} cells"));
     // Nothing is written here: the cells are first touched by whoever
     // pushes into them.
     let buf: Box<[Cell]> = (0..cells)
@@ -488,6 +493,12 @@ mod tests {
     fn capacity_rounds_to_power_of_two() {
         let (tx, _rx) = spsc::<u64>(5);
         assert_eq!(tx.capacity(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity overflows")]
+    fn a_capacity_with_no_power_of_two_is_refused() {
+        let _ = spsc::<u64>(usize::MAX);
     }
 
     #[test]

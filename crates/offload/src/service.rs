@@ -93,12 +93,10 @@ struct ClientChannel<S: Service> {
 
 struct Shared<S: Service> {
     stop: AtomicBool,
-    stats: Arc<RuntimeStats>,
-    telemetry: Arc<RuntimeTelemetry>,
+    /// The slot's books, retiring gate and fault knobs.
+    handles: RuntimeHandles,
     injector: Mutex<Vec<ClientChannel<S>>>,
     has_new: AtomicBool,
-    #[cfg(feature = "faultinject")]
-    fault: Arc<FaultState>,
 }
 
 /// A client's endpoint to the service core. One handle per client thread;
@@ -535,7 +533,8 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(250);
 
 /// Configuration for [`OffloadRuntime::try_start`]: a plain value with
 /// public fields, `Default`-able and `const`-friendly via
-/// [`RuntimeConfig::new`].
+/// [`RuntimeConfig::new`]. Every client's post ring is
+/// [`DEFAULT_RING_CELLS`] cells; that is not a setting.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Core to pin the service thread to; `None` leaves it floating. Pin
@@ -545,11 +544,6 @@ pub struct RuntimeConfig {
     /// Wait strategy for clients blocked on synchronous calls; `None`
     /// picks the machine-appropriate default at start time.
     pub client_wait: Option<WaitStrategy>,
-    /// Capacity of each client's asynchronous post ring, in 64-byte
-    /// cells ([`crate::ring`]): a message takes one cell per eight words,
-    /// header included. Rounded up to a power of two that holds at least
-    /// one largest message.
-    pub ring_capacity: usize,
     /// Maximum posts drained from one client per polling round.
     pub drain_batch: usize,
     /// Per-thread event-trace ring capacity (0 disables tracing). Rings
@@ -581,7 +575,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             core: None,
             client_wait: None,
-            ring_capacity: DEFAULT_RING_CELLS,
             drain_batch: 64,
             trace_capacity: 0,
             profile: false,
@@ -673,10 +666,8 @@ pub struct OffloadRuntime<S: Service> {
     shared: Arc<Shared<S>>,
     thread: Option<JoinHandle<S>>,
     builder_wait: WaitStrategy,
-    ring_capacity: usize,
     deadline: Option<Duration>,
     shard: usize,
-    retiring: Arc<AtomicBool>,
 }
 
 impl<S: Service> OffloadRuntime<S> {
@@ -717,12 +708,9 @@ impl<S: Service> OffloadRuntime<S> {
         let service_trace = handles.telemetry.new_ring();
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            stats: Arc::clone(&handles.stats),
-            telemetry: Arc::clone(&handles.telemetry),
+            handles: handles.clone(),
             injector: Mutex::new(Vec::new()),
             has_new: AtomicBool::new(false),
-            #[cfg(feature = "faultinject")]
-            fault: Arc::clone(&handles.fault),
         });
         let thread_shared = Arc::clone(&shared);
         // Resolved here, on the starting thread: the default reads the
@@ -746,10 +734,8 @@ impl<S: Service> OffloadRuntime<S> {
             shared,
             thread: Some(thread),
             builder_wait: cfg.client_wait.unwrap_or_default(),
-            ring_capacity: cfg.ring_capacity,
             deadline: cfg.deadline,
             shard: cfg.shard,
-            retiring: Arc::clone(&handles.retiring),
         })
     }
 
@@ -757,13 +743,13 @@ impl<S: Service> OffloadRuntime<S> {
     /// [`FaultState`]). Only present under the `faultinject` feature.
     #[cfg(feature = "faultinject")]
     pub fn fault_state(&self) -> &Arc<FaultState> {
-        &self.shared.fault
+        &self.shared.handles.fault
     }
 
     /// Registers a new client and returns its handle. May be called at any
     /// time, from any thread holding a reference to the runtime.
     pub fn register_client(&self) -> ClientHandle<S> {
-        self.register_client_with_pmu(self.shared.telemetry.profiling_enabled())
+        self.register_client_with_pmu(self.shared.handles.telemetry.profiling_enabled())
     }
 
     /// As [`OffloadRuntime::register_client`], but with explicit control
@@ -772,8 +758,9 @@ impl<S: Service> OffloadRuntime<S> {
     /// handle per service shard must arm exactly one of them, or every
     /// shard's report would re-count the same thread.
     pub fn register_client_with_pmu(&self, pmu: bool) -> ClientHandle<S> {
+        let handles = &self.shared.handles;
         let slot = Arc::new(RequestSlot::new());
-        let (tx, rx) = spsc(self.ring_capacity);
+        let (tx, rx) = spsc(DEFAULT_RING_CELLS);
         {
             let mut inj = self.shared.injector.lock().expect("injector poisoned");
             inj.push(ClientChannel {
@@ -784,7 +771,7 @@ impl<S: Service> OffloadRuntime<S> {
             });
         }
         self.shared.has_new.store(true, Ordering::Release);
-        self.shared
+        handles
             .stats
             .clients_registered
             .fetch_add(1, Ordering::Relaxed);
@@ -795,12 +782,12 @@ impl<S: Service> OffloadRuntime<S> {
             deadline: self.deadline,
             shard: self.shard,
             poisoned: false,
-            retiring: Arc::clone(&self.retiring),
-            stats: Arc::clone(&self.shared.stats),
-            telemetry: Arc::clone(&self.shared.telemetry),
-            trace: self.shared.telemetry.new_ring(),
+            retiring: Arc::clone(&handles.retiring),
+            stats: Arc::clone(&handles.stats),
+            telemetry: Arc::clone(&handles.telemetry),
+            trace: handles.telemetry.new_ring(),
             post_seq: 0,
-            pmu: if pmu && self.shared.telemetry.profiling_enabled() {
+            pmu: if pmu && handles.telemetry.profiling_enabled() {
                 ClientPmu::Unarmed
             } else {
                 ClientPmu::Off
@@ -816,19 +803,19 @@ impl<S: Service> OffloadRuntime<S> {
     /// keeps running; call [`OffloadRuntime::try_shutdown`] once the
     /// drain completes, or [`OffloadRuntime::end_retire`] to abort.
     pub fn begin_retire(&self) {
-        self.retiring.store(true, Ordering::Release);
+        self.shared.handles.retiring.store(true, Ordering::Release);
     }
 
     /// Reopens a retiring shard for synchronous calls (a drain that could
     /// not complete — e.g. the shard wedged mid-drain — aborts back to
     /// serving rather than hanging the controller).
     pub fn end_retire(&self) {
-        self.retiring.store(false, Ordering::Release);
+        self.shared.handles.retiring.store(false, Ordering::Release);
     }
 
     /// Whether [`OffloadRuntime::begin_retire`] is in effect.
     pub fn is_retiring(&self) -> bool {
-        self.retiring.load(Ordering::Acquire)
+        self.shared.handles.retiring.load(Ordering::Acquire)
     }
 
     /// Asks the service thread to stop without consuming the runtime.
@@ -853,7 +840,7 @@ impl<S: Service> OffloadRuntime<S> {
             .map(JoinHandle::is_finished)
             .unwrap_or(true);
         if done && !self.shared.stop.load(Ordering::Acquire) {
-            self.shared.stats.mark_service_down();
+            self.shared.handles.stats.mark_service_down();
         }
         done
     }
@@ -873,12 +860,12 @@ impl<S: Service> OffloadRuntime<S> {
 
     /// A snapshot of the runtime's counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.handles.stats.snapshot()
     }
 
     /// The runtime's telemetry: latency histograms and trace rings.
     pub fn telemetry(&self) -> &Arc<RuntimeTelemetry> {
-        &self.shared.telemetry
+        &self.shared.handles.telemetry
     }
 
     /// The full exportable metrics snapshot (counters, gauges, latency
@@ -886,7 +873,7 @@ impl<S: Service> OffloadRuntime<S> {
     /// [`MetricsSnapshot::to_prometheus_text`] or
     /// [`MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.telemetry.metrics(&self.stats())
+        self.shared.handles.telemetry.metrics(&self.stats())
     }
 
     /// Stops the service thread (draining outstanding posts first) and
@@ -894,15 +881,14 @@ impl<S: Service> OffloadRuntime<S> {
     ///
     /// Clients must have finished their synchronous calls; any request
     /// published after shutdown begins may never be answered.
-    pub fn shutdown(mut self) -> (S, StatsSnapshot) {
-        self.shared.stop.store(true, Ordering::Release);
-        let svc = self
-            .thread
-            .take()
-            .expect("shutdown called twice")
-            .join()
-            .expect("service thread panicked");
-        (svc, self.shared.stats.snapshot())
+    ///
+    /// # Panics
+    ///
+    /// Panics when the service thread panicked; use
+    /// [`OffloadRuntime::try_shutdown`] to keep the final counters.
+    pub fn shutdown(self) -> (S, StatsSnapshot) {
+        self.try_shutdown()
+            .unwrap_or_else(|failure| panic!("offload shutdown failed: {}", failure.error))
     }
 
     /// As [`OffloadRuntime::shutdown`], but a panicked service thread
@@ -914,19 +900,20 @@ impl<S: Service> OffloadRuntime<S> {
     #[allow(clippy::result_large_err)]
     pub fn try_shutdown(mut self) -> Result<(S, StatsSnapshot), ShardFailure> {
         self.shared.stop.store(true, Ordering::Release);
+        let stats = &self.shared.handles.stats;
         let Some(thread) = self.thread.take() else {
             return Err(ShardFailure {
                 error: ServiceError::AlreadyShutDown,
-                stats: self.shared.stats.snapshot(),
+                stats: stats.snapshot(),
             });
         };
         match thread.join() {
-            Ok(svc) => Ok((svc, self.shared.stats.snapshot())),
+            Ok(svc) => Ok((svc, stats.snapshot())),
             Err(_) => {
-                self.shared.stats.mark_service_down();
+                stats.mark_service_down();
                 Err(ShardFailure {
                     error: ServiceError::ServicePanicked,
-                    stats: self.shared.stats.snapshot(),
+                    stats: stats.snapshot(),
                 })
             }
         }
@@ -962,18 +949,22 @@ fn service_loop<S: Service>(
     drain_batch: usize,
 ) -> S {
     if let Some(c) = core {
-        shared.stats.pin_requested.store(true, Ordering::Relaxed);
+        shared
+            .handles
+            .stats
+            .pin_requested
+            .store(true, Ordering::Relaxed);
         // Verified pin: installs the affinity mask and waits (bounded)
         // for the migration to actually land, warning instead of
         // panicking if the scheduler never moves us.
         if pin_current_thread_verified(c).is_ok() {
-            shared.stats.record_pin(c);
+            shared.handles.stats.record_pin(c);
         }
     }
     // PMU counters opened here (after pinning) count this thread — the
     // service core's whole lifetime, polling overhead included, which is
     // exactly the §2.3 attribution question.
-    let mut pmu = shared.telemetry.profiling_enabled().then(|| {
+    let mut pmu = shared.handles.telemetry.profiling_enabled().then(|| {
         let mut session = PmuSession::new();
         session.begin();
         session
@@ -986,14 +977,18 @@ fn service_loop<S: Service>(
     let mut idle = WaitState::new(wait);
     let mut phase = idle.phase();
     loop {
-        shared.stats.poll_rounds.fetch_add(1, Ordering::Relaxed);
+        shared
+            .handles
+            .stats
+            .poll_rounds
+            .fetch_add(1, Ordering::Relaxed);
         let stopping = shared.stop.load(Ordering::Acquire);
 
         // Wedge fault: the loop is alive (it still honors stop, so
         // shutdown stays orderly) but serves nothing — the scenario the
         // client-side deadlines exist for.
         #[cfg(feature = "faultinject")]
-        if !stopping && shared.fault.is_wedged() {
+        if !stopping && shared.handles.fault.is_wedged() {
             std::thread::sleep(Duration::from_micros(100));
             continue;
         }
@@ -1023,7 +1018,7 @@ fn service_loop<S: Service>(
                     }
                 }
                 if serve_now {
-                    match shared.fault.next_action() {
+                    match shared.handles.fault.next_action() {
                         FaultAction::Serve => {}
                         FaultAction::Drop => {
                             c.dropping = Some(c.slot.publish_seq());
@@ -1045,7 +1040,7 @@ fn service_loop<S: Service>(
                             if !killed {
                                 // The client retracted first; keep the
                                 // kill armed for the next request.
-                                shared.fault.kill_next_call();
+                                shared.handles.fault.kill_next_call();
                             }
                             serve_now = false;
                         }
@@ -1057,13 +1052,18 @@ fn service_loop<S: Service>(
             let serve_now = true;
             if serve_now && c.slot.serve(|q, out| service.call_into(q, out)) {
                 work += 1;
-                shared.stats.calls_served.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .handles
+                    .stats
+                    .calls_served
+                    .fetch_add(1, Ordering::Relaxed);
             }
             occupancy += c.posts.len();
             let drained = c.posts.drain(drain_batch, |m| service.post_ref(m));
             if drained > 0 {
                 work += drained;
                 shared
+                    .handles
                     .stats
                     .posts_served
                     .fetch_add(drained as u64, Ordering::Relaxed);
@@ -1074,6 +1074,7 @@ fn service_loop<S: Service>(
         }
         // Gauge: ring cells that held pending posts when this round looked.
         shared
+            .handles
             .stats
             .ring_occupancy
             .store(occupancy, Ordering::Relaxed);
@@ -1089,7 +1090,11 @@ fn service_loop<S: Service>(
                     break;
                 }
             }
-            shared.stats.empty_rounds.fetch_add(1, Ordering::Relaxed);
+            shared
+                .handles
+                .stats
+                .empty_rounds
+                .fetch_add(1, Ordering::Relaxed);
             service.idle();
             idle.pause();
         } else {
@@ -1098,7 +1103,7 @@ fn service_loop<S: Service>(
         // Sample the wait loop's escalation phase; export transitions.
         let now = idle.phase();
         if now != phase {
-            shared.stats.record_wait_phase(now);
+            shared.handles.stats.record_wait_phase(now);
             if let Some(ring) = &trace {
                 ring.push(TraceEventKind::WaitTransition, phase as u64, now as u64);
             }
@@ -1107,7 +1112,10 @@ fn service_loop<S: Service>(
     }
     service.on_stop();
     if let Some(session) = &mut pmu {
-        shared.telemetry.record_service_pmu(session.finish());
+        shared
+            .handles
+            .telemetry
+            .record_service_pmu(session.finish());
     }
     service
 }
@@ -1580,7 +1588,7 @@ mod tests {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
         c.post(1);
-        let stats = Arc::clone(&rt.shared.stats);
+        let stats = Arc::clone(&rt.shared.handles.stats);
         let (_, _) = rt.shutdown();
         // The service (and every ring consumer) is gone: the post must
         // neither panic nor hang.
@@ -1665,28 +1673,30 @@ mod tests {
 
     #[test]
     fn try_post_reports_full_ring_pressure() {
-        // A tiny ring with a slow-to-start drain: at least one retry must
-        // surface in the outcome once the ring saturates.
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                ring_capacity: 2,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        // The ring fills while the service is held; the next post waits
+        // until the service is let go and drains, and reports the
+        // retries that took.
+        let (rt, entered, release) = stalled_runtime(Duration::from_secs(30));
+        let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
-        let mut saw_pressure = false;
-        for i in 0..1000 {
-            let retries = c.try_post(&i, PostWait::Deadline).expect("service alive");
-            saw_pressure |= retries > 0;
+        for i in 0..DEFAULT_RING_CELLS as u64 {
+            assert_eq!(c.try_post(&i, PostWait::Deadline), Ok(0), "ring has room");
         }
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            release.store(true, Ordering::Release);
+        });
+        let retries = c
+            .try_post(&1, PostWait::Deadline)
+            .expect("the ring drains once the service is let go");
+        assert!(retries > 0, "a full ring must show as retries");
+        releaser.join().unwrap();
+        assert_eq!(staller.join().unwrap(), Ok(1));
         drop(c);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.posts_served, 1000);
-        if saw_pressure {
-            assert!(stats.post_full_retries > 0);
-        }
+        let (svc, stats) = rt.shutdown();
+        assert_eq!(stats.posts_served, DEFAULT_RING_CELLS as u64 + 1);
+        assert_eq!(svc.posts, DEFAULT_RING_CELLS as u64 + 1);
+        assert_eq!(stats.post_full_retries, u64::from(retries));
     }
 
     #[test]
@@ -1755,32 +1765,26 @@ mod tests {
 
     #[test]
     fn a_post_refused_by_a_full_ring_never_reaches_the_service() {
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                ring_capacity: 2,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let (rt, entered, release) = stalled_runtime(Duration::from_secs(30));
+        let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
-        let mut bounced = 0u64;
-        let (mut accepted, mut accepted_sum) = (0u64, 0u64);
-        for i in 0..1000u64 {
-            match c.try_post(&i, PostWait::Never) {
-                Ok(_) => {
-                    accepted += 1;
-                    accepted_sum += i;
-                }
-                Err(ServiceError::WouldBlock) => bounced += 1,
-                Err(e) => panic!("unexpected {e:?}"),
-            }
+        let cells = DEFAULT_RING_CELLS as u64;
+        for i in 1..=cells {
+            c.try_post(&i, PostWait::Never).expect("ring has room");
         }
+        for _ in 0..3 {
+            assert_eq!(
+                c.try_post(&(1 << 40), PostWait::Never),
+                Err(ServiceError::WouldBlock)
+            );
+        }
+        release.store(true, Ordering::Release);
+        assert_eq!(staller.join().unwrap(), Ok(1));
         drop(c);
         let (svc, stats) = rt.shutdown();
-        assert_eq!(stats.posts_served, accepted, "accepted posts all drained");
-        assert_eq!(svc.sum, accepted_sum, "a refusal wrote nothing");
-        assert_eq!(bounced, stats.wouldblocks);
+        assert_eq!(stats.posts_served, cells, "accepted posts all drained");
+        assert_eq!(svc.sum, cells * (cells + 1) / 2, "a refusal wrote nothing");
+        assert_eq!(stats.wouldblocks, 3);
     }
 
     #[test]
@@ -1844,10 +1848,13 @@ mod tests {
 
     /// A service that stalls inside `call` when asked to (req == 1),
     /// holding the service thread hostage until released — the
-    /// wedged-but-alive scenario deadlines exist for.
+    /// wedged-but-alive scenario deadlines exist for. Counts and sums
+    /// its posts.
     struct Staller {
         entered: Arc<AtomicBool>,
         release: Arc<AtomicBool>,
+        posts: u64,
+        sum: u64,
     }
 
     impl Service for Staller {
@@ -1865,12 +1872,14 @@ mod tests {
             req
         }
 
-        fn post(&mut self, _msg: u64) {}
+        fn post(&mut self, msg: u64) {
+            self.posts += 1;
+            self.sum += msg;
+        }
     }
 
     fn stalled_runtime(
         deadline: Duration,
-        ring_capacity: usize,
     ) -> (OffloadRuntime<Staller>, Arc<AtomicBool>, Arc<AtomicBool>) {
         let entered = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
@@ -1878,10 +1887,11 @@ mod tests {
             Staller {
                 entered: Arc::clone(&entered),
                 release: Arc::clone(&release),
+                posts: 0,
+                sum: 0,
             },
             RuntimeConfig {
                 deadline: Some(deadline),
-                ring_capacity,
                 ..RuntimeConfig::new()
             },
         )
@@ -1889,18 +1899,26 @@ mod tests {
         (rt, entered, release)
     }
 
-    #[test]
-    fn try_call_deadlines_against_stalled_service_and_recovers() {
-        let (rt, entered, release) = stalled_runtime(Duration::from_millis(10), 1024);
+    /// Holds `rt`'s service thread inside another client's call (until
+    /// `release` is set) and returns once it is there; nothing drains
+    /// meanwhile. The join gives that call's outcome.
+    fn take_hostage(
+        rt: &OffloadRuntime<Staller>,
+        entered: &AtomicBool,
+    ) -> std::thread::JoinHandle<Result<u64, ServiceError>> {
         let mut stall_client = rt.register_client();
-        let mut c = rt.register_client();
-        let staller = std::thread::spawn(move || {
-            let r = stall_client.try_call(1, CallKind::Single);
-            (r, stall_client)
-        });
+        let staller = std::thread::spawn(move || stall_client.try_call(1, CallKind::Single));
         while !entered.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
+        staller
+    }
+
+    #[test]
+    fn try_call_deadlines_against_stalled_service_and_recovers() {
+        let (rt, entered, release) = stalled_runtime(Duration::from_millis(10));
+        let staller = take_hostage(&rt, &entered);
+        let mut c = rt.register_client();
         // The service thread is hostage inside another client's call: our
         // request is never claimed, so the deadline fires and retracts.
         let start = std::time::Instant::now();
@@ -1914,7 +1932,7 @@ mod tests {
             "deadline bounded the wait"
         );
         release.store(true, Ordering::Release);
-        let (stalled_result, _stall_client) = staller.join().unwrap();
+        let stalled_result = staller.join().unwrap();
         // The hostage call either completed late (within its grace
         // period) or was itself deadline'd; it must not hang.
         assert!(
@@ -1931,21 +1949,16 @@ mod tests {
 
     #[test]
     fn try_post_gives_up_when_ring_stays_full() {
-        let (rt, entered, release) = stalled_runtime(Duration::from_millis(10), 2);
-        let mut stall_client = rt.register_client();
+        let (rt, entered, release) = stalled_runtime(Duration::from_millis(10));
+        let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
-        let staller = std::thread::spawn(move || {
-            let _ = stall_client.try_call(1, CallKind::Single);
-            stall_client
-        });
-        while !entered.load(Ordering::Acquire) {
-            std::thread::yield_now();
+        // The service is hostage: nothing drains. Fill the ring — one
+        // cell per one-word post — then prove the overflow post comes
+        // back instead of spinning forever.
+        for i in 0..DEFAULT_RING_CELLS as u64 {
+            c.try_post(&i, PostWait::Deadline).expect("ring has room");
         }
-        // The service is hostage: nothing drains. Fill the ring, then
-        // prove the overflow post comes back instead of spinning forever.
-        c.try_post(&10, PostWait::Deadline).expect("ring has room");
-        c.try_post(&11, PostWait::Deadline).expect("ring has room");
-        match c.try_post(&12, PostWait::Deadline) {
+        match c.try_post(&u64::MAX, PostWait::Deadline) {
             Err(ServiceError::Deadline { waited, .. }) => {
                 assert!(waited >= Duration::from_millis(10));
             }
@@ -2051,30 +2064,28 @@ mod tests {
 
         #[test]
         fn wedged_shard_bounds_posts_too() {
-            let rt = OffloadRuntime::try_start(
-                doubler(),
-                RuntimeConfig {
-                    deadline: Some(Duration::from_millis(20)),
-                    ring_capacity: 2,
-                    ..RuntimeConfig::new()
-                },
-            )
-            .unwrap();
+            let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             rt.fault_state().set_wedged(true);
-            c.try_post(&1, PostWait::Deadline).expect("ring has room");
-            c.try_post(&2, PostWait::Deadline).expect("ring has room");
-            match c.try_post(&3, PostWait::Deadline) {
+            let last = DEFAULT_RING_CELLS as u64 + 1;
+            for i in 1..last {
+                c.try_post(&i, PostWait::Deadline).expect("ring has room");
+            }
+            match c.try_post(&last, PostWait::Deadline) {
                 Err(ServiceError::Deadline { .. }) => {}
                 other => panic!("expected bounded full-ring failure, got {other:?}"),
             }
             rt.fault_state().set_wedged(false);
-            c.try_post(&3, PostWait::Deadline)
+            c.try_post(&last, PostWait::Deadline)
                 .expect("ring drains after unwedge");
             drop(c);
             let (svc, stats) = rt.shutdown();
-            assert_eq!(svc.sum, 6, "all delivered posts drained");
-            assert_eq!(stats.posts_served, 3);
+            assert_eq!(
+                svc.sum,
+                last * (last + 1) / 2,
+                "all delivered posts drained"
+            );
+            assert_eq!(stats.posts_served, last);
         }
 
         #[test]

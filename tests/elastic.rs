@@ -17,14 +17,15 @@
 //!   afterward.
 //! * Under `--features faultinject`, a shard **wedged mid-drain** must
 //!   not hang the tier: allocations reroute to survivors immediately,
-//!   and the controller runs out of patience and reopens the shard
+//!   and the controller runs out of patience after exactly
+//!   [`ngm_core::config::DRAIN_PATIENCE`] evaluations and reopens the shard
 //!   (`DrainAborted`) instead of waiting forever.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::time::{Duration, Instant};
 
-use ngm_core::{CorePlacement, ElasticPolicy, NgmConfig, ScaleDecision, ShardLifecycle};
+use ngm_core::{CorePlacement, Ngm, NgmConfig, ScaleDecision, ShardLifecycle};
 use ngm_telemetry::trace::TraceEventKind;
 use ngm_telemetry::window::HeatFrame;
 
@@ -53,6 +54,32 @@ fn free_all(h: &mut ngm_core::NgmHandle, blocks: Vec<(NonNull<u8>, Layout)>) {
     for (p, layout) in blocks {
         // SAFETY: live block from this tier.
         unsafe { h.dealloc(p, layout) };
+    }
+}
+
+/// Spacing of the evaluations that wait out a drain: the controller may
+/// abort a drain at its `DRAIN_PATIENCE`-th evaluation, so a healthy one
+/// gets `DRAIN_PATIENCE` × this (200 ms) to balance on a loaded host.
+const DRAIN_TICK: Duration = Duration::from_millis(25);
+
+/// Evaluates the controller until the drain of `shard` retires it. The
+/// drain must finish because the shard *balances*: an abort (the
+/// controller gave up — a leak would read like that) or any other
+/// decision fails the test.
+fn tick_until_retired(ngm: &Ngm, shard: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match ngm.scaling_tick() {
+            ScaleDecision::Retired { shard: s } => {
+                assert_eq!(s, shard);
+                return;
+            }
+            ScaleDecision::Hold => {
+                assert!(Instant::now() < deadline, "drain never completed");
+                std::thread::sleep(DRAIN_TICK);
+            }
+            other => panic!("unexpected decision mid-drain: {other:?}"),
+        }
     }
 }
 
@@ -175,16 +202,9 @@ fn scale_up_is_deterministic_under_injected_ramp() {
 /// shutdown report stays clean and per-shard balanced.
 #[test]
 fn scale_down_drain_preserves_per_shard_balance() {
-    // Effectively infinite drain patience: the drain in this test must
-    // finish because the shard *balances*, never because the controller
-    // gave up (which would mask a leak as an abort).
-    let policy = ElasticPolicy {
-        drain_patience: u32::MAX,
-        ..ElasticPolicy::new(1, 2)
-    };
     let ngm = NgmConfig::new()
         .with_shards(2)
-        .with_elastic_policy(Some(policy))
+        .elastic(1, 2)
         .with_batch(1, 1)
         .with_placement(CorePlacement::Unpinned)
         .build()
@@ -211,21 +231,8 @@ fn scale_down_drain_preserves_per_shard_balance() {
     assert_eq!(ngm.shard_states()[1], ShardLifecycle::Draining);
 
     // The heap publishes its balance on service idle rounds, so drain
-    // completion is eventual — poll the tick until it lands.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match ngm.scaling_tick() {
-            ScaleDecision::Retired { shard } => {
-                assert_eq!(shard, 1);
-                break;
-            }
-            ScaleDecision::Hold => {
-                assert!(Instant::now() < deadline, "drain never completed");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            other => panic!("unexpected decision mid-drain: {other:?}"),
-        }
-    }
+    // completion is eventual — tick until it lands.
+    tick_until_retired(&ngm, 1);
     assert_eq!(ngm.shard_states()[1], ShardLifecycle::Retired);
     assert_eq!(ngm.serving_shards(), vec![0]);
     assert_eq!(ngm.scale_counts(), (0, 1));
@@ -293,11 +300,7 @@ fn a_retired_shard_reports_the_books_of_one_stopped_at_shutdown() {
 
     let retired = tier_after_traffic();
     assert!(retired.begin_retire(1), "slot 1 is outside the floor");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while retired.scaling_tick() != (ScaleDecision::Retired { shard: 1 }) {
-        assert!(Instant::now() < deadline, "drain never completed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    tick_until_retired(&retired, 1);
     assert_eq!(retired.shard_health(1), None, "the thread is joined");
     let retired = retired.shutdown();
 
@@ -318,22 +321,18 @@ fn a_retired_shard_reports_the_books_of_one_stopped_at_shutdown() {
 #[cfg(feature = "faultinject")]
 mod faultinject {
     use super::*;
+    use ngm_core::config::DRAIN_PATIENCE;
 
     /// A shard wedged mid-drain must not hang the tier: allocations
     /// reroute to survivors while the drain is pending, and the
-    /// controller aborts the drain (reopening the shard) once its
-    /// patience runs out instead of waiting on the wedged shard
-    /// forever. The test's own completion is the no-hang proof.
+    /// controller aborts the drain (reopening the shard) at exactly its
+    /// `DRAIN_PATIENCE`-th evaluation instead of waiting on the wedged
+    /// shard forever. The test's own completion is the no-hang proof.
     #[test]
     fn wedged_mid_drain_reroutes_and_aborts() {
-        const PATIENCE: u32 = 6;
-        let policy = ElasticPolicy {
-            drain_patience: PATIENCE,
-            ..ElasticPolicy::new(1, 2)
-        };
         let ngm = NgmConfig::new()
             .with_shards(2)
-            .with_elastic_policy(Some(policy))
+            .elastic(1, 2)
             .with_batch(1, 1)
             .with_placement(CorePlacement::Unpinned)
             .with_deadline(Some(Duration::from_millis(50)))
@@ -360,16 +359,12 @@ mod faultinject {
         );
         free_all(&mut h, during);
 
-        // The drain can never complete; the controller must abort it
-        // within `drain_patience` evaluations.
-        let mut decision = ScaleDecision::Hold;
-        for _ in 0..PATIENCE {
-            decision = ngm.scaling_tick();
-            if decision != ScaleDecision::Hold {
-                break;
-            }
+        // The drain can never complete; the controller holds for
+        // `DRAIN_PATIENCE - 1` evaluations and aborts on the next.
+        for eval in 1..DRAIN_PATIENCE {
+            assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold, "evaluation {eval}");
         }
-        assert_eq!(decision, ScaleDecision::DrainAborted { shard: 1 });
+        assert_eq!(ngm.scaling_tick(), ScaleDecision::DrainAborted { shard: 1 });
         assert_eq!(
             ngm.shard_states()[1],
             ShardLifecycle::Serving,

@@ -642,7 +642,6 @@ mod faultinject {
                 .with_placement(CorePlacement::Unpinned)
                 .with_deadline(Some(Duration::from_millis(10)))
                 .with_trace_capacity(4096)
-                .with_blackbox(true)
                 .build()
                 .expect("valid config"),
         );
