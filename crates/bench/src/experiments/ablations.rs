@@ -2,8 +2,9 @@
 //!
 //! * **A — wait strategy**: the paper's prototype busy-spins both sides;
 //!   how much does the policy matter on a real machine?
-//! * **B — free batching**: the service drains asynchronous frees in
-//!   batches; sweep the batch size.
+//! * **B — free batching** was retired: the drain-batch sweep read flat
+//!   from 1 to 256 (EXPERIMENTS.md keeps the numbers), so the drain
+//!   batch is no longer a setting.
 //! * **C — core type** (§3.2 "Type of Core to Offload to"): big
 //!   out-of-order vs. little in-order vs. near-memory service core.
 //! * **D — atomic latency** (§3.1.1/§4.1): sweep the RMW cost from
@@ -12,9 +13,7 @@
 //!   round trip over a batch of prefetched addresses and find the batch
 //!   size at which offloading beats Mimalloc.
 
-use std::time::Instant;
-
-use ngm_core::{MallocService, NgmConfig};
+use ngm_core::NgmConfig;
 use ngm_offload::WaitStrategy;
 use ngm_sim::{CoreConfig, Machine, MachineConfig};
 use ngm_simalloc::ngm::Protocol;
@@ -72,64 +71,6 @@ pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
             WaitRow {
                 label,
                 allocs_per_sec: f64::from(ops) / secs,
-            }
-        })
-        .collect()
-}
-
-/// Result of one drain-batch measurement.
-#[derive(Debug, Clone)]
-pub struct BatchRow {
-    /// Drain batch size.
-    pub batch: usize,
-    /// Asynchronous frees per second drained end-to-end.
-    pub frees_per_sec: f64,
-}
-
-/// Ablation B: service drain-batch size vs. free throughput.
-pub fn free_batching(ops: u32) -> Vec<BatchRow> {
-    [1usize, 4, 16, 64, 256]
-        .into_iter()
-        .map(|batch| {
-            let orphans = std::sync::Arc::new(ngm_heap::DeadBlockStack::new());
-            let service = MallocService::new(std::sync::Arc::clone(&orphans));
-            let rt = ngm_offload::OffloadRuntime::try_start(
-                service,
-                ngm_offload::RuntimeConfig {
-                    drain_batch: batch,
-                    ..ngm_offload::RuntimeConfig::new()
-                },
-            )
-            .expect("spawn service thread");
-            let mut client = rt.register_client();
-            // The per-call protocol on 64-byte blocks: a refill of one,
-            // a free batch of one.
-            let class = ngm_heap::size_to_class(64).expect("64 is a small class");
-            let one = ngm_core::AllocBatchReq { class, count: 1 };
-            // Messages the way a handle moves them: the address is copied
-            // out of the slot into the post, the post sent from where it
-            // lies.
-            let mut block = ngm_core::FreePost::default();
-            let start = Instant::now();
-            for _ in 0..ops {
-                client
-                    .submit(one, ngm_offload::CallKind::Single)
-                    .expect("the slot is free and the service up");
-                client
-                    .wait(None, |resp| block.addrs_mut().copy_from(resp))
-                    .expect("an unbounded wait never expires");
-                assert_eq!(block.addrs().len(), 1);
-                client
-                    .try_post(&block, ngm_offload::PostWait::Deadline)
-                    .expect("the service drains its ring");
-            }
-            drop(client);
-            let (svc, _stats) = rt.shutdown();
-            let secs = start.elapsed().as_secs_f64();
-            assert_eq!(svc.service_stats().frees, u64::from(ops));
-            BatchRow {
-                batch,
-                frees_per_sec: f64::from(ops) / secs,
             }
         })
         .collect()
@@ -425,15 +366,6 @@ pub fn render_all(scale: Scale, real_ops: u32) -> String {
         t.render()
     ));
 
-    let mut t = Table::new(&["drain batch", "frees/sec"]);
-    for r in free_batching(real_ops) {
-        t.row(vec![r.batch.to_string(), format!("{:.0}", r.frees_per_sec)]);
-    }
-    out.push_str(&format!(
-        "Ablation B: free drain batch (real runtime)\n{}\n",
-        t.render()
-    ));
-
     let mut t = Table::new(&["service core", "wall cycles", "service cycles"]);
     for r in core_types(scale) {
         t.row(vec![
@@ -559,13 +491,6 @@ mod tests {
         let rows = wait_strategies(200);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.allocs_per_sec > 0.0));
-    }
-
-    #[test]
-    fn real_batching_completes() {
-        let rows = free_batching(200);
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r.frees_per_sec > 0.0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! PMU experiment: hardware attribution on the real runtime.
 //!
 //! Runs a mixed alloc/free workload on the actual offloaded allocator
-//! with PMU profiling and the allocation-site profiler on, then renders:
+//! with PMU profiling on, then renders:
 //!
 //! 1. the service-core-vs-app-cores counter report (§2.3's attribution
-//!    question, measured instead of simulated),
-//! 2. the allocation-site leak report (every site freed everything ⇒
-//!    leak-free), and
-//! 3. a sim-vs-measured MPKI comparison for one replay kernel, the same
+//!    question, measured instead of simulated), with the exact leak
+//!    check of the shutdown books (every shard clean, `allocs == frees`
+//!    on each), and
+//! 2. a sim-vs-measured MPKI comparison for one replay kernel, the same
 //!    bridge `table1 --hw` uses.
 //!
 //! Works everywhere: where `perf_event_open` is unavailable the readings
@@ -21,12 +21,7 @@ use crate::hw;
 use crate::live::{self, Load};
 use crate::Scale;
 
-/// How sparsely the site profiler samples in this experiment. Low enough
-/// to attribute every site in a short run; a production embedding would
-/// raise it.
-const SITE_SAMPLE: u64 = 1;
-
-/// Runs the experiment and renders all three sections.
+/// Runs the experiment and renders both sections.
 pub fn run(scale: Scale, ops: u32) -> String {
     let perf = match ngm_pmu::hardware_available() {
         Ok(()) => "hardware perf counters available".to_string(),
@@ -36,7 +31,6 @@ pub fn run(scale: Scale, ops: u32) -> String {
     // --- 1. Real-runtime attribution ---------------------------------
     let ngm = NgmConfig::new()
         .with_profile(true)
-        .with_site_sample(SITE_SAMPLE)
         .with_batch(16, 8)
         .build()
         .expect("valid config");
@@ -47,10 +41,10 @@ pub fn run(scale: Scale, ops: u32) -> String {
         size: live::scattered,
     };
     live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
-    let site_report = ngm.site_report().expect("site profiling on");
     let down = ngm.shutdown();
+    let leak_free = down.clean() && down.balanced();
 
-    // --- 3. Sim-vs-measured bridge on one replay kernel --------------
+    // --- 2. Sim-vs-measured bridge on one replay kernel --------------
     let (events, warmup) =
         xalanc::collect_with_warmup(&ngm_workloads::xalanc::XalancParams::small());
     let (r, measured) = hw::measure_replay(
@@ -63,8 +57,8 @@ pub fn run(scale: Scale, ops: u32) -> String {
     format!(
         "PMU: hardware measurement (scale {}x, {})\n\
          ==========================================\n\n\
-         --- Service core vs app cores (real runtime, {} ops/thread) ---\n{}\n\
-         --- Allocation sites (1-in-{} sampling) ---\n{}\n\
+         --- Service core vs app cores (real runtime, {} ops/thread) ---\n{}\
+         clean and balanced at shutdown (leak-free): {leak_free}\n\n\
          --- Simulator vs host PMU (NGM model replay) ---\n{}",
         scale.0,
         perf,
@@ -73,8 +67,6 @@ pub fn run(scale: Scale, ops: u32) -> String {
             || "(no PMU readings deposited)\n".into(),
             ngm_pmu::PmuReport::render
         ),
-        site_report.sample_interval,
-        site_report.render(),
         hw::render_deltas(&deltas),
     )
 }
@@ -89,7 +81,7 @@ mod tests {
         assert!(s.contains("service/"), "service column labeled:\n{s}");
         assert!(s.contains("clients(2)/"), "client column labeled:\n{s}");
         assert!(
-            s.contains("no surviving allocations"),
+            s.contains("leak-free): true"),
             "balanced workload must be leak-free:\n{s}"
         );
         assert!(s.contains("sim-vs-measured MPKI deltas"), "{s}");

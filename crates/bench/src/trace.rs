@@ -40,8 +40,8 @@ pub struct TraceConversion {
 /// Converts a drained trace (sorted or not) into a replayable stream.
 ///
 /// Non-allocation events (`Post`, `Refill`, `WaitTransition`, `Span`,
-/// `Scale`) are skipped: they describe the transport, the request
-/// lifecycle, and the tier's shape, not the heap.
+/// `Scale`, `Failure`) are skipped: they describe the transport, the
+/// request lifecycle, and the tier's shape and health, not the heap.
 pub fn convert(trace: &[TraceEvent]) -> TraceConversion {
     let mut sorted: Vec<&TraceEvent> = trace.iter().collect();
     sorted.sort_by_key(|e| e.tsc);
@@ -84,7 +84,8 @@ pub fn convert(trace: &[TraceEvent]) -> TraceConversion {
             | TraceEventKind::Refill
             | TraceEventKind::WaitTransition
             | TraceEventKind::Span
-            | TraceEventKind::Scale => {}
+            | TraceEventKind::Scale
+            | TraceEventKind::Failure => {}
         }
     }
 

@@ -212,9 +212,9 @@ impl Ngm {
     }
 
     fn push_scale_event(&self, code: u64, shard: usize) {
-        if let Some(ring) = &self.scale_trace {
-            ring.push(TraceEventKind::Scale, code, shard as u64);
-        }
+        self.tier
+            .control
+            .push(TraceEventKind::Scale, code, shard as u64);
     }
 
     /// The slots currently serving, in index order.

@@ -10,12 +10,11 @@ use ngm_heap::classes::{class_to_size, layout_to_class, SizeClass, NUM_CLASSES};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
 use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, ServiceError};
-use ngm_telemetry::blackbox::{BlackboxDump, ShardState, DEFAULT_LAST_K};
-use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::{Route, RouteOp};
 use super::slot::Tier;
+use super::tier::FailureReason;
 use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
 use crate::heat::ShardLifecycle;
 use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
@@ -59,7 +58,7 @@ pub struct NgmHandle {
     /// cells — for lazy client (re-)registration as the elastic
     /// controller spawns and retires shards) and the tier-wide state
     /// (route generation, batch sizes, fallback heap, large-block ledger,
-    /// site profiler, blackbox). The handle's one reference into it.
+    /// control ring). The handle's one reference into it.
     pub(super) tier: Arc<Tier>,
     /// This handle's half of every shard, indexed by slot.
     pub(super) ends: Box<[End]>,
@@ -243,50 +242,6 @@ impl NgmHandle {
         self.publish_occupancy(source);
     }
 
-    /// Captures and emits a blackbox dump for a failure edge implicating
-    /// `shard`: that shard's last-K trace events, every shard's slot/ring
-    /// state, and the current heat picture. Gated on the config knob and
-    /// the tier's rate limiter, so the common suppressed case costs one
-    /// branch and one relaxed load — never an allocation. Emitted dumps
-    /// land on stderr, the `NGM_BLACKBOX_PATH` file, and the in-memory
-    /// ring behind [`Ngm::blackbox_dumps`] / the observer's `/blackbox`
-    /// endpoint.
-    pub(super) fn blackbox(&self, reason: &'static str, shard: usize) {
-        let Some(recorder) = self.tier.blackbox.as_ref() else {
-            return;
-        };
-        if !recorder.should_emit() {
-            return;
-        }
-        let shards = (0..self.nshards())
-            .map(|s| match &self.ends[s].client {
-                Some(c) => ShardState {
-                    shard: s,
-                    slot_state: c.slot_state_label(),
-                    ring_occupancy: c.pending_posts() as u64,
-                    down: !c.is_open(),
-                },
-                None => ShardState {
-                    shard: s,
-                    slot_state: self.tier.state(s).label(),
-                    ring_occupancy: 0,
-                    down: true,
-                },
-            })
-            .collect();
-        recorder.emit(BlackboxDump {
-            reason: reason.into(),
-            shard,
-            tsc: cycles_now(),
-            events: self.tier.slots[shard]
-                .handles
-                .telemetry
-                .peek_trace(DEFAULT_LAST_K),
-            shards,
-            heat: self.tier.report().render(),
-        });
-    }
-
     /// The shard that owns `ptr`, read from its segment header — a pure
     /// function of the address, stable for the block's whole lifetime.
     fn shard_of_small(&self, ptr: NonNull<u8>) -> usize {
@@ -331,19 +286,11 @@ impl NgmHandle {
     /// the fallback heap cannot serve either (or the kernel refuses a
     /// large mapping) and [`AllocError::ZeroSize`] for zero-sized
     /// layouts.
-    #[track_caller]
     pub fn alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
-        let caller = std::panic::Location::caller();
-        let ptr = self.alloc_inner(layout, true).map_err(|e| match e {
+        self.alloc_inner(layout, true).map_err(|e| match e {
             NgmError::Alloc(e) => e,
             _ => AllocError::OutOfMemory,
-        })?;
-        if let Some(prof) = &self.tier.sites {
-            // Label formatting is deferred into the closure: unsampled
-            // allocations never pay for it.
-            prof.record_alloc(ptr.as_ptr() as usize, layout.size(), || caller.to_string());
-        }
-        Ok(ptr)
+        })
     }
 
     /// Non-blocking [`NgmHandle::alloc`]: never waits on a service.
@@ -454,9 +401,9 @@ impl NgmHandle {
     /// The degradation endpoint: every shard deadlined or died, so serve
     /// the small-class allocation inline from the shared
     /// [`FallbackHeap`]. `shard` is the last shard tried, implicated in
-    /// the dump.
+    /// the failure event.
     fn fallback_alloc(&mut self, layout: Layout, shard: usize) -> Result<NonNull<u8>, AllocError> {
-        self.blackbox("fallback", shard);
+        self.tier.record_failure(FailureReason::Fallback, shard);
         self.tier.fallback.allocate(layout)
     }
 
@@ -705,9 +652,6 @@ impl NgmHandle {
         wait: bool,
     ) -> Result<(), NgmError> {
         self.maybe_resync();
-        if let Some(prof) = &self.tier.sites {
-            prof.record_free(ptr.as_ptr() as usize);
-        }
         if layout_to_class(layout.size(), layout.align()).is_none() {
             // SAFETY: forwarded contract — a live large block this tier's
             // ledger mapped for `layout`, relinquished by the caller.

@@ -29,7 +29,7 @@ mod tier;
 
 pub use elastic::{Autoscaler, ScaleDecision};
 pub use handle::NgmHandle;
-pub use tier::{Ngm, NgmShutdown, ShardShutdown};
+pub use tier::{FailureReason, Ngm, NgmShutdown, ShardShutdown};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -7,6 +7,7 @@ use ngm_heap::classes::SizeClass;
 use ngm_offload::{ClientHandle, ServiceError};
 
 use super::handle::NgmHandle;
+use super::tier::FailureReason;
 use crate::heat::{pick_coolest, ShardLifecycle};
 
 /// What an operation that could not proceed on its shard does next, as
@@ -101,7 +102,7 @@ impl NgmHandle {
         let next = self.next_route_candidate(dead);
         if !self.ends[dead].failed {
             self.ends[dead].failed = true;
-            self.blackbox("shard-death", dead);
+            self.tier.record_failure(FailureReason::ShardDeath, dead);
             self.stats(dead).record_failover();
             if next != dead {
                 for slot in self.class_shard.iter_mut() {
@@ -167,12 +168,12 @@ impl NgmHandle {
     /// * no thread — route on to the next candidate;
     /// * [`ServiceError::WouldBlock`] — transient, [`Route::Busy`] (a full
     ///   ring also feeds the shard's rebalance pressure);
-    /// * [`ServiceError::Deadline`] — slow, not dead: blackbox dump, move
+    /// * [`ServiceError::Deadline`] — slow, not dead: a failure event, move
     ///   this handle's allocation traffic to the coolest shard, try the
     ///   next candidate; the shard rejoins the rotation as soon as
     ///   routing sends traffic back its way;
     /// * [`ServiceError::ShardRetiring`] — draining, not dead: the same
-    ///   without the dump;
+    ///   without the event;
     /// * anything else — the shard is gone: [`NgmHandle::fail_over`].
     ///
     /// [`Route::Exhausted`] when no other candidate exists.
@@ -193,11 +194,11 @@ impl NgmHandle {
             Some(slow @ (ServiceError::Deadline { .. } | ServiceError::ShardRetiring { .. })) => {
                 if matches!(slow, ServiceError::Deadline { .. }) {
                     let reason = if op == RouteOp::Post {
-                        "post-deadline"
+                        FailureReason::PostDeadline
                     } else {
-                        "deadline"
+                        FailureReason::Deadline
                     };
-                    self.blackbox(reason, shard);
+                    self.tier.record_failure(reason, shard);
                 }
                 self.rebalance_away_from(shard);
                 self.next_route_candidate(shard)

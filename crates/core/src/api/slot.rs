@@ -15,12 +15,12 @@ use std::sync::{Arc, Mutex};
 
 use ngm_heap::{DeadBlockStack, FallbackHeap, HeapStats, LargeBlocks};
 use ngm_offload::{ClientHandle, OffloadRuntime, RuntimeConfig, RuntimeHandles, ServiceError};
-use ngm_telemetry::blackbox::BlackboxRecorder;
 use ngm_telemetry::clock::cycles_now;
-use ngm_telemetry::sites::SiteProfiler;
+use ngm_telemetry::trace::{TraceEventKind, TraceRing};
 use ngm_telemetry::window::{HeatFrame, HeatWindow};
 
 use super::lock;
+use super::tier::FailureReason;
 use crate::config::{CorePlacement, NgmConfig, FALLBACK_OWNER};
 use crate::heat::{HeatReport, ShardHeat, ShardLifecycle};
 use crate::service::MallocService;
@@ -237,6 +237,14 @@ impl Slot {
     }
 }
 
+/// Events the control ring holds at least (a traced tier's ring holds
+/// `trace_capacity`, when that is more).
+const CONTROL_EVENTS: usize = 256;
+
+/// The thread id the control ring's events carry: no runtime thread
+/// registers it, so it cannot collide with one.
+const CONTROL_THREAD: u32 = u32::MAX;
+
 /// What [`Ngm`](super::Ngm) and every [`NgmHandle`](super::NgmHandle)
 /// of a tier share: its slots and the tier-wide state beside them.
 pub(crate) struct Tier {
@@ -250,8 +258,6 @@ pub(crate) struct Tier {
     /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
     /// built over this tier's handles ([`NgmConfig::with_inflight_limit`]).
     pub(super) inflight_limit: usize,
-    /// The allocation-site profiler, when enabled.
-    pub(super) sites: Option<SiteProfiler>,
     /// The inline allocator of last resort. Lazy: maps nothing until the
     /// first time a handle exhausts every shard (all deadlined or dead)
     /// and has to serve an allocation itself.
@@ -259,11 +265,13 @@ pub(crate) struct Tier {
     /// The ledger every handle maps and unmaps large (non-class) blocks
     /// through, on its own thread: they never enter a shard.
     pub(super) large: LargeBlocks,
-    /// Dump sink for failure edges; `None` only on the tier the global
-    /// hook builds (dump assembly allocates, and re-entering a failing
-    /// allocator mid-failure is not survivable). Per-tier, so two tiers
-    /// in one process have independent rate limiters and dump rings.
-    pub(crate) blackbox: Option<BlackboxRecorder>,
+    /// The control ring: every scaling decision and every failure edge,
+    /// in order. Built with the tier and registered with slot 0's
+    /// telemetry (the resident floor always exists), so a drain or peek
+    /// of the trace sees these events in the same stream as the rest.
+    /// Its storage never grows, so recording a failure never allocates —
+    /// which keeps it safe under the global hook.
+    pub(crate) control: Arc<TraceRing>,
     /// [`Ngm::tick`](super::Ngm::tick)s so far — the windows' time-base.
     pub(super) ticks: AtomicU64,
     pub(super) scale_up: AtomicU64,
@@ -277,7 +285,7 @@ pub(crate) struct Tier {
 impl Tier {
     /// Every slot up to the elastic maximum, built eagerly — service,
     /// owner stamp, orphan stack, stats, telemetry — and all dormant.
-    pub(super) fn new(cfg: &NgmConfig, runtime_cfg: &RuntimeConfig, blackbox: bool) -> Self {
+    pub(super) fn new(cfg: &NgmConfig, runtime_cfg: &RuntimeConfig) -> Self {
         let cores = ngm_offload::available_cores();
         let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
         let slots = (0..total).map(|i| {
@@ -291,16 +299,21 @@ impl Tier {
             };
             Slot::new(i, core, runtime_cfg)
         });
+        let slots: Box<[Slot]> = slots.collect();
+        let control = Arc::new(TraceRing::new(
+            CONTROL_THREAD,
+            cfg.trace_capacity.max(CONTROL_EVENTS),
+        ));
+        slots[0].handles.telemetry.adopt_ring(Arc::clone(&control));
         Tier {
-            slots: slots.collect(),
+            slots,
             generation: AtomicU64::new(0),
             batch_size: cfg.batch_size as u32,
             flush_threshold: cfg.flush_threshold as u32,
             inflight_limit: cfg.inflight_limit,
-            sites: (cfg.site_sample > 0).then(|| SiteProfiler::new(cfg.site_sample)),
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
             large: LargeBlocks::default(),
-            blackbox: blackbox.then(BlackboxRecorder::new),
+            control,
             ticks: AtomicU64::new(0),
             scale_up: AtomicU64::new(0),
             scale_down: AtomicU64::new(0),
@@ -335,12 +348,18 @@ impl Tier {
     }
 
     /// The windowed view of every shard as of the last tick: a pure read
-    /// (scrapes and blackbox dumps must not perturb the windows they
-    /// export).
+    /// (scrapes must not perturb the windows they export).
     pub(super) fn report(&self) -> HeatReport {
         HeatReport {
             shards: self.slots.iter().map(Slot::windowed).collect(),
         }
+    }
+
+    /// Records a failure edge implicating `shard` in the control ring:
+    /// one push into storage allocated at build, so it never allocates.
+    pub(super) fn record_failure(&self, reason: FailureReason, shard: usize) {
+        self.control
+            .push(TraceEventKind::Failure, reason as u64, shard as u64);
     }
 
     /// Accumulates cycles spent on observability work (observer threads
@@ -363,7 +382,7 @@ mod tests {
         let cfg = NgmConfig::new()
             .with_shards(shards)
             .with_placement(CorePlacement::Unpinned);
-        Tier::new(&cfg, &RuntimeConfig::new(), true)
+        Tier::new(&cfg, &RuntimeConfig::new())
     }
 
     #[test]

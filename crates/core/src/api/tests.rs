@@ -9,12 +9,11 @@ use ngm_heap::classes::{class_to_size, SizeClass, NUM_CLASSES, SMALL_MAX};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
 use ngm_offload::ServiceError;
-use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::trace::TraceEventKind;
 use ngm_telemetry::window::HeatFrame;
 
 use super::routing::{Route, RouteOp};
-use super::{Ngm, NgmHandle, NgmShutdown};
+use super::{FailureReason, Ngm, NgmHandle, NgmShutdown};
 use crate::config::{CorePlacement, NgmConfig, NgmError};
 use crate::service::MAX_BATCH;
 
@@ -699,66 +698,9 @@ fn shutdown_report_has_one_service_column_per_shard_then_the_clients() {
 }
 
 #[test]
-fn site_profiler_attributes_allocs_and_reports_leaks() {
-    let ngm = NgmConfig::new().with_site_sample(1).build().unwrap();
-    let mut h = ngm.handle();
-    let freed = h.alloc(layout(64)).unwrap(); // both sites in this fn
-    let leaked = h.alloc(layout(128)).unwrap();
-    // SAFETY: block from this handle's allocator.
-    unsafe { h.dealloc(freed, layout(64)) };
-    let report = ngm.site_report().expect("site profiling was on");
-    assert_eq!(report.sites.len(), 2, "two distinct call sites");
-    let surviving = report.surviving();
-    assert_eq!(surviving.len(), 1, "only the unfreed site survives");
-    assert_eq!(surviving[0].live_bytes, 128);
-    assert!(
-        surviving[0].label.contains("api/tests.rs"),
-        "track_caller points into this file: {}",
-        surviving[0].label
-    );
-    // The report flows into the exporter as labeled series.
-    let m = ngm.metrics();
-    assert_eq!(m.labeled_gauge_count("ngm_site_live_bytes"), 2);
-    assert_eq!(m.get_gauge("ngm_site_surviving_count"), Some(1));
-    // Clean up so shutdown accounting stays exact — by the orphan
-    // route, which must tell the profiler too.
-    // SAFETY: block from this handle's allocator.
-    unsafe { ngm.orphan_push(leaked) };
-    assert!(ngm.site_report().unwrap().leak_free());
-}
-
-#[test]
-fn leak_free_batched_run_has_zero_surviving_sites() {
-    // Acceptance: round-trip through the exporter with a leak-free
-    // run showing zero surviving sites — batching on, so magazine
-    // pops and batched flushes are attributed correctly too.
-    let ngm = batched(8, 8).with_site_sample(1).build().unwrap();
-    let mut h = ngm.handle();
-    let mut blocks = Vec::new();
-    for i in 0..64usize {
-        blocks.push((h.alloc(layout(16 + i % 128)).unwrap(), layout(16 + i % 128)));
-    }
-    for (p, l) in blocks {
-        // SAFETY: blocks from this handle's allocator.
-        unsafe { h.dealloc(p, l) };
-    }
-    let report = ngm.site_report().unwrap();
-    assert!(report.leak_free(), "leak report:\n{}", report.render());
-    let mut m = MetricsSnapshot::new();
-    report.publish(&mut m);
-    assert_eq!(m.get_gauge("ngm_site_surviving_count"), Some(0));
-    assert!(m.to_prometheus_text().contains("ngm_site_peak_bytes"));
-    drop(h);
-    let down = ngm.shutdown();
-    assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(down.heap.live_blocks, 0);
-}
-
-#[test]
 fn profiling_disabled_reports_are_absent() {
     let ngm = Ngm::start();
     assert!(ngm.pmu_report().is_none());
-    assert!(ngm.site_report().is_none());
 }
 
 #[test]
@@ -1192,9 +1134,9 @@ fn routing_step_decision_table() {
         Busy,
         /// Routed on without a grudge.
         Next,
-        /// Traffic rebalanced away (counted), with this dump reason.
-        Slow(Option<&'static str>),
-        /// Written off: `failed[]`, failover counted, "shard-death".
+        /// Traffic rebalanced away (counted), with this failure event.
+        Slow(Option<FailureReason>),
+        /// Written off: `failed[]`, failover counted, a shard-death event.
         Dead,
     }
     use Effect::{Busy, Dead, Next, Slow};
@@ -1210,8 +1152,16 @@ fn routing_step_decision_table() {
         (None, Refill(ci), Next),
         (Some(full), Refill(ci), Busy),
         (Some(full), Post, Busy),
-        (Some(deadline), Refill(ci), Slow(Some("deadline"))),
-        (Some(deadline), Post, Slow(Some("post-deadline"))),
+        (
+            Some(deadline),
+            Refill(ci),
+            Slow(Some(FailureReason::Deadline)),
+        ),
+        (
+            Some(deadline),
+            Post,
+            Slow(Some(FailureReason::PostDeadline)),
+        ),
         (Some(retiring), Refill(ci), Slow(None)),
         (Some(ServiceError::ServiceStopped), Refill(ci), Dead),
         (Some(ServiceError::ServiceStopped), Post, Dead),
@@ -1237,14 +1187,26 @@ fn routing_step_decision_table() {
             let routed = if effect == Busy { from } else { other };
             assert_eq!(h.class_route(class), routed, "class_shard: {row}");
             assert_eq!(h.ends[from].failed, effect == Dead, "failed[]: {row}");
-            let dump = match effect {
+            let failure = match effect {
                 Slow(reason) => reason,
-                Dead => Some("shard-death"),
+                Dead => Some(FailureReason::ShardDeath),
                 Busy | Next => None,
             };
-            let dumps = ngm.blackbox_dumps();
-            let reasons: Vec<_> = dumps.iter().map(|d| d.reason.as_str()).collect();
-            assert_eq!(reasons, Vec::from_iter(dump), "blackbox: {row}");
+            let failures: Vec<_> = ngm
+                .failures()
+                .iter()
+                .map(|e| (FailureReason::from_code(e.a), e.b as usize))
+                .collect();
+            let expected = failure.map(|r| (Some(r), from));
+            assert_eq!(failures, Vec::from_iter(expected), "failures: {row}");
+            let body = crate::observer::blackbox_json(&ngm);
+            match failure {
+                Some(r) => assert!(
+                    body.contains(&format!("\"reason\":\"{}\",\"shard\":{from},", r.label())),
+                    "/blackbox: {row}: {body}"
+                ),
+                None => assert_eq!(body, "{\"failures\":[]}", "/blackbox: {row}"),
+            }
             let stats = ngm.runtime_stats();
             assert_eq!(stats.failovers, u64::from(effect == Dead), "{row}");
             let rebalanced = matches!(effect, Slow(_)) && !alone;
@@ -1351,6 +1313,44 @@ mod faults {
     /// where one free is one post of one cell: the ring's cells, a full
     /// client-side buffer behind them, and one more.
     const OVERRUN: usize = DEFAULT_RING_CELLS + MAX_BATCH + 1;
+
+    #[test]
+    fn every_deadline_in_one_window_is_recorded() {
+        // Five refills deadline on a wedged shard well inside 250 ms,
+        // and every one is a failure event naming the wedged shard: no
+        // edge is sampled away, however close together they come.
+        let ngm = sharded(2)
+            .with_batch(1, 1)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        let class64 = ngm_heap::size_to_class(64).unwrap();
+        let victim = h.class_route(class64);
+        ngm.fault_state(victim).set_wedged(true);
+        let mut blocks = Vec::new();
+        for _ in 0..5 {
+            // Send the refill back at the wedge each time: it deadlines,
+            // reroutes, and is served by the survivor.
+            h.route_class_to(class64, victim);
+            blocks.push(h.alloc(layout(64)).expect("rerouted around the wedge"));
+        }
+        ngm.fault_state(victim).set_wedged(false);
+        let failures = ngm.failures();
+        assert_eq!(failures.len(), 5, "{failures:?}");
+        for e in &failures {
+            assert_eq!(FailureReason::from_code(e.a), Some(FailureReason::Deadline));
+            assert_eq!(e.b as usize, victim);
+        }
+        for p in blocks {
+            // SAFETY: live blocks from this handle's allocator.
+            unsafe { h.dealloc(p, layout(64)) };
+        }
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
+        assert_eq!(down.runtime.deadlines, 5, "{down:?}");
+    }
 
     #[test]
     fn wedged_shard_reroutes_allocs_within_deadline() {

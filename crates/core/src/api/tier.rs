@@ -8,12 +8,10 @@ use std::sync::{Arc, Mutex};
 use ngm_heap::{FallbackHeap, HeapStats};
 use ngm_offload::{OffloadRuntime, RuntimeConfig, RuntimeTelemetry, ServiceError, StatsSnapshot};
 use ngm_pmu::PmuReport;
-use ngm_telemetry::blackbox::BlackboxDump;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::recorder::{RecordFrame, ShardSample};
-use ngm_telemetry::sites::SiteReport;
-use ngm_telemetry::trace::TraceRing;
+use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
 
 use super::elastic::{ControllerState, ScaleDecision};
 use super::handle::NgmHandle;
@@ -57,6 +55,43 @@ fn state_glyph(state: ShardLifecycle) -> char {
     }
 }
 
+/// Why a request left its shard's normal path: the `a` payload of a
+/// [`TraceEventKind::Failure`] event ([`Ngm::failures`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureReason {
+    /// A refill's round trip outlived the deadline.
+    Deadline = 1,
+    /// A free post found the ring full until the deadline.
+    PostDeadline = 2,
+    /// The shard's service thread was found dead.
+    ShardDeath = 3,
+    /// No shard could refill, so an allocation was served inline.
+    Fallback = 4,
+}
+
+impl FailureReason {
+    /// Stable lowercase label, as `/blackbox` renders it.
+    pub const fn label(self) -> &'static str {
+        match self {
+            FailureReason::Deadline => "deadline",
+            FailureReason::PostDeadline => "post-deadline",
+            FailureReason::ShardDeath => "shard-death",
+            FailureReason::Fallback => "fallback",
+        }
+    }
+
+    /// The reason a [`TraceEventKind::Failure`] event's code names.
+    pub const fn from_code(code: u64) -> Option<Self> {
+        match code {
+            1 => Some(FailureReason::Deadline),
+            2 => Some(FailureReason::PostDeadline),
+            3 => Some(FailureReason::ShardDeath),
+            4 => Some(FailureReason::Fallback),
+            _ => None,
+        }
+    }
+}
+
 /// The running allocator: one or more dedicated service threads plus
 /// registration of per-thread client handles.
 pub struct Ngm {
@@ -70,9 +105,6 @@ pub struct Ngm {
     /// Template for per-slot [`RuntimeConfig`]s (core and shard are
     /// filled in per slot).
     pub(super) runtime_cfg: RuntimeConfig,
-    /// Controller-decision trace ring (on slot 0's telemetry hub — the
-    /// resident floor always exists), when tracing is enabled.
-    pub(super) scale_trace: Option<Arc<TraceRing>>,
     /// The live-observer config captured at build time
     /// ([`NgmConfig::with_observer`]), consumed by
     /// [`Ngm::start_observer`].
@@ -97,13 +129,12 @@ impl Ngm {
     }
 
     /// Builds the tier from a validated config (reached via
-    /// [`NgmConfig::build`], and by the global hook, whose tier is the
-    /// one built without a blackbox recorder).
+    /// [`NgmConfig::build`], and by the global hook).
     ///
     /// Every slot up to the elastic maximum is built eagerly, but only
     /// the initial `cfg.shards` get threads; the rest park dormant until
     /// the controller spawns them.
-    pub(crate) fn from_config(cfg: NgmConfig, blackbox: bool) -> Result<Self, NgmError> {
+    pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
         let runtime_cfg = RuntimeConfig {
             client_wait: cfg.client_wait,
             trace_capacity: cfg.trace_capacity,
@@ -111,20 +142,16 @@ impl Ngm {
             deadline: cfg.deadline,
             ..RuntimeConfig::new()
         };
-        let mut ngm = Ngm {
-            tier: Arc::new(Tier::new(&cfg, &runtime_cfg, blackbox)),
+        let ngm = Ngm {
+            tier: Arc::new(Tier::new(&cfg, &runtime_cfg)),
             elastic: cfg.elastic,
             controller: Mutex::new(ControllerState::default()),
             runtime_cfg,
-            scale_trace: None,
             observer_cfg: Mutex::new(cfg.observer),
         };
         for i in 0..cfg.shards {
             ngm.spawn_slot(i).map_err(NgmError::Spawn)?;
         }
-        // The controller's decision ring claims its thread id only after
-        // the initial spawns, so slot 0's service loop keeps id 0.
-        ngm.scale_trace = ngm.telemetry().new_ring();
         Ok(ngm)
     }
 
@@ -157,7 +184,7 @@ impl Ngm {
     /// then runs one elastic-controller evaluation over the windows and
     /// returns what it decided. Nothing else writes the windows or runs
     /// the controller: [`Ngm::heat_report`], [`Ngm::metrics`], the
-    /// observer endpoints, blackbox dumps and rebalances only read what
+    /// observer endpoints and rebalances only read what
     /// the last tick wrote, so how often the tier is scraped never
     /// shortens the window's time-base or arms a scaling streak. Call it
     /// at the cadence the windows should span — by hand, or from the
@@ -185,16 +212,16 @@ impl Ngm {
         self.tier.report()
     }
 
-    /// The most recent blackbox dumps, newest last (empty on the global
-    /// hook's tier, which keeps no recorder, or while nothing has fired).
-    /// Dumps also go to stderr and the `NGM_BLACKBOX_PATH` file at emit
-    /// time; this ring is what the observer's `/blackbox` endpoint serves.
-    pub fn blackbox_dumps(&self) -> Vec<BlackboxDump> {
-        self.tier
-            .blackbox
-            .as_ref()
-            .map(|r| r.recent())
-            .unwrap_or_default()
+    /// The failure edges still in the control ring, oldest first: one
+    /// [`TraceEventKind::Failure`] event per edge, `a` its
+    /// [`FailureReason`] code and `b` the shard implicated. Every edge is
+    /// recorded, on every tier; the ring keeps the newest when it wraps,
+    /// and a trace drain of slot 0's telemetry consumes them with the
+    /// rest. The observer's `/blackbox` endpoint renders these.
+    pub fn failures(&self) -> Vec<TraceEvent> {
+        let mut events = self.tier.control.peek(usize::MAX);
+        events.retain(|e| e.kind == TraceEventKind::Failure);
+        events
     }
 
     /// The shared tier state, as the observer endpoints read it (slot
@@ -291,9 +318,6 @@ impl Ngm {
     /// `ptr` must be a live small-class block allocated by this `Ngm`,
     /// relinquished by the caller.
     pub unsafe fn orphan_push(&self, ptr: NonNull<u8>) {
-        if let Some(prof) = &self.tier.sites {
-            prof.record_free(ptr.as_ptr() as usize);
-        }
         // SAFETY: forwarded contract — a live small block from one of our
         // segregated heaps (shard or fallback).
         let owner = unsafe { ngm_heap::owner_of_small_ptr(ptr) };
@@ -426,9 +450,6 @@ impl Ngm {
         // The heat series are whatever the last tick wrote: one sample
         // per shard per family, ticked or not.
         self.heat_report().publish(&mut m);
-        if let Some(report) = self.site_report() {
-            report.publish(&mut m);
-        }
         m
     }
 
@@ -458,14 +479,6 @@ impl Ngm {
         // Service columns first, in shard order, then the app cores.
         out.cols.extend(clients);
         (!out.cols.is_empty()).then_some(out)
-    }
-
-    /// The allocation-site attribution snapshot, when
-    /// [`NgmConfig::site_sample`] enabled the profiler. Rendered at
-    /// shutdown this is the leak report: surviving sites are leak
-    /// suspects.
-    pub fn site_report(&self) -> Option<SiteReport> {
-        self.tier.sites.as_ref().map(|s| s.report())
     }
 
     /// Stops every service shard and returns final statistics, per shard

@@ -263,12 +263,11 @@ impl std::error::Error for NgmError {
 ///
 /// What is not here is not settable. Every client's free ring to a
 /// shard is [`ngm_offload::DEFAULT_RING_CELLS`] cells (128 KiB), a drain
-/// gets [`DRAIN_PATIENCE`] controller evaluations, and every tier keeps
-/// a blackbox flight recorder — deadline expiries, shard failovers and
-/// the first degradation to the inline fallback dump the implicated
-/// shard's recent trace, slot states and heat snapshot to stderr (and to
-/// the file named by `NGM_BLACKBOX_PATH`) — except the one the
-/// `#[global_allocator]` hook starts ([`crate::NgmAllocator`]).
+/// gets [`DRAIN_PATIENCE`] controller evaluations, and every tier —
+/// the one the `#[global_allocator]` hook starts included — records each
+/// failure edge (deadline expiry, shard failover, degradation to the
+/// inline fallback) as one `Failure` trace event in its control ring
+/// ([`crate::api::Ngm::failures`]).
 ///
 /// ```
 /// use ngm_core::{CorePlacement, NgmConfig};
@@ -320,10 +319,6 @@ pub struct NgmConfig {
     /// [`ngm_pmu::PmuSession`], attributing cycles and cache/TLB misses
     /// to the service cores versus the app cores.
     pub profile: bool,
-    /// Allocation-site profiling sample interval: attribute 1 in
-    /// `site_sample` allocations to their call site (`1` = every
-    /// allocation). `0` (the default) disables the site profiler.
-    pub site_sample: u64,
     /// Per-request deadline for every blocking primitive (slot waits,
     /// free-ring retries). A request that exceeds it surfaces a typed
     /// error and degrades (reroute, then inline fallback) instead of
@@ -357,7 +352,6 @@ impl NgmConfig {
             flush_threshold: MAX_BATCH,
             inflight_limit: 256,
             profile: false,
-            site_sample: 0,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
             elastic: None,
             observer: None,
@@ -430,12 +424,6 @@ impl NgmConfig {
         self
     }
 
-    /// Sets the allocation-site sample interval (0 disables).
-    pub const fn with_site_sample(mut self, interval: u64) -> Self {
-        self.site_sample = interval;
-        self
-    }
-
     /// Sets the per-request deadline (`None` restores unbounded waits).
     pub const fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.deadline = deadline;
@@ -505,7 +493,7 @@ impl NgmConfig {
     /// refuses a service thread.
     pub fn build(self) -> Result<crate::api::Ngm, NgmError> {
         self.validate()?;
-        crate::api::Ngm::from_config(self, true)
+        crate::api::Ngm::from_config(self)
     }
 }
 
@@ -544,7 +532,6 @@ mod tests {
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(0)
             .with_profile(false)
-            .with_site_sample(0)
             .with_deadline(Some(Duration::from_millis(100)))
             .elastic(2, 6);
         assert_eq!(CFG.shards, 4);

@@ -109,12 +109,10 @@ fn runtime(cfg: &NgmConfig) -> &'static Ngm {
         // Everything allocated while spawning the runtime comes from the
         // bootstrap arena.
         let was = GUARD.with(|g| g.replace(true));
-        // The one tier without a blackbox recorder: assembling a dump
-        // allocates, and an allocation from inside the global
-        // allocator's own failure path would re-enter the hook (at best
-        // burning the bootstrap arena, at worst deadlocking on the very
-        // shard being dumped). `cfg` is sanitized, hence valid.
-        let ngm = Ngm::from_config(cfg.clone(), false).expect("a service thread spawns");
+        // `cfg` is sanitized, hence valid. Its failure edges are
+        // recorded like any tier's: a push into the control ring, whose
+        // storage is allocated here, never allocates.
+        let ngm = Ngm::from_config(cfg.clone()).expect("a service thread spawns");
         GUARD.with(|g| g.set(was));
         ngm
     })
@@ -142,10 +140,6 @@ impl NgmAllocator {
     /// clamped into range ([`NgmConfig::sanitized`]) rather than
     /// reported: a `#[global_allocator]` static has nowhere to surface a
     /// build error.
-    ///
-    /// The tier it starts is the only one with no blackbox flight
-    /// recorder: a failure edge (deadline, failover, fallback) is counted
-    /// but dumps nothing, since assembling a dump allocates.
     pub const fn with_config(cfg: NgmConfig) -> Self {
         NgmAllocator {
             cfg: cfg.sanitized(),
@@ -361,15 +355,24 @@ mod tests {
     }
 
     #[test]
-    fn only_the_hooks_tier_goes_without_a_blackbox() {
-        let built = NgmConfig::new()
-            .with_placement(crate::CorePlacement::Unpinned)
-            .build()
-            .expect("valid config");
-        assert!(built.obs_state().blackbox.is_some());
-        built.shutdown();
+    fn the_hooks_tier_records_failures_in_its_control_ring() {
         let hooked = runtime(&NgmAllocator::default().cfg);
-        assert!(hooked.obs_state().blackbox.is_none());
+        let control = &hooked.obs_state().control;
+        let before = hooked.failures().len();
+        control.push(
+            ngm_telemetry::trace::TraceEventKind::Failure,
+            crate::FailureReason::Fallback as u64,
+            0,
+        );
+        let failures = hooked.failures();
+        assert_eq!(failures.len(), before + 1);
+        let last = failures.last().expect("just pushed");
+        assert_eq!(
+            (crate::FailureReason::from_code(last.a), last.b),
+            (Some(crate::FailureReason::Fallback), 0)
+        );
+        // The ring sits in slot 0's trace stream, beside the rest.
+        assert!(hooked.telemetry().peek_trace(usize::MAX).contains(last));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   ring-saturation counts, so traffic moves to the shard that is
 //!   *recently* coolest, not merely the one this handle happened not to
 //!   hammer.
-//! * The blackbox flight recorder archives the rendered [`HeatReport`]
-//!   into every dump, so a post-mortem shows the heat picture at
-//!   failure time.
+//! * The observer's flight recording carries each shard's settled
+//!   windowed heat in every frame, so a post-mortem reads the heat
+//!   picture around a failure from the frames beside it.
 //!
 //! The windows themselves live with the rest of a shard's state, one
 //! per slot of the tier (`api/slot.rs`); this module is what they read

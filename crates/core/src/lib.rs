@@ -39,7 +39,9 @@ pub mod observer;
 pub mod service;
 pub mod watch;
 
-pub use api::{Autoscaler, Ngm, NgmHandle, NgmShutdown, ScaleDecision, ShardShutdown};
+pub use api::{
+    Autoscaler, FailureReason, Ngm, NgmHandle, NgmShutdown, ScaleDecision, ShardShutdown,
+};
 pub use config::{
     CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS,
     OWNER_BASE,

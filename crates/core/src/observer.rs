@@ -33,8 +33,9 @@ use ngm_telemetry::export::json_str;
 use ngm_telemetry::recorder::{FlightRecorder, DEFAULT_ROTATE_BYTES};
 use ngm_telemetry::server::{HttpServer, Response, Router};
 use ngm_telemetry::span::{reconstruct, SpanRecord};
+use ngm_telemetry::trace::TraceEvent;
 
-use crate::api::{Autoscaler, Ngm};
+use crate::api::{Autoscaler, FailureReason, Ngm};
 use crate::config::ObserverConfig;
 use crate::heat::ShardLifecycle;
 
@@ -276,20 +277,50 @@ fn spans_json(ngm: &Ngm) -> String {
     out
 }
 
-/// `/blackbox`: the in-memory ring of recent dumps, oldest first.
-fn blackbox_json(ngm: &Ngm) -> String {
-    let mut out = String::from("{\"dumps\":[");
-    for (i, d) in ngm.blackbox_dumps().iter().enumerate() {
+/// How many of the implicated shard's trace events `/blackbox` shows
+/// up to each failure.
+const FAILURE_TAIL: usize = 64;
+
+/// `/blackbox`: every failure edge still in the control ring, oldest
+/// first, each with the implicated shard's trace tail up to the
+/// failure's timestamp, read from the rings at request time. The rest
+/// of the picture (per-shard heat, ring occupancy,
+/// lifecycle, fallback count) is in the flight recording's frames.
+pub(crate) fn blackbox_json(ngm: &Ngm) -> String {
+    let mut traces: Vec<Option<Vec<TraceEvent>>> = vec![None; ngm.num_shards()];
+    let mut out = String::from("{\"failures\":[");
+    for (i, f) in ngm.failures().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        let shard = f.b as usize;
+        let reason = FailureReason::from_code(f.a).map_or("?", FailureReason::label);
         out.push_str(&format!(
-            "{{\"reason\":{},\"shard\":{},\"tsc\":{},\"text\":{}}}",
-            json_str(&d.reason),
-            d.shard,
-            d.tsc,
-            json_str(&d.render())
+            "{{\"reason\":{},\"shard\":{shard},\"tsc\":{},\"trace\":[",
+            json_str(reason),
+            f.tsc
         ));
+        // Peeked once per shard: every failure of a shard reads one copy.
+        let trace =
+            traces[shard].get_or_insert_with(|| ngm.shard_telemetry(shard).peek_trace(usize::MAX));
+        let end = trace.partition_point(|e| e.tsc <= f.tsc);
+        for (j, e) in trace[end.saturating_sub(FAILURE_TAIL)..end]
+            .iter()
+            .enumerate()
+        {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"tsc\":{},\"thread\":{},\"kind\":{},\"a\":{},\"b\":{}}}",
+                e.tsc,
+                e.thread,
+                json_str(e.kind.label()),
+                e.a,
+                e.b
+            ));
+        }
+        out.push_str("]}");
     }
     out.push_str("]}");
     out

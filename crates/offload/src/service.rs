@@ -519,7 +519,7 @@ impl<S: Service> ClientHandle<S> {
 
     /// Racy peek at this handle's request-slot protocol state
     /// (`"empty"`/`"request"`/`"serving"`/`"response"`), for diagnostics
-    /// like the blackbox dump — not a synchronization point.
+    /// — not a synchronization point.
     pub fn slot_state_label(&self) -> &'static str {
         self.slot.state_label()
     }
@@ -531,10 +531,16 @@ impl<S: Service> ClientHandle<S> {
 /// wedged shard into a typed error in bounded time.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(250);
 
+/// Most posts the service drains from one client per polling round. Not
+/// a setting: a sweep from 1 to 256 moved free throughput by nothing
+/// above noise, since every free batch already arrives as one post.
+const DRAIN_BATCH: usize = 64;
+
 /// Configuration for [`OffloadRuntime::try_start`]: a plain value with
 /// public fields, `Default`-able and `const`-friendly via
 /// [`RuntimeConfig::new`]. Every client's post ring is
-/// [`DEFAULT_RING_CELLS`] cells; that is not a setting.
+/// [`DEFAULT_RING_CELLS`] cells and a round drains at most 64 posts per
+/// client; neither is a setting.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Core to pin the service thread to; `None` leaves it floating. Pin
@@ -544,8 +550,6 @@ pub struct RuntimeConfig {
     /// Wait strategy for clients blocked on synchronous calls; `None`
     /// picks the machine-appropriate default at start time.
     pub client_wait: Option<WaitStrategy>,
-    /// Maximum posts drained from one client per polling round.
-    pub drain_batch: usize,
     /// Per-thread event-trace ring capacity (0 disables tracing). Rings
     /// drop their oldest event on overflow and count the drops.
     pub trace_capacity: usize,
@@ -575,7 +579,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             core: None,
             client_wait: None,
-            drain_batch: 64,
             trace_capacity: 0,
             profile: false,
             shard: 0,
@@ -592,7 +595,7 @@ impl RuntimeConfig {
 /// later respawn it on the same slot. Starting each epoch through
 /// [`OffloadRuntime::try_start_shared`] with the *same* handles keeps the
 /// slot's counters monotonic across epochs, keeps long-lived `Arc`
-/// borrows (metrics scrapers, blackbox dumps, fault injectors) valid
+/// borrows (metrics scrapers, observer endpoints, fault injectors) valid
 /// while the slot has no thread, and lets client handles from the old
 /// epoch keep reporting into the same books.
 #[derive(Debug, Clone)]
@@ -720,14 +723,7 @@ impl<S: Service> OffloadRuntime<S> {
         let thread = std::thread::Builder::new()
             .name(format!("ngm-service-{}", cfg.shard))
             .spawn(move || {
-                service_loop(
-                    service,
-                    thread_shared,
-                    service_trace,
-                    cfg.core,
-                    server_wait,
-                    cfg.drain_batch,
-                )
+                service_loop(service, thread_shared, service_trace, cfg.core, server_wait)
             })
             .map_err(|_| ServiceError::SpawnFailed)?;
         Ok(OffloadRuntime {
@@ -946,7 +942,6 @@ fn service_loop<S: Service>(
     trace: Option<Arc<TraceRing>>,
     core: Option<usize>,
     wait: WaitStrategy,
-    drain_batch: usize,
 ) -> S {
     if let Some(c) = core {
         shared
@@ -1059,7 +1054,7 @@ fn service_loop<S: Service>(
                     .fetch_add(1, Ordering::Relaxed);
             }
             occupancy += c.posts.len();
-            let drained = c.posts.drain(drain_batch, |m| service.post_ref(m));
+            let drained = c.posts.drain(DRAIN_BATCH, |m| service.post_ref(m));
             if drained > 0 {
                 work += drained;
                 shared
@@ -1153,6 +1148,23 @@ mod tests {
         Doubler { sum: 0, idles: 0 }
     }
 
+    /// The default runtime config with `edit` applied.
+    fn cfg(edit: impl FnOnce(&mut RuntimeConfig)) -> RuntimeConfig {
+        let mut cfg = RuntimeConfig::new();
+        edit(&mut cfg);
+        cfg
+    }
+
+    /// Yields until `done` holds; fails with `what` once `within` has
+    /// passed.
+    fn wait_until(within: Duration, what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + within;
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn single_client_roundtrip() {
         let rt = OffloadRuntime::start(doubler());
@@ -1173,11 +1185,9 @@ mod tests {
         rt.end_retire();
         assert_eq!(rt.health(), ShardHealth::Serving);
         rt.request_stop();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while rt.health() != ShardHealth::Down {
-            assert!(std::time::Instant::now() < deadline, "thread never exited");
-            std::thread::yield_now();
-        }
+        wait_until(Duration::from_secs(5), "thread never exited", || {
+            rt.health() == ShardHealth::Down
+        });
         assert_eq!(rt.health().label(), "down");
         let _ = rt.try_shutdown();
     }
@@ -1287,10 +1297,9 @@ mod tests {
         c.call(1);
         // The service bumps its counter after publishing the response, so
         // the client can get here first: wait for it, do not race it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while rt.stats().calls_served == 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        wait_until(Duration::from_secs(5), "call never counted", || {
+            rt.stats().calls_served > 0
+        });
         let s = rt.stats();
         assert_eq!(s.calls_served, 1);
         assert!(s.poll_rounds >= 1);
@@ -1318,14 +1327,7 @@ mod tests {
 
     #[test]
     fn tracing_captures_posts_refills_and_wait_transitions() {
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                trace_capacity: 256,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.trace_capacity = 256)).unwrap();
         let mut c = rt.register_client();
         for i in 0..10 {
             c.post(i);
@@ -1357,14 +1359,7 @@ mod tests {
     #[test]
     fn calls_emit_well_nested_spans_and_exact_phase_partition() {
         use ngm_telemetry::span::{reconstruct, POST_SPAN_BIT};
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                trace_capacity: 1024,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.trace_capacity = 1024)).unwrap();
         let mut c = rt.register_client();
         for i in 0..8 {
             c.call(i);
@@ -1455,14 +1450,7 @@ mod tests {
 
     #[test]
     fn profiling_attributes_service_and_client_cores() {
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                profile: true,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.profile = true)).unwrap();
         assert!(rt.telemetry().profiling_enabled());
         assert!(
             rt.telemetry().pmu_report().is_none(),
@@ -1506,10 +1494,7 @@ mod tests {
         // service column must cover every epoch, not only the last. A
         // long first epoch and a short second one: had the second
         // deposit replaced the first, the column would shrink.
-        let cfg = RuntimeConfig {
-            profile: true,
-            ..RuntimeConfig::new()
-        };
+        let cfg = cfg(|c| c.profile = true);
         let handles = RuntimeHandles::fresh(&cfg);
         let service = |h: &RuntimeHandles| {
             let rep = h.telemetry.pmu_report().expect("service reading deposited");
@@ -1564,14 +1549,7 @@ mod tests {
 
     #[test]
     fn ring_occupancy_gauge_moves() {
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                drain_batch: 1,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
         for i in 0..200 {
             c.post(i);
@@ -1643,10 +1621,7 @@ mod tests {
         }
         let rt = OffloadRuntime::try_start(
             DiesServing,
-            RuntimeConfig {
-                deadline: Some(Duration::from_millis(10)),
-                ..RuntimeConfig::new()
-            },
+            cfg(|c| c.deadline = Some(Duration::from_millis(10))),
         )
         .unwrap();
         let mut c = rt.register_client();
@@ -1795,14 +1770,9 @@ mod tests {
             c.post(i);
         }
         rt.request_stop();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while c.is_open() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "service never stopped"
-            );
-            std::thread::yield_now();
-        }
+        wait_until(Duration::from_secs(5), "service never stopped", || {
+            !c.is_open()
+        });
         // Work already in the ring was drained before the loop exited;
         // work posted after the stop is refused, not lost silently.
         assert_eq!(
@@ -1835,11 +1805,9 @@ mod tests {
         // the client is not stuck waiting on a reply that never comes.
         c.post(());
         // Wait for the death to become observable before shutting down.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while c.is_open() {
-            assert!(std::time::Instant::now() < deadline, "service never died");
-            std::thread::yield_now();
-        }
+        wait_until(Duration::from_secs(5), "service never died", || {
+            !c.is_open()
+        });
         drop(c);
         let failure = rt.try_shutdown().expect_err("service panicked");
         assert_eq!(failure.error, ServiceError::ServicePanicked);
@@ -1890,10 +1858,7 @@ mod tests {
                 posts: 0,
                 sum: 0,
             },
-            RuntimeConfig {
-                deadline: Some(deadline),
-                ..RuntimeConfig::new()
-            },
+            cfg(|c| c.deadline = Some(deadline)),
         )
         .unwrap();
         (rt, entered, release)
@@ -1975,14 +1940,7 @@ mod tests {
 
     #[test]
     fn no_deadline_config_restores_unbounded_calls() {
-        let rt = OffloadRuntime::try_start(
-            doubler(),
-            RuntimeConfig {
-                deadline: None,
-                ..RuntimeConfig::new()
-            },
-        )
-        .unwrap();
+        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.deadline = None)).unwrap();
         let mut c = rt.register_client();
         assert_eq!(c.try_call(21, CallKind::Single), Ok(42));
         assert_eq!(c.try_call(3, CallKind::Batched), Ok(6));
@@ -2005,11 +1963,9 @@ mod tests {
             }
         }
         let rt = OffloadRuntime::start(QuitEarly);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while !rt.is_finished() {
-            assert!(std::time::Instant::now() < deadline, "service never died");
-            std::thread::yield_now();
-        }
+        wait_until(Duration::from_secs(5), "service never died", || {
+            rt.is_finished()
+        });
         assert!(rt.stats().service_down);
         let _ = rt.try_shutdown().expect_err("thread panicked");
     }
@@ -2024,10 +1980,7 @@ mod tests {
         fn fast_deadline_runtime() -> OffloadRuntime<Doubler> {
             OffloadRuntime::try_start(
                 doubler(),
-                RuntimeConfig {
-                    deadline: Some(Duration::from_millis(20)),
-                    ..RuntimeConfig::new()
-                },
+                cfg(|c| c.deadline = Some(Duration::from_millis(20))),
             )
             .unwrap()
         }
@@ -2110,10 +2063,7 @@ mod tests {
         fn delay_below_budget_is_recoverable_latency() {
             let rt = OffloadRuntime::try_start(
                 doubler(),
-                RuntimeConfig {
-                    deadline: Some(Duration::from_secs(5)),
-                    ..RuntimeConfig::new()
-                },
+                cfg(|c| c.deadline = Some(Duration::from_secs(5))),
             )
             .unwrap();
             let mut c = rt.register_client();

@@ -157,7 +157,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     }
 
     /// A human-readable label for the current protocol state — a racy
-    /// peek for the blackbox flight recorder, not a synchronization point.
+    /// peek for diagnostics, not a synchronization point.
     #[must_use]
     pub fn state_label(&self) -> &'static str {
         match self.state.load(Ordering::Relaxed) {

@@ -179,8 +179,15 @@ impl RuntimeTelemetry {
         }
         let thread = self.next_thread.fetch_add(1, Ordering::Relaxed);
         let ring = Arc::new(TraceRing::new(thread, self.trace_capacity));
-        self.lock_rings().push(Arc::clone(&ring));
+        self.adopt_ring(Arc::clone(&ring));
         Some(ring)
+    }
+
+    /// Retains a ring built elsewhere — whatever its capacity and thread
+    /// id, and whether or not tracing is enabled — so draining, peeking
+    /// and the drop count cover it like the runtime's own.
+    pub fn adopt_ring(&self, ring: Arc<TraceRing>) {
+        self.lock_rings().push(ring);
     }
 
     fn lock_rings(&self) -> std::sync::MutexGuard<'_, Vec<Arc<TraceRing>>> {
@@ -216,9 +223,9 @@ impl RuntimeTelemetry {
     }
 
     /// Copies up to the `last` most recent events from every ring, merged
-    /// in timestamp order, *without* draining — the blackbox flight
-    /// recorder's read path: a post-mortem must not consume history that
-    /// a later `drain_trace` (or a second dump) still wants.
+    /// in timestamp order, *without* draining — the read of a post-mortem
+    /// view: it must not consume history that a later `drain_trace` (or
+    /// a second view) still wants.
     #[must_use]
     pub fn peek_trace(&self, last: usize) -> Vec<ngm_telemetry::trace::TraceEvent> {
         let rings: Vec<Arc<TraceRing>> = self.lock_rings().clone();

@@ -11,22 +11,18 @@
 //!   increment; percentiles are computed at snapshot time, off the hot
 //!   path.
 //! * [`trace::TraceRing`] — a bounded per-thread event ring for
-//!   alloc/free/post/refill/wait-transition events. Overflow drops the
-//!   oldest event and counts the drop; nothing is lost silently.
+//!   alloc/free/post/refill/wait-transition events (and, in a tier's
+//!   control ring, scaling decisions and failure edges). Overflow drops
+//!   the oldest event and counts the drop; nothing is lost silently, and
+//!   the storage never grows.
 //! * [`export::MetricsSnapshot`] — a named bag of counters, gauges
 //!   (plain and labeled), and histogram snapshots renderable as
 //!   Prometheus text exposition or a JSON document.
-//! * [`sites::SiteProfiler`] — a sampled (1-in-N) allocation-site heap
-//!   profiler: call-site hash → live bytes/blocks/peak, with a shutdown
-//!   leak report listing surviving sites.
 //! * [`span`] — request-lifecycle spans: phase codes, alias-free span
 //!   ids minted from the slot publish sequence, and reconstruction of
 //!   spans from drained trace rings.
 //! * [`window::HeatWindow`] — rolling-window aggregation of cumulative
 //!   shard samples into recent rates and windowed phase percentiles.
-//! * [`blackbox`] — a rate-limited post-mortem recorder that archives
-//!   the last-K trace events, slot states, and a heat snapshot on
-//!   request-path failures, retaining recent dumps in memory.
 //! * [`server::HttpServer`] — a minimal HTTP/1.0 server for live
 //!   observability endpoints (`/metrics`, `/heat`, `/readyz`, ...).
 //! * [`recorder::FlightRecorder`] — a continuous JSONL recorder that
@@ -37,13 +33,11 @@
 //! caveats); [`clock::cycles_per_ns`] calibrates a cycles→ns conversion
 //! once per process.
 
-pub mod blackbox;
 pub mod clock;
 pub mod export;
 pub mod hist;
 pub mod recorder;
 pub mod server;
-pub mod sites;
 pub mod span;
 pub mod trace;
 pub mod window;

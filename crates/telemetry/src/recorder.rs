@@ -1,7 +1,7 @@
 //! Continuous flight recorder: per-tick tier state as JSONL.
 //!
-//! The blackbox ([`crate::blackbox`]) answers "what just failed"; the
-//! flight recorder answers "what was the tier doing for the last ten
+//! A `Failure` trace event answers "what just failed"; the flight
+//! recorder answers "what was the tier doing for the last ten
 //! minutes". Every observer tick appends one [`RecordFrame`] — the
 //! serving-shard count, each slot's lifecycle state, windowed per-shard
 //! heat, and the tier-wide deadline/fallback/scale counters — as one

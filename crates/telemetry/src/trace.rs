@@ -33,9 +33,14 @@ pub enum TraceEventKind {
     Span,
     /// An elastic-tier scaling decision; `a` = decision code (1 = spawn,
     /// 2 = drain begun, 3 = retired, 4 = drain aborted), `b` = the shard
-    /// acted on. Recorded into the acting slot's trace ring so blackbox
-    /// dumps show the controller's recent moves.
+    /// acted on. Recorded into the tier's control ring, beside the
+    /// failures it may be answering.
     Scale,
+    /// A request-path failure edge; `a` = reason code (see `ngm-core`'s
+    /// `FailureReason`), `b` = the shard implicated. Recorded into the
+    /// tier's control ring, whose storage is allocated once, so
+    /// recording one never allocates.
+    Failure,
 }
 
 impl TraceEventKind {
@@ -50,6 +55,7 @@ impl TraceEventKind {
             TraceEventKind::WaitTransition => "wait_transition",
             TraceEventKind::Span => "span",
             TraceEventKind::Scale => "scale",
+            TraceEventKind::Failure => "failure",
         }
     }
 }
@@ -74,7 +80,10 @@ struct RingInner {
     dropped: u64,
 }
 
-/// A bounded ring of trace events (oldest dropped on overflow).
+/// A bounded ring of trace events (oldest dropped on overflow). Its
+/// storage is allocated once, at construction: a push at capacity pops
+/// the oldest event first, so the buffer never grows and a push never
+/// allocates.
 pub struct TraceRing {
     inner: Mutex<RingInner>,
     capacity: usize,
@@ -186,9 +195,8 @@ impl TraceRing {
     }
 
     /// Copies up to the `last` most recent events (oldest first) without
-    /// draining — the blackbox flight recorder's read: a post-mortem
-    /// snapshot must not consume the history someone else may still
-    /// drain.
+    /// draining — the read of a post-mortem view, which must not consume
+    /// the history someone else may still drain.
     #[must_use]
     pub fn peek(&self, last: usize) -> Vec<TraceEvent> {
         let g = self.lock();
@@ -256,6 +264,19 @@ mod tests {
         assert_eq!(TraceEventKind::WaitTransition.label(), "wait_transition");
         assert_eq!(TraceEventKind::Span.label(), "span");
         assert_eq!(TraceEventKind::Scale.label(), "scale");
+        assert_eq!(TraceEventKind::Failure.label(), "failure");
+    }
+
+    #[test]
+    fn a_full_ring_never_grows_its_storage() {
+        let r = TraceRing::new(0, 16);
+        let storage = r.lock().buf.capacity();
+        assert!(storage >= 16);
+        for i in 0..3 * 16 {
+            r.push(TraceEventKind::Failure, i, 0);
+            assert_eq!(r.lock().buf.capacity(), storage, "push {i} reallocated");
+        }
+        assert_eq!(r.dropped_total(), 2 * 16);
     }
 
     #[test]

@@ -67,6 +67,15 @@ fn large_allocations_roundtrip() {
 
 #[test]
 fn a_string_growing_inside_its_class_keeps_its_address() {
+    // Until the service starts serving, blocks come from the bootstrap
+    // arena, whose exact-sized blocks always move on `realloc`.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let served = || ngm_core::global::global_stats().map(|s| s.calls_served);
+    while served().unwrap_or(0) == 0 {
+        assert!(std::time::Instant::now() < deadline, "no call served");
+        drop(std::hint::black_box(vec![0u8; 9_000]));
+        std::thread::yield_now();
+    }
     // 9,000 and 10,000 bytes share the 10,240-byte class: `realloc`
     // hands the block back as it is.
     let mut s = String::with_capacity(9_000);

@@ -17,8 +17,8 @@
 //!
 //! The `faultinject` module adds the failure-path contracts: a
 //! dropped-then-retried request is *two* spans (ids never alias across
-//! retries), and a wedged shard trips the blackbox flight recorder into
-//! a dump that archives the shard's last-K events and a heat snapshot.
+//! retries), and a wedged shard's deadline is one failure event, which
+//! `/blackbox` renders with the shard's trace tail up to it.
 
 use std::alloc::Layout;
 use std::collections::{HashMap, HashSet};
@@ -456,7 +456,9 @@ mod faultinject {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use ngm_core::{FailureReason, ObserverConfig};
     use ngm_offload::{CallKind, OffloadRuntime, RuntimeConfig, Service, ServiceError};
+    use ngm_telemetry::server::http_get;
 
     #[derive(Debug)]
     struct Echo;
@@ -622,17 +624,12 @@ mod faultinject {
         assert!(down.clean() && down.balanced());
     }
 
-    /// Acceptance: a wedged shard trips the blackbox flight recorder.
-    /// The dump — mirrored to `NGM_BLACKBOX_PATH` — must carry the
-    /// wedged shard's last-K trace events and the heat snapshot, and the
-    /// allocation itself still succeeds by rerouting.
+    /// Acceptance: a wedged shard's deadline is a failure event naming
+    /// it, `/blackbox` renders that event with the wedged shard's trace
+    /// tail up to it, and the allocation itself still succeeds by
+    /// rerouting.
     #[test]
-    fn wedged_shard_writes_a_blackbox_dump() {
-        let path =
-            std::env::temp_dir().join(format!("ngm-blackbox-test-{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("NGM_BLACKBOX_PATH", &path);
-
+    fn wedged_shard_records_a_failure_event() {
         // Per-call handshake: the warm-up leaves nothing stashed, so the
         // allocation under the wedge has to ask the wedged shard.
         let ngm = Arc::new(
@@ -645,22 +642,21 @@ mod faultinject {
                 .build()
                 .expect("valid config"),
         );
+        let observer = ngm
+            .serve_observer(ObserverConfig::new("127.0.0.1:0"))
+            .expect("observer binds");
         let mut h = ngm.handle();
         let l = Layout::from_size_align(64, 8).expect("valid");
         let class = ngm_heap::size_to_class(64).expect("class exists");
         let victim = h.class_route(class);
 
-        // Warm the victim so its trace ring holds span events, and give
-        // the heat windows a frame so the dump's snapshot has data.
+        // Warm the victim so its trace ring holds span events.
         for _ in 0..16 {
             let p = h.alloc(l).expect("healthy alloc");
             // SAFETY: block just allocated, freed once.
             unsafe { h.dealloc(p, l) };
         }
-        ngm.tick();
 
-        // No rate-limiter reset needed: the limiter is per-tier now, and
-        // a fresh tier's first dump always passes it.
         ngm.fault_state(victim).set_wedged(true);
         let p = h.alloc(l).expect("tier reroutes around the wedge");
         ngm.fault_state(victim).set_wedged(false);
@@ -668,37 +664,29 @@ mod faultinject {
         unsafe { h.dealloc(p, l) };
         drop(h);
 
-        let dump = std::fs::read_to_string(&path).expect("blackbox file written");
-        assert!(
-            dump.contains(&format!("=== ngm blackbox: deadline (shard {victim}) ===")),
-            "dump names the failure and the wedged shard:\n{dump}"
+        let failures = ngm.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        let f = failures[0];
+        assert_eq!(
+            (FailureReason::from_code(f.a), f.b as usize),
+            (Some(FailureReason::Deadline), victim)
         );
-        assert!(dump.contains("--- shard states ---"), "{dump}");
-        assert!(
-            dump.contains(&format!("trace events (shard {victim})")),
-            "dump archives the wedged shard's events:\n{dump}"
-        );
-        assert!(
-            dump.contains("phase="),
-            "the wedged shard's span events are decoded:\n{dump}"
-        );
-        assert!(dump.contains("--- heat snapshot ---"), "{dump}");
-        assert!(
-            dump.contains("shard 0:") && dump.contains("score="),
-            "heat snapshot carries per-shard scores:\n{dump}"
-        );
-        assert!(dump.contains("=== end blackbox ==="), "{dump}");
 
-        // The same dump is retained in the tier's in-memory ring (what
-        // the observer's `/blackbox` endpoint serves).
-        let dumps = ngm.blackbox_dumps();
-        assert!(!dumps.is_empty(), "dump ring retained the emission");
-        let last = dumps.last().expect("nonempty");
-        assert_eq!(last.shard, victim);
-        assert_eq!(last.reason, "deadline");
+        let (status, body) = http_get(observer.addr(), "/blackbox").expect("blackbox reachable");
+        assert_eq!(status, 200);
+        assert!(
+            body.starts_with(&format!(
+                "{{\"failures\":[{{\"reason\":\"deadline\",\"shard\":{victim},\"tsc\":{},",
+                f.tsc
+            )),
+            "/blackbox names the failure and the wedged shard: {body}"
+        );
+        assert!(
+            body.contains("\"kind\":\"span\""),
+            "the wedged shard's span events are in its trace tail: {body}"
+        );
 
-        std::env::remove_var("NGM_BLACKBOX_PATH");
-        let _ = std::fs::remove_file(&path);
+        observer.stop();
         let ngm = Arc::into_inner(ngm).expect("all clones dropped");
         let down = ngm.shutdown();
         assert!(down.clean(), "unwedged tier shuts down in order");

@@ -73,7 +73,7 @@ fn endpoints_answer_on_a_live_tier() {
     let (status, body) = http_get(addr, "/blackbox").expect("blackbox reachable");
     assert_eq!(status, 200);
     assert!(
-        body.starts_with("{\"dumps\":["),
+        body.starts_with("{\"failures\":["),
         "blackbox envelope: {body}"
     );
 
