@@ -5,7 +5,6 @@
 //!
 //! EXPERIMENT: all (default) | fig1 | table1 | table2 | fig2 | table3
 //!           | model41 | ablations | batch | telemetry | pmu | shards
-//!           | elastic (shard count vs client ramp on the elastic tier)
 //!           | spans (request-lifecycle phase breakdown)
 //!           | obs (live observer endpoints + flight-recording replay)
 //!           | conns (connection server: blocking vs completion-based
@@ -15,8 +14,8 @@
 //!            stability from ~4)
 //! --no-prototype: skip the real-runtime wall-clock part of table3
 //! --hw: table1 and table2 additionally replay on the host PMU and
-//!       print sim and hardware columns side by side; shards, elastic,
-//!       spans, obs and conns arm PMU sessions on the run they already
+//!       print sim and hardware columns side by side; shards, spans,
+//!       obs and conns arm PMU sessions on the run they already
 //!       make and print its service-shard and client columns under the
 //!       table (columns are labeled /hw, or /sw where the host has no
 //!       PMU and the software fallback counted)
@@ -25,20 +24,20 @@
 //! An unknown experiment name prints the usage line and exits 2.
 
 use ngm_bench::experiments::{
-    ablations, conns, elastic, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1,
-    table2, table3, telemetry,
+    ablations, conns, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1, table2, table3,
+    telemetry,
 };
 use ngm_bench::Scale;
 
 /// Every name the command line accepts, as the usage line spells them
 /// (`batch` re-renders one ablation; `all` leaves it to `ablations`).
-const EXPERIMENTS: &str = "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|telemetry|pmu|shards|elastic|spans|obs|conns|faults";
+const EXPERIMENTS: &str = "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|telemetry|pmu|shards|spans|obs|conns|faults";
 
 fn usage() -> String {
     format!(
         "usage: repro [{EXPERIMENTS}]... [--scale N] [--no-prototype] [--hw]\n\
          --hw: PMU columns (/hw, or /sw without a PMU) for table1, table2, \
-         shards, elastic, spans, obs, conns"
+         shards, spans, obs, conns"
     )
 }
 
@@ -127,9 +126,6 @@ fn main() {
     }
     if want("shards") {
         println!("{}", shards::run(scale, with_hw).render());
-    }
-    if want("elastic") {
-        println!("{}", elastic::run(scale, with_hw).render());
     }
     if want("spans") {
         println!("{}", spans::run(scale, with_hw).render());

@@ -2,7 +2,6 @@
 
 pub mod ablations;
 pub mod conns;
-pub mod elastic;
 pub mod faults;
 pub mod fig1;
 pub mod fig2;

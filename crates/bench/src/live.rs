@@ -4,12 +4,11 @@
 //! Every live experiment has the same shape — build a tier, churn it
 //! from N client threads (perhaps ticking or scraping meanwhile), shut it
 //! down, check the books. The tier's configuration and the load are the
-//! experiment's own; [`drive`] is the client loop, [`settle`] the idle
-//! wait of the elastic experiments, [`finish`] the shutdown, and
-//! [`render_pmu`] the `--hw` section printed under whatever the run's
-//! report prints. Because a `--hw` table comes out of the same
-//! [`finish`] as the books, it is by construction a measurement of the
-//! run it is printed under.
+//! experiment's own; [`drive`] is the client loop, [`finish`] the
+//! shutdown, and [`render_pmu`] the `--hw` section printed under
+//! whatever the run's report prints. Because a `--hw` table comes out of
+//! the same [`finish`] as the books, it is by construction a measurement
+//! of the run it is printed under.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -122,32 +121,6 @@ pub fn drive(
 /// How often a [`drive`] with nothing to do meanwhile looks for its
 /// clients to finish (the returned seconds do not depend on it).
 pub const JOIN_POLL: Duration = Duration::from_millis(1);
-
-/// Waits, with no client traffic, until the elastic controller stops
-/// moving the serving-shard count (bounded), so drains run to
-/// completion; returns the settled count. `tick` runs once per
-/// `interval`: `|| { ngm.tick(); }` when the caller is the tier's clock,
-/// a no-op when a ticker thread is.
-pub fn settle(ngm: &Ngm, interval: Duration, mut tick: impl FnMut()) -> usize {
-    let mut serving = ngm.serving_shards().len();
-    let mut stable = 0u32;
-    for _ in 0..400 {
-        tick();
-        std::thread::sleep(interval);
-        let now = ngm.serving_shards().len();
-        if now == serving {
-            stable += 1;
-            // Several quiet evaluations past any sustain/drain window.
-            if stable > 24 {
-                break;
-            }
-        } else {
-            serving = now;
-            stable = 0;
-        }
-    }
-    serving
-}
 
 /// Shuts the tier down and returns its final books — and, in
 /// [`NgmShutdown::pmu`], the PMU report of a profiled tier, complete

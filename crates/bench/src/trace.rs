@@ -84,7 +84,6 @@ pub fn convert(trace: &[TraceEvent]) -> TraceConversion {
             | TraceEventKind::Refill
             | TraceEventKind::WaitTransition
             | TraceEventKind::Span
-            | TraceEventKind::Scale
             | TraceEventKind::Failure => {}
         }
     }

@@ -27,18 +27,6 @@ fn sim_class_table_is_a_prefix_of_the_heaps() {
 }
 
 #[test]
-fn predicted_width_uses_the_controllers_high_water_mark() {
-    // `predicted_shards` carries the mark as a literal (simalloc does
-    // not depend on core): the smallest client count that needs a second
-    // shard is the first whose load exceeds it.
-    let per_client = NgmModel::LOAD_PER_CLIENT;
-    let fits = (ngm_core::config::HIGH_WATER / per_client) as usize;
-    assert_eq!(NgmModel::predicted_shards(fits, 1, 8), 1);
-    assert_eq!(NgmModel::predicted_shards(fits + 1, 1, 8), 2);
-    assert_eq!(ngm_core::config::HIGH_WATER % per_client, 0);
-}
-
-#[test]
 fn table3_and_ablation_e_model_the_batch_that_ships() {
     assert_eq!(table3::SHIPPED_BATCH, ngm_core::MAX_BATCH);
     assert_eq!(

@@ -16,7 +16,6 @@ use super::routing::{Route, RouteOp};
 use super::slot::Tier;
 use super::tier::FailureReason;
 use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
-use crate::heat::ShardLifecycle;
 use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
 
 /// A per-thread endpoint to the allocator tier.
@@ -54,18 +53,12 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATC
 /// path, and two handles may route the same class differently without
 /// coordinating — frees are address-pure, so it cannot matter.
 pub struct NgmHandle {
-    /// The tier: its slots (stats, telemetry, orphan stacks, thread
-    /// cells — for lazy client (re-)registration as the elastic
-    /// controller spawns and retires shards) and the tier-wide state
-    /// (route generation, batch sizes, fallback heap, large-block ledger,
+    /// The tier: its slots (stats, telemetry, orphan stacks) and the
+    /// tier-wide state (batch sizes, fallback heap, large-block ledger,
     /// control ring). The handle's one reference into it.
     pub(super) tier: Arc<Tier>,
     /// This handle's half of every shard, indexed by slot.
     pub(super) ends: Box<[End]>,
-    /// The route generation this handle last synced at. One relaxed load
-    /// per operation compares it against the tier's; a mismatch triggers
-    /// [`NgmHandle::resync_routes`].
-    seen_generation: u64,
     /// How many submissions have left their slot (see
     /// [`NgmHandle::settled`]).
     settled: u64,
@@ -86,16 +79,10 @@ pub struct NgmHandle {
 
 /// A handle's own half of one shard: everything it keeps per slot, in
 /// one place (the slot's shared half is [`super::slot::Slot`]).
-#[derive(Default)]
 pub(super) struct End {
-    /// The client endpoint — `None` for a slot with no thread
-    /// (dormant/retired) or whose thread this handle has not yet
-    /// registered with.
-    pub(super) client: Option<ClientHandle<MallocService>>,
-    /// The slot epoch `client` was registered against; a mismatch with
-    /// the slot's current epoch means the client belongs to a joined
-    /// thread and must be re-registered.
-    epoch: u64,
+    /// The client endpoint, registered with the shard's thread when the
+    /// handle was built.
+    pub(super) client: ClientHandle<MallocService>,
     /// Small-block frees of this shard's blocks, awaiting one batched
     /// post to it — kept as the [`FreePost::Batch`] it will be posted as,
     /// so a flush sends it from here without moving it.
@@ -119,127 +106,50 @@ pub(super) struct End {
     riding: Option<AllocBatchReq>,
 }
 
+impl End {
+    fn new(client: ClientHandle<MallocService>) -> Self {
+        End {
+            client,
+            free_buf: FreePost::default(),
+            stash: 0,
+            published: 0,
+            pressure: 0,
+            failed: false,
+            riding: None,
+        }
+    }
+}
+
 impl NgmHandle {
-    /// A handle on `tier`, registered with every slot that has a thread.
+    /// A handle on `tier`, registered with every slot, its size classes
+    /// spread round-robin over the shards.
     pub(super) fn new(tier: Arc<Tier>) -> Self {
-        let ends = tier.slots.iter().enumerate().map(|(i, slot)| {
-            // A PMU session counts its whole thread; arming one handle
-            // per shard would re-count this thread once per shard, so
-            // only the shard-0 endpoint arms.
-            let (client, epoch) = slot.register(i == 0);
-            End {
-                client,
-                epoch,
-                ..End::default()
-            }
-        });
-        let mut handle = NgmHandle {
+        // A PMU session counts its whole thread; arming one handle per
+        // shard would re-count this thread once per shard, so only the
+        // shard-0 endpoint arms.
+        let ends = tier
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| End::new(slot.register(i == 0)));
+        let n = tier.slots.len();
+        NgmHandle {
             ends: ends.collect(),
-            seen_generation: tier.generation(),
             tier,
             settled: 0,
             magazines: [AddrBatch::empty(); NUM_CLASSES],
             mag_shard: [0u16; NUM_CLASSES],
-            class_shard: [0u16; NUM_CLASSES],
-        };
-        handle.recompute_class_routes();
-        handle
+            class_shard: std::array::from_fn(|c| (c % n) as u16),
+        }
     }
 
     pub(super) fn nshards(&self) -> usize {
         self.ends.len()
     }
 
-    /// `shard`'s persistent runtime counters — valid even when the slot
-    /// has no thread (and thus no client to reach them through).
+    /// `shard`'s runtime counters.
     pub(super) fn stats(&self, shard: usize) -> &RuntimeStats {
         &self.tier.slots[shard].handles.stats
-    }
-
-    /// One relaxed load per operation: when the tier's route generation
-    /// moved (a shard spawned, began draining, or retired), resync this
-    /// handle's clients and class routes. Static tiers never bump the
-    /// generation after build, so this stays a compare-and-branch.
-    #[inline]
-    fn maybe_resync(&mut self) {
-        let generation = self.tier.generation();
-        if generation != self.seen_generation {
-            self.resync_routes(generation);
-        }
-    }
-
-    /// Reconciles this handle with the tier's current lifecycle states:
-    /// registers clients to newly-serving slots (or re-registers across a
-    /// respawn epoch), hands a draining shard everything this handle
-    /// still owes it (buffered frees, stashed magazines) so its balance
-    /// can reach zero, drops clients to slots with no thread, and
-    /// re-spreads the class map over the serving set.
-    fn resync_routes(&mut self, generation: u64) {
-        self.seen_generation = generation;
-        for s in 0..self.nshards() {
-            match self.tier.state(s) {
-                ShardLifecycle::Serving => {
-                    let _ = self.ensure_client(s);
-                }
-                ShardLifecycle::Draining => {
-                    self.settle_nb(s);
-                    let _ = self.flush_shard(s, true);
-                    self.return_magazines_from(s);
-                }
-                ShardLifecycle::Dormant | ShardLifecycle::Retired => {
-                    self.settle_nb(s);
-                    self.ends[s].client = None;
-                }
-            }
-        }
-        self.recompute_class_routes();
-    }
-
-    /// Makes sure `ends[s].client` is a client of the slot's *current*
-    /// thread; returns `false` when the slot has no thread.
-    pub(super) fn ensure_client(&mut self, s: usize) -> bool {
-        if self.ends[s].client.is_some() && self.ends[s].epoch == self.tier.slots[s].epoch() {
-            return true;
-        }
-        // The old client (if any) belongs to a joined thread: whatever
-        // non-blocking submission still rode its slot can never complete.
-        // Take it back unserved if possible; count the loss otherwise.
-        if self.ends[s].riding.is_some() {
-            let retracted = self.ends[s]
-                .client
-                .as_mut()
-                .is_some_and(ClientHandle::retract);
-            self.release_slot(s);
-            if !retracted {
-                self.stats(s).record_post_dropped();
-            }
-        }
-        // Same PMU rule as handle construction: only the shard-0
-        // endpoint arms, so this thread is counted once.
-        let (client, epoch) = self.tier.slots[s].register(s == 0);
-        let end = &mut self.ends[s];
-        end.client = client;
-        if end.client.is_some() {
-            end.epoch = epoch;
-            // A respawned slot is a fresh thread: clear the grudges held
-            // against its predecessor.
-            end.failed = false;
-            end.pressure = 0;
-        }
-        end.client.is_some()
-    }
-
-    /// Returns every magazine refilled by `source` to it, so a draining
-    /// shard gets its stashed blocks back.
-    fn return_magazines_from(&mut self, source: usize) {
-        for ci in 0..NUM_CLASSES {
-            if self.mag_shard[ci] as usize == source && !self.magazines[ci].is_empty() {
-                let unused = FreePost::MagazineReturn(std::mem::take(&mut self.magazines[ci]));
-                self.ends[source].stash -= unused.addrs().len() as i64;
-                let _ = self.post_routed(source, Some(&unused), true);
-            }
-        }
-        self.publish_occupancy(source);
     }
 
     /// The shard that owns `ptr`, read from its segment header — a pure
@@ -261,13 +171,9 @@ impl NgmHandle {
     }
 
     /// Pushes one event onto `shard`'s client trace ring, when tracing
-    /// is on and the handle has a client there.
+    /// is on.
     fn trace(&self, shard: usize, kind: TraceEventKind, a: u64, b: u64) {
-        if let Some(ring) = self.ends[shard]
-            .client
-            .as_ref()
-            .and_then(ClientHandle::trace_ring)
-        {
+        if let Some(ring) = self.ends[shard].client.trace_ring() {
             ring.push(kind, a, b);
         }
     }
@@ -300,7 +206,7 @@ impl NgmHandle {
     /// is needed it is *submitted* rather than awaited: the call returns
     /// [`NgmError::WouldBlock`] and a later `try_alloc` (or a poll of an
     /// [`crate::nonblocking::AllocFuture`]) collects the response from
-    /// the slot. Dead, draining, and deadlined shards are routed around
+    /// the slot. Dead and deadlined shards are routed around
     /// by the same step as in the blocking form — only the *wait* is
     /// removed, so the `allocs == frees` ledger and every
     /// reroute/fallback rule are shared.
@@ -319,13 +225,11 @@ impl NgmHandle {
         if layout.size() == 0 {
             return Err(AllocError::ZeroSize.into());
         }
-        self.maybe_resync();
         match layout_to_class(layout.size(), layout.align()) {
             Some(class) => self.alloc_from_magazine(class, layout, wait),
             None => {
                 let ptr = self.tier.large.allocate(layout)?;
-                // Slot 0 is on the resident floor: its client ring exists
-                // whatever the elastic controller has done since.
+                // Large blocks are traced on slot 0's client ring.
                 self.trace(0, TraceEventKind::Alloc, layout.size() as u64, 0);
                 Ok(ptr)
             }
@@ -379,15 +283,11 @@ impl NgmHandle {
         };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;
-            let cause = if self.ensure_client(shard) {
-                match self.request(shard, what, wait) {
-                    // An empty batch is the service reporting exhaustion.
-                    Ok(()) if self.magazines[ci].is_empty() => break,
-                    Ok(()) => return Ok(()),
-                    Err(e) => Some(e),
-                }
-            } else {
-                None
+            let cause = match self.request(shard, what, wait) {
+                // An empty batch is the service reporting exhaustion.
+                Ok(()) if self.magazines[ci].is_empty() => break,
+                Ok(()) => return Ok(()),
+                Err(e) => e,
             };
             match self.route(shard, cause, RouteOp::Refill(ci)) {
                 Route::Retry(_) => {}
@@ -407,8 +307,8 @@ impl NgmHandle {
         self.tier.fallback.allocate(layout)
     }
 
-    /// One refill round on `shard` (whose client the caller just
-    /// ensured) for a class whose magazine is empty: settles whatever
+    /// One refill round on `shard` for a class whose magazine is empty:
+    /// settles whatever
     /// rides the slot — which may be this class's own refill, from an
     /// earlier `WouldBlock`, and then the magazine is stocked and nothing
     /// more is sent — then submits `what` and collects its response
@@ -434,11 +334,10 @@ impl NgmHandle {
         } else {
             CallKind::Single
         };
-        let client = self.ends[shard]
+        self.ends[shard]
             .client
-            .as_mut()
-            .expect("client just ensured");
-        client.submit(what, kind).map_err(|(_, e)| e)?;
+            .submit(what, kind)
+            .map_err(|(_, e)| e)?;
         match self.absorb(shard, what, wait) {
             Ok(()) => {
                 self.settled += 1;
@@ -461,13 +360,6 @@ impl NgmHandle {
         let Some(riding) = self.ends[shard].riding else {
             return Ok(());
         };
-        if self.ends[shard].client.is_none() {
-            // The client is gone (resync dropped it): the request can
-            // never complete. Clear it so the route is usable again.
-            self.release_slot(shard);
-            self.stats(shard).record_post_dropped();
-            return Ok(());
-        }
         match self.absorb(shard, riding, wait) {
             Err(ServiceError::WouldBlock) => Err(ServiceError::WouldBlock),
             outcome => {
@@ -511,10 +403,7 @@ impl NgmHandle {
                 0
             }
         };
-        let client = self.ends[shard]
-            .client
-            .as_mut()
-            .expect("a request is in flight on this client");
+        let client = &mut self.ends[shard].client;
         let got = if wait {
             client.wait(client.deadline(), stock)?
         } else {
@@ -533,7 +422,7 @@ impl NgmHandle {
         Ok(())
     }
 
-    /// Resolves `shard`'s riding request before its client goes away:
+    /// Resolves `shard`'s riding request before the handle goes away:
     /// retract if the service has not claimed it, otherwise wait out the
     /// (imminent) response so no allocated block leaks. Only the
     /// shard-death edge — service gone mid-serve — abandons the request,
@@ -543,7 +432,7 @@ impl NgmHandle {
         if end.riding.is_none() {
             return;
         }
-        if end.client.as_mut().is_some_and(ClientHandle::retract) {
+        if end.client.retract() {
             self.release_slot(shard);
         } else if self.collect(shard, true).is_err() {
             self.stats(shard).record_post_dropped();
@@ -555,7 +444,6 @@ impl NgmHandle {
     /// a submission queue (or any manual `try_alloc` retry loop) calls
     /// between wakes.
     pub fn nb_pump(&mut self) -> usize {
-        self.maybe_resync();
         let mut completed = 0;
         for shard in 0..self.nshards() {
             if self.ends[shard].riding.is_some() && self.collect(shard, false).is_ok() {
@@ -592,15 +480,12 @@ impl NgmHandle {
     /// are possible and harmless under the `Future` contract.
     pub fn register_waker(&self, waker: &std::task::Waker) {
         for end in self.ends.iter().filter(|e| e.riding.is_some()) {
-            if let Some(client) = end.client.as_ref() {
-                client.register_waker(waker);
-            }
+            end.client.register_waker(waker);
         }
     }
 
     /// Records the submission-queue depth observed at a pump boundary
-    /// into the tier's `ngm_submit_depth` histogram (slot 0's hub — the
-    /// resident floor always exists).
+    /// into the tier's `ngm_submit_depth` histogram (slot 0's hub).
     pub fn record_submit_depth(&self, depth: u64) {
         let hub = &self.tier.slots[0].handles.telemetry;
         hub.submit_depth.record(depth);
@@ -651,7 +536,6 @@ impl NgmHandle {
         layout: Layout,
         wait: bool,
     ) -> Result<(), NgmError> {
-        self.maybe_resync();
         if layout_to_class(layout.size(), layout.align()).is_none() {
             // SAFETY: forwarded contract — a live large block this tier's
             // ledger mapped for `layout`, relinquished by the caller.
@@ -714,11 +598,10 @@ impl NgmHandle {
     /// Posts to one shard — `unused` blocks going home from a magazine,
     /// or else the shard's own free buffer — feeding ring pressure into
     /// the rebalance logic and never losing a free: `Ok` means the blocks
-    /// are the tier's now. A shard with no thread, or whose ring stayed
-    /// full past the deadline, has them diverted to its orphan stack
-    /// (reclaimed on its next idle round, at respawn, or at shutdown) so
-    /// accounting stays exact; a dead shard's are written off and counted
-    /// by the offload layer. Only without `wait` can a *full ring* refuse
+    /// are the tier's now. A shard whose ring stayed full past the
+    /// deadline has them diverted to its orphan stack (reclaimed on its
+    /// next idle round, or at shutdown) so accounting stays exact; a dead
+    /// shard's are written off and counted by the offload layer. Only without `wait` can a *full ring* refuse
     /// — the message never left the caller — as [`NgmError::WouldBlock`].
     fn post_routed(
         &mut self,
@@ -726,28 +609,26 @@ impl NgmHandle {
         unused: Option<&FreePost>,
         wait: bool,
     ) -> Result<(), NgmError> {
-        let cause = if self.ensure_client(shard) {
-            let patience = if wait {
-                PostWait::Deadline
-            } else {
-                PostWait::Never
-            };
-            let end = &mut self.ends[shard];
-            let client = end.client.as_mut().expect("client just ensured");
-            match client.try_post(unused.unwrap_or(&end.free_buf), patience) {
-                Ok(full_retries) => {
-                    self.note_pressure(shard, full_retries);
-                    return Ok(());
-                }
-                Err(cause) => Some(cause),
-            }
+        let patience = if wait {
+            PostWait::Deadline
         } else {
-            None
+            PostWait::Never
         };
-        if cause.is_some() && self.route(shard, cause, RouteOp::Post) == Route::Busy {
+        let end = &mut self.ends[shard];
+        let cause = match end
+            .client
+            .try_post(unused.unwrap_or(&end.free_buf), patience)
+        {
+            Ok(full_retries) => {
+                self.note_pressure(shard, full_retries);
+                return Ok(());
+            }
+            Err(cause) => cause,
+        };
+        if self.route(shard, cause, RouteOp::Post) == Route::Busy {
             return Err(NgmError::WouldBlock);
         }
-        if cause != Some(ServiceError::ServiceStopped) {
+        if cause != ServiceError::ServiceStopped {
             let msg = unused.unwrap_or(&self.ends[shard].free_buf);
             Self::orphan(&self.tier, shard, msg.addrs(), msg.is_unused());
         }
@@ -817,7 +698,7 @@ impl NgmHandle {
     /// per shard (`allocs == frees`) with batching on. What [`Drop`]
     /// does, and what the global hook does to an exiting thread's handle
     /// before parking it for the next thread: an emptied handle holds no
-    /// block of any shard, so it never keeps a draining one waiting.
+    /// block of any shard.
     pub(crate) fn empty(&mut self) {
         // Settle in-flight non-blocking submissions first: a batch that
         // lands after this point would have no magazine to live in, and
@@ -826,8 +707,16 @@ impl NgmHandle {
             self.settle_nb(shard);
         }
         self.flush_frees();
+        for ci in 0..NUM_CLASSES {
+            if !self.magazines[ci].is_empty() {
+                let source = self.mag_shard[ci] as usize;
+                let unused = FreePost::MagazineReturn(std::mem::take(&mut self.magazines[ci]));
+                self.ends[source].stash -= unused.addrs().len() as i64;
+                let _ = self.post_routed(source, Some(&unused), true);
+            }
+        }
         for shard in 0..self.nshards() {
-            self.return_magazines_from(shard);
+            self.publish_occupancy(shard);
         }
     }
 }

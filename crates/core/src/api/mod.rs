@@ -21,13 +21,11 @@
 //!   to survivors, frees owed to the dead shard are dropped and counted
 //!   (`posts_dropped`), and the tier keeps serving.
 
-mod elastic;
 mod handle;
 mod routing;
 mod slot;
 mod tier;
 
-pub use elastic::{Autoscaler, ScaleDecision};
 pub use handle::NgmHandle;
 pub use tier::{FailureReason, Ngm, NgmShutdown, ShardShutdown};
 

@@ -4,11 +4,11 @@
 //! through.
 
 use ngm_heap::classes::SizeClass;
-use ngm_offload::{ClientHandle, ServiceError};
+use ngm_offload::ServiceError;
 
 use super::handle::NgmHandle;
 use super::tier::FailureReason;
-use crate::heat::{pick_coolest, ShardLifecycle};
+use crate::heat::pick_coolest;
 
 /// What an operation that could not proceed on its shard does next, as
 /// decided by [`NgmHandle::route`].
@@ -42,39 +42,14 @@ impl NgmHandle {
     /// moves its allocation traffic elsewhere.
     const REBALANCE_PRESSURE: u32 = 64;
 
-    /// Recomputes the class → shard spread over the serving shards this
-    /// handle can route to.
-    pub(super) fn recompute_class_routes(&mut self) {
-        let (tier, ends) = (&self.tier, &self.ends);
-        let serving = (0..ends.len())
-            .filter(|&s| tier.state(s) == ShardLifecycle::Serving && !ends[s].failed);
-        // Round-robin over the serving set; nothing moves when it is
-        // empty (`zip` stops at once).
-        for (slot, shard) in self.class_shard.iter_mut().zip(serving.cycle()) {
-            *slot = shard as u16;
-        }
-    }
-
     /// The next slot after `from` this handle could route allocations to
-    /// (serving, not written off, client reachable and open); `from`
-    /// itself when none exists.
-    pub(super) fn next_route_candidate(&mut self, from: usize) -> usize {
+    /// (not written off, its ring open); `from` itself when none exists.
+    pub(super) fn next_route_candidate(&self, from: usize) -> usize {
         let n = self.nshards();
-        for step in 1..n {
-            let cand = (from + step) % n;
-            if self.ends[cand].failed || self.tier.state(cand) != ShardLifecycle::Serving {
-                continue;
-            }
-            if self.ensure_client(cand)
-                && self.ends[cand]
-                    .client
-                    .as_ref()
-                    .is_some_and(ClientHandle::is_open)
-            {
-                return cand;
-            }
-        }
-        from
+        (1..n)
+            .map(|step| (from + step) % n)
+            .find(|&cand| !self.ends[cand].failed && self.ends[cand].client.is_open())
+            .unwrap_or(from)
     }
 
     /// Where this handle currently sends allocation traffic for `class`.
@@ -83,7 +58,7 @@ impl NgmHandle {
     }
 
     /// Routes future allocations of `class` to `shard`, exactly as a
-    /// rebalance or controller-driven resync would — the deterministic
+    /// rebalance would — the deterministic
     /// hook for tests that interleave explicit class→shard map migrations
     /// with traffic. Frees are unaffected: they route by address.
     ///
@@ -138,10 +113,7 @@ impl NgmHandle {
         let candidates = (0..n)
             .filter(|&s| {
                 let end = &self.ends[s];
-                s != overloaded
-                    && !end.failed
-                    && self.tier.state(s) == ShardLifecycle::Serving
-                    && end.client.as_ref().is_none_or(ClientHandle::is_open)
+                s != overloaded && !end.failed && end.client.is_open()
             })
             .map(|s| {
                 let heat = self.tier.slots[s].windowed().score();
@@ -163,47 +135,36 @@ impl NgmHandle {
     }
 
     /// The single routing step: what to do after `shard` refused an
-    /// operation with `cause` (`None`: the slot has no service thread).
+    /// operation with `cause`.
     ///
-    /// * no thread — route on to the next candidate;
     /// * [`ServiceError::WouldBlock`] — transient, [`Route::Busy`] (a full
     ///   ring also feeds the shard's rebalance pressure);
     /// * [`ServiceError::Deadline`] — slow, not dead: a failure event, move
     ///   this handle's allocation traffic to the coolest shard, try the
     ///   next candidate; the shard rejoins the rotation as soon as
     ///   routing sends traffic back its way;
-    /// * [`ServiceError::ShardRetiring`] — draining, not dead: the same
-    ///   without the event;
     /// * anything else — the shard is gone: [`NgmHandle::fail_over`].
     ///
     /// [`Route::Exhausted`] when no other candidate exists.
-    pub(super) fn route(
-        &mut self,
-        shard: usize,
-        cause: Option<ServiceError>,
-        op: RouteOp,
-    ) -> Route {
+    pub(super) fn route(&mut self, shard: usize, cause: ServiceError, op: RouteOp) -> Route {
         let next = match cause {
-            None => self.next_route_candidate(shard),
-            Some(ServiceError::WouldBlock) => {
+            ServiceError::WouldBlock => {
                 if op == RouteOp::Post {
                     self.note_pressure(shard, 1);
                 }
                 return Route::Busy;
             }
-            Some(slow @ (ServiceError::Deadline { .. } | ServiceError::ShardRetiring { .. })) => {
-                if matches!(slow, ServiceError::Deadline { .. }) {
-                    let reason = if op == RouteOp::Post {
-                        FailureReason::PostDeadline
-                    } else {
-                        FailureReason::Deadline
-                    };
-                    self.tier.record_failure(reason, shard);
-                }
+            ServiceError::Deadline { .. } => {
+                let reason = if op == RouteOp::Post {
+                    FailureReason::PostDeadline
+                } else {
+                    FailureReason::Deadline
+                };
+                self.tier.record_failure(reason, shard);
                 self.rebalance_away_from(shard);
                 self.next_route_candidate(shard)
             }
-            Some(_) => self.fail_over(shard),
+            _ => self.fail_over(shard),
         };
         if let RouteOp::Refill(ci) = op {
             self.class_shard[ci] = next as u16;

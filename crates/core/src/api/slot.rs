@@ -2,15 +2,15 @@
 //! the state [`Ngm`](super::Ngm) and every
 //! [`NgmHandle`](super::NgmHandle) share through a single `Arc`.
 //!
-//! A slot's *service* (heap, owner stamp, orphan stack) is created once
-//! and lives for the tier's whole life; what comes and goes is the
-//! *thread*. Everything else that persists for the slot — counters,
-//! telemetry, the retiring gate, fault knobs, the heap and demand
-//! mirrors, the lifecycle state, the heat window, the pinned core — sits
-//! beside the thread cell in the same struct, so a shard's life is
-//! [`Slot::spawn`] → [`Slot::stop`] and nothing about it lives elsewhere.
+//! A slot's thread starts when the tier is built and runs until
+//! [`Ngm::shutdown`](super::Ngm::shutdown) joins it ([`Slot::stop`]), or
+//! until [`Ngm::stop_shard`](super::Ngm::stop_shard) tells it to exit
+//! early. Everything else that persists for the shard — counters,
+//! telemetry, fault knobs, the orphan stack, the heap and demand
+//! mirrors, the heat window — sits beside the thread cell in the same
+//! struct, readable whether or not the thread still runs.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ngm_heap::{DeadBlockStack, FallbackHeap, HeapStats, LargeBlocks};
@@ -22,28 +22,17 @@ use ngm_telemetry::window::{HeatFrame, HeatWindow};
 use super::lock;
 use super::tier::FailureReason;
 use crate::config::{CorePlacement, NgmConfig, FALLBACK_OWNER};
-use crate::heat::{HeatReport, ShardHeat, ShardLifecycle};
+use crate::heat::{HeatReport, ShardHeat};
 use crate::service::MallocService;
 use crate::watch::{SharedDemand, SharedHeapStats};
 
 /// One service-shard slot.
 pub(crate) struct Slot {
     shard: usize,
-    /// Where the slot's thread is pinned, when it is.
-    core: Option<usize>,
-    /// The running thread. While it runs `parked` is `None`; while the
-    /// slot is dormant or retired it is the other way around.
+    /// The running thread, from build until [`Slot::stop`] takes it.
     runtime: Mutex<Option<OffloadRuntime<MallocService>>>,
-    parked: Mutex<Option<MallocService>>,
-    /// Counts spawns, so a handle can tell a client registered against a
-    /// previous thread from a current one.
-    epoch: AtomicU64,
-    /// Why [`Slot::stop`] could not recover the service (its thread
-    /// panicked); reported at final shutdown.
-    failure: Mutex<Option<ServiceError>>,
-    /// Stats, telemetry, retiring gate and fault knobs, shared by every
-    /// epoch of this slot (see [`RuntimeHandles`]) — valid when the slot
-    /// has no thread, and thus no client to reach them through.
+    /// Stats, telemetry and fault knobs — readable without the runtime,
+    /// and after its thread is gone.
     pub(super) handles: RuntimeHandles,
     /// Where undeliverable frees of this shard's blocks are diverted.
     pub(super) orphans: Arc<DeadBlockStack>,
@@ -51,35 +40,32 @@ pub(crate) struct Slot {
     /// per-class refill demand, readable while its thread owns it.
     heap_watch: Arc<SharedHeapStats>,
     demand: Arc<SharedDemand>,
-    /// The [`ShardLifecycle`] (as `u8`), written under the controller
-    /// lock and at spawn, read by every handle's route resync.
-    state: AtomicU8,
     heat: Mutex<HeatWindow>,
 }
 
 impl Slot {
-    fn new(shard: usize, core: Option<usize>, cfg: &RuntimeConfig) -> Self {
+    /// Builds shard `cfg.shard`'s service and starts its thread.
+    fn start(cfg: RuntimeConfig) -> Result<Self, ServiceError> {
         let orphans = Arc::new(DeadBlockStack::new());
-        let service = MallocService::for_shard(shard as u16, Arc::clone(&orphans));
-        Slot {
-            shard,
-            core,
-            runtime: Mutex::new(None),
-            // Keep observing the heap (and refill demand) after the
-            // service thread takes the service away from us.
-            heap_watch: Arc::clone(service.heap_watch()),
-            demand: Arc::clone(service.demand_watch()),
-            parked: Mutex::new(Some(service)),
-            epoch: AtomicU64::new(0),
-            failure: Mutex::new(None),
-            handles: RuntimeHandles::fresh(cfg),
+        let service = MallocService::for_shard(cfg.shard as u16, Arc::clone(&orphans));
+        // Keep observing the heap (and refill demand) after the service
+        // thread takes the service away from us.
+        let heap_watch = Arc::clone(service.heap_watch());
+        let demand = Arc::clone(service.demand_watch());
+        let handles = RuntimeHandles::fresh(&cfg);
+        let runtime = OffloadRuntime::try_start_shared(service, cfg, &handles)?;
+        Ok(Slot {
+            shard: cfg.shard,
+            runtime: Mutex::new(Some(runtime)),
+            handles,
             orphans,
-            state: AtomicU8::new(ShardLifecycle::Dormant as u8),
+            heap_watch,
+            demand,
             heat: Mutex::new(HeatWindow::default()),
-        }
+        })
     }
 
-    /// Runs `f` on the slot's runtime; `None` when it has no thread.
+    /// Runs `f` on the slot's runtime; `None` once [`Slot::stop`] took it.
     pub(super) fn with_runtime<R>(
         &self,
         f: impl FnOnce(&OffloadRuntime<MallocService>) -> R,
@@ -87,80 +73,26 @@ impl Slot {
         lock(&self.runtime).as_ref().map(f)
     }
 
-    /// Registers a client with the slot's current thread, if it has one,
-    /// and reports the epoch that client belongs to.
-    pub(super) fn register(&self, pmu: bool) -> (Option<ClientHandle<MallocService>>, u64) {
-        let runtime = lock(&self.runtime);
-        let client = runtime.as_ref().map(|rt| rt.register_client_with_pmu(pmu));
-        (client, self.epoch.load(Ordering::Acquire))
+    /// Registers a client with the slot's thread.
+    pub(super) fn register(&self, pmu: bool) -> ClientHandle<MallocService> {
+        self.with_runtime(|rt| rt.register_client_with_pmu(pmu))
+            .expect("a slot runs until the tier shuts down")
     }
 
-    /// The current spawn count.
-    pub(super) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Takes the parked service and gives it a (new) thread, configured
-    /// from the tier's template `cfg` plus this slot's placement. The
-    /// slot's stats, telemetry and fault knobs carry over; the epoch bump
-    /// tells handles their old clients are stale. A no-op on a slot that
-    /// already runs.
-    pub(super) fn spawn(&self, cfg: RuntimeConfig) -> Result<(), ServiceError> {
-        let mut runtime = lock(&self.runtime);
-        if runtime.is_some() {
-            return Ok(());
-        }
-        let service = lock(&self.parked).take().ok_or(ServiceError::SpawnFailed)?;
-        let cfg = RuntimeConfig {
-            core: self.core,
-            shard: self.shard,
-            ..cfg
-        };
-        *runtime = Some(OffloadRuntime::try_start_shared(
-            service,
-            cfg,
-            &self.handles,
-        )?);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// Stops the slot's thread, if it has one, and recovers its service:
-    /// the thread drains its rings and is joined, the orphans pushed
-    /// since its last idle round (deadline-rerouted frees, teardown
-    /// races) are reclaimed now that the service is ours again, and the
-    /// service parks for a later respawn or the final books. A thread
-    /// that panicked leaves its [`ServiceError`] instead. The one way a
-    /// shard stops, whether the controller retires it or the tier shuts
-    /// down.
-    pub(super) fn stop(&self) {
-        let Some(runtime) = lock(&self.runtime).take() else {
-            return;
-        };
-        match runtime.try_shutdown() {
-            Ok((mut service, _)) => {
-                service.reclaim_orphans();
-                *lock(&self.parked) = Some(service);
-            }
-            Err(failure) => *lock(&self.failure) = Some(failure.error),
-        }
-    }
-
-    /// Whether a service is parked here, ready for [`Slot::spawn`].
-    pub(super) fn is_parked(&self) -> bool {
-        lock(&self.parked).is_some()
-    }
-
-    /// Takes the parked service (with whatever was orphaned to it while
-    /// it had no thread reclaimed) and the stored failure: the slot's
-    /// last word, for [`Ngm::shutdown`](super::Ngm::shutdown) after
-    /// [`Slot::stop`].
-    pub(super) fn take_parked(&self) -> (Option<MallocService>, Option<ServiceError>) {
-        let mut service = lock(&self.parked).take();
-        if let Some(service) = &mut service {
-            service.reclaim_orphans();
-        }
-        (service, lock(&self.failure).take())
+    /// Stops the slot's thread and recovers its service: the thread
+    /// drains its rings and is joined, and the orphans pushed since its
+    /// last idle round (deadline-rerouted frees, teardown races) are
+    /// reclaimed now that the service is ours again. A thread that
+    /// panicked leaves its [`ServiceError`] instead. The one way a
+    /// shard's thread is joined: [`Ngm::shutdown`](super::Ngm::shutdown)
+    /// calls it once per slot.
+    pub(super) fn stop(&self) -> Result<MallocService, ServiceError> {
+        let runtime = lock(&self.runtime)
+            .take()
+            .ok_or(ServiceError::AlreadyShutDown)?;
+        let (mut service, _) = runtime.try_shutdown().map_err(|failure| failure.error)?;
+        service.reclaim_orphans();
+        Ok(service)
     }
 
     /// The service heap as last published from an idle round.
@@ -168,28 +100,10 @@ impl Slot {
         self.heap_watch.load()
     }
 
-    /// Whether the shard has handed every block back: the service heap
-    /// balances, nothing is left in its rings, no handle still stashes
-    /// its blocks in a magazine, and its orphan stack is drained.
-    pub(super) fn is_drained(&self) -> bool {
-        let heap = self.heap_mirror();
-        let stats = self.handles.stats.snapshot();
-        heap.total_allocs == heap.total_frees
-            && self.orphans.pushed() == self.orphans.drained()
-            && stats.ring_occupancy == 0
-            && stats.magazine_occupancy == 0
-    }
-
-    /// The slot's current lifecycle state (racy read; transitions are
-    /// serialized by the controller lock).
-    pub(crate) fn state(&self) -> ShardLifecycle {
-        ShardLifecycle::from_u8(self.state.load(Ordering::Acquire))
-    }
-
     /// Samples the slot's cumulative counters into its heat window: one
     /// frame per [`Ngm::tick`](super::Ngm::tick). The counters live in
-    /// the persistent handles, so a dormant slot samples as zeros and a
-    /// respawned slot's window stays monotonic across epochs.
+    /// the slot's handles, so a shard whose thread has exited still
+    /// samples.
     pub(super) fn sample(&self, fallbacks: u64) {
         let stats = self.handles.stats.snapshot();
         let phases = &self.handles.telemetry.phase_cycles;
@@ -206,7 +120,7 @@ impl Slot {
     }
 
     /// Appends a cumulative sample: the window's only writer
-    /// ([`Slot::sample`], and the `inject_heat` test hook).
+    /// ([`Slot::sample`], and tests that steer the heat by hand).
     pub(super) fn push_frame(&self, frame: HeatFrame) {
         lock(&self.heat).push(frame);
     }
@@ -224,9 +138,8 @@ impl Slot {
 
     /// The windowed heat when the window is *settled* — at least two
     /// frames, so the delta spans a real interval instead of the
-    /// garbage-prone cumulative-since-start single-frame view. The
-    /// elastic controller only acts on settled windows; anything less
-    /// falls back to the static (no-op) policy.
+    /// garbage-prone cumulative-since-start single-frame view. Only
+    /// settled windows go into a flight-recorder frame.
     pub(super) fn settled_heat(&self) -> Option<ShardHeat> {
         let window = lock(&self.heat);
         let heat = window.windowed().filter(|_| window.len() >= 2)?;
@@ -249,10 +162,6 @@ const CONTROL_THREAD: u32 = u32::MAX;
 /// of a tier share: its slots and the tier-wide state beside them.
 pub(crate) struct Tier {
     pub(super) slots: Box<[Slot]>,
-    /// Bumped on every lifecycle transition; handles compare it against
-    /// their cached value with one relaxed load per operation and resync
-    /// their routes when it moved.
-    generation: AtomicU64,
     pub(super) batch_size: u32,
     pub(super) flush_threshold: u32,
     /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
@@ -265,17 +174,14 @@ pub(crate) struct Tier {
     /// The ledger every handle maps and unmaps large (non-class) blocks
     /// through, on its own thread: they never enter a shard.
     pub(super) large: LargeBlocks,
-    /// The control ring: every scaling decision and every failure edge,
-    /// in order. Built with the tier and registered with slot 0's
-    /// telemetry (the resident floor always exists), so a drain or peek
+    /// The control ring: every failure edge, in order. Built with the
+    /// tier and registered with slot 0's telemetry, so a drain or peek
     /// of the trace sees these events in the same stream as the rest.
     /// Its storage never grows, so recording a failure never allocates —
     /// which keeps it safe under the global hook.
     pub(crate) control: Arc<TraceRing>,
     /// [`Ngm::tick`](super::Ngm::tick)s so far — the windows' time-base.
     pub(super) ticks: AtomicU64,
-    pub(super) scale_up: AtomicU64,
-    pub(super) scale_down: AtomicU64,
     /// Cycles spent on observability work (metrics scrapes, recorder
     /// appends, endpoint renders), written only by the observer/scrape
     /// threads — never by the allocation hot path.
@@ -283,31 +189,33 @@ pub(crate) struct Tier {
 }
 
 impl Tier {
-    /// Every slot up to the elastic maximum, built eagerly — service,
-    /// owner stamp, orphan stack, stats, telemetry — and all dormant.
-    pub(super) fn new(cfg: &NgmConfig, runtime_cfg: &RuntimeConfig) -> Self {
+    /// Builds every slot and starts its thread, each pinned as
+    /// `cfg.placement` says and configured from `runtime_cfg`.
+    pub(super) fn start(cfg: &NgmConfig, runtime_cfg: RuntimeConfig) -> Result<Self, ServiceError> {
         let cores = ngm_offload::available_cores();
-        let total = cfg.elastic.map_or(cfg.shards, |p| p.max);
-        let slots = (0..total).map(|i| {
+        let slots = (0..cfg.shards).map(|shard| {
             let core = match cfg.placement {
                 // Highest cores first, leaving the low cores — where most
                 // runtimes place app threads — alone; float when the
                 // machine cannot give every shard its own room.
-                CorePlacement::Auto => (cores > total).then(|| cores - 1 - i),
+                CorePlacement::Auto => (cores > cfg.shards).then(|| cores - 1 - shard),
                 CorePlacement::Unpinned => None,
-                CorePlacement::Base(base) => Some(base + i),
+                CorePlacement::Base(base) => Some(base + shard),
             };
-            Slot::new(i, core, runtime_cfg)
+            Slot::start(RuntimeConfig {
+                core,
+                shard,
+                ..runtime_cfg
+            })
         });
-        let slots: Box<[Slot]> = slots.collect();
+        let slots = slots.collect::<Result<Box<[Slot]>, _>>()?;
         let control = Arc::new(TraceRing::new(
             CONTROL_THREAD,
             cfg.trace_capacity.max(CONTROL_EVENTS),
         ));
         slots[0].handles.telemetry.adopt_ring(Arc::clone(&control));
-        Tier {
+        Ok(Tier {
             slots,
-            generation: AtomicU64::new(0),
             batch_size: cfg.batch_size as u32,
             flush_threshold: cfg.flush_threshold as u32,
             inflight_limit: cfg.inflight_limit,
@@ -315,29 +223,8 @@ impl Tier {
             large: LargeBlocks::default(),
             control,
             ticks: AtomicU64::new(0),
-            scale_up: AtomicU64::new(0),
-            scale_down: AtomicU64::new(0),
             obs_cycles: AtomicU64::new(0),
-        }
-    }
-
-    /// Shard `shard`'s lifecycle state.
-    pub(crate) fn state(&self, shard: usize) -> ShardLifecycle {
-        self.slots[shard].state()
-    }
-
-    /// Moves a slot to `state` and bumps the route generation so handles
-    /// resync on their next operation.
-    pub(super) fn set_state(&self, shard: usize, state: ShardLifecycle) {
-        self.slots[shard]
-            .state
-            .store(state as u8, Ordering::Release);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// The current route generation (see [`Tier::set_state`]).
-    pub(super) fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        })
     }
 
     /// Shard `shard`'s retained heat frames, oldest first (the raw time
@@ -382,43 +269,18 @@ mod tests {
         let cfg = NgmConfig::new()
             .with_shards(shards)
             .with_placement(CorePlacement::Unpinned);
-        Tier::new(&cfg, &RuntimeConfig::new())
+        Tier::start(&cfg, RuntimeConfig::new()).expect("threads spawn")
     }
 
     #[test]
-    fn lifecycle_transitions_bump_generation() {
-        let tier = tier(2);
-        assert_eq!(tier.state(1), ShardLifecycle::Dormant);
-        let g0 = tier.generation();
-        tier.set_state(1, ShardLifecycle::Serving);
-        assert_eq!(tier.state(1), ShardLifecycle::Serving);
-        assert!(tier.generation() > g0);
-    }
-
-    #[test]
-    fn a_slot_runs_between_spawn_and_stop_and_parks_otherwise() {
+    fn a_slot_runs_from_start_until_stop() {
         let tier = tier(1);
         let slot = &tier.slots[0];
-        assert!(slot.is_parked() && slot.with_runtime(|_| ()).is_none());
-        assert!(slot.register(false).0.is_none(), "no thread, no client");
-        slot.spawn(RuntimeConfig::new()).expect("spawn");
-        slot.spawn(RuntimeConfig::new())
-            .expect("a second spawn is a no-op");
-        assert_eq!(slot.epoch(), 1);
-        assert!(!slot.is_parked() && slot.with_runtime(|_| ()).is_some());
-        let (client, epoch) = slot.register(false);
-        assert!(client.is_some() && epoch == 1);
-        drop(client);
-        slot.stop();
-        slot.stop();
-        assert!(slot.is_parked() && slot.with_runtime(|_| ()).is_none());
-        assert!(slot.is_drained());
-        slot.spawn(RuntimeConfig::new()).expect("respawn");
-        assert_eq!(slot.epoch(), 2);
-        slot.stop();
-        let (service, failure) = slot.take_parked();
-        assert!(service.is_some() && failure.is_none());
-        assert!(!slot.is_parked());
+        assert!(slot.with_runtime(|_| ()).is_some());
+        drop(slot.register(false));
+        assert!(slot.stop().is_ok(), "an orderly exit recovers the service");
+        assert!(slot.with_runtime(|_| ()).is_none());
+        assert_eq!(slot.stop().err(), Some(ServiceError::AlreadyShutDown));
     }
 
     #[test]

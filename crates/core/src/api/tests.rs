@@ -522,7 +522,7 @@ fn a_handle_maps_128_kib_of_free_ring_per_shard() {
     let ngm = sharded(2).build().unwrap();
     let h = ngm.handle();
     for end in h.ends.iter() {
-        let ring = end.client.as_ref().expect("a serving shard").ring_bytes();
+        let ring = end.client.ring_bytes();
         // 1.06 MiB before the ring had cells.
         assert_eq!(ring, 128 * 1024);
     }
@@ -741,6 +741,17 @@ fn tier_built_from_a_pinned_thread_sees_the_whole_host() {
 
 // ---- sharded-tier tests ----
 
+/// Stops `shard`'s service thread and waits until it has exited, so its
+/// death is observable through the closed rings.
+fn stop_and_wait(ngm: &Ngm, shard: usize) {
+    ngm.stop_shard(shard);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !ngm.shard_finished(shard) {
+        assert!(std::time::Instant::now() < deadline, "shard never stopped");
+        std::thread::yield_now();
+    }
+}
+
 fn sharded(n: usize) -> NgmConfig {
     // Unpinned: CI machines rarely have a spare core per shard, and
     // pinning is orthogonal to what these tests check.
@@ -824,25 +835,12 @@ fn heat_report_windows_recent_activity() {
 
 /// The tier has one clock. Between two `tick()`s, any number of
 /// `metrics()` / `heat_report()` calls and HTTP scrapes of `/metrics`
-/// leave every heat window, the controller's streak, and the serving set
-/// exactly as the last tick wrote them — so the scale-up lands on the
-/// `SUSTAIN`-th hot *tick*, however often the tier was scraped.
+/// leave every heat window exactly as the last tick wrote it.
 #[test]
-fn scrapes_between_ticks_move_neither_windows_nor_controller() {
-    use super::ScaleDecision;
-    use crate::config::{ObserverConfig, SUSTAIN};
+fn scrapes_between_ticks_leave_the_windows_alone() {
+    use crate::config::ObserverConfig;
 
-    // Per-call handshake on one elastic shard: every alloc is one served
-    // call, so an interval's load is an exact count.
-    let ngm = Arc::new(
-        NgmConfig::new()
-            .with_batch(1, 1)
-            .with_shards(1)
-            .elastic(1, 2)
-            .with_placement(CorePlacement::Unpinned)
-            .build()
-            .unwrap(),
-    );
+    let ngm = Arc::new(sharded(2).with_batch(1, 1).build().unwrap());
     // An observer whose own ticker never fires within the test: its
     // endpoints are under test, and this thread is the only clock.
     let observer = ngm
@@ -851,37 +849,21 @@ fn scrapes_between_ticks_move_neither_windows_nor_controller() {
         )
         .unwrap();
     let mut h = ngm.handle();
-    let mut served = 0u64;
-    let mut hot_interval = |h: &mut NgmHandle| {
+    let clock = |ngm: &Ngm| {
+        let windows: Vec<usize> = (0..ngm.num_shards())
+            .map(|s| ngm.obs_state().frames(s).len())
+            .collect();
+        (windows, ngm.heat_report().render(), ngm.ticks())
+    };
+    for tick in 1..=3u64 {
         for _ in 0..200 {
             let p = h.alloc(layout(64)).unwrap();
             // SAFETY: block from this handle's allocator.
             unsafe { h.dealloc(p, layout(64)) };
         }
-        served += 200;
-        // A call is counted after its response is published.
-        while ngm.runtime_stats().calls_served < served {
-            std::thread::yield_now();
-        }
-    };
-    let clock = |ngm: &Ngm| {
-        let windows: Vec<usize> = (0..ngm.num_shards())
-            .map(|s| ngm.obs_state().frames(s).len())
-            .collect();
-        let hot_streak = super::lock(&ngm.controller).hot_streak;
-        (windows, hot_streak, ngm.serving_shards(), ngm.ticks())
-    };
-
-    hot_interval(&mut h);
-    assert_eq!(ngm.tick(), ScaleDecision::Hold, "one frame: unsettled");
-    hot_interval(&mut h);
-    // The window now spans a hot interval: 200 calls against a high
-    // water mark of 96. Each tick but the last only arms the streak.
-    for armed in 1..SUSTAIN {
-        assert_eq!(ngm.tick(), ScaleDecision::Hold, "streak arming");
-        assert_eq!(clock(&ngm).1, armed);
-
+        ngm.tick();
         let before = clock(&ngm);
+        assert_eq!(before.0, [tick as usize; 2], "one frame per shard per tick");
         for _ in 0..8 {
             let _ = ngm.metrics();
             let _ = ngm.heat_report();
@@ -892,12 +874,7 @@ fn scrapes_between_ticks_move_neither_windows_nor_controller() {
         }
         assert_eq!(clock(&ngm), before, "a scrape is a pure read");
     }
-    assert_eq!(
-        ngm.tick(),
-        ScaleDecision::ScaleUp { shard: 1 },
-        "the scale-up lands on the SUSTAIN-th hot tick"
-    );
-    assert_eq!(ngm.ticks(), u64::from(SUSTAIN) + 1);
+    assert_eq!(ngm.ticks(), 3);
 
     drop(h);
     observer.stop();
@@ -927,23 +904,17 @@ fn rebalance_targets_the_coolest_shard_by_heat() {
     let mut h = ngm.handle();
     // Manufacture heat: shard 1 recently blew deadlines, shard 2 is
     // equally busy but healthy. Moving off shard 0 must skip 1.
-    ngm.inject_heat(
-        1,
-        HeatFrame {
-            tsc: 1,
-            calls: 50,
-            deadlines: 50,
-            ..HeatFrame::default()
-        },
-    );
-    ngm.inject_heat(
-        2,
-        HeatFrame {
-            tsc: 1,
-            calls: 50,
-            ..HeatFrame::default()
-        },
-    );
+    ngm.tier.slots[1].push_frame(HeatFrame {
+        tsc: 1,
+        calls: 50,
+        deadlines: 50,
+        ..HeatFrame::default()
+    });
+    ngm.tier.slots[2].push_frame(HeatFrame {
+        tsc: 1,
+        calls: 50,
+        ..HeatFrame::default()
+    });
     let victim = (0..NUM_CLASSES)
         .find(|&c| h.class_route(SizeClass(c as u16)) == 0)
         .expect("some class routes to shard 0");
@@ -1050,13 +1021,7 @@ fn dead_shard_fails_over_and_is_counted() {
     let class64 = ngm_heap::size_to_class(64).unwrap();
     let victim = h.class_route(class64);
     let doomed = h.alloc(layout(64)).unwrap();
-    ngm.stop_shard(victim);
-    // Wait until the death is observable through the closed rings.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !ngm.shard_finished(victim) {
-        assert!(std::time::Instant::now() < deadline, "shard never stopped");
-        std::thread::yield_now();
-    }
+    stop_and_wait(&ngm, victim);
     // Allocation of the victim's class fails over to the survivor.
     let p = h.alloc(layout(64)).unwrap();
     assert_ne!(
@@ -1101,12 +1066,7 @@ fn stopped_shard_cannot_lose_large_blocks() {
     // stopped shard, leaking the mapping and unbalancing the survivor.
     let ngm = sharded(2).build().unwrap();
     let mut h = ngm.handle();
-    ngm.stop_shard(1);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !ngm.shard_finished(1) {
-        assert!(std::time::Instant::now() < deadline, "shard never stopped");
-        std::thread::yield_now();
-    }
+    stop_and_wait(&ngm, 1);
     for i in 0..16usize {
         let l = layout((1 << 16) + 4096 * i);
         let p = h.alloc(l).expect("large blocks need no shard");
@@ -1125,6 +1085,34 @@ fn stopped_shard_cannot_lose_large_blocks() {
 }
 
 #[test]
+fn a_handle_built_after_a_stop_serves_from_the_survivor() {
+    // Handles register with every shard when they are built: one built
+    // after a shard stopped finds that shard's ring closed, writes it
+    // off on first contact, and serves everything from the survivor.
+    let ngm = sharded(2).build().unwrap();
+    stop_and_wait(&ngm, 1);
+    let mut h = ngm.handle();
+    let blocks: Vec<_> = (0..1_000usize)
+        .map(|i| {
+            let l = layout(16 << (i % 5));
+            (h.alloc(l).unwrap(), l)
+        })
+        .collect();
+    for (p, l) in blocks {
+        // SAFETY: blocks from this handle's allocator, freed once.
+        unsafe { h.dealloc(p, l) };
+    }
+    drop(h);
+    assert_eq!(ngm.fallback_heap().allocs(), 0, "the survivor served all");
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.shards[1].service.allocs, 0, "{down:?}");
+    assert!(down.shards[0].service.allocs >= 1_000, "{down:?}");
+    assert_eq!(down.service.app_allocs(), 1_000);
+    assert_eq!(down.runtime.failovers, 1, "written off once: {down:?}");
+}
+
+#[test]
 fn routing_step_decision_table() {
     use RouteOp::{Post, Refill};
     /// What a refusal does to the handle when another shard exists.
@@ -1132,40 +1120,27 @@ fn routing_step_decision_table() {
     enum Effect {
         /// Handed back to the caller; nothing moves.
         Busy,
-        /// Routed on without a grudge.
-        Next,
         /// Traffic rebalanced away (counted), with this failure event.
-        Slow(Option<FailureReason>),
+        Slow(FailureReason),
         /// Written off: `failed[]`, failover counted, a shard-death event.
         Dead,
     }
-    use Effect::{Busy, Dead, Next, Slow};
+    use Effect::{Busy, Dead, Slow};
     let deadline = ServiceError::Deadline {
         shard: 0,
         waited: Duration::from_millis(1),
     };
-    let retiring = ServiceError::ShardRetiring { shard: 0 };
     let full = ServiceError::WouldBlock;
     let class = ngm_heap::size_to_class(64).unwrap();
     let ci = class.0 as usize;
     let table = [
-        (None, Refill(ci), Next),
-        (Some(full), Refill(ci), Busy),
-        (Some(full), Post, Busy),
-        (
-            Some(deadline),
-            Refill(ci),
-            Slow(Some(FailureReason::Deadline)),
-        ),
-        (
-            Some(deadline),
-            Post,
-            Slow(Some(FailureReason::PostDeadline)),
-        ),
-        (Some(retiring), Refill(ci), Slow(None)),
-        (Some(ServiceError::ServiceStopped), Refill(ci), Dead),
-        (Some(ServiceError::ServiceStopped), Post, Dead),
-        (Some(ServiceError::ServicePanicked), Refill(ci), Dead),
+        (full, Refill(ci), Busy),
+        (full, Post, Busy),
+        (deadline, Refill(ci), Slow(FailureReason::Deadline)),
+        (deadline, Post, Slow(FailureReason::PostDeadline)),
+        (ServiceError::ServiceStopped, Refill(ci), Dead),
+        (ServiceError::ServiceStopped, Post, Dead),
+        (ServiceError::ServicePanicked, Refill(ci), Dead),
     ];
     for (cause, op, effect) in table {
         // With no alternative shard the decision is `Exhausted` (or
@@ -1188,9 +1163,9 @@ fn routing_step_decision_table() {
             assert_eq!(h.class_route(class), routed, "class_shard: {row}");
             assert_eq!(h.ends[from].failed, effect == Dead, "failed[]: {row}");
             let failure = match effect {
-                Slow(reason) => reason,
+                Slow(reason) => Some(reason),
                 Dead => Some(FailureReason::ShardDeath),
-                Busy | Next => None,
+                Busy => None,
             };
             let failures: Vec<_> = ngm
                 .failures()
@@ -1228,12 +1203,7 @@ fn dead_tier_degrades_to_inline_fallback() {
     // accounting still balances with the fallback folded in.
     let ngm = Ngm::start();
     let mut h = ngm.handle();
-    ngm.stop_shard(0);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !ngm.shard_finished(0) {
-        assert!(std::time::Instant::now() < deadline, "shard never stopped");
-        std::thread::yield_now();
-    }
+    stop_and_wait(&ngm, 0);
     let p = h.alloc(layout(64)).expect("degraded alloc still serves");
     // SAFETY: fresh 64-byte block from the fallback heap.
     unsafe { std::ptr::write_bytes(p.as_ptr(), 0x66, 64) };
@@ -1265,12 +1235,7 @@ fn fallback_orphan_route_frees_inline() {
     // them inline — no shard's orphan stack can ever reclaim them.
     let ngm = Ngm::start();
     let mut h = ngm.handle();
-    ngm.stop_shard(0);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !ngm.shard_finished(0) {
-        assert!(std::time::Instant::now() < deadline, "shard never stopped");
-        std::thread::yield_now();
-    }
+    stop_and_wait(&ngm, 0);
     let a = h.alloc(layout(64)).unwrap();
     let b = h.alloc(layout(64)).unwrap();
     // SAFETY: live fallback blocks, relinquished.

@@ -6,21 +6,20 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use ngm_heap::{FallbackHeap, HeapStats};
-use ngm_offload::{OffloadRuntime, RuntimeConfig, RuntimeTelemetry, ServiceError, StatsSnapshot};
+use ngm_offload::{
+    OffloadRuntime, RuntimeConfig, RuntimeTelemetry, ServiceError, ShardHealth, StatsSnapshot,
+};
 use ngm_pmu::PmuReport;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::recorder::{RecordFrame, ShardSample};
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
 
-use super::elastic::{ControllerState, ScaleDecision};
 use super::handle::NgmHandle;
 use super::lock;
 use super::slot::Tier;
-use crate::config::{
-    ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE,
-};
-use crate::heat::{HeatReport, ShardLifecycle};
+use crate::config::{NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE};
+use crate::heat::HeatReport;
 use crate::service::ServiceStats;
 
 /// Wall-clock seconds since the Unix epoch, captured once at the first
@@ -45,13 +44,11 @@ fn build_features() -> &'static str {
     }
 }
 
-/// The [`RecordFrame::states`] glyph for one lifecycle state.
-fn state_glyph(state: ShardLifecycle) -> char {
-    match state {
-        ShardLifecycle::Dormant => '.',
-        ShardLifecycle::Serving => 'S',
-        ShardLifecycle::Draining => 'D',
-        ShardLifecycle::Retired => 'R',
+/// The [`RecordFrame::states`] glyph for one shard's health.
+fn state_glyph(health: ShardHealth) -> char {
+    match health {
+        ShardHealth::Serving => 'S',
+        ShardHealth::Down => 'D',
     }
 }
 
@@ -97,14 +94,6 @@ impl FailureReason {
 pub struct Ngm {
     /// The slots and the tier-wide state, shared with every handle.
     pub(super) tier: Arc<Tier>,
-    /// The elastic policy, when the tier scales at runtime.
-    pub(super) elastic: Option<ElasticPolicy>,
-    /// Scaling-controller state, serialized so at most one spawn or
-    /// retirement is in flight at a time.
-    pub(super) controller: Mutex<ControllerState>,
-    /// Template for per-slot [`RuntimeConfig`]s (core and shard are
-    /// filled in per slot).
-    pub(super) runtime_cfg: RuntimeConfig,
     /// The live-observer config captured at build time
     /// ([`NgmConfig::with_observer`]), consumed by
     /// [`Ngm::start_observer`].
@@ -129,11 +118,8 @@ impl Ngm {
     }
 
     /// Builds the tier from a validated config (reached via
-    /// [`NgmConfig::build`], and by the global hook).
-    ///
-    /// Every slot up to the elastic maximum is built eagerly, but only
-    /// the initial `cfg.shards` get threads; the rest park dormant until
-    /// the controller spawns them.
+    /// [`NgmConfig::build`], and by the global hook): `cfg.shards`
+    /// service threads, each running until [`Ngm::shutdown`].
     pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
         let runtime_cfg = RuntimeConfig {
             client_wait: cfg.client_wait,
@@ -142,60 +128,37 @@ impl Ngm {
             deadline: cfg.deadline,
             ..RuntimeConfig::new()
         };
-        let ngm = Ngm {
-            tier: Arc::new(Tier::new(&cfg, &runtime_cfg)),
-            elastic: cfg.elastic,
-            controller: Mutex::new(ControllerState::default()),
-            runtime_cfg,
+        Ok(Ngm {
+            tier: Arc::new(Tier::start(&cfg, runtime_cfg).map_err(NgmError::Spawn)?),
             observer_cfg: Mutex::new(cfg.observer),
-        };
-        for i in 0..cfg.shards {
-            ngm.spawn_slot(i).map_err(NgmError::Spawn)?;
-        }
-        Ok(ngm)
+        })
     }
 
-    /// Gives `slot` a thread ([`Slot::spawn`](super::slot::Slot::spawn))
-    /// and routes handles to it.
-    pub(super) fn spawn_slot(&self, slot: usize) -> Result<(), ServiceError> {
-        self.tier.slots[slot].spawn(self.runtime_cfg)?;
-        self.tier.set_state(slot, ShardLifecycle::Serving);
-        Ok(())
-    }
-
-    /// Number of service-shard slots in this tier. For a static tier
-    /// this is the configured shard count; for an elastic tier it is the
-    /// policy's `max` (use [`Ngm::serving_shards`] for the currently
-    /// serving subset).
+    /// Number of service shards in this tier (the configured `shards`).
     pub fn num_shards(&self) -> usize {
         self.tier.slots.len()
     }
 
     /// Registers a handle for the calling (or any) thread. The handle
-    /// holds one client endpoint per serving shard and routes between
-    /// them, registering endpoints to later-spawned shards lazily.
+    /// holds one client endpoint per shard and routes between them.
     pub fn handle(&self) -> NgmHandle {
         NgmHandle::new(Arc::clone(&self.tier))
     }
 
     /// The tier's one clock: samples every shard into its heat window
     /// (one cumulative frame per shard, so a window spans the last
-    /// [`ngm_telemetry::window::DEFAULT_HEAT_FRAMES`] tick intervals),
-    /// then runs one elastic-controller evaluation over the windows and
-    /// returns what it decided. Nothing else writes the windows or runs
-    /// the controller: [`Ngm::heat_report`], [`Ngm::metrics`], the
-    /// observer endpoints and rebalances only read what
-    /// the last tick wrote, so how often the tier is scraped never
-    /// shortens the window's time-base or arms a scaling streak. Call it
-    /// at the cadence the windows should span — by hand, or from the
-    /// background thread [`Ngm::autoscaler`] (and the observer) runs.
-    pub fn tick(&self) -> ScaleDecision {
+    /// [`ngm_telemetry::window::DEFAULT_HEAT_FRAMES`] tick intervals).
+    /// Nothing else writes the windows: [`Ngm::heat_report`],
+    /// [`Ngm::metrics`], the observer endpoints and rebalances only read
+    /// what the last tick wrote, so how often the tier is scraped never
+    /// shortens the window's time-base. Call it at the cadence the
+    /// windows should span — by hand, or through the observer's ticker.
+    pub fn tick(&self) {
         let fallbacks = self.tier.fallback.allocs();
         for slot in self.tier.slots.iter() {
             slot.sample(fallbacks);
         }
         self.tier.ticks.fetch_add(1, Ordering::Relaxed);
-        self.scaling_tick()
     }
 
     /// [`Ngm::tick`]s so far: the number of frames every heat window has
@@ -224,8 +187,8 @@ impl Ngm {
         events
     }
 
-    /// The shared tier state, as the observer endpoints read it (slot
-    /// lifecycle, heat frames) and meter themselves into it.
+    /// The shared tier state, as the observer endpoints read it (heat
+    /// frames) and meter themselves into it.
     pub(crate) fn obs_state(&self) -> &Tier {
         &self.tier
     }
@@ -236,20 +199,18 @@ impl Ngm {
         lock(&self.observer_cfg).take()
     }
 
-    /// One flight-recorder frame of tier state, assembled while holding
-    /// the controller mutex. Every scale transition stamps its trace
-    /// event under that same mutex, so a frame can never observe a
-    /// serving count that disagrees with the `Scale` events timestamped
-    /// before and after it — which is what lets the offline analyzer
-    /// cross-check a recording against the event stream *exactly*.
+    /// One flight-recorder frame of tier state.
     pub(crate) fn observer_frame(&self) -> RecordFrame {
-        let _st = lock(&self.controller);
-        let slots = &self.tier.slots;
-        let states: String = slots.iter().map(|s| state_glyph(s.state())).collect();
-        let serving = states.chars().filter(|&c| c == 'S').count() as u64;
+        let health = self.shard_healths();
+        let states: String = health.iter().map(|&h| state_glyph(h)).collect();
+        let serving = health
+            .iter()
+            .filter(|&&h| h == ShardHealth::Serving)
+            .count() as u64;
         let stats = self.runtime_stats();
-        let (scale_up, scale_down) = self.scale_counts();
-        let shards = slots
+        let shards = self
+            .tier
+            .slots
             .iter()
             .filter_map(|slot| {
                 let sh = slot.settled_heat()?;
@@ -269,29 +230,25 @@ impl Ngm {
             states,
             deadlines: stats.deadlines,
             fallbacks: self.tier.fallback.allocs(),
-            scale_up,
-            scale_down,
             obs_cycles: self.tier.obs_cycles_total(),
             shards,
         }
     }
 
-    /// One shard's runtime-level health ([`ngm_offload::ShardHealth`]):
-    /// `None` for a slot with no thread (dormant/retired), otherwise
-    /// whether the thread is serving, gated for drain, or dead.
-    pub fn shard_health(&self, shard: usize) -> Option<ngm_offload::ShardHealth> {
-        self.tier.slots[shard].with_runtime(OffloadRuntime::health)
+    /// One shard's health: serving, or down once its service thread
+    /// has exited ([`Ngm::stop_shard`], or a panic). Handles fail
+    /// traffic over on their own; this surfaces the condition to
+    /// `/readyz` and the flight recording.
+    pub fn shard_health(&self, shard: usize) -> ShardHealth {
+        self.tier.slots[shard]
+            .with_runtime(OffloadRuntime::health)
+            .unwrap_or(ShardHealth::Down)
     }
 
-    /// Serving slots whose service thread has exited without the
-    /// controller noticing yet — a wedged shard. Handles fail traffic
-    /// over on their own; this surfaces the condition to `/readyz`.
-    pub(crate) fn wedged_shards(&self) -> Vec<usize> {
+    /// Every shard's [`Ngm::shard_health`], in shard order.
+    pub(crate) fn shard_healths(&self) -> Vec<ShardHealth> {
         (0..self.num_shards())
-            .filter(|&s| {
-                self.tier.state(s) == ShardLifecycle::Serving
-                    && self.shard_health(s) == Some(ngm_offload::ShardHealth::Down)
-            })
+            .map(|s| self.shard_health(s))
             .collect()
     }
 
@@ -368,14 +325,13 @@ impl Ngm {
     /// frees, then exits. Handles observe the death and fail allocation
     /// traffic over to the surviving shards; frees owed to the stopped
     /// shard are dropped and counted. [`Ngm::shutdown`] later recovers
-    /// the shard's final stats normally. A no-op for a slot with no
-    /// thread.
+    /// the shard's final stats normally.
     pub fn stop_shard(&self, shard: usize) {
         self.tier.slots[shard].with_runtime(OffloadRuntime::request_stop);
     }
 
     /// Whether shard `shard`'s service thread has exited (orderly or by
-    /// panic) — or never had one (a dormant/retired slot).
+    /// panic).
     pub fn shard_finished(&self, shard: usize) -> bool {
         self.tier.slots[shard]
             .with_runtime(OffloadRuntime::is_finished)
@@ -418,7 +374,11 @@ impl Ngm {
             .collect();
         let mut m = self.telemetry().metrics_merged(&stats, &peers);
         let heap = self.live_heap_stats();
-        let (scale_up, scale_down) = self.scale_counts();
+        let serving = self
+            .shard_healths()
+            .into_iter()
+            .filter(|&h| h == ShardHealth::Serving)
+            .count();
         m.counter("ngm_heap_allocs_total", heap.total_allocs)
             .counter("ngm_heap_frees_total", heap.total_frees)
             .counter(
@@ -426,9 +386,7 @@ impl Ngm {
                 self.tier.large.stats().total_allocs,
             )
             .counter("ngm_fallback_allocs_total", self.tier.fallback.allocs())
-            .counter("ngm_scale_up_total", scale_up)
-            .counter("ngm_scale_down_total", scale_down)
-            .gauge("ngm_service_shards", self.serving_shards().len() as i64)
+            .gauge("ngm_service_shards", serving as i64)
             .gauge("ngm_heap_live_blocks", heap.live_blocks as i64)
             .gauge("ngm_heap_live_bytes", heap.live_bytes as i64)
             .gauge("ngm_heap_segments", heap.segments as i64)
@@ -494,16 +452,13 @@ impl Ngm {
         let mut heap = HeapStats::default();
         let mut runtime: Option<StatsSnapshot> = None;
         for (i, slot) in self.tier.slots.iter().enumerate() {
-            slot.stop();
-            let (parked, error) = slot.take_parked();
-            let (service_stats, heap_stats) = match parked {
-                // Stopped just now, retired earlier or never spawned: the
-                // parked service reports its exact cumulative books.
-                Some(svc) => (svc.service_stats(), svc.heap_stats()),
-                // The service state died with its thread (now, or
-                // mid-drain at a retirement); the idle-published mirror
-                // is the best remaining estimate.
-                None => (ServiceStats::default(), slot.heap_mirror()),
+            let (service_stats, heap_stats, error) = match slot.stop() {
+                // The recovered service reports its exact cumulative
+                // books.
+                Ok(svc) => (svc.service_stats(), svc.heap_stats(), None),
+                // The service state died with its thread; the
+                // idle-published mirror is the best remaining estimate.
+                Err(e) => (ServiceStats::default(), slot.heap_mirror(), Some(e)),
             };
             let out = ShardShutdown {
                 shard: i,

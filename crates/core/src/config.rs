@@ -50,58 +50,15 @@ pub enum CorePlacement {
     Base(usize),
 }
 
-/// Scale up when the mean per-serving-shard load (heat score plus
-/// windowed calls) stays above this for [`SUSTAIN`] consecutive ticks.
-pub const HIGH_WATER: u64 = 96;
-/// Scale down when the mean per-serving-shard load stays below this for
-/// [`SUSTAIN`] consecutive ticks (and more than `min` shards serve).
-pub const LOW_WATER: u64 = 16;
-/// Consecutive ticks a water mark must stay crossed before the
-/// controller acts; debounces one-tick spikes.
-pub const SUSTAIN: u32 = 2;
-/// Evaluations a draining shard gets to reach a zero balance before the
-/// controller aborts the retirement and returns it to serving — a wedged
-/// shard must not wedge the controller with it.
-pub const DRAIN_PATIENCE: u32 = 8;
-
-/// Control knobs for the elastic shard tier (see
-/// [`NgmConfig::elastic`]): the controller evaluated once per
-/// [`crate::api::Ngm::tick`] spawns a shard when the tier is sustainedly
-/// hot and drains + retires the coolest shard when it is sustainedly
-/// cold, always keeping `min..=max` shards serving. The range is all
-/// that is settable: the water marks, the debounce streak and the drain
-/// patience are constants of the controller ([`HIGH_WATER`],
-/// [`LOW_WATER`], [`SUSTAIN`], [`DRAIN_PATIENCE`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticPolicy {
-    /// Fewest shards the controller keeps serving (`>= 1`). Shards
-    /// `0..min` are the tier's *resident floor*: they are never retired,
-    /// so slot 0's telemetry hub and client rings — where tier-wide
-    /// series and large-block trace events land — always exist.
-    pub min: usize,
-    /// Most shards the controller will spawn (`<= MAX_SHARDS`).
-    pub max: usize,
-}
-
-impl ElasticPolicy {
-    /// Whether the policy's own fields are coherent (the shard-count
-    /// relationship to `NgmConfig::shards` is checked by
-    /// [`NgmConfig::validate`]).
-    const fn is_valid(&self) -> bool {
-        self.min >= 1 && self.min <= self.max && self.max <= MAX_SHARDS
-    }
-}
-
 /// Where — and how often — a tier exposes itself to the outside world.
 ///
 /// Passed to [`NgmConfig::with_observer`]; consumed by
 /// [`crate::api::Ngm::start_observer`], which binds the HTTP endpoint
 /// (`/metrics`, `/heat`, `/spans`, `/blackbox`, `/healthz`, `/readyz`),
-/// starts the tier's ticker (the same [`crate::api::Autoscaler`] thread
-/// [`crate::api::Ngm::autoscaler`] starts: one [`crate::api::Ngm::tick`]
-/// per interval), and — when `record_path` is set — appends one
+/// starts the tier's ticker (one [`crate::api::Ngm::tick`] per
+/// interval), and — when `record_path` is set — appends one
 /// flight-recorder frame per tick. The endpoints only read what the
-/// ticker last wrote; scraping them never samples or scales.
+/// ticker last wrote; scraping them never samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserverConfig {
     /// Listen address for the HTTP endpoint (e.g. `"127.0.0.1:9464"`;
@@ -112,9 +69,8 @@ pub struct ObserverConfig {
     /// recording.
     pub record_path: Option<std::path::PathBuf>,
     /// Spacing between ticks (each tick pushes one heat frame per
-    /// shard, runs the elastic controller once, and appends one
-    /// recording frame) — the time-base of everything the endpoints
-    /// export. Sub-millisecond values are clamped to 1ms by the ticker.
+    /// shard and appends one recording frame) — the time-base of
+    /// everything the endpoints export. Sub-millisecond values are clamped to 1ms by the ticker.
     pub scrape_interval: Duration,
 }
 
@@ -173,25 +129,14 @@ pub enum NgmError {
     /// `inflight_limit` was `0`: a submission queue that can hold no
     /// in-flight entries can never complete anything.
     ZeroInflightLimit,
-    /// The elastic range was incoherent: it must satisfy
-    /// `1 <= min <= shards <= max <= MAX_SHARDS`.
-    InvalidElastic {
-        /// The rejected minimum serving-shard count.
-        min: usize,
-        /// The rejected maximum serving-shard count.
-        max: usize,
-        /// The configured initial shard count.
-        shards: usize,
-    },
     /// A shard's service thread could not be spawned.
     Spawn(ServiceError),
     /// The operation could not make progress *right now* without
     /// blocking: the magazine is dry and the request slot (or free ring)
     /// is occupied. Purely transient — distinct from
     /// [`ServiceError::Deadline`] (a shard failed to answer within its
-    /// budget) and [`ServiceError::ShardRetiring`] (a shard refuses new
-    /// work). Drain completions (or await the [`crate::AllocFuture`]) and
-    /// retry.
+    /// budget). Drain completions (or await the [`crate::AllocFuture`])
+    /// and retry.
     WouldBlock,
     /// An offload-layer failure surfaced through the non-blocking API.
     /// `ServiceError::WouldBlock` maps to [`NgmError::WouldBlock`]
@@ -233,11 +178,6 @@ impl std::fmt::Display for NgmError {
                 write!(f, "flush threshold {requested} not in 1..={MAX_BATCH}")
             }
             NgmError::ZeroInflightLimit => write!(f, "in-flight submission limit must be nonzero"),
-            NgmError::InvalidElastic { min, max, shards } => write!(
-                f,
-                "elastic range min={min} max={max} (initial shards={shards}) must satisfy \
-                 1 <= min <= shards <= max <= {MAX_SHARDS}"
-            ),
             NgmError::Spawn(e) => write!(f, "failed to start a service shard: {e}"),
             NgmError::WouldBlock => write!(
                 f,
@@ -262,8 +202,8 @@ impl std::error::Error for NgmError {
 /// Configuration for the whole allocator, shards included.
 ///
 /// What is not here is not settable. Every client's free ring to a
-/// shard is [`ngm_offload::DEFAULT_RING_CELLS`] cells (128 KiB), a drain
-/// gets [`DRAIN_PATIENCE`] controller evaluations, and every tier —
+/// shard is [`ngm_offload::DEFAULT_RING_CELLS`] cells (128 KiB), every
+/// shard's thread runs from `build()` until shutdown, and every tier —
 /// the one the `#[global_allocator]` hook starts included — records each
 /// failure edge (deadline expiry, shard failover, degradation to the
 /// inline fallback) as one `Failure` trace event in its control ring
@@ -325,11 +265,6 @@ pub struct NgmConfig {
     /// hanging. Defaults to [`ngm_offload::DEFAULT_DEADLINE`]; `None`
     /// restores unbounded waits.
     pub deadline: Option<Duration>,
-    /// Elastic-tier policy; `None` (the default) keeps the tier fixed at
-    /// `shards` shards with no controller. When set, `shards` is the
-    /// *initial* serving count and the controller moves it within
-    /// `[policy.min, policy.max]` as the heat windows demand.
-    pub elastic: Option<ElasticPolicy>,
     /// Live-observability endpoint + flight recorder; `None` (the
     /// default) keeps the tier observable only in-process. When set,
     /// [`crate::api::Ngm::start_observer`] serves it. This is the one
@@ -353,7 +288,6 @@ impl NgmConfig {
             inflight_limit: 256,
             profile: false,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
-            elastic: None,
             observer: None,
         }
     }
@@ -367,14 +301,6 @@ impl NgmConfig {
     #[must_use]
     pub fn with_observer(mut self, observer: ObserverConfig) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Makes the tier elastic between `min` and `max` serving shards.
-    /// The configured `shards` count is the initial serving count and
-    /// must lie in `[min, max]`.
-    pub const fn elastic(mut self, min: usize, max: usize) -> Self {
-        self.elastic = Some(ElasticPolicy { min, max });
         self
     }
 
@@ -454,15 +380,6 @@ impl NgmConfig {
         if self.inflight_limit == 0 {
             return Err(NgmError::ZeroInflightLimit);
         }
-        if let Some(p) = self.elastic {
-            if !p.is_valid() || self.shards < p.min || self.shards > p.max {
-                return Err(NgmError::InvalidElastic {
-                    min: p.min,
-                    max: p.max,
-                    shards: self.shards,
-                });
-            }
-        }
         Ok(())
     }
 
@@ -475,12 +392,6 @@ impl NgmConfig {
         self.batch_size = clamp(self.batch_size, 1, MAX_BATCH);
         self.flush_threshold = clamp(self.flush_threshold, 1, MAX_BATCH);
         self.inflight_limit = clamp(self.inflight_limit, 1, usize::MAX);
-        if let Some(p) = self.elastic {
-            let min = clamp(p.min, 1, MAX_SHARDS);
-            let max = clamp(p.max, min, MAX_SHARDS);
-            self.elastic = Some(ElasticPolicy { min, max });
-            self.shards = clamp(self.shards, min, max);
-        }
         self
     }
 
@@ -532,11 +443,9 @@ mod tests {
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(0)
             .with_profile(false)
-            .with_deadline(Some(Duration::from_millis(100)))
-            .elastic(2, 6);
+            .with_deadline(Some(Duration::from_millis(100)));
         assert_eq!(CFG.shards, 4);
         assert_eq!(CFG.batch_size, 16);
-        assert_eq!(CFG.elastic, Some(ElasticPolicy { min: 2, max: 6 }));
         assert_eq!(CFG.validate(), Ok(()));
     }
 
@@ -573,51 +482,6 @@ mod tests {
                 .inflight_limit,
             1
         );
-        // Elastic range checks: min must be nonzero, the range ordered
-        // and within MAX_SHARDS, and the initial count inside it.
-        assert_eq!(
-            NgmConfig::new().elastic(0, 4).validate(),
-            Err(NgmError::InvalidElastic {
-                min: 0,
-                max: 4,
-                shards: 1
-            })
-        );
-        assert_eq!(
-            NgmConfig::new().elastic(3, 2).validate(),
-            Err(NgmError::InvalidElastic {
-                min: 3,
-                max: 2,
-                shards: 1
-            })
-        );
-        assert_eq!(
-            NgmConfig::new().with_shards(1).elastic(2, 4).validate(),
-            Err(NgmError::InvalidElastic {
-                min: 2,
-                max: 4,
-                shards: 1
-            })
-        );
-        assert_eq!(
-            NgmConfig::new()
-                .with_shards(2)
-                .elastic(1, MAX_SHARDS)
-                .validate(),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn sanitized_clamps_elastic_range_and_initial_count() {
-        let cfg = NgmConfig::new().with_shards(1).elastic(0, 99).sanitized();
-        let p = cfg.elastic.unwrap();
-        assert_eq!((p.min, p.max), (1, MAX_SHARDS));
-        assert_eq!(cfg.validate(), Ok(()));
-        // Initial count outside the range is pulled inside it.
-        let cfg = NgmConfig::new().with_shards(1).elastic(2, 4).sanitized();
-        assert_eq!(cfg.shards, 2);
-        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -29,57 +29,11 @@ use ngm_offload::PHASE_NAMES;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::window::HeatDelta;
 
-/// Where a shard slot is in its elastic lifecycle.
-///
-/// Non-elastic tiers hold every slot at `Serving` forever; the elastic
-/// controller walks slots through `Dormant → Serving → Draining →
-/// Retired` (and `Retired → Serving` on a respawn, or `Draining →
-/// Serving` when a drain aborts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ShardLifecycle {
-    /// Built but never spawned: the slot's service (heap, owner stamp,
-    /// orphan stack) exists, parked, with no thread.
-    Dormant = 0,
-    /// Thread running, accepting allocations and frees.
-    Serving = 1,
-    /// Thread running but gated against new allocations; frees keep
-    /// landing until the shard's alloc/free balance reaches zero.
-    Draining = 2,
-    /// Drained to zero balance and joined; the service is parked again
-    /// and the slot can respawn later.
-    Retired = 3,
-}
-
-impl ShardLifecycle {
-    pub(crate) fn from_u8(v: u8) -> Self {
-        match v {
-            1 => ShardLifecycle::Serving,
-            2 => ShardLifecycle::Draining,
-            3 => ShardLifecycle::Retired,
-            _ => ShardLifecycle::Dormant,
-        }
-    }
-
-    /// Stable lowercase label for reports and dumps.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            ShardLifecycle::Dormant => "dormant",
-            ShardLifecycle::Serving => "serving",
-            ShardLifecycle::Draining => "draining",
-            ShardLifecycle::Retired => "retired",
-        }
-    }
-}
-
 /// Picks the coolest shard from `(shard, score)` candidates: lowest
 /// score wins, ties go to the lowest index.
 ///
-/// This is the *single* tie-breaking rule shared by
-/// [`crate::api::NgmHandle::rebalance_away_from`] (picking where to move
-/// traffic) and the elastic controller (picking which shard to retire) —
-/// extracted so the two consumers cannot drift apart.
+/// The tie-breaking rule [`crate::api::NgmHandle::rebalance_away_from`]
+/// picks where to move traffic by.
 #[must_use]
 pub fn pick_coolest<I>(candidates: I) -> Option<usize>
 where
@@ -282,12 +236,5 @@ mod tests {
         // Tie: lowest index wins — the invariant `rebalance_away_from`
         // has always had.
         assert_eq!(pick_coolest([(3, 5), (1, 5), (2, 5)]), Some(1));
-    }
-
-    #[test]
-    fn lifecycle_labels_are_stable() {
-        assert_eq!(ShardLifecycle::Draining.label(), "draining");
-        assert_eq!(ShardLifecycle::from_u8(3), ShardLifecycle::Retired);
-        assert_eq!(ShardLifecycle::from_u8(9), ShardLifecycle::Dormant);
     }
 }

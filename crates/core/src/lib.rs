@@ -39,15 +39,12 @@ pub mod observer;
 pub mod service;
 pub mod watch;
 
-pub use api::{
-    Autoscaler, FailureReason, Ngm, NgmHandle, NgmShutdown, ScaleDecision, ShardShutdown,
-};
+pub use api::{FailureReason, Ngm, NgmHandle, NgmShutdown, ShardShutdown};
 pub use config::{
-    CorePlacement, ElasticPolicy, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS,
-    OWNER_BASE,
+    CorePlacement, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS, OWNER_BASE,
 };
 pub use global::NgmAllocator;
-pub use heat::{pick_coolest, HeatReport, ShardHeat, ShardLifecycle};
+pub use heat::{pick_coolest, HeatReport, ShardHeat};
 pub use nonblocking::{AllocFuture, ReadyFuture, SubmissionQueue};
 pub use observer::{derive_readiness, Observer, Readiness};
 pub use service::{AddrBatch, AllocBatchReq, FreePost, MallocService, ServiceStats, MAX_BATCH};

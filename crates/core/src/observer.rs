@@ -6,28 +6,27 @@
 //! * an [`HttpServer`] (dependency-free, [`ngm_telemetry::server`])
 //!   answering `GET /metrics`, `/heat`, `/spans`, `/blackbox`,
 //!   `/healthz`, and `/readyz` — every one a pure read of what the last
-//!   tick wrote, so scraping never samples heat or runs the controller;
-//! * the tier's [`Autoscaler`] ticker — the same thread
-//!   [`Ngm::autoscaler`] starts — calling [`Ngm::tick`] every
-//!   `scrape_interval` and, when a `record_path` is configured,
-//!   appending one [`ngm_telemetry::recorder::RecordFrame`] per tick to
-//!   a size-rotated JSONL recording ([`FlightRecorder`]).
+//!   tick wrote, so scraping never samples heat;
+//! * the tier's ticker — the only thread that calls [`Ngm::tick`] on a
+//!   cadence — ticking every `scrape_interval` and, when a
+//!   `record_path` is configured, appending one
+//!   [`ngm_telemetry::recorder::RecordFrame`] per tick to a
+//!   size-rotated JSONL recording ([`FlightRecorder`]).
 //!
 //! Neither piece touches the allocation hot path: all sampling happens
 //! on the observer's own threads against counters that already exist,
 //! and the cycles those threads spend are themselves accounted
 //! (`ngm_obs_scrape_cycles_total`) so the `repro obs` experiment can
 //! price the observability tax.
-//!
-//! Frames are assembled under the controller mutex
-//! ([`Ngm::observer_frame`]), the same lock every scale transition
-//! stamps its trace event under — so a recording's shard-count timeline
-//! can be cross-checked against the `Scale` event stream exactly.
 
 use std::io;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
+use ngm_offload::ShardHealth;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::json_str;
 use ngm_telemetry::recorder::{FlightRecorder, DEFAULT_ROTATE_BYTES};
@@ -35,20 +34,17 @@ use ngm_telemetry::server::{HttpServer, Response, Router};
 use ngm_telemetry::span::{reconstruct, SpanRecord};
 use ngm_telemetry::trace::TraceEvent;
 
-use crate::api::{Autoscaler, FailureReason, Ngm};
+use crate::api::{FailureReason, Ngm};
 use crate::config::ObserverConfig;
-use crate::heat::ShardLifecycle;
 
 /// What `/readyz` reports about the tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Readiness {
-    /// At least one shard is serving and nothing looks wedged.
+    /// Every shard is serving.
     Ready,
-    /// No shard is serving (e.g. every slot is still dormant).
+    /// No shard is serving: every service thread has exited.
     NotReady(String),
-    /// Serving, but impaired: a serving shard's thread has exited
-    /// (wedged), or a drain has outlived
-    /// [`crate::config::DRAIN_PATIENCE`].
+    /// Serving, but impaired: some shard's thread has exited.
     Degraded(String),
 }
 
@@ -60,26 +56,78 @@ impl Readiness {
     }
 }
 
-/// Pure readiness derivation, split out from the endpoint so tests can
-/// exercise every edge (all-dormant, wedged, overdue drain) without a
-/// live tier.
+/// Pure readiness derivation over every shard's health, split out from
+/// the endpoint so tests can exercise every edge without a live tier.
 #[must_use]
-pub fn derive_readiness(
-    states: &[ShardLifecycle],
-    wedged: &[usize],
-    drain_overdue: bool,
-) -> Readiness {
-    if !states.contains(&ShardLifecycle::Serving) {
-        return Readiness::NotReady("no serving shards".into());
+pub fn derive_readiness(health: &[ShardHealth]) -> Readiness {
+    let down: Vec<String> = (0..health.len())
+        .filter(|&s| health[s] == ShardHealth::Down)
+        .map(|s| s.to_string())
+        .collect();
+    if down.len() == health.len() {
+        Readiness::NotReady("every shard is down".into())
+    } else if !down.is_empty() {
+        Readiness::Degraded(format!("shards down: {}", down.join(",")))
+    } else {
+        Readiness::Ready
     }
-    if !wedged.is_empty() {
-        let list: Vec<String> = wedged.iter().map(ToString::to_string).collect();
-        return Readiness::Degraded(format!("wedged serving shards: {}", list.join(",")));
+}
+
+/// How often the ticker re-checks its stop flag while sleeping between
+/// ticks, so stopping it returns promptly even under a long interval.
+const STOP_POLL: Duration = Duration::from_millis(10);
+
+/// The tier's ticker thread: every `interval` (clamped to 1 ms) it
+/// upgrades its weak tier reference, runs [`Ngm::tick`], then hands the
+/// tier to an after-tick hook (the recorder). Stops and joins on drop.
+#[derive(Debug)]
+struct Ticker {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Ticker {
+    fn spawn(
+        weak: Weak<Ngm>,
+        interval: Duration,
+        mut after_tick: impl FnMut(&Ngm) + Send + 'static,
+    ) -> io::Result<Ticker> {
+        let interval = interval.max(Duration::from_millis(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("ngm-ticker".into())
+            .spawn(move || loop {
+                let mut slept = Duration::ZERO;
+                while slept < interval {
+                    if stop_flag.load(Ordering::Acquire) {
+                        return;
+                    }
+                    let step = STOP_POLL.min(interval - slept);
+                    std::thread::sleep(step);
+                    slept += step;
+                }
+                if stop_flag.load(Ordering::Acquire) {
+                    return;
+                }
+                let Some(ngm) = weak.upgrade() else { return };
+                ngm.tick();
+                after_tick(&ngm);
+            })?;
+        Ok(Ticker {
+            stop,
+            thread: Some(thread),
+        })
     }
-    if drain_overdue {
-        return Readiness::Degraded("drain past DRAIN_PATIENCE".into());
+}
+
+impl Drop for Ticker {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
-    Readiness::Ready
 }
 
 /// Guard for the live observer: the ticker/recorder thread plus the HTTP
@@ -91,7 +139,7 @@ pub fn derive_readiness(
 pub struct Observer {
     // Field order is drop order: no tick outlives the server's last
     // answer about it.
-    ticker: Autoscaler,
+    ticker: Ticker,
     server: HttpServer,
 }
 
@@ -104,7 +152,7 @@ impl Observer {
 
     /// Stops the ticker and the HTTP server, joining both.
     pub fn stop(self) {
-        self.ticker.stop();
+        drop(self.ticker);
         self.server.stop();
     }
 }
@@ -129,8 +177,7 @@ impl Ngm {
     /// in [`crate::NgmConfig`]). After each [`Ngm::tick`] the ticker
     /// appends one recorded frame when a recording is configured,
     /// metering the frame assembly and the append into
-    /// `ngm_obs_scrape_cycles_total` (the tick itself is regular tier
-    /// duty — an un-observed elastic tier pays it too).
+    /// `ngm_obs_scrape_cycles_total` (the tick itself is not metered).
     ///
     /// # Errors
     ///
@@ -142,7 +189,7 @@ impl Ngm {
             None => None,
         };
         let server = HttpServer::start(cfg.addr.as_str(), build_router(Arc::downgrade(self)))?;
-        let ticker = Autoscaler::spawn(Arc::downgrade(self), cfg.scrape_interval, move |ngm| {
+        let ticker = Ticker::spawn(Arc::downgrade(self), cfg.scrape_interval, move |ngm| {
             if let Some(rec) = recorder.as_mut() {
                 let t0 = cycles_now();
                 let _ = rec.append(&ngm.observer_frame());
@@ -188,12 +235,7 @@ fn build_router(weak: Weak<Ngm>) -> Router {
         })
         .route("/readyz", move || {
             with_tier(&readyz, |ngm| {
-                let readiness = derive_readiness(
-                    &ngm.shard_states(),
-                    &ngm.wedged_shards(),
-                    ngm.drain_overdue(),
-                );
-                match readiness {
+                match derive_readiness(&ngm.shard_healths()) {
                     Readiness::Ready => Response::ok_text("ready\n"),
                     Readiness::NotReady(why) => {
                         Response::unavailable(format!("not ready: {why}\n"))
@@ -219,7 +261,7 @@ fn heat_json(ngm: &Ngm) -> String {
         if s > 0 {
             out.push(',');
         }
-        let state = ngm.obs_state().state(s).label();
+        let state = ngm.shard_health(s).label();
         out.push_str(&format!(
             "{{\"shard\":{s},\"state\":{},\"frames\":[",
             json_str(state)
@@ -284,8 +326,8 @@ const FAILURE_TAIL: usize = 64;
 /// `/blackbox`: every failure edge still in the control ring, oldest
 /// first, each with the implicated shard's trace tail up to the
 /// failure's timestamp, read from the rings at request time. The rest
-/// of the picture (per-shard heat, ring occupancy,
-/// lifecycle, fallback count) is in the flight recording's frames.
+/// of the picture (per-shard heat, ring occupancy, health, fallback
+/// count) is in the flight recording's frames.
 pub(crate) fn blackbox_json(ngm: &Ngm) -> String {
     let mut traces: Vec<Option<Vec<TraceEvent>>> = vec![None; ngm.num_shards()];
     let mut out = String::from("{\"failures\":[");
@@ -331,46 +373,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_dormant_is_not_ready() {
-        let states = [ShardLifecycle::Dormant, ShardLifecycle::Dormant];
-        let r = derive_readiness(&states, &[], false);
-        assert!(matches!(r, Readiness::NotReady(_)));
-        assert!(!r.is_ready());
-    }
-
-    #[test]
-    fn one_serving_is_ready() {
-        let states = [ShardLifecycle::Serving, ShardLifecycle::Dormant];
-        assert_eq!(derive_readiness(&states, &[], false), Readiness::Ready);
-    }
-
-    #[test]
-    fn wedged_serving_shard_degrades() {
-        let states = [ShardLifecycle::Serving, ShardLifecycle::Serving];
-        let r = derive_readiness(&states, &[1], false);
-        match r {
-            Readiness::Degraded(why) => assert!(why.contains('1'), "{why}"),
-            other => panic!("expected degraded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn overdue_drain_degrades_but_draining_alone_does_not() {
-        let states = [ShardLifecycle::Serving, ShardLifecycle::Draining];
-        assert_eq!(derive_readiness(&states, &[], false), Readiness::Ready);
-        assert!(matches!(
-            derive_readiness(&states, &[], true),
-            Readiness::Degraded(_)
-        ));
-    }
-
-    #[test]
-    fn retired_and_serving_mix_is_ready() {
-        let states = [
-            ShardLifecycle::Serving,
-            ShardLifecycle::Retired,
-            ShardLifecycle::Dormant,
+    fn readiness_follows_shard_health() {
+        use ShardHealth::{Down, Serving};
+        let table: [(&[ShardHealth], Readiness); 3] = [
+            (&[Serving, Serving], Readiness::Ready),
+            (
+                &[Serving, Down],
+                Readiness::Degraded("shards down: 1".into()),
+            ),
+            (
+                &[Down, Down],
+                Readiness::NotReady("every shard is down".into()),
+            ),
         ];
-        assert_eq!(derive_readiness(&states, &[], false), Readiness::Ready);
+        for (health, want) in table {
+            let got = derive_readiness(health);
+            assert_eq!(got.is_ready(), want == Readiness::Ready, "{health:?}");
+            assert_eq!(got, want, "{health:?}");
+        }
     }
 }

@@ -14,8 +14,8 @@ use std::time::Duration;
 /// Why an offload-runtime operation could not be completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The service thread has stopped (or already retired this client):
-    /// the message ring is closed and no request will ever be answered.
+    /// The service thread has stopped: the message ring is closed and no
+    /// request will ever be answered.
     ServiceStopped,
     /// The service thread panicked; its service state is unrecoverable.
     ServicePanicked,
@@ -27,26 +27,17 @@ pub enum ServiceError {
     /// The operation's deadline budget elapsed before the shard answered:
     /// the shard is wedged or saturated, not (necessarily) dead. Callers
     /// should reroute to another shard or degrade to the inline fallback
-    /// path rather than retire the shard outright.
+    /// path rather than write the shard off.
     Deadline {
         /// The shard the request was addressed to.
         shard: usize,
         /// How long the caller waited before giving up.
         waited: Duration,
     },
-    /// The shard is draining toward retirement: it refuses new
-    /// synchronous calls (route them to a serving shard) but still
-    /// accepts posts, so address-routed frees keep landing on it until
-    /// its alloc/free balance reaches zero and its thread joins.
-    ShardRetiring {
-        /// The retiring shard.
-        shard: usize,
-    },
     /// The operation could not make progress *right now* without
     /// blocking: the request slot still carries an in-flight submission,
     /// or the post ring is full. Purely transient — distinct from
-    /// [`ServiceError::Deadline`] (the shard failed to answer in time)
-    /// and [`ServiceError::ShardRetiring`] (the shard refuses new work).
+    /// [`ServiceError::Deadline`] (the shard failed to answer in time).
     /// Callers complete in-flight work (or wait for a waker) and retry.
     WouldBlock,
 }
@@ -62,9 +53,6 @@ impl fmt::Display for ServiceError {
                 f,
                 "request to shard {shard} exceeded its deadline after {waited:?}"
             ),
-            ServiceError::ShardRetiring { shard } => {
-                write!(f, "shard {shard} is draining toward retirement")
-            }
             ServiceError::WouldBlock => {
                 write!(
                     f,
@@ -92,7 +80,6 @@ mod tests {
                 shard: 3,
                 waited: Duration::from_millis(250),
             },
-            ServiceError::ShardRetiring { shard: 3 },
             ServiceError::WouldBlock,
         ];
         let mut seen = std::collections::HashSet::new();

@@ -7,7 +7,7 @@
 //! with atomics entirely (the service is `&mut self` throughout).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -93,10 +93,29 @@ struct ClientChannel<S: Service> {
 
 struct Shared<S: Service> {
     stop: AtomicBool,
-    /// The slot's books, retiring gate and fault knobs.
+    /// The slot's books and fault knobs.
     handles: RuntimeHandles,
-    injector: Mutex<Vec<ClientChannel<S>>>,
+    /// Clients registered since the loop last looked; `None` once the
+    /// loop has ended, so a later client's ring is closed at birth.
+    injector: Mutex<Option<Vec<ClientChannel<S>>>>,
     has_new: AtomicBool,
+}
+
+/// Closes the injector when the service loop ends, by return or by
+/// panic: a client registered from then on finds its ring closed and
+/// sees the service as stopped, instead of waiting out a deadline on a
+/// loop that will never serve it.
+struct CloseInjector<'a, S: Service>(&'a Shared<S>);
+
+impl<S: Service> Drop for CloseInjector<'_, S> {
+    fn drop(&mut self) {
+        let mut injector = self
+            .0
+            .injector
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *injector = None;
+    }
 }
 
 /// A client's endpoint to the service core. One handle per client thread;
@@ -111,8 +130,6 @@ pub struct ClientHandle<S: Service> {
     /// Set when a deadline-bounded call was abandoned mid-serve: the slot
     /// protocol is unrecoverable and this handle must never call again.
     poisoned: bool,
-    /// The runtime's retiring gate (see [`OffloadRuntime::begin_retire`]).
-    retiring: Arc<AtomicBool>,
     stats: Arc<RuntimeStats>,
     telemetry: Arc<RuntimeTelemetry>,
     trace: Option<Arc<TraceRing>>,
@@ -228,11 +245,8 @@ impl<S: Service> ClientHandle<S> {
     /// Refusals hand the request back along with the reason:
     /// [`ServiceError::ServiceStopped`] when the service thread is known
     /// dead (its ring closed) or an earlier request was abandoned
-    /// mid-serve, [`ServiceError::ShardRetiring`] while the shard drains
-    /// toward retirement (the post path stays open so address-routed
-    /// frees can land and the shard can reach a zero balance), and
-    /// [`ServiceError::WouldBlock`] when a previous request is still in
-    /// flight (one slot ⇒ one in-flight request).
+    /// mid-serve, and [`ServiceError::WouldBlock`] when a previous
+    /// request is still in flight (one slot ⇒ one in-flight request).
     pub fn submit(&mut self, req: S::Req, kind: CallKind) -> Result<(), (S::Req, ServiceError)> {
         if self.poisoned {
             return Err((req, ServiceError::ServiceStopped));
@@ -240,9 +254,6 @@ impl<S: Service> ClientHandle<S> {
         if !self.is_open() {
             self.stats.mark_service_down();
             return Err((req, ServiceError::ServiceStopped));
-        }
-        if self.retiring.load(Ordering::Acquire) {
-            return Err((req, ServiceError::ShardRetiring { shard: self.shard }));
         }
         self.pmu.arm();
         let t0 = cycles_now();
@@ -375,8 +386,8 @@ impl<S: Service> ClientHandle<S> {
     ///
     /// # Panics
     ///
-    /// Panics when the request is refused — service stopped, shard
-    /// retiring, handle poisoned, or a request already in flight — where
+    /// Panics when the request is refused — service stopped, handle
+    /// poisoned, or a request already in flight — where
     /// it used to hang: use [`ClientHandle::try_call`] for a typed error.
     pub fn call(&mut self, req: S::Req) -> S::Resp {
         if let Err((_, e)) = self.submit(req, CallKind::Single) {
@@ -387,8 +398,8 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// [`ClientHandle::submit`] then [`ClientHandle::wait`] under the
-    /// runtime's configured deadline: hang-proof against a dead, retiring
-    /// or wedged shard.
+    /// runtime's configured deadline: hang-proof against a dead or wedged
+    /// shard.
     pub fn try_call(&mut self, req: S::Req, kind: CallKind) -> Result<S::Resp, ServiceError> {
         self.submit(req, kind).map_err(|(_, e)| e)?;
         self.wait(self.deadline, std::mem::take)
@@ -493,8 +504,8 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Whether this handle's service thread is still consuming: `false`
-    /// once the ring's consumer is gone (service stopped, panicked, or
-    /// retired this client).
+    /// once the ring's consumer is gone (service stopped or panicked,
+    /// whether before or after this client registered).
     pub fn is_open(&self) -> bool {
         !self.posts.is_closed()
     }
@@ -587,29 +598,21 @@ impl RuntimeConfig {
     }
 }
 
-/// The parts of a runtime that outlive any one service thread: counters,
-/// telemetry, the retiring gate, and (under `faultinject`) the fault
-/// knobs.
+/// The parts of a runtime that outlive its service thread: counters,
+/// telemetry and (under `faultinject`) the fault knobs.
 ///
-/// An elastic shard tier retires a shard (joining its thread) and may
-/// later respawn it on the same slot. Starting each epoch through
-/// [`OffloadRuntime::try_start_shared`] with the *same* handles keeps the
-/// slot's counters monotonic across epochs, keeps long-lived `Arc`
-/// borrows (metrics scrapers, observer endpoints, fault injectors) valid
-/// while the slot has no thread, and lets client handles from the old
-/// epoch keep reporting into the same books.
+/// A sharded tier starts each shard through
+/// [`OffloadRuntime::try_start_shared`] and keeps these handles beside
+/// the runtime, so a shard's counters stay readable — by metrics
+/// scrapers, observer endpoints and the final books — without reaching
+/// through the runtime, and after its thread has died or been joined.
 #[derive(Debug, Clone)]
 pub struct RuntimeHandles {
-    /// Live counters, shared by every epoch of the slot.
+    /// Live counters.
     pub stats: Arc<RuntimeStats>,
-    /// Histograms and trace rings, shared by every epoch of the slot.
+    /// Histograms and trace rings.
     pub telemetry: Arc<RuntimeTelemetry>,
-    /// Set while the slot is draining toward retirement; client
-    /// `submit`s refuse with [`ServiceError::ShardRetiring`] so new
-    /// allocations route elsewhere while frees keep flowing in.
-    retiring: Arc<AtomicBool>,
-    /// The slot's fault knobs (persist across epochs so a sweep can wedge
-    /// a shard that is currently parked).
+    /// The shard's fault knobs.
     #[cfg(feature = "faultinject")]
     pub fault: Arc<FaultState>,
 }
@@ -625,7 +628,6 @@ impl RuntimeHandles {
                 cfg.trace_capacity,
                 cfg.profile,
             )),
-            retiring: Arc::new(AtomicBool::new(false)),
             #[cfg(feature = "faultinject")]
             fault: Arc::new(FaultState::new()),
         }
@@ -639,26 +641,21 @@ impl Default for RuntimeConfig {
 }
 
 /// A shard's readiness-grade condition, as reported by
-/// [`OffloadRuntime::health`]: the retire gate and the thread's
-/// liveness folded into the one answer a health endpoint needs.
+/// [`OffloadRuntime::health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
-    /// Thread running, accepting synchronous calls.
+    /// Thread running, accepting calls and posts.
     Serving,
-    /// Thread running but gated by [`OffloadRuntime::begin_retire`]:
-    /// draining, posts only.
-    Retiring,
     /// The service thread has exited (orderly or by panic).
     Down,
 }
 
 impl ShardHealth {
-    /// A stable lowercase label (`serving` / `retiring` / `down`).
+    /// A stable lowercase label (`serving` / `down`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             ShardHealth::Serving => "serving",
-            ShardHealth::Retiring => "retiring",
             ShardHealth::Down => "down",
         }
     }
@@ -689,12 +686,9 @@ impl<S: Service> OffloadRuntime<S> {
         Self::try_start_shared(service, cfg, &RuntimeHandles::fresh(&cfg))
     }
 
-    /// As [`OffloadRuntime::try_start`], but threading pre-existing
-    /// [`RuntimeHandles`] through instead of creating fresh ones. An
-    /// elastic tier calls this when respawning a retired slot so the new
-    /// epoch accumulates into the same counters, telemetry, and fault
-    /// knobs the old epoch used. Clears the retiring gate (a respawned
-    /// slot is serving again).
+    /// As [`OffloadRuntime::try_start`], but counting into `handles`,
+    /// which the caller keeps: a shard's counters, telemetry and fault
+    /// knobs stay readable through them after the runtime is gone.
     ///
     /// # Errors
     ///
@@ -704,15 +698,13 @@ impl<S: Service> OffloadRuntime<S> {
         cfg: RuntimeConfig,
         handles: &RuntimeHandles,
     ) -> Result<Self, ServiceError> {
-        handles.retiring.store(false, Ordering::Release);
         // Claim the service loop's trace ring before any client can
-        // register; on the slot's first epoch this makes runtime thread
-        // id 0 the service loop.
+        // register: this makes runtime thread id 0 the service loop.
         let service_trace = handles.telemetry.new_ring();
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             handles: handles.clone(),
-            injector: Mutex::new(Vec::new()),
+            injector: Mutex::new(Some(Vec::new())),
             has_new: AtomicBool::new(false),
         });
         let thread_shared = Arc::clone(&shared);
@@ -757,8 +749,15 @@ impl<S: Service> OffloadRuntime<S> {
         let handles = &self.shared.handles;
         let slot = Arc::new(RequestSlot::new());
         let (tx, rx) = spsc(DEFAULT_RING_CELLS);
+        // A loop that has ended left the injector closed: `rx` drops
+        // here and the client's ring is closed from the start.
+        if let Some(inj) = self
+            .shared
+            .injector
+            .lock()
+            .expect("injector poisoned")
+            .as_mut()
         {
-            let mut inj = self.shared.injector.lock().expect("injector poisoned");
             inj.push(ClientChannel {
                 slot: Arc::clone(&slot),
                 posts: rx,
@@ -778,7 +777,6 @@ impl<S: Service> OffloadRuntime<S> {
             deadline: self.deadline,
             shard: self.shard,
             poisoned: false,
-            retiring: Arc::clone(&handles.retiring),
             stats: Arc::clone(&handles.stats),
             telemetry: Arc::clone(&handles.telemetry),
             trace: handles.telemetry.new_ring(),
@@ -790,28 +788,6 @@ impl<S: Service> OffloadRuntime<S> {
             },
             inflight: None,
         }
-    }
-
-    /// Gates this shard against new synchronous calls: every registered
-    /// client's `submit` starts refusing with
-    /// [`ServiceError::ShardRetiring`], while posts (frees) keep flowing
-    /// so the shard can drain its balance to zero. The service thread
-    /// keeps running; call [`OffloadRuntime::try_shutdown`] once the
-    /// drain completes, or [`OffloadRuntime::end_retire`] to abort.
-    pub fn begin_retire(&self) {
-        self.shared.handles.retiring.store(true, Ordering::Release);
-    }
-
-    /// Reopens a retiring shard for synchronous calls (a drain that could
-    /// not complete — e.g. the shard wedged mid-drain — aborts back to
-    /// serving rather than hanging the controller).
-    pub fn end_retire(&self) {
-        self.shared.handles.retiring.store(false, Ordering::Release);
-    }
-
-    /// Whether [`OffloadRuntime::begin_retire`] is in effect.
-    pub fn is_retiring(&self) -> bool {
-        self.shared.handles.retiring.load(Ordering::Acquire)
     }
 
     /// Asks the service thread to stop without consuming the runtime.
@@ -841,14 +817,10 @@ impl<S: Service> OffloadRuntime<S> {
         done
     }
 
-    /// This shard's liveness/lifecycle rolled into one readiness-grade
-    /// answer — what a health endpoint wants, without reaching into the
-    /// retire gate and thread handle separately.
+    /// This shard's liveness as the one answer a health endpoint needs.
     pub fn health(&self) -> ShardHealth {
         if self.is_finished() {
             ShardHealth::Down
-        } else if self.is_retiring() {
-            ShardHealth::Retiring
         } else {
             ShardHealth::Serving
         }
@@ -966,6 +938,7 @@ fn service_loop<S: Service>(
     });
     service.on_start();
 
+    let _close = CloseInjector(&shared);
     let mut clients: Vec<ClientChannel<S>> = Vec::new();
     // The idle pacing and phase telemetry both ride the shared WaitState
     // machine — the loop no longer tracks raw iteration counters itself.
@@ -990,7 +963,7 @@ fn service_loop<S: Service>(
 
         if shared.has_new.swap(false, Ordering::Acquire) {
             let mut inj = shared.injector.lock().expect("injector poisoned");
-            clients.append(&mut *inj);
+            clients.append(inj.as_mut().expect("open while the loop runs"));
         }
 
         let mut work = 0usize;
@@ -1176,20 +1149,34 @@ mod tests {
     }
 
     #[test]
-    fn health_tracks_retire_gate_and_thread_exit() {
+    fn health_tracks_thread_exit() {
         let rt = OffloadRuntime::start(doubler());
         assert_eq!(rt.health(), ShardHealth::Serving);
         assert_eq!(rt.health().label(), "serving");
-        rt.begin_retire();
-        assert_eq!(rt.health(), ShardHealth::Retiring);
-        rt.end_retire();
-        assert_eq!(rt.health(), ShardHealth::Serving);
         rt.request_stop();
         wait_until(Duration::from_secs(5), "thread never exited", || {
             rt.health() == ShardHealth::Down
         });
         assert_eq!(rt.health().label(), "down");
         let _ = rt.try_shutdown();
+    }
+
+    #[test]
+    fn a_client_registered_after_the_loop_ended_is_closed_at_birth() {
+        let rt = OffloadRuntime::start(doubler());
+        rt.request_stop();
+        wait_until(Duration::from_secs(5), "thread never exited", || {
+            rt.is_finished()
+        });
+        let mut late = rt.register_client();
+        assert!(!late.is_open(), "no loop will ever drain this ring");
+        assert_eq!(
+            late.try_call(1, CallKind::Single),
+            Err(ServiceError::ServiceStopped),
+            "refused at once, not after a deadline"
+        );
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.clients_registered, 1);
     }
 
     #[test]
@@ -1486,44 +1473,6 @@ mod tests {
         // And the report flows into the exportable metrics.
         let m = telemetry.metrics(&crate::stats::RuntimeStats::new().snapshot());
         assert!(m.labeled_gauge_count("ngm_pmu_count") > 0);
-    }
-
-    #[test]
-    fn respawned_slot_merges_its_epochs_service_readings() {
-        // An elastic slot's epochs share one `RuntimeHandles`; the
-        // service column must cover every epoch, not only the last. A
-        // long first epoch and a short second one: had the second
-        // deposit replaced the first, the column would shrink.
-        let cfg = cfg(|c| c.profile = true);
-        let handles = RuntimeHandles::fresh(&cfg);
-        let service = |h: &RuntimeHandles| {
-            let rep = h.telemetry.pmu_report().expect("service reading deposited");
-            assert_eq!(rep.cols.len(), 1, "no client ever armed: {rep:?}");
-            assert_eq!(rep.cols[0].name, "service");
-            rep.cols[0].reading
-        };
-
-        let rt = OffloadRuntime::try_start_shared(doubler(), cfg, &handles).unwrap();
-        // A served call proves the loop (and its session) is running
-        // before the 30 ms it must then cover.
-        rt.register_client_with_pmu(false).call(1);
-        std::thread::sleep(Duration::from_millis(30));
-        let (svc, _) = rt.shutdown();
-        let first = service(&handles);
-
-        let rt = OffloadRuntime::try_start_shared(svc, cfg, &handles).unwrap();
-        let (_, _) = rt.shutdown();
-        let both = service(&handles);
-        assert!(
-            both.time_enabled_ns > first.time_enabled_ns,
-            "second epoch added to the first: {first:?} then {both:?}"
-        );
-        if let (Some(a), Some(b)) = (
-            first.get(ngm_pmu::PmuEvent::Cycles),
-            both.get(ngm_pmu::PmuEvent::Cycles),
-        ) {
-            assert!(b > a, "cycles cover both epochs: {a} then {b}");
-        }
     }
 
     #[test]

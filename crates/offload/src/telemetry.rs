@@ -30,8 +30,7 @@ pub const PHASE_NAMES: [&str; PHASES] = ["queue", "claim", "serve", "publish", "
 /// the allocator's misses so the app cores don't).
 #[derive(Debug, Default)]
 struct PmuStore {
-    /// The service loop's whole-lifetime readings, merged across the
-    /// epochs of a slot that retired and respawned.
+    /// The service loop's whole-lifetime reading.
     service: Option<PmuReading>,
     /// All retired client handles' readings, merged.
     clients: Option<PmuReading>,
@@ -129,9 +128,8 @@ impl RuntimeTelemetry {
         self.profile
     }
 
-    /// Deposits one service loop's whole-lifetime PMU reading. An
-    /// elastic slot's epochs share one telemetry hub, so the readings of
-    /// a shard that retired and respawned merge into one service column.
+    /// Deposits one service loop's whole-lifetime PMU reading (readings
+    /// deposited into one hub merge into its single service column).
     pub fn record_service_pmu(&self, reading: PmuReading) {
         merge_into(&mut self.lock_pmu().service, reading);
     }

@@ -80,11 +80,6 @@ impl NgmModel {
     /// Atomic operations executed per handshake (§4.1 charges four).
     pub const ATOMICS_PER_MALLOC: u64 = 4;
 
-    /// Windowed calls one steadily churning client contributes to its
-    /// shard per controller scrape — the load unit behind the default
-    /// water marks (high 96 ≈ four churning clients per shard).
-    pub const LOAD_PER_CLIENT: u64 = 24;
-
     /// The paper's column: `threads` application cores, one service
     /// core, one handshake per malloc, detailed accounting.
     pub fn new(threads: usize) -> Self {
@@ -149,27 +144,6 @@ impl NgmModel {
         let mut svc = CoreConfig::big();
         svc.l2 = CacheConfig::kib(1024, 16);
         MachineConfig::asymmetric_many(threads, shards, svc)
-    }
-
-    /// The tier width the runtime's elastic controller converges to for
-    /// `clients` steadily churning application threads: the smallest
-    /// width keeping mean per-shard load at or under the default
-    /// high-water mark (96), clamped to `[min, max]`. The real controller
-    /// spawns or retires one shard per sustained breach; a model built
-    /// at this width skips the transient and runs the steady state, so
-    /// comparing it against a live elastic run (`repro elastic`)
-    /// separates "the controller converged to the wrong width" from "the
-    /// width itself is wrong".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min` is zero or `min > max`.
-    pub fn predicted_shards(clients: usize, min: usize, max: usize) -> usize {
-        assert!(min > 0, "an elastic tier keeps at least one resident shard");
-        assert!(min <= max, "elastic floor above its ceiling");
-        const HIGH_WATER: u64 = 96;
-        let load = clients as u64 * Self::LOAD_PER_CLIENT;
-        (load.div_ceil(HIGH_WATER) as usize).clamp(min, max)
     }
 
     /// Bytes of one (client, shard) slot: the request line — flag,
@@ -575,21 +549,6 @@ mod tests {
             (four as f64) < one as f64 / 1.5,
             "4 shards not ≥1.5x faster: 1-shard {one} vs 4-shard {four}"
         );
-    }
-
-    #[test]
-    fn shard_prediction_follows_load_and_clamps() {
-        // One churning client fits one shard; sixteen need four (at
-        // 24 load/client against the 96 high-water mark).
-        assert_eq!(NgmModel::predicted_shards(1, 1, 8), 1);
-        assert_eq!(NgmModel::predicted_shards(4, 1, 8), 1);
-        assert_eq!(NgmModel::predicted_shards(16, 1, 8), 4);
-        // Monotone in clients, clamped at both ends.
-        assert_eq!(NgmModel::predicted_shards(64, 1, 8), 8);
-        assert_eq!(NgmModel::predicted_shards(1, 2, 8), 2);
-        for c in 1..64 {
-            assert!(NgmModel::predicted_shards(c + 1, 1, 8) >= NgmModel::predicted_shards(c, 1, 8));
-        }
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! A `Failure` trace event answers "what just failed"; the flight
 //! recorder answers "what was the tier doing for the last ten
 //! minutes". Every observer tick appends one [`RecordFrame`] — the
-//! serving-shard count, each slot's lifecycle state, windowed per-shard
-//! heat, and the tier-wide deadline/fallback/scale counters — as one
-//! JSON line. An offline analyzer (`repro obs`) replays the file into a
-//! shard-count/heat timeline and cross-checks it against the `Scale`
-//! trace events of the same run.
+//! serving-shard count, each shard's health, windowed per-shard heat,
+//! and the tier-wide deadline/fallback counters — as one JSON line, and
+//! [`read_recording`] reads the file back (`repro obs` checks it holds
+//! one frame per tick).
 //!
 //! The format is deliberately flat, hand-rolled JSON: it parses with
 //! the hand-rolled reader here ([`RecordFrame::parse`]) *and* with any
@@ -24,14 +23,9 @@ use std::path::{Path, PathBuf};
 /// Rotation budget the observer gives the active recording file.
 pub const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Lifecycle glyphs used in [`RecordFrame::states`]: one per shard
-/// slot, in slot order.
-pub const STATE_GLYPHS: [(char, &str); 4] = [
-    ('.', "dormant"),
-    ('S', "serving"),
-    ('D', "draining"),
-    ('R', "retired"),
-];
+/// Health glyphs used in [`RecordFrame::states`]: one per shard, in
+/// shard order.
+pub const STATE_GLYPHS: [(char, &str); 2] = [('S', "serving"), ('D', "down")];
 
 /// One shard's windowed heat sample inside a frame.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,22 +49,18 @@ pub struct ShardSample {
 pub struct RecordFrame {
     /// Scrape timestamp ([`crate::clock::cycles_now`]).
     pub tsc: u64,
-    /// Shards in the Serving lifecycle state at scrape time.
+    /// Shards whose service thread was running at scrape time.
     pub serving: u64,
-    /// One glyph per slot, slot order (see [`STATE_GLYPHS`]).
+    /// One glyph per shard, shard order (see [`STATE_GLYPHS`]).
     pub states: String,
     /// Deadline expiries, cumulative tier-wide.
     pub deadlines: u64,
     /// Inline-fallback allocations, cumulative tier-wide.
     pub fallbacks: u64,
-    /// Scale-up decisions, cumulative.
-    pub scale_up: u64,
-    /// Scale-down decisions, cumulative.
-    pub scale_down: u64,
     /// Cycles spent in observability work so far (scrapes + record
     /// appends + endpoint renders), cumulative.
     pub obs_cycles: u64,
-    /// Windowed heat per serving/draining shard.
+    /// Windowed heat per shard whose window has settled.
     pub shards: Vec<ShardSample>,
 }
 
@@ -82,14 +72,12 @@ impl RecordFrame {
         let mut out = String::with_capacity(160 + self.shards.len() * 96);
         let _ = write!(
             out,
-            "{{\"tsc\":{},\"serving\":{},\"states\":\"{}\",\"deadlines\":{},\"fallbacks\":{},\"scale_up\":{},\"scale_down\":{},\"obs_cycles\":{},\"shards\":[",
+            "{{\"tsc\":{},\"serving\":{},\"states\":\"{}\",\"deadlines\":{},\"fallbacks\":{},\"obs_cycles\":{},\"shards\":[",
             self.tsc,
             self.serving,
             self.states,
             self.deadlines,
             self.fallbacks,
-            self.scale_up,
-            self.scale_down,
             self.obs_cycles
         );
         for (i, s) in self.shards.iter().enumerate() {
@@ -137,8 +125,6 @@ impl RecordFrame {
             states: field_str(head, "states")?,
             deadlines: field_u64(head, "deadlines")?,
             fallbacks: field_u64(head, "fallbacks")?,
-            scale_up: field_u64(head, "scale_up")?,
-            scale_down: field_u64(head, "scale_down")?,
             obs_cycles: field_u64(head, "obs_cycles")?,
             shards,
         })
@@ -250,11 +236,9 @@ mod tests {
         RecordFrame {
             tsc,
             serving,
-            states: "SS.R".into(),
+            states: "SSDS".into(),
             deadlines: 3,
             fallbacks: 1,
-            scale_up: 2,
-            scale_down: 1,
             obs_cycles: 999,
             shards: vec![
                 ShardSample {
@@ -288,7 +272,7 @@ mod tests {
     fn empty_shards_round_trip() {
         let f = RecordFrame {
             tsc: 1,
-            states: "....".into(),
+            states: "DDDD".into(),
             ..RecordFrame::default()
         };
         assert_eq!(RecordFrame::parse(&f.to_json()), Some(f));

@@ -31,11 +31,6 @@ pub enum TraceEventKind {
     /// [`TraceRing::push_at`] so the event's `tsc` is the *true* phase
     /// timestamp, not the record time.
     Span,
-    /// An elastic-tier scaling decision; `a` = decision code (1 = spawn,
-    /// 2 = drain begun, 3 = retired, 4 = drain aborted), `b` = the shard
-    /// acted on. Recorded into the tier's control ring, beside the
-    /// failures it may be answering.
-    Scale,
     /// A request-path failure edge; `a` = reason code (see `ngm-core`'s
     /// `FailureReason`), `b` = the shard implicated. Recorded into the
     /// tier's control ring, whose storage is allocated once, so
@@ -54,7 +49,6 @@ impl TraceEventKind {
             TraceEventKind::Refill => "refill",
             TraceEventKind::WaitTransition => "wait_transition",
             TraceEventKind::Span => "span",
-            TraceEventKind::Scale => "scale",
             TraceEventKind::Failure => "failure",
         }
     }
@@ -263,7 +257,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(TraceEventKind::WaitTransition.label(), "wait_transition");
         assert_eq!(TraceEventKind::Span.label(), "span");
-        assert_eq!(TraceEventKind::Scale.label(), "scale");
         assert_eq!(TraceEventKind::Failure.label(), "failure");
     }
 

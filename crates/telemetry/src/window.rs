@@ -6,8 +6,8 @@
 //! frame minus the oldest — counter deltas by subtraction, histogram
 //! windows via [`HistogramSnapshot::diff`] — so percentiles and rates
 //! describe *recent* behavior, not the lifetime average. This is the
-//! signal shape the rebalance policy and the future elastic controller
-//! consume: a shard that was hot an hour ago but idle now must read cold.
+//! signal shape the rebalance policy consumes: a shard that was hot an
+//! hour ago but idle now must read cold.
 
 use std::collections::VecDeque;
 

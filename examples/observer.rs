@@ -1,4 +1,4 @@
-//! Live observability: run an elastic tier with the HTTP observer and a
+//! Live observability: run a two-shard tier with the HTTP observer and a
 //! flight recording, keep traffic flowing, and self-scrape at exit.
 //!
 //! ```sh
@@ -37,8 +37,7 @@ fn main() {
 
     let ngm = Arc::new(
         NgmConfig::new()
-            .with_shards(1)
-            .elastic(1, 4)
+            .with_shards(2)
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(4096)
             .with_observer(

@@ -11,9 +11,7 @@
 //! valid text format 0.0.4 — every family announced by HELP+TYPE, every
 //! series unique, every value numeric. (4) **Windows**: the rolling
 //! heat window's edge cases (no frames, one cumulative frame,
-//! wrap-around past capacity), and the rule that the elastic controller
-//! must fall back to the static policy while any serving shard's window
-//! is unsettled.
+//! wrap-around past capacity).
 //!
 //! The `faultinject` module adds the failure-path contracts: a
 //! dropped-then-retried request is *two* spans (ids never alias across
@@ -23,7 +21,7 @@
 use std::alloc::Layout;
 use std::collections::{HashMap, HashSet};
 
-use ngm_core::{CorePlacement, NgmConfig, ScaleDecision};
+use ngm_core::{CorePlacement, NgmConfig};
 use ngm_offload::{PHASES, PHASE_NAMES};
 use ngm_telemetry::span::{call_span_id, reconstruct, SpanPhase, POST_SPAN_BIT};
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
@@ -409,45 +407,6 @@ fn heat_window_edges_zero_single_and_wrap() {
     let d = w.windowed().expect("full window");
     assert_eq!(d.calls, 0, "hot an hour ago must read cold now");
     assert_eq!(d.span_tsc, 100, "span covers the retained frames only");
-}
-
-/// The elastic controller refuses to act on an unsettled window: zero
-/// frames or a single cumulative frame — however extreme — hold the
-/// static shape; the decision fires only once a second frame gives the
-/// window a real baseline.
-#[test]
-fn unsettled_heat_windows_force_the_static_scaling_policy() {
-    let ngm = NgmConfig::new()
-        .with_shards(1)
-        .elastic(1, 2)
-        .with_placement(CorePlacement::Unpinned)
-        .build()
-        .expect("valid config");
-
-    // Zero-frame edge: nothing to read.
-    assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold);
-
-    // Single-frame edge: a cumulative-since-start sample has no
-    // baseline, so no amount of heat in it may trigger a scale.
-    ngm.inject_heat(0, heat_frame(1, 1_000_000));
-    for _ in 0..4 {
-        assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold);
-    }
-    assert_eq!(
-        ngm.scale_counts(),
-        (0, 0),
-        "static fallback spawned nothing"
-    );
-
-    // A second frame settles the window and the same load now counts
-    // (two ticks: the sustain streak arms, then fires).
-    ngm.inject_heat(0, heat_frame(2, 2_000_000));
-    assert_eq!(ngm.scaling_tick(), ScaleDecision::Hold, "streak arming");
-    assert_eq!(ngm.scaling_tick(), ScaleDecision::ScaleUp { shard: 1 });
-    assert_eq!(ngm.scale_counts(), (1, 0));
-
-    let down = ngm.shutdown();
-    assert!(down.clean() && down.balanced());
 }
 
 #[cfg(feature = "faultinject")]

@@ -334,8 +334,8 @@ proptest! {
 }
 
 /// A scripted operation against a multi-shard tier whose class → shard
-/// routing map is migrated mid-script (the elastic controller's resync
-/// primitive, driven deterministically).
+/// routing map is migrated mid-script (what a rebalance does, driven
+/// deterministically).
 #[derive(Debug, Clone)]
 enum MigOp {
     Alloc { size: usize },
@@ -360,8 +360,8 @@ proptest! {
     /// break the address-routing invariant: a block frees back to the
     /// shard that allocated it no matter how routing moved since, so
     /// every shard's books balance exactly at shutdown. This is the
-    /// property the elastic tier leans on — spawn/retire only ever
-    /// rewrites the *allocation* map.
+    /// property rebalancing and fail-over lean on — both only ever
+    /// rewrite the *allocation* map.
     #[test]
     fn migrations_never_unbalance_a_shard(
         ops in prop::collection::vec(mig_op_strategy(), 1..120),
