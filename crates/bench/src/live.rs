@@ -2,7 +2,7 @@
 //! run against a live [`Ngm`] tier.
 //!
 //! Every live experiment has the same shape — build a tier, churn it
-//! from N client threads (perhaps ticking or scraping meanwhile), shut it
+//! from N client threads (perhaps recording or scraping meanwhile), shut it
 //! down, check the books. The tier's configuration and the load are the
 //! experiment's own; [`drive`] is the client loop, [`finish`] the
 //! shutdown, and [`render_pmu`] the `--hw` section printed under
@@ -128,10 +128,10 @@ pub const JOIN_POLL: Duration = Duration::from_millis(1);
 ///
 /// # Panics
 ///
-/// Panics if a ticker, observer or handle still holds the tier.
+/// Panics if an observer or handle still holds the tier.
 pub fn finish(ngm: Arc<Ngm>) -> NgmShutdown {
     Arc::into_inner(ngm)
-        .expect("every client joined and every ticker stopped")
+        .expect("every client joined and every observer stopped")
         .shutdown()
 }
 
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn an_empty_stage_is_still_observed_once() {
-        // Clients with nothing to do exit at once; a ticking or scraping
+        // Clients with nothing to do exit at once; a scraping
         // caller must still get its one look at the stage.
         let ngm = two_shards();
         let idle = Load {

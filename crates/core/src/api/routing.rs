@@ -3,12 +3,13 @@
 //! the single [`NgmHandle::route`] step every refused operation goes
 //! through.
 
+use std::sync::atomic::Ordering;
+
 use ngm_heap::classes::SizeClass;
 use ngm_offload::ServiceError;
 
 use super::handle::NgmHandle;
 use super::tier::FailureReason;
-use crate::heat::pick_coolest;
 
 /// What an operation that could not proceed on its shard does next, as
 /// decided by [`NgmHandle::route`].
@@ -91,35 +92,37 @@ impl NgmHandle {
     }
 
     /// Moves this handle's allocation traffic off `overloaded` onto the
-    /// coolest surviving shard, and resets the pressure signal.
+    /// least loaded surviving shard, and resets the pressure signal.
     ///
     /// Called automatically when a shard's free ring keeps saturating;
     /// public so operators can steer traffic by hand. The target is the
-    /// shard with the lowest combined score: its tier-wide windowed heat
-    /// ([`crate::heat::ShardHeat::score`] — recent deadlines, retries,
-    /// ring backlog, as of the last [`crate::Ngm::tick`]) plus this
-    /// handle's own accumulated ring-saturation pressure against it. Before
-    /// the first tick the heat term is zero and the choice degrades to the
-    /// old pressure-only policy. Only *future allocations* move —
-    /// frees route by address, so blocks already handed out still drain
-    /// back to the shard that owns them, and the accounting stays exact
-    /// through any number of rebalances.
+    /// shard with the lowest sum of this handle's accumulated
+    /// ring-saturation pressure against it and its tier-wide free-ring
+    /// backlog, read live from its `ring_occupancy` gauge; ties go to the
+    /// lowest index. Only *future allocations* move — frees route by
+    /// address, so blocks already handed out still drain back to the
+    /// shard that owns them, and the accounting stays exact through any
+    /// number of rebalances.
     pub fn rebalance_away_from(&mut self, overloaded: usize) {
         let n = self.nshards();
         self.ends[overloaded].pressure = 0;
         if n == 1 {
             return;
         }
-        let candidates = (0..n)
+        let target = (0..n)
             .filter(|&s| {
                 let end = &self.ends[s];
                 s != overloaded && !end.failed && end.client.is_open()
             })
-            .map(|s| {
-                let heat = self.tier.slots[s].windowed().score();
-                (s, u64::from(self.ends[s].pressure).saturating_add(heat))
+            .min_by_key(|&s| {
+                let backlog = self.tier.slots[s]
+                    .handles
+                    .stats
+                    .ring_occupancy
+                    .load(Ordering::Relaxed);
+                (u64::from(self.ends[s].pressure) + backlog as u64, s)
             });
-        let Some(target) = pick_coolest(candidates) else {
+        let Some(target) = target else {
             return;
         };
         let mut moved = false;

@@ -6,29 +6,25 @@
 //! [`Ngm::shutdown`](super::Ngm::shutdown) joins it ([`Slot::stop`]), or
 //! until [`Ngm::stop_shard`](super::Ngm::stop_shard) tells it to exit
 //! early. Everything else that persists for the shard — counters,
-//! telemetry, fault knobs, the orphan stack, the heap and demand
-//! mirrors, the heat window — sits beside the thread cell in the same
-//! struct, readable whether or not the thread still runs.
+//! telemetry, fault knobs, the orphan stack, the heap mirror — sits
+//! beside the thread cell in the same struct, readable whether or not
+//! the thread still runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ngm_heap::{DeadBlockStack, FallbackHeap, HeapStats, LargeBlocks};
 use ngm_offload::{ClientHandle, OffloadRuntime, RuntimeConfig, RuntimeHandles, ServiceError};
-use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::trace::{TraceEventKind, TraceRing};
-use ngm_telemetry::window::{HeatFrame, HeatWindow};
 
 use super::lock;
 use super::tier::FailureReason;
 use crate::config::{CorePlacement, NgmConfig, FALLBACK_OWNER};
-use crate::heat::{HeatReport, ShardHeat};
 use crate::service::MallocService;
-use crate::watch::{SharedDemand, SharedHeapStats};
+use crate::watch::SharedHeapStats;
 
 /// One service-shard slot.
 pub(crate) struct Slot {
-    shard: usize,
     /// The running thread, from build until [`Slot::stop`] takes it.
     runtime: Mutex<Option<OffloadRuntime<MallocService>>>,
     /// Stats, telemetry and fault knobs — readable without the runtime,
@@ -36,11 +32,9 @@ pub(crate) struct Slot {
     pub(super) handles: RuntimeHandles,
     /// Where undeliverable frees of this shard's blocks are diverted.
     pub(super) orphans: Arc<DeadBlockStack>,
-    /// The service's idle-published heap statistics and cumulative
-    /// per-class refill demand, readable while its thread owns it.
+    /// The service's idle-published heap statistics, readable while its
+    /// thread owns it.
     heap_watch: Arc<SharedHeapStats>,
-    demand: Arc<SharedDemand>,
-    heat: Mutex<HeatWindow>,
 }
 
 impl Slot {
@@ -48,20 +42,16 @@ impl Slot {
     fn start(cfg: RuntimeConfig) -> Result<Self, ServiceError> {
         let orphans = Arc::new(DeadBlockStack::new());
         let service = MallocService::for_shard(cfg.shard as u16, Arc::clone(&orphans));
-        // Keep observing the heap (and refill demand) after the service
-        // thread takes the service away from us.
+        // Keep observing the heap after the service thread takes the
+        // service away from us.
         let heap_watch = Arc::clone(service.heap_watch());
-        let demand = Arc::clone(service.demand_watch());
         let handles = RuntimeHandles::fresh(&cfg);
         let runtime = OffloadRuntime::try_start_shared(service, cfg, &handles)?;
         Ok(Slot {
-            shard: cfg.shard,
             runtime: Mutex::new(Some(runtime)),
             handles,
             orphans,
             heap_watch,
-            demand,
-            heat: Mutex::new(HeatWindow::default()),
         })
     }
 
@@ -99,55 +89,6 @@ impl Slot {
     pub(super) fn heap_mirror(&self) -> HeapStats {
         self.heap_watch.load()
     }
-
-    /// Samples the slot's cumulative counters into its heat window: one
-    /// frame per [`Ngm::tick`](super::Ngm::tick). The counters live in
-    /// the slot's handles, so a shard whose thread has exited still
-    /// samples.
-    pub(super) fn sample(&self, fallbacks: u64) {
-        let stats = self.handles.stats.snapshot();
-        let phases = &self.handles.telemetry.phase_cycles;
-        self.push_frame(HeatFrame {
-            tsc: cycles_now(),
-            ring_occupancy: stats.ring_occupancy as u64,
-            calls: stats.calls_served,
-            deadlines: stats.deadlines,
-            retries: stats.post_full_retries,
-            fallbacks,
-            phases: phases.iter().map(|h| h.snapshot()).collect(),
-            demand: self.demand.load(),
-        });
-    }
-
-    /// Appends a cumulative sample: the window's only writer
-    /// ([`Slot::sample`], and tests that steer the heat by hand).
-    pub(super) fn push_frame(&self, frame: HeatFrame) {
-        lock(&self.heat).push(frame);
-    }
-
-    /// The slot's windowed heat as of the last tick; all-zero before the
-    /// first one, so readers see every shard whatever the tick history.
-    /// On the allocation path (`route` → `rebalance_away_from`), hence
-    /// the poison-tolerant lock.
-    pub(super) fn windowed(&self) -> ShardHeat {
-        ShardHeat {
-            shard: self.shard,
-            heat: lock(&self.heat).windowed().unwrap_or_default(),
-        }
-    }
-
-    /// The windowed heat when the window is *settled* — at least two
-    /// frames, so the delta spans a real interval instead of the
-    /// garbage-prone cumulative-since-start single-frame view. Only
-    /// settled windows go into a flight-recorder frame.
-    pub(super) fn settled_heat(&self) -> Option<ShardHeat> {
-        let window = lock(&self.heat);
-        let heat = window.windowed().filter(|_| window.len() >= 2)?;
-        Some(ShardHeat {
-            shard: self.shard,
-            heat,
-        })
-    }
 }
 
 /// Events the control ring holds at least (a traced tier's ring holds
@@ -180,8 +121,6 @@ pub(crate) struct Tier {
     /// Its storage never grows, so recording a failure never allocates —
     /// which keeps it safe under the global hook.
     pub(crate) control: Arc<TraceRing>,
-    /// [`Ngm::tick`](super::Ngm::tick)s so far — the windows' time-base.
-    pub(super) ticks: AtomicU64,
     /// Cycles spent on observability work (metrics scrapes, recorder
     /// appends, endpoint renders), written only by the observer/scrape
     /// threads — never by the allocation hot path.
@@ -222,24 +161,8 @@ impl Tier {
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
             large: LargeBlocks::default(),
             control,
-            ticks: AtomicU64::new(0),
             obs_cycles: AtomicU64::new(0),
         })
-    }
-
-    /// Shard `shard`'s retained heat frames, oldest first (the raw time
-    /// series behind the `/heat` endpoint). Cloned out so the caller
-    /// renders without holding the window lock.
-    pub(crate) fn frames(&self, shard: usize) -> Vec<HeatFrame> {
-        lock(&self.slots[shard].heat).frames().cloned().collect()
-    }
-
-    /// The windowed view of every shard as of the last tick: a pure read
-    /// (scrapes must not perturb the windows they export).
-    pub(super) fn report(&self) -> HeatReport {
-        HeatReport {
-            shards: self.slots.iter().map(Slot::windowed).collect(),
-        }
     }
 
     /// Records a failure edge implicating `shard` in the control ring:
@@ -281,68 +204,5 @@ mod tests {
         assert!(slot.stop().is_ok(), "an orderly exit recovers the service");
         assert!(slot.with_runtime(|_| ()).is_none());
         assert_eq!(slot.stop().err(), Some(ServiceError::AlreadyShutDown));
-    }
-
-    #[test]
-    fn settled_heat_needs_two_frames() {
-        let tier = tier(1);
-        let slot = &tier.slots[0];
-        assert!(slot.settled_heat().is_none(), "zero frames: unsettled");
-        slot.push_frame(HeatFrame {
-            tsc: 10,
-            calls: 100,
-            ..HeatFrame::default()
-        });
-        assert!(slot.settled_heat().is_none(), "one frame: unsettled");
-        slot.push_frame(HeatFrame {
-            tsc: 20,
-            calls: 150,
-            ..HeatFrame::default()
-        });
-        let d = slot.settled_heat().expect("two frames settle the window");
-        assert_eq!(d.heat.calls, 50, "delta spans the two frames");
-    }
-
-    #[test]
-    fn a_tier_reads_all_zero_until_frames_arrive() {
-        let tier = tier(1);
-        assert_eq!(tier.slots[0].windowed().score(), 0);
-        let empty = tier.report();
-        assert_eq!(empty.shards.len(), 1, "an un-ticked shard still reports");
-        assert_eq!(
-            (empty.shards[0].heat.calls, empty.shards[0].score()),
-            (0, 0)
-        );
-        tier.slots[0].push_frame(HeatFrame {
-            tsc: 10,
-            ring_occupancy: 2,
-            calls: 5,
-            deadlines: 1,
-            ..HeatFrame::default()
-        });
-        assert_eq!(tier.report().shards[0].heat.calls, 5);
-        assert_eq!(tier.slots[0].windowed().score(), 2 + 4);
-        assert!(tier.report().render().contains("shard 0:"));
-    }
-
-    #[test]
-    fn a_poisoned_window_still_scores() {
-        // `windowed` sits on the allocation path: a panic in some scrape
-        // thread holding a window lock must not turn every later reroute
-        // into a panic inside `alloc`.
-        let tier = Arc::new(tier(1));
-        let poisoner = Arc::clone(&tier);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.slots[0].heat.lock().unwrap();
-            panic!("poison the window");
-        })
-        .join();
-        let slot = &tier.slots[0];
-        assert!(slot.heat.is_poisoned());
-        assert_eq!(slot.windowed().score(), 0);
-        slot.push_frame(HeatFrame::default());
-        assert_eq!(tier.frames(0).len(), 1);
-        assert!(slot.settled_heat().is_none());
-        assert_eq!(tier.report().shards.len(), 1);
     }
 }

@@ -2,7 +2,6 @@
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
-use std::sync::Arc;
 use std::time::Duration;
 
 use ngm_heap::classes::{class_to_size, SizeClass, NUM_CLASSES, SMALL_MAX};
@@ -10,7 +9,6 @@ use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
 use ngm_offload::ServiceError;
 use ngm_telemetry::trace::TraceEventKind;
-use ngm_telemetry::window::HeatFrame;
 
 use super::routing::{Route, RouteOp};
 use super::{FailureReason, Ngm, NgmHandle, NgmShutdown};
@@ -788,102 +786,7 @@ fn shards_balance_individually_at_shutdown() {
 }
 
 #[test]
-fn heat_report_windows_recent_activity() {
-    // Per-call handshake, so the windowed call count is the op count.
-    let ngm = sharded(2).with_batch(1, 1).build().unwrap();
-    let mut h = ngm.handle();
-    for _ in 0..16 {
-        let p = h.alloc(layout(64)).unwrap();
-        // SAFETY: block from this handle's allocator.
-        unsafe { h.dealloc(p, layout(64)) };
-    }
-    // The services count a call after publishing its response: let
-    // the counters catch up with the last round trip before sampling.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while ngm.runtime_stats().calls_served < 16 && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-    let unticked = ngm.heat_report();
-    assert_eq!(
-        unticked.shards.len(),
-        2,
-        "every shard reports before any tick"
-    );
-    assert!(
-        unticked.shards.iter().all(|s| s.heat.calls == 0),
-        "reading the report samples nothing"
-    );
-    ngm.tick();
-    let first = ngm.heat_report();
-    assert_eq!(first.shards.len(), 2);
-    let total: u64 = first.shards.iter().map(|s| s.heat.calls).sum();
-    assert_eq!(total, 16, "first report reads cumulative-since-start");
-    assert!(
-        first.shards.iter().any(|s| s.heat.phases[0].count() > 0),
-        "phase percentiles ride along for shards that served calls"
-    );
-    assert!(first.render().contains("shard 0:"));
-    // A second tick with no traffic in between: the window is
-    // [first, second] and must read zero new calls.
-    ngm.tick();
-    let second = ngm.heat_report();
-    let recent: u64 = second.shards.iter().map(|s| s.heat.calls).sum();
-    assert_eq!(recent, 0, "windowed view excludes pre-window traffic");
-    drop(h);
-    ngm.shutdown();
-}
-
-/// The tier has one clock. Between two `tick()`s, any number of
-/// `metrics()` / `heat_report()` calls and HTTP scrapes of `/metrics`
-/// leave every heat window exactly as the last tick wrote it.
-#[test]
-fn scrapes_between_ticks_leave_the_windows_alone() {
-    use crate::config::ObserverConfig;
-
-    let ngm = Arc::new(sharded(2).with_batch(1, 1).build().unwrap());
-    // An observer whose own ticker never fires within the test: its
-    // endpoints are under test, and this thread is the only clock.
-    let observer = ngm
-        .serve_observer(
-            ObserverConfig::new("127.0.0.1:0").with_scrape_interval(Duration::from_secs(3600)),
-        )
-        .unwrap();
-    let mut h = ngm.handle();
-    let clock = |ngm: &Ngm| {
-        let windows: Vec<usize> = (0..ngm.num_shards())
-            .map(|s| ngm.obs_state().frames(s).len())
-            .collect();
-        (windows, ngm.heat_report().render(), ngm.ticks())
-    };
-    for tick in 1..=3u64 {
-        for _ in 0..200 {
-            let p = h.alloc(layout(64)).unwrap();
-            // SAFETY: block from this handle's allocator.
-            unsafe { h.dealloc(p, layout(64)) };
-        }
-        ngm.tick();
-        let before = clock(&ngm);
-        assert_eq!(before.0, [tick as usize; 2], "one frame per shard per tick");
-        for _ in 0..8 {
-            let _ = ngm.metrics();
-            let _ = ngm.heat_report();
-            let (status, body) =
-                ngm_telemetry::server::http_get(observer.addr(), "/metrics").unwrap();
-            assert_eq!(status, 200);
-            ngm_telemetry::export::validate_exposition(&body).unwrap();
-        }
-        assert_eq!(clock(&ngm), before, "a scrape is a pure read");
-    }
-    assert_eq!(ngm.ticks(), 3);
-
-    drop(h);
-    observer.stop();
-    let down = Arc::into_inner(ngm).unwrap().shutdown();
-    assert!(down.clean() && down.balanced());
-}
-
-#[test]
-fn metrics_export_heat_series_and_renamed_fallback_counter() {
+fn metrics_export_shard_series_and_renamed_fallback_counter() {
     let ngm = sharded(2).build().unwrap();
     let mut h = ngm.handle();
     let p = h.alloc(layout(64)).unwrap();
@@ -892,38 +795,33 @@ fn metrics_export_heat_series_and_renamed_fallback_counter() {
     let m = ngm.metrics();
     assert_eq!(m.get_counter("ngm_fallback_allocs_total"), Some(0));
     assert_eq!(m.get_counter("ngm_fallback_allocs"), None, "old name gone");
-    assert_eq!(m.labeled_gauge_count("ngm_shard_heat_score"), 2);
+    assert_eq!(m.labeled_gauge_count("ngm_shard_calls_served"), 2);
     assert!(m.get_histogram("ngm_phase_queue_cycles").is_some());
     drop(h);
     ngm.shutdown();
 }
 
 #[test]
-fn rebalance_targets_the_coolest_shard_by_heat() {
+fn rebalance_targets_the_least_pressured_shard() {
     let ngm = sharded(3).build().unwrap();
     let mut h = ngm.handle();
-    // Manufacture heat: shard 1 recently blew deadlines, shard 2 is
-    // equally busy but healthy. Moving off shard 0 must skip 1.
-    ngm.tier.slots[1].push_frame(HeatFrame {
-        tsc: 1,
-        calls: 50,
-        deadlines: 50,
-        ..HeatFrame::default()
-    });
-    ngm.tier.slots[2].push_frame(HeatFrame {
-        tsc: 1,
-        calls: 50,
-        ..HeatFrame::default()
-    });
     let victim = (0..NUM_CLASSES)
         .find(|&c| h.class_route(SizeClass(c as u16)) == 0)
         .expect("some class routes to shard 0");
+    // Shard 1 has been refusing this handle's frees; shard 2 has not.
+    // Moving off shard 0 must skip 1.
+    h.ends[1].pressure = 50;
     h.rebalance_away_from(0);
     assert_eq!(
         h.class_route(SizeClass(victim as u16)),
         2,
-        "the hot shard was skipped"
+        "the pressured shard was skipped"
     );
+    // Equal scores go to the lowest index: with shard 1's pressure
+    // cleared, moving off shard 2 picks 0 over 1.
+    h.ends[1].pressure = 0;
+    h.rebalance_away_from(2);
+    assert_eq!(h.class_route(SizeClass(victim as u16)), 0, "tie to lowest");
     drop(h);
     ngm.shutdown();
 }

@@ -2,7 +2,6 @@
 //! [`Ngm::shutdown`] hands back.
 
 use std::ptr::NonNull;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use ngm_heap::{FallbackHeap, HeapStats};
@@ -19,7 +18,6 @@ use super::handle::NgmHandle;
 use super::lock;
 use super::slot::Tier;
 use crate::config::{NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE};
-use crate::heat::HeatReport;
 use crate::service::ServiceStats;
 
 /// Wall-clock seconds since the Unix epoch, captured once at the first
@@ -42,6 +40,14 @@ fn build_features() -> &'static str {
     } else {
         "default"
     }
+}
+
+/// Shard snapshots summed into one (see [`StatsSnapshot::absorb`]).
+fn merge(shards: impl IntoIterator<Item = StatsSnapshot>) -> StatsSnapshot {
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().expect("a tier has at least one shard");
+    shards.for_each(|s| merged.absorb(&s));
+    merged
 }
 
 /// The [`RecordFrame::states`] glyph for one shard's health.
@@ -145,36 +151,6 @@ impl Ngm {
         NgmHandle::new(Arc::clone(&self.tier))
     }
 
-    /// The tier's one clock: samples every shard into its heat window
-    /// (one cumulative frame per shard, so a window spans the last
-    /// [`ngm_telemetry::window::DEFAULT_HEAT_FRAMES`] tick intervals).
-    /// Nothing else writes the windows: [`Ngm::heat_report`],
-    /// [`Ngm::metrics`], the observer endpoints and rebalances only read
-    /// what the last tick wrote, so how often the tier is scraped never
-    /// shortens the window's time-base. Call it at the cadence the
-    /// windows should span — by hand, or through the observer's ticker.
-    pub fn tick(&self) {
-        let fallbacks = self.tier.fallback.allocs();
-        for slot in self.tier.slots.iter() {
-            slot.sample(fallbacks);
-        }
-        self.tier.ticks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// [`Ngm::tick`]s so far: the number of frames every heat window has
-    /// been offered, whoever scraped in between.
-    pub fn ticks(&self) -> u64 {
-        self.tier.ticks.load(Ordering::Relaxed)
-    }
-
-    /// The windowed aggregates as of the last [`Ngm::tick`], one entry
-    /// per shard: recent calls, deadline/retry/fallback rates, ring
-    /// occupancy, windowed phase percentiles, and per-size-class refill
-    /// demand. A pure read — all-zero entries before the first tick.
-    pub fn heat_report(&self) -> HeatReport {
-        self.tier.report()
-    }
-
     /// The failure edges still in the control ring, oldest first: one
     /// [`TraceEventKind::Failure`] event per edge, `a` its
     /// [`FailureReason`] code and `b` the shard implicated. Every edge is
@@ -187,8 +163,7 @@ impl Ngm {
         events
     }
 
-    /// The shared tier state, as the observer endpoints read it (heat
-    /// frames) and meter themselves into it.
+    /// The shared tier state, as the observer meters itself into it.
     pub(crate) fn obs_state(&self) -> &Tier {
         &self.tier
     }
@@ -199,7 +174,8 @@ impl Ngm {
         lock(&self.observer_cfg).take()
     }
 
-    /// One flight-recorder frame of tier state.
+    /// One flight-recorder frame of tier state: every shard's cumulative
+    /// counters and live ring occupancy, read from its stats now.
     pub(crate) fn observer_frame(&self) -> RecordFrame {
         let health = self.shard_healths();
         let states: String = health.iter().map(|&h| state_glyph(h)).collect();
@@ -207,28 +183,23 @@ impl Ngm {
             .iter()
             .filter(|&&h| h == ShardHealth::Serving)
             .count() as u64;
-        let stats = self.runtime_stats();
-        let shards = self
-            .tier
-            .slots
+        let per_shard = self.per_shard_stats();
+        let shards = per_shard
             .iter()
-            .filter_map(|slot| {
-                let sh = slot.settled_heat()?;
-                Some(ShardSample {
-                    shard: sh.shard as u64,
-                    score: sh.score(),
-                    calls: sh.heat.calls,
-                    deadlines: sh.heat.deadlines,
-                    retries: sh.heat.retries,
-                    ring: sh.heat.ring_occupancy,
-                })
+            .enumerate()
+            .map(|(shard, s)| ShardSample {
+                shard: shard as u64,
+                calls: s.calls_served,
+                deadlines: s.deadlines,
+                retries: s.post_full_retries,
+                ring: s.ring_occupancy as u64,
             })
             .collect();
         RecordFrame {
             tsc: cycles_now(),
             serving,
             states,
-            deadlines: stats.deadlines,
+            deadlines: per_shard.iter().map(|s| s.deadlines).sum(),
             fallbacks: self.tier.fallback.allocs(),
             obs_cycles: self.tier.obs_cycles_total(),
             shards,
@@ -314,11 +285,16 @@ impl Ngm {
     /// occupancy gauges sum; `service_down` is true if *any* shard is
     /// down).
     pub fn runtime_stats(&self) -> StatsSnapshot {
-        let mut merged = self.tier.slots[0].handles.stats.snapshot();
-        for s in &self.tier.slots[1..] {
-            merged.absorb(&s.handles.stats.snapshot());
-        }
-        merged
+        merge(self.tier.slots.iter().map(|s| s.handles.stats.snapshot()))
+    }
+
+    /// Every shard's offload-runtime counters, in shard order.
+    fn per_shard_stats(&self) -> Vec<StatsSnapshot> {
+        self.tier
+            .slots
+            .iter()
+            .map(|s| s.handles.stats.snapshot())
+            .collect()
     }
 
     /// Asks shard `shard`'s service thread to stop: it drains outstanding
@@ -365,9 +341,11 @@ impl Ngm {
 
     /// The full exportable metrics snapshot, merged across shards:
     /// offload-runtime counters, gauges, and latency histograms, plus
-    /// `ngm_heap_*` series mirrored from the service heaps.
+    /// `ngm_heap_*` series mirrored from the service heaps and four
+    /// per-shard `ngm_shard_*` families read from the same counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let stats = self.runtime_stats();
+        let per_shard = self.per_shard_stats();
+        let stats = merge(per_shard.iter().copied());
         let peers: Vec<&RuntimeTelemetry> = self.tier.slots[1..]
             .iter()
             .map(|s| &*s.handles.telemetry)
@@ -405,9 +383,24 @@ impl Ngm {
                 ],
                 1,
             );
-        // The heat series are whatever the last tick wrote: one sample
-        // per shard per family, ticked or not.
-        self.heat_report().publish(&mut m);
+        // One sample per shard per family, family-major: the exposition
+        // format wants every sample of a family under one HELP/TYPE. The
+        // ring is live; the other three are cumulative, and a scraper
+        // takes the differences.
+        type Sample = fn(&StatsSnapshot) -> i64;
+        let families: [(&str, Sample); 4] = [
+            ("ngm_shard_ring_occupancy", |s| s.ring_occupancy as i64),
+            ("ngm_shard_calls_served", |s| s.calls_served as i64),
+            ("ngm_shard_deadlines", |s| s.deadlines as i64),
+            ("ngm_shard_post_full_retries", |s| {
+                s.post_full_retries as i64
+            }),
+        ];
+        for (name, value) in families {
+            for (shard, s) in per_shard.iter().enumerate() {
+                m.labeled_gauge(name, &[("shard", &shard.to_string())], value(s));
+            }
+        }
         m
     }
 
@@ -450,7 +443,6 @@ impl Ngm {
         let mut shards = Vec::new();
         let mut service = ServiceStats::default();
         let mut heap = HeapStats::default();
-        let mut runtime: Option<StatsSnapshot> = None;
         for (i, slot) in self.tier.slots.iter().enumerate() {
             let (service_stats, heap_stats, error) = match slot.stop() {
                 // The recovered service reports its exact cumulative
@@ -471,10 +463,6 @@ impl Ngm {
             };
             service.absorb(&out.service);
             heap.absorb(&out.heap);
-            match &mut runtime {
-                Some(r) => r.absorb(&out.runtime),
-                None => runtime = Some(out.runtime),
-            }
             shards.push(out);
         }
         // Fold the degradation heap and the large-block ledger into the
@@ -487,10 +475,10 @@ impl Ngm {
         service.frees += off_shard.total_frees;
         heap.absorb(&off_shard);
         NgmShutdown {
+            runtime: merge(shards.iter().map(|s| s.runtime)),
             shards,
             service,
             heap,
-            runtime: runtime.expect("a tier has at least one shard"),
             // Every service loop has exited and deposited its reading.
             pmu: self.pmu_report(),
         }

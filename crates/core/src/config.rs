@@ -54,11 +54,10 @@ pub enum CorePlacement {
 ///
 /// Passed to [`NgmConfig::with_observer`]; consumed by
 /// [`crate::api::Ngm::start_observer`], which binds the HTTP endpoint
-/// (`/metrics`, `/heat`, `/spans`, `/blackbox`, `/healthz`, `/readyz`),
-/// starts the tier's ticker (one [`crate::api::Ngm::tick`] per
-/// interval), and — when `record_path` is set — appends one
-/// flight-recorder frame per tick. The endpoints only read what the
-/// ticker last wrote; scraping them never samples.
+/// (`/metrics`, `/spans`, `/blackbox`, `/healthz`, `/readyz`) and — when
+/// `record_path` is set — starts the recorder thread, which appends one
+/// flight-recorder frame per interval. The endpoints read the tier's
+/// counters at request time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserverConfig {
     /// Listen address for the HTTP endpoint (e.g. `"127.0.0.1:9464"`;
@@ -68,14 +67,15 @@ pub struct ObserverConfig {
     /// JSONL flight-recording path; `None` serves endpoints without
     /// recording.
     pub record_path: Option<std::path::PathBuf>,
-    /// Spacing between ticks (each tick pushes one heat frame per
-    /// shard and appends one recording frame) — the time-base of
-    /// everything the endpoints export. Sub-millisecond values are clamped to 1ms by the ticker.
+    /// Spacing between recorded frames — the time-base of the flight
+    /// recording. Unused without one. Sub-millisecond values are clamped
+    /// to 1ms by the recorder.
     pub scrape_interval: Duration,
 }
 
 impl ObserverConfig {
-    /// An observer on `addr` ticking every 250ms, with no recording.
+    /// An observer on `addr` with no recording (a recording, once set,
+    /// takes a frame every 250ms).
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         ObserverConfig {
@@ -92,7 +92,7 @@ impl ObserverConfig {
         self
     }
 
-    /// Sets the tick interval.
+    /// Sets the recording interval.
     #[must_use]
     pub fn with_scrape_interval(mut self, interval: Duration) -> Self {
         self.scrape_interval = interval;

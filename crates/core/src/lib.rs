@@ -33,7 +33,6 @@ pub mod api;
 pub mod bootstrap;
 pub mod config;
 pub mod global;
-pub mod heat;
 pub mod nonblocking;
 pub mod observer;
 pub mod service;
@@ -44,8 +43,7 @@ pub use config::{
     CorePlacement, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS, OWNER_BASE,
 };
 pub use global::NgmAllocator;
-pub use heat::{pick_coolest, HeatReport, ShardHeat};
 pub use nonblocking::{AllocFuture, ReadyFuture, SubmissionQueue};
 pub use observer::{derive_readiness, Observer, Readiness};
 pub use service::{AddrBatch, AllocBatchReq, FreePost, MallocService, ServiceStats, MAX_BATCH};
-pub use watch::{SharedDemand, SharedHeapStats};
+pub use watch::SharedHeapStats;

@@ -1,17 +1,17 @@
-//! The live observer: the tier's ticker plus an HTTP endpoint and a
-//! continuous flight recorder.
+//! The live observer: an HTTP endpoint and a continuous flight
+//! recorder.
 //!
-//! [`Ngm::serve_observer`] starts two background pieces:
+//! [`Ngm::serve_observer`] starts up to two background pieces:
 //!
 //! * an [`HttpServer`] (dependency-free, [`ngm_telemetry::server`])
-//!   answering `GET /metrics`, `/heat`, `/spans`, `/blackbox`,
-//!   `/healthz`, and `/readyz` — every one a pure read of what the last
-//!   tick wrote, so scraping never samples heat;
-//! * the tier's ticker — the only thread that calls [`Ngm::tick`] on a
-//!   cadence — ticking every `scrape_interval` and, when a
-//!   `record_path` is configured, appending one
-//!   [`ngm_telemetry::recorder::RecordFrame`] per tick to a
-//!   size-rotated JSONL recording ([`FlightRecorder`]).
+//!   answering `GET /metrics`, `/spans`, `/blackbox`, `/healthz`, and
+//!   `/readyz` — every one a read of the tier's counters, rings and
+//!   health at request time;
+//! * when a `record_path` is configured, the recorder thread, appending
+//!   one [`ngm_telemetry::recorder::RecordFrame`] of cumulative per-shard
+//!   counters every `scrape_interval` to a size-rotated JSONL recording
+//!   ([`FlightRecorder`]). That recording is the tier's one time series:
+//!   a window is the difference of two of its frames.
 //!
 //! Neither piece touches the allocation hot path: all sampling happens
 //! on the observer's own threads against counters that already exist,
@@ -21,7 +21,7 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -73,30 +73,36 @@ pub fn derive_readiness(health: &[ShardHealth]) -> Readiness {
     }
 }
 
-/// How often the ticker re-checks its stop flag while sleeping between
-/// ticks, so stopping it returns promptly even under a long interval.
+/// How often the recorder re-checks its stop flag while sleeping between
+/// frames, so stopping it returns promptly even under a long interval.
 const STOP_POLL: Duration = Duration::from_millis(10);
 
-/// The tier's ticker thread: every `interval` (clamped to 1 ms) it
-/// upgrades its weak tier reference, runs [`Ngm::tick`], then hands the
-/// tier to an after-tick hook (the recorder). Stops and joins on drop.
+/// The recorder thread: every `interval` (clamped to 1 ms) it upgrades
+/// its weak tier reference and appends one [`Ngm::observer_frame`] to
+/// the recording, metering the frame assembly and the append into
+/// `ngm_obs_scrape_cycles_total`. Stops and joins on drop.
 #[derive(Debug)]
-struct Ticker {
+struct RecorderThread {
     stop: Arc<AtomicBool>,
+    /// The recorder's own append count, stored (`Release`) after each
+    /// append has flushed its line; a reader that loads n (`Acquire`)
+    /// finds those n appends' lines flushed.
+    frames: Arc<AtomicU64>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl Ticker {
+impl RecorderThread {
     fn spawn(
         weak: Weak<Ngm>,
         interval: Duration,
-        mut after_tick: impl FnMut(&Ngm) + Send + 'static,
-    ) -> io::Result<Ticker> {
+        mut rec: FlightRecorder,
+    ) -> io::Result<RecorderThread> {
         let interval = interval.max(Duration::from_millis(1));
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let frames = Arc::new(AtomicU64::new(0));
+        let (stop_flag, appended) = (Arc::clone(&stop), Arc::clone(&frames));
         let thread = std::thread::Builder::new()
-            .name("ngm-ticker".into())
+            .name("ngm-recorder".into())
             .spawn(move || loop {
                 let mut slept = Duration::ZERO;
                 while slept < interval {
@@ -111,18 +117,20 @@ impl Ticker {
                     return;
                 }
                 let Some(ngm) = weak.upgrade() else { return };
-                ngm.tick();
-                after_tick(&ngm);
+                let t0 = cycles_now();
+                let _ = rec.append(&ngm.observer_frame());
+                ngm.obs_state()
+                    .record_obs_cycles(cycles_now().saturating_sub(t0));
+                appended.store(rec.frames_recorded(), Ordering::Release);
             })?;
-        Ok(Ticker {
+        Ok(RecorderThread {
             stop,
+            frames,
             thread: Some(thread),
         })
     }
-}
 
-impl Drop for Ticker {
-    fn drop(&mut self) {
+    fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -130,16 +138,23 @@ impl Drop for Ticker {
     }
 }
 
-/// Guard for the live observer: the ticker/recorder thread plus the HTTP
-/// server. Both stop on [`Observer::stop`] or drop, ticker first. Holds
-/// only a weak reference to the tier, so dropping the `Ngm` (or calling
-/// [`Ngm::shutdown`] after stopping the observer) is never blocked by
-/// it; endpoints answer 503 once the tier is gone.
+impl Drop for RecorderThread {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Guard for the live observer: the recorder thread, when a recording
+/// is configured, plus the HTTP server. Both stop on [`Observer::stop`]
+/// or drop, recorder first. Holds only a weak reference to the tier, so
+/// dropping the `Ngm` (or calling [`Ngm::shutdown`] after stopping the
+/// observer) is never blocked by it; endpoints answer 503 once the tier
+/// is gone.
 #[derive(Debug)]
 pub struct Observer {
-    // Field order is drop order: no tick outlives the server's last
-    // answer about it.
-    ticker: Ticker,
+    // Field order is drop order: no frame outlives the server's last
+    // answer about the tier.
+    recorder: Option<RecorderThread>,
     server: HttpServer,
 }
 
@@ -150,9 +165,21 @@ impl Observer {
         self.server.addr()
     }
 
-    /// Stops the ticker and the HTTP server, joining both.
-    pub fn stop(self) {
-        drop(self.ticker);
+    /// Frames the recorder has appended to the recording so far (0
+    /// without one). Final once [`Observer::stop`] returns.
+    #[must_use]
+    pub fn frames_recorded(&self) -> u64 {
+        self.recorder
+            .as_ref()
+            .map_or(0, |r| r.frames.load(Ordering::Acquire))
+    }
+
+    /// Stops the recorder and the HTTP server, joining both; what they
+    /// counted stays readable.
+    pub fn stop(&mut self) {
+        if let Some(r) = &mut self.recorder {
+            r.stop();
+        }
         self.server.stop();
     }
 }
@@ -172,32 +199,25 @@ impl Ngm {
         }
     }
 
-    /// Binds the observer endpoint and starts the ticker with an
-    /// explicit config (use [`Ngm::start_observer`] for the one stashed
-    /// in [`crate::NgmConfig`]). After each [`Ngm::tick`] the ticker
-    /// appends one recorded frame when a recording is configured,
-    /// metering the frame assembly and the append into
-    /// `ngm_obs_scrape_cycles_total` (the tick itself is not metered).
+    /// Binds the observer endpoint with an explicit config (use
+    /// [`Ngm::start_observer`] for the one stashed in
+    /// [`crate::NgmConfig`]) and, when a recording is configured, starts
+    /// the recorder thread: one frame every `scrape_interval`.
     ///
     /// # Errors
     ///
     /// Fails when the address cannot be bound, the recording file cannot
-    /// be created, or the OS refuses the ticker thread.
+    /// be created, or the OS refuses the recorder thread.
     pub fn serve_observer(self: &Arc<Self>, cfg: ObserverConfig) -> io::Result<Observer> {
-        let mut recorder = match &cfg.record_path {
+        let rec = match &cfg.record_path {
             Some(path) => Some(FlightRecorder::create(path, DEFAULT_ROTATE_BYTES)?),
             None => None,
         };
         let server = HttpServer::start(cfg.addr.as_str(), build_router(Arc::downgrade(self)))?;
-        let ticker = Ticker::spawn(Arc::downgrade(self), cfg.scrape_interval, move |ngm| {
-            if let Some(rec) = recorder.as_mut() {
-                let t0 = cycles_now();
-                let _ = rec.append(&ngm.observer_frame());
-                ngm.obs_state()
-                    .record_obs_cycles(cycles_now().saturating_sub(t0));
-            }
-        })?;
-        Ok(Observer { ticker, server })
+        let recorder = rec
+            .map(|rec| RecorderThread::spawn(Arc::downgrade(self), cfg.scrape_interval, rec))
+            .transpose()?;
+        Ok(Observer { recorder, server })
     }
 }
 
@@ -206,7 +226,6 @@ impl Ngm {
 fn build_router(weak: Weak<Ngm>) -> Router {
     let w = |weak: &Weak<Ngm>| Weak::clone(weak);
     let metrics = w(&weak);
-    let heat = w(&weak);
     let spans = w(&weak);
     let blackbox = w(&weak);
     let healthz = w(&weak);
@@ -220,9 +239,6 @@ fn build_router(weak: Weak<Ngm>) -> Router {
                     .record_obs_cycles(cycles_now().saturating_sub(t0));
                 Response::ok_text(body)
             })
-        })
-        .route("/heat", move || {
-            with_tier(&heat, |ngm| Response::ok_json(heat_json(ngm)))
         })
         .route("/spans", move || {
             with_tier(&spans, |ngm| Response::ok_json(spans_json(ngm)))
@@ -251,35 +267,6 @@ fn with_tier(weak: &Weak<Ngm>, f: impl FnOnce(&Ngm) -> Response) -> Response {
         Some(ngm) => f(&ngm),
         None => Response::unavailable("tier gone\n"),
     }
-}
-
-/// `/heat`: the tick count plus the raw per-shard heat-window time
-/// series (scalar fields; phase histograms stay on `/metrics`).
-fn heat_json(ngm: &Ngm) -> String {
-    let mut out = format!("{{\"ticks\":{},\"shards\":[", ngm.ticks());
-    for s in 0..ngm.num_shards() {
-        if s > 0 {
-            out.push(',');
-        }
-        let state = ngm.shard_health(s).label();
-        out.push_str(&format!(
-            "{{\"shard\":{s},\"state\":{},\"frames\":[",
-            json_str(state)
-        ));
-        for (i, f) in ngm.obs_state().frames(s).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tsc\":{},\"ring\":{},\"calls\":{},\"deadlines\":{},\
-                 \"retries\":{},\"fallbacks\":{}}}",
-                f.tsc, f.ring_occupancy, f.calls, f.deadlines, f.retries, f.fallbacks
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
 }
 
 /// How many reconstructed spans `/spans` returns (newest by start tsc).
@@ -326,7 +313,7 @@ const FAILURE_TAIL: usize = 64;
 /// `/blackbox`: every failure edge still in the control ring, oldest
 /// first, each with the implicated shard's trace tail up to the
 /// failure's timestamp, read from the rings at request time. The rest
-/// of the picture (per-shard heat, ring occupancy, health, fallback
+/// of the picture (per-shard counters, ring occupancy, health, fallback
 /// count) is in the flight recording's frames.
 pub(crate) fn blackbox_json(ngm: &Ngm) -> String {
     let mut traces: Vec<Option<Vec<TraceEvent>>> = vec![None; ngm.num_shards()];

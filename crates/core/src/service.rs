@@ -7,7 +7,7 @@ use ngm_heap::classes::{SizeClass, NUM_CLASSES};
 use ngm_heap::{DeadBlockStack, Heap, HeapStats, SegregatedHeap};
 use ngm_offload::{Record, Service};
 
-use crate::watch::{SharedDemand, SharedHeapStats};
+use crate::watch::SharedHeapStats;
 
 /// Maximum number of addresses carried by one batched request or reply:
 /// the wire's capacity, and so the ceiling of `NgmConfig::with_batch`.
@@ -284,17 +284,9 @@ pub struct MallocService {
     /// Allocations per size class since the last idle sweep — the demand
     /// signal for predictive preallocation.
     demand: [u32; NUM_CLASSES],
-    /// Cumulative allocations per size class over the service's lifetime
-    /// — the monotone demand series the heat window differences to see
-    /// *recent* per-class pressure (the decayed `demand` array above is
-    /// useless for that: it halves on every prepare sweep).
-    demand_total: [u64; NUM_CLASSES],
     /// Cross-thread readable mirror of the heap stats, refreshed on idle
     /// rounds (the heap itself is atomics-free and service-owned).
     watch: Arc<SharedHeapStats>,
-    /// Cross-thread readable mirror of `demand_total`, published with the
-    /// heap stats on idle rounds.
-    demand_watch: Arc<SharedDemand>,
 }
 
 impl MallocService {
@@ -323,9 +315,7 @@ impl MallocService {
             stats: ServiceStats::default(),
             idle_ticks: 0,
             demand: [0; NUM_CLASSES],
-            demand_total: [0; NUM_CLASSES],
             watch: Arc::new(SharedHeapStats::new()),
-            demand_watch: Arc::new(SharedDemand::new(NUM_CLASSES)),
         }
     }
 
@@ -340,12 +330,6 @@ impl MallocService {
     /// while the service thread owns it.
     pub fn heap_watch(&self) -> &Arc<SharedHeapStats> {
         &self.watch
-    }
-
-    /// The live-readable per-size-class refill-demand mirror (cumulative
-    /// counters, published on idle rounds like [`Self::heap_watch`]).
-    pub fn demand_watch(&self) -> &Arc<SharedDemand> {
-        &self.demand_watch
     }
 
     /// Service-side counters.
@@ -368,7 +352,6 @@ impl MallocService {
         }
         self.demand[req.class.0 as usize] =
             self.demand[req.class.0 as usize].saturating_add(count as u32);
-        self.demand_total[req.class.0 as usize] += count as u64;
         self.stats.batch_refills += 1;
         match self
             .heap
@@ -484,7 +467,6 @@ impl Service for MallocService {
     fn idle(&mut self) {
         self.drain_orphans();
         self.watch.publish(&self.heap.stats());
-        self.demand_watch.publish(&self.demand_total);
         self.idle_ticks = self.idle_ticks.saturating_add(1);
         if self.idle_ticks == Self::PREPARE_IDLE {
             // Predictive preallocation (§3.3.2): spend idle cycles making
@@ -853,24 +835,6 @@ mod tests {
         s.idle();
         assert_eq!(watch.load().live_blocks, 1);
         assert_eq!(watch.load(), s.heap_stats());
-    }
-
-    #[test]
-    fn idle_publishes_cumulative_demand() {
-        let mut s = svc();
-        let demand = Arc::clone(s.demand_watch());
-        assert_eq!(demand.load().iter().sum::<u64>(), 0);
-        let _a = alloc_one(&mut s, 64);
-        let _b = alloc_one(&mut s, 64);
-        s.idle();
-        let published = demand.load();
-        assert_eq!(published.iter().sum::<u64>(), 2);
-        // Cumulative counters never decay, unlike the predictive-prealloc
-        // `demand` array which halves on each prepare sweep.
-        for _ in 0..MallocService::PREPARE_IDLE + 1 {
-            s.idle();
-        }
-        assert_eq!(demand.load(), published);
     }
 
     #[test]

@@ -73,55 +73,9 @@ impl SharedHeapStats {
     }
 }
 
-/// A cross-thread readable mirror of the service's per-size-class refill
-/// demand counters, published from the idle hook like [`SharedHeapStats`].
-/// The heat report folds this in so a shard that is hot *because one size
-/// class keeps refilling* is distinguishable from uniform load.
-#[derive(Debug)]
-pub struct SharedDemand {
-    classes: Vec<AtomicU64>,
-}
-
-impl SharedDemand {
-    /// An all-zero mirror for `classes` size classes.
-    #[must_use]
-    pub fn new(classes: usize) -> Self {
-        SharedDemand {
-            classes: (0..classes).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Publishes the cumulative demand counters (service thread only).
-    pub fn publish(&self, demand: &[u64]) {
-        for (slot, &v) in self.classes.iter().zip(demand) {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads the last published view.
-    #[must_use]
-    pub fn load(&self) -> Vec<u64> {
-        self.classes
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn demand_publish_load_roundtrip() {
-        let d = SharedDemand::new(4);
-        assert_eq!(d.load(), vec![0; 4]);
-        d.publish(&[3, 0, 7, 1]);
-        assert_eq!(d.load(), vec![3, 0, 7, 1]);
-        // Short publishes leave the tail untouched rather than panicking.
-        d.publish(&[9]);
-        assert_eq!(d.load(), vec![9, 0, 7, 1]);
-    }
 
     #[test]
     fn publish_load_roundtrip() {

@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn validator_accepts_own_rendering() {
         let mut m = sample();
-        m.labeled_gauge("ngm_shard_heat_score", &[("shard", "0")], 12);
+        m.labeled_gauge("ngm_shard_calls_served", &[("shard", "0")], 12);
         validate_exposition(&m.to_prometheus_text()).expect("own rendering is valid");
     }
 

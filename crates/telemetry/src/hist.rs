@@ -233,28 +233,6 @@ impl HistogramSnapshot {
         }
         self.sum = self.sum.wrapping_add(other.sum);
     }
-
-    /// The values recorded between `earlier` and `self`: per-bucket
-    /// saturating subtraction, so two cumulative snapshots of the same
-    /// live histogram yield the distribution of just the window between
-    /// them (the basis of the rolling shard-heat percentiles).
-    ///
-    /// Saturating (not wrapping) because a snapshot racing concurrent
-    /// `record` calls can observe a bucket slightly behind the earlier
-    /// read's sum; clamping at zero keeps the window well-formed.
-    #[must_use]
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -348,29 +326,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, c.snapshot());
-    }
-
-    #[test]
-    fn diff_recovers_the_window() {
-        let h = LatencyHistogram::new();
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let earlier = h.snapshot();
-        for v in [1_000u64, 2_000, 4_000] {
-            h.record(v);
-        }
-        let window = h.snapshot().diff(&earlier);
-        assert_eq!(window.count(), 3, "only the window's values remain");
-        assert_eq!(window.sum(), 7_000);
-        assert!(window.p50() >= 1_000, "old small values subtracted out");
-        // Diffing a snapshot against itself is empty.
-        let zero = earlier.diff(&earlier);
-        assert_eq!(zero.count(), 0);
-        assert_eq!(zero.sum(), 0);
-        // Reversed operands saturate to empty rather than wrapping.
-        let reversed = earlier.diff(&h.snapshot());
-        assert_eq!(reversed.count(), 0);
     }
 
     #[test]

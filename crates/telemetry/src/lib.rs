@@ -12,7 +12,7 @@
 //!   path.
 //! * [`trace::TraceRing`] — a bounded per-thread event ring for
 //!   alloc/free/post/refill/wait-transition events (and, in a tier's
-//!   control ring, scaling decisions and failure edges). Overflow drops
+//!   control ring, failure edges). Overflow drops
 //!   the oldest event and counts the drop; nothing is lost silently, and
 //!   the storage never grows.
 //! * [`export::MetricsSnapshot`] — a named bag of counters, gauges
@@ -21,12 +21,11 @@
 //! * [`span`] — request-lifecycle spans: phase codes, alias-free span
 //!   ids minted from the slot publish sequence, and reconstruction of
 //!   spans from drained trace rings.
-//! * [`window::HeatWindow`] — rolling-window aggregation of cumulative
-//!   shard samples into recent rates and windowed phase percentiles.
 //! * [`server::HttpServer`] — a minimal HTTP/1.0 server for live
-//!   observability endpoints (`/metrics`, `/heat`, `/readyz`, ...).
+//!   observability endpoints (`/metrics`, `/readyz`, ...).
 //! * [`recorder::FlightRecorder`] — a continuous JSONL recorder that
-//!   appends per-scrape tier state with bounded size-based rotation.
+//!   appends cumulative tier state at a fixed interval with bounded
+//!   size-based rotation: the tier's one time series.
 //!
 //! Timestamps come from [`clock::cycles_now`]: `rdtsc` on x86_64, a
 //! monotonic-nanosecond fallback elsewhere (see that module for
@@ -40,7 +39,6 @@ pub mod recorder;
 pub mod server;
 pub mod span;
 pub mod trace;
-pub mod window;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

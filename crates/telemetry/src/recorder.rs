@@ -1,12 +1,14 @@
-//! Continuous flight recorder: per-tick tier state as JSONL.
+//! Continuous flight recorder: the tier's one time series, as JSONL.
 //!
 //! A `Failure` trace event answers "what just failed"; the flight
 //! recorder answers "what was the tier doing for the last ten
-//! minutes". Every observer tick appends one [`RecordFrame`] — the
-//! serving-shard count, each shard's health, windowed per-shard heat,
-//! and the tier-wide deadline/fallback counters — as one JSON line, and
-//! [`read_recording`] reads the file back (`repro obs` checks it holds
-//! one frame per tick).
+//! minutes". Every recording interval appends one [`RecordFrame`] — the
+//! serving-shard count, each shard's health, every shard's cumulative
+//! counters and live ring occupancy, and the tier-wide deadline/fallback
+//! counters — as one JSON line, and [`read_recording`] reads the file
+//! back (`repro obs` checks it holds every frame appended). The counters
+//! are cumulative, so a window over any span is the difference of the
+//! two frames that bound it, taken by whoever reads the file.
 //!
 //! The format is deliberately flat, hand-rolled JSON: it parses with
 //! the hand-rolled reader here ([`RecordFrame::parse`]) *and* with any
@@ -27,29 +29,27 @@ pub const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 /// shard order.
 pub const STATE_GLYPHS: [(char, &str); 2] = [('S', "serving"), ('D', "down")];
 
-/// One shard's windowed heat sample inside a frame.
+/// One shard's sample inside a frame.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSample {
     /// Shard index.
     pub shard: u64,
-    /// Heat score at scrape time.
-    pub score: u64,
-    /// Calls in the heat window.
+    /// Synchronous calls served, cumulative.
     pub calls: u64,
-    /// Deadline expiries in the heat window.
+    /// Deadline expiries, cumulative.
     pub deadlines: u64,
-    /// Post retries in the heat window.
+    /// Full-ring post retries, cumulative.
     pub retries: u64,
-    /// Instantaneous free-ring occupancy.
+    /// Free-ring occupancy at sample time, in cells.
     pub ring: u64,
 }
 
-/// One scrape's worth of tier state.
+/// One interval's worth of tier state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordFrame {
-    /// Scrape timestamp ([`crate::clock::cycles_now`]).
+    /// Sample timestamp ([`crate::clock::cycles_now`]).
     pub tsc: u64,
-    /// Shards whose service thread was running at scrape time.
+    /// Shards whose service thread was running at sample time.
     pub serving: u64,
     /// One glyph per shard, shard order (see [`STATE_GLYPHS`]).
     pub states: String,
@@ -60,7 +60,7 @@ pub struct RecordFrame {
     /// Cycles spent in observability work so far (scrapes + record
     /// appends + endpoint renders), cumulative.
     pub obs_cycles: u64,
-    /// Windowed heat per shard whose window has settled.
+    /// Every shard, in shard order.
     pub shards: Vec<ShardSample>,
 }
 
@@ -86,8 +86,8 @@ impl RecordFrame {
             }
             let _ = write!(
                 out,
-                "{{\"shard\":{},\"score\":{},\"calls\":{},\"deadlines\":{},\"retries\":{},\"ring\":{}}}",
-                s.shard, s.score, s.calls, s.deadlines, s.retries, s.ring
+                "{{\"shard\":{},\"calls\":{},\"deadlines\":{},\"retries\":{},\"ring\":{}}}",
+                s.shard, s.calls, s.deadlines, s.retries, s.ring
             );
         }
         out.push_str("]}");
@@ -111,7 +111,6 @@ impl RecordFrame {
                 let obj = obj.trim_start_matches('{').trim_end_matches('}');
                 shards.push(ShardSample {
                     shard: field_u64(obj, "shard")?,
-                    score: field_u64(obj, "score")?,
                     calls: field_u64(obj, "calls")?,
                     deadlines: field_u64(obj, "deadlines")?,
                     retries: field_u64(obj, "retries")?,
@@ -243,7 +242,6 @@ mod tests {
             shards: vec![
                 ShardSample {
                     shard: 0,
-                    score: 40,
                     calls: 100,
                     deadlines: 1,
                     retries: 0,
@@ -251,7 +249,6 @@ mod tests {
                 },
                 ShardSample {
                     shard: 1,
-                    score: 7,
                     calls: 12,
                     deadlines: 0,
                     retries: 2,

@@ -211,14 +211,10 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins it. In-flight connection threads
-    /// finish on their own (bounded by [`READ_TIMEOUT`] plus handler
-    /// time).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+    /// Stops the accept loop and joins it; a second call, or the drop
+    /// that follows, does nothing. In-flight connection threads finish
+    /// on their own (bounded by [`READ_TIMEOUT`] plus handler time).
+    pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept_loop.take() {
             let _ = h.join();
@@ -228,7 +224,7 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop();
     }
 }
 
@@ -367,7 +363,7 @@ mod tests {
 
     #[test]
     fn serves_registered_route() {
-        let server = test_server();
+        let mut server = test_server();
         let (status, body) = http_get(server.addr(), "/ping").expect("request");
         assert_eq!(status, 200);
         assert_eq!(body, "pong\n");
@@ -455,7 +451,7 @@ mod tests {
 
     #[test]
     fn stop_terminates_promptly() {
-        let server = test_server();
+        let mut server = test_server();
         let addr = server.addr();
         let started = std::time::Instant::now();
         server.stop();

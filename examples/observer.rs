@@ -48,13 +48,13 @@ fn main() {
             .build()
             .expect("valid config"),
     );
-    let observer = ngm
+    let mut observer = ngm
         .start_observer()
         .expect("observer binds")
         .expect("config carries an observer");
     println!("observer listening on http://{}", observer.addr());
     println!("flight recording at {}", record.display());
-    println!("endpoints: /metrics /heat /spans /blackbox /healthz /readyz");
+    println!("endpoints: /metrics /spans /blackbox /healthz /readyz");
 
     // Keep a small churn running so the endpoints have something to show.
     let stop = Arc::new(AtomicBool::new(false));

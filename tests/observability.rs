@@ -9,9 +9,8 @@
 //! the stamps are clamped, so the identity is exact by construction).
 //! (3) **Exposition**: `to_prometheus_text()` on a live snapshot is
 //! valid text format 0.0.4 — every family announced by HELP+TYPE, every
-//! series unique, every value numeric. (4) **Windows**: the rolling
-//! heat window's edge cases (no frames, one cumulative frame,
-//! wrap-around past capacity).
+//! series unique, every value numeric, and every per-shard family one
+//! sample per shard.
 //!
 //! The `faultinject` module adds the failure-path contracts: a
 //! dropped-then-retried request is *two* spans (ids never alias across
@@ -25,7 +24,6 @@ use ngm_core::{CorePlacement, NgmConfig};
 use ngm_offload::{PHASES, PHASE_NAMES};
 use ngm_telemetry::span::{call_span_id, reconstruct, SpanPhase, POST_SPAN_BIT};
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
-use ngm_telemetry::window::{HeatFrame, HeatWindow};
 use proptest::prelude::*;
 
 /// Deterministic generator state for the property tests (the proptest
@@ -266,12 +264,13 @@ fn validate_exposition(text: &str) {
 }
 
 /// Every series the live tier exports — counters, histograms-as-
-/// summaries, and the per-shard labeled heat gauges — renders as valid
-/// exposition text, with the convention-prefixed `ngm_` names.
+/// summaries, and the per-shard labeled gauges — renders as valid
+/// exposition text, with the convention-prefixed `ngm_` names, and each
+/// per-shard family carries exactly one sample per shard.
 #[test]
 fn live_metrics_render_valid_exposition_text() {
     let ngm = NgmConfig::new()
-        .with_shards(2)
+        .with_shards(3)
         .with_placement(CorePlacement::Unpinned)
         .build()
         .expect("valid config");
@@ -291,11 +290,28 @@ fn live_metrics_render_valid_exposition_text() {
         "# TYPE ngm_calls_total counter",
         "# TYPE ngm_call_cycles summary",
         "# TYPE ngm_phase_queue_cycles summary",
-        "# TYPE ngm_shard_heat_score gauge",
+        "# TYPE ngm_shard_calls_served gauge",
         "ngm_fallback_allocs_total",
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }
+    for family in [
+        "ngm_shard_ring_occupancy",
+        "ngm_shard_calls_served",
+        "ngm_shard_deadlines",
+        "ngm_shard_post_full_retries",
+    ] {
+        for shard in 0..3 {
+            let sample = format!("{family}{{shard=\"{shard}\"}} ");
+            assert_eq!(text.matches(&sample).count(), 1, "{sample} in:\n{text}");
+        }
+        assert_eq!(m.labeled_gauge_count(family), 3, "{family}");
+    }
+    let families = text
+        .lines()
+        .filter(|l| l.starts_with("# TYPE ngm_shard_"))
+        .count();
+    assert_eq!(families, 4, "no other per-shard family:\n{text}");
     // Every exported family follows the `ngm_` naming convention; the
     // lone exception is the conventional `process_start_time_seconds`
     // Prometheus itself expects from every scrape target.
@@ -370,43 +386,6 @@ fn exposition_validator_rejects_malformed_text() {
             "validator accepted malformed text: {bad:?}"
         );
     }
-}
-
-/// A cumulative heat frame carrying only a timestamp and a call count.
-fn heat_frame(tsc: u64, calls: u64) -> HeatFrame {
-    HeatFrame {
-        tsc,
-        calls,
-        ..HeatFrame::default()
-    }
-}
-
-/// The rolling window's edge cases, in lifecycle order: no frames (no
-/// aggregate at all), one frame (zero baseline — the aggregate is
-/// cumulative-since-start), and wrap-around (the baseline slides, so a
-/// counter that stopped moving reads as zero recent activity).
-#[test]
-fn heat_window_edges_zero_single_and_wrap() {
-    let mut w = HeatWindow::new(0); // clamps to the 2-frame minimum
-    assert_eq!(w.capacity(), 2, "a window needs a baseline and a head");
-    assert!(w.is_empty());
-    assert!(w.windowed().is_none(), "no frames, no aggregate");
-
-    w.push(heat_frame(100, 40));
-    let d = w.windowed().expect("one frame suffices");
-    assert_eq!(d.calls, 40, "single frame reads cumulative");
-    assert_eq!(d.span_tsc, 100, "zero baseline spans from shard start");
-
-    w.push(heat_frame(200, 90));
-    assert_eq!(w.windowed().expect("two frames").calls, 50);
-
-    // Two more pushes wrap past capacity: only the idle era remains.
-    w.push(heat_frame(300, 90));
-    w.push(heat_frame(400, 90));
-    assert_eq!(w.len(), 2, "capacity bounds retained frames");
-    let d = w.windowed().expect("full window");
-    assert_eq!(d.calls, 0, "hot an hour ago must read cold now");
-    assert_eq!(d.span_tsc, 100, "span covers the retained frames only");
 }
 
 #[cfg(feature = "faultinject")]
@@ -601,7 +580,7 @@ mod faultinject {
                 .build()
                 .expect("valid config"),
         );
-        let observer = ngm
+        let mut observer = ngm
             .serve_observer(ObserverConfig::new("127.0.0.1:0"))
             .expect("observer binds");
         let mut h = ngm.handle();
