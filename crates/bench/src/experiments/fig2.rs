@@ -288,7 +288,7 @@ impl WhoPays {
         format!(
             "Who pays for a fresh segment (live, this thread; medians of {} heaps)\n{}\n\
              churn_inline stream: {:.1} MiB requested at the peak in {} segments ({} MiB \
-             committed);\ntransparent huge pages {}: a segment is two 2 MiB faults taken \
+             committed);\ntransparent huge pages {}: a segment is one 2 MiB fault taken \
              by the heap's owner,\nnot one per 4 KiB page taken by whoever touches a block \
              first.\n",
             ROUNDS,
@@ -335,10 +335,10 @@ mod tests {
         assert!(w.segments >= 2 && w.peak_live_bytes > 0, "{w:?}");
         assert!(w.faulted.minor_faults <= w.fresh.minor_faults, "{w:?}");
         if w.thp {
-            // Two per segment, not one per 4 KiB page (9,618 unadvised),
+            // One per segment, not one per 4 KiB page (9,619 unadvised),
             // and then the whole segment is resident (71 unadvised: the
             // second pass places blocks on 4 KiB pages the first skipped).
-            assert!(w.fresh.minor_faults <= 4 * w.segments + 64, "{w:?}");
+            assert!(w.fresh.minor_faults <= 2 * w.segments + 64, "{w:?}");
             // (0 here; the slack is the replay's own id table.)
             assert!(w.faulted.minor_faults <= 16, "{w:?}");
             assert!(w.fresh.huge_kib > 0, "{w:?}");

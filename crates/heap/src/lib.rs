@@ -29,8 +29,9 @@
 //!   (TCMalloc/Mimalloc's thread-local caching with cross-thread frees),
 //!   i.e. exactly the atomics §3.1.3 proposes to remove.
 //!
-//! Modules: [`classes`] (the size-class table), [`segment`] (the 4 MiB
-//! segment, its header, page descriptors and index arrays), [`seg_heap`]
+//! Modules: [`classes`] (the size-class table), [`segment`] (the 2 MiB
+//! segment — one huge page — its header, page descriptors and the block
+//! pages' index arrays), [`seg_heap`]
 //! (the paged heap and its link stores), [`dead_stack`] (the Treiber
 //! stack threaded through dead blocks: `ShardedHeap`'s remote-free queue
 //! and `ngm-core`'s orphan stack), [`sharded`], [`locked`], [`fallback`]

@@ -301,9 +301,6 @@ impl<L: FreeLinks> PagedHeap<L> {
         d.free_head = NO_BLOCK;
         self.push_bin(d);
         self.stats.pages_in_use += 1;
-        // SAFETY: freshly popped page, no live block. Whoever runs this
-        // heap pays for the upper huge page here, not the block's user.
-        unsafe { seg.first_touch(page) };
     }
 
     fn alloc_small(&mut self, class: usize) -> Result<NonNull<u8>, AllocError> {

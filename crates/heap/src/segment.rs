@@ -1,4 +1,4 @@
-//! Segments: 4 MiB aligned regions carved into 64 KiB pages, with all
+//! Segments: 2 MiB aligned regions carved into 64 KiB pages, with all
 //! metadata self-hosted in a reserved region at the segment's start.
 //!
 //! This is the paper's *segregated layout* (Figure 2) made concrete: page
@@ -6,19 +6,21 @@
 //! indices, not 8-byte in-block pointers — live in a metadata area whose
 //! cache lines are never shared with user blocks. A heap that runs on a
 //! dedicated core therefore keeps every metadata line private to that core.
+//! Only pages that hold blocks get a free-list array: 4 of the 32 pages
+//! hold the metadata, and the other 28 hold blocks.
 //!
-//! Address arithmetic relies on the 4 MiB alignment: `ptr & !(SEGMENT_SIZE
+//! Address arithmetic relies on the 2 MiB alignment: `ptr & !(SEGMENT_SIZE
 //! - 1)` recovers the segment header from any interior pointer, which is
 //! how `free(ptr)` finds its bookkeeping without touching the block.
 //!
-//! It also makes a segment exactly two aligned 2 MiB huge pages, and the
-//! mapping is advised so ([`crate::sys::map_segment`]): a fully used
-//! segment costs two faults instead of 1,024. Both are taken by the
-//! heap's owner, never by whoever is handed a block — the lower half
-//! when [`SegmentRef::create`] writes the header, the upper half when
-//! [`SegmentRef::first_touch`] is run on the first page that lies in it.
-//! The price is the resident floor: a heap with one live block holds
-//! 2 MiB resident, not a few 4 KiB pages.
+//! It also makes a segment exactly one aligned huge page, and the mapping
+//! is advised so ([`crate::sys::map_segment`]): a fully used segment
+//! costs one fault instead of 512, and it is taken by the heap's owner
+//! when [`SegmentRef::create`] writes the header, never by whoever is
+//! handed a block. Where the advice is honoured, the segments a heap has
+//! committed are exactly what it holds resident. The price is the
+//! resident floor: a heap with one live block holds 2 MiB resident, not
+//! a few 4 KiB pages.
 
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicPtr;
@@ -26,8 +28,12 @@ use std::sync::atomic::AtomicPtr;
 use crate::error::AllocError;
 use crate::sys::{map_segment, Mapping};
 
-/// Segment size and alignment (4 MiB).
-pub const SEGMENT_SIZE: usize = 4 * 1024 * 1024;
+/// What the kernel backs an advised segment with (2 MiB on x86-64 and
+/// aarch64 with 4 KiB base pages).
+const HUGE_PAGE: usize = 2 * 1024 * 1024;
+
+/// Segment size and alignment: one huge page.
+pub const SEGMENT_SIZE: usize = HUGE_PAGE;
 
 /// Allocator page size (64 KiB) — the "UMA page" of §2.1, deliberately
 /// larger than the OS page.
@@ -45,10 +51,6 @@ pub const NO_BLOCK: u16 = u16::MAX;
 /// Sentinel for "no class assigned" in page descriptors.
 pub const NO_CLASS: u16 = u16::MAX;
 
-/// What the kernel backs an advised segment with (2 MiB on x86-64 and
-/// aarch64 with 4 KiB base pages).
-const HUGE_PAGE: usize = 2 * 1024 * 1024;
-
 const MAGIC: u64 = 0x4e47_4d5f_5345_4721; // "NGM_SEG!"
 
 /// Byte offset of the page-descriptor array within a segment.
@@ -57,12 +59,14 @@ const DESC_OFFSET: usize = 4096;
 /// Byte offset of the per-page 16-bit next-index arrays.
 const INDEX_OFFSET: usize = DESC_OFFSET + PAGES_PER_SEGMENT * 64;
 
-/// Bytes occupied by all metadata at the head of a segment.
-const META_BYTES: usize = INDEX_OFFSET + PAGES_PER_SEGMENT * MAX_BLOCKS * 2;
+/// Bytes of one page's next-index array.
+const INDEX_BYTES: usize = MAX_BLOCKS * 2;
 
-/// Index of the first page usable for blocks (pages below this hold
-/// metadata).
-pub const FIRST_PAGE: usize = META_BYTES.div_ceil(PAGE_SIZE);
+/// Index of the first page usable for blocks: the fewest pages `n` that
+/// hold the header, every descriptor and one index array for each of the
+/// `PAGES_PER_SEGMENT - n` pages above them.
+pub const FIRST_PAGE: usize =
+    (INDEX_OFFSET + PAGES_PER_SEGMENT * INDEX_BYTES).div_ceil(PAGE_SIZE + INDEX_BYTES);
 
 /// Usable pages per segment.
 pub const USABLE_PAGES: usize = PAGES_PER_SEGMENT - FIRST_PAGE;
@@ -114,9 +118,10 @@ pub struct PageDesc {
 const _: () = assert!(std::mem::size_of::<PageDesc>() <= 64);
 const _: () = assert!(std::mem::size_of::<SegmentHeader>() <= DESC_OFFSET);
 const _: () = assert!(FIRST_PAGE < PAGES_PER_SEGMENT);
-// `create` faults in the lower huge page and nothing but user blocks
-// lies above it: `first_touch` relies on both.
-const _: () = assert!(META_BYTES <= HUGE_PAGE && SEGMENT_SIZE.is_multiple_of(HUGE_PAGE));
+const _: () = assert!(INDEX_OFFSET + USABLE_PAGES * INDEX_BYTES <= FIRST_PAGE * PAGE_SIZE);
+// `create`'s header write faults in the whole segment on the heap's
+// owner, so no user of a block ever takes a fault on it.
+const _: () = assert!(SEGMENT_SIZE == HUGE_PAGE);
 
 impl PageDesc {
     /// Blocks currently available without touching a new page.
@@ -156,7 +161,7 @@ impl SegmentRef {
         let hdr = base.as_ptr().cast::<SegmentHeader>();
         // SAFETY: `base` points to SEGMENT_SIZE zeroed writable bytes with
         // suitable alignment; we initialize the header in place. This
-        // write is the fault that brings in the lower huge page.
+        // write is the fault that brings in the whole huge page.
         unsafe {
             hdr.write(SegmentHeader {
                 magic: MAGIC,
@@ -273,29 +278,9 @@ impl SegmentRef {
         NonNull::new(addr as *mut u8).expect("page base non-null")
     }
 
-    /// Takes the page fault for `page`'s memory on the calling thread if
-    /// `page` is the first of a huge page, so that the thread later
-    /// handed a block of it does not: run by the heap when it assigns a
-    /// page, which in a tier is the service core. (All metadata sits in
-    /// the lower huge page, so nothing else ever touches the upper one
-    /// before a user does.)
-    ///
-    /// # Safety
-    ///
-    /// Segment must be alive and `page` must hold no live block.
-    #[inline]
-    pub unsafe fn first_touch(self, page: usize) {
-        if (page * PAGE_SIZE).is_multiple_of(HUGE_PAGE) {
-            // A write, not a read: a read fault would map the shared zero
-            // page and leave the real fault to the first store.
-            // SAFETY: in bounds of a live segment; the page has no live
-            // block, and an unassigned page's bytes mean nothing.
-            unsafe { self.page_base(page).as_ptr().write_volatile(0) };
-        }
-    }
-
     /// The 16-bit next-index array for page `page` (the segregated free
-    /// list storage).
+    /// list storage). Only block pages have one: the arrays start with
+    /// page [`FIRST_PAGE`]'s.
     ///
     /// # Safety
     ///
@@ -303,9 +288,9 @@ impl SegmentRef {
     /// page's metadata.
     #[inline]
     pub unsafe fn index_array(self, page: usize) -> *mut u16 {
-        debug_assert!(page < PAGES_PER_SEGMENT);
+        debug_assert!((FIRST_PAGE..PAGES_PER_SEGMENT).contains(&page));
         let base = self.0.as_ptr() as usize + INDEX_OFFSET;
-        (base + page * MAX_BLOCKS * 2) as *mut u16
+        (base + (page - FIRST_PAGE) * INDEX_BYTES) as *mut u16
     }
 
     /// Pops a fresh page index, if any remain.
@@ -381,17 +366,28 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // the constants ARE the test
     fn geometry_constants_consistent() {
-        assert_eq!(PAGES_PER_SEGMENT, 64);
+        assert_eq!(SEGMENT_SIZE, HUGE_PAGE);
+        assert_eq!(PAGES_PER_SEGMENT, 32);
         assert_eq!(MAX_BLOCKS, 4096);
-        // Metadata must fit below the first usable page.
-        assert!(META_BYTES <= FIRST_PAGE * PAGE_SIZE);
-        assert!(USABLE_PAGES >= 50, "metadata overhead too high");
-        // The upper huge page begins on a usable page: the one
-        // `first_touch` writes.
-        let firsts: Vec<usize> = (FIRST_PAGE..PAGES_PER_SEGMENT)
-            .filter(|p| (p * PAGE_SIZE).is_multiple_of(HUGE_PAGE))
-            .collect();
-        assert_eq!(firsts, [PAGES_PER_SEGMENT / 2]);
+        assert_eq!(FIRST_PAGE, 4);
+        assert_eq!(USABLE_PAGES, 28);
+        // Block pages' arrays start right after the descriptors, and the
+        // last one ends below the first block page.
+        let seg = SegmentRef::create(0).unwrap();
+        let base = seg.base().as_ptr() as usize;
+        // SAFETY: live segment; only addresses are taken.
+        let (first, last) = unsafe {
+            (
+                seg.index_array(FIRST_PAGE) as usize - base,
+                seg.index_array(PAGES_PER_SEGMENT - 1) as usize - base,
+            )
+        };
+        assert_eq!(first, INDEX_OFFSET);
+        assert!(last + INDEX_BYTES <= FIRST_PAGE * PAGE_SIZE);
+        // One fewer metadata page would not hold the arrays it owes.
+        assert!(INDEX_OFFSET + (USABLE_PAGES + 1) * INDEX_BYTES > (FIRST_PAGE - 1) * PAGE_SIZE);
+        // SAFETY: done with all pointers.
+        unsafe { seg.destroy() };
     }
 
     #[test]
@@ -494,7 +490,7 @@ mod tests {
         // SAFETY: live segment.
         let arr = unsafe { seg.index_array(PAGES_PER_SEGMENT - 1) } as usize;
         let first_data = seg.base().as_ptr() as usize + FIRST_PAGE * PAGE_SIZE;
-        assert!(arr + MAX_BLOCKS * 2 <= first_data);
+        assert!(arr + INDEX_BYTES <= first_data);
         // SAFETY: done.
         unsafe { seg.destroy() };
     }

@@ -6,8 +6,8 @@
 //!
 //! Two kinds of mapping leave here. Heap segments ([`map_segment`]) are
 //! advised `MADV_HUGEPAGE`: a segment is touched densely and lives long,
-//! so two 2 MiB faults replace up to 1,024 4 KiB ones and the kernel
-//! trips stay off whoever touches a block first. Large blocks
+//! so one 2 MiB fault replaces up to 512 4 KiB ones and the kernel
+//! trip stays off whoever touches a block first. Large blocks
 //! ([`map_large`]) are not: they are touched once and unmapped, and keep
 //! the 4 KiB commit granularity.
 

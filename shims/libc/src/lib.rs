@@ -3,7 +3,7 @@
 //! This workspace builds in hermetic environments with no access to
 //! crates.io, so instead of the full `libc` crate we declare exactly the
 //! glibc surface the heap, offload, and pmu crates use: anonymous memory
-//! mapping and advice, the page-size sysconf, per-thread resource usage,
+//! mapping, advice and residency, the page-size sysconf, per-thread resource usage,
 //! thread affinity, and the raw
 //! syscall/ioctl/read/close quartet that `perf_event_open(2)` requires
 //! (glibc has no wrapper for that syscall). Constants are the Linux ABI
@@ -196,6 +196,10 @@ extern "C" {
 
     /// Advises the kernel about a mapped range. See `madvise(2)`.
     pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+
+    /// Reports which pages of a range are resident, one byte per page
+    /// (bit 0 set if resident). See `mincore(2)`.
+    pub fn mincore(addr: *mut c_void, len: size_t, vec: *mut u8) -> c_int;
 
     /// Reads resource usage of the process, its children or (with
     /// [`RUSAGE_THREAD`]) the calling thread. See `getrusage(2)`.

@@ -249,8 +249,8 @@ fn the_client_of_a_tier_never_faults_on_a_block() {
     let mut live = vec![None; ids.max().expect("the trace allocates")];
     let ngm = Ngm::start();
     let mut h = ngm.handle();
-    // Segments are mapped, and both of their huge pages first written, by
-    // the service thread (`SegmentRef::create` / `first_touch`), so the
+    // Segments are mapped, and their one huge page first written, by the
+    // service thread (`SegmentRef::create`), so the
     // client's first store into a block finds the page present — on the
     // cold pass as on every later one. What the client does pay for,
     // once, is the pages of its own free ring: 2,048 cells of 64 bytes,
