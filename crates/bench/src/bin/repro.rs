@@ -4,7 +4,7 @@
 //! repro [EXPERIMENT...] [--scale N] [--no-prototype] [--hw]
 //!
 //! EXPERIMENT: all (default) | fig1 | table1 | table2 | fig2 | table3
-//!           | model41 | ablations | batch | telemetry | pmu | shards
+//!           | model41 | ablations | batch | pmu | shards
 //!           | spans (request-lifecycle phase breakdown)
 //!           | obs (live observer endpoints + flight-recording replay)
 //!           | conns (connection server: blocking vs completion-based
@@ -25,13 +25,13 @@
 
 use ngm_bench::experiments::{
     ablations, conns, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1, table2, table3,
-    telemetry,
 };
 use ngm_bench::Scale;
 
 /// Every name the command line accepts, as the usage line spells them
 /// (`batch` re-renders one ablation; `all` leaves it to `ablations`).
-const EXPERIMENTS: &str = "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|telemetry|pmu|shards|spans|obs|conns|faults";
+const EXPERIMENTS: &str =
+    "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|pmu|shards|spans|obs|conns|faults";
 
 fn usage() -> String {
     format!(
@@ -117,9 +117,6 @@ fn main() {
     // already includes it via the full ablation set).
     if experiments.iter().any(|e| e == "batch") {
         println!("{}", ablations::render_batched(scale, real_ops));
-    }
-    if want("telemetry") {
-        println!("{}", telemetry::run(real_ops));
     }
     if want("pmu") {
         println!("{}", pmu::run(scale, real_ops));

@@ -13,7 +13,6 @@ pub mod spans;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod telemetry;
 
 use ngm_simalloc::{run_kind_warm, ModelKind, RunResult};
 use ngm_workloads::xalanc::{self, XalancParams};
@@ -41,12 +40,6 @@ pub fn run_xalanc_baselines_with(params: &XalancParams) -> Vec<RunResult> {
         .into_iter()
         .map(|kind| run_kind_warm(kind, 1, events.iter().copied(), warmup))
         .collect()
-}
-
-/// Runs xalanc under one model kind (used by Table 3 and ablations).
-pub fn run_xalanc_kind(kind: ModelKind, scale: Scale) -> RunResult {
-    let (events, warmup) = xalanc::collect_with_warmup(&xalanc_params(scale));
-    run_kind_warm(kind, 1, events.into_iter(), warmup)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! The `repro` binary drives [`experiments`]; see `EXPERIMENTS.md` at the
 //! repository root for the paper-vs-measured record each function
 //! regenerates. Beside them: [`live`] is the one driver every experiment
-//! on the live runtime runs its client threads through, [`replay`] and
-//! [`trace`] move workload streams onto real heaps and back out of event
-//! traces, [`hw`] bridges simulator counters to the host PMU,
+//! on the live runtime runs its client threads through, [`replay`] moves
+//! workload streams onto real heaps, [`hw`] bridges simulator counters to
+//! the host PMU,
 //! [`executor`] is the dependency-free future executor of `repro conns`,
 //! and [`report`] aligns tables.
 
@@ -17,7 +17,6 @@ pub mod hw;
 pub mod live;
 pub mod replay;
 pub mod report;
-pub mod trace;
 
 /// Scale factor applied to workload sizes (1 = quick defaults; the paper
 /// runs are statistically stable from ~4).

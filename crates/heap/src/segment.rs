@@ -124,11 +124,6 @@ const _: () = assert!(INDEX_OFFSET + USABLE_PAGES * INDEX_BYTES <= FIRST_PAGE * 
 const _: () = assert!(SEGMENT_SIZE == HUGE_PAGE);
 
 impl PageDesc {
-    /// Blocks currently available without touching a new page.
-    pub fn free_blocks(&self) -> usize {
-        usize::from(self.nblocks) - usize::from(self.used)
-    }
-
     /// Whether every block is free.
     pub fn is_unused(&self) -> bool {
         self.used == 0

@@ -510,12 +510,6 @@ impl<S: Service> ClientHandle<S> {
         !self.posts.is_closed()
     }
 
-    /// Ring cells (64 bytes each) holding posted messages not yet drained
-    /// (racy snapshot).
-    pub fn pending_posts(&self) -> usize {
-        self.posts.len()
-    }
-
     /// Bytes of post ring this handle mapped.
     pub fn ring_bytes(&self) -> usize {
         self.posts.capacity() * CELL_BYTES
@@ -526,13 +520,6 @@ impl<S: Service> ClientHandle<S> {
     /// offload layer itself records post/refill/wait-transition events.
     pub fn trace_ring(&self) -> Option<&Arc<TraceRing>> {
         self.trace.as_ref()
-    }
-
-    /// Racy peek at this handle's request-slot protocol state
-    /// (`"empty"`/`"request"`/`"serving"`/`"response"`), for diagnostics
-    /// — not a synchronization point.
-    pub fn slot_state_label(&self) -> &'static str {
-        self.slot.state_label()
     }
 }
 
@@ -1582,7 +1569,6 @@ mod tests {
             "mid-serve death must surface as a deadline after budget + grace, got {r:?}"
         );
         assert!(!c.has_inflight(), "the abandoned request is written off");
-        assert_eq!(c.slot_state_label(), "serving", "the slot is never reused");
         assert_eq!(
             c.try_call(1, CallKind::Single),
             Err(ServiceError::ServiceStopped),

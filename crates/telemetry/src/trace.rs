@@ -3,8 +3,8 @@
 //! Each runtime thread owns a [`TraceRing`]: a fixed-capacity buffer of
 //! timestamped [`TraceEvent`]s. When full, the *oldest* event is dropped
 //! and a drop counter advances — a bounded trace can lose history but
-//! never lies about having lost it. Rings are drained (e.g. by
-//! `ngm-bench`'s converter into the replay trace format) without
+//! never lies about having lost it. Rings are drained or peeked (span
+//! reconstruction, the observer's `/spans` and `/blackbox`) without
 //! stopping the producer.
 
 use std::collections::VecDeque;

@@ -6,28 +6,21 @@
 //! (`ngm-simalloc`) to regenerate the paper's PMU tables, or against the
 //! real heaps (`ngm-heap`, `ngm-core`) for wall-clock measurements.
 //!
-//! The stable of workloads mirrors the paper's evaluation:
+//! The stable of workloads is the paper's evaluation plus one
+//! parameterized stream:
 //!
 //! * [`xalanc`] — a synthetic stand-in for SPEC CPU2017's `xalancbmk`
 //!   (XML transformation: allocation-heavy tree building and string
 //!   churn, ~2 % of instructions in malloc/free). Figure 1, Tables 1 & 3.
 //! * [`xmalloc`] — Lever & Boreham's cross-thread-free stress: "a thread
 //!   allocates data but a different thread deallocates". Table 2.
-//! * [`cache_scratch`] / [`cache_thrash`] — Hoard's passive/active
-//!   false-sharing microbenchmarks (named in the paper's §1 alongside
-//!   xmalloc as mimalloc-bench members).
-//! * [`larson`] — the classic server-churn benchmark from mimalloc-bench.
 //! * [`churn`] — parameterized random churn for property tests and
 //!   ablations.
 
 #![warn(missing_docs)]
 
-pub mod cache_scratch;
-pub mod cache_thrash;
 pub mod churn;
 pub mod events;
-pub mod larson;
-pub mod trace;
 pub mod xalanc;
 pub mod xmalloc;
 

@@ -10,7 +10,7 @@
 //! * [`ngm_heap`] — real mmap-backed heaps with self-hosted metadata.
 //! * [`ngm_sim`] / [`ngm_simalloc`] — the A72-class simulator and the
 //!   allocator policy models that regenerate the paper's tables.
-//! * [`ngm_workloads`] — workload generators and the trace format.
+//! * [`ngm_workloads`] — workload generators.
 //! * [`ngm_model`] — §4.1's analytical break-even model.
 //! * [`ngm_bench`] — the `repro` harness.
 

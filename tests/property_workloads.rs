@@ -1,10 +1,10 @@
 //! Property-based tests of the workload generators: every generator, at
 //! any parameter point, must emit a well-formed stream (no double frees,
 //! no out-of-bounds touches, balanced mallocs/frees) and be
-//! deterministic; traces must round-trip bit-exactly.
+//! deterministic.
 
 use ngm_workloads::events::validate;
-use ngm_workloads::{cache_scratch, cache_thrash, churn, larson, trace, xalanc, xmalloc};
+use ngm_workloads::{churn, xalanc, xmalloc};
 use proptest::prelude::*;
 
 proptest! {
@@ -72,81 +72,6 @@ proptest! {
         let s = validate(churn::collect(&p).into_iter(), false).expect("valid stream");
         prop_assert_eq!(s.mallocs, u64::from(total));
         prop_assert!(s.peak_live <= u64::from(cap) * u64::from(threads) + u64::from(threads));
-    }
-
-    #[test]
-    fn larson_streams_are_valid(
-        threads in 1u8..5,
-        slots in 1u32..64,
-        rounds in 0u32..300,
-        migrate in 1u32..16,
-        seed in any::<u64>(),
-    ) {
-        let p = larson::LarsonParams {
-            threads,
-            slots,
-            rounds,
-            migrate_every: migrate,
-            seed,
-            ..larson::LarsonParams::default()
-        };
-        let s = validate(larson::collect(&p).into_iter(), false).expect("valid stream");
-        prop_assert_eq!(s.mallocs, s.frees);
-    }
-
-    #[test]
-    fn hoard_benchmarks_are_valid(
-        workers in 1u8..8,
-        iters in 0u32..40,
-        writes in 0u32..20,
-    ) {
-        let s1 = validate(
-            cache_scratch::collect(&cache_scratch::CacheScratchParams {
-                workers,
-                iterations: iters,
-                writes_per_iteration: writes,
-                object_size: 8,
-            })
-            .into_iter(),
-            false,
-        )
-        .expect("cache-scratch valid");
-        prop_assert_eq!(s1.mallocs, s1.frees);
-
-        let s2 = validate(
-            cache_thrash::collect(&cache_thrash::CacheThrashParams {
-                workers,
-                iterations: iters,
-                writes_per_iteration: writes,
-                object_size: 8,
-            })
-            .into_iter(),
-            false,
-        )
-        .expect("cache-thrash valid");
-        prop_assert_eq!(s2.mallocs, s2.frees);
-    }
-
-    #[test]
-    fn traces_roundtrip_any_stream(
-        total in 1u32..300,
-        seed in any::<u64>(),
-    ) {
-        let events = churn::collect(&churn::ChurnParams {
-            total_allocs: total,
-            seed,
-            ..churn::ChurnParams::tiny()
-        });
-        let mut bin = Vec::new();
-        trace::write_binary(events.iter(), &mut bin).expect("encode");
-        prop_assert_eq!(trace::read_binary(&bin[..]).expect("decode"), events.clone());
-
-        let mut json = Vec::new();
-        trace::write_json(events.iter(), &mut json).expect("encode");
-        prop_assert_eq!(
-            trace::read_json(std::io::BufReader::new(&json[..])).expect("decode"),
-            events
-        );
     }
 
     #[test]
