@@ -3,25 +3,23 @@
 //! Exists so the `conns` experiment (and anything else in this crate)
 //! can drive [`ngm_core::AllocFuture`]s without pulling an async
 //! runtime into the build: the whole point of the completion-based
-//! front-end is that a std-`Future` works on *any* executor, and this
-//! is the smallest one that exercises real cross-thread wakes — the
-//! service thread fires the slot waker, which lands the task id back on
-//! this executor's ready queue.
+//! front-end is that a std-`Future` works on *any* executor. The
+//! service threads never wake a task: a pending `AllocFuture` wakes its
+//! own, from its poll on this thread, so the ready queue only runs dry
+//! for futures of other kinds.
 //!
 //! Tasks are `!Send` futures (allocator handles and submission queues
-//! are per-thread objects); only the *wakers* cross threads.
+//! are per-thread objects); a waker may still be fired from any thread.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::task::{Context, Wake, Waker};
 
-/// The cross-thread half: woken task ids, and a condvar so the executor
-/// sleeps instead of spinning when every task is parked.
+/// Woken task ids, behind a lock because a waker is `Send`.
 struct ReadyQueue {
     woken: Mutex<VecDeque<usize>>,
-    signal: Condvar,
 }
 
 impl ReadyQueue {
@@ -30,13 +28,12 @@ impl ReadyQueue {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push_back(id);
-        self.signal.notify_one();
     }
 }
 
 /// One task's waker: re-enqueues its id. Cheap to clone, `Send + Sync`,
-/// and safe to fire from the service thread (it only touches the ready
-/// queue, never executor or task state).
+/// and safe to fire from any thread (it only touches the ready queue,
+/// never executor or task state).
 struct TaskWaker {
     id: usize,
     ready: Arc<ReadyQueue>,
@@ -79,7 +76,6 @@ impl MiniExecutor {
             wakers: Vec::new(),
             ready: Arc::new(ReadyQueue {
                 woken: Mutex::new(VecDeque::new()),
-                signal: Condvar::new(),
             }),
             live: 0,
         }
@@ -104,56 +100,32 @@ impl MiniExecutor {
 
     /// Polls woken tasks until every spawned task has completed.
     ///
-    /// When the run queue drains, the executor first *yields* the core —
-    /// for a long while — the next wake comes from a service thread that needs
-    /// exactly this core on small machines, and `yield_now` hands it
-    /// over without the futex sleep/wake a condvar park would put on
-    /// every completion wave (the same trade the blocking client's wait
-    /// strategy makes). Only a persistently empty queue falls back to
-    /// the condvar.
+    /// When the run queue drains it yields the core until a wake comes
+    /// rather than sleeping: a wake that is not a task's own comes from
+    /// another thread that may need exactly this core on a small
+    /// machine, and `yield_now` hands it over without a futex on every
+    /// wake.
     pub fn run(&mut self) {
-        const YIELDS: u32 = 100_000;
         // Woken ids are drained in whole batches under one lock — with
         // thousands of tasks waking in waves, a lock round-trip per id
         // would dominate the dispatch loop.
         let mut batch: VecDeque<usize> = VecDeque::new();
         while self.live > 0 {
-            if batch.is_empty() {
-                'fill: {
-                    for _ in 0..YIELDS {
-                        {
-                            let mut woken = self
-                                .ready
-                                .woken
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner);
-                            if !woken.is_empty() {
-                                std::mem::swap(&mut *woken, &mut batch);
-                                break 'fill;
-                            }
-                        }
-                        std::thread::yield_now();
-                    }
-                    let mut woken = self
-                        .ready
-                        .woken
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    while woken.is_empty() {
-                        woken = self
-                            .ready
-                            .signal
-                            .wait(woken)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    std::mem::swap(&mut *woken, &mut batch);
-                }
-            }
             let Some(id) = batch.pop_front() else {
+                let mut woken = self
+                    .ready
+                    .woken
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                std::mem::swap(&mut *woken, &mut batch);
+                drop(woken);
+                if batch.is_empty() {
+                    std::thread::yield_now();
+                }
                 continue;
             };
-            // Spurious wake of a finished task: ignore (the slot waker
-            // may fire for a task whose poll already collected).
+            // A finished task woken again (a future may wake its task
+            // on its way to completion): ignore.
             let Some(task) = self.tasks[id].as_mut() else {
                 continue;
             };

@@ -12,12 +12,14 @@
 //!
 //! Each client thread drives [`CONNECTIONS`] connection tasks through a
 //! [`ngm_core::SubmissionQueue`] on the dependency-free
-//! [`MiniExecutor`] — real futures, real slot wakers fired by the
-//! service threads. The blocking baseline runs the identical event
-//! stream through `alloc`/`dealloc` on the same tier shape. The
-//! [`CompletionModel`] column predicts the speedup from cycle costs, so
-//! a live ratio far below it flags a broken overlap (lost wakes, pump
-//! starvation) rather than a slow machine.
+//! [`MiniExecutor`] — real futures, each pending one re-polled at the
+//! handle's wait pace on its own wake; the service threads wake nobody.
+//! The blocking baseline runs the identical event stream through
+//! `alloc`/`dealloc` on the same tier shape. The [`CompletionModel`]
+//! column predicts the speedup from cycle costs, so a live ratio far
+//! below it flags a broken overlap (pump starvation, a client starving
+//! the unpinned service threads of their cores) rather than a slow
+//! machine.
 
 use std::alloc::Layout;
 use std::sync::Arc;
@@ -72,7 +74,7 @@ unsafe fn event_work(ptr: std::ptr::NonNull<u8>, len: usize, seed: usize) {
 /// One connection: `events` rounds of alloc → touch → free through the
 /// submission queue. The task only yields when it genuinely cannot
 /// progress — its class's magazine is dry with the refill in flight
-/// (the future parks on the slot waker), or the queue is at its
+/// (the future stays pending and re-polls), or the queue is at its
 /// in-flight ceiling (parks on [`SubmissionQueue::ready`]). An event
 /// whose class has stock runs straight through, exactly like the
 /// blocking fast path.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use ngm_heap::classes::{class_to_size, layout_to_class, SizeClass, NUM_CLASSES};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
-use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, ServiceError};
+use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, ServiceError, WaitStrategy};
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::{Route, RouteOp};
@@ -59,9 +59,6 @@ pub struct NgmHandle {
     pub(super) tier: Arc<Tier>,
     /// This handle's half of every shard, indexed by slot.
     pub(super) ends: Box<[End]>,
-    /// How many submissions have left their slot (see
-    /// [`NgmHandle::settled`]).
-    settled: u64,
     /// One magazine per size class, inline so no allocation ever happens
     /// on the fast path (crucial under the global-allocator adapter):
     /// 36 × 1 KiB, which makes a handle ≈ 37 KiB. Only what is stashed is
@@ -136,7 +133,6 @@ impl NgmHandle {
         NgmHandle {
             ends: ends.collect(),
             tier,
-            settled: 0,
             magazines: [AddrBatch::empty(); NUM_CLASSES],
             mag_shard: [0u16; NUM_CLASSES],
             class_shard: std::array::from_fn(|c| (c % n) as u16),
@@ -214,7 +210,7 @@ impl NgmHandle {
     /// # Errors
     ///
     /// [`NgmError::WouldBlock`] when a submission is in flight and its
-    /// response has not landed yet (retry after pumping or a wake);
+    /// response has not landed yet (retry after pumping);
     /// otherwise the same failures as [`NgmHandle::alloc`], lifted into
     /// [`NgmError`].
     pub fn try_alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, NgmError> {
@@ -339,17 +335,14 @@ impl NgmHandle {
             .submit(what, kind)
             .map_err(|(_, e)| e)?;
         match self.absorb(shard, what, wait) {
-            Ok(()) => {
-                self.settled += 1;
-                Ok(())
-            }
             Err(ServiceError::WouldBlock) => {
                 self.ends[shard].riding = Some(what);
                 self.stats(shard).add_inflight(1);
                 Err(ServiceError::WouldBlock)
             }
-            // Deadline: retracted or abandoned — nothing rides the slot.
-            Err(e) => Err(e),
+            // Collected, or a deadline (retracted or abandoned): nothing
+            // rides the slot.
+            outcome => outcome,
         }
     }
 
@@ -374,7 +367,6 @@ impl NgmHandle {
     fn release_slot(&mut self, shard: usize) {
         self.ends[shard].riding = None;
         self.stats(shard).add_inflight(-1);
-        self.settled += 1;
     }
 
     /// The one place a response enters handle state. Polls — or with
@@ -442,7 +434,7 @@ impl NgmHandle {
     /// Drives every in-flight refill one poll forward, folding landed
     /// batches into their magazines. Returns how many completed. The pump
     /// a submission queue (or any manual `try_alloc` retry loop) calls
-    /// between wakes.
+    /// between polls.
     pub fn nb_pump(&mut self) -> usize {
         let mut completed = 0;
         for shard in 0..self.nshards() {
@@ -459,29 +451,17 @@ impl NgmHandle {
         self.ends.iter().filter(|e| e.riding.is_some()).count()
     }
 
-    /// How many submissions have left their slot so far (collected,
-    /// retracted or lost). Magazine stock and free slots only ever appear
-    /// when this moves, which is what tells a submission queue that its
-    /// parked tickets are worth rescanning.
-    pub(crate) fn settled(&self) -> u64 {
-        self.settled
-    }
-
     /// The configured in-flight ceiling for submission queues built over
     /// this handle ([`crate::NgmConfig::with_inflight_limit`]).
     pub fn inflight_limit(&self) -> usize {
         self.tier.inflight_limit
     }
 
-    /// Registers `waker` on every shard slot carrying an in-flight
-    /// submission, so the RESPONSE release edge of *any* of them wakes
-    /// the task. A response that already landed fires the waker from
-    /// this call (see [`ClientHandle::register_waker`]); spurious wakes
-    /// are possible and harmless under the `Future` contract.
-    pub fn register_waker(&self, waker: &std::task::Waker) {
-        for end in self.ends.iter().filter(|e| e.riding.is_some()) {
-            end.client.register_waker(waker);
-        }
+    /// How a blocking call on this handle waits: the tier's resolved
+    /// client [`WaitStrategy`], the pace a pending
+    /// [`crate::nonblocking::AllocFuture`] re-polls at too.
+    pub(crate) fn wait_strategy(&self) -> WaitStrategy {
+        self.ends[0].client.wait_strategy()
     }
 
     /// Records the submission-queue depth observed at a pump boundary

@@ -16,21 +16,28 @@
 //! [`SubmissionQueue::pump`] drives the handle's non-blocking
 //! primitives — magazine pops, submitted-but-unawaited
 //! [`crate::AllocBatchReq`] refills, single-push free posts — and never
-//! blocks on a service thread. Waiting, when a caller wants it, happens
-//! through the `Future` machinery: `AllocFuture::poll` stores its waker
-//! *in the request slot* ([`ngm_offload::RequestSlot::register_waker`]),
-//! and the service's existing RESPONSE release edge fires it. One woken
-//! task's next poll pumps the whole queue, completing every satisfiable
-//! ticket and waking its task, so a single slot waker fans out to
-//! thousands of in-flight allocations per thread. Backpressure at the
-//! in-flight ceiling is typed ([`NgmError::WouldBlock`]) for manual
-//! drivers, or awaitable through [`SubmissionQueue::ready`] so tasks
-//! park instead of spin.
+//! blocks on a service thread. The service thread never wakes anyone
+//! either: it answers by writing the slot, as it does for a blocking
+//! client. A pending `AllocFuture::poll` pumps the whole queue —
+//! collecting landed refills, completing every ticket whose class has
+//! stock, submitting the refill of the first dry class whose slot is
+//! free — and if its own ticket is still parked, takes one step of the
+//! handle's wait strategy (spin, then yield, as a blocking client
+//! waits; never the sleep phase of `WaitStrategy::Backoff`, so a poll
+//! never blocks its thread) and wakes its own task before returning
+//! `Pending`. The queue's liveness invariant is therefore *a parked
+//! ticket's task is always runnable*: no ticket depends on a wake that
+//! might never come. The cost is that an executor holding a parked
+//! ticket never goes idle: it re-polls that task, one pump and at most
+//! one `yield_now` a poll, until the refill lands.
+//! Backpressure at the in-flight ceiling is typed
+//! ([`NgmError::WouldBlock`]) for manual drivers, or awaitable through
+//! [`SubmissionQueue::ready`] so tasks park instead of spin.
 //!
 //! The queue is deliberately `!Send` (`Rc<RefCell<…>>`): like the handle
 //! it wraps, it is a per-thread object, which is what keeps the fast
-//! path free of atomics. Cross-thread wakes still work — `Waker` is
-//! `Send`, and the service thread fires it without touching queue state.
+//! path free of atomics. Every wake is same-thread: a pending future's
+//! own, and the capacity waiters [`SubmissionQueue::ready`] parks.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
@@ -41,20 +48,16 @@ use std::ptr::NonNull;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use ngm_offload::WaitState;
+
 use crate::api::NgmHandle;
 use crate::config::NgmError;
 
 /// Where one submitted allocation stands.
 #[derive(Debug)]
 enum Ticket {
-    /// Submitted, no block yet; the waker is the last task that polled
-    /// this ticket's future (woken when the ticket completes).
-    Pending {
-        /// The requested layout.
-        layout: Layout,
-        /// Waker of the last poller, if the future has been polled.
-        waker: Option<Waker>,
-    },
+    /// Submitted for this layout, no block yet.
+    Pending(Layout),
     /// Completed; the result waits for the future to collect it. The
     /// layout rides along so a cancelled-after-completion ticket can
     /// free its block without the (gone) future's help.
@@ -86,12 +89,11 @@ struct SqInner {
     active: usize,
     /// Frees the ring refused; retried every pump, flushed at drop.
     deferred_frees: VecDeque<(usize, Layout)>,
-    /// [`NgmHandle::settled`] as of the last class scan. Magazine stock
-    /// and free slots only appear when a submission leaves its slot, so
-    /// until that count moves a rescan cannot complete or submit
-    /// anything and is skipped — which keeps the parked-task poll path at
-    /// a few atomic loads.
-    scanned_at: u64,
+    /// How a pending poll waits: the handle's client wait strategy
+    /// without its sleep phase, stepped once per poll that left its
+    /// ticket parked and rearmed by every pump that collected a response
+    /// or completed a ticket.
+    pace: WaitState,
     /// Submissions since the last depth-histogram sample.
     depth_tick: u32,
     /// Tasks parked on [`SubmissionQueue::ready`], woken one per freed
@@ -103,42 +105,27 @@ struct SqInner {
 
 impl SqInner {
     /// Drives everything drivable without blocking: collects landed
-    /// refill responses, satisfies parked tickets (FIFO per
-    /// class), retries deferred frees, and wakes every task whose
-    /// ticket completed. Returns how many tickets completed.
+    /// refill responses, satisfies parked tickets (FIFO per class),
+    /// retries deferred frees, and rearms the pace if anything moved.
+    /// Returns how many tickets completed.
     fn pump(&mut self) -> usize {
-        self.handle.nb_pump();
-        let completed = self.rescan();
+        let collected = self.handle.nb_pump();
+        let completed = self.scan();
         self.retry_deferred_frees();
-        completed
-    }
-
-    /// Upholds the queue's liveness invariant: *a parked ticket implies
-    /// an in-flight submission or an armed waker*. Whenever a submission
-    /// has left its slot since the last scan — wherever the response was
-    /// absorbed: the pump, a `try_alloc` made for a new ticket, or a
-    /// scan step for another class — the parked classes are scanned
-    /// again, which completes those that now have stock and submits for
-    /// the first one that is dry now that the slot is free. Without this
-    /// a ticket whose refill was refused (slot busy) could be left with
-    /// nothing in flight once that slot's response had been absorbed on
-    /// behalf of a caller who did not need to pump again.
-    fn rescan(&mut self) -> usize {
-        let mut completed = 0;
-        while self.scanned_at != self.handle.settled() {
-            self.scanned_at = self.handle.settled();
-            completed += self.scan();
+        if collected + completed > 0 {
+            self.pace.reset();
         }
         completed
     }
 
-    /// One pass over the parked classes; returns how many tickets
-    /// completed.
+    /// One pass over the parked classes: completes the tickets of every
+    /// class with stock, and a dry class's `try_alloc` submits its refill
+    /// if the slot is free. Returns how many tickets completed.
     fn scan(&mut self) -> usize {
         let mut completed = 0;
         for queue in self.pending.values_mut() {
             while let Some(&id) = queue.front() {
-                let Ticket::Pending { layout, .. } = &self.tickets[id] else {
+                let Ticket::Pending(layout) = self.tickets[id] else {
                     // Cancelled (future dropped): discard the queue
                     // entry. The id becomes reusable only now — while it
                     // sat in the queue, reuse would have double-enqueued
@@ -147,42 +134,19 @@ impl SqInner {
                     self.free_ids.push(id);
                     continue;
                 };
-                let layout = *layout;
                 match self.handle.try_alloc(layout) {
                     // This class cannot progress (refill in flight);
                     // move on — other classes may have stock.
                     Err(NgmError::WouldBlock) => break,
                     result => {
                         queue.pop_front();
-                        let prev = std::mem::replace(
-                            &mut self.tickets[id],
-                            Ticket::Ready { result, layout },
-                        );
+                        self.tickets[id] = Ticket::Ready { result, layout };
                         completed += 1;
-                        if let Ticket::Pending { waker: Some(w), .. } = prev {
-                            w.wake();
-                        }
                     }
                 }
             }
         }
         self.pending.retain(|_, q| !q.is_empty());
-        // Classes that stayed blocked may have had *fresh* refills
-        // submitted just now (the serve edge consumed any previously
-        // registered waker), and the tasks interested in them are
-        // parked. Re-arm the slot edge with a parked ticket's waker so
-        // the next response wakes someone whose poll pumps for everyone.
-        if let Some(w) = self
-            .pending
-            .values()
-            .flat_map(|q| q.iter())
-            .find_map(|&id| match &self.tickets[id] {
-                Ticket::Pending { waker: Some(w), .. } => Some(w.clone()),
-                _ => None,
-            })
-        {
-            self.handle.register_waker(&w);
-        }
         completed
     }
 
@@ -249,6 +213,9 @@ impl SubmissionQueue {
     /// the tier's [`crate::NgmConfig::with_inflight_limit`].
     pub fn new(handle: NgmHandle) -> Self {
         let limit = handle.inflight_limit();
+        // A `poll` must not block its thread, so a Backoff client's
+        // sleep phase is cut off here: the pace only spins and yields.
+        let pace = WaitState::new(handle.wait_strategy().without_sleep());
         SubmissionQueue {
             inner: Rc::new(RefCell::new(SqInner {
                 handle,
@@ -257,7 +224,7 @@ impl SubmissionQueue {
                 pending: BTreeMap::new(),
                 active: 0,
                 deferred_frees: VecDeque::new(),
-                scanned_at: 0,
+                pace,
                 depth_tick: 0,
                 capacity_waiters: VecDeque::new(),
                 limit,
@@ -303,10 +270,7 @@ impl SubmissionQueue {
         match ticket {
             Some(result) => inner.tickets[id] = Ticket::Ready { result, layout },
             None => {
-                inner.tickets[id] = Ticket::Pending {
-                    layout,
-                    waker: None,
-                };
+                inner.tickets[id] = Ticket::Pending(layout);
                 inner
                     .pending
                     .entry((layout.size(), layout.align()))
@@ -315,10 +279,6 @@ impl SubmissionQueue {
             }
         }
         inner.active += 1;
-        // This try may have absorbed a landed response (the handle
-        // settles a busy slot before submitting): tickets parked behind
-        // it must not wait for a pump nobody owes them.
-        inner.rescan();
         drop(inner);
         Ok(AllocFuture {
             sq: self.clone(),
@@ -411,7 +371,10 @@ impl Drop for SqInner {
 }
 
 /// One in-flight allocation: completes with the block (or a typed
-/// error) when the service's response lands.
+/// error) on the first poll after the service's response lands. While
+/// its ticket is parked every poll pumps the queue, paces one wait step
+/// and wakes its own task, so the task stays runnable until it
+/// completes.
 ///
 /// Dropping the future before completion cancels the ticket; a block
 /// that nonetheless arrives for it is freed back by the queue, so
@@ -430,40 +393,29 @@ impl Future for AllocFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mut inner = this.sq.inner.borrow_mut();
-        if matches!(inner.tickets[this.id], Ticket::Pending { .. }) {
+        if matches!(inner.tickets[this.id], Ticket::Pending(_)) {
             inner.pump();
         }
-        match &mut inner.tickets[this.id] {
-            Ticket::Ready { .. } => {
-                let Ticket::Ready { result, .. } =
-                    std::mem::replace(&mut inner.tickets[this.id], Ticket::Vacant)
-                else {
-                    unreachable!()
-                };
-                // A `Ready` ticket sits in no class queue (completed
-                // tickets are popped when they complete), so the id is
-                // safe to reuse right away.
-                inner.free_ids.push(this.id);
-                inner.active -= 1;
-                inner.release_capacity();
-                this.collected = true;
-                Poll::Ready(result)
-            }
-            Ticket::Pending { waker, .. } => {
-                // Remember this task (pump wakes it on completion), and
-                // arm the slot edge: the service's RESPONSE release fires
-                // this waker, whose poll pumps the queue for everyone.
-                match waker {
-                    Some(w) if w.will_wake(cx.waker()) => {}
-                    w => *w = Some(cx.waker().clone()),
-                }
-                inner.handle.register_waker(cx.waker());
-                Poll::Pending
-            }
-            Ticket::Vacant => {
-                unreachable!("future polled after completion")
-            }
+        if matches!(inner.tickets[this.id], Ticket::Pending(_)) {
+            // Nobody else will wake this task: wait one step the way a
+            // blocking client would, and stay runnable.
+            inner.pace.pause();
+            cx.waker().wake_by_ref();
+            return Poll::Pending;
         }
+        let Ticket::Ready { result, .. } =
+            std::mem::replace(&mut inner.tickets[this.id], Ticket::Vacant)
+        else {
+            unreachable!("future polled after completion")
+        };
+        // A `Ready` ticket sits in no class queue (completed tickets are
+        // popped when they complete), so the id is safe to reuse right
+        // away.
+        inner.free_ids.push(this.id);
+        inner.active -= 1;
+        inner.release_capacity();
+        this.collected = true;
+        Poll::Ready(result)
     }
 }
 
@@ -496,7 +448,7 @@ impl Drop for AllocFuture {
                 inner.active -= 1;
                 inner.release_capacity();
             }
-            Ticket::Pending { .. } => {
+            Ticket::Pending(_) => {
                 // Still parked: the pump discards the class-queue entry
                 // when it reaches it and recycles the id there — pushing
                 // it to `free_ids` now would let a new ticket alias the
@@ -559,23 +511,35 @@ mod tests {
         }
     }
 
-    /// Minimal single-future executor: poll, and between polls spin on
-    /// the wake counter (the slot waker fires from the service thread).
-    fn block_on<F: Future>(mut fut: F) -> F::Output {
+    impl Flag {
+        fn wakes(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    /// A waker that counts its wakes, and the count.
+    fn counting_waker() -> (Arc<Flag>, Waker) {
         let flag = Arc::new(Flag(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&flag));
+        (Arc::clone(&flag), Waker::from(flag))
+    }
+
+    fn poll_with<F: Future + Unpin>(fut: &mut F, waker: &Waker) -> Poll<F::Output> {
+        Pin::new(fut).poll(&mut Context::from_waker(waker))
+    }
+
+    /// Minimal single-future executor that never pumps the queue: it
+    /// polls again only on a wake, and the one wake a pending
+    /// `AllocFuture` gets is the one its own poll fires.
+    fn block_on<F: Future>(fut: F) -> F::Output {
+        let (flag, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
-        // SAFETY: `fut` is stack-pinned for the whole call and never
-        // moved after this point.
-        let mut fut = unsafe { Pin::new_unchecked(&mut fut) };
+        let mut fut = std::pin::pin!(fut);
         loop {
-            let seen = flag.0.load(Ordering::SeqCst);
+            let seen = flag.wakes();
             match fut.as_mut().poll(&mut cx) {
                 Poll::Ready(v) => return v,
                 Poll::Pending => {
-                    while flag.0.load(Ordering::SeqCst) == seen {
-                        std::hint::spin_loop();
-                    }
+                    assert_eq!(flag.wakes(), seen + 1, "a pending poll wakes its task")
                 }
             }
         }
@@ -728,17 +692,13 @@ mod tests {
         assert!(matches!(sq.alloc(layout(16)), Err(NgmError::WouldBlock)));
         // At the ceiling: ready() must park (not spin-resolve)…
         let (pa, pb) = {
-            let flag = Arc::new(Flag(AtomicUsize::new(0)));
-            let waker = Waker::from(Arc::clone(&flag));
-            let mut cx = Context::from_waker(&waker);
+            let (flag, waker) = counting_waker();
             let mut ready = sq.ready();
-            // SAFETY: stack-pinned for the whole block.
-            let mut ready = unsafe { Pin::new_unchecked(&mut ready) };
-            assert!(ready.as_mut().poll(&mut cx).is_pending());
+            assert!(poll_with(&mut ready, &waker).is_pending());
             // …and resolve after a future collects (capacity released).
             let pa = block_on(a).unwrap();
-            assert!(flag.0.load(Ordering::SeqCst) > 0, "waiter woken");
-            assert!(ready.as_mut().poll(&mut cx).is_ready());
+            assert!(flag.wakes() > 0, "waiter woken");
+            assert!(poll_with(&mut ready, &waker).is_ready());
             (pa, block_on(b).unwrap())
         };
         // SAFETY: blocks from this queue's tier.
@@ -778,22 +738,20 @@ mod tests {
     #[cfg(feature = "faultinject")]
     fn resume_on_wakes<F: Future + Unpin>(
         fut: &mut F,
-        flag: &Arc<Flag>,
+        (flag, waker): &(Arc<Flag>, Waker),
         mut seen: usize,
     ) -> F::Output {
-        let waker = Waker::from(Arc::clone(flag));
-        let mut cx = Context::from_waker(&waker);
         loop {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while flag.0.load(Ordering::SeqCst) == seen {
+            while flag.wakes() == seen {
                 assert!(
                     std::time::Instant::now() < deadline,
-                    "parked with no wake for 5 s: nothing in flight and no waker armed"
+                    "parked with no wake for 5 s"
                 );
                 std::thread::yield_now();
             }
-            seen = flag.0.load(Ordering::SeqCst);
-            if let Poll::Ready(v) = Pin::new(&mut *fut).poll(&mut cx) {
+            seen = flag.wakes();
+            if let Poll::Ready(v) = poll_with(fut, waker) {
                 return v;
             }
         }
@@ -803,10 +761,10 @@ mod tests {
     /// "A stall in the completion path"), hand-stepped with the wedge
     /// fault: class A's refill is refused because the slot carries class
     /// C's; C's response is then absorbed by the `try_alloc` of a *new*
-    /// submission whose ticket is born ready, so its future's poll never
-    /// pumps — and the response's one wake is spent on that same task.
-    /// Whoever absorbs the response must submit for A — otherwise A's
-    /// ticket is parked with nothing in flight and no waker armed.
+    /// submission whose ticket is born ready, which leaves A's ticket
+    /// parked with nothing in flight. A's task is still runnable — its
+    /// last poll woke it — so A's own next poll submits A's refill, and
+    /// A completes on its own polls with nobody pumping from outside.
     #[cfg(feature = "faultinject")]
     #[test]
     fn response_absorbed_at_submission_still_serves_the_refused_class() {
@@ -816,20 +774,19 @@ mod tests {
             .build()
             .unwrap();
         let sq = SubmissionQueue::new(ngm.handle());
-        let wakes = Arc::new(Flag(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&wakes));
-        let mut cx = Context::from_waker(&waker);
+        let (task_a, task_c, task_2) = (counting_waker(), counting_waker(), counting_waker());
         let inflight = || sq.with_handle(|h| h.nb_inflight());
 
         ngm.fault_state(0).set_wedged(true);
         let mut fc = sq.alloc(layout(64)).unwrap(); // C's refill takes the slot
         let mut fa = sq.alloc(layout(32)).unwrap(); // A's is refused: slot busy
         assert_eq!(inflight(), 1);
-        // Both tasks poll and park; the slot waker is armed.
-        assert!(Pin::new(&mut fc).poll(&mut cx).is_pending());
-        assert!(Pin::new(&mut fa).poll(&mut cx).is_pending());
+        // Both tasks poll, stay pending, and each wakes itself once.
+        assert!(poll_with(&mut fc, &task_c.1).is_pending());
+        assert!(poll_with(&mut fa, &task_a.1).is_pending());
+        assert_eq!((task_c.0.wakes(), task_a.0.wakes()), (1, 1));
 
-        // C's response lands (and fires the armed waker) ...
+        // C's response lands ...
         ngm.fault_state(0).set_wedged(false);
         while ngm.runtime_stats().calls_served < 1 {
             std::thread::yield_now();
@@ -837,24 +794,22 @@ mod tests {
         ngm.fault_state(0).set_wedged(true);
         // ... and is absorbed by a third submission, born ready.
         let mut f2 = sq.alloc(layout(64)).unwrap();
-        let Poll::Ready(Ok(p2)) = Pin::new(&mut f2).poll(&mut cx) else {
+        let Poll::Ready(Ok(p2)) = poll_with(&mut f2, &task_2.1) else {
             panic!("the magazine was just refilled: the ticket is born ready");
         };
-        assert_eq!(
-            inflight(),
-            1,
-            "A has a parked ticket: its refill is in flight"
-        );
+        assert_eq!(task_2.0.wakes(), 0, "a ready poll wakes nobody");
+        assert_eq!(inflight(), 0, "nothing has submitted for A yet");
 
-        // C's ticket was served from the absorbed batch on the spot.
-        let Poll::Ready(Ok(pc)) = Pin::new(&mut fc).poll(&mut cx) else {
+        // A's own poll submits A's refill, and serves C from the
+        // absorbed batch on the way.
+        assert!(poll_with(&mut fa, &task_a.1).is_pending());
+        assert_eq!(inflight(), 1, "A's own poll submitted its refill");
+        assert_eq!(task_a.0.wakes(), 2);
+        let Poll::Ready(Ok(pc)) = poll_with(&mut fc, &task_c.1) else {
             panic!("C had stock and a parked ticket");
         };
-        // The wake for C's response is spent: only a new one — the
-        // response to A's refill — may resume A's task.
-        let seen = wakes.0.load(Ordering::SeqCst);
         ngm.fault_state(0).set_wedged(false);
-        let pa = resume_on_wakes(&mut fa, &wakes, seen).unwrap();
+        let pa = resume_on_wakes(&mut fa, &task_a, task_a.0.wakes() - 1).unwrap();
         // SAFETY: blocks from this queue's tier.
         unsafe {
             sq.free(pa, layout(32)).unwrap();
@@ -863,6 +818,84 @@ mod tests {
         }
         assert_eq!(sq.in_flight(), 0);
         drop((fa, fc, f2, sq)); // the futures hold the queue alive too
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    /// Nothing but a pending future's own poll wakes its task: every
+    /// pending poll fires that future's waker exactly once, a ready poll
+    /// fires none, and polling on those wakes alone — no outside pump —
+    /// completes every ticket of eight classes sharing one slot.
+    #[test]
+    fn a_pending_poll_wakes_its_own_task_and_nothing_else_is_needed() {
+        let ngm = NgmConfig::new()
+            .with_shards(1)
+            .with_batch(2, 1)
+            .build()
+            .unwrap();
+        let sq = SubmissionQueue::new(ngm.handle());
+        let class = |i: usize| layout(16 * (1 + i % 8));
+        let futures: Vec<_> = (0..200).map(|i| sq.alloc(class(i)).unwrap()).collect();
+        let mut pending_polls = 0;
+        for (i, mut fut) in futures.into_iter().enumerate() {
+            let (flag, waker) = counting_waker();
+            let ptr = loop {
+                let seen = flag.wakes();
+                match poll_with(&mut fut, &waker) {
+                    Poll::Ready(r) => {
+                        assert_eq!(flag.wakes(), seen, "a ready poll wakes nobody");
+                        break r.unwrap();
+                    }
+                    Poll::Pending => {
+                        assert_eq!(flag.wakes(), seen + 1, "one wake per pending poll");
+                        pending_polls += 1;
+                    }
+                }
+            };
+            // SAFETY: block from this queue's tier.
+            unsafe { sq.free(ptr, class(i)).unwrap() };
+        }
+        assert!(
+            pending_polls > 0,
+            "one slot cannot have served 200 tickets up front"
+        );
+        assert_eq!(sq.in_flight(), 0);
+        drop(sq);
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0);
+    }
+
+    /// On a `Backoff` tier (the default below two CPUs) a pending poll
+    /// paces like a blocking client's spin and yield phases but never
+    /// takes its sleep: the queue's pace stays out of the sleep phase
+    /// however long it goes unrearmed, and the tickets still complete on
+    /// their own wakes.
+    #[test]
+    fn a_backoff_tier_paces_polls_without_sleeping() {
+        use ngm_offload::{WaitPhase, WaitStrategy};
+        let ngm = NgmConfig::new()
+            .with_shards(1)
+            .with_batch(2, 1)
+            .with_client_wait(WaitStrategy::Backoff)
+            .build()
+            .unwrap();
+        let sq = SubmissionQueue::new(ngm.handle());
+        let mut pace = sq.inner.borrow().pace;
+        for _ in 0..200 {
+            assert!(pace.pause());
+            assert_ne!(pace.phase(), WaitPhase::Sleep);
+        }
+        let class = |i: usize| layout(16 * (1 + i % 8));
+        let futures: Vec<_> = (0..64).map(|i| sq.alloc(class(i)).unwrap()).collect();
+        for (i, fut) in futures.into_iter().enumerate() {
+            let ptr = block_on(fut).unwrap();
+            assert_ne!(sq.inner.borrow().pace.phase(), WaitPhase::Sleep);
+            // SAFETY: block from this queue's tier.
+            unsafe { sq.free(ptr, class(i)).unwrap() };
+        }
+        drop(sq);
         let down = ngm.shutdown();
         assert!(down.clean() && down.balanced(), "{down:?}");
         assert_eq!(down.heap.live_blocks, 0);

@@ -38,7 +38,7 @@ pub enum ServiceError {
     /// blocking: the request slot still carries an in-flight submission,
     /// or the post ring is full. Purely transient — distinct from
     /// [`ServiceError::Deadline`] (the shard failed to answer in time).
-    /// Callers complete in-flight work (or wait for a waker) and retry.
+    /// Callers poll again later — the service wakes nobody — and retry.
     WouldBlock,
 }
 

@@ -237,10 +237,11 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Publishes `req` into the request slot and returns immediately.
-    /// The response is collected with [`ClientHandle::poll`], awaited
-    /// with [`ClientHandle::wait`] (or a waker, see
-    /// [`ClientHandle::register_waker`]), or the request cancelled with
-    /// [`ClientHandle::retract`]. Every synchronous request enters here.
+    /// The response is collected with [`ClientHandle::poll`] or awaited
+    /// with [`ClientHandle::wait`], or the request cancelled with
+    /// [`ClientHandle::retract`]; the service never wakes anyone, so a
+    /// caller that does not wait learns of the response by polling.
+    /// Every synchronous request enters here.
     ///
     /// Refusals hand the request back along with the reason:
     /// [`ServiceError::ServiceStopped`] when the service thread is known
@@ -364,12 +365,11 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Cancels the in-flight request. `true` means it was retracted
-    /// before the service claimed it: the slot is reusable, the
-    /// registered waker (if any) will never fire, and the span ends in
-    /// its `Retracted` terminal phase — a later retry is a distinct span
-    /// by construction. `false` means the service already claimed it (or
-    /// nothing is in flight): the caller must keep polling, because a
-    /// served response is never discarded.
+    /// before the service claimed it: the slot is reusable and the span
+    /// ends in its `Retracted` terminal phase — a later retry is a
+    /// distinct span by construction. `false` means the service already
+    /// claimed it (or nothing is in flight): the caller must keep
+    /// polling, because a served response is never discarded.
     pub fn retract(&mut self) -> bool {
         let retracted = self.slot.retract();
         if retracted {
@@ -495,12 +495,11 @@ impl<S: Service> ClientHandle<S> {
         self.deadline
     }
 
-    /// Registers `waker` to fire when the in-flight request's response
-    /// is published (the RESPONSE release edge). Wake-safe against the
-    /// publish race: a response that already landed fires the waker from
-    /// this call. See [`RequestSlot::register_waker`].
-    pub fn register_waker(&self, waker: &std::task::Waker) {
-        self.slot.register_waker(waker);
+    /// How this handle waits: the runtime's resolved client
+    /// [`WaitStrategy`], which [`ClientHandle::wait`] and full-ring posts
+    /// pause by.
+    pub fn wait_strategy(&self) -> WaitStrategy {
+        self.wait
     }
 
     /// Whether this handle's service thread is still consuming: `false`
@@ -903,11 +902,6 @@ fn service_loop<S: Service>(
     wait: WaitStrategy,
 ) -> S {
     if let Some(c) = core {
-        shared
-            .handles
-            .stats
-            .pin_requested
-            .store(true, Ordering::Relaxed);
         // Verified pin: installs the affinity mask and waits (bounded)
         // for the migration to actually land, warning instead of
         // panicking if the scheduler never moves us.

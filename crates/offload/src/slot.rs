@@ -12,9 +12,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::task::Waker;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ngm_telemetry::clock::cycles_now;
 
@@ -66,18 +64,6 @@ pub struct RequestSlot<Q, R> {
     claim_tsc: AtomicU64,
     served_tsc: AtomicU64,
     publish_tsc: AtomicU64,
-    /// A waker registered by a client polling this slot as a future.
-    /// The server fires it on the RESPONSE release edge in [`Self::serve`].
-    /// The mutex is uncontended in every blocking path (no waker is ever
-    /// registered), so the synchronous protocol stays lock-free in
-    /// practice; `has_waker` gates the server away from the lock entirely
-    /// on that path.
-    waker: Mutex<Option<Waker>>,
-    /// Fast-path hint: `true` while a waker may be registered. Paired
-    /// [`fence`]s in [`Self::register_waker`] and [`Self::serve`] make the
-    /// flag reliable: at least one side of a register/publish race always
-    /// observes the other.
-    has_waker: AtomicBool,
 }
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
@@ -108,8 +94,6 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
             claim_tsc: AtomicU64::new(0),
             served_tsc: AtomicU64::new(0),
             publish_tsc: AtomicU64::new(0),
-            waker: Mutex::new(None),
-            has_waker: AtomicBool::new(false),
         }
     }
 
@@ -156,28 +140,15 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         )
     }
 
-    /// A human-readable label for the current protocol state — a racy
-    /// peek for diagnostics, not a synchronization point.
-    #[must_use]
-    pub fn state_label(&self) -> &'static str {
-        match self.state.load(Ordering::Relaxed) {
-            EMPTY => "empty",
-            REQUEST => "request",
-            RESPONSE => "response",
-            SERVING => "serving",
-            _ => "?",
-        }
-    }
-
     /// Client side, non-blocking: publishes `request` if the slot is
     /// EMPTY, returning `Err(request)` (payload handed back, nothing
     /// published) when a previous request is still in flight.
     ///
-    /// This is the submission half of the completion-based protocol; pair
-    /// it with [`Self::poll_response`] to collect, [`Self::register_waker`]
-    /// to be woken instead of polling, and [`Self::retract`] to cancel.
-    /// Blocking callers wait by polling too: the one wait loop lives in
-    /// [`crate::service::ClientHandle::wait`].
+    /// This is the submission half of the protocol; pair it with
+    /// [`Self::poll_response`] to collect and [`Self::retract`] to cancel.
+    /// Nothing is ever woken: every caller learns of the response by
+    /// polling, blocking ones in the one wait loop
+    /// [`crate::service::ClientHandle::wait`], futures on each poll.
     ///
     /// Callers must ensure only one client thread uses a given slot; this
     /// is enforced structurally by [`crate::service::ClientHandle`] owning
@@ -215,50 +186,11 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         Some(collected)
     }
 
-    /// Client side: registers `waker` to be fired when the in-flight
-    /// request's response is published (the RESPONSE release edge in
-    /// [`Self::serve`]).
-    ///
-    /// Lost-wakeup-free: if the response was already published by the time
-    /// the waker is stored, the waker fires immediately from this call.
-    /// Spurious wakes are possible (a stale server wake can land on a
-    /// newly registered waker); callers re-poll and re-register, as the
-    /// `Future` contract already requires.
-    ///
-    /// The waker's `wake()` may run while the slot's internal registration
-    /// lock is held, so it must not re-enter slot methods; the wakers of
-    /// real executors (set a flag, unpark a thread) satisfy this.
-    pub fn register_waker(&self, waker: &Waker) {
-        {
-            let mut slot = self.waker.lock().unwrap_or_else(|e| e.into_inner());
-            match &mut *slot {
-                Some(w) if w.will_wake(waker) => {}
-                w => *w = Some(waker.clone()),
-            }
-        }
-        self.has_waker.store(true, Ordering::Relaxed);
-        // Paired with the fence in `serve`: either the server's flag read
-        // observes our store (it wakes us), or our state load below
-        // observes its RESPONSE store (we wake ourselves). Without the
-        // fences both sides could miss each other and the wakeup be lost.
-        fence(Ordering::SeqCst);
-        if self.state.load(Ordering::Acquire) == RESPONSE {
-            self.wake_registered();
-        }
-    }
-
     /// Client side: cancels the in-flight request with a
     /// `REQUEST → EMPTY` CAS. Returns `true` if the request was never
     /// claimed by the server (payload reclaimed, slot EMPTY and reusable)
     /// and `false` if the server already claimed it (state `SERVING` or
     /// `RESPONSE` — the caller must still collect or abandon it).
-    ///
-    /// After a successful retract, the registered waker (if any) is
-    /// cleared and will never fire for this request: the server only
-    /// wakes after publishing a RESPONSE, and a successful retract proves
-    /// it never claimed the request. Any stale wake still in flight from
-    /// an *earlier* response completes before this returns (the wake runs
-    /// under the registration lock taken here).
     pub fn retract(&self) -> bool {
         if self
             .state
@@ -273,19 +205,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // out of REQUEST, so `req` still holds the value we wrote and
         // the server will not touch the slot (it observes EMPTY).
         unsafe { (*self.req.get()).assume_init_drop() };
-        self.has_waker.store(false, Ordering::Relaxed);
-        let mut slot = self.waker.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = None;
         true
-    }
-
-    /// Takes and fires the registered waker, holding the registration lock
-    /// across the wake so [`Self::retract`] can wait out in-flight wakes.
-    fn wake_registered(&self) {
-        let mut slot = self.waker.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(w) = slot.take() {
-            w.wake();
-        }
     }
 
     /// Server side: if a request is pending, consumes it, has `f` write
@@ -321,13 +241,6 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         self.served_tsc.store(served, Ordering::Relaxed);
         self.publish_tsc.store(served, Ordering::Relaxed);
         self.state.store(RESPONSE, Ordering::Release);
-        // Paired with the fence in `register_waker` (see there); the flag
-        // keeps the blocking path — which never registers a waker — away
-        // from the lock entirely.
-        fence(Ordering::SeqCst);
-        if self.has_waker.swap(false, Ordering::Relaxed) {
-            self.wake_registered();
-        }
         true
     }
 
@@ -537,7 +450,7 @@ mod tests {
         // consumed, so the retract loses, and no response ever arrives.
         assert!(!slot.retract(), "the server claimed the request");
         assert_eq!(slot.poll_response(std::mem::take), None);
-        assert_eq!(slot.state_label(), "serving");
+        assert!(!slot.has_request() && !slot.has_response(), "stuck serving");
     }
 
     #[test]
@@ -554,7 +467,7 @@ mod tests {
                 }
             }
         });
-        assert_eq!(slot.state_label(), "empty");
+        assert!(!slot.has_request() && slot.poll_response(std::mem::take).is_none());
         let t0 = cycles_now();
         call(&slot, 1);
         let t5 = cycles_now();
@@ -652,21 +565,6 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 2, "the response nobody read");
     }
 
-    /// A waker that counts its wakes.
-    struct CountingWake(std::sync::atomic::AtomicUsize);
-
-    impl std::task::Wake for CountingWake {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn counting_waker() -> (Arc<CountingWake>, std::task::Waker) {
-        let flag = Arc::new(CountingWake(std::sync::atomic::AtomicUsize::new(0)));
-        let waker = std::task::Waker::from(Arc::clone(&flag));
-        (flag, waker)
-    }
-
     #[test]
     fn begin_poll_roundtrip_without_blocking() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
@@ -686,103 +584,11 @@ mod tests {
     }
 
     #[test]
-    fn waker_fires_on_response_edge() {
-        let slot: RequestSlot<u32, u32> = RequestSlot::new();
-        let (wakes, waker) = counting_waker();
-        assert!(slot.begin(1).is_ok());
-        slot.register_waker(&waker);
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 0, "no response yet");
-        assert!(slot.serve(|q, r| *r = q + 1));
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 1, "woken on RESPONSE");
-        assert_eq!(slot.poll_response(std::mem::take), Some(2));
-        // The waker was consumed: a second serve cycle does not re-fire it.
-        assert!(slot.begin(2).is_ok());
-        assert!(slot.serve(|q, r| *r = q + 1));
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-        assert_eq!(slot.poll_response(std::mem::take), Some(3));
-    }
-
-    #[test]
-    fn register_after_response_self_wakes() {
-        let slot: RequestSlot<u32, u32> = RequestSlot::new();
-        let (wakes, waker) = counting_waker();
-        assert!(slot.begin(1).is_ok());
-        assert!(slot.serve(|q, r| *r = q + 1));
-        // Response already published: registration must not lose the wake.
-        slot.register_waker(&waker);
-        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
-        assert_eq!(slot.poll_response(std::mem::take), Some(2));
-    }
-
-    #[test]
-    fn retract_clears_waker_and_it_never_fires() {
-        let slot: RequestSlot<u32, u32> = RequestSlot::new();
-        let (wakes, waker) = counting_waker();
-        assert!(slot.begin(1).is_ok());
-        slot.register_waker(&waker);
-        assert!(slot.retract());
-        // Even a full later serve cycle must not fire the retracted waker.
-        assert!(slot.begin(2).is_ok());
-        assert!(slot.serve(|q, r| *r = q + 1));
-        assert_eq!(slot.poll_response(std::mem::take), Some(3));
-        assert_eq!(
-            wakes.0.load(Ordering::SeqCst),
-            0,
-            "waker fired after retract"
-        );
-    }
-
-    #[test]
     fn retract_loses_once_served_and_response_collectable() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert!(slot.begin(4).is_ok());
         assert!(slot.serve(|q, r| *r = q * 10));
         assert!(!slot.retract(), "served request cannot be retracted");
         assert_eq!(slot.poll_response(std::mem::take), Some(40));
-    }
-
-    #[test]
-    fn concurrent_register_and_serve_never_lose_the_wake() {
-        // The fence-paired register/publish race: for each round, either
-        // the server's flag read sees the registration (server wakes) or
-        // the client's state re-check sees RESPONSE (self-wake). A lost
-        // wakeup shows up as a round where the counter never advances.
-        let slot: Arc<RequestSlot<u32, u32>> = Arc::new(RequestSlot::new());
-        let srv = Arc::clone(&slot);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let srv_stop = Arc::clone(&stop);
-        let h = std::thread::spawn(move || {
-            while !srv_stop.load(Ordering::Acquire) {
-                srv.serve(|q, r| *r = q);
-                std::hint::spin_loop();
-            }
-        });
-        for i in 0..2_000u32 {
-            let (wakes, waker) = counting_waker();
-            assert!(slot.begin(i).is_ok());
-            // The response may race the registration in either order; the
-            // protocol guarantees the wake is never lost. A wake may be
-            // stale, though — the server's flag swap for the previous
-            // round's response can land on this round's registration — so
-            // a woken poll that finds nothing registers again, as the
-            // `Future` contract requires.
-            let mut seen = 0;
-            let response = loop {
-                slot.register_waker(&waker);
-                let mut spins = 0u64;
-                while wakes.0.load(Ordering::SeqCst) == seen {
-                    std::hint::spin_loop();
-                    spins += 1;
-                    assert!(spins < 1_000_000_000, "lost wakeup at round {i}");
-                }
-                seen = wakes.0.load(Ordering::SeqCst);
-                if let Some(response) = slot.poll_response(std::mem::take) {
-                    break response;
-                }
-            };
-            assert_eq!(response, i);
-        }
-        stop.store(true, Ordering::Release);
-        h.join().unwrap();
     }
 }

@@ -70,8 +70,6 @@ pub struct RuntimeStats {
     /// Times the service wait loop changed phase (spin → yield → sleep,
     /// or any phase → spin when work arrived).
     pub wait_transitions: AtomicU64,
-    /// Whether the service thread asked to be pinned.
-    pub pin_requested: AtomicBool,
     /// Core the service thread was pinned to, or `usize::MAX`.
     pub pinned_core: AtomicUsize,
 }
@@ -159,7 +157,6 @@ impl RuntimeStats {
             magazine_occupancy: AtomicI64::new(0),
             wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
             wait_transitions: AtomicU64::new(0),
-            pin_requested: AtomicBool::new(false),
             pinned_core: AtomicUsize::new(NOT_PINNED),
         }
     }

@@ -53,6 +53,9 @@ impl WaitPhase {
     }
 }
 
+/// Pure spins `WaitStrategy::Backoff` takes before its first yield.
+const BACKOFF_SPINS: u32 = 16;
+
 /// How a thread waits for a condition that another core will signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitStrategy {
@@ -99,7 +102,7 @@ impl WaitStrategy {
                 }
             }
             WaitStrategy::Backoff => {
-                if iters < 16 {
+                if iters < BACKOFF_SPINS {
                     WaitPhase::Spin
                 } else if iters < 64 {
                     WaitPhase::Yield
@@ -107,6 +110,20 @@ impl WaitStrategy {
                     WaitPhase::Sleep
                 }
             }
+        }
+    }
+
+    /// This strategy with its sleep phase cut off: `Backoff` spins as
+    /// long as it does and then only yields; the others never sleep
+    /// anyway. For a wait that must not block its thread, such as a
+    /// pending future's `poll`.
+    #[must_use]
+    pub fn without_sleep(self) -> WaitStrategy {
+        match self {
+            WaitStrategy::Backoff => WaitStrategy::SpinYield {
+                spins: BACKOFF_SPINS,
+            },
+            s => s,
         }
     }
 
@@ -298,6 +315,25 @@ mod tests {
         assert_eq!(sy.phase(u32::MAX), WaitPhase::Yield);
 
         assert_eq!(WaitStrategy::Spin.phase(u32::MAX), WaitPhase::Spin);
+    }
+
+    #[test]
+    fn without_sleep_keeps_the_spins_and_never_sleeps() {
+        for s in [
+            WaitStrategy::Spin,
+            WaitStrategy::SpinYield { spins: 8 },
+            WaitStrategy::Backoff,
+        ] {
+            let cut = s.without_sleep();
+            for iters in [0, 7, 8, 15, 16, 63, 64, 1_000, u32::MAX] {
+                let (was, is) = (s.phase(iters), cut.phase(iters));
+                if was == WaitPhase::Sleep {
+                    assert_eq!(is, WaitPhase::Yield, "{s:?} at {iters}");
+                } else {
+                    assert_eq!(is, was, "{s:?} at {iters}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! per-event cycle constants, predicting the blocking and non-blocking
 //! per-event critical-path costs and their ratio. The `repro conns`
 //! experiment prints the prediction beside the measured ratio: a live
-//! result far from the model means the overlap is not happening (lost
-//! wakes, pump starvation), not merely that the machine is slow.
+//! result far from the model means the overlap is not happening (pump
+//! starvation, a client that starves the service threads of their
+//! cores), not merely that the machine is slow.
 
 /// Cycle-cost model for one client core multiplexing many connections
 /// over one allocator handle.
@@ -26,8 +27,8 @@ pub struct CompletionModel {
     /// → heap work → RESPONSE edge, as seen by a *waiting* client.
     pub round_trip_cycles: u64,
     /// Client-side bookkeeping per event on the non-blocking path
-    /// (ticket, amortized share of a FIFO pump drain, waker arm) — the
-    /// cost that replaces waiting.
+    /// (ticket, amortized share of the pumps a pending future re-polls
+    /// with) — the cost that replaces waiting.
     pub submit_complete_cycles: u64,
     /// Magazine pop / buffered-free push on a hit (both front-ends).
     pub fast_path_cycles: u64,

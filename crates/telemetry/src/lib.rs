@@ -39,80 +39,3 @@ pub mod recorder;
 pub mod server;
 pub mod span;
 pub mod trace;
-
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-/// A monotonically increasing event count.
-///
-/// All operations are relaxed; counters are statistics, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    #[must_use]
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A point-in-time sampled value (ring occupancy, wait phase, ...).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    #[must_use]
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Overwrites the sample.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Last sample.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let c = Counter::new();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn gauge_overwrites() {
-        let g = Gauge::new();
-        g.set(7);
-        g.set(-3);
-        assert_eq!(g.get(), -3);
-    }
-}

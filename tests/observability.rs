@@ -468,7 +468,7 @@ mod faultinject {
     }
 
     /// The span contract extends to the completion-based front-end: a
-    /// future that was *polled* (parked on the slot waker) and then
+    /// future that was *polled* (left pending on a wedged shard) and then
     /// dropped — its submission retracted when the handle settles — is
     /// **two spans**, exactly like the blocking drop-then-retry. The
     /// retracted refill's span ends at `Retracted` without ever being
