@@ -7,15 +7,13 @@
 //!           | model41 | ablations | batch | pmu | shards
 //!           | spans (request-lifecycle phase breakdown)
 //!           | obs (live observer endpoints + flight-recording replay)
-//!           | conns (connection server: blocking vs completion-based
-//!             front-end at equal client counts)
 //!           | faults (needs --features faultinject to arm the hooks)
 //! --scale N: multiply workload sizes by N (default 1; paper-style
 //!            stability from ~4)
 //! --no-prototype: skip the real-runtime wall-clock part of table3
 //! --hw: table1 and table2 additionally replay on the host PMU and
-//!       print sim and hardware columns side by side; shards, spans,
-//!       obs and conns arm PMU sessions on the run they already
+//!       print sim and hardware columns side by side; shards, spans
+//!       and obs arm PMU sessions on the run they already
 //!       make and print its service-shard and client columns under the
 //!       table (columns are labeled /hw, or /sw where the host has no
 //!       PMU and the software fallback counted)
@@ -24,20 +22,20 @@
 //! An unknown experiment name prints the usage line and exits 2.
 
 use ngm_bench::experiments::{
-    ablations, conns, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1, table2, table3,
+    ablations, faults, fig1, fig2, model41, obs, pmu, shards, spans, table1, table2, table3,
 };
 use ngm_bench::Scale;
 
 /// Every name the command line accepts, as the usage line spells them
 /// (`batch` re-renders one ablation; `all` leaves it to `ablations`).
 const EXPERIMENTS: &str =
-    "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|pmu|shards|spans|obs|conns|faults";
+    "all|fig1|table1|table2|fig2|table3|model41|ablations|batch|pmu|shards|spans|obs|faults";
 
 fn usage() -> String {
     format!(
         "usage: repro [{EXPERIMENTS}]... [--scale N] [--no-prototype] [--hw]\n\
          --hw: PMU columns (/hw, or /sw without a PMU) for table1, table2, \
-         shards, spans, obs, conns"
+         shards, spans, obs"
     )
 }
 
@@ -129,9 +127,6 @@ fn main() {
     }
     if want("obs") {
         println!("{}", obs::run(scale, with_hw).render());
-    }
-    if want("conns") {
-        println!("{}", conns::run(scale, with_hw).render());
     }
     if want("faults") {
         println!("{}", faults::run(scale));

@@ -1,7 +1,6 @@
 //! One module per paper artifact.
 
 pub mod ablations;
-pub mod conns;
 pub mod faults;
 pub mod fig1;
 pub mod fig2;

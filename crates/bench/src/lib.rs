@@ -5,13 +5,10 @@
 //! regenerates. Beside them: [`live`] is the one driver every experiment
 //! on the live runtime runs its client threads through, [`replay`] moves
 //! workload streams onto real heaps, [`hw`] bridges simulator counters to
-//! the host PMU,
-//! [`executor`] is the dependency-free future executor of `repro conns`,
-//! and [`report`] aligns tables.
+//! the host PMU, and [`report`] aligns tables.
 
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod experiments;
 pub mod hw;
 pub mod live;

@@ -12,7 +12,7 @@ fn repro(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_experiment_prints_usage_and_exits_2() {
-    for typo in ["nonsense", "shard", "telemetry"] {
+    for typo in ["nonsense", "shard", "telemetry", "conns"] {
         let out = repro(&[typo]);
         assert_eq!(out.status.code(), Some(2), "{typo}");
         assert!(out.stdout.is_empty(), "no banner for a run of nothing");

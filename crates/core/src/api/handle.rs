@@ -1,6 +1,6 @@
 //! The per-thread [`NgmHandle`]: its clients, magazines and free
-//! buffers, and the one request path — `try_alloc` / `try_dealloc`, with
-//! `alloc` / `dealloc` as the same bodies told to wait.
+//! buffers, and the one request path — `alloc` / `dealloc`, which wait
+//! out every round trip and full ring under the tier's deadline.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -9,14 +9,14 @@ use std::sync::Arc;
 use ngm_heap::classes::{class_to_size, layout_to_class, SizeClass, NUM_CLASSES};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
-use ngm_offload::{CallKind, ClientHandle, PostWait, RuntimeStats, ServiceError, WaitStrategy};
+use ngm_offload::{CallKind, ClientHandle, RuntimeStats, ServiceError};
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::{Route, RouteOp};
 use super::slot::Tier;
 use super::tier::FailureReason;
-use crate::config::{NgmError, FALLBACK_OWNER, OWNER_BASE};
-use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService, MAX_BATCH};
+use crate::config::{FALLBACK_OWNER, OWNER_BASE};
+use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService};
 
 /// A per-thread endpoint to the allocator tier.
 ///
@@ -95,12 +95,6 @@ pub(super) struct End {
     /// The handle has observed this shard dead (failover already
     /// recorded and allocation traffic moved off).
     pub(super) failed: bool,
-    /// The refill riding the shard's slot across calls (`None` when the
-    /// slot is free): one a non-blocking call submitted and left in
-    /// flight, kept so that whoever collects the response — the original
-    /// submitter or an unrelated call settling the slot for its own
-    /// request — can route it. Collecting or retracting it clears it.
-    riding: Option<AllocBatchReq>,
 }
 
 impl End {
@@ -112,7 +106,6 @@ impl End {
             published: 0,
             pressure: 0,
             failed: false,
-            riding: None,
         }
     }
 }
@@ -179,8 +172,6 @@ impl NgmHandle {
     /// Small layouts are served from the per-class magazine (refilled in
     /// one round trip when empty); large layouts are mapped on the
     /// calling thread, whatever state the tier is in.
-    /// This is [`NgmHandle::try_alloc`] that waits out every round trip
-    /// instead of reporting [`NgmError::WouldBlock`].
     ///
     /// # Errors
     ///
@@ -189,40 +180,11 @@ impl NgmHandle {
     /// large mapping) and [`AllocError::ZeroSize`] for zero-sized
     /// layouts.
     pub fn alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, AllocError> {
-        self.alloc_inner(layout, true).map_err(|e| match e {
-            NgmError::Alloc(e) => e,
-            _ => AllocError::OutOfMemory,
-        })
-    }
-
-    /// Non-blocking [`NgmHandle::alloc`]: never waits on a service.
-    ///
-    /// The magazine pop is the same fast path, and a large layout is
-    /// mapped inline and so never reports `WouldBlock`. When a round trip
-    /// is needed it is *submitted* rather than awaited: the call returns
-    /// [`NgmError::WouldBlock`] and a later `try_alloc` (or a poll of an
-    /// [`crate::nonblocking::AllocFuture`]) collects the response from
-    /// the slot. Dead and deadlined shards are routed around
-    /// by the same step as in the blocking form — only the *wait* is
-    /// removed, so the `allocs == frees` ledger and every
-    /// reroute/fallback rule are shared.
-    ///
-    /// # Errors
-    ///
-    /// [`NgmError::WouldBlock`] when a submission is in flight and its
-    /// response has not landed yet (retry after pumping);
-    /// otherwise the same failures as [`NgmHandle::alloc`], lifted into
-    /// [`NgmError`].
-    pub fn try_alloc(&mut self, layout: Layout) -> Result<NonNull<u8>, NgmError> {
-        self.alloc_inner(layout, false)
-    }
-
-    fn alloc_inner(&mut self, layout: Layout, wait: bool) -> Result<NonNull<u8>, NgmError> {
         if layout.size() == 0 {
-            return Err(AllocError::ZeroSize.into());
+            return Err(AllocError::ZeroSize);
         }
         match layout_to_class(layout.size(), layout.align()) {
-            Some(class) => self.alloc_from_magazine(class, layout, wait),
+            Some(class) => self.alloc_from_magazine(class, layout),
             None => {
                 let ptr = self.tier.large.allocate(layout)?;
                 // Large blocks are traced on slot 0's client ring.
@@ -238,21 +200,16 @@ impl NgmHandle {
         &mut self,
         class: SizeClass,
         layout: Layout,
-        wait: bool,
-    ) -> Result<NonNull<u8>, NgmError> {
+    ) -> Result<NonNull<u8>, AllocError> {
         let ci = class.0 as usize;
         if self.magazines[ci].is_empty() {
-            match self.top_up(class, wait) {
-                Ok(()) => {}
-                Err(NgmError::WouldBlock) => return Err(NgmError::WouldBlock),
-                Err(e) => {
-                    // No shard could refill (all deadlined, dead, or
-                    // empty): degrade this one allocation to the inline
-                    // fallback instead of failing it, keeping the app
-                    // alive through the outage.
-                    let shard = self.class_shard[ci] as usize;
-                    return self.fallback_alloc(layout, shard).map_err(|_| e);
-                }
+            if let Err(e) = self.top_up(class) {
+                // No shard could refill (all deadlined, dead, or
+                // empty): degrade this one allocation to the inline
+                // fallback instead of failing it, keeping the app
+                // alive through the outage.
+                let shard = self.class_shard[ci] as usize;
+                return self.fallback_alloc(layout, shard).map_err(|_| e);
             }
         }
         let addr = self.magazines[ci]
@@ -261,7 +218,7 @@ impl NgmHandle {
         let source = self.mag_shard[ci] as usize;
         self.ends[source].stash -= 1;
         self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
-        NonNull::new(addr as *mut u8).ok_or(NgmError::Alloc(AllocError::OutOfMemory))
+        NonNull::new(addr as *mut u8).ok_or(AllocError::OutOfMemory)
     }
 
     /// One round trip to top up `class`'s magazine from its current
@@ -269,8 +226,10 @@ impl NgmHandle {
     /// `batch_size` blocks but never for more than one heap page holds
     /// (at least four — the class table ends at a quarter page), which
     /// bounds what a handle stashes per class at `PAGE_SIZE` bytes
-    /// instead of `batch_size` × 16 KiB.
-    fn top_up(&mut self, class: SizeClass, wait: bool) -> Result<(), NgmError> {
+    /// instead of `batch_size` × 16 KiB. Kept out of line: it runs
+    /// once per magazine, and inlined it would widen `alloc`'s pop path.
+    #[inline(never)]
+    fn top_up(&mut self, class: SizeClass) -> Result<(), AllocError> {
         let ci = class.0 as usize;
         let per_page = (PAGE_SIZE / class_to_size(class)) as u32;
         let what = AllocBatchReq {
@@ -279,19 +238,17 @@ impl NgmHandle {
         };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;
-            let cause = match self.request(shard, what, wait) {
+            let cause = match self.request(shard, what) {
                 // An empty batch is the service reporting exhaustion.
                 Ok(()) if self.magazines[ci].is_empty() => break,
                 Ok(()) => return Ok(()),
                 Err(e) => e,
             };
-            match self.route(shard, cause, RouteOp::Refill(ci)) {
-                Route::Retry(_) => {}
-                Route::Busy => return Err(NgmError::WouldBlock),
-                Route::Exhausted => break,
+            if self.route(shard, cause, RouteOp::Refill(ci)) == Route::Exhausted {
+                break;
             }
         }
-        Err(AllocError::OutOfMemory.into())
+        Err(AllocError::OutOfMemory)
     }
 
     /// The degradation endpoint: every shard deadlined or died, so serve
@@ -303,25 +260,12 @@ impl NgmHandle {
         self.tier.fallback.allocate(layout)
     }
 
-    /// One refill round on `shard` for a class whose magazine is empty:
-    /// settles whatever
-    /// rides the slot — which may be this class's own refill, from an
-    /// earlier `WouldBlock`, and then the magazine is stocked and nothing
-    /// more is sent — then submits `what` and collects its response
+    /// One refill round trip on `shard` for a class whose magazine is
+    /// empty: submits `what` and waits for its response
     /// ([`NgmHandle::absorb`]). `Ok` means a response was folded into
-    /// handle state. [`ServiceError::WouldBlock`] leaves the request
-    /// riding the slot for a later call; any other error leaves the slot
-    /// free.
-    fn request(
-        &mut self,
-        shard: usize,
-        what: AllocBatchReq,
-        wait: bool,
-    ) -> Result<(), ServiceError> {
-        self.collect(shard, wait)?;
-        if !self.magazines[what.class.0 as usize].is_empty() {
-            return Ok(());
-        }
+    /// handle state; an error leaves the slot free (a deadline retracted
+    /// the request) or the client poisoned (it was abandoned mid-serve).
+    fn request(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
         // A round trip for exactly one block is a call: the call
         // histogram and its phase partition cover every single-block
         // round trip, the refill histogram only those that amortise.
@@ -334,73 +278,23 @@ impl NgmHandle {
             .client
             .submit(what, kind)
             .map_err(|(_, e)| e)?;
-        match self.absorb(shard, what, wait) {
-            Err(ServiceError::WouldBlock) => {
-                self.ends[shard].riding = Some(what);
-                self.stats(shard).add_inflight(1);
-                Err(ServiceError::WouldBlock)
-            }
-            // Collected, or a deadline (retracted or abandoned): nothing
-            // rides the slot.
-            outcome => outcome,
-        }
+        self.absorb(shard, what)
     }
 
-    /// Collects the refill riding `shard`'s slot, if any
-    /// ([`NgmHandle::absorb`]). `Ok` means the slot is free;
-    /// [`ServiceError::WouldBlock`] that the response has not landed.
-    fn collect(&mut self, shard: usize, wait: bool) -> Result<(), ServiceError> {
-        let Some(riding) = self.ends[shard].riding else {
-            return Ok(());
-        };
-        match self.absorb(shard, riding, wait) {
-            Err(ServiceError::WouldBlock) => Err(ServiceError::WouldBlock),
-            outcome => {
-                self.release_slot(shard);
-                outcome
-            }
-        }
-    }
-
-    /// Forgets the request riding `shard`'s slot (collected, retracted
-    /// or lost).
-    fn release_slot(&mut self, shard: usize) {
-        self.ends[shard].riding = None;
-        self.stats(shard).add_inflight(-1);
-    }
-
-    /// The one place a response enters handle state. Polls — or with
-    /// `wait` blocks, under the runtime's deadline, on — `shard`'s slot
-    /// for the response to `request` and reads it where it lies: its
-    /// addresses top up their class's magazine, the one copy this side
-    /// makes, or, if the class was refilled from elsewhere meanwhile, go
-    /// home through `shard`'s orphan stack tagged as never handed out,
-    /// like a magazine returned at drop, so the ledger still balances
-    /// without a blocking return post. An empty response is the service
-    /// reporting failure: nothing to stash.
-    fn absorb(
-        &mut self,
-        shard: usize,
-        request: AllocBatchReq,
-        wait: bool,
-    ) -> Result<(), ServiceError> {
+    /// The one place a response enters handle state. Blocks, under the
+    /// runtime's deadline, on `shard`'s slot for the response to
+    /// `request` and reads it where it lies: its addresses go into their
+    /// class's empty magazine, the one copy this side makes. An empty
+    /// response is the service reporting failure: nothing to stash.
+    fn absorb(&mut self, shard: usize, request: AllocBatchReq) -> Result<(), ServiceError> {
         let ci = request.class.0 as usize;
-        let (tier, magazine) = (&self.tier, &mut self.magazines[ci]);
-        let stock = |batch: &mut AddrBatch| {
-            if magazine.is_empty() {
-                magazine.copy_from(batch);
-                batch.len()
-            } else {
-                Self::orphan(tier, shard, batch, true);
-                0
-            }
-        };
+        let magazine = &mut self.magazines[ci];
+        debug_assert!(magazine.is_empty(), "only a dry magazine asks for a refill");
         let client = &mut self.ends[shard].client;
-        let got = if wait {
-            client.wait(client.deadline(), stock)?
-        } else {
-            client.poll(stock).ok_or(ServiceError::WouldBlock)?
-        };
+        let got = client.wait(client.deadline(), |batch: &mut AddrBatch| {
+            magazine.copy_from(batch);
+            batch.len()
+        })?;
         if got > 0 {
             self.mag_shard[ci] = shard as u16;
             self.ends[shard].stash += got as i64;
@@ -414,114 +308,25 @@ impl NgmHandle {
         Ok(())
     }
 
-    /// Resolves `shard`'s riding request before the handle goes away:
-    /// retract if the service has not claimed it, otherwise wait out the
-    /// (imminent) response so no allocated block leaks. Only the
-    /// shard-death edge — service gone mid-serve — abandons the request,
-    /// counted like a dropped post.
-    fn settle_nb(&mut self, shard: usize) {
-        let end = &mut self.ends[shard];
-        if end.riding.is_none() {
-            return;
-        }
-        if end.client.retract() {
-            self.release_slot(shard);
-        } else if self.collect(shard, true).is_err() {
-            self.stats(shard).record_post_dropped();
-        }
-    }
-
-    /// Drives every in-flight refill one poll forward, folding landed
-    /// batches into their magazines. Returns how many completed. The pump
-    /// a submission queue (or any manual `try_alloc` retry loop) calls
-    /// between polls.
-    pub fn nb_pump(&mut self) -> usize {
-        let mut completed = 0;
-        for shard in 0..self.nshards() {
-            if self.ends[shard].riding.is_some() && self.collect(shard, false).is_ok() {
-                completed += 1;
-            }
-        }
-        completed
-    }
-
-    /// How many non-blocking submissions this handle currently has in
-    /// flight across all shards.
-    pub fn nb_inflight(&self) -> usize {
-        self.ends.iter().filter(|e| e.riding.is_some()).count()
-    }
-
-    /// The configured in-flight ceiling for submission queues built over
-    /// this handle ([`crate::NgmConfig::with_inflight_limit`]).
-    pub fn inflight_limit(&self) -> usize {
-        self.tier.inflight_limit
-    }
-
-    /// How a blocking call on this handle waits: the tier's resolved
-    /// client [`WaitStrategy`], the pace a pending
-    /// [`crate::nonblocking::AllocFuture`] re-polls at too.
-    pub(crate) fn wait_strategy(&self) -> WaitStrategy {
-        self.ends[0].client.wait_strategy()
-    }
-
-    /// Records the submission-queue depth observed at a pump boundary
-    /// into the tier's `ngm_submit_depth` histogram (slot 0's hub).
-    pub fn record_submit_depth(&self, depth: u64) {
-        let hub = &self.tier.slots[0].handles.telemetry;
-        hub.submit_depth.record(depth);
-    }
-
     /// Frees a block asynchronously; returns as soon as the message is in
     /// the owning shard's ring (§3.1.2: free is off the critical path).
     /// Small-block frees are buffered per owning shard and flushed as one
     /// batched post every `flush_threshold` frees; a large free is a
-    /// synchronous `munmap` on the calling thread. This is
-    /// [`NgmHandle::try_dealloc`] that waits out a full ring (for at
-    /// most the deadline, then diverts to the owning shard's orphan
-    /// stack) and so always accepts.
+    /// synchronous `munmap` on the calling thread. A flush waits out a
+    /// full ring for at most the deadline, then diverts to the owning
+    /// shard's orphan stack, so a free is always accepted.
     ///
     /// # Safety
     ///
     /// `ptr` must come from [`NgmHandle::alloc`] on the same [`crate::Ngm`]
     /// instance with the same `layout`, and must not be used afterwards.
     pub unsafe fn dealloc(&mut self, ptr: NonNull<u8>, layout: Layout) {
-        // SAFETY: forwarded contract.
-        let accepted = unsafe { self.dealloc_inner(ptr, layout, true) };
-        debug_assert!(accepted.is_ok(), "a waiting free always accepts");
-    }
-
-    /// Non-blocking [`NgmHandle::dealloc`]: accepts the free (buffered
-    /// or posted) or hands it back.
-    ///
-    /// `Ok(())` means the block is now the tier's responsibility —
-    /// buffered client-side awaiting a flush, in the owning shard's ring,
-    /// freed inline (fallback and large blocks), or diverted to the owning
-    /// shard's orphan stack (dead shard) — so accounting stays exact in
-    /// every accepted case. [`NgmError::WouldBlock`] means the owning
-    /// shard's ring is full *and* the client-side buffer cannot absorb the
-    /// free: the caller still owns `ptr` and must retry after pumping.
-    ///
-    /// # Safety
-    ///
-    /// As [`NgmHandle::dealloc`]; on `Err` the block is *not* freed and
-    /// the caller retains ownership.
-    pub unsafe fn try_dealloc(&mut self, ptr: NonNull<u8>, layout: Layout) -> Result<(), NgmError> {
-        // SAFETY: forwarded contract.
-        unsafe { self.dealloc_inner(ptr, layout, false) }
-    }
-
-    unsafe fn dealloc_inner(
-        &mut self,
-        ptr: NonNull<u8>,
-        layout: Layout,
-        wait: bool,
-    ) -> Result<(), NgmError> {
         if layout_to_class(layout.size(), layout.align()).is_none() {
             // SAFETY: forwarded contract — a live large block this tier's
             // ledger mapped for `layout`, relinquished by the caller.
             unsafe { self.tier.large.deallocate(ptr, layout) };
             self.trace(0, TraceEventKind::Free, layout.size() as u64, 0);
-            return Ok(());
+            return;
         }
         // The fallback gate comes before any shard shortcut (including
         // the single-shard one inside `shard_of_small`): once the tier
@@ -534,23 +339,17 @@ impl NgmHandle {
             // SAFETY: forwarded contract — a live fallback block the
             // caller relinquished.
             unsafe { self.tier.fallback.deallocate(ptr) };
-            return Ok(());
+            return;
         }
         let shard = self.shard_of_small(ptr);
-        if self.ends[shard].free_buf.addrs().len() >= MAX_BATCH {
-            // Buffer at capacity: it must drain into the ring before
-            // this free can be accepted.
-            self.flush_shard(shard, wait)?;
-        }
+        // A flush always empties the buffer, so it holds fewer than
+        // `flush_threshold` (at most `MAX_BATCH`) frees on entry.
         let free_buf = self.ends[shard].free_buf.addrs_mut();
         free_buf.push(ptr.as_ptr() as usize);
         if free_buf.len() >= self.tier.flush_threshold as usize {
-            // A full ring is not an error here — the free is already
-            // safely buffered.
-            let _ = self.flush_shard(shard, wait);
+            self.flush_shard(shard);
         }
         self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
-        Ok(())
     }
 
     /// Posts all buffered frees (if any), each shard's buffer as one
@@ -559,60 +358,43 @@ impl NgmHandle {
     /// promptness bounds may flush manually.
     pub fn flush_frees(&mut self) {
         for shard in 0..self.nshards() {
-            let _ = self.flush_shard(shard, true);
+            self.flush_shard(shard);
         }
     }
 
     /// Flushes one shard's buffered frees as a single post, sent from the
-    /// buffer itself. Without `wait` a full ring leaves them there
-    /// (nothing is lost) and the caller sees [`NgmError::WouldBlock`].
-    fn flush_shard(&mut self, shard: usize, wait: bool) -> Result<(), NgmError> {
+    /// buffer itself, and empties the buffer. Kept out of line for the
+    /// same reason as [`NgmHandle::top_up`]: it runs once per buffer.
+    #[inline(never)]
+    fn flush_shard(&mut self, shard: usize) {
         if self.ends[shard].free_buf.addrs().is_empty() {
-            return Ok(());
+            return;
         }
-        self.post_routed(shard, None, wait)?;
+        self.post_routed(shard, None);
         self.ends[shard].free_buf.addrs_mut().clear();
-        Ok(())
     }
 
     /// Posts to one shard — `unused` blocks going home from a magazine,
     /// or else the shard's own free buffer — feeding ring pressure into
-    /// the rebalance logic and never losing a free: `Ok` means the blocks
-    /// are the tier's now. A shard whose ring stayed full past the
-    /// deadline has them diverted to its orphan stack (reclaimed on its
-    /// next idle round, or at shutdown) so accounting stays exact; a dead
-    /// shard's are written off and counted by the offload layer. Only without `wait` can a *full ring* refuse
-    /// — the message never left the caller — as [`NgmError::WouldBlock`].
-    fn post_routed(
-        &mut self,
-        shard: usize,
-        unused: Option<&FreePost>,
-        wait: bool,
-    ) -> Result<(), NgmError> {
-        let patience = if wait {
-            PostWait::Deadline
-        } else {
-            PostWait::Never
-        };
+    /// the rebalance logic and never losing a free: on return the blocks
+    /// are the tier's. A shard whose ring stayed full past the deadline
+    /// has them diverted to its orphan stack (reclaimed on its next idle
+    /// round, or at shutdown) so accounting stays exact; a dead shard's
+    /// are written off and counted by the offload layer.
+    fn post_routed(&mut self, shard: usize, unused: Option<&FreePost>) {
         let end = &mut self.ends[shard];
-        let cause = match end
-            .client
-            .try_post(unused.unwrap_or(&end.free_buf), patience)
-        {
+        let cause = match end.client.try_post(unused.unwrap_or(&end.free_buf)) {
             Ok(full_retries) => {
                 self.note_pressure(shard, full_retries);
-                return Ok(());
+                return;
             }
             Err(cause) => cause,
         };
-        if self.route(shard, cause, RouteOp::Post) == Route::Busy {
-            return Err(NgmError::WouldBlock);
-        }
+        self.route(shard, cause, RouteOp::Post);
         if cause != ServiceError::ServiceStopped {
             let msg = unused.unwrap_or(&self.ends[shard].free_buf);
             Self::orphan(&self.tier, shard, msg.addrs(), msg.is_unused());
         }
-        Ok(())
     }
 
     fn publish_occupancy(&mut self, shard: usize) {
@@ -680,19 +462,13 @@ impl NgmHandle {
     /// before parking it for the next thread: an emptied handle holds no
     /// block of any shard.
     pub(crate) fn empty(&mut self) {
-        // Settle in-flight non-blocking submissions first: a batch that
-        // lands after this point would have no magazine to live in, and
-        // its blocks would never be freed.
-        for shard in 0..self.nshards() {
-            self.settle_nb(shard);
-        }
         self.flush_frees();
         for ci in 0..NUM_CLASSES {
             if !self.magazines[ci].is_empty() {
                 let source = self.mag_shard[ci] as usize;
                 let unused = FreePost::MagazineReturn(std::mem::take(&mut self.magazines[ci]));
                 self.ends[source].stash -= unused.addrs().len() as i64;
-                let _ = self.post_routed(source, Some(&unused), true);
+                self.post_routed(source, Some(&unused));
             }
         }
         for shard in 0..self.nshards() {

@@ -21,9 +21,6 @@ pub(super) enum Route {
     /// inline fallback heap, undeliverable frees go to the owning
     /// shard's orphan stack.
     Exhausted,
-    /// Transient backpressure (slot busy or ring full): hand the
-    /// operation back to the caller as [`NgmError::WouldBlock`].
-    Busy,
 }
 
 /// The kind of operation being routed. Large blocks are never routed:
@@ -140,8 +137,6 @@ impl NgmHandle {
     /// The single routing step: what to do after `shard` refused an
     /// operation with `cause`.
     ///
-    /// * [`ServiceError::WouldBlock`] — transient, [`Route::Busy`] (a full
-    ///   ring also feeds the shard's rebalance pressure);
     /// * [`ServiceError::Deadline`] — slow, not dead: a failure event, move
     ///   this handle's allocation traffic to the coolest shard, try the
     ///   next candidate; the shard rejoins the rotation as soon as
@@ -149,14 +144,16 @@ impl NgmHandle {
     /// * anything else — the shard is gone: [`NgmHandle::fail_over`].
     ///
     /// [`Route::Exhausted`] when no other candidate exists.
+    /// [`ServiceError::WouldBlock`] never arrives here: every wait ends
+    /// with the slot empty or the client poisoned, so a submission never
+    /// finds it busy, and a post waits out a full ring.
     pub(super) fn route(&mut self, shard: usize, cause: ServiceError, op: RouteOp) -> Route {
+        debug_assert_ne!(
+            cause,
+            ServiceError::WouldBlock,
+            "a busy slot on the blocking path"
+        );
         let next = match cause {
-            ServiceError::WouldBlock => {
-                if op == RouteOp::Post {
-                    self.note_pressure(shard, 1);
-                }
-                return Route::Busy;
-            }
             ServiceError::Deadline { .. } => {
                 let reason = if op == RouteOp::Post {
                     FailureReason::PostDeadline

@@ -105,9 +105,6 @@ pub(crate) struct Tier {
     pub(super) slots: Box<[Slot]>,
     pub(super) batch_size: u32,
     pub(super) flush_threshold: u32,
-    /// Backpressure ceiling for [`crate::nonblocking::SubmissionQueue`]s
-    /// built over this tier's handles ([`NgmConfig::with_inflight_limit`]).
-    pub(super) inflight_limit: usize,
     /// The inline allocator of last resort. Lazy: maps nothing until the
     /// first time a handle exhausts every shard (all deadlined or dead)
     /// and has to serve an allocation itself.
@@ -157,7 +154,6 @@ impl Tier {
             slots,
             batch_size: cfg.batch_size as u32,
             flush_threshold: cfg.flush_threshold as u32,
-            inflight_limit: cfg.inflight_limit,
             fallback: Arc::new(FallbackHeap::new(FALLBACK_OWNER)),
             large: LargeBlocks::default(),
             control,

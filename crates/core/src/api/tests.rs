@@ -11,8 +11,8 @@ use ngm_offload::ServiceError;
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::{Route, RouteOp};
-use super::{FailureReason, Ngm, NgmHandle, NgmShutdown};
-use crate::config::{CorePlacement, NgmConfig, NgmError};
+use super::{FailureReason, Ngm, NgmShutdown};
+use crate::config::{CorePlacement, NgmConfig};
 use crate::service::MAX_BATCH;
 
 fn layout(n: usize) -> Layout {
@@ -292,198 +292,74 @@ fn batched_roundtrip_balances_at_shutdown() {
     assert_eq!(down.heap.live_blocks, 0);
 }
 
-/// Spins a non-blocking alloc to completion the way a caller without
-/// an executor would: retry on `WouldBlock`, pumping in between.
-fn spin_try_alloc(h: &mut NgmHandle, l: Layout) -> NonNull<u8> {
-    loop {
-        match h.try_alloc(l) {
-            Ok(p) => return p,
-            Err(NgmError::WouldBlock) => {
-                h.nb_pump();
-                std::hint::spin_loop();
-            }
-            Err(e) => panic!("try_alloc failed: {e}"),
-        }
-    }
-}
-
-/// The same for a non-blocking free: on `WouldBlock` the caller still
-/// owns the block and retries.
-///
-/// # Safety
-///
-/// As [`NgmHandle::dealloc`].
-unsafe fn spin_try_dealloc(h: &mut NgmHandle, p: NonNull<u8>, l: Layout) {
-    // SAFETY: forwarded contract.
-    while let Err(e) = unsafe { h.try_dealloc(p, l) } {
-        assert_eq!(e, NgmError::WouldBlock, "try_dealloc failed");
-        std::hint::spin_loop();
-    }
-}
-
 #[test]
-fn try_alloc_roundtrip_balances_at_shutdown() {
-    let ngm = batched(16, 8).build().unwrap();
-    let mut h = ngm.handle();
-    let mut blocks = Vec::new();
-    let mut saw_wouldblock = false;
-    for _ in 0..100 {
-        match h.try_alloc(layout(64)) {
-            Ok(p) => blocks.push(p),
-            Err(NgmError::WouldBlock) => {
-                saw_wouldblock = true;
-                blocks.push(spin_try_alloc(&mut h, layout(64)));
-            }
-            Err(e) => panic!("try_alloc failed: {e}"),
-        }
-    }
-    assert!(
-        saw_wouldblock,
-        "a dry magazine must surface at least one WouldBlock"
-    );
-    for p in blocks {
-        // SAFETY: block from this handle's tier, freed once.
-        unsafe { spin_try_dealloc(&mut h, p, layout(64)) };
-    }
-    drop(h);
-    let down = ngm.shutdown();
-    assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(down.heap.live_blocks, 0);
-}
-
-#[test]
-fn try_alloc_batch_one_and_large_layouts_complete() {
-    let ngm = batched(1, 1).build().unwrap();
-    let mut h = ngm.handle();
-    // A refill of one goes through the magazine (one call) ...
-    let p = spin_try_alloc(&mut h, layout(64));
-    // SAFETY: block from this handle's tier, freed once.
-    unsafe { spin_try_dealloc(&mut h, p, layout(64)) };
-    // ... and a large (non-class) layout is mapped inline: it never
-    // reports `WouldBlock` and makes no call.
-    let l = Layout::from_size_align(1 << 20, 64).unwrap();
-    let p = h.try_alloc(l).expect("a large try_alloc completes at once");
-    // SAFETY: block from this handle's tier, freed once.
-    unsafe { h.try_dealloc(p, l).expect("a large try_dealloc too") };
-    drop(h);
-    let down = ngm.shutdown();
-    assert_eq!(down.runtime.calls_served, 1, "zero calls for the large");
-    assert_eq!(down.service.app_allocs(), 2, "the ledger counts both");
-    assert_eq!(down.service.allocs, down.service.frees);
-    assert_eq!(down.heap.live_total(), 0);
-}
-
-#[test]
-fn try_alloc_zero_size_is_typed_not_wouldblock() {
-    let ngm = Ngm::start();
-    let mut h = ngm.handle();
-    assert_eq!(
-        h.try_alloc(Layout::from_size_align(0, 8).unwrap()),
-        Err(NgmError::Alloc(AllocError::ZeroSize))
-    );
-    drop(h);
-    ngm.shutdown();
-}
-
-#[test]
-fn blocking_and_nonblocking_paths_share_one_ledger() {
-    // Interleave the two front-ends on one handle: blocks allocated
-    // blocking may be freed non-blocking and vice versa, and the
-    // per-shard ledger still balances.
+fn two_shards_keep_one_ledger_and_count_each_trip_once() {
+    // Blocks freed in another order than they were allocated, over two
+    // shards: the per-shard ledger still balances.
     let ngm = batched(8, 4).with_shards(2).build().unwrap();
     let mut h = ngm.handle();
-    let mut blocks = Vec::new();
-    for i in 0..60 {
-        let p = if i % 2 == 0 {
-            h.alloc(layout(128)).unwrap()
-        } else {
-            spin_try_alloc(&mut h, layout(128))
-        };
-        blocks.push(p);
-    }
-    for (i, p) in blocks.into_iter().enumerate() {
-        if i % 3 == 0 {
-            // SAFETY: block from this handle's tier.
-            unsafe { h.dealloc(p, layout(128)) };
-        } else {
-            // SAFETY: block from this handle's tier.
-            unsafe { spin_try_dealloc(&mut h, p, layout(128)) };
-        }
+    let mut blocks: Vec<_> = (0..60).map(|_| h.alloc(layout(128)).unwrap()).collect();
+    blocks.sort_by_key(|p| (p.as_ptr() as usize) % 3);
+    for p in blocks {
+        // SAFETY: block from this handle's tier, freed once.
+        unsafe { h.dealloc(p, layout(128)) };
     }
     drop(h);
     let down = ngm.shutdown();
     assert!(down.balanced(), "{down:?}");
     assert_eq!(down.heap.live_blocks, 0);
 
-    // One path also means one telemetry population: the same op
-    // sequence replayed through the blocking wrappers and through the
-    // completion primitives must count the same round trips and
-    // trace the same events.
-    let replay = |blocking: bool| {
-        let ngm = batched(8, 4)
-            .with_shards(2)
-            .with_placement(CorePlacement::Unpinned)
-            .with_trace_capacity(8192)
-            .build()
-            .unwrap();
-        let mut h = ngm.handle();
-        // Magazine classes, plus a large layout mapped inline.
-        let layouts = [layout(128), layout(48), layout(1 << 20)];
-        let mut blocks = Vec::new();
-        for i in 0..90 {
+    // One path also means one telemetry population: a fixed op sequence
+    // counts exactly its round trips and traces exactly its events.
+    let ngm = batched(8, 4)
+        .with_shards(2)
+        .with_placement(CorePlacement::Unpinned)
+        .with_trace_capacity(8192)
+        .build()
+        .unwrap();
+    let mut h = ngm.handle();
+    // Magazine classes, plus a large layout mapped inline.
+    let layouts = [layout(128), layout(48), layout(1 << 20)];
+    let blocks: Vec<_> = (0..90)
+        .map(|i| {
             let l = layouts[i % 3];
-            let p = if blocking {
-                h.alloc(l).unwrap()
-            } else {
-                spin_try_alloc(&mut h, l)
-            };
-            blocks.push((p, l));
-        }
-        for (p, l) in blocks {
-            // SAFETY: blocks from this handle's tier, freed once; a
-            // refused try_dealloc leaves ownership with us.
-            unsafe {
-                if blocking {
-                    h.dealloc(p, l);
-                } else {
-                    spin_try_dealloc(&mut h, p, l);
-                }
+            (h.alloc(l).unwrap(), l)
+        })
+        .collect();
+    for (p, l) in blocks {
+        // SAFETY: blocks from this handle's tier, freed once.
+        unsafe { h.dealloc(p, l) };
+    }
+    drop(h);
+    let m = ngm.metrics();
+    let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
+    let mut events = [0u64; 3];
+    for shard in 0..2 {
+        // Thread 0 is the service loop, whose drain events follow the
+        // schedule; the client rings follow the op sequence.
+        for e in ngm.shard_telemetry(shard).drain_trace().events {
+            match e.kind {
+                TraceEventKind::Alloc => events[0] += 1,
+                TraceEventKind::Free => events[1] += 1,
+                TraceEventKind::Refill if e.thread != 0 => events[2] += 1,
+                _ => {}
             }
         }
-        drop(h);
-        let m = ngm.metrics();
-        let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
-        let mut events = [0u64; 3];
-        for shard in 0..2 {
-            // Thread 0 is the service loop, whose drain events follow
-            // the schedule; the client rings follow the op sequence.
-            for e in ngm.shard_telemetry(shard).drain_trace().events {
-                match e.kind {
-                    TraceEventKind::Alloc => events[0] += 1,
-                    TraceEventKind::Free => events[1] += 1,
-                    TraceEventKind::Refill if e.thread != 0 => events[2] += 1,
-                    _ => {}
-                }
-            }
-        }
-        let batched_calls = ngm.runtime_stats().batched_calls_served;
-        let down = ngm.shutdown();
-        assert!(down.clean() && down.balanced(), "{down:?}");
-        assert_eq!(down.service.app_allocs(), 90, "ledger == mallocs");
-        (
-            count("ngm_call_cycles"),
-            count("ngm_refill_cycles"),
-            batched_calls,
-            events,
-            down.service.allocs,
-            down.service.magazine_returned,
-        )
-    };
-    let blocking = replay(true);
-    assert_eq!(blocking.0, 0, "large allocations make no call");
-    assert_eq!(blocking.1, 8, "two classes x ceil(30 / 8) refills");
-    assert_eq!(blocking.3, [90, 90, 8], "alloc / free / refill events");
-    assert_eq!(blocking, replay(false), "blocking vs completion replay");
+    }
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.app_allocs(), 90, "ledger == mallocs");
+    assert_eq!(
+        count("ngm_call_cycles"),
+        0,
+        "large allocations make no call"
+    );
+    assert_eq!(
+        count("ngm_refill_cycles"),
+        8,
+        "two classes x ceil(30 / 8) refills"
+    );
+    assert_eq!(events, [90, 90, 8], "alloc / free / refill events");
 }
 
 /// 10,000 same-class alloc/free pairs; returns the tier's books and its
@@ -1016,24 +892,19 @@ fn routing_step_decision_table() {
     /// What a refusal does to the handle when another shard exists.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Effect {
-        /// Handed back to the caller; nothing moves.
-        Busy,
         /// Traffic rebalanced away (counted), with this failure event.
         Slow(FailureReason),
         /// Written off: `failed[]`, failover counted, a shard-death event.
         Dead,
     }
-    use Effect::{Busy, Dead, Slow};
+    use Effect::{Dead, Slow};
     let deadline = ServiceError::Deadline {
         shard: 0,
         waited: Duration::from_millis(1),
     };
-    let full = ServiceError::WouldBlock;
     let class = ngm_heap::size_to_class(64).unwrap();
     let ci = class.0 as usize;
     let table = [
-        (full, Refill(ci), Busy),
-        (full, Post, Busy),
         (deadline, Refill(ci), Slow(FailureReason::Deadline)),
         (deadline, Post, Slow(FailureReason::PostDeadline)),
         (ServiceError::ServiceStopped, Refill(ci), Dead),
@@ -1041,8 +912,8 @@ fn routing_step_decision_table() {
         (ServiceError::ServicePanicked, Refill(ci), Dead),
     ];
     for (cause, op, effect) in table {
-        // With no alternative shard the decision is `Exhausted` (or
-        // still `Busy`) and no allocation route can move.
+        // With no alternative shard the decision is `Exhausted` and no
+        // allocation route can move.
         for shards in [2usize, 1] {
             let ngm = sharded(shards).build().unwrap();
             let mut h = ngm.handle();
@@ -1051,41 +922,37 @@ fn routing_step_decision_table() {
             let alone = shards == 1;
             let row = format!("{cause:?} {op:?} on {shards} shard(s)");
 
-            let expected = match (effect, alone) {
-                (Busy, _) => Route::Busy,
-                (_, true) => Route::Exhausted,
-                (_, false) => Route::Retry(other),
+            let expected = if alone {
+                Route::Exhausted
+            } else {
+                Route::Retry(other)
             };
             assert_eq!(h.route(from, cause, op), expected, "{row}");
-            let routed = if effect == Busy { from } else { other };
-            assert_eq!(h.class_route(class), routed, "class_shard: {row}");
+            assert_eq!(h.class_route(class), other, "class_shard: {row}");
             assert_eq!(h.ends[from].failed, effect == Dead, "failed[]: {row}");
             let failure = match effect {
-                Slow(reason) => Some(reason),
-                Dead => Some(FailureReason::ShardDeath),
-                Busy => None,
+                Slow(reason) => reason,
+                Dead => FailureReason::ShardDeath,
             };
             let failures: Vec<_> = ngm
                 .failures()
                 .iter()
                 .map(|e| (FailureReason::from_code(e.a), e.b as usize))
                 .collect();
-            let expected = failure.map(|r| (Some(r), from));
-            assert_eq!(failures, Vec::from_iter(expected), "failures: {row}");
+            assert_eq!(failures, [(Some(failure), from)], "failures: {row}");
             let body = crate::observer::blackbox_json(&ngm);
-            match failure {
-                Some(r) => assert!(
-                    body.contains(&format!("\"reason\":\"{}\",\"shard\":{from},", r.label())),
-                    "/blackbox: {row}: {body}"
-                ),
-                None => assert_eq!(body, "{\"failures\":[]}", "/blackbox: {row}"),
-            }
+            assert!(
+                body.contains(&format!(
+                    "\"reason\":\"{}\",\"shard\":{from},",
+                    failure.label()
+                )),
+                "/blackbox: {row}: {body}"
+            );
             let stats = ngm.runtime_stats();
             assert_eq!(stats.failovers, u64::from(effect == Dead), "{row}");
             let rebalanced = matches!(effect, Slow(_)) && !alone;
             assert_eq!(stats.rebalances, u64::from(rebalanced), "{row}");
-            let pressure = u32::from(effect == Busy && op == Post);
-            assert_eq!(h.ends[from].pressure, pressure, "ring pressure: {row}");
+            assert_eq!(h.ends[from].pressure, 0, "ring pressure: {row}");
             drop(h);
             let down = ngm.shutdown();
             assert!(down.clean() && down.balanced(), "{row}");
@@ -1276,78 +1143,27 @@ mod faults {
     }
 
     #[test]
-    fn a_refused_flush_leaves_the_buffer_as_it_was() {
-        // Wedged shard, one post per free: the ring fills, then the
-        // client-side buffer does, then a free is refused. Every refused
-        // flush on the way must leave the buffer a `Batch` of exactly
-        // the frees accepted since the ring filled, in order — nothing
-        // lost to a half-sent message, nothing duplicated.
-        let ngm = sharded(1).with_batch(1, 1).build().unwrap();
-        let mut h = ngm.handle();
-        let blocks: Vec<_> = (0..OVERRUN + MAX_BATCH)
-            .map(|_| h.alloc(layout(64)).unwrap())
-            .collect();
-        ngm.fault_state(0).set_wedged(true);
-        let mut blocks = blocks.into_iter();
-        let mut accepted = Vec::new();
-        let refused = loop {
-            let p = blocks
-                .next()
-                .expect("ring and buffer fill before the blocks run out");
-            // SAFETY: live block from this handle, freed once it is
-            // accepted.
-            match unsafe { h.try_dealloc(p, layout(64)) } {
-                Ok(()) => accepted.push(p.as_ptr() as usize),
-                Err(e) => {
-                    assert_eq!(e, NgmError::WouldBlock);
-                    break p;
-                }
-            }
-        };
-        let buffered = |h: &NgmHandle| h.ends[0].free_buf;
-        assert!(!buffered(&h).is_unused(), "still a `FreePost::Batch`");
-        assert_eq!(
-            buffered(&h).addrs().as_slice(),
-            &accepted[accepted.len() - MAX_BATCH..],
-        );
-        // Asking again changes nothing.
-        // SAFETY: as above; the block is still ours after a refusal.
-        assert!(unsafe { h.try_dealloc(refused, layout(64)) }.is_err());
-        assert_eq!(
-            buffered(&h).addrs().as_slice(),
-            &accepted[accepted.len() - MAX_BATCH..],
-        );
-        ngm.fault_state(0).set_wedged(false);
-        for p in std::iter::once(refused).chain(blocks) {
-            // SAFETY: live blocks from this handle, each freed once.
-            unsafe { spin_try_dealloc(&mut h, p, layout(64)) };
-        }
-        drop(h);
-        let down = ngm.shutdown();
-        assert!(down.clean() && down.balanced(), "{down:?}");
-        assert_eq!(down.runtime.posts_dropped, 0, "nothing was lost");
-        assert_eq!(down.service.allocs, down.service.frees, "{down:?}");
-        assert_eq!(down.service.protocol_errors, 0);
-        assert_eq!(down.heap.live_blocks, 0);
-    }
-
-    #[test]
     fn a_retracted_full_width_refill_takes_no_block() {
         // The service looks at the request and ignores it (the drop
-        // fault), so the 128-block refill rides the slot unclaimed; the
-        // handle going away retracts it, and the room never handed out a
-        // block for it.
-        let ngm = sharded(1).build().unwrap();
+        // fault), so the 128-block refill sits in the slot unclaimed
+        // until the deadline retracts it; the allocation is served by
+        // the fallback, and the room never handed out a block for it.
+        let ngm = sharded(1)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
         let mut h = ngm.handle();
         ngm.fault_state(0).set_drop_every(1);
-        assert_eq!(h.try_alloc(layout(64)).err(), Some(NgmError::WouldBlock));
-        assert_eq!(h.nb_inflight(), 1);
+        let p = h.alloc(layout(64)).expect("the fallback serves it");
+        assert_eq!(ngm.fallback_heap().allocs(), 1);
+        // SAFETY: block from this handle's tier, freed once.
+        unsafe { h.dealloc(p, layout(64)) };
         drop(h);
         ngm.fault_state(0).set_drop_every(0);
         let down = ngm.shutdown();
         assert!(down.clean() && down.balanced(), "{down:?}");
         assert_eq!(down.runtime.calls_served, 0, "never claimed: {down:?}");
-        assert_eq!(down.service.allocs, 0);
+        assert_eq!(down.shards[0].service.allocs, 0, "{down:?}");
         assert_eq!(down.runtime.posts_dropped, 0);
     }
 

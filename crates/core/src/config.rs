@@ -126,43 +126,13 @@ pub enum NgmError {
         /// The rejected flush threshold.
         requested: usize,
     },
-    /// `inflight_limit` was `0`: a submission queue that can hold no
-    /// in-flight entries can never complete anything.
-    ZeroInflightLimit,
     /// A shard's service thread could not be spawned.
     Spawn(ServiceError),
-    /// The operation could not make progress *right now* without
-    /// blocking: the magazine is dry and the request slot (or free ring)
-    /// is occupied. Purely transient — distinct from
-    /// [`ServiceError::Deadline`] (a shard failed to answer within its
-    /// budget). Drain completions (or await the [`crate::AllocFuture`])
-    /// and retry.
+    /// Never constructed. Survives only until ROADMAP item 1(b) deletes
+    /// it, because `benchmark/` still matches on it.
     WouldBlock,
-    /// An offload-layer failure surfaced through the non-blocking API.
-    /// `ServiceError::WouldBlock` maps to [`NgmError::WouldBlock`]
-    /// instead, so callers match one transient variant.
-    Service(ServiceError),
-    /// A heap-layer failure surfaced through the non-blocking API.
-    /// `AllocError::WouldBlock` maps to [`NgmError::WouldBlock`] instead.
+    /// A heap-layer failure surfaced through [`crate::SubmissionQueue`].
     Alloc(AllocError),
-}
-
-impl From<ServiceError> for NgmError {
-    fn from(e: ServiceError) -> Self {
-        match e {
-            ServiceError::WouldBlock => NgmError::WouldBlock,
-            other => NgmError::Service(other),
-        }
-    }
-}
-
-impl From<AllocError> for NgmError {
-    fn from(e: AllocError) -> Self {
-        match e {
-            AllocError::WouldBlock => NgmError::WouldBlock,
-            other => NgmError::Alloc(other),
-        }
-    }
 }
 
 impl std::fmt::Display for NgmError {
@@ -177,13 +147,8 @@ impl std::fmt::Display for NgmError {
             NgmError::InvalidFlush { requested } => {
                 write!(f, "flush threshold {requested} not in 1..={MAX_BATCH}")
             }
-            NgmError::ZeroInflightLimit => write!(f, "in-flight submission limit must be nonzero"),
             NgmError::Spawn(e) => write!(f, "failed to start a service shard: {e}"),
-            NgmError::WouldBlock => write!(
-                f,
-                "allocation would block: magazine dry and submission in flight or ring full"
-            ),
-            NgmError::Service(e) => write!(f, "service tier error: {e}"),
+            NgmError::WouldBlock => write!(f, "allocation would block"),
             NgmError::Alloc(e) => write!(f, "heap error: {e}"),
         }
     }
@@ -192,7 +157,7 @@ impl std::fmt::Display for NgmError {
 impl std::error::Error for NgmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            NgmError::Spawn(e) | NgmError::Service(e) => Some(e),
+            NgmError::Spawn(e) => Some(e),
             NgmError::Alloc(e) => Some(e),
             _ => None,
         }
@@ -248,12 +213,6 @@ pub struct NgmConfig {
     /// small free fills the buffer; `1` flushes each free as its own
     /// post.
     pub flush_threshold: usize,
-    /// Most entries a per-handle [`crate::SubmissionQueue`] keeps in
-    /// flight at once (`>= 1`). Past the limit, `submit` refuses with
-    /// [`NgmError::WouldBlock`] until completions drain — the client-side
-    /// backpressure knob of the non-blocking front-end. Defaults to 256,
-    /// comfortably above one magazine refill per size class.
-    pub inflight_limit: usize,
     /// Enables PMU profiling (off by default): each service loop and one
     /// handle per client thread wrap their lifetimes in a
     /// [`ngm_pmu::PmuSession`], attributing cycles and cache/TLB misses
@@ -285,7 +244,6 @@ impl NgmConfig {
             trace_capacity: 0,
             batch_size: MAX_BATCH,
             flush_threshold: MAX_BATCH,
-            inflight_limit: 256,
             profile: false,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
             observer: None,
@@ -337,10 +295,9 @@ impl NgmConfig {
         self
     }
 
-    /// Sets the per-handle in-flight submission limit for the
-    /// non-blocking front-end (`>= 1`).
-    pub const fn with_inflight_limit(mut self, limit: usize) -> Self {
-        self.inflight_limit = limit;
+    /// Ignores `limit` and returns `self` unchanged. Survives only until
+    /// ROADMAP item 1(b) deletes it, because `benchmark/` still calls it.
+    pub const fn with_inflight_limit(self, _limit: usize) -> Self {
         self
     }
 
@@ -377,9 +334,6 @@ impl NgmConfig {
                 requested: self.flush_threshold,
             });
         }
-        if self.inflight_limit == 0 {
-            return Err(NgmError::ZeroInflightLimit);
-        }
         Ok(())
     }
 
@@ -391,7 +345,6 @@ impl NgmConfig {
         self.shards = clamp(self.shards, 1, MAX_SHARDS);
         self.batch_size = clamp(self.batch_size, 1, MAX_BATCH);
         self.flush_threshold = clamp(self.flush_threshold, 1, MAX_BATCH);
-        self.inflight_limit = clamp(self.inflight_limit, 1, usize::MAX);
         self
     }
 
@@ -470,17 +423,6 @@ mod tests {
             Err(NgmError::InvalidFlush {
                 requested: MAX_BATCH + 1
             })
-        );
-        assert_eq!(
-            NgmConfig::new().with_inflight_limit(0).validate(),
-            Err(NgmError::ZeroInflightLimit)
-        );
-        assert_eq!(
-            NgmConfig::new()
-                .with_inflight_limit(0)
-                .sanitized()
-                .inflight_limit,
-            1
         );
     }
 

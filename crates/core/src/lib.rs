@@ -18,6 +18,11 @@
 //!   mapping made and released on the calling thread, as in the paper's
 //!   prototype — the kernel already serializes them.
 //!
+//! There is one request path, `alloc` / `dealloc` on an [`NgmHandle`].
+//! [`SubmissionQueue`] is a blocking shell over it whose futures are
+//! ready on their first poll; it survives only until ROADMAP item 1(b)
+//! stops the benchmark binding it.
+//!
 //! Three ways to use it:
 //!
 //! 1. [`NgmConfig`] → [`Ngm`] + [`NgmHandle`] — explicit handles, full
@@ -43,7 +48,7 @@ pub use config::{
     CorePlacement, NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, MAX_SHARDS, OWNER_BASE,
 };
 pub use global::NgmAllocator;
-pub use nonblocking::{AllocFuture, ReadyFuture, SubmissionQueue};
+pub use nonblocking::SubmissionQueue;
 pub use observer::{derive_readiness, Observer, Readiness};
 pub use service::{AddrBatch, AllocBatchReq, FreePost, MallocService, ServiceStats, MAX_BATCH};
 pub use watch::SharedHeapStats;

@@ -12,11 +12,6 @@ pub enum AllocError {
     /// Zero-sized allocations are not served by these heaps; callers
     /// (e.g. the `GlobalAlloc` adapter) handle them with dangling pointers.
     ZeroSize,
-    /// The allocation could not be served *right now* without blocking:
-    /// the thread's magazine is dry and the non-blocking submission path
-    /// (request slot or free ring) is saturated. Purely transient —
-    /// complete in-flight work and retry.
-    WouldBlock,
 }
 
 impl fmt::Display for AllocError {
@@ -25,10 +20,6 @@ impl fmt::Display for AllocError {
             AllocError::OutOfMemory => write!(f, "out of memory"),
             AllocError::SizeOverflow => write!(f, "size or alignment overflow"),
             AllocError::ZeroSize => write!(f, "zero-sized allocation"),
-            AllocError::WouldBlock => write!(
-                f,
-                "allocation would block: magazine dry and submission path full"
-            ),
         }
     }
 }
@@ -44,6 +35,5 @@ mod tests {
         assert_eq!(AllocError::OutOfMemory.to_string(), "out of memory");
         assert!(AllocError::SizeOverflow.to_string().contains("overflow"));
         assert!(AllocError::ZeroSize.to_string().contains("ero-sized"));
-        assert!(AllocError::WouldBlock.to_string().contains("would block"));
     }
 }

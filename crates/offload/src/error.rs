@@ -34,11 +34,10 @@ pub enum ServiceError {
         /// How long the caller waited before giving up.
         waited: Duration,
     },
-    /// The operation could not make progress *right now* without
-    /// blocking: the request slot still carries an in-flight submission,
-    /// or the post ring is full. Purely transient — distinct from
-    /// [`ServiceError::Deadline`] (the shard failed to answer in time).
-    /// Callers poll again later — the service wakes nobody — and retry.
+    /// A [`crate::ClientHandle::submit`] found the request slot still
+    /// carrying an in-flight submission. Purely transient — distinct from
+    /// [`ServiceError::Deadline`] (the shard failed to answer in time):
+    /// collect or retract the earlier request, then retry.
     WouldBlock,
 }
 
@@ -54,10 +53,7 @@ impl fmt::Display for ServiceError {
                 "request to shard {shard} exceeded its deadline after {waited:?}"
             ),
             ServiceError::WouldBlock => {
-                write!(
-                    f,
-                    "operation would block: submission in flight or ring full"
-                )
+                write!(f, "operation would block: submission in flight")
             }
         }
     }

@@ -42,8 +42,8 @@ pub use pad::CachePadded;
 pub use pin::{available_cores, pin_current_thread, pin_current_thread_verified, PinError};
 pub use ring::{spsc, Consumer, Producer, Record, CELL_BYTES, DEFAULT_RING_CELLS};
 pub use service::{
-    CallKind, ClientHandle, OffloadRuntime, PostWait, RuntimeConfig, RuntimeHandles, Service,
-    ShardFailure, ShardHealth, DEFAULT_DEADLINE,
+    CallKind, ClientHandle, OffloadRuntime, RuntimeConfig, RuntimeHandles, Service, ShardFailure,
+    ShardHealth, DEFAULT_DEADLINE,
 };
 pub use slot::RequestSlot;
 pub use stats::{RuntimeStats, StatsSnapshot};

@@ -158,18 +158,6 @@ pub enum CallKind {
     Batched,
 }
 
-/// How long [`ClientHandle::try_post`] may wait on a full ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PostWait {
-    /// Pause by the handle's wait strategy until the ring has room or
-    /// the runtime's deadline budget runs out
-    /// ([`ServiceError::Deadline`]).
-    Deadline,
-    /// One push attempt: a full ring refuses at once with
-    /// [`ServiceError::WouldBlock`].
-    Never,
-}
-
 /// A client handle's PMU measurement state. The session is armed lazily
 /// on the first request so the counters are opened on (and attribute to)
 /// the thread that actually issues requests, not whichever thread called
@@ -412,7 +400,7 @@ impl<S: Service> ClientHandle<S> {
     /// [`RuntimeStats::posts_dropped`]; use [`ClientHandle::try_post`] to
     /// keep it instead.
     pub fn post(&mut self, msg: S::Post) {
-        if let Err(ServiceError::Deadline { .. }) = self.try_post(&msg, PostWait::Deadline) {
+        if let Err(ServiceError::Deadline { .. }) = self.try_post(&msg) {
             self.stats.record_post_dropped();
         }
     }
@@ -429,14 +417,12 @@ impl<S: Service> ClientHandle<S> {
     /// means the ring had room immediately) — the saturation signal the
     /// sharded front-end's rebalance path keys off — and the enqueue latency
     /// (retries included) lands in the post-latency histogram. A full
-    /// ring refuses at once under [`PostWait::Never`]
-    /// ([`ServiceError::WouldBlock`], counted in
-    /// [`RuntimeStats::wouldblocks`]) and after the runtime's deadline
-    /// budget under [`PostWait::Deadline`] ([`ServiceError::Deadline`]).
+    /// ring is waited on by the handle's wait strategy and refuses after
+    /// the runtime's deadline budget ([`ServiceError::Deadline`]).
     /// If the service thread is gone the message counts as dropped
     /// ([`RuntimeStats::posts_dropped`]) and the runtime's `service_down`
     /// flag is raised ([`ServiceError::ServiceStopped`]).
-    pub fn try_post(&mut self, msg: &S::Post, wait: PostWait) -> Result<u32, ServiceError> {
+    pub fn try_post(&mut self, msg: &S::Post) -> Result<u32, ServiceError> {
         self.pmu.arm();
         let t0 = cycles_now();
         let mut state = WaitState::with_budget(self.wait, self.deadline);
@@ -446,10 +432,6 @@ impl<S: Service> ClientHandle<S> {
                 Ok(()) => break,
                 Err(PushError::Full(())) => {
                     self.stats.post_full_retries.fetch_add(1, Ordering::Relaxed);
-                    if wait == PostWait::Never {
-                        self.stats.record_wouldblock();
-                        return Err(ServiceError::WouldBlock);
-                    }
                     retries = retries.saturating_add(1);
                     if !state.pause() {
                         self.stats.record_deadline();
@@ -1500,10 +1482,7 @@ mod tests {
         let (_, _) = rt.shutdown();
         // The service (and every ring consumer) is gone: the post must
         // neither panic nor hang.
-        assert_eq!(
-            c.try_post(&2, PostWait::Deadline),
-            Err(ServiceError::ServiceStopped)
-        );
+        assert_eq!(c.try_post(&2), Err(ServiceError::ServiceStopped));
         c.post(3); // infallible form also degrades silently
         assert!(!c.is_open());
         let snap = stats.snapshot();
@@ -1584,14 +1563,14 @@ mod tests {
         let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
         for i in 0..DEFAULT_RING_CELLS as u64 {
-            assert_eq!(c.try_post(&i, PostWait::Deadline), Ok(0), "ring has room");
+            assert_eq!(c.try_post(&i), Ok(0), "ring has room");
         }
         let releaser = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             release.store(true, Ordering::Release);
         });
         let retries = c
-            .try_post(&1, PostWait::Deadline)
+            .try_post(&1)
             .expect("the ring drains once the service is let go");
         assert!(retries > 0, "a full ring must show as retries");
         releaser.join().unwrap();
@@ -1669,26 +1648,30 @@ mod tests {
 
     #[test]
     fn a_post_refused_by_a_full_ring_never_reaches_the_service() {
-        let (rt, entered, release) = stalled_runtime(Duration::from_secs(30));
+        let (rt, entered, release) = stalled_runtime(Duration::from_millis(10));
         let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
         let cells = DEFAULT_RING_CELLS as u64;
         for i in 1..=cells {
-            c.try_post(&i, PostWait::Never).expect("ring has room");
+            c.try_post(&i).expect("ring has room");
         }
         for _ in 0..3 {
-            assert_eq!(
-                c.try_post(&(1 << 40), PostWait::Never),
-                Err(ServiceError::WouldBlock)
-            );
+            assert!(matches!(
+                c.try_post(&(1 << 40)),
+                Err(ServiceError::Deadline { .. })
+            ));
         }
         release.store(true, Ordering::Release);
-        assert_eq!(staller.join().unwrap(), Ok(1));
+        // The hostage call outlived its own budget and grace meanwhile.
+        assert!(matches!(
+            staller.join().unwrap(),
+            Ok(1) | Err(ServiceError::Deadline { .. })
+        ));
         drop(c);
         let (svc, stats) = rt.shutdown();
         assert_eq!(stats.posts_served, cells, "accepted posts all drained");
         assert_eq!(svc.sum, cells * (cells + 1) / 2, "a refusal wrote nothing");
-        assert_eq!(stats.wouldblocks, 3);
+        assert!(stats.deadlines >= 3, "each refusal is a deadline");
     }
 
     #[test]
@@ -1704,10 +1687,7 @@ mod tests {
         });
         // Work already in the ring was drained before the loop exited;
         // work posted after the stop is refused, not lost silently.
-        assert_eq!(
-            c.try_post(&11, PostWait::Deadline),
-            Err(ServiceError::ServiceStopped)
-        );
+        assert_eq!(c.try_post(&11), Err(ServiceError::ServiceStopped));
         drop(c);
         let (svc, stats) = rt.try_shutdown().expect("clean exit joins normally");
         assert_eq!(svc.sum, 55);
@@ -1850,9 +1830,9 @@ mod tests {
         // cell per one-word post — then prove the overflow post comes
         // back instead of spinning forever.
         for i in 0..DEFAULT_RING_CELLS as u64 {
-            c.try_post(&i, PostWait::Deadline).expect("ring has room");
+            c.try_post(&i).expect("ring has room");
         }
-        match c.try_post(&u64::MAX, PostWait::Deadline) {
+        match c.try_post(&u64::MAX) {
             Err(ServiceError::Deadline { waited, .. }) => {
                 assert!(waited >= Duration::from_millis(10));
             }
@@ -1951,15 +1931,14 @@ mod tests {
             rt.fault_state().set_wedged(true);
             let last = DEFAULT_RING_CELLS as u64 + 1;
             for i in 1..last {
-                c.try_post(&i, PostWait::Deadline).expect("ring has room");
+                c.try_post(&i).expect("ring has room");
             }
-            match c.try_post(&last, PostWait::Deadline) {
+            match c.try_post(&last) {
                 Err(ServiceError::Deadline { .. }) => {}
                 other => panic!("expected bounded full-ring failure, got {other:?}"),
             }
             rt.fault_state().set_wedged(false);
-            c.try_post(&last, PostWait::Deadline)
-                .expect("ring drains after unwedge");
+            c.try_post(&last).expect("ring drains after unwedge");
             drop(c);
             let (svc, stats) = rt.shutdown();
             assert_eq!(

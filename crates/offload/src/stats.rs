@@ -49,15 +49,9 @@ pub struct RuntimeStats {
     /// Total bounded retry iterations clients spent against this shard:
     /// full-ring post retries plus reroute attempts after a deadline.
     pub retry_total: AtomicU64,
-    /// Times a non-blocking operation against this shard refused to wait:
-    /// a submission found its slot busy, or a non-blocking post found the
-    /// ring full. Transient by definition (the caller buffers and
-    /// retries); sustained growth means clients outrun the shard.
+    /// Times a [`crate::ClientHandle::submit`] against this shard found
+    /// its slot busy with an earlier request and handed the new one back.
     pub wouldblocks: AtomicU64,
-    /// Gauge: submissions in flight through the non-blocking front-end
-    /// (begun, neither completed nor retracted), published by submission
-    /// queues as their depth changes.
-    pub inflight: AtomicI64,
     /// Gauge: 64-byte ring cells holding pending posts across all client
     /// rings, as of the service loop's last poll round.
     pub ring_occupancy: AtomicUsize,
@@ -104,11 +98,8 @@ pub struct StatsSnapshot {
     pub deadlines: u64,
     /// Total bounded retry iterations clients spent against this shard.
     pub retry_total: u64,
-    /// Non-blocking operations that refused to wait (busy slot or full
-    /// ring at a single-attempt submission).
+    /// Submissions refused because the slot was busy.
     pub wouldblocks: u64,
-    /// Submissions in flight through the non-blocking front-end.
-    pub inflight: i64,
     /// Ring cells (64 bytes each) holding pending posts across all
     /// client rings at the last poll round.
     pub ring_occupancy: usize,
@@ -152,7 +143,6 @@ impl RuntimeStats {
             deadlines: AtomicU64::new(0),
             retry_total: AtomicU64::new(0),
             wouldblocks: AtomicU64::new(0),
-            inflight: AtomicI64::new(0),
             ring_occupancy: AtomicUsize::new(0),
             magazine_occupancy: AtomicI64::new(0),
             wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
@@ -205,16 +195,9 @@ impl RuntimeStats {
         self.magazine_occupancy.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Counts one non-blocking refusal (busy slot or full ring on a
-    /// single-attempt submission).
+    /// Counts one submission refused on a busy slot.
     pub fn record_wouldblock(&self) {
         self.wouldblocks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adjusts the in-flight-submission gauge by `delta`. Called by
-    /// submission queues as entries are begun and completed/retracted.
-    pub fn add_inflight(&self, delta: i64) {
-        self.inflight.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Records a wait-loop phase change (gauge overwrite plus transition
@@ -242,7 +225,6 @@ impl RuntimeStats {
             deadlines: self.deadlines.load(Ordering::Relaxed),
             retry_total: self.retry_total.load(Ordering::Relaxed),
             wouldblocks: self.wouldblocks.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
             ring_occupancy: self.ring_occupancy.load(Ordering::Relaxed),
             magazine_occupancy: self.magazine_occupancy.load(Ordering::Relaxed),
             wait_phase: WaitPhase::from_u32(self.wait_phase.load(Ordering::Relaxed)),
@@ -272,7 +254,6 @@ impl StatsSnapshot {
         self.deadlines += other.deadlines;
         self.retry_total += other.retry_total;
         self.wouldblocks += other.wouldblocks;
-        self.inflight += other.inflight;
         self.ring_occupancy += other.ring_occupancy;
         self.magazine_occupancy += other.magazine_occupancy;
         self.wait_transitions += other.wait_transitions;
@@ -367,19 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn wouldblock_counter_and_inflight_gauge_absorb() {
+    fn wouldblock_counter_absorbs() {
         let a = RuntimeStats::new();
         a.record_wouldblock();
-        a.add_inflight(3);
         let b = RuntimeStats::new();
         b.record_wouldblock();
         b.record_wouldblock();
-        b.add_inflight(4);
-        b.add_inflight(-2);
         let mut snap = a.snapshot();
         snap.absorb(&b.snapshot());
         assert_eq!(snap.wouldblocks, 3);
-        assert_eq!(snap.inflight, 5);
     }
 
     #[test]

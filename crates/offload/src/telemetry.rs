@@ -67,9 +67,8 @@ pub struct RuntimeTelemetry {
     /// or `refill_cycles` record, so per-request they sum to exactly the
     /// recorded round trip, and in total to the two histograms' sums.
     pub phase_cycles: [LatencyHistogram; PHASES],
-    /// Submission-queue depth (in-flight entries) sampled at each pump of
-    /// the non-blocking front-end — the "how many completions ride one
-    /// poll" distribution the completion-based API exists to raise.
+    /// Always empty: nothing records into it. Survives only until
+    /// ROADMAP item 1(b) deletes it, because `benchmark/` still reads it.
     pub submit_depth: LatencyHistogram,
     /// Capacity of each per-thread trace ring; 0 disables tracing.
     trace_capacity: usize,
@@ -277,14 +276,12 @@ impl RuntimeTelemetry {
         let mut call = self.call_cycles.snapshot();
         let mut post = self.post_cycles.snapshot();
         let mut refill = self.refill_cycles.snapshot();
-        let mut submit = self.submit_depth.snapshot();
         let mut phases: Vec<_> = self.phase_cycles.iter().map(|h| h.snapshot()).collect();
         let mut trace_dropped = self.trace_dropped_total();
         for p in peers {
             call.merge(&p.call_cycles.snapshot());
             post.merge(&p.post_cycles.snapshot());
             refill.merge(&p.refill_cycles.snapshot());
-            submit.merge(&p.submit_depth.snapshot());
             for (acc, h) in phases.iter_mut().zip(&p.phase_cycles) {
                 acc.merge(&h.snapshot());
             }
@@ -321,7 +318,6 @@ impl RuntimeTelemetry {
             .counter("ngm_wait_transitions_total", stats.wait_transitions)
             .counter("ngm_trace_dropped_total", trace_dropped)
             .gauge("ngm_ring_occupancy", stats.ring_occupancy as i64)
-            .gauge("ngm_inflight", stats.inflight)
             .gauge("ngm_magazine_occupancy", stats.magazine_occupancy)
             .gauge("ngm_wait_phase", stats.wait_phase as i64)
             .gauge(
@@ -334,8 +330,7 @@ impl RuntimeTelemetry {
             )
             .histogram("ngm_call_cycles", call)
             .histogram("ngm_post_cycles", post)
-            .histogram("ngm_refill_cycles", refill)
-            .histogram("ngm_submit_depth", submit);
+            .histogram("ngm_refill_cycles", refill);
         for (name, snap) in PHASE_NAMES.iter().zip(phases) {
             m.histogram(format!("ngm_phase_{name}_cycles"), snap);
         }
@@ -467,21 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_series_export_and_merge() {
+    fn wouldblock_counter_is_exported() {
         let a = RuntimeTelemetry::new(0);
         let b = RuntimeTelemetry::new(0);
-        a.submit_depth.record(4);
-        b.submit_depth.record(9);
         let stats = crate::stats::RuntimeStats::new();
         stats.record_wouldblock();
-        stats.add_inflight(7);
         let m = a.metrics_merged(&stats.snapshot(), &[&b]);
         assert_eq!(m.get_counter("ngm_wouldblock_total"), Some(1));
-        assert_eq!(m.get_gauge("ngm_inflight"), Some(7));
-        assert_eq!(
-            m.get_histogram("ngm_submit_depth").map(|h| h.count()),
-            Some(2),
-            "both peers' depth samples in one series"
-        );
     }
 }

@@ -17,8 +17,7 @@
 //! application threads, the service shards, the addresses one handshake
 //! fetches and the sync accounting ([`ngm::Protocol`]);
 //! [`NgmModel::new`] is the paper's column (one shard, one handshake per
-//! malloc). [`CompletionModel`] is a closed-form overlap model of the
-//! completion front-end, not an allocator model.
+//! malloc).
 //!
 //! The [`driver`] replays an `ngm-workloads` event stream against any
 //! model, attributing user `Touch` traffic to the addresses the model
@@ -27,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod completion;
 pub mod driver;
 pub mod jemalloc;
 pub mod layout;
@@ -38,7 +36,6 @@ pub mod ptmalloc;
 pub mod slab;
 pub mod tcmalloc;
 
-pub use completion::CompletionModel;
 pub use driver::{run, run_kind, run_kind_warm, run_warm, RunResult};
 pub use jemalloc::JemallocModel;
 pub use mimalloc::MimallocModel;

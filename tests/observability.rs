@@ -467,74 +467,50 @@ mod faultinject {
         }
     }
 
-    /// The span contract extends to the completion-based front-end: a
-    /// future that was *polled* (left pending on a wedged shard) and then
-    /// dropped — its submission retracted when the handle settles — is
-    /// **two spans**, exactly like the blocking drop-then-retry. The
-    /// retracted refill's span ends at `Retracted` without ever being
-    /// `Claimed`, and the retried allocation runs the full lifecycle to
+    /// The span contract holds through the blocking shell of the old
+    /// completion front-end: a future whose refill met a wedged shard is
+    /// **two spans** with its retry. The deadline retracts the
+    /// never-claimed refill, whose span ends at `Retracted` without
+    /// `Claimed`, and the allocation falls back inline; once the shard is
+    /// let go, the retry on the same slot runs the full lifecycle to
     /// `Observed` under a fresh id.
     #[test]
     fn future_polled_then_retracted_is_two_spans() {
         use ngm_core::SubmissionQueue;
         use std::future::Future;
         use std::pin::Pin;
-        use std::sync::atomic::AtomicUsize;
-        use std::task::{Context, Poll, Wake, Waker};
+        use std::task::{Context, Poll, Waker};
 
-        struct Flag(AtomicUsize);
-        impl Wake for Flag {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-
-        let ngm = Arc::new(
-            NgmConfig::new()
-                .with_placement(CorePlacement::Unpinned)
-                .with_batch(2, 1)
-                .with_trace_capacity(4096)
-                .build()
-                .expect("valid config"),
-        );
+        let ngm = NgmConfig::new()
+            .with_placement(CorePlacement::Unpinned)
+            .with_batch(2, 1)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .with_trace_capacity(4096)
+            .build()
+            .expect("valid config");
         let l = Layout::from_size_align(64, 8).expect("valid");
-
-        // Wedge the only shard so the future's refill submission is
-        // never claimed: the poll below genuinely parks, and the
-        // retract at settle time is guaranteed to win the CAS.
-        ngm.fault_state(0).set_wedged(true);
-        {
-            let sq = SubmissionQueue::new(ngm.handle());
+        let sq = SubmissionQueue::new(ngm.handle());
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut alloc = || {
             let mut fut = sq.alloc(l).expect("submission accepted");
-            let flag = Arc::new(Flag(AtomicUsize::new(0)));
-            let waker = Waker::from(Arc::clone(&flag));
-            let mut cx = Context::from_waker(&waker);
-            // SAFETY: stack-pinned for the whole block.
-            let polled = unsafe { Pin::new_unchecked(&mut fut) }.poll(&mut cx);
-            assert!(polled.is_pending(), "wedged refill cannot complete");
-            drop(fut); // cancel the ticket
-            drop(sq); // handle settles: retract wins → Retracted span
-        }
-        ngm.fault_state(0).set_wedged(false);
-
-        // The retry: a fresh queue completes a future the normal way.
-        {
-            let sq = SubmissionQueue::new(ngm.handle());
-            let mut fut = sq.alloc(l).expect("submission accepted");
-            let flag = Arc::new(Flag(AtomicUsize::new(0)));
-            let waker = Waker::from(Arc::clone(&flag));
-            let mut cx = Context::from_waker(&waker);
-            let p = loop {
-                // SAFETY: stack-pinned for the whole loop.
-                match unsafe { Pin::new_unchecked(&mut fut) }.poll(&mut cx) {
-                    Poll::Ready(r) => break r.expect("alloc"),
-                    Poll::Pending => std::thread::yield_now(),
-                }
+            let Poll::Ready(r) = Pin::new(&mut fut).poll(&mut cx) else {
+                panic!("the shell's futures are ready on their first poll");
             };
-            drop(fut);
-            // SAFETY: block from this queue's tier, relinquished here.
+            r.expect("alloc")
+        };
+
+        // Wedge the only shard so the refill is never claimed: the
+        // deadline's retract is guaranteed to win the CAS.
+        ngm.fault_state(0).set_wedged(true);
+        let fell_back = alloc();
+        assert_eq!(ngm.fallback_heap().allocs(), 1, "the allocation fell back");
+        ngm.fault_state(0).set_wedged(false);
+        let served = alloc();
+        for p in [fell_back, served] {
+            // SAFETY: blocks from this queue's tier, each freed once.
             unsafe { sq.free(p, l).expect("free accepted") };
         }
+        drop(sq);
 
         let drain = ngm.telemetry().drain_trace();
         let spans = reconstruct(&drain.events);
@@ -542,7 +518,7 @@ mod faultinject {
         let retracted = calls
             .iter()
             .find(|s| s.at(SpanPhase::Retracted).is_some())
-            .expect("the settled submission's span ends retracted");
+            .expect("the deadlined refill's span ends retracted");
         assert!(
             retracted.at(SpanPhase::Claimed).is_none(),
             "a wedged (never-claimed) refill must not show Claimed: {retracted:?}"
@@ -557,7 +533,6 @@ mod faultinject {
             assert!(s.completed());
         }
 
-        let ngm = Arc::into_inner(ngm).expect("all clones dropped");
         let down = ngm.shutdown();
         assert!(down.clean() && down.balanced());
     }
