@@ -151,7 +151,7 @@ mod imp {
             recovered: down.runtime.deadlines,
             degraded: down.service.fallback_allocs,
             failed: failed.into_inner(),
-            retries: down.runtime.retry_total,
+            retries: down.runtime.post_full_retries,
             p99_us: p99,
             balanced: down.clean()
                 && down.service.allocs == down.service.frees

@@ -238,7 +238,7 @@ impl NgmHandle {
         };
         for _ in 0..self.nshards() {
             let shard = self.class_shard[ci] as usize;
-            let cause = match self.request(shard, what) {
+            let cause = match self.refill(shard, what) {
                 // An empty batch is the service reporting exhaustion.
                 Ok(()) if self.magazines[ci].is_empty() => break,
                 Ok(()) => return Ok(()),
@@ -261,11 +261,13 @@ impl NgmHandle {
     }
 
     /// One refill round trip on `shard` for a class whose magazine is
-    /// empty: submits `what` and waits for its response
-    /// ([`NgmHandle::absorb`]). `Ok` means a response was folded into
-    /// handle state; an error leaves the slot free (a deadline retracted
-    /// the request) or the client poisoned (it was abandoned mid-serve).
-    fn request(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
+    /// empty, under the runtime's deadline. The response is read where it
+    /// lies: its addresses go into the class's empty magazine, the one
+    /// copy this side makes, and an empty response is the service
+    /// reporting failure. `Ok` means the response was folded into handle
+    /// state; an error leaves the slot free (a deadline retracted the
+    /// request) or the client poisoned (it was abandoned mid-serve).
+    fn refill(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
         // A round trip for exactly one block is a call: the call
         // histogram and its phase partition cover every single-block
         // round trip, the refill histogram only those that amortise.
@@ -274,27 +276,15 @@ impl NgmHandle {
         } else {
             CallKind::Single
         };
-        self.ends[shard]
-            .client
-            .submit(what, kind)
-            .map_err(|(_, e)| e)?;
-        self.absorb(shard, what)
-    }
-
-    /// The one place a response enters handle state. Blocks, under the
-    /// runtime's deadline, on `shard`'s slot for the response to
-    /// `request` and reads it where it lies: its addresses go into their
-    /// class's empty magazine, the one copy this side makes. An empty
-    /// response is the service reporting failure: nothing to stash.
-    fn absorb(&mut self, shard: usize, request: AllocBatchReq) -> Result<(), ServiceError> {
-        let ci = request.class.0 as usize;
+        let ci = what.class.0 as usize;
         let magazine = &mut self.magazines[ci];
         debug_assert!(magazine.is_empty(), "only a dry magazine asks for a refill");
-        let client = &mut self.ends[shard].client;
-        let got = client.wait(client.deadline(), |batch: &mut AddrBatch| {
-            magazine.copy_from(batch);
-            batch.len()
-        })?;
+        let got = self.ends[shard]
+            .client
+            .try_call(what, kind, |batch: &mut AddrBatch| {
+                magazine.copy_from(batch);
+                batch.len()
+            })?;
         if got > 0 {
             self.mag_shard[ci] = shard as u16;
             self.ends[shard].stash += got as i64;
@@ -302,7 +292,7 @@ impl NgmHandle {
             // last refill fold into this one delta, keeping the alloc
             // fast path free of shared-memory traffic.
             self.publish_occupancy(shard);
-            let class = u64::from(request.class.0);
+            let class = u64::from(what.class.0);
             self.trace(shard, TraceEventKind::Refill, class, got as u64);
         }
         Ok(())

@@ -144,15 +144,7 @@ impl NgmHandle {
     /// * anything else — the shard is gone: [`NgmHandle::fail_over`].
     ///
     /// [`Route::Exhausted`] when no other candidate exists.
-    /// [`ServiceError::WouldBlock`] never arrives here: every wait ends
-    /// with the slot empty or the client poisoned, so a submission never
-    /// finds it busy, and a post waits out a full ring.
     pub(super) fn route(&mut self, shard: usize, cause: ServiceError, op: RouteOp) -> Route {
-        debug_assert_ne!(
-            cause,
-            ServiceError::WouldBlock,
-            "a busy slot on the blocking path"
-        );
         let next = match cause {
             ServiceError::Deadline { .. } => {
                 let reason = if op == RouteOp::Post {

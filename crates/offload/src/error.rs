@@ -6,7 +6,9 @@
 //! correct response to a dead shard is to *route around it*. These errors
 //! surface through the `try_*` methods and the `Result`-returning
 //! constructors so higher layers (the `NgmConfig` API) can degrade
-//! gracefully instead of unwinding.
+//! gracefully instead of unwinding. None of them means "busy, try
+//! again": a synchronous call is published, awaited and collected in one
+//! `try_call`, so no request is ever in flight between calls.
 
 use std::fmt;
 use std::time::Duration;
@@ -34,11 +36,6 @@ pub enum ServiceError {
         /// How long the caller waited before giving up.
         waited: Duration,
     },
-    /// A [`crate::ClientHandle::submit`] found the request slot still
-    /// carrying an in-flight submission. Purely transient — distinct from
-    /// [`ServiceError::Deadline`] (the shard failed to answer in time):
-    /// collect or retract the earlier request, then retry.
-    WouldBlock,
 }
 
 impl fmt::Display for ServiceError {
@@ -52,9 +49,6 @@ impl fmt::Display for ServiceError {
                 f,
                 "request to shard {shard} exceeded its deadline after {waited:?}"
             ),
-            ServiceError::WouldBlock => {
-                write!(f, "operation would block: submission in flight")
-            }
         }
     }
 }
@@ -76,7 +70,6 @@ mod tests {
                 shard: 3,
                 waited: Duration::from_millis(250),
             },
-            ServiceError::WouldBlock,
         ];
         let mut seen = std::collections::HashSet::new();
         for e in all {

@@ -127,8 +127,9 @@ pub struct ClientHandle<S: Service> {
     wait: WaitStrategy,
     deadline: Option<Duration>,
     shard: usize,
-    /// Set when a deadline-bounded call was abandoned mid-serve: the slot
-    /// protocol is unrecoverable and this handle must never call again.
+    /// Set when a deadline-bounded call was abandoned mid-serve, or a
+    /// `collect` unwound mid-read: the slot protocol is unrecoverable and
+    /// this handle must never call again.
     poisoned: bool,
     stats: Arc<RuntimeStats>,
     telemetry: Arc<RuntimeTelemetry>,
@@ -137,11 +138,6 @@ pub struct ClientHandle<S: Service> {
     /// publish sequence to mint from).
     post_seq: u64,
     pmu: ClientPmu,
-    /// Submission timestamp and kind of the in-flight request, if any
-    /// (one slot ⇒ at most one). Completion telemetry (histograms, span
-    /// events) is emitted when the response is collected or the request
-    /// is retracted or abandoned.
-    inflight: Option<(u64, CallKind)>,
 }
 
 /// Which population a synchronous request's round trip belongs to.
@@ -195,10 +191,7 @@ impl<S: Service> ClientHandle<S> {
     /// but ends in a terminal phase instead of `Observed`. The publish
     /// sequence in the span id guarantees the retry the caller issues
     /// next is a distinct span.
-    fn finish_failed_span(&mut self, terminal: SpanPhase) {
-        let Some((t0, _)) = self.inflight.take() else {
-            return;
-        };
+    fn finish_failed_span(&self, t0: u64, terminal: SpanPhase) {
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let now = cycles_now();
@@ -224,63 +217,15 @@ impl<S: Service> ClientHandle<S> {
         }
     }
 
-    /// Publishes `req` into the request slot and returns immediately.
-    /// The response is collected with [`ClientHandle::poll`] or awaited
-    /// with [`ClientHandle::wait`], or the request cancelled with
-    /// [`ClientHandle::retract`]; the service never wakes anyone, so a
-    /// caller that does not wait learns of the response by polling.
-    /// Every synchronous request enters here.
-    ///
-    /// Refusals hand the request back along with the reason:
-    /// [`ServiceError::ServiceStopped`] when the service thread is known
-    /// dead (its ring closed) or an earlier request was abandoned
-    /// mid-serve, and [`ServiceError::WouldBlock`] when a previous
-    /// request is still in flight (one slot ⇒ one in-flight request).
-    pub fn submit(&mut self, req: S::Req, kind: CallKind) -> Result<(), (S::Req, ServiceError)> {
-        if self.poisoned {
-            return Err((req, ServiceError::ServiceStopped));
-        }
-        if !self.is_open() {
-            self.stats.mark_service_down();
-            return Err((req, ServiceError::ServiceStopped));
-        }
-        self.pmu.arm();
-        let t0 = cycles_now();
-        match self.slot.begin(req) {
-            Ok(()) => {
-                self.inflight = Some((t0, kind));
-                Ok(())
-            }
-            Err(req) => {
-                self.stats.record_wouldblock();
-                Err((req, ServiceError::WouldBlock))
-            }
-        }
-    }
-
-    /// Collects the in-flight request's response if it has been
-    /// published — `collect` reads it where it lies in the slot and what
-    /// it returns is handed on — or `None` while it is still pending (or
-    /// none is in flight). Every response leaves the slot here, so this
-    /// is also the one place completion telemetry is emitted (see
-    /// `record_completion`).
-    #[inline]
-    pub fn poll<T>(&mut self, collect: impl FnOnce(&mut S::Resp) -> T) -> Option<T> {
-        let collected = self.slot.poll_response(collect)?;
-        self.record_completion();
-        Some(collected)
-    }
-
     /// Completion telemetry for the response just collected, stamped from
-    /// submission to collection: the latency histogram of the request's
-    /// [`CallKind`], the batched-call counter, the five phase histograms
-    /// (every round trip of either kind, so together they partition the
-    /// call and refill populations exactly) and — when tracing is on —
-    /// the six span phase events with their true boundary timestamps
-    /// from the slot.
-    fn record_completion(&mut self) {
+    /// publication (`t0`) to collection: the latency histogram of the
+    /// request's [`CallKind`], the batched-call counter, the five phase
+    /// histograms (every round trip of either kind, so together they
+    /// partition the call and refill populations exactly) and — when
+    /// tracing is on — the six span phase events with their true boundary
+    /// timestamps from the slot.
+    fn record_completion(&mut self, t0: u64, kind: CallKind) {
         let t5 = cycles_now();
-        let (t0, kind) = self.inflight.take().unwrap_or((t5, CallKind::Single));
         let stamps = self.slot.phase_stamps();
         match kind {
             CallKind::Single => self.telemetry.call_cycles.record(t5.saturating_sub(t0)),
@@ -308,42 +253,54 @@ impl<S: Service> ClientHandle<S> {
         }
     }
 
-    /// Blocks (by the handle's wait strategy) until the in-flight
-    /// request's response arrives and `collect` has read it
-    /// ([`ClientHandle::poll`]), for at most `budget` (`None` waits
-    /// forever).
-    ///
-    /// On expiry the request is *retracted*: if the service never claimed
-    /// it, the slot is EMPTY and reusable and [`ServiceError::Deadline`]
-    /// comes back. If the service did claim it, one more `budget` of
-    /// grace is granted for the in-flight serve — a served response is
-    /// never discarded, which is what keeps alloc/free accounting exact.
-    /// Only if even that expires (service wedged mid-serve or dead) is
-    /// the request abandoned: the handle is poisoned, every later
-    /// [`ClientHandle::submit`] fails fast with
-    /// [`ServiceError::ServiceStopped`], and the expiry is reported as a
-    /// deadline.
-    pub fn wait<T>(
+    /// The body of [`ClientHandle::call`] (`budget` `None`: it waits
+    /// forever) and [`ClientHandle::try_call`] (the runtime's deadline).
+    /// Nothing stays in flight once it returns: the slot is EMPTY again,
+    /// or the handle is poisoned.
+    fn round_trip<T>(
         &mut self,
+        req: S::Req,
+        kind: CallKind,
         budget: Option<Duration>,
         collect: impl FnOnce(&mut S::Resp) -> T,
     ) -> Result<T, ServiceError> {
+        if self.poisoned {
+            return Err(ServiceError::ServiceStopped);
+        }
+        if !self.is_open() {
+            self.stats.mark_service_down();
+            return Err(ServiceError::ServiceStopped);
+        }
+        self.pmu.arm();
+        let t0 = cycles_now();
+        if self.slot.begin(req).is_err() {
+            // Only a `collect` that unwound mid-read leaves a response in
+            // the slot; its payload cell cannot be trusted again.
+            self.poisoned = true;
+            return Err(ServiceError::ServiceStopped);
+        }
         let mut waited = Duration::ZERO;
         for grace in [false, true] {
             let mut state = WaitState::with_budget(self.wait, budget);
             if state.wait_until(|| self.slot.has_response()) {
-                return Ok(self.poll(collect).expect("only this client collects"));
+                let got = self
+                    .slot
+                    .poll_response(collect)
+                    .expect("only this client collects");
+                self.record_completion(t0, kind);
+                return Ok(got);
             }
             waited += state.waited();
-            if !grace && self.retract() {
+            if !grace && self.slot.retract() {
+                self.finish_failed_span(t0, SpanPhase::Retracted);
                 break;
             }
-        }
-        if self.inflight.is_some() {
-            // Claimed and never answered: the slot cannot be reused.
-            self.finish_failed_span(SpanPhase::Abandoned);
-            self.poisoned = true;
-            self.stats.mark_service_down();
+            if grace {
+                // Claimed and never answered: the slot cannot be reused.
+                self.finish_failed_span(t0, SpanPhase::Abandoned);
+                self.poisoned = true;
+                self.stats.mark_service_down();
+            }
         }
         self.stats.record_deadline();
         Err(ServiceError::Deadline {
@@ -352,45 +309,52 @@ impl<S: Service> ClientHandle<S> {
         })
     }
 
-    /// Cancels the in-flight request. `true` means it was retracted
-    /// before the service claimed it: the slot is reusable and the span
-    /// ends in its `Retracted` terminal phase — a later retry is a
-    /// distinct span by construction. `false` means the service already
-    /// claimed it (or nothing is in flight): the caller must keep
-    /// polling, because a served response is never discarded.
-    pub fn retract(&mut self) -> bool {
-        let retracted = self.slot.retract();
-        if retracted {
-            self.finish_failed_span(SpanPhase::Retracted);
-        }
-        retracted
-    }
-
     /// Sends a synchronous request and blocks (by the handle's wait
     /// strategy) until the service core responds, however long it takes.
     /// The response is taken out of the slot by value, which suits the
     /// word-sized ones; collect a large one in place with
-    /// [`ClientHandle::wait`].
+    /// [`ClientHandle::try_call`].
     ///
     /// # Panics
     ///
-    /// Panics when the request is refused — service stopped, handle
-    /// poisoned, or a request already in flight — where
-    /// it used to hang: use [`ClientHandle::try_call`] for a typed error.
+    /// Panics when the request is refused — service stopped or handle
+    /// poisoned — where it used to hang: use [`ClientHandle::try_call`]
+    /// for a typed error.
     pub fn call(&mut self, req: S::Req) -> S::Resp {
-        if let Err((_, e)) = self.submit(req, CallKind::Single) {
-            panic!("ClientHandle::call refused ({e}); use try_call for a typed error");
-        }
-        self.wait(None, std::mem::take)
-            .expect("an unbounded wait never expires")
+        self.round_trip(req, CallKind::Single, None, std::mem::take)
+            .unwrap_or_else(|e| {
+                panic!("ClientHandle::call refused ({e}); use try_call for a typed error")
+            })
     }
 
-    /// [`ClientHandle::submit`] then [`ClientHandle::wait`] under the
-    /// runtime's configured deadline: hang-proof against a dead or wedged
-    /// shard.
-    pub fn try_call(&mut self, req: S::Req, kind: CallKind) -> Result<S::Resp, ServiceError> {
-        self.submit(req, kind).map_err(|(_, e)| e)?;
-        self.wait(self.deadline, std::mem::take)
+    /// One synchronous round trip under the runtime's configured
+    /// deadline, hang-proof against a dead or wedged shard. `req` is
+    /// published and awaited by the handle's wait strategy, and its
+    /// response is read where it lies by `collect` (`std::mem::take`
+    /// returns it by value), whose result is handed on.
+    ///
+    /// On expiry the request is *retracted*: if the service never claimed
+    /// it, the slot is EMPTY and reusable and [`ServiceError::Deadline`]
+    /// comes back. If the service did claim it, one more budget of grace
+    /// is granted for the in-flight serve — a served response is never
+    /// discarded, which is what keeps alloc/free accounting exact. Only
+    /// if even that expires (service wedged mid-serve or dead) is the
+    /// request abandoned: the handle is poisoned, every later call fails
+    /// fast with [`ServiceError::ServiceStopped`], and the expiry is
+    /// reported as a deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::ServiceStopped`] when the service thread is gone
+    /// or the handle is poisoned, [`ServiceError::Deadline`] when the
+    /// budget (and, for a claimed request, its grace) ran out.
+    pub fn try_call<T>(
+        &mut self,
+        req: S::Req,
+        kind: CallKind,
+        collect: impl FnOnce(&mut S::Resp) -> T,
+    ) -> Result<T, ServiceError> {
+        self.round_trip(req, kind, self.deadline, collect)
     }
 
     /// Posts an asynchronous message, pausing while the ring is
@@ -435,7 +399,6 @@ impl<S: Service> ClientHandle<S> {
                     retries = retries.saturating_add(1);
                     if !state.pause() {
                         self.stats.record_deadline();
-                        self.stats.add_retries(u64::from(retries));
                         return Err(ServiceError::Deadline {
                             shard: self.shard,
                             waited: state.waited(),
@@ -449,7 +412,6 @@ impl<S: Service> ClientHandle<S> {
                 }
             }
         }
-        self.stats.add_retries(u64::from(retries));
         let t1 = cycles_now();
         self.telemetry.post_cycles.record(t1.saturating_sub(t0));
         if let Some(ring) = &self.trace {
@@ -463,25 +425,6 @@ impl<S: Service> ClientHandle<S> {
             ring.push_at(t1, TraceEventKind::Span, id, SpanPhase::RingResident.code());
         }
         Ok(retries)
-    }
-
-    /// Whether a request is currently in flight (submitted and neither
-    /// collected, retracted nor abandoned).
-    pub fn has_inflight(&self) -> bool {
-        self.inflight.is_some()
-    }
-
-    /// The runtime's configured deadline budget — what
-    /// [`ClientHandle::try_call`] passes to [`ClientHandle::wait`].
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// How this handle waits: the runtime's resolved client
-    /// [`WaitStrategy`], which [`ClientHandle::wait`] and full-ring posts
-    /// pause by.
-    pub fn wait_strategy(&self) -> WaitStrategy {
-        self.wait
     }
 
     /// Whether this handle's service thread is still consuming: `false`
@@ -754,7 +697,6 @@ impl<S: Service> OffloadRuntime<S> {
             } else {
                 ClientPmu::Off
             },
-            inflight: None,
         }
     }
 
@@ -1134,7 +1076,7 @@ mod tests {
         let mut late = rt.register_client();
         assert!(!late.is_open(), "no loop will ever drain this ring");
         assert_eq!(
-            late.try_call(1, CallKind::Single),
+            late.try_call(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped),
             "refused at once, not after a deadline"
         );
@@ -1359,7 +1301,7 @@ mod tests {
             c.call(i);
         }
         for i in 0..4 {
-            assert_eq!(c.try_call(i, CallKind::Batched), Ok(i * 2));
+            assert_eq!(c.try_call(i, CallKind::Batched, std::mem::take), Ok(i * 2));
         }
         let m = rt.metrics();
         assert_eq!(
@@ -1494,14 +1436,14 @@ mod tests {
     fn try_call_refuses_dead_service() {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21, CallKind::Single), Ok(42));
+        assert_eq!(c.try_call(21, CallKind::Single, std::mem::take), Ok(42));
         let (_, _) = rt.shutdown();
         assert_eq!(
-            c.try_call(1, CallKind::Single),
+            c.try_call(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped)
         );
         assert_eq!(
-            c.try_call(1, CallKind::Batched),
+            c.try_call(1, CallKind::Batched, std::mem::take),
             Err(ServiceError::ServiceStopped)
         );
     }
@@ -1516,7 +1458,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_abandons_and_poisons_when_the_service_dies_mid_serve() {
+    fn try_call_abandons_and_poisons_when_the_service_dies_mid_serve() {
         #[derive(Debug)]
         struct DiesServing;
         impl Service for DiesServing {
@@ -1536,14 +1478,13 @@ mod tests {
         let mut c = rt.register_client();
         // The request is claimed, then the thread dies: the retract
         // loses, the grace period runs out, the request is abandoned.
-        let r = c.try_call(9, CallKind::Single);
+        let r = c.try_call(9, CallKind::Single, std::mem::take);
         assert!(
             matches!(r, Err(ServiceError::Deadline { waited, .. }) if waited >= Duration::from_millis(20)),
             "mid-serve death must surface as a deadline after budget + grace, got {r:?}"
         );
-        assert!(!c.has_inflight(), "the abandoned request is written off");
         assert_eq!(
-            c.try_call(1, CallKind::Single),
+            c.try_call(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped),
             "the poisoned handle fails fast"
         );
@@ -1552,6 +1493,60 @@ mod tests {
         assert_eq!(failure.error, ServiceError::ServicePanicked);
         assert_eq!(failure.stats.deadlines, 1);
         assert!(failure.stats.service_down);
+    }
+
+    #[test]
+    fn a_claimed_call_answered_within_its_grace_is_served_not_deadlined() {
+        // Claimed at once, answered after 1.5 budgets: the retract loses
+        // to the claim, and the grace budget collects the response.
+        struct SlowFirst;
+        impl Service for SlowFirst {
+            type Req = u64;
+            type Resp = u64;
+            type Post = ();
+            fn call(&mut self, req: u64) -> u64 {
+                if req == 1 {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                req
+            }
+            fn post(&mut self, (): ()) {}
+        }
+        let rt = OffloadRuntime::try_start(
+            SlowFirst,
+            cfg(|c| c.deadline = Some(Duration::from_millis(200))),
+        )
+        .unwrap();
+        let mut c = rt.register_client();
+        assert_eq!(c.try_call(1, CallKind::Single, std::mem::take), Ok(1));
+        assert_eq!(
+            c.try_call(2, CallKind::Single, std::mem::take),
+            Ok(2),
+            "the same handle is served again"
+        );
+        drop(c);
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.deadlines, 0, "a served response is never a deadline");
+        assert_eq!(stats.calls_served, 2);
+        assert!(!stats.service_down);
+    }
+
+    #[test]
+    fn a_collect_that_unwinds_poisons_the_handle() {
+        let rt = OffloadRuntime::start(doubler());
+        let mut c = rt.register_client();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.try_call(1, CallKind::Single, |_: &mut u64| panic!("collect unwound"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            c.try_call(2, CallKind::Single, std::mem::take),
+            Err(ServiceError::ServiceStopped),
+            "the unread response still holds the slot"
+        );
+        drop(c);
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.calls_served, 1);
     }
 
     #[test]
@@ -1580,70 +1575,6 @@ mod tests {
         assert_eq!(stats.posts_served, DEFAULT_RING_CELLS as u64 + 1);
         assert_eq!(svc.posts, DEFAULT_RING_CELLS as u64 + 1);
         assert_eq!(stats.post_full_retries, u64::from(retries));
-    }
-
-    #[test]
-    fn submit_poll_completes_against_live_service() {
-        let rt = OffloadRuntime::start(doubler());
-        let mut c = rt.register_client();
-        assert!(!c.has_inflight());
-        c.submit(21, CallKind::Single).expect("slot empty");
-        assert!(c.has_inflight());
-        // A second submission on the same slot refuses without blocking
-        // and hands the request back.
-        match c.submit(5, CallKind::Single) {
-            Err((req, ServiceError::WouldBlock)) => assert_eq!(req, 5),
-            other => panic!("expected WouldBlock, got {other:?}"),
-        }
-        let mut spins = 0u64;
-        let resp = loop {
-            if let Some(r) = c.poll(std::mem::take) {
-                break r;
-            }
-            std::hint::spin_loop();
-            spins += 1;
-            assert!(spins < 1_000_000_000, "service never answered");
-        };
-        assert_eq!(resp, 42);
-        assert!(!c.has_inflight());
-        drop(c);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.calls_served, 1);
-        assert_eq!(stats.wouldblocks, 1);
-    }
-
-    #[test]
-    fn retract_race_has_one_owner_and_slot_reusable() {
-        // submit-then-retract against a live service: each submission is
-        // either retracted (server never saw it) or served (we must
-        // collect it) — never both — and the slot stays reusable.
-        let rt = OffloadRuntime::start(doubler());
-        let mut c = rt.register_client();
-        let mut served = 0u64;
-        let mut retracted = 0u64;
-        for i in 0..2_000u64 {
-            c.submit(i, CallKind::Single)
-                .expect("slot reusable every round");
-            if c.retract() {
-                retracted += 1;
-            } else {
-                let mut spins = 0u64;
-                loop {
-                    if let Some(r) = c.poll(std::mem::take) {
-                        assert_eq!(r, i * 2);
-                        break;
-                    }
-                    std::hint::spin_loop();
-                    spins += 1;
-                    assert!(spins < 1_000_000_000, "claimed request never served");
-                }
-                served += 1;
-            }
-        }
-        assert_eq!(served + retracted, 2_000);
-        drop(c);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.calls_served, served, "every serve was collected");
     }
 
     #[test]
@@ -1781,7 +1712,8 @@ mod tests {
         entered: &AtomicBool,
     ) -> std::thread::JoinHandle<Result<u64, ServiceError>> {
         let mut stall_client = rt.register_client();
-        let staller = std::thread::spawn(move || stall_client.try_call(1, CallKind::Single));
+        let staller =
+            std::thread::spawn(move || stall_client.try_call(1, CallKind::Single, std::mem::take));
         while !entered.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
@@ -1796,7 +1728,7 @@ mod tests {
         // The service thread is hostage inside another client's call: our
         // request is never claimed, so the deadline fires and retracts.
         let start = std::time::Instant::now();
-        let r = c.try_call(2, CallKind::Single);
+        let r = c.try_call(2, CallKind::Single, std::mem::take);
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "expected deadline, got {r:?}"
@@ -1814,7 +1746,7 @@ mod tests {
             "unexpected stalled-call outcome {stalled_result:?}"
         );
         // The retracted slot is reusable: the same handle recovers.
-        assert_eq!(c.try_call(3, CallKind::Single), Ok(3));
+        assert_eq!(c.try_call(3, CallKind::Single, std::mem::take), Ok(3));
         let stats = rt.stats();
         assert!(stats.deadlines >= 1, "deadline expiries counted");
         drop(c);
@@ -1840,7 +1772,7 @@ mod tests {
         }
         let stats = rt.stats();
         assert!(stats.deadlines >= 1);
-        assert!(stats.retry_total >= 1, "full-ring retries counted");
+        assert!(stats.post_full_retries >= 1, "full-ring retries counted");
         release.store(true, Ordering::Release);
         let _ = staller.join().unwrap();
         drop(c);
@@ -1851,8 +1783,8 @@ mod tests {
     fn no_deadline_config_restores_unbounded_calls() {
         let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.deadline = None)).unwrap();
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21, CallKind::Single), Ok(42));
-        assert_eq!(c.try_call(3, CallKind::Batched), Ok(6));
+        assert_eq!(c.try_call(21, CallKind::Single, std::mem::take), Ok(42));
+        assert_eq!(c.try_call(3, CallKind::Batched, std::mem::take), Ok(6));
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.deadlines, 0);
     }
@@ -1899,13 +1831,13 @@ mod tests {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             assert_eq!(
-                c.try_call(5, CallKind::Single),
+                c.try_call(5, CallKind::Single, std::mem::take),
                 Ok(10),
                 "healthy before the fault"
             );
             rt.fault_state().set_wedged(true);
             let start = std::time::Instant::now();
-            let r = c.try_call(6, CallKind::Single);
+            let r = c.try_call(6, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { shard: 0, .. })),
                 "wedged shard must deadline, got {r:?}"
@@ -1913,7 +1845,7 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(10));
             rt.fault_state().set_wedged(false);
             assert_eq!(
-                c.try_call(7, CallKind::Single),
+                c.try_call(7, CallKind::Single, std::mem::take),
                 Ok(14),
                 "retracted slot reusable"
             );
@@ -1954,13 +1886,13 @@ mod tests {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             rt.fault_state().set_drop_every(1);
-            let r = c.try_call(1, CallKind::Single);
+            let r = c.try_call(1, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "dropped response must deadline, got {r:?}"
             );
             rt.fault_state().set_drop_every(0);
-            assert_eq!(c.try_call(2, CallKind::Single), Ok(4));
+            assert_eq!(c.try_call(2, CallKind::Single, std::mem::take), Ok(4));
             drop(c);
             let (_, stats) = rt.shutdown();
             assert_eq!(stats.deadlines, 1);
@@ -1976,7 +1908,11 @@ mod tests {
             .unwrap();
             let mut c = rt.register_client();
             rt.fault_state().set_delay_cycles(10_000);
-            assert_eq!(c.try_call(4, CallKind::Single), Ok(8), "delayed but served");
+            assert_eq!(
+                c.try_call(4, CallKind::Single, std::mem::take),
+                Ok(8),
+                "delayed but served"
+            );
             rt.fault_state().set_delay_cycles(0);
             drop(c);
             let (_, stats) = rt.shutdown();
@@ -1990,7 +1926,7 @@ mod tests {
             let mut c = rt.register_client();
             rt.fault_state().kill_next_call();
             let start = std::time::Instant::now();
-            let r = c.try_call(1, CallKind::Single);
+            let r = c.try_call(1, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "killed mid-serve must surface as an abandoned deadline, got {r:?}"
@@ -1999,7 +1935,7 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(10));
             // The slot is unrecoverable: the handle fails fast forever.
             assert_eq!(
-                c.try_call(2, CallKind::Single),
+                c.try_call(2, CallKind::Single, std::mem::take),
                 Err(ServiceError::ServiceStopped)
             );
             drop(c);

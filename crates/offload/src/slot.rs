@@ -142,13 +142,15 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
 
     /// Client side, non-blocking: publishes `request` if the slot is
     /// EMPTY, returning `Err(request)` (payload handed back, nothing
-    /// published) when a previous request is still in flight.
+    /// published) otherwise. The check guards the payload cells: the one
+    /// caller, [`crate::service::ClientHandle::try_call`], always leaves
+    /// the slot EMPTY, so it finds it busy only after a `collect` unwound
+    /// mid-read, and then poisons its handle.
     ///
     /// This is the submission half of the protocol; pair it with
     /// [`Self::poll_response`] to collect and [`Self::retract`] to cancel.
-    /// Nothing is ever woken: every caller learns of the response by
-    /// polling, blocking ones in the one wait loop
-    /// [`crate::service::ClientHandle::wait`], futures on each poll.
+    /// Nothing is ever woken: the client learns of the response by
+    /// polling in `try_call`'s one wait loop.
     ///
     /// Callers must ensure only one client thread uses a given slot; this
     /// is enforced structurally by [`crate::service::ClientHandle`] owning
@@ -277,7 +279,7 @@ mod tests {
 
     /// `begin`, then poll until the response lands or `budget` runs out
     /// (the request is then still in the slot) — the blocking round trip
-    /// as `ClientHandle::wait` builds it from the primitives.
+    /// as `ClientHandle::try_call` builds it from the primitives.
     fn call_within<Q: Send, R: Send + Default>(
         slot: &RequestSlot<Q, R>,
         request: Q,
@@ -446,7 +448,7 @@ mod tests {
         });
         assert_eq!(call_within(&slot, 9, Duration::from_millis(10)), None);
         h.join().unwrap();
-        // The abandon edge `ClientHandle::wait` poisons on: the payload is
+        // The abandon edge `ClientHandle::try_call` poisons on: the payload is
         // consumed, so the retract loses, and no response ever arrives.
         assert!(!slot.retract(), "the server claimed the request");
         assert_eq!(slot.poll_response(std::mem::take), None);

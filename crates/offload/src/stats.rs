@@ -46,12 +46,6 @@ pub struct RuntimeStats {
     /// against this shard (the shard was wedged or saturated, not
     /// necessarily dead).
     pub deadlines: AtomicU64,
-    /// Total bounded retry iterations clients spent against this shard:
-    /// full-ring post retries plus reroute attempts after a deadline.
-    pub retry_total: AtomicU64,
-    /// Times a [`crate::ClientHandle::submit`] against this shard found
-    /// its slot busy with an earlier request and handed the new one back.
-    pub wouldblocks: AtomicU64,
     /// Gauge: 64-byte ring cells holding pending posts across all client
     /// rings, as of the service loop's last poll round.
     pub ring_occupancy: AtomicUsize,
@@ -96,10 +90,10 @@ pub struct StatsSnapshot {
     pub batched_calls_served: u64,
     /// Client operations that exhausted their deadline budget.
     pub deadlines: u64,
-    /// Total bounded retry iterations clients spent against this shard.
+    /// The same count as `post_full_retries`, which fills it. It stays
+    /// only because the benchmark's adapter reads it; ROADMAP item 1
+    /// drops it.
     pub retry_total: u64,
-    /// Submissions refused because the slot was busy.
-    pub wouldblocks: u64,
     /// Ring cells (64 bytes each) holding pending posts across all
     /// client rings at the last poll round.
     pub ring_occupancy: usize,
@@ -141,8 +135,6 @@ impl RuntimeStats {
             failovers: AtomicU64::new(0),
             batched_calls_served: AtomicU64::new(0),
             deadlines: AtomicU64::new(0),
-            retry_total: AtomicU64::new(0),
-            wouldblocks: AtomicU64::new(0),
             ring_occupancy: AtomicUsize::new(0),
             magazine_occupancy: AtomicI64::new(0),
             wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
@@ -182,22 +174,10 @@ impl RuntimeStats {
         self.deadlines.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds `n` bounded retry iterations to the running total.
-    pub fn add_retries(&self, n: u64) {
-        if n != 0 {
-            self.retry_total.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Adjusts the magazine-occupancy gauge by `delta`. Called by client
     /// handles only at refill and drain boundaries, never per pop.
     pub fn add_magazine_occupancy(&self, delta: i64) {
         self.magazine_occupancy.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Counts one submission refused on a busy slot.
-    pub fn record_wouldblock(&self) {
-        self.wouldblocks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a wait-loop phase change (gauge overwrite plus transition
@@ -223,8 +203,7 @@ impl RuntimeStats {
             failovers: self.failovers.load(Ordering::Relaxed),
             batched_calls_served: self.batched_calls_served.load(Ordering::Relaxed),
             deadlines: self.deadlines.load(Ordering::Relaxed),
-            retry_total: self.retry_total.load(Ordering::Relaxed),
-            wouldblocks: self.wouldblocks.load(Ordering::Relaxed),
+            retry_total: self.post_full_retries.load(Ordering::Relaxed),
             ring_occupancy: self.ring_occupancy.load(Ordering::Relaxed),
             magazine_occupancy: self.magazine_occupancy.load(Ordering::Relaxed),
             wait_phase: WaitPhase::from_u32(self.wait_phase.load(Ordering::Relaxed)),
@@ -253,7 +232,6 @@ impl StatsSnapshot {
         self.batched_calls_served += other.batched_calls_served;
         self.deadlines += other.deadlines;
         self.retry_total += other.retry_total;
-        self.wouldblocks += other.wouldblocks;
         self.ring_occupancy += other.ring_occupancy;
         self.magazine_occupancy += other.magazine_occupancy;
         self.wait_transitions += other.wait_transitions;
@@ -326,7 +304,7 @@ mod tests {
         b.record_rebalance();
         b.record_post_dropped();
         b.record_deadline();
-        b.add_retries(5);
+        b.post_full_retries.store(5, Ordering::Relaxed);
         let mut snap = a.snapshot();
         snap.absorb(&b.snapshot());
         assert_eq!(snap.calls_served, 7);
@@ -335,7 +313,8 @@ mod tests {
         assert_eq!(snap.rebalances, 1);
         assert_eq!(snap.posts_dropped, 1);
         assert_eq!(snap.deadlines, 1);
-        assert_eq!(snap.retry_total, 5);
+        assert_eq!(snap.post_full_retries, 5);
+        assert_eq!(snap.retry_total, 5, "filled from post_full_retries");
     }
 
     #[test]
@@ -345,18 +324,6 @@ mod tests {
         assert!(!snap.service_down);
         assert_eq!(snap.posts_dropped, 0);
         assert_eq!(snap.failovers, 0);
-    }
-
-    #[test]
-    fn wouldblock_counter_absorbs() {
-        let a = RuntimeStats::new();
-        a.record_wouldblock();
-        let b = RuntimeStats::new();
-        b.record_wouldblock();
-        b.record_wouldblock();
-        let mut snap = a.snapshot();
-        snap.absorb(&b.snapshot());
-        assert_eq!(snap.wouldblocks, 3);
     }
 
     #[test]

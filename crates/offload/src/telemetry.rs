@@ -313,8 +313,6 @@ impl RuntimeTelemetry {
             .gauge("ngm_service_down", i64::from(stats.service_down))
             .counter("ngm_batched_calls_total", stats.batched_calls_served)
             .counter("ngm_deadline_total", stats.deadlines)
-            .counter("ngm_retry_total", stats.retry_total)
-            .counter("ngm_wouldblock_total", stats.wouldblocks)
             .counter("ngm_wait_transitions_total", stats.wait_transitions)
             .counter("ngm_trace_dropped_total", trace_dropped)
             .gauge("ngm_ring_occupancy", stats.ring_occupancy as i64)
@@ -459,15 +457,5 @@ mod tests {
         );
         let text = m.to_prometheus_text();
         assert!(text.contains("ngm_call_cycles{quantile=\"0.99\"}"));
-    }
-
-    #[test]
-    fn wouldblock_counter_is_exported() {
-        let a = RuntimeTelemetry::new(0);
-        let b = RuntimeTelemetry::new(0);
-        let stats = crate::stats::RuntimeStats::new();
-        stats.record_wouldblock();
-        let m = a.metrics_merged(&stats.snapshot(), &[&b]);
-        assert_eq!(m.get_counter("ngm_wouldblock_total"), Some(1));
     }
 }

@@ -430,14 +430,14 @@ mod faultinject {
         let mut c = rt.register_client();
 
         rt.fault_state().set_drop_every(1);
-        let r = c.try_call(7, CallKind::Single);
+        let r = c.try_call(7, CallKind::Single, std::mem::take);
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "dropped response deadlines, got {r:?}"
         );
         rt.fault_state().set_drop_every(0);
         assert_eq!(
-            c.try_call(7, CallKind::Single),
+            c.try_call(7, CallKind::Single, std::mem::take),
             Ok(14),
             "same slot recovers"
         );
@@ -467,20 +467,13 @@ mod faultinject {
         }
     }
 
-    /// The span contract holds through the blocking shell of the old
-    /// completion front-end: a future whose refill met a wedged shard is
-    /// **two spans** with its retry. The deadline retracts the
-    /// never-claimed refill, whose span ends at `Retracted` without
-    /// `Claimed`, and the allocation falls back inline; once the shard is
-    /// let go, the retry on the same slot runs the full lifecycle to
-    /// `Observed` under a fresh id.
+    /// A refill that met a wedged shard is **two spans** with its retry.
+    /// The deadline retracts the never-claimed refill, whose span ends at
+    /// `Retracted` without `Claimed`, and the allocation falls back
+    /// inline; once the shard is let go, the retry on the same slot runs
+    /// the full lifecycle to `Observed` under a fresh id.
     #[test]
-    fn future_polled_then_retracted_is_two_spans() {
-        use ngm_core::SubmissionQueue;
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::task::{Context, Poll, Waker};
-
+    fn refill_retracted_then_retried_is_two_spans() {
         let ngm = NgmConfig::new()
             .with_placement(CorePlacement::Unpinned)
             .with_batch(2, 1)
@@ -489,28 +482,20 @@ mod faultinject {
             .build()
             .expect("valid config");
         let l = Layout::from_size_align(64, 8).expect("valid");
-        let sq = SubmissionQueue::new(ngm.handle());
-        let mut cx = Context::from_waker(Waker::noop());
-        let mut alloc = || {
-            let mut fut = sq.alloc(l).expect("submission accepted");
-            let Poll::Ready(r) = Pin::new(&mut fut).poll(&mut cx) else {
-                panic!("the shell's futures are ready on their first poll");
-            };
-            r.expect("alloc")
-        };
+        let mut h = ngm.handle();
 
         // Wedge the only shard so the refill is never claimed: the
         // deadline's retract is guaranteed to win the CAS.
         ngm.fault_state(0).set_wedged(true);
-        let fell_back = alloc();
+        let fell_back = h.alloc(l).expect("the allocation falls back");
         assert_eq!(ngm.fallback_heap().allocs(), 1, "the allocation fell back");
         ngm.fault_state(0).set_wedged(false);
-        let served = alloc();
+        let served = h.alloc(l).expect("alloc");
         for p in [fell_back, served] {
-            // SAFETY: blocks from this queue's tier, each freed once.
-            unsafe { sq.free(p, l).expect("free accepted") };
+            // SAFETY: blocks from this handle's tier, each freed once.
+            unsafe { h.dealloc(p, l) };
         }
-        drop(sq);
+        drop(h);
 
         let drain = ngm.telemetry().drain_trace();
         let spans = reconstruct(&drain.events);
