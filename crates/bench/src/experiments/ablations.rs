@@ -13,6 +13,8 @@
 //!   round trip over a batch of prefetched addresses and find the batch
 //!   size at which offloading beats Mimalloc.
 
+use std::sync::Arc;
+
 use ngm_core::NgmConfig;
 use ngm_offload::WaitStrategy;
 use ngm_sim::{CoreConfig, Machine, MachineConfig};
@@ -23,18 +25,9 @@ use ngm_workloads::xalanc::{self, XalancParams};
 use ngm_telemetry::hist::HistogramSnapshot;
 
 use crate::experiments::table3;
-use crate::live::{self, Load};
+use crate::live::{self, Load, Paired};
 use crate::report::{latency_table, Table};
 use crate::Scale;
-
-/// Result of one wait-strategy measurement.
-#[derive(Debug, Clone)]
-pub struct WaitRow {
-    /// Strategy label.
-    pub label: &'static str,
-    /// Synchronous allocations per second achieved.
-    pub allocs_per_sec: f64,
-}
 
 /// One client thread ping-pongs `ops` 64-byte blocks (each freed before
 /// the next is requested) against `ngm`; returns the seconds it took.
@@ -48,10 +41,13 @@ fn ping_pong(ngm: &ngm_core::Ngm, ops: u32) -> f64 {
     live::drive(ngm, load, live::must_alloc, live::JOIN_POLL, || ())
 }
 
-/// Ablation A: client wait strategy vs. allocation round-trip throughput
-/// on the real runtime, under the paper's per-call handshake
-/// (`with_batch(1, 1)`) so every alloc waits once.
-pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
+/// Ablation A: client wait strategy vs. allocation round-trip time on
+/// the real runtime, under the paper's per-call handshake
+/// (`with_batch(1, 1)`) so every alloc waits once. Each strategy's tier
+/// is built once and its ping-pong paired against the same ping-pong
+/// through `System` ([`live::system_ping_pong`]); a tier whose books do
+/// not balance at shutdown panics.
+pub fn wait_strategies(ops: u32) -> Vec<(&'static str, Paired)> {
     let strategies: [(&'static str, WaitStrategy); 3] = [
         ("spin", WaitStrategy::Spin),
         ("spin+yield", WaitStrategy::SpinYield { spins: 64 }),
@@ -62,16 +58,21 @@ pub fn wait_strategies(ops: u32) -> Vec<WaitRow> {
         .map(|(label, wait)| {
             // The server must always yield on this box or a spinning
             // client never runs; server policy is left at its default.
-            let ngm = NgmConfig::new()
-                .with_batch(1, 1)
-                .with_client_wait(wait)
-                .build()
-                .expect("valid config");
-            let secs = ping_pong(&ngm, ops);
-            WaitRow {
-                label,
-                allocs_per_sec: f64::from(ops) / secs,
-            }
+            let ngm = Arc::new(
+                NgmConfig::new()
+                    .with_batch(1, 1)
+                    .with_client_wait(wait)
+                    .build()
+                    .expect("valid config"),
+            );
+            let vs_system = live::paired(
+                || live::system_ping_pong(ops as usize, 64),
+                || ping_pong(&ngm, ops),
+            );
+            let down = live::finish(ngm);
+            assert!(down.clean() && down.balanced(), "{label}: {down:?}");
+            assert_eq!(down.heap.live_blocks, 0, "{label}: {down:?}");
+            (label, vs_system)
         })
         .collect()
 }
@@ -357,12 +358,13 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
 pub fn render_all(scale: Scale, real_ops: u32) -> String {
     let mut out = String::new();
 
-    let mut t = Table::new(&["client wait strategy", "allocs/sec"]);
-    for r in wait_strategies(real_ops) {
-        t.row(vec![r.label.into(), format!("{:.0}", r.allocs_per_sec)]);
+    let mut t = Table::new(&["client wait strategy", "ping-pong time"]);
+    for (label, vs_system) in wait_strategies(real_ops) {
+        t.row(vec![label.into(), vs_system.to_string()]);
     }
     out.push_str(&format!(
-        "Ablation A: wait strategy (real runtime, with_batch(1, 1): one round trip per alloc)\n{}\n",
+        "Ablation A: wait strategy (real runtime, with_batch(1, 1): one round trip per alloc; \
+         {real_ops} 64-byte ping-pongs a pass)\n{}\n",
         t.render()
     ));
 
@@ -490,7 +492,10 @@ mod tests {
         // Tiny op count: this is a smoke test, not a measurement.
         let rows = wait_strategies(200);
         assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.allocs_per_sec > 0.0));
+        for (label, vs_system) in &rows {
+            assert!(vs_system.min > 0.0, "{label}: {vs_system}");
+            assert_eq!(vs_system.pairs, live::PAIRS, "{label}");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! Under it, live: who pays for a fresh segment ([`run_who_pays`]). The
 //! real [`SegregatedHeap`] replays the benchmark's `churn_inline` stream
 //! fresh and again already faulted in, and the table reads the calling
-//! thread's page faults and kernel time beside the wall clock — the
-//! kernel trips §3.3.2 wants kept off the application core.
+//! thread's page faults, kernel time and memory — the kernel trips
+//! §3.3.2 wants kept off the application core. It has no wall-clock
+//! column: the live wall clock is [`crate::live::paired`]'s.
 
 use std::time::Duration;
 
@@ -22,7 +23,7 @@ use ngm_workloads::churn::{self, ChurnParams};
 use ngm_workloads::Event;
 
 use crate::replay::replay_heap;
-use crate::report::{sci, Table};
+use crate::report::{median, sci, Table};
 use crate::Scale;
 
 /// Measurements for one layout.
@@ -117,8 +118,6 @@ impl Fig2 {
 /// One pass of the churn stream through a real heap.
 #[derive(Debug, Clone, Copy)]
 pub struct PassCost {
-    /// Wall clock of the pass.
-    pub wall: Duration,
     /// Minor faults the replaying thread took.
     pub minor_faults: u64,
     /// Kernel CPU time the replaying thread spent.
@@ -130,7 +129,7 @@ pub struct PassCost {
     pub huge_kib: u64,
 }
 
-/// Heaps the live table's timed columns are medians over.
+/// Heaps the live table's fault and kernel-time columns are medians over.
 const ROUNDS: usize = 5;
 
 /// The live table's data.
@@ -185,14 +184,10 @@ fn live_peak(events: &[Event]) -> (usize, u64) {
     (at, peak)
 }
 
-fn median<T: Ord>(mut v: Vec<T>) -> T {
-    v.sort();
-    v.swap_remove(v.len() / 2)
-}
-
 /// Replays the benchmark's `churn_inline` stream (400,000 allocations of
 /// 16–1,024 B, 65,536 live) on the calling thread: five heaps twice each
-/// for the timed columns, one more twice for the memory columns.
+/// for the fault and kernel-time columns, one more twice for the memory
+/// columns.
 pub fn run_who_pays(scale: Scale) -> WhoPays {
     let events = churn::collect(&ChurnParams {
         threads: 1,
@@ -208,10 +203,9 @@ pub fn run_who_pays(scale: Scale) -> WhoPays {
 
     let timed = |heap: &mut SegregatedHeap| {
         let before = thread_usage();
-        let wall = replay_heap(heap, events.iter().copied()).elapsed;
+        replay_heap(heap, events.iter().copied());
         let after = thread_usage();
         (
-            wall,
             after.minor_faults - before.minor_faults,
             after.system_time.saturating_sub(before.system_time),
         )
@@ -246,10 +240,9 @@ pub fn run_who_pays(scale: Scale) -> WhoPays {
     let mut heap = SegregatedHeap::new(0);
     let mem = [memory_at_peak(&mut heap), memory_at_peak(&mut heap)];
 
-    let row = |t: &[(Duration, u64, Duration)], m: (u64, u64)| PassCost {
-        wall: median(t.iter().map(|c| c.0).collect()),
-        minor_faults: median(t.iter().map(|c| c.1).collect()),
-        system: median(t.iter().map(|c| c.2).collect()),
+    let row = |t: &[(u64, Duration)], m: (u64, u64)| PassCost {
+        minor_faults: median(t.iter().map(|c| c.0).collect()),
+        system: median(t.iter().map(|c| c.1).collect()),
         rss_kib: m.0.saturating_sub(base.0),
         huge_kib: m.1.saturating_sub(base.1),
     };
@@ -267,20 +260,17 @@ impl WhoPays {
     pub fn render(&self) -> String {
         let mut t = Table::new(&[
             "SegregatedHeap",
-            "wall-ms",
             "minor-faults",
             "kernel-ms",
             "RSS-MiB@peak",
             "AnonHuge-MiB@peak",
         ]);
-        let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
         let mib = |kib: u64| format!("{:.1}", kib as f64 / 1024.0);
         for (name, c) in [("fresh", &self.fresh), ("already faulted", &self.faulted)] {
             t.row(vec![
                 name.to_string(),
-                ms(c.wall),
                 c.minor_faults.to_string(),
-                ms(c.system),
+                format!("{:.1}", c.system.as_secs_f64() * 1e3),
                 mib(c.rss_kib),
                 mib(c.huge_kib),
             ]);

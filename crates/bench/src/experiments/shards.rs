@@ -54,10 +54,6 @@ pub struct RealShardRow {
     pub shards: usize,
     /// Client threads used.
     pub clients: usize,
-    /// Wall-clock seconds for the churn loop.
-    pub secs: f64,
-    /// Allocations per second across all clients.
-    pub allocs_per_sec: f64,
     /// Whether every shard balanced `allocs == frees` at shutdown.
     pub balanced: bool,
     /// Per-shard allocation counts (the tier's load spread).
@@ -123,7 +119,9 @@ pub fn run(scale: Scale, profile: bool) -> ShardsReport {
 }
 
 /// Runs the churn shape on the live runtime with `shards` service
-/// threads and `clients` client threads. With `profile` the tier also
+/// threads and `clients` client threads. The row is untimed: eight
+/// clients on a host with fewer cores measure the scheduler, not the
+/// tier's width, which the simulated grid measures. With `profile` the tier also
 /// arms PMU sessions and the row carries their report (`--hw`).
 pub fn run_real(shards: usize, clients: usize, scale: Scale, profile: bool) -> RealShardRow {
     let ngm = ngm_core::NgmConfig::new()
@@ -139,13 +137,11 @@ pub fn run_real(shards: usize, clients: usize, scale: Scale, profile: bool) -> R
         live_cap: 64,
         size: live::class_sweep,
     };
-    let secs = live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
+    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
     let down = ngm.shutdown();
     RealShardRow {
         shards,
         clients,
-        secs,
-        allocs_per_sec: (clients * load.per_thread) as f64 / secs,
         balanced: down.clean() && down.balanced(),
         per_shard_allocs: down.shards.iter().map(|s| s.service.allocs).collect(),
         pmu: down.pmu,
@@ -192,17 +188,17 @@ impl ShardsReport {
             );
         }
         if !self.real.is_empty() {
-            let _ = writeln!(out, "\n### Real runtime (wall clock, per-shard balance)\n");
+            let _ = writeln!(out, "\n### Real runtime (per-shard balance)\n");
             let _ = writeln!(
                 out,
-                "{:<8} {:>8} {:>12} {:>14}  {:<9} per-shard allocs",
-                "shards", "clients", "secs", "allocs/sec", "balanced"
+                "{:<8} {:>8}  {:<9} per-shard allocs",
+                "shards", "clients", "balanced"
             );
             for r in &self.real {
                 let _ = writeln!(
                     out,
-                    "{:<8} {:>8} {:>12.3} {:>14.0}  {:<9} {:?}",
-                    r.shards, r.clients, r.secs, r.allocs_per_sec, r.balanced, r.per_shard_allocs
+                    "{:<8} {:>8}  {:<9} {:?}",
+                    r.shards, r.clients, r.balanced, r.per_shard_allocs
                 );
             }
             for r in &self.real {

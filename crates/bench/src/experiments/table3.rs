@@ -11,17 +11,23 @@
 //!   accountings. NGM's heap metadata lives on the service core, so
 //!   application-core misses drop; a refill hands out address-adjacent
 //!   blocks, so every column carries its own app-core miss rows.
-//! * **Prototype wall-clock** — the real `ngm-core` runtime, pinned to
-//!   the paper's per-call handshake (`with_batch(1, 1)`, the protocol the
-//!   paper columns model), against the real mimalloc-style sharded
-//!   heap on this machine.
+//! * **Prototype wall-clock** — three real allocators replaying the same
+//!   event stream, each paired against `System` ([`live::paired`]): the
+//!   mimalloc-style sharded heap inline, the tier `Ngm::start()` ships,
+//!   and the paper's per-call handshake (`with_batch(1, 1)`, the
+//!   protocol the paper columns model).
 
+use std::sync::Arc;
+
+use ngm_core::NgmConfig;
 use ngm_sim::{Machine, PmuCounters};
 use ngm_simalloc::ngm::{NgmModel, Protocol};
 use ngm_simalloc::ModelKind;
 use ngm_workloads::xalanc::{self, XalancParams};
+use ngm_workloads::Event;
 
-use crate::replay::{replay_heap, replay_ngm};
+use crate::live::{self, Paired};
+use crate::replay::{paired_replay, replay_heap, replay_ngm};
 use crate::report::{mpki, sci, Table};
 use crate::Scale;
 
@@ -60,18 +66,14 @@ pub struct Table3Col {
 pub struct Table3 {
     /// Mimalloc, then one column per [`NGM_COLUMNS`] entry.
     pub cols: Vec<Table3Col>,
-    /// Wall-clock seconds for the real-prototype replays, if run:
-    /// `(mimalloc-style sharded, ngm offloaded)`.
-    pub prototype_secs: Option<(f64, f64)>,
+    /// Each real prototype allocator's replays over `System`'s, if run.
+    pub prototype: Option<Vec<(&'static str, Paired)>>,
 }
 
 /// Runs the simulated comparison; `with_prototype` also replays the real
 /// heaps for a wall-clock side table.
 pub fn run(scale: Scale, with_prototype: bool) -> Table3 {
-    run_with(
-        &XalancParams::default().scaled(scale.0.max(1)),
-        with_prototype,
-    )
+    run_with(&super::xalanc_params(scale), with_prototype)
 }
 
 /// As [`run`] with explicit workload parameters.
@@ -118,28 +120,38 @@ pub fn run_with(params: &XalancParams, with_prototype: bool) -> Table3 {
         });
     }
 
-    let prototype_secs = with_prototype.then(|| {
-        // Mimalloc-style: a sharded per-thread heap (single shard here —
-        // the workload is single-threaded, as is SPEC's xalancbmk).
-        let sharded = ngm_heap::ShardedHeap::new(1);
-        let mut handle = sharded.handle(0);
-        let a = replay_heap(&mut handle, events.iter().copied());
-
-        // The paper's synchronous protocol, as the simulated columns.
-        let ngm = ngm_core::NgmConfig::new()
-            .with_batch(1, 1)
-            .build()
-            .expect("valid config");
-        let mut h = ngm.handle();
-        let b = replay_ngm(&mut h, events.iter().copied());
-        assert_eq!(a.checksum, b.checksum, "replays must compute identically");
-        (a.elapsed.as_secs_f64(), b.elapsed.as_secs_f64())
-    });
-
     Table3 {
         cols,
-        prototype_secs,
+        prototype: with_prototype.then(|| prototype(&events)),
     }
+}
+
+/// The prototype rows, each allocator built once, outside the timed
+/// passes.
+fn prototype(events: &[Event]) -> Vec<(&'static str, Paired)> {
+    // Mimalloc-style: a sharded per-thread heap (single shard here —
+    // the workload is single-threaded, as is SPEC's xalancbmk).
+    let heap = ngm_heap::ShardedHeap::new(1);
+    let mut handle = heap.handle(0);
+    let inline = paired_replay(events, || replay_heap(&mut handle, events.iter().copied()));
+    let mut rows = vec![("ShardedHeap inline (mimalloc-style)", inline)];
+    for (name, cfg) in [
+        ("NGM offloaded, NgmConfig::new()", NgmConfig::new()),
+        (
+            "NGM offloaded, with_batch(1, 1)",
+            NgmConfig::new().with_batch(1, 1),
+        ),
+    ] {
+        let ngm = Arc::new(cfg.build().expect("valid config"));
+        let mut h = ngm.handle();
+        let row = paired_replay(events, || replay_ngm(&mut h, events.iter().copied()));
+        drop(h);
+        rows.push((name, row));
+        let down = live::finish(ngm);
+        assert!(down.clean() && down.balanced(), "{down:?}");
+        assert_eq!(down.heap.live_blocks, 0, "{down:?}");
+    }
+    rows
 }
 
 impl Table3 {
@@ -204,11 +216,12 @@ impl Table3 {
             sci(self.cols[3].service.llc_load_misses as f64),
             sci(self.cols[3].service.dtlb_load_misses as f64),
         ));
-        if let Some((mi, ngm)) = self.prototype_secs {
-            s.push_str(&format!(
-                "\nprototype wall-clock on this machine: sharded(mimalloc-style) {mi:.3}s, NGM offloaded, with_batch(1, 1) {ngm:.3}s ({:+.2}%)\n(a host with fewer than two CPUs timeshares the service core; treat as indicative there)\n",
-                (mi / ngm - 1.0) * 100.0
-            ));
+        if let Some(rows) = &self.prototype {
+            s.push_str("\nprototype wall-clock, each replay paired against System:\n");
+            for (name, row) in rows {
+                s.push_str(&format!("  {name:<36} {row}\n"));
+            }
+            s.push_str("(a host with fewer than two CPUs timeshares the service core; treat as indicative there)\n");
         }
         s
     }

@@ -9,14 +9,20 @@
 //! whatever the run's report prints. Because a `--hw` table comes out of
 //! the same [`finish`] as the books, it is by construction a measurement
 //! of the run it is printed under.
+//!
+//! Every live wall-clock number the harness prints is [`paired`] against
+//! `System`: a single unpaired pass on a shared host does not reproduce.
 
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt;
 use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ngm_core::{Ngm, NgmHandle, NgmShutdown};
 use ngm_pmu::PmuReport;
+
+use crate::report::median;
 
 /// What the client threads of one [`drive`] do.
 #[derive(Debug, Clone, Copy)]
@@ -118,6 +124,30 @@ pub fn drive(
     end.map_or(0.0, |end| end.duration_since(start).as_secs_f64())
 }
 
+/// One client thread allocates and frees `ops` blocks of `size` bytes
+/// through `System`, each freed before the next is requested: the
+/// reference side of a ping-pong [`drive`] with `live_cap` 0, timed the
+/// same way, from the thread's spawn to its final free.
+pub fn system_ping_pong(ops: usize, size: usize) -> f64 {
+    let l = Layout::from_size_align(size, 8).expect("valid layout");
+    let start = Instant::now();
+    let end = std::thread::scope(|s| {
+        let client = s.spawn(|| {
+            for _ in 0..ops {
+                // SAFETY: `l` has a non-zero size, and the block is freed
+                // once, with the layout it was allocated under.
+                unsafe {
+                    let p = NonNull::new(System.alloc(l)).expect("System");
+                    System.dealloc(std::hint::black_box(p).as_ptr(), l);
+                }
+            }
+            Instant::now()
+        });
+        client.join().expect("client thread")
+    });
+    end.duration_since(start).as_secs_f64()
+}
+
 /// How often a [`drive`] with nothing to do meanwhile looks for its
 /// clients to finish (the returned seconds do not depend on it).
 pub const JOIN_POLL: Duration = Duration::from_millis(1);
@@ -142,9 +172,65 @@ pub fn render_pmu(heading: &str, pmu: Option<&PmuReport>) -> String {
     pmu.map_or_else(String::new, |p| format!("\n{heading}\n\n{}", p.render()))
 }
 
+/// Rounds of a [`paired`] comparison.
+pub const PAIRS: usize = 10;
+
+/// A program timed against `System` by [`paired`]: the median and range
+/// of the per-round `program / System` ratios (below 1 is faster than
+/// `System`).
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median of the per-round ratios.
+    pub median: f64,
+    /// Smallest per-round ratio.
+    pub min: f64,
+    /// Largest per-round ratio.
+    pub max: f64,
+    /// Rounds the ratios come from.
+    pub pairs: usize,
+}
+
+impl fmt::Display for Paired {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:.2}× System ({} pairs, {:.2}–{:.2})",
+            self.median, self.pairs, self.min, self.max
+        )
+    }
+}
+
+/// Times `program` against `reference` (one pass of `System`): [`PAIRS`]
+/// rounds of one pass each, the side that goes first alternating from
+/// round to round (the reference first in round 0), and the median of
+/// the per-round `program / reference` ratios — the benchmark's
+/// `slowdown_vs_system` rule. Each closure runs one pass and returns its
+/// seconds; a pass that checks its own result panics on a wrong one.
+pub fn paired(mut reference: impl FnMut() -> f64, mut program: impl FnMut() -> f64) -> Paired {
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|round| {
+            if round % 2 == 0 {
+                let r = reference();
+                program() / r
+            } else {
+                let p = program();
+                p / reference()
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    Paired {
+        min: ratios[0],
+        max: ratios[PAIRS - 1],
+        median: median(ratios),
+        pairs: PAIRS,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn two_shards() -> Arc<Ngm> {
@@ -155,6 +241,25 @@ mod tests {
                 .build()
                 .expect("valid config"),
         )
+    }
+
+    #[test]
+    fn paired_alternates_sides_and_takes_the_median_of_ratios() {
+        // Round k's seconds on each side. The per-round ratios sort to
+        // 0.8, 1, 1, 1, 1, 1.5, 2, 2, 2, 2.5 (median 1.5); the ratio of
+        // the sides' medians would be 8 / 10 = 0.8.
+        let mut reference = [1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 10.0, 10.0, 10.0].into_iter();
+        let mut program = [1.5, 2.0, 2.0, 2.0, 2.5, 10.0, 10.0, 10.0, 10.0, 8.0].into_iter();
+        let order = RefCell::new(String::new());
+        let pass = |side, script: &mut std::array::IntoIter<f64, PAIRS>| {
+            order.borrow_mut().push(side);
+            script.next().expect("one pass a side per round")
+        };
+        let got = paired(|| pass('r', &mut reference), || pass('p', &mut program));
+        assert_eq!(order.into_inner(), "rppr".repeat(PAIRS / 2));
+        assert_eq!((got.median, got.min, got.max), (1.5, 0.8, 2.5));
+        assert_eq!(got.pairs, PAIRS);
+        assert_eq!(got.to_string(), "1.50× System (10 pairs, 0.80–2.50)");
     }
 
     #[test]

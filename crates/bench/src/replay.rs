@@ -1,23 +1,25 @@
-//! Replays workload event streams against the *real* heaps for
-//! wall-clock measurements (Table 3's prototype side and the heap
-//! microbenches).
+//! Replays workload event streams against the *real* allocators —
+//! `System`, a [`Heap`], an [`NgmHandle`] — for wall-clock
+//! measurements: Table 3's prototype ratios, `fig2`'s fault counts and
+//! the `xml_pipeline` example, each pass timed against a `System` pass
+//! by [`crate::live::paired`].
 //!
-//! Only single-threaded streams are replayed here — the multi-threaded
-//! real-heap paths are exercised by the integration tests and the
-//! `allocator_shootout` example, where thread plumbing does not distort
-//! timing.
+//! Only single-threaded streams are replayed here; the multi-threaded
+//! real-heap paths are exercised by the integration tests.
 
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::time::{Duration, Instant};
+
+use crate::live::{self, Paired};
 
 use ngm_core::NgmHandle;
 use ngm_heap::Heap;
 use ngm_workloads::Event;
 
 /// Outcome of a real replay.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayOutcome {
     /// Wall-clock time of the replay.
     pub elapsed: Duration,
@@ -25,8 +27,6 @@ pub struct ReplayOutcome {
     pub mallocs: u64,
     /// Frees performed.
     pub frees: u64,
-    /// Bytes touched.
-    pub bytes_touched: u64,
     /// Checksum of touched data (defeats dead-code elimination and
     /// doubles as a correctness witness: equal across allocators).
     pub checksum: u64,
@@ -86,13 +86,7 @@ fn replay<T>(
     events: impl Iterator<Item = Event>,
 ) -> ReplayOutcome {
     let mut live: HashMap<u64, (NonNull<u8>, Layout)> = HashMap::new();
-    let mut out = ReplayOutcome {
-        elapsed: Duration::ZERO,
-        mallocs: 0,
-        frees: 0,
-        bytes_touched: 0,
-        checksum: 0,
-    };
+    let mut out = ReplayOutcome::default();
     let start = Instant::now();
     let mut round = 0u64;
     for e in events {
@@ -121,7 +115,6 @@ fn replay<T>(
                 out.checksum = out
                     .checksum
                     .wrapping_add(unsafe { touch(p, offset, len, write, round) });
-                out.bytes_touched += u64::from(len);
             }
             Event::Compute { amount, .. } => compute(amount),
         }
@@ -133,6 +126,41 @@ fn replay<T>(
         live.len()
     );
     out
+}
+
+/// Replays a single-threaded stream through `System`: the reference every
+/// other replay is paired against.
+///
+/// # Panics
+///
+/// Panics on malformed streams or allocation failure.
+pub fn replay_system(events: impl Iterator<Item = Event>) -> ReplayOutcome {
+    // SAFETY: every layout has a non-zero size (`layout_for`).
+    let alloc = |_: &mut System, l| NonNull::new(unsafe { System.alloc(l) }).expect("System");
+    // SAFETY: `replay` frees each block once, with its own layout.
+    replay(
+        &mut System,
+        alloc,
+        |_, p, l| unsafe { System.dealloc(p.as_ptr(), l) },
+        events,
+    )
+}
+
+/// Times `program`, one replay of `events`, against `System`'s replay of
+/// them with [`live::paired`]. Every pass must compute what `System`
+/// computes, as the benchmark's checksum gate demands.
+///
+/// # Panics
+///
+/// Panics if a pass's checksum differs from `System`'s.
+pub fn paired_replay(events: &[Event], mut program: impl FnMut() -> ReplayOutcome) -> Paired {
+    let system = || replay_system(events.iter().copied());
+    let want = system().checksum;
+    let secs = |r: ReplayOutcome| {
+        assert_eq!(r.checksum, want, "replays must compute identically");
+        r.elapsed.as_secs_f64()
+    };
+    live::paired(|| secs(system()), || secs(program()))
 }
 
 /// Replays a single-threaded stream against a [`Heap`].
@@ -156,38 +184,4 @@ pub fn replay_ngm(handle: &mut NgmHandle, events: impl Iterator<Item = Event>) -
     let alloc = |h: &mut NgmHandle, l| h.alloc(l).expect("NGM allocation failed");
     // SAFETY: `replay` frees each block once, through the handle that made it.
     replay(handle, alloc, |h, p, l| unsafe { h.dealloc(p, l) }, events)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ngm_heap::{AggregatedHeap, SegregatedHeap};
-    use ngm_workloads::xalanc::{self, XalancParams};
-
-    #[test]
-    fn real_replay_checksums_agree_across_heaps() {
-        let events = xalanc::collect(&XalancParams::tiny());
-        let mut seg = SegregatedHeap::new(1);
-        let mut agg = AggregatedHeap::new(2);
-        let a = replay_heap(&mut seg, events.iter().copied());
-        let b = replay_heap(&mut agg, events.iter().copied());
-        assert_eq!(a.mallocs, b.mallocs);
-        assert_eq!(a.checksum, b.checksum, "data written must read back equal");
-    }
-
-    #[test]
-    fn ngm_replay_matches_heap_replay() {
-        let events = xalanc::collect(&XalancParams::tiny());
-        let mut seg = SegregatedHeap::new(1);
-        let direct = replay_heap(&mut seg, events.iter().copied());
-
-        let ngm = ngm_core::Ngm::start();
-        let mut h = ngm.handle();
-        let off = replay_ngm(&mut h, events.iter().copied());
-        drop(h);
-        let down = ngm.shutdown();
-        assert_eq!(off.checksum, direct.checksum);
-        assert_eq!(down.service.app_allocs(), off.mallocs);
-        assert_eq!(down.heap.live_blocks, 0, "all frees drained at shutdown");
-    }
 }

@@ -90,6 +90,13 @@ pub fn latency_table(rows: &[(&str, &HistogramSnapshot)]) -> String {
     t.render()
 }
 
+/// The middle value of `v` (the upper middle one of an even count).
+/// Panics if `v` is empty or holds a value that does not compare (a NaN).
+pub fn median<T: PartialOrd>(mut v: Vec<T>) -> T {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("comparable samples"));
+    v.swap_remove(v.len() / 2)
+}
+
 /// Formats a count in the paper's scientific notation (e.g. `1.177E+12`).
 pub fn sci(v: f64) -> String {
     if v == 0.0 {

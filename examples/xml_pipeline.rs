@@ -6,7 +6,10 @@
 //! cargo run --release --example xml_pipeline [-- scale]
 //! ```
 
-use ngm_bench::replay::{replay_heap, replay_ngm};
+use std::sync::Arc;
+
+use ngm_bench::live::{finish, PAIRS};
+use ngm_bench::replay::{paired_replay, replay_heap, replay_ngm};
 use ngm_core::Ngm;
 use ngm_heap::SegregatedHeap;
 use ngm_simalloc::{run_kind_warm, ModelKind};
@@ -31,25 +34,21 @@ fn main() {
         op_instr / (op_instr + summary.compute as f64) * 100.0
     );
 
-    // -- Real replay: single-owner heap vs offloaded NGM -----------------
+    // -- Real replay: single-owner heap and offloaded NGM, over System ---
     let mut heap = SegregatedHeap::new(1);
-    let direct = replay_heap(&mut heap, events.iter().copied());
-    println!(
-        "direct segregated heap : {:?} ({} mallocs)",
-        direct.elapsed, direct.mallocs
-    );
+    let direct = paired_replay(&events, || replay_heap(&mut heap, events.iter().copied()));
+    println!("direct segregated heap : {direct}");
 
-    let ngm = Ngm::start();
+    let ngm = Arc::new(Ngm::start());
     let mut handle = ngm.handle();
-    let offloaded = replay_ngm(&mut handle, events.iter().copied());
+    let offloaded = paired_replay(&events, || replay_ngm(&mut handle, events.iter().copied()));
     drop(handle);
-    let down = ngm.shutdown();
+    let down = finish(ngm);
     println!(
-        "offloaded (NGM)        : {:?} (service on core {:?})",
-        offloaded.elapsed, down.runtime.pinned_core
+        "offloaded (NGM)        : {offloaded} (service on core {:?})",
+        down.runtime.pinned_core
     );
-    assert_eq!(direct.checksum, offloaded.checksum, "identical computation");
-    assert_eq!(down.service.app_allocs(), offloaded.mallocs);
+    assert_eq!(down.service.app_allocs(), PAIRS as u64 * summary.mallocs);
     assert_eq!(down.heap.live_blocks, 0);
 
     // -- Simulated PMU view (the Table 1/3 machinery) ---------------------

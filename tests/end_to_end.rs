@@ -5,7 +5,7 @@
 use std::alloc::Layout;
 use std::ptr::NonNull;
 
-use ngm_bench::replay::{replay_heap, replay_ngm};
+use ngm_bench::replay::{replay_heap, replay_ngm, replay_system};
 use ngm_core::{Ngm, NgmConfig};
 use ngm_heap::sys::thread_minor_faults;
 use ngm_heap::{AggregatedHeap, Heap, SegregatedHeap, ShardedHeap};
@@ -40,6 +40,7 @@ fn all_real_allocators_compute_identically() {
     assert_eq!(a.checksum, b.checksum);
     assert_eq!(a.checksum, c.checksum);
     assert_eq!(a.checksum, d.checksum);
+    assert_eq!(a.checksum, replay_system(events.iter().copied()).checksum);
     assert_eq!(down.service.app_allocs(), a.mallocs);
     assert_eq!(a.mallocs, a.frees);
     assert_eq!(down.service.allocs, down.service.frees);
