@@ -1,22 +1,28 @@
 //! Ablations over the design choices DESIGN.md calls out.
 //!
-//! * **A — wait strategy**: the paper's prototype busy-spins both sides;
-//!   how much does the policy matter on a real machine?
+//! * **A — wait strategy** was retired: paired against the shipped
+//!   spin-then-yield ladder, pure spin and spin-then-sleep did not
+//!   separate (EXPERIMENTS.md keeps the numbers), so how a side waits is
+//!   no longer a setting.
 //! * **B — free batching** was retired: the drain-batch sweep read flat
 //!   from 1 to 256 (EXPERIMENTS.md keeps the numbers), so the drain
 //!   batch is no longer a setting.
 //! * **C — core type** (§3.2 "Type of Core to Offload to"): big
 //!   out-of-order vs. little in-order vs. near-memory service core.
 //! * **D — atomic latency** (§3.1.1/§4.1): sweep the RMW cost from
-//!   20 to 700 cycles and find where offloading stops paying.
+//!   20 to 700 cycles and find where offloading stops paying; its
+//!   measured half reads the live tier's call and post latencies.
 //! * **E — handshake batching** (§3.1.1's MMT lesson): amortize the
 //!   round trip over a batch of prefetched addresses and find the batch
 //!   size at which offloading beats Mimalloc.
+//! * **F — batched front-end, measured**: E's sweep on the live tier.
+//!
+//! Every live tier here is shut down through [`live::finish`], and its
+//! books must balance.
 
 use std::sync::Arc;
 
-use ngm_core::NgmConfig;
-use ngm_offload::WaitStrategy;
+use ngm_core::{Ngm, NgmConfig};
 use ngm_sim::{CoreConfig, Machine, MachineConfig};
 use ngm_simalloc::ngm::Protocol;
 use ngm_simalloc::{run, ModelKind, NgmModel};
@@ -25,56 +31,28 @@ use ngm_workloads::xalanc::{self, XalancParams};
 use ngm_telemetry::hist::HistogramSnapshot;
 
 use crate::experiments::table3;
-use crate::live::{self, Load, Paired};
+use crate::live::{self, Load};
 use crate::report::{latency_table, Table};
 use crate::Scale;
 
 /// One client thread ping-pongs `ops` 64-byte blocks (each freed before
-/// the next is requested) against `ngm`; returns the seconds it took.
-fn ping_pong(ngm: &ngm_core::Ngm, ops: u32) -> f64 {
+/// the next is requested) against `ngm`.
+fn ping_pong(ngm: &Ngm, ops: u32) {
     let load = Load {
         clients: 1,
         per_thread: ops as usize,
         live_cap: 0,
         size: |_, _| 64,
     };
-    live::drive(ngm, load, live::must_alloc, live::JOIN_POLL, || ())
+    live::drive(ngm, load, live::must_alloc, live::JOIN_POLL, || ());
 }
 
-/// Ablation A: client wait strategy vs. allocation round-trip time on
-/// the real runtime, under the paper's per-call handshake
-/// (`with_batch(1, 1)`) so every alloc waits once. Each strategy's tier
-/// is built once and its ping-pong paired against the same ping-pong
-/// through `System` ([`live::system_ping_pong`]); a tier whose books do
-/// not balance at shutdown panics.
-pub fn wait_strategies(ops: u32) -> Vec<(&'static str, Paired)> {
-    let strategies: [(&'static str, WaitStrategy); 3] = [
-        ("spin", WaitStrategy::Spin),
-        ("spin+yield", WaitStrategy::SpinYield { spins: 64 }),
-        ("backoff", WaitStrategy::Backoff),
-    ];
-    strategies
-        .into_iter()
-        .map(|(label, wait)| {
-            // The server must always yield on this box or a spinning
-            // client never runs; server policy is left at its default.
-            let ngm = Arc::new(
-                NgmConfig::new()
-                    .with_batch(1, 1)
-                    .with_client_wait(wait)
-                    .build()
-                    .expect("valid config"),
-            );
-            let vs_system = live::paired(
-                || live::system_ping_pong(ops as usize, 64),
-                || ping_pong(&ngm, ops),
-            );
-            let down = live::finish(ngm);
-            assert!(down.clean() && down.balanced(), "{label}: {down:?}");
-            assert_eq!(down.heap.live_blocks, 0, "{label}: {down:?}");
-            (label, vs_system)
-        })
-        .collect()
+/// Shuts `ngm` down through [`live::finish`] and panics unless its books
+/// balance with no block left live.
+fn check_books(label: &str, ngm: Arc<Ngm>) {
+    let down = live::finish(ngm);
+    assert!(down.clean() && down.balanced(), "{label}: {down:?}");
+    assert_eq!(down.heap.live_blocks, 0, "{label}: {down:?}");
 }
 
 /// Result of one core-type run.
@@ -178,13 +156,16 @@ pub struct MeasuredCommRow {
 /// histograms — the quantity §4.1 models with
 /// `ATOMICS_PER_CALL x ATOMIC_CYCLES`.
 pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
-    let ngm = NgmConfig::new()
-        .with_batch(1, 1)
-        .build()
-        .expect("valid config");
+    let ngm = Arc::new(
+        NgmConfig::new()
+            .with_batch(1, 1)
+            .build()
+            .expect("valid config"),
+    );
     ping_pong(&ngm, ops.max(1));
     let calls = ngm.telemetry().call_cycles.snapshot();
     let posts = ngm.telemetry().post_cycles.snapshot();
+    check_books("measured comm", ngm);
     vec![
         MeasuredCommRow {
             op: "malloc call (sync round trip)",
@@ -284,10 +265,12 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
     [1, 8, 32, ngm_core::MAX_BATCH]
         .into_iter()
         .map(|batch| {
-            let ngm = NgmConfig::new()
-                .with_batch(batch, batch)
-                .build()
-                .expect("valid config");
+            let ngm = Arc::new(
+                NgmConfig::new()
+                    .with_batch(batch, batch)
+                    .build()
+                    .expect("valid config"),
+            );
             ping_pong(&ngm, ops.max(1));
             // A refill of one block is a call (`ngm_call_cycles`); only
             // refills that amortise land in `ngm_refill_cycles`.
@@ -296,6 +279,7 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
             } else {
                 ngm.telemetry().refill_cycles.snapshot()
             };
+            check_books(&format!("batch {batch}"), ngm);
             MeasuredBatchRow {
                 batch,
                 roundtrip_mean: snap.mean(),
@@ -357,16 +341,6 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
 /// Renders all the ablations.
 pub fn render_all(scale: Scale, real_ops: u32) -> String {
     let mut out = String::new();
-
-    let mut t = Table::new(&["client wait strategy", "ping-pong time"]);
-    for (label, vs_system) in wait_strategies(real_ops) {
-        t.row(vec![label.into(), vs_system.to_string()]);
-    }
-    out.push_str(&format!(
-        "Ablation A: wait strategy (real runtime, with_batch(1, 1): one round trip per alloc; \
-         {real_ops} 64-byte ping-pongs a pass)\n{}\n",
-        t.render()
-    ));
 
     let mut t = Table::new(&["service core", "wall cycles", "service cycles"]);
     for r in core_types(scale) {
@@ -485,17 +459,6 @@ mod tests {
             best.batch,
             (best.speedup_vs_mimalloc - 1.0) * 100.0
         );
-    }
-
-    #[test]
-    fn real_wait_strategies_complete() {
-        // Tiny op count: this is a smoke test, not a measurement.
-        let rows = wait_strategies(200);
-        assert_eq!(rows.len(), 3);
-        for (label, vs_system) in &rows {
-            assert!(vs_system.min > 0.0, "{label}: {vs_system}");
-            assert_eq!(vs_system.pairs, live::PAIRS, "{label}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Every live wall-clock number the harness prints is [`paired`] against
 //! `System`: a single unpaired pass on a shared host does not reproduce.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::alloc::Layout;
 use std::fmt;
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -122,30 +122,6 @@ pub fn drive(
             .max()
     });
     end.map_or(0.0, |end| end.duration_since(start).as_secs_f64())
-}
-
-/// One client thread allocates and frees `ops` blocks of `size` bytes
-/// through `System`, each freed before the next is requested: the
-/// reference side of a ping-pong [`drive`] with `live_cap` 0, timed the
-/// same way, from the thread's spawn to its final free.
-pub fn system_ping_pong(ops: usize, size: usize) -> f64 {
-    let l = Layout::from_size_align(size, 8).expect("valid layout");
-    let start = Instant::now();
-    let end = std::thread::scope(|s| {
-        let client = s.spawn(|| {
-            for _ in 0..ops {
-                // SAFETY: `l` has a non-zero size, and the block is freed
-                // once, with the layout it was allocated under.
-                unsafe {
-                    let p = NonNull::new(System.alloc(l)).expect("System");
-                    System.dealloc(std::hint::black_box(p).as_ptr(), l);
-                }
-            }
-            Instant::now()
-        });
-        client.join().expect("client thread")
-    });
-    end.duration_since(start).as_secs_f64()
 }
 
 /// How often a [`drive`] with nothing to do meanwhile looks for its

@@ -128,7 +128,6 @@ impl Ngm {
     /// service threads, each running until [`Ngm::shutdown`].
     pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
         let runtime_cfg = RuntimeConfig {
-            client_wait: cfg.client_wait,
             trace_capacity: cfg.trace_capacity,
             profile: cfg.profile,
             deadline: cfg.deadline,

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use ngm_heap::AllocError;
-use ngm_offload::{ServiceError, WaitStrategy};
+use ngm_offload::ServiceError;
 
 use crate::service::MAX_BATCH;
 
@@ -192,9 +192,6 @@ pub struct NgmConfig {
     pub shards: usize,
     /// Core placement policy for the service threads.
     pub placement: CorePlacement,
-    /// Wait policy for client threads blocked on `alloc`; `None` picks
-    /// the machine-appropriate default when the runtime starts.
-    pub client_wait: Option<WaitStrategy>,
     /// Per-thread event-trace ring capacity; `0` (the default) disables
     /// tracing entirely, leaving only the always-on latency histograms.
     pub trace_capacity: usize,
@@ -240,7 +237,6 @@ impl NgmConfig {
         NgmConfig {
             shards: 1,
             placement: CorePlacement::Auto,
-            client_wait: None,
             trace_capacity: 0,
             batch_size: MAX_BATCH,
             flush_threshold: MAX_BATCH,
@@ -271,12 +267,6 @@ impl NgmConfig {
     /// Sets the core placement policy.
     pub const fn with_placement(mut self, placement: CorePlacement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Sets the client wait strategy.
-    pub const fn with_client_wait(mut self, wait: WaitStrategy) -> Self {
-        self.client_wait = Some(wait);
         self
     }
 

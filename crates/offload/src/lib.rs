@@ -14,8 +14,8 @@
 //!   not on the critical path").
 //! * [`pin`] — `sched_setaffinity`-based core pinning with graceful
 //!   fallback when the machine has too few cores.
-//! * [`wait::WaitStrategy`] — spin / spin-then-yield / park policies for
-//!   both sides of the channel.
+//! * [`wait`] — the one spin → yield → sleep ladder both sides of the
+//!   channel wait on, its rungs derived from the core count at start.
 //! * [`service`] — a generic [`service::Service`] trait plus
 //!   [`service::OffloadRuntime`], the dedicated service thread that owns all
 //!   the metadata (§3.3.2 notes the same machinery fits other management
@@ -48,4 +48,4 @@ pub use service::{
 pub use slot::RequestSlot;
 pub use stats::{RuntimeStats, StatsSnapshot};
 pub use telemetry::{RuntimeTelemetry, PHASES, PHASE_NAMES};
-pub use wait::{WaitPhase, WaitState, WaitStrategy};
+pub use wait::WaitPhase;

@@ -20,12 +20,12 @@ use ngm_telemetry::trace::{TraceEventKind, TraceRing};
 use crate::error::ServiceError;
 #[cfg(feature = "faultinject")]
 use crate::fault::{FaultAction, FaultState};
-use crate::pin::pin_current_thread_verified;
+use crate::pin::{available_cores, pin_current_thread_verified};
 use crate::ring::{spsc, Consumer, Producer, PushError, Record, CELL_BYTES, DEFAULT_RING_CELLS};
 use crate::slot::RequestSlot;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::telemetry::RuntimeTelemetry;
-use crate::wait::{WaitState, WaitStrategy};
+use crate::wait::{Ladder, WaitState};
 
 /// A function offloaded to the dedicated core.
 ///
@@ -124,7 +124,7 @@ impl<S: Service> Drop for CloseInjector<'_, S> {
 pub struct ClientHandle<S: Service> {
     slot: Arc<RequestSlot<S::Req, S::Resp>>,
     posts: Producer<S::Post>,
-    wait: WaitStrategy,
+    ladder: Ladder,
     deadline: Option<Duration>,
     shard: usize,
     /// Set when a deadline-bounded call was abandoned mid-serve, or a
@@ -281,7 +281,7 @@ impl<S: Service> ClientHandle<S> {
         }
         let mut waited = Duration::ZERO;
         for grace in [false, true] {
-            let mut state = WaitState::with_budget(self.wait, budget);
+            let mut state = WaitState::with_budget(self.ladder, budget);
             if state.wait_until(|| self.slot.has_response()) {
                 let got = self
                     .slot
@@ -309,8 +309,8 @@ impl<S: Service> ClientHandle<S> {
         })
     }
 
-    /// Sends a synchronous request and blocks (by the handle's wait
-    /// strategy) until the service core responds, however long it takes.
+    /// Sends a synchronous request and blocks (on the runtime's wait
+    /// ladder) until the service core responds, however long it takes.
     /// The response is taken out of the slot by value, which suits the
     /// word-sized ones; collect a large one in place with
     /// [`ClientHandle::try_call`].
@@ -329,7 +329,7 @@ impl<S: Service> ClientHandle<S> {
 
     /// One synchronous round trip under the runtime's configured
     /// deadline, hang-proof against a dead or wedged shard. `req` is
-    /// published and awaited by the handle's wait strategy, and its
+    /// published and awaited on the runtime's wait ladder, and its
     /// response is read where it lies by `collect` (`std::mem::take`
     /// returns it by value), whose result is handed on.
     ///
@@ -381,7 +381,7 @@ impl<S: Service> ClientHandle<S> {
     /// means the ring had room immediately) — the saturation signal the
     /// sharded front-end's rebalance path keys off — and the enqueue latency
     /// (retries included) lands in the post-latency histogram. A full
-    /// ring is waited on by the handle's wait strategy and refuses after
+    /// ring is waited on along the runtime's wait ladder and refuses after
     /// the runtime's deadline budget ([`ServiceError::Deadline`]).
     /// If the service thread is gone the message counts as dropped
     /// ([`RuntimeStats::posts_dropped`]) and the runtime's `service_down`
@@ -389,7 +389,7 @@ impl<S: Service> ClientHandle<S> {
     pub fn try_post(&mut self, msg: &S::Post) -> Result<u32, ServiceError> {
         self.pmu.arm();
         let t0 = cycles_now();
-        let mut state = WaitState::with_budget(self.wait, self.deadline);
+        let mut state = WaitState::with_budget(self.ladder, self.deadline);
         let mut retries = 0u32;
         loop {
             match self.posts.push_ref(msg) {
@@ -469,9 +469,6 @@ pub struct RuntimeConfig {
     /// failures are recorded in the runtime stats, not fatal (this box
     /// may expose a single vCPU).
     pub core: Option<usize>,
-    /// Wait strategy for clients blocked on synchronous calls; `None`
-    /// picks the machine-appropriate default at start time.
-    pub client_wait: Option<WaitStrategy>,
     /// Per-thread event-trace ring capacity (0 disables tracing). Rings
     /// drop their oldest event on overflow and count the drops.
     pub trace_capacity: usize,
@@ -494,13 +491,10 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The `const` default configuration (the client wait strategy
-    /// resolves to the machine-appropriate default when the runtime
-    /// starts).
+    /// The `const` default configuration.
     pub const fn new() -> Self {
         RuntimeConfig {
             core: None,
-            client_wait: None,
             trace_capacity: 0,
             profile: false,
             shard: 0,
@@ -576,7 +570,8 @@ impl ShardHealth {
 pub struct OffloadRuntime<S: Service> {
     shared: Arc<Shared<S>>,
     thread: Option<JoinHandle<S>>,
-    builder_wait: WaitStrategy,
+    /// The wait ladder of the service loop and of every client.
+    ladder: Ladder,
     deadline: Option<Duration>,
     shard: usize,
 }
@@ -619,20 +614,18 @@ impl<S: Service> OffloadRuntime<S> {
             has_new: AtomicBool::new(false),
         });
         let thread_shared = Arc::clone(&shared);
-        // Resolved here, on the starting thread: the default reads the
-        // process's affinity mask, which a caller may narrow right after
-        // the tier is up.
-        let server_wait = WaitStrategy::default();
+        // Resolved once, here on the starting thread: the core count is
+        // read from the process's affinity mask, which a caller may
+        // narrow right after the tier is up.
+        let ladder = Ladder::for_cores(available_cores());
         let thread = std::thread::Builder::new()
             .name(format!("ngm-service-{}", cfg.shard))
-            .spawn(move || {
-                service_loop(service, thread_shared, service_trace, cfg.core, server_wait)
-            })
+            .spawn(move || service_loop(service, thread_shared, service_trace, cfg.core, ladder))
             .map_err(|_| ServiceError::SpawnFailed)?;
         Ok(OffloadRuntime {
             shared,
             thread: Some(thread),
-            builder_wait: cfg.client_wait.unwrap_or_default(),
+            ladder,
             deadline: cfg.deadline,
             shard: cfg.shard,
         })
@@ -684,7 +677,7 @@ impl<S: Service> OffloadRuntime<S> {
         ClientHandle {
             slot,
             posts: tx,
-            wait: self.builder_wait,
+            ladder: self.ladder,
             deadline: self.deadline,
             shard: self.shard,
             poisoned: false,
@@ -823,7 +816,7 @@ fn service_loop<S: Service>(
     shared: Arc<Shared<S>>,
     trace: Option<Arc<TraceRing>>,
     core: Option<usize>,
-    wait: WaitStrategy,
+    ladder: Ladder,
 ) -> S {
     if let Some(c) = core {
         // Verified pin: installs the affinity mask and waits (bounded)
@@ -847,7 +840,7 @@ fn service_loop<S: Service>(
     let mut clients: Vec<ClientChannel<S>> = Vec::new();
     // The idle pacing and phase telemetry both ride the shared WaitState
     // machine — the loop no longer tracks raw iteration counters itself.
-    let mut idle = WaitState::new(wait);
+    let mut idle = WaitState::new(ladder);
     let mut phase = idle.phase();
     loop {
         shared
@@ -1051,6 +1044,17 @@ mod tests {
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.calls_served, 1);
         assert_eq!(stats.clients_registered, 1);
+    }
+
+    #[test]
+    fn the_runtime_resolves_the_ladder_for_this_host_and_its_clients_share_it() {
+        let rt = OffloadRuntime::start(doubler());
+        assert_eq!(rt.ladder, Ladder::for_cores(available_cores()));
+        let mut c = rt.register_client();
+        assert_eq!(c.ladder, rt.ladder);
+        assert_eq!(c.call(21), 42);
+        drop(c);
+        rt.shutdown();
     }
 
     #[test]

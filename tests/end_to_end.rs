@@ -6,10 +6,9 @@ use std::alloc::Layout;
 use std::ptr::NonNull;
 
 use ngm_bench::replay::{replay_heap, replay_ngm, replay_system};
-use ngm_core::{Ngm, NgmConfig};
+use ngm_core::Ngm;
 use ngm_heap::sys::thread_minor_faults;
 use ngm_heap::{AggregatedHeap, Heap, SegregatedHeap, ShardedHeap};
-use ngm_offload::WaitStrategy;
 use ngm_workloads::xalanc::{self, XalancParams};
 use ngm_workloads::{churn, xmalloc, Event};
 
@@ -87,10 +86,7 @@ fn the_xalanc_trace_is_all_class_blocks() {
 
 #[test]
 fn ngm_accounts_for_every_operation_across_threads() {
-    let ngm = NgmConfig::new()
-        .with_client_wait(WaitStrategy::Backoff)
-        .build()
-        .expect("valid config");
+    let ngm = Ngm::start();
     let threads = 4;
     let per_thread = 3_000u64;
     let joins: Vec<_> = (0..threads)
