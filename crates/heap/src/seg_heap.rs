@@ -258,19 +258,19 @@ impl<L: FreeLinks> PagedHeap<L> {
     /// Takes a page from any segment (or a new segment) and assigns it to
     /// `class`. The slow path: kept out of line so the bin-head pop that
     /// calls it stays small wherever the heap is instantiated.
+    ///
+    /// Before it maps a segment it takes back the empty pages other
+    /// classes still hold, so the heap grows only when its live pages
+    /// fill every segment, not when housekeeping has not run lately.
     #[cold]
     fn assign_fresh_page(&mut self, class: usize) -> Result<(SegmentRef, usize), AllocError> {
-        // Try existing segments first.
-        let mut cur = self.segments;
-        while !cur.is_null() {
-            let seg = SegmentRef::from_raw(cur);
-            // SAFETY: segments in our list are alive and exclusively ours.
-            if let Some(page) = unsafe { seg.alloc_page() } {
-                self.init_page(seg, page, class);
-                return Ok((seg, page));
-            }
-            // SAFETY: as above.
-            cur = unsafe { seg.header().next_segment };
+        let found = self.take_page().or_else(|| {
+            self.reclaim_empty_pages();
+            self.take_page()
+        });
+        if let Some((seg, page)) = found {
+            self.init_page(seg, page, class);
+            return Ok((seg, page));
         }
         // Map a new segment.
         let seg = SegmentRef::create(self.owner_id)?;
@@ -287,6 +287,21 @@ impl<L: FreeLinks> PagedHeap<L> {
         let page = unsafe { seg.alloc_page() }.expect("fresh segment must have pages");
         self.init_page(seg, page, class);
         Ok((seg, page))
+    }
+
+    /// Pops a free page from the first segment in the list that has one.
+    fn take_page(&self) -> Option<(SegmentRef, usize)> {
+        let mut cur = self.segments;
+        while !cur.is_null() {
+            let seg = SegmentRef::from_raw(cur);
+            // SAFETY: segments in our list are alive and exclusively ours.
+            if let Some(page) = unsafe { seg.alloc_page() } {
+                return Some((seg, page));
+            }
+            // SAFETY: as above.
+            cur = unsafe { seg.header().next_segment };
+        }
+        None
     }
 
     fn init_page(&mut self, seg: SegmentRef, page: usize, class: usize) {
@@ -411,20 +426,13 @@ impl<L: FreeLinks> PagedHeap<L> {
         Ok(true)
     }
 
-    /// Housekeeping: returns fully-free pages to their segments, rebuilds
-    /// the bins, and unmaps segments with no pages in use.
-    ///
-    /// Intended to run from the service core's idle hook — deferred work is
-    /// free there, which is one of the paper's arguments for the dedicated
-    /// room.
-    pub fn release_empty(&mut self) {
+    /// Returns every assigned page with no live block to its segment and
+    /// rebuilds the bins from the pages that still have free space.
+    fn reclaim_empty_pages(&mut self) {
         self.bins = [std::ptr::null_mut(); NUM_CLASSES];
         let mut cur = self.segments;
-        let mut keep: *mut SegmentHeader = std::ptr::null_mut();
         while !cur.is_null() {
             let seg = SegmentRef::from_raw(cur);
-            // SAFETY: our live segment.
-            let next = unsafe { seg.header().next_segment };
             for page in FIRST_PAGE..PAGES_PER_SEGMENT {
                 // SAFETY: exclusive access.
                 let d = unsafe { seg.desc(page) };
@@ -441,6 +449,27 @@ impl<L: FreeLinks> PagedHeap<L> {
                     self.push_bin(d);
                 }
             }
+            // SAFETY: our live segment.
+            cur = unsafe { seg.header().next_segment };
+        }
+    }
+
+    /// Housekeeping: returns fully-free pages to their segments, rebuilds
+    /// the bins, and unmaps segments with no pages in use. The segments
+    /// kept stay in their order, so where the next fresh page comes from
+    /// does not depend on how many times this ran.
+    ///
+    /// Intended to run from the service core's idle hook — deferred work is
+    /// free there, which is one of the paper's arguments for the dedicated
+    /// room.
+    pub fn release_empty(&mut self) {
+        self.reclaim_empty_pages();
+        let mut cur = std::mem::replace(&mut self.segments, std::ptr::null_mut());
+        let mut tail: *mut SegmentHeader = std::ptr::null_mut();
+        while !cur.is_null() {
+            let seg = SegmentRef::from_raw(cur);
+            // SAFETY: our live segment.
+            let next = unsafe { seg.header().next_segment };
             // SAFETY: exclusive access.
             if unsafe { seg.header().pages_in_use } == 0 {
                 self.stats.segments -= 1;
@@ -448,13 +477,20 @@ impl<L: FreeLinks> PagedHeap<L> {
                 // were rebuilt above and skip this segment's pages).
                 unsafe { seg.destroy() };
             } else {
-                // SAFETY: exclusive access.
-                unsafe { seg.header().next_segment = keep };
-                keep = cur;
+                // SAFETY: exclusive access to this segment and to `tail`,
+                // the last one kept.
+                unsafe {
+                    seg.header().next_segment = std::ptr::null_mut();
+                    if tail.is_null() {
+                        self.segments = cur;
+                    } else {
+                        SegmentRef::from_raw(tail).header().next_segment = cur;
+                    }
+                }
+                tail = cur;
             }
             cur = next;
         }
-        self.segments = keep;
     }
 
     /// True when no small or large allocation is live.
@@ -541,7 +577,7 @@ impl<L: FreeLinks> Drop for PagedHeap<L> {
 mod tests {
     use super::*;
     use crate::classes::{size_to_class, SMALL_MAX};
-    use crate::segment::SEGMENT_SIZE;
+    use crate::segment::{PAGE_SIZE, SEGMENT_SIZE};
 
     fn heap() -> SegregatedHeap {
         SegregatedHeap::new(1)
@@ -688,6 +724,78 @@ mod tests {
         let p = h.allocate(layout(64)).unwrap();
         // SAFETY: live block.
         unsafe { h.deallocate(p, layout(64)) };
+    }
+
+    /// Blocks of `size` that fill every page of one segment.
+    fn one_segment_of(size: usize) -> usize {
+        (PAGES_PER_SEGMENT - FIRST_PAGE) * (PAGE_SIZE / size)
+    }
+
+    #[test]
+    fn a_full_segment_takes_back_empty_pages_before_the_heap_grows() {
+        let mut h = heap();
+        let big: Vec<_> = (0..one_segment_of(8192))
+            .map(|_| h.allocate(layout(8192)).unwrap())
+            .collect();
+        for p in big {
+            // SAFETY: live blocks.
+            unsafe { h.deallocate(p, layout(8192)) };
+        }
+        // Every page is empty but still assigned to the 8 KiB class.
+        assert_eq!(
+            h.stats().pages_in_use,
+            (PAGES_PER_SEGMENT - FIRST_PAGE) as u64
+        );
+        let small: Vec<_> = (0..one_segment_of(4096))
+            .map(|_| h.allocate(layout(4096)).unwrap())
+            .collect();
+        assert_eq!(
+            h.stats().segments,
+            1,
+            "no segment mapped while pages sat empty"
+        );
+        for p in small {
+            // SAFETY: live blocks.
+            unsafe { h.deallocate(p, layout(4096)) };
+        }
+    }
+
+    #[test]
+    fn release_empty_keeps_the_segments_it_keeps_in_order() {
+        let mut h = heap();
+        let per = one_segment_of(8192);
+        let mut blocks: Vec<_> = (0..3 * per)
+            .map(|_| h.allocate(layout(8192)).unwrap())
+            .collect();
+        let order = |h: &SegregatedHeap| {
+            let mut list = Vec::new();
+            let mut cur = h.segments;
+            while !cur.is_null() {
+                list.push(cur as usize);
+                // SAFETY: our live segment.
+                cur = unsafe { SegmentRef::from_raw(cur).header().next_segment };
+            }
+            list
+        };
+        let before = order(&h);
+        assert_eq!(before.len(), 3);
+        // Empty the middle segment of the list.
+        blocks.retain(|p| {
+            let in_middle = p.as_ptr() as usize & !(SEGMENT_SIZE - 1) == before[1];
+            if in_middle {
+                // SAFETY: live block, freed once and dropped from the list.
+                unsafe { h.deallocate(*p, layout(8192)) };
+            }
+            !in_middle
+        });
+        for _ in 0..2 {
+            h.release_empty();
+            assert_eq!(order(&h), [before[0], before[2]]);
+        }
+        for p in blocks {
+            // SAFETY: remaining live blocks.
+            unsafe { h.deallocate(p, layout(8192)) };
+        }
     }
 
     #[test]
