@@ -235,9 +235,6 @@ pub struct ServiceStats {
     pub magazine_returned: u64,
     /// Housekeeping sweeps executed while idle.
     pub housekeeping_runs: u64,
-    /// Pages prepared ahead of demand during idle time (§3.3.2's
-    /// predictive preallocation).
-    pub pages_preallocated: u64,
     /// Null addresses refused in free batches; each is skipped, not
     /// applied.
     pub protocol_errors: u64,
@@ -267,7 +264,6 @@ impl ServiceStats {
         self.batch_refills += other.batch_refills;
         self.magazine_returned += other.magazine_returned;
         self.housekeeping_runs += other.housekeeping_runs;
-        self.pages_preallocated += other.pages_preallocated;
         self.protocol_errors += other.protocol_errors;
         self.fallback_allocs += other.fallback_allocs;
     }
@@ -281,9 +277,6 @@ pub struct MallocService {
     orphans: Arc<DeadBlockStack>,
     stats: ServiceStats,
     idle_ticks: u32,
-    /// Allocations per size class since the last idle sweep — the demand
-    /// signal for predictive preallocation.
-    demand: [u32; NUM_CLASSES],
     /// Cross-thread readable mirror of the heap stats, refreshed on idle
     /// rounds (the heap itself is atomics-free and service-owned).
     watch: Arc<SharedHeapStats>,
@@ -292,10 +285,6 @@ pub struct MallocService {
 impl MallocService {
     /// How many consecutive idle rounds trigger a housekeeping sweep.
     const HOUSEKEEPING_IDLE: u32 = 10_000;
-
-    /// How many consecutive idle rounds trigger predictive preallocation
-    /// (early: a short lull is enough to top up hot classes).
-    const PREPARE_IDLE: u32 = 64;
 
     /// Creates the service around a fresh segregated heap (shard 0).
     pub fn new(orphans: Arc<DeadBlockStack>) -> Self {
@@ -314,7 +303,6 @@ impl MallocService {
             orphans,
             stats: ServiceStats::default(),
             idle_ticks: 0,
-            demand: [0; NUM_CLASSES],
             watch: Arc::new(SharedHeapStats::new()),
         }
     }
@@ -347,11 +335,9 @@ impl MallocService {
         out.clear();
         let count = (req.count as usize).min(MAX_BATCH);
         if (req.class.0 as usize) >= NUM_CLASSES || count == 0 {
-            self.stats.failures += count.max(1) as u64;
+            self.stats.failures += 1;
             return;
         }
-        self.demand[req.class.0 as usize] =
-            self.demand[req.class.0 as usize].saturating_add(count as u32);
         self.stats.batch_refills += 1;
         match self
             .heap
@@ -468,22 +454,6 @@ impl Service for MallocService {
         self.drain_orphans();
         self.watch.publish(&self.heap.stats());
         self.idle_ticks = self.idle_ticks.saturating_add(1);
-        if self.idle_ticks == Self::PREPARE_IDLE {
-            // Predictive preallocation (§3.3.2): spend idle cycles making
-            // sure recently-hot classes have a ready page, so no client
-            // ever waits for the page-assignment slow path.
-            for class in 0..NUM_CLASSES {
-                if self.demand[class] > 0 {
-                    if let Ok(true) = self
-                        .heap
-                        .prepare_class(ngm_heap::classes::SizeClass(class as u16))
-                    {
-                        self.stats.pages_preallocated += 1;
-                    }
-                }
-                self.demand[class] /= 2; // exponential decay of the signal
-            }
-        }
         if self.idle_ticks == Self::HOUSEKEEPING_IDLE {
             // Deferred housekeeping is effectively free in the dedicated
             // room: no application thread is stalled by it.
@@ -719,7 +689,7 @@ mod tests {
         let b = refill(&mut s, SizeClass(NUM_CLASSES as u16), 8);
         assert!(b.is_empty());
         assert_eq!(s.service_stats().allocs, 0);
-        assert!(s.service_stats().failures > 0);
+        assert_eq!(s.service_stats().failures, 1, "one failed request");
     }
 
     #[test]
@@ -780,9 +750,8 @@ mod tests {
             batch_refills: 5,
             magazine_returned: 6,
             housekeeping_runs: 7,
-            pages_preallocated: 8,
-            protocol_errors: 9,
-            fallback_allocs: 10,
+            protocol_errors: 8,
+            fallback_allocs: 9,
         };
         let mut m = a;
         m.absorb(&a);
@@ -793,9 +762,8 @@ mod tests {
         assert_eq!(m.batch_refills, 10);
         assert_eq!(m.magazine_returned, 12);
         assert_eq!(m.housekeeping_runs, 14);
-        assert_eq!(m.pages_preallocated, 16);
-        assert_eq!(m.protocol_errors, 18);
-        assert_eq!(m.fallback_allocs, 20);
+        assert_eq!(m.protocol_errors, 16);
+        assert_eq!(m.fallback_allocs, 18);
     }
 
     #[test]
@@ -811,19 +779,25 @@ mod tests {
     }
 
     #[test]
-    fn idle_preallocates_for_hot_classes() {
+    fn an_idle_room_maps_nothing() {
         let mut s = svc();
-        // Create demand in one class, then drain its pages empty so the
-        // bin has no ready page.
-        let addr = alloc_one(&mut s, 64);
-        free_one(&mut s, addr);
-        s.heap.release_empty();
-        assert_eq!(s.heap_stats().pages_in_use, 0);
-        for _ in 0..MallocService::PREPARE_IDLE {
-            s.idle();
+        let class = ngm_heap::classes::size_to_class(64).expect("small class");
+        let batches: Vec<_> = (0..1_000).map(|_| refill(&mut s, class, 128)).collect();
+        for b in batches {
+            s.post(FreePost::Batch(b));
         }
-        assert_eq!(s.service_stats().pages_preallocated, 1);
-        assert_eq!(s.heap_stats().pages_in_use, 1, "hot class has a ready page");
+        assert_eq!(s.heap_stats().live_blocks, 0);
+        // A page is assigned only when a refill needs one: once the first
+        // sweep has given the empty segments back, no idle round maps or
+        // assigns anything, however long the lull.
+        for round in 1..=MallocService::HOUSEKEEPING_IDLE * 40 {
+            s.idle();
+            if round >= MallocService::HOUSEKEEPING_IDLE {
+                let h = s.heap_stats();
+                assert_eq!((h.segments, h.pages_in_use), (0, 0), "idle round {round}");
+            }
+        }
+        assert_eq!(s.service_stats().housekeeping_runs, 40);
     }
 
     #[test]

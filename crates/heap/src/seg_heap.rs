@@ -402,30 +402,6 @@ impl<L: FreeLinks> PagedHeap<L> {
         }
     }
 
-    /// Ensures class `class` has a page with free space, assigning a
-    /// fresh one if its bin is empty. Returns `true` if a page was
-    /// prepared (the §3.3.2 "predictively preallocate" hook — run it
-    /// from the service's idle time and the next allocation's slow path
-    /// has already been paid for off the critical path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures when a new segment is needed.
-    pub fn prepare_class(&mut self, class: SizeClass) -> Result<bool, AllocError> {
-        let c = class.0 as usize;
-        let mut head = self.bins[c];
-        while !head.is_null() {
-            // SAFETY: bin pages belong to our live segments.
-            let d = unsafe { &mut *head };
-            if d.has_space() {
-                return Ok(false);
-            }
-            head = d.next_in_bin;
-        }
-        self.assign_fresh_page(c)?;
-        Ok(true)
-    }
-
     /// Returns every assigned page with no live block to its segment and
     /// rebuilds the bins from the pages that still have free space.
     fn reclaim_empty_pages(&mut self) {
@@ -935,35 +911,6 @@ mod tests {
     fn batch_alloc_matches_single_alloc_accounting() {
         batch_free_matches_single_free_accounting_on::<IndexArray>();
         batch_free_matches_single_free_accounting_on::<InBlock>();
-    }
-
-    fn prepare_class_readies_one_page_on<L: FreeLinks>() {
-        let mut h = PagedHeap::<L>::new(1);
-        let class = crate::classes::size_to_class(8192).unwrap();
-        assert_eq!(h.prepare_class(class), Ok(true), "empty bin: page assigned");
-        assert_eq!(h.stats().pages_in_use, 1);
-        assert_eq!(
-            h.prepare_class(class),
-            Ok(false),
-            "ready page: nothing to do"
-        );
-        // The prepared page serves the next allocations (8 blocks of 8 KiB)
-        // without another page; once it is full the class needs one again.
-        let l = layout(8192);
-        let blocks: Vec<_> = (0..8).map(|_| h.allocate(l).unwrap()).collect();
-        assert_eq!(h.stats().pages_in_use, 1);
-        assert_eq!(h.prepare_class(class), Ok(true), "only page is full");
-        assert_eq!(h.stats().pages_in_use, 2);
-        assert_eq!(h.stats().live_blocks, 8, "preparing allocates nothing");
-        // SAFETY: live blocks, freed once.
-        unsafe { h.deallocate_batch(blocks) };
-        assert!(h.is_quiescent());
-    }
-
-    #[test]
-    fn prepare_class_readies_one_page() {
-        prepare_class_readies_one_page_on::<IndexArray>();
-        prepare_class_readies_one_page_on::<InBlock>();
     }
 
     // ---- the one difference between the layouts, asserted ----

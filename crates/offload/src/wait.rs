@@ -28,16 +28,6 @@ pub enum WaitPhase {
 }
 
 impl WaitPhase {
-    /// Stable lowercase label used by exporters.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            WaitPhase::Spin => "spin",
-            WaitPhase::Yield => "yield",
-            WaitPhase::Sleep => "sleep",
-        }
-    }
-
     /// Inverse of `as u32` casts used when a phase travels through an
     /// atomic; unknown values collapse to `Spin`.
     #[must_use]

@@ -256,13 +256,6 @@ impl Machine {
         self.cores[core].counters
     }
 
-    /// Sum of all per-core counters.
-    pub fn total_counters(&self) -> PmuCounters {
-        self.cores
-            .iter()
-            .fold(PmuCounters::default(), |acc, c| acc.merge(&c.counters))
-    }
-
     /// The maximum per-core cycle count — the machine's wall-clock when
     /// cores run concurrently.
     pub fn wall_cycles(&self) -> u64 {
@@ -280,16 +273,6 @@ impl Machine {
             c.counters = PmuCounters::default();
             c.cycle_frac = 0.0;
         }
-    }
-
-    /// L1d statistics for diagnostics.
-    pub fn l1d_stats(&self, core: usize) -> crate::cache::CacheStats {
-        self.cores[core].l1d.stats()
-    }
-
-    /// Shared-LLC statistics for diagnostics.
-    pub fn llc_stats(&self) -> crate::cache::CacheStats {
-        self.llc.stats()
     }
 }
 
