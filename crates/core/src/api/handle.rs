@@ -84,11 +84,8 @@ pub(super) struct End {
     /// post to it — kept as the [`FreePost::Batch`] it will be posted as,
     /// so a flush sends it from here without moving it.
     pub(super) free_buf: FreePost,
-    /// Blocks currently stashed in magazines this shard refilled (local
-    /// mirror; the shared gauge is updated at refill/drop boundaries).
-    stash: i64,
-    /// What this handle last published into the shard's magazine gauge.
-    published: i64,
+    /// Blocks currently stashed in magazines this shard refilled.
+    stash: Stash,
     /// Accumulated full-ring retries — the saturation signal that
     /// triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
     pub(super) pressure: u32,
@@ -97,13 +94,32 @@ pub(super) struct End {
     pub(super) failed: bool,
 }
 
+/// The blocks a handle holds in magazines one shard refilled, and what
+/// of that count the shard's magazine gauge last heard.
+#[derive(Default)]
+struct Stash {
+    held: i64,
+    published: i64,
+}
+
+impl Stash {
+    /// Folds what changed since the last publication into `gauge`'s
+    /// magazine occupancy.
+    fn publish(&mut self, gauge: &RuntimeStats) {
+        let delta = self.held - self.published;
+        if delta != 0 {
+            self.published = self.held;
+            gauge.add_magazine_occupancy(delta);
+        }
+    }
+}
+
 impl End {
     fn new(client: ClientHandle<MallocService>) -> Self {
         End {
             client,
             free_buf: FreePost::default(),
-            stash: 0,
-            published: 0,
+            stash: Stash::default(),
             pressure: 0,
             failed: false,
         }
@@ -216,7 +232,7 @@ impl NgmHandle {
             .pop()
             .expect("magazine nonempty after refill");
         let source = self.mag_shard[ci] as usize;
-        self.ends[source].stash -= 1;
+        self.ends[source].stash.held -= 1;
         self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
         NonNull::new(addr as *mut u8).ok_or(AllocError::OutOfMemory)
     }
@@ -279,19 +295,24 @@ impl NgmHandle {
         let ci = what.class.0 as usize;
         let magazine = &mut self.magazines[ci];
         debug_assert!(magazine.is_empty(), "only a dry magazine asks for a refill");
-        let got = self.ends[shard]
-            .client
-            .try_call(what, kind, |batch: &mut AddrBatch| {
-                magazine.copy_from(batch);
-                batch.len()
-            })?;
+        let gauge = &self.tier.slots[shard].handles.stats;
+        let end = &mut self.ends[shard];
+        let stash = &mut end.stash;
+        let got = end.client.try_call(what, kind, |batch: &mut AddrBatch| {
+            magazine.copy_from(batch);
+            if !batch.is_empty() {
+                // Publish occupancy only here (and at drop) — pops since
+                // the last refill fold into this one delta, keeping the
+                // alloc fast path free of shared-memory traffic — and
+                // while the slot is still held, so this locked add does
+                // not wait behind the store that releases it.
+                stash.held += batch.len() as i64;
+                stash.publish(gauge);
+            }
+            batch.len()
+        })?;
         if got > 0 {
             self.mag_shard[ci] = shard as u16;
-            self.ends[shard].stash += got as i64;
-            // Publish occupancy only here (and at drop) — pops since the
-            // last refill fold into this one delta, keeping the alloc
-            // fast path free of shared-memory traffic.
-            self.publish_occupancy(shard);
             let class = u64::from(what.class.0);
             self.trace(shard, TraceEventKind::Refill, class, got as u64);
         }
@@ -387,15 +408,6 @@ impl NgmHandle {
         }
     }
 
-    fn publish_occupancy(&mut self, shard: usize) {
-        let end = &mut self.ends[shard];
-        let delta = end.stash - end.published;
-        if delta != 0 {
-            end.published = end.stash;
-            self.stats(shard).add_magazine_occupancy(delta);
-        }
-    }
-
     /// Diverts undeliverable frees to `shard`'s orphan stack; `unused`
     /// keeps a [`FreePost::MagazineReturn`]'s tag so
     /// [`crate::ServiceStats::app_allocs`] stays exact.
@@ -426,7 +438,7 @@ impl NgmHandle {
 
     /// Blocks currently stashed across all magazines.
     pub fn magazine_occupancy(&self) -> usize {
-        self.ends.iter().map(|e| e.stash).sum::<i64>() as usize
+        self.ends.iter().map(|e| e.stash.held).sum::<i64>() as usize
     }
 
     /// The addresses currently stashed in `class`'s magazine (test/
@@ -457,12 +469,12 @@ impl NgmHandle {
             if !self.magazines[ci].is_empty() {
                 let source = self.mag_shard[ci] as usize;
                 let unused = FreePost::MagazineReturn(std::mem::take(&mut self.magazines[ci]));
-                self.ends[source].stash -= unused.addrs().len() as i64;
+                self.ends[source].stash.held -= unused.addrs().len() as i64;
                 self.post_routed(source, Some(&unused));
             }
         }
-        for shard in 0..self.nshards() {
-            self.publish_occupancy(shard);
+        for (end, slot) in self.ends.iter_mut().zip(self.tier.slots.iter()) {
+            end.stash.publish(&slot.handles.stats);
         }
     }
 }

@@ -488,6 +488,43 @@ fn frees_below_the_flush_threshold_stay_buffered_until_flushed() {
 }
 
 #[test]
+fn each_refill_publishes_the_handles_whole_magazine_count() {
+    // Three classes refilled in turn, so each refill also folds in the
+    // pops of the others since their last refill.
+    let ngm = batched(16, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let mut blocks = Vec::new();
+    let mut refills = 0;
+    for size in [64, 64, 64, 128, 64, 256, 128]
+        .into_iter()
+        .cycle()
+        .take(300)
+    {
+        let class = ngm_heap::size_to_class(size).unwrap();
+        let refilling = h.magazine_len(class) == 0;
+        blocks.push((h.alloc(layout(size)).unwrap(), size));
+        if refilling {
+            refills += 1;
+            // The gauge was published before the pop that took `size`.
+            assert_eq!(
+                ngm.runtime_stats().magazine_occupancy,
+                h.magazine_occupancy() as i64 + 1,
+                "refill {refills}"
+            );
+        }
+    }
+    assert!(refills > 3, "{refills} refills");
+    for (p, size) in blocks {
+        // SAFETY: live blocks from this handle's allocator.
+        unsafe { h.dealloc(p, layout(size)) };
+    }
+    drop(h);
+    assert_eq!(ngm.runtime_stats().magazine_occupancy, 0);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+}
+
+#[test]
 fn magazine_occupancy_gauge_tracks_refills_and_drop() {
     let ngm = batched(16, 1).build().unwrap();
     let mut h = ngm.handle();
@@ -1165,6 +1202,51 @@ mod faults {
         assert_eq!(down.runtime.calls_served, 0, "never claimed: {down:?}");
         assert_eq!(down.shards[0].service.allocs, 0, "{down:?}");
         assert_eq!(down.runtime.posts_dropped, 0);
+    }
+
+    #[test]
+    fn a_refill_retracted_at_its_deadline_publishes_and_records_nothing() {
+        let ngm = sharded(1)
+            .with_batch(16, 1)
+            .with_deadline(Some(Duration::from_millis(10)))
+            .build()
+            .unwrap();
+        let mut h = ngm.handle();
+        // One served refill, its magazine then drained: 16 pops the
+        // gauge has not heard of yet.
+        let mut blocks: Vec<_> = (0..16).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        assert_eq!(h.magazine_occupancy(), 0);
+        let telemetry = ngm.telemetry();
+        let books = || {
+            let stats = ngm.runtime_stats();
+            let completions: Vec<_> = [&telemetry.refill_cycles, &telemetry.call_cycles]
+                .iter()
+                .chain(&telemetry.phase_cycles.each_ref())
+                .map(|h| h.snapshot().count())
+                .collect();
+            (
+                stats.magazine_occupancy,
+                stats.batched_calls_served,
+                completions,
+            )
+        };
+        let before = books();
+        assert_eq!(before, (16, 1, vec![1, 0, 1, 1, 1, 1, 1]));
+        // The service ignores the next refill until the deadline
+        // retracts it; the fallback serves the allocation.
+        ngm.fault_state(0).set_drop_every(1);
+        blocks.push(h.alloc(layout(64)).expect("the fallback serves it"));
+        ngm.fault_state(0).set_drop_every(0);
+        assert_eq!(ngm.fallback_heap().allocs(), 1);
+        assert_eq!(ngm.runtime_stats().deadlines, 1);
+        assert_eq!(books(), before, "a retracted refill leaves no trace");
+        for p in blocks {
+            // SAFETY: live blocks from this handle's tier, freed once.
+            unsafe { h.dealloc(p, layout(64)) };
+        }
+        drop(h);
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced(), "{down:?}");
     }
 
     #[test]

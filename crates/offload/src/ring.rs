@@ -306,6 +306,24 @@ impl<T: Record> Producer<T> {
     ///
     /// As [`Producer::push`], without the value.
     pub fn push_ref(&mut self, value: &T) -> Result<(), PushError<()>> {
+        self.push_with(value, |_| {})
+    }
+
+    /// [`Producer::push_ref`] that calls `before_publish` once the ring
+    /// has room for `value` and before any of it is written, with the
+    /// producer as it stands — `value` not yet in it. What the caller
+    /// records there is in place before the consumer can see the record,
+    /// and no locked instruction of it waits behind the record's stores.
+    /// A refused push does not call it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Producer::push_ref`].
+    pub fn push_with(
+        &mut self,
+        value: &T,
+        before_publish: impl FnOnce(&Self),
+    ) -> Result<(), PushError<()>> {
         if self.is_closed() {
             return Err(PushError::Disconnected(()));
         }
@@ -320,6 +338,7 @@ impl<T: Record> Producer<T> {
                     return Err(PushError::Full(()));
                 }
             }
+            before_publish(self);
             let header = (usize::from(tag) << LEN_BITS) | words.len();
             // SAFETY: cells `[tail, tail + cells)` are not yet published
             // to the consumer (its Acquire load of `tail` cannot observe

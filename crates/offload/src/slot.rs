@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use ngm_telemetry::clock::cycles_now;
 
 use crate::pad::CachePadded;
+use crate::stats::bump;
 
 /// Slot is idle; the client may publish a request.
 const EMPTY: u32 = 0;
@@ -97,16 +98,6 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         }
     }
 
-    /// Bumps the publish counter; called immediately before each REQUEST
-    /// store so a server that observes REQUEST (Acquire) also observes the
-    /// matching sequence number. Only the client writes the counter, so
-    /// this is a load and a store, not a locked read-modify-write.
-    #[inline]
-    fn bump_publish_seq(&self) {
-        let seq = self.publish_seq.load(Ordering::Relaxed);
-        self.publish_seq.store(seq + 1, Ordering::Relaxed);
-    }
-
     /// The sequence number of the most recently published request. To the
     /// server this is only meaningful while it observes `has_request()`;
     /// to the client it identifies the request *it* just published (it is
@@ -164,7 +155,10 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // the client moves the slot out of EMPTY, so the check above
         // cannot be invalidated concurrently.
         unsafe { (*self.req.get()).write(request) };
-        self.bump_publish_seq();
+        // Bumped before the REQUEST store, so a server that observes
+        // REQUEST (Acquire) also observes the matching sequence number.
+        // Only the client writes it: a load and a store, not a locked add.
+        bump(&self.publish_seq, 1);
         self.stamp_request();
         self.state.store(REQUEST, Ordering::Release);
         Ok(())

@@ -12,7 +12,18 @@ const NOT_PINNED: usize = usize::MAX;
 /// Counter fields are monotonically increasing; `ring_occupancy` and
 /// `wait_phase` are gauges the service loop overwrites each round. Read a
 /// coherent view with [`RuntimeStats::snapshot`].
+///
+/// The fields are laid out by writer. The first 128-byte block holds
+/// what the service loop writes — `calls_served` through `pinned_core`
+/// — and it alone writes them, so each update is a relaxed load and
+/// store, not a locked read-modify-write. Every other field, from
+/// `clients_registered` on, starts the second block: clients (and the
+/// thread that registers or stops them) write those. A client's update
+/// therefore never pulls in the line the service rewrites every polling
+/// round, nor the pair of lines an adjacent-line prefetcher moves
+/// together.
 #[derive(Debug)]
+#[repr(C, align(128))]
 pub struct RuntimeStats {
     /// Synchronous requests served.
     pub calls_served: AtomicU64,
@@ -22,6 +33,18 @@ pub struct RuntimeStats {
     pub poll_rounds: AtomicU64,
     /// Polling rounds that found no work.
     pub empty_rounds: AtomicU64,
+    /// Gauge: 64-byte ring cells holding pending posts across all client
+    /// rings, as of the service loop's last poll round.
+    pub ring_occupancy: AtomicUsize,
+    /// Gauge: the service wait loop's current [`WaitPhase`] (as `u32`).
+    pub wait_phase: AtomicU32,
+    /// Times the service wait loop changed phase (spin → yield → sleep,
+    /// or any phase → spin when work arrived).
+    pub wait_transitions: AtomicU64,
+    /// Core the service thread was pinned to, or `usize::MAX`.
+    pub pinned_core: AtomicUsize,
+    /// Starts the clients' block on the next 128-byte boundary.
+    _client_block: Block,
     /// Clients ever registered.
     pub clients_registered: AtomicU64,
     /// Times a client found its post ring full and had to retry.
@@ -40,26 +63,31 @@ pub struct RuntimeStats {
     /// this shard's service thread had died.
     pub failovers: AtomicU64,
     /// Batched synchronous requests served (magazine refills in the
-    /// malloc deployment); a subset of `calls_served`.
+    /// malloc deployment); a subset of `calls_served`. Counted by the
+    /// client that made the request, before it releases the slot.
     pub batched_calls_served: AtomicU64,
     /// Times a client's call or post exhausted its deadline budget
     /// against this shard (the shard was wedged or saturated, not
     /// necessarily dead).
     pub deadlines: AtomicU64,
-    /// Gauge: 64-byte ring cells holding pending posts across all client
-    /// rings, as of the service loop's last poll round.
-    pub ring_occupancy: AtomicUsize,
     /// Gauge: pre-handed-out items stashed in client magazines, published
     /// by handles at refill/drop boundaries (never on the pop fast path —
     /// §3.1.3's no-new-atomics rule).
     pub magazine_occupancy: AtomicI64,
-    /// Gauge: the service wait loop's current [`WaitPhase`] (as `u32`).
-    pub wait_phase: AtomicU32,
-    /// Times the service wait loop changed phase (spin → yield → sleep,
-    /// or any phase → spin when work arrived).
-    pub wait_transitions: AtomicU64,
-    /// Core the service thread was pinned to, or `usize::MAX`.
-    pub pinned_core: AtomicUsize,
+}
+
+/// A zero-sized field aligned to 128 bytes: in a `repr(C)` struct the
+/// field after it starts a new 128-byte block.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Block;
+
+/// Adds `n` to a counter only one thread writes: a relaxed load and
+/// store, exact because no other thread stores to it, and free of the
+/// locked read-modify-write a `fetch_add` would issue.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// A plain-value copy of [`RuntimeStats`] at one instant.
@@ -127,6 +155,11 @@ impl RuntimeStats {
             posts_served: AtomicU64::new(0),
             poll_rounds: AtomicU64::new(0),
             empty_rounds: AtomicU64::new(0),
+            ring_occupancy: AtomicUsize::new(0),
+            wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
+            wait_transitions: AtomicU64::new(0),
+            pinned_core: AtomicUsize::new(NOT_PINNED),
+            _client_block: Block,
             clients_registered: AtomicU64::new(0),
             post_full_retries: AtomicU64::new(0),
             posts_dropped: AtomicU64::new(0),
@@ -135,11 +168,7 @@ impl RuntimeStats {
             failovers: AtomicU64::new(0),
             batched_calls_served: AtomicU64::new(0),
             deadlines: AtomicU64::new(0),
-            ring_occupancy: AtomicUsize::new(0),
             magazine_occupancy: AtomicI64::new(0),
-            wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
-            wait_transitions: AtomicU64::new(0),
-            pinned_core: AtomicUsize::new(NOT_PINNED),
         }
     }
 
@@ -175,16 +204,19 @@ impl RuntimeStats {
     }
 
     /// Adjusts the magazine-occupancy gauge by `delta`. Called by client
-    /// handles only at refill and drain boundaries, never per pop.
+    /// handles only at refill and drain boundaries, never per pop; a
+    /// refill calls it while it still holds the slot, so the locked add
+    /// does not wait behind the store that releases it.
     pub fn add_magazine_occupancy(&self, delta: i64) {
         self.magazine_occupancy.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Records a wait-loop phase change (gauge overwrite plus transition
-    /// count). Called by the service loop only.
+    /// count). Called by the service loop only, which is what lets the
+    /// count be a load and a store.
     pub fn record_wait_phase(&self, phase: WaitPhase) {
         self.wait_phase.store(phase as u32, Ordering::Relaxed);
-        self.wait_transitions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.wait_transitions, 1);
     }
 
     /// Takes a point-in-time copy of all counters.
@@ -279,6 +311,43 @@ mod tests {
         s.poll_rounds.store(10, Ordering::Relaxed);
         s.empty_rounds.store(4, Ordering::Relaxed);
         assert!((s.snapshot().idle_fraction() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn client_and_service_counters_never_share_a_line() {
+        use std::mem::offset_of;
+        const BLOCK: usize = 128;
+        // Block-aligned start, so offsets in one block are one block of
+        // memory wherever the stats live.
+        assert!(std::mem::align_of::<RuntimeStats>() >= BLOCK);
+        let service = [
+            offset_of!(RuntimeStats, calls_served),
+            offset_of!(RuntimeStats, posts_served),
+            offset_of!(RuntimeStats, poll_rounds),
+            offset_of!(RuntimeStats, empty_rounds),
+            offset_of!(RuntimeStats, ring_occupancy),
+            offset_of!(RuntimeStats, wait_phase),
+            offset_of!(RuntimeStats, wait_transitions),
+            offset_of!(RuntimeStats, pinned_core),
+        ];
+        let client = [
+            offset_of!(RuntimeStats, clients_registered),
+            offset_of!(RuntimeStats, post_full_retries),
+            offset_of!(RuntimeStats, posts_dropped),
+            offset_of!(RuntimeStats, service_down),
+            offset_of!(RuntimeStats, rebalances),
+            offset_of!(RuntimeStats, failovers),
+            offset_of!(RuntimeStats, batched_calls_served),
+            offset_of!(RuntimeStats, deadlines),
+            offset_of!(RuntimeStats, magazine_occupancy),
+        ];
+        // Every field is at most 8 bytes at a naturally aligned offset,
+        // so none straddles a block boundary.
+        for s in service {
+            for c in client {
+                assert_ne!(s / BLOCK, c / BLOCK, "offsets {s} and {c} share a block");
+            }
+        }
     }
 
     #[test]

@@ -33,11 +33,11 @@ pub mod machine;
 pub mod tlb;
 pub mod trace;
 
-pub use cache::{Cache, CacheStats};
+pub use cache::Cache;
 pub use config::{CacheConfig, CoreConfig, CoreType, CostModel, MachineConfig, TlbConfig};
 pub use counters::PmuCounters;
 pub use machine::Machine;
-pub use tlb::{Tlb, TlbStats};
+pub use tlb::Tlb;
 pub use trace::{Access, AccessClass, AccessKind};
 
 /// Cache-line size used throughout the simulator, in bytes.

@@ -3,27 +3,6 @@
 
 use crate::config::TlbConfig;
 
-/// Hit/miss counters for one TLB instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Translations that hit.
-    pub hits: u64,
-    /// Translations that missed.
-    pub misses: u64,
-}
-
-impl TlbStats {
-    /// Miss ratio in `[0, 1]`; zero when no lookups occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     vpn: u64,
@@ -43,7 +22,6 @@ pub struct Tlb {
     sets: Vec<Vec<Entry>>,
     set_count: u64,
     clock: u64,
-    stats: TlbStats,
 }
 
 impl Tlb {
@@ -53,7 +31,6 @@ impl Tlb {
             sets: vec![vec![INVALID; cfg.ways as usize]; cfg.sets() as usize],
             set_count: u64::from(cfg.sets()),
             clock: 0,
-            stats: TlbStats::default(),
         }
     }
 
@@ -71,11 +48,9 @@ impl Tlb {
             .find(|e| e.vpn == vpn)
         {
             e.last_use = self.clock;
-            self.stats.hits += 1;
             return true;
         }
 
-        self.stats.misses += 1;
         let victim = match entries.iter().position(|e| !e.valid) {
             Some(i) => i,
             None => {
@@ -102,11 +77,6 @@ impl Tlb {
         let set = (vpn % self.set_count) as usize;
         self.sets[set].iter().any(|e| e.valid && e.vpn == vpn)
     }
-
-    /// Accumulated hit/miss statistics.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -117,10 +87,9 @@ mod tests {
     #[test]
     fn repeated_translation_hits() {
         let mut t = Tlb::new(TlbConfig::full(4));
-        assert!(!t.access(0));
-        assert!(t.access(0));
-        assert!(t.access(100)); // same page as 0 after page rounding in caller
-        assert_eq!(t.stats().hits, 2);
+        // 100 is on page 0 too: only the first translation misses.
+        let hits = [0, 0, 100].map(|a| t.access(a));
+        assert_eq!(hits, [false, true, true]);
     }
 
     #[test]
@@ -152,10 +121,7 @@ mod tests {
     #[test]
     fn miss_ratio_computed() {
         let mut t = Tlb::new(TlbConfig::full(8));
-        t.access(0);
-        t.access(0);
-        t.access(0);
-        t.access(0);
-        assert!((t.stats().miss_ratio() - 0.25).abs() < 1e-12);
+        let misses = (0..4).filter(|_| !t.access(0)).count();
+        assert_eq!(misses, 1, "one miss in four lookups of one page");
     }
 }

@@ -6,9 +6,12 @@
 //! [`N_BUCKETS`] = 976 buckets. Values below 16 get exact unit buckets.
 //!
 //! Recording touches exactly two relaxed atomics — one bucket increment
-//! and one running-sum increment — so the client fast path stays within
-//! the telemetry budget (see DESIGN.md §Telemetry). Everything else
-//! (count, percentiles, merge) is derived at snapshot time.
+//! and one running-sum increment, each a locked add, since any thread
+//! may record. Everything else (count, percentiles, merge) is derived at
+//! snapshot time. A client records before it makes the store that hands
+//! work to the other core, so these adds never wait for that store to
+//! leave the store buffer (see DESIGN.md, "Telemetry measures, it does
+//! not participate").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -19,7 +19,8 @@ pub enum TraceEventKind {
     Alloc,
     /// A free completed; `a` = size if known (else 0), `b` = round-trip cycles.
     Free,
-    /// A fire-and-forget free was posted; `a` = ring occupancy after post.
+    /// A fire-and-forget free was posted; `a` = ring cells queued ahead
+    /// of it (recorded before the post is written).
     Post,
     /// The service refilled / drained rings; `a` = items processed.
     Refill,
