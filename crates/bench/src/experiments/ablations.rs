@@ -470,10 +470,13 @@ mod tests {
         assert_eq!(rows[0].roundtrips_per_alloc, 1.0);
         assert!(rows[0].amortized_per_alloc > 0.0);
         for r in &rows[1..] {
+            // The pop that drains a magazine sends the next refill
+            // ahead, so the last one is in flight when the pass ends
+            // and is collected when the handle drops.
             assert_eq!(
                 r.roundtrips_per_alloc,
-                2_000usize.div_ceil(r.batch) as f64 / 2_000.0,
-                "batch {}: one refill per {} allocs",
+                (1 + 2_000 / r.batch) as f64 / 2_000.0,
+                "batch {}: one refill per {} allocs and the one on its way",
                 r.batch,
                 r.batch
             );

@@ -1,6 +1,9 @@
 //! The per-thread [`NgmHandle`]: its clients, magazines and free
 //! buffers, and the one request path — `alloc` / `dealloc`, which wait
-//! out every round trip and full ring under the tier's deadline.
+//! out every round trip and full ring under the tier's deadline. A
+//! batched refill is published when its class's magazine runs dry and
+//! collected by the class's next alloc, so a shard carries at most one
+//! request of this handle in flight between calls.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -28,8 +31,13 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService};
 /// is paid every `batch_size` allocs (128 by default) — or, for the
 /// classes where that many blocks would outgrow a 64 KiB heap page, every
 /// page's worth (64 blocks at 1 KiB, 8 at 8 KiB, 4 at 16 KiB), so a
-/// refill is sized by bytes as well as by count and no class stashes
-/// more than one page per handle. A trip to the room costs the same
+/// refill is sized by bytes as well as by count. The pop that empties a
+/// magazine publishes that class's next refill and returns; the class's
+/// next alloc collects it, usually already answered, so the round trip
+/// runs while the application works. A magazine never holds more than
+/// one refill, and a shard never carries more than one refill of this
+/// handle in flight, so the handle stashes at most a page per class plus
+/// one refill in flight per shard. A trip to the room costs the same
 /// whatever it carries, so it carries a page's worth; what it carries
 /// costs its length — the service writes the addresses into the slot,
 /// this handle copies them from there into the magazine, and nothing
@@ -37,8 +45,9 @@ use crate::service::{AddrBatch, AllocBatchReq, FreePost, MallocService};
 /// pushed onto a per-owning-shard buffer that is flushed as one batched
 /// post every `flush_threshold` frees, straight from the buffer into
 /// the ring. `with_batch(1, 1)` is the paper's per-call handshake
-/// through this same code: a refill of one block per alloc, a flush of
-/// one block per free.
+/// through this same code: a refill of one block per alloc, one
+/// synchronous round trip that nothing sends ahead, and a flush of one
+/// block per free.
 ///
 /// Large layouts — above the class table's 16 KiB ceiling, or aligned
 /// beyond it — never enter the room: each is a dedicated mapping made
@@ -64,10 +73,11 @@ pub struct NgmHandle {
     /// 36 × 1 KiB, which makes a handle ≈ 37 KiB. Only what is stashed is
     /// ever touched.
     magazines: [AddrBatch; NUM_CLASSES],
-    /// Which shard refilled each class's magazine. A magazine refills
-    /// only when empty, so every address in it shares this one source —
-    /// returns at drop go back where the blocks came from even if the
-    /// class has since been rebalanced elsewhere.
+    /// Which shard refilled each class's magazine, or has its next refill
+    /// in flight. A magazine refills only when empty, so every address in
+    /// it shares this one source — returns at drop go back where the
+    /// blocks came from even if the class has since been rebalanced
+    /// elsewhere.
     mag_shard: [u16; NUM_CLASSES],
     /// Where this handle's *allocation* traffic for each class goes.
     /// Rebalancing rewrites this map; frees never consult it.
@@ -84,8 +94,14 @@ pub(super) struct End {
     /// post to it — kept as the [`FreePost::Batch`] it will be posted as,
     /// so a flush sends it from here without moving it.
     pub(super) free_buf: FreePost,
-    /// Blocks currently stashed in magazines this shard refilled.
+    /// Blocks currently stashed in magazines this shard refilled, plus
+    /// the refill in flight on it at its requested count.
     stash: Stash,
+    /// The refill published on this shard and not yet collected: the
+    /// next refill of a class whose magazine ran dry. At most one, since
+    /// the slot holds one request; its class's magazine stays empty
+    /// until it is collected.
+    in_flight: Option<AllocBatchReq>,
     /// Accumulated full-ring retries — the saturation signal that
     /// triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
     pub(super) pressure: u32,
@@ -120,6 +136,7 @@ impl End {
             client,
             free_buf: FreePost::default(),
             stash: Stash::default(),
+            in_flight: None,
             pressure: 0,
             failed: false,
         }
@@ -234,27 +251,63 @@ impl NgmHandle {
         let source = self.mag_shard[ci] as usize;
         self.ends[source].stash.held -= 1;
         self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
+        if self.magazines[ci].is_empty() {
+            self.send_ahead(class);
+        }
         NonNull::new(addr as *mut u8).ok_or(AllocError::OutOfMemory)
     }
 
-    /// One round trip to top up `class`'s magazine from its current
-    /// shard, routing around shards that cannot serve it. It asks for
-    /// `batch_size` blocks but never for more than one heap page holds
-    /// (at least four — the class table ends at a quarter page), which
-    /// bounds what a handle stashes per class at `PAGE_SIZE` bytes
-    /// instead of `batch_size` × 16 KiB. Kept out of line: it runs
-    /// once per magazine, and inlined it would widen `alloc`'s pop path.
+    /// The refill `class` asks for: `batch_size` blocks, but never more
+    /// than one heap page holds (at least four — the class table ends at
+    /// a quarter page), which bounds what a handle stashes per class at
+    /// `PAGE_SIZE` bytes instead of `batch_size` × 16 KiB.
+    fn refill_request(&self, class: SizeClass) -> AllocBatchReq {
+        let per_page = (PAGE_SIZE / class_to_size(class)) as u32;
+        AllocBatchReq {
+            class,
+            count: self.tier.batch_size.min(per_page),
+        }
+    }
+
+    /// Publishes the next refill of `class`, whose magazine the last pop
+    /// emptied, on its shard and returns at once: the next alloc of the
+    /// class collects it, usually already answered. Only a refill of more
+    /// than one block goes ahead, so `with_batch(1, 1)` stays the paper's
+    /// one synchronous round trip per malloc. A refusal is routed like a
+    /// failed refill, and the next alloc refills where routing points.
+    #[inline(never)]
+    fn send_ahead(&mut self, class: SizeClass) {
+        let what = self.refill_request(class);
+        if what.count == 1 {
+            return;
+        }
+        let shard = self.class_shard[class.0 as usize] as usize;
+        if let Err(cause) = self.publish(shard, what) {
+            self.route(shard, cause, RouteOp::Refill(class.0 as usize));
+        }
+    }
+
+    /// Tops up `class`'s empty magazine, routing around shards that
+    /// cannot serve it: first by collecting the refill sent ahead when
+    /// the magazine ran dry, if one is in flight, else by one round trip
+    /// to the class's current shard. Kept out of line: it runs once per
+    /// magazine, and inlined it would widen `alloc`'s pop path.
     #[inline(never)]
     fn top_up(&mut self, class: SizeClass) -> Result<(), AllocError> {
         let ci = class.0 as usize;
-        let per_page = (PAGE_SIZE / class_to_size(class)) as u32;
-        let what = AllocBatchReq {
-            class,
-            count: self.tier.batch_size.min(per_page),
-        };
+        let what = self.refill_request(class);
+        let ahead = self.mag_shard[ci] as usize;
+        let mut collect = self.ends[ahead].in_flight.is_some_and(|w| w.class == class);
         for _ in 0..self.nshards() {
-            let shard = self.class_shard[ci] as usize;
-            let cause = match self.refill(shard, what) {
+            let (shard, result) = if collect {
+                (ahead, self.collect(ahead))
+            } else {
+                let shard = self.class_shard[ci] as usize;
+                let trip = self.publish(shard, what).and_then(|()| self.collect(shard));
+                (shard, trip)
+            };
+            collect = false;
+            let cause = match result {
                 // An empty batch is the service reporting exhaustion.
                 Ok(()) if self.magazines[ci].is_empty() => break,
                 Ok(()) => return Ok(()),
@@ -276,14 +329,15 @@ impl NgmHandle {
         self.tier.fallback.allocate(layout)
     }
 
-    /// One refill round trip on `shard` for a class whose magazine is
-    /// empty, under the runtime's deadline. The response is read where it
-    /// lies: its addresses go into the class's empty magazine, the one
-    /// copy this side makes, and an empty response is the service
-    /// reporting failure. `Ok` means the response was folded into handle
-    /// state; an error leaves the slot free (a deadline retracted the
-    /// request) or the client poisoned (it was abandoned mid-serve).
-    fn refill(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
+    /// Publishes a refill of `what.class`, whose magazine is empty, on
+    /// `shard`. A refill of another class still in flight there is
+    /// collected first, into its own still-empty magazine: the slot holds
+    /// one request. The refill counts in the shard's stash at its
+    /// requested size from here on.
+    fn publish(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
+        if self.ends[shard].in_flight.is_some() {
+            self.collect(shard)?;
+        }
         // A round trip for exactly one block is a call: the call
         // histogram and its phase partition cover every single-block
         // round trip, the refill histogram only those that amortise.
@@ -293,30 +347,52 @@ impl NgmHandle {
             CallKind::Single
         };
         let ci = what.class.0 as usize;
-        let magazine = &mut self.magazines[ci];
-        debug_assert!(magazine.is_empty(), "only a dry magazine asks for a refill");
-        let gauge = &self.tier.slots[shard].handles.stats;
+        debug_assert!(
+            self.magazines[ci].is_empty(),
+            "only a dry magazine asks for a refill"
+        );
         let end = &mut self.ends[shard];
+        end.client.publish(what, kind)?;
+        end.in_flight = Some(what);
+        end.stash.held += i64::from(what.count);
+        self.mag_shard[ci] = shard as u16;
+        Ok(())
+    }
+
+    /// Collects the refill in flight on `shard`. The response is read
+    /// where it lies: its addresses go into the class's empty magazine,
+    /// the one copy this side makes, and an empty response is the
+    /// service reporting failure. Everything this side records of it —
+    /// the stash, the occupancy gauge, the trace event — is done while
+    /// the slot is still held, so none of it waits behind the store that
+    /// releases the slot. An error leaves the slot free (a deadline
+    /// retracted the request) or the client poisoned (it was abandoned
+    /// mid-serve), and the refill out of the stash.
+    fn collect(&mut self, shard: usize) -> Result<(), ServiceError> {
+        let end = &mut self.ends[shard];
+        let what = end.in_flight.take().expect("a refill in flight");
+        let magazine = &mut self.magazines[what.class.0 as usize];
+        let gauge = &self.tier.slots[shard].handles.stats;
         let stash = &mut end.stash;
-        let got = end.client.try_call(what, kind, |batch: &mut AddrBatch| {
+        let trace = end.client.trace_ring().cloned();
+        let got = end.client.try_collect(|batch: &mut AddrBatch| {
             magazine.copy_from(batch);
+            stash.held += batch.len() as i64 - i64::from(what.count);
             if !batch.is_empty() {
                 // Publish occupancy only here (and at drop) — pops since
                 // the last refill fold into this one delta, keeping the
-                // alloc fast path free of shared-memory traffic — and
-                // while the slot is still held, so this locked add does
-                // not wait behind the store that releases it.
-                stash.held += batch.len() as i64;
+                // alloc fast path free of shared-memory traffic.
                 stash.publish(gauge);
+                if let Some(ring) = trace {
+                    let class = u64::from(what.class.0);
+                    ring.push(TraceEventKind::Refill, class, batch.len() as u64);
+                }
             }
-            batch.len()
-        })?;
-        if got > 0 {
-            self.mag_shard[ci] = shard as u16;
-            let class = u64::from(what.class.0);
-            self.trace(shard, TraceEventKind::Refill, class, got as u64);
+        });
+        if got.is_err() {
+            end.stash.held -= i64::from(what.count);
         }
-        Ok(())
+        got
     }
 
     /// Frees a block asynchronously; returns as soon as the message is in
@@ -353,6 +429,9 @@ impl NgmHandle {
             return;
         }
         let shard = self.shard_of_small(ptr);
+        // Traced before the flush, whose ring-tail store is the last
+        // write this free makes.
+        self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
         // A flush always empties the buffer, so it holds fewer than
         // `flush_threshold` (at most `MAX_BATCH`) frees on entry.
         let free_buf = self.ends[shard].free_buf.addrs_mut();
@@ -360,7 +439,6 @@ impl NgmHandle {
         if free_buf.len() >= self.tier.flush_threshold as usize {
             self.flush_shard(shard);
         }
-        self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
     }
 
     /// Posts all buffered frees (if any), each shard's buffer as one
@@ -436,7 +514,8 @@ impl NgmHandle {
         self.magazines[class.0 as usize].len()
     }
 
-    /// Blocks currently stashed across all magazines.
+    /// Blocks currently stashed across all magazines, with each refill in
+    /// flight counted at its requested size.
     pub fn magazine_occupancy(&self) -> usize {
         self.ends.iter().map(|e| e.stash.held).sum::<i64>() as usize
     }
@@ -454,8 +533,9 @@ impl NgmHandle {
 }
 
 impl NgmHandle {
-    /// Returns everything in flight to the services: buffered frees are
-    /// flushed to their owning shards, and every address still stashed in
+    /// Returns everything in flight to the services: a refill still in
+    /// flight is collected into its magazine, buffered frees are flushed
+    /// to their owning shards, and every address still stashed in
     /// a magazine goes back to the shard that *refilled* it via
     /// [`FreePost::MagazineReturn`] — not the class's current route, which
     /// a rebalance may have moved — so shutdown accounting stays exact
@@ -464,6 +544,13 @@ impl NgmHandle {
     /// before parking it for the next thread: an emptied handle holds no
     /// block of any shard.
     pub(crate) fn empty(&mut self) {
+        for shard in 0..self.nshards() {
+            if let Some(what) = self.ends[shard].in_flight {
+                if let Err(cause) = self.collect(shard) {
+                    self.route(shard, cause, RouteOp::Refill(what.class.0 as usize));
+                }
+            }
+        }
         self.flush_frees();
         for ci in 0..NUM_CLASSES {
             if !self.magazines[ci].is_empty() {

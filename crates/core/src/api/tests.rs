@@ -392,16 +392,52 @@ fn default_tier_amortises() {
 }
 
 #[test]
-fn a_handle_maps_128_kib_of_free_ring_per_shard() {
-    let ngm = sharded(2).build().unwrap();
-    let h = ngm.handle();
-    for end in h.ends.iter() {
-        let ring = end.client.ring_bytes();
-        // 1.06 MiB before the ring had cells.
-        assert_eq!(ring, 128 * 1024);
+fn a_dry_magazine_has_its_next_refill_on_the_way() {
+    let ngm = batched(8, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let class = ngm_heap::size_to_class(64).unwrap();
+    let mut blocks: Vec<_> = (0..8).map(|_| h.alloc(layout(64)).unwrap()).collect();
+    assert_eq!(h.magazine_len(class), 0);
+    // The pop that emptied the magazine published the next refill.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while ngm.runtime_stats().calls_served < 2 {
+        assert!(std::time::Instant::now() < deadline, "never served");
+        std::thread::yield_now();
+    }
+    assert_eq!(ngm.runtime_stats().calls_served, 2);
+    assert_eq!(h.magazine_occupancy(), 8, "in flight at its requested size");
+    // The ninth alloc collects it and makes no trip of its own.
+    blocks.push(h.alloc(layout(64)).unwrap());
+    assert_eq!(h.magazine_len(class), 7);
+    assert_eq!(ngm.runtime_stats().calls_served, 2);
+    for p in blocks {
+        // SAFETY: blocks from this handle's allocator, freed once.
+        unsafe { h.dealloc(p, layout(64)) };
     }
     drop(h);
-    ngm.shutdown();
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.runtime.calls_served, 2);
+}
+
+#[test]
+fn a_refill_in_flight_goes_home_at_drop() {
+    let ngm = batched(16, 1).build().unwrap();
+    let mut h = ngm.handle();
+    let blocks: Vec<_> = (0..16).map(|_| h.alloc(layout(64)).unwrap()).collect();
+    for p in blocks {
+        // SAFETY: blocks from this handle's allocator, freed once.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+    // The magazine is dry and its next refill is in flight: dropping
+    // the handle collects it and sends all 16 blocks home unused.
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+    assert_eq!(down.service.app_allocs(), 16);
+    assert_eq!(down.service.magazine_returned, 16, "{down:?}");
+    assert_eq!(down.runtime.calls_served, 2);
+    assert_eq!(down.heap.live_blocks, 0);
 }
 
 #[test]
@@ -1212,10 +1248,10 @@ mod faults {
             .build()
             .unwrap();
         let mut h = ngm.handle();
-        // One served refill, its magazine then drained: 16 pops the
-        // gauge has not heard of yet.
-        let mut blocks: Vec<_> = (0..16).map(|_| h.alloc(layout(64)).unwrap()).collect();
-        assert_eq!(h.magazine_occupancy(), 0);
+        // One served refill, its magazine then drained but for one block:
+        // 15 pops the gauge has not heard of yet.
+        let mut blocks: Vec<_> = (0..15).map(|_| h.alloc(layout(64)).unwrap()).collect();
+        assert_eq!(h.magazine_occupancy(), 1);
         let telemetry = ngm.telemetry();
         let books = || {
             let stats = ngm.runtime_stats();
@@ -1232,11 +1268,15 @@ mod faults {
         };
         let before = books();
         assert_eq!(before, (16, 1, vec![1, 0, 1, 1, 1, 1, 1]));
-        // The service ignores the next refill until the deadline
-        // retracts it; the fallback serves the allocation.
+        // The service ignores the refill the draining pop sends ahead
+        // until the next alloc's deadline retracts it; the fallback
+        // serves that allocation.
         ngm.fault_state(0).set_drop_every(1);
+        blocks.push(h.alloc(layout(64)).unwrap());
+        assert_eq!(h.magazine_occupancy(), 16, "the refill in flight");
         blocks.push(h.alloc(layout(64)).expect("the fallback serves it"));
         ngm.fault_state(0).set_drop_every(0);
+        assert_eq!(h.magazine_occupancy(), 0);
         assert_eq!(ngm.fallback_heap().allocs(), 1);
         assert_eq!(ngm.runtime_stats().deadlines, 1);
         assert_eq!(books(), before, "a retracted refill leaves no trace");

@@ -7,8 +7,9 @@
 //! surface through the `try_*` methods and the `Result`-returning
 //! constructors so higher layers (the `NgmConfig` API) can degrade
 //! gracefully instead of unwinding. None of them means "busy, try
-//! again": a synchronous call is published, awaited and collected in one
-//! `try_call`, so no request is ever in flight between calls.
+//! again": a handle carries at most one request in flight, and only the
+//! thread that published it collects it, waiting for it under the
+//! deadline.
 
 use std::fmt;
 use std::time::Duration;

@@ -21,7 +21,7 @@ use crate::error::ServiceError;
 #[cfg(feature = "faultinject")]
 use crate::fault::{FaultAction, FaultState};
 use crate::pin::{available_cores, pin_current_thread_verified};
-use crate::ring::{spsc, Consumer, Producer, PushError, Record, CELL_BYTES, DEFAULT_RING_CELLS};
+use crate::ring::{spsc, Consumer, Producer, PushError, Record, DEFAULT_RING_CELLS};
 use crate::slot::RequestSlot;
 use crate::stats::{bump, RuntimeStats, StatsSnapshot};
 use crate::telemetry::RuntimeTelemetry;
@@ -140,6 +140,9 @@ pub struct ClientHandle<S: Service> {
     /// Client-local sequence for post span ids (posts have no slot
     /// publish sequence to mint from).
     post_seq: u64,
+    /// The request published and not yet collected: when it was
+    /// published and which population its round trip lands in.
+    in_flight: Option<(u64, CallKind)>,
     pmu: ClientPmu,
 }
 
@@ -221,7 +224,10 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Completion telemetry for the response just seen, stamped from
-    /// publication (`t0`) to the moment the client saw RESPONSE: the
+    /// publication (`t0`) to the moment the client saw RESPONSE — which,
+    /// for a request collected some time after it was published, is when
+    /// the client came back for it, so the observe phase then includes
+    /// the time the response waited in the slot: the
     /// latency histogram of the request's [`CallKind`], the batched-call
     /// counter, the five phase histograms (every round trip of either
     /// kind, so together they partition the call and refill populations
@@ -261,18 +267,20 @@ impl<S: Service> ClientHandle<S> {
         }
     }
 
-    /// The body of [`ClientHandle::call`] (`budget` `None`: it waits
-    /// forever) and [`ClientHandle::try_call`] (the runtime's deadline).
-    /// Nothing stays in flight once it returns: the slot is EMPTY again,
-    /// or the handle is poisoned.
-    fn round_trip<T>(
-        &mut self,
-        req: S::Req,
-        kind: CallKind,
-        budget: Option<Duration>,
-        collect: impl FnOnce(&mut S::Resp) -> T,
-    ) -> Result<T, ServiceError> {
-        if self.poisoned {
+    /// Publishes `req` on the slot: the first half of a synchronous
+    /// request. The round trip is stamped from here, and its completion
+    /// lands in the population `kind` names. The slot holds one request,
+    /// so a handle carries at most one in flight: collect it with
+    /// [`ClientHandle::try_collect`] before publishing again. Nothing is
+    /// woken and nothing else collects it; the response waits in the
+    /// slot, where the publishing thread finds it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::ServiceStopped`] when the service thread is gone,
+    /// the handle is poisoned, or a request is already in flight.
+    pub fn publish(&mut self, req: S::Req, kind: CallKind) -> Result<(), ServiceError> {
+        if self.poisoned || self.in_flight.is_some() {
             return Err(ServiceError::ServiceStopped);
         }
         if !self.is_open() {
@@ -281,12 +289,60 @@ impl<S: Service> ClientHandle<S> {
         }
         self.pmu.arm();
         let t0 = cycles_now();
+        self.in_flight = Some((t0, kind));
         if self.slot.begin(req).is_err() {
             // Only a `collect` that unwound mid-read leaves a response in
             // the slot; its payload cell cannot be trusted again.
+            self.in_flight = None;
             self.poisoned = true;
             return Err(ServiceError::ServiceStopped);
         }
+        Ok(())
+    }
+
+    /// The second half of a synchronous request: waits (on the runtime's
+    /// wait ladder, under its deadline) for the response to the request
+    /// [`ClientHandle::publish`] put in flight, and hands it to `collect`
+    /// where it lies (`std::mem::take` returns it by value); the result
+    /// is handed on. The slot is free again once this returns, or the
+    /// handle is poisoned.
+    ///
+    /// On expiry the request is *retracted*: if the service never claimed
+    /// it, the slot is EMPTY and reusable and [`ServiceError::Deadline`]
+    /// comes back. If the service did claim it, one more budget of grace
+    /// is granted for the in-flight serve — a served response is never
+    /// discarded, which is what keeps alloc/free accounting exact. Only
+    /// if even that expires (service wedged mid-serve or dead) is the
+    /// request abandoned: the handle is poisoned, every later request
+    /// fails fast with [`ServiceError::ServiceStopped`], and the expiry
+    /// is reported as a deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Deadline`] when the budget (and, for a claimed
+    /// request, its grace) ran out.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no request is in flight.
+    pub fn try_collect<T>(
+        &mut self,
+        collect: impl FnOnce(&mut S::Resp) -> T,
+    ) -> Result<T, ServiceError> {
+        self.wait_collect(self.deadline, collect)
+    }
+
+    /// The body of [`ClientHandle::try_collect`] (the runtime's deadline)
+    /// and of [`ClientHandle::call`] (`budget` `None`: it waits forever).
+    fn wait_collect<T>(
+        &mut self,
+        budget: Option<Duration>,
+        collect: impl FnOnce(&mut S::Resp) -> T,
+    ) -> Result<T, ServiceError> {
+        let (t0, kind) = self
+            .in_flight
+            .take()
+            .expect("try_collect with no request in flight");
         let mut waited = Duration::ZERO;
         for grace in [false, true] {
             let mut state = WaitState::with_budget(self.ladder, budget);
@@ -319,52 +375,26 @@ impl<S: Service> ClientHandle<S> {
         })
     }
 
-    /// Sends a synchronous request and blocks (on the runtime's wait
-    /// ladder) until the service core responds, however long it takes.
-    /// The response is taken out of the slot by value, which suits the
-    /// word-sized ones; collect a large one in place with
-    /// [`ClientHandle::try_call`].
+    /// One synchronous round trip with no budget: [`ClientHandle::publish`]
+    /// and a wait for the response, however long it takes. The response
+    /// is taken out of the slot by value, which suits the word-sized
+    /// ones; collect a large one in place with
+    /// [`ClientHandle::try_collect`].
     ///
     /// # Panics
     ///
-    /// Panics when the request is refused — service stopped or handle
-    /// poisoned — where it used to hang: use [`ClientHandle::try_call`]
+    /// Panics when the request is refused — service stopped, handle
+    /// poisoned or a request already in flight — where it used to hang:
+    /// use [`ClientHandle::publish`] and [`ClientHandle::try_collect`]
     /// for a typed error.
     pub fn call(&mut self, req: S::Req) -> S::Resp {
-        self.round_trip(req, CallKind::Single, None, std::mem::take)
+        self.publish(req, CallKind::Single)
+            .and_then(|()| self.wait_collect(None, std::mem::take))
             .unwrap_or_else(|e| {
-                panic!("ClientHandle::call refused ({e}); use try_call for a typed error")
+                panic!(
+                    "ClientHandle::call refused ({e}); use publish and try_collect for a typed error"
+                )
             })
-    }
-
-    /// One synchronous round trip under the runtime's configured
-    /// deadline, hang-proof against a dead or wedged shard. `req` is
-    /// published and awaited on the runtime's wait ladder, and its
-    /// response is read where it lies by `collect` (`std::mem::take`
-    /// returns it by value), whose result is handed on.
-    ///
-    /// On expiry the request is *retracted*: if the service never claimed
-    /// it, the slot is EMPTY and reusable and [`ServiceError::Deadline`]
-    /// comes back. If the service did claim it, one more budget of grace
-    /// is granted for the in-flight serve — a served response is never
-    /// discarded, which is what keeps alloc/free accounting exact. Only
-    /// if even that expires (service wedged mid-serve or dead) is the
-    /// request abandoned: the handle is poisoned, every later call fails
-    /// fast with [`ServiceError::ServiceStopped`], and the expiry is
-    /// reported as a deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::ServiceStopped`] when the service thread is gone
-    /// or the handle is poisoned, [`ServiceError::Deadline`] when the
-    /// budget (and, for a claimed request, its grace) ran out.
-    pub fn try_call<T>(
-        &mut self,
-        req: S::Req,
-        kind: CallKind,
-        collect: impl FnOnce(&mut S::Resp) -> T,
-    ) -> Result<T, ServiceError> {
-        self.round_trip(req, kind, self.deadline, collect)
     }
 
     /// Posts an asynchronous message, pausing while the ring is
@@ -452,11 +482,6 @@ impl<S: Service> ClientHandle<S> {
         !self.posts.is_closed()
     }
 
-    /// Bytes of post ring this handle mapped.
-    pub fn ring_bytes(&self) -> usize {
-        self.posts.capacity() * CELL_BYTES
-    }
-
     /// This handle's event-trace ring, when tracing is enabled. Higher
     /// layers push domain events (alloc/free with sizes) here; the
     /// offload layer itself records post/refill/wait-transition events.
@@ -500,7 +525,7 @@ pub struct RuntimeConfig {
     /// thread (`ngm-service-<shard>`) and labels its telemetry. A
     /// standalone runtime is shard 0.
     pub shard: usize,
-    /// Deadline budget for client operations (`try_call`, `try_post`):
+    /// Deadline budget for client operations (`try_collect`, `try_post`):
     /// how long a client waits on this shard before giving up with
     /// [`ServiceError::Deadline`]. `None` restores the pre-deadline
     /// unbounded behavior. The infallible `call` is never bounded — it
@@ -692,6 +717,7 @@ impl<S: Service> OffloadRuntime<S> {
             telemetry: Arc::clone(&handles.telemetry),
             trace: handles.telemetry.new_ring(),
             post_seq: 0,
+            in_flight: None,
             pmu: if pmu && handles.telemetry.profiling_enabled() {
                 ClientPmu::Unarmed
             } else {
@@ -984,6 +1010,29 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// One synchronous request through both halves, under the runtime's
+    /// deadline.
+    trait Trip<S: Service> {
+        fn trip<T>(
+            &mut self,
+            req: S::Req,
+            kind: CallKind,
+            collect: impl FnOnce(&mut S::Resp) -> T,
+        ) -> Result<T, ServiceError>;
+    }
+
+    impl<S: Service> Trip<S> for ClientHandle<S> {
+        fn trip<T>(
+            &mut self,
+            req: S::Req,
+            kind: CallKind,
+            collect: impl FnOnce(&mut S::Resp) -> T,
+        ) -> Result<T, ServiceError> {
+            self.publish(req, kind)?;
+            self.try_collect(collect)
+        }
+    }
+
     /// A service that doubles on call and sums posts.
     #[derive(Debug)]
     struct Doubler {
@@ -1072,7 +1121,7 @@ mod tests {
         let mut late = rt.register_client();
         assert!(!late.is_open(), "no loop will ever drain this ring");
         assert_eq!(
-            late.try_call(1, CallKind::Single, std::mem::take),
+            late.trip(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped),
             "refused at once, not after a deadline"
         );
@@ -1297,7 +1346,7 @@ mod tests {
             c.call(i);
         }
         for i in 0..4 {
-            assert_eq!(c.try_call(i, CallKind::Batched, std::mem::take), Ok(i * 2));
+            assert_eq!(c.trip(i, CallKind::Batched, std::mem::take), Ok(i * 2));
         }
         let m = rt.metrics();
         assert_eq!(
@@ -1345,13 +1394,13 @@ mod tests {
         for i in 1..=4u64 {
             // `collect` runs before the EMPTY store: the completion it
             // belongs to is already on the books.
-            let seen = c.try_call(i, CallKind::Single, |r| {
+            let seen = c.trip(i, CallKind::Single, |r| {
                 (*r, telemetry.call_cycles.snapshot().count())
             });
             assert_eq!(seen, Ok((i * 2, i)), "call {i}");
         }
         for i in 1..=4u64 {
-            let seen = c.try_call(i, CallKind::Batched, |r| {
+            let seen = c.trip(i, CallKind::Batched, |r| {
                 (
                     *r,
                     telemetry.refill_cycles.snapshot().count(),
@@ -1518,23 +1567,64 @@ mod tests {
     }
 
     #[test]
-    fn try_call_refuses_dead_service() {
+    fn publish_refuses_a_dead_service() {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21, CallKind::Single, std::mem::take), Ok(42));
+        assert_eq!(c.trip(21, CallKind::Single, std::mem::take), Ok(42));
         let (_, _) = rt.shutdown();
         assert_eq!(
-            c.try_call(1, CallKind::Single, std::mem::take),
+            c.trip(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped)
         );
         assert_eq!(
-            c.try_call(1, CallKind::Batched, std::mem::take),
+            c.trip(1, CallKind::Batched, std::mem::take),
             Err(ServiceError::ServiceStopped)
         );
     }
 
     #[test]
-    #[should_panic(expected = "use try_call")]
+    fn a_client_maps_128_kib_of_free_ring() {
+        let rt = OffloadRuntime::start(doubler());
+        let c = rt.register_client();
+        // 1.06 MiB before the ring had cells.
+        assert_eq!(c.posts.capacity() * crate::ring::CELL_BYTES, 128 * 1024);
+        drop(c);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_published_request_is_collected_later_and_one_is_in_flight_at_most() {
+        let rt = OffloadRuntime::start(doubler());
+        let mut c = rt.register_client();
+        assert_eq!(c.publish(5, CallKind::Batched), Ok(()));
+        assert_eq!(
+            c.publish(6, CallKind::Batched),
+            Err(ServiceError::ServiceStopped),
+            "the slot holds one request"
+        );
+        // The response waits in the slot until its publisher collects it.
+        wait_until(Duration::from_secs(5), "never served", || {
+            rt.stats().calls_served == 1
+        });
+        assert_eq!(c.try_collect(std::mem::take), Ok(10));
+        assert_eq!(rt.telemetry().refill_cycles.snapshot().count(), 1);
+        assert_eq!(c.trip(7, CallKind::Single, std::mem::take), Ok(14));
+        drop(c);
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.calls_served, 2);
+        assert_eq!(stats.batched_calls_served, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no request in flight")]
+    fn collecting_with_nothing_in_flight_panics() {
+        let rt = OffloadRuntime::start(doubler());
+        let mut c = rt.register_client();
+        let _ = c.try_collect(std::mem::take);
+    }
+
+    #[test]
+    #[should_panic(expected = "use publish and try_collect")]
     fn call_on_a_stopped_service_panics_instead_of_hanging() {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
@@ -1543,7 +1633,7 @@ mod tests {
     }
 
     #[test]
-    fn try_call_abandons_and_poisons_when_the_service_dies_mid_serve() {
+    fn try_collect_abandons_and_poisons_when_the_service_dies_mid_serve() {
         #[derive(Debug)]
         struct DiesServing;
         impl Service for DiesServing {
@@ -1563,13 +1653,13 @@ mod tests {
         let mut c = rt.register_client();
         // The request is claimed, then the thread dies: the retract
         // loses, the grace period runs out, the request is abandoned.
-        let r = c.try_call(9, CallKind::Single, std::mem::take);
+        let r = c.trip(9, CallKind::Single, std::mem::take);
         assert!(
             matches!(r, Err(ServiceError::Deadline { waited, .. }) if waited >= Duration::from_millis(20)),
             "mid-serve death must surface as a deadline after budget + grace, got {r:?}"
         );
         assert_eq!(
-            c.try_call(1, CallKind::Single, std::mem::take),
+            c.trip(1, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped),
             "the poisoned handle fails fast"
         );
@@ -1603,9 +1693,9 @@ mod tests {
         )
         .unwrap();
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(1, CallKind::Single, std::mem::take), Ok(1));
+        assert_eq!(c.trip(1, CallKind::Single, std::mem::take), Ok(1));
         assert_eq!(
-            c.try_call(2, CallKind::Single, std::mem::take),
+            c.trip(2, CallKind::Single, std::mem::take),
             Ok(2),
             "the same handle is served again"
         );
@@ -1621,11 +1711,11 @@ mod tests {
         let rt = OffloadRuntime::start(doubler());
         let mut c = rt.register_client();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.try_call(1, CallKind::Single, |_: &mut u64| panic!("collect unwound"))
+            c.trip(1, CallKind::Single, |_: &mut u64| panic!("collect unwound"))
         }));
         assert!(unwound.is_err());
         assert_eq!(
-            c.try_call(2, CallKind::Single, std::mem::take),
+            c.trip(2, CallKind::Single, std::mem::take),
             Err(ServiceError::ServiceStopped),
             "the unread response still holds the slot"
         );
@@ -1798,7 +1888,7 @@ mod tests {
     ) -> std::thread::JoinHandle<Result<u64, ServiceError>> {
         let mut stall_client = rt.register_client();
         let staller =
-            std::thread::spawn(move || stall_client.try_call(1, CallKind::Single, std::mem::take));
+            std::thread::spawn(move || stall_client.trip(1, CallKind::Single, std::mem::take));
         while !entered.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
@@ -1806,14 +1896,14 @@ mod tests {
     }
 
     #[test]
-    fn try_call_deadlines_against_stalled_service_and_recovers() {
+    fn try_collect_deadlines_against_stalled_service_and_recovers() {
         let (rt, entered, release) = stalled_runtime(Duration::from_millis(10));
         let staller = take_hostage(&rt, &entered);
         let mut c = rt.register_client();
         // The service thread is hostage inside another client's call: our
         // request is never claimed, so the deadline fires and retracts.
         let start = std::time::Instant::now();
-        let r = c.try_call(2, CallKind::Single, std::mem::take);
+        let r = c.trip(2, CallKind::Single, std::mem::take);
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "expected deadline, got {r:?}"
@@ -1831,7 +1921,7 @@ mod tests {
             "unexpected stalled-call outcome {stalled_result:?}"
         );
         // The retracted slot is reusable: the same handle recovers.
-        assert_eq!(c.try_call(3, CallKind::Single, std::mem::take), Ok(3));
+        assert_eq!(c.trip(3, CallKind::Single, std::mem::take), Ok(3));
         let stats = rt.stats();
         assert!(stats.deadlines >= 1, "deadline expiries counted");
         drop(c);
@@ -1868,8 +1958,8 @@ mod tests {
     fn no_deadline_config_restores_unbounded_calls() {
         let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.deadline = None)).unwrap();
         let mut c = rt.register_client();
-        assert_eq!(c.try_call(21, CallKind::Single, std::mem::take), Ok(42));
-        assert_eq!(c.try_call(3, CallKind::Batched, std::mem::take), Ok(6));
+        assert_eq!(c.trip(21, CallKind::Single, std::mem::take), Ok(42));
+        assert_eq!(c.trip(3, CallKind::Batched, std::mem::take), Ok(6));
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.deadlines, 0);
     }
@@ -1916,13 +2006,13 @@ mod tests {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             assert_eq!(
-                c.try_call(5, CallKind::Single, std::mem::take),
+                c.trip(5, CallKind::Single, std::mem::take),
                 Ok(10),
                 "healthy before the fault"
             );
             rt.fault_state().set_wedged(true);
             let start = std::time::Instant::now();
-            let r = c.try_call(6, CallKind::Single, std::mem::take);
+            let r = c.trip(6, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { shard: 0, .. })),
                 "wedged shard must deadline, got {r:?}"
@@ -1930,7 +2020,7 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(10));
             rt.fault_state().set_wedged(false);
             assert_eq!(
-                c.try_call(7, CallKind::Single, std::mem::take),
+                c.trip(7, CallKind::Single, std::mem::take),
                 Ok(14),
                 "retracted slot reusable"
             );
@@ -1971,13 +2061,13 @@ mod tests {
             let rt = fast_deadline_runtime();
             let mut c = rt.register_client();
             rt.fault_state().set_drop_every(1);
-            let r = c.try_call(1, CallKind::Single, std::mem::take);
+            let r = c.trip(1, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "dropped response must deadline, got {r:?}"
             );
             rt.fault_state().set_drop_every(0);
-            assert_eq!(c.try_call(2, CallKind::Single, std::mem::take), Ok(4));
+            assert_eq!(c.trip(2, CallKind::Single, std::mem::take), Ok(4));
             drop(c);
             let (_, stats) = rt.shutdown();
             assert_eq!(stats.deadlines, 1);
@@ -1994,7 +2084,7 @@ mod tests {
             let mut c = rt.register_client();
             rt.fault_state().set_delay_cycles(10_000);
             assert_eq!(
-                c.try_call(4, CallKind::Single, std::mem::take),
+                c.trip(4, CallKind::Single, std::mem::take),
                 Ok(8),
                 "delayed but served"
             );
@@ -2011,7 +2101,7 @@ mod tests {
             let mut c = rt.register_client();
             rt.fault_state().kill_next_call();
             let start = std::time::Instant::now();
-            let r = c.try_call(1, CallKind::Single, std::mem::take);
+            let r = c.trip(1, CallKind::Single, std::mem::take);
             assert!(
                 matches!(r, Err(ServiceError::Deadline { .. })),
                 "killed mid-serve must surface as an abandoned deadline, got {r:?}"
@@ -2020,7 +2110,7 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(10));
             // The slot is unrecoverable: the handle fails fast forever.
             assert_eq!(
-                c.try_call(2, CallKind::Single, std::mem::take),
+                c.trip(2, CallKind::Single, std::mem::take),
                 Err(ServiceError::ServiceStopped)
             );
             drop(c);

@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ngm_telemetry::clock::cycles_now;
 
-use crate::pad::CachePadded;
 use crate::stats::bump;
 
 /// Slot is idle; the client may publish a request.
@@ -36,18 +35,21 @@ const SERVING: u32 = 3;
 /// A one-deep synchronous request/response mailbox between one client
 /// thread and the service core.
 ///
-/// The state word lives on its own cache line; the request crosses by
-/// value (in the paper's design a size), the response is written and read
-/// **where it lies**: the server fills `resp` in place and the client
-/// reads it in place, so a response type with room for many addresses
-/// costs what a given response holds, one copy per side, never
-/// `size_of::<R>()`.
+/// Everything a trip reads besides the payloads lies on the slot's first
+/// 64-byte line: the state word the client spins on and the service
+/// claims with its CAS, the publish sequence and the three phase stamps.
+/// Seeing RESPONSE therefore brings the stamps with it. The response
+/// starts on that line too, so the length and first words of a short
+/// one come with them; the request follows the response. The request
+/// crosses by value (in the paper's design a size), the response is
+/// written and read **where it lies**: the server fills `resp` in place
+/// and the client reads it in place, so a response type with room for
+/// many addresses costs what a given response holds, one copy per side,
+/// never `size_of::<R>()`. The slot is aligned to 128 bytes, so no other
+/// value shares its first line or that line's prefetch pair.
+#[repr(C, align(128))]
 pub struct RequestSlot<Q, R> {
-    state: CachePadded<AtomicU32>,
-    req: UnsafeCell<MaybeUninit<Q>>,
-    /// Always a valid `R`: `R::default()` until the first response, then
-    /// whatever the server last wrote over it.
-    resp: UnsafeCell<R>,
+    state: AtomicU32,
     /// Publish counter, bumped immediately before every REQUEST store. Two
     /// consumers: fault injection uses it so the service loop's "drop
     /// response" fault ignores one *specific* request rather than whatever
@@ -60,11 +62,16 @@ pub struct RequestSlot<Q, R> {
     /// *current* request. Writes are Relaxed: the server's stamps are
     /// ordered for the client by the RESPONSE Release store, and
     /// `request_tsc` is the client's own write. One cycle of the protocol
-    /// overwrites the previous request's stamps.
+    /// overwrites the previous request's stamps. The response is written
+    /// where the client reads it, so served and published are one
+    /// instant and one stamp.
     request_tsc: AtomicU64,
     claim_tsc: AtomicU64,
     served_tsc: AtomicU64,
-    publish_tsc: AtomicU64,
+    /// Always a valid `R`: `R::default()` until the first response, then
+    /// whatever the server last wrote over it.
+    resp: UnsafeCell<R>,
+    req: UnsafeCell<MaybeUninit<Q>>,
 }
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
@@ -87,14 +94,13 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     /// Creates an empty slot.
     pub fn new() -> Self {
         RequestSlot {
-            state: CachePadded::new(AtomicU32::new(EMPTY)),
-            req: UnsafeCell::new(MaybeUninit::uninit()),
-            resp: UnsafeCell::new(R::default()),
+            state: AtomicU32::new(EMPTY),
             publish_seq: AtomicU64::new(0),
             request_tsc: AtomicU64::new(0),
             claim_tsc: AtomicU64::new(0),
             served_tsc: AtomicU64::new(0),
-            publish_tsc: AtomicU64::new(0),
+            req: UnsafeCell::new(MaybeUninit::uninit()),
+            resp: UnsafeCell::new(R::default()),
         }
     }
 
@@ -116,32 +122,36 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     }
 
     /// Phase stamps of the most recently completed request, as
-    /// `(request, claim, served, publish)` [`cycles_now`] values. Valid
+    /// `(request, claim, served, publish)` [`cycles_now`] values, where
+    /// publish is the served stamp: the response is published where it
+    /// was written, so the publish phase is zero wide. Valid
     /// for the client after it consumed a RESPONSE (the Acquire load
     /// ordered the server's stamps); phases the request never reached
     /// (e.g. a retracted request was never claimed) read as stale values
     /// from an earlier cycle — callers gate on the call outcome.
     #[must_use]
     pub fn phase_stamps(&self) -> (u64, u64, u64, u64) {
+        let served = self.served_tsc.load(Ordering::Relaxed);
         (
             self.request_tsc.load(Ordering::Relaxed),
             self.claim_tsc.load(Ordering::Relaxed),
-            self.served_tsc.load(Ordering::Relaxed),
-            self.publish_tsc.load(Ordering::Relaxed),
+            served,
+            served,
         )
     }
 
     /// Client side, non-blocking: publishes `request` if the slot is
     /// EMPTY, returning `Err(request)` (payload handed back, nothing
     /// published) otherwise. The check guards the payload cells: the one
-    /// caller, [`crate::service::ClientHandle::try_call`], always leaves
-    /// the slot EMPTY, so it finds it busy only after a `collect` unwound
-    /// mid-read, and then poisons its handle.
+    /// caller, [`crate::service::ClientHandle::publish`], publishes only
+    /// once the previous request was collected or retracted, so it finds
+    /// the slot busy only after a `collect` unwound mid-read, and then
+    /// poisons its handle.
     ///
     /// This is the submission half of the protocol; pair it with
     /// [`Self::poll_response`] to collect and [`Self::retract`] to cancel.
     /// Nothing is ever woken: the client learns of the response by
-    /// polling in `try_call`'s one wait loop.
+    /// polling in `ClientHandle::try_collect`'s one wait loop.
     ///
     /// Callers must ensure only one client thread uses a given slot; this
     /// is enforced structurally by [`crate::service::ClientHandle`] owning
@@ -233,9 +243,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         f(request, unsafe { &mut *self.resp.get() });
         // The response was written where the client reads it, so served
         // and published are one instant: there is no copy between them.
-        let served = cycles_now();
-        self.served_tsc.store(served, Ordering::Relaxed);
-        self.publish_tsc.store(served, Ordering::Relaxed);
+        self.served_tsc.store(cycles_now(), Ordering::Relaxed);
         self.state.store(RESPONSE, Ordering::Release);
         true
     }
@@ -257,7 +265,7 @@ impl<Q, R> Drop for RequestSlot<Q, R> {
         // A request published but never served must still be dropped
         // (`resp` is always a valid `R` and drops as a field). SERVING:
         // the server consumed `req` before it died mid-serve.
-        if *self.state.0.get_mut() == REQUEST {
+        if *self.state.get_mut() == REQUEST {
             // SAFETY: exclusive access in drop; state says `req` holds a
             // value that was never consumed.
             unsafe { (*self.req.get()).assume_init_drop() };
@@ -273,7 +281,8 @@ mod tests {
 
     /// `begin`, then poll until the response lands or `budget` runs out
     /// (the request is then still in the slot) — the blocking round trip
-    /// as `ClientHandle::try_call` builds it from the primitives.
+    /// as `ClientHandle::publish` and `try_collect` build it from the
+    /// primitives.
     fn call_within<Q: Send, R: Send + Default>(
         slot: &RequestSlot<Q, R>,
         request: Q,
@@ -442,7 +451,7 @@ mod tests {
         });
         assert_eq!(call_within(&slot, 9, Duration::from_millis(10)), None);
         h.join().unwrap();
-        // The abandon edge `ClientHandle::try_call` poisons on: the payload is
+        // The abandon edge `ClientHandle::try_collect` poisons on: the payload is
         // consumed, so the retract loses, and no response ever arrives.
         assert!(!slot.retract(), "the server claimed the request");
         assert_eq!(slot.poll_response(std::mem::take), None);
@@ -475,6 +484,24 @@ mod tests {
         call(&slot, 2);
         assert_eq!(slot.publish_seq(), seq1 + 1, "seq bumps per publish");
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_trip_reads_one_line() {
+        // What the client spins on, what the service claims with its CAS,
+        // and every stamp the client reads once it sees RESPONSE: one
+        // 64-byte line, the slot's first.
+        type Slot = RequestSlot<[u64; 4], [u64; 128]>;
+        assert_eq!(std::mem::align_of::<Slot>(), 128);
+        for (field, end) in [
+            ("state", std::mem::offset_of!(Slot, state) + 4),
+            ("publish_seq", std::mem::offset_of!(Slot, publish_seq) + 8),
+            ("request_tsc", std::mem::offset_of!(Slot, request_tsc) + 8),
+            ("claim_tsc", std::mem::offset_of!(Slot, claim_tsc) + 8),
+            ("served_tsc", std::mem::offset_of!(Slot, served_tsc) + 8),
+        ] {
+            assert!(end <= 64, "{field} ends at byte {end}");
+        }
     }
 
     #[test]

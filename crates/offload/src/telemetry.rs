@@ -62,7 +62,9 @@ pub struct RuntimeTelemetry {
     /// calls and batched refills alike — in lifecycle order: queue
     /// (enqueue → ring-resident), claim (ring-resident → claimed), serve
     /// (claimed → served), publish (served → response published),
-    /// observe (published → client observed). The five are derived from
+    /// observe (published → client observed; for a request collected
+    /// after the client went back to work, that includes the time the
+    /// response waited for it). The five are derived from
     /// the same two endpoint timestamps as the request's `call_cycles`
     /// or `refill_cycles` record, so per-request they sum to exactly the
     /// recorded round trip, and in total to the two histograms' sums.

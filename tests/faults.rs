@@ -48,11 +48,19 @@ fn wedged_service_returns_typed_error_within_deadline() {
     };
     let rt = OffloadRuntime::try_start(Echo, cfg).expect("runtime starts");
     let mut client = rt.register_client();
-    assert_eq!(client.try_call(1, CallKind::Single, std::mem::take), Ok(1));
+    assert_eq!(
+        client
+            .publish(1, CallKind::Single)
+            .and_then(|()| client.try_collect(std::mem::take)),
+        Ok(1)
+    );
 
     rt.fault_state().set_wedged(true);
     let t0 = Instant::now();
-    match client.try_call(2, CallKind::Single, std::mem::take) {
+    match client
+        .publish(2, CallKind::Single)
+        .and_then(|()| client.try_collect(std::mem::take))
+    {
         Err(ServiceError::Deadline { waited, .. }) => {
             assert!(waited >= Duration::from_millis(20), "budget honored");
         }
@@ -65,7 +73,9 @@ fn wedged_service_returns_typed_error_within_deadline() {
 
     rt.fault_state().set_wedged(false);
     assert_eq!(
-        client.try_call(3, CallKind::Single, std::mem::take),
+        client
+            .publish(3, CallKind::Single)
+            .and_then(|()| client.try_collect(std::mem::take)),
         Ok(3),
         "shard recovered after unwedge"
     );

@@ -430,14 +430,17 @@ mod faultinject {
         let mut c = rt.register_client();
 
         rt.fault_state().set_drop_every(1);
-        let r = c.try_call(7, CallKind::Single, std::mem::take);
+        let r = c
+            .publish(7, CallKind::Single)
+            .and_then(|()| c.try_collect(std::mem::take));
         assert!(
             matches!(r, Err(ServiceError::Deadline { .. })),
             "dropped response deadlines, got {r:?}"
         );
         rt.fault_state().set_drop_every(0);
         assert_eq!(
-            c.try_call(7, CallKind::Single, std::mem::take),
+            c.publish(7, CallKind::Single)
+                .and_then(|()| c.try_collect(std::mem::take)),
             Ok(14),
             "same slot recovers"
         );
