@@ -44,7 +44,7 @@ fn ping_pong(ngm: &Ngm, ops: u32) {
         live_cap: 0,
         size: |_, _| 64,
     };
-    live::drive(ngm, load, live::must_alloc, live::JOIN_POLL, || ());
+    live::drive(ngm, load, None, live::must_alloc, live::JOIN_POLL, || ());
 }
 
 /// Shuts `ngm` down through [`live::finish`] and panics unless its books

@@ -127,7 +127,7 @@ mod imp {
                 }
             }
         };
-        live::drive(&ngm, load, timed_alloc, live::JOIN_POLL, || ());
+        live::drive(&ngm, load, None, timed_alloc, live::JOIN_POLL, || ());
         // Disarm before shutdown so the stop handshake itself cannot be
         // dropped — the sweep measures the request path, not shutdown.
         for s in 0..shards {

@@ -81,8 +81,8 @@ fn scrape_ok(addr: std::net::SocketAddr) -> bool {
 }
 
 /// Runs the observed ramp and reads the recording back; with `profile`
-/// the tier arms PMU sessions and the report carries their readings
-/// (`--hw`).
+/// the ramp runs under the harness's PMU sessions and the report carries
+/// their readings (`--hw`).
 pub fn run(scale: Scale, profile: bool) -> ObsReport {
     let per_thread = 20_000usize * scale.0.max(1) as usize;
     let record_path = std::env::temp_dir().join(format!("ngm-obs-{}.jsonl", std::process::id()));
@@ -98,7 +98,6 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
             .with_batch(1, 1)
             .with_shards(SHARDS)
             .with_placement(CorePlacement::Unpinned)
-            .with_profile(profile)
             .with_trace_capacity(8192)
             .with_observer(
                 ObserverConfig::new("127.0.0.1:0")
@@ -113,6 +112,7 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
         .expect("observer binds")
         .expect("config carries an observer");
     let addr = observer.addr();
+    let hw = profile.then(|| live::Sessions::open(&ngm));
 
     let mut stages = Vec::new();
     for &clients in &STAGES {
@@ -123,10 +123,17 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
             size: live::class_sweep,
         };
         let (mut scrapes, mut scrape_failures) = (0usize, 0usize);
-        live::drive(&ngm, load, live::must_alloc, CURL_EVERY, || {
-            scrapes += 1;
-            scrape_failures += usize::from(!scrape_ok(addr));
-        });
+        live::drive(
+            &ngm,
+            load,
+            hw.as_ref(),
+            live::must_alloc,
+            CURL_EVERY,
+            || {
+                scrapes += 1;
+                scrape_failures += usize::from(!scrape_ok(addr));
+            },
+        );
         stages.push(ObsStageRow {
             clients,
             scrapes,
@@ -157,7 +164,7 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
         call_cycles,
         overhead_pct,
         balanced: down.clean() && down.balanced(),
-        pmu: down.pmu,
+        pmu: hw.map(live::Sessions::report),
     }
 }
 

@@ -1,7 +1,7 @@
 //! PMU experiment: hardware attribution on the real runtime.
 //!
 //! Runs a mixed alloc/free workload on the actual offloaded allocator
-//! with PMU profiling on, then renders:
+//! under the harness's PMU sessions, then renders:
 //!
 //! 1. the service-core-vs-app-cores counter report (§2.3's attribution
 //!    question, measured instead of simulated), with the exact leak
@@ -30,19 +30,27 @@ pub fn run(scale: Scale, ops: u32) -> String {
 
     // --- 1. Real-runtime attribution ---------------------------------
     let ngm = NgmConfig::new()
-        .with_profile(true)
         .with_batch(16, 8)
         .build()
         .expect("valid config");
+    let hw = live::Sessions::open(&ngm);
     let load = Load {
         clients: 2,
         per_thread: ops.max(1) as usize,
         live_cap: 32,
         size: live::scattered,
     };
-    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
+    live::drive(
+        &ngm,
+        load,
+        Some(&hw),
+        live::must_alloc,
+        live::JOIN_POLL,
+        || (),
+    );
     let down = ngm.shutdown();
     let leak_free = down.clean() && down.balanced();
+    let attribution = hw.report();
 
     // --- 2. Sim-vs-measured bridge on one replay kernel --------------
     let (events, warmup) =
@@ -63,10 +71,7 @@ pub fn run(scale: Scale, ops: u32) -> String {
         scale.0,
         perf,
         load.per_thread,
-        down.pmu.as_ref().map_or_else(
-            || "(no PMU readings deposited)\n".into(),
-            ngm_pmu::PmuReport::render
-        ),
+        attribution.render(),
         hw::render_deltas(&deltas),
     )
 }

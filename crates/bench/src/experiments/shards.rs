@@ -81,7 +81,7 @@ fn workload(clients: usize, scale: Scale) -> Vec<ngm_workloads::Event> {
 }
 
 /// Runs the simulated grid and the real-runtime rows; with `profile` the
-/// real rows run with PMU sessions armed (`--hw`).
+/// real rows run under PMU sessions (`--hw`).
 pub fn run(scale: Scale, profile: bool) -> ShardsReport {
     let mut cells = Vec::new();
     for &shards in &SHARD_COUNTS {
@@ -121,30 +121,37 @@ pub fn run(scale: Scale, profile: bool) -> ShardsReport {
 /// Runs the churn shape on the live runtime with `shards` service
 /// threads and `clients` client threads. The row is untimed: eight
 /// clients on a host with fewer cores measure the scheduler, not the
-/// tier's width, which the simulated grid measures. With `profile` the tier also
-/// arms PMU sessions and the row carries their report (`--hw`).
+/// tier's width, which the simulated grid measures. With `profile` the harness
+/// also counts the run's threads and the row carries their report (`--hw`).
 pub fn run_real(shards: usize, clients: usize, scale: Scale, profile: bool) -> RealShardRow {
     let ngm = ngm_core::NgmConfig::new()
         .with_shards(shards)
         .with_batch(16, 8)
         .with_placement(ngm_core::CorePlacement::Unpinned)
-        .with_profile(profile)
         .build()
         .expect("valid config");
+    let hw = profile.then(|| live::Sessions::open(&ngm));
     let load = Load {
         clients,
         per_thread: 20_000 * scale.0.max(1) as usize,
         live_cap: 64,
         size: live::class_sweep,
     };
-    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
+    live::drive(
+        &ngm,
+        load,
+        hw.as_ref(),
+        live::must_alloc,
+        live::JOIN_POLL,
+        || (),
+    );
     let down = ngm.shutdown();
     RealShardRow {
         shards,
         clients,
         balanced: down.clean() && down.balanced(),
         per_shard_allocs: down.shards.iter().map(|s| s.service.allocs).collect(),
-        pmu: down.pmu,
+        pmu: hw.map(live::Sessions::report),
     }
 }
 

@@ -13,7 +13,7 @@
 //! so their total must equal the `ngm_call_cycles` sum (the stamps are
 //! clamped into each call's `[t0, t5]`, so the identity is exact by
 //! construction; the acceptance bar is ±10%). With `--hw` the same run
-//! arms PMU sessions, so the phase table and the service-vs-client
+//! runs under the harness's PMU sessions, so the phase table and the service-vs-client
 //! counter report under it come from one run.
 
 use ngm_offload::{PHASES, PHASE_NAMES};
@@ -78,16 +78,23 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
         .with_shards(shards)
         .with_batch(1, 1)
         .with_placement(ngm_core::CorePlacement::Unpinned)
-        .with_profile(profile)
         .build()
         .expect("valid config");
+    let hw = profile.then(|| live::Sessions::open(&ngm));
     let load = Load {
         clients: CLIENTS,
         per_thread: 10_000 * scale.0.max(1) as usize,
         live_cap: 0,
         size: live::class_sweep,
     };
-    live::drive(&ngm, load, live::must_alloc, live::JOIN_POLL, || ());
+    live::drive(
+        &ngm,
+        load,
+        hw.as_ref(),
+        live::must_alloc,
+        live::JOIN_POLL,
+        || (),
+    );
     let m = ngm.metrics();
     let calls = m
         .get_histogram("ngm_call_cycles")
@@ -107,12 +114,12 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
         calls: calls.count(),
         call_sum: calls.sum(),
         phases,
-        pmu: down.pmu,
+        pmu: hw.map(live::Sessions::report),
     }
 }
 
 /// Runs the phase breakdown across [`SHARD_COUNTS`]; with `profile`
-/// every row runs with PMU sessions armed (`--hw`).
+/// every row runs under PMU sessions (`--hw`).
 pub fn run(scale: Scale, profile: bool) -> SpansReport {
     SpansReport {
         rows: SHARD_COUNTS

@@ -6,9 +6,12 @@
 //! down, check the books. The tier's configuration and the load are the
 //! experiment's own; [`drive`] is the client loop, [`finish`] the
 //! shutdown, and [`render_pmu`] the `--hw` section printed under
-//! whatever the run's report prints. Because a `--hw` table comes out of
-//! the same [`finish`] as the books, it is by construction a measurement
-//! of the run it is printed under.
+//! whatever the run's report prints. A `--hw` run's PMU sessions are
+//! the harness's, not the tier's: [`Sessions`] opens one on each service
+//! thread from outside before the run, [`drive`] one on each client
+//! thread, and [`Sessions::report`] reads them all after [`finish`] — so
+//! a `--hw` table is by construction a measurement of the run it is
+//! printed under.
 //!
 //! Every live wall-clock number the harness prints is [`paired`] against
 //! `System`: a single unpaired pass on a shared host does not reproduce.
@@ -16,11 +19,11 @@
 use std::alloc::Layout;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ngm_core::{Ngm, NgmHandle, NgmShutdown};
-use ngm_pmu::PmuReport;
+use ngm_pmu::{PmuReading, PmuReport, PmuSession};
 
 use crate::report::median;
 
@@ -62,6 +65,10 @@ pub fn must_alloc(_client: usize, h: &mut NgmHandle, layout: Layout) -> Option<N
 /// Runs `load` against `ngm` and returns the seconds from the first
 /// client's spawn to the last client's final free.
 ///
+/// With `pmu`, each client thread also counts itself in a PMU session of
+/// its own, from just after its handle is built until just after it is
+/// dropped, and leaves the reading in `pmu`; without, no session opens.
+///
 /// Each client opens its own handle and makes its allocations through
 /// `alloc(client, handle, layout)` — [`must_alloc`], or a closure that
 /// times the call or absorbs a failure (`None` means no block came
@@ -79,12 +86,14 @@ pub fn must_alloc(_client: usize, h: &mut NgmHandle, layout: Layout) -> Option<N
 pub fn drive(
     ngm: &Ngm,
     load: Load,
+    pmu: Option<&Sessions>,
     alloc: impl Fn(usize, &mut NgmHandle, Layout) -> Option<NonNull<u8>> + Sync,
     interval: Duration,
     mut while_running: impl FnMut(),
 ) -> f64 {
     let client = |t: usize| {
         let mut h = ngm.handle();
+        let counting = pmu.map(|_| started(PmuSession::new()));
         let mut live: Vec<(NonNull<u8>, Layout)> = Vec::with_capacity(load.live_cap + 1);
         for i in 0..load.per_thread {
             let l = Layout::from_size_align((load.size)(i, t), 8).expect("valid layout");
@@ -101,7 +110,12 @@ pub fn drive(
             // SAFETY: a live block of this tier, freed once.
             unsafe { h.dealloc(p, l) };
         }
-        Instant::now()
+        let end = Instant::now();
+        drop(h);
+        if let (Some(pmu), Some(mut session)) = (pmu, counting) {
+            pmu.add_client(session.finish());
+        }
+        end
     };
     let start = Instant::now();
     let end = std::thread::scope(|s| {
@@ -128,9 +142,9 @@ pub fn drive(
 /// clients to finish (the returned seconds do not depend on it).
 pub const JOIN_POLL: Duration = Duration::from_millis(1);
 
-/// Shuts the tier down and returns its final books — and, in
-/// [`NgmShutdown::pmu`], the PMU report of a profiled tier, complete
-/// with the service columns that exist only once the loops have exited.
+/// Shuts the tier down and returns its final books; a `--hw` run's
+/// [`Sessions::report`] comes after, so its service columns count each
+/// service loop to its exit.
 ///
 /// # Panics
 ///
@@ -142,10 +156,80 @@ pub fn finish(ngm: Arc<Ngm>) -> NgmShutdown {
 }
 
 /// What `--hw` adds under the table a run produced: `heading`, then the
-/// service-shard and client columns of [`NgmShutdown::pmu`]. A run that
+/// service-shard and client columns of [`Sessions::report`]. A run that
 /// was not profiled has no report and adds nothing.
 pub fn render_pmu(heading: &str, pmu: Option<&PmuReport>) -> String {
     pmu.map_or_else(String::new, |p| format!("\n{heading}\n\n{}", p.render()))
+}
+
+/// A session that is counting.
+fn started(mut session: PmuSession) -> PmuSession {
+    session.begin();
+    session
+}
+
+/// The PMU sessions of one `--hw` run, which answer §2.3's question —
+/// whose core pays for allocation — from outside the tier: one session
+/// on each service thread, and one on each client thread of every
+/// [`drive`] it is passed to.
+pub struct Sessions {
+    /// Counting each service thread, in shard order.
+    service: Vec<PmuSession>,
+    /// Every finished client session merged, and how many there were.
+    clients: Mutex<(Option<PmuReading>, usize)>,
+}
+
+impl Sessions {
+    /// Opens and starts one session on each of `ngm`'s service threads
+    /// (by [`Ngm::service_tids`]): call it after the tier is built and
+    /// before the first [`drive`].
+    pub fn open(ngm: &Ngm) -> Self {
+        Sessions {
+            service: ngm
+                .service_tids()
+                .into_iter()
+                .map(|tid| started(PmuSession::for_thread(tid)))
+                .collect(),
+            clients: Mutex::new((None, 0)),
+        }
+    }
+
+    /// Folds one client thread's finished reading into the clients'
+    /// column.
+    fn add_client(&self, reading: PmuReading) {
+        let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
+        clients.0 = Some(clients.0.map_or(reading, |acc| acc.merge(&reading)));
+        clients.1 += 1;
+    }
+
+    /// Stops the service sessions and builds the report: one column per
+    /// service thread in shard order — `service` on a one-shard tier,
+    /// `shard<N>` on a wider one — then `clients(N)`, every client
+    /// thread's reading merged. Read it after [`finish`].
+    pub fn report(self) -> PmuReport {
+        let one = self.service.len() == 1;
+        let mut rep = PmuReport::new(if one {
+            "PMU: service core vs app cores"
+        } else {
+            "PMU: service shards vs app cores"
+        });
+        for (i, mut s) in self.service.into_iter().enumerate() {
+            let name = if one {
+                "service".to_string()
+            } else {
+                format!("shard{i}")
+            };
+            rep.push(name, s.finish());
+        }
+        let (clients, n) = self
+            .clients
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(reading) = clients {
+            rep.push(format!("clients({n})"), reading);
+        }
+        rep
+    }
 }
 
 /// Rounds of a [`paired`] comparison.
@@ -249,14 +333,13 @@ mod tests {
                 size: class_sweep,
             };
             let mut ran = 0u32;
-            let secs = drive(&ngm, load, must_alloc, JOIN_POLL, || ran += 1);
+            let secs = drive(&ngm, load, None, must_alloc, JOIN_POLL, || ran += 1);
             assert!(secs > 0.0);
             assert!(ran >= 1, "while_running runs at least once per stage");
             let down = finish(ngm);
             assert!(down.clean() && down.balanced(), "cap {live_cap}: {down:?}");
             assert_eq!(down.service.app_allocs(), 3 * 2_000, "cap {live_cap}");
             assert_eq!(down.heap.live_blocks, 0, "cap {live_cap}");
-            assert!(down.pmu.is_none(), "not profiled");
         }
     }
 
@@ -272,7 +355,7 @@ mod tests {
             size: class_sweep,
         };
         let mut ran = 0u32;
-        drive(&ngm, idle, must_alloc, JOIN_POLL, || ran += 1);
+        drive(&ngm, idle, None, must_alloc, JOIN_POLL, || ran += 1);
         assert!(ran >= 1);
         assert!(finish(ngm).balanced());
     }
@@ -297,7 +380,7 @@ mod tests {
                 must_alloc(t, h, l)
             }
         };
-        drive(&ngm, load, flaky, JOIN_POLL, || ());
+        drive(&ngm, load, None, flaky, JOIN_POLL, || ());
         for s in &seen {
             assert_eq!(s.load(Ordering::Relaxed), 500, "one call per allocation");
         }
@@ -309,27 +392,24 @@ mod tests {
 
     #[test]
     fn finish_returns_a_profiled_tiers_complete_report() {
-        let ngm = Arc::new(
-            ngm_core::NgmConfig::new()
-                .with_shards(2)
-                .with_profile(true)
-                .with_placement(ngm_core::CorePlacement::Unpinned)
-                .build()
-                .expect("valid config"),
-        );
+        let ngm = two_shards();
+        let hw = Sessions::open(&ngm);
         let load = Load {
             clients: 2,
             per_thread: 200,
             live_cap: 0,
             size: class_sweep,
         };
-        drive(&ngm, load, must_alloc, JOIN_POLL, || ());
-        let down = finish(ngm);
-        let text = render_pmu("### PMU", down.pmu.as_ref());
+        drive(&ngm, load, Some(&hw), must_alloc, JOIN_POLL, || ());
+        assert!(finish(ngm).balanced());
+        let rep = hw.report();
+        let text = render_pmu("### PMU", Some(&rep));
         assert!(text.starts_with("\n### PMU\n\n"), "{text}");
-        for col in ["shard0/", "shard1/", "clients(2)/"] {
-            assert!(text.contains(col), "{col} missing:\n{text}");
-        }
+        let at = |col: &str| {
+            text.find(col)
+                .unwrap_or_else(|| panic!("{col} missing:\n{text}"))
+        };
+        assert!(at("shard0/") < at("shard1/") && at("shard1/") < at("clients(2)/"));
         assert_eq!(render_pmu("### PMU", None), "", "unprofiled: no section");
     }
 }

@@ -147,14 +147,7 @@ impl NgmHandle {
     /// A handle on `tier`, registered with every slot, its size classes
     /// spread round-robin over the shards.
     pub(super) fn new(tier: Arc<Tier>) -> Self {
-        // A PMU session counts its whole thread; arming one handle per
-        // shard would re-count this thread once per shard, so only the
-        // shard-0 endpoint arms.
-        let ends = tier
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| End::new(slot.register(i == 0)));
+        let ends = tier.slots.iter().map(|slot| End::new(slot.register()));
         let n = tier.slots.len();
         NgmHandle {
             ends: ends.collect(),
@@ -235,8 +228,12 @@ impl NgmHandle {
         layout: Layout,
     ) -> Result<NonNull<u8>, AllocError> {
         let ci = class.0 as usize;
-        if self.magazines[ci].is_empty() {
-            if let Err(e) = self.top_up(class) {
+        let size = layout.size() as u64;
+        // The refill that tops an empty magazine up traces this pop
+        // itself, before the store that releases its slot.
+        let collected = self.magazines[ci].is_empty();
+        if collected {
+            if let Err(e) = self.top_up(class, size) {
                 // No shard could refill (all deadlined, dead, or
                 // empty): degrade this one allocation to the inline
                 // fallback instead of failing it, keeping the app
@@ -250,7 +247,9 @@ impl NgmHandle {
             .expect("magazine nonempty after refill");
         let source = self.mag_shard[ci] as usize;
         self.ends[source].stash.held -= 1;
-        self.trace(source, TraceEventKind::Alloc, layout.size() as u64, 0);
+        if !collected {
+            self.trace(source, TraceEventKind::Alloc, size, 0);
+        }
         if self.magazines[ci].is_empty() {
             self.send_ahead(class);
         }
@@ -290,20 +289,24 @@ impl NgmHandle {
     /// Tops up `class`'s empty magazine, routing around shards that
     /// cannot serve it: first by collecting the refill sent ahead when
     /// the magazine ran dry, if one is in flight, else by one round trip
-    /// to the class's current shard. Kept out of line: it runs once per
-    /// magazine, and inlined it would widen `alloc`'s pop path.
+    /// to the class's current shard. The refill that succeeds also traces
+    /// the pop it is collected for, an alloc of `size` bytes. Kept out of
+    /// line: it runs once per magazine, and inlined it would widen
+    /// `alloc`'s pop path.
     #[inline(never)]
-    fn top_up(&mut self, class: SizeClass) -> Result<(), AllocError> {
+    fn top_up(&mut self, class: SizeClass, size: u64) -> Result<(), AllocError> {
         let ci = class.0 as usize;
         let what = self.refill_request(class);
         let ahead = self.mag_shard[ci] as usize;
         let mut collect = self.ends[ahead].in_flight.is_some_and(|w| w.class == class);
         for _ in 0..self.nshards() {
             let (shard, result) = if collect {
-                (ahead, self.collect(ahead))
+                (ahead, self.collect(ahead, Some(size)))
             } else {
                 let shard = self.class_shard[ci] as usize;
-                let trip = self.publish(shard, what).and_then(|()| self.collect(shard));
+                let trip = self
+                    .publish(shard, what)
+                    .and_then(|()| self.collect(shard, Some(size)));
                 (shard, trip)
             };
             collect = false;
@@ -336,7 +339,7 @@ impl NgmHandle {
     /// requested size from here on.
     fn publish(&mut self, shard: usize, what: AllocBatchReq) -> Result<(), ServiceError> {
         if self.ends[shard].in_flight.is_some() {
-            self.collect(shard)?;
+            self.collect(shard, None)?;
         }
         // A round trip for exactly one block is a call: the call
         // histogram and its phase partition cover every single-block
@@ -363,12 +366,14 @@ impl NgmHandle {
     /// where it lies: its addresses go into the class's empty magazine,
     /// the one copy this side makes, and an empty response is the
     /// service reporting failure. Everything this side records of it —
-    /// the stash, the occupancy gauge, the trace event — is done while
+    /// the stash, the occupancy gauge, the trace events — is done while
     /// the slot is still held, so none of it waits behind the store that
-    /// releases the slot. An error leaves the slot free (a deadline
-    /// retracted the request) or the client poisoned (it was abandoned
-    /// mid-serve), and the refill out of the stash.
-    fn collect(&mut self, shard: usize) -> Result<(), ServiceError> {
+    /// releases the slot: a refill collected for a pop (`alloc` carries
+    /// its size) traces that pop's `Alloc` right after its own `Refill`.
+    /// An error leaves the slot free (a deadline retracted the request)
+    /// or the client poisoned (it was abandoned mid-serve), and the
+    /// refill out of the stash.
+    fn collect(&mut self, shard: usize, alloc: Option<u64>) -> Result<(), ServiceError> {
         let end = &mut self.ends[shard];
         let what = end.in_flight.take().expect("a refill in flight");
         let magazine = &mut self.magazines[what.class.0 as usize];
@@ -386,6 +391,9 @@ impl NgmHandle {
                 if let Some(ring) = trace {
                     let class = u64::from(what.class.0);
                     ring.push(TraceEventKind::Refill, class, batch.len() as u64);
+                    if let Some(size) = alloc {
+                        ring.push(TraceEventKind::Alloc, size, 0);
+                    }
                 }
             }
         });
@@ -546,7 +554,7 @@ impl NgmHandle {
     pub(crate) fn empty(&mut self) {
         for shard in 0..self.nshards() {
             if let Some(what) = self.ends[shard].in_flight {
-                if let Err(cause) = self.collect(shard) {
+                if let Err(cause) = self.collect(shard, None) {
                     self.route(shard, cause, RouteOp::Refill(what.class.0 as usize));
                 }
             }

@@ -64,8 +64,8 @@ impl Slot {
     }
 
     /// Registers a client with the slot's thread.
-    pub(super) fn register(&self, pmu: bool) -> ClientHandle<MallocService> {
-        self.with_runtime(|rt| rt.register_client_with_pmu(pmu))
+    pub(super) fn register(&self) -> ClientHandle<MallocService> {
+        self.with_runtime(OffloadRuntime::register_client)
             .expect("a slot runs until the tier shuts down")
     }
 
@@ -196,7 +196,7 @@ mod tests {
         let tier = tier(1);
         let slot = &tier.slots[0];
         assert!(slot.with_runtime(|_| ()).is_some());
-        drop(slot.register(false));
+        drop(slot.register());
         assert!(slot.stop().is_ok(), "an orderly exit recovers the service");
         assert!(slot.with_runtime(|_| ()).is_none());
         assert_eq!(slot.stop().err(), Some(ServiceError::AlreadyShutDown));

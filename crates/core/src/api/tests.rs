@@ -260,6 +260,33 @@ fn batched(batch_size: usize, flush_threshold: usize) -> NgmConfig {
 }
 
 #[test]
+fn a_pop_that_collects_a_refill_is_traced_once_right_after_it() {
+    let ngm = batched(8, 8).with_trace_capacity(256).build().unwrap();
+    let mut h = ngm.handle();
+    let blocks: Vec<_> = (0..9).map(|_| h.alloc(layout(64)).unwrap()).collect();
+    let seq: String = ngm
+        .telemetry()
+        .drain_trace()
+        .events
+        .iter()
+        .filter(|e| e.thread != 0)
+        .filter_map(|e| match e.kind {
+            TraceEventKind::Refill => Some('R'),
+            TraceEventKind::Alloc => Some('A'),
+            _ => None,
+        })
+        .collect();
+    // The first alloc tops up with a round trip, the eighth empties the
+    // magazine and sends the next refill ahead, and the ninth collects
+    // it: a collecting pop's `Alloc` follows its `Refill`, once.
+    assert_eq!(seq, "RAAAAAAAARA");
+    for p in blocks {
+        // SAFETY: blocks from this handle's allocator.
+        unsafe { h.dealloc(p, layout(64)) };
+    }
+}
+
+#[test]
 fn batched_roundtrip_balances_at_shutdown() {
     let ngm = batched(16, 8).build().unwrap();
     let mut h = ngm.handle();
@@ -597,57 +624,6 @@ fn refills_land_in_refill_histogram_not_call_histogram() {
         // SAFETY: blocks from this handle's allocator.
         unsafe { h.dealloc(p, layout(64)) };
     }
-}
-
-#[test]
-fn profiled_runtime_produces_core_attributed_pmu_report() {
-    let ngm = NgmConfig::new().with_profile(true).build().unwrap();
-    let mut h = ngm.handle();
-    for _ in 0..32 {
-        let p = h.alloc(layout(64)).unwrap();
-        // SAFETY: block from this handle's allocator.
-        unsafe { h.dealloc(p, layout(64)) };
-    }
-    drop(h);
-    let rep = ngm.shutdown().pmu.expect("profiling was on");
-    let rendered = rep.render();
-    assert!(rendered.contains("service/"), "{rendered}");
-    assert!(rendered.contains("clients(1)/"), "{rendered}");
-}
-
-#[test]
-fn shutdown_report_has_one_service_column_per_shard_then_the_clients() {
-    let ngm = NgmConfig::new()
-        .with_shards(2)
-        .with_profile(true)
-        .build()
-        .unwrap();
-    let mut h = ngm.handle();
-    // Consecutive classes land on different shards; the handle's PMU
-    // session arms on its first request to shard 0.
-    for size in [16, 32, 48, 64] {
-        let p = h.alloc(layout(size)).unwrap();
-        // SAFETY: block from this handle's allocator.
-        unsafe { h.dealloc(p, layout(size)) };
-    }
-    drop(h);
-    assert!(
-        !ngm.pmu_report()
-            .expect("the client deposited")
-            .cols
-            .iter()
-            .any(|c| c.name.starts_with("shard")),
-        "service loops deposit only when they exit"
-    );
-    let rep = ngm.shutdown().pmu.expect("profiling was on");
-    let names: Vec<&str> = rep.cols.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(names, ["shard0", "shard1", "clients(1)"]);
-}
-
-#[test]
-fn profiling_disabled_reports_are_absent() {
-    let ngm = Ngm::start();
-    assert!(ngm.pmu_report().is_none());
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! [`Ngm::shutdown`] hands back.
 
 use std::ptr::NonNull;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use ngm_heap::{FallbackHeap, HeapStats};
 use ngm_offload::{
     OffloadRuntime, RuntimeConfig, RuntimeTelemetry, ServiceError, ShardHealth, StatsSnapshot,
 };
-use ngm_pmu::PmuReport;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::recorder::{RecordFrame, ShardSample};
@@ -129,7 +129,6 @@ impl Ngm {
     pub(crate) fn from_config(cfg: NgmConfig) -> Result<Self, NgmError> {
         let runtime_cfg = RuntimeConfig {
             trace_capacity: cfg.trace_capacity,
-            profile: cfg.profile,
             deadline: cfg.deadline,
             ..RuntimeConfig::new()
         };
@@ -403,32 +402,22 @@ impl Ngm {
         m
     }
 
-    /// The service-cores-vs-app-cores PMU report, when
-    /// [`NgmConfig::profile`] was set and at least one measured thread
-    /// has retired. Each shard's service loop is its own column
-    /// (`shard<N>`); client columns merge, since only one endpoint per
-    /// thread arms. A service column is deposited when its loop exits,
-    /// so the complete report is [`NgmShutdown::pmu`].
-    pub fn pmu_report(&self) -> Option<PmuReport> {
-        if self.num_shards() == 1 {
-            return self.telemetry().pmu_report();
-        }
-        let mut out = PmuReport::new("PMU: service shards vs app cores");
-        let mut clients = Vec::new();
-        for (i, s) in self.tier.slots.iter().enumerate() {
-            if let Some(rep) = s.handles.telemetry.pmu_report() {
-                for col in rep.cols {
-                    if col.name.starts_with("service") {
-                        out.push(format!("shard{i}"), col.reading);
-                    } else {
-                        clients.push(col);
-                    }
+    /// Every shard's service-thread OS id, in shard order: what a
+    /// harness opens counters on to measure the service cores from
+    /// outside. A thread writes its id before its first round; this waits
+    /// for that, so it never returns the 0 of a thread not yet started.
+    pub fn service_tids(&self) -> Vec<i32> {
+        self.tier
+            .slots
+            .iter()
+            .map(|s| loop {
+                let tid = s.handles.stats.service_tid.load(Ordering::Relaxed);
+                if tid != 0 {
+                    break tid;
                 }
-            }
-        }
-        // Service columns first, in shard order, then the app cores.
-        out.cols.extend(clients);
-        (!out.cols.is_empty()).then_some(out)
+                std::thread::yield_now();
+            })
+            .collect()
     }
 
     /// Stops every service shard and returns final statistics, per shard
@@ -478,8 +467,6 @@ impl Ngm {
             shards,
             service,
             heap,
-            // Every service loop has exited and deposited its reading.
-            pmu: self.pmu_report(),
         }
     }
 
@@ -510,10 +497,6 @@ pub struct NgmShutdown {
     pub heap: HeapStats,
     /// Offload-runtime counters merged across shards.
     pub runtime: StatsSnapshot,
-    /// The service-vs-clients PMU report ([`Ngm::pmu_report`]) with every
-    /// shard's service column in it; `None` unless
-    /// [`NgmConfig::profile`] was set.
-    pub pmu: Option<PmuReport>,
 }
 
 impl NgmShutdown {

@@ -210,11 +210,6 @@ pub struct NgmConfig {
     /// small free fills the buffer; `1` flushes each free as its own
     /// post.
     pub flush_threshold: usize,
-    /// Enables PMU profiling (off by default): each service loop and one
-    /// handle per client thread wrap their lifetimes in a
-    /// [`ngm_pmu::PmuSession`], attributing cycles and cache/TLB misses
-    /// to the service cores versus the app cores.
-    pub profile: bool,
     /// Per-request deadline for every blocking primitive (slot waits,
     /// free-ring retries). A request that exceeds it surfaces a typed
     /// error and degrades (reroute, then inline fallback) instead of
@@ -232,7 +227,7 @@ pub struct NgmConfig {
 impl NgmConfig {
     /// The `const` default configuration: one shard, auto placement, the
     /// handshake amortised over full magazines and free buffers
-    /// (`with_batch(MAX_BATCH, MAX_BATCH)`), no tracing or profiling.
+    /// (`with_batch(MAX_BATCH, MAX_BATCH)`), no tracing.
     pub const fn new() -> Self {
         NgmConfig {
             shards: 1,
@@ -240,7 +235,6 @@ impl NgmConfig {
             trace_capacity: 0,
             batch_size: MAX_BATCH,
             flush_threshold: MAX_BATCH,
-            profile: false,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
             observer: None,
         }
@@ -288,12 +282,6 @@ impl NgmConfig {
     /// Ignores `limit` and returns `self` unchanged. Survives only until
     /// ROADMAP item 1(b) deletes it, because `benchmark/` still calls it.
     pub const fn with_inflight_limit(self, _limit: usize) -> Self {
-        self
-    }
-
-    /// Enables or disables PMU profiling.
-    pub const fn with_profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 
@@ -385,7 +373,6 @@ mod tests {
             .with_batch(16, 8)
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(0)
-            .with_profile(false)
             .with_deadline(Some(Duration::from_millis(100)));
         assert_eq!(CFG.shards, 4);
         assert_eq!(CFG.batch_size, 16);

@@ -74,18 +74,14 @@ impl std::ops::Deref for ThreadHandle {
 
 impl Drop for ThreadHandle {
     fn drop(&mut self) {
-        let (Some(mut handle), Some(rt)) = (self.0.get_mut().take(), RUNTIME.get()) else {
+        let (Some(mut handle), Some(_)) = (self.0.get_mut().take(), RUNTIME.get()) else {
             return;
         };
         // The spare list may grow: that, like everything else from here
         // to the thread's end, comes from the arena.
         let _ = GUARD.try_with(|g| g.set(true));
-        // A profiled client deposits its thread's PMU reading when it
-        // drops, and a session cannot move to another thread.
-        if !rt.telemetry().profiling_enabled() {
-            handle.empty();
-            lock(&SPARES).push(handle);
-        }
+        handle.empty();
+        lock(&SPARES).push(handle);
     }
 }
 

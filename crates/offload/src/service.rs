@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ngm_pmu::PmuSession;
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::span::{call_span_id, post_span_id, SpanPhase};
@@ -143,7 +142,6 @@ pub struct ClientHandle<S: Service> {
     /// The request published and not yet collected: when it was
     /// published and which population its round trip lands in.
     in_flight: Option<(u64, CallKind)>,
-    pmu: ClientPmu,
 }
 
 /// Which population a synchronous request's round trip belongs to.
@@ -158,37 +156,6 @@ pub enum CallKind {
     /// histogram, so the amortized batched cost stays distinguishable
     /// from the per-call cost, and the batched-call counter is bumped.
     Batched,
-}
-
-/// A client handle's PMU measurement state. The session is armed lazily
-/// on the first request so the counters are opened on (and attribute to)
-/// the thread that actually issues requests, not whichever thread called
-/// `register_client`.
-enum ClientPmu {
-    /// Profiling disabled for this runtime.
-    Off,
-    /// Profiling on, no request issued yet.
-    Unarmed,
-    /// Counting this thread since its first request.
-    Running(Box<PmuSession>),
-}
-
-impl ClientPmu {
-    fn arm(&mut self) {
-        if matches!(self, ClientPmu::Unarmed) {
-            let mut session = Box::new(PmuSession::new());
-            session.begin();
-            *self = ClientPmu::Running(session);
-        }
-    }
-}
-
-impl<S: Service> Drop for ClientHandle<S> {
-    fn drop(&mut self) {
-        if let ClientPmu::Running(session) = &mut self.pmu {
-            self.telemetry.record_client_pmu(session.finish());
-        }
-    }
 }
 
 impl<S: Service> ClientHandle<S> {
@@ -287,7 +254,6 @@ impl<S: Service> ClientHandle<S> {
             self.stats.mark_service_down();
             return Err(ServiceError::ServiceStopped);
         }
-        self.pmu.arm();
         let t0 = cycles_now();
         self.in_flight = Some((t0, kind));
         if self.slot.begin(req).is_err() {
@@ -429,7 +395,6 @@ impl<S: Service> ClientHandle<S> {
     /// ([`RuntimeStats::posts_dropped`]) and the runtime's `service_down`
     /// flag is raised ([`ServiceError::ServiceStopped`]).
     pub fn try_post(&mut self, msg: &S::Post) -> Result<u32, ServiceError> {
-        self.pmu.arm();
         let t0 = cycles_now();
         let mut state = WaitState::with_budget(self.ladder, self.deadline);
         let mut retries = 0u32;
@@ -515,12 +480,6 @@ pub struct RuntimeConfig {
     /// Per-thread event-trace ring capacity (0 disables tracing). Rings
     /// drop their oldest event on overflow and count the drops.
     pub trace_capacity: usize,
-    /// Enables PMU profiling (off by default): the service loop and every
-    /// client handle wrap their lifetimes in a [`ngm_pmu::PmuSession`],
-    /// attributing cycles and cache/TLB misses to the service core versus
-    /// the app cores (§2.3). Falls back to software counters (labeled as
-    /// such) wherever `perf_event_open` is unavailable.
-    pub profile: bool,
     /// Index of this runtime within a sharded service tier; names the
     /// thread (`ngm-service-<shard>`) and labels its telemetry. A
     /// standalone runtime is shard 0.
@@ -539,7 +498,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             core: None,
             trace_capacity: 0,
-            profile: false,
             shard: 0,
             deadline: Some(DEFAULT_DEADLINE),
         }
@@ -566,16 +524,12 @@ pub struct RuntimeHandles {
 }
 
 impl RuntimeHandles {
-    /// Fresh zeroed handles for one slot, with tracing/profiling per
-    /// `cfg`.
+    /// Fresh zeroed handles for one slot, with tracing per `cfg`.
     #[must_use]
     pub fn fresh(cfg: &RuntimeConfig) -> Self {
         RuntimeHandles {
             stats: Arc::new(RuntimeStats::new()),
-            telemetry: Arc::new(RuntimeTelemetry::with_profiling(
-                cfg.trace_capacity,
-                cfg.profile,
-            )),
+            telemetry: Arc::new(RuntimeTelemetry::new(cfg.trace_capacity)),
             #[cfg(feature = "faultinject")]
             fault: Arc::new(FaultState::new()),
         }
@@ -673,15 +627,6 @@ impl<S: Service> OffloadRuntime<S> {
     /// Registers a new client and returns its handle. May be called at any
     /// time, from any thread holding a reference to the runtime.
     pub fn register_client(&self) -> ClientHandle<S> {
-        self.register_client_with_pmu(self.shared.handles.telemetry.profiling_enabled())
-    }
-
-    /// As [`OffloadRuntime::register_client`], but with explicit control
-    /// over whether this handle arms a per-thread PMU session on first
-    /// use. A PMU session counts its *whole thread*: a thread holding one
-    /// handle per service shard must arm exactly one of them, or every
-    /// shard's report would re-count the same thread.
-    pub fn register_client_with_pmu(&self, pmu: bool) -> ClientHandle<S> {
         let handles = &self.shared.handles;
         let slot = Arc::new(RequestSlot::new());
         let (tx, rx) = spsc(DEFAULT_RING_CELLS);
@@ -718,11 +663,6 @@ impl<S: Service> OffloadRuntime<S> {
             trace: handles.telemetry.new_ring(),
             post_seq: 0,
             in_flight: None,
-            pmu: if pmu && handles.telemetry.profiling_enabled() {
-                ClientPmu::Unarmed
-            } else {
-                ClientPmu::Off
-            },
         }
     }
 
@@ -851,6 +791,13 @@ fn service_loop<S: Service>(
     core: Option<usize>,
     ladder: Ladder,
 ) -> S {
+    // SAFETY: gettid takes no arguments and cannot fail.
+    let tid = unsafe { libc::syscall(libc::SYS_gettid) };
+    shared
+        .handles
+        .stats
+        .service_tid
+        .store(tid as i32, Ordering::Relaxed);
     if let Some(c) = core {
         // Verified pin: installs the affinity mask and waits (bounded)
         // for the migration to actually land, warning instead of
@@ -859,14 +806,6 @@ fn service_loop<S: Service>(
             shared.handles.stats.record_pin(c);
         }
     }
-    // PMU counters opened here (after pinning) count this thread — the
-    // service core's whole lifetime, polling overhead included, which is
-    // exactly the §2.3 attribution question.
-    let mut pmu = shared.handles.telemetry.profiling_enabled().then(|| {
-        let mut session = PmuSession::new();
-        session.begin();
-        session
-    });
     service.on_start();
 
     let _close = CloseInjector(&shared);
@@ -996,12 +935,6 @@ fn service_loop<S: Service>(
         }
     }
     service.on_stop();
-    if let Some(session) = &mut pmu {
-        shared
-            .handles
-            .telemetry
-            .record_service_pmu(session.finish());
-    }
     service
 }
 
@@ -1472,57 +1405,6 @@ mod tests {
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.posts_served, POSTS);
         assert_eq!(handles.telemetry.post_cycles.snapshot().count(), POSTS);
-    }
-
-    #[test]
-    fn profiling_attributes_service_and_client_cores() {
-        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.profile = true)).unwrap();
-        assert!(rt.telemetry().profiling_enabled());
-        assert!(
-            rt.telemetry().pmu_report().is_none(),
-            "no readings until a session retires"
-        );
-        let mut c = rt.register_client();
-        for i in 0..16 {
-            c.call(i);
-            c.post(i);
-        }
-        drop(c); // Client reading deposits on handle drop.
-        let telemetry = Arc::clone(rt.telemetry());
-        let (_, _) = rt.shutdown(); // Service reading deposits at loop exit.
-        let rep = telemetry.pmu_report().expect("both columns deposited");
-        assert_eq!(rep.cols.len(), 2);
-        let rendered = rep.render();
-        assert!(
-            rendered.contains("service/"),
-            "service column labeled with its backend:\n{rendered}"
-        );
-        assert!(
-            rendered.contains("clients(1)/"),
-            "client column labeled with its backend:\n{rendered}"
-        );
-        // Whichever backend ran, both columns measured nonzero cycles
-        // or marked the event honestly unmeasurable — never silence.
-        for c in &rep.cols {
-            match c.reading.get(ngm_pmu::PmuEvent::Cycles) {
-                Some(v) => assert!(v > 0, "lifetimes take cycles"),
-                None => assert_eq!(c.reading.backend, ngm_pmu::BackendKind::Hardware),
-            }
-        }
-        // And the report flows into the exportable metrics.
-        let m = telemetry.metrics(&crate::stats::RuntimeStats::new().snapshot());
-        assert!(m.labeled_gauge_count("ngm_pmu_count") > 0);
-    }
-
-    #[test]
-    fn profiling_off_by_default_deposits_nothing() {
-        let rt = OffloadRuntime::start(doubler());
-        let mut c = rt.register_client();
-        c.call(1);
-        drop(c);
-        let telemetry = Arc::clone(rt.telemetry());
-        rt.shutdown();
-        assert!(telemetry.pmu_report().is_none());
     }
 
     #[test]

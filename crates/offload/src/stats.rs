@@ -1,6 +1,8 @@
 //! Runtime statistics for the offload service thread.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+};
 
 use crate::wait::WaitPhase;
 
@@ -14,7 +16,7 @@ const NOT_PINNED: usize = usize::MAX;
 /// coherent view with [`RuntimeStats::snapshot`].
 ///
 /// The fields are laid out by writer. The first 128-byte block holds
-/// what the service loop writes — `calls_served` through `pinned_core`
+/// what the service loop writes — `calls_served` through `service_tid`
 /// — and it alone writes them, so each update is a relaxed load and
 /// store, not a locked read-modify-write. Every other field, from
 /// `clients_registered` on, starts the second block: clients (and the
@@ -43,6 +45,10 @@ pub struct RuntimeStats {
     pub wait_transitions: AtomicU64,
     /// Core the service thread was pinned to, or `usize::MAX`.
     pub pinned_core: AtomicUsize,
+    /// The service thread's OS thread id, or 0 until its loop starts:
+    /// written once, before the first round, so that counters can be
+    /// opened on the thread from outside it.
+    pub service_tid: AtomicI32,
     /// Starts the clients' block on the next 128-byte boundary.
     _client_block: Block,
     /// Clients ever registered.
@@ -159,6 +165,7 @@ impl RuntimeStats {
             wait_phase: AtomicU32::new(WaitPhase::Spin as u32),
             wait_transitions: AtomicU64::new(0),
             pinned_core: AtomicUsize::new(NOT_PINNED),
+            service_tid: AtomicI32::new(0),
             _client_block: Block,
             clients_registered: AtomicU64::new(0),
             post_full_retries: AtomicU64::new(0),
@@ -329,6 +336,7 @@ mod tests {
             offset_of!(RuntimeStats, wait_phase),
             offset_of!(RuntimeStats, wait_transitions),
             offset_of!(RuntimeStats, pinned_core),
+            offset_of!(RuntimeStats, service_tid),
         ];
         let client = [
             offset_of!(RuntimeStats, clients_registered),

@@ -10,7 +10,6 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ngm_pmu::{PmuReading, PmuReport};
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::hist::LatencyHistogram;
 use ngm_telemetry::trace::{TraceDrain, TraceRing};
@@ -25,25 +24,6 @@ pub const PHASES: usize = 5;
 /// [`RuntimeTelemetry::phase_cycles`] and the exported
 /// `ngm_phase_{name}_cycles` series.
 pub const PHASE_NAMES: [&str; PHASES] = ["queue", "claim", "serve", "publish", "observe"];
-
-/// PMU readings attributed by core role (§2.3: the service core takes
-/// the allocator's misses so the app cores don't).
-#[derive(Debug, Default)]
-struct PmuStore {
-    /// The service loop's whole-lifetime reading.
-    service: Option<PmuReading>,
-    /// All retired client handles' readings, merged.
-    clients: Option<PmuReading>,
-    client_count: u32,
-}
-
-/// Folds `reading` into a column's accumulated reading.
-fn merge_into(acc: &mut Option<PmuReading>, reading: PmuReading) {
-    *acc = Some(match acc {
-        Some(acc) => acc.merge(&reading),
-        None => reading,
-    });
-}
 
 /// Telemetry shared by one offload runtime and all its clients.
 pub struct RuntimeTelemetry {
@@ -78,9 +58,6 @@ pub struct RuntimeTelemetry {
     /// one per client), kept for draining.
     rings: Mutex<Vec<Arc<TraceRing>>>,
     next_thread: AtomicU32,
-    /// Whether PMU profiling was requested for this runtime.
-    profile: bool,
-    pmu: Mutex<PmuStore>,
 }
 
 impl std::fmt::Debug for RuntimeTelemetry {
@@ -100,15 +77,6 @@ impl RuntimeTelemetry {
     /// gate).
     #[must_use]
     pub fn new(trace_capacity: usize) -> Self {
-        Self::with_profiling(trace_capacity, false)
-    }
-
-    /// Like [`RuntimeTelemetry::new`], with PMU profiling opted in or
-    /// out. When on, the service loop and every client handle wrap their
-    /// lifetimes in a [`ngm_pmu::PmuSession`] and deposit the readings
-    /// here.
-    #[must_use]
-    pub fn with_profiling(trace_capacity: usize, profile: bool) -> Self {
         RuntimeTelemetry {
             call_cycles: LatencyHistogram::new(),
             post_cycles: LatencyHistogram::new(),
@@ -118,55 +86,7 @@ impl RuntimeTelemetry {
             trace_capacity,
             rings: Mutex::new(Vec::new()),
             next_thread: AtomicU32::new(0),
-            profile,
-            pmu: Mutex::new(PmuStore::default()),
         }
-    }
-
-    /// Whether PMU profiling is enabled.
-    #[must_use]
-    pub fn profiling_enabled(&self) -> bool {
-        self.profile
-    }
-
-    /// Deposits one service loop's whole-lifetime PMU reading (readings
-    /// deposited into one hub merge into its single service column).
-    pub fn record_service_pmu(&self, reading: PmuReading) {
-        merge_into(&mut self.lock_pmu().service, reading);
-    }
-
-    /// Deposits one client handle's whole-lifetime PMU reading; readings
-    /// from all clients are merged into a single app-core column.
-    pub fn record_client_pmu(&self, reading: PmuReading) {
-        let mut pmu = self.lock_pmu();
-        merge_into(&mut pmu.clients, reading);
-        pmu.client_count += 1;
-    }
-
-    /// The service-core-vs-app-cores PMU report, when profiling was on
-    /// and at least one reading has been deposited. The service column
-    /// appears after the loop exits (shutdown); each client column merges
-    /// in when its handle drops.
-    #[must_use]
-    pub fn pmu_report(&self) -> Option<PmuReport> {
-        let pmu = self.lock_pmu();
-        if pmu.service.is_none() && pmu.clients.is_none() {
-            return None;
-        }
-        let mut rep = PmuReport::new("PMU: service core vs app cores");
-        if let Some(s) = pmu.service {
-            rep.push("service", s);
-        }
-        if let Some(c) = pmu.clients {
-            rep.push(format!("clients({})", pmu.client_count), c);
-        }
-        Some(rep)
-    }
-
-    fn lock_pmu(&self) -> std::sync::MutexGuard<'_, PmuStore> {
-        self.pmu
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Creates (and retains for draining) a trace ring with the next
@@ -267,8 +187,7 @@ impl RuntimeTelemetry {
     /// other shards of a sharded service tier. Latency histograms and
     /// trace-drop totals merge across all telemetries (each series
     /// appears once, covering every shard); `stats` is expected to be the
-    /// callers' already-merged counter snapshot. PMU columns from every
-    /// shard land in one report.
+    /// callers' already-merged counter snapshot.
     #[must_use]
     pub fn metrics_merged(
         &self,
@@ -288,19 +207,6 @@ impl RuntimeTelemetry {
                 acc.merge(&h.snapshot());
             }
             trace_dropped += p.trace_dropped_total();
-        }
-        let mut pmu = self.pmu_report();
-        for p in peers {
-            if let Some(peer_rep) = p.pmu_report() {
-                match &mut pmu {
-                    Some(rep) => {
-                        for col in peer_rep.cols {
-                            rep.push(col.name, col.reading);
-                        }
-                    }
-                    None => pmu = Some(peer_rep),
-                }
-            }
         }
         let mut m = MetricsSnapshot::new();
         m.counter("ngm_calls_total", stats.calls_served)
@@ -333,9 +239,6 @@ impl RuntimeTelemetry {
             .histogram("ngm_refill_cycles", refill);
         for (name, snap) in PHASE_NAMES.iter().zip(phases) {
             m.histogram(format!("ngm_phase_{name}_cycles"), snap);
-        }
-        if let Some(rep) = pmu {
-            rep.publish(&mut m);
         }
         m
     }

@@ -12,13 +12,13 @@
 //!   and dTLB-load/store misses, read atomically with one syscall and
 //!   corrected for kernel multiplexing via `time_enabled`/`time_running`.
 //! * [`PmuSession`] — scoped start/stop/read guards over a backend
-//!   chosen once: hardware when the syscall works, otherwise
+//!   chosen once, counting the calling thread or any other thread of
+//!   the process: hardware when the syscall works, otherwise
 //!   [`SoftwareCounters`] (TSC-measured cycles plus caller-fed values —
 //!   the repro harness feeds the cache/TLB simulator) so every caller
 //!   works everywhere: EPERM from `perf_event_paranoid`, ENOSYS from
 //!   seccomp, PMU-less VMs, CI.
-//! * [`PmuReport`] — Table 1/2-shaped rendering and telemetry export in
-//!   which every column is labeled with the backend that produced it
+//! * [`PmuReport`] — Table 1/2-shaped rendering in which every column is labeled with the backend that produced it
 //!   (`/hw` vs `/sw`); fallback numbers can never masquerade as
 //!   hardware.
 

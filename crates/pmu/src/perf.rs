@@ -98,9 +98,13 @@ fn classify(errno: libc::c_int) -> PmuError {
     }
 }
 
-/// Opens one perf fd for `event` on the calling thread, any CPU,
-/// attached to `group_fd` (-1 to lead a new group).
-fn open_event(event: PmuEvent, group_fd: libc::c_int) -> Result<libc::c_int, PmuError> {
+/// Opens one perf fd for `event` on thread `pid` (0: the calling
+/// thread), any CPU, attached to `group_fd` (-1 to lead a new group).
+fn open_event(
+    event: PmuEvent,
+    pid: libc::pid_t,
+    group_fd: libc::c_int,
+) -> Result<libc::c_int, PmuError> {
     let mut attr = PerfEventAttr {
         type_: event.perf_type(),
         size: PERF_ATTR_SIZE_VER1,
@@ -122,7 +126,7 @@ fn open_event(event: PmuEvent, group_fd: libc::c_int) -> Result<libc::c_int, Pmu
         libc::syscall(
             libc::SYS_perf_event_open,
             &mut attr as *mut PerfEventAttr,
-            0 as libc::pid_t,  // calling thread
+            pid,
             -1 as libc::c_int, // any CPU
             group_fd,
             PERF_FLAG_FD_CLOEXEC,
@@ -135,12 +139,13 @@ fn open_event(event: PmuEvent, group_fd: libc::c_int) -> Result<libc::c_int, Pmu
     }
 }
 
-/// A group of hardware counters attached to the calling thread.
+/// A group of hardware counters attached to one thread.
 ///
 /// The group counts only while between [`PerfGroup::enable`] and
-/// [`PerfGroup::disable`]; [`PerfGroup::read_counts`] may be called at
-/// any time (perf fds are readable cross-thread, but the counters tick
-/// only on the thread that opened them).
+/// [`PerfGroup::disable`], which any thread may call;
+/// [`PerfGroup::read_counts`] may be called at any time, also after the
+/// counted thread has exited. The counters tick only while the thread
+/// the group was opened for runs.
 #[derive(Debug)]
 pub struct PerfGroup {
     /// Group leader fd (first successfully opened event).
@@ -152,7 +157,8 @@ pub struct PerfGroup {
 }
 
 impl PerfGroup {
-    /// Opens a group counting `events` on the calling thread.
+    /// Opens a group counting `events` on thread `pid`: an OS thread id
+    /// (`gettid(2)`), or 0 for the calling thread.
     ///
     /// Individual events the kernel rejects are recorded in
     /// [`PerfGroup::unavailable_events`]; the open only errs when *no*
@@ -161,7 +167,7 @@ impl PerfGroup {
     /// # Errors
     ///
     /// [`PmuError`] describing why hardware counting is impossible here.
-    pub fn open(events: &[PmuEvent]) -> Result<PerfGroup, PmuError> {
+    pub fn open(events: &[PmuEvent], pid: libc::pid_t) -> Result<PerfGroup, PmuError> {
         let mut group = PerfGroup {
             leader: -1,
             members: Vec::with_capacity(events.len()),
@@ -169,7 +175,7 @@ impl PerfGroup {
         };
         let mut last_err = PmuError::NoEvents;
         for &e in events {
-            match open_event(e, group.leader) {
+            match open_event(e, pid, group.leader) {
                 Ok(fd) => {
                     if group.leader == -1 {
                         group.leader = fd;
@@ -292,7 +298,7 @@ pub struct GroupCounts {
 ///
 /// The [`PmuError`] a real session would hit.
 pub fn hardware_available() -> Result<(), PmuError> {
-    PerfGroup::open(&[PmuEvent::Cycles]).map(|_| ())
+    PerfGroup::open(&[PmuEvent::Cycles], 0).map(|_| ())
 }
 
 #[cfg(test)]
@@ -314,7 +320,7 @@ mod tests {
         // must agree on availability.
         match hardware_available() {
             Ok(()) => {
-                let g = PerfGroup::open(&PmuEvent::ALL).expect("probe said hardware works");
+                let g = PerfGroup::open(&PmuEvent::ALL, 0).expect("probe said hardware works");
                 g.enable();
                 // A little real work so cycles accumulate.
                 let mut acc = 0u64;

@@ -6,8 +6,6 @@
 //! `/sw`), so a report mixing hardware counters with software fallbacks
 //! stays honest about which is which.
 
-use ngm_telemetry::export::MetricsSnapshot;
-
 use crate::events::PmuEvent;
 use crate::session::PmuReading;
 
@@ -20,7 +18,7 @@ pub struct PmuColumn {
     pub reading: PmuReading,
 }
 
-/// A renderable, exportable set of PMU readings.
+/// A renderable set of PMU readings.
 #[derive(Debug, Clone)]
 pub struct PmuReport {
     /// Report heading.
@@ -93,27 +91,6 @@ impl PmuReport {
             }
         }
         out
-    }
-
-    /// Publishes every count as labeled gauges
-    /// (`ngm_pmu_count{source,event,backend}`) through the telemetry
-    /// exporter.
-    pub fn publish(&self, m: &mut MetricsSnapshot) {
-        for c in &self.cols {
-            for e in PmuEvent::ALL {
-                if let Some(v) = c.reading.get(e) {
-                    m.labeled_gauge(
-                        "ngm_pmu_count",
-                        &[
-                            ("source", c.name.as_str()),
-                            ("event", e.name()),
-                            ("backend", c.reading.backend.label()),
-                        ],
-                        v as i64,
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -217,20 +194,5 @@ mod tests {
         let s = rep.render();
         assert!(s.contains("multiplexed"));
         assert!(s.contains("x/hw"));
-    }
-
-    #[test]
-    fn publish_roundtrips_through_exporter() {
-        let mut rep = PmuReport::new("t");
-        rep.push("service", fed_reading());
-        let mut m = MetricsSnapshot::new();
-        rep.publish(&mut m);
-        let text = m.to_prometheus_text();
-        assert!(
-            text.contains(
-                "ngm_pmu_count{source=\"service\",event=\"instructions\",backend=\"sw\"} 10000"
-            ),
-            "labeled series missing:\n{text}"
-        );
     }
 }

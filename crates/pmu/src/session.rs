@@ -3,7 +3,7 @@
 use ngm_telemetry::clock;
 
 use crate::events::PmuEvent;
-use crate::perf::{PerfGroup, PmuError};
+use crate::perf::PerfGroup;
 use crate::software::SoftwareCounters;
 
 /// Which machinery produced a reading. Every report row is labeled with
@@ -122,8 +122,10 @@ enum BackendImpl {
 /// A reusable measurement session: `start` → work → `stop` → reading.
 ///
 /// Construction picks the backend once; each `start`/`stop` cycle resets
-/// and re-reads the counters. The session must stay on the thread whose
-/// work it attributes — perf counters opened here count *this* thread.
+/// and re-reads the counters. A hardware session counts the one thread
+/// it was opened for ([`PmuSession::new`]: the calling thread;
+/// [`PmuSession::for_thread`]: any thread of this process), whichever
+/// thread starts and stops it.
 pub struct PmuSession {
     backend: BackendImpl,
 }
@@ -137,28 +139,30 @@ impl std::fmt::Debug for PmuSession {
 }
 
 impl PmuSession {
-    /// Opens a hardware session, falling back to software when
-    /// `perf_event_open` is unavailable (EPERM, ENOSYS, PMU-less VM, …).
-    /// Every caller works everywhere; check
+    /// Opens a hardware session on the calling thread, falling back to
+    /// software when `perf_event_open` is unavailable (EPERM, ENOSYS,
+    /// PMU-less VM, …). Every caller works everywhere; check
     /// [`PmuSession::backend_kind`] / the reading's label for which
     /// numbers you got.
     #[must_use]
     pub fn new() -> Self {
-        match Self::hardware() {
-            Ok(s) => s,
-            Err(_) => Self::software(),
-        }
+        Self::for_thread(0)
     }
 
-    /// Opens a hardware-only session.
-    ///
-    /// # Errors
-    ///
-    /// The [`PmuError`] explaining why the PMU is unreachable.
-    pub fn hardware() -> Result<Self, PmuError> {
-        PerfGroup::open(&PmuEvent::ALL).map(|g| PmuSession {
-            backend: BackendImpl::Hw(g),
-        })
+    /// As [`PmuSession::new`], but counting thread `tid` (an OS thread id
+    /// of this process, as `gettid(2)` returns it; 0 is the calling
+    /// thread) — so a harness can measure a thread it does not run, such
+    /// as an allocator's service loop. The software fallback cannot
+    /// count another thread: its cycles are the TSC between start and
+    /// stop, as for every software session.
+    #[must_use]
+    pub fn for_thread(tid: libc::pid_t) -> Self {
+        match PerfGroup::open(&PmuEvent::ALL, tid) {
+            Ok(g) => PmuSession {
+                backend: BackendImpl::Hw(g),
+            },
+            Err(_) => Self::software(),
+        }
     }
 
     /// Opens a software session (used directly in tests and by the repro
@@ -361,6 +365,53 @@ mod tests {
                 assert!(r.time_enabled_ns > 0, "hardware session was scheduled")
             }
             BackendKind::Software => assert!(r.get(PmuEvent::Cycles).is_some()),
+        }
+    }
+
+    fn gettid() -> libc::pid_t {
+        // SAFETY: gettid takes no arguments and cannot fail.
+        unsafe { libc::syscall(libc::SYS_gettid) as libc::pid_t }
+    }
+
+    #[test]
+    fn for_thread_counts_a_thread_the_caller_does_not_run() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc};
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel();
+        let spinner = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                tx.send(gettid()).expect("caller waits for the id");
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        let mut s = PmuSession::for_thread(rx.recv().expect("spinner's id"));
+        let run = s.start();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let r = run.stop();
+        stop.store(true, Ordering::Relaxed);
+        spinner.join().expect("spinner");
+        assert_eq!(r.backend, s.backend_kind(), "labelled with its backend");
+        match r.get(PmuEvent::Cycles) {
+            Some(c) => assert!(c > 0, "the spinner ran while the caller slept"),
+            None => assert_eq!(r.backend, BackendKind::Hardware),
+        }
+    }
+
+    #[test]
+    fn for_thread_on_the_callers_own_id_is_new() {
+        let mut own = PmuSession::for_thread(gettid());
+        let mut new = PmuSession::new();
+        assert_eq!(own.backend_kind(), new.backend_kind());
+        assert_eq!(own.unavailable_events(), new.unavailable_events());
+        let (a, b) = (own.start().stop(), new.start().stop());
+        assert_eq!(a.backend, b.backend);
+        for e in PmuEvent::ALL {
+            assert_eq!(a.get(e).is_some(), b.get(e).is_some(), "{}", e.name());
         }
     }
 

@@ -76,6 +76,13 @@ pub const SYS_perf_event_open: c_long = 298;
 /// Syscall number of `perf_event_open(2)`.
 #[cfg(target_arch = "aarch64")]
 pub const SYS_perf_event_open: c_long = 241;
+/// Syscall number of `gettid(2)`: the calling thread's id, the `pid`
+/// that `perf_event_open` takes to count one thread.
+#[cfg(target_arch = "x86_64")]
+pub const SYS_gettid: c_long = 186;
+/// Syscall number of `gettid(2)`.
+#[cfg(target_arch = "aarch64")]
+pub const SYS_gettid: c_long = 178;
 
 /// Seconds and microseconds (LP64 layout).
 #[repr(C)]
