@@ -99,18 +99,16 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
             .with_shards(SHARDS)
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(8192)
-            .with_observer(
-                ObserverConfig::new("127.0.0.1:0")
-                    .with_recording(&record_path)
-                    .with_scrape_interval(SCRAPE_EVERY),
-            )
             .build()
             .expect("valid config"),
     );
     let mut observer = ngm
-        .start_observer()
-        .expect("observer binds")
-        .expect("config carries an observer");
+        .serve_observer(
+            ObserverConfig::new("127.0.0.1:0")
+                .with_recording(&record_path)
+                .with_scrape_interval(SCRAPE_EVERY),
+        )
+        .expect("observer binds");
     let addr = observer.addr();
     let hw = profile.then(|| live::Sessions::open(&ngm));
 
@@ -155,6 +153,7 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
     let overhead_pct = obs_cycles as f64 / call_cycles.max(1) as f64 * 100.0;
 
     let _ = std::fs::remove_file(&record_path);
+    let pmu = hw.map(live::Sessions::report);
     let down = live::finish(ngm);
     ObsReport {
         stages,
@@ -164,7 +163,7 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
         call_cycles,
         overhead_pct,
         balanced: down.clean() && down.balanced(),
-        pmu: hw.map(live::Sessions::report),
+        pmu,
     }
 }
 

@@ -48,9 +48,9 @@ pub fn run(scale: Scale, ops: u32) -> String {
         live::JOIN_POLL,
         || (),
     );
+    let attribution = hw.report();
     let down = ngm.shutdown();
     let leak_free = down.clean() && down.balanced();
-    let attribution = hw.report();
 
     // --- 2. Sim-vs-measured bridge on one replay kernel --------------
     let (events, warmup) =

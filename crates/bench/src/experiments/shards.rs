@@ -145,13 +145,14 @@ pub fn run_real(shards: usize, clients: usize, scale: Scale, profile: bool) -> R
         live::JOIN_POLL,
         || (),
     );
+    let pmu = hw.map(live::Sessions::report);
     let down = ngm.shutdown();
     RealShardRow {
         shards,
         clients,
         balanced: down.clean() && down.balanced(),
         per_shard_allocs: down.shards.iter().map(|s| s.service.allocs).collect(),
-        pmu: hw.map(live::Sessions::report),
+        pmu,
     }
 }
 

@@ -1,15 +1,16 @@
 //! Span phase breakdown: where a request's round trip actually goes.
 //!
-//! Every single-block `alloc` round trip is stamped at six lifecycle
-//! boundaries (enqueue → ring-resident → claimed → served → published →
-//! observed), and the five gaps land in the per-shard
-//! `ngm_phase_*_cycles` histograms. This experiment drives the live tier
+//! Every single-block `alloc` round trip is stamped at five lifecycle
+//! boundaries (enqueue → ring-resident → claimed → served → observed),
+//! and the four gaps land in the per-shard `ngm_phase_*_cycles`
+//! histograms; the `publish` row reads zero, since a response is
+//! published where it is written. This experiment drives the live tier
 //! under the paper's per-call handshake (`with_batch(1, 1)`) per shard
 //! count and renders the phase table: sum, share of the round
 //! trip, and windowed percentiles per phase, in cycles and nanoseconds.
 //!
 //! The load-bearing invariant — checked here and asserted by the smoke
-//! test — is **coverage**: the five phase sums partition the round trip,
+//! test — is **coverage**: the phase sums partition the round trip,
 //! so their total must equal the `ngm_call_cycles` sum (the stamps are
 //! clamped into each call's `[t0, t5]`, so the identity is exact by
 //! construction; the acceptance bar is ±10%). With `--hw` the same run
@@ -46,7 +47,7 @@ pub struct SpanRow {
 }
 
 impl SpanRow {
-    /// Total cycles across all five phases.
+    /// Total cycles across all phases.
     #[must_use]
     pub fn phase_total(&self) -> u64 {
         self.phases.iter().map(HistogramSnapshot::sum).sum()
@@ -107,6 +108,7 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
                 .clone()
         })
         .collect();
+    let pmu = hw.map(live::Sessions::report);
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced(), "spans run stayed exact");
     SpanRow {
@@ -114,7 +116,7 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
         calls: calls.count(),
         call_sum: calls.sum(),
         phases,
-        pmu: hw.map(live::Sessions::report),
+        pmu,
     }
 }
 

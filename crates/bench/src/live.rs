@@ -9,7 +9,9 @@
 //! whatever the run's report prints. A `--hw` run's PMU sessions are
 //! the harness's, not the tier's: [`Sessions`] opens one on each service
 //! thread from outside before the run, [`drive`] one on each client
-//! thread, and [`Sessions::report`] reads them all after [`finish`] — so
+//! thread, and [`Sessions::report`] reads them all before [`finish`],
+//! while the service threads still run (the software fallback reads a
+//! thread's CPU-time clock, which is gone once the thread exits) — so
 //! a `--hw` table is by construction a measurement of the run it is
 //! printed under.
 //!
@@ -143,8 +145,8 @@ pub fn drive(
 pub const JOIN_POLL: Duration = Duration::from_millis(1);
 
 /// Shuts the tier down and returns its final books; a `--hw` run's
-/// [`Sessions::report`] comes after, so its service columns count each
-/// service loop to its exit.
+/// [`Sessions::report`] comes before, so its service columns count each
+/// service loop to the end of the run.
 ///
 /// # Panics
 ///
@@ -205,7 +207,8 @@ impl Sessions {
     /// Stops the service sessions and builds the report: one column per
     /// service thread in shard order — `service` on a one-shard tier,
     /// `shard<N>` on a wider one — then `clients(N)`, every client
-    /// thread's reading merged. Read it after [`finish`].
+    /// thread's reading merged. Read it after the last [`drive`] and
+    /// before [`finish`], while the service threads still run.
     pub fn report(self) -> PmuReport {
         let one = self.service.len() == 1;
         let mut rep = PmuReport::new(if one {
@@ -391,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_returns_a_profiled_tiers_complete_report() {
+    fn a_profiled_run_reports_every_column() {
         let ngm = two_shards();
         let hw = Sessions::open(&ngm);
         let load = Load {
@@ -401,8 +404,8 @@ mod tests {
             size: class_sweep,
         };
         drive(&ngm, load, Some(&hw), must_alloc, JOIN_POLL, || ());
-        assert!(finish(ngm).balanced());
         let rep = hw.report();
+        assert!(finish(ngm).balanced());
         let text = render_pmu("### PMU", Some(&rep));
         assert!(text.starts_with("\n### PMU\n\n"), "{text}");
         let at = |col: &str| {

@@ -269,7 +269,6 @@ fn a_pop_that_collects_a_refill_is_traced_once_right_after_it() {
         .drain_trace()
         .events
         .iter()
-        .filter(|e| e.thread != 0)
         .filter_map(|e| match e.kind {
             TraceEventKind::Refill => Some('R'),
             TraceEventKind::Alloc => Some('A'),
@@ -362,13 +361,13 @@ fn two_shards_keep_one_ledger_and_count_each_trip_once() {
     let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
     let mut events = [0u64; 3];
     for shard in 0..2 {
-        // Thread 0 is the service loop, whose drain events follow the
-        // schedule; the client rings follow the op sequence.
+        // The service loop's drain events follow the schedule and are
+        // their own kind; the client's events follow the op sequence.
         for e in ngm.shard_telemetry(shard).drain_trace().events {
             match e.kind {
                 TraceEventKind::Alloc => events[0] += 1,
                 TraceEventKind::Free => events[1] += 1,
-                TraceEventKind::Refill if e.thread != 0 => events[2] += 1,
+                TraceEventKind::Refill => events[2] += 1,
                 _ => {}
             }
         }
@@ -390,8 +389,8 @@ fn two_shards_keep_one_ledger_and_count_each_trip_once() {
 }
 
 /// 10,000 same-class alloc/free pairs; returns the tier's books and its
-/// call-histogram count.
-fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64) {
+/// call- and refill-histogram counts.
+fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64, u64) {
     const PAIRS: usize = 10_000;
     let ngm = cfg.build().unwrap();
     let mut h = ngm.handle();
@@ -402,18 +401,19 @@ fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64) {
     }
     drop(h);
     let calls = ngm.telemetry().call_cycles.snapshot().count();
+    let refills = ngm.telemetry().refill_cycles.snapshot().count();
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced(), "{down:?}");
     assert_eq!(down.service.app_allocs(), PAIRS as u64);
     assert_eq!(down.heap.live_blocks, 0);
-    (down, calls)
+    (down, calls, refills)
 }
 
 #[test]
 fn default_tier_amortises() {
     // One refill per 128 pops, one flush per 128 frees, one magazine
     // return at drop.
-    let (down, _) = same_class_pairs(NgmConfig::new());
+    let (down, _, _) = same_class_pairs(NgmConfig::new());
     assert!(down.runtime.calls_served <= 10_000 / 100, "{down:?}");
     assert!(down.runtime.posts_served <= 10_000 / 100, "{down:?}");
 }
@@ -469,18 +469,18 @@ fn a_refill_in_flight_goes_home_at_drop() {
 
 #[test]
 fn batch_one_is_the_paper_handshake_through_the_magazine_path() {
-    let (down, calls) = same_class_pairs(batched(1, 1));
+    let (down, calls, refills) = same_class_pairs(batched(1, 1));
     assert_eq!(down.runtime.calls_served, 10_000);
     assert_eq!(down.service.batch_refills, 10_000);
     assert_eq!(calls, 10_000, "single-block refills are calls");
-    assert_eq!(down.runtime.batched_calls_served, 0);
+    assert_eq!(refills, 0);
     assert_eq!(down.service.magazine_returned, 0);
 }
 
 /// One block of every class through `cfg`; `stashed(size, left)`
 /// sees what the first alloc's refill left in the magazine. Returns the
-/// tier's books.
-fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> NgmShutdown {
+/// tier's books and its refill-histogram count.
+fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> (NgmShutdown, u64) {
     let ngm = cfg.build().unwrap();
     let mut h = ngm.handle();
     let mut blocks = Vec::new();
@@ -495,16 +495,17 @@ fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> N
         unsafe { h.dealloc(p, l) };
     }
     drop(h);
+    let refills = ngm.telemetry().refill_cycles.snapshot().count();
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced(), "{down:?}");
     assert_eq!(down.service.app_allocs(), NUM_CLASSES as u64);
     assert_eq!(down.service.batch_refills, NUM_CLASSES as u64);
-    down
+    (down, refills)
 }
 
 #[test]
 fn a_refill_is_at_most_one_page_of_bytes() {
-    let down = one_block_of_every_class(NgmConfig::new(), |size, left| {
+    let (_, refills) = one_block_of_every_class(NgmConfig::new(), |size, left| {
         // The first alloc refilled and popped one.
         let refill = left + 1;
         assert_eq!(refill, MAX_BATCH.min(PAGE_SIZE / size), "class {size}");
@@ -513,16 +514,16 @@ fn a_refill_is_at_most_one_page_of_bytes() {
             assert_eq!(left, 5, "one page's worth minus the pop");
         }
     });
-    assert_eq!(down.runtime.batched_calls_served, NUM_CLASSES as u64);
+    assert_eq!(refills, NUM_CLASSES as u64);
 }
 
 #[test]
 fn batch_one_pays_one_round_trip_in_every_class() {
-    let down = one_block_of_every_class(batched(1, 1), |size, left| {
+    let (down, refills) = one_block_of_every_class(batched(1, 1), |size, left| {
         assert_eq!(left, 0, "class {size}");
     });
     assert_eq!(down.runtime.calls_served, NUM_CLASSES as u64);
-    assert_eq!(down.runtime.batched_calls_served, 0);
+    assert_eq!(refills, 0);
     assert_eq!(down.service.magazine_returned, 0);
 }
 
@@ -1236,14 +1237,12 @@ mod faults {
                 .chain(&telemetry.phase_cycles.each_ref())
                 .map(|h| h.snapshot().count())
                 .collect();
-            (
-                stats.magazine_occupancy,
-                stats.batched_calls_served,
-                completions,
-            )
+            (stats.magazine_occupancy, completions)
         };
         let before = books();
-        assert_eq!(before, (16, 1, vec![1, 0, 1, 1, 1, 1, 1]));
+        // Refills, calls, then the five phases, of which publish records
+        // nothing.
+        assert_eq!(before, (16, vec![1, 0, 1, 1, 1, 0, 1]));
         // The service ignores the refill the draining pop sends ahead
         // until the next alloc's deadline retracts it; the fallback
         // serves that allocation.

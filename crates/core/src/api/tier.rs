@@ -3,7 +3,7 @@
 
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ngm_heap::{FallbackHeap, HeapStats};
 use ngm_offload::{
@@ -15,9 +15,8 @@ use ngm_telemetry::recorder::{RecordFrame, ShardSample};
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
 
 use super::handle::NgmHandle;
-use super::lock;
 use super::slot::Tier;
-use crate::config::{NgmConfig, NgmError, ObserverConfig, FALLBACK_OWNER, OWNER_BASE};
+use crate::config::{NgmConfig, NgmError, FALLBACK_OWNER, OWNER_BASE};
 use crate::service::ServiceStats;
 
 /// Wall-clock seconds since the Unix epoch, captured once at the first
@@ -100,10 +99,6 @@ impl FailureReason {
 pub struct Ngm {
     /// The slots and the tier-wide state, shared with every handle.
     pub(super) tier: Arc<Tier>,
-    /// The live-observer config captured at build time
-    /// ([`NgmConfig::with_observer`]), consumed by
-    /// [`Ngm::start_observer`].
-    pub(super) observer_cfg: Mutex<Option<ObserverConfig>>,
 }
 
 impl std::fmt::Debug for Ngm {
@@ -134,7 +129,6 @@ impl Ngm {
         };
         Ok(Ngm {
             tier: Arc::new(Tier::start(&cfg, runtime_cfg).map_err(NgmError::Spawn)?),
-            observer_cfg: Mutex::new(cfg.observer),
         })
     }
 
@@ -164,12 +158,6 @@ impl Ngm {
     /// The shared tier state, as the observer meters itself into it.
     pub(crate) fn obs_state(&self) -> &Tier {
         &self.tier
-    }
-
-    /// Takes the observer config stashed by [`NgmConfig::with_observer`]
-    /// (at most once).
-    pub(crate) fn take_observer_cfg(&self) -> Option<ObserverConfig> {
-        lock(&self.observer_cfg).take()
     }
 
     /// One flight-recorder frame of tier state: every shard's cumulative

@@ -52,8 +52,8 @@ pub enum CorePlacement {
 
 /// Where — and how often — a tier exposes itself to the outside world.
 ///
-/// Passed to [`NgmConfig::with_observer`]; consumed by
-/// [`crate::api::Ngm::start_observer`], which binds the HTTP endpoint
+/// Passed to [`crate::api::Ngm::serve_observer`], which binds the HTTP
+/// endpoint
 /// (`/metrics`, `/spans`, `/blackbox`, `/healthz`, `/readyz`) and — when
 /// `record_path` is set — starts the recorder thread, which appends one
 /// flight-recorder frame per interval. The endpoints read the tier's
@@ -185,7 +185,7 @@ impl std::error::Error for NgmError {
 ///     .expect("valid config");
 /// # ngm.shutdown();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct NgmConfig {
     /// Number of service shards, each a dedicated service thread owning
     /// its own [`ngm_heap::SegregatedHeap`] (`1..=`[`MAX_SHARDS`]).
@@ -216,12 +216,6 @@ pub struct NgmConfig {
     /// hanging. Defaults to [`ngm_offload::DEFAULT_DEADLINE`]; `None`
     /// restores unbounded waits.
     pub deadline: Option<Duration>,
-    /// Live-observability endpoint + flight recorder; `None` (the
-    /// default) keeps the tier observable only in-process. When set,
-    /// [`crate::api::Ngm::start_observer`] serves it. This is the one
-    /// non-`Copy` knob — the `const` constructor leaves it `None`, so
-    /// `#[global_allocator]` statics are unaffected.
-    pub observer: Option<ObserverConfig>,
 }
 
 impl NgmConfig {
@@ -236,20 +230,7 @@ impl NgmConfig {
             batch_size: MAX_BATCH,
             flush_threshold: MAX_BATCH,
             deadline: Some(ngm_offload::DEFAULT_DEADLINE),
-            observer: None,
         }
-    }
-
-    /// Attaches a live-observability endpoint (and optionally a flight
-    /// recording) to the tier; serve it with
-    /// [`crate::api::Ngm::start_observer`] after `build()`. Not `const`:
-    /// [`ObserverConfig`] carries owned strings, which a static
-    /// initializer cannot build — and a global allocator should not be
-    /// running an HTTP server anyway.
-    #[must_use]
-    pub fn with_observer(mut self, observer: ObserverConfig) -> Self {
-        self.observer = Some(observer);
-        self
     }
 
     /// Sets the number of service shards.
@@ -404,26 +385,18 @@ mod tests {
     }
 
     #[test]
-    fn observer_config_chains_and_clones() {
-        let cfg = NgmConfig::new().with_observer(
-            ObserverConfig::new("127.0.0.1:0")
-                .with_recording("/tmp/ngm-flight.jsonl")
-                .with_scrape_interval(Duration::from_millis(5)),
-        );
-        let obs = cfg.observer.as_ref().expect("observer set");
+    fn observer_config_chains() {
+        let obs = ObserverConfig::new("127.0.0.1:0")
+            .with_recording("/tmp/ngm-flight.jsonl")
+            .with_scrape_interval(Duration::from_millis(5));
         assert_eq!(obs.addr, "127.0.0.1:0");
         assert_eq!(
             obs.record_path.as_deref(),
             Some(std::path::Path::new("/tmp/ngm-flight.jsonl"))
         );
         assert_eq!(obs.scrape_interval, Duration::from_millis(5));
-        // The config is Clone (no longer Copy): both copies agree.
-        let cloned = cfg.clone();
-        assert_eq!(cloned.observer, cfg.observer);
-        assert_eq!(cfg.validate(), Ok(()));
-        // Sanitizing leaves the observer untouched.
-        assert_eq!(cfg.sanitized().observer.unwrap().addr, "127.0.0.1:0");
         assert_eq!(ObserverConfig::default().addr, "127.0.0.1:0");
+        assert_eq!(ObserverConfig::default().record_path, None);
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn runtime(cfg: &NgmConfig) -> &'static Ngm {
         // `cfg` is sanitized, hence valid. Its failure edges are
         // recorded like any tier's: a push into the control ring, whose
         // storage is allocated here, never allocates.
-        let ngm = Ngm::from_config(cfg.clone()).expect("a service thread spawns");
+        let ngm = Ngm::from_config(*cfg).expect("a service thread spawns");
         GUARD.with(|g| g.set(was));
         ngm
     })

@@ -185,24 +185,8 @@ impl Observer {
 }
 
 impl Ngm {
-    /// Starts the observer configured via [`crate::NgmConfig::with_observer`],
-    /// if one was configured and not already started. Returns `Ok(None)`
-    /// when the config carries no observer (or it was already taken).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/create failures from [`Ngm::serve_observer`].
-    pub fn start_observer(self: &Arc<Self>) -> io::Result<Option<Observer>> {
-        match self.take_observer_cfg() {
-            Some(cfg) => self.serve_observer(cfg).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Binds the observer endpoint with an explicit config (use
-    /// [`Ngm::start_observer`] for the one stashed in
-    /// [`crate::NgmConfig`]) and, when a recording is configured, starts
-    /// the recorder thread: one frame every `scrape_interval`.
+    /// Binds the observer endpoint and, when a recording is configured,
+    /// starts the recorder thread: one frame every `scrape_interval`.
     ///
     /// # Errors
     ///

@@ -5,9 +5,11 @@
 //! into a hang. The hang-proof request path instead *degrades*: when
 //! every shard has deadlined or died, the client allocates inline from
 //! this shared heap. It is deliberately the "old world" the paper argues
-//! against (a [`LockedHeap`] — one mutex, cross-core metadata traffic):
-//! slow but always live, and only ever touched when the new world has
-//! already failed.
+//! against — §2.3's "software mutex locks are used to control access to
+//! metadata to process requests from different cores", Glibc's arena
+//! discipline: one mutex around one heap, and the cross-core metadata
+//! traffic that comes with it. Slow but always live, and only ever
+//! touched when the new world has already failed.
 //!
 //! Frees route back here by address, exactly like shard routing: the
 //! inner [`SegregatedHeap`] stamps the caller-chosen `owner` id into
@@ -20,11 +22,13 @@ use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use parking_lot::Mutex;
+
 use crate::classes::layout_to_class;
 use crate::error::AllocError;
-use crate::locked::LockedHeap;
 use crate::seg_heap::SegregatedHeap;
 use crate::stats::HeapStats;
+use crate::Heap;
 
 /// A shared, lazily-activated inline allocator of last resort.
 ///
@@ -34,7 +38,8 @@ use crate::stats::HeapStats;
 /// calling thread whatever state the shards are in
 /// ([`crate::LargeBlocks`]).
 pub struct FallbackHeap {
-    inner: LockedHeap<SegregatedHeap>,
+    /// The one lock every allocation, free and statistics read takes.
+    inner: Mutex<SegregatedHeap>,
     /// Sticky flag: set on the first fallback allocation, never cleared.
     /// Free paths consult it (one relaxed load) before paying the
     /// owner-id read, so a process that never degrades never spends
@@ -50,7 +55,7 @@ impl FallbackHeap {
     #[must_use]
     pub fn new(owner: u64) -> Self {
         FallbackHeap {
-            inner: LockedHeap::new(SegregatedHeap::new(owner)),
+            inner: Mutex::new(SegregatedHeap::new(owner)),
             active: AtomicBool::new(false),
             allocs: AtomicU64::new(0),
             frees: AtomicU64::new(0),
@@ -75,7 +80,7 @@ impl FallbackHeap {
         if layout_to_class(layout.size(), layout.align()).is_none() {
             return Err(AllocError::OutOfMemory);
         }
-        let p = self.inner.allocate(layout)?;
+        let p = self.inner.lock().allocate(layout)?;
         self.active.store(true, Ordering::Relaxed);
         self.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(p)
@@ -90,7 +95,7 @@ impl FallbackHeap {
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>) {
         // SAFETY: forwarded contract — a live small block from the inner
         // heap, whose class the page descriptor recovers.
-        self.inner.with(|h| unsafe { h.deallocate_by_ptr(ptr) });
+        unsafe { self.inner.lock().deallocate_by_ptr(ptr) };
         self.frees.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -106,10 +111,10 @@ impl FallbackHeap {
         self.frees.load(Ordering::Relaxed)
     }
 
-    /// Inner heap statistics.
+    /// Inner heap statistics (taken under the lock).
     #[must_use]
     pub fn stats(&self) -> HeapStats {
-        self.inner.stats()
+        self.inner.lock().stats()
     }
 }
 
@@ -181,6 +186,32 @@ mod tests {
         }
         assert_eq!(f.allocs(), 800);
         assert_eq!(f.frees(), 800);
+        assert_eq!(f.stats().live_blocks, 0);
+    }
+
+    #[test]
+    fn a_block_is_freed_on_another_thread_than_allocated_it() {
+        // xmalloc's pattern: one thread allocates, another frees.
+        let f = std::sync::Arc::new(FallbackHeap::new(9));
+        let (tx, rx) = std::sync::mpsc::channel::<usize>();
+        let freer = {
+            let f = std::sync::Arc::clone(&f);
+            std::thread::spawn(move || {
+                for addr in rx {
+                    let p = NonNull::new(addr as *mut u8).unwrap();
+                    // SAFETY: the allocating thread handed over the live
+                    // block through the channel.
+                    unsafe { f.deallocate(p) };
+                }
+            })
+        };
+        for i in 0..1000usize {
+            let p = f.allocate(layout(16 + i % 512)).unwrap();
+            tx.send(p.as_ptr() as usize).unwrap();
+        }
+        drop(tx);
+        freer.join().unwrap();
+        assert_eq!(f.frees(), 1000);
         assert_eq!(f.stats().live_blocks, 0);
     }
 }

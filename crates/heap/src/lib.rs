@@ -24,7 +24,8 @@
 //! On top of that single-owner heap sit the multi-threaded compositions
 //! representing "current UMAs":
 //!
-//! * [`LockedHeap`] — one global lock (Glibc/PTMalloc2's arena discipline).
+//! * [`FallbackHeap`] — one global lock around one heap (Glibc/PTMalloc2's
+//!   arena discipline, §2.3): the tier's inline allocator of last resort.
 //! * [`ShardedHeap`] — per-thread heaps plus atomic remote-free queues
 //!   (TCMalloc/Mimalloc's thread-local caching with cross-thread frees),
 //!   i.e. exactly the atomics §3.1.3 proposes to remove.
@@ -34,8 +35,9 @@
 //! pages' index arrays), [`seg_heap`]
 //! (the paged heap and its link stores), [`dead_stack`] (the Treiber
 //! stack threaded through dead blocks: `ShardedHeap`'s remote-free queue
-//! and `ngm-core`'s orphan stack), [`sharded`], [`locked`], [`fallback`]
-//! (the degradation heap), [`large`] (the large-block ledger), [`sys`]
+//! and `ngm-core`'s orphan stack), [`sharded`], [`fallback`] (the
+//! degradation heap behind its one lock), [`large`] (the large-block
+//! ledger), [`sys`]
 //! (`mmap`: huge-page-advised segment mappings, plain large-block ones,
 //! and the per-thread fault reader the tests count with), [`stats`],
 //! [`error`].
@@ -47,7 +49,6 @@ pub mod dead_stack;
 pub mod error;
 pub mod fallback;
 pub mod large;
-pub mod locked;
 pub mod seg_heap;
 pub mod segment;
 pub mod sharded;
@@ -59,7 +60,6 @@ pub use dead_stack::DeadBlockStack;
 pub use error::AllocError;
 pub use fallback::FallbackHeap;
 pub use large::LargeBlocks;
-pub use locked::LockedHeap;
 pub use seg_heap::{AggregatedHeap, FreeLinks, InBlock, IndexArray, PagedHeap, SegregatedHeap};
 pub use sharded::ShardedHeap;
 pub use stats::HeapStats;

@@ -139,9 +139,9 @@ pub type SegregatedHeap = PagedHeap<IndexArray>;
 pub type AggregatedHeap = PagedHeap<InBlock>;
 
 // SAFETY: the heap owns its segments exclusively; the raw pointers are not
-// shared with any other thread unless a wrapper (LockedHeap, the offload
-// service) serializes access, and `L` is a zero-sized marker. Moving the
-// heap to another thread is sound.
+// shared with any other thread unless an owner (the fallback heap's lock,
+// the offload service) serializes access, and `L` is a zero-sized marker.
+// Moving the heap to another thread is sound.
 unsafe impl<L: FreeLinks> Send for PagedHeap<L> {}
 
 impl<L: FreeLinks> PagedHeap<L> {

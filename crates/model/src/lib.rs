@@ -13,8 +13,7 @@
 //! 7 loads/stores per malloc and 10 per free.
 //!
 //! [`BreakEven`] encodes that arithmetic exactly and supports the
-//! parameter sweeps used by the ablation benches (atomic-latency
-//! crossover, miss-penalty sensitivity).
+//! atomic-latency sweep of ablation D and `repro model41`.
 
 #![warn(missing_docs)]
 
@@ -96,12 +95,6 @@ impl BreakEven {
         baseline_cycles / (baseline_cycles - self.net_savings(misses_saved_per_call))
     }
 
-    /// The atomic latency at which a given miss reduction stops paying:
-    /// offloading wins only while `atomic_cycles` is below this.
-    pub fn crossover_atomic_latency(&self, misses_saved_per_call: f64) -> f64 {
-        misses_saved_per_call * self.miss_penalty / self.atomics_per_call as f64
-    }
-
     /// Sweeps atomic latency over `range`, returning
     /// `(latency, net_savings)` pairs for a fixed miss reduction.
     pub fn sweep_atomic_latency(
@@ -119,35 +112,6 @@ impl BreakEven {
             })
             .collect()
     }
-
-    /// Sweeps the miss penalty (hardware dependence of the argument).
-    pub fn sweep_miss_penalty(
-        &self,
-        range: impl Iterator<Item = u64>,
-        misses_saved_per_call: f64,
-    ) -> Vec<(u64, f64)> {
-        range
-            .map(|pen| {
-                let m = BreakEven {
-                    miss_penalty: pen as f64,
-                    ..*self
-                };
-                (pen, m.net_savings(misses_saved_per_call))
-            })
-            .collect()
-    }
-}
-
-/// Feasibility check from §4.1's closing argument: Mimalloc performs
-/// 7 loads/stores per malloc and 10 per free, so saving ≥1.25 misses per
-/// call is within reach if a modest fraction of those accesses miss.
-pub fn feasible_miss_reduction(
-    accesses_per_malloc: u64,
-    accesses_per_free: u64,
-    miss_rate: f64,
-) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&miss_rate));
-    (accesses_per_malloc + accesses_per_free) as f64 / 2.0 * miss_rate
 }
 
 #[cfg(test)]
@@ -184,20 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn crossover_matches_inverse() {
-        let m = BreakEven::default();
-        let saved = 2.0;
-        let cross = m.crossover_atomic_latency(saved);
-        let at_cross = BreakEven {
-            atomic_cycles: cross as u64,
-            ..m
-        };
-        // At (the floor of) the crossover we are within one call-cost of
-        // zero savings.
-        assert!(at_cross.net_savings(saved).abs() < m.calls() as f64 * m.atomics_per_call as f64);
-    }
-
-    #[test]
     fn worst_case_atomics_kill_the_win() {
         let m = BreakEven {
             atomic_cycles: ATOMIC_CYCLES_WORST,
@@ -229,19 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_from_mimalloc_access_counts() {
-        // 7 accesses per malloc, 10 per free: a 15 % miss rate on those
-        // already exceeds the 1.25 break-even.
-        let r = feasible_miss_reduction(7, 10, 0.15);
-        assert!(r > 1.25);
-    }
-
-    #[test]
     fn sweeps_are_monotonic() {
         let m = BreakEven::default();
         let sweep = m.sweep_atomic_latency((20..=700).step_by(20), 1.25);
         assert!(sweep.windows(2).all(|w| w[0].1 >= w[1].1));
-        let pens = m.sweep_miss_penalty((100..=400).step_by(50), 1.25);
-        assert!(pens.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
-use ngm_telemetry::span::{call_span_id, post_span_id, SpanPhase};
+use ngm_telemetry::span::{call_span_id, SpanPhase};
 use ngm_telemetry::trace::{TraceEventKind, TraceRing};
 
 use crate::error::ServiceError;
@@ -136,16 +136,13 @@ pub struct ClientHandle<S: Service> {
     stats: Arc<RuntimeStats>,
     telemetry: Arc<RuntimeTelemetry>,
     trace: Option<Arc<TraceRing>>,
-    /// Client-local sequence for post span ids (posts have no slot
-    /// publish sequence to mint from).
-    post_seq: u64,
     /// The request published and not yet collected: when it was
     /// published and which population its round trip lands in.
     in_flight: Option<(u64, CallKind)>,
 }
 
 /// Which population a synchronous request's round trip belongs to.
-/// Either way its five phases land in the phase histograms.
+/// Either way its four phases land in the phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallKind {
     /// One unit of work per round trip: latency lands in the call
@@ -154,7 +151,8 @@ pub enum CallKind {
     /// A request carrying a *batch* of work (magazine refills in the
     /// malloc deployment): latency lands in the separate refill
     /// histogram, so the amortized batched cost stays distinguishable
-    /// from the per-call cost, and the batched-call counter is bumped.
+    /// from the per-call cost; that histogram's count is the number of
+    /// batched requests served.
     Batched,
 }
 
@@ -168,7 +166,7 @@ impl<S: Service> ClientHandle<S> {
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let now = cycles_now();
-            let (t1, t2, _, _) = self.slot.phase_stamps();
+            let (t1, t2, _) = self.slot.phase_stamps();
             ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
             ring.push_at(
                 t1.clamp(t0, now),
@@ -195,11 +193,11 @@ impl<S: Service> ClientHandle<S> {
     /// for a request collected some time after it was published, is when
     /// the client came back for it, so the observe phase then includes
     /// the time the response waited in the slot: the
-    /// latency histogram of the request's [`CallKind`], the batched-call
-    /// counter, the five phase histograms (every round trip of either
-    /// kind, so together they partition the call and refill populations
-    /// exactly) and — when tracing is on — the six span phase events with
-    /// their true boundary timestamps from the slot.
+    /// latency histogram of the request's [`CallKind`], the four recorded
+    /// phase histograms (every round trip of either kind, so together
+    /// they partition the call and refill populations exactly) and — when
+    /// tracing is on — the five span phase events with their true
+    /// boundary timestamps from the slot.
     ///
     /// Called before the response is collected: the store that releases
     /// the slot to the service is the round trip's last write, so none of
@@ -208,25 +206,20 @@ impl<S: Service> ClientHandle<S> {
     fn record_completion(&mut self, t0: u64, kind: CallKind) {
         let t5 = cycles_now();
         let stamps = self.slot.phase_stamps();
-        match kind {
-            CallKind::Single => self.telemetry.call_cycles.record(t5.saturating_sub(t0)),
-            CallKind::Batched => {
-                self.telemetry.refill_cycles.record(t5.saturating_sub(t0));
-                self.stats
-                    .batched_calls_served
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let latency = match kind {
+            CallKind::Single => &self.telemetry.call_cycles,
+            CallKind::Batched => &self.telemetry.refill_cycles,
+        };
+        latency.record(t5.saturating_sub(t0));
         self.telemetry.record_phases(t0, stamps, t5);
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
-            let (t1, t2, t3, t4) = stamps;
+            let (t1, t2, t3) = stamps;
             for (tsc, phase) in [
                 (t0, SpanPhase::Enqueue),
                 (t1, SpanPhase::RingResident),
                 (t2, SpanPhase::Claimed),
                 (t3, SpanPhase::Served),
-                (t4, SpanPhase::Published),
                 (t5, SpanPhase::Observed),
             ] {
                 ring.push_at(tsc.clamp(t0, t5), TraceEventKind::Span, id, phase.code());
@@ -402,20 +395,13 @@ impl<S: Service> ClientHandle<S> {
             // The post is recorded once the ring has room for it and
             // before any of it is written: the store of the ring's tail,
             // which hands it to the service, is the last this post makes.
-            let (telemetry, trace, post_seq) = (&self.telemetry, &self.trace, &mut self.post_seq);
+            let (telemetry, trace) = (&self.telemetry, &self.trace);
             let pushed = self.posts.push_with(msg, |ring| {
                 let t1 = cycles_now();
-                telemetry.post_cycles.record(t1.saturating_sub(t0));
+                let waited = t1.saturating_sub(t0);
+                telemetry.post_cycles.record(waited);
                 if let Some(trace) = trace {
-                    trace.push(TraceEventKind::Post, ring.len() as u64, 0);
-                    // A post's span has two phases: it was decided on
-                    // (enqueue) and it reached the ring (ring-resident);
-                    // the service's drain is batched and anonymous, so
-                    // the span ends there.
-                    let id = post_span_id(trace.thread(), *post_seq);
-                    *post_seq += 1;
-                    trace.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
-                    trace.push_at(t1, TraceEventKind::Span, id, SpanPhase::RingResident.code());
+                    trace.push_at(t1, TraceEventKind::Post, ring.len() as u64, waited);
                 }
             });
             match pushed {
@@ -661,7 +647,6 @@ impl<S: Service> OffloadRuntime<S> {
             stats: Arc::clone(&handles.stats),
             telemetry: Arc::clone(&handles.telemetry),
             trace: handles.telemetry.new_ring(),
-            post_seq: 0,
             in_flight: None,
         }
     }
@@ -900,7 +885,7 @@ fn service_loop<S: Service>(
                 work += drained;
                 bump(&stats.posts_served, drained as u64);
                 if let Some(ring) = &trace {
-                    ring.push(TraceEventKind::Refill, drained as u64, 0);
+                    ring.push(TraceEventKind::Drain, drained as u64, 0);
                 }
             }
         }
@@ -1196,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_captures_posts_refills_and_wait_transitions() {
+    fn tracing_captures_posts_drains_and_wait_transitions() {
         let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.trace_capacity = 256)).unwrap();
         let mut c = rt.register_client();
         for i in 0..10 {
@@ -1208,7 +1193,7 @@ mod tests {
         let trace = rt.telemetry().drain_trace();
         let kinds: std::collections::HashSet<_> = trace.events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&TraceEventKind::Post), "client posts traced");
-        assert!(kinds.contains(&TraceEventKind::Refill), "drains traced");
+        assert!(kinds.contains(&TraceEventKind::Drain), "drains traced");
         assert!(
             kinds.contains(&TraceEventKind::WaitTransition),
             "idle escalation traced"
@@ -1228,7 +1213,7 @@ mod tests {
 
     #[test]
     fn calls_emit_well_nested_spans_and_exact_phase_partition() {
-        use ngm_telemetry::span::{reconstruct, POST_SPAN_BIT};
+        use ngm_telemetry::span::reconstruct;
         let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.trace_capacity = 1024)).unwrap();
         let mut c = rt.register_client();
         for i in 0..8 {
@@ -1249,11 +1234,19 @@ mod tests {
             phase_sum, call_sum,
             "phases partition the round trip exactly (same endpoint stamps)"
         );
-        let spans = reconstruct(&rt.telemetry().drain_trace().events);
-        let calls: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT == 0).collect();
-        let posts: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT != 0).collect();
-        assert_eq!(calls.len(), 8, "one span per synchronous call");
-        assert_eq!(posts.len(), 8, "one span per post");
+        let events = rt.telemetry().drain_trace().events;
+        let spans = reconstruct(&events);
+        assert_eq!(spans.len(), 8, "one span per synchronous call");
+        let posts: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Post)
+            .collect();
+        assert_eq!(posts.len(), 8, "one event per post, and no span");
+        assert_eq!(
+            posts.iter().map(|e| e.b).sum::<u64>(),
+            m.get_histogram("ngm_post_cycles").expect("posts").sum(),
+            "a post event carries the cycles its post waited"
+        );
         for s in &spans {
             assert!(
                 s.well_nested(),
@@ -1263,9 +1256,9 @@ mod tests {
             );
             assert!(s.phase_monotonic(), "span {:#x} time-travels", s.id);
         }
-        for s in calls {
+        for s in &spans {
             assert!(s.completed(), "call spans end Observed");
-            assert_eq!(s.phases.len(), 6, "all six call phases present");
+            assert_eq!(s.phases.len(), 5, "all five call phases present");
         }
         drop(c);
         rt.shutdown();
@@ -1298,9 +1291,10 @@ mod tests {
             let h = m
                 .get_histogram(&format!("ngm_phase_{n}_cycles"))
                 .expect("phase series");
+            let recorded = if n == "publish" { 0 } else { 8 + 4 };
             assert_eq!(
                 h.count(),
-                8 + 4,
+                recorded,
                 "phase {n}: one sample per call and refill"
             );
             phase_sum += h.sum();
@@ -1312,17 +1306,15 @@ mod tests {
         );
         drop(c);
         let (_, stats) = rt.shutdown();
-        // A batched call is still a served call; the batched counter is a
-        // subset, not a separate population.
+        // A batched call is still a served call: the refill population is
+        // a subset of the served calls, not a separate count.
         assert_eq!(stats.calls_served, 12);
-        assert_eq!(stats.batched_calls_served, 4);
     }
 
     #[test]
     fn a_completion_is_recorded_before_the_slot_is_released() {
         let rt = OffloadRuntime::start(doubler());
         let telemetry = Arc::clone(rt.telemetry());
-        let stats = Arc::clone(&rt.shared.handles.stats);
         let mut c = rt.register_client();
         for i in 1..=4u64 {
             // `collect` runs before the EMPTY store: the completion it
@@ -1334,13 +1326,9 @@ mod tests {
         }
         for i in 1..=4u64 {
             let seen = c.trip(i, CallKind::Batched, |r| {
-                (
-                    *r,
-                    telemetry.refill_cycles.snapshot().count(),
-                    stats.batched_calls_served.load(Ordering::Relaxed),
-                )
+                (*r, telemetry.refill_cycles.snapshot().count())
             });
-            assert_eq!(seen, Ok((i * 2, i, i)), "refill {i}");
+            assert_eq!(seen, Ok((i * 2, i)), "refill {i}");
         }
         drop(c);
         rt.shutdown();
@@ -1494,7 +1482,6 @@ mod tests {
         drop(c);
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.calls_served, 2);
-        assert_eq!(stats.batched_calls_served, 1);
     }
 
     #[test]

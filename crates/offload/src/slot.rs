@@ -122,21 +122,19 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     }
 
     /// Phase stamps of the most recently completed request, as
-    /// `(request, claim, served, publish)` [`cycles_now`] values, where
-    /// publish is the served stamp: the response is published where it
-    /// was written, so the publish phase is zero wide. Valid
+    /// `(request, claim, served)` [`cycles_now`] values. The served stamp
+    /// is also when the response was published: it is published where it
+    /// was written, so there is no copy between the two. Valid
     /// for the client after it consumed a RESPONSE (the Acquire load
     /// ordered the server's stamps); phases the request never reached
     /// (e.g. a retracted request was never claimed) read as stale values
     /// from an earlier cycle — callers gate on the call outcome.
     #[must_use]
-    pub fn phase_stamps(&self) -> (u64, u64, u64, u64) {
-        let served = self.served_tsc.load(Ordering::Relaxed);
+    pub fn phase_stamps(&self) -> (u64, u64, u64) {
         (
             self.request_tsc.load(Ordering::Relaxed),
             self.claim_tsc.load(Ordering::Relaxed),
-            served,
-            served,
+            self.served_tsc.load(Ordering::Relaxed),
         )
     }
 
@@ -477,10 +475,10 @@ mod tests {
         call(&slot, 1);
         let t5 = cycles_now();
         let seq1 = slot.publish_seq();
-        let (req, claim, served, publish) = slot.phase_stamps();
+        let (req, claim, served) = slot.phase_stamps();
         assert!(t0 <= req, "request stamp after call start");
-        assert!(req <= claim && claim <= served && served <= publish);
-        assert!(publish <= t5, "publish stamp before the client observed");
+        assert!(req <= claim && claim <= served);
+        assert!(served <= t5, "served stamp before the client observed");
         call(&slot, 2);
         assert_eq!(slot.publish_seq(), seq1 + 1, "seq bumps per publish");
         h.join().unwrap();

@@ -68,10 +68,6 @@ pub struct RuntimeStats {
     /// Times clients rerouted a request to a surviving shard because
     /// this shard's service thread had died.
     pub failovers: AtomicU64,
-    /// Batched synchronous requests served (magazine refills in the
-    /// malloc deployment); a subset of `calls_served`. Counted by the
-    /// client that made the request, before it releases the slot.
-    pub batched_calls_served: AtomicU64,
     /// Times a client's call or post exhausted its deadline budget
     /// against this shard (the shard was wedged or saturated, not
     /// necessarily dead).
@@ -120,8 +116,6 @@ pub struct StatsSnapshot {
     pub rebalances: u64,
     /// Times clients failed a request over to a surviving shard.
     pub failovers: u64,
-    /// Batched synchronous requests served (magazine refills).
-    pub batched_calls_served: u64,
     /// Client operations that exhausted their deadline budget.
     pub deadlines: u64,
     /// The same count as `post_full_retries`, which fills it. It stays
@@ -173,7 +167,6 @@ impl RuntimeStats {
             service_down: AtomicBool::new(false),
             rebalances: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            batched_calls_served: AtomicU64::new(0),
             deadlines: AtomicU64::new(0),
             magazine_occupancy: AtomicI64::new(0),
         }
@@ -240,7 +233,6 @@ impl RuntimeStats {
             service_down: self.service_down.load(Ordering::Relaxed),
             rebalances: self.rebalances.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            batched_calls_served: self.batched_calls_served.load(Ordering::Relaxed),
             deadlines: self.deadlines.load(Ordering::Relaxed),
             retry_total: self.post_full_retries.load(Ordering::Relaxed),
             ring_occupancy: self.ring_occupancy.load(Ordering::Relaxed),
@@ -268,7 +260,6 @@ impl StatsSnapshot {
         self.service_down |= other.service_down;
         self.rebalances += other.rebalances;
         self.failovers += other.failovers;
-        self.batched_calls_served += other.batched_calls_served;
         self.deadlines += other.deadlines;
         self.retry_total += other.retry_total;
         self.ring_occupancy += other.ring_occupancy;
@@ -345,7 +336,6 @@ mod tests {
             offset_of!(RuntimeStats, service_down),
             offset_of!(RuntimeStats, rebalances),
             offset_of!(RuntimeStats, failovers),
-            offset_of!(RuntimeStats, batched_calls_served),
             offset_of!(RuntimeStats, deadlines),
             offset_of!(RuntimeStats, magazine_occupancy),
         ];

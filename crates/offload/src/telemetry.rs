@@ -2,10 +2,11 @@
 //! the metrics snapshot assembly.
 //!
 //! One [`RuntimeTelemetry`] is shared (via `Arc`) between the service
-//! loop and every [`crate::ClientHandle`]. The client fast path touches
-//! it exactly once per request — a histogram record, which is one relaxed
-//! bucket increment plus one relaxed sum increment — keeping measurement
-//! overhead far below the round-trip being measured (§4.1's `T_comm`).
+//! loop and every [`crate::ClientHandle`]. A histogram record is two
+//! locked adds (bucket and sum); a round trip records its latency and
+//! four phases, ten in all, and a post its enqueue latency, keeping
+//! measurement far below the round trip being measured (§4.1's
+//! `T_comm`).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,13 +42,18 @@ pub struct RuntimeTelemetry {
     /// Per-phase breakdowns of every synchronous round trip — single
     /// calls and batched refills alike — in lifecycle order: queue
     /// (enqueue → ring-resident), claim (ring-resident → claimed), serve
-    /// (claimed → served), publish (served → response published),
-    /// observe (published → client observed; for a request collected
-    /// after the client went back to work, that includes the time the
-    /// response waited for it). The five are derived from
-    /// the same two endpoint timestamps as the request's `call_cycles`
-    /// or `refill_cycles` record, so per-request they sum to exactly the
-    /// recorded round trip, and in total to the two histograms' sums.
+    /// (claimed → served), publish, observe (served → client observed;
+    /// for a request collected after the client went back to work, that
+    /// includes the time the response waited for it). The recorded four
+    /// are derived from the same two endpoint timestamps as the
+    /// request's `call_cycles` or `refill_cycles` record, so per-request
+    /// they sum to exactly the recorded round trip, and in total to the
+    /// two histograms' sums.
+    ///
+    /// The publish entry (index 3) is always empty: a response is
+    /// published where it is written, so nothing records a phase between
+    /// served and published. It survives only until ROADMAP item 1(b)
+    /// deletes it, because `benchmark/` still reads five entries.
     pub phase_cycles: [LatencyHistogram; PHASES],
     /// Always empty: nothing records into it. Survives only until
     /// ROADMAP item 1(b) deletes it, because `benchmark/` still reads it.
@@ -155,25 +161,24 @@ impl RuntimeTelemetry {
         events
     }
 
-    /// Records one round trip's phase breakdown. `stamps` are the slot's
-    /// `(request, claim, served, publish)` timestamps; `t0`/`t5` are the
-    /// *same* endpoint readings used for its latency record, so
-    /// the five phases sum to exactly the recorded round trip. All
-    /// differences saturate: a stale stamp (e.g. from a request that was
-    /// never claimed) records as zero rather than a garbage bucket.
-    pub fn record_phases(&self, t0: u64, stamps: (u64, u64, u64, u64), t5: u64) {
-        let (t1, t2, t3, t4) = stamps;
+    /// Records one round trip's phase breakdown: queue, claim, serve and
+    /// observe. `stamps` are the slot's `(request, claim, served)`
+    /// timestamps; `t0`/`t5` are the *same* endpoint readings used for
+    /// its latency record, so the four phases sum to exactly the
+    /// recorded round trip. All differences saturate: a stale stamp
+    /// (e.g. from a request that was never claimed) records as zero
+    /// rather than a garbage bucket.
+    pub fn record_phases(&self, t0: u64, stamps: (u64, u64, u64), t5: u64) {
+        let (t1, t2, t3) = stamps;
         // Clamp each boundary into [t0, t5] so skewed or stale stamps
         // cannot make the phase sum exceed the round trip.
         let t1 = t1.clamp(t0, t5);
         let t2 = t2.clamp(t1, t5);
         let t3 = t3.clamp(t2, t5);
-        let t4 = t4.clamp(t3, t5);
         self.phase_cycles[0].record(t1 - t0);
         self.phase_cycles[1].record(t2 - t1);
         self.phase_cycles[2].record(t3 - t2);
-        self.phase_cycles[3].record(t4 - t3);
-        self.phase_cycles[4].record(t5 - t4);
+        self.phase_cycles[4].record(t5 - t3);
     }
 
     /// Assembles the exportable metrics snapshot: the runtime's counters
@@ -219,7 +224,6 @@ impl RuntimeTelemetry {
             .counter("ngm_rebalances_total", stats.rebalances)
             .counter("ngm_failovers_total", stats.failovers)
             .gauge("ngm_service_down", i64::from(stats.service_down))
-            .counter("ngm_batched_calls_total", stats.batched_calls_served)
             .counter("ngm_deadline_total", stats.deadlines)
             .counter("ngm_wait_transitions_total", stats.wait_transitions)
             .counter("ngm_trace_dropped_total", trace_dropped)
@@ -289,13 +293,13 @@ mod tests {
     #[test]
     fn phase_records_sum_to_the_round_trip_and_export() {
         let t = RuntimeTelemetry::new(0);
-        // A normal call: t0=100, stamps 110/150/900/920, t5=1000.
-        t.record_phases(100, (110, 150, 900, 920), 1000);
+        // A normal call: t0=100, stamps 110/150/900, t5=1000.
+        t.record_phases(100, (110, 150, 900), 1000);
         let sum: u64 = t.phase_cycles.iter().map(|h| h.snapshot().sum()).sum();
         assert_eq!(sum, 900, "phases partition t5 - t0 exactly");
         // Stale stamps (never-claimed request reusing old values) clamp
         // to zero-width phases instead of recording garbage.
-        t.record_phases(2000, (1, 2, 3, 4), 2100);
+        t.record_phases(2000, (1, 2, 3), 2100);
         let sum: u64 = t.phase_cycles.iter().map(|h| h.snapshot().sum()).sum();
         assert_eq!(sum, 900 + 100);
         let stats = crate::stats::RuntimeStats::new().snapshot();
@@ -304,7 +308,8 @@ mod tests {
             let h = m
                 .get_histogram(&format!("ngm_phase_{name}_cycles"))
                 .unwrap_or_else(|| panic!("missing phase series {name}"));
-            assert_eq!(h.count(), 2);
+            let recorded = if name == "publish" { 0 } else { 2 };
+            assert_eq!(h.count(), recorded, "{name}");
         }
     }
 
@@ -312,8 +317,8 @@ mod tests {
     fn phase_histograms_merge_across_peers() {
         let a = RuntimeTelemetry::new(0);
         let b = RuntimeTelemetry::new(0);
-        a.record_phases(0, (10, 20, 30, 40), 50);
-        b.record_phases(0, (10, 20, 30, 40), 50);
+        a.record_phases(0, (10, 20, 30), 50);
+        b.record_phases(0, (10, 20, 30), 50);
         let stats = crate::stats::RuntimeStats::new().snapshot();
         let m = a.metrics_merged(&stats, &[&b]);
         let h = m.get_histogram("ngm_phase_queue_cycles").expect("series");
@@ -345,7 +350,6 @@ mod tests {
         let stats = crate::stats::RuntimeStats::new().snapshot();
         let m = t.metrics(&stats);
         assert_eq!(m.get_counter("ngm_calls_total"), Some(0));
-        assert_eq!(m.get_counter("ngm_batched_calls_total"), Some(0));
         assert_eq!(m.get_gauge("ngm_pinned_core"), Some(-1));
         assert_eq!(m.get_gauge("ngm_magazine_occupancy"), Some(0));
         assert_eq!(

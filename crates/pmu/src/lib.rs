@@ -14,7 +14,8 @@
 //! * [`PmuSession`] — scoped start/stop/read guards over a backend
 //!   chosen once, counting the calling thread or any other thread of
 //!   the process: hardware when the syscall works, otherwise
-//!   [`SoftwareCounters`] (TSC-measured cycles plus caller-fed values —
+//!   [`SoftwareCounters`] (the counted thread's CPU time in cycles,
+//!   from its CPU-time clock, plus caller-fed values —
 //!   the repro harness feeds the cache/TLB simulator) so every caller
 //!   works everywhere: EPERM from `perf_event_paranoid`, ENOSYS from
 //!   seccomp, PMU-less VMs, CI.

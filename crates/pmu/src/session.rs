@@ -12,9 +12,9 @@ use crate::software::SoftwareCounters;
 pub enum BackendKind {
     /// Real PMU counters via `perf_event_open(2)`.
     Hardware,
-    /// The [`SoftwareCounters`] fallback: TSC-derived cycles plus
-    /// whatever counters the caller feeds (the cache/TLB simulator in the
-    /// repro harness).
+    /// The [`SoftwareCounters`] fallback: the counted thread's CPU time
+    /// in cycles plus whatever counters the caller feeds (the cache/TLB
+    /// simulator in the repro harness).
     Software,
 }
 
@@ -116,7 +116,8 @@ impl PmuReading {
 
 enum BackendImpl {
     Hw(PerfGroup),
-    Sw(SoftwareCounters),
+    /// The fallback and the CPU-time clock of the thread it counts.
+    Sw(SoftwareCounters, libc::c_int),
 }
 
 /// A reusable measurement session: `start` → work → `stop` → reading.
@@ -150,27 +151,43 @@ impl PmuSession {
     }
 
     /// As [`PmuSession::new`], but counting thread `tid` (an OS thread id
-    /// of this process, as `gettid(2)` returns it; 0 is the calling
-    /// thread) — so a harness can measure a thread it does not run, such
-    /// as an allocator's service loop. The software fallback cannot
-    /// count another thread: its cycles are the TSC between start and
-    /// stop, as for every software session.
+    /// of this process, as `gettid(2)` returns it; 0 is the thread that
+    /// starts and stops the session) — so a harness can measure a thread
+    /// it does not run, such as an allocator's service loop. The software
+    /// fallback counts that thread too: its cycles are the CPU time
+    /// `tid`'s CPU-time clock counted between start and stop, converted
+    /// at [`clock::cycles_per_ns`], so a thread that slept reads near
+    /// zero however long the interval. A thread that exited before a
+    /// read reads zero.
     #[must_use]
     pub fn for_thread(tid: libc::pid_t) -> Self {
         match PerfGroup::open(&PmuEvent::ALL, tid) {
             Ok(g) => PmuSession {
                 backend: BackendImpl::Hw(g),
             },
-            Err(_) => Self::software(),
+            Err(_) => Self::software_for(tid),
         }
     }
 
-    /// Opens a software session (used directly in tests and by the repro
-    /// harness when it wants the sim-fed backend explicitly).
+    /// Opens a software session on the thread that starts and stops it
+    /// (used directly in tests and by the repro harness when it wants the
+    /// sim-fed backend explicitly).
     #[must_use]
     pub fn software() -> Self {
+        Self::software_for(0)
+    }
+
+    /// A software session counting thread `tid` (0: the reading thread)
+    /// by its CPU-time clock, the clock id glibc's
+    /// `pthread_getcpuclockid` builds for it.
+    fn software_for(tid: libc::pid_t) -> Self {
+        let clock = if tid == 0 {
+            libc::CLOCK_THREAD_CPUTIME_ID
+        } else {
+            (!tid << 3) | 6
+        };
         PmuSession {
-            backend: BackendImpl::Sw(SoftwareCounters::new()),
+            backend: BackendImpl::Sw(SoftwareCounters::new(), clock),
         }
     }
 
@@ -179,7 +196,7 @@ impl PmuSession {
     pub fn backend_kind(&self) -> BackendKind {
         match &self.backend {
             BackendImpl::Hw(_) => BackendKind::Hardware,
-            BackendImpl::Sw(_) => BackendKind::Software,
+            BackendImpl::Sw(..) => BackendKind::Software,
         }
     }
 
@@ -190,7 +207,7 @@ impl PmuSession {
     pub fn unavailable_events(&self) -> &[PmuEvent] {
         match &self.backend {
             BackendImpl::Hw(g) => g.unavailable_events(),
-            BackendImpl::Sw(_) => &[],
+            BackendImpl::Sw(..) => &[],
         }
     }
 
@@ -198,7 +215,7 @@ impl PmuSession {
     /// harness feeds the cache/TLB simulator's counters here so a
     /// fallback reading still has the full Table 1 shape.
     pub fn feed(&mut self, event: PmuEvent, value: u64) {
-        if let BackendImpl::Sw(sw) = &mut self.backend {
+        if let BackendImpl::Sw(sw, _) = &mut self.backend {
             sw.feed(event, value);
         }
     }
@@ -216,7 +233,7 @@ impl PmuSession {
     pub fn begin(&mut self) {
         match &mut self.backend {
             BackendImpl::Hw(g) => g.enable(),
-            BackendImpl::Sw(sw) => sw.start(clock::cycles_now(), now_ns()),
+            BackendImpl::Sw(sw, cpu) => sw.start(cpu_cycles(*cpu), now_ns()),
         }
     }
 
@@ -250,7 +267,7 @@ impl PmuSession {
                     },
                 }
             }
-            BackendImpl::Sw(sw) => sw.stop(clock::cycles_now(), now_ns()),
+            BackendImpl::Sw(sw, cpu) => sw.stop(cpu_cycles(*cpu), now_ns()),
         }
     }
 }
@@ -259,6 +276,18 @@ impl Default for PmuSession {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// CPU time CPU-time clock `cpu` has counted, in cycles; 0 when it
+/// cannot be read (its thread exited).
+fn cpu_cycles(cpu: libc::c_int) -> u64 {
+    let mut ts = libc::timespec::default();
+    // SAFETY: `ts` is a valid, writable timespec.
+    if unsafe { libc::clock_gettime(cpu, &mut ts) } != 0 {
+        return 0;
+    }
+    let ns = ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64;
+    (ns as f64 * clock::cycles_per_ns()) as u64
 }
 
 /// Monotonic nanoseconds for the software backend's enabled-time field.
@@ -373,33 +402,66 @@ mod tests {
         unsafe { libc::syscall(libc::SYS_gettid) as libc::pid_t }
     }
 
-    #[test]
-    fn for_thread_counts_a_thread_the_caller_does_not_run() {
+    /// Starts a session from `open(tid)` on a thread that spins and one
+    /// on a thread that sleeps, over the same 20 ms of wall time, and
+    /// returns their cycles.
+    fn spinning_and_sleeping(open: fn(libc::pid_t) -> PmuSession) -> (u64, u64) {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::{mpsc, Arc};
 
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel();
-        let spinner = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                tx.send(gettid()).expect("caller waits for the id");
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
+        let threads: Vec<_> = [true, false]
+            .into_iter()
+            .map(|spin| {
+                let (stop, tx) = (Arc::clone(&stop), tx.clone());
+                std::thread::spawn(move || {
+                    tx.send((spin, gettid())).expect("caller waits for the id");
+                    while !stop.load(Ordering::Relaxed) {
+                        if spin {
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    }
+                })
             })
-        };
-        let mut s = PmuSession::for_thread(rx.recv().expect("spinner's id"));
-        let run = s.start();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let r = run.stop();
-        stop.store(true, Ordering::Relaxed);
-        spinner.join().expect("spinner");
-        assert_eq!(r.backend, s.backend_kind(), "labelled with its backend");
-        match r.get(PmuEvent::Cycles) {
-            Some(c) => assert!(c > 0, "the spinner ran while the caller slept"),
-            None => assert_eq!(r.backend, BackendKind::Hardware),
+            .collect();
+        let mut sessions: Vec<_> = rx
+            .iter()
+            .take(2)
+            .map(|(spin, tid)| (spin, open(tid)))
+            .collect();
+        sessions.sort_by_key(|&(spin, _)| !spin);
+        for (_, s) in &mut sessions {
+            s.begin();
         }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let cycles: Vec<u64> = sessions
+            .iter_mut()
+            .map(|(_, s)| s.finish().get(PmuEvent::Cycles).unwrap_or(0))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        for t in threads {
+            t.join().expect("thread");
+        }
+        (cycles[0], cycles[1])
+    }
+
+    #[test]
+    fn the_fallback_counts_each_thread_its_own_cycles() {
+        let (spinning, sleeping) = spinning_and_sleeping(PmuSession::software_for);
+        assert!(spinning > 0, "the spinner ran");
+        assert!(
+            sleeping < spinning / 10,
+            "sleeping {sleeping} cycles, spinning {spinning}"
+        );
+        // Whichever backend `for_thread` finds reads the same way.
+        let (spinning, sleeping) = spinning_and_sleeping(PmuSession::for_thread);
+        assert!(
+            sleeping < spinning / 10,
+            "sleeping {sleeping} cycles, spinning {spinning}"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The degradation backend: software "counters" for machines where
 //! `perf_event_open` is unavailable.
 //!
-//! Cycles are genuinely measured (TSC delta via
-//! [`ngm_telemetry::clock`]); every other event reports whatever the
+//! Cycles are genuinely measured: the counted thread's CPU time, which
+//! [`crate::PmuSession`] reads from that thread's CPU-time clock and
+//! converts to cycles; every other event reports whatever the
 //! caller [fed](SoftwareCounters::feed) — the repro harness feeds the
 //! cache/TLB simulator's counters, labeled as such, so a fallback report
 //! still has the full Table 1 shape.
@@ -10,7 +11,7 @@
 use crate::events::PmuEvent;
 use crate::session::{BackendKind, PmuReading};
 
-/// Fed counter values plus a TSC-derived cycles measurement.
+/// Fed counter values plus a measured cycles interval.
 #[derive(Debug, Default)]
 pub struct SoftwareCounters {
     fed: [u64; 6],
@@ -26,12 +27,13 @@ impl SoftwareCounters {
     }
 
     /// Sets the value reported for `event`. Feeding
-    /// [`PmuEvent::Cycles`] overrides the TSC measurement.
+    /// [`PmuEvent::Cycles`] overrides the measured cycles.
     pub fn feed(&mut self, event: PmuEvent, value: u64) {
         self.fed[event.index()] = value;
     }
 
-    /// Marks the interval start.
+    /// Marks the interval start: the cycles counted so far and the wall
+    /// time.
     pub fn start(&mut self, cycles_now: u64, now_ns: u64) {
         self.start_cycles = cycles_now;
         self.start_ns = now_ns;
@@ -62,7 +64,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tsc_cycles_used_unless_fed() {
+    fn measured_cycles_used_unless_fed() {
         let mut sw = SoftwareCounters::new();
         sw.start(1_000, 10);
         let r = sw.stop(1_500, 30);

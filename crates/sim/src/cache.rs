@@ -15,14 +15,6 @@ pub enum Lookup {
     },
 }
 
-impl Lookup {
-    /// Returns `true` for [`Lookup::Miss`].
-    #[inline]
-    pub fn is_miss(&self) -> bool {
-        matches!(self, Lookup::Miss { .. })
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
@@ -149,14 +141,6 @@ impl Cache {
             }
         }
     }
-
-    /// Number of valid lines currently resident.
-    pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.valid).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -229,11 +213,12 @@ mod tests {
         // Sets 0, 1, 0, 1: every line is a cold miss and none evicts.
         let misses = [0x00, 0x40, 0x80, 0xc0]
             .into_iter()
-            .filter(|&a| c.access(a, false).is_miss())
+            .filter(|&a| c.access(a, false) != Lookup::Hit)
             .count();
         assert_eq!(misses, 4);
-        assert_eq!(c.resident_lines(), 4);
-        assert_eq!(c.access(0x00, false), Lookup::Hit);
+        for a in [0x00, 0x40, 0x80, 0xc0] {
+            assert_eq!(c.access(a, false), Lookup::Hit, "{a:#x} stayed resident");
+        }
     }
 
     #[test]

@@ -84,18 +84,6 @@ impl Directory {
             .unwrap_or(0);
         (0..64usize).filter(move |i| mask & (1u64 << i) != 0)
     }
-
-    /// Forgets a line entirely (e.g. when the LLC evicts it). Conservative:
-    /// private copies may outlive LLC residency in real inclusive caches;
-    /// dropping the entry only loses future hop accounting for that line.
-    pub fn drop_line(&mut self, line_addr: u64) {
-        self.lines.remove(&line_addr);
-    }
-
-    /// Number of tracked lines (for tests and memory diagnostics).
-    pub fn tracked_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 #[cfg(test)]
@@ -149,16 +137,6 @@ mod tests {
         let mut d = Directory::new();
         d.access(0, 0x40, true);
         let a = d.access(0, 0x40, true);
-        assert_eq!(a, CoherenceAction::default());
-    }
-
-    #[test]
-    fn drop_line_resets_state() {
-        let mut d = Directory::new();
-        d.access(0, 0x40, true);
-        d.drop_line(0x40);
-        assert_eq!(d.tracked_lines(), 0);
-        let a = d.access(1, 0x40, true);
         assert_eq!(a, CoherenceAction::default());
     }
 }

@@ -8,16 +8,12 @@
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     next: u64,
-    reserved: u64,
 }
 
 impl AddressSpace {
     /// Creates a space whose first reservation lands at `base`.
     pub fn new(base: u64) -> Self {
-        AddressSpace {
-            next: base,
-            reserved: 0,
-        }
+        AddressSpace { next: base }
     }
 
     /// Reserves `size` bytes aligned to `align` (power of two).
@@ -29,13 +25,7 @@ impl AddressSpace {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let base = (self.next + align - 1) & !(align - 1);
         self.next = base + size;
-        self.reserved += size;
         base
-    }
-
-    /// Total bytes ever reserved.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.reserved
     }
 }
 
@@ -59,7 +49,6 @@ mod tests {
         assert_eq!(a % 64, 0);
         assert_eq!(b % 4096, 0);
         assert!(b >= a + 100);
-        assert_eq!(s.reserved_bytes(), 4196);
     }
 
     #[test]

@@ -106,16 +106,6 @@ impl PtMalloc2Model {
     fn chunk_size(size: u32) -> u64 {
         (u64::from(size) + HEADER + 15) & !15
     }
-
-    /// Total bytes currently sitting in free chunks (fragmentation probe).
-    pub fn free_bytes(&self) -> u64 {
-        self.by_addr.values().sum()
-    }
-
-    /// Number of distinct free chunks.
-    pub fn free_chunks(&self) -> usize {
-        self.by_addr.len()
-    }
 }
 
 impl AllocModel for PtMalloc2Model {
@@ -268,11 +258,11 @@ mod tests {
         let p3 = a.malloc(&mut m, 0, 100);
         a.free(&mut m, 0, p1, 100);
         a.free(&mut m, 0, p3, 100);
-        assert_eq!(a.free_chunks(), 2);
         a.free(&mut m, 0, p2, 100);
-        // p1..p3 merge into one chunk (p3 may stay separate from the
-        // wilderness, so exactly one remains).
-        assert_eq!(a.free_chunks(), 1);
+        // p1..p3 merge into one hole, which a block three times the size
+        // fits; no one of them alone would.
+        assert!(PtMalloc2Model::chunk_size(300) > PtMalloc2Model::chunk_size(100));
+        assert_eq!(a.malloc(&mut m, 0, 300), p1, "the merged hole is reused");
     }
 
     #[test]
@@ -306,8 +296,11 @@ mod tests {
         a.free(&mut m, 0, p, 1024);
         let q = a.malloc(&mut m, 0, 100);
         assert_eq!(p, q, "front of the hole is reused");
-        assert_eq!(a.free_chunks(), 1, "remainder stays free");
-        assert!(a.free_bytes() < PtMalloc2Model::chunk_size(1024));
+        assert_eq!(
+            a.malloc(&mut m, 0, 100),
+            p + PtMalloc2Model::chunk_size(100),
+            "the remainder stays free and serves the next request"
+        );
     }
 
     #[test]

@@ -98,23 +98,6 @@ impl MetricsSnapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Looks up a labeled gauge by name and exact label set (order- and
-    /// content-sensitive, as published).
-    #[must_use]
-    pub fn get_labeled_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        self.labeled_gauges
-            .iter()
-            .find(|s| {
-                s.name == name
-                    && s.labels.len() == labels.len()
-                    && s.labels
-                        .iter()
-                        .zip(labels)
-                        .all(|((k, v), &(lk, lv))| k == lk && v == lv)
-            })
-            .map(|s| s.value)
-    }
-
     /// Number of labeled-gauge samples published under `name`.
     #[must_use]
     pub fn labeled_gauge_count(&self, name: &str) -> usize {
@@ -492,21 +475,20 @@ mod tests {
     #[test]
     fn json_escapes_quote_and_newline_in_label_values() {
         // Satellite: the JSON path must escape label values with the
-        // same care as the text path — a `"` or newline in a site label
+        // same care as the text path — a `"` or newline in a label value
         // must not break the document.
         let mut m = MetricsSnapshot::new();
-        m.labeled_gauge("ngm_site_live_bytes", &[("site", "a\"b\nc\\d")], 7);
+        m.labeled_gauge("ngm_shard_calls_served", &[("shard", "a\"b\nc\\d")], 7);
         let json = m.to_json();
         assert!(!json.contains('\n'), "raw newline leaked: {json}");
         assert!(
-            json.contains("\"site\":\"a\\\"b\\u000ac\\\\d\""),
+            json.contains("\"shard\":\"a\\\"b\\u000ac\\\\d\""),
             "label value not JSON-escaped: {json}"
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The value survives the round trip through the escapes.
-        assert_eq!(
-            m.get_labeled_gauge("ngm_site_live_bytes", &[("site", "a\"b\nc\\d")]),
-            Some(7)
+        assert!(
+            json.contains("\"value\":7"),
+            "the value follows the escapes: {json}"
         );
     }
 
@@ -560,28 +542,21 @@ mod tests {
     }
 
     #[test]
-    fn labeled_gauges_render_and_lookup() {
+    fn labeled_gauges_render_and_count() {
         let mut m = MetricsSnapshot::new();
         m.labeled_gauge(
-            "ngm_site_live_bytes",
-            &[("site", "src/api.rs:222:17"), ("kind", "small")],
+            "ngm_shard_calls_served",
+            &[("shard", "1"), ("state", "serving")],
             4096,
         );
         let text = m.to_prometheus_text();
-        assert!(text.contains("# TYPE ngm_site_live_bytes gauge"));
+        assert!(text.contains("# TYPE ngm_shard_calls_served gauge"));
         assert!(
-            text.contains("ngm_site_live_bytes{site=\"src/api.rs:222:17\",kind=\"small\"} 4096"),
+            text.contains("ngm_shard_calls_served{shard=\"1\",state=\"serving\"} 4096"),
             "bad labeled rendering:\n{text}"
         );
-        assert_eq!(
-            m.get_labeled_gauge(
-                "ngm_site_live_bytes",
-                &[("site", "src/api.rs:222:17"), ("kind", "small")]
-            ),
-            Some(4096)
-        );
-        assert_eq!(m.get_labeled_gauge("ngm_site_live_bytes", &[]), None);
-        assert_eq!(m.labeled_gauge_count("ngm_site_live_bytes"), 1);
+        assert_eq!(m.labeled_gauge_count("ngm_shard_calls_served"), 1);
+        assert_eq!(m.labeled_gauge_count("ngm_shard_deadlines"), 0);
     }
 
     #[test]
@@ -589,14 +564,14 @@ mod tests {
         // Satellite: a label value containing `"` and `\n` must render as
         // a single well-formed exposition line.
         let mut m = MetricsSnapshot::new();
-        m.labeled_gauge("ngm_site_live_bytes", &[("site", "a\"b\nc\\d")], 7);
+        m.labeled_gauge("ngm_shard_calls_served", &[("shard", "a\"b\nc\\d")], 7);
         let text = m.to_prometheus_text();
         let line = text
             .lines()
             .find(|l| !l.starts_with('#'))
             .expect("one sample line");
         assert_eq!(
-            line, "ngm_site_live_bytes{site=\"a\\\"b\\nc\\\\d\"} 7",
+            line, "ngm_shard_calls_served{shard=\"a\\\"b\\nc\\\\d\"} 7",
             "escaping broke the exposition line"
         );
         assert_eq!(
@@ -614,7 +589,7 @@ mod tests {
     #[test]
     fn every_type_line_is_preceded_by_matching_help() {
         let mut m = sample();
-        m.labeled_gauge("ngm_site_live_bytes", &[("site", "x")], 1);
+        m.labeled_gauge("ngm_shard_calls_served", &[("shard", "x")], 1);
         let text = m.to_prometheus_text();
         let lines: Vec<&str> = text.lines().collect();
         let mut type_lines = 0;
@@ -643,8 +618,8 @@ mod tests {
             "Distribution of call durations in TSC cycles."
         );
         assert_eq!(
-            help_text("ngm_site_live_bytes"),
-            "Gauge of site live in bytes."
+            help_text("ngm_heap_live_bytes"),
+            "Gauge of heap live in bytes."
         );
         assert_eq!(help_text("ngm_ring_occupancy"), "Gauge of ring occupancy.");
         // No backslash or newline may ever reach a HELP line.

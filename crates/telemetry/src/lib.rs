@@ -11,16 +11,17 @@
 //!   increment; percentiles are computed at snapshot time, off the hot
 //!   path.
 //! * [`trace::TraceRing`] — a bounded per-thread event ring for
-//!   alloc/free/post/refill/wait-transition events (and, in a tier's
-//!   control ring, failure edges). Overflow drops
+//!   alloc/free/post/refill/drain/wait-transition events (and, in a
+//!   tier's control ring, failure edges). Overflow drops
 //!   the oldest event and counts the drop; nothing is lost silently, and
 //!   the storage never grows.
 //! * [`export::MetricsSnapshot`] — a named bag of counters, gauges
 //!   (plain and labeled), and histogram snapshots renderable as
 //!   Prometheus text exposition or a JSON document.
-//! * [`span`] — request-lifecycle spans: phase codes, alias-free span
-//!   ids minted from the slot publish sequence, and reconstruction of
-//!   spans from drained trace rings.
+//! * [`span`] — request-lifecycle spans of synchronous calls (enqueue,
+//!   ring-resident, claimed, served, observed): phase codes, alias-free
+//!   span ids minted from the slot publish sequence, and reconstruction
+//!   of spans from drained trace rings.
 //! * [`server::HttpServer`] — a minimal HTTP/1.0 server for live
 //!   observability endpoints (`/metrics`, `/readyz`, ...).
 //! * [`recorder::FlightRecorder`] — a continuous JSONL recorder that

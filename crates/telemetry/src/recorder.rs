@@ -207,12 +207,6 @@ impl FlightRecorder {
         &self.path
     }
 
-    /// Bytes written to the *active* file (resets on rotation).
-    #[must_use]
-    pub fn bytes_written(&self) -> u64 {
-        self.written
-    }
-
     /// Frames appended over the recorder's lifetime (across rotations).
     #[must_use]
     pub fn frames_recorded(&self) -> u64 {
@@ -311,7 +305,10 @@ mod tests {
         for i in 0..100 {
             rec.append(&frame(i, 2)).expect("append");
         }
-        assert!(rec.bytes_written() <= budget, "active file over budget");
+        assert!(
+            std::fs::metadata(&path).expect("active meta").len() <= budget,
+            "active file over budget"
+        );
         let rotated = dir.join("flight.jsonl.1");
         assert!(rotated.exists(), "rotation never happened");
         assert!(

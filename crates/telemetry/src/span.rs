@@ -3,10 +3,12 @@
 //! Every synchronous request through the offload runtime is one **span**:
 //! minted at the client call site, stamped at each phase boundary of the
 //! slot protocol, and terminated when the client observes the response
-//! (or gives up). The phase sequence mirrors the protocol states:
+//! (or gives up). The phase sequence mirrors the protocol states; the
+//! response is published where it is written, so `served` is also the
+//! instant it was published:
 //!
 //! ```text
-//!  enqueue ──► ring_resident ──► claimed ──► served ──► published ──► observed
+//!  enqueue ──► ring_resident ──► claimed ──► served ──► observed
 //!     │              │
 //!     │              └──► retracted   (deadline won the REQUEST→EMPTY race)
 //!     └────────────────► abandoned   (server claimed, then died mid-serve)
@@ -36,26 +38,24 @@ pub enum SpanPhase {
     RingResident = 1,
     /// Server claimed the request (REQUEST → SERVING).
     Claimed = 2,
-    /// Server finished computing the response.
+    /// Server wrote the response where the client reads it and
+    /// published it (RESPONSE store).
     Served = 3,
-    /// Server published the response (RESPONSE store).
-    Published = 4,
     /// Client observed and consumed the response. Terminal.
-    Observed = 5,
+    Observed = 4,
     /// Client retracted an unclaimed request at its deadline. Terminal.
-    Retracted = 6,
+    Retracted = 5,
     /// Client gave up on a claimed request (server died). Terminal.
-    Abandoned = 7,
+    Abandoned = 6,
 }
 
 impl SpanPhase {
     /// All phases, in lifecycle order.
-    pub const ALL: [SpanPhase; 8] = [
+    pub const ALL: [SpanPhase; 7] = [
         SpanPhase::Enqueue,
         SpanPhase::RingResident,
         SpanPhase::Claimed,
         SpanPhase::Served,
-        SpanPhase::Published,
         SpanPhase::Observed,
         SpanPhase::Retracted,
         SpanPhase::Abandoned,
@@ -75,10 +75,9 @@ impl SpanPhase {
             1 => Some(SpanPhase::RingResident),
             2 => Some(SpanPhase::Claimed),
             3 => Some(SpanPhase::Served),
-            4 => Some(SpanPhase::Published),
-            5 => Some(SpanPhase::Observed),
-            6 => Some(SpanPhase::Retracted),
-            7 => Some(SpanPhase::Abandoned),
+            4 => Some(SpanPhase::Observed),
+            5 => Some(SpanPhase::Retracted),
+            6 => Some(SpanPhase::Abandoned),
             _ => None,
         }
     }
@@ -91,7 +90,6 @@ impl SpanPhase {
             SpanPhase::RingResident => "ring_resident",
             SpanPhase::Claimed => "claimed",
             SpanPhase::Served => "served",
-            SpanPhase::Published => "published",
             SpanPhase::Observed => "observed",
             SpanPhase::Retracted => "retracted",
             SpanPhase::Abandoned => "abandoned",
@@ -108,11 +106,6 @@ impl SpanPhase {
     }
 }
 
-/// Span ids set this bit for fire-and-forget posts (which have only
-/// enqueue/ring-resident phases) so they can never collide with
-/// synchronous-call ids minted from the slot publish sequence.
-pub const POST_SPAN_BIT: u64 = 1 << 63;
-
 /// Mints a synchronous-call span id from the client's runtime thread id
 /// and the slot's publish sequence for this request. The sequence bumps
 /// on every publish — including the republish after a retract — so a
@@ -122,18 +115,11 @@ pub const fn call_span_id(thread: u32, publish_seq: u64) -> u64 {
     ((thread as u64) << 47) | (publish_seq & ((1 << 47) - 1))
 }
 
-/// Mints a post span id from the client's runtime thread id and a
-/// client-local post counter.
-#[must_use]
-pub const fn post_span_id(thread: u32, post_seq: u64) -> u64 {
-    POST_SPAN_BIT | ((thread as u64) << 47) | (post_seq & ((1 << 47) - 1))
-}
-
 /// One reconstructed span: its id and the phase boundaries observed for
 /// it, in lifecycle order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span id (see [`call_span_id`] / [`post_span_id`]).
+    /// Span id (see [`call_span_id`]).
     pub id: u64,
     /// Observed `(phase, tsc)` boundaries, sorted by phase order.
     pub phases: Vec<(SpanPhase, u64)>,
@@ -237,11 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn ids_never_alias_across_kinds_or_threads() {
+    fn ids_never_alias_across_threads_or_publishes() {
         assert_ne!(call_span_id(1, 5), call_span_id(2, 5));
         assert_ne!(call_span_id(1, 5), call_span_id(1, 6));
-        assert_ne!(call_span_id(1, 5), post_span_id(1, 5));
-        assert!(post_span_id(0, 0) & POST_SPAN_BIT != 0);
     }
 
     #[test]
@@ -255,7 +239,6 @@ mod tests {
         push_span(&ring, 20, a, SpanPhase::Claimed);
         push_span(&ring, 32, b, SpanPhase::RingResident);
         push_span(&ring, 25, a, SpanPhase::Served);
-        push_span(&ring, 26, a, SpanPhase::Published);
         push_span(&ring, 28, a, SpanPhase::Observed);
         push_span(&ring, 40, b, SpanPhase::Retracted);
         let spans = reconstruct(&ring.drain().events);

@@ -19,11 +19,18 @@ pub enum TraceEventKind {
     Alloc,
     /// A free completed; `a` = size if known (else 0), `b` = round-trip cycles.
     Free,
-    /// A fire-and-forget free was posted; `a` = ring cells queued ahead
-    /// of it (recorded before the post is written).
+    /// A fire-and-forget message reached the ring; stamped when the ring
+    /// had room for it (before it is written), `a` = ring cells queued
+    /// ahead of it, `b` = cycles it waited for room (the same value its
+    /// post-latency record holds). A post has no span: this one event is
+    /// its whole record.
     Post,
-    /// The service refilled / drained rings; `a` = items processed.
+    /// A client refilled a magazine; `a` = size class, `b` = blocks
+    /// received.
     Refill,
+    /// The service loop drained a client's post ring; `a` = records
+    /// drained.
+    Drain,
     /// The service wait loop changed phase; `a` = from, `b` = to
     /// (see `ngm-offload`'s wait-phase encoding).
     WaitTransition,
@@ -48,6 +55,7 @@ impl TraceEventKind {
             TraceEventKind::Free => "free",
             TraceEventKind::Post => "post",
             TraceEventKind::Refill => "refill",
+            TraceEventKind::Drain => "drain",
             TraceEventKind::WaitTransition => "wait_transition",
             TraceEventKind::Span => "span",
             TraceEventKind::Failure => "failure",

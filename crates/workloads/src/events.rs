@@ -103,15 +103,6 @@ impl StreamSummary {
         }
         s
     }
-
-    /// Fraction of events that are allocator operations.
-    pub fn alloc_op_fraction(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            (self.mallocs + self.frees) as f64 / self.events as f64
-        }
-    }
 }
 
 /// Validates that a stream is well-formed: every `Free`/`Touch` names a
@@ -253,6 +244,6 @@ mod tests {
         let s = StreamSummary::scan(ev.into_iter());
         assert_eq!(s.compute, 150);
         assert_eq!(s.threads, 3);
-        assert_eq!(s.alloc_op_fraction(), 0.0);
+        assert_eq!((s.mallocs, s.frees), (0, 0));
     }
 }

@@ -40,18 +40,16 @@ fn main() {
             .with_shards(2)
             .with_placement(CorePlacement::Unpinned)
             .with_trace_capacity(4096)
-            .with_observer(
-                ObserverConfig::new(&addr)
-                    .with_recording(&record)
-                    .with_scrape_interval(Duration::from_millis(250)),
-            )
             .build()
             .expect("valid config"),
     );
     let mut observer = ngm
-        .start_observer()
-        .expect("observer binds")
-        .expect("config carries an observer");
+        .serve_observer(
+            ObserverConfig::new(&addr)
+                .with_recording(&record)
+                .with_scrape_interval(Duration::from_millis(250)),
+        )
+        .expect("observer binds");
     println!("observer listening on http://{}", observer.addr());
     println!("flight recording at {}", record.display());
     println!("endpoints: /metrics /spans /blackbox /healthz /readyz");

@@ -84,6 +84,19 @@ pub const SYS_gettid: c_long = 186;
 #[cfg(target_arch = "aarch64")]
 pub const SYS_gettid: c_long = 178;
 
+/// The calling thread's CPU-time clock, for [`clock_gettime`].
+pub const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+
+/// Seconds and nanoseconds (LP64 layout).
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct timespec {
+    /// Whole seconds.
+    pub tv_sec: c_long,
+    /// Nanoseconds, `0..1_000_000_000`.
+    pub tv_nsec: c_long,
+}
+
 /// Seconds and microseconds (LP64 layout).
 #[repr(C)]
 #[derive(Clone, Copy, Debug, Default)]
@@ -207,6 +220,10 @@ extern "C" {
     /// Reports which pages of a range are resident, one byte per page
     /// (bit 0 set if resident). See `mincore(2)`.
     pub fn mincore(addr: *mut c_void, len: size_t, vec: *mut u8) -> c_int;
+
+    /// Reads clock `clockid` (a per-thread CPU-time clock included).
+    /// See `clock_gettime(2)`.
+    pub fn clock_gettime(clockid: c_int, tp: *mut timespec) -> c_int;
 
     /// Reads resource usage of the process, its children or (with
     /// [`RUSAGE_THREAD`]) the calling thread. See `getrusage(2)`.

@@ -74,15 +74,16 @@ fn metrics_show_the_handshake_path_is_live() {
     }
     let stats = ngm_core::global::global_stats().expect("runtime started");
     assert!(stats.calls_served >= 64, "every malloc is a round trip");
-    assert_eq!(
-        stats.batched_calls_served, 0,
-        "a one-block round trip is a call, not a refill"
-    );
     let m = ngm_core::global::global_metrics().expect("runtime started");
     let calls = m
         .get_histogram("ngm_call_cycles")
         .expect("call histogram exported");
     assert!(calls.count() > 0, "call RTTs recorded");
+    assert_eq!(
+        m.get_histogram("ngm_refill_cycles").map(|h| h.count()),
+        Some(0),
+        "a one-block round trip is a call, not a refill"
+    );
     assert!(
         m.get_gauge("ngm_magazine_occupancy").unwrap_or(0) >= 0,
         "occupancy gauge exported and never negative"

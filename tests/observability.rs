@@ -3,7 +3,7 @@
 //!
 //! Three layers are pinned here. (1) **Spans**: any interleaving of span
 //! trace events — synthetic or drained from a live tier — reconstructs
-//! into well-nested, phase-monotonic spans. (2) **Coverage**: the five
+//! into well-nested, phase-monotonic spans. (2) **Coverage**: the
 //! phase histograms partition the synchronous round trip, so their sums
 //! must land within 10% of `ngm_call_cycles`' sum (the acceptance bar;
 //! the stamps are clamped, so the identity is exact by construction).
@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 
 use ngm_core::{CorePlacement, NgmConfig};
 use ngm_offload::{PHASES, PHASE_NAMES};
-use ngm_telemetry::span::{call_span_id, reconstruct, SpanPhase, POST_SPAN_BIT};
+use ngm_telemetry::span::{call_span_id, reconstruct, SpanPhase};
 use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ impl Lcg {
 /// The phase sequence of one synthetic span: a lifecycle prefix, or a
 /// prefix cut short by a terminal retract/abandon.
 fn synthetic_phases(progress: u64) -> Vec<SpanPhase> {
-    match progress % 8 {
+    match progress % 7 {
         0 => vec![SpanPhase::Enqueue],
         1 => vec![SpanPhase::Enqueue, SpanPhase::RingResident],
         2 => vec![
@@ -62,17 +62,9 @@ fn synthetic_phases(progress: u64) -> Vec<SpanPhase> {
             SpanPhase::RingResident,
             SpanPhase::Claimed,
             SpanPhase::Served,
-            SpanPhase::Published,
-        ],
-        5 => vec![
-            SpanPhase::Enqueue,
-            SpanPhase::RingResident,
-            SpanPhase::Claimed,
-            SpanPhase::Served,
-            SpanPhase::Published,
             SpanPhase::Observed,
         ],
-        6 => vec![
+        5 => vec![
             SpanPhase::Enqueue,
             SpanPhase::RingResident,
             SpanPhase::Retracted,
@@ -159,9 +151,9 @@ proptest! {
 }
 
 /// Drains a live single-shard tier's trace and reconstructs it: every
-/// span the runtime emitted — calls and posts alike — must be
-/// well-nested and phase-monotonic, and the synchronous calls must run
-/// the full enqueue→observed lifecycle.
+/// span the runtime emitted (one per synchronous call; a post is one
+/// `Post` event, not a span) must be well-nested and phase-monotonic
+/// and run the full enqueue→observed lifecycle.
 #[test]
 fn live_trace_reconstructs_into_well_nested_spans() {
     const ROUNDS: usize = 256;
@@ -181,8 +173,7 @@ fn live_trace_reconstructs_into_well_nested_spans() {
 
     let drain = ngm.telemetry().drain_trace();
     let spans = reconstruct(&drain.events);
-    let calls: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT == 0).collect();
-    assert!(!calls.is_empty(), "round trips produce call spans");
+    assert!(!spans.is_empty(), "round trips produce call spans");
     let mut ids = HashSet::new();
     for s in &spans {
         assert!(s.well_nested(), "span {:#x}: {:?}", s.id, s.phases);
@@ -190,8 +181,8 @@ fn live_trace_reconstructs_into_well_nested_spans() {
         assert!(ids.insert(s.id), "span ids are unique");
     }
     // Every completed call observed its response (nothing retracted or
-    // abandoned on a healthy tier) after a full six-phase lifecycle.
-    for s in calls.iter().filter(|s| s.completed()) {
+    // abandoned on a healthy tier) after a full five-phase lifecycle.
+    for s in spans.iter().filter(|s| s.completed()) {
         assert_eq!(
             s.phases.last().map(|&(p, _)| p),
             Some(SpanPhase::Observed),
@@ -199,7 +190,7 @@ fn live_trace_reconstructs_into_well_nested_spans() {
             s.phases
         );
         if s.at(SpanPhase::Enqueue).is_some() {
-            assert_eq!(s.phases.len(), 6, "full lifecycle: {:?}", s.phases);
+            assert_eq!(s.phases.len(), 5, "full lifecycle: {:?}", s.phases);
             assert!(s.total_cycles().is_some());
         }
     }
@@ -207,7 +198,7 @@ fn live_trace_reconstructs_into_well_nested_spans() {
     assert!(down.clean() && down.balanced());
 }
 
-/// Acceptance smoke: the five phase sums partition `ngm_call_cycles`
+/// Acceptance smoke: the phase sums partition `ngm_call_cycles`
 /// within 10% on a live tier (exact by construction; the slack covers
 /// histogram bucketing).
 #[test]
@@ -448,9 +439,8 @@ mod faultinject {
 
         let drain = rt.telemetry().drain_trace();
         rt.try_shutdown().expect("clean shutdown");
-        let spans = reconstruct(&drain.events);
-        let calls: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT == 0).collect();
-        assert_eq!(calls.len(), 2, "one dropped + one served: {spans:?}");
+        let calls = reconstruct(&drain.events);
+        assert_eq!(calls.len(), 2, "one dropped + one served: {calls:?}");
         assert_ne!(calls[0].id, calls[1].id, "retry minted a fresh span id");
         let retracted = calls
             .iter()
@@ -501,8 +491,7 @@ mod faultinject {
         drop(h);
 
         let drain = ngm.telemetry().drain_trace();
-        let spans = reconstruct(&drain.events);
-        let calls: Vec<_> = spans.iter().filter(|s| s.id & POST_SPAN_BIT == 0).collect();
+        let calls = reconstruct(&drain.events);
         let retracted = calls
             .iter()
             .find(|s| s.at(SpanPhase::Retracted).is_some())

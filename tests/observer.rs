@@ -153,10 +153,9 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// `start_observer` consumes the config stashed by
-/// [`NgmConfig::with_observer`]: first call starts it, second call finds
-/// nothing, and a recording configured there lands on disk as parseable
-/// frames whose shape matches the tier. The recording serves as the
+/// A recording configured in the [`ObserverConfig`] handed to
+/// `serve_observer` lands on disk as parseable frames whose shape
+/// matches the tier. The recording serves as the
 /// window: every frame carries every shard's cumulative counters, so
 /// they never fall from frame to frame, and a frame taken after the
 /// traffic stopped accounts for every call.
@@ -170,22 +169,16 @@ fn configured_observer_records_parseable_frames() {
             .with_batch(1, 1)
             .with_shards(2)
             .with_placement(CorePlacement::Unpinned)
-            .with_observer(
-                ObserverConfig::new("127.0.0.1:0")
-                    .with_recording(&path)
-                    .with_scrape_interval(Duration::from_millis(2)),
-            )
             .build()
             .expect("valid config"),
     );
     let mut obs = ngm
-        .start_observer()
-        .expect("observer binds")
-        .expect("config carried an observer");
-    assert!(
-        ngm.start_observer().expect("no bind attempted").is_none(),
-        "second start finds the config consumed"
-    );
+        .serve_observer(
+            ObserverConfig::new("127.0.0.1:0")
+                .with_recording(&path)
+                .with_scrape_interval(Duration::from_millis(2)),
+        )
+        .expect("observer binds");
 
     let mut h = ngm.handle();
     let mut calls = 0u64;

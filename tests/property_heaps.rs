@@ -12,8 +12,8 @@ use ngm_core::{CorePlacement, NgmConfig, MAX_BATCH};
 use ngm_heap::classes::{class_to_size, size_to_class, SizeClass, NUM_CLASSES, SMALL_MAX};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::{
-    AggregatedHeap, AllocError, FreeLinks, Heap, InBlock, IndexArray, LockedHeap, PagedHeap,
-    SegregatedHeap, ShardedHeap,
+    AggregatedHeap, AllocError, FreeLinks, Heap, InBlock, IndexArray, PagedHeap, SegregatedHeap,
+    ShardedHeap,
 };
 use proptest::prelude::*;
 
@@ -148,27 +148,6 @@ proptest! {
         let sharded = ShardedHeap::new(2);
         let mut handle = sharded.handle(0);
         check_script(&mut handle, &ops);
-    }
-
-    #[test]
-    fn locked_heap_matches_inner_semantics(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        struct Via(LockedHeap<SegregatedHeap>);
-        // SAFETY: defers to LockedHeap, which upholds the contract under
-        // its mutex.
-        unsafe impl Heap for Via {
-            fn allocate(&mut self, l: Layout) -> Result<NonNull<u8>, AllocError> {
-                self.0.allocate(l)
-            }
-            unsafe fn deallocate(&mut self, p: NonNull<u8>, l: Layout) {
-                // SAFETY: forwarded contract.
-                unsafe { self.0.deallocate(p, l) }
-            }
-            fn stats(&self) -> ngm_heap::HeapStats {
-                self.0.stats()
-            }
-        }
-        let mut heap = Via(LockedHeap::new(SegregatedHeap::new(3)));
-        check_script(&mut heap, &ops);
     }
 
     #[test]
