@@ -15,7 +15,7 @@ use ngm_heap::AllocError;
 use ngm_offload::{CallKind, ClientHandle, RuntimeStats, ServiceError};
 use ngm_telemetry::trace::TraceEventKind;
 
-use super::routing::{Route, RouteOp};
+use super::routing::RouteOp;
 use super::slot::Tier;
 use super::tier::FailureReason;
 use crate::config::{FALLBACK_OWNER, OWNER_BASE};
@@ -102,8 +102,9 @@ pub(super) struct End {
     /// the slot holds one request; its class's magazine stays empty
     /// until it is collected.
     in_flight: Option<AllocBatchReq>,
-    /// Accumulated full-ring retries — the saturation signal that
-    /// triggers a rebalance at [`NgmHandle::REBALANCE_PRESSURE`].
+    /// Accumulated full-ring retries — the saturation signal that moves
+    /// allocation traffic off the shard at
+    /// [`NgmHandle::REBALANCE_PRESSURE`].
     pub(super) pressure: u32,
     /// The handle has observed this shard dead (failover already
     /// recorded and allocation traffic moved off).
@@ -282,7 +283,7 @@ impl NgmHandle {
         }
         let shard = self.class_shard[class.0 as usize] as usize;
         if let Err(cause) = self.publish(shard, what) {
-            self.route(shard, cause, RouteOp::Refill(class.0 as usize));
+            self.route(shard, cause, RouteOp::Refill);
         }
     }
 
@@ -316,7 +317,7 @@ impl NgmHandle {
                 Ok(()) => return Ok(()),
                 Err(e) => e,
             };
-            if self.route(shard, cause, RouteOp::Refill(ci)) == Route::Exhausted {
+            if self.route(shard, cause, RouteOp::Refill).is_none() {
                 break;
             }
         }
@@ -473,7 +474,7 @@ impl NgmHandle {
 
     /// Posts to one shard — `unused` blocks going home from a magazine,
     /// or else the shard's own free buffer — feeding ring pressure into
-    /// the rebalance logic and never losing a free: on return the blocks
+    /// routing and never losing a free: on return the blocks
     /// are the tier's. A shard whose ring stayed full past the deadline
     /// has them diverted to its orphan stack (reclaimed on its next idle
     /// round, or at shutdown) so accounting stays exact; a dead shard's
@@ -553,9 +554,9 @@ impl NgmHandle {
     /// block of any shard.
     pub(crate) fn empty(&mut self) {
         for shard in 0..self.nshards() {
-            if let Some(what) = self.ends[shard].in_flight {
+            if self.ends[shard].in_flight.is_some() {
                 if let Err(cause) = self.collect(shard, None) {
-                    self.route(shard, cause, RouteOp::Refill(what.class.0 as usize));
+                    self.route(shard, cause, RouteOp::Refill);
                 }
             }
         }

@@ -15,8 +15,10 @@
 //!   rebalance, and including blocks freed on a different thread than
 //!   allocated them.
 //! * **Saturation** surfaces as full-ring retries on the free path; a
-//!   handle that keeps hitting them moves its allocation traffic to the
-//!   least-pressured shard ([`NgmHandle::rebalance_away_from`]).
+//!   handle that keeps hitting them moves its allocation traffic off
+//!   that shard. A missed deadline moves it the same way, and so does a
+//!   shard's death: one rule, every class the shard carries going to the
+//!   next open shard after it.
 //! * **Death** of one shard degrades gracefully: allocations fail over
 //!   to survivors, frees owed to the dead shard are dropped and counted
 //!   (`posts_dropped`), and the tier keeps serving.

@@ -7,11 +7,11 @@ use std::time::Duration;
 use ngm_heap::classes::{class_to_size, SizeClass, NUM_CLASSES, SMALL_MAX};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
-use ngm_offload::ServiceError;
+use ngm_offload::{ServiceError, ShardHealth};
 use ngm_telemetry::trace::TraceEventKind;
 
-use super::routing::{Route, RouteOp};
-use super::{FailureReason, Ngm, NgmShutdown};
+use super::routing::RouteOp;
+use super::{FailureReason, Ngm, NgmHandle, NgmShutdown};
 use crate::config::{CorePlacement, NgmConfig};
 use crate::service::MAX_BATCH;
 
@@ -670,7 +670,7 @@ fn tier_built_from_a_pinned_thread_sees_the_whole_host() {
 fn stop_and_wait(ngm: &Ngm, shard: usize) {
     ngm.stop_shard(shard);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while !ngm.shard_finished(shard) {
+    while ngm.shard_health(shard) != ShardHealth::Down {
         assert!(std::time::Instant::now() < deadline, "shard never stopped");
         std::thread::yield_now();
     }
@@ -727,29 +727,71 @@ fn metrics_export_shard_series_and_renamed_fallback_counter() {
     ngm.shutdown();
 }
 
+/// Every class `h` routes to `shard`.
+fn classes_on(h: &NgmHandle, shard: usize) -> Vec<SizeClass> {
+    (0..NUM_CLASSES as u16)
+        .map(SizeClass)
+        .filter(|&c| h.class_route(c) == shard)
+        .collect()
+}
+
 #[test]
-fn rebalance_targets_the_least_pressured_shard() {
+fn pressure_moves_a_shards_classes_to_the_next_open_shard() {
     let ngm = sharded(3).build().unwrap();
     let mut h = ngm.handle();
-    let victim = (0..NUM_CLASSES)
-        .find(|&c| h.class_route(SizeClass(c as u16)) == 0)
-        .expect("some class routes to shard 0");
-    // Shard 1 has been refusing this handle's frees; shard 2 has not.
-    // Moving off shard 0 must skip 1.
-    h.ends[1].pressure = 50;
-    h.rebalance_away_from(0);
+    let (on0, on1, on2) = (classes_on(&h, 0), classes_on(&h, 1), classes_on(&h, 2));
+    assert!(!on1.is_empty(), "some class routes to shard 1");
+    h.note_pressure(1, NgmHandle::REBALANCE_PRESSURE);
+    assert_eq!(classes_on(&h, 1), [], "shard 1 carries nothing");
+    assert_eq!(classes_on(&h, 0), on0, "shard 0 untouched");
+    let mut moved: Vec<_> = on1.iter().chain(&on2).copied().collect();
+    moved.sort_by_key(|c| c.0);
     assert_eq!(
-        h.class_route(SizeClass(victim as u16)),
-        2,
-        "the pressured shard was skipped"
+        classes_on(&h, 2),
+        moved,
+        "shard 1's classes went to shard 2"
     );
-    // Equal scores go to the lowest index: with shard 1's pressure
-    // cleared, moving off shard 2 picks 0 over 1.
-    h.ends[1].pressure = 0;
-    h.rebalance_away_from(2);
-    assert_eq!(h.class_route(SizeClass(victim as u16)), 0, "tie to lowest");
+    assert_eq!(ngm.runtime_stats().rebalances, 1);
+    assert_eq!(h.ends[1].pressure, 0, "the pressure resets");
     drop(h);
-    ngm.shutdown();
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
+}
+
+#[test]
+fn every_trigger_follows_the_one_rule() {
+    let ngm = sharded(4).build().unwrap();
+    let mut h = ngm.handle();
+    let deadline = ServiceError::Deadline {
+        shard: 1,
+        waited: Duration::from_millis(1),
+    };
+    let stopped = ServiceError::ServiceStopped;
+    let (on1, on2) = (classes_on(&h, 1), classes_on(&h, 2));
+    // A refill deadline on shard 1 moves all of its classes, the refused
+    // one among them, to shard 2.
+    assert_eq!(h.route(1, deadline, RouteOp::Refill), Some(2));
+    assert_eq!(classes_on(&h, 1), [], "nothing left on shard 1");
+    let mut both: Vec<_> = on1.iter().chain(&on2).copied().collect();
+    both.sort_by_key(|c| c.0);
+    assert_eq!(classes_on(&h, 2), both, "all of shard 1's classes on 2");
+    // Shard 2's death moves them, and its own, on to shard 3.
+    assert_eq!(h.route(2, stopped, RouteOp::Refill), Some(3));
+    assert_eq!(classes_on(&h, 2), [], "nothing left on shard 2");
+    assert!(both.iter().all(|&c| h.class_route(c) == 3), "moved to 3");
+    // Write off every shard but 3: the map ends on 3 alone, and a
+    // refusal there has nowhere to go and moves nothing.
+    assert_eq!(h.route(0, stopped, RouteOp::Refill), Some(1));
+    assert_eq!(h.route(1, stopped, RouteOp::Post), Some(3));
+    assert_eq!(classes_on(&h, 3).len(), NUM_CLASSES);
+    let map = h.class_shard;
+    assert_eq!(h.route(3, deadline, RouteOp::Post), None);
+    assert_eq!(h.class_shard, map, "the map stays");
+    let stats = ngm.runtime_stats();
+    assert_eq!((stats.rebalances, stats.failovers), (1, 3), "{stats:?}");
+    drop(h);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "{down:?}");
 }
 
 #[test]
@@ -762,7 +804,7 @@ fn frees_route_home_after_rebalance() {
     let class = ngm_heap::size_to_class(64).unwrap();
     let home = h.class_route(class);
     let p = h.alloc(layout(64)).unwrap();
-    h.rebalance_away_from(home);
+    h.note_pressure(home, NgmHandle::REBALANCE_PRESSURE);
     assert_ne!(h.class_route(class), home, "rebalance moved the route");
     let q = h.alloc(layout(64)).unwrap();
     // SAFETY: blocks from this handle's allocator.
@@ -790,7 +832,7 @@ fn magazine_returns_to_refilling_shard_after_rebalance() {
     let home = h.class_route(class);
     let p = h.alloc(layout(64)).unwrap(); // refills 16 from `home`
     assert!(h.magazine_len(class) > 0);
-    h.rebalance_away_from(home);
+    h.note_pressure(home, NgmHandle::REBALANCE_PRESSURE);
     assert_ne!(h.class_route(class), home);
     // SAFETY: block from this handle's allocator.
     unsafe { h.dealloc(p, layout(64)) };
@@ -813,7 +855,7 @@ fn cross_thread_frees_route_by_address() {
     let mut producer = ngm.handle();
     let mut consumer = ngm.handle();
     // Skew the consumer's routing so its class map disagrees.
-    consumer.rebalance_away_from(0);
+    consumer.note_pressure(0, NgmHandle::REBALANCE_PRESSURE);
     let blocks: Vec<usize> = (0..100)
         .map(|i| {
             let l = layout(16 << (i % 4));
@@ -953,16 +995,15 @@ fn routing_step_decision_table() {
         waited: Duration::from_millis(1),
     };
     let class = ngm_heap::size_to_class(64).unwrap();
-    let ci = class.0 as usize;
     let table = [
-        (deadline, Refill(ci), Slow(FailureReason::Deadline)),
+        (deadline, Refill, Slow(FailureReason::Deadline)),
         (deadline, Post, Slow(FailureReason::PostDeadline)),
-        (ServiceError::ServiceStopped, Refill(ci), Dead),
+        (ServiceError::ServiceStopped, Refill, Dead),
         (ServiceError::ServiceStopped, Post, Dead),
-        (ServiceError::ServicePanicked, Refill(ci), Dead),
+        (ServiceError::ServicePanicked, Refill, Dead),
     ];
     for (cause, op, effect) in table {
-        // With no alternative shard the decision is `Exhausted` and no
+        // With no alternative shard the decision is `None` and no
         // allocation route can move.
         for shards in [2usize, 1] {
             let ngm = sharded(shards).build().unwrap();
@@ -972,11 +1013,7 @@ fn routing_step_decision_table() {
             let alone = shards == 1;
             let row = format!("{cause:?} {op:?} on {shards} shard(s)");
 
-            let expected = if alone {
-                Route::Exhausted
-            } else {
-                Route::Retry(other)
-            };
+            let expected = if alone { None } else { Some(other) };
             assert_eq!(h.route(from, cause, op), expected, "{row}");
             assert_eq!(h.class_route(class), other, "class_shard: {row}");
             assert_eq!(h.ends[from].failed, effect == Dead, "failed[]: {row}");

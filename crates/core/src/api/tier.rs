@@ -292,14 +292,6 @@ impl Ngm {
         self.tier.slots[shard].with_runtime(OffloadRuntime::request_stop);
     }
 
-    /// Whether shard `shard`'s service thread has exited (orderly or by
-    /// panic).
-    pub fn shard_finished(&self, shard: usize) -> bool {
-        self.tier.slots[shard]
-            .with_runtime(OffloadRuntime::is_finished)
-            .unwrap_or(true)
-    }
-
     /// Shard 0's telemetry hub (histograms of a single-shard tier; for
     /// the merged view use [`Ngm::metrics`]).
     pub fn telemetry(&self) -> &Arc<RuntimeTelemetry> {

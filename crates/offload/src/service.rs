@@ -666,7 +666,7 @@ impl<S: Service> OffloadRuntime<S> {
     /// Whether the service thread has exited (orderly or by panic).
     /// Observing `true` before shutdown marks the runtime's
     /// `service_down` flag.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         let done = self
             .thread
             .as_ref()

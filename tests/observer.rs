@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ngm_core::{CorePlacement, NgmConfig, ObserverConfig};
+use ngm_offload::ShardHealth;
 use ngm_telemetry::export::validate_exposition;
 use ngm_telemetry::recorder::read_recording;
 use ngm_telemetry::server::http_get;
@@ -106,7 +107,7 @@ fn readyz_degrades_when_a_serving_shard_wedges() {
     // report it down.
     ngm.stop_shard(1);
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !ngm.shard_finished(1) {
+    while ngm.shard_health(1) != ShardHealth::Down {
         assert!(Instant::now() < deadline, "shard thread never exited");
         std::thread::yield_now();
     }

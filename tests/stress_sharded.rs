@@ -2,12 +2,13 @@
 //!
 //! The scenario from `stress_batched` — N churning threads, magazines,
 //! buffered frees, cross-thread orphan frees — but against a 4-shard
-//! tier, with every thread forcing a routing rebalance mid-run. The
-//! shutdown check is per shard, not just global: each shard's
-//! `allocs == frees` exactly, which can only hold if every free routed
-//! back to the shard that owns the block's address even after the alloc
-//! routing moved. That is the tier's core invariant (frees are a pure
-//! function of address; rebalancing only moves future allocations).
+//! tier, with every thread moving one shard's allocation classes to the
+//! next shard mid-run (`route_class_to`; the move every routing trigger
+//! makes). The shutdown check is per shard, not just global: each
+//! shard's `allocs == frees` exactly, which can only hold if every free
+//! routed back to the shard that owns the block's address even after the
+//! alloc routing moved. That is the tier's core invariant (frees are a
+//! pure function of address; routing only moves future allocations).
 //!
 //! Iteration count is bounded by `NGM_STRESS_ITERS` (per thread) so CI
 //! can run this in release mode in well under a minute.
@@ -19,6 +20,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use ngm_core::{CorePlacement, NgmConfig};
+use ngm_heap::classes::{SizeClass, NUM_CLASSES};
 
 const THREADS: usize = 4;
 const SHARDS: usize = 4;
@@ -67,11 +69,16 @@ fn run_scenario(batch_size: usize, flush_threshold: usize) {
                 let mut allocs = 0u64;
                 for i in 0..iters {
                     if i == iters / 2 {
-                        // Force a rebalance mid-run: future allocations of
-                        // the remapped classes move to other shards, while
-                        // everything already handed out must still free
-                        // back to its original owner by address.
-                        h.rebalance_away_from(t % SHARDS);
+                        // Force a migration mid-run: future allocations of
+                        // every class on shard `t` move to the next shard,
+                        // while everything already handed out must still
+                        // free back to its original owner by address.
+                        let from = t % SHARDS;
+                        for class in (0..NUM_CLASSES as u16).map(SizeClass) {
+                            if h.class_route(class) == from {
+                                h.route_class_to(class, (from + 1) % SHARDS);
+                            }
+                        }
                     }
                     let size = size_for(i, t);
                     let layout = Layout::from_size_align(size, 8).expect("valid");
