@@ -438,7 +438,7 @@ impl NgmHandle {
             return;
         }
         let shard = self.shard_of_small(ptr);
-        // Traced before the flush, whose ring-tail store is the last
+        // Traced before the flush, whose record-header store is the last
         // write this free makes.
         self.trace(shard, TraceEventKind::Free, layout.size() as u64, 0);
         // A flush always empties the buffer, so it holds fewer than

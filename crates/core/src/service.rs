@@ -582,6 +582,16 @@ mod tests {
     }
 
     #[test]
+    fn a_request_fits_the_line_the_service_claims() {
+        // `ngm-offload`'s `a_trip_reads_one_line` lays a slot out with an
+        // 8-byte request stand-in; this keeps the stand-in faithful, so a
+        // refill's request and a two-block response's length and
+        // addresses stay on the slot's first line.
+        assert!(std::mem::size_of::<AllocBatchReq>() <= 8);
+        assert!(std::mem::align_of::<AllocBatchReq>() <= 8);
+    }
+
+    #[test]
     fn a_short_batch_leaves_the_rest_of_the_capacity_alone() {
         // What makes a message cost its length: nothing past `len` is
         // written — not by a refill into a response, not by the copy

@@ -9,12 +9,26 @@
 //! The ring is an array of 64-byte **cells**. A message is stored as a
 //! header word (its tag and payload length) followed by its payload words,
 //! in as many consecutive cells as that takes — `⌈(n + 1) / 8⌉` for `n`
-//! words — and all of them are published by one store of `tail`. A
-//! message therefore costs its length: a one-word post writes one cache
-//! line, a 128-address batch seventeen, and the ring's footprint is what
-//! was sent, not capacity × the largest message. What a message's words
-//! are is the message type's business ([`Record`]); a record that reaches
-//! the end of the buffer continues at its start.
+//! words. A message therefore costs its length: a one-word post writes
+//! one cache line, a 128-address batch seventeen, and the ring's
+//! footprint is what was sent, not capacity × the largest message. What a
+//! message's words are is the message type's business ([`Record`]); a
+//! record that reaches the end of the buffer continues at its start.
+//!
+//! A record **publishes itself**: there is no shared tail index. The
+//! producer writes the payload, then the header word with one `Release`
+//! store, and the header carries the low 32 bits of the absolute index of
+//! the record's first cell above its tag and length. The consumer polls
+//! the header of its head cell (`Acquire`) and takes a record only when
+//! that sequence names the cell, so the line the service pulls for a post
+//! is the post. Word 0 of every other cell of a record is payload, and an
+//! address left there could, a lap later, read as the header the consumer
+//! expects: the consumer therefore rewrites word 0 of each continuation
+//! cell it consumed with a marker naming the lap just read, before it
+//! publishes its head. The cells are built holding such markers, so no
+//! cell is ever read uninitialised. The consumer's head is still
+//! published, for the producer's fullness check, which reads it only when
+//! its cached copy says the ring is full.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
@@ -42,9 +56,41 @@ const _: () = assert!(
     "a cell is one 64-byte cache line of eight 8-byte words"
 );
 
+const _: () = assert!(
+    usize::BITS == 64,
+    "a header word holds a 32-bit sequence above its 16-bit tag and length"
+);
+
 /// The payload length occupies the low bits of a record's header word,
-/// the tag the 16 bits above them.
+/// the tag the 16 bits above them, and the sequence the 32 bits above
+/// those.
 const LEN_BITS: u32 = 16;
+const SEQ_SHIFT: u32 = 32;
+
+/// Most cells a ring may have: one lap must change the low 32 bits of a
+/// cell's index, or a header would name the cell on every lap.
+const MAX_CELLS: usize = 1 << 31;
+
+/// The sequence a header at absolute cell `cell` carries.
+#[inline]
+const fn seq(cell: usize) -> usize {
+    cell & (u32::MAX as usize)
+}
+
+/// The header word of a record of `len` words tagged `tag` whose first
+/// cell is absolute cell `cell`.
+#[inline]
+const fn header(cell: usize, tag: u16, len: usize) -> usize {
+    (seq(cell) << SEQ_SHIFT) | ((tag as usize) << LEN_BITS) | len
+}
+
+/// What word 0 of a cell at absolute index `cell` holds once no record
+/// starts there on this lap: a header word naming `cell`, which the
+/// consumer, reaching the cell next at `cell + capacity`, refuses.
+#[inline]
+const fn marker(cell: usize) -> usize {
+    header(cell, 0, 0)
+}
 
 /// A message the ring can carry: plain data that flattens to a small tag
 /// and at most [`Record::MAX_WORDS`] words, which is all the ring stores.
@@ -106,20 +152,19 @@ struct Shared {
     buf: Box<[Cell]>,
     /// Cell index mask (`buf.len()` is a power of two).
     mask: usize,
-    /// Next cell the producer will write, counted without wrapping. Only
-    /// the producer stores it.
-    tail: CachePadded<AtomicUsize>,
-    /// Next cell the consumer will read. Only the consumer stores it.
+    /// Next cell the consumer will read, counted without wrapping. Only
+    /// the consumer stores it, after it has released the cells before it.
     head: CachePadded<AtomicUsize>,
     /// Set when either endpoint is dropped.
     closed: AtomicBool,
 }
 
-// SAFETY: the ring hands each cell to exactly one side at a time — the
-// producer owns cells in `[tail, head + cap)` and the consumer owns
-// `[head, tail)` — with Release stores on the indices publishing cell
-// contents before the other side's Acquire loads can observe them. The
-// cells hold plain words, which may cross threads.
+// SAFETY: the ring hands each cell to exactly one side at a time. The
+// producer owns the cells from its private tail up to the consumer's
+// published `head` + capacity and publishes a record with a Release store
+// of its header word; the consumer owns a record from its Acquire load of
+// that header until its Release store of `head`. The cells hold plain
+// words, which may cross threads.
 unsafe impl Send for Shared {}
 // SAFETY: see `Send`; all shared mutation goes through the atomics.
 unsafe impl Sync for Shared {}
@@ -134,6 +179,19 @@ impl Shared {
         UnsafeCell::raw_get(self.buf.as_ptr().cast::<UnsafeCell<usize>>())
     }
 
+    /// Word 0 of cell `cell`, which is only ever read or written as a
+    /// header or marker through this view — except as a continuation
+    /// cell's payload, while one side owns the cell.
+    #[inline]
+    fn header_word(&self, cell: usize) -> &AtomicUsize {
+        // SAFETY: in bounds and 8-byte aligned (a cell is 64-aligned),
+        // initialised when the ring was built, and valid while `self` is.
+        // The plain accesses to the word (a continuation cell's payload)
+        // are ordered against these atomic ones by the header and `head`
+        // edges, so none races with them.
+        unsafe { AtomicUsize::from_ptr(self.words().add((cell & self.mask) * CELL_WORDS)) }
+    }
+
     /// Where the `len` payload words of the record at cell `cell` lie:
     /// the word offset they start at (right after the header word) and
     /// how many of them fit before the buffer's end — the rest continue
@@ -144,49 +202,40 @@ impl Shared {
         (start, len.min(self.buf.len() * CELL_WORDS - start))
     }
 
-    /// Writes a record at cell `cell`.
+    /// Writes a record's payload at cell `cell`, then publishes it with a
+    /// Release store of its header.
     ///
     /// # Safety
     ///
     /// The caller owns the `span(words.len())` cells from `cell` on (the
     /// producer, after its fullness check).
     #[inline]
-    unsafe fn write(&self, cell: usize, header: usize, words: &[usize]) {
+    unsafe fn write(&self, cell: usize, tag: u16, words: &[usize]) {
         let base = self.words();
         let (start, first) = self.payload(cell, words.len());
         // SAFETY: every offset is below `buf.len() * CELL_WORDS`, the
         // cells are the caller's, and `words` is not part of the ring.
         unsafe {
-            base.add((cell & self.mask) * CELL_WORDS).write(header);
             std::ptr::copy_nonoverlapping(words.as_ptr(), base.add(start), first);
             std::ptr::copy_nonoverlapping(words.as_ptr().add(first), base, words.len() - first);
         }
-    }
-
-    /// The header word of the record at cell `cell`.
-    ///
-    /// # Safety
-    ///
-    /// A record was published at `cell` and not yet released (the
-    /// consumer, after its emptiness check).
-    #[inline]
-    unsafe fn header(&self, cell: usize) -> usize {
-        // SAFETY: in bounds, and the producer's Release store of `tail`
-        // made the write of this word visible.
-        unsafe { self.words().add((cell & self.mask) * CELL_WORDS).read() }
+        self.header_word(cell)
+            .store(header(cell, tag, words.len()), Ordering::Release);
     }
 
     /// Copies the payload of the record at cell `cell` into `dst`.
     ///
     /// # Safety
     ///
-    /// As [`Shared::header`], and `dst.len()` is that record's length.
+    /// The consumer's Acquire load of this record's header named `cell`,
+    /// and `dst.len()` is the record's length.
     #[inline]
     unsafe fn read(&self, cell: usize, dst: &mut [usize]) {
         let base = self.words();
         let (start, first) = self.payload(cell, dst.len());
-        // SAFETY: in bounds, published (see `header`), and `dst` is not
-        // part of the ring.
+        // SAFETY: in bounds, published (the header's Acquire load ordered
+        // the producer's payload writes before it), and `dst` is not part
+        // of the ring.
         unsafe {
             std::ptr::copy_nonoverlapping(base.add(start), dst.as_mut_ptr(), first);
             std::ptr::copy_nonoverlapping(base, dst.as_mut_ptr().add(first), dst.len() - first);
@@ -211,6 +260,9 @@ pub enum PushError<T> {
 /// The sending endpoint. `!Clone`: exactly one producer exists.
 pub struct Producer<T> {
     shared: Arc<Shared>,
+    /// Next cell this producer will write, counted without wrapping.
+    /// Private: the consumer learns of a record from its header.
+    tail: usize,
     /// Cached copy of `head` to avoid reading the consumer's line on every
     /// push.
     head_cache: usize,
@@ -220,9 +272,9 @@ pub struct Producer<T> {
 /// The receiving endpoint. `!Clone`: exactly one consumer exists.
 pub struct Consumer<T> {
     shared: Arc<Shared>,
-    /// Cached copy of `tail` to avoid reading the producer's line on every
-    /// pop.
-    tail_cache: usize,
+    /// Next cell this consumer will read, counted without wrapping;
+    /// `Shared::head` publishes it.
+    head: usize,
     /// The value every record is decoded over, so popping a short record
     /// out of a type with a large capacity writes only that record.
     decoded: T,
@@ -234,9 +286,10 @@ pub struct Consumer<T> {
 ///
 /// # Panics
 ///
-/// Panics if `cells` is zero, or so large that its power-of-two round-up
-/// overflows `usize` ("ring capacity overflows"): such a ring would have
-/// no cells, and every push into it would wait forever.
+/// Panics if `cells` is zero, or rounds up past 2³¹ cells ("ring capacity
+/// overflows"): a lap of a larger ring would leave the 32-bit sequence of
+/// a header unchanged, and a power-of-two round-up past `usize` would
+/// leave no cells at all.
 pub fn spsc<T: Record>(cells: usize) -> (Producer<T>, Consumer<T>) {
     assert!(cells > 0, "ring capacity must be non-zero");
     assert!(
@@ -246,28 +299,34 @@ pub fn spsc<T: Record>(cells: usize) -> (Producer<T>, Consumer<T>) {
     let cells = cells
         .max(span(T::MAX_WORDS))
         .checked_next_power_of_two()
+        .filter(|&cells| cells <= MAX_CELLS)
         .unwrap_or_else(|| panic!("ring capacity overflows: {cells} cells"));
-    // Nothing is written here: the cells are first touched by whoever
-    // pushes into them.
+    // Word 0 of cell `i` is first read at index `i`: it holds a marker
+    // naming the lap before, `i - cells`. The payload words are first
+    // written by whoever pushes into them.
     let buf: Box<[Cell]> = (0..cells)
-        .map(|_| Cell(UnsafeCell::new([MaybeUninit::uninit(); CELL_WORDS])))
+        .map(|i| {
+            let mut words = [MaybeUninit::uninit(); CELL_WORDS];
+            words[0] = MaybeUninit::new(marker(i.wrapping_sub(cells)));
+            Cell(UnsafeCell::new(words))
+        })
         .collect();
     let shared = Arc::new(Shared {
         buf,
         mask: cells - 1,
-        tail: CachePadded::new(AtomicUsize::new(0)),
         head: CachePadded::new(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
     });
     (
         Producer {
             shared: Arc::clone(&shared),
+            tail: 0,
             head_cache: 0,
             _records: PhantomData,
         },
         Consumer {
             shared,
-            tail_cache: 0,
+            head: 0,
             decoded: T::default(),
         },
     )
@@ -330,7 +389,7 @@ impl<T: Record> Producer<T> {
         value.store(|tag, words| {
             assert!(words.len() <= T::MAX_WORDS, "record longer than declared");
             let cells = span(words.len());
-            let tail = self.shared.tail.load(Ordering::Relaxed);
+            let tail = self.tail;
             if self.capacity() - tail.wrapping_sub(self.head_cache) < cells {
                 // Looks full through the cache; refresh from the consumer.
                 self.head_cache = self.shared.head.load(Ordering::Acquire);
@@ -339,25 +398,20 @@ impl<T: Record> Producer<T> {
                 }
             }
             before_publish(self);
-            let header = (usize::from(tag) << LEN_BITS) | words.len();
-            // SAFETY: cells `[tail, tail + cells)` are not yet published
-            // to the consumer (its Acquire load of `tail` cannot observe
-            // the new value until the Release store below), and the
-            // fullness check above proves the consumer has released them,
-            // so we have exclusive access.
-            unsafe { self.shared.write(tail, header, words) };
-            self.shared
-                .tail
-                .store(tail.wrapping_add(cells), Ordering::Release);
+            // SAFETY: the fullness check above proves the consumer has
+            // released cells `[tail, tail + cells)` (its Release store of
+            // `head` came after its last read of them), and it cannot take
+            // any of them before the header store that ends the write.
+            unsafe { self.shared.write(tail, tag, words) };
+            self.tail = tail.wrapping_add(cells);
             Ok(())
         })
     }
 
     /// Cells currently occupied by queued records (racy snapshot).
     pub fn len(&self) -> usize {
-        let tail = self.shared.tail.load(Ordering::Relaxed);
         let head = self.shared.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        self.tail.wrapping_sub(head)
     }
 
     /// Returns `true` if the queue appears empty.
@@ -367,32 +421,36 @@ impl<T: Record> Producer<T> {
 }
 
 impl<T: Record> Consumer<T> {
+    /// The header of the record at this consumer's head, if one is
+    /// published there.
+    #[inline]
+    fn next_header(&self) -> Option<usize> {
+        let header = self.shared.header_word(self.head).load(Ordering::Acquire);
+        (header >> SEQ_SHIFT == seq(self.head)).then_some(header)
+    }
+
     /// Attempts to dequeue one record, decoded in place: the reference is
     /// to this consumer's own copy, and the record's cells are already
     /// the producer's again.
     pub fn pop_ref(&mut self) -> Option<&T> {
-        let head = self.shared.head.load(Ordering::Relaxed);
-        if head == self.tail_cache {
-            self.tail_cache = self.shared.tail.load(Ordering::Acquire);
-            if head == self.tail_cache {
-                return None;
-            }
-        }
-        let shared = &*self.shared;
-        // SAFETY: `head < tail` (checked above with an Acquire load that
-        // synchronizes with the producer's Release store), so a record
-        // the producer published and will not touch again until we
-        // advance `head` starts at this cell.
-        let header = unsafe { shared.header(head) };
+        let header = self.next_header()?;
+        let (head, shared) = (self.head, &*self.shared);
         let (tag, len) = ((header >> LEN_BITS) as u16, header & ((1 << LEN_BITS) - 1));
         self.decoded.load(tag, len, |dst| {
             assert_eq!(dst.len(), len, "a record is read whole");
-            // SAFETY: as above; `len` is this record's length.
+            // SAFETY: the Acquire load of the header named `head`, so the
+            // producer published this record there and will not touch it
+            // again until we advance `head`; `len` is its length.
             unsafe { shared.read(head, dst) };
         });
-        shared
-            .head
-            .store(head.wrapping_add(span(len)), Ordering::Release);
+        let cells = span(len);
+        for cell in (1..cells).map(|i| head.wrapping_add(i)) {
+            shared
+                .header_word(cell)
+                .store(marker(cell), Ordering::Relaxed);
+        }
+        self.head = head.wrapping_add(cells);
+        shared.head.store(self.head, Ordering::Release);
         Some(&self.decoded)
     }
 
@@ -417,21 +475,22 @@ impl<T: Record> Consumer<T> {
         n
     }
 
+    /// Cells this consumer has read since the ring was built, counted
+    /// without wrapping: the difference of two readings is the cells
+    /// consumed between them.
+    pub fn cells_read(&self) -> usize {
+        self.head
+    }
+
     /// Returns `true` if the producer has been dropped.
     pub fn is_closed(&self) -> bool {
         self.shared.closed.load(Ordering::Acquire)
     }
 
-    /// Cells currently occupied by queued records (racy snapshot).
-    pub fn len(&self) -> usize {
-        let tail = self.shared.tail.load(Ordering::Acquire);
-        let head = self.shared.head.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
-    }
-
-    /// Returns `true` if the queue appears empty.
+    /// Returns `true` if no record is published at this consumer's head
+    /// yet (racy snapshot).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.next_header().is_none()
     }
 }
 
@@ -540,13 +599,15 @@ mod tests {
             tx.push(Run::of(0, len, 0)).unwrap();
             assert_eq!(tx.len() - before, cells, "{len} words");
         }
-        assert_eq!(rx.len(), 13);
+        assert_eq!(tx.len(), 13);
+        assert!(!rx.is_empty());
         // One-word integers: a cell each, and popping gives it back.
         let (mut tx, mut rx) = spsc::<u64>(8);
         tx.push(7).unwrap();
-        assert_eq!(rx.len(), 1);
+        assert_eq!(tx.len(), 1);
         assert_eq!(rx.pop(), Some(7));
         assert_eq!(tx.len(), 0);
+        assert!(rx.is_empty());
     }
 
     #[test]
@@ -653,7 +714,8 @@ mod tests {
         let n = rx.drain(4, |&v| got.push(v));
         assert_eq!(n, 4);
         assert_eq!(got, vec![0, 1, 2, 3]);
-        assert_eq!(rx.len(), 2);
+        assert_eq!(tx.len(), 2);
+        assert!(!rx.is_empty());
     }
 
     #[test]
@@ -691,6 +753,59 @@ mod tests {
         assert_eq!(h.join().unwrap(), expected);
     }
 
+    /// The `i`th record of the adversarial stream, whose first cell is
+    /// absolute cell `cell`: 0 to 20 words (one to three cells), with
+    /// word 0 of each continuation cell planted as the header the
+    /// consumer would accept at that cell one lap on.
+    fn planted(i: usize, cell: usize, cells: usize) -> Run {
+        let len = (i.wrapping_mul(2_654_435_761) >> 16) % (Run::MAX_WORDS + 1);
+        let mut run = Run::of((i % 3) as u16, len, i << 8);
+        for k in 1..span(len) {
+            run.words[k * CELL_WORDS - 1] = header(cell + k + cells, 0, 1);
+        }
+        run
+    }
+
+    #[test]
+    fn a_stale_payload_word_never_reads_as_a_later_header() {
+        // A 4-cell ring crossed between two threads for 100,000 laps.
+        // Every continuation cell carries, where a header would be, the
+        // very header the consumer expects there on the next lap, so a
+        // consumer that polled it before the producer wrote that lap's
+        // record would pop a phantom one-word record. Only the consumer's
+        // rewrite of each continuation cell's word 0 prevents that.
+        const CELLS: usize = 4;
+        const END: usize = 100_000 * CELLS;
+        let (mut tx, mut rx) = spsc::<Run>(CELLS);
+        assert_eq!(tx.capacity(), CELLS);
+        let consumer = std::thread::spawn(move || {
+            let (mut i, mut cell) = (0, 0);
+            while cell < END {
+                let want = planted(i, cell, CELLS);
+                let got = loop {
+                    match rx.pop() {
+                        Some(got) => break got,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                assert_eq!(got, want, "record {i} at cell {cell}");
+                (i, cell) = (i + 1, cell + span(want.len));
+            }
+            rx
+        });
+        let (mut i, mut cell) = (0, 0);
+        while cell < END {
+            let run = planted(i, cell, CELLS);
+            while let Err(PushError::Full(_)) = tx.push(run) {
+                std::thread::yield_now();
+            }
+            (i, cell) = (i + 1, cell + span(run.len));
+        }
+        let mut rx = consumer.join().unwrap();
+        assert_eq!(rx.pop(), None, "no record after the last one sent");
+        assert!(rx.is_empty() && tx.is_empty());
+    }
+
     #[test]
     fn len_tracks_pushes_and_pops() {
         let (mut tx, mut rx) = spsc::<u64>(4);
@@ -698,8 +813,10 @@ mod tests {
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         assert_eq!(tx.len(), 2);
-        assert_eq!(rx.len(), 2);
+        assert!(!rx.is_empty());
         rx.pop();
-        assert_eq!(rx.len(), 1);
+        assert_eq!(tx.len(), 1);
+        rx.pop();
+        assert!(tx.is_empty() && rx.is_empty());
     }
 }

@@ -393,8 +393,9 @@ impl<S: Service> ClientHandle<S> {
         let mut retries = 0u32;
         loop {
             // The post is recorded once the ring has room for it and
-            // before any of it is written: the store of the ring's tail,
-            // which hands it to the service, is the last this post makes.
+            // before any of it is written: the store of the record's
+            // header, which hands it to the service, is the last this post
+            // makes.
             let (telemetry, trace) = (&self.telemetry, &self.trace);
             let pushed = self.posts.push_with(msg, |ring| {
                 let t1 = cycles_now();
@@ -879,8 +880,9 @@ fn service_loop<S: Service>(
                 work += 1;
                 bump(&stats.calls_served, 1);
             }
-            occupancy += c.posts.len();
+            let read = c.posts.cells_read();
             let drained = c.posts.drain(DRAIN_BATCH, |m| service.post_ref(m));
+            occupancy += c.posts.cells_read().wrapping_sub(read);
             if drained > 0 {
                 work += drained;
                 bump(&stats.posts_served, drained as u64);
@@ -889,7 +891,8 @@ fn service_loop<S: Service>(
                 }
             }
         }
-        // Gauge: ring cells that held pending posts when this round looked.
+        // Gauge: ring cells this round drained, which is the backlog
+        // whenever no ring held more than `DRAIN_BATCH` records.
         stats.ring_occupancy.store(occupancy, Ordering::Relaxed);
 
         // Retire clients whose handle is gone and whose ring is drained.

@@ -35,18 +35,22 @@ const SERVING: u32 = 3;
 /// A one-deep synchronous request/response mailbox between one client
 /// thread and the service core.
 ///
-/// Everything a trip reads besides the payloads lies on the slot's first
-/// 64-byte line: the state word the client spins on and the service
-/// claims with its CAS, the publish sequence and the three phase stamps.
-/// Seeing RESPONSE therefore brings the stamps with it. The response
-/// starts on that line too, so the length and first words of a short
-/// one come with them; the request follows the response. The request
-/// crosses by value (in the paper's design a size), the response is
-/// written and read **where it lies**: the server fills `resp` in place
-/// and the client reads it in place, so a response type with room for
-/// many addresses costs what a given response holds, one copy per side,
-/// never `size_of::<R>()`. The slot is aligned to 128 bytes, so no other
-/// value shares its first line or that line's prefetch pair.
+/// A request is one line for the service to pull, the slot's first 64
+/// bytes: the state word the client spins on and the service claims with
+/// its CAS, the publish sequence, the claim and served stamps, and the
+/// request itself (in the paper's design a size; §4.2 puts
+/// `requested_size` and `allocated_block` beside `malloc_start` and
+/// `malloc_done`). Seeing RESPONSE therefore brings the stamps with it.
+/// The response starts on that line too, so the length and first words of
+/// a short one come with them: on the shipped types, a refill of up to two
+/// blocks is wholly on the line. The request crosses by value, the
+/// response is written and read **where it lies**: the server fills
+/// `resp` in place and the client reads it in place, so a response type
+/// with room for many addresses costs what a given response holds, one
+/// copy per side, never `size_of::<R>()`. The request stamp lies behind
+/// the response: only the client writes it and reads it back. The slot
+/// is aligned to 128 bytes, so no other value shares its first line or
+/// that line's prefetch pair.
 #[repr(C, align(128))]
 pub struct RequestSlot<Q, R> {
     state: AtomicU32,
@@ -65,13 +69,13 @@ pub struct RequestSlot<Q, R> {
     /// overwrites the previous request's stamps. The response is written
     /// where the client reads it, so served and published are one
     /// instant and one stamp.
-    request_tsc: AtomicU64,
     claim_tsc: AtomicU64,
     served_tsc: AtomicU64,
+    req: UnsafeCell<MaybeUninit<Q>>,
     /// Always a valid `R`: `R::default()` until the first response, then
     /// whatever the server last wrote over it.
     resp: UnsafeCell<R>,
-    req: UnsafeCell<MaybeUninit<Q>>,
+    request_tsc: AtomicU64,
 }
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
@@ -96,11 +100,11 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         RequestSlot {
             state: AtomicU32::new(EMPTY),
             publish_seq: AtomicU64::new(0),
-            request_tsc: AtomicU64::new(0),
             claim_tsc: AtomicU64::new(0),
             served_tsc: AtomicU64::new(0),
             req: UnsafeCell::new(MaybeUninit::uninit()),
             resp: UnsafeCell::new(R::default()),
+            request_tsc: AtomicU64::new(0),
         }
     }
 
@@ -487,16 +491,20 @@ mod tests {
     #[test]
     fn a_trip_reads_one_line() {
         // What the client spins on, what the service claims with its CAS,
-        // and every stamp the client reads once it sees RESPONSE: one
-        // 64-byte line, the slot's first.
-        type Slot = RequestSlot<[u64; 4], [u64; 128]>;
+        // the request it then reads, every stamp the client reads once it
+        // sees RESPONSE, and the first three words of the response (a
+        // two-address refill's length and addresses): one 64-byte line,
+        // the slot's first. The 8-byte request stands for `ngm-core`'s
+        // `AllocBatchReq`, which a test there holds to 8 bytes.
+        type Slot = RequestSlot<u64, [u64; 128]>;
         assert_eq!(std::mem::align_of::<Slot>(), 128);
         for (field, end) in [
             ("state", std::mem::offset_of!(Slot, state) + 4),
             ("publish_seq", std::mem::offset_of!(Slot, publish_seq) + 8),
-            ("request_tsc", std::mem::offset_of!(Slot, request_tsc) + 8),
             ("claim_tsc", std::mem::offset_of!(Slot, claim_tsc) + 8),
             ("served_tsc", std::mem::offset_of!(Slot, served_tsc) + 8),
+            ("req", std::mem::offset_of!(Slot, req) + 8),
+            ("resp[..3]", std::mem::offset_of!(Slot, resp) + 3 * 8),
         ] {
             assert!(end <= 64, "{field} ends at byte {end}");
         }

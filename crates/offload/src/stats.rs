@@ -35,8 +35,10 @@ pub struct RuntimeStats {
     pub poll_rounds: AtomicU64,
     /// Polling rounds that found no work.
     pub empty_rounds: AtomicU64,
-    /// Gauge: 64-byte ring cells holding pending posts across all client
-    /// rings, as of the service loop's last poll round.
+    /// Gauge: 64-byte ring cells the service loop's last poll round
+    /// drained across all client rings — their backlog whenever it was
+    /// under the round's drain batch. A consumer cannot count cells it
+    /// has not read: a ring has no shared tail.
     pub ring_occupancy: AtomicUsize,
     /// Gauge: the service wait loop's current [`WaitPhase`] (as `u32`).
     pub wait_phase: AtomicU32,

@@ -235,11 +235,11 @@ fn the_client_of_a_tier_never_faults_on_a_block() {
     // Segments are mapped, and their one huge page first written, by the
     // service thread (`SegmentRef::create`), so the
     // client's first store into a block finds the page present — on the
-    // cold pass as on every later one. What the client does pay for,
-    // once, is the pages of its own free ring: 2,048 cells of 64 bytes,
-    // 128 KiB, 32 pages. A pass posts some 440 full batches of 17 cells,
-    // so the cold pass has been round the ring three times before it
-    // ends and no later pass finds a page of it untouched.
+    // cold pass as on every later one. The pages of the client's own
+    // free ring (2,048 cells of 64 bytes, 128 KiB, 32 pages) are written
+    // when the handle is built, before the first pass: every cell starts
+    // out holding a marker its consumer refuses, so no pass finds a page
+    // of it untouched.
     let passes: Vec<_> = (0..4)
         .map(|_| client_faults_over_a_pass(&mut h, &events, &mut live))
         .collect();
