@@ -1,19 +1,20 @@
 //! Span phase breakdown: where a request's round trip actually goes.
 //!
-//! Every single-block `alloc` round trip is stamped at five lifecycle
-//! boundaries (enqueue → ring-resident → claimed → served → observed),
-//! and the four gaps land in the per-shard `ngm_phase_*_cycles`
-//! histograms; the `publish` row reads zero, since a response is
-//! published where it is written. This experiment drives the live tier
-//! under the paper's per-call handshake (`with_batch(1, 1)`) per shard
-//! count and renders the phase table: sum, share of the round
-//! trip, and windowed percentiles per phase, in cycles and nanoseconds.
+//! Every single-block `alloc` round trip is stamped at four lifecycle
+//! boundaries (enqueue → claimed → served → observed). The client books
+//! claim (enqueue → claimed) and observe (claimed → observed) in the
+//! per-shard `ngm_phase_*_cycles` histograms, and the service books
+//! serve (claimed → served), which lies inside observe; the `queue` and
+//! `publish` rows read zero. This experiment drives the live tier under
+//! the paper's per-call handshake (`with_batch(1, 1)`) per shard count
+//! and renders the phase table: sum, share of the round trip, and
+//! windowed percentiles per phase, in cycles and nanoseconds.
 //!
 //! The load-bearing invariant — checked here and asserted by the smoke
-//! test — is **coverage**: the phase sums partition the round trip,
-//! so their total must equal the `ngm_call_cycles` sum (the stamps are
-//! clamped into each call's `[t0, t5]`, so the identity is exact by
-//! construction; the acceptance bar is ±10%). With `--hw` the same run
+//! test — is **coverage**: the client's phase sums partition the round
+//! trip, so their total must equal the `ngm_call_cycles` sum (the claim
+//! stamp is clamped into each call's `[t0, t5]`, so the identity is
+//! exact by construction; the acceptance bar is ±10%). With `--hw` the same run
 //! runs under the harness's PMU sessions, so the phase table and the service-vs-client
 //! counter report under it come from one run.
 
@@ -47,10 +48,16 @@ pub struct SpanRow {
 }
 
 impl SpanRow {
-    /// Total cycles across all phases.
+    /// Total cycles across the phases the client books; the service's
+    /// serve lies inside them.
     #[must_use]
     pub fn phase_total(&self) -> u64 {
-        self.phases.iter().map(HistogramSnapshot::sum).sum()
+        PHASE_NAMES
+            .iter()
+            .zip(&self.phases)
+            .filter(|(name, _)| **name != "serve")
+            .map(|(_, h)| h.sum())
+            .sum()
     }
 
     /// Phase-sum coverage of the call sum (1.0 = exact partition).
@@ -146,6 +153,7 @@ impl SpansReport {
                 "### {} shard(s): {} calls, round-trip sum {} cycles",
                 row.shards, row.calls, row.call_sum
             );
+            // Shares are of the round trip: serve's lies inside observe's.
             let mut t = Table::new(&["phase", "sum cycles", "share", "p50", "p99", "p50 ns"]);
             let total = row.phase_total().max(1);
             for (i, name) in PHASE_NAMES.iter().enumerate() {

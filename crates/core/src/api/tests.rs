@@ -1276,10 +1276,15 @@ mod faults {
                 .collect();
             (stats.magazine_occupancy, completions)
         };
+        // The service books a serve after publishing its response: wait
+        // for the one refill's serve to land.
+        while telemetry.phase_cycles[2].snapshot().count() < 1 {
+            std::thread::yield_now();
+        }
         let before = books();
-        // Refills, calls, then the five phases, of which publish records
-        // nothing.
-        assert_eq!(before, (16, vec![1, 0, 1, 1, 1, 0, 1]));
+        // Refills, calls, then the five phases, of which queue and
+        // publish record nothing.
+        assert_eq!(before, (16, vec![1, 0, 0, 1, 1, 0, 1]));
         // The service ignores the refill the draining pop sends ahead
         // until the next alloc's deadline retracts it; the fallback
         // serves that allocation.

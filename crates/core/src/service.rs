@@ -520,7 +520,7 @@ mod tests {
         for (round, len) in interleaved_lengths().enumerate() {
             let sent = run(len, round * 1000 + 1);
             assert!(slot.begin(len).is_ok());
-            assert!(slot.serve(|len, out| {
+            assert!(slot.serve(0, |len, out| {
                 // As `alloc_batch` fills a response: over the last one.
                 out.clear();
                 assert_eq!(len, sent.len());
@@ -585,7 +585,7 @@ mod tests {
     fn a_request_fits_the_line_the_service_claims() {
         // `ngm-offload`'s `a_trip_reads_one_line` lays a slot out with an
         // 8-byte request stand-in; this keeps the stand-in faithful, so a
-        // refill's request and a two-block response's length and
+        // refill's request and a three-block response's length and
         // addresses stay on the slot's first line.
         assert!(std::mem::size_of::<AllocBatchReq>() <= 8);
         assert!(std::mem::align_of::<AllocBatchReq>() <= 8);

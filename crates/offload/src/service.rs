@@ -142,7 +142,7 @@ pub struct ClientHandle<S: Service> {
 }
 
 /// Which population a synchronous request's round trip belongs to.
-/// Either way its four phases land in the phase histograms.
+/// Either way its two client phases land in the phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallKind {
     /// One unit of work per round trip: latency lands in the call
@@ -166,19 +166,12 @@ impl<S: Service> ClientHandle<S> {
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let now = cycles_now();
-            let (t1, t2, _) = self.slot.phase_stamps();
             ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
-            ring.push_at(
-                t1.clamp(t0, now),
-                TraceEventKind::Span,
-                id,
-                SpanPhase::RingResident.code(),
-            );
             if terminal == SpanPhase::Abandoned {
                 // The server claimed the request before dying mid-serve;
                 // its claim stamp is a racy-but-harmless read.
                 ring.push_at(
-                    t2.clamp(t0, now),
+                    self.slot.claim_stamp().clamp(t0, now),
                     TraceEventKind::Span,
                     id,
                     SpanPhase::Claimed.code(),
@@ -189,15 +182,15 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Completion telemetry for the response just seen, stamped from
-    /// publication (`t0`) to the moment the client saw RESPONSE — which,
-    /// for a request collected some time after it was published, is when
-    /// the client came back for it, so the observe phase then includes
-    /// the time the response waited in the slot: the
-    /// latency histogram of the request's [`CallKind`], the four recorded
+    /// just after publication (`t0`) to the moment the client saw
+    /// RESPONSE — which, for a request collected some time after it was
+    /// published, is when the client came back for it, so the observe
+    /// phase then includes the time the response waited in the slot: the
+    /// latency histogram of the request's [`CallKind`], the client's two
     /// phase histograms (every round trip of either kind, so together
     /// they partition the call and refill populations exactly) and — when
-    /// tracing is on — the five span phase events with their true
-    /// boundary timestamps from the slot.
+    /// tracing is on — the four span phase events. The service books the
+    /// serve phase itself.
     ///
     /// Called before the response is collected: the store that releases
     /// the slot to the service is the round trip's last write, so none of
@@ -205,33 +198,36 @@ impl<S: Service> ClientHandle<S> {
     /// does not include the client's copy of the response.
     fn record_completion(&mut self, t0: u64, kind: CallKind) {
         let t5 = cycles_now();
-        let stamps = self.slot.phase_stamps();
+        let claim = self.slot.claim_stamp();
         let latency = match kind {
             CallKind::Single => &self.telemetry.call_cycles,
             CallKind::Batched => &self.telemetry.refill_cycles,
         };
         latency.record(t5.saturating_sub(t0));
-        self.telemetry.record_phases(t0, stamps, t5);
+        self.telemetry.record_phases(t0, claim, t5);
         if let Some(ring) = &self.trace {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
-            let (t1, t2, t3) = stamps;
+            // Clamped in order, so a served stamp that has not landed yet
+            // (see `RequestSlot::served_stamp`) reads as the claim.
+            let t2 = claim.clamp(t0, t5);
+            let t3 = self.slot.served_stamp().clamp(t2, t5);
             for (tsc, phase) in [
                 (t0, SpanPhase::Enqueue),
-                (t1, SpanPhase::RingResident),
                 (t2, SpanPhase::Claimed),
                 (t3, SpanPhase::Served),
                 (t5, SpanPhase::Observed),
             ] {
-                ring.push_at(tsc.clamp(t0, t5), TraceEventKind::Span, id, phase.code());
+                ring.push_at(tsc, TraceEventKind::Span, id, phase.code());
             }
         }
     }
 
     /// Publishes `req` on the slot: the first half of a synchronous
-    /// request. The round trip is stamped from here, and its completion
-    /// lands in the population `kind` names. The slot holds one request,
-    /// so a handle carries at most one in flight: collect it with
-    /// [`ClientHandle::try_collect`] before publishing again. Nothing is
+    /// request. The round trip is stamped from just after the request is
+    /// published, so the service never waits for that clock read, and its
+    /// completion lands in the population `kind` names. The slot holds
+    /// one request, so a handle carries at most one in flight: collect it
+    /// with [`ClientHandle::try_collect`] before publishing again. Nothing is
     /// woken and nothing else collects it; the response waits in the
     /// slot, where the publishing thread finds it.
     ///
@@ -247,15 +243,13 @@ impl<S: Service> ClientHandle<S> {
             self.stats.mark_service_down();
             return Err(ServiceError::ServiceStopped);
         }
-        let t0 = cycles_now();
-        self.in_flight = Some((t0, kind));
         if self.slot.begin(req).is_err() {
             // Only a `collect` that unwound mid-read leaves a response in
             // the slot; its payload cell cannot be trusted again.
-            self.in_flight = None;
             self.poisoned = true;
             return Err(ServiceError::ServiceStopped);
         }
+        self.in_flight = Some((cycles_now(), kind));
         Ok(())
     }
 
@@ -804,6 +798,7 @@ fn service_loop<S: Service>(
     // (see `RuntimeStats`), so it updates them with `bump`, a load and a
     // store, where a `fetch_add` would be a locked instruction every round.
     let stats = &*shared.handles.stats;
+    let telemetry = &*shared.handles.telemetry;
     loop {
         bump(&stats.poll_rounds, 1);
         let stopping = shared.stop.load(Ordering::Acquire);
@@ -860,9 +855,9 @@ fn service_loop<S: Service>(
                             // Panic *inside* the serve, after the request
                             // is claimed: the mid-refill death the client
                             // observes as an abandoned request.
-                            let killed = c
-                                .slot
-                                .serve(|_q, _out| panic!("faultinject: shard killed mid-serve"));
+                            let killed = c.slot.serve(cycles_now(), |_q, _out| {
+                                panic!("faultinject: shard killed mid-serve")
+                            });
                             if !killed {
                                 // The client retracted first; keep the
                                 // kill armed for the next request.
@@ -876,9 +871,18 @@ fn service_loop<S: Service>(
             };
             #[cfg(not(feature = "faultinject"))]
             let serve_now = true;
-            if serve_now && c.slot.serve(|q, out| service.call_into(q, out)) {
-                work += 1;
-                bump(&stats.calls_served, 1);
+            if serve_now {
+                // Both stamps lie outside the claim → response window the
+                // client waits out: one before the claim CAS, one after
+                // the RESPONSE store.
+                let claim = cycles_now();
+                if c.slot.serve(claim, |q, out| service.call_into(q, out)) {
+                    let served = cycles_now();
+                    c.slot.stamp_served(served);
+                    telemetry.record_serve(claim, served);
+                    work += 1;
+                    bump(&stats.calls_served, 1);
+                }
             }
             let read = c.posts.cells_read();
             let drained = c.posts.drain(DRAIN_BATCH, |m| service.post_ref(m));
@@ -1225,17 +1229,10 @@ mod tests {
         }
         let m = rt.metrics();
         let call_sum = m.get_histogram("ngm_call_cycles").expect("calls").sum();
-        let phase_sum: u64 = crate::telemetry::PHASE_NAMES
-            .iter()
-            .map(|n| {
-                m.get_histogram(&format!("ngm_phase_{n}_cycles"))
-                    .expect("phase series")
-                    .sum()
-            })
-            .sum();
         assert_eq!(
-            phase_sum, call_sum,
-            "phases partition the round trip exactly (same endpoint stamps)"
+            client_phase_sum(&m),
+            call_sum,
+            "the client's phases partition its round trip exactly (same endpoint stamps)"
         );
         let events = rt.telemetry().drain_trace().events;
         let spans = reconstruct(&events);
@@ -1261,10 +1258,51 @@ mod tests {
         }
         for s in &spans {
             assert!(s.completed(), "call spans end Observed");
-            assert_eq!(s.phases.len(), 5, "all five call phases present");
+            assert_eq!(s.phases.len(), 4, "all four call phases present");
         }
         drop(c);
         rt.shutdown();
+    }
+
+    /// The sum of the two phases the client records: claim and observe.
+    fn client_phase_sum(m: &MetricsSnapshot) -> u64 {
+        ["claim", "observe"]
+            .iter()
+            .map(|n| {
+                m.get_histogram(&format!("ngm_phase_{n}_cycles"))
+                    .expect("phase series")
+                    .sum()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn the_service_books_exactly_the_calls_it_served() {
+        let rt = OffloadRuntime::start(doubler());
+        let telemetry = Arc::clone(rt.telemetry());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let mut c = rt.register_client();
+                s.spawn(move || {
+                    for i in 0..200 {
+                        c.call(i);
+                        let got = c.trip(i, CallKind::Batched, std::mem::take);
+                        assert_eq!(got, Ok(i * 2));
+                    }
+                });
+            }
+        });
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.calls_served, 800);
+        let serve = telemetry.phase_cycles[2].snapshot();
+        assert_eq!(serve.count(), stats.calls_served, "one record per serve");
+        let sum = |h: &ngm_telemetry::hist::LatencyHistogram| h.snapshot().sum();
+        let round_trips = sum(&telemetry.call_cycles) + sum(&telemetry.refill_cycles);
+        assert!(
+            serve.sum() <= round_trips,
+            "serves {} inside round trips {round_trips}",
+            serve.sum()
+        );
     }
 
     #[test]
@@ -1287,23 +1325,25 @@ mod tests {
             m.get_histogram("ngm_refill_cycles").map(|h| h.count()),
             Some(4)
         );
-        // The phases partition every round trip, whichever kind.
+        // The client's phases partition every round trip, whichever kind.
         let sum_of = |name: &str| m.get_histogram(name).expect(name).sum();
-        let mut phase_sum = 0;
-        for n in crate::telemetry::PHASE_NAMES {
+        for (n, recorded) in [
+            ("queue", 0),
+            ("claim", 8 + 4),
+            ("publish", 0),
+            ("observe", 8 + 4),
+        ] {
             let h = m
                 .get_histogram(&format!("ngm_phase_{n}_cycles"))
                 .expect("phase series");
-            let recorded = if n == "publish" { 0 } else { 8 + 4 };
             assert_eq!(
                 h.count(),
                 recorded,
                 "phase {n}: one sample per call and refill"
             );
-            phase_sum += h.sum();
         }
         assert_eq!(
-            phase_sum,
+            client_phase_sum(&m),
             sum_of("ngm_call_cycles") + sum_of("ngm_refill_cycles"),
             "same endpoint stamps as the two latency histograms"
         );

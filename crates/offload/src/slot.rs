@@ -14,8 +14,6 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use ngm_telemetry::clock::cycles_now;
-
 use crate::stats::bump;
 
 /// Slot is idle; the client may publish a request.
@@ -37,20 +35,24 @@ const SERVING: u32 = 3;
 ///
 /// A request is one line for the service to pull, the slot's first 64
 /// bytes: the state word the client spins on and the service claims with
-/// its CAS, the publish sequence, the claim and served stamps, and the
-/// request itself (in the paper's design a size; §4.2 puts
-/// `requested_size` and `allocated_block` beside `malloc_start` and
-/// `malloc_done`). Seeing RESPONSE therefore brings the stamps with it.
-/// The response starts on that line too, so the length and first words of
-/// a short one come with them: on the shipped types, a refill of up to two
-/// blocks is wholly on the line. The request crosses by value, the
-/// response is written and read **where it lies**: the server fills
-/// `resp` in place and the client reads it in place, so a response type
-/// with room for many addresses costs what a given response holds, one
-/// copy per side, never `size_of::<R>()`. The request stamp lies behind
-/// the response: only the client writes it and reads it back. The slot
-/// is aligned to 128 bytes, so no other value shares its first line or
-/// that line's prefetch pair.
+/// its CAS, the publish sequence, the claim stamp, and the request itself
+/// (in the paper's design a size; §4.2 puts `requested_size` and
+/// `allocated_block` beside `malloc_start` and `malloc_done`). Seeing
+/// RESPONSE therefore brings the claim stamp with it. The response starts
+/// on that line too, so the length and first words of a short one come
+/// with them: on the shipped types, a refill of up to three blocks is
+/// wholly on the line. The request crosses by value, the response is
+/// written and read **where it lies**: the server fills `resp` in place
+/// and the client reads it in place, so a response type with room for
+/// many addresses costs what a given response holds, one copy per side,
+/// never `size_of::<R>()`. The served stamp lies behind the response:
+/// only span tracing reads it. The slot is aligned to 128 bytes, so no
+/// other value shares its first line or that line's prefetch pair.
+///
+/// The slot never reads the clock. Both stamps are taken by the service
+/// outside the claim → response window, which is the whole handshake the
+/// client waits on: the claim stamp before its claim CAS, the served
+/// stamp after its RESPONSE store.
 #[repr(C, align(128))]
 pub struct RequestSlot<Q, R> {
     state: AtomicU32,
@@ -62,20 +64,18 @@ pub struct RequestSlot<Q, R> {
     /// tracing mints span ids from it so a retried request is a distinct
     /// span by construction.
     publish_seq: AtomicU64,
-    /// Phase stamps for span tracing, all [`cycles_now`] values for the
-    /// *current* request. Writes are Relaxed: the server's stamps are
-    /// ordered for the client by the RESPONSE Release store, and
-    /// `request_tsc` is the client's own write. One cycle of the protocol
-    /// overwrites the previous request's stamps. The response is written
-    /// where the client reads it, so served and published are one
-    /// instant and one stamp.
+    /// The service's clock reading from just before the CAS that claimed
+    /// the current request, handed to [`RequestSlot::serve`]. Written
+    /// Relaxed after the claim, and ordered for the client by the RESPONSE
+    /// Release store.
     claim_tsc: AtomicU64,
-    served_tsc: AtomicU64,
     req: UnsafeCell<MaybeUninit<Q>>,
     /// Always a valid `R`: `R::default()` until the first response, then
     /// whatever the server last wrote over it.
     resp: UnsafeCell<R>,
-    request_tsc: AtomicU64,
+    /// The service's clock reading from just after the RESPONSE store, see
+    /// [`RequestSlot::stamp_served`]. No edge orders it for the client.
+    served_tsc: AtomicU64,
 }
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
@@ -101,10 +101,9 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
             state: AtomicU32::new(EMPTY),
             publish_seq: AtomicU64::new(0),
             claim_tsc: AtomicU64::new(0),
-            served_tsc: AtomicU64::new(0),
             req: UnsafeCell::new(MaybeUninit::uninit()),
             resp: UnsafeCell::new(R::default()),
-            request_tsc: AtomicU64::new(0),
+            served_tsc: AtomicU64::new(0),
         }
     }
 
@@ -117,29 +116,33 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         self.publish_seq.load(Ordering::Relaxed)
     }
 
-    /// Stamps the ring-resident mark; called by the client immediately
-    /// before the REQUEST store so the stamp is ordered to the server by
-    /// the same Release edge as the payload.
-    #[inline]
-    fn stamp_request(&self) {
-        self.request_tsc.store(cycles_now(), Ordering::Relaxed);
+    /// The claim stamp [`RequestSlot::serve`] was handed for the most
+    /// recently claimed request. Valid for the client once it has seen
+    /// RESPONSE (the Acquire load ordered it), or — racily, which is
+    /// harmless for a stamp — once a retract found the request claimed. A
+    /// request that was never claimed reads an earlier cycle's stamp:
+    /// callers gate on the call outcome.
+    #[must_use]
+    pub(crate) fn claim_stamp(&self) -> u64 {
+        self.claim_tsc.load(Ordering::Relaxed)
     }
 
-    /// Phase stamps of the most recently completed request, as
-    /// `(request, claim, served)` [`cycles_now`] values. The served stamp
-    /// is also when the response was published: it is published where it
-    /// was written, so there is no copy between the two. Valid
-    /// for the client after it consumed a RESPONSE (the Acquire load
-    /// ordered the server's stamps); phases the request never reached
-    /// (e.g. a retracted request was never claimed) read as stale values
-    /// from an earlier cycle — callers gate on the call outcome.
+    /// Server side, after a `serve` that returned `true`: records when the
+    /// response was published. Taken after the RESPONSE store, so the
+    /// client may see the response before this lands.
+    pub(crate) fn stamp_served(&self, tsc: u64) {
+        self.served_tsc.store(tsc, Ordering::Relaxed);
+    }
+
+    /// The last stamp [`RequestSlot::stamp_served`] stored. Nothing orders
+    /// it for the client: read right after RESPONSE, it may still be the
+    /// previous trip's. That one is never later than this trip's claim
+    /// stamp, because the service took the two in that order, so a reader
+    /// that clamps it up to the claim stamp gets a zero-width serve, never
+    /// a phase out of order.
     #[must_use]
-    pub fn phase_stamps(&self) -> (u64, u64, u64) {
-        (
-            self.request_tsc.load(Ordering::Relaxed),
-            self.claim_tsc.load(Ordering::Relaxed),
-            self.served_tsc.load(Ordering::Relaxed),
-        )
+    pub(crate) fn served_stamp(&self) -> u64 {
+        self.served_tsc.load(Ordering::Relaxed)
     }
 
     /// Client side, non-blocking: publishes `request` if the slot is
@@ -171,7 +174,6 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // REQUEST (Acquire) also observes the matching sequence number.
         // Only the client writes it: a load and a store, not a locked add.
         bump(&self.publish_seq, 1);
-        self.stamp_request();
         self.state.store(REQUEST, Ordering::Release);
         Ok(())
     }
@@ -219,8 +221,11 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     /// Server side: if a request is pending, consumes it, has `f` write
     /// the response over the slot's previous one, publishes it, and
     /// returns `true`. `f` must leave a complete response: what it does
-    /// not overwrite is the last response's.
-    pub fn serve(&self, f: impl FnOnce(Q, &mut R)) -> bool {
+    /// not overwrite is the last response's. `claim_tsc` is the caller's
+    /// clock reading from before this call, stored as the claim stamp: a
+    /// clock read between the claim and the RESPONSE store would lengthen
+    /// the round trip the client waits out.
+    pub fn serve(&self, claim_tsc: u64, f: impl FnOnce(Q, &mut R)) -> bool {
         // Claim the request with a CAS rather than a plain load: a
         // deadline-expired client may race us with a `REQUEST → EMPTY`
         // retraction, and exactly one side must own the payload. The CAS
@@ -234,7 +239,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         {
             return false;
         }
-        self.claim_tsc.store(cycles_now(), Ordering::Relaxed);
+        self.claim_tsc.store(claim_tsc, Ordering::Relaxed);
         // SAFETY: the CAS claimed the request (Acquire), so the client's
         // write of `req` happens-before this read, and a retracting client
         // observes SERVING and leaves the payload cells alone.
@@ -243,9 +248,6 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // published EMPTY, and cannot again until it observes the
         // RESPONSE store below.
         f(request, unsafe { &mut *self.resp.get() });
-        // The response was written where the client reads it, so served
-        // and published are one instant: there is no copy between them.
-        self.served_tsc.store(cycles_now(), Ordering::Relaxed);
         self.state.store(RESPONSE, Ordering::Release);
         true
     }
@@ -314,7 +316,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0;
             while served < 3 {
-                if server.serve(|q, r| *r = q * 2) {
+                if server.serve(0, |q, r| *r = q * 2) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -330,7 +332,7 @@ mod tests {
     #[test]
     fn serve_returns_false_when_idle() {
         let slot: RequestSlot<u8, u8> = RequestSlot::new();
-        assert!(!slot.serve(|q, r| *r = q));
+        assert!(!slot.serve(0, |q, r| *r = q));
         assert!(!slot.has_request());
     }
 
@@ -379,7 +381,7 @@ mod tests {
             let h = s.spawn(|| call(&slot, D));
             let mut served = false;
             while !served {
-                served = slot.serve(server);
+                served = slot.serve(0, server);
                 std::hint::spin_loop();
             }
             h.join().unwrap()
@@ -399,7 +401,7 @@ mod tests {
             (Arc::clone(&slot), Arc::clone(&stop), Arc::clone(&served));
         let h = std::thread::spawn(move || {
             while !srv_stop.load(Ordering::Acquire) {
-                if srv_slot.serve(|q, r| *r = q + 1) {
+                if srv_slot.serve(0, |q, r| *r = q + 1) {
                     srv_count.fetch_add(1, Ordering::Relaxed);
                 }
                 std::hint::spin_loop();
@@ -444,7 +446,7 @@ mod tests {
         // A server that claims the request and then dies without responding.
         let h = std::thread::spawn(move || loop {
             let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                srv.serve(|_q, _r| panic!("killed mid-serve"))
+                srv.serve(0, |_q, _r| panic!("killed mid-serve"))
             }));
             if dead.is_err() {
                 break;
@@ -461,53 +463,45 @@ mod tests {
     }
 
     #[test]
-    fn phase_stamps_are_ordered_and_publish_seq_advances() {
-        let slot: Arc<RequestSlot<u32, u32>> = Arc::new(RequestSlot::new());
-        let server = Arc::clone(&slot);
-        let h = std::thread::spawn(move || {
-            let mut served = 0;
-            while served < 2 {
-                if server.serve(|q, r| *r = q) {
-                    served += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        });
-        assert!(!slot.has_request() && slot.poll_response(std::mem::take).is_none());
-        let t0 = cycles_now();
-        call(&slot, 1);
-        let t5 = cycles_now();
+    fn serve_stores_the_callers_claim_stamp_and_publish_seq_advances() {
+        let slot: RequestSlot<u32, u32> = RequestSlot::new();
+        assert!(slot.begin(1).is_ok());
         let seq1 = slot.publish_seq();
-        let (req, claim, served) = slot.phase_stamps();
-        assert!(t0 <= req, "request stamp after call start");
-        assert!(req <= claim && claim <= served);
-        assert!(served <= t5, "served stamp before the client observed");
-        call(&slot, 2);
+        // 7 is no clock reading: what serve stores is what it was handed.
+        assert!(slot.serve(7, |q, r| *r = q));
+        assert_eq!(slot.claim_stamp(), 7);
+        assert_eq!(slot.served_stamp(), 0, "serve stamps nothing else");
+        slot.stamp_served(9);
+        assert_eq!(slot.poll_response(std::mem::take), Some(1));
+        assert_eq!(slot.served_stamp(), 9);
+        assert!(slot.begin(2).is_ok());
         assert_eq!(slot.publish_seq(), seq1 + 1, "seq bumps per publish");
-        h.join().unwrap();
+        assert!(slot.retract());
+        assert_eq!(slot.claim_stamp(), 7, "an unclaimed request is unstamped");
     }
 
     #[test]
     fn a_trip_reads_one_line() {
         // What the client spins on, what the service claims with its CAS,
-        // the request it then reads, every stamp the client reads once it
-        // sees RESPONSE, and the first three words of the response (a
-        // two-address refill's length and addresses): one 64-byte line,
-        // the slot's first. The 8-byte request stands for `ngm-core`'s
-        // `AllocBatchReq`, which a test there holds to 8 bytes.
+        // the claim stamp the client reads once it sees RESPONSE, the
+        // request the service reads after its claim, and the first four
+        // words of the response (a three-block refill's length and
+        // addresses): one 64-byte line, the slot's first. The served
+        // stamp lies behind the response. The 8-byte request stands for
+        // `ngm-core`'s `AllocBatchReq`, which a test there holds to 8
+        // bytes.
         type Slot = RequestSlot<u64, [u64; 128]>;
         assert_eq!(std::mem::align_of::<Slot>(), 128);
         for (field, end) in [
             ("state", std::mem::offset_of!(Slot, state) + 4),
             ("publish_seq", std::mem::offset_of!(Slot, publish_seq) + 8),
             ("claim_tsc", std::mem::offset_of!(Slot, claim_tsc) + 8),
-            ("served_tsc", std::mem::offset_of!(Slot, served_tsc) + 8),
             ("req", std::mem::offset_of!(Slot, req) + 8),
-            ("resp[..3]", std::mem::offset_of!(Slot, resp) + 3 * 8),
+            ("resp[..4]", std::mem::offset_of!(Slot, resp) + 4 * 8),
         ] {
             assert!(end <= 64, "{field} ends at byte {end}");
         }
+        assert!(std::mem::offset_of!(Slot, served_tsc) >= 64);
     }
 
     #[test]
@@ -517,7 +511,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0u32;
             while served < 1000 {
-                if server.serve(|q, r| *r = q + 1) {
+                if server.serve(0, |q, r| *r = q + 1) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -553,7 +547,7 @@ mod tests {
         let mut cells = Vec::new();
         for (n, mark) in [(128, 0xAA), (3, 0xBB)] {
             assert!(slot.begin(n).is_ok());
-            assert!(slot.serve(|n, wide| {
+            assert!(slot.serve(0, |n, wide| {
                 cells.push(std::ptr::from_mut(wide) as usize);
                 wide.len = n;
                 wide.words[..n].fill(mark);
@@ -588,7 +582,7 @@ mod tests {
         let slot: RequestSlot<(), D> = RequestSlot::new();
         assert!(slot.begin(()).is_ok());
         // Writing a response over the slot's previous one drops that one.
-        assert!(slot.serve(|(), r| *r = D));
+        assert!(slot.serve(0, |(), r| *r = D));
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
         drop(slot);
         assert_eq!(DROPS.load(Ordering::SeqCst), 2, "the response nobody read");
@@ -601,7 +595,7 @@ mod tests {
         // Busy slot hands the payload back instead of publishing.
         assert_eq!(slot.begin(6), Err(6));
         assert_eq!(slot.poll_response(std::mem::take), None, "not served yet");
-        assert!(slot.serve(|q, r| *r = q * 3));
+        assert!(slot.serve(0, |q, r| *r = q * 3));
         assert_eq!(slot.poll_response(std::mem::take), Some(15));
         assert_eq!(
             slot.poll_response(std::mem::take),
@@ -616,7 +610,7 @@ mod tests {
     fn retract_loses_once_served_and_response_collectable() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert!(slot.begin(4).is_ok());
-        assert!(slot.serve(|q, r| *r = q * 10));
+        assert!(slot.serve(0, |q, r| *r = q * 10));
         assert!(!slot.retract(), "served request cannot be retracted");
         assert_eq!(slot.poll_response(std::mem::take), Some(40));
     }

@@ -3,10 +3,12 @@
 //!
 //! One [`RuntimeTelemetry`] is shared (via `Arc`) between the service
 //! loop and every [`crate::ClientHandle`]. A histogram record is two
-//! locked adds (bucket and sum); a round trip records its latency and
-//! four phases, ten in all, and a post its enqueue latency, keeping
-//! measurement far below the round trip being measured (§4.1's
-//! `T_comm`).
+//! locked adds (bucket and sum). The client records a round trip's
+//! latency and two phases, six in all, and a post its enqueue latency;
+//! the service records the serve phase on a histogram that only it
+//! writes. Every clock read lies outside the window from the service's
+//! claim to its response, so measurement adds nothing to the round trip
+//! being measured (§4.1's `T_comm`).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,6 +28,11 @@ pub const PHASES: usize = 5;
 /// `ngm_phase_{name}_cycles` series.
 pub const PHASE_NAMES: [&str; PHASES] = ["queue", "claim", "serve", "publish", "observe"];
 
+/// [`PHASE_NAMES`] indices of the phases anything records.
+const CLAIM: usize = 1;
+const SERVE: usize = 2;
+const OBSERVE: usize = 4;
+
 /// Telemetry shared by one offload runtime and all its clients.
 pub struct RuntimeTelemetry {
     /// Round-trip latency of synchronous calls (allocations in the malloc
@@ -40,20 +47,28 @@ pub struct RuntimeTelemetry {
     /// per-call round trip without mixing the two populations.
     pub refill_cycles: LatencyHistogram,
     /// Per-phase breakdowns of every synchronous round trip — single
-    /// calls and batched refills alike — in lifecycle order: queue
-    /// (enqueue → ring-resident), claim (ring-resident → claimed), serve
-    /// (claimed → served), publish, observe (served → client observed;
-    /// for a request collected after the client went back to work, that
-    /// includes the time the response waited for it). The recorded four
-    /// are derived from the same two endpoint timestamps as the
-    /// request's `call_cycles` or `refill_cycles` record, so per-request
-    /// they sum to exactly the recorded round trip, and in total to the
-    /// two histograms' sums.
+    /// calls and batched refills alike — indexed as [`PHASE_NAMES`].
     ///
-    /// The publish entry (index 3) is always empty: a response is
-    /// published where it is written, so nothing records a phase between
-    /// served and published. It survives only until ROADMAP item 1(b)
-    /// deletes it, because `benchmark/` still reads five entries.
+    /// The client records two, from the same two endpoint readings as
+    /// the request's `call_cycles` or `refill_cycles` record: claim
+    /// (published → claimed) and observe (claimed → client observed: the
+    /// serve, the response's way back, and for a request collected after
+    /// the client went back to work, the time the response waited for
+    /// it). Per request they sum to exactly the recorded round trip, and
+    /// in total to the two histograms' sums.
+    ///
+    /// The service records serve (claimed → response published, read
+    /// after the RESPONSE store), and it is that entry's only writer. It
+    /// lies inside the client's observe phase rather than beside it. It
+    /// is recorded after the response is published, so a live read may
+    /// trail the served calls by the one serve in progress; once the
+    /// runtime has shut down it counts exactly the calls served.
+    ///
+    /// The queue and publish entries (indices 0 and 3) are always empty:
+    /// the client's one stamp follows its REQUEST store, and a response is
+    /// published where it is written. They survive only until ROADMAP
+    /// item 1(b) deletes them, because `benchmark/` still reads five
+    /// entries.
     pub phase_cycles: [LatencyHistogram; PHASES],
     /// Always empty: nothing records into it. Survives only until
     /// ROADMAP item 1(b) deletes it, because `benchmark/` still reads it.
@@ -161,24 +176,22 @@ impl RuntimeTelemetry {
         events
     }
 
-    /// Records one round trip's phase breakdown: queue, claim, serve and
-    /// observe. `stamps` are the slot's `(request, claim, served)`
-    /// timestamps; `t0`/`t5` are the *same* endpoint readings used for
-    /// its latency record, so the four phases sum to exactly the
-    /// recorded round trip. All differences saturate: a stale stamp
-    /// (e.g. from a request that was never claimed) records as zero
-    /// rather than a garbage bucket.
-    pub fn record_phases(&self, t0: u64, stamps: (u64, u64, u64), t5: u64) {
-        let (t1, t2, t3) = stamps;
-        // Clamp each boundary into [t0, t5] so skewed or stale stamps
-        // cannot make the phase sum exceed the round trip.
-        let t1 = t1.clamp(t0, t5);
-        let t2 = t2.clamp(t1, t5);
-        let t3 = t3.clamp(t2, t5);
-        self.phase_cycles[0].record(t1 - t0);
-        self.phase_cycles[1].record(t2 - t1);
-        self.phase_cycles[2].record(t3 - t2);
-        self.phase_cycles[4].record(t5 - t3);
+    /// The client's share of one round trip's phase breakdown: claim and
+    /// observe, split at the slot's `claim` stamp. `t0`/`t5` are the
+    /// *same* endpoint readings used for its latency record, so the two
+    /// phases sum to exactly the recorded round trip. The claim stamp is
+    /// clamped into `[t0, t5]`: the service reads the clock before its
+    /// claim CAS, which may be before the client's REQUEST store.
+    pub fn record_phases(&self, t0: u64, claim: u64, t5: u64) {
+        let t2 = claim.clamp(t0, t5);
+        self.phase_cycles[CLAIM].record(t2 - t0);
+        self.phase_cycles[OBSERVE].record(t5 - t2);
+    }
+
+    /// The service's share: one serve, from its clock reading before the
+    /// claim CAS to its reading after the RESPONSE store.
+    pub fn record_serve(&self, claim: u64, served: u64) {
+        self.phase_cycles[SERVE].record(served.saturating_sub(claim));
     }
 
     /// Assembles the exportable metrics snapshot: the runtime's counters
@@ -291,24 +304,25 @@ mod tests {
     }
 
     #[test]
-    fn phase_records_sum_to_the_round_trip_and_export() {
+    fn client_phases_sum_to_the_round_trip_and_serve_is_booked_apart() {
         let t = RuntimeTelemetry::new(0);
-        // A normal call: t0=100, stamps 110/150/900, t5=1000.
-        t.record_phases(100, (110, 150, 900), 1000);
-        let sum: u64 = t.phase_cycles.iter().map(|h| h.snapshot().sum()).sum();
-        assert_eq!(sum, 900, "phases partition t5 - t0 exactly");
-        // Stale stamps (never-claimed request reusing old values) clamp
-        // to zero-width phases instead of recording garbage.
-        t.record_phases(2000, (1, 2, 3), 2100);
-        let sum: u64 = t.phase_cycles.iter().map(|h| h.snapshot().sum()).sum();
-        assert_eq!(sum, 900 + 100);
+        let sum = |i: usize| t.phase_cycles[i].snapshot().sum();
+        // A normal call: t0=100, claimed at 150, t5=1000.
+        t.record_phases(100, 150, 1000);
+        assert_eq!(sum(CLAIM) + sum(OBSERVE), 900, "t5 - t0 exactly");
+        // The service read the clock before the client's REQUEST store:
+        // the claim clamps to t0 and the observe phase takes it all.
+        t.record_phases(2000, 1990, 2100);
+        assert_eq!(sum(CLAIM) + sum(OBSERVE), 900 + 100);
+        assert_eq!(sum(CLAIM), 50);
+        t.record_serve(150, 900);
+        assert_eq!(sum(SERVE), 750);
         let stats = crate::stats::RuntimeStats::new().snapshot();
         let m = t.metrics(&stats);
-        for name in PHASE_NAMES {
+        for (name, recorded) in PHASE_NAMES.into_iter().zip([0, 2, 1, 0, 2]) {
             let h = m
                 .get_histogram(&format!("ngm_phase_{name}_cycles"))
                 .unwrap_or_else(|| panic!("missing phase series {name}"));
-            let recorded = if name == "publish" { 0 } else { 2 };
             assert_eq!(h.count(), recorded, "{name}");
         }
     }
@@ -317,11 +331,11 @@ mod tests {
     fn phase_histograms_merge_across_peers() {
         let a = RuntimeTelemetry::new(0);
         let b = RuntimeTelemetry::new(0);
-        a.record_phases(0, (10, 20, 30), 50);
-        b.record_phases(0, (10, 20, 30), 50);
+        a.record_phases(0, 20, 50);
+        b.record_phases(0, 20, 50);
         let stats = crate::stats::RuntimeStats::new().snapshot();
         let m = a.metrics_merged(&stats, &[&b]);
-        let h = m.get_histogram("ngm_phase_queue_cycles").expect("series");
+        let h = m.get_histogram("ngm_phase_claim_cycles").expect("series");
         assert_eq!(h.count(), 2, "both peers' records in one series");
     }
 

@@ -114,7 +114,9 @@ impl Ladder {
 ///
 /// The deadline check is kept off the hot path: `Instant::now()` is only
 /// consulted once the wait has escalated past the spin phase, or every
-/// 64th probe while still spinning.
+/// 64th probe while still spinning, and once per such probe. The first
+/// reading starts the budget's clock, so a wait that ends while it spins
+/// never reads the clock at all.
 #[derive(Debug)]
 pub(crate) struct WaitState {
     ladder: Ladder,
@@ -145,7 +147,8 @@ impl WaitState {
         self.ladder.phase(self.iters)
     }
 
-    /// How long this wait has been going (zero before the first pause).
+    /// How long this wait has been going since its clock started: zero
+    /// through the spin phase, or until the 64th probe if that is longer.
     pub(crate) fn waited(&self) -> Duration {
         self.started.map_or(Duration::ZERO, |t| t.elapsed())
     }
@@ -157,11 +160,14 @@ impl WaitState {
     #[inline]
     pub(crate) fn pause(&mut self) -> bool {
         if let Some(budget) = self.budget {
-            let started = *self.started.get_or_insert_with(Instant::now);
-            let check =
-                self.iters & 63 == 0 || !matches!(self.ladder.phase(self.iters), WaitPhase::Spin);
-            if check && started.elapsed() >= budget {
-                return false;
+            let check = (self.iters != 0 && self.iters & 63 == 0)
+                || !matches!(self.ladder.phase(self.iters), WaitPhase::Spin);
+            if check {
+                match self.started {
+                    None => self.started = Some(Instant::now()),
+                    Some(started) if started.elapsed() >= budget => return false,
+                    Some(_) => {}
+                }
             }
         }
         self.ladder.pause(&mut self.iters);
@@ -287,6 +293,21 @@ mod tests {
         assert!(w.phase() >= WaitPhase::Yield, "{w:?}");
         assert!(!w.pause(), "a spent budget keeps refusing");
         assert!(w.waited() >= Duration::from_millis(2));
+    }
+
+    #[test]
+    fn the_spin_phase_reads_no_clock_and_a_budget_still_refuses() {
+        for ladder in [ONE_CORE, TWO_CORES] {
+            let mut w = WaitState::with_budget(ladder, Some(Duration::from_millis(2)));
+            while w.phase() == WaitPhase::Spin {
+                assert!(w.pause());
+                assert_eq!(w.waited(), Duration::ZERO, "{w:?}");
+            }
+            let started = Instant::now();
+            assert!(!w.wait_until(|| false), "the budget must expire");
+            assert!(started.elapsed() >= Duration::from_millis(2));
+            assert!(w.waited() >= Duration::from_millis(2));
+        }
     }
 
     #[test]

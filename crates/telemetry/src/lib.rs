@@ -19,7 +19,7 @@
 //!   (plain and labeled), and histogram snapshots renderable as
 //!   Prometheus text exposition or a JSON document.
 //! * [`span`] — request-lifecycle spans of synchronous calls (enqueue,
-//!   ring-resident, claimed, served, observed): phase codes, alias-free
+//!   claimed, served, observed): phase codes, alias-free
 //!   span ids minted from the slot publish sequence, and reconstruction
 //!   of spans from drained trace rings.
 //! * [`server::HttpServer`] — a minimal HTTP/1.0 server for live

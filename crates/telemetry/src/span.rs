@@ -8,10 +8,10 @@
 //! instant it was published:
 //!
 //! ```text
-//!  enqueue ──► ring_resident ──► claimed ──► served ──► observed
-//!     │              │
-//!     │              └──► retracted   (deadline won the REQUEST→EMPTY race)
-//!     └────────────────► abandoned   (server claimed, then died mid-serve)
+//!  enqueue ──► claimed ──► served ──► observed
+//!     │           │
+//!     │           └──► abandoned   (server claimed, then died mid-serve)
+//!     └──────────────► retracted   (deadline won the REQUEST→EMPTY race)
 //! ```
 //!
 //! Span ids are minted from `(runtime thread id, slot publish sequence)`,
@@ -32,28 +32,27 @@ use crate::trace::{TraceEvent, TraceEventKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanPhase {
-    /// Client decided to issue the request (before the REQUEST store).
+    /// Client published the request (stamped just after the REQUEST
+    /// store).
     Enqueue = 0,
-    /// Request published into the slot (after the REQUEST store).
-    RingResident = 1,
-    /// Server claimed the request (REQUEST → SERVING).
-    Claimed = 2,
+    /// Server claimed the request (REQUEST → SERVING; stamped just before
+    /// the claim).
+    Claimed = 1,
     /// Server wrote the response where the client reads it and
-    /// published it (RESPONSE store).
-    Served = 3,
+    /// published it (RESPONSE store; stamped just after it).
+    Served = 2,
     /// Client observed and consumed the response. Terminal.
-    Observed = 4,
+    Observed = 3,
     /// Client retracted an unclaimed request at its deadline. Terminal.
-    Retracted = 5,
+    Retracted = 4,
     /// Client gave up on a claimed request (server died). Terminal.
-    Abandoned = 6,
+    Abandoned = 5,
 }
 
 impl SpanPhase {
     /// All phases, in lifecycle order.
-    pub const ALL: [SpanPhase; 7] = [
+    pub const ALL: [SpanPhase; 6] = [
         SpanPhase::Enqueue,
-        SpanPhase::RingResident,
         SpanPhase::Claimed,
         SpanPhase::Served,
         SpanPhase::Observed,
@@ -72,12 +71,11 @@ impl SpanPhase {
     pub const fn from_code(code: u64) -> Option<SpanPhase> {
         match code {
             0 => Some(SpanPhase::Enqueue),
-            1 => Some(SpanPhase::RingResident),
-            2 => Some(SpanPhase::Claimed),
-            3 => Some(SpanPhase::Served),
-            4 => Some(SpanPhase::Observed),
-            5 => Some(SpanPhase::Retracted),
-            6 => Some(SpanPhase::Abandoned),
+            1 => Some(SpanPhase::Claimed),
+            2 => Some(SpanPhase::Served),
+            3 => Some(SpanPhase::Observed),
+            4 => Some(SpanPhase::Retracted),
+            5 => Some(SpanPhase::Abandoned),
             _ => None,
         }
     }
@@ -87,7 +85,6 @@ impl SpanPhase {
     pub const fn label(self) -> &'static str {
         match self {
             SpanPhase::Enqueue => "enqueue",
-            SpanPhase::RingResident => "ring_resident",
             SpanPhase::Claimed => "claimed",
             SpanPhase::Served => "served",
             SpanPhase::Observed => "observed",
@@ -235,9 +232,7 @@ mod tests {
         // Interleave two spans' events out of phase order.
         push_span(&ring, 10, a, SpanPhase::Enqueue);
         push_span(&ring, 30, b, SpanPhase::Enqueue);
-        push_span(&ring, 12, a, SpanPhase::RingResident);
         push_span(&ring, 20, a, SpanPhase::Claimed);
-        push_span(&ring, 32, b, SpanPhase::RingResident);
         push_span(&ring, 25, a, SpanPhase::Served);
         push_span(&ring, 28, a, SpanPhase::Observed);
         push_span(&ring, 40, b, SpanPhase::Retracted);
