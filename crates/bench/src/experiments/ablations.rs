@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use ngm_core::{Ngm, NgmConfig};
+use ngm_core::{Ngm, NgmConfig, NgmShutdown};
 use ngm_sim::{CoreConfig, Machine, MachineConfig};
 use ngm_simalloc::ngm::Protocol;
 use ngm_simalloc::{run, ModelKind, NgmModel};
@@ -47,12 +47,13 @@ fn ping_pong(ngm: &Ngm, ops: u32) {
     live::drive(ngm, load, None, live::must_alloc, live::JOIN_POLL, || ());
 }
 
-/// Shuts `ngm` down through [`live::finish`] and panics unless its books
-/// balance with no block left live.
-fn check_books(label: &str, ngm: Arc<Ngm>) {
+/// Shuts `ngm` down through [`live::finish`], panics unless its books
+/// balance with no block left live, and returns them.
+fn check_books(label: &str, ngm: Arc<Ngm>) -> NgmShutdown {
     let down = live::finish(ngm);
     assert!(down.clean() && down.balanced(), "{label}: {down:?}");
     assert_eq!(down.heap.live_blocks, 0, "{label}: {down:?}");
+    down
 }
 
 /// Result of one core-type run.
@@ -145,16 +146,18 @@ pub fn atomic_latency_with(params: &XalancParams) -> Vec<AtomicRow> {
 pub struct MeasuredCommRow {
     /// Operation label.
     pub op: &'static str,
-    /// Round-trip (or post) latency distribution, in
-    /// [`ngm_telemetry::clock`] units.
+    /// Operations of this kind the tier served, from its counters.
+    pub ops: u64,
+    /// Round-trip (or post) latency distribution of the timed ones (one
+    /// in 64: the tier is untraced), in [`ngm_telemetry::clock`] units.
     pub snapshot: HistogramSnapshot,
 }
 
 /// Ablation D, measured half: runs a real alloc/free loop on the live
 /// runtime under the paper's per-call handshake (`with_batch(1, 1)`) and
 /// reports the *observed* T_comm distribution from the always-on latency
-/// histograms — the quantity §4.1 models with
-/// `ATOMICS_PER_CALL x ATOMIC_CYCLES`.
+/// histograms, which sample one operation in 64 — the quantity §4.1
+/// models with `ATOMICS_PER_CALL x ATOMIC_CYCLES`.
 pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
     let ngm = Arc::new(
         NgmConfig::new()
@@ -165,14 +168,16 @@ pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
     ping_pong(&ngm, ops.max(1));
     let calls = ngm.telemetry().call_cycles.snapshot();
     let posts = ngm.telemetry().post_cycles.snapshot();
-    check_books("measured comm", ngm);
+    let down = check_books("measured comm", ngm);
     vec![
         MeasuredCommRow {
             op: "malloc call (sync round trip)",
+            ops: down.runtime.calls_served,
             snapshot: calls,
         },
         MeasuredCommRow {
             op: "free post (async enqueue)",
+            ops: down.runtime.posts_served,
             snapshot: posts,
         },
     ]
@@ -245,22 +250,29 @@ pub struct MeasuredBatchRow {
     /// of one block per alloc).
     pub batch: usize,
     /// Mean round-trip cycles of one service call at this configuration —
-    /// the single-block call at batch 1, the magazine refill otherwise.
+    /// the single-block call at batch 1, the magazine refill otherwise —
+    /// over the timed trips.
     pub roundtrip_mean: f64,
+    /// Round trips timed: one in 64 (the tier is untraced).
+    pub timed: u64,
     /// Service round-trip cycles charged per allocation once the refill
-    /// is amortized over the batch it fetched.
+    /// is amortized over the batch it fetched: the mean times the round
+    /// trips per allocation.
     pub amortized_per_alloc: f64,
-    /// Service round trips per application allocation: exactly 1 at
-    /// batch 1, `ceil(ops / batch) / ops` otherwise — the cause of the
+    /// Service round trips per application allocation, from the tier's
+    /// counter of calls served: exactly 1 at batch 1,
+    /// `ceil(ops / batch) / ops` otherwise — the cause of the
     /// amortization, free of wall-clock noise.
     pub roundtrips_per_alloc: f64,
 }
 
 /// Ablation F, the tentpole measurement: the *real* batched front-end
 /// (per-handle magazines + batched free flush) vs the per-call handshake
-/// (`with_batch(1, 1)`, same code path), on the live runtime. The amortized column is total round-trip
-/// cycles divided by allocations served — the measured counterpart of the
-/// §4.1 `T_comm` amortization that [`handshake_batching`] predicts in sim.
+/// (`with_batch(1, 1)`, same code path), on the live runtime. The
+/// amortized column is the mean timed round trip times the round trips
+/// counted, divided by allocations served — the measured counterpart of
+/// the §4.1 `T_comm` amortization that [`handshake_batching`] predicts in
+/// sim.
 pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
     [1, 8, 32, ngm_core::MAX_BATCH]
         .into_iter()
@@ -279,12 +291,14 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
             } else {
                 ngm.telemetry().refill_cycles.snapshot()
             };
-            check_books(&format!("batch {batch}"), ngm);
+            let down = check_books(&format!("batch {batch}"), ngm);
+            let roundtrips_per_alloc = down.runtime.calls_served as f64 / f64::from(ops.max(1));
             MeasuredBatchRow {
                 batch,
                 roundtrip_mean: snap.mean(),
-                amortized_per_alloc: snap.sum() as f64 / f64::from(ops.max(1)),
-                roundtrips_per_alloc: snap.count() as f64 / f64::from(ops.max(1)),
+                timed: snap.count(),
+                amortized_per_alloc: snap.mean() * roundtrips_per_alloc,
+                roundtrips_per_alloc,
             }
         })
         .collect()
@@ -299,6 +313,7 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
     let mut t = Table::new(&[
         "batch",
         "round-trip mean (cyc)",
+        "timed",
         "amortized cyc/alloc",
         "vs per-call",
     ]);
@@ -310,6 +325,7 @@ pub fn render_batched(scale: Scale, real_ops: u32) -> String {
                 r.batch.to_string()
             },
             format!("{:.0}", r.roundtrip_mean),
+            r.timed.to_string(),
             format!("{:.0}", r.amortized_per_alloc),
             if r.batch == 1 {
                 "1.00x (baseline)".into()
@@ -370,8 +386,10 @@ pub fn render_all(scale: Scale, real_ops: u32) -> String {
     ));
 
     let measured = measured_comm(real_ops);
-    let rows: Vec<(&str, &HistogramSnapshot)> =
-        measured.iter().map(|r| (r.op, &r.snapshot)).collect();
+    let rows: Vec<(&str, u64, &HistogramSnapshot)> = measured
+        .iter()
+        .map(|r| (r.op, r.ops, &r.snapshot))
+        .collect();
     out.push_str(&format!(
         "Ablation D (measured): T_comm on this machine under with_batch(1, 1), {} per op\n{}\
          §4.1 model: handshake = {} atomics -> ~{} cycles uncontended \
@@ -488,7 +506,9 @@ mod tests {
         let rows = measured_comm(300);
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert_eq!(r.snapshot.count(), 300, "{} lost samples", r.op);
+            assert_eq!(r.ops, 300, "{} lost operations", r.op);
+            // Trips and posts 34, 89, 178, 233 and 267 are timed.
+            assert_eq!(r.snapshot.count(), 5, "{}: the sampled ones", r.op);
             assert!(r.snapshot.p50() <= r.snapshot.p99());
             assert!(r.snapshot.p99() <= r.snapshot.max());
         }

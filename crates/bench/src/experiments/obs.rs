@@ -6,7 +6,7 @@
 //! recording reads back every frame the recorder appended, and (c) the
 //! whole apparatus — frame assembly, recorder append, endpoint render —
 //! costs less than 1% of the cycles the tier spends serving synchronous
-//! calls (`ngm_call_cycles`).
+//! calls (the mean of `ngm_call_cycles` times `ngm_calls_total`).
 //!
 //! The experiment drives a client ramp (1 → 4 → 16 → 4 → 1 churning
 //! threads) through a fixed four-shard tier with the observer's
@@ -14,7 +14,7 @@
 //! During each stage the driver curls `/metrics` like an external
 //! scraper and validates every response. The observability tax is read
 //! from the tier's own `ngm_obs_scrape_cycles_total` meter against the
-//! merged `ngm_call_cycles` sum.
+//! merged calls counted times their mean timed round trip.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,11 +88,10 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
     let record_path = std::env::temp_dir().join(format!("ngm-obs-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&record_path);
 
-    // The per-call handshake on purpose: every allocation is one stamped
-    // synchronous round trip, so the `ngm_call_cycles` histogram — the
-    // overhead denominator — reflects the whole serving workload. (Tiers
-    // that amortize land in `ngm_refill_cycles` and leave the call series
-    // empty.)
+    // The per-call handshake on purpose: every allocation is one
+    // synchronous round trip, so the calls — the overhead denominator —
+    // are the whole serving workload. (Tiers that amortize land in
+    // `ngm_refill_cycles` and leave the call series empty.)
     let ngm = Arc::new(
         NgmConfig::new()
             .with_batch(1, 1)
@@ -147,9 +146,12 @@ pub fn run(scale: Scale, profile: bool) -> ObsReport {
 
     let m = ngm.metrics();
     let obs_cycles = m.get_counter("ngm_obs_scrape_cycles_total").unwrap_or(0);
+    // A count of calls comes from the counter; the histogram holds the
+    // timed ones, which on this traced tier are all of them.
+    let calls = m.get_counter("ngm_calls_total").unwrap_or(0);
     let call_cycles = m
         .get_histogram("ngm_call_cycles")
-        .map_or(0, ngm_telemetry::hist::HistogramSnapshot::sum);
+        .map_or(0, |h| (h.mean() * calls as f64) as u64);
     let overhead_pct = obs_cycles as f64 / call_cycles.max(1) as f64 * 100.0;
 
     let _ = std::fs::remove_file(&record_path);

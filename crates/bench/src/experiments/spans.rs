@@ -1,18 +1,20 @@
 //! Span phase breakdown: where a request's round trip actually goes.
 //!
-//! Every single-block `alloc` round trip is stamped at four lifecycle
+//! A timed single-block `alloc` round trip is stamped at four lifecycle
 //! boundaries (enqueue → claimed → served → observed). The client books
 //! claim (enqueue → claimed) and observe (claimed → observed) in the
 //! per-shard `ngm_phase_*_cycles` histograms, and the service books
 //! serve (claimed → served), which lies inside observe; the `queue` and
-//! `publish` rows read zero. This experiment drives the live tier under
-//! the paper's per-call handshake (`with_batch(1, 1)`) per shard count
-//! and renders the phase table: sum, share of the round trip, and
-//! windowed percentiles per phase, in cycles and nanoseconds.
+//! `publish` rows read zero. The tier is untraced, so one trip in 64 is
+//! timed: the calls are counted by the tier's counter, and the sums and
+//! percentiles are those of the timed trips. This experiment drives the
+//! live tier under the paper's per-call handshake (`with_batch(1, 1)`)
+//! per shard count and renders the phase table: sum, share of the round
+//! trip, and windowed percentiles per phase, in cycles and nanoseconds.
 //!
 //! The load-bearing invariant — checked here and asserted by the smoke
-//! test — is **coverage**: the client's phase sums partition the round
-//! trip, so their total must equal the `ngm_call_cycles` sum (the claim
+//! test — is **coverage**: the client's phase sums partition the timed
+//! round trips, so their total must equal the `ngm_call_cycles` sum (the claim
 //! stamp is clamped into each call's `[t0, t5]`, so the identity is
 //! exact by construction; the acceptance bar is ±10%). With `--hw` the same run
 //! runs under the harness's PMU sessions, so the phase table and the service-vs-client
@@ -36,9 +38,11 @@ pub const CLIENTS: usize = 2;
 pub struct SpanRow {
     /// Service shards in the tier.
     pub shards: usize,
-    /// Single-block calls measured.
+    /// Single-block calls served, from the tier's counter.
     pub calls: u64,
-    /// Sum of `ngm_call_cycles` — the whole round trips.
+    /// Calls timed: the count of `ngm_call_cycles`.
+    pub timed: u64,
+    /// Sum of `ngm_call_cycles` — the whole timed round trips.
     pub call_sum: u64,
     /// Windowed snapshot per phase, [`PHASE_NAMES`] order.
     pub phases: Vec<HistogramSnapshot>,
@@ -78,9 +82,9 @@ pub struct SpansReport {
 }
 
 /// Drives an alloc/free ping-pong under `with_batch(1, 1)` (so every
-/// alloc is one stamped round trip) and reads the merged phase
-/// histograms back through the metrics exporter — the same series
-/// Prometheus would scrape.
+/// alloc is one round trip, one in 64 of them timed) and reads the
+/// merged phase histograms back through the metrics exporter — the same
+/// series Prometheus would scrape.
 fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
     let ngm = ngm_core::NgmConfig::new()
         .with_shards(shards)
@@ -120,7 +124,8 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
     assert!(down.clean() && down.balanced(), "spans run stayed exact");
     SpanRow {
         shards,
-        calls: calls.count(),
+        calls: down.runtime.calls_served,
+        timed: calls.count(),
         call_sum: calls.sum(),
         phases,
         pmu,
@@ -150,8 +155,8 @@ impl SpansReport {
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "### {} shard(s): {} calls, round-trip sum {} cycles",
-                row.shards, row.calls, row.call_sum
+                "### {} shard(s): {} calls, {} timed, timed round-trip sum {} cycles",
+                row.shards, row.calls, row.timed, row.call_sum
             );
             // Shares are of the round trip: serve's lies inside observe's.
             let mut t = Table::new(&["phase", "sum cycles", "share", "p50", "p99", "p50 ns"]);
@@ -193,6 +198,8 @@ mod tests {
         let row = run_row(2, Scale(1), false);
         assert!(row.pmu.is_none(), "not profiled, no report");
         assert_eq!(row.calls, (CLIENTS * 10_000) as u64);
+        // One in 64 per slot, and each client has a slot on each shard.
+        assert!(row.timed > 0 && row.timed < row.calls / 32, "{}", row.timed);
         let cov = row.coverage();
         assert!(
             (cov - 1.0).abs() < 0.10,
@@ -228,6 +235,7 @@ mod tests {
             rows: vec![SpanRow {
                 shards: 1,
                 calls: 4,
+                timed: 4,
                 call_sum: 400,
                 phases: (0..PHASES)
                     .map(|_| {

@@ -67,17 +67,20 @@ impl Table {
     }
 }
 
-/// Renders named latency-histogram snapshots as a count/percentile table.
-/// Histograms record TSC cycles ([`ngm_telemetry::clock::cycles_now`]);
-/// each percentile is shown in cycles and, via the calibrated
-/// cycles-per-ns ratio, in wall-clock nanoseconds.
-pub fn latency_table(rows: &[(&str, &HistogramSnapshot)]) -> String {
+/// Renders named latency-histogram snapshots as a count/percentile table:
+/// each row's operations (counted) and how many of them were timed (the
+/// histogram's count; an untraced runtime times one in 64). Histograms
+/// record TSC cycles ([`ngm_telemetry::clock::cycles_now`]); each
+/// percentile is shown in cycles and, via the calibrated cycles-per-ns
+/// ratio, in wall-clock nanoseconds.
+pub fn latency_table(rows: &[(&str, u64, &HistogramSnapshot)]) -> String {
     let mut t = Table::new(&[
-        "op kind", "count", "p50", "p90", "p99", "max", "p50 ns", "p99 ns",
+        "op kind", "ops", "timed", "p50", "p90", "p99", "max", "p50 ns", "p99 ns",
     ]);
-    for (name, h) in rows {
+    for (name, ops, h) in rows {
         t.row(vec![
             (*name).to_string(),
+            ops.to_string(),
             h.count().to_string(),
             h.p50().to_string(),
             h.p90().to_string(),
@@ -159,10 +162,11 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        let s = latency_table(&[("malloc call", &snap)]);
+        let s = latency_table(&[("malloc call", 256, &snap)]);
         assert!(s.contains("malloc call"));
         assert!(s.contains("p99"));
         assert!(s.contains("p50 ns"), "both units are shown: {s}");
+        assert!(s.contains(" 256 ") && s.contains("timed"), "{s}");
         assert!(s.lines().count() == 3, "header, rule, one row: {s}");
     }
 }

@@ -193,8 +193,9 @@ fn orphan_path_reclaims() {
 
 #[test]
 fn latency_histograms_capture_alloc_and_free() {
-    // The per-call protocol: every alloc a call, every free a post.
-    let ngm = batched(1, 1).build().unwrap();
+    // The per-call protocol: every alloc a call, every free a post, and
+    // traced, so every one is timed.
+    let ngm = batched(1, 1).with_trace_capacity(256).build().unwrap();
     let mut h = ngm.handle();
     for _ in 0..32 {
         let p = h.alloc(layout(64)).unwrap();
@@ -389,7 +390,8 @@ fn two_shards_keep_one_ledger_and_count_each_trip_once() {
 }
 
 /// 10,000 same-class alloc/free pairs; returns the tier's books and its
-/// call- and refill-histogram counts.
+/// call- and refill-histogram counts (the timed trips: all of them on a
+/// traced tier).
 fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64, u64) {
     const PAIRS: usize = 10_000;
     let ngm = cfg.build().unwrap();
@@ -469,7 +471,7 @@ fn a_refill_in_flight_goes_home_at_drop() {
 
 #[test]
 fn batch_one_is_the_paper_handshake_through_the_magazine_path() {
-    let (down, calls, refills) = same_class_pairs(batched(1, 1));
+    let (down, calls, refills) = same_class_pairs(batched(1, 1).with_trace_capacity(256));
     assert_eq!(down.runtime.calls_served, 10_000);
     assert_eq!(down.service.batch_refills, 10_000);
     assert_eq!(calls, 10_000, "single-block refills are calls");
@@ -479,7 +481,8 @@ fn batch_one_is_the_paper_handshake_through_the_magazine_path() {
 
 /// One block of every class through `cfg`; `stashed(size, left)`
 /// sees what the first alloc's refill left in the magazine. Returns the
-/// tier's books and its refill-histogram count.
+/// tier's books and its refill-histogram count (the timed refills: all
+/// of them on a traced tier).
 fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> (NgmShutdown, u64) {
     let ngm = cfg.build().unwrap();
     let mut h = ngm.handle();
@@ -505,7 +508,8 @@ fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> (
 
 #[test]
 fn a_refill_is_at_most_one_page_of_bytes() {
-    let (_, refills) = one_block_of_every_class(NgmConfig::new(), |size, left| {
+    let traced = NgmConfig::new().with_trace_capacity(256);
+    let (_, refills) = one_block_of_every_class(traced, |size, left| {
         // The first alloc refilled and popped one.
         let refill = left + 1;
         assert_eq!(refill, MAX_BATCH.min(PAGE_SIZE / size), "class {size}");
@@ -611,7 +615,8 @@ fn magazine_occupancy_gauge_tracks_refills_and_drop() {
 
 #[test]
 fn refills_land_in_refill_histogram_not_call_histogram() {
-    let ngm = batched(8, 1).build().unwrap();
+    // Traced, so every trip is timed.
+    let ngm = batched(8, 1).with_trace_capacity(256).build().unwrap();
     let mut h = ngm.handle();
     let mut blocks = Vec::new();
     for _ in 0..16 {
@@ -1256,9 +1261,11 @@ mod faults {
 
     #[test]
     fn a_refill_retracted_at_its_deadline_publishes_and_records_nothing() {
+        // Traced, so every trip is timed and the books show each one.
         let ngm = sharded(1)
             .with_batch(16, 1)
             .with_deadline(Some(Duration::from_millis(10)))
+            .with_trace_capacity(256)
             .build()
             .unwrap();
         let mut h = ngm.handle();

@@ -9,8 +9,10 @@
 //! at all.
 //!
 //! * Allocation is synchronous: the calling thread publishes a request in
-//!   its [`ngm_offload::RequestSlot`] and spins/parks for the response
-//!   (§4.2's `malloc_start`/`malloc_done` protocol).
+//!   its [`ngm_offload::RequestSlot`] and waits for the response on the
+//!   runtime's wait ladder — spin, then yield, and sleep only on a
+//!   one-core host; nothing parks and nothing wakes it (§4.2's
+//!   `malloc_start`/`malloc_done` protocol).
 //! * Deallocation is asynchronous: `free` posts to an SPSC ring on the
 //!   *owning* shard (routed by address) and returns immediately (§3.1.2:
 //!   the free phase is off the critical path).

@@ -6,8 +6,9 @@
 //! through a pair of atomic flags (`malloc_start` / `malloc_done`). This
 //! crate generalizes that design:
 //!
-//! * [`slot::RequestSlot`] — the paper's two-flag synchronous mailbox, one
-//!   per client thread.
+//! * [`slot::RequestSlot`] — the paper's synchronous mailbox, one per
+//!   client thread: one state word (the paper's two flags are two of its
+//!   values) plus a publish sequence.
 //! * [`ring::spsc`] — a bounded single-producer/single-consumer ring of
 //!   variable-length records in 64-byte cells, for fire-and-forget
 //!   messages (asynchronous `free()`, §3.1.2: "the entire free phase is

@@ -23,7 +23,7 @@ use crate::pin::{available_cores, pin_current_thread_verified};
 use crate::ring::{spsc, Consumer, Producer, PushError, Record, DEFAULT_RING_CELLS};
 use crate::slot::RequestSlot;
 use crate::stats::{bump, RuntimeStats, StatsSnapshot};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{sampled, RuntimeTelemetry};
 use crate::wait::{Ladder, WaitState};
 
 /// A function offloaded to the dedicated core.
@@ -87,6 +87,9 @@ pub trait Service: Send + 'static {
 struct ClientChannel<S: Service> {
     slot: Arc<RequestSlot<S::Req, S::Resp>>,
     posts: Consumer<S::Post>,
+    /// The publish sequence of the last request the loop claimed: the
+    /// next one is this plus one, unless a retract took that one.
+    served_seq: u64,
     /// A drop fault is active on this client: the request with this
     /// publish sequence stays unserved until the client retracts it.
     #[cfg(feature = "faultinject")]
@@ -137,12 +140,15 @@ pub struct ClientHandle<S: Service> {
     telemetry: Arc<RuntimeTelemetry>,
     trace: Option<Arc<TraceRing>>,
     /// The request published and not yet collected: when it was
-    /// published and which population its round trip lands in.
-    in_flight: Option<(u64, CallKind)>,
+    /// published, if it is timed, and which population its round trip
+    /// lands in.
+    in_flight: Option<(Option<u64>, CallKind)>,
+    /// Posts this handle has made, which pick the ones it times.
+    posts_made: u64,
 }
 
-/// Which population a synchronous request's round trip belongs to.
-/// Either way its two client phases land in the phase histograms.
+/// Which population a timed synchronous request's round trip belongs
+/// to. Either way its two client phases land in the phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallKind {
     /// One unit of work per round trip: latency lands in the call
@@ -151,8 +157,7 @@ pub enum CallKind {
     /// A request carrying a *batch* of work (magazine refills in the
     /// malloc deployment): latency lands in the separate refill
     /// histogram, so the amortized batched cost stays distinguishable
-    /// from the per-call cost; that histogram's count is the number of
-    /// batched requests served.
+    /// from the per-call cost.
     Batched,
 }
 
@@ -162,8 +167,9 @@ impl<S: Service> ClientHandle<S> {
     /// but ends in a terminal phase instead of `Observed`. The publish
     /// sequence in the span id guarantees the retry the caller issues
     /// next is a distinct span.
-    fn finish_failed_span(&self, t0: u64, terminal: SpanPhase) {
-        if let Some(ring) = &self.trace {
+    fn finish_failed_span(&self, t0: Option<u64>, terminal: SpanPhase) {
+        // A traced handle times every request, so `t0` is there.
+        if let (Some(ring), Some(t0)) = (&self.trace, t0) {
             let id = call_span_id(ring.thread(), self.slot.publish_seq());
             let now = cycles_now();
             ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
@@ -181,16 +187,16 @@ impl<S: Service> ClientHandle<S> {
         }
     }
 
-    /// Completion telemetry for the response just seen, stamped from
-    /// just after publication (`t0`) to the moment the client saw
+    /// Completion telemetry for the timed response just seen, stamped
+    /// from just after publication (`t0`) to the moment the client saw
     /// RESPONSE — which, for a request collected some time after it was
     /// published, is when the client came back for it, so the observe
     /// phase then includes the time the response waited in the slot: the
     /// latency histogram of the request's [`CallKind`], the client's two
-    /// phase histograms (every round trip of either kind, so together
-    /// they partition the call and refill populations exactly) and — when
-    /// tracing is on — the four span phase events. The service books the
-    /// serve phase itself.
+    /// phase histograms (every timed round trip of either kind, so
+    /// together they partition the call and refill populations exactly)
+    /// and — when tracing is on — the four span phase events. The service
+    /// books the serve phase of the same trip itself.
     ///
     /// Called before the response is collected: the store that releases
     /// the slot to the service is the round trip's last write, so none of
@@ -223,9 +229,12 @@ impl<S: Service> ClientHandle<S> {
     }
 
     /// Publishes `req` on the slot: the first half of a synchronous
-    /// request. The round trip is stamped from just after the request is
-    /// published, so the service never waits for that clock read, and its
-    /// completion lands in the population `kind` names. The slot holds
+    /// request. A timed round trip is stamped from just after the request
+    /// is published, so the service never waits for that clock read, and
+    /// its completion lands in the population `kind` names. Every trip is
+    /// timed when tracing is on, and otherwise one in 64, picked by the
+    /// publish sequence so that the service times the same ones; an
+    /// untimed trip reads no clock and books nothing. The slot holds
     /// one request, so a handle carries at most one in flight: collect it
     /// with [`ClientHandle::try_collect`] before publishing again. Nothing is
     /// woken and nothing else collects it; the response waits in the
@@ -243,13 +252,14 @@ impl<S: Service> ClientHandle<S> {
             self.stats.mark_service_down();
             return Err(ServiceError::ServiceStopped);
         }
-        if self.slot.begin(req).is_err() {
+        let Ok(seq) = self.slot.begin(req) else {
             // Only a `collect` that unwound mid-read leaves a response in
             // the slot; its payload cell cannot be trusted again.
             self.poisoned = true;
             return Err(ServiceError::ServiceStopped);
-        }
-        self.in_flight = Some((cycles_now(), kind));
+        };
+        let t0 = (self.trace.is_some() || sampled(seq)).then(cycles_now);
+        self.in_flight = Some((t0, kind));
         Ok(())
     }
 
@@ -302,7 +312,9 @@ impl<S: Service> ClientHandle<S> {
             if state.wait_until(|| self.slot.has_response()) {
                 // Bookkeeping first: collecting releases the slot, and
                 // that store is the last this round trip makes.
-                self.record_completion(t0, kind);
+                if let Some(t0) = t0 {
+                    self.record_completion(t0, kind);
+                }
                 let got = self
                     .slot
                     .poll_response(collect)
@@ -372,26 +384,30 @@ impl<S: Service> ClientHandle<S> {
     ///
     /// `Ok` carries how many full-ring retries the enqueue needed (zero
     /// means the ring had room immediately) — the saturation signal the
-    /// sharded front-end's rebalance path keys off — and the enqueue latency
-    /// (retries included) lands in the post-latency histogram, stamped
-    /// once the ring has room and recorded before the message is written:
-    /// a post is counted before the service can drain it. A full
+    /// sharded front-end's rebalance path keys off. A timed post's enqueue
+    /// latency (retries included) lands in the post-latency histogram,
+    /// stamped once the ring has room and recorded before the message is
+    /// written: a timed post is booked before the service can drain it.
+    /// Every post is timed when tracing is on, and otherwise one in 64,
+    /// picked by this handle's count of its posts. A full
     /// ring is waited on along the runtime's wait ladder and refuses after
     /// the runtime's deadline budget ([`ServiceError::Deadline`]).
     /// If the service thread is gone the message counts as dropped
     /// ([`RuntimeStats::posts_dropped`]) and the runtime's `service_down`
     /// flag is raised ([`ServiceError::ServiceStopped`]).
     pub fn try_post(&mut self, msg: &S::Post) -> Result<u32, ServiceError> {
-        let t0 = cycles_now();
+        self.posts_made = self.posts_made.wrapping_add(1);
+        let t0 = (self.trace.is_some() || sampled(self.posts_made)).then(cycles_now);
         let mut state = WaitState::with_budget(self.ladder, self.deadline);
         let mut retries = 0u32;
         loop {
-            // The post is recorded once the ring has room for it and
+            // A timed post is recorded once the ring has room for it and
             // before any of it is written: the store of the record's
             // header, which hands it to the service, is the last this post
             // makes.
             let (telemetry, trace) = (&self.telemetry, &self.trace);
             let pushed = self.posts.push_with(msg, |ring| {
+                let Some(t0) = t0 else { return };
                 let t1 = cycles_now();
                 let waited = t1.saturating_sub(t0);
                 telemetry.post_cycles.record(waited);
@@ -623,6 +639,7 @@ impl<S: Service> OffloadRuntime<S> {
             inj.push(ClientChannel {
                 slot: Arc::clone(&slot),
                 posts: rx,
+                served_seq: 0,
                 #[cfg(feature = "faultinject")]
                 dropping: None,
             });
@@ -643,6 +660,7 @@ impl<S: Service> OffloadRuntime<S> {
             telemetry: Arc::clone(&handles.telemetry),
             trace: handles.telemetry.new_ring(),
             in_flight: None,
+            posts_made: 0,
         }
     }
 
@@ -799,6 +817,9 @@ fn service_loop<S: Service>(
     // store, where a `fetch_add` would be a locked instruction every round.
     let stats = &*shared.handles.stats;
     let telemetry = &*shared.handles.telemetry;
+    // The loop times the trips its clients time: all of them when tracing
+    // is on, the sampled ones otherwise.
+    let timed = |seq| trace.is_some() || sampled(seq);
     loop {
         bump(&stats.poll_rounds, 1);
         let stopping = shared.stop.load(Ordering::Acquire);
@@ -855,9 +876,10 @@ fn service_loop<S: Service>(
                             // Panic *inside* the serve, after the request
                             // is claimed: the mid-refill death the client
                             // observes as an abandoned request.
-                            let killed = c.slot.serve(cycles_now(), |_q, _out| {
-                                panic!("faultinject: shard killed mid-serve")
-                            });
+                            let killed = c.slot.serve(
+                                |_| Some(cycles_now()),
+                                |_q, _out| panic!("faultinject: shard killed mid-serve"),
+                            );
                             if !killed {
                                 // The client retracted first; keep the
                                 // kill armed for the next request.
@@ -872,14 +894,29 @@ fn service_loop<S: Service>(
             #[cfg(not(feature = "faultinject"))]
             let serve_now = true;
             if serve_now {
-                // Both stamps lie outside the claim → response window the
-                // client waits out: one before the claim CAS, one after
-                // the RESPONSE store.
-                let claim = cycles_now();
-                if c.slot.serve(claim, |q, out| service.call_into(q, out)) {
-                    let served = cycles_now();
-                    c.slot.stamp_served(served);
-                    telemetry.record_serve(claim, served);
+                // A timed trip's stamps lie outside the claim → response
+                // window the client waits out: one before the claim CAS,
+                // read while the trip expected next is due, one after the
+                // RESPONSE store. Only a trip whose sequence a retract
+                // moved on is stamped after the CAS.
+                let expected = c.served_seq + 1;
+                let early = timed(expected).then(cycles_now);
+                let mut claim = None;
+                let stamp = |seq| {
+                    c.served_seq = seq;
+                    claim = if seq == expected {
+                        early
+                    } else {
+                        timed(seq).then(cycles_now)
+                    };
+                    claim
+                };
+                if c.slot.serve(stamp, |q, out| service.call_into(q, out)) {
+                    if let Some(claim) = claim {
+                        let served = cycles_now();
+                        c.slot.stamp_served(served);
+                        telemetry.record_serve(claim, served);
+                    }
                     work += 1;
                     bump(&stats.calls_served, 1);
                 }
@@ -1167,9 +1204,14 @@ mod tests {
         assert!(s.poll_rounds >= 1);
     }
 
+    /// A runtime with a trace ring: it times every trip and post.
+    fn traced(service: Doubler) -> OffloadRuntime<Doubler> {
+        OffloadRuntime::try_start(service, cfg(|c| c.trace_capacity = 1024)).unwrap()
+    }
+
     #[test]
     fn call_and_post_latencies_are_recorded() {
-        let rt = OffloadRuntime::start(doubler());
+        let rt = traced(doubler());
         let mut c = rt.register_client();
         for i in 0..32 {
             c.call(i);
@@ -1278,7 +1320,7 @@ mod tests {
 
     #[test]
     fn the_service_books_exactly_the_calls_it_served() {
-        let rt = OffloadRuntime::start(doubler());
+        let rt = traced(doubler());
         let telemetry = Arc::clone(rt.telemetry());
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -1307,7 +1349,7 @@ mod tests {
 
     #[test]
     fn batched_calls_land_in_refill_histogram() {
-        let rt = OffloadRuntime::start(doubler());
+        let rt = traced(doubler());
         let mut c = rt.register_client();
         for i in 0..8 {
             c.call(i);
@@ -1356,7 +1398,7 @@ mod tests {
 
     #[test]
     fn a_completion_is_recorded_before_the_slot_is_released() {
-        let rt = OffloadRuntime::start(doubler());
+        let rt = traced(doubler());
         let telemetry = Arc::clone(rt.telemetry());
         let mut c = rt.register_client();
         for i in 1..=4u64 {
@@ -1407,7 +1449,8 @@ mod tests {
         // On two cores a count made after the publish shows late in
         // about one post in 10,000.
         const POSTS: u64 = 100_000;
-        let config = RuntimeConfig::new();
+        // Traced, so every post is timed.
+        let config = cfg(|c| c.trace_capacity = 1024);
         let handles = RuntimeHandles::fresh(&config);
         let drained = Arc::new(AtomicU64::new(0));
         let service = CountedFirst {
@@ -1436,6 +1479,107 @@ mod tests {
         let (_, stats) = rt.shutdown();
         assert_eq!(stats.posts_served, POSTS);
         assert_eq!(handles.telemetry.post_cycles.snapshot().count(), POSTS);
+    }
+
+    /// What the histograms of `t` hold: calls, refills, posts, and the
+    /// claim, serve and observe phases, as (count, sum) each.
+    fn books(t: &RuntimeTelemetry) -> [(u64, u64); 6] {
+        [
+            &t.call_cycles,
+            &t.refill_cycles,
+            &t.post_cycles,
+            &t.phase_cycles[1],
+            &t.phase_cycles[2],
+            &t.phase_cycles[4],
+        ]
+        .map(|h| {
+            let snap = h.snapshot();
+            (snap.count(), snap.sum())
+        })
+    }
+
+    #[test]
+    fn an_untraced_runtime_times_the_sampled_trips_and_a_traced_one_all() {
+        const N: u64 = 1_000;
+        // Odd sequences are calls, even ones refills; post `n` follows
+        // trip `n`.
+        let expect = |timed: &dyn Fn(u64) -> bool| {
+            let count = |keep: &dyn Fn(u64) -> bool| {
+                (1..=N).filter(|&n| keep(n) && timed(n)).count() as u64
+            };
+            [
+                count(&|n| n % 2 == 1),
+                count(&|n| n % 2 == 0),
+                count(&|_| true),
+            ]
+        };
+        for (rt, timed) in [
+            (OffloadRuntime::start(doubler()), expect(&sampled)),
+            (traced(doubler()), expect(&|_| true)),
+        ] {
+            let mut c = rt.register_client();
+            for n in 1..=N {
+                let kind = if n % 2 == 1 {
+                    CallKind::Single
+                } else {
+                    CallKind::Batched
+                };
+                assert_eq!(c.trip(n, kind, std::mem::take), Ok(2 * n));
+                c.post(n);
+            }
+            drop(c);
+            let [calls, refills, posts, claim, serve, observe] = books(rt.telemetry());
+            let (_, stats) = rt.shutdown();
+            assert_eq!(
+                (stats.calls_served, stats.posts_served),
+                (N, N),
+                "counters count all"
+            );
+            assert_eq!(
+                [calls.0, refills.0, posts.0],
+                timed,
+                "the timed ones, by sequence"
+            );
+            let trips = timed[0] + timed[1];
+            assert!(trips > 0);
+            assert_eq!((claim.0, serve.0, observe.0), (trips, trips, trips));
+            assert_eq!(claim.1 + observe.1, calls.1 + refills.1, "same stamps");
+        }
+        assert_eq!(expect(&sampled)[2], 15, "1,000 trips time 15");
+    }
+
+    #[test]
+    fn a_trip_a_retract_moved_on_is_still_timed_on_both_sides() {
+        // A budget no healthy trip on a busy test host runs out.
+        let (rt, entered, release) = stalled_runtime(Duration::from_millis(100));
+        let mut c = rt.register_client();
+        // Sequences 1..=32 served, none of them timed.
+        for n in 1..=32 {
+            assert_eq!(
+                c.trip(2, CallKind::Single, std::mem::take),
+                Ok(2),
+                "trip {n}"
+            );
+        }
+        // Sequence 33 is retracted unclaimed; the service, expecting 33,
+        // claims 34, which is timed.
+        let staller = take_hostage(&rt, &entered);
+        assert!(matches!(
+            c.trip(2, CallKind::Single, std::mem::take),
+            Err(ServiceError::Deadline { .. })
+        ));
+        release.store(true, Ordering::Release);
+        // Served late or abandoned, the hostage's one trip is untimed.
+        let _ = staller.join().unwrap();
+        assert_eq!(c.trip(2, CallKind::Single, std::mem::take), Ok(2));
+        assert!(sampled(34) && !(1..34).any(sampled));
+        drop(c);
+        let telemetry = Arc::clone(rt.telemetry());
+        let (_, stats) = rt.shutdown();
+        assert_eq!(stats.calls_served, 34, "32, the hostage's and 34");
+        let [calls, _, _, claim, serve, observe] = books(&telemetry);
+        assert_eq!((calls.0, claim.0, serve.0, observe.0), (1, 1, 1, 1));
+        assert_eq!(claim.1 + observe.1, calls.1);
     }
 
     #[test]
@@ -1507,7 +1651,7 @@ mod tests {
 
     #[test]
     fn a_published_request_is_collected_later_and_one_is_in_flight_at_most() {
-        let rt = OffloadRuntime::start(doubler());
+        let rt = traced(doubler());
         let mut c = rt.register_client();
         assert_eq!(c.publish(5, CallKind::Batched), Ok(()));
         assert_eq!(

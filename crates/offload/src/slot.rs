@@ -14,8 +14,6 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::stats::bump;
-
 /// Slot is idle; the client may publish a request.
 const EMPTY: u32 = 0;
 /// A request is published (the paper's `malloc_start`).
@@ -49,10 +47,11 @@ const SERVING: u32 = 3;
 /// only span tracing reads it. The slot is aligned to 128 bytes, so no
 /// other value shares its first line or that line's prefetch pair.
 ///
-/// The slot never reads the clock. Both stamps are taken by the service
-/// outside the claim → response window, which is the whole handshake the
-/// client waits on: the claim stamp before its claim CAS, the served
-/// stamp after its RESPONSE store.
+/// The slot never reads the clock, and only a timed trip is stamped (see
+/// [`crate::service::ClientHandle::publish`]). The service takes both
+/// stamps of a timed trip outside the claim → response window, which is
+/// the whole handshake the client waits on, whenever it can: the claim
+/// stamp before its claim CAS, the served stamp after its RESPONSE store.
 #[repr(C, align(128))]
 pub struct RequestSlot<Q, R> {
     state: AtomicU32,
@@ -64,10 +63,10 @@ pub struct RequestSlot<Q, R> {
     /// tracing mints span ids from it so a retried request is a distinct
     /// span by construction.
     publish_seq: AtomicU64,
-    /// The service's clock reading from just before the CAS that claimed
-    /// the current request, handed to [`RequestSlot::serve`]. Written
-    /// Relaxed after the claim, and ordered for the client by the RESPONSE
-    /// Release store.
+    /// The service's clock reading for the last timed request it claimed,
+    /// as [`RequestSlot::serve`]'s `stamp` returned it. Written Relaxed
+    /// after the claim, and ordered for the client by the RESPONSE Release
+    /// store.
     claim_tsc: AtomicU64,
     req: UnsafeCell<MaybeUninit<Q>>,
     /// Always a valid `R`: `R::default()` until the first response, then
@@ -116,12 +115,13 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         self.publish_seq.load(Ordering::Relaxed)
     }
 
-    /// The claim stamp [`RequestSlot::serve`] was handed for the most
-    /// recently claimed request. Valid for the client once it has seen
-    /// RESPONSE (the Acquire load ordered it), or — racily, which is
-    /// harmless for a stamp — once a retract found the request claimed. A
-    /// request that was never claimed reads an earlier cycle's stamp:
-    /// callers gate on the call outcome.
+    /// The claim stamp [`RequestSlot::serve`]'s `stamp` returned for the
+    /// most recently claimed timed request. Valid for the client once it
+    /// has seen RESPONSE to a timed request (the Acquire load ordered it),
+    /// or — racily, which is harmless for a stamp — once a retract found
+    /// the request claimed. A request that was never claimed, or not
+    /// timed, reads an earlier trip's stamp: callers gate on the call
+    /// outcome and on the trip being timed.
     #[must_use]
     pub(crate) fn claim_stamp(&self) -> u64 {
         self.claim_tsc.load(Ordering::Relaxed)
@@ -146,8 +146,9 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     }
 
     /// Client side, non-blocking: publishes `request` if the slot is
-    /// EMPTY, returning `Err(request)` (payload handed back, nothing
-    /// published) otherwise. The check guards the payload cells: the one
+    /// EMPTY and returns its publish sequence, or returns `Err(request)`
+    /// (payload handed back, nothing published) otherwise. The check
+    /// guards the payload cells: the one
     /// caller, [`crate::service::ClientHandle::publish`], publishes only
     /// once the previous request was collected or retracted, so it finds
     /// the slot busy only after a `collect` unwound mid-read, and then
@@ -161,7 +162,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
     /// Callers must ensure only one client thread uses a given slot; this
     /// is enforced structurally by [`crate::service::ClientHandle`] owning
     /// the slot reference uniquely.
-    pub fn begin(&self, request: Q) -> Result<(), Q> {
+    pub fn begin(&self, request: Q) -> Result<u64, Q> {
         if self.state.load(Ordering::Relaxed) != EMPTY {
             return Err(request);
         }
@@ -173,9 +174,10 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // Bumped before the REQUEST store, so a server that observes
         // REQUEST (Acquire) also observes the matching sequence number.
         // Only the client writes it: a load and a store, not a locked add.
-        bump(&self.publish_seq, 1);
+        let seq = self.publish_seq.load(Ordering::Relaxed) + 1;
+        self.publish_seq.store(seq, Ordering::Relaxed);
         self.state.store(REQUEST, Ordering::Release);
-        Ok(())
+        Ok(seq)
     }
 
     /// Client side, non-blocking: if a response has been published,
@@ -218,14 +220,15 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         true
     }
 
-    /// Server side: if a request is pending, consumes it, has `f` write
-    /// the response over the slot's previous one, publishes it, and
-    /// returns `true`. `f` must leave a complete response: what it does
-    /// not overwrite is the last response's. `claim_tsc` is the caller's
-    /// clock reading from before this call, stored as the claim stamp: a
-    /// clock read between the claim and the RESPONSE store would lengthen
-    /// the round trip the client waits out.
-    pub fn serve(&self, claim_tsc: u64, f: impl FnOnce(Q, &mut R)) -> bool {
+    /// Server side: if a request is pending, claims it, hands `stamp` its
+    /// publish sequence, consumes it, has `f` write the response over the
+    /// slot's previous one, publishes it, and returns `true`. `f` must
+    /// leave a complete response: what it does not overwrite is the last
+    /// response's. What `stamp` returns, when it returns one, is stored
+    /// as the claim stamp; it should be a clock reading taken before this
+    /// call, since one read between the claim and the RESPONSE store
+    /// lengthens the round trip the client waits out.
+    pub fn serve(&self, stamp: impl FnOnce(u64) -> Option<u64>, f: impl FnOnce(Q, &mut R)) -> bool {
         // Claim the request with a CAS rather than a plain load: a
         // deadline-expired client may race us with a `REQUEST → EMPTY`
         // retraction, and exactly one side must own the payload. The CAS
@@ -239,7 +242,11 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         {
             return false;
         }
-        self.claim_tsc.store(claim_tsc, Ordering::Relaxed);
+        // The Acquire CAS ordered the sequence the client bumped before
+        // its REQUEST store.
+        if let Some(tsc) = stamp(self.publish_seq.load(Ordering::Relaxed)) {
+            self.claim_tsc.store(tsc, Ordering::Relaxed);
+        }
         // SAFETY: the CAS claimed the request (Acquire), so the client's
         // write of `req` happens-before this read, and a retracting client
         // observes SERVING and leaves the payload cells alone.
@@ -316,7 +323,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0;
             while served < 3 {
-                if server.serve(0, |q, r| *r = q * 2) {
+                if server.serve(|_| None, |q, r| *r = q * 2) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -332,7 +339,7 @@ mod tests {
     #[test]
     fn serve_returns_false_when_idle() {
         let slot: RequestSlot<u8, u8> = RequestSlot::new();
-        assert!(!slot.serve(0, |q, r| *r = q));
+        assert!(!slot.serve(|_| None, |q, r| *r = q));
         assert!(!slot.has_request());
     }
 
@@ -381,7 +388,7 @@ mod tests {
             let h = s.spawn(|| call(&slot, D));
             let mut served = false;
             while !served {
-                served = slot.serve(0, server);
+                served = slot.serve(|_| None, server);
                 std::hint::spin_loop();
             }
             h.join().unwrap()
@@ -401,7 +408,7 @@ mod tests {
             (Arc::clone(&slot), Arc::clone(&stop), Arc::clone(&served));
         let h = std::thread::spawn(move || {
             while !srv_stop.load(Ordering::Acquire) {
-                if srv_slot.serve(0, |q, r| *r = q + 1) {
+                if srv_slot.serve(|_| None, |q, r| *r = q + 1) {
                     srv_count.fetch_add(1, Ordering::Relaxed);
                 }
                 std::hint::spin_loop();
@@ -446,7 +453,7 @@ mod tests {
         // A server that claims the request and then dies without responding.
         let h = std::thread::spawn(move || loop {
             let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                srv.serve(0, |_q, _r| panic!("killed mid-serve"))
+                srv.serve(|_| None, |_q, _r| panic!("killed mid-serve"))
             }));
             if dead.is_err() {
                 break;
@@ -463,21 +470,33 @@ mod tests {
     }
 
     #[test]
-    fn serve_stores_the_callers_claim_stamp_and_publish_seq_advances() {
+    fn serve_stores_the_stamp_it_is_handed_for_the_sequence_it_claimed() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
-        assert!(slot.begin(1).is_ok());
-        let seq1 = slot.publish_seq();
-        // 7 is no clock reading: what serve stores is what it was handed.
-        assert!(slot.serve(7, |q, r| *r = q));
-        assert_eq!(slot.claim_stamp(), 7);
+        assert_eq!(slot.begin(1), Ok(1), "the first publish is sequence 1");
+        // 7 is no clock reading: what serve stores is what `stamp` made
+        // of the sequence it claimed.
+        let mut claimed = 0;
+        assert!(slot.serve(
+            |seq| {
+                claimed = seq;
+                Some(7)
+            },
+            |q, r| *r = q
+        ));
+        assert_eq!((claimed, slot.claim_stamp()), (1, 7));
         assert_eq!(slot.served_stamp(), 0, "serve stamps nothing else");
         slot.stamp_served(9);
         assert_eq!(slot.poll_response(std::mem::take), Some(1));
         assert_eq!(slot.served_stamp(), 9);
-        assert!(slot.begin(2).is_ok());
-        assert_eq!(slot.publish_seq(), seq1 + 1, "seq bumps per publish");
+        // An untimed trip leaves the last timed trip's stamp in place.
+        assert_eq!(slot.begin(2), Ok(2), "seq bumps per publish");
+        assert!(slot.serve(|_| None, |q, r| *r = q));
+        assert_eq!(slot.claim_stamp(), 7);
+        assert_eq!(slot.poll_response(std::mem::take), Some(2));
+        assert_eq!(slot.begin(3), Ok(3));
         assert!(slot.retract());
         assert_eq!(slot.claim_stamp(), 7, "an unclaimed request is unstamped");
+        assert_eq!(slot.publish_seq(), 3);
     }
 
     #[test]
@@ -511,7 +530,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0u32;
             while served < 1000 {
-                if server.serve(0, |q, r| *r = q + 1) {
+                if server.serve(|_| None, |q, r| *r = q + 1) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -547,11 +566,14 @@ mod tests {
         let mut cells = Vec::new();
         for (n, mark) in [(128, 0xAA), (3, 0xBB)] {
             assert!(slot.begin(n).is_ok());
-            assert!(slot.serve(0, |n, wide| {
-                cells.push(std::ptr::from_mut(wide) as usize);
-                wide.len = n;
-                wide.words[..n].fill(mark);
-            }));
+            assert!(slot.serve(
+                |_| None,
+                |n, wide| {
+                    cells.push(std::ptr::from_mut(wide) as usize);
+                    wide.len = n;
+                    wide.words[..n].fill(mark);
+                }
+            ));
             let seen = slot.poll_response(|wide| {
                 assert_eq!(wide.len, n);
                 assert!(wide.words[..n].iter().all(|&w| w == mark));
@@ -582,7 +604,7 @@ mod tests {
         let slot: RequestSlot<(), D> = RequestSlot::new();
         assert!(slot.begin(()).is_ok());
         // Writing a response over the slot's previous one drops that one.
-        assert!(slot.serve(0, |(), r| *r = D));
+        assert!(slot.serve(|_| None, |(), r| *r = D));
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
         drop(slot);
         assert_eq!(DROPS.load(Ordering::SeqCst), 2, "the response nobody read");
@@ -595,7 +617,7 @@ mod tests {
         // Busy slot hands the payload back instead of publishing.
         assert_eq!(slot.begin(6), Err(6));
         assert_eq!(slot.poll_response(std::mem::take), None, "not served yet");
-        assert!(slot.serve(0, |q, r| *r = q * 3));
+        assert!(slot.serve(|_| None, |q, r| *r = q * 3));
         assert_eq!(slot.poll_response(std::mem::take), Some(15));
         assert_eq!(
             slot.poll_response(std::mem::take),
@@ -610,7 +632,7 @@ mod tests {
     fn retract_loses_once_served_and_response_collectable() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert!(slot.begin(4).is_ok());
-        assert!(slot.serve(0, |q, r| *r = q * 10));
+        assert!(slot.serve(|_| None, |q, r| *r = q * 10));
         assert!(!slot.retract(), "served request cannot be retracted");
         assert_eq!(slot.poll_response(std::mem::take), Some(40));
     }

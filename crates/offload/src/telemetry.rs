@@ -3,12 +3,25 @@
 //!
 //! One [`RuntimeTelemetry`] is shared (via `Arc`) between the service
 //! loop and every [`crate::ClientHandle`]. A histogram record is two
-//! locked adds (bucket and sum). The client records a round trip's
-//! latency and two phases, six in all, and a post its enqueue latency;
-//! the service records the serve phase on a histogram that only it
-//! writes. Every clock read lies outside the window from the service's
-//! claim to its response, so measurement adds nothing to the round trip
-//! being measured (§4.1's `T_comm`).
+//! locked adds (bucket and sum). The client records a timed round trip's
+//! latency and two phases, six in all, and a timed post its enqueue
+//! latency; the service records the serve phase of the same timed trips
+//! on a histogram that only it writes. Every clock read lies outside the
+//! window from the service's claim to its response, so measurement adds
+//! nothing to the round trip being measured (§4.1's `T_comm`), except
+//! for a timed trip whose sequence a retract moved on, which the service
+//! did not expect and stamps after its claim.
+//!
+//! A runtime with a trace ring times every trip and every post, so its
+//! spans are whole. One without times one trip and one post in
+//! `SAMPLE_PERIOD`, as `sampled` picks them: a trip by its publish
+//! sequence, which the client and the service both know, a post by the
+//! client's own count of posts. Neither side reads the clock or makes a
+//! locked add for the rest, so the histograms are samples and their
+//! counts are not the counts of operations: those come from the
+//! counters ([`crate::StatsSnapshot::calls_served`] and
+//! [`crate::StatsSnapshot::posts_served`]), and a total is the sampled
+//! mean times the counted operations.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,21 +46,43 @@ const CLAIM: usize = 1;
 const SERVE: usize = 2;
 const OBSERVE: usize = 4;
 
+/// One trip (and one post) in this many is timed on a runtime without a
+/// trace ring. Not a setting: what a histogram reads off 1 in 64 is what
+/// it reads off all of them, and timing all of them is what tracing is
+/// for.
+const SAMPLE_PERIOD: u64 = 64;
+
+/// Whether the `n`th trip (its publish sequence) or post (the client's
+/// count of its posts) of an untraced runtime is timed: whether `n`
+/// times the golden ratio's 64-bit fraction falls in the first
+/// `1 / SAMPLE_PERIOD` of the range. Consecutive `n` spread evenly, so
+/// two timed ones lie 34, 55 or 89 apart and a workload's own period
+/// does not line up with the sample. One multiply and one compare.
+#[inline]
+#[must_use]
+pub(crate) fn sampled(n: u64) -> bool {
+    n.wrapping_mul(0x9E37_79B9_7F4A_7C15) < u64::MAX / SAMPLE_PERIOD
+}
+
 /// Telemetry shared by one offload runtime and all its clients.
 pub struct RuntimeTelemetry {
-    /// Round-trip latency of synchronous calls (allocations in the malloc
-    /// deployment), in [`ngm_telemetry::clock::cycles_now`] units.
+    /// Round-trip latency of timed synchronous calls (allocations in the
+    /// malloc deployment), in [`ngm_telemetry::clock::cycles_now`] units.
+    /// Every histogram here holds the timed operations only: every one
+    /// on a traced runtime, one in `SAMPLE_PERIOD` otherwise (see the
+    /// module docs).
     pub call_cycles: LatencyHistogram,
-    /// Latency of fire-and-forget posts (asynchronous frees): time to
-    /// place the message in the ring, including full-ring retries.
+    /// Latency of timed fire-and-forget posts (asynchronous frees): time
+    /// to place the message in the ring, including full-ring retries.
     pub post_cycles: LatencyHistogram,
-    /// Round-trip latency of *batched* synchronous calls (magazine
+    /// Round-trip latency of timed *batched* synchronous calls (magazine
     /// refills). Kept separate from `call_cycles` so the amortized
     /// per-item cost of the batched handshake can be compared against the
     /// per-call round trip without mixing the two populations.
     pub refill_cycles: LatencyHistogram,
-    /// Per-phase breakdowns of every synchronous round trip — single
-    /// calls and batched refills alike — indexed as [`PHASE_NAMES`].
+    /// Per-phase breakdowns of every timed synchronous round trip —
+    /// single calls and batched refills alike — indexed as
+    /// [`PHASE_NAMES`].
     ///
     /// The client records two, from the same two endpoint readings as
     /// the request's `call_cycles` or `refill_cycles` record: claim
@@ -61,8 +96,8 @@ pub struct RuntimeTelemetry {
     /// after the RESPONSE store), and it is that entry's only writer. It
     /// lies inside the client's observe phase rather than beside it. It
     /// is recorded after the response is published, so a live read may
-    /// trail the served calls by the one serve in progress; once the
-    /// runtime has shut down it counts exactly the calls served.
+    /// trail the timed calls by the one serve in progress; once the
+    /// runtime has shut down it counts exactly the timed calls served.
     ///
     /// The queue and publish entries (indices 0 and 3) are always empty:
     /// the client's one stamp follows its REQUEST store, and a response is
@@ -94,8 +129,7 @@ impl std::fmt::Debug for RuntimeTelemetry {
 
 impl RuntimeTelemetry {
     /// Creates telemetry; `trace_capacity` of 0 disables event tracing
-    /// (histograms and gauges are always on — they are too cheap to
-    /// gate).
+    /// and has the histograms sample one operation in `SAMPLE_PERIOD`.
     #[must_use]
     pub fn new(trace_capacity: usize) -> Self {
         RuntimeTelemetry {
@@ -188,14 +222,16 @@ impl RuntimeTelemetry {
         self.phase_cycles[OBSERVE].record(t5 - t2);
     }
 
-    /// The service's share: one serve, from its clock reading before the
-    /// claim CAS to its reading after the RESPONSE store.
+    /// The service's share: one timed serve, from its claim stamp (read
+    /// before the claim CAS unless a retract moved the sequence on) to
+    /// its reading after the RESPONSE store.
     pub fn record_serve(&self, claim: u64, served: u64) {
         self.phase_cycles[SERVE].record(served.saturating_sub(claim));
     }
 
     /// Assembles the exportable metrics snapshot: the runtime's counters
-    /// and gauges (from `stats`) plus both latency histograms.
+    /// and gauges (from `stats`) plus the latency histograms, whose
+    /// `_count` counts timed operations, not operations.
     #[must_use]
     pub fn metrics(&self, stats: &StatsSnapshot) -> MetricsSnapshot {
         self.metrics_merged(stats, &[])
@@ -337,6 +373,21 @@ mod tests {
         let m = a.metrics_merged(&stats, &[&b]);
         let h = m.get_histogram("ngm_phase_claim_cycles").expect("series");
         assert_eq!(h.count(), 2, "both peers' records in one series");
+    }
+
+    #[test]
+    fn one_in_sample_period_is_sampled_and_never_two_close_together() {
+        let picked: Vec<u64> = (1..=64 * 1_000).filter(|&n| sampled(n)).collect();
+        assert!(
+            picked.len().abs_diff(1_000) <= 2,
+            "{} of 64,000 sampled",
+            picked.len()
+        );
+        let mut gaps: Vec<u64> = picked.windows(2).map(|w| w[1] - w[0]).collect();
+        gaps.sort_unstable();
+        gaps.dedup();
+        assert_eq!(gaps, [34, 55, 89]);
+        assert_eq!(picked[..3], [34, 89, 178], "the first trips timed");
     }
 
     #[test]
