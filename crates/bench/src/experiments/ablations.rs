@@ -166,9 +166,11 @@ pub fn measured_comm(ops: u32) -> Vec<MeasuredCommRow> {
             .expect("valid config"),
     );
     ping_pong(&ngm, ops.max(1));
-    let calls = ngm.telemetry().call_cycles.snapshot();
-    let posts = ngm.telemetry().post_cycles.snapshot();
+    // Read once the tier is down, when the service has booked every trip.
+    let telemetry = Arc::clone(ngm.telemetry());
     let down = check_books("measured comm", ngm);
+    let calls = telemetry.call_cycles.snapshot();
+    let posts = telemetry.post_cycles.snapshot();
     vec![
         MeasuredCommRow {
             op: "malloc call (sync round trip)",
@@ -284,14 +286,15 @@ pub fn measured_batched_frontend(ops: u32) -> Vec<MeasuredBatchRow> {
                     .expect("valid config"),
             );
             ping_pong(&ngm, ops.max(1));
+            let telemetry = Arc::clone(ngm.telemetry());
+            let down = check_books(&format!("batch {batch}"), ngm);
             // A refill of one block is a call (`ngm_call_cycles`); only
             // refills that amortise land in `ngm_refill_cycles`.
             let snap = if batch == 1 {
-                ngm.telemetry().call_cycles.snapshot()
+                telemetry.call_cycles.snapshot()
             } else {
-                ngm.telemetry().refill_cycles.snapshot()
+                telemetry.refill_cycles.snapshot()
             };
-            let down = check_books(&format!("batch {batch}"), ngm);
             let roundtrips_per_alloc = down.runtime.calls_served as f64 / f64::from(ops.max(1));
             MeasuredBatchRow {
                 batch,

@@ -1,24 +1,27 @@
 //! Span phase breakdown: where a request's round trip actually goes.
 //!
-//! A timed single-block `alloc` round trip is stamped at four lifecycle
-//! boundaries (enqueue → claimed → served → observed). The client books
-//! claim (enqueue → claimed) and observe (claimed → observed) in the
-//! per-shard `ngm_phase_*_cycles` histograms, and the service books
-//! serve (claimed → served), which lies inside observe; the `queue` and
-//! `publish` rows read zero. The tier is untraced, so one trip in 64 is
-//! timed: the calls are counted by the tier's counter, and the sums and
-//! percentiles are those of the timed trips. This experiment drives the
-//! live tier under the paper's per-call handshake (`with_batch(1, 1)`)
-//! per shard count and renders the phase table: sum, share of the round
-//! trip, and windowed percentiles per phase, in cycles and nanoseconds.
+//! A timed single-block `alloc` round trip is one record (enqueue →
+//! claimed → served → observed), which the service books once the
+//! client has collected the response, into the per-shard
+//! `ngm_call_cycles` and `ngm_phase_*_cycles` histograms: claim, serve
+//! (which lies inside observe) and observe; the `queue` and `publish`
+//! rows read zero. A trip the service was already polling for is claimed
+//! on arrival and books no claim phase; their share is printed beside
+//! the claim row. The tier is untraced, so one trip in 64 is timed: the
+//! calls are counted by the tier's counter, and the sums and percentiles
+//! are those of the timed trips. This experiment drives the live tier
+//! under the paper's per-call handshake (`with_batch(1, 1)`) per shard
+//! count, reads the books once the tier is down, and renders the phase
+//! table: sum, share of the round trip, and percentiles per phase, in
+//! cycles and nanoseconds.
 //!
-//! The load-bearing invariant — checked here and asserted by the smoke
-//! test — is **coverage**: the client's phase sums partition the timed
-//! round trips, so their total must equal the `ngm_call_cycles` sum (the claim
-//! stamp is clamped into each call's `[t0, t5]`, so the identity is
-//! exact by construction; the acceptance bar is ±10%). With `--hw` the same run
-//! runs under the harness's PMU sessions, so the phase table and the service-vs-client
+//! **Coverage** — the claim and observe sums over the `ngm_call_cycles`
+//! sum — is 1.0 by construction, since one record feeds all three (the
+//! smoke test's bar is ±10%). With `--hw` the same run runs under the
+//! harness's PMU sessions, so the phase table and the service-vs-client
 //! counter report under it come from one run.
+
+use std::sync::Arc;
 
 use ngm_offload::{PHASES, PHASE_NAMES};
 use ngm_telemetry::clock::cycles_to_ns;
@@ -44,16 +47,20 @@ pub struct SpanRow {
     pub timed: u64,
     /// Sum of `ngm_call_cycles` — the whole timed round trips.
     pub call_sum: u64,
-    /// Windowed snapshot per phase, [`PHASE_NAMES`] order.
+    /// Snapshot per phase, [`PHASE_NAMES`] order.
     pub phases: Vec<HistogramSnapshot>,
     /// This row's service-shards-vs-clients PMU report, when it ran
     /// profiled.
     pub pmu: Option<ngm_pmu::PmuReport>,
 }
 
+/// [`PHASE_NAMES`] indices of the claim and serve rows.
+const CLAIM: usize = 1;
+const SERVE: usize = 2;
+
 impl SpanRow {
-    /// Total cycles across the phases the client books; the service's
-    /// serve lies inside them.
+    /// Total cycles across the phases that partition the round trip; the
+    /// serve lies inside observe.
     #[must_use]
     pub fn phase_total(&self) -> u64 {
         PHASE_NAMES
@@ -72,6 +79,14 @@ impl SpanRow {
         }
         self.phase_total() as f64 / self.call_sum as f64
     }
+
+    /// Share of the timed trips the service claimed on arrival: every
+    /// timed trip books a serve, and only one that waited books a claim.
+    #[must_use]
+    pub fn claimed_on_arrival(&self) -> f64 {
+        let (timed, waited) = (self.phases[SERVE].count(), self.phases[CLAIM].count());
+        timed.saturating_sub(waited) as f64 / timed.max(1) as f64
+    }
 }
 
 /// The full experiment: one row per shard count.
@@ -82,9 +97,10 @@ pub struct SpansReport {
 }
 
 /// Drives an alloc/free ping-pong under `with_batch(1, 1)` (so every
-/// alloc is one round trip, one in 64 of them timed) and reads the
-/// merged phase histograms back through the metrics exporter — the same
-/// series Prometheus would scrape.
+/// alloc is one round trip, one in 64 of them timed) and, once the tier
+/// is down and every timed trip booked, reads the merged phase
+/// histograms back through the metrics exporter — the same series
+/// Prometheus would scrape.
 fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
     let ngm = ngm_core::NgmConfig::new()
         .with_shards(shards)
@@ -107,7 +123,15 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
         live::JOIN_POLL,
         || (),
     );
-    let m = ngm.metrics();
+    let telemetry: Vec<_> = (0..shards)
+        .map(|s| Arc::clone(ngm.shard_telemetry(s)))
+        .collect();
+    // The service threads' clocks read nothing once they have exited.
+    let pmu = hw.map(live::Sessions::report);
+    let down = ngm.shutdown();
+    assert!(down.clean() && down.balanced(), "spans run stayed exact");
+    let peers: Vec<_> = telemetry[1..].iter().map(|t| &**t).collect();
+    let m = telemetry[0].metrics_merged(&down.runtime, &peers);
     let calls = m
         .get_histogram("ngm_call_cycles")
         .expect("call histogram exported");
@@ -119,9 +143,6 @@ fn run_row(shards: usize, scale: Scale, profile: bool) -> SpanRow {
                 .clone()
         })
         .collect();
-    let pmu = hw.map(live::Sessions::report);
-    let down = ngm.shutdown();
-    assert!(down.clean() && down.balanced(), "spans run stayed exact");
     SpanRow {
         shards,
         calls: down.runtime.calls_served,
@@ -164,8 +185,14 @@ impl SpansReport {
             for (i, name) in PHASE_NAMES.iter().enumerate() {
                 debug_assert!(i < PHASES);
                 let h = &row.phases[i];
+                let arrived = (i == CLAIM).then(|| {
+                    format!(
+                        " ({:.1}% claimed on arrival)",
+                        100.0 * row.claimed_on_arrival()
+                    )
+                });
                 t.row(vec![
-                    (*name).to_string(),
+                    format!("{name}{}", arrived.unwrap_or_default()),
                     h.sum().to_string(),
                     format!("{:.1}%", 100.0 * h.sum() as f64 / total as f64),
                     h.p50().to_string(),
@@ -204,6 +231,16 @@ mod tests {
         assert!(
             (cov - 1.0).abs() < 0.10,
             "phase sum within 10% of call sum (got {cov}): exact partition expected"
+        );
+        assert_eq!(
+            row.phase_total(),
+            row.call_sum,
+            "one record, read after shutdown"
+        );
+        assert_eq!(
+            row.phases[SERVE].count(),
+            row.timed,
+            "every timed trip serves"
         );
     }
 
@@ -252,5 +289,8 @@ mod tests {
             assert!(text.contains(name), "{text}");
         }
         assert!(text.contains("coverage"), "{text}");
+        // Each phase recorded once: as many claims as serves, so none
+        // was claimed on arrival.
+        assert!(text.contains("claim (0.0% claimed on arrival)"), "{text}");
     }
 }

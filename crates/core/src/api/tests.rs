@@ -8,6 +8,7 @@ use ngm_heap::classes::{class_to_size, SizeClass, NUM_CLASSES, SMALL_MAX};
 use ngm_heap::segment::PAGE_SIZE;
 use ngm_heap::AllocError;
 use ngm_offload::{ServiceError, ShardHealth};
+use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::trace::TraceEventKind;
 
 use super::routing::RouteOp;
@@ -202,11 +203,27 @@ fn latency_histograms_capture_alloc_and_free() {
         // SAFETY: block from this handle's allocator.
         unsafe { h.dealloc(p, layout(64)) };
     }
-    let calls = ngm.telemetry().call_cycles.snapshot();
-    let posts = ngm.telemetry().post_cycles.snapshot();
+    drop(h);
+    let (_, m) = books_after_shutdown(ngm);
+    let calls = m.get_histogram("ngm_call_cycles").expect("exported");
+    let posts = m.get_histogram("ngm_post_cycles").expect("exported");
     assert_eq!(calls.count(), 32);
     assert_eq!(posts.count(), 32);
     assert!(calls.p50() <= calls.p99());
+}
+
+/// Shuts `ngm` down and returns its books with its latency histograms,
+/// merged across shards: the service books a trip once its client has
+/// collected it, at the latest when the service loop ends, so they are
+/// whole only then.
+fn books_after_shutdown(ngm: Ngm) -> (NgmShutdown, MetricsSnapshot) {
+    let telemetry: Vec<_> = (0..ngm.num_shards())
+        .map(|s| std::sync::Arc::clone(ngm.shard_telemetry(s)))
+        .collect();
+    let down = ngm.shutdown();
+    let peers: Vec<_> = telemetry[1..].iter().map(|t| &**t).collect();
+    let m = telemetry[0].metrics_merged(&down.runtime, &peers);
+    (down, m)
 }
 
 #[test]
@@ -358,8 +375,6 @@ fn two_shards_keep_one_ledger_and_count_each_trip_once() {
         unsafe { h.dealloc(p, l) };
     }
     drop(h);
-    let m = ngm.metrics();
-    let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
     let mut events = [0u64; 3];
     for shard in 0..2 {
         // The service loop's drain events follow the schedule and are
@@ -373,7 +388,8 @@ fn two_shards_keep_one_ledger_and_count_each_trip_once() {
             }
         }
     }
-    let down = ngm.shutdown();
+    let (down, m) = books_after_shutdown(ngm);
+    let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
     assert!(down.clean() && down.balanced(), "{down:?}");
     assert_eq!(down.service.app_allocs(), 90, "ledger == mallocs");
     assert_eq!(
@@ -402,9 +418,9 @@ fn same_class_pairs(cfg: NgmConfig) -> (NgmShutdown, u64, u64) {
         unsafe { h.dealloc(p, layout(64)) };
     }
     drop(h);
-    let calls = ngm.telemetry().call_cycles.snapshot().count();
-    let refills = ngm.telemetry().refill_cycles.snapshot().count();
-    let down = ngm.shutdown();
+    let (down, m) = books_after_shutdown(ngm);
+    let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
+    let (calls, refills) = (count("ngm_call_cycles"), count("ngm_refill_cycles"));
     assert!(down.clean() && down.balanced(), "{down:?}");
     assert_eq!(down.service.app_allocs(), PAIRS as u64);
     assert_eq!(down.heap.live_blocks, 0);
@@ -498,8 +514,10 @@ fn one_block_of_every_class(cfg: NgmConfig, stashed: impl Fn(usize, usize)) -> (
         unsafe { h.dealloc(p, l) };
     }
     drop(h);
-    let refills = ngm.telemetry().refill_cycles.snapshot().count();
-    let down = ngm.shutdown();
+    let (down, m) = books_after_shutdown(ngm);
+    let refills = m
+        .get_histogram("ngm_refill_cycles")
+        .map_or(0, |h| h.count());
     assert!(down.clean() && down.balanced(), "{down:?}");
     assert_eq!(down.service.app_allocs(), NUM_CLASSES as u64);
     assert_eq!(down.service.batch_refills, NUM_CLASSES as u64);
@@ -622,14 +640,22 @@ fn refills_land_in_refill_histogram_not_call_histogram() {
     for _ in 0..16 {
         blocks.push(h.alloc(layout(64)).unwrap());
     }
-    let refills = ngm.telemetry().refill_cycles.snapshot();
-    let calls = ngm.telemetry().call_cycles.snapshot();
-    assert_eq!(refills.count(), 2, "16 allocs at batch 8 = 2 refills");
-    assert_eq!(calls.count(), 0, "no per-op round trips happened");
     for p in blocks {
         // SAFETY: blocks from this handle's allocator.
         unsafe { h.dealloc(p, layout(64)) };
     }
+    drop(h);
+    let (down, m) = books_after_shutdown(ngm);
+    let count = |name: &str| m.get_histogram(name).map_or(0, |h| h.count());
+    // 16 allocs at batch 8: two refills, and the third the draining pop
+    // sent ahead, which the handle collects as it drops.
+    assert_eq!(count("ngm_refill_cycles"), 3, "{down:?}");
+    assert_eq!(count("ngm_refill_cycles"), down.runtime.calls_served);
+    assert_eq!(
+        count("ngm_call_cycles"),
+        0,
+        "no per-op round trips happened"
+    );
 }
 
 #[test]
@@ -1283,15 +1309,22 @@ mod faults {
                 .collect();
             (stats.magazine_occupancy, completions)
         };
-        // The service books a serve after publishing its response: wait
-        // for the one refill's serve to land.
+        // The service books a trip once its client has collected it:
+        // wait for the one refill to land.
         while telemetry.phase_cycles[2].snapshot().count() < 1 {
             std::thread::yield_now();
         }
         let before = books();
         // Refills, calls, then the five phases, of which queue and
-        // publish record nothing.
-        assert_eq!(before, (16, vec![1, 0, 0, 1, 1, 0, 1]));
+        // publish record nothing, and claim only a refill the service
+        // did not claim on arrival.
+        let (occupancy, ref counts) = before;
+        assert_eq!(occupancy, 16);
+        assert_eq!(
+            [counts[0], counts[1], counts[2], counts[4], counts[5], counts[6]],
+            [1, 0, 0, 1, 0, 1]
+        );
+        assert!(counts[3] <= 1, "{counts:?}");
         // The service ignores the refill the draining pop sends ahead
         // until the next alloc's deadline retracts it; the fallback
         // serves that allocation.

@@ -31,8 +31,7 @@ use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::json_str;
 use ngm_telemetry::recorder::{FlightRecorder, DEFAULT_ROTATE_BYTES};
 use ngm_telemetry::server::{HttpServer, Response, Router};
-use ngm_telemetry::span::{reconstruct, SpanRecord};
-use ngm_telemetry::trace::TraceEvent;
+use ngm_telemetry::span::Span;
 
 use crate::api::{FailureReason, Ngm};
 use crate::config::ObserverConfig;
@@ -253,54 +252,76 @@ fn with_tier(weak: &Weak<Ngm>, f: impl FnOnce(&Ngm) -> Response) -> Response {
     }
 }
 
-/// How many reconstructed spans `/spans` returns (newest by start tsc).
+/// How many spans `/spans` returns (newest by enqueue tsc).
 const SPANS_LAST_K: usize = 64;
 
-/// `/spans`: the last-K request spans reconstructed from every shard's
-/// trace ring (empty unless `trace_capacity > 0`).
-fn spans_json(ngm: &Ngm) -> String {
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    for s in 0..ngm.num_shards() {
-        let events = ngm.shard_telemetry(s).peek_trace(4096);
-        spans.extend(reconstruct(&events));
-    }
-    spans.sort_by_key(|sp| sp.phases.first().map_or(0, |&(_, tsc)| tsc));
-    let skip = spans.len().saturating_sub(SPANS_LAST_K);
-    let mut out = String::from("{\"spans\":[");
-    for (i, sp) in spans.iter().skip(skip).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{},\"completed\":{},\"well_nested\":{},\"total_cycles\":{},\"phases\":[",
-            sp.id,
-            sp.completed(),
-            sp.well_nested(),
-            sp.total_cycles().unwrap_or(0),
-        ));
-        for (j, (phase, tsc)) in sp.phases.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{tsc}]", json_str(phase.label())));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+/// A span's fields as JSON object members: the client's runtime thread,
+/// the publish sequence, whether it was a refill, its cycles end to end
+/// and its phase boundaries.
+fn span_fields(sp: &Span) -> String {
+    let phases: Vec<String> = sp
+        .phases()
+        .map(|(phase, tsc)| format!("[{},{tsc}]", json_str(phase.label())))
+        .collect();
+    let (thread, seq, refill, cycles) = (sp.thread, sp.seq, sp.batched, sp.total_cycles());
+    let phases = phases.join(",");
+    format!("\"thread\":{thread},\"seq\":{seq},\"refill\":{refill},\"total_cycles\":{cycles},\"phases\":[{phases}]")
 }
 
-/// How many of the implicated shard's trace events `/blackbox` shows
-/// up to each failure.
+/// `/spans`: the last-K request spans of every shard's span log (empty
+/// unless `trace_capacity > 0`).
+fn spans_json(ngm: &Ngm) -> String {
+    let mut spans: Vec<Span> = (0..ngm.num_shards())
+        .flat_map(|s| ngm.shard_telemetry(s).spans(SPANS_LAST_K))
+        .collect();
+    spans.sort_by_key(|sp| sp.enqueue);
+    let skip = spans.len().saturating_sub(SPANS_LAST_K);
+    let spans: Vec<String> = spans[skip..]
+        .iter()
+        .map(|sp| format!("{{{}}}", span_fields(sp)))
+        .collect();
+    format!("{{\"spans\":[{}]}}", spans.join(","))
+}
+
+/// One shard's trace tail: its trace events and its spans (at the tsc
+/// each ended), rendered, oldest first.
+fn shard_tail(ngm: &Ngm, shard: usize) -> Vec<(u64, String)> {
+    let telemetry = ngm.shard_telemetry(shard);
+    let events = telemetry.peek_trace(usize::MAX).into_iter().map(|e| {
+        let json = format!(
+            "{{\"tsc\":{},\"thread\":{},\"kind\":{},\"a\":{},\"b\":{}}}",
+            e.tsc,
+            e.thread,
+            json_str(e.kind.label()),
+            e.a,
+            e.b
+        );
+        (e.tsc, json)
+    });
+    let spans = telemetry.spans(usize::MAX).into_iter().map(|sp| {
+        let json = format!(
+            "{{\"tsc\":{},\"kind\":\"span\",{}}}",
+            sp.end_tsc,
+            span_fields(&sp)
+        );
+        (sp.end_tsc, json)
+    });
+    let mut tail: Vec<(u64, String)> = events.chain(spans).collect();
+    tail.sort_by_key(|&(tsc, _)| tsc);
+    tail
+}
+
+/// How many of the implicated shard's trace events and spans
+/// `/blackbox` shows up to each failure.
 const FAILURE_TAIL: usize = 64;
 
 /// `/blackbox`: every failure edge still in the control ring, oldest
-/// first, each with the implicated shard's trace tail up to the
-/// failure's timestamp, read from the rings at request time. The rest
-/// of the picture (per-shard counters, ring occupancy, health, fallback
-/// count) is in the flight recording's frames.
+/// first, each with the implicated shard's trace tail (its events and
+/// spans) up to the failure's timestamp, read from the rings at request
+/// time. The rest of the picture (per-shard counters, ring occupancy,
+/// health, fallback count) is in the flight recording's frames.
 pub(crate) fn blackbox_json(ngm: &Ngm) -> String {
-    let mut traces: Vec<Option<Vec<TraceEvent>>> = vec![None; ngm.num_shards()];
+    let mut tails: Vec<Option<Vec<(u64, String)>>> = vec![None; ngm.num_shards()];
     let mut out = String::from("{\"failures\":[");
     for (i, f) in ngm.failures().iter().enumerate() {
         if i > 0 {
@@ -314,25 +335,13 @@ pub(crate) fn blackbox_json(ngm: &Ngm) -> String {
             f.tsc
         ));
         // Peeked once per shard: every failure of a shard reads one copy.
-        let trace =
-            traces[shard].get_or_insert_with(|| ngm.shard_telemetry(shard).peek_trace(usize::MAX));
-        let end = trace.partition_point(|e| e.tsc <= f.tsc);
-        for (j, e) in trace[end.saturating_sub(FAILURE_TAIL)..end]
+        let tail = tails[shard].get_or_insert_with(|| shard_tail(ngm, shard));
+        let end = tail.partition_point(|&(tsc, _)| tsc <= f.tsc);
+        let shown: Vec<&str> = tail[end.saturating_sub(FAILURE_TAIL)..end]
             .iter()
-            .enumerate()
-        {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tsc\":{},\"thread\":{},\"kind\":{},\"a\":{},\"b\":{}}}",
-                e.tsc,
-                e.thread,
-                json_str(e.kind.label()),
-                e.a,
-                e.b
-            ));
-        }
+            .map(|(_, json)| json.as_str())
+            .collect();
+        out.push_str(&shown.join(","));
         out.push_str("]}");
     }
     out.push_str("]}");

@@ -523,15 +523,12 @@ mod tests {
         for (round, len) in interleaved_lengths().enumerate() {
             let sent = run(len, round * 1000 + 1);
             assert!(slot.begin(len).is_ok());
-            assert!(slot.serve(
-                |_| None,
-                |len, out| {
-                    // As `alloc_batch` fills a response: over the last one.
-                    out.clear();
-                    assert_eq!(len, sent.len());
-                    sent.as_slice().iter().for_each(|&a| out.push(a));
-                }
-            ));
+            assert!(slot.serve(|_, len, out| {
+                // As `alloc_batch` fills a response: over the last one.
+                out.clear();
+                assert_eq!(len, sent.len());
+                sent.as_slice().iter().for_each(|&a| out.push(a));
+            }));
             slot.poll_response(|resp| magazine.copy_from(resp))
                 .expect("served");
             assert_eq!(magazine.as_slice(), sent.as_slice(), "length {len}");

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use ngm_telemetry::clock::cycles_now;
 use ngm_telemetry::export::MetricsSnapshot;
-use ngm_telemetry::span::{call_span_id, SpanPhase};
+use ngm_telemetry::span::{Span, SpanPhase};
 use ngm_telemetry::trace::{TraceEventKind, TraceRing};
 
 use crate::error::ServiceError;
@@ -90,10 +90,38 @@ struct ClientChannel<S: Service> {
     /// The publish sequence of the last request the loop claimed: the
     /// next one is this plus one, unless a retract took that one.
     served_seq: u64,
+    /// The last timed trip the loop served and has not booked yet: its
+    /// publish sequence and the loop's claim and served stamps. Booked
+    /// once the client has collected the response.
+    unbooked: Option<(u64, u64, u64)>,
+    /// The client's runtime thread id, which names its spans (0
+    /// untraced).
+    thread: u32,
     /// A drop fault is active on this client: the request with this
     /// publish sequence stays unserved until the client retracts it.
     #[cfg(feature = "faultinject")]
     dropping: Option<u64>,
+}
+
+impl<S: Service> ClientChannel<S> {
+    /// Books the last timed trip served on this channel if the client
+    /// has collected it since: that trip's record is the client's half,
+    /// left in the slot's tail, and the loop's two stamps. Returns whether
+    /// no trip waits to be booked, which is when the loop may claim the
+    /// next request: the client's next timed trip writes the tail again.
+    fn book_collected(&mut self, telemetry: &RuntimeTelemetry) -> bool {
+        if let Some((seq, claim, served)) = self.unbooked {
+            if !self.slot.collected() {
+                return false;
+            }
+            self.unbooked = None;
+            let trip = self.slot.trip(claim, served);
+            // Both sides time a trip by its sequence, so the tail holds it.
+            debug_assert_eq!(trip.seq, seq, "the tail is the trip served");
+            telemetry.book(self.thread, &trip);
+        }
+        true
+    }
 }
 
 struct Shared<S: Service> {
@@ -148,7 +176,7 @@ pub struct ClientHandle<S: Service> {
 }
 
 /// Which population a timed synchronous request's round trip belongs
-/// to. Either way its two client phases land in the phase histograms.
+/// to. Either way its phases land in the phase histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallKind {
     /// One unit of work per round trip: latency lands in the call
@@ -162,79 +190,34 @@ pub enum CallKind {
 }
 
 impl<S: Service> ClientHandle<S> {
-    /// Traces the terminal events of a request that never completed: the
-    /// span reached the ring (and, for an abandoned request, the server)
-    /// but ends in a terminal phase instead of `Observed`. The publish
-    /// sequence in the span id guarantees the retry the caller issues
-    /// next is a distinct span.
-    fn finish_failed_span(&self, t0: Option<u64>, terminal: SpanPhase) {
+    /// Logs the span of a timed request this client ended without a
+    /// response — `Retracted` or `Abandoned` — on a traced runtime. An
+    /// abandoned request was claimed, but its claim time is the dead
+    /// service's, so neither span has a claim.
+    fn log_failed(&self, t0: Option<u64>, kind: CallKind, end: SpanPhase) {
         // A traced handle times every request, so `t0` is there.
         if let (Some(ring), Some(t0)) = (&self.trace, t0) {
-            let id = call_span_id(ring.thread(), self.slot.publish_seq());
-            let now = cycles_now();
-            ring.push_at(t0, TraceEventKind::Span, id, SpanPhase::Enqueue.code());
-            if terminal == SpanPhase::Abandoned {
-                // The server claimed the request before dying mid-serve;
-                // its claim stamp is a racy-but-harmless read.
-                ring.push_at(
-                    self.slot.claim_stamp().clamp(t0, now),
-                    TraceEventKind::Span,
-                    id,
-                    SpanPhase::Claimed.code(),
-                );
-            }
-            ring.push_at(now, TraceEventKind::Span, id, terminal.code());
-        }
-    }
-
-    /// Completion telemetry for the timed response just seen, stamped
-    /// from just after publication (`t0`) to the moment the client saw
-    /// RESPONSE — which, for a request collected some time after it was
-    /// published, is when the client came back for it, so the observe
-    /// phase then includes the time the response waited in the slot: the
-    /// latency histogram of the request's [`CallKind`], the client's two
-    /// phase histograms (every timed round trip of either kind, so
-    /// together they partition the call and refill populations exactly)
-    /// and — when tracing is on — the four span phase events. The service
-    /// books the serve phase of the same trip itself.
-    ///
-    /// Called before the response is collected: the store that releases
-    /// the slot to the service is the round trip's last write, so none of
-    /// these locked increments waits behind it. The round trip therefore
-    /// does not include the client's copy of the response.
-    fn record_completion(&mut self, t0: u64, kind: CallKind) {
-        let t5 = cycles_now();
-        let claim = self.slot.claim_stamp();
-        let latency = match kind {
-            CallKind::Single => &self.telemetry.call_cycles,
-            CallKind::Batched => &self.telemetry.refill_cycles,
-        };
-        latency.record(t5.saturating_sub(t0));
-        self.telemetry.record_phases(t0, claim, t5);
-        if let Some(ring) = &self.trace {
-            let id = call_span_id(ring.thread(), self.slot.publish_seq());
-            // Clamped in order, so a served stamp that has not landed yet
-            // (see `RequestSlot::served_stamp`) reads as the claim.
-            let t2 = claim.clamp(t0, t5);
-            let t3 = self.slot.served_stamp().clamp(t2, t5);
-            for (tsc, phase) in [
-                (t0, SpanPhase::Enqueue),
-                (t2, SpanPhase::Claimed),
-                (t3, SpanPhase::Served),
-                (t5, SpanPhase::Observed),
-            ] {
-                ring.push_at(tsc, TraceEventKind::Span, id, phase.code());
-            }
+            self.telemetry.log_span(Span {
+                thread: ring.thread(),
+                seq: self.slot.publish_seq(),
+                batched: kind == CallKind::Batched,
+                enqueue: t0,
+                served: None,
+                end,
+                end_tsc: cycles_now(),
+            });
         }
     }
 
     /// Publishes `req` on the slot: the first half of a synchronous
     /// request. A timed round trip is stamped from just after the request
     /// is published, so the service never waits for that clock read, and
-    /// its completion lands in the population `kind` names. Every trip is
-    /// timed when tracing is on, and otherwise one in 64, picked by the
-    /// publish sequence so that the service times the same ones; an
-    /// untimed trip reads no clock and books nothing. The slot holds
+    /// lands in the population `kind` names. Every trip is timed when
+    /// tracing is on, and otherwise one in 64, picked by the publish
+    /// sequence so that the service times the same ones; an untimed trip
+    /// reads no clock. The client books no trip it collected: it leaves
+    /// its two stamps in the slot for the service, which books the trip
+    /// (see [`crate::RuntimeTelemetry::phase_cycles`]). The slot holds
     /// one request, so a handle carries at most one in flight: collect it
     /// with [`ClientHandle::try_collect`] before publishing again. Nothing is
     /// woken and nothing else collects it; the response waits in the
@@ -310,10 +293,14 @@ impl<S: Service> ClientHandle<S> {
         for grace in [false, true] {
             let mut state = WaitState::with_budget(self.ladder, budget);
             if state.wait_until(|| self.slot.has_response()) {
-                // Bookkeeping first: collecting releases the slot, and
-                // that store is the last this round trip makes.
+                // A timed trip's stamps go first: collecting releases the
+                // slot, and that store is the last this round trip makes.
+                // The round trip therefore does not include the client's
+                // copy of the response.
                 if let Some(t0) = t0 {
-                    self.record_completion(t0, kind);
+                    let t5 = cycles_now();
+                    let seq = self.slot.publish_seq();
+                    self.slot.leave_stamps(seq, kind, t0, t5);
                 }
                 let got = self
                     .slot
@@ -323,12 +310,12 @@ impl<S: Service> ClientHandle<S> {
             }
             waited += state.waited();
             if !grace && self.slot.retract() {
-                self.finish_failed_span(t0, SpanPhase::Retracted);
+                self.log_failed(t0, kind, SpanPhase::Retracted);
                 break;
             }
             if grace {
                 // Claimed and never answered: the slot cannot be reused.
-                self.finish_failed_span(t0, SpanPhase::Abandoned);
+                self.log_failed(t0, kind, SpanPhase::Abandoned);
                 self.poisoned = true;
                 self.stats.mark_service_down();
             }
@@ -627,6 +614,7 @@ impl<S: Service> OffloadRuntime<S> {
         let handles = &self.shared.handles;
         let slot = Arc::new(RequestSlot::new());
         let (tx, rx) = spsc(DEFAULT_RING_CELLS);
+        let trace = handles.telemetry.new_ring();
         // A loop that has ended left the injector closed: `rx` drops
         // here and the client's ring is closed from the start.
         if let Some(inj) = self
@@ -640,6 +628,8 @@ impl<S: Service> OffloadRuntime<S> {
                 slot: Arc::clone(&slot),
                 posts: rx,
                 served_seq: 0,
+                unbooked: None,
+                thread: trace.as_ref().map_or(0, |r| r.thread()),
                 #[cfg(feature = "faultinject")]
                 dropping: None,
             });
@@ -658,7 +648,7 @@ impl<S: Service> OffloadRuntime<S> {
             poisoned: false,
             stats: Arc::clone(&handles.stats),
             telemetry: Arc::clone(&handles.telemetry),
-            trace: handles.telemetry.new_ring(),
+            trace,
             in_flight: None,
             posts_made: 0,
         }
@@ -843,12 +833,13 @@ fn service_loop<S: Service>(
         let mut work = 0usize;
         let mut occupancy = 0usize;
         for c in &mut clients {
+            let booked = c.book_collected(telemetry);
             #[cfg(feature = "faultinject")]
             let serve_now = {
                 // Only a request this look observed is served this round:
                 // one that arrives later waits for the next, so none
                 // slips past its fault decision.
-                let mut serve_now = c.slot.has_request();
+                let mut serve_now = booked && c.slot.has_request();
                 if let Some(seq) = c.dropping {
                     if serve_now && c.slot.publish_seq() == seq {
                         // Still ignoring this exact request; the client's
@@ -876,10 +867,9 @@ fn service_loop<S: Service>(
                             // Panic *inside* the serve, after the request
                             // is claimed: the mid-refill death the client
                             // observes as an abandoned request.
-                            let killed = c.slot.serve(
-                                |_| Some(cycles_now()),
-                                |_q, _out| panic!("faultinject: shard killed mid-serve"),
-                            );
+                            let killed = c
+                                .slot
+                                .serve(|_, _q, _out| panic!("faultinject: shard killed mid-serve"));
                             if !killed {
                                 // The client retracted first; keep the
                                 // kill armed for the next request.
@@ -892,30 +882,29 @@ fn service_loop<S: Service>(
                 serve_now
             };
             #[cfg(not(feature = "faultinject"))]
-            let serve_now = true;
+            let serve_now = booked;
             if serve_now {
                 // A timed trip's stamps lie outside the claim → response
                 // window the client waits out: one before the claim CAS,
                 // read while the trip expected next is due, one after the
                 // RESPONSE store. Only a trip whose sequence a retract
-                // moved on is stamped after the CAS.
+                // moved on is stamped after the CAS. They stay here until
+                // the trip is booked.
                 let expected = c.served_seq + 1;
                 let early = timed(expected).then(cycles_now);
                 let mut claim = None;
-                let stamp = |seq| {
+                let served = c.slot.serve(|seq, q, out| {
                     c.served_seq = seq;
                     claim = if seq == expected {
                         early
                     } else {
                         timed(seq).then(cycles_now)
                     };
-                    claim
-                };
-                if c.slot.serve(stamp, |q, out| service.call_into(q, out)) {
+                    service.call_into(q, out);
+                });
+                if served {
                     if let Some(claim) = claim {
-                        let served = cycles_now();
-                        c.slot.stamp_served(served);
-                        telemetry.record_serve(claim, served);
+                        c.unbooked = Some((c.served_seq, claim, cycles_now()));
                     }
                     work += 1;
                     bump(&stats.calls_served, 1);
@@ -936,8 +925,15 @@ fn service_loop<S: Service>(
         // whenever no ring held more than `DRAIN_BATCH` records.
         stats.ring_occupancy.store(occupancy, Ordering::Relaxed);
 
-        // Retire clients whose handle is gone and whose ring is drained.
-        clients.retain(|c| !(c.posts.is_closed() && c.posts.is_empty() && !c.slot.has_request()));
+        // Retire clients whose handle is gone and whose ring is drained,
+        // booking the last trip a client collected.
+        clients.retain_mut(|c| {
+            let gone = c.posts.is_closed() && c.posts.is_empty() && !c.slot.has_request();
+            if gone {
+                c.book_collected(telemetry);
+            }
+            !gone
+        });
 
         if work == 0 {
             if stopping {
@@ -962,6 +958,9 @@ fn service_loop<S: Service>(
             }
             phase = now;
         }
+    }
+    for c in &mut clients {
+        c.book_collected(telemetry);
     }
     service.on_stop();
     service
@@ -1209,6 +1208,16 @@ mod tests {
         OffloadRuntime::try_start(service, cfg(|c| c.trace_capacity = 1024)).unwrap()
     }
 
+    /// Shuts `rt` down: the service books a trip once its client has
+    /// collected it, at the latest when the loop ends.
+    fn books_after_shutdown<S: Service>(
+        rt: OffloadRuntime<S>,
+    ) -> (StatsSnapshot, Arc<RuntimeTelemetry>) {
+        let telemetry = Arc::clone(rt.telemetry());
+        let (_, stats) = rt.shutdown();
+        (stats, telemetry)
+    }
+
     #[test]
     fn call_and_post_latencies_are_recorded() {
         let rt = traced(doubler());
@@ -1217,16 +1226,16 @@ mod tests {
             c.call(i);
             c.post(i);
         }
-        let m = rt.metrics();
+        drop(c);
+        let (stats, telemetry) = books_after_shutdown(rt);
+        assert_eq!(stats.calls_served, 32);
+        let m = telemetry.metrics(&stats);
         let calls = m.get_histogram("ngm_call_cycles").expect("call histogram");
         assert_eq!(calls.count(), 32);
         assert!(calls.p50() > 0, "a round trip takes nonzero time");
         assert!(calls.p50() <= calls.p99());
         let posts = m.get_histogram("ngm_post_cycles").expect("post histogram");
         assert_eq!(posts.count(), 32);
-        drop(c);
-        let (_, stats) = rt.shutdown();
-        assert_eq!(stats.calls_served, 32);
     }
 
     #[test]
@@ -1261,24 +1270,23 @@ mod tests {
     }
 
     #[test]
-    fn calls_emit_well_nested_spans_and_exact_phase_partition() {
-        use ngm_telemetry::span::reconstruct;
-        let rt = OffloadRuntime::try_start(doubler(), cfg(|c| c.trace_capacity = 1024)).unwrap();
+    fn calls_log_one_whole_span_each_and_an_exact_phase_partition() {
+        let rt = traced(doubler());
         let mut c = rt.register_client();
         for i in 0..8 {
             c.call(i);
             c.post(i);
         }
-        let m = rt.metrics();
+        drop(c);
+        let events = rt.telemetry().drain_trace().events;
+        let (stats, telemetry) = books_after_shutdown(rt);
+        let m = telemetry.metrics(&stats);
         let call_sum = m.get_histogram("ngm_call_cycles").expect("calls").sum();
         assert_eq!(
-            client_phase_sum(&m),
+            claim_and_observe_sum(&m),
             call_sum,
-            "the client's phases partition its round trip exactly (same endpoint stamps)"
+            "claim and observe partition each round trip exactly (one record)"
         );
-        let events = rt.telemetry().drain_trace().events;
-        let spans = reconstruct(&events);
-        assert_eq!(spans.len(), 8, "one span per synchronous call");
         let posts: Vec<_> = events
             .iter()
             .filter(|e| e.kind == TraceEventKind::Post)
@@ -1289,25 +1297,20 @@ mod tests {
             m.get_histogram("ngm_post_cycles").expect("posts").sum(),
             "a post event carries the cycles its post waited"
         );
+        let spans = telemetry.spans(usize::MAX);
+        assert!(spans.iter().map(|s| s.seq).eq(1..=8), "one span per call");
         for s in &spans {
-            assert!(
-                s.well_nested(),
-                "span {:#x} malformed: {:?}",
-                s.id,
-                s.phases
-            );
-            assert!(s.phase_monotonic(), "span {:#x} time-travels", s.id);
+            let phases: Vec<_> = s.phases().collect();
+            assert_eq!(phases.len(), 4, "enqueue, claimed, served, observed");
+            assert!(phases.windows(2).all(|w| w[0].1 <= w[1].1), "{s:?}");
+            assert_eq!((s.thread, s.batched), (1, false), "{s:?}");
         }
-        for s in &spans {
-            assert!(s.completed(), "call spans end Observed");
-            assert_eq!(s.phases.len(), 4, "all four call phases present");
-        }
-        drop(c);
-        rt.shutdown();
+        let span_sum: u64 = spans.iter().map(|s| s.total_cycles()).sum();
+        assert_eq!(span_sum, call_sum, "the spans are the histograms' records");
     }
 
-    /// The sum of the two phases the client records: claim and observe.
-    fn client_phase_sum(m: &MetricsSnapshot) -> u64 {
+    /// The claim and observe sums, which partition the round trips.
+    fn claim_and_observe_sum(m: &MetricsSnapshot) -> u64 {
         ["claim", "observe"]
             .iter()
             .map(|n| {
@@ -1321,7 +1324,6 @@ mod tests {
     #[test]
     fn the_service_books_exactly_the_calls_it_served() {
         let rt = traced(doubler());
-        let telemetry = Arc::clone(rt.telemetry());
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let mut c = rt.register_client();
@@ -1334,17 +1336,20 @@ mod tests {
                 });
             }
         });
-        let (_, stats) = rt.shutdown();
+        let (stats, telemetry) = books_after_shutdown(rt);
         assert_eq!(stats.calls_served, 800);
-        let serve = telemetry.phase_cycles[2].snapshot();
-        assert_eq!(serve.count(), stats.calls_served, "one record per serve");
-        let sum = |h: &ngm_telemetry::hist::LatencyHistogram| h.snapshot().sum();
-        let round_trips = sum(&telemetry.call_cycles) + sum(&telemetry.refill_cycles);
-        assert!(
-            serve.sum() <= round_trips,
-            "serves {} inside round trips {round_trips}",
-            serve.sum()
-        );
+        let [calls, refills, _, claim, serve, observe] = books(&telemetry);
+        assert_eq!(calls.0 + refills.0, stats.calls_served, "every trip booked");
+        assert_eq!((calls.0, refills.0), (400, 400));
+        assert_eq!((serve.0, observe.0), (800, 800), "one record per serve");
+        assert!(claim.0 <= 800);
+        assert_eq!(claim.1 + observe.1, calls.1 + refills.1);
+        assert!(serve.1 <= observe.1, "serves lie inside observes");
+        let spans = telemetry.spans(usize::MAX);
+        assert_eq!(spans.len(), 800, "one span per trip");
+        assert!(spans
+            .iter()
+            .all(|s| s.end == SpanPhase::Observed && s.served.is_some()));
     }
 
     #[test]
@@ -1357,7 +1362,12 @@ mod tests {
         for i in 0..4 {
             assert_eq!(c.trip(i, CallKind::Batched, std::mem::take), Ok(i * 2));
         }
-        let m = rt.metrics();
+        drop(c);
+        let (stats, telemetry) = books_after_shutdown(rt);
+        // A batched call is still a served call: the refill population is
+        // a subset of the served calls, not a separate count.
+        assert_eq!(stats.calls_served, 12);
+        let m = telemetry.metrics(&stats);
         assert_eq!(
             m.get_histogram("ngm_call_cycles").map(|h| h.count()),
             Some(8),
@@ -1367,56 +1377,60 @@ mod tests {
             m.get_histogram("ngm_refill_cycles").map(|h| h.count()),
             Some(4)
         );
-        // The client's phases partition every round trip, whichever kind.
+        // The phases partition every round trip, whichever kind.
+        let count_of = |name: &str| m.get_histogram(name).expect(name).count();
         let sum_of = |name: &str| m.get_histogram(name).expect(name).sum();
-        for (n, recorded) in [
-            ("queue", 0),
-            ("claim", 8 + 4),
-            ("publish", 0),
-            ("observe", 8 + 4),
-        ] {
-            let h = m
-                .get_histogram(&format!("ngm_phase_{n}_cycles"))
-                .expect("phase series");
+        for (n, recorded) in [("queue", 0), ("serve", 12), ("publish", 0), ("observe", 12)] {
             assert_eq!(
-                h.count(),
+                count_of(&format!("ngm_phase_{n}_cycles")),
                 recorded,
                 "phase {n}: one sample per call and refill"
             );
         }
+        assert!(count_of("ngm_phase_claim_cycles") <= 12);
         assert_eq!(
-            client_phase_sum(&m),
+            claim_and_observe_sum(&m),
             sum_of("ngm_call_cycles") + sum_of("ngm_refill_cycles"),
-            "same endpoint stamps as the two latency histograms"
+            "same records as the two latency histograms"
         );
-        drop(c);
-        let (_, stats) = rt.shutdown();
-        // A batched call is still a served call: the refill population is
-        // a subset of the served calls, not a separate count.
-        assert_eq!(stats.calls_served, 12);
+    }
+
+    /// Answers each call with the number of trips booked so far.
+    struct CountsBooked(Arc<RuntimeTelemetry>);
+
+    impl Service for CountsBooked {
+        type Req = ();
+        type Resp = u64;
+        type Post = ();
+
+        fn call(&mut self, (): ()) -> u64 {
+            self.0.call_cycles.snapshot().count() + self.0.refill_cycles.snapshot().count()
+        }
+
+        fn post(&mut self, (): ()) {}
     }
 
     #[test]
-    fn a_completion_is_recorded_before_the_slot_is_released() {
-        let rt = traced(doubler());
-        let telemetry = Arc::clone(rt.telemetry());
+    fn a_served_trip_is_booked_within_one_round_of_its_collect() {
+        // Traced, so every trip is timed. The client publishes a request
+        // only once it has collected the last, and the loop claims nothing
+        // on a slot whose last timed trip is collected and not yet booked:
+        // so each serve sees every earlier trip on the books.
+        let config = cfg(|c| c.trace_capacity = 1024);
+        let handles = RuntimeHandles::fresh(&config);
+        let service = CountsBooked(Arc::clone(&handles.telemetry));
+        let rt = OffloadRuntime::try_start_shared(service, config, &handles).unwrap();
         let mut c = rt.register_client();
-        for i in 1..=4u64 {
-            // `collect` runs before the EMPTY store: the completion it
-            // belongs to is already on the books.
-            let seen = c.trip(i, CallKind::Single, |r| {
-                (*r, telemetry.call_cycles.snapshot().count())
-            });
-            assert_eq!(seen, Ok((i * 2, i)), "call {i}");
-        }
-        for i in 1..=4u64 {
-            let seen = c.trip(i, CallKind::Batched, |r| {
-                (*r, telemetry.refill_cycles.snapshot().count())
-            });
-            assert_eq!(seen, Ok((i * 2, i)), "refill {i}");
+        for n in 0..8 {
+            let kind = [CallKind::Single, CallKind::Batched][n as usize % 2];
+            assert_eq!(c.trip((), kind, std::mem::take), Ok(n), "trip {n}");
         }
         drop(c);
-        rt.shutdown();
+        // The last is booked at the latest when its client retires or the
+        // loop ends.
+        let (_, telemetry) = books_after_shutdown(rt);
+        let [calls, refills, ..] = books(&telemetry);
+        assert_eq!((calls.0, refills.0), (4, 4));
     }
 
     /// Checks, as each post is drained, that the client had already
@@ -1501,51 +1515,31 @@ mod tests {
     #[test]
     fn an_untraced_runtime_times_the_sampled_trips_and_a_traced_one_all() {
         const N: u64 = 1_000;
-        // Odd sequences are calls, even ones refills; post `n` follows
-        // trip `n`.
-        let expect = |timed: &dyn Fn(u64) -> bool| {
-            let count = |keep: &dyn Fn(u64) -> bool| {
-                (1..=N).filter(|&n| keep(n) && timed(n)).count() as u64
-            };
-            [
-                count(&|n| n % 2 == 1),
-                count(&|n| n % 2 == 0),
-                count(&|_| true),
-            ]
-        };
+        // A sampled trip is a call and every other a refill, so untraced
+        // the calls are exactly the sampled trips and the refills none;
+        // post `n` follows trip `n`.
+        let picked = (1..=N).filter(|&n| sampled(n)).count() as u64;
         for (rt, timed) in [
-            (OffloadRuntime::start(doubler()), expect(&sampled)),
-            (traced(doubler()), expect(&|_| true)),
+            (OffloadRuntime::start(doubler()), [picked, 0, picked]),
+            (traced(doubler()), [picked, N - picked, N]),
         ] {
             let mut c = rt.register_client();
             for n in 1..=N {
-                let kind = if n % 2 == 1 {
-                    CallKind::Single
-                } else {
-                    CallKind::Batched
-                };
+                let kind = [CallKind::Batched, CallKind::Single][usize::from(sampled(n))];
                 assert_eq!(c.trip(n, kind, std::mem::take), Ok(2 * n));
                 c.post(n);
             }
             drop(c);
-            let [calls, refills, posts, claim, serve, observe] = books(rt.telemetry());
-            let (_, stats) = rt.shutdown();
-            assert_eq!(
-                (stats.calls_served, stats.posts_served),
-                (N, N),
-                "counters count all"
-            );
-            assert_eq!(
-                [calls.0, refills.0, posts.0],
-                timed,
-                "the timed ones, by sequence"
-            );
-            let trips = timed[0] + timed[1];
-            assert!(trips > 0);
-            assert_eq!((claim.0, serve.0, observe.0), (trips, trips, trips));
-            assert_eq!(claim.1 + observe.1, calls.1 + refills.1, "same stamps");
+            let (stats, telemetry) = books_after_shutdown(rt);
+            let [calls, refills, posts, claim, serve, observe] = books(&telemetry);
+            assert_eq!((stats.calls_served, stats.posts_served), (N, N));
+            assert_eq!([calls.0, refills.0, posts.0], timed, "the timed ones");
+            let trips = calls.0 + refills.0;
+            assert_eq!((serve.0, observe.0), (trips, trips));
+            assert!(claim.0 <= trips);
+            assert_eq!(claim.1 + observe.1, calls.1 + refills.1, "same records");
         }
-        assert_eq!(expect(&sampled)[2], 15, "1,000 trips time 15");
+        assert_eq!(picked, 15, "1,000 trips time 15");
     }
 
     #[test]
@@ -1574,11 +1568,11 @@ mod tests {
         assert_eq!(c.trip(2, CallKind::Single, std::mem::take), Ok(2));
         assert!(sampled(34) && !(1..34).any(sampled));
         drop(c);
-        let telemetry = Arc::clone(rt.telemetry());
-        let (_, stats) = rt.shutdown();
+        let (stats, telemetry) = books_after_shutdown(rt);
         assert_eq!(stats.calls_served, 34, "32, the hostage's and 34");
         let [calls, _, _, claim, serve, observe] = books(&telemetry);
-        assert_eq!((calls.0, claim.0, serve.0, observe.0), (1, 1, 1, 1));
+        assert_eq!((calls.0, serve.0, observe.0), (1, 1, 1));
+        assert!(claim.0 <= 1);
         assert_eq!(claim.1 + observe.1, calls.1);
     }
 
@@ -1664,11 +1658,12 @@ mod tests {
             rt.stats().calls_served == 1
         });
         assert_eq!(c.try_collect(std::mem::take), Ok(10));
-        assert_eq!(rt.telemetry().refill_cycles.snapshot().count(), 1);
         assert_eq!(c.trip(7, CallKind::Single, std::mem::take), Ok(14));
         drop(c);
-        let (_, stats) = rt.shutdown();
+        let (stats, telemetry) = books_after_shutdown(rt);
         assert_eq!(stats.calls_served, 2);
+        let [calls, refills, ..] = books(&telemetry);
+        assert_eq!((calls.0, refills.0), (1, 1));
     }
 
     #[test]
@@ -1688,19 +1683,22 @@ mod tests {
         c.call(1);
     }
 
+    /// A service that dies inside the first call it serves.
+    #[derive(Debug)]
+    struct DiesServing;
+
+    impl Service for DiesServing {
+        type Req = u32;
+        type Resp = u32;
+        type Post = ();
+        fn call(&mut self, _req: u32) -> u32 {
+            panic!("killed mid-serve");
+        }
+        fn post(&mut self, _msg: ()) {}
+    }
+
     #[test]
     fn try_collect_abandons_and_poisons_when_the_service_dies_mid_serve() {
-        #[derive(Debug)]
-        struct DiesServing;
-        impl Service for DiesServing {
-            type Req = u32;
-            type Resp = u32;
-            type Post = ();
-            fn call(&mut self, _req: u32) -> u32 {
-                panic!("killed mid-serve");
-            }
-            fn post(&mut self, _msg: ()) {}
-        }
         let rt = OffloadRuntime::try_start(
             DiesServing,
             cfg(|c| c.deadline = Some(Duration::from_millis(10))),
@@ -1724,6 +1722,34 @@ mod tests {
         assert_eq!(failure.error, ServiceError::ServicePanicked);
         assert_eq!(failure.stats.deadlines, 1);
         assert!(failure.stats.service_down);
+    }
+
+    #[test]
+    fn a_traced_client_logs_one_abandoned_span_when_its_service_dies_mid_serve() {
+        let rt = OffloadRuntime::try_start(
+            DiesServing,
+            cfg(|c| {
+                c.deadline = Some(Duration::from_millis(10));
+                c.trace_capacity = 64;
+            }),
+        )
+        .unwrap();
+        let mut c = rt.register_client();
+        assert!(c.trip(9, CallKind::Batched, std::mem::take).is_err());
+        drop(c);
+        let telemetry = Arc::clone(rt.telemetry());
+        let _ = rt.try_shutdown().expect_err("service thread panicked");
+        let spans = telemetry.spans(usize::MAX);
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        let s = spans[0];
+        assert_eq!((s.thread, s.seq, s.batched), (1, 1, true));
+        assert_eq!((s.end, s.served), (SpanPhase::Abandoned, None));
+        assert!(s.enqueue <= s.end_tsc, "{s:?}");
+        assert_eq!(
+            telemetry.refill_cycles.snapshot().count(),
+            0,
+            "never booked"
+        );
     }
 
     #[test]

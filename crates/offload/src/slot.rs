@@ -14,6 +14,9 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use crate::service::CallKind;
+use crate::telemetry::Trip;
+
 /// Slot is idle; the client may publish a request.
 const EMPTY: u32 = 0;
 /// A request is published (the paper's `malloc_start`).
@@ -33,48 +36,43 @@ const SERVING: u32 = 3;
 ///
 /// A request is one line for the service to pull, the slot's first 64
 /// bytes: the state word the client spins on and the service claims with
-/// its CAS, the publish sequence, the claim stamp, and the request itself
-/// (in the paper's design a size; §4.2 puts `requested_size` and
-/// `allocated_block` beside `malloc_start` and `malloc_done`). Seeing
-/// RESPONSE therefore brings the claim stamp with it. The response starts
-/// on that line too, so the length and first words of a short one come
-/// with them: on the shipped types, a refill of up to three blocks is
-/// wholly on the line. The request crosses by value, the response is
-/// written and read **where it lies**: the server fills `resp` in place
-/// and the client reads it in place, so a response type with room for
-/// many addresses costs what a given response holds, one copy per side,
-/// never `size_of::<R>()`. The served stamp lies behind the response:
-/// only span tracing reads it. The slot is aligned to 128 bytes, so no
-/// other value shares its first line or that line's prefetch pair.
+/// its CAS, the publish sequence, and the request itself (in the paper's
+/// design a size; §4.2 puts `requested_size` and `allocated_block` beside
+/// `malloc_start` and `malloc_done`). The response starts on that line
+/// too, so the length and first words of a short one come with them: on
+/// the shipped types, a refill of up to four blocks is wholly on the
+/// line. The request crosses by value, the response is written and read
+/// **where it lies**: the server fills `resp` in place and the client
+/// reads it in place, so a response type with room for many addresses
+/// costs what a given response holds, one copy per side, never
+/// `size_of::<R>()`. The slot is aligned to 128 bytes, so no other value
+/// shares its first line or that line's prefetch pair.
 ///
-/// The slot never reads the clock, and only a timed trip is stamped (see
-/// [`crate::service::ClientHandle::publish`]). The service takes both
-/// stamps of a timed trip outside the claim → response window, which is
-/// the whole handshake the client waits on, whenever it can: the claim
-/// stamp before its claim CAS, the served stamp after its RESPONSE store.
+/// The slot never reads the clock and holds no stamp of the service's.
+/// Behind the response lies a client-only tail: the client's half of the
+/// record of its last timed trip (see
+/// [`crate::service::ClientHandle::publish`]), which it writes before the
+/// store that releases the slot and the service reads once it sees the
+/// slot released, to book the trip with its own two stamps.
 #[repr(C, align(128))]
 pub struct RequestSlot<Q, R> {
     state: AtomicU32,
-    /// Publish counter, bumped immediately before every REQUEST store. Two
-    /// consumers: fault injection uses it so the service loop's "drop
-    /// response" fault ignores one *specific* request rather than whatever
-    /// currently occupies the slot (which would swallow the retry a
-    /// deadline-expired client publishes after retracting), and span
-    /// tracing mints span ids from it so a retried request is a distinct
-    /// span by construction.
+    /// Publish counter, bumped immediately before every REQUEST store. It
+    /// names a request: both sides pick the timed trips by it, fault
+    /// injection's "drop response" fault ignores one *specific* request by
+    /// it rather than whatever currently occupies the slot (which would
+    /// swallow the retry a deadline-expired client publishes after
+    /// retracting), and a span is named by it, so a retried request is a
+    /// distinct span by construction.
     publish_seq: AtomicU64,
-    /// The service's clock reading for the last timed request it claimed,
-    /// as [`RequestSlot::serve`]'s `stamp` returned it. Written Relaxed
-    /// after the claim, and ordered for the client by the RESPONSE Release
-    /// store.
-    claim_tsc: AtomicU64,
     req: UnsafeCell<MaybeUninit<Q>>,
     /// Always a valid `R`: `R::default()` until the first response, then
     /// whatever the server last wrote over it.
     resp: UnsafeCell<R>,
-    /// The service's clock reading from just after the RESPONSE store, see
-    /// [`RequestSlot::stamp_served`]. No edge orders it for the client.
-    served_tsc: AtomicU64,
+    /// The last timed trip the client collected: its publish sequence,
+    /// kind, and the client's two stamps, `t0` and `t5` (see
+    /// [`RequestSlot::leave_stamps`]). Only the client writes it.
+    tail: [AtomicU64; 4],
 }
 
 // SAFETY: access to `req` and `resp` is mediated by the `state` protocol:
@@ -99,10 +97,9 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         RequestSlot {
             state: AtomicU32::new(EMPTY),
             publish_seq: AtomicU64::new(0),
-            claim_tsc: AtomicU64::new(0),
             req: UnsafeCell::new(MaybeUninit::uninit()),
             resp: UnsafeCell::new(R::default()),
-            served_tsc: AtomicU64::new(0),
+            tail: Default::default(),
         }
     }
 
@@ -115,34 +112,47 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         self.publish_seq.load(Ordering::Relaxed)
     }
 
-    /// The claim stamp [`RequestSlot::serve`]'s `stamp` returned for the
-    /// most recently claimed timed request. Valid for the client once it
-    /// has seen RESPONSE to a timed request (the Acquire load ordered it),
-    /// or — racily, which is harmless for a stamp — once a retract found
-    /// the request claimed. A request that was never claimed, or not
-    /// timed, reads an earlier trip's stamp: callers gate on the call
-    /// outcome and on the trip being timed.
-    #[must_use]
-    pub(crate) fn claim_stamp(&self) -> u64 {
-        self.claim_tsc.load(Ordering::Relaxed)
+    /// Client side, after it saw RESPONSE to a timed request and before
+    /// it collects it: leaves the trip's publish sequence, kind and the
+    /// client's two stamps in the slot's tail. Plain stores, ordered for
+    /// the service by the store that releases the slot. Nothing writes the
+    /// tail again until the service has served another timed trip, and
+    /// the service reads it before it claims the next request.
+    pub(crate) fn leave_stamps(&self, seq: u64, kind: CallKind, t0: u64, t5: u64) {
+        for (word, value) in self.tail.iter().zip([seq, kind as u64, t0, t5]) {
+            word.store(value, Ordering::Relaxed);
+        }
     }
 
-    /// Server side, after a `serve` that returned `true`: records when the
-    /// response was published. Taken after the RESPONSE store, so the
-    /// client may see the response before this lands.
-    pub(crate) fn stamp_served(&self, tsc: u64) {
-        self.served_tsc.store(tsc, Ordering::Relaxed);
+    /// Service side, once [`RequestSlot::collected`] holds after it served
+    /// a timed trip: that trip's record, the client's half read from the
+    /// tail and completed with the service's own `claim` and `served`
+    /// stamps.
+    #[must_use]
+    pub(crate) fn trip(&self, claim: u64, served: u64) -> Trip {
+        let [seq, kind, t0, t5] = self.tail.each_ref().map(|w| w.load(Ordering::Relaxed));
+        let kind = if kind == CallKind::Batched as u64 {
+            CallKind::Batched
+        } else {
+            CallKind::Single
+        };
+        Trip {
+            seq,
+            kind,
+            t0,
+            claim,
+            served,
+            t5,
+        }
     }
 
-    /// The last stamp [`RequestSlot::stamp_served`] stored. Nothing orders
-    /// it for the client: read right after RESPONSE, it may still be the
-    /// previous trip's. That one is never later than this trip's claim
-    /// stamp, because the service took the two in that order, so a reader
-    /// that clamps it up to the claim stamp gets a zero-width serve, never
-    /// a phase out of order.
-    #[must_use]
-    pub(crate) fn served_stamp(&self) -> u64 {
-        self.served_tsc.load(Ordering::Relaxed)
+    /// Service side, after a `serve`: whether the client has collected
+    /// the response since (the slot is EMPTY, or holds its next request).
+    /// Acquire, so what the client left in the tail before releasing the
+    /// slot is visible.
+    #[inline]
+    pub(crate) fn collected(&self) -> bool {
+        matches!(self.state.load(Ordering::Acquire), EMPTY | REQUEST)
     }
 
     /// Client side, non-blocking: publishes `request` if the slot is
@@ -220,15 +230,13 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         true
     }
 
-    /// Server side: if a request is pending, claims it, hands `stamp` its
-    /// publish sequence, consumes it, has `f` write the response over the
-    /// slot's previous one, publishes it, and returns `true`. `f` must
-    /// leave a complete response: what it does not overwrite is the last
-    /// response's. What `stamp` returns, when it returns one, is stored
-    /// as the claim stamp; it should be a clock reading taken before this
-    /// call, since one read between the claim and the RESPONSE store
-    /// lengthens the round trip the client waits out.
-    pub fn serve(&self, stamp: impl FnOnce(u64) -> Option<u64>, f: impl FnOnce(Q, &mut R)) -> bool {
+    /// Server side: if a request is pending, claims it, consumes it, has
+    /// `f` write the response over the slot's previous one, publishes it,
+    /// and returns `true`. `f` is handed the request's publish sequence,
+    /// the request and the response cell, and must leave a complete
+    /// response: what it does not overwrite is the last response's.
+    /// Everything `f` does lengthens the round trip the client waits out.
+    pub fn serve(&self, f: impl FnOnce(u64, Q, &mut R)) -> bool {
         // Claim the request with a CAS rather than a plain load: a
         // deadline-expired client may race us with a `REQUEST → EMPTY`
         // retraction, and exactly one side must own the payload. The CAS
@@ -244,9 +252,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         }
         // The Acquire CAS ordered the sequence the client bumped before
         // its REQUEST store.
-        if let Some(tsc) = stamp(self.publish_seq.load(Ordering::Relaxed)) {
-            self.claim_tsc.store(tsc, Ordering::Relaxed);
-        }
+        let seq = self.publish_seq.load(Ordering::Relaxed);
         // SAFETY: the CAS claimed the request (Acquire), so the client's
         // write of `req` happens-before this read, and a retracting client
         // observes SERVING and leaves the payload cells alone.
@@ -254,7 +260,7 @@ impl<Q: Send, R: Send + Default> RequestSlot<Q, R> {
         // SAFETY: as above — the client last touched `resp` before it
         // published EMPTY, and cannot again until it observes the
         // RESPONSE store below.
-        f(request, unsafe { &mut *self.resp.get() });
+        f(seq, request, unsafe { &mut *self.resp.get() });
         self.state.store(RESPONSE, Ordering::Release);
         true
     }
@@ -323,7 +329,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0;
             while served < 3 {
-                if server.serve(|_| None, |q, r| *r = q * 2) {
+                if server.serve(|_, q, r| *r = q * 2) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -339,7 +345,7 @@ mod tests {
     #[test]
     fn serve_returns_false_when_idle() {
         let slot: RequestSlot<u8, u8> = RequestSlot::new();
-        assert!(!slot.serve(|_| None, |q, r| *r = q));
+        assert!(!slot.serve(|_, q, r| *r = q));
         assert!(!slot.has_request());
     }
 
@@ -388,7 +394,7 @@ mod tests {
             let h = s.spawn(|| call(&slot, D));
             let mut served = false;
             while !served {
-                served = slot.serve(|_| None, server);
+                served = slot.serve(|_, q, r| server(q, r));
                 std::hint::spin_loop();
             }
             h.join().unwrap()
@@ -408,7 +414,7 @@ mod tests {
             (Arc::clone(&slot), Arc::clone(&stop), Arc::clone(&served));
         let h = std::thread::spawn(move || {
             while !srv_stop.load(Ordering::Acquire) {
-                if srv_slot.serve(|_| None, |q, r| *r = q + 1) {
+                if srv_slot.serve(|_, q, r| *r = q + 1) {
                     srv_count.fetch_add(1, Ordering::Relaxed);
                 }
                 std::hint::spin_loop();
@@ -453,7 +459,7 @@ mod tests {
         // A server that claims the request and then dies without responding.
         let h = std::thread::spawn(move || loop {
             let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                srv.serve(|_| None, |_q, _r| panic!("killed mid-serve"))
+                srv.serve(|_, _q, _r| panic!("killed mid-serve"))
             }));
             if dead.is_err() {
                 break;
@@ -470,43 +476,42 @@ mod tests {
     }
 
     #[test]
-    fn serve_stores_the_stamp_it_is_handed_for_the_sequence_it_claimed() {
+    fn serve_hands_over_the_sequence_and_the_tail_holds_the_last_collected_stamps() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert_eq!(slot.begin(1), Ok(1), "the first publish is sequence 1");
-        // 7 is no clock reading: what serve stores is what `stamp` made
-        // of the sequence it claimed.
         let mut claimed = 0;
-        assert!(slot.serve(
-            |seq| {
-                claimed = seq;
-                Some(7)
-            },
-            |q, r| *r = q
-        ));
-        assert_eq!((claimed, slot.claim_stamp()), (1, 7));
-        assert_eq!(slot.served_stamp(), 0, "serve stamps nothing else");
-        slot.stamp_served(9);
+        assert!(slot.serve(|seq, q, r| {
+            claimed = seq;
+            *r = q;
+        }));
+        assert_eq!(claimed, 1);
+        assert!(!slot.collected(), "the response waits in the slot");
+        // 10 and 50 are no clock readings: the tail holds what the client
+        // left and the record takes the service's two stamps as handed.
+        slot.leave_stamps(1, CallKind::Batched, 10, 50);
         assert_eq!(slot.poll_response(std::mem::take), Some(1));
-        assert_eq!(slot.served_stamp(), 9);
-        // An untimed trip leaves the last timed trip's stamp in place.
+        assert!(slot.collected());
+        let trip = slot.trip(20, 30);
+        assert_eq!((trip.seq, trip.kind), (1, CallKind::Batched));
+        assert_eq!(
+            [trip.t0, trip.claim, trip.served, trip.t5],
+            [10, 20, 30, 50]
+        );
+        // The next request, published or retracted, leaves the tail alone.
         assert_eq!(slot.begin(2), Ok(2), "seq bumps per publish");
-        assert!(slot.serve(|_| None, |q, r| *r = q));
-        assert_eq!(slot.claim_stamp(), 7);
-        assert_eq!(slot.poll_response(std::mem::take), Some(2));
-        assert_eq!(slot.begin(3), Ok(3));
+        assert!(slot.collected(), "its next request");
         assert!(slot.retract());
-        assert_eq!(slot.claim_stamp(), 7, "an unclaimed request is unstamped");
-        assert_eq!(slot.publish_seq(), 3);
+        assert_eq!(slot.trip(20, 30), trip);
+        assert_eq!(slot.publish_seq(), 2);
     }
 
     #[test]
     fn a_trip_reads_one_line() {
         // What the client spins on, what the service claims with its CAS,
-        // the claim stamp the client reads once it sees RESPONSE, the
-        // request the service reads after its claim, and the first four
-        // words of the response (a three-block refill's length and
-        // addresses): one 64-byte line, the slot's first. The served
-        // stamp lies behind the response. The 8-byte request stands for
+        // the request the service reads after its claim, and the first
+        // five words of the response (a four-block refill's length and
+        // addresses): one 64-byte line, the slot's first. The client's
+        // tail lies behind the response. The 8-byte request stands for
         // `ngm-core`'s `AllocBatchReq`, which a test there holds to 8
         // bytes.
         type Slot = RequestSlot<u64, [u64; 128]>;
@@ -514,13 +519,12 @@ mod tests {
         for (field, end) in [
             ("state", std::mem::offset_of!(Slot, state) + 4),
             ("publish_seq", std::mem::offset_of!(Slot, publish_seq) + 8),
-            ("claim_tsc", std::mem::offset_of!(Slot, claim_tsc) + 8),
             ("req", std::mem::offset_of!(Slot, req) + 8),
-            ("resp[..4]", std::mem::offset_of!(Slot, resp) + 4 * 8),
+            ("resp[..5]", std::mem::offset_of!(Slot, resp) + 5 * 8),
         ] {
             assert!(end <= 64, "{field} ends at byte {end}");
         }
-        assert!(std::mem::offset_of!(Slot, served_tsc) >= 64);
+        assert!(std::mem::offset_of!(Slot, tail) >= 64);
     }
 
     #[test]
@@ -530,7 +534,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut served = 0u32;
             while served < 1000 {
-                if server.serve(|_| None, |q, r| *r = q + 1) {
+                if server.serve(|_, q, r| *r = q + 1) {
                     served += 1;
                 } else {
                     std::thread::yield_now();
@@ -566,14 +570,11 @@ mod tests {
         let mut cells = Vec::new();
         for (n, mark) in [(128, 0xAA), (3, 0xBB)] {
             assert!(slot.begin(n).is_ok());
-            assert!(slot.serve(
-                |_| None,
-                |n, wide| {
-                    cells.push(std::ptr::from_mut(wide) as usize);
-                    wide.len = n;
-                    wide.words[..n].fill(mark);
-                }
-            ));
+            assert!(slot.serve(|_, n, wide| {
+                cells.push(std::ptr::from_mut(wide) as usize);
+                wide.len = n;
+                wide.words[..n].fill(mark);
+            }));
             let seen = slot.poll_response(|wide| {
                 assert_eq!(wide.len, n);
                 assert!(wide.words[..n].iter().all(|&w| w == mark));
@@ -604,7 +605,7 @@ mod tests {
         let slot: RequestSlot<(), D> = RequestSlot::new();
         assert!(slot.begin(()).is_ok());
         // Writing a response over the slot's previous one drops that one.
-        assert!(slot.serve(|_| None, |(), r| *r = D));
+        assert!(slot.serve(|_, (), r| *r = D));
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
         drop(slot);
         assert_eq!(DROPS.load(Ordering::SeqCst), 2, "the response nobody read");
@@ -617,7 +618,7 @@ mod tests {
         // Busy slot hands the payload back instead of publishing.
         assert_eq!(slot.begin(6), Err(6));
         assert_eq!(slot.poll_response(std::mem::take), None, "not served yet");
-        assert!(slot.serve(|_| None, |q, r| *r = q * 3));
+        assert!(slot.serve(|_, q, r| *r = q * 3));
         assert_eq!(slot.poll_response(std::mem::take), Some(15));
         assert_eq!(
             slot.poll_response(std::mem::take),
@@ -632,7 +633,7 @@ mod tests {
     fn retract_loses_once_served_and_response_collectable() {
         let slot: RequestSlot<u32, u32> = RequestSlot::new();
         assert!(slot.begin(4).is_ok());
-        assert!(slot.serve(|_| None, |q, r| *r = q * 10));
+        assert!(slot.serve(|_, q, r| *r = q * 10));
         assert!(!slot.retract(), "served request cannot be retracted");
         assert_eq!(slot.poll_response(std::mem::take), Some(40));
     }

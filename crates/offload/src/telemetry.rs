@@ -1,12 +1,13 @@
-//! Per-runtime telemetry: request-latency histograms, trace rings, and
-//! the metrics snapshot assembly.
+//! Per-runtime telemetry: request-latency histograms, trace rings, the
+//! span log, and the metrics snapshot assembly.
 //!
 //! One [`RuntimeTelemetry`] is shared (via `Arc`) between the service
-//! loop and every [`crate::ClientHandle`]. A histogram record is two
-//! locked adds (bucket and sum). The client records a timed round trip's
-//! latency and two phases, six in all, and a timed post its enqueue
-//! latency; the service records the serve phase of the same timed trips
-//! on a histogram that only it writes. Every clock read lies outside the
+//! loop and every [`crate::ClientHandle`]. A timed round trip is one
+//! record, a `Trip`, booked by the side that ended it: the service books
+//! every trip it served (latency, phases and, traced, its span) once it
+//! sees the client has collected the response, and the client books a
+//! trip it retracted or abandoned (its span, traced) and a timed post's
+//! enqueue latency. Every clock read lies outside the
 //! window from the service's claim to its response, so measurement adds
 //! nothing to the round trip being measured (§4.1's `T_comm`), except
 //! for a timed trip whose sequence a retract moved on, which the service
@@ -28,8 +29,10 @@ use std::sync::{Arc, Mutex};
 
 use ngm_telemetry::export::MetricsSnapshot;
 use ngm_telemetry::hist::LatencyHistogram;
+use ngm_telemetry::span::{Span, SpanPhase};
 use ngm_telemetry::trace::{TraceDrain, TraceRing};
 
+use crate::service::CallKind;
 use crate::stats::StatsSnapshot;
 
 /// Number of round-trip phases tracked per call (see
@@ -41,7 +44,7 @@ pub const PHASES: usize = 5;
 /// `ngm_phase_{name}_cycles` series.
 pub const PHASE_NAMES: [&str; PHASES] = ["queue", "claim", "serve", "publish", "observe"];
 
-/// [`PHASE_NAMES`] indices of the phases anything records.
+/// [`PHASE_NAMES`] indices of the phases a booked trip records.
 const CLAIM: usize = 1;
 const SERVE: usize = 2;
 const OBSERVE: usize = 4;
@@ -64,6 +67,46 @@ pub(crate) fn sampled(n: u64) -> bool {
     n.wrapping_mul(0x9E37_79B9_7F4A_7C15) < u64::MAX / SAMPLE_PERIOD
 }
 
+/// One timed round trip: the one record its books are derived from. The
+/// client stamps `t0` after its REQUEST store and `t5` when it sees
+/// RESPONSE; the service stamps `claim` before its claim CAS (after it,
+/// for a trip whose sequence a retract moved on) and `served` after its
+/// RESPONSE store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Trip {
+    pub(crate) seq: u64,
+    pub(crate) kind: CallKind,
+    pub(crate) t0: u64,
+    pub(crate) claim: u64,
+    pub(crate) served: u64,
+    pub(crate) t5: u64,
+}
+
+impl Trip {
+    /// The one function that builds a served trip's phases, as its span,
+    /// named by `thread`, the client's runtime thread id. The claim stamp
+    /// becomes `claim' = max(claim, t0)`, and the served stamp is clamped
+    /// into `[claim', t5]`. A claim stamp before `t0` means the service
+    /// read the clock before the request arrived and claimed it on
+    /// arrival: the trip books no claim phase, and its observe phase
+    /// (`claim'` to `t5`) covers the whole trip. So claim + observe is the
+    /// latency exactly, and the serve phase never includes the service's
+    /// wait for the request.
+    pub(crate) fn span(&self, thread: u32) -> Span {
+        let t5 = self.t5.max(self.t0);
+        let claimed = self.claim.clamp(self.t0, t5);
+        Span {
+            thread,
+            seq: self.seq,
+            batched: self.kind == CallKind::Batched,
+            enqueue: self.t0,
+            served: Some((claimed, self.served.clamp(claimed, t5))),
+            end: SpanPhase::Observed,
+            end_tsc: t5,
+        }
+    }
+}
+
 /// Telemetry shared by one offload runtime and all its clients.
 pub struct RuntimeTelemetry {
     /// Round-trip latency of timed synchronous calls (allocations in the
@@ -82,22 +125,15 @@ pub struct RuntimeTelemetry {
     pub refill_cycles: LatencyHistogram,
     /// Per-phase breakdowns of every timed synchronous round trip —
     /// single calls and batched refills alike — indexed as
-    /// [`PHASE_NAMES`].
-    ///
-    /// The client records two, from the same two endpoint readings as
-    /// the request's `call_cycles` or `refill_cycles` record: claim
-    /// (published → claimed) and observe (claimed → client observed: the
-    /// serve, the response's way back, and for a request collected after
-    /// the client went back to work, the time the response waited for
-    /// it). Per request they sum to exactly the recorded round trip, and
-    /// in total to the two histograms' sums.
-    ///
-    /// The service records serve (claimed → response published, read
-    /// after the RESPONSE store), and it is that entry's only writer. It
-    /// lies inside the client's observe phase rather than beside it. It
-    /// is recorded after the response is published, so a live read may
-    /// trail the timed calls by the one serve in progress; once the
-    /// runtime has shut down it counts exactly the timed calls served.
+    /// [`PHASE_NAMES`], booked by the service from the same record as the
+    /// trip's latency (see `Trip::span`): claim (published → claimed,
+    /// booked only when the request was not claimed on arrival), serve
+    /// (claimed → response published) and observe (claimed → client
+    /// observed: the serve, the response's way back, and for a request
+    /// collected after the client went back to work, the time the
+    /// response waited for it). Claim and observe sum to exactly the two
+    /// latency histograms' sums. A trip is booked once its client has
+    /// collected it, so these are whole once the runtime has shut down.
     ///
     /// The queue and publish entries (indices 0 and 3) are always empty:
     /// the client's one stamp follows its REQUEST store, and a response is
@@ -108,8 +144,12 @@ pub struct RuntimeTelemetry {
     /// Always empty: nothing records into it. Survives only until
     /// ROADMAP item 1(b) deletes it, because `benchmark/` still reads it.
     pub submit_depth: LatencyHistogram,
-    /// Capacity of each per-thread trace ring; 0 disables tracing.
+    /// Capacity of each per-thread trace ring and of the span log; 0
+    /// disables tracing.
     trace_capacity: usize,
+    /// One span per traced synchronous request, written whole by the
+    /// side that ended it; `None` untraced.
+    spans: Option<TraceRing<Span>>,
     /// All trace rings ever created for this runtime (service loop plus
     /// one per client), kept for draining.
     rings: Mutex<Vec<Arc<TraceRing>>>,
@@ -139,6 +179,7 @@ impl RuntimeTelemetry {
             phase_cycles: std::array::from_fn(|_| LatencyHistogram::new()),
             submit_depth: LatencyHistogram::new(),
             trace_capacity,
+            spans: (trace_capacity > 0).then(|| TraceRing::new(0, trace_capacity)),
             rings: Mutex::new(Vec::new()),
             next_thread: AtomicU32::new(0),
         }
@@ -189,11 +230,17 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// Total trace events lost to ring overflow so far (without
-    /// draining).
+    /// Total trace events and spans lost to ring overflow so far
+    /// (without draining).
     #[must_use]
     pub fn trace_dropped_total(&self) -> u64 {
-        self.lock_rings().iter().map(|r| r.dropped_total()).sum()
+        let spans = self.spans.as_ref().map_or(0, TraceRing::dropped_total);
+        spans
+            + self
+                .lock_rings()
+                .iter()
+                .map(|r| r.dropped_total())
+                .sum::<u64>()
     }
 
     /// Copies up to the `last` most recent events from every ring, merged
@@ -210,23 +257,40 @@ impl RuntimeTelemetry {
         events
     }
 
-    /// The client's share of one round trip's phase breakdown: claim and
-    /// observe, split at the slot's `claim` stamp. `t0`/`t5` are the
-    /// *same* endpoint readings used for its latency record, so the two
-    /// phases sum to exactly the recorded round trip. The claim stamp is
-    /// clamped into `[t0, t5]`: the service reads the clock before its
-    /// claim CAS, which may be before the client's REQUEST store.
-    pub fn record_phases(&self, t0: u64, claim: u64, t5: u64) {
-        let t2 = claim.clamp(t0, t5);
-        self.phase_cycles[CLAIM].record(t2 - t0);
-        self.phase_cycles[OBSERVE].record(t5 - t2);
+    /// Up to the `last` most recent spans (oldest first) without
+    /// draining; empty untraced.
+    #[must_use]
+    pub fn spans(&self, last: usize) -> Vec<Span> {
+        self.spans
+            .as_ref()
+            .map_or_else(Vec::new, |log| log.peek(last))
     }
 
-    /// The service's share: one timed serve, from its claim stamp (read
-    /// before the claim CAS unless a retract moved the sequence on) to
-    /// its reading after the RESPONSE store.
-    pub fn record_serve(&self, claim: u64, served: u64) {
-        self.phase_cycles[SERVE].record(served.saturating_sub(claim));
+    /// Logs one span, on a traced runtime only.
+    pub(crate) fn log_span(&self, span: Span) {
+        if let Some(log) = &self.spans {
+            log.record(span);
+        }
+    }
+
+    /// Books one timed trip the service served, once its client has
+    /// collected the response: its latency in the population of its
+    /// kind, its phases as [`Trip::span`] builds them, and on a traced
+    /// runtime the span itself.
+    pub(crate) fn book(&self, thread: u32, trip: &Trip) {
+        let span = trip.span(thread);
+        let (claimed, served) = span.served.expect("a served trip has both stamps");
+        let latency = match trip.kind {
+            CallKind::Single => &self.call_cycles,
+            CallKind::Batched => &self.refill_cycles,
+        };
+        latency.record(span.total_cycles());
+        if trip.claim >= trip.t0 {
+            self.phase_cycles[CLAIM].record(claimed - trip.t0);
+        }
+        self.phase_cycles[SERVE].record(served - claimed);
+        self.phase_cycles[OBSERVE].record(span.end_tsc - claimed);
+        self.log_span(span);
     }
 
     /// Assembles the exportable metrics snapshot: the runtime's counters
@@ -339,36 +403,64 @@ mod tests {
         assert!(d.events.windows(2).all(|w| w[0].tsc <= w[1].tsc));
     }
 
-    #[test]
-    fn client_phases_sum_to_the_round_trip_and_serve_is_booked_apart() {
-        let t = RuntimeTelemetry::new(0);
-        let sum = |i: usize| t.phase_cycles[i].snapshot().sum();
-        // A normal call: t0=100, claimed at 150, t5=1000.
-        t.record_phases(100, 150, 1000);
-        assert_eq!(sum(CLAIM) + sum(OBSERVE), 900, "t5 - t0 exactly");
-        // The service read the clock before the client's REQUEST store:
-        // the claim clamps to t0 and the observe phase takes it all.
-        t.record_phases(2000, 1990, 2100);
-        assert_eq!(sum(CLAIM) + sum(OBSERVE), 900 + 100);
-        assert_eq!(sum(CLAIM), 50);
-        t.record_serve(150, 900);
-        assert_eq!(sum(SERVE), 750);
-        let stats = crate::stats::RuntimeStats::new().snapshot();
-        let m = t.metrics(&stats);
-        for (name, recorded) in PHASE_NAMES.into_iter().zip([0, 2, 1, 0, 2]) {
-            let h = m
-                .get_histogram(&format!("ngm_phase_{name}_cycles"))
-                .unwrap_or_else(|| panic!("missing phase series {name}"));
-            assert_eq!(h.count(), recorded, "{name}");
+    /// A trip with planted stamps; 7 names it.
+    fn trip(kind: CallKind, t0: u64, claim: u64, served: u64, t5: u64) -> Trip {
+        Trip {
+            seq: 7,
+            kind,
+            t0,
+            claim,
+            served,
+            t5,
         }
+    }
+
+    #[test]
+    fn one_function_builds_the_phases_and_they_partition_the_trip() {
+        let t = RuntimeTelemetry::new(8);
+        let trips = [
+            // Claimed at 150 after a REQUEST at 100: a claim phase of 50.
+            trip(CallKind::Single, 100, 150, 900, 1000),
+            // The claim stamp precedes t0: claimed on arrival, no claim
+            // phase, and observe covers the whole trip.
+            trip(CallKind::Single, 2000, 1990, 2050, 2100),
+            // A served stamp after t5 is clamped to it.
+            trip(CallKind::Batched, 3000, 3010, 3200, 3100),
+        ];
+        let served: Vec<_> = trips.iter().map(|tr| tr.span(1).served).collect();
+        assert_eq!(
+            served,
+            [Some((150, 900)), Some((2000, 2050)), Some((3010, 3100))]
+        );
+        for tr in &trips {
+            t.book(1, tr);
+        }
+        let [calls, refills, claim, serve, observe] = [
+            &t.call_cycles,
+            &t.refill_cycles,
+            &t.phase_cycles[CLAIM],
+            &t.phase_cycles[SERVE],
+            &t.phase_cycles[OBSERVE],
+        ]
+        .map(LatencyHistogram::snapshot);
+        assert_eq!((calls.count(), calls.sum()), (2, 900 + 100));
+        assert_eq!((refills.count(), refills.sum()), (1, 100));
+        assert_eq!((claim.count(), claim.sum()), (2, 50 + 10));
+        assert_eq!((serve.count(), serve.sum()), (3, 750 + 50 + 90));
+        assert_eq!((observe.count(), observe.sum()), (3, 850 + 100 + 90));
+        assert_eq!(claim.sum() + observe.sum(), calls.sum() + refills.sum());
+        let spans = t.spans(usize::MAX);
+        let ends: Vec<_> = spans.iter().map(|s| (s.end, s.total_cycles())).collect();
+        assert_eq!(ends, [900, 100, 100].map(|c| (SpanPhase::Observed, c)));
+        assert!(RuntimeTelemetry::new(0).spans(usize::MAX).is_empty());
     }
 
     #[test]
     fn phase_histograms_merge_across_peers() {
         let a = RuntimeTelemetry::new(0);
         let b = RuntimeTelemetry::new(0);
-        a.record_phases(0, 20, 50);
-        b.record_phases(0, 20, 50);
+        a.book(1, &trip(CallKind::Single, 0, 20, 30, 50));
+        b.book(1, &trip(CallKind::Single, 0, 20, 30, 50));
         let stats = crate::stats::RuntimeStats::new().snapshot();
         let m = a.metrics_merged(&stats, &[&b]);
         let h = m.get_histogram("ngm_phase_claim_cycles").expect("series");
@@ -388,6 +480,16 @@ mod tests {
         gaps.dedup();
         assert_eq!(gaps, [34, 55, 89]);
         assert_eq!(picked[..3], [34, 89, 178], "the first trips timed");
+    }
+
+    #[test]
+    fn the_sampled_set_is_the_one_it_always_was() {
+        // The first 1,000 publish sequences time these, as they did before
+        // the service booked the trips.
+        let picked = [
+            34, 89, 178, 233, 267, 322, 411, 466, 555, 610, 644, 699, 788, 843, 932,
+        ];
+        assert!((1..=1_000).filter(|&n| sampled(n)).eq(picked));
     }
 
     #[test]

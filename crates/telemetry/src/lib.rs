@@ -14,14 +14,14 @@
 //!   alloc/free/post/refill/drain/wait-transition events (and, in a
 //!   tier's control ring, failure edges). Overflow drops
 //!   the oldest event and counts the drop; nothing is lost silently, and
-//!   the storage never grows.
+//!   the storage never grows. The same ring holds a runtime's span log.
 //! * [`export::MetricsSnapshot`] — a named bag of counters, gauges
 //!   (plain and labeled), and histogram snapshots renderable as
 //!   Prometheus text exposition or a JSON document.
 //! * [`span`] — request-lifecycle spans of synchronous calls (enqueue,
-//!   claimed, served, observed): phase codes, alias-free
-//!   span ids minted from the slot publish sequence, and reconstruction
-//!   of spans from drained trace rings.
+//!   claimed, served, then observed, retracted or abandoned): one
+//!   fixed-size record per traced request, written whole by the side
+//!   that ended it and named by its client and slot publish sequence.
 //! * [`server::HttpServer`] — a minimal HTTP/1.0 server for live
 //!   observability endpoints (`/metrics`, `/readyz`, ...).
 //! * [`recorder::FlightRecorder`] — a continuous JSONL recorder that

@@ -3,9 +3,10 @@
 //! Each runtime thread owns a [`TraceRing`]: a fixed-capacity buffer of
 //! timestamped [`TraceEvent`]s. When full, the *oldest* event is dropped
 //! and a drop counter advances — a bounded trace can lose history but
-//! never lies about having lost it. Rings are drained or peeked (span
-//! reconstruction, the observer's `/spans` and `/blackbox`) without
-//! stopping the producer.
+//! never lies about having lost it. Rings are drained or peeked (the
+//! observer's `/blackbox`) without stopping the producer. The same
+//! storage holds other fixed-size entries: a runtime's span log is a
+//! `TraceRing<Span>` (see [`crate::span`]).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -34,11 +35,6 @@ pub enum TraceEventKind {
     /// The service wait loop changed phase; `a` = from, `b` = to
     /// (see `ngm-offload`'s wait-phase encoding).
     WaitTransition,
-    /// A request-lifecycle span crossed a phase boundary; `a` = span id,
-    /// `b` = phase code (see [`crate::span::SpanPhase`]). Pushed with
-    /// [`TraceRing::push_at`] so the event's `tsc` is the *true* phase
-    /// timestamp, not the record time.
-    Span,
     /// A request-path failure edge; `a` = reason code (see `ngm-core`'s
     /// `FailureReason`), `b` = the shard implicated. Recorded into the
     /// tier's control ring, whose storage is allocated once, so
@@ -57,7 +53,6 @@ impl TraceEventKind {
             TraceEventKind::Refill => "refill",
             TraceEventKind::Drain => "drain",
             TraceEventKind::WaitTransition => "wait_transition",
-            TraceEventKind::Span => "span",
             TraceEventKind::Failure => "failure",
         }
     }
@@ -78,22 +73,22 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-struct RingInner {
-    buf: VecDeque<TraceEvent>,
+struct RingInner<E> {
+    buf: VecDeque<E>,
     dropped: u64,
 }
 
-/// A bounded ring of trace events (oldest dropped on overflow). Its
-/// storage is allocated once, at construction: a push at capacity pops
-/// the oldest event first, so the buffer never grows and a push never
-/// allocates.
-pub struct TraceRing {
-    inner: Mutex<RingInner>,
+/// A bounded ring of trace events, or of any other fixed-size entry
+/// (oldest dropped on overflow). Its storage is allocated once, at
+/// construction: a push at capacity pops the oldest entry first, so the
+/// buffer never grows and a push never allocates.
+pub struct TraceRing<E = TraceEvent> {
+    inner: Mutex<RingInner<E>>,
     capacity: usize,
     thread: u32,
 }
 
-impl std::fmt::Debug for TraceRing {
+impl<E> std::fmt::Debug for TraceRing<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRing")
             .field("capacity", &self.capacity)
@@ -102,8 +97,8 @@ impl std::fmt::Debug for TraceRing {
     }
 }
 
-impl TraceRing {
-    /// A ring holding at most `capacity` events for runtime thread
+impl<E: Copy> TraceRing<E> {
+    /// A ring holding at most `capacity` entries for runtime thread
     /// `thread`.
     ///
     /// # Panics
@@ -122,37 +117,21 @@ impl TraceRing {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RingInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, RingInner<E>> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Records an event, timestamping it now. Drops (and counts) the
-    /// oldest event if the ring is full.
-    pub fn push(&self, kind: TraceEventKind, a: u64, b: u64) {
-        self.push_at(cycles_now(), kind, a, b);
-    }
-
-    /// Records an event with an explicit timestamp — for span phase
-    /// events, whose meaningful time is when the phase boundary was
-    /// crossed, not when the client got around to recording it. Events
-    /// within one ring may therefore be slightly out of `tsc` order;
-    /// mergers sort.
-    pub fn push_at(&self, tsc: u64, kind: TraceEventKind, a: u64, b: u64) {
-        let ev = TraceEvent {
-            tsc,
-            thread: self.thread,
-            kind,
-            a,
-            b,
-        };
+    /// Appends `entry`. Drops (and counts) the oldest entry if the ring
+    /// is full.
+    pub fn record(&self, entry: E) {
         let mut g = self.lock();
         if g.buf.len() == self.capacity {
             g.buf.pop_front();
             g.dropped += 1;
         }
-        g.buf.push_back(ev);
+        g.buf.push_back(entry);
     }
 
     /// The runtime thread id this ring records for.
@@ -161,35 +140,29 @@ impl TraceRing {
         self.thread
     }
 
-    /// Maximum number of retained events.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently buffered.
+    /// Entries currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().buf.len()
     }
 
-    /// Whether no events are buffered.
+    /// Whether no entries are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total events dropped to overflow since creation (not reset by
+    /// Total entries dropped to overflow since creation (not reset by
     /// draining).
     #[must_use]
     pub fn dropped_total(&self) -> u64 {
         self.lock().dropped
     }
 
-    /// Removes and returns all buffered events (oldest first), plus the
+    /// Removes and returns all buffered entries (oldest first), plus the
     /// cumulative overflow-drop count at drain time.
     #[must_use]
-    pub fn drain(&self) -> TraceDrain {
+    pub fn drain(&self) -> TraceDrain<E> {
         let mut g = self.lock();
         TraceDrain {
             events: g.buf.drain(..).collect(),
@@ -197,22 +170,44 @@ impl TraceRing {
         }
     }
 
-    /// Copies up to the `last` most recent events (oldest first) without
-    /// draining — the read of a post-mortem view, which must not consume
-    /// the history someone else may still drain.
+    /// Copies up to the `last` most recent entries (oldest first)
+    /// without draining — the read of a post-mortem view, which must not
+    /// consume the history someone else may still drain.
     #[must_use]
-    pub fn peek(&self, last: usize) -> Vec<TraceEvent> {
+    pub fn peek(&self, last: usize) -> Vec<E> {
         let g = self.lock();
         let skip = g.buf.len().saturating_sub(last);
         g.buf.iter().skip(skip).copied().collect()
     }
 }
 
+impl TraceRing {
+    /// Records an event, timestamping it now. Drops (and counts) the
+    /// oldest event if the ring is full.
+    pub fn push(&self, kind: TraceEventKind, a: u64, b: u64) {
+        self.push_at(cycles_now(), kind, a, b);
+    }
+
+    /// Records an event with an explicit timestamp: one taken where the
+    /// event happened, before the producer got around to recording it.
+    /// Events within one ring may therefore be slightly out of `tsc`
+    /// order; mergers sort.
+    pub fn push_at(&self, tsc: u64, kind: TraceEventKind, a: u64, b: u64) {
+        self.record(TraceEvent {
+            tsc,
+            thread: self.thread,
+            kind,
+            a,
+            b,
+        });
+    }
+}
+
 /// Result of [`TraceRing::drain`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceDrain {
-    /// Drained events, oldest first.
-    pub events: Vec<TraceEvent>,
+pub struct TraceDrain<E = TraceEvent> {
+    /// Drained entries, oldest first.
+    pub events: Vec<E>,
     /// Cumulative events lost to overflow over the ring's lifetime.
     pub dropped_total: u64,
 }
@@ -265,7 +260,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(TraceEventKind::WaitTransition.label(), "wait_transition");
-        assert_eq!(TraceEventKind::Span.label(), "span");
         assert_eq!(TraceEventKind::Failure.label(), "failure");
     }
 
@@ -284,7 +278,7 @@ mod tests {
     #[test]
     fn push_at_records_explicit_timestamp() {
         let r = TraceRing::new(3, 4);
-        r.push_at(12_345, TraceEventKind::Span, 7, 0);
+        r.push_at(12_345, TraceEventKind::Post, 7, 0);
         let d = r.drain();
         assert_eq!(d.events.len(), 1);
         assert_eq!(d.events[0].tsc, 12_345);

@@ -1,141 +1,35 @@
-//! Observability contract tests: span reconstruction, phase coverage,
-//! and the Prometheus exposition format of the live metrics endpoint.
+//! Observability contract tests: the span log, phase coverage, and the
+//! Prometheus exposition format of the live metrics endpoint.
 //!
-//! Three layers are pinned here. (1) **Spans**: any interleaving of span
-//! trace events — synthetic or drained from a live tier — reconstructs
-//! into well-nested, phase-monotonic spans. (2) **Coverage**: the
-//! phase histograms partition the synchronous round trip, so their sums
-//! must land within 10% of `ngm_call_cycles`' sum (the acceptance bar;
-//! the stamps are clamped, so the identity is exact by construction).
-//! (3) **Exposition**: `to_prometheus_text()` on a live snapshot is
-//! valid text format 0.0.4 — every family announced by HELP+TYPE, every
-//! series unique, every value numeric, and every per-shard family one
-//! sample per shard.
+//! Three layers are pinned here. (1) **Spans**: a live tier's span log
+//! holds one whole, phase-monotonic span per trip, written by the side
+//! that ended it. (2) **Coverage**: the claim and observe phases
+//! partition the synchronous round trip, so their sums must land within
+//! 10% of `ngm_call_cycles`' sum (the acceptance bar; one record feeds
+//! all three, so the identity is exact by construction). (3)
+//! **Exposition**: `to_prometheus_text()` on a live snapshot is valid
+//! text format 0.0.4 — every family announced by HELP+TYPE, every series
+//! unique, every value numeric, and every per-shard family one sample
+//! per shard.
 //!
 //! The `faultinject` module adds the failure-path contracts: a
-//! dropped-then-retried request is *two* spans (ids never alias across
-//! retries), and a wedged shard's deadline is one failure event, which
+//! dropped-then-retried request is *two* spans (a retry is a new publish
+//! sequence), and a wedged shard's deadline is one failure event, which
 //! `/blackbox` renders with the shard's trace tail up to it.
 
 use std::alloc::Layout;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use ngm_core::{CorePlacement, NgmConfig};
 use ngm_offload::{PHASES, PHASE_NAMES};
-use ngm_telemetry::span::{call_span_id, reconstruct, SpanPhase};
-use ngm_telemetry::trace::{TraceEvent, TraceEventKind};
-use proptest::prelude::*;
+use ngm_telemetry::span::SpanPhase;
 
-/// Deterministic generator state for the property tests (the proptest
-/// shim drives `seed`; everything downstream is a pure function of it).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-}
-
-/// The phase sequence of one synthetic span: a lifecycle prefix, or a
-/// prefix cut short by a terminal retract/abandon.
-fn synthetic_phases(progress: u64) -> Vec<SpanPhase> {
-    match progress % 6 {
-        0 => vec![SpanPhase::Enqueue],
-        1 => vec![SpanPhase::Enqueue, SpanPhase::Claimed],
-        2 => vec![SpanPhase::Enqueue, SpanPhase::Claimed, SpanPhase::Served],
-        3 => vec![
-            SpanPhase::Enqueue,
-            SpanPhase::Claimed,
-            SpanPhase::Served,
-            SpanPhase::Observed,
-        ],
-        4 => vec![SpanPhase::Enqueue, SpanPhase::Retracted],
-        _ => vec![SpanPhase::Enqueue, SpanPhase::Claimed, SpanPhase::Abandoned],
-    }
-}
-
-fn span_event(tsc: u64, thread: u32, id: u64, phase: SpanPhase) -> TraceEvent {
-    TraceEvent {
-        tsc,
-        thread,
-        kind: TraceEventKind::Span,
-        a: id,
-        b: phase.code(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Concurrent spans emit their phase events interleaved and the
-    /// drain order is arbitrary — reconstruction must still yield one
-    /// well-nested, phase-monotonic span per id, with the exact phase
-    /// set each span emitted.
-    #[test]
-    fn interleaved_concurrent_spans_reconstruct_well_nested(
-        spans in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Lcg(seed);
-        let mut expected: HashMap<u64, Vec<SpanPhase>> = HashMap::new();
-        let mut pending: Vec<(u64, u32, std::vec::IntoIter<SpanPhase>)> = (0..spans)
-            .map(|i| {
-                let thread = (rng.next() % 4) as u32;
-                let id = call_span_id(thread, i as u64 + 1);
-                let phases = synthetic_phases(rng.next());
-                expected.insert(id, phases.clone());
-                (id, thread, phases.into_iter())
-            })
-            .collect();
-
-        // Interleave: each round, a random still-live span emits its
-        // next phase at a strictly later timestamp.
-        let mut events = Vec::new();
-        let mut tsc = 100u64;
-        while !pending.is_empty() {
-            let pick = (rng.next() as usize) % pending.len();
-            let (id, thread, ref mut it) = pending[pick];
-            match it.next() {
-                Some(phase) => {
-                    tsc += 1 + rng.next() % 50;
-                    events.push(span_event(tsc, thread, id, phase));
-                }
-                None => {
-                    pending.swap_remove(pick);
-                }
-            }
-        }
-        // Scramble the drain order on top of the interleaving.
-        for i in (1..events.len()).rev() {
-            events.swap(i, (rng.next() as usize) % (i + 1));
-        }
-
-        let got = reconstruct(&events);
-        prop_assert_eq!(got.len(), expected.len());
-        for span in &got {
-            prop_assert!(span.well_nested(), "span {:#x}: {:?}", span.id, span.phases);
-            prop_assert!(span.phase_monotonic(), "span {:#x}: {:?}", span.id, span.phases);
-            let want = &expected[&span.id];
-            let got_phases: Vec<SpanPhase> = span.phases.iter().map(|&(p, _)| p).collect();
-            prop_assert_eq!(&got_phases, want, "phase set round-trips");
-            prop_assert_eq!(
-                span.completed(),
-                want.last().is_some_and(|p| p.is_terminal()),
-            );
-        }
-    }
-}
-
-/// Drains a live single-shard tier's trace and reconstructs it: every
-/// span the runtime emitted (one per synchronous call; a post is one
-/// `Post` event, not a span) must be well-nested and phase-monotonic
-/// and run the full enqueue→observed lifecycle.
+/// A live single-shard tier's span log: every trip it served is one
+/// whole span, written once by the service after its client collected
+/// the response (a post is one `Post` event, not a span).
 #[test]
-fn live_trace_reconstructs_into_well_nested_spans() {
+fn live_span_log_holds_one_observed_span_per_trip() {
     const ROUNDS: usize = 256;
     let ngm = NgmConfig::new()
         .with_placement(CorePlacement::Unpinned)
@@ -150,37 +44,34 @@ fn live_trace_reconstructs_into_well_nested_spans() {
         unsafe { h.dealloc(p, l) };
     }
     drop(h);
-
-    let drain = ngm.telemetry().drain_trace();
-    let spans = reconstruct(&drain.events);
-    assert!(!spans.is_empty(), "round trips produce call spans");
-    let mut ids = HashSet::new();
-    for s in &spans {
-        assert!(s.well_nested(), "span {:#x}: {:?}", s.id, s.phases);
-        assert!(s.phase_monotonic(), "span {:#x}: {:?}", s.id, s.phases);
-        assert!(ids.insert(s.id), "span ids are unique");
-    }
-    // Every completed call observed its response (nothing retracted or
-    // abandoned on a healthy tier) after a full four-phase lifecycle.
-    for s in spans.iter().filter(|s| s.completed()) {
-        assert_eq!(
-            s.phases.last().map(|&(p, _)| p),
-            Some(SpanPhase::Observed),
-            "healthy calls end observed: {:?}",
-            s.phases
-        );
-        if s.at(SpanPhase::Enqueue).is_some() {
-            assert_eq!(s.phases.len(), 4, "full lifecycle: {:?}", s.phases);
-            assert!(s.total_cycles().is_some());
-        }
-    }
+    let telemetry = Arc::clone(ngm.telemetry());
     let down = ngm.shutdown();
     assert!(down.clean() && down.balanced());
+
+    // Read once the tier is down: the service books a trip once its
+    // client has collected it, at the latest when the loop ends.
+    let spans = telemetry.spans(usize::MAX);
+    assert!(!spans.is_empty(), "round trips produce call spans");
+    assert_eq!(
+        spans.len() as u64,
+        down.runtime.calls_served,
+        "one per trip"
+    );
+    let mut ids = HashSet::new();
+    for s in &spans {
+        assert!(ids.insert((s.thread, s.seq)), "spans are named once: {s:?}");
+        // Nothing is retracted or abandoned on a healthy tier.
+        assert_eq!(s.end, SpanPhase::Observed, "{s:?}");
+        let phases: Vec<_> = s.phases().collect();
+        assert_eq!(phases.len(), 4, "full lifecycle: {s:?}");
+        assert!(phases.windows(2).all(|w| w[0].1 <= w[1].1), "{s:?}");
+    }
 }
 
-/// Acceptance smoke: the client's phase sums partition `ngm_call_cycles`
-/// within 10% on a live tier (exact by construction; the slack covers
-/// histogram bucketing).
+/// Acceptance smoke: the claim and observe sums partition
+/// `ngm_call_cycles` within 10% on a live tier (exact by construction,
+/// once every trip is booked; the slack covers a live read that lands
+/// while the service books its last trip).
 #[test]
 fn phase_histograms_cover_the_call_histogram() {
     const ROUNDS: usize = 4_000;
@@ -204,8 +95,8 @@ fn phase_histograms_cover_the_call_histogram() {
         .get_histogram("ngm_call_cycles")
         .expect("call histogram exported")
         .sum();
-    // The client's phases partition its round trip. The service books
-    // serve, which lies inside the client's observe phase.
+    // Claim and observe partition the round trip; serve lies inside
+    // observe.
     let phase_sum: u64 = PHASE_NAMES
         .iter()
         .filter(|&&name| name != "serve")
@@ -365,7 +256,6 @@ fn exposition_validator_rejects_malformed_text() {
 #[cfg(feature = "faultinject")]
 mod faultinject {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
     use ngm_core::{FailureReason, ObserverConfig};
@@ -387,11 +277,10 @@ mod faultinject {
         fn post(&mut self, _msg: u64) {}
     }
 
-    /// A dropped-then-retried request is **two spans**: the drop ends
-    /// the first span at `Retracted`, and the retry — same client, same
-    /// slot — mints a fresh id from the bumped publish sequence and runs
-    /// the full lifecycle to `Observed`. Span ids never alias across
-    /// retries by construction.
+    /// A dropped-then-retried request is **two spans**: the client logs
+    /// the first, retracted unclaimed, and the service logs the retry —
+    /// same client, same slot, the next publish sequence — once it has
+    /// run the full lifecycle to `Observed`.
     #[test]
     fn dropped_then_retried_call_is_two_distinct_spans() {
         let cfg = RuntimeConfig {
@@ -420,34 +309,27 @@ mod faultinject {
         );
         drop(c);
 
-        let drain = rt.telemetry().drain_trace();
+        let telemetry = Arc::clone(rt.telemetry());
         rt.try_shutdown().expect("clean shutdown");
-        let calls = reconstruct(&drain.events);
+        let calls = telemetry.spans(usize::MAX);
         assert_eq!(calls.len(), 2, "one dropped + one served: {calls:?}");
-        assert_ne!(calls[0].id, calls[1].id, "retry minted a fresh span id");
-        let retracted = calls
-            .iter()
-            .find(|s| s.at(SpanPhase::Retracted).is_some())
-            .expect("the dropped request's span ends retracted");
-        assert!(
-            retracted.at(SpanPhase::Claimed).is_none(),
+        let [retracted, observed] = [calls[0], calls[1]];
+        assert_eq!(
+            (retracted.end, retracted.served),
+            (SpanPhase::Retracted, None),
             "a dropped request is never claimed: {retracted:?}"
         );
-        let observed = calls
-            .iter()
-            .find(|s| s.at(SpanPhase::Observed).is_some())
-            .expect("the retried request's span ends observed");
-        for s in [retracted, observed] {
-            assert!(s.well_nested() && s.phase_monotonic(), "{s:?}");
-            assert!(s.completed());
-        }
+        assert_eq!(observed.end, SpanPhase::Observed, "{observed:?}");
+        assert!(observed.served.is_some(), "{observed:?}");
+        assert_eq!(observed.seq, retracted.seq + 1, "the retry is a new span");
+        assert_eq!(observed.thread, retracted.thread, "same client");
     }
 
     /// A refill that met a wedged shard is **two spans** with its retry.
     /// The deadline retracts the never-claimed refill, whose span ends at
-    /// `Retracted` without `Claimed`, and the allocation falls back
-    /// inline; once the shard is let go, the retry on the same slot runs
-    /// the full lifecycle to `Observed` under a fresh id.
+    /// `Retracted` without a claim, and the allocation falls back inline;
+    /// once the shard is let go, the retry on the same slot runs the full
+    /// lifecycle to `Observed` under the next publish sequence.
     #[test]
     fn refill_retracted_then_retried_is_two_spans() {
         let ngm = NgmConfig::new()
@@ -473,28 +355,24 @@ mod faultinject {
         }
         drop(h);
 
-        let drain = ngm.telemetry().drain_trace();
-        let calls = reconstruct(&drain.events);
+        let telemetry = Arc::clone(ngm.telemetry());
+        let down = ngm.shutdown();
+        assert!(down.clean() && down.balanced());
+        let calls = telemetry.spans(usize::MAX);
         let retracted = calls
             .iter()
-            .find(|s| s.at(SpanPhase::Retracted).is_some())
+            .find(|s| s.end == SpanPhase::Retracted)
             .expect("the deadlined refill's span ends retracted");
         assert!(
-            retracted.at(SpanPhase::Claimed).is_none(),
-            "a wedged (never-claimed) refill must not show Claimed: {retracted:?}"
+            retracted.batched && retracted.served.is_none(),
+            "a wedged (never-claimed) refill shows no claim: {retracted:?}"
         );
         let observed = calls
             .iter()
-            .find(|s| s.at(SpanPhase::Observed).is_some())
+            .find(|s| s.end == SpanPhase::Observed && s.seq > retracted.seq)
             .expect("the retried allocation's span ends observed");
-        assert_ne!(retracted.id, observed.id, "retry minted a fresh span id");
-        for s in [retracted, observed] {
-            assert!(s.well_nested() && s.phase_monotonic(), "{s:?}");
-            assert!(s.completed());
-        }
-
-        let down = ngm.shutdown();
-        assert!(down.clean() && down.balanced());
+        assert_eq!(observed.thread, retracted.thread, "same slot: {observed:?}");
+        assert!(observed.served.is_some(), "{observed:?}");
     }
 
     /// Acceptance: a wedged shard's deadline is a failure event naming
